@@ -14,11 +14,14 @@
 //! fixed worker pool — one in-service request per connection at a
 //! time, so replies stay in request order — and each worker's encoded
 //! reply comes back to the loop through a completion list plus
-//! [`Poller::notify`]. The *query* parallelism still lives in each
-//! shard engine's worker pool: workers call
-//! [`QueryEngine::query_batch`] on the frame's shard directly, so
-//! remote batches share that shard's result cache, worker pool and
-//! hot-swap semantics with embedded callers, and a mid-load
+//! [`Poller::notify`]. A responder calls
+//! [`QueryEngine::query_batch_shared`] on the frame's shard directly:
+//! every pair the shard's result cache can answer is answered on the
+//! responder's own thread and encoded straight from the cached path
+//! ([`encode_path_batch`]), and only the searches the cache could not
+//! answer fan out over that shard engine's worker pool. Remote batches
+//! therefore share the shard's result cache, one-generation-per-batch
+//! and hot-swap semantics with embedded callers, and a mid-load
 //! `apply_delta` on one shard never stalls remote queries on another.
 //!
 //! Two threads per connection was the old model; it capped the server
@@ -111,14 +114,14 @@
 //! *not* shut down — that's its owner's call.
 
 use crate::wire::{chunk_size_for, datagram_cap, decode_datagram, DatagramError};
-use crate::wire::{write_frame, Assembled, Frame, FrameAssembler, Limits};
-use crate::wire::{WireFault, WirePath, WireResolution, WireShardInfo, WireStats};
+use crate::wire::{encode_path_batch, write_frame, Assembled, Frame, FrameAssembler, Limits};
+use crate::wire::{WireFault, WireResolution, WireShardInfo, WireStats};
 use crate::wire::{HEADER_BYTES, MAGIC, MIN_VERSION, TRACE_FLAG, VERSION};
 use inano_model::{ErrorCode, ModelError};
 use inano_obs::{
     EventJournal, EventKind, LatencyHistogram, MetricValue, MetricsRegistry, SlowLog, TraceCtx,
 };
-use inano_service::{QueryEngine, ShardRegistry};
+use inano_service::{QueryEngine, ShardRegistry, SharedResult};
 use parking_lot::Mutex;
 use polling::{Event, Events, Poller};
 use std::collections::{HashMap, VecDeque};
@@ -1801,17 +1804,21 @@ fn answer(shared: &Shared, work: Work) -> (Vec<u8>, bool) {
             shared.note_shed(reason);
             count_fault = false;
             let fault = WireFault::new(ErrorCode::Overloaded, reason);
-            (request_id, Frame::Error { fault }, false)
+            (request_id, Reply::Frame(Frame::Error { fault }), false)
         }
-        Work::Fault { request_id, fault } => (request_id, Frame::Error { fault }, false),
-        Work::Fatal { fault } => (0, Frame::Error { fault }, true),
+        Work::Fault { request_id, fault } => {
+            (request_id, Reply::Frame(Frame::Error { fault }), false)
+        }
+        Work::Fatal { fault } => (0, Reply::Frame(Frame::Error { fault }), true),
     };
-    let is_error = matches!(reply, Frame::Error { .. });
+    let is_error = matches!(reply, Reply::Frame(Frame::Error { .. }));
     if count_fault && is_error {
         shared.faults.fetch_add(1, Ordering::Relaxed);
     }
-    let mut bytes = Vec::new();
-    write_frame(&mut bytes, request_id, &reply).expect("encoding into a Vec cannot fail");
+    let mut bytes = match &reply {
+        Reply::Frame(frame) => frame.encode(request_id),
+        Reply::Paths(results) => encode_path_batch(request_id, results),
+    };
     if let Some(t) = trace.take() {
         // The trailer follows every *non-error* traced reply — the
         // same rule the client applies, so a pipelined stream never
@@ -1819,8 +1826,7 @@ fn answer(shared: &Shared, work: Work) -> (Vec<u8>, bool) {
         // buffer keeps reply and trailer adjacent on the wire.
         if !is_error {
             let timings = t.finish();
-            write_frame(&mut bytes, request_id, &Frame::TraceReply { timings })
-                .expect("encoding into a Vec cannot fail");
+            Frame::TraceReply { timings }.encode_into(request_id, &mut bytes);
         }
     }
     if let Some((frame_type, batch)) = slow_key {
@@ -1832,7 +1838,16 @@ fn answer(shared: &Shared, work: Work) -> (Vec<u8>, bool) {
     (bytes, close)
 }
 
-/// Map one decoded request to its reply frame, routing shard-addressed
+/// What a served request is answered with, before encoding.
+enum Reply {
+    Frame(Frame),
+    /// A served `QueryBatch`, still as the engine's shared results: the
+    /// `PathBatch` bytes are written straight from them
+    /// ([`encode_path_batch`]), after the trace's engine stage closes.
+    Paths(Vec<SharedResult>),
+}
+
+/// Map one decoded request to its reply, routing shard-addressed
 /// requests through the registry. `limits` bound the chunk size every
 /// atlas body is served in: one chunk always fits one frame.
 fn respond(
@@ -1841,24 +1856,15 @@ fn respond(
     journal: &EventJournal,
     frame: &Frame,
     limits: &Limits,
-) -> Frame {
-    match frame {
+) -> Reply {
+    Reply::Frame(match frame {
         Frame::Ping => Frame::Pong,
         Frame::Metrics => Frame::MetricsReply { dump: obs.dump() },
         Frame::Events { since_seq } => Frame::EventsReply {
             page: journal.since(*since_seq),
         },
         Frame::QueryBatch { shard, pairs } => match registry.engine(*shard) {
-            Ok(engine) => Frame::PathBatch {
-                results: engine
-                    .query_batch(pairs)
-                    .iter()
-                    .map(|r| match r {
-                        Ok(p) => Ok(WirePath::from(p)),
-                        Err(e) => Err(WireFault::from(e)),
-                    })
-                    .collect(),
-            },
+            Ok(engine) => return Reply::Paths(engine.query_batch_shared(pairs)),
             Err(e) => fault_reply(&e),
         },
         Frame::Resolve { shard, ip } => match registry
@@ -1910,10 +1916,10 @@ fn respond(
                     // The shard swapped generations since the client's
                     // head: tell it to restart there rather than hand
                     // it a chunk of a different atlas.
-                    return fault_reply(&ModelError::VersionRaced(format!(
+                    return Reply::Frame(fault_reply(&ModelError::VersionRaced(format!(
                         "fetching tag {epoch_tag:#018x} but the head moved to {:#018x}",
                         snap.epoch_tag
-                    )));
+                    ))));
                 }
                 let cs = chunk_size_for(limits);
                 match snap.chunk(cs, *idx) {
@@ -1977,7 +1983,7 @@ fn respond(
                 format!("frame type {:#04x} is not a request", frame.frame_type()),
             ),
         },
-    }
+    })
 }
 
 fn fault_reply(e: &ModelError) -> Frame {

@@ -120,7 +120,7 @@
 use inano_core::{AtlasVersion, DeltaHandle, PredictedPath, Resolution, DEFAULT_CHUNK_SIZE};
 use inano_model::{Asn, ClusterId, ErrorCode, Ipv4, LatencyMs, LossRate, ModelError, PrefixId};
 use inano_obs::{Event, EventKind, EventsPage, MetricValue, MetricsDump, TraceTimings};
-use inano_service::{ServiceStats, ShardId};
+use inano_service::{ServiceStats, ShardId, SharedResult};
 use std::io::{self, Read, Write};
 use std::time::Instant;
 
@@ -534,17 +534,46 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
 }
 
-fn put_vec_u32(buf: &mut Vec<u8>, v: &[u32]) {
+fn put_ids(buf: &mut Vec<u8>, ids: impl ExactSizeIterator<Item = u32>) {
     // Paths are graph-diameter-bounded in practice; if one ever
     // exceeds the u16 length prefix, truncate count *and* elements
     // together so the frame stays well-formed instead of corrupting
     // the stream with a wrapped count.
-    let n = v.len().min(u16::MAX as usize);
-    debug_assert_eq!(n, v.len(), "path far beyond wire bounds");
+    let n = ids.len().min(u16::MAX as usize);
+    debug_assert_eq!(n, ids.len(), "path far beyond wire bounds");
     put_u16(buf, n as u16);
-    for &x in &v[..n] {
+    buf.reserve(4 * n);
+    for x in ids.take(n) {
         put_u32(buf, x);
     }
+}
+
+/// One answered entry of a `PathBatch`. The only writer of that byte
+/// layout: [`Frame::PathBatch`] (from [`WirePath`]s) and
+/// [`encode_path_batch`] (straight from [`PredictedPath`]s) both end
+/// here, so the two cannot drift apart.
+fn put_path_ok(
+    buf: &mut Vec<u8>,
+    rtt_ms: f64,
+    loss: f64,
+    fwd_clusters: impl ExactSizeIterator<Item = u32>,
+    rev_clusters: impl ExactSizeIterator<Item = u32>,
+    fwd_as: impl ExactSizeIterator<Item = u32>,
+    rev_as: impl ExactSizeIterator<Item = u32>,
+) {
+    buf.push(0);
+    put_f64(buf, rtt_ms);
+    put_f64(buf, loss);
+    put_ids(buf, fwd_clusters);
+    put_ids(buf, rev_clusters);
+    put_ids(buf, fwd_as);
+    put_ids(buf, rev_as);
+}
+
+/// One faulted entry of a `PathBatch`.
+fn put_path_err(buf: &mut Vec<u8>, fault: &WireFault) {
+    buf.push(1);
+    put_fault(buf, fault);
 }
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
@@ -624,7 +653,20 @@ impl<'a> Cursor<'a> {
 
     fn vec_u32(&mut self) -> Result<Vec<u32>, WireFault> {
         let n = self.u16()? as usize;
-        (0..n).map(|_| self.u32()).collect()
+        // One bounds check for the whole list, and an iterator whose
+        // length is known: the `Vec` is allocated once at its final size.
+        Ok(self
+            .take(4 * n)?
+            .chunks_exact(4)
+            .map(|b| u32::from_be_bytes(b.try_into().unwrap()))
+            .collect())
+    }
+
+    /// How many entries to reserve for a declared count of `n`, each at
+    /// least `min_entry_bytes` on the wire: never more than the rest of
+    /// the payload could hold, whatever the count claims.
+    fn capacity_for(&self, n: u32, min_entry_bytes: usize) -> usize {
+        (n as usize).min(self.remaining() / min_entry_bytes)
     }
 
     fn string(&mut self) -> Result<String, WireFault> {
@@ -650,6 +692,72 @@ impl<'a> Cursor<'a> {
         }
         Ok(())
     }
+}
+
+/// Append a frame header whose payload length is still unknown;
+/// returns where the frame starts, for [`end_frame`].
+fn begin_frame(buf: &mut Vec<u8>, frame_type: u8, request_id: u64) -> usize {
+    let start = buf.len();
+    put_u32(buf, MAGIC);
+    buf.push(VERSION);
+    buf.push(frame_type);
+    put_u64(buf, request_id);
+    put_u32(buf, 0);
+    start
+}
+
+/// Patch the payload length of the frame begun at `start`, now that
+/// everything behind its header is the payload.
+fn end_frame(buf: &mut [u8], start: usize) {
+    let payload_len = (buf.len() - start - HEADER_BYTES) as u32;
+    buf[start + HEADER_BYTES - 4..start + HEADER_BYTES].copy_from_slice(&payload_len.to_be_bytes());
+}
+
+/// Encoded size of one answered `PathBatch` entry: tag, two floats,
+/// four u16 counts, four bytes per id.
+fn path_ok_bytes(clusters: usize, ases: usize) -> usize {
+    1 + 16 + 8 + 4 * (clusters + ases)
+}
+
+/// Encoded size of one faulted `PathBatch` entry, message excluded.
+const PATH_ERR_BYTES: usize = 1 + 2 + 2;
+
+/// Encode a served batch as a whole `PathBatch` frame, straight from
+/// the engine's shared results: no [`WirePath`] or [`Frame`] is built,
+/// and the bytes are exactly those of
+/// `Frame::PathBatch { results.map(WirePath::from / WireFault::from) }.encode(request_id)`.
+pub fn encode_path_batch(request_id: u64, results: &[SharedResult]) -> Vec<u8> {
+    // Faults are rare and short; a typical message's worth of room each
+    // keeps the buffer from regrowing without formatting them twice.
+    let body: usize = results
+        .iter()
+        .map(|r| match r {
+            Ok(p) => path_ok_bytes(
+                p.fwd_clusters.len() + p.rev_clusters.len(),
+                p.fwd_as_path.len() + p.rev_as_path.len(),
+            ),
+            Err(_) => PATH_ERR_BYTES + 64,
+        })
+        .sum();
+    let mut buf = Vec::with_capacity(HEADER_BYTES + 4 + body);
+    let start = begin_frame(&mut buf, FT_PATH_BATCH, request_id);
+    put_u32(&mut buf, results.len() as u32);
+    for r in results {
+        match r {
+            Ok(p) => put_path_ok(
+                &mut buf,
+                p.rtt.ms(),
+                p.loss.rate(),
+                p.fwd_clusters.iter().map(|c| c.raw()),
+                p.rev_clusters.iter().map(|c| c.raw()),
+                p.fwd_as_path.as_slice().iter().map(|a| a.raw()),
+                p.rev_as_path.as_slice().iter().map(|a| a.raw()),
+            ),
+            Err(e) => put_path_err(&mut buf, &WireFault::from(e)),
+        }
+    }
+    end_frame(&mut buf, start);
+    buf
 }
 
 // ---- frame codec ----------------------------------------------------
@@ -701,19 +809,16 @@ impl Frame {
                 put_u32(buf, results.len() as u32);
                 for r in results {
                     match r {
-                        Ok(p) => {
-                            buf.push(0);
-                            put_f64(buf, p.rtt_ms);
-                            put_f64(buf, p.loss);
-                            put_vec_u32(buf, &p.fwd_clusters);
-                            put_vec_u32(buf, &p.rev_clusters);
-                            put_vec_u32(buf, &p.fwd_as);
-                            put_vec_u32(buf, &p.rev_as);
-                        }
-                        Err(fault) => {
-                            buf.push(1);
-                            put_fault(buf, fault);
-                        }
+                        Ok(p) => put_path_ok(
+                            buf,
+                            p.rtt_ms,
+                            p.loss,
+                            p.fwd_clusters.iter().copied(),
+                            p.rev_clusters.iter().copied(),
+                            p.fwd_as.iter().copied(),
+                            p.rev_as.iter().copied(),
+                        ),
+                        Err(fault) => put_path_err(buf, fault),
                     }
                 }
             }
@@ -877,18 +982,43 @@ impl Frame {
         }
     }
 
+    /// The encoded payload size of the frames that can be large (a
+    /// fault message past its 512-byte cut aside), a small frame's
+    /// worth for the rest: what [`Frame::encode`] allocates up front so
+    /// a large frame's buffer never regrows.
+    fn payload_hint(&self) -> usize {
+        match self {
+            Frame::QueryBatch { pairs, .. } => 6 + 8 * pairs.len(),
+            Frame::PathBatch { results } => {
+                4 + results
+                    .iter()
+                    .map(|r| match r {
+                        Ok(p) => path_ok_bytes(
+                            p.fwd_clusters.len() + p.rev_clusters.len(),
+                            p.fwd_as.len() + p.rev_as.len(),
+                        ),
+                        Err(fault) => PATH_ERR_BYTES + fault.message.len(),
+                    })
+                    .sum::<usize>()
+            }
+            Frame::ChunkReply { bytes, .. } => CHUNK_WIRE_OVERHEAD as usize + bytes.len(),
+            _ => 64,
+        }
+    }
+
     /// Encode the full frame (header + payload) for `request_id`.
     pub fn encode(&self, request_id: u64) -> Vec<u8> {
-        let mut payload = Vec::new();
-        self.encode_payload(&mut payload);
-        let mut out = Vec::with_capacity(HEADER_BYTES + payload.len());
-        put_u32(&mut out, MAGIC);
-        out.push(VERSION);
-        out.push(self.frame_type());
-        put_u64(&mut out, request_id);
-        put_u32(&mut out, payload.len() as u32);
-        out.extend_from_slice(&payload);
+        let mut out = Vec::with_capacity(HEADER_BYTES + self.payload_hint());
+        self.encode_into(request_id, &mut out);
         out
+    }
+
+    /// Append the full frame to `buf`: header first, payload written in
+    /// place behind it, length patched once it is known.
+    pub fn encode_into(&self, request_id: u64, buf: &mut Vec<u8>) {
+        let start = begin_frame(buf, self.frame_type(), request_id);
+        self.encode_payload(buf);
+        end_frame(buf, start);
     }
 
     /// Decode a payload whose header has already been validated.
@@ -910,9 +1040,10 @@ impl Frame {
                         format!("batch of {n} exceeds limit {}", limits.max_batch),
                     ));
                 }
-                let pairs = (0..n)
-                    .map(|_| Ok((Ipv4(c.u32()?), Ipv4(c.u32()?))))
-                    .collect::<Result<_, WireFault>>()?;
+                let mut pairs = Vec::with_capacity(c.capacity_for(n, 8));
+                for _ in 0..n {
+                    pairs.push((Ipv4(c.u32()?), Ipv4(c.u32()?)));
+                }
                 Frame::QueryBatch { shard, pairs }
             }
             FT_PATH_BATCH => {
@@ -923,27 +1054,26 @@ impl Frame {
                         format!("batch of {n} exceeds limit {}", limits.max_batch),
                     ));
                 }
-                let results = (0..n)
-                    .map(|_| {
-                        Ok(match c.u8()? {
-                            0 => Ok(WirePath {
-                                rtt_ms: c.f64()?,
-                                loss: c.f64()?,
-                                fwd_clusters: c.vec_u32()?,
-                                rev_clusters: c.vec_u32()?,
-                                fwd_as: c.vec_u32()?,
-                                rev_as: c.vec_u32()?,
-                            }),
-                            1 => Err(c.fault()?),
-                            tag => {
-                                return Err(WireFault::new(
-                                    ErrorCode::Malformed,
-                                    format!("bad result tag {tag}"),
-                                ))
-                            }
-                        })
-                    })
-                    .collect::<Result<_, WireFault>>()?;
+                let mut results = Vec::with_capacity(c.capacity_for(n, PATH_ERR_BYTES));
+                for _ in 0..n {
+                    results.push(match c.u8()? {
+                        0 => Ok(WirePath {
+                            rtt_ms: c.f64()?,
+                            loss: c.f64()?,
+                            fwd_clusters: c.vec_u32()?,
+                            rev_clusters: c.vec_u32()?,
+                            fwd_as: c.vec_u32()?,
+                            rev_as: c.vec_u32()?,
+                        }),
+                        1 => Err(c.fault()?),
+                        tag => {
+                            return Err(WireFault::new(
+                                ErrorCode::Malformed,
+                                format!("bad result tag {tag}"),
+                            ))
+                        }
+                    });
+                }
                 Frame::PathBatch { results }
             }
             FT_RESOLVE => Frame::Resolve {
@@ -1761,6 +1891,41 @@ mod tests {
             Err(ReadError::Frame { fault, .. }) => assert_eq!(fault.code, ErrorCode::Malformed),
             other => panic!("want frame error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_hostile_batch_count_reserves_only_what_the_payload_could_hold() {
+        // A count just under `max_batch` over a payload of a few bytes:
+        // the count passes the limit check, so the decoder allocates
+        // for it — for what the bytes present could spell, not for
+        // what the count claims — and then runs out of payload.
+        let limits = Limits::default();
+        let claimed = limits.max_batch - 1;
+        for (frame_type, lead, tail, min_entry) in [
+            (FT_QUERY_BATCH, &[0u8, 0][..], &[0u8; 12][..], 8),
+            (FT_PATH_BATCH, &[][..], &[1u8, 0, 5, 0][..], PATH_ERR_BYTES),
+        ] {
+            let mut payload = lead.to_vec();
+            payload.extend_from_slice(&claimed.to_be_bytes());
+            payload.extend_from_slice(tail);
+            let mut c = Cursor::new(&payload);
+            c.take(lead.len() + 4).expect("the count is present");
+            let reserved = c.capacity_for(claimed, min_entry);
+            assert!(
+                reserved * min_entry <= tail.len(),
+                "type {frame_type:#04x}: {reserved} entries reserved over {} bytes",
+                tail.len()
+            );
+            match Frame::decode_payload(frame_type, &payload, &limits) {
+                Err(fault) => {
+                    assert_eq!(fault.code, ErrorCode::Malformed, "type {frame_type:#04x}")
+                }
+                Ok(frame) => panic!("decoded {frame:?} from a truncated batch"),
+            }
+        }
+        // An honest count is reserved in full.
+        let honest = [0u8; 64];
+        assert_eq!(Cursor::new(&honest).capacity_for(8, 8), 8);
     }
 
     #[test]

@@ -104,6 +104,39 @@ fn remote_answers_equal_embedded_answers() {
 }
 
 #[test]
+fn a_cached_batch_is_one_hit_per_pair_and_keeps_its_trace_trailer() {
+    // The reply to a served batch is encoded straight from the cached
+    // paths; over the wire that must change nothing: every pair counts
+    // one probe, the traced reply is still followed by its trailer in
+    // the same buffer, and the answers are the cold ones again.
+    let server = ring_server(ServerConfig::default());
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let pairs = all_pairs();
+    let cold = client.query_batch(&pairs).expect("cold batch");
+    let before = client.stats().expect("stats");
+    assert_eq!(before.cache_misses, pairs.len() as u64, "every pair probed");
+    assert_eq!(before.cache_hits, 0);
+
+    let request = Frame::QueryBatch {
+        shard: ShardId::DEFAULT,
+        pairs: pairs.clone(),
+    };
+    let (reply, timings) = client.call_traced(&request).expect("traced batch");
+    match reply {
+        Frame::PathBatch { results } => assert_eq!(results, cold),
+        other => panic!("want a PathBatch, got {other:?}"),
+    }
+    assert!(timings.total_us() > 0, "the trailer carries the stages");
+
+    let after = client.stats().expect("stats");
+    assert_eq!(after.cache_hits, pairs.len() as u64, "one hit per pair");
+    assert_eq!(after.cache_misses, before.cache_misses);
+    assert_eq!(after.queries - before.queries, pairs.len() as u64);
+    assert_eq!(after.errors, 0);
+    assert_eq!(after.latency_buckets.iter().sum::<u64>(), after.queries);
+}
+
+#[test]
 fn per_pair_failures_are_typed_not_batch_fatal() {
     let server = ring_server(ServerConfig::default());
     let mut client = NetClient::connect(server.local_addr()).expect("connect");

@@ -3,20 +3,23 @@
 //! every defined code, and the limit edges behave exactly at the
 //! boundary — a batch of `max_batch` pairs decodes, `max_batch + 1`
 //! is a typed per-frame error, a payload of `max_frame_bytes` decodes,
-//! one byte more is fatal.
+//! one byte more is fatal. The encoders are pinned too: the server's
+//! direct `PathBatch` encoder writes the bytes `Frame::encode` would,
+//! and every frame variant still encodes to its recorded bytes.
 
-use inano_core::{AtlasVersion, DeltaHandle};
-use inano_model::{ErrorCode, Ipv4};
+use inano_core::{AtlasVersion, DeltaHandle, PredictedPath};
+use inano_model::{AsPath, Asn, ClusterId, ErrorCode, Ipv4, LatencyMs, LossRate, ModelError};
 use inano_net::wire::{
-    datagram_cap, decode_datagram, read_frame, DatagramError, Frame, Limits, ReadError,
-    CHUNK_WIRE_OVERHEAD, HEADER_BYTES, TRACE_FLAG,
+    datagram_cap, decode_datagram, encode_path_batch, read_frame, DatagramError, Frame, Limits,
+    ReadError, CHUNK_WIRE_OVERHEAD, HEADER_BYTES, TRACE_FLAG,
 };
 use inano_net::{chunk_size_for, WireFault, WirePath, WireResolution, WireShardInfo, WireStats};
 use inano_obs::{
     Event, EventKind, EventsPage, MetricValue, MetricsDump, MetricsRegistry, TraceTimings,
 };
-use inano_service::ShardId;
+use inano_service::{ShardId, SharedResult};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 prop_compose! {
     fn arb_fault()(
@@ -207,6 +210,40 @@ prop_compose! {
     }
 }
 
+prop_compose! {
+    // What the engine hands the server: a shared prediction or the
+    // error that stood in for one.
+    fn arb_engine_result()(
+        variant in 0usize..5,
+        path in arb_path(),
+        detail in proptest::collection::vec(32u8..127, 0..80),
+        id in any::<u64>(),
+    ) -> SharedResult {
+        let detail = String::from_utf8(detail).expect("printable ASCII");
+        match variant {
+            0 | 1 => Ok(Arc::new(path.into_predicted())),
+            2 => Err(ModelError::NoPath(detail)),
+            3 => Err(ModelError::UnroutableAddress(detail)),
+            _ => Err(ModelError::UnknownEntity { kind: "prefix", id }),
+        }
+    }
+}
+
+/// The reply the server used to build before encoding: every result
+/// converted to its wire form, then `Frame::encode`.
+fn encode_via_frame(request_id: u64, results: &[SharedResult]) -> Vec<u8> {
+    Frame::PathBatch {
+        results: results
+            .iter()
+            .map(|r| match r {
+                Ok(p) => Ok(WirePath::from(&**p)),
+                Err(e) => Err(WireFault::from(e)),
+            })
+            .collect(),
+    }
+    .encode(request_id)
+}
+
 // One strategy per frame type, selected by index so every variant is
 // exercised (the stand-in proptest has no `prop_oneof!`).
 prop_compose! {
@@ -278,6 +315,23 @@ proptest! {
             .expect("not EOF");
         prop_assert_eq!(got_id, id);
         prop_assert_eq!(got, frame);
+    }
+
+    #[test]
+    fn direct_path_batch_bytes_equal_the_frame_encoding(
+        results in proptest::collection::vec(arb_engine_result(), 0..24),
+        id in any::<u64>(),
+    ) {
+        let direct = encode_path_batch(id, &results);
+        prop_assert_eq!(&direct, &encode_via_frame(id, &results));
+        // And they are a well-formed frame: the id sits where
+        // `udp_reply` reads it back from, the length covers the rest.
+        let (got_id, frame) = decode(&direct, &Limits::default()).unwrap().unwrap();
+        prop_assert_eq!(got_id, id);
+        match frame {
+            Frame::PathBatch { results: decoded } => prop_assert_eq!(decoded.len(), results.len()),
+            other => prop_assert!(false, "decoded as {other:?}"),
+        }
     }
 
     #[test]
@@ -548,4 +602,311 @@ fn datagram_cap_is_clamped_to_the_udp_payload_maximum() {
         max_batch: 16,
     };
     assert_eq!(datagram_cap(&huge), inano_net::MAX_UDP_PAYLOAD);
+}
+
+/// An empty served batch is a whole, decodable frame on both encoders.
+#[test]
+fn an_empty_path_batch_encodes_identically_on_both_encoders() {
+    let direct = encode_path_batch(9, &[]);
+    assert_eq!(direct, encode_via_frame(9, &[]));
+    assert_eq!(direct.len(), HEADER_BYTES + 4);
+    let (_, frame) = decode(&direct, &Limits::default()).unwrap().unwrap();
+    assert_eq!(frame, Frame::PathBatch { results: vec![] });
+}
+
+/// A path past the `u16` hop count is far outside what the predictor
+/// produces. Both encoders treat it alike, because they share one
+/// per-path writer: a release build truncates count and hops together
+/// (the frame stays well-formed), a debug build trips the same
+/// assertion.
+#[test]
+fn a_path_beyond_the_u16_hop_count_is_treated_alike_by_both_encoders() {
+    let hops = u16::MAX as usize + 7;
+    let long = PredictedPath {
+        fwd_clusters: (0..hops as u32).map(ClusterId::new).collect(),
+        rev_clusters: vec![ClusterId::new(1)],
+        fwd_as_path: AsPath::new((0..hops as u32).map(Asn::new)),
+        rev_as_path: AsPath::new([Asn::new(1)]),
+        rtt: LatencyMs::new(1.0),
+        loss: LossRate::new(0.0),
+    };
+    let results: Vec<SharedResult> = vec![
+        Ok(Arc::new(long)),
+        Err(ModelError::NoPath("after the long one".into())),
+    ];
+    let direct = std::panic::catch_unwind(|| encode_path_batch(3, &results));
+    let via_frame = std::panic::catch_unwind(|| encode_via_frame(3, &results));
+    if cfg!(debug_assertions) {
+        assert!(direct.is_err() && via_frame.is_err(), "both assert");
+        return;
+    }
+    let direct = direct.expect("release builds truncate");
+    assert_eq!(direct, via_frame.expect("release builds truncate"));
+    let limits = Limits {
+        max_frame_bytes: 1 << 20,
+        max_batch: 16,
+    };
+    match decode(&direct, &limits).unwrap().unwrap().1 {
+        Frame::PathBatch { results } => {
+            let path = results[0].as_ref().expect("the long path");
+            assert_eq!(path.fwd_clusters.len(), u16::MAX as usize);
+            assert_eq!(path.fwd_as.len(), u16::MAX as usize);
+            assert!(results[1].is_err(), "the entry behind it still aligns");
+        }
+        other => panic!("decoded as {other:?}"),
+    }
+}
+
+/// One fixed frame per variant, with the request id it is encoded under.
+fn golden_frames() -> Vec<(&'static str, u64, Frame)> {
+    let shard = ShardId(3);
+    vec![
+        ("ping", 1, Frame::Ping),
+        ("pong", 2, Frame::Pong),
+        (
+            "query_batch",
+            0x0102_0304_0506_0708,
+            Frame::QueryBatch {
+                shard,
+                pairs: vec![(Ipv4(0x0a00_0001), Ipv4(0x0a01_0002)), (Ipv4(7), Ipv4(9))],
+            },
+        ),
+        (
+            "path_batch",
+            4,
+            Frame::PathBatch {
+                results: vec![
+                    Ok(WirePath {
+                        fwd_clusters: vec![1, 2, 3],
+                        rev_clusters: vec![3, 1],
+                        fwd_as: vec![65_001],
+                        rev_as: vec![],
+                        rtt_ms: 12.5,
+                        loss: 0.25,
+                    }),
+                    Err(WireFault::new(ErrorCode::NoPath, "no path")),
+                ],
+            },
+        ),
+        (
+            "resolve",
+            5,
+            Frame::Resolve {
+                shard,
+                ip: Ipv4(0xc0a8_0101),
+            },
+        ),
+        (
+            "resolve_reply",
+            6,
+            Frame::ResolveReply {
+                resolution: WireResolution {
+                    prefix: 11,
+                    cluster: 12,
+                    origin_as: Some(13),
+                    cluster_as: None,
+                    refined_providers: true,
+                },
+            },
+        ),
+        ("stats", 7, Frame::Stats { shard }),
+        (
+            "stats_reply",
+            8,
+            Frame::StatsReply {
+                stats: WireStats {
+                    queries: 100,
+                    errors: 2,
+                    qps: 1.5,
+                    p50_us: 3,
+                    p99_us: 4,
+                    cache_hits: 5,
+                    cache_misses: 6,
+                    cache_evictions: 7,
+                    cache_hit_rate: 0.5,
+                    swaps: 8,
+                    epoch: 9,
+                    day: 10,
+                    workers: 11,
+                    latency_buckets: vec![1, 0, 2],
+                },
+            },
+        ),
+        ("epoch", 9, Frame::Epoch { shard }),
+        ("epoch_reply", 10, Frame::EpochReply { epoch: 77, day: 5 }),
+        ("list_shards", 11, Frame::ListShards),
+        (
+            "shards_reply",
+            12,
+            Frame::ShardsReply {
+                shards: vec![
+                    WireShardInfo {
+                        shard: 0,
+                        epoch: 1,
+                        day: 2,
+                    },
+                    WireShardInfo {
+                        shard: 3,
+                        epoch: 4,
+                        day: 5,
+                    },
+                ],
+            },
+        ),
+        ("atlas_head", 13, Frame::AtlasHead { shard }),
+        (
+            "atlas_head_reply",
+            14,
+            Frame::AtlasHeadReply {
+                version: AtlasVersion {
+                    day: 6,
+                    epoch_tag: 0xdead_beef_0bad_f00d,
+                    full_len: 1 << 33,
+                    chunk_size: 65_536,
+                },
+            },
+        ),
+        (
+            "fetch_full_chunk",
+            15,
+            Frame::FetchFullChunk {
+                shard,
+                epoch_tag: 0xfeed,
+                idx: 2,
+            },
+        ),
+        ("fetch_delta", 16, Frame::FetchDelta { shard, have_day: 4 }),
+        (
+            "delta_reply",
+            17,
+            Frame::DeltaReply {
+                handle: Some(DeltaHandle {
+                    from_day: 4,
+                    to_day: 5,
+                    len: 999,
+                    chunk_size: 512,
+                }),
+            },
+        ),
+        (
+            "fetch_delta_chunk",
+            18,
+            Frame::FetchDeltaChunk {
+                shard,
+                from_day: 4,
+                idx: 1,
+            },
+        ),
+        (
+            "chunk_reply",
+            19,
+            Frame::ChunkReply {
+                idx: 1,
+                crc: 0x1122_3344_5566_7788,
+                bytes: vec![9, 8, 7, 6, 5],
+            },
+        ),
+        ("metrics", 20, Frame::Metrics),
+        (
+            "metrics_reply",
+            21,
+            Frame::MetricsReply {
+                dump: MetricsDump {
+                    entries: vec![
+                        ("a.count".into(), MetricValue::Counter(3)),
+                        ("b.gauge".into(), MetricValue::Gauge(4)),
+                        ("c.hist".into(), MetricValue::Histogram(vec![0, 1, 2])),
+                    ],
+                },
+            },
+        ),
+        ("events", 22, Frame::Events { since_seq: 40 }),
+        (
+            "events_reply",
+            23,
+            Frame::EventsReply {
+                page: EventsPage {
+                    events: vec![Event {
+                        seq: 41,
+                        t_ms: 1_000,
+                        kind: EventKind::GenerationSwap,
+                        detail: "shard0 epoch=1 day=1".into(),
+                    }],
+                    lost: 1,
+                    next_seq: 42,
+                },
+            },
+        ),
+        (
+            "trace_reply",
+            1 << 63 | 24,
+            Frame::TraceReply {
+                timings: TraceTimings {
+                    decode_us: 1,
+                    queue_us: 2,
+                    engine_us: 3,
+                    encode_us: 4,
+                },
+            },
+        ),
+        (
+            "error",
+            25,
+            Frame::Error {
+                fault: WireFault::new(ErrorCode::Overloaded, "busy"),
+            },
+        ),
+    ]
+}
+
+/// What `Frame::encode` wrote for [`golden_frames`] when the payload
+/// was still built in a buffer of its own and copied behind the header
+/// (recorded at that commit). The single-buffer encoder must not move
+/// a byte of any frame.
+const GOLDEN_HEX: [(&str, &str); 25] = [
+    ("ping", "694e614e0501000000000000000100000000"),
+    ("pong", "694e614e0581000000000000000200000000"),
+    ("query_batch", "694e614e05020102030405060708000000160003000000020a0000010a0100020000000700000009"),
+    ("path_batch", "694e614e0582000000000000000400000041000000020040290000000000003fd000000000000000030000000100000002000000030002000000030000000100010000fde9000001000500076e6f2070617468"),
+    ("resolve", "694e614e05030000000000000005000000060003c0a80101"),
+    ("resolve_reply", "694e614e058300000000000000060000000d0000000b0000000c050000000d"),
+    ("stats", "694e614e05040000000000000007000000020003"),
+    ("stats_reply", "694e614e058400000000000000080000007a000000000000006400000000000000023ff8000000000000000000000000000300000000000000040000000000000005000000000000000600000000000000073fe0000000000000000000000000000800000000000000090000000a0000000b0003000000000000000100000000000000000000000000000002"),
+    ("epoch", "694e614e05050000000000000009000000020003"),
+    ("epoch_reply", "694e614e0585000000000000000a0000000c000000000000004d00000005"),
+    ("list_shards", "694e614e0506000000000000000b00000000"),
+    ("shards_reply", "694e614e0586000000000000000c0000001e000200000000000000000001000000020003000000000000000400000005"),
+    ("atlas_head", "694e614e0507000000000000000d000000020003"),
+    ("atlas_head_reply", "694e614e0587000000000000000e0000001800000006deadbeef0badf00d000000020000000000010000"),
+    ("fetch_full_chunk", "694e614e0508000000000000000f0000000e0003000000000000feed00000002"),
+    ("fetch_delta", "694e614e0509000000000000001000000006000300000004"),
+    ("delta_reply", "694e614e058900000000000000110000001501000000040000000500000000000003e700000200"),
+    ("fetch_delta_chunk", "694e614e050a00000000000000120000000a00030000000400000001"),
+    ("chunk_reply", "694e614e0588000000000000001300000015000000011122334455667788000000050908070605"),
+    ("metrics", "694e614e050b000000000000001400000000"),
+    ("metrics_reply", "694e614e058b00000000000000150000004b00000003000007612e636f756e740000000000000003010007622e67617567650000000000000004020006632e686973740003000000000000000000000000000000010000000000000002"),
+    ("events", "694e614e050c0000000000000016000000080000000000000028"),
+    ("events_reply", "694e614e058c00000000000000170000003b0000000000000001000000000000002a00000001000000000000002900000000000003e80100147368617264302065706f63683d31206461793d31"),
+    ("trace_reply", "694e614e058a80000000000000180000001000000001000000020000000300000004"),
+    ("error", "694e614e05ee0000000000000019000000080016000462757379"),
+];
+
+#[test]
+fn every_frame_variant_encodes_to_its_recorded_bytes() {
+    let frames = golden_frames();
+    assert_eq!(frames.len(), GOLDEN_HEX.len());
+    for ((name, id, frame), (golden_name, hex)) in frames.into_iter().zip(GOLDEN_HEX) {
+        assert_eq!(name, golden_name);
+        let encoded: String = frame
+            .encode(id)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(encoded, hex, "{name}");
+        // Appending behind other bytes is the same frame, in place.
+        let mut buf = vec![0xAA; 3];
+        frame.encode_into(id, &mut buf);
+        assert_eq!(buf[..3], [0xAA; 3], "{name}");
+        assert_eq!(buf[3..], frame.encode(id)[..], "{name}");
+    }
 }

@@ -1,18 +1,39 @@
-//! The query engine: a worker pool fanning batches across cores, a
-//! sharded result cache, and a hot-swappable predictor generation.
+//! The query engine: a sharded result cache probed on the caller's
+//! thread, a worker pool that parallelises the searches the cache could
+//! not answer, and a hot-swappable predictor generation.
 //!
 //! ## Threading model
 //!
+//! A batch ([`QueryEngine::query_batch_shared`]) snapshots one
+//! generation, then resolves every pair and probes the result cache on
+//! the *caller's* thread. A hit is answered there and then as the
+//! cached `Arc<PredictedPath>` — it never crosses a thread or copies
+//! the path. Only the misses go on, de-duplicated per cache key so one
+//! key is searched and inserted once per batch: inline when there are
+//! at most [`ServiceConfig::chunk`] of them, otherwise fanned over the
+//! pool in jobs of `chunk` searches that carry the snapshotted
+//! generation. A batch is therefore answered from exactly one
+//! generation, in input order, and the pool only ever runs real search
+//! work.
+//!
 //! `QueryEngine::new` spawns `workers` OS threads which block on a
 //! shared MPMC job queue (an `mpsc` channel behind a mutex — workers
-//! contend only for the *pop*, not the work). [`QueryEngine::query_batch`]
-//! splits the batch into chunks, enqueues them, and reassembles replies
-//! in order; [`QueryEngine::query`] serves inline on the caller's
-//! thread, sharing the same cache and generation.
+//! contend only for the *pop*, not the work).
+//! [`QueryEngine::query`] / [`QueryEngine::query_batch`] are the owning
+//! forms: the same path, with each result cloned out of its `Arc`.
 //! [`QueryEngine::shutdown`] (also run on drop) closes the queue,
 //! drains it, and joins the pool; batches accepted before the call are
-//! fully answered and later ones serve inline, so no accepted query is
+//! fully answered and later ones search inline, so no accepted query is
 //! lost.
+//!
+//! ## Counters
+//!
+//! Every pair that resolves to canonical endpoints is probed once and
+//! counted once (a cache hit or a miss); in-batch duplicates of a
+//! missed key each count their miss but share one search and one
+//! insert. `queries`, `errors` and the latency histogram take one
+//! sample per pair: a hit's sample is its resolve + probe time, a
+//! miss's the search it waited for.
 //!
 //! ## Hot swap
 //!
@@ -26,17 +47,17 @@
 //! (delta application, graph construction) happens *before* the write
 //! lock is taken.
 
-use crate::cache::ShardedCache;
+use crate::cache::{CacheKey, ShardedCache};
 use crate::stats::{Metrics, MirrorMetrics, MirrorStats, ServiceStats};
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_core::{
     chunk_span, content_tag, AtlasReader, AtlasSource, AtlasVersion, DeltaHandle, PathPredictor,
     PredictedPath, PredictorConfig,
 };
-use inano_model::{Ipv4, ModelError};
+use inano_model::{Ipv4, ModelError, PrefixId};
 use inano_obs::{EventJournal, EventKind};
 use parking_lot::{Mutex, RwLock};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -45,13 +66,14 @@ use std::time::Instant;
 /// Tuning knobs for the engine.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads serving batched queries.
+    /// Worker threads searching the pairs a batch's cache probe missed.
     pub workers: usize,
     /// Total result-cache entry budget across all shards.
     pub cache_capacity: usize,
     /// Cache shard count (rounded up to a power of two).
     pub cache_shards: usize,
-    /// Pairs per work item when fanning a batch across workers.
+    /// Pairs per work item when fanning a batch's cache misses across
+    /// workers; a batch with no more misses than this searches inline.
     pub chunk: usize,
     /// Predictor configuration used for every generation.
     pub predictor: PredictorConfig,
@@ -72,8 +94,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// One immutable atlas generation. Workers snapshot an `Arc` to it per
-/// work item; swaps replace the pointer, never mutate.
+/// One immutable atlas generation. A batch snapshots an `Arc` to it
+/// once and its pool jobs carry that; swaps replace the pointer, never
+/// mutate.
 pub struct Generation {
     /// Bumped on every applied delta; part of every cache key, so a
     /// swap implicitly invalidates the whole cache.
@@ -178,20 +201,53 @@ impl DeltaBlob {
     }
 }
 
-/// A chunk of a batch, dispatched to the worker pool.
+/// One answer as the engine holds it: the prediction shared with the
+/// result cache, never deep-copied on the way out.
+pub type SharedResult = Result<Arc<PredictedPath>, ModelError>;
+
+/// One search a batch still owes after probing the cache.
+#[derive(Clone, Copy)]
+struct Miss {
+    src: PrefixId,
+    dst: PrefixId,
+    /// Where the result is cached; `None` for a non-canonical endpoint,
+    /// which bypasses the cache.
+    key: Option<CacheKey>,
+}
+
+/// What the cache said about one resolved pair.
+enum Probed {
+    Hit(Arc<PredictedPath>),
+    Miss(Miss),
+}
+
+/// Where one pair of a batch stands after its probe.
+enum Slot {
+    /// Answered on the spot: a cache hit or a resolve error.
+    Ready(SharedResult),
+    /// Waits for the search at this index of the batch's miss list.
+    Waits(usize),
+}
+
+/// A search's result and how long it took, microseconds.
+type Searched = (SharedResult, u64);
+
+/// A chunk of a batch's misses, dispatched to the worker pool with the
+/// generation the batch snapshotted.
 struct Job {
-    pairs: Vec<(Ipv4, Ipv4)>,
+    generation: Arc<Generation>,
+    misses: Vec<Miss>,
     offset: usize,
-    reply: mpsc::Sender<(usize, Vec<Result<PredictedPath, ModelError>>)>,
+    reply: mpsc::Sender<(usize, Vec<Searched>)>,
 }
 
 /// The concurrent, hot-swappable query engine (§5 scaled up: the same
 /// local-library semantics as [`inano_core::INanoClient`], behind a
 /// thread pool and a result cache).
 pub struct QueryEngine {
-    current: Arc<RwLock<Arc<Generation>>>,
+    current: RwLock<Arc<Generation>>,
     cache: Arc<ShardedCache>,
-    metrics: Arc<Metrics>,
+    metrics: Metrics,
     cfg: ServiceConfig,
     /// Serialises swap *builders*; never blocks readers.
     swap_lock: Mutex<()>,
@@ -227,9 +283,7 @@ impl QueryEngine {
             epoch: 0,
             predictor,
         });
-        let current = Arc::new(RwLock::new(generation));
         let cache = Arc::new(ShardedCache::new(cfg.cache_capacity, cfg.cache_shards));
-        let metrics = Arc::new(Metrics::default());
 
         let (job_tx, job_rx) = mpsc::channel::<Job>();
         let job_rx = Arc::new(Mutex::new(job_rx));
@@ -237,9 +291,7 @@ impl QueryEngine {
         let workers = (0..n_workers)
             .map(|i| {
                 let rx = Arc::clone(&job_rx);
-                let current = Arc::clone(&current);
                 let cache = Arc::clone(&cache);
-                let metrics = Arc::clone(&metrics);
                 thread::Builder::new()
                     .name(format!("inano-svc-{i}"))
                     .spawn(move || loop {
@@ -249,11 +301,10 @@ impl QueryEngine {
                         let Ok(job) = job else {
                             return; // channel closed: engine dropped
                         };
-                        let generation = Arc::clone(&current.read());
                         let results = job
-                            .pairs
+                            .misses
                             .iter()
-                            .map(|&(s, d)| serve_one(&generation, &cache, &metrics, s, d))
+                            .map(|m| search(&job.generation, &cache, m))
                             .collect();
                         // The batch caller may have given up (it never
                         // does today); a dead reply port is not an error.
@@ -264,9 +315,9 @@ impl QueryEngine {
             .collect();
 
         QueryEngine {
-            current,
+            current: RwLock::new(generation),
             cache,
-            metrics,
+            metrics: Metrics::default(),
             cfg,
             swap_lock: Mutex::new(()),
             job_tx: RwLock::new(Some(job_tx)),
@@ -325,39 +376,114 @@ impl QueryEngine {
 
     /// Serve one query inline on the caller's thread.
     pub fn query(&self, src: Ipv4, dst: Ipv4) -> Result<PredictedPath, ModelError> {
-        let generation = self.generation();
-        serve_one(&generation, &self.cache, &self.metrics, src, dst)
+        self.query_shared(src, dst).map(Arc::unwrap_or_clone)
     }
 
-    /// Serve a batch by fanning chunks across the worker pool; results
-    /// come back in input order. Chunks snapshot the generation
-    /// independently, so a swap mid-batch is visible from the first
-    /// chunk that starts after it — exactly the freshness a client
-    /// polling a daily delta would see.
+    /// [`QueryEngine::query`] without the copy: the answer is the
+    /// `Arc` the result cache holds.
+    pub fn query_shared(&self, src: Ipv4, dst: Ipv4) -> SharedResult {
+        let generation = self.generation();
+        let start = Instant::now();
+        let result = match probe(&generation, &self.cache, src, dst) {
+            Ok(Probed::Hit(hit)) => Ok(hit),
+            Ok(Probed::Miss(miss)) => search(&generation, &self.cache, &miss).0,
+            Err(e) => Err(e),
+        };
+        self.metrics
+            .record_query(start.elapsed().as_micros() as u64, result.is_ok());
+        result
+    }
+
+    /// Serve a batch; results come back in input order, each an owned
+    /// copy. See [`QueryEngine::query_batch_shared`], which this wraps.
     pub fn query_batch(&self, pairs: &[(Ipv4, Ipv4)]) -> Vec<Result<PredictedPath, ModelError>> {
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        // Small batches aren't worth a channel round-trip; after
-        // shutdown every batch serves inline — accepted queries are
+        self.query_batch_shared(pairs)
+            .into_iter()
+            .map(|r| r.map(Arc::unwrap_or_clone))
+            .collect()
+    }
+
+    /// Serve a batch from one generation snapshot; results come back in
+    /// input order. Every pair is resolved and probed against the
+    /// result cache on this thread and a hit is answered as the cached
+    /// `Arc`. The misses, one per distinct cache key, are searched
+    /// inline when there are at most [`ServiceConfig::chunk`] of them
+    /// (and always after [`QueryEngine::shutdown`]), otherwise across
+    /// the worker pool, `chunk` searches to a job.
+    pub fn query_batch_shared(&self, pairs: &[(Ipv4, Ipv4)]) -> Vec<SharedResult> {
+        let generation = self.generation();
+        let mut misses: Vec<Miss> = Vec::new();
+        let mut by_key: HashMap<CacheKey, usize> = HashMap::new();
+        let mut mark = Instant::now();
+        let slots: Vec<Slot> = pairs
+            .iter()
+            .map(|&(src, dst)| {
+                let slot = match probe(&generation, &self.cache, src, dst) {
+                    Ok(Probed::Hit(hit)) => Slot::Ready(Ok(hit)),
+                    Err(e) => Slot::Ready(Err(e)),
+                    Ok(Probed::Miss(miss)) => {
+                        // A key this batch already owes a search for
+                        // waits on that one; anything else (a new key,
+                        // or a pair that bypasses the cache) owes its
+                        // own.
+                        let next = misses.len();
+                        let at = match miss.key {
+                            Some(key) => *by_key.entry(key).or_insert(next),
+                            None => next,
+                        };
+                        if at == next {
+                            misses.push(miss);
+                        }
+                        Slot::Waits(at)
+                    }
+                };
+                // One clock read per pair: this pair's probe ends where
+                // the next one's begins.
+                let now = Instant::now();
+                if let Slot::Ready(r) = &slot {
+                    self.metrics
+                        .record_query((now - mark).as_micros() as u64, r.is_ok());
+                }
+                mark = now;
+                slot
+            })
+            .collect();
+        let searched = self.search_all(&generation, misses);
+        slots
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Ready(r) => r,
+                Slot::Waits(at) => {
+                    let (result, us) = &searched[at];
+                    self.metrics.record_query(*us, result.is_ok());
+                    result.clone()
+                }
+            })
+            .collect()
+    }
+
+    /// Run a batch's searches against its generation, in miss order.
+    fn search_all(&self, generation: &Arc<Generation>, misses: Vec<Miss>) -> Vec<Searched> {
+        // A few searches aren't worth a channel round-trip; after
+        // shutdown every batch searches inline — accepted queries are
         // still answered, just without the pool.
-        let tx = if pairs.len() <= self.cfg.chunk {
+        let tx = if misses.len() <= self.cfg.chunk {
             None
         } else {
             self.job_tx.read().clone()
         };
         let Some(tx) = tx else {
-            let generation = self.generation();
-            return pairs
+            return misses
                 .iter()
-                .map(|&(s, d)| serve_one(&generation, &self.cache, &self.metrics, s, d))
+                .map(|m| search(generation, &self.cache, m))
                 .collect();
         };
         let (reply_tx, reply_rx) = mpsc::channel();
         let mut jobs = 0usize;
-        for (i, chunk) in pairs.chunks(self.cfg.chunk).enumerate() {
+        for (i, chunk) in misses.chunks(self.cfg.chunk).enumerate() {
             tx.send(Job {
-                pairs: chunk.to_vec(),
+                generation: Arc::clone(generation),
+                misses: chunk.to_vec(),
                 offset: i * self.cfg.chunk,
                 reply: reply_tx.clone(),
             })
@@ -368,8 +494,7 @@ impl QueryEngine {
         // Let a concurrent `shutdown` finish as soon as our jobs are
         // queued: workers exit when every sender is gone.
         drop(tx);
-        let mut out: Vec<Option<Result<PredictedPath, ModelError>>> =
-            (0..pairs.len()).map(|_| None).collect();
+        let mut out: Vec<Option<Searched>> = (0..misses.len()).map(|_| None).collect();
         for _ in 0..jobs {
             let (offset, results) = reply_rx.recv().expect("worker reply");
             for (k, r) in results.into_iter().enumerate() {
@@ -631,44 +756,40 @@ impl Drop for QueryEngine {
     }
 }
 
-/// Serve one (src, dst) query against a snapshotted generation: resolve
-/// both endpoints, consult the cluster-keyed cache, fall back to the
-/// predictor, and record latency.
-fn serve_one(
-    generation: &Generation,
-    cache: &ShardedCache,
-    metrics: &Metrics,
-    src: Ipv4,
-    dst: Ipv4,
-) -> Result<PredictedPath, ModelError> {
-    let start = Instant::now();
-    let result = serve_inner(generation, cache, src, dst);
-    metrics.record_query(start.elapsed().as_micros() as u64, result.is_ok());
-    result
-}
-
-fn serve_inner(
+/// Resolve both endpoints against a snapshotted generation and consult
+/// the cluster-keyed cache: the cached answer, or the search still owed.
+fn probe(
     generation: &Generation,
     cache: &ShardedCache,
     src: Ipv4,
     dst: Ipv4,
-) -> Result<PredictedPath, ModelError> {
+) -> Result<Probed, ModelError> {
     let p = &generation.predictor;
     let s = p.resolve(src)?;
     let d = p.resolve(dst)?;
     // Predictions are a pure function of the cluster pair only when both
     // prefixes agree with their cluster's AS (the overwhelmingly common
     // case); anomalous prefixes bypass the cache rather than poison it.
-    let cacheable = s.canonical() && d.canonical();
-    let key = (s.cluster, d.cluster, generation.epoch);
-    if cacheable {
-        if let Some(hit) = cache.get(&key) {
-            return Ok((*hit).clone());
-        }
+    let key = (s.canonical() && d.canonical()).then_some((s.cluster, d.cluster, generation.epoch));
+    Ok(match key.and_then(|key| cache.get(&key)) {
+        Some(hit) => Probed::Hit(hit),
+        None => Probed::Miss(Miss {
+            src: s.prefix,
+            dst: d.prefix,
+            key,
+        }),
+    })
+}
+
+/// Run one owed search and cache what it found.
+fn search(generation: &Generation, cache: &ShardedCache, miss: &Miss) -> Searched {
+    let start = Instant::now();
+    let result = generation
+        .predictor
+        .predict(miss.src, miss.dst)
+        .map(Arc::new);
+    if let (Some(key), Ok(path)) = (miss.key, &result) {
+        cache.insert(key, Arc::clone(path));
     }
-    let result = p.predict(s.prefix, d.prefix)?;
-    if cacheable {
-        cache.insert(key, Arc::new(result.clone()));
-    }
-    Ok(result)
+    (result, start.elapsed().as_micros() as u64)
 }

@@ -7,9 +7,10 @@
 //!
 //! Three pieces, separable and individually tested:
 //!
-//! * [`QueryEngine`] — a worker pool (std threads + channels, no
-//!   external runtime) fanning [`QueryEngine::query_batch`] chunks
-//!   across cores, with an inline fast path for single queries;
+//! * [`QueryEngine`] — [`QueryEngine::query_batch`] answers every
+//!   cached pair on the caller's thread from one generation snapshot
+//!   and fans only the searches the cache could not answer across a
+//!   worker pool (std threads + channels, no external runtime);
 //! * [`ShardedCache`] — a sharded LRU over full bidirectional
 //!   predictions keyed `(src_cluster, dst_cluster, epoch)`, riding the
 //!   paper's observation that predictions are stable within a
@@ -43,7 +44,9 @@ pub mod registry;
 pub mod stats;
 
 pub use cache::{CacheCounters, CacheKey, ShardedCache};
-pub use engine::{AtlasSnapshot, DeltaBlob, Generation, QueryEngine, ServiceConfig, DELTA_LOG_CAP};
+pub use engine::{
+    AtlasSnapshot, DeltaBlob, Generation, QueryEngine, ServiceConfig, SharedResult, DELTA_LOG_CAP,
+};
 pub use registry::{RegistryConfig, RegistryStats, ShardId, ShardRegistry, ShardSpec};
 pub use stats::{
     quantile_from_counts, LatencyHistogram, Metrics, MirrorMetrics, MirrorStats, ServiceStats,

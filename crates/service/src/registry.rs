@@ -78,7 +78,8 @@ pub struct RegistryConfig {
     pub total_cache_capacity: usize,
     /// Cache shard count per engine (rounded up to a power of two).
     pub cache_shards: usize,
-    /// Pairs per work item when fanning a batch across workers.
+    /// Pairs per work item when fanning a batch's cache misses across
+    /// workers; a batch with no more misses than this searches inline.
     pub chunk: usize,
 }
 

@@ -75,6 +75,10 @@ fn assert_same_path(a: &PredictedPath, b: &PredictedPath) {
     assert!((a.loss.rate() - b.loss.rate()).abs() < 1e-12);
 }
 
+fn same_route(a: &PredictedPath, b: &PredictedPath) -> bool {
+    a.fwd_clusters == b.fwd_clusters && a.rev_clusters == b.rev_clusters && a.rtt == b.rtt
+}
+
 #[test]
 fn batches_fan_across_workers_in_order() {
     let n = 10;
@@ -143,8 +147,14 @@ fn zipf_mix_sees_positive_hit_rate() {
             pairs.push((ip(src), ip(dst)));
         }
     }
-    for r in engine.query_batch(&pairs) {
-        r.expect("ring is fully routable");
+    // The mix arrives as a stream of batches: a batch probes the cache
+    // before it searches, so only what earlier batches left behind can
+    // hit (in-batch repeats of a cold key share one search, and each
+    // counts the miss it probed).
+    for batch in pairs.chunks(100) {
+        for r in engine.query_batch(batch) {
+            r.expect("ring is fully routable");
+        }
     }
     let stats = engine.stats();
     assert!(
@@ -172,6 +182,33 @@ fn hammering_queries_while_applying_deltas_never_errors() {
     }
     let delta = AtlasDelta::between(&day0, &day1);
 
+    let pairs: Vec<(Ipv4, Ipv4)> = (0..n)
+        .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (ip(s), ip(d))))
+        .collect();
+    // What each day answers for every pair. A batch is served from one
+    // generation, so it must agree with one of these from end to end —
+    // never day 0 for some pairs and day 1 for others.
+    let oracles: Arc<Vec<Vec<PredictedPath>>> = Arc::new(
+        // Day 1 as served: through the delta, like the engine's copy.
+        [day0.clone(), delta.apply(&day0).expect("delta applies")]
+            .into_iter()
+            .map(|atlas| {
+                let fresh = PathPredictor::new(Arc::new(atlas), ring_cfg());
+                pairs
+                    .iter()
+                    .map(|&(s, d)| fresh.query(s, d).expect("routable"))
+                    .collect()
+            })
+            .collect(),
+    );
+    assert!(
+        oracles[0]
+            .iter()
+            .zip(&oracles[1])
+            .any(|(a, b)| !same_route(a, b)),
+        "the days must differ for a mixed batch to be detectable"
+    );
+
     let engine = Arc::new(engine_over(day0, 4));
     let before = engine.query(ip(0), ip(far)).expect("routable");
     assert_eq!(
@@ -180,9 +217,6 @@ fn hammering_queries_while_applying_deltas_never_errors() {
         "pre-swap: the long way around"
     );
 
-    let pairs: Vec<(Ipv4, Ipv4)> = (0..n)
-        .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (ip(s), ip(d))))
-        .collect();
     let stop = Arc::new(AtomicBool::new(false));
     let issued = Arc::new(AtomicU64::new(0));
     let hammers: Vec<_> = (0..6)
@@ -191,14 +225,19 @@ fn hammering_queries_while_applying_deltas_never_errors() {
             let stop = Arc::clone(&stop);
             let issued = Arc::clone(&issued);
             let pairs = pairs.clone();
+            let oracles = Arc::clone(&oracles);
             thread::spawn(move || {
                 let mut failures = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    for r in engine.query_batch(&pairs) {
-                        if r.is_err() {
-                            failures += 1;
-                        }
-                    }
+                    let results = engine.query_batch(&pairs);
+                    failures += results.iter().filter(|r| r.is_err()).count() as u64;
+                    let one_day = oracles.iter().any(|day| {
+                        results
+                            .iter()
+                            .zip(day)
+                            .all(|(r, want)| r.as_ref().is_ok_and(|got| same_route(got, want)))
+                    });
+                    assert!(one_day, "a batch mixed two generations");
                     issued.fetch_add(pairs.len() as u64, Ordering::Relaxed);
                 }
                 failures
