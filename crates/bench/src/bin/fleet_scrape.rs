@@ -1,17 +1,16 @@
-//! `fleet_scrape`: poll several `inano-serve` instances, merge their
-//! per-shard engine counters into one fleet-wide view, and emit it as a
-//! single BENCH JSON line.
+//! `fleet_scrape`: poll several `inano-serve` instances over the
+//! `Metrics` frame, merge their unified [`MetricsDump`]s into one
+//! fleet-wide view, and emit it as a single BENCH JSON line.
 //!
-//! The merge is exact, not approximate: `StatsReply` ships each
-//! engine's raw log₂ latency buckets, and `ServiceStats::aggregate`
-//! sums those bucket vectors element-wise before recomputing p50/p99 —
-//! merging histograms, where averaging per-server percentiles would be
-//! statistically meaningless.
+//! The merge is exact, not approximate: a dump ships each engine's raw
+//! log₂ latency buckets, [`MetricsDump::merged`] sums those bucket
+//! vectors element-wise (counters sum too, gauges take the fleet max),
+//! and p50/p99 are read off the summed buckets — merging histograms,
+//! where averaging per-server percentiles would be statistically
+//! meaningless.
 //!
-//! With `--interval MS` the scraper becomes a time-series poller over
-//! the protocol-v4 `Metrics` frame: every tick it pulls each server's
-//! unified [`MetricsDump`], merges them (counters sum, histograms sum
-//! element-wise, gauges take the fleet max) and appends one sample —
+//! With `--interval MS` the scraper becomes a time-series poller:
+//! every tick it pulls and merges the dumps and appends one sample —
 //! fleet queries, deltas applied, full resyncs, and the *fleet lag*
 //! (max minus min serving day across every scraped shard, the spread a
 //! mid-run delta swap opens and a mirror refresh closes). Each tick
@@ -29,8 +28,7 @@
 
 use inano_net::cli::{arg, repeated};
 use inano_net::NetClient;
-use inano_obs::MetricsDump;
-use inano_service::{ServiceStats, ShardId};
+use inano_obs::{quantile_from_counts, MetricValue, MetricsDump};
 use std::time::{Duration, Instant};
 
 /// One merged-fleet sample.
@@ -56,7 +54,7 @@ fn fleet_lag_days(dumps: &[MetricsDump]) -> u64 {
     for dump in dumps {
         for (name, value) in &dump.entries {
             if name.starts_with("shard") && name.ends_with(".day") && !name.contains(".mirror.") {
-                if let inano_obs::MetricValue::Gauge(day) = value {
+                if let MetricValue::Gauge(day) = value {
                     min_day = min_day.min(*day);
                     max_day = max_day.max(*day);
                 }
@@ -68,6 +66,19 @@ fn fleet_lag_days(dumps: &[MetricsDump]) -> u64 {
     } else {
         max_day - min_day
     }
+}
+
+/// One connection per `--connect` target, paired with its address (for
+/// error messages).
+fn connect_all(targets: &[(String, String)]) -> Vec<(String, NetClient)> {
+    targets
+        .iter()
+        .map(|(_, addr)| {
+            let client =
+                NetClient::connect(addr).unwrap_or_else(|e| panic!("connect to {addr}: {e}"));
+            (addr.clone(), client)
+        })
+        .collect()
 }
 
 /// Poll every server's metrics dump once; panics carry the failing
@@ -84,17 +95,10 @@ fn scrape(clients: &mut [(String, NetClient)]) -> Vec<MetricsDump> {
 }
 
 fn timeseries(targets: &[(String, String)], interval_ms: u64, ticks: usize) {
-    // Per-server state: the address (for error messages), the client,
-    // and the event-journal cursor — the `next_seq` of the last page,
-    // so each tick only pulls events the previous tick hasn't seen.
-    let mut clients: Vec<(String, NetClient)> = targets
-        .iter()
-        .map(|(_, addr)| {
-            let client =
-                NetClient::connect(addr).unwrap_or_else(|e| panic!("connect to {addr}: {e}"));
-            (addr.clone(), client)
-        })
-        .collect();
+    // Per-server state: the client and the event-journal cursor — the
+    // `next_seq` of the last page, so each tick only pulls events the
+    // previous tick hasn't seen.
+    let mut clients = connect_all(targets);
     let mut cursors: Vec<u64> = vec![0; clients.len()];
     let started = Instant::now();
     let mut samples: Vec<Tick> = Vec::with_capacity(ticks);
@@ -182,45 +186,76 @@ fn timeseries(targets: &[(String, String)], interval_ms: u64, ticks: usize) {
     );
 }
 
+/// The fleet-wide latency buckets: every `shardN.latency_us` histogram
+/// of a merged dump, summed element-wise.
+fn fleet_latency(merged: &MetricsDump) -> Vec<u64> {
+    let mut sum: Vec<u64> = Vec::new();
+    for (name, value) in &merged.entries {
+        if let MetricValue::Histogram(buckets) = value {
+            if name.starts_with("shard") && name.ends_with(".latency_us") {
+                sum.resize(sum.len().max(buckets.len()), 0);
+                for (acc, &c) in sum.iter_mut().zip(buckets) {
+                    *acc += c;
+                }
+            }
+        }
+    }
+    sum
+}
+
 fn one_shot(targets: &[(String, String)]) {
-    let mut parts: Vec<ServiceStats> = Vec::new();
-    let mut servers = 0usize;
-    for (_, addr) in targets {
-        let mut client =
-            NetClient::connect(addr).unwrap_or_else(|e| panic!("connect to {addr}: {e}"));
-        let shards = client
-            .shards()
-            .unwrap_or_else(|e| panic!("list shards of {addr}: {e}"));
-        servers += 1;
-        for info in shards {
-            let stats = client
-                .stats_on(ShardId(info.shard))
-                .unwrap_or_else(|e| panic!("stats of {addr} shard {}: {e}", info.shard));
-            eprintln!(
-                "{addr} shard {}: {} queries, epoch {}, day {}, p99 {}us",
-                info.shard, stats.queries, stats.epoch, stats.day, stats.p99_us
-            );
-            parts.push(stats.to_service_stats());
+    let mut clients = connect_all(targets);
+    let dumps = scrape(&mut clients);
+    let mut shards = 0usize;
+    for ((addr, _), dump) in clients.iter().zip(&dumps) {
+        for (name, value) in &dump.entries {
+            // One `shardN.queries` counter per hosted shard.
+            if let (Some(shard), MetricValue::Counter(queries)) =
+                (name.strip_suffix(".queries"), value)
+            {
+                shards += 1;
+                eprintln!(
+                    "{addr} {shard}: {queries} queries, epoch {}, day {}",
+                    dump.gauge(&format!("{shard}.epoch")),
+                    dump.gauge(&format!("{shard}.day")),
+                );
+            }
         }
     }
 
-    let fleet = ServiceStats::aggregate(parts.iter());
+    // Counters sum and gauges take the max across the fleet, so the
+    // merged `epoch`/`day` read the freshest member.
+    let fleet = MetricsDump::merged(dumps.iter());
+    let latency = fleet_latency(&fleet);
+    let (hits, misses) = (
+        fleet.counter_sum(".cache.hits"),
+        fleet.counter_sum(".cache.misses"),
+    );
+    let freshest = |suffix: &str| {
+        fleet
+            .entries
+            .iter()
+            .filter_map(|(name, value)| match value {
+                MetricValue::Gauge(v) if name.ends_with(suffix) => Some(*v),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0)
+    };
     // The contract line: exactly one JSON record on stdout.
     println!(
-        "{{\"bench\":\"fleet_scrape\",\"servers\":{servers},\"shards\":{},\"queries\":{},\
-         \"errors\":{},\"qps\":{:.1},\"p50_us\":{},\"p99_us\":{},\"cache_hit\":{:.4},\
-         \"swaps\":{},\"epoch\":{},\"day\":{},\"workers\":{}}}",
-        parts.len(),
-        fleet.queries,
-        fleet.errors,
-        fleet.qps,
-        fleet.p50_us,
-        fleet.p99_us,
-        fleet.cache_hit_rate,
-        fleet.swaps,
-        fleet.epoch,
-        fleet.day,
-        fleet.workers,
+        "{{\"bench\":\"fleet_scrape\",\"servers\":{},\"shards\":{shards},\"queries\":{},\
+         \"errors\":{},\"p50_us\":{},\"p99_us\":{},\"cache_hit\":{:.4},\
+         \"swaps\":{},\"epoch\":{},\"day\":{}}}",
+        clients.len(),
+        fleet.counter_sum(".queries"),
+        fleet.counter_sum(".errors"),
+        quantile_from_counts(&latency, 0.50),
+        quantile_from_counts(&latency, 0.99),
+        hits as f64 / (hits + misses).max(1) as f64,
+        fleet.counter_sum(".swaps"),
+        freshest(".epoch"),
+        freshest(".day"),
     );
 }
 

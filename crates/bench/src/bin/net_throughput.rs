@@ -312,6 +312,9 @@ fn run_conn_soak(
     .expect("bind loopback server");
     let addr = server.local_addr();
     eprintln!("conn soak: server on {addr}, raising to {n_conns} idle connections");
+    // The server's own registration count, read live off its handle.
+    let active = server.metrics().gauge("srv.active");
+    let registered = || active.get() as usize;
 
     // Spawn the holders and feed them connect credits, pacing against
     // the server's registration count: outrunning the loop would just
@@ -341,9 +344,9 @@ fn run_conn_soak(
         assert!(
             Instant::now() < open_deadline,
             "holders stalled: {} of {n_conns} registered",
-            server.counters().active
+            registered()
         );
-        let outstanding = granted.iter().sum::<usize>() - server.counters().active;
+        let outstanding = granted.iter().sum::<usize>() - registered();
         if outstanding >= CONNECT_WINDOW {
             std::thread::sleep(std::time::Duration::from_millis(2));
             continue;
@@ -362,11 +365,11 @@ fn run_conn_soak(
         next = (next + 1) % holders;
     }
     // Every held socket must be *registered*, not just accepted.
-    while server.counters().active < n_conns {
+    while registered() < n_conns {
         assert!(
             Instant::now() < open_deadline,
             "registrations stalled at {} of {n_conns}",
-            server.counters().active
+            registered()
         );
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
@@ -420,28 +423,20 @@ fn run_conn_soak(
     let p50 = quantile(&request_us, 0.50);
     let p99 = quantile(&request_us, 0.99);
 
-    let counters = server.counters();
+    let dump = server.metrics().dump();
     assert_eq!(faults, 0, "no query may fail through the idle crowd");
     assert_eq!(
-        counters.rejected, 0,
+        dump.counter("srv.rejected"),
+        0,
         "a correctly sized soak server refuses no one"
     );
     assert!(
-        counters.active >= n_conns,
+        dump.gauge("srv.active") >= n_conns as u64,
         "idle connections must survive the active load: {} of {} left",
-        counters.active,
+        dump.gauge("srv.active"),
         n_conns
     );
-    let accept_retries = match server
-        .metrics()
-        .dump()
-        .entries
-        .into_iter()
-        .find(|(n, _)| n == "srv.accept_retries")
-    {
-        Some((_, inano_obs::MetricValue::Counter(v))) => v,
-        other => panic!("srv.accept_retries missing from dump: {other:?}"),
-    };
+    let accept_retries = dump.counter("srv.accept_retries");
 
     eprintln!(
         "conn soak: {n_conns} idle + {clients} active connections, served {served} \
@@ -805,20 +800,26 @@ fn main() {
                 );
             }
         }
-        let stats = probe.stats().expect("stats over the wire");
-        assert!(stats.swaps >= 1, "the mid-load swap must have happened");
+        // Observability, exercised under the load it just measured:
+        // the unified dump's per-shard query counters must agree
+        // exactly with what the loadgen issued, and a traced call
+        // returns its stage breakdown.
+        let dump = probe.metrics().expect("metrics dump over the wire");
+        swaps = dump.counter("shard0.swaps");
+        assert!(swaps >= 1, "the mid-load swap must have happened");
         assert_eq!(faults, 0, "no query may fail on any shard across the swap");
-        swaps = stats.swaps;
         epoch = e;
+        let (hits, misses) = (
+            dump.counter("shard0.cache.hits"),
+            dump.counter("shard0.cache.misses"),
+        );
         eprintln!(
             "shard 0 counters: {} queries, cache hit rate {:.3}, epoch {}, day {}",
-            stats.queries, stats.cache_hit_rate, stats.epoch, stats.day
+            dump.counter("shard0.queries"),
+            hits as f64 / (hits + misses).max(1) as f64,
+            dump.gauge("shard0.epoch"),
+            dump.gauge("shard0.day")
         );
-        // Protocol-v4 observability, exercised under the load it just
-        // measured: the unified dump's per-shard query counters must
-        // agree exactly with what the loadgen issued, and a traced
-        // call returns its stage breakdown.
-        let dump = probe.metrics().expect("metrics dump over the wire");
         assert_eq!(
             dump.counter_sum(".queries"),
             served + faults,

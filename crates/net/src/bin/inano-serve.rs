@@ -57,7 +57,6 @@ use inano_obs::textserve::{render_prometheus, MetricsTextServer};
 use inano_obs::EventKind;
 use inano_service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
 use std::io::Write;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -134,13 +133,11 @@ fn resync_full(
         return Ok(None);
     }
     let (_, bytes, races) = AtlasReader::default().fetch_full_counted(source)?;
-    if races > 0 {
-        registry
-            .engine(id)?
-            .mirror_metrics()
-            .races_recovered
-            .fetch_add(races as u64, Ordering::Relaxed);
-    }
+    registry
+        .engine(id)?
+        .metrics()
+        .mirror_races_recovered
+        .add(races as u64);
     let atlas = inano_atlas::codec::decode(&bytes)?;
     // `replace_atlas` counts the full resync on the engine's own
     // mirror series.
@@ -419,27 +416,29 @@ fn main() {
 
     loop {
         std::thread::sleep(Duration::from_secs(60));
-        let c = server.counters();
-        let stats = registry.stats();
-        let per_shard: Vec<String> = stats
-            .shards
+        // The same dump a `Metrics` frame or the text page would show.
+        let dump = server.metrics().dump();
+        let per_shard: Vec<String> = registry
+            .shard_ids()
             .iter()
-            .map(|(id, s)| {
+            .map(|id| {
                 format!(
                     "{id} epoch {} day {} ({} queries)",
-                    s.epoch, s.day, s.queries
+                    dump.gauge(&format!("{id}.epoch")),
+                    dump.gauge(&format!("{id}.day")),
+                    dump.counter(&format!("{id}.queries")),
                 )
             })
             .collect();
         eprintln!(
             "up: {} conns active ({} accepted, {} rejected, {} faults, {} overloaded), \
              {} queries total; {}",
-            c.active,
-            c.accepted,
-            c.rejected,
-            c.faults,
-            c.overloaded,
-            stats.aggregate.queries,
+            dump.gauge("srv.active"),
+            dump.counter("srv.accepted"),
+            dump.counter("srv.rejected"),
+            dump.counter("srv.faults"),
+            dump.counter("srv.overloaded"),
+            dump.counter_sum(".queries"),
             per_shard.join(", "),
         );
     }

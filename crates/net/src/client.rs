@@ -2,8 +2,8 @@
 //! instance with synchronous calls *and* pipelined batch submission.
 //!
 //! Every engine-touching call exists in two spellings: the plain one
-//! (`query_batch`, `stats`, `epoch`, `resolve`) talks to shard 0 —
-//! exactly the pre-sharding semantics — and the `_on` variant
+//! (`query_batch`, `epoch`, `resolve`) talks to shard 0 and the `_on`
+//! variant
 //! (`query_batch_on`, ...) names a [`ShardId`] explicitly.
 //! [`NetClient::shards`] enumerates what the server hosts.
 //!
@@ -16,7 +16,7 @@
 //! round-trip time behind server-side work.
 
 use crate::wire::{read_frame, write_frame, Frame, Limits, ReadError, WireFault, TRACE_FLAG};
-use crate::wire::{WirePath, WireResolution, WireShardInfo, WireStats};
+use crate::wire::{WirePath, WireResolution, WireShardInfo};
 use inano_core::{AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle};
 use inano_model::{ErrorCode, Ipv4, ModelError};
 use inano_obs::{EventsPage, MetricsDump, TraceTimings};
@@ -135,7 +135,7 @@ impl NetClient {
 
     /// Open a datagram-plane handle to a server's `--udp` socket: the
     /// connectionless sibling of [`NetClient::connect`], for sporadic
-    /// single-shot queries. See [`UdpQuerier`].
+    /// single-shot queries. See [`crate::udp::UdpQuerier`].
     pub fn udp(addr: impl ToSocketAddrs) -> io::Result<crate::udp::UdpQuerier> {
         crate::udp::UdpQuerier::connect(addr)
     }
@@ -250,8 +250,9 @@ impl NetClient {
     }
 
     /// The server's unified metrics dump: `srv.*`, `shardN.*` and any
-    /// series the host registered (`swarm.*`), sorted by name. What
-    /// `fleet_scrape` polls and merges across a fleet.
+    /// series the host registered (`swarm.*`), sorted by name — the
+    /// one way to read a server's counters. What `fleet_scrape` polls
+    /// and merges across a fleet.
     pub fn metrics(&mut self) -> Result<MetricsDump, NetError> {
         match self.call(&Frame::Metrics)? {
             Frame::MetricsReply { dump } => Ok(dump),
@@ -335,17 +336,6 @@ impl NetClient {
         match self.call(&Frame::Resolve { shard, ip })? {
             Frame::ResolveReply { resolution } => Ok(resolution),
             other => Err(unexpected("ResolveReply", &other)),
-        }
-    }
-
-    pub fn stats(&mut self) -> Result<WireStats, NetError> {
-        self.stats_on(ShardId::DEFAULT)
-    }
-
-    pub fn stats_on(&mut self, shard: ShardId) -> Result<WireStats, NetError> {
-        match self.call(&Frame::Stats { shard })? {
-            Frame::StatsReply { stats } => Ok(stats),
-            other => Err(unexpected("StatsReply", &other)),
         }
     }
 
@@ -549,7 +539,7 @@ impl MirrorSource {
         &self.client
     }
 
-    /// The underlying connection (epoch probes, stats, ...).
+    /// The underlying connection (epoch probes, metrics, ...).
     pub fn client_mut(&mut self) -> &mut NetClient {
         &mut self.client
     }

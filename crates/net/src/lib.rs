@@ -6,18 +6,17 @@
 //!
 //! Three layers, separable and individually tested:
 //!
-//! * [`wire`] — a compact length-prefixed binary protocol, version 5
-//!   (magic, version, request id, typed frames: `QueryBatch`,
-//!   `Resolve`, `Stats`, `Epoch` — each carrying an optional shard id,
-//!   default shard 0 — plus `ListShards`, `Ping`, the atlas
-//!   dissemination frames `AtlasHead`/`FetchFullChunk`/`FetchDelta`/
-//!   `FetchDeltaChunk`, the observability frames `Metrics`/
-//!   `MetricsReply`/`TraceReply` with the [`wire::TRACE_FLAG`]
-//!   request-id bit opting a request into a stage-timing trailer, the
-//!   event-journal frames `Events`/`EventsReply` paging the server's
-//!   causal timeline, and typed error frames carrying
-//!   [`inano_model::ErrorCode`]s), with receiver-side [`Limits`] on
-//!   frame and batch size — v3/v4 clients interoperate unchanged;
+//! * [`wire`] — a compact length-prefixed binary protocol, one
+//!   version (magic, version, request id, typed frames: `QueryBatch`,
+//!   `Resolve`, `Epoch` — each leading with a shard id — plus
+//!   `ListShards`, `Ping`, the atlas dissemination frames
+//!   `AtlasHead`/`FetchFullChunk`/`FetchDelta`/`FetchDeltaChunk`, the
+//!   observability frames `Metrics`/`MetricsReply`/`TraceReply` with
+//!   the [`wire::TRACE_FLAG`] request-id bit opting a request into a
+//!   stage-timing trailer, the event-journal frames
+//!   `Events`/`EventsReply` paging the server's causal timeline, and
+//!   typed error frames carrying [`inano_model::ErrorCode`]s), with
+//!   receiver-side [`Limits`] on frame and batch size;
 //! * [`server`] — an event-driven TCP server ([`NetServer`], shipped
 //!   as the `inano-serve` binary): one epoll readiness loop carrying
 //!   every connection (tens of thousands of mostly-idle peers fit in
@@ -64,11 +63,11 @@ pub mod udp;
 pub mod wire;
 
 pub use client::{MirrorSource, NetClient, NetError};
-pub use server::{raise_nofile_limit, NetServer, ServerConfig, ServerCounters};
+pub use server::{raise_nofile_limit, NetServer, ServerConfig};
 pub use udp::{UdpQuerier, UdpRetry};
 pub use wire::{
     chunk_size_for, datagram_cap, Frame, Limits, WireFault, WirePath, WireResolution,
-    WireShardInfo, WireStats, MAX_UDP_PAYLOAD, TRACE_FLAG,
+    WireShardInfo, MAX_UDP_PAYLOAD, TRACE_FLAG,
 };
 
 /// Re-exported so `inano-net` users can name shards without a direct

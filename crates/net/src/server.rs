@@ -65,13 +65,16 @@
 //! ## Observability
 //!
 //! Every server carries an [`inano_obs::MetricsRegistry`]
-//! ([`NetServer::metrics`]): the raw `srv.*` listener counters, the
-//! event-loop's own `srv.loop.*` series (poll wakeups, ready events
-//! per wake, registered descriptors, queued write-backlog bytes) and a
-//! per-shard collector over the registry (`shardN.*` engine, cache and
-//! mirror series, including the `shardN.latency_us` histogram) are
-//! folded into one dump answered over the wire (`Frame::Metrics`) and
-//! rendered by the `--metrics-text` endpoint. A request id with the
+//! ([`NetServer::metrics`]) and counts in nothing else: the `srv.*`
+//! listener series, the event loop's own `srv.loop.*` series (poll
+//! wakeups, ready events per wake, registered descriptors, queued
+//! write-backlog bytes) and the `srv.udp.*` family are handles taken
+//! from it at bind, and every shard engine attaches its own handles
+//! as `shardN.*` ([`QueryEngine::register_metrics`]: engine, cache and
+//! mirror series, including the `shardN.latency_us` histogram). The
+//! dump is those atomics read once — the same entries over the wire
+//! (`Frame::Metrics`), on the `--metrics-text` page and from
+//! [`MetricsRegistry::dump`] in process. A request id with the
 //! [`TRACE_FLAG`] bit set gets a `TraceReply` trailer after its
 //! (non-error) reply carrying the decode → queue → engine → encode
 //! breakdown, and every request is offered to a slow-query ring
@@ -95,7 +98,7 @@
 //! worker sends the reply straight back with `send_to` (UDP replies
 //! have no ordering contract, so no completion round-trip is needed).
 //! Only the single-shot request subset is servable — `Ping`,
-//! `QueryBatch`, `Resolve`, `Stats`, `Epoch`, `AtlasHead`; stream-only
+//! `QueryBatch`, `Resolve`, `Epoch`, `AtlasHead`; stream-only
 //! frames (chunk fetches, metrics/events pages) get a typed
 //! `NotOnDatagram` fault. A reply that would not fit one datagram
 //! ([`datagram_cap`]) is replaced by a typed `FrameTooLarge` fault.
@@ -115,11 +118,12 @@
 
 use crate::wire::{chunk_size_for, datagram_cap, decode_datagram, DatagramError};
 use crate::wire::{encode_path_batch, write_frame, Assembled, Frame, FrameAssembler, Limits};
-use crate::wire::{WireFault, WireResolution, WireShardInfo, WireStats};
-use crate::wire::{HEADER_BYTES, MAGIC, MIN_VERSION, TRACE_FLAG, VERSION};
+use crate::wire::{WireFault, WireResolution, WireShardInfo};
+use crate::wire::{HEADER_BYTES, MAGIC, TRACE_FLAG, VERSION};
 use inano_model::{ErrorCode, ModelError};
 use inano_obs::{
-    EventJournal, EventKind, LatencyHistogram, MetricValue, MetricsRegistry, SlowLog, TraceCtx,
+    Counter, EventJournal, EventKind, Gauge, LatencyHistogram, MetricValue, MetricsRegistry,
+    SlowLog, TraceCtx,
 };
 use inano_service::{QueryEngine, ShardRegistry, SharedResult};
 use parking_lot::Mutex;
@@ -127,9 +131,8 @@ use polling::{Event, Events, Poller};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs, UdpSocket};
-use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -225,23 +228,6 @@ fn write_backlog_cap(cfg: &ServerConfig) -> usize {
         .max(1 << 20)
 }
 
-/// Counters for observability and tests.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ServerCounters {
-    /// Connections currently being served.
-    pub active: usize,
-    /// Connections accepted over the server's lifetime.
-    pub accepted: u64,
-    /// Connections refused by the admission gate.
-    pub rejected: u64,
-    /// Frames answered with an error (fatal or per-frame); does NOT
-    /// include in-flight rejections, which are healthy throttling and
-    /// counted in `overloaded` alone.
-    pub faults: u64,
-    /// Pipelined requests refused by the per-connection in-flight cap.
-    pub overloaded: u64,
-}
-
 /// One unit of work handed from the loop to a worker.
 struct Job {
     target: JobTarget,
@@ -333,33 +319,45 @@ struct Shared {
     overloaded_now: AtomicBool,
     cfg: ServerConfig,
     shutdown: AtomicBool,
-    active: AtomicUsize,
-    /// Estimated bytes of queued-but-unanswered requests, across every
-    /// connection (see [`ServerConfig::max_request_bytes`]). `Arc`ed
-    /// because each queued request's [`Claim`] owns a handle: claims
-    /// ride inside `Work` to the workers and release wherever they
-    /// drop.
-    request_bytes: Arc<AtomicUsize>,
-    /// High-water mark of `request_bytes` over the server's lifetime
-    /// (the `srv.request_bytes_peak` gauge).
-    request_bytes_peak: AtomicUsize,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    faults: AtomicU64,
-    overloaded: AtomicU64,
-    /// Failed `accept()` calls (fd exhaustion, say) — each engages the
-    /// accept backoff rather than hot-spinning the loop.
-    accept_retries: AtomicU64,
-    /// Times the event loop returned from `poller.wait`.
-    loop_wakeups: AtomicU64,
-    /// Descriptors currently registered with the poller (connections,
-    /// the listener, the notify pipe).
-    loop_fds: AtomicUsize,
-    /// Encoded reply bytes queued server-wide, not yet accepted by
-    /// client sockets.
-    write_backlog: AtomicU64,
-    /// Ready events delivered per `poller.wait` return, log₂-bucketed
-    /// (attached to the registry as `srv.loop.ready_events`).
+    // Every count below is a handle of `obs`, taken at bind under the
+    // name beside it: the value the server acts on is the value a dump
+    // shows.
+    /// `srv.active`: connections currently served — also the admission
+    /// gate's level (only the loop thread moves it).
+    active: Gauge,
+    /// `srv.request_bytes`: estimated bytes of queued-but-unanswered
+    /// requests, across every connection (see
+    /// [`ServerConfig::max_request_bytes`]) — the budget's level. Each
+    /// queued request's [`Claim`] owns a clone: claims ride inside
+    /// `Work` to the workers and release wherever they drop.
+    request_bytes: Gauge,
+    /// `srv.request_bytes_peak`: high-water mark of `request_bytes`.
+    request_bytes_peak: Gauge,
+    /// `srv.accepted`: connections accepted over the server's lifetime.
+    accepted: Counter,
+    /// `srv.rejected`: connections refused by the admission gate.
+    rejected: Counter,
+    /// `srv.faults`: frames answered with an error (fatal or
+    /// per-frame); does NOT include shed requests, which are healthy
+    /// throttling and counted in `overloaded` alone.
+    faults: Counter,
+    /// `srv.overloaded`: requests refused by the in-flight cap, the
+    /// memory budget or the datagram rate limit.
+    overloaded: Counter,
+    /// `srv.accept_retries`: failed `accept()` calls (fd exhaustion,
+    /// say) — each engages the accept backoff rather than hot-spinning
+    /// the loop.
+    accept_retries: Counter,
+    /// `srv.loop.wakeups`: times the loop returned from `poller.wait`.
+    loop_wakeups: Counter,
+    /// `srv.loop.fds`: descriptors registered with the poller
+    /// (connections, the listener, the notify pipe, the UDP socket).
+    loop_fds: Gauge,
+    /// `srv.loop.write_backlog_bytes`: encoded reply bytes queued
+    /// server-wide, not yet accepted by client sockets.
+    write_backlog: Gauge,
+    /// `srv.loop.ready_events`: ready events delivered per
+    /// `poller.wait` return, log₂-bucketed.
     ready_events: Arc<LatencyHistogram>,
     /// The epoll instance; workers touch it only through `notify`.
     poller: Poller,
@@ -389,23 +387,24 @@ impl Shared {
     }
 }
 
-/// The datagram plane's socket and counters (the `srv.udp.*` family).
+/// The datagram plane's socket and counters (the `srv.udp.*` family,
+/// registry handles like [`Shared`]'s).
 struct UdpPlane {
     socket: UdpSocket,
     addr: SocketAddr,
     /// Datagrams received, decodable or not.
-    datagrams_in: AtomicU64,
+    datagrams_in: Counter,
     /// Reply datagrams actually handed to the kernel.
-    datagrams_out: AtomicU64,
+    datagrams_out: Counter,
     /// Datagrams dropped without a reply: unattributable garbage
-    /// (short/bad header) or kernel-truncated frames.
-    truncated: AtomicU64,
+    /// (short/bad header, wrong version) or kernel-truncated frames.
+    truncated: Counter,
     /// Datagrams refused by the per-source token bucket (typed
     /// `Overloaded` reply or, deep in a flood, silence).
-    shed: AtomicU64,
+    shed: Counter,
     /// Replies that exceeded [`datagram_cap`] and were replaced by a
     /// typed `FrameTooLarge` fault.
-    oversize_reply: AtomicU64,
+    oversize_reply: Counter,
 }
 
 /// A running server; dropping it shuts it down.
@@ -425,72 +424,78 @@ impl NetServer {
     ) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        widen_accept_backlog(&listener);
+        // Best-effort: a failure leaves std's backlog of 128, which
+        // only a reconnect storm overflows.
+        let _ = polling::relisten(&listener, 4096);
         let addr = listener.local_addr()?;
         let obs = Arc::new(MetricsRegistry::new());
         let journal = Arc::new(EventJournal::new(EVENT_JOURNAL_CAPACITY));
-        // Hand every shard engine the journal so swaps, deltas and
-        // resyncs land on the same timeline as the listener's events.
+        // Hand every shard engine the journal and the registry, so its
+        // swaps, deltas and resyncs land on the listener's timeline and
+        // its counters in the listener's dump.
         for (id, engine) in registry.iter() {
-            engine.set_journal(Arc::clone(&journal), format!("shard{}", id.raw()));
+            let label = id.to_string();
+            engine.register_metrics(&obs, &label);
+            engine.set_journal(Arc::clone(&journal), label);
         }
+        obs.attach("srv.events_head", journal.head());
         let ready_events = Arc::new(LatencyHistogram::default());
-        obs.attach_histogram("srv.loop.ready_events", Arc::clone(&ready_events));
+        obs.attach("srv.loop.ready_events", Arc::clone(&ready_events));
         let poller = Poller::new()?;
-        // Safety (here and for every connection add): the loop keeps
-        // each registered source alive until it deletes it, and the
-        // poller outlives them all inside `Shared`.
+        // SAFETY: the listener moves into the event loop, which runs
+        // until shutdown and is joined before `Shared` — and with it
+        // the poller — can drop; the descriptor stays open for as long
+        // as the poller can report it.
         unsafe { poller.add(&listener, Event::readable(LISTENER_KEY))? };
         let udp = match cfg.udp {
             Some(udp_addr) => {
                 let socket = UdpSocket::bind(udp_addr)?;
                 socket.set_nonblocking(true)?;
                 let addr = socket.local_addr()?;
-                // Safety: the socket lives in `Shared` alongside the
-                // poller, which outlives it.
+                // SAFETY: the socket lives in `Shared` beside the
+                // poller and is never closed before both drop together.
                 unsafe { poller.add(&socket, Event::readable(UDP_KEY))? };
                 Some(UdpPlane {
                     socket,
                     addr,
-                    datagrams_in: AtomicU64::new(0),
-                    datagrams_out: AtomicU64::new(0),
-                    truncated: AtomicU64::new(0),
-                    shed: AtomicU64::new(0),
-                    oversize_reply: AtomicU64::new(0),
+                    datagrams_in: obs.counter("srv.udp.datagrams_in"),
+                    datagrams_out: obs.counter("srv.udp.datagrams_out"),
+                    truncated: obs.counter("srv.udp.truncated"),
+                    shed: obs.counter("srv.udp.shed"),
+                    oversize_reply: obs.counter("srv.udp.oversize_reply"),
                 })
             }
             None => None,
         };
-        let udp_fds = usize::from(udp.is_some());
+        let loop_fds = obs.gauge("srv.loop.fds");
+        // The listener, the poller's notify pipe, and the UDP socket
+        // when bound.
+        loop_fds.set(2 + u64::from(udp.is_some()));
         let shared = Arc::new(Shared {
             registry,
-            obs,
             slow: Arc::new(SlowLog::new(SLOW_LOG_CAPACITY, SLOW_LOG_THRESHOLD_US)),
             journal,
             overloaded_now: AtomicBool::new(false),
             cfg,
             shutdown: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            request_bytes: Arc::new(AtomicUsize::new(0)),
-            request_bytes_peak: AtomicUsize::new(0),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            faults: AtomicU64::new(0),
-            overloaded: AtomicU64::new(0),
-            accept_retries: AtomicU64::new(0),
-            loop_wakeups: AtomicU64::new(0),
-            // The listener, the poller's notify pipe, and the UDP
-            // socket when bound.
-            loop_fds: AtomicUsize::new(2 + udp_fds),
-            write_backlog: AtomicU64::new(0),
+            active: obs.gauge("srv.active"),
+            request_bytes: obs.gauge("srv.request_bytes"),
+            request_bytes_peak: obs.gauge("srv.request_bytes_peak"),
+            accepted: obs.counter("srv.accepted"),
+            rejected: obs.counter("srv.rejected"),
+            faults: obs.counter("srv.faults"),
+            overloaded: obs.counter("srv.overloaded"),
+            accept_retries: obs.counter("srv.accept_retries"),
+            loop_wakeups: obs.counter("srv.loop.wakeups"),
+            loop_fds,
+            write_backlog: obs.gauge("srv.loop.write_backlog_bytes"),
             ready_events,
+            obs,
             poller,
             udp,
             dispatch: Dispatch::new(),
             completions: StdMutex::new(Vec::new()),
         });
-        attach_server_collector(&shared);
-        attach_shard_collector(&shared.obs, &shared.registry);
         let workers = thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -550,9 +555,10 @@ impl NetServer {
         &self.shared.registry
     }
 
-    /// The server's unified metrics registry: `srv.*` listener series
-    /// plus collector-fed `shardN.*` engine/cache/mirror series. The
-    /// same dump answers `Frame::Metrics` on the wire and feeds the
+    /// The server's unified metrics registry — the only place this
+    /// server counts: `srv.*` listener series plus every shard
+    /// engine's `shardN.*` engine/cache/mirror series. The same dump
+    /// answers `Frame::Metrics` on the wire and feeds the
     /// `--metrics-text` endpoint; callers may register their own
     /// series (the swarm layer does).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
@@ -573,16 +579,6 @@ impl NetServer {
     /// (the mirror refresh loop, the swarm layer) may emit their own.
     pub fn journal(&self) -> &Arc<EventJournal> {
         &self.shared.journal
-    }
-
-    pub fn counters(&self) -> ServerCounters {
-        ServerCounters {
-            active: self.shared.active.load(Ordering::Relaxed),
-            accepted: self.shared.accepted.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            faults: self.shared.faults.load(Ordering::Relaxed),
-            overloaded: self.shared.overloaded.load(Ordering::Relaxed),
-        }
     }
 
     /// Stop accepting, close every live connection, join all threads.
@@ -607,181 +603,12 @@ impl Drop for NetServer {
     }
 }
 
-/// Re-issue `listen(2)` with a wide backlog. The standard library
-/// listens with a backlog of 128, which a connection storm (thousands
-/// of peers reconnecting after a restart) overflows in milliseconds —
-/// overflow means dropped SYNs and whole seconds of client-side
-/// retransmit stalls. Linux lets a second `listen` on a live socket
-/// update the backlog in place (still capped by
-/// `net.core.somaxconn`). Best-effort: a failure leaves the standard
-/// backlog, which every test worked under for years.
-fn widen_accept_backlog(listener: &TcpListener) {
-    extern "C" {
-        fn listen(fd: i32, backlog: i32) -> i32;
-    }
-    unsafe {
-        let _ = listen(listener.as_raw_fd(), 4096);
-    }
-}
-
 /// Raise this process's open-file soft limit (`RLIMIT_NOFILE`) toward
 /// `target`, returning the soft limit actually in force afterwards.
-/// Raising past the hard cap needs privilege; without it this settles
-/// for the hard cap. Benchmarks holding tens of thousands of sockets
-/// call this; the server itself never does.
+/// Benchmarks holding tens of thousands of sockets call this; the
+/// server itself never does.
 pub fn raise_nofile_limit(target: u64) -> u64 {
-    #[repr(C)]
-    struct RLimit {
-        cur: u64,
-        max: u64,
-    }
-    const RLIMIT_NOFILE: i32 = 7;
-    extern "C" {
-        fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
-        fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
-    }
-    unsafe {
-        let mut have = RLimit { cur: 0, max: 0 };
-        if getrlimit(RLIMIT_NOFILE, &mut have) != 0 {
-            return 0;
-        }
-        if have.cur >= target {
-            return have.cur;
-        }
-        let want = RLimit {
-            cur: target,
-            max: have.max.max(target),
-        };
-        if setrlimit(RLIMIT_NOFILE, &want) == 0 {
-            return want.cur;
-        }
-        // Unprivileged: the hard cap is the best we can get.
-        let capped = RLimit {
-            cur: have.max,
-            max: have.max,
-        };
-        if have.cur < have.max && setrlimit(RLIMIT_NOFILE, &capped) == 0 {
-            return have.max;
-        }
-        have.cur
-    }
-}
-
-/// Fold the listener's raw counters into the metrics registry as
-/// `srv.*` series at dump time. Holding only a [`Weak`] breaks the
-/// `Shared` → registry → collector cycle, so dropping the server still
-/// frees it.
-fn attach_server_collector(shared: &Arc<Shared>) {
-    let weak: Weak<Shared> = Arc::downgrade(shared);
-    shared.obs.register_collector(move |out| {
-        let Some(s) = weak.upgrade() else { return };
-        let counter = |v: &AtomicU64| MetricValue::Counter(v.load(Ordering::Relaxed));
-        out.push(("srv.accepted".into(), counter(&s.accepted)));
-        out.push(("srv.rejected".into(), counter(&s.rejected)));
-        out.push(("srv.faults".into(), counter(&s.faults)));
-        out.push(("srv.overloaded".into(), counter(&s.overloaded)));
-        out.push(("srv.accept_retries".into(), counter(&s.accept_retries)));
-        out.push(("srv.loop.wakeups".into(), counter(&s.loop_wakeups)));
-        let gauge = |v: usize| MetricValue::Gauge(v as u64);
-        out.push(("srv.active".into(), gauge(s.active.load(Ordering::Relaxed))));
-        out.push((
-            "srv.loop.fds".into(),
-            gauge(s.loop_fds.load(Ordering::Relaxed)),
-        ));
-        out.push((
-            "srv.loop.write_backlog_bytes".into(),
-            MetricValue::Gauge(s.write_backlog.load(Ordering::Relaxed)),
-        ));
-        out.push((
-            "srv.request_bytes".into(),
-            gauge(s.request_bytes.load(Ordering::Relaxed)),
-        ));
-        out.push((
-            "srv.request_bytes_peak".into(),
-            gauge(s.request_bytes_peak.load(Ordering::Relaxed)),
-        ));
-        // One past the newest journal seq: a scraper whose cursor
-        // trails this by more than the ring capacity knows it lost
-        // events even without issuing an `Events` request.
-        out.push((
-            "srv.events_head".into(),
-            MetricValue::Gauge(s.journal.head_seq()),
-        ));
-        if let Some(udp) = s.udp.as_ref() {
-            out.push(("srv.udp.datagrams_in".into(), counter(&udp.datagrams_in)));
-            out.push(("srv.udp.datagrams_out".into(), counter(&udp.datagrams_out)));
-            out.push(("srv.udp.truncated".into(), counter(&udp.truncated)));
-            out.push(("srv.udp.shed".into(), counter(&udp.shed)));
-            out.push((
-                "srv.udp.oversize_reply".into(),
-                counter(&udp.oversize_reply),
-            ));
-        }
-    });
-}
-
-/// Snapshot every shard's engine, cache and mirror series as
-/// `shardN.*` at dump time — no per-request bookkeeping beyond what
-/// the engines already keep, so serving pays nothing for this.
-fn attach_shard_collector(obs: &MetricsRegistry, registry: &Arc<ShardRegistry>) {
-    let registry = Arc::clone(registry);
-    obs.register_collector(move |out| {
-        for (id, engine) in registry.iter() {
-            let n = id.raw();
-            let stats = engine.stats();
-            let mirror = engine.mirror_stats();
-            out.push((
-                format!("shard{n}.queries"),
-                MetricValue::Counter(stats.queries),
-            ));
-            out.push((
-                format!("shard{n}.errors"),
-                MetricValue::Counter(stats.errors),
-            ));
-            out.push((format!("shard{n}.swaps"), MetricValue::Counter(stats.swaps)));
-            out.push((
-                format!("shard{n}.cache.hits"),
-                MetricValue::Counter(stats.cache_hits),
-            ));
-            out.push((
-                format!("shard{n}.cache.misses"),
-                MetricValue::Counter(stats.cache_misses),
-            ));
-            out.push((
-                format!("shard{n}.cache.evictions"),
-                MetricValue::Counter(stats.cache_evictions),
-            ));
-            out.push((format!("shard{n}.epoch"), MetricValue::Gauge(stats.epoch)));
-            out.push((
-                format!("shard{n}.day"),
-                MetricValue::Gauge(stats.day as u64),
-            ));
-            out.push((
-                format!("shard{n}.latency_us"),
-                MetricValue::Histogram(stats.latency_buckets),
-            ));
-            out.push((
-                format!("shard{n}.mirror.deltas_applied"),
-                MetricValue::Counter(mirror.deltas_applied),
-            ));
-            out.push((
-                format!("shard{n}.mirror.full_resyncs"),
-                MetricValue::Counter(mirror.full_resyncs),
-            ));
-            out.push((
-                format!("shard{n}.mirror.races_recovered"),
-                MetricValue::Counter(mirror.races_recovered),
-            ));
-            out.push((
-                format!("shard{n}.mirror.lag_days"),
-                MetricValue::Gauge(mirror.lag_days as u64),
-            ));
-            out.push((
-                format!("shard{n}.mirror.upstream_day"),
-                MetricValue::Gauge(mirror.upstream_day as u64),
-            ));
-        }
-    });
+    polling::raise_nofile_limit(target)
 }
 
 /// Send a single error frame on a connection we won't serve, then close.
@@ -803,32 +630,33 @@ fn refuse(stream: TcpStream, code: ErrorCode, message: impl Into<String>) -> io:
 /// queue torn down on disconnect, ...), the bytes come back. Owns its
 /// pool handle so it can travel with the request to a worker thread.
 struct Claim {
-    bytes: usize,
-    pool: Arc<AtomicUsize>,
+    bytes: u64,
+    pool: Gauge,
 }
 
 impl Drop for Claim {
     fn drop(&mut self) {
-        self.pool.fetch_sub(self.bytes, Ordering::Relaxed);
+        self.pool.sub(self.bytes);
     }
 }
 
 /// Reserve `bytes` against the shared pool, or `None` on breach.
-fn try_claim(pool: &Arc<AtomicUsize>, budget: usize, bytes: usize) -> Option<Claim> {
+fn try_claim(pool: &Gauge, budget: usize, bytes: usize) -> Option<Claim> {
+    let bytes = bytes as u64;
     if budget == usize::MAX {
         return Some(Claim {
             bytes: 0,
-            pool: Arc::clone(pool),
+            pool: pool.clone(),
         });
     }
-    let prev = pool.fetch_add(bytes, Ordering::Relaxed);
-    if prev.saturating_add(bytes) > budget {
-        pool.fetch_sub(bytes, Ordering::Relaxed);
+    let prev = pool.add(bytes);
+    if prev.saturating_add(bytes) > budget as u64 {
+        pool.sub(bytes);
         return None;
     }
     Some(Claim {
         bytes,
-        pool: Arc::clone(pool),
+        pool: pool.clone(),
     })
 }
 
@@ -856,7 +684,6 @@ fn frame_cost(frame: &Frame) -> usize {
             })
             .sum(),
         Frame::ChunkReply { bytes, .. } => bytes.len(),
-        Frame::StatsReply { stats } => 64 + stats.latency_buckets.len() * 8,
         Frame::MetricsReply { dump } => dump
             .entries
             .iter()
@@ -1039,7 +866,7 @@ impl EventLoop {
                 thread::sleep(Duration::from_millis(10));
                 continue;
             }
-            self.shared.loop_wakeups.fetch_add(1, Ordering::Relaxed);
+            self.shared.loop_wakeups.inc();
             self.shared.ready_events.record_us(events.len() as u64);
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 break;
@@ -1052,7 +879,7 @@ impl EventLoop {
                     .modify(&self.listener, Event::readable(LISTENER_KEY))
                 {
                     eprintln!("inano-net: listener re-arm failed, retrying: {e}");
-                    self.shared.accept_retries.fetch_add(1, Ordering::Relaxed);
+                    self.shared.accept_retries.inc();
                     self.backoff.engage(Instant::now());
                 }
             }
@@ -1092,7 +919,7 @@ impl EventLoop {
                         .modify(&self.listener, Event::readable(LISTENER_KEY))
                     {
                         eprintln!("inano-net: listener re-arm failed, retrying: {e}");
-                        self.shared.accept_retries.fetch_add(1, Ordering::Relaxed);
+                        self.shared.accept_retries.inc();
                         self.backoff.engage(Instant::now());
                     }
                     return;
@@ -1103,7 +930,7 @@ impl EventLoop {
                     // must not busy-spin a core: count it, say why,
                     // and leave the listener disarmed until the
                     // backoff window ends.
-                    self.shared.accept_retries.fetch_add(1, Ordering::Relaxed);
+                    self.shared.accept_retries.inc();
                     eprintln!("inano-net: accept failed, retrying: {e}");
                     self.backoff.engage(Instant::now());
                     return;
@@ -1129,7 +956,7 @@ impl EventLoop {
                 // from an earlier send, say) are not ours to fix.
                 Err(_) => continue,
             };
-            udp.datagrams_in.fetch_add(1, Ordering::Relaxed);
+            udp.datagrams_in.inc();
             self.ingest_datagram(udp, n, peer);
         }
         if shared
@@ -1149,7 +976,7 @@ impl EventLoop {
         match gate {
             UdpGate::Admit => {}
             UdpGate::Shed => {
-                udp.shed.fetch_add(1, Ordering::Relaxed);
+                udp.shed.inc();
                 // A typed `Overloaded` answer — but only to a sender
                 // whose header proves it speaks the protocol.
                 if let Some(request_id) = datagram_id(buf) {
@@ -1166,7 +993,7 @@ impl EventLoop {
             UdpGate::Drop => {
                 // Deep in a flood: answering every datagram would turn
                 // the socket into a reflection amplifier. Silence.
-                udp.shed.fetch_add(1, Ordering::Relaxed);
+                udp.shed.inc();
                 shared.note_shed("per-source datagram rate limit (dropping)");
                 return;
             }
@@ -1174,7 +1001,7 @@ impl EventLoop {
         let (request_id, frame) = match decode_datagram(buf, &shared.cfg.limits) {
             Ok(decoded) => decoded,
             Err(DatagramError::Drop(_)) => {
-                udp.truncated.fetch_add(1, Ordering::Relaxed);
+                udp.truncated.inc();
                 return;
             }
             Err(DatagramError::Fault { request_id, fault }) => {
@@ -1216,10 +1043,7 @@ impl EventLoop {
             });
             return;
         };
-        shared.request_bytes_peak.fetch_max(
-            shared.request_bytes.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
+        shared.request_bytes_peak.raise(shared.request_bytes.get());
         shared.dispatch.push(Job {
             target: JobTarget::Datagram { peer },
             work: Work::Request {
@@ -1242,9 +1066,9 @@ impl EventLoop {
             let _ = refuse(stream, ErrorCode::ShuttingDown, "server is shutting down");
             return;
         }
-        if shared.active.load(Ordering::SeqCst) >= shared.cfg.max_conns {
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            shared.faults.fetch_add(1, Ordering::Relaxed);
+        if shared.active.get() >= shared.cfg.max_conns as u64 {
+            shared.rejected.inc();
+            shared.faults.inc();
             shared.note_shed("connection limit reached");
             let _ = refuse(
                 stream,
@@ -1260,8 +1084,8 @@ impl EventLoop {
             .and_then(|()| stream.set_nonblocking(true))
             .is_err()
         {
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            shared.faults.fetch_add(1, Ordering::Relaxed);
+            shared.rejected.inc();
+            shared.faults.inc();
             let _ = refuse(
                 stream,
                 ErrorCode::Overloaded,
@@ -1273,10 +1097,13 @@ impl EventLoop {
             self.conns.push(None);
             self.conns.len() - 1
         });
+        // SAFETY: the stream is stored in `self.conns[slot]` below and
+        // leaves it only through `teardown`, which deletes it from the
+        // poller before the `Conn` (and the descriptor) drops.
         if unsafe { shared.poller.add(&stream, Event::readable(slot)) }.is_err() {
             self.free.push(slot);
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            shared.faults.fetch_add(1, Ordering::Relaxed);
+            shared.rejected.inc();
+            shared.faults.inc();
             let _ = refuse(
                 stream,
                 ErrorCode::Overloaded,
@@ -1299,9 +1126,9 @@ impl EventLoop {
             wq: WriteQueue::default(),
             read_closed: false,
         });
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        shared.accepted.fetch_add(1, Ordering::Relaxed);
-        shared.loop_fds.fetch_add(1, Ordering::Relaxed);
+        shared.active.add(1);
+        shared.accepted.inc();
+        shared.loop_fds.add(1);
         shared
             .journal
             .emit(EventKind::ConnAccepted, format!("conn={id}"));
@@ -1400,10 +1227,7 @@ impl EventLoop {
                         });
                         continue;
                     };
-                    shared.request_bytes_peak.fetch_max(
-                        shared.request_bytes.load(Ordering::Relaxed),
-                        Ordering::Relaxed,
-                    );
+                    shared.request_bytes_peak.raise(shared.request_bytes.get());
                     if conn.queued_requests >= cap {
                         // The cap is hit: refuse *this* request with a
                         // typed error instead of queueing it. Dropping
@@ -1460,9 +1284,7 @@ impl EventLoop {
         }
         if !c.bytes.is_empty() {
             conn.wq.bytes += c.bytes.len();
-            self.shared
-                .write_backlog
-                .fetch_add(c.bytes.len() as u64, Ordering::Relaxed);
+            self.shared.write_backlog.add(c.bytes.len() as u64);
             conn.wq.bufs.push_back(c.bytes);
         }
         if c.close {
@@ -1546,11 +1368,9 @@ impl EventLoop {
             return;
         };
         let _ = self.shared.poller.delete(&conn.stream);
-        self.shared
-            .write_backlog
-            .fetch_sub(conn.wq.bytes as u64, Ordering::Relaxed);
-        self.shared.active.fetch_sub(1, Ordering::SeqCst);
-        self.shared.loop_fds.fetch_sub(1, Ordering::Relaxed);
+        self.shared.write_backlog.sub(conn.wq.bytes as u64);
+        self.shared.active.sub(1);
+        self.shared.loop_fds.sub(1);
         self.shared
             .journal
             .emit(EventKind::ConnClosed, format!("conn={}", conn.id));
@@ -1577,7 +1397,7 @@ fn flush_writes(conn: &mut Conn, shared: &Shared) -> io::Result<()> {
             Ok(n) => {
                 conn.wq.off += n;
                 conn.wq.bytes -= n;
-                shared.write_backlog.fetch_sub(n as u64, Ordering::Relaxed);
+                shared.write_backlog.sub(n as u64);
                 if conn.wq.off == conn.wq.bufs.front().map_or(0, Vec::len) {
                     conn.wq.bufs.pop_front();
                     conn.wq.off = 0;
@@ -1627,8 +1447,8 @@ fn udp_reply(shared: &Shared, peer: SocketAddr, mut bytes: Vec<u8>) {
     };
     let cap = datagram_cap(&shared.cfg.limits);
     if bytes.len() > cap {
-        udp.oversize_reply.fetch_add(1, Ordering::Relaxed);
-        shared.faults.fetch_add(1, Ordering::Relaxed);
+        udp.oversize_reply.inc();
+        shared.faults.inc();
         // The encoded reply's header still carries the request id.
         let request_id = u64::from_be_bytes(bytes[6..14].try_into().expect("encoded header"));
         bytes = Frame::Error {
@@ -1644,7 +1464,7 @@ fn udp_reply(shared: &Shared, peer: SocketAddr, mut bytes: Vec<u8>) {
         .encode(request_id);
     }
     if udp.socket.send_to(&bytes, peer).is_ok() {
-        udp.datagrams_out.fetch_add(1, Ordering::Relaxed);
+        udp.datagrams_out.inc();
     }
 }
 
@@ -1658,7 +1478,6 @@ fn servable_on_datagram(frame: &Frame) -> bool {
         Frame::Ping
             | Frame::QueryBatch { .. }
             | Frame::Resolve { .. }
-            | Frame::Stats { .. }
             | Frame::Epoch { .. }
             | Frame::AtlasHead { .. }
     )
@@ -1673,7 +1492,7 @@ fn datagram_id(buf: &[u8]) -> Option<u64> {
         return None;
     }
     let magic = u32::from_be_bytes(buf[0..4].try_into().expect("sized slice"));
-    if magic != MAGIC || !(MIN_VERSION..=VERSION).contains(&buf[4]) {
+    if magic != MAGIC || buf[4] != VERSION {
         return None;
     }
     Some(u64::from_be_bytes(
@@ -1800,7 +1619,7 @@ fn answer(shared: &Shared, work: Work) -> (Vec<u8>, bool) {
             (request_id, reply, false)
         }
         Work::Reject { request_id, reason } => {
-            shared.overloaded.fetch_add(1, Ordering::Relaxed);
+            shared.overloaded.inc();
             shared.note_shed(reason);
             count_fault = false;
             let fault = WireFault::new(ErrorCode::Overloaded, reason);
@@ -1813,7 +1632,7 @@ fn answer(shared: &Shared, work: Work) -> (Vec<u8>, bool) {
     };
     let is_error = matches!(reply, Reply::Frame(Frame::Error { .. }));
     if count_fault && is_error {
-        shared.faults.fetch_add(1, Ordering::Relaxed);
+        shared.faults.inc();
     }
     let mut bytes = match &reply {
         Reply::Frame(frame) => frame.encode(request_id),
@@ -1873,12 +1692,6 @@ fn respond(
         {
             Ok(r) => Frame::ResolveReply {
                 resolution: WireResolution::from(&r),
-            },
-            Err(e) => fault_reply(&e),
-        },
-        Frame::Stats { shard } => match registry.engine(*shard) {
-            Ok(engine) => Frame::StatsReply {
-                stats: WireStats::from(&engine.stats()),
             },
             Err(e) => fault_reply(&e),
         },
@@ -1968,7 +1781,6 @@ fn respond(
         Frame::Pong
         | Frame::PathBatch { .. }
         | Frame::ResolveReply { .. }
-        | Frame::StatsReply { .. }
         | Frame::EpochReply { .. }
         | Frame::ShardsReply { .. }
         | Frame::AtlasHeadReply { .. }
@@ -2083,9 +1895,11 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
         assert_eq!(datagram_id(&bad), None);
-        let mut old = bytes;
-        old[4] = MIN_VERSION - 1;
-        assert_eq!(datagram_id(&old), None);
+        for other in [VERSION - 1, VERSION + 1] {
+            let mut wrong = bytes.clone();
+            wrong[4] = other;
+            assert_eq!(datagram_id(&wrong), None);
+        }
     }
 
     #[test]

@@ -25,13 +25,13 @@
 //!   back.
 //!
 //! Only the single-shot subset travels here (`Ping`, `QueryBatch`,
-//! `Resolve`, `Stats`, `Epoch`, `AtlasHead`); chunked atlas fetches
+//! `Resolve`, `Epoch`, `AtlasHead`); chunked atlas fetches
 //! and the introspection pages keep the stream transport,
 //! [`crate::client::NetClient`].
 
 use crate::client::NetError;
 use crate::wire::{decode_datagram, DatagramError, Frame, Limits, MAX_UDP_PAYLOAD, TRACE_FLAG};
-use crate::wire::{WireFault, WirePath, WireResolution, WireStats};
+use crate::wire::{WireFault, WirePath, WireResolution};
 use inano_core::AtlasVersion;
 use inano_model::Ipv4;
 use inano_service::ShardId;
@@ -268,17 +268,6 @@ impl UdpQuerier {
         match self.call(&Frame::Resolve { shard, ip })? {
             Frame::ResolveReply { resolution } => Ok(resolution),
             other => Err(unexpected("ResolveReply", &other)),
-        }
-    }
-
-    pub fn stats(&mut self) -> Result<WireStats, NetError> {
-        self.stats_on(ShardId::DEFAULT)
-    }
-
-    pub fn stats_on(&mut self, shard: ShardId) -> Result<WireStats, NetError> {
-        match self.call(&Frame::Stats { shard })? {
-            Frame::StatsReply { stats } => Ok(stats),
-            other => Err(unexpected("StatsReply", &other)),
         }
     }
 

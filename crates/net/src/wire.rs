@@ -6,8 +6,8 @@
 //!
 //! ```text
 //! magic      u32  0x694E614E ("iNaN")
-//! version    u8   5
-//! frame type u8   see the FT_* constants
+//! version    u8   6
+//! frame type u8   see the table below
 //! request id u64  echoed verbatim in the reply
 //! payload    u32  payload length in bytes
 //! ```
@@ -19,85 +19,78 @@
 //! them back up by id (the server also answers strictly in request
 //! order per connection).
 //!
-//! ## Version 2: shards
+//! There is one protocol version, [`VERSION`], and it is the only one
+//! a receiver accepts: any other version byte is a fatal `BadVersion`
+//! on a stream and a silent drop on a datagram. No client exists
+//! outside this tree, so a breaking change bumps the number instead of
+//! growing an accept window.
 //!
-//! One server hosts many independent atlas shards
-//! ([`inano_service::ShardRegistry`]); v2 routes every engine-touching
-//! request to one of them. `QueryBatch`, `Resolve`, `Stats` and
-//! `Epoch` lead their payload with a `u16` shard id; for `Stats` and
-//! `Epoch` the id is optional on the wire — an empty payload means
-//! shard 0, so a v2 request written without a shard id keeps the
-//! single-atlas semantics. (The version byte is still checked first:
-//! an actual v1 header is a fatal `BadVersion`, as always.)
-//! Naming a shard the server does not
-//! host is a per-frame [`ErrorCode::UnknownShard`] fault, never a
-//! connection loss. `ListShards`/`ShardsReply` enumerate what the
-//! server hosts ([`WireShardInfo`]: id, epoch, day). v2 also ships the
-//! raw log₂ latency buckets inside `StatsReply` so a fleet aggregator
-//! can merge histograms instead of averaging percentiles.
+//! ## Frames
 //!
-//! ## Version 3: atlas dissemination
+//! | type | frame | reply | shard-scoped | on a datagram |
+//! |---|---|---|---|---|
+//! | `0x01` | `Ping` | `0x81 Pong` | no | yes |
+//! | `0x02` | `QueryBatch` | `0x82 PathBatch` | yes | yes |
+//! | `0x03` | `Resolve` | `0x83 ResolveReply` | yes | yes |
+//! | `0x05` | `Epoch` | `0x85 EpochReply` | yes | yes |
+//! | `0x06` | `ListShards` | `0x86 ShardsReply` | no | no |
+//! | `0x07` | `AtlasHead` | `0x87 AtlasHeadReply` | yes | yes |
+//! | `0x08` | `FetchFullChunk` | `0x88 ChunkReply` | yes | no |
+//! | `0x09` | `FetchDelta` | `0x89 DeltaReply` | yes | no |
+//! | `0x0A` | `FetchDeltaChunk` | `0x88 ChunkReply` | yes | no |
+//! | `0x0B` | `Metrics` | `0x8B MetricsReply` | no | no |
+//! | `0x0C` | `Events` | `0x8C EventsReply` | no | no |
+//! | `0x8A` | `TraceReply` | (a trailer, see below) | — | no |
+//! | `0xEE` | `Error` | (answers any request) | — | yes |
 //!
-//! v3 adds the fetch side of §5's dissemination story, so any server
-//! can stand in as an atlas mirror (shard-scoped, like every other
-//! engine-touching request):
+//! Types `0x04`/`0x84` are retired and decode as `UnknownFrame` like
+//! any other unassigned byte.
 //!
-//! * `AtlasHead` → `AtlasHeadReply` names the shard's newest full
-//!   version ([`inano_core::AtlasVersion`]: day, content `epoch_tag`,
-//!   body length, chunk size);
-//! * `FetchFullChunk { shard, epoch_tag, idx }` → `ChunkReply` carries
-//!   one checksummed chunk. The request names the tag it is fetching:
-//!   if the shard swapped generations mid-fetch the server answers a
-//!   typed [`ErrorCode::VersionRaced`] fault — re-read the head and
-//!   restart — instead of silently splicing two generations;
-//! * `FetchDelta { shard, have_day }` → `DeltaReply` offers the
-//!   retained daily delta leaving `have_day` (if any), whose body moves
-//!   through `FetchDeltaChunk` → `ChunkReply` the same way.
+//! **Shards.** One server hosts many independent atlas shards
+//! ([`inano_service::ShardRegistry`]); every shard-scoped request leads
+//! its payload with a `u16` shard id. Naming a shard the server does
+//! not host is a per-frame [`ErrorCode::UnknownShard`] fault, never a
+//! connection loss. `ListShards` enumerates what the server hosts
+//! ([`WireShardInfo`]: id, epoch, day).
 //!
-//! Chunk sizes are derived from the server's own [`Limits`]
-//! ([`chunk_size_for`]), so a `ChunkReply` payload never exceeds
-//! `max_frame_bytes` — an atlas bigger than one frame simply arrives
-//! as more chunks. A stale chunk index is a typed
-//! [`ErrorCode::ChunkOutOfRange`] fault; none of these ever cost the
-//! connection.
+//! **Atlas dissemination** — the fetch side of §5, so any server can
+//! stand in as an atlas mirror. `AtlasHead` names the shard's newest
+//! full version ([`inano_core::AtlasVersion`]: day, content
+//! `epoch_tag`, body length, chunk size). `FetchFullChunk { shard,
+//! epoch_tag, idx }` carries one checksummed chunk back; the request
+//! names the tag it is fetching, and if the shard swapped generations
+//! mid-fetch the server answers a typed [`ErrorCode::VersionRaced`]
+//! fault — re-read the head and restart — instead of silently splicing
+//! two generations. `FetchDelta { shard, have_day }` offers the
+//! retained daily delta leaving `have_day` (if any), whose body moves
+//! through `FetchDeltaChunk` the same way. Chunk sizes are derived
+//! from the server's own [`Limits`] ([`chunk_size_for`]), so a
+//! `ChunkReply` payload never exceeds `max_frame_bytes` — an atlas
+//! bigger than one frame simply arrives as more chunks. A stale chunk
+//! index is a typed [`ErrorCode::ChunkOutOfRange`] fault; none of
+//! these ever cost the connection.
 //!
-//! ## Version 4: observability
+//! **Observability.** `Metrics` dumps the server's whole
+//! [`inano_obs::MetricsRegistry`] as stable name/value pairs
+//! (counters, gauges, raw log₂ histograms) — the one way to read a
+//! server's counters over the wire; merge semantics live on
+//! [`inano_obs::MetricsDump`]. `Events { since_seq }` pages the
+//! server's [`inano_obs::EventJournal`]: the events at or past
+//! `since_seq` in ascending `seq` order, plus `lost` (requested
+//! sequence numbers the bounded ring had already overwritten —
+//! overflow is *reported*, never silent) and `next_seq` (the cursor to
+//! poll with). Event kinds travel as stable u8 codes
+//! ([`inano_obs::EventKind::code`]); a code this build doesn't know is
+//! skipped at decode, not a fault.
 //!
-//! v4 is strictly additive — every v3 frame encodes byte-identically,
-//! so receivers accept any version in
-//! [`MIN_VERSION`]`..=`[`VERSION`] and a v3 peer keeps working
-//! untouched. Two additions:
-//!
-//! * `Metrics` → `MetricsReply` dumps the server's whole
-//!   [`inano_obs::MetricsRegistry`] as stable name/value pairs
-//!   (counters, gauges, raw log₂ histograms — the scrape plane's wire
-//!   form; merge semantics live on [`inano_obs::MetricsDump`]).
-//! * **Request tracing**: a client may set [`TRACE_FLAG`] (bit 63) on
-//!   its request id. Ids are client-chosen and echoed verbatim, so the
-//!   flag rides the existing header with zero new bytes; sequential
-//!   clients never collide with it. For a flagged request whose reply
-//!   is not `Error`, the server writes a `TraceReply` *trailer* frame
-//!   (same id, [`inano_obs::TraceTimings`]: decode → queue → engine →
-//!   encode µs) immediately after the main reply. Error replies carry
-//!   no trailer — both sides apply that rule, so pipelining stays
-//!   aligned.
-//!
-//! ## Version 5: the event journal
-//!
-//! v5 is again strictly additive (the accept window stays
-//! [`MIN_VERSION`]`..=`[`VERSION`]; every v3/v4 frame encodes
-//! byte-identically). One addition: `Events { since_seq }` →
-//! `EventsReply` pages the server's [`inano_obs::EventJournal`] — the
-//! typed, monotonically sequenced ring behind the counters
-//! (generation swaps, delta applications, full resyncs, overload
-//! episodes, connection churn, mirror refresh failures). The reply
-//! carries the events at or past `since_seq` in ascending `seq` order,
-//! plus `lost` (requested sequence numbers the bounded ring had
-//! already overwritten — overflow is *reported*, never silent) and
-//! `next_seq` (the cursor to poll with). Event kinds travel as stable
-//! u8 codes ([`inano_obs::EventKind::code`]); a code this build
-//! doesn't know is skipped at decode, not a fault, so newer servers
-//! can add kinds without breaking older scrapers.
+//! **Request tracing.** A client may set [`TRACE_FLAG`] (bit 63) on its
+//! request id. Ids are client-chosen and echoed verbatim, so the flag
+//! rides the header with zero extra bytes. For a flagged stream request
+//! whose reply is not `Error`, the server writes a `TraceReply`
+//! *trailer* frame (same id, [`inano_obs::TraceTimings`]: decode →
+//! queue → engine → encode µs) immediately after the main reply. Error
+//! replies carry no trailer — both sides apply that rule, so pipelining
+//! stays aligned.
 //!
 //! ## Error handling
 //!
@@ -120,22 +113,17 @@
 use inano_core::{AtlasVersion, DeltaHandle, PredictedPath, Resolution, DEFAULT_CHUNK_SIZE};
 use inano_model::{Asn, ClusterId, ErrorCode, Ipv4, LatencyMs, LossRate, ModelError, PrefixId};
 use inano_obs::{Event, EventKind, EventsPage, MetricValue, MetricsDump, TraceTimings};
-use inano_service::{ServiceStats, ShardId, SharedResult};
+use inano_service::{ShardId, SharedResult};
 use std::io::{self, Read, Write};
 use std::time::Instant;
 
 /// `"iNaN"` in ASCII.
 pub const MAGIC: u32 = 0x694E_614E;
-/// Current protocol version (5: the event journal — `Events` pages).
-pub const VERSION: u8 = 5;
-/// Oldest version this receiver still accepts. v4 and v5 added only
-/// new frame types, so every v3/v4 frame is bit-identical under v5 and
-/// refusing one would break working peers for nothing.
-pub const MIN_VERSION: u8 = 3;
-/// Most log₂ latency buckets accepted in one histogram on the wire —
-/// shared by `StatsReply` and `MetricsReply` (the engine ships 40;
-/// bucket index feeds a `1 << i`, so a foreign histogram must not be
-/// allowed to claim thousands).
+/// The protocol version: the only one written, the only one accepted.
+pub const VERSION: u8 = 6;
+/// Most log₂ latency buckets accepted in one `MetricsReply` histogram
+/// (the engine ships 40; bucket index feeds a `1 << i`, so a foreign
+/// histogram must not be allowed to claim thousands).
 pub const MAX_BUCKETS: usize = 64;
 /// Fixed frame-header size in bytes.
 pub const HEADER_BYTES: usize = 18;
@@ -164,7 +152,6 @@ pub const TRACE_FLAG: u64 = 1 << 63;
 pub const FT_PING: u8 = 0x01;
 pub const FT_QUERY_BATCH: u8 = 0x02;
 pub const FT_RESOLVE: u8 = 0x03;
-pub const FT_STATS: u8 = 0x04;
 pub const FT_EPOCH: u8 = 0x05;
 pub const FT_LIST_SHARDS: u8 = 0x06;
 pub const FT_ATLAS_HEAD: u8 = 0x07;
@@ -176,7 +163,6 @@ pub const FT_EVENTS: u8 = 0x0C;
 pub const FT_PONG: u8 = 0x81;
 pub const FT_PATH_BATCH: u8 = 0x82;
 pub const FT_RESOLVE_REPLY: u8 = 0x83;
-pub const FT_STATS_REPLY: u8 = 0x84;
 pub const FT_EPOCH_REPLY: u8 = 0x85;
 pub const FT_SHARDS_REPLY: u8 = 0x86;
 pub const FT_ATLAS_HEAD_REPLY: u8 = 0x87;
@@ -334,73 +320,6 @@ pub struct WireShardInfo {
     pub day: u32,
 }
 
-/// Engine counters in wire form (see [`inano_service::ServiceStats`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct WireStats {
-    pub queries: u64,
-    pub errors: u64,
-    pub qps: f64,
-    pub p50_us: u64,
-    pub p99_us: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_evictions: u64,
-    pub cache_hit_rate: f64,
-    pub swaps: u64,
-    pub epoch: u64,
-    pub day: u32,
-    pub workers: u32,
-    /// Raw log₂ latency-bucket counts. Mergeable across engines by
-    /// element-wise sum (see [`inano_service::quantile_from_counts`]),
-    /// which scalar percentiles are not.
-    pub latency_buckets: Vec<u64>,
-}
-
-impl From<&ServiceStats> for WireStats {
-    fn from(s: &ServiceStats) -> WireStats {
-        WireStats {
-            queries: s.queries,
-            errors: s.errors,
-            qps: s.qps,
-            p50_us: s.p50_us,
-            p99_us: s.p99_us,
-            cache_hits: s.cache_hits,
-            cache_misses: s.cache_misses,
-            cache_evictions: s.cache_evictions,
-            cache_hit_rate: s.cache_hit_rate,
-            swaps: s.swaps,
-            epoch: s.epoch,
-            day: s.day,
-            workers: s.workers as u32,
-            latency_buckets: s.latency_buckets.clone(),
-        }
-    }
-}
-
-impl WireStats {
-    /// Back to the library-side type, so a fleet aggregator can feed
-    /// remote snapshots into [`ServiceStats::aggregate`] (which merges
-    /// the raw buckets exactly, instead of averaging percentiles).
-    pub fn to_service_stats(&self) -> ServiceStats {
-        ServiceStats {
-            queries: self.queries,
-            errors: self.errors,
-            qps: self.qps,
-            p50_us: self.p50_us,
-            p99_us: self.p99_us,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            cache_evictions: self.cache_evictions,
-            cache_hit_rate: self.cache_hit_rate,
-            swaps: self.swaps,
-            epoch: self.epoch,
-            day: self.day,
-            workers: self.workers as usize,
-            latency_buckets: self.latency_buckets.clone(),
-        }
-    }
-}
-
 /// One protocol frame (request or reply), minus the request id that
 /// travels in the header.
 #[derive(Clone, Debug, PartialEq)]
@@ -420,12 +339,6 @@ pub enum Frame {
     },
     ResolveReply {
         resolution: WireResolution,
-    },
-    Stats {
-        shard: ShardId,
-    },
-    StatsReply {
-        stats: WireStats,
     },
     Epoch {
         shard: ShardId,
@@ -473,13 +386,13 @@ pub enum Frame {
         crc: u64,
         bytes: Vec<u8>,
     },
-    /// Dump the server-wide metrics registry (v4; not shard-scoped —
-    /// the registry's names carry the shard).
+    /// Dump the server-wide metrics registry (not shard-scoped — the
+    /// registry's names carry the shard).
     Metrics,
     MetricsReply {
         dump: MetricsDump,
     },
-    /// Page the server-wide event journal from `since_seq` (v5; not
+    /// Page the server-wide event journal from `since_seq` (not
     /// shard-scoped — an event's detail names its shard).
     Events {
         since_seq: u64,
@@ -606,17 +519,6 @@ impl<'a> Cursor<'a> {
 
     fn remaining(&self) -> usize {
         self.buf.len() - self.at
-    }
-
-    /// The `u16` shard id leading a shard-routable request, or shard 0
-    /// when the payload carries no id at all (the v1 encoding of
-    /// `Stats`/`Epoch`): the shard id is optional, defaulting to the
-    /// shard that keeps single-atlas semantics.
-    fn shard_or_default(&mut self) -> Result<ShardId, WireFault> {
-        if self.remaining() == 0 {
-            return Ok(ShardId::DEFAULT);
-        }
-        Ok(ShardId(self.u16()?))
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireFault> {
@@ -771,8 +673,6 @@ impl Frame {
             Frame::PathBatch { .. } => FT_PATH_BATCH,
             Frame::Resolve { .. } => FT_RESOLVE,
             Frame::ResolveReply { .. } => FT_RESOLVE_REPLY,
-            Frame::Stats { .. } => FT_STATS,
-            Frame::StatsReply { .. } => FT_STATS_REPLY,
             Frame::Epoch { .. } => FT_EPOCH,
             Frame::EpochReply { .. } => FT_EPOCH_REPLY,
             Frame::ListShards => FT_LIST_SHARDS,
@@ -796,7 +696,7 @@ impl Frame {
     fn encode_payload(&self, buf: &mut Vec<u8>) {
         match self {
             Frame::Ping | Frame::Pong | Frame::ListShards | Frame::Metrics => {}
-            Frame::Stats { shard } | Frame::Epoch { shard } => put_u16(buf, shard.raw()),
+            Frame::Epoch { shard } | Frame::AtlasHead { shard } => put_u16(buf, shard.raw()),
             Frame::QueryBatch { shard, pairs } => {
                 put_u16(buf, shard.raw());
                 put_u32(buf, pairs.len() as u32);
@@ -840,34 +740,6 @@ impl Frame {
                     put_u32(buf, a);
                 }
             }
-            Frame::StatsReply { stats } => {
-                put_u64(buf, stats.queries);
-                put_u64(buf, stats.errors);
-                put_f64(buf, stats.qps);
-                put_u64(buf, stats.p50_us);
-                put_u64(buf, stats.p99_us);
-                put_u64(buf, stats.cache_hits);
-                put_u64(buf, stats.cache_misses);
-                put_u64(buf, stats.cache_evictions);
-                put_f64(buf, stats.cache_hit_rate);
-                put_u64(buf, stats.swaps);
-                put_u64(buf, stats.epoch);
-                put_u32(buf, stats.day);
-                put_u32(buf, stats.workers);
-                // Histograms are short (40 buckets today); truncating
-                // at the receiver-side cap keeps every encoded frame
-                // decodable.
-                let n = stats.latency_buckets.len().min(MAX_BUCKETS);
-                debug_assert_eq!(
-                    n,
-                    stats.latency_buckets.len(),
-                    "histogram beyond wire bounds"
-                );
-                put_u16(buf, n as u16);
-                for &c in &stats.latency_buckets[..n] {
-                    put_u64(buf, c);
-                }
-            }
             Frame::EpochReply { epoch, day } => {
                 put_u64(buf, *epoch);
                 put_u32(buf, *day);
@@ -882,7 +754,6 @@ impl Frame {
                     put_u32(buf, s.day);
                 }
             }
-            Frame::AtlasHead { shard } => put_u16(buf, shard.raw()),
             Frame::AtlasHeadReply { version } => {
                 put_u32(buf, version.day);
                 put_u64(buf, version.epoch_tag);
@@ -946,8 +817,8 @@ impl Frame {
                         MetricValue::Histogram(buckets) => {
                             buf.push(2);
                             put_str(buf, name);
-                            // Same receiver-side cap as `StatsReply`'s
-                            // buckets — one shared constant, one rule.
+                            // Truncating at the receiver-side cap
+                            // keeps every encoded frame decodable.
                             let b = buckets.len().min(MAX_BUCKETS);
                             debug_assert_eq!(b, buckets.len(), "histogram beyond wire bounds");
                             put_u16(buf, b as u16);
@@ -1102,38 +973,8 @@ impl Frame {
                     },
                 }
             }
-            FT_STATS => Frame::Stats {
-                shard: c.shard_or_default()?,
-            },
-            FT_STATS_REPLY => Frame::StatsReply {
-                stats: WireStats {
-                    queries: c.u64()?,
-                    errors: c.u64()?,
-                    qps: c.f64()?,
-                    p50_us: c.u64()?,
-                    p99_us: c.u64()?,
-                    cache_hits: c.u64()?,
-                    cache_misses: c.u64()?,
-                    cache_evictions: c.u64()?,
-                    cache_hit_rate: c.f64()?,
-                    swaps: c.u64()?,
-                    epoch: c.u64()?,
-                    day: c.u32()?,
-                    workers: c.u32()?,
-                    latency_buckets: {
-                        let n = c.u16()? as usize;
-                        if n > MAX_BUCKETS {
-                            return Err(WireFault::new(
-                                ErrorCode::Malformed,
-                                format!("{n} latency buckets exceed limit {MAX_BUCKETS}"),
-                            ));
-                        }
-                        (0..n).map(|_| c.u64()).collect::<Result<_, _>>()?
-                    },
-                },
-            },
             FT_EPOCH => Frame::Epoch {
-                shard: c.shard_or_default()?,
+                shard: ShardId(c.u16()?),
             },
             FT_EPOCH_REPLY => Frame::EpochReply {
                 epoch: c.u64()?,
@@ -1372,10 +1213,10 @@ fn validate_header(
         ));
     }
     let version = header[4];
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(WireFault::new(
             ErrorCode::BadVersion,
-            format!("got version {version}, want {MIN_VERSION}..={VERSION}"),
+            format!("got version {version}, want {VERSION}"),
         ));
     }
     let frame_type = header[5];
@@ -1665,32 +1506,8 @@ mod tests {
     #[test]
     fn shard_routed_requests_round_trip() {
         for shard in [ShardId::DEFAULT, ShardId(3), ShardId(u16::MAX)] {
-            round_trip(Frame::Stats { shard }, 11);
             round_trip(Frame::Epoch { shard }, 12);
             round_trip(Frame::Resolve { shard, ip: Ipv4(9) }, 13);
-        }
-    }
-
-    #[test]
-    fn shardless_stats_and_epoch_payloads_mean_shard_zero() {
-        // The v1 encoding of Stats/Epoch was an empty payload; in v2
-        // the shard id is optional and absence means shard 0.
-        for (ft, want) in [
-            (
-                FT_STATS,
-                Frame::Stats {
-                    shard: ShardId::DEFAULT,
-                },
-            ),
-            (
-                FT_EPOCH,
-                Frame::Epoch {
-                    shard: ShardId::DEFAULT,
-                },
-            ),
-        ] {
-            let got = Frame::decode_payload(ft, &[], &Limits::default()).expect("decodes");
-            assert_eq!(got, want);
         }
     }
 
@@ -1930,9 +1747,10 @@ mod tests {
 
     #[test]
     fn hostile_bucket_count_is_a_typed_malformed_fault() {
-        let stats = WireStats::from(&ServiceStats::default());
-        assert!(stats.latency_buckets.is_empty());
-        let mut bytes = Frame::StatsReply { stats }.encode(1);
+        let dump = MetricsDump {
+            entries: vec![("h".into(), MetricValue::Histogram(vec![]))],
+        };
+        let mut bytes = Frame::MetricsReply { dump }.encode(1);
         // With no buckets the count is the payload's last u16; claim
         // 65535 of them. The decoder must refuse at the count — before
         // the `1 << i` quantile math anyone downstream would run.
@@ -1982,26 +1800,14 @@ mod tests {
     }
 
     #[test]
-    fn version_3_and_4_frames_still_decode_under_v5() {
-        // v4 and v5 added only new frame types; an older peer's frames
-        // are bit-identical except the version byte, and must keep
-        // working.
-        let frame = Frame::QueryBatch {
+    fn any_version_but_the_current_one_is_fatal() {
+        let mut bytes = Frame::QueryBatch {
             shard: ShardId(1),
             pairs: vec![(Ipv4(1), Ipv4(2))],
-        };
-        let mut bytes = frame.encode(6);
-        assert_eq!(bytes[4], VERSION);
-        for old in [3u8, 4] {
-            bytes[4] = old;
-            let (id, got) = read_frame(&mut &bytes[..], &Limits::default())
-                .expect("old-version frame decodes")
-                .expect("not EOF");
-            assert_eq!(id, 6);
-            assert_eq!(got, frame);
         }
-        // Anything outside the window stays a fatal BadVersion.
-        for bad in [0u8, 2, VERSION + 1] {
+        .encode(6);
+        assert_eq!(bytes[4], VERSION);
+        for bad in [0u8, 3, 4, 5, VERSION + 1] {
             bytes[4] = bad;
             match read_frame(&mut &bytes[..], &Limits::default()) {
                 Err(ReadError::Fatal(fault)) => assert_eq!(fault.code, ErrorCode::BadVersion),

@@ -48,6 +48,13 @@ fn gauge(server: &NetServer, name: &str) -> u64 {
     }
 }
 
+fn counter(server: &NetServer, name: &str) -> u64 {
+    match metric(server, name) {
+        Some(MetricValue::Counter(v)) => v,
+        other => panic!("{name} should be a counter, got {other:?}"),
+    }
+}
+
 /// Poll `cond` until it holds or `secs` elapse.
 fn wait_for(secs: u64, what: &str, mut cond: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(secs);
@@ -128,8 +135,8 @@ fn slow_consumer_backlog_is_bounded_and_other_connections_stay_served() {
             other => panic!("unexpected reply {other:?}"),
         }
     }
-    assert_eq!(server.counters().overloaded, 0);
-    assert_eq!(server.counters().faults, 0);
+    assert_eq!(counter(&server, "srv.overloaded"), 0);
+    assert_eq!(counter(&server, "srv.faults"), 0);
 
     // Drained: the backlog gauge returns to zero.
     wait_for(20, "the backlog to drain", || {
@@ -156,7 +163,7 @@ fn idle_connections_ride_along_with_live_traffic() {
         })
         .collect();
     wait_for(20, "all idle connections to be accepted", || {
-        server.counters().active >= IDLE
+        gauge(&server, "srv.active") >= IDLE as u64
     });
 
     // Live traffic answers normally through the crowd.
@@ -173,15 +180,15 @@ fn idle_connections_ride_along_with_live_traffic() {
     // plus the listener and the notify pipe.
     assert_eq!(
         gauge(&server, "srv.loop.fds"),
-        server.counters().active as u64 + 2
+        gauge(&server, "srv.active") + 2
     );
-    assert_eq!(server.counters().accepted, IDLE as u64 + 1);
-    assert_eq!(server.counters().rejected, 0);
+    assert_eq!(counter(&server, "srv.accepted"), IDLE as u64 + 1);
+    assert_eq!(counter(&server, "srv.rejected"), 0);
 
     // Mass disconnect: the loop reaps every idle registration.
     drop(idles);
     wait_for(20, "idle connections to be reaped", || {
-        server.counters().active == 1
+        gauge(&server, "srv.active") == 1
     });
     assert_eq!(gauge(&server, "srv.loop.fds"), 3);
     client

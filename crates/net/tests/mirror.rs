@@ -14,7 +14,7 @@ use inano_model::{ErrorCode, Ipv4};
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config, ring_shortcut_delta};
 use inano_net::{Limits, MirrorSource, NetClient, NetError, NetServer, ServerConfig};
 use inano_obs::EventKind;
-use inano_service::{MirrorStats, QueryEngine, ServiceConfig, ShardId};
+use inano_service::{QueryEngine, ServiceConfig, ShardId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -167,7 +167,7 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
     );
     // Zero failed queries mid-swap, on the engines and over the wire.
     assert_eq!(mirror_engine.stats().errors, 0);
-    assert_eq!(mirror.counters().faults, 0);
+    assert_eq!(mirror.metrics().dump().counter("srv.faults"), 0);
 }
 
 /// The mirror-side convergence instruments, end to end: the lag gauge
@@ -189,9 +189,17 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
         QueryEngine::bootstrap(&mut upstream, ring_service_config())
             .expect("mirror bootstraps from the origin"),
     );
+    // The engine's own registers, read where they are written.
+    let m = mirror_engine.metrics();
     assert_eq!(
-        mirror_engine.mirror_stats(),
-        MirrorStats::default(),
+        (
+            m.mirror_deltas_applied.get(),
+            m.mirror_full_resyncs.get(),
+            m.mirror_races_recovered.get(),
+            m.mirror_lag_days.get(),
+            m.mirror_upstream_day.get(),
+        ),
+        (0, 0, 0, 0, 0),
         "a fresh mirror has followed nothing yet"
     );
 
@@ -201,11 +209,14 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
         .apply_delta(&ring_shortcut_delta(RING, 0))
         .expect("origin applies the delta");
     assert_eq!(mirror_engine.update(&mut upstream).expect("refresh"), 1);
-    let s = mirror_engine.mirror_stats();
-    assert_eq!(s.deltas_applied, 1);
-    assert_eq!(s.upstream_day, 1);
-    assert_eq!(s.lag_days, 0, "converged right after the refresh");
-    assert_eq!(s.full_resyncs, 0);
+    assert_eq!(m.mirror_deltas_applied.get(), 1);
+    assert_eq!(m.mirror_upstream_day.get(), 1);
+    assert_eq!(
+        m.mirror_lag_days.get(),
+        0,
+        "converged right after the refresh"
+    );
+    assert_eq!(m.mirror_full_resyncs.get(), 0);
 
     // The origin restarts onto a fresh generation (empty delta log,
     // day jump): no delta bridges the gap, and the refresh must say
@@ -216,10 +227,13 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
         0,
         "no delta leaves day 1 any more"
     );
-    let s = mirror_engine.mirror_stats();
-    assert_eq!(s.deltas_applied, 1, "nothing new applied");
-    assert_eq!(s.upstream_day, 5);
-    assert_eq!(s.lag_days, 4, "the broken chain leaves the mirror behind");
+    assert_eq!(m.mirror_deltas_applied.get(), 1, "nothing new applied");
+    assert_eq!(m.mirror_upstream_day.get(), 5);
+    assert_eq!(
+        m.mirror_lag_days.get(),
+        4,
+        "the broken chain leaves the mirror behind"
+    );
 
     // The bridge is a full resync — what `inano-serve`'s refresh loop
     // does — and the counters record it as such.
@@ -228,12 +242,11 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
         .expect("full refetch over the wire");
     let atlas = inano_atlas::codec::decode(&bytes).expect("decode refetched atlas");
     mirror_engine.replace_atlas(Arc::new(atlas));
-    let s = mirror_engine.mirror_stats();
-    assert_eq!(s.full_resyncs, 1);
-    assert_eq!(s.lag_days, 0, "the full swap pays the lag off");
+    assert_eq!(m.mirror_full_resyncs.get(), 1);
+    assert_eq!(m.mirror_lag_days.get(), 0, "the full swap pays the lag off");
     assert_eq!(mirror_engine.day(), 5);
     assert_eq!(mirror_engine.update(&mut upstream).expect("refresh"), 0);
-    assert_eq!(mirror_engine.mirror_stats().lag_days, 0);
+    assert_eq!(m.mirror_lag_days.get(), 0);
 
     // The same series is what the scrape plane publishes: a server
     // fronting the mirror engine answers them in its metrics dump.

@@ -12,7 +12,7 @@ use inano_model::{ErrorCode, Ipv4};
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config, ring_shortcut_delta};
 use inano_net::wire::{read_frame, Frame, Limits, HEADER_BYTES, MAGIC, VERSION};
 use inano_net::{NetClient, NetError, NetServer, ServerConfig};
-use inano_obs::EventKind;
+use inano_obs::{EventKind, MetricValue, MetricsDump};
 use inano_service::{QueryEngine, ServiceConfig, ShardId, ShardRegistry};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -45,6 +45,19 @@ fn engine0(server: &NetServer) -> &Arc<QueryEngine> {
         .registry()
         .engine(ShardId::DEFAULT)
         .expect("shard 0 exists")
+}
+
+/// One `srv.*` counter, read from the server's own dump.
+fn srv_counter(server: &NetServer, name: &str) -> u64 {
+    server.metrics().dump().counter(name)
+}
+
+/// The summed buckets of one histogram of a dump.
+fn histogram_total(dump: &MetricsDump, name: &str) -> u64 {
+    match dump.value(name) {
+        Some(MetricValue::Histogram(buckets)) => buckets.iter().sum(),
+        other => panic!("{name} should be a histogram, got {other:?}"),
+    }
 }
 
 fn all_pairs() -> Vec<(Ipv4, Ipv4)> {
@@ -88,13 +101,15 @@ fn remote_answers_equal_embedded_answers() {
         .unwrap();
     assert_eq!(r.into_resolution(), local);
 
-    // Stats flow over the wire and reflect the served load — raw
-    // latency buckets included, holding exactly the served queries.
-    let stats = client.stats().expect("stats");
-    assert!(stats.queries >= pairs.len() as u64);
-    assert_eq!(stats.epoch, 0);
-    assert_eq!(stats.day, 0);
-    assert_eq!(stats.latency_buckets.iter().sum::<u64>(), stats.queries);
+    // The metrics dump flows over the wire and reflects the served
+    // load — raw latency buckets included, holding exactly the served
+    // queries.
+    let dump = client.metrics().expect("metrics");
+    let queries = dump.counter("shard0.queries");
+    assert!(queries >= pairs.len() as u64);
+    assert_eq!(dump.gauge("shard0.epoch"), 0);
+    assert_eq!(dump.gauge("shard0.day"), 0);
+    assert_eq!(histogram_total(&dump, "shard0.latency_us"), queries);
     assert_eq!(client.epoch().expect("epoch"), (0, 0));
 
     // A single-shard server lists exactly shard 0.
@@ -113,9 +128,13 @@ fn a_cached_batch_is_one_hit_per_pair_and_keeps_its_trace_trailer() {
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     let pairs = all_pairs();
     let cold = client.query_batch(&pairs).expect("cold batch");
-    let before = client.stats().expect("stats");
-    assert_eq!(before.cache_misses, pairs.len() as u64, "every pair probed");
-    assert_eq!(before.cache_hits, 0);
+    let before = client.metrics().expect("metrics");
+    assert_eq!(
+        before.counter("shard0.cache.misses"),
+        pairs.len() as u64,
+        "every pair probed"
+    );
+    assert_eq!(before.counter("shard0.cache.hits"), 0);
 
     let request = Frame::QueryBatch {
         shard: ShardId::DEFAULT,
@@ -128,12 +147,25 @@ fn a_cached_batch_is_one_hit_per_pair_and_keeps_its_trace_trailer() {
     }
     assert!(timings.total_us() > 0, "the trailer carries the stages");
 
-    let after = client.stats().expect("stats");
-    assert_eq!(after.cache_hits, pairs.len() as u64, "one hit per pair");
-    assert_eq!(after.cache_misses, before.cache_misses);
-    assert_eq!(after.queries - before.queries, pairs.len() as u64);
-    assert_eq!(after.errors, 0);
-    assert_eq!(after.latency_buckets.iter().sum::<u64>(), after.queries);
+    let after = client.metrics().expect("metrics");
+    assert_eq!(
+        after.counter("shard0.cache.hits"),
+        pairs.len() as u64,
+        "one hit per pair"
+    );
+    assert_eq!(
+        after.counter("shard0.cache.misses"),
+        before.counter("shard0.cache.misses")
+    );
+    assert_eq!(
+        after.counter("shard0.queries") - before.counter("shard0.queries"),
+        pairs.len() as u64
+    );
+    assert_eq!(after.counter("shard0.errors"), 0);
+    assert_eq!(
+        histogram_total(&after, "shard0.latency_us"),
+        after.counter("shard0.queries")
+    );
 }
 
 #[test]
@@ -214,42 +246,56 @@ fn bad_version_gets_a_typed_error_then_close() {
     }
 }
 
-/// Protocol additivity, over a live socket: frames exactly as a v3 or
-/// v4 client would send them (same bytes, older version stamp) must be
-/// served by a v5 server with no behavioral difference.
+/// One version, over a live socket: a header stamped with any earlier
+/// version (or a later one) is a fatal `BadVersion` — answered once,
+/// then closed — and the retired `Stats` frame type is just an unknown
+/// byte: a per-frame fault on a connection that keeps serving.
 #[test]
-fn v3_and_v4_clients_interop_unchanged_against_a_v5_server() {
+fn other_versions_are_fatal_and_the_retired_stats_type_is_an_unknown_frame() {
     let server = ring_server(ServerConfig::default());
-    for old in [3u8, 4] {
+    for other in [3u8, 4, 5, 7] {
+        assert_ne!(other, VERSION);
         let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
         let mut bytes = Frame::Ping.encode(7);
-        bytes[4] = old;
+        bytes[4] = other;
         raw.write_all(&bytes).expect("write ping");
         let (id, reply) = read_frame(&mut raw, &Limits::default())
             .expect("answered")
             .expect("one frame");
-        assert_eq!(id, 7);
-        assert!(matches!(reply, Frame::Pong), "v{old} ping answered");
-
-        let mut bytes = Frame::QueryBatch {
-            shard: ShardId::DEFAULT,
-            pairs: vec![(ring_ip(0), ring_ip(3))],
-        }
-        .encode(8);
-        bytes[4] = old;
-        raw.write_all(&bytes).expect("write batch");
-        let (id, reply) = read_frame(&mut raw, &Limits::default())
-            .expect("answered")
-            .expect("one frame");
-        assert_eq!(id, 8);
+        assert_eq!(id, 0, "a fatal fault cannot trust the header's id");
         match reply {
-            Frame::PathBatch { results } => {
-                assert_eq!(results.len(), 1);
-                assert!(results[0].is_ok(), "v{old} query served");
-            }
-            other => panic!("want PathBatch, got {other:?}"),
+            Frame::Error { fault } => assert_eq!(fault.code, ErrorCode::BadVersion, "v{other}"),
+            other => panic!("want error frame, got {other:?}"),
         }
+        let mut rest = Vec::new();
+        raw.read_to_end(&mut rest).expect("closed after the fault");
+        assert!(rest.is_empty());
     }
+
+    let faults_before = srv_counter(&server, "srv.faults");
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    // What a v5 `Stats { shard: 0 }` request was, restamped.
+    let mut bytes = Frame::Epoch {
+        shard: ShardId::DEFAULT,
+    }
+    .encode(8);
+    bytes[5] = 0x04;
+    raw.write_all(&bytes).expect("write retired frame");
+    raw.write_all(&Frame::Ping.encode(9)).expect("write ping");
+    let (id, reply) = read_frame(&mut raw, &Limits::default())
+        .expect("answered")
+        .expect("one frame");
+    assert_eq!(id, 8, "a per-frame fault echoes the request id");
+    match reply {
+        Frame::Error { fault } => assert_eq!(fault.code, ErrorCode::UnknownFrame),
+        other => panic!("want error frame, got {other:?}"),
+    }
+    let (id, reply) = read_frame(&mut raw, &Limits::default())
+        .expect("answered")
+        .expect("one frame");
+    assert_eq!(id, 9);
+    assert!(matches!(reply, Frame::Pong), "the connection keeps serving");
+    assert_eq!(srv_counter(&server, "srv.faults"), faults_before + 1);
 }
 
 /// The event journal over the wire: the server's own admission shows
@@ -347,7 +393,7 @@ fn over_limit_batch_faults_but_the_connection_survives() {
         .query_batch(&[(ring_ip(0), ring_ip(1))])
         .expect("small batch");
     assert!(ok[0].is_ok());
-    assert!(server.counters().faults >= 1);
+    assert!(srv_counter(&server, "srv.faults") >= 1);
 }
 
 #[test]
@@ -382,7 +428,7 @@ fn admission_gate_refuses_with_overloaded() {
         Frame::Error { fault } => assert_eq!(fault.code, ErrorCode::Overloaded),
         other => panic!("want error frame, got {other:?}"),
     }
-    assert_eq!(server.counters().rejected, 1);
+    assert_eq!(srv_counter(&server, "srv.rejected"), 1);
 
     // The same refusal is observable through NetClient as a typed
     // frame (request id 0), so callers can implement backoff on the
@@ -474,9 +520,9 @@ fn swap_under_remote_load_is_lossless_and_bumps_the_epoch() {
         .clone()
         .expect("routable");
     assert_eq!(after.fwd_clusters.len(), 2, "post-swap: the shortcut");
-    let stats = probe.stats().expect("stats");
-    assert_eq!(stats.swaps, 1);
-    assert_eq!(stats.errors, 0);
+    let dump = probe.metrics().expect("metrics");
+    assert_eq!(dump.counter("shard0.swaps"), 1);
+    assert_eq!(dump.counter("shard0.errors"), 0);
 }
 
 fn two_shard_server(rings: [u32; 2], cfg: ServerConfig) -> NetServer {
@@ -521,8 +567,10 @@ fn shards_route_independently_behind_one_listener() {
         .into_predicted();
     assert_eq!(on_1.fwd_clusters.len(), 3);
 
-    // Per-shard stats see per-shard load only.
-    assert_eq!(client.stats_on(ShardId(1)).expect("stats").queries, 1);
+    // Per-shard series see per-shard load only.
+    let dump = client.metrics().expect("metrics");
+    assert_eq!(dump.counter("shard0.queries"), 1);
+    assert_eq!(dump.counter("shard1.queries"), 1);
 }
 
 #[test]
@@ -539,7 +587,7 @@ fn unknown_shard_gets_a_typed_error_and_the_connection_survives() {
     }
     assert_unknown_shard(client.query_batch_on(missing, &[(ring_ip(0), ring_ip(1))]));
     assert_unknown_shard(client.epoch_on(missing));
-    assert_unknown_shard(client.stats_on(missing));
+    assert_unknown_shard(client.atlas_head_on(missing));
     assert_unknown_shard(client.resolve_on(missing, ring_ip(0)));
 
     // Four per-frame faults, zero connection losses.
@@ -548,7 +596,7 @@ fn unknown_shard_gets_a_typed_error_and_the_connection_survives() {
         .query_batch(&[(ring_ip(0), ring_ip(1))])
         .expect("shard 0 still serves")[0]
         .is_ok());
-    assert!(server.counters().faults >= 4);
+    assert!(srv_counter(&server, "srv.faults") >= 4);
 }
 
 #[test]
@@ -614,10 +662,11 @@ fn swap_on_one_shard_is_lossless_and_invisible_on_the_other() {
         far as usize + 1,
         "shard 1 still serves the long way around"
     );
-    let s0 = probe.stats().expect("stats");
-    let s1 = probe.stats_on(ShardId(1)).expect("stats");
-    assert_eq!((s0.swaps, s0.errors), (1, 0));
-    assert_eq!((s1.swaps, s1.errors), (0, 0));
+    let dump = probe.metrics().expect("metrics");
+    for (shard, swaps) in [("shard0", 1), ("shard1", 0)] {
+        assert_eq!(dump.counter(&format!("{shard}.swaps")), swaps, "{shard}");
+        assert_eq!(dump.counter(&format!("{shard}.errors")), 0, "{shard}");
+    }
 }
 
 #[test]
@@ -683,7 +732,7 @@ fn hostile_pipeliner_gets_typed_overloaded_not_unbounded_queueing() {
         overloaded >= 1,
         "a flood beyond the cap must see typed rejections"
     );
-    assert_eq!(server.counters().overloaded, overloaded);
+    assert_eq!(srv_counter(&server, "srv.overloaded"), overloaded);
 
     // The connection is intact: one more request, served normally.
     raw.try_clone()
@@ -785,9 +834,9 @@ fn shared_request_budget_rejects_typed_across_many_connections() {
         overloaded >= 1,
         "a flood beyond the shared budget must see typed rejections"
     );
-    let counters = server.counters();
-    assert_eq!(counters.overloaded, overloaded);
-    assert_eq!(counters.faults, 0, "throttling is not a fault");
+    let dump = server.metrics().dump();
+    assert_eq!(dump.counter("srv.overloaded"), overloaded);
+    assert_eq!(dump.counter("srv.faults"), 0, "throttling is not a fault");
 }
 
 #[test]

@@ -102,11 +102,11 @@ fn datagram_answers_equal_stream_answers() {
         dgram.atlas_head().expect("datagram head"),
         stream.atlas_head().expect("stream head")
     );
-    // Stats move under load; compare the stable identity fields.
-    let s_udp = dgram.stats().expect("datagram stats");
-    let s_tcp = stream.stats().expect("stream stats");
-    assert_eq!((s_udp.epoch, s_udp.day), (s_tcp.epoch, s_tcp.day));
-    assert!(s_udp.queries >= pairs.len() as u64);
+    // Both transports' batches landed on the one shard engine.
+    assert_eq!(
+        udp_counter(&server, "shard0.queries"),
+        2 * pairs.len() as u64
+    );
 
     // Shard addressing works on datagrams too.
     let (epoch, day) = dgram.epoch_on(ShardId::DEFAULT).expect("epoch on shard 0");
@@ -121,7 +121,7 @@ fn datagram_answers_equal_stream_answers() {
     assert_eq!(dgram.stale_replies(), 0);
     let n_in = udp_counter(&server, "srv.udp.datagrams_in");
     let n_out = udp_counter(&server, "srv.udp.datagrams_out");
-    assert!(n_in >= 8, "plane counted its datagrams: {n_in}");
+    assert!(n_in >= 7, "plane counted its datagrams: {n_in}");
     assert_eq!(n_in, n_out, "every admitted request got one reply");
 }
 
@@ -180,16 +180,21 @@ fn garbage_datagrams_are_dropped_counted_and_harmless() {
     sock.set_read_timeout(Some(Duration::from_millis(200)))
         .expect("timeout");
 
-    // Noise: short fragments, wrong magic, ancient version. None of
-    // it is attributable, so none of it may draw a reply — answering
-    // would make the server a reflection amplifier.
+    // Noise: short fragments, wrong magic, any version but the
+    // current one (the three this protocol once accepted, and the
+    // next). None of it is attributable, so none of it may draw a
+    // reply — answering would make the server a reflection amplifier.
     let ping = Frame::Ping.encode(7);
-    let mut old_version = ping.clone();
-    old_version[4] = 1; // below MIN_VERSION
+    let restamped = |version: u8| {
+        let mut bytes = ping.clone();
+        bytes[4] = version;
+        bytes
+    };
     let mut bad_magic = ping.clone();
     bad_magic[0] ^= 0xff;
-    let noise: [&[u8]; 5] = [b"", b"hi", &ping[..10], &bad_magic, &old_version];
-    for bytes in noise {
+    let mut noise: Vec<Vec<u8>> = vec![vec![], b"hi".to_vec(), ping[..10].to_vec(), bad_magic];
+    noise.extend([1, 3, 4, 5, 7].map(restamped));
+    for bytes in &noise {
         sock.send(bytes).expect("send noise");
     }
     let mut buf = [0u8; 256];

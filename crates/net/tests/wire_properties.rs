@@ -13,7 +13,7 @@ use inano_net::wire::{
     datagram_cap, decode_datagram, encode_path_batch, read_frame, DatagramError, Frame, Limits,
     ReadError, CHUNK_WIRE_OVERHEAD, HEADER_BYTES, TRACE_FLAG,
 };
-use inano_net::{chunk_size_for, WireFault, WirePath, WireResolution, WireShardInfo, WireStats};
+use inano_net::{chunk_size_for, WireFault, WirePath, WireResolution, WireShardInfo};
 use inano_obs::{
     Event, EventKind, EventsPage, MetricValue, MetricsDump, MetricsRegistry, TraceTimings,
 };
@@ -55,31 +55,6 @@ prop_compose! {
         refined_providers in any::<bool>(),
     ) -> WireResolution {
         WireResolution { prefix, cluster, origin_as, cluster_as, refined_providers }
-    }
-}
-
-prop_compose! {
-    fn arb_stats()(
-        queries in any::<u64>(),
-        errors in any::<u64>(),
-        qps in 0.0f64..1e9,
-        p50_us in any::<u64>(),
-        p99_us in any::<u64>(),
-        cache_hits in any::<u64>(),
-        cache_misses in any::<u64>(),
-        cache_evictions in any::<u64>(),
-        cache_hit_rate in 0.0f64..1.0,
-        swaps in any::<u64>(),
-        epoch in any::<u64>(),
-        day in any::<u32>(),
-        workers in any::<u32>(),
-        latency_buckets in proptest::collection::vec(any::<u64>(), 0..48),
-    ) -> WireStats {
-        WireStats {
-            queries, errors, qps, p50_us, p99_us, cache_hits, cache_misses,
-            cache_evictions, cache_hit_rate, swaps, epoch, day, workers,
-            latency_buckets,
-        }
     }
 }
 
@@ -248,13 +223,12 @@ fn encode_via_frame(request_id: u64, results: &[SharedResult]) -> Vec<u8> {
 // exercised (the stand-in proptest has no `prop_oneof!`).
 prop_compose! {
     fn arb_frame()(
-        variant in 0usize..25,
+        variant in 0usize..23,
         shard in any::<u16>(),
         pairs in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..40),
         results in proptest::collection::vec(arb_result(), 0..20),
         ip in any::<u32>(),
         resolution in arb_resolution(),
-        stats in arb_stats(),
         epoch in any::<u64>(),
         day in any::<u32>(),
         shard_infos in proptest::collection::vec(arb_shard_info(), 0..16),
@@ -279,24 +253,22 @@ prop_compose! {
             3 => Frame::PathBatch { results },
             4 => Frame::Resolve { shard: ShardId(shard), ip: Ipv4(ip) },
             5 => Frame::ResolveReply { resolution },
-            6 => Frame::Stats { shard: ShardId(shard) },
-            7 => Frame::StatsReply { stats },
-            8 => Frame::Epoch { shard: ShardId(shard) },
-            9 => Frame::EpochReply { epoch, day },
-            10 => Frame::ListShards,
-            11 => Frame::ShardsReply { shards: shard_infos },
-            12 => Frame::AtlasHead { shard: ShardId(shard) },
-            13 => Frame::AtlasHeadReply { version },
-            14 => Frame::FetchFullChunk { shard: ShardId(shard), epoch_tag, idx },
-            15 => Frame::FetchDelta { shard: ShardId(shard), have_day: day },
-            16 => Frame::DeltaReply { handle },
-            17 => Frame::FetchDeltaChunk { shard: ShardId(shard), from_day: day, idx },
-            18 => Frame::ChunkReply { idx, crc, bytes: chunk },
-            19 => Frame::Error { fault },
-            20 => Frame::Metrics,
-            21 => Frame::MetricsReply { dump },
-            22 => Frame::TraceReply { timings },
-            23 => Frame::Events { since_seq: epoch },
+            6 => Frame::Epoch { shard: ShardId(shard) },
+            7 => Frame::EpochReply { epoch, day },
+            8 => Frame::ListShards,
+            9 => Frame::ShardsReply { shards: shard_infos },
+            10 => Frame::AtlasHead { shard: ShardId(shard) },
+            11 => Frame::AtlasHeadReply { version },
+            12 => Frame::FetchFullChunk { shard: ShardId(shard), epoch_tag, idx },
+            13 => Frame::FetchDelta { shard: ShardId(shard), have_day: day },
+            14 => Frame::DeltaReply { handle },
+            15 => Frame::FetchDeltaChunk { shard: ShardId(shard), from_day: day, idx },
+            16 => Frame::ChunkReply { idx, crc, bytes: chunk },
+            17 => Frame::Error { fault },
+            18 => Frame::Metrics,
+            19 => Frame::MetricsReply { dump },
+            20 => Frame::TraceReply { timings },
+            21 => Frame::Events { since_seq: epoch },
             _ => Frame::EventsReply { page },
         }
     }
@@ -709,29 +681,6 @@ fn golden_frames() -> Vec<(&'static str, u64, Frame)> {
                 },
             },
         ),
-        ("stats", 7, Frame::Stats { shard }),
-        (
-            "stats_reply",
-            8,
-            Frame::StatsReply {
-                stats: WireStats {
-                    queries: 100,
-                    errors: 2,
-                    qps: 1.5,
-                    p50_us: 3,
-                    p99_us: 4,
-                    cache_hits: 5,
-                    cache_misses: 6,
-                    cache_evictions: 7,
-                    cache_hit_rate: 0.5,
-                    swaps: 8,
-                    epoch: 9,
-                    day: 10,
-                    workers: 11,
-                    latency_buckets: vec![1, 0, 2],
-                },
-            },
-        ),
         ("epoch", 9, Frame::Epoch { shard }),
         ("epoch_reply", 10, Frame::EpochReply { epoch: 77, day: 5 }),
         ("list_shards", 11, Frame::ListShards),
@@ -861,34 +810,34 @@ fn golden_frames() -> Vec<(&'static str, u64, Frame)> {
 
 /// What `Frame::encode` wrote for [`golden_frames`] when the payload
 /// was still built in a buffer of its own and copied behind the header
-/// (recorded at that commit). The single-buffer encoder must not move
-/// a byte of any frame.
-const GOLDEN_HEX: [(&str, &str); 25] = [
-    ("ping", "694e614e0501000000000000000100000000"),
-    ("pong", "694e614e0581000000000000000200000000"),
-    ("query_batch", "694e614e05020102030405060708000000160003000000020a0000010a0100020000000700000009"),
-    ("path_batch", "694e614e0582000000000000000400000041000000020040290000000000003fd000000000000000030000000100000002000000030002000000030000000100010000fde9000001000500076e6f2070617468"),
-    ("resolve", "694e614e05030000000000000005000000060003c0a80101"),
-    ("resolve_reply", "694e614e058300000000000000060000000d0000000b0000000c050000000d"),
-    ("stats", "694e614e05040000000000000007000000020003"),
-    ("stats_reply", "694e614e058400000000000000080000007a000000000000006400000000000000023ff8000000000000000000000000000300000000000000040000000000000005000000000000000600000000000000073fe0000000000000000000000000000800000000000000090000000a0000000b0003000000000000000100000000000000000000000000000002"),
-    ("epoch", "694e614e05050000000000000009000000020003"),
-    ("epoch_reply", "694e614e0585000000000000000a0000000c000000000000004d00000005"),
-    ("list_shards", "694e614e0506000000000000000b00000000"),
-    ("shards_reply", "694e614e0586000000000000000c0000001e000200000000000000000001000000020003000000000000000400000005"),
-    ("atlas_head", "694e614e0507000000000000000d000000020003"),
-    ("atlas_head_reply", "694e614e0587000000000000000e0000001800000006deadbeef0badf00d000000020000000000010000"),
-    ("fetch_full_chunk", "694e614e0508000000000000000f0000000e0003000000000000feed00000002"),
-    ("fetch_delta", "694e614e0509000000000000001000000006000300000004"),
-    ("delta_reply", "694e614e058900000000000000110000001501000000040000000500000000000003e700000200"),
-    ("fetch_delta_chunk", "694e614e050a00000000000000120000000a00030000000400000001"),
-    ("chunk_reply", "694e614e0588000000000000001300000015000000011122334455667788000000050908070605"),
-    ("metrics", "694e614e050b000000000000001400000000"),
-    ("metrics_reply", "694e614e058b00000000000000150000004b00000003000007612e636f756e740000000000000003010007622e67617567650000000000000004020006632e686973740003000000000000000000000000000000010000000000000002"),
-    ("events", "694e614e050c0000000000000016000000080000000000000028"),
-    ("events_reply", "694e614e058c00000000000000170000003b0000000000000001000000000000002a00000001000000000000002900000000000003e80100147368617264302065706f63683d31206461793d31"),
-    ("trace_reply", "694e614e058a80000000000000180000001000000001000000020000000300000004"),
-    ("error", "694e614e05ee0000000000000019000000080016000462757379"),
+/// (recorded at that commit, under version 5). The single-buffer
+/// encoder must not move a byte of any frame; the move to version 6
+/// dropped the two `Stats` rows and changed byte 4 of the rest — the
+/// version stamp — and nothing else.
+const GOLDEN_HEX: [(&str, &str); 23] = [
+    ("ping", "694e614e0601000000000000000100000000"),
+    ("pong", "694e614e0681000000000000000200000000"),
+    ("query_batch", "694e614e06020102030405060708000000160003000000020a0000010a0100020000000700000009"),
+    ("path_batch", "694e614e0682000000000000000400000041000000020040290000000000003fd000000000000000030000000100000002000000030002000000030000000100010000fde9000001000500076e6f2070617468"),
+    ("resolve", "694e614e06030000000000000005000000060003c0a80101"),
+    ("resolve_reply", "694e614e068300000000000000060000000d0000000b0000000c050000000d"),
+    ("epoch", "694e614e06050000000000000009000000020003"),
+    ("epoch_reply", "694e614e0685000000000000000a0000000c000000000000004d00000005"),
+    ("list_shards", "694e614e0606000000000000000b00000000"),
+    ("shards_reply", "694e614e0686000000000000000c0000001e000200000000000000000001000000020003000000000000000400000005"),
+    ("atlas_head", "694e614e0607000000000000000d000000020003"),
+    ("atlas_head_reply", "694e614e0687000000000000000e0000001800000006deadbeef0badf00d000000020000000000010000"),
+    ("fetch_full_chunk", "694e614e0608000000000000000f0000000e0003000000000000feed00000002"),
+    ("fetch_delta", "694e614e0609000000000000001000000006000300000004"),
+    ("delta_reply", "694e614e068900000000000000110000001501000000040000000500000000000003e700000200"),
+    ("fetch_delta_chunk", "694e614e060a00000000000000120000000a00030000000400000001"),
+    ("chunk_reply", "694e614e0688000000000000001300000015000000011122334455667788000000050908070605"),
+    ("metrics", "694e614e060b000000000000001400000000"),
+    ("metrics_reply", "694e614e068b00000000000000150000004b00000003000007612e636f756e740000000000000003010007622e67617567650000000000000004020006632e686973740003000000000000000000000000000000010000000000000002"),
+    ("events", "694e614e060c0000000000000016000000080000000000000028"),
+    ("events_reply", "694e614e068c00000000000000170000003b0000000000000001000000000000002a00000001000000000000002900000000000003e80100147368617264302065706f63683d31206461793d31"),
+    ("trace_reply", "694e614e068a80000000000000180000001000000001000000020000000300000004"),
+    ("error", "694e614e06ee0000000000000019000000080016000462757379"),
 ];
 
 #[test]

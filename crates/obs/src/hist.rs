@@ -1,10 +1,6 @@
-//! The log₂ latency histogram and its exact-merge quantile math.
-//!
-//! This lived in `inano-service::stats` through v4; it moved here so
-//! the registry can treat histograms as a first-class metric kind and
-//! so layers below the service (net, swarm) can record into one
-//! without a dependency cycle. `inano-service` re-exports these names,
-//! so existing callers are unaffected.
+//! The log₂ latency histogram and its exact-merge quantile math: a
+//! first-class metric kind of the registry, recorded into by every
+//! layer above this crate (service, net).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

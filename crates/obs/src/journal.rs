@@ -18,7 +18,7 @@
 //! reports exactly how many requested events were lost instead of
 //! silently skipping them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::registry::Gauge;
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -125,7 +125,10 @@ pub struct EventsPage {
 
 /// The bounded, lock-free-emission event ring. See the module docs.
 pub struct EventJournal {
-    next_seq: AtomicU64,
+    /// The sequence number the next event gets. A registry handle so
+    /// the cursor itself is what a server exports
+    /// ([`EventJournal::head`]).
+    next_seq: Gauge,
     slots: Vec<Mutex<Option<Event>>>,
 }
 
@@ -142,7 +145,7 @@ impl EventJournal {
     /// A ring retaining the most recent `capacity` events.
     pub fn new(capacity: usize) -> EventJournal {
         EventJournal {
-            next_seq: AtomicU64::new(0),
+            next_seq: Gauge::default(),
             slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
         }
     }
@@ -152,9 +155,11 @@ impl EventJournal {
     }
 
     /// The sequence number the *next* emitted event will get — i.e.
-    /// one past the newest event so far.
-    pub fn head_seq(&self) -> u64 {
-        self.next_seq.load(Ordering::Relaxed)
+    /// one past the newest event so far — as a handle to attach to a
+    /// metrics registry: a scraper whose cursor trails it by more than
+    /// the ring capacity knows it lost events without paging.
+    pub fn head(&self) -> Gauge {
+        self.next_seq.clone()
     }
 
     /// Emit an event with the current wall clock.
@@ -164,7 +169,7 @@ impl EventJournal {
 
     /// Emit with an explicit timestamp (tests, replays).
     pub fn emit_at(&self, t_ms: u64, kind: EventKind, detail: impl Into<String>) {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.next_seq.add(1);
         let slot = (seq % self.slots.len() as u64) as usize;
         *self.slots[slot].lock().expect("journal slot") = Some(Event {
             seq,
@@ -183,7 +188,7 @@ impl EventJournal {
         // the scan (seq >= head) are excluded so they can't make the
         // page look larger than the request, and the page never claims
         // loss it can't know about yet.
-        let head = self.head_seq();
+        let head = self.next_seq.get();
         let mut events: Vec<Event> = self
             .slots
             .iter()

@@ -4,7 +4,8 @@
 //! through here: the unified [`MetricsRegistry`] (named counters,
 //! gauges and log₂ [`LatencyHistogram`]s behind cheap atomic handles),
 //! the mergeable [`MetricsDump`] snapshot it exports (counters and
-//! histograms merge exactly, like `ServiceStats::aggregate`), the
+//! histogram buckets sum, gauges take the max — exact, never an
+//! average of percentiles), the
 //! request-scoped [`TraceCtx`] that times a request through the
 //! decode → queue → engine → encode stages, the drainable [`SlowLog`]
 //! of the worst-latency requests, the typed, monotonically sequenced
@@ -26,6 +27,6 @@ mod trace;
 
 pub use hist::{quantile_from_counts, LatencyHistogram, BUCKETS};
 pub use journal::{now_ms, Event, EventJournal, EventKind, EventsPage};
-pub use registry::{Counter, Gauge, MetricValue, MetricsDump, MetricsRegistry};
+pub use registry::{Counter, Gauge, Metric, MetricValue, MetricsDump, MetricsRegistry};
 pub use slowlog::{SlowEntry, SlowLog};
 pub use trace::{TraceCtx, TraceTimings};

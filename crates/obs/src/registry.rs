@@ -10,25 +10,26 @@
 //! ad-hoc atomics it replaces. The registry's map is only walked at
 //! [`MetricsRegistry::dump`] time (a scrape, once a second at most).
 //!
-//! ## Collectors
+//! ## Attaching
 //!
-//! Subsystems that already keep their own state (a `QueryEngine`'s
-//! stats, a cache's counter snapshot) don't re-plumb every atomic:
-//! they register a *collector* — a closure run at dump time that
-//! appends `(name, value)` pairs from a fresh snapshot.
+//! A subsystem built before the registry that exports it (a
+//! `QueryEngine`, its cache, a `SwarmSource` — all older than the
+//! server in front of them) creates its handles with `default()` and
+//! hands clones to [`MetricsRegistry::attach`] later. Either way every
+//! count lives in exactly one atomic, the dump reads that atomic, and
+//! nothing is computed at dump time.
 //!
 //! ## Merge semantics
 //!
-//! Fleet aggregation follows `ServiceStats::aggregate`: counters and
-//! histogram buckets sum element-wise (exact — never average
-//! percentiles), while gauges take the **max** — a gauge is a level or
-//! watermark (queue depth, convergence lag, peak memory), and the
-//! merged fleet view reports the worst member.
+//! Counters and histogram buckets sum element-wise (exact — never
+//! average percentiles), while gauges take the **max** — a gauge is a
+//! level or watermark (queue depth, convergence lag, peak memory), and
+//! the merged fleet view reports the worst member.
 
 use crate::hist::LatencyHistogram;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// A named monotone counter. Cloning shares the underlying atomic.
 #[derive(Clone, Debug, Default)]
@@ -63,13 +64,27 @@ impl Gauge {
         self.0.fetch_max(v, Ordering::Relaxed);
     }
 
+    /// Raise the level by `n`, returning the level before — so a level
+    /// that is also functional state (a byte budget, a connection
+    /// count) *is* its gauge.
+    pub fn add(&self, n: u64) -> u64 {
+        self.0.fetch_add(n, Ordering::Relaxed)
+    }
+
+    /// Lower the level by `n`.
+    pub fn sub(&self, n: u64) {
+        self.0.fetch_sub(n, Ordering::Relaxed);
+    }
+
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
 
 /// One registered metric: the live handle the registry snapshots.
-enum Metric {
+/// Built from a handle by `into()` at [`MetricsRegistry::attach`].
+#[derive(Clone)]
+pub enum Metric {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Arc<LatencyHistogram>),
@@ -82,6 +97,34 @@ impl Metric {
             Metric::Gauge(g) => MetricValue::Gauge(g.get()),
             Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
         }
+    }
+
+    /// True when both are the same kind over the same atomic(s).
+    fn same_handle(&self, other: &Metric) -> bool {
+        match (self, other) {
+            (Metric::Counter(a), Metric::Counter(b)) => Arc::ptr_eq(&a.0, &b.0),
+            (Metric::Gauge(a), Metric::Gauge(b)) => Arc::ptr_eq(&a.0, &b.0),
+            (Metric::Histogram(a), Metric::Histogram(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
+impl From<Counter> for Metric {
+    fn from(c: Counter) -> Metric {
+        Metric::Counter(c)
+    }
+}
+
+impl From<Gauge> for Metric {
+    fn from(g: Gauge) -> Metric {
+        Metric::Gauge(g)
+    }
+}
+
+impl From<Arc<LatencyHistogram>> for Metric {
+    fn from(h: Arc<LatencyHistogram>) -> Metric {
+        Metric::Histogram(h)
     }
 }
 
@@ -96,19 +139,23 @@ pub enum MetricValue {
     Histogram(Vec<u64>),
 }
 
-/// A closure run at dump time to append snapshot-derived entries.
-type Collector = Box<dyn Fn(&mut Vec<(String, MetricValue)>) + Send + Sync>;
-
 /// The process-wide metric map. See the module docs for the contract.
 #[derive(Default)]
 pub struct MetricsRegistry {
     metrics: RwLock<BTreeMap<String, Metric>>,
-    collectors: Mutex<Vec<Collector>>,
 }
 
 impl MetricsRegistry {
     pub fn new() -> MetricsRegistry {
         MetricsRegistry::default()
+    }
+
+    /// Whatever is exported under `name` — `fresh`, if the name was
+    /// free. The one rule every entry point follows: the first handle
+    /// keeps the name, a live series is never evicted.
+    fn export(&self, name: &str, fresh: Metric) -> Metric {
+        let mut map = self.metrics.write().expect("metrics lock");
+        map.entry(name.to_string()).or_insert(fresh).clone()
     }
 
     /// The counter named `name`, created on first use. Repeat calls
@@ -117,12 +164,8 @@ impl MetricsRegistry {
     /// registry never panics over a naming bug, the dump just won't
     /// show the detached writer.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.metrics.write().expect("metrics lock");
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter::default()))
-        {
-            Metric::Counter(c) => c.clone(),
+        match self.export(name, Counter::default().into()) {
+            Metric::Counter(c) => c,
             _ => {
                 debug_assert!(false, "metric {name} registered with another kind");
                 Counter::default()
@@ -132,12 +175,8 @@ impl MetricsRegistry {
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.metrics.write().expect("metrics lock");
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::default()))
-        {
-            Metric::Gauge(g) => g.clone(),
+        match self.export(name, Gauge::default().into()) {
+            Metric::Gauge(g) => g,
             _ => {
                 debug_assert!(false, "metric {name} registered with another kind");
                 Gauge::default()
@@ -145,39 +184,33 @@ impl MetricsRegistry {
         }
     }
 
-    /// Register an existing histogram under `name` (histograms are
-    /// usually owned by their subsystem and attached, not created
-    /// through the registry).
-    pub fn attach_histogram(&self, name: &str, hist: Arc<LatencyHistogram>) {
-        let mut map = self.metrics.write().expect("metrics lock");
-        map.insert(name.to_string(), Metric::Histogram(hist));
+    /// Export an existing handle — a [`Counter`], a [`Gauge`] or an
+    /// `Arc<LatencyHistogram>` — under `name`. Attaching the handle
+    /// that already holds the name is a no-op, so a subsystem may be
+    /// registered again (a shard registry fronted by a second server).
+    /// A name held by any *other* handle follows the [`counter`] rule:
+    /// the live entry stays, the newcomer goes unexported.
+    ///
+    /// [`counter`]: MetricsRegistry::counter
+    pub fn attach(&self, name: &str, handle: impl Into<Metric>) {
+        let handle = handle.into();
+        let held = self.export(name, handle.clone());
+        debug_assert!(
+            held.same_handle(&handle),
+            "metric {name} is already exported from another handle"
+        );
     }
 
-    /// Register a dump-time collector; see the module docs.
-    pub fn register_collector<F>(&self, f: F)
-    where
-        F: Fn(&mut Vec<(String, MetricValue)>) + Send + Sync + 'static,
-    {
-        self.collectors
-            .lock()
-            .expect("collectors lock")
-            .push(Box::new(f));
-    }
-
-    /// Snapshot every registered metric plus every collector's output
-    /// into a sorted, stable-named dump.
+    /// Snapshot every registered metric into a sorted, stable-named
+    /// dump.
     pub fn dump(&self) -> MetricsDump {
-        let mut entries: Vec<(String, MetricValue)> = {
-            let map = self.metrics.read().expect("metrics lock");
-            map.iter()
+        let map = self.metrics.read().expect("metrics lock");
+        MetricsDump {
+            entries: map
+                .iter()
                 .map(|(name, m)| (name.clone(), m.snapshot()))
-                .collect()
-        };
-        for collect in self.collectors.lock().expect("collectors lock").iter() {
-            collect(&mut entries);
+                .collect(),
         }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        MetricsDump { entries }
     }
 }
 
@@ -304,27 +337,73 @@ mod tests {
     }
 
     #[test]
-    fn collectors_append_at_dump_time() {
+    fn attached_handles_are_read_live_at_dump_time() {
+        // The owner made its handles before any registry existed.
+        let queries = Counter::default();
+        let lag = Gauge::default();
+        queries.add(7);
         let reg = MetricsRegistry::new();
-        let live = Arc::new(AtomicU64::new(0));
-        let seen = Arc::clone(&live);
-        reg.register_collector(move |out| {
-            out.push((
-                "shard0.queries".into(),
-                MetricValue::Counter(seen.load(Ordering::Relaxed)),
-            ));
-        });
-        live.store(7, Ordering::Relaxed);
+        reg.attach("shard0.queries", queries.clone());
+        reg.attach("shard0.mirror.lag_days", lag.clone());
         assert_eq!(reg.dump().counter("shard0.queries"), 7);
-        live.store(11, Ordering::Relaxed);
-        assert_eq!(reg.dump().counter("shard0.queries"), 11);
+        queries.add(4);
+        assert_eq!(lag.add(3), 0, "add returns the level before");
+        lag.sub(1);
+        let dump = reg.dump();
+        assert_eq!(dump.counter("shard0.queries"), 11);
+        assert_eq!(dump.gauge("shard0.mirror.lag_days"), 2);
+    }
+
+    #[test]
+    fn reattaching_the_same_handle_is_idempotent() {
+        let reg = MetricsRegistry::new();
+        let c = Counter::default();
+        reg.attach("shard0.swaps", c.clone());
+        c.inc();
+        reg.attach("shard0.swaps", c.clone());
+        c.inc();
+        assert_eq!(reg.dump().counter("shard0.swaps"), 2);
+        assert_eq!(reg.dump().entries.len(), 1);
+    }
+
+    #[test]
+    fn one_handle_exports_live_from_two_registries() {
+        // Two servers fronting one engine: each has its own registry,
+        // both attach the engine's handle, both read the one atomic.
+        let c = Counter::default();
+        let (a, b) = (MetricsRegistry::new(), MetricsRegistry::new());
+        a.attach("shard0.queries", c.clone());
+        b.attach("shard0.queries", c.clone());
+        c.add(5);
+        assert_eq!(a.dump().counter("shard0.queries"), 5);
+        assert_eq!(b.dump(), a.dump());
+    }
+
+    #[test]
+    fn attach_never_evicts_a_live_entry() {
+        let reg = MetricsRegistry::new();
+        let live = reg.counter("x");
+        live.add(3);
+        // Release builds: a clash — another kind, or another handle of
+        // the same kind — leaves the live entry exported and the
+        // newcomer detached. Debug builds assert on the naming bug.
+        if !cfg!(debug_assertions) {
+            let h = Arc::new(LatencyHistogram::default());
+            h.record_us(10);
+            reg.attach("x", h);
+            let stray = Counter::default();
+            stray.add(99);
+            reg.attach("x", stray);
+            live.inc();
+            assert_eq!(reg.dump().value("x"), Some(&MetricValue::Counter(4)));
+        }
     }
 
     #[test]
     fn attached_histograms_dump_their_buckets() {
         let reg = MetricsRegistry::new();
         let h = Arc::new(LatencyHistogram::default());
-        reg.attach_histogram("shard0.latency_us", Arc::clone(&h));
+        reg.attach("shard0.latency_us", Arc::clone(&h));
         h.record_us(10);
         h.record_us(5000);
         match reg.dump().value("shard0.latency_us") {

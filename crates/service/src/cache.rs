@@ -14,22 +14,13 @@
 
 use inano_core::PredictedPath;
 use inano_model::ClusterId;
+use inano_obs::Counter;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// `(src_cluster, dst_cluster, config_epoch)`.
 pub type CacheKey = (ClusterId, ClusterId, u64);
-
-/// Monotone counters, updated lock-free by every worker.
-#[derive(Debug, Default)]
-pub struct CacheCounters {
-    pub hits: AtomicU64,
-    pub misses: AtomicU64,
-    pub evictions: AtomicU64,
-    pub inserts: AtomicU64,
-}
 
 /// One shard: an LRU map from key to shared result.
 ///
@@ -89,7 +80,12 @@ pub struct ShardedCache {
     shards: Vec<Mutex<Shard>>,
     /// Per-shard capacity (total capacity / shard count, at least 1).
     shard_capacity: usize,
-    counters: CacheCounters,
+    /// Monotone counters, updated lock-free by every worker; an owning
+    /// engine shares these handles as its `cache_*` metrics.
+    pub hits: Counter,
+    pub misses: Counter,
+    pub evictions: Counter,
+    pub inserts: Counter,
 }
 
 impl ShardedCache {
@@ -101,7 +97,10 @@ impl ShardedCache {
         ShardedCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             shard_capacity,
-            counters: CacheCounters::default(),
+            hits: Counter::default(),
+            misses: Counter::default(),
+            evictions: Counter::default(),
+            inserts: Counter::default(),
         }
     }
 
@@ -120,9 +119,9 @@ impl ShardedCache {
     pub fn get(&self, key: &CacheKey) -> Option<Arc<PredictedPath>> {
         let hit = self.shard_of(key).lock().touch(key);
         match &hit {
-            Some(_) => self.counters.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.counters.misses.fetch_add(1, Ordering::Relaxed),
-        };
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
+        }
         hit
     }
 
@@ -131,11 +130,9 @@ impl ShardedCache {
             .shard_of(&key)
             .lock()
             .insert(key, value, self.shard_capacity);
-        self.counters.inserts.fetch_add(1, Ordering::Relaxed);
+        self.inserts.inc();
         if evicted > 0 {
-            self.counters
-                .evictions
-                .fetch_add(evicted, Ordering::Relaxed);
+            self.evictions.add(evicted);
         }
     }
 
@@ -145,20 +142,6 @@ impl ShardedCache {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    pub fn counters(&self) -> &CacheCounters {
-        &self.counters
-    }
-
-    /// (hits, misses, evictions, inserts) snapshot.
-    pub fn counter_snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.counters.hits.load(Ordering::Relaxed),
-            self.counters.misses.load(Ordering::Relaxed),
-            self.counters.evictions.load(Ordering::Relaxed),
-            self.counters.inserts.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -189,8 +172,7 @@ mod tests {
         c.insert(key(1, 2, 0), path(1.0));
         let hit = c.get(&key(1, 2, 0)).expect("cached");
         assert!((hit.rtt.ms() - 1.0).abs() < 1e-12);
-        let (h, m, _, _) = c.counter_snapshot();
-        assert_eq!((h, m), (1, 1));
+        assert_eq!((c.hits.get(), c.misses.get()), (1, 1));
     }
 
     #[test]
@@ -209,8 +191,7 @@ mod tests {
         c.insert(key(3, 3, 0), path(3.0));
         assert!(c.get(&key(1, 1, 0)).is_some(), "recently used survives");
         assert!(c.get(&key(2, 2, 0)).is_none(), "LRU victim evicted");
-        let (_, _, ev, _) = c.counter_snapshot();
-        assert_eq!(ev, 1);
+        assert_eq!(c.evictions.get(), 1);
         assert_eq!(c.len(), 2);
     }
 

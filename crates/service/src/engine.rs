@@ -28,12 +28,16 @@
 //!
 //! ## Counters
 //!
-//! Every pair that resolves to canonical endpoints is probed once and
-//! counted once (a cache hit or a miss); in-batch duplicates of a
-//! missed key each count their miss but share one search and one
-//! insert. `queries`, `errors` and the latency histogram take one
-//! sample per pair: a hit's sample is its resolve + probe time, a
-//! miss's the search it waited for.
+//! All of them live in one [`EngineMetrics`] of registry handles
+//! ([`QueryEngine::metrics`]); [`QueryEngine::stats`] is a typed view
+//! read from those handles. Every pair that resolves to canonical
+//! endpoints is probed once and counted once (a cache hit or a miss);
+//! a pair behind a non-canonical prefix counts one `cache_bypass`
+//! instead; in-batch duplicates of a missed key each count their miss
+//! but share one search and one insert. `queries`, `errors` and the
+//! latency histogram take one sample per pair: a hit's sample is its
+//! resolve + probe time, a miss's the search it waited for. So
+//! `hits + misses + bypass + resolve errors == queries`.
 //!
 //! ## Hot swap
 //!
@@ -48,17 +52,16 @@
 //! lock is taken.
 
 use crate::cache::{CacheKey, ShardedCache};
-use crate::stats::{Metrics, MirrorMetrics, MirrorStats, ServiceStats};
+use crate::stats::{EngineMetrics, ServiceStats};
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_core::{
     chunk_span, content_tag, AtlasReader, AtlasSource, AtlasVersion, DeltaHandle, PathPredictor,
     PredictedPath, PredictorConfig,
 };
 use inano_model::{Ipv4, ModelError, PrefixId};
-use inano_obs::{EventJournal, EventKind};
+use inano_obs::{quantile_from_counts, EventJournal, EventKind, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
@@ -247,7 +250,8 @@ struct Job {
 pub struct QueryEngine {
     current: RwLock<Arc<Generation>>,
     cache: Arc<ShardedCache>,
-    metrics: Metrics,
+    metrics: EngineMetrics,
+    started: Instant,
     cfg: ServiceConfig,
     /// Serialises swap *builders*; never blocks readers.
     swap_lock: Mutex<()>,
@@ -264,9 +268,6 @@ pub struct QueryEngine {
     /// Encoded deltas this engine applied, oldest first, capped at
     /// [`DELTA_LOG_CAP`] — what downstream mirrors fetch.
     delta_log: Mutex<VecDeque<Arc<DeltaBlob>>>,
-    /// How this engine follows its upstream (all zero on an origin);
-    /// see [`MirrorStats`].
-    mirror: MirrorMetrics,
     /// Where swap/delta/resync events land once a serving layer
     /// attaches its journal ([`QueryEngine::set_journal`]); the label
     /// (usually `shardN`) prefixes every detail so one journal can
@@ -284,6 +285,14 @@ impl QueryEngine {
             predictor,
         });
         let cache = Arc::new(ShardedCache::new(cfg.cache_capacity, cfg.cache_shards));
+        let metrics = EngineMetrics {
+            cache_hits: cache.hits.clone(),
+            cache_misses: cache.misses.clone(),
+            cache_evictions: cache.evictions.clone(),
+            cache_inserts: cache.inserts.clone(),
+            ..EngineMetrics::default()
+        };
+        metrics.day.set(generation.day() as u64);
 
         let (job_tx, job_rx) = mpsc::channel::<Job>();
         let job_rx = Arc::new(Mutex::new(job_rx));
@@ -317,7 +326,8 @@ impl QueryEngine {
         QueryEngine {
             current: RwLock::new(generation),
             cache,
-            metrics: Metrics::default(),
+            metrics,
+            started: Instant::now(),
             cfg,
             swap_lock: Mutex::new(()),
             job_tx: RwLock::new(Some(job_tx)),
@@ -325,7 +335,6 @@ impl QueryEngine {
             n_workers,
             export: Mutex::new(None),
             delta_log: Mutex::new(VecDeque::new()),
-            mirror: MirrorMetrics::default(),
             journal: Mutex::new(None),
         }
     }
@@ -337,6 +346,22 @@ impl QueryEngine {
     /// server) just redirects future events.
     pub fn set_journal(&self, journal: Arc<EventJournal>, label: impl Into<String>) {
         *self.journal.lock() = Some((journal, label.into()));
+    }
+
+    /// Export this engine's counters into `obs` as `{label}.*` — the
+    /// serving layer calls this beside [`QueryEngine::set_journal`],
+    /// with the same `shardN` label. The registry reads the very
+    /// atomics the engine writes; registering with a second registry (a
+    /// second server in front) exports them live from both.
+    pub fn register_metrics(&self, obs: &MetricsRegistry, label: &str) {
+        self.metrics.register(obs, label);
+    }
+
+    /// The live registers: for callers that count for the engine (the
+    /// serve bin's resync path recovers upstream races itself) and for
+    /// tests reading one series with `.get()`.
+    pub fn metrics(&self) -> &EngineMetrics {
+        &self.metrics
     }
 
     /// Emit `kind` onto the attached journal, if any. The detail
@@ -384,7 +409,7 @@ impl QueryEngine {
     pub fn query_shared(&self, src: Ipv4, dst: Ipv4) -> SharedResult {
         let generation = self.generation();
         let start = Instant::now();
-        let result = match probe(&generation, &self.cache, src, dst) {
+        let result = match self.probe(&generation, src, dst) {
             Ok(Probed::Hit(hit)) => Ok(hit),
             Ok(Probed::Miss(miss)) => search(&generation, &self.cache, &miss).0,
             Err(e) => Err(e),
@@ -418,7 +443,7 @@ impl QueryEngine {
         let slots: Vec<Slot> = pairs
             .iter()
             .map(|&(src, dst)| {
-                let slot = match probe(&generation, &self.cache, src, dst) {
+                let slot = match self.probe(&generation, src, dst) {
                     Ok(Probed::Hit(hit)) => Slot::Ready(Ok(hit)),
                     Err(e) => Slot::Ready(Err(e)),
                     Ok(Probed::Miss(miss)) => {
@@ -460,6 +485,36 @@ impl QueryEngine {
                 }
             })
             .collect()
+    }
+
+    /// Resolve both endpoints against a snapshotted generation and
+    /// consult the cluster-keyed cache: the cached answer, or the
+    /// search still owed.
+    fn probe(&self, generation: &Generation, src: Ipv4, dst: Ipv4) -> Result<Probed, ModelError> {
+        let p = &generation.predictor;
+        let s = p.resolve(src)?;
+        let d = p.resolve(dst)?;
+        // Predictions are a pure function of the cluster pair only when
+        // both prefixes agree with their cluster's AS (the
+        // overwhelmingly common case); anomalous prefixes bypass the
+        // cache rather than poison it.
+        let key =
+            (s.canonical() && d.canonical()).then_some((s.cluster, d.cluster, generation.epoch));
+        let hit = match key {
+            Some(key) => self.cache.get(&key),
+            None => {
+                self.metrics.cache_bypass.inc();
+                None
+            }
+        };
+        Ok(match hit {
+            Some(hit) => Probed::Hit(hit),
+            None => Probed::Miss(Miss {
+                src: s.prefix,
+                dst: d.prefix,
+                key,
+            }),
+        })
     }
 
     /// Run a batch's searches against its generation, in miss order.
@@ -528,12 +583,7 @@ impl QueryEngine {
             predictor,
         });
         let day = next.day();
-        let epoch = next.epoch;
-        *self.current.write() = next;
-        self.metrics.swaps.fetch_add(1, Ordering::Relaxed);
-        self.emit(EventKind::GenerationSwap, || {
-            format!("epoch={epoch} day={day}")
-        });
+        self.publish(next);
         self.emit(EventKind::DeltaApplied, || {
             format!("from={} to={}", delta.from_day, delta.to_day)
         });
@@ -551,6 +601,20 @@ impl QueryEngine {
             bytes: bytes.into(),
         }));
         Ok(day)
+    }
+
+    /// Store the new generation's pointer and everything that names
+    /// it: the swap counter, the `epoch`/`day` gauges and the journal.
+    /// Caller holds `swap_lock`, so the gauges move in swap order.
+    fn publish(&self, next: Arc<Generation>) {
+        let (epoch, day) = (next.epoch, next.day());
+        *self.current.write() = next;
+        self.metrics.swaps.inc();
+        self.metrics.epoch.set(epoch);
+        self.metrics.day.set(day as u64);
+        self.emit(EventKind::GenerationSwap, || {
+            format!("epoch={epoch} day={day}")
+        });
     }
 
     /// Snapshot the serving generation's encoded bytes + version for
@@ -608,9 +672,7 @@ impl QueryEngine {
         loop {
             let (fetched, races) = reader.fetch_delta_counted(source, self.day())?;
             if races > 0 {
-                self.mirror
-                    .races_recovered
-                    .fetch_add(races as u64, Ordering::Relaxed);
+                self.metrics.mirror_races_recovered.add(races as u64);
                 self.emit(EventKind::RaceRecovered, || format!("races={races}"));
             }
             let Some((_, bytes)) = fetched else { break };
@@ -618,11 +680,7 @@ impl QueryEngine {
             self.swap_locked(&delta, Some(bytes))?;
             applied += 1;
         }
-        if applied > 0 {
-            self.mirror
-                .deltas_applied
-                .fetch_add(applied as u64, Ordering::Relaxed);
-        }
+        self.metrics.mirror_deltas_applied.add(applied as u64);
         // Best-effort convergence probe: where is the upstream head
         // relative to us now? A head the delta chain couldn't reach
         // (the chain is broken — the origin replaced its atlas) leaves
@@ -630,13 +688,10 @@ impl QueryEngine {
         // cue to fall back to a full resync. A probe failure keeps the
         // applied deltas; the gauges just go stale until the next tick.
         if let Ok(head) = source.head() {
-            self.mirror
-                .upstream_day
-                .store(head.day as u64, Ordering::Relaxed);
-            self.mirror.lag_days.store(
-                head.day.saturating_sub(self.day()) as u64,
-                Ordering::Relaxed,
-            );
+            self.metrics.mirror_upstream_day.set(head.day as u64);
+            self.metrics
+                .mirror_lag_days
+                .set(head.day.saturating_sub(self.day()) as u64);
         }
         Ok(applied)
     }
@@ -683,17 +738,12 @@ impl QueryEngine {
             predictor,
         });
         let day = next.day();
-        let epoch = next.epoch;
-        *self.current.write() = next;
-        self.metrics.swaps.fetch_add(1, Ordering::Relaxed);
-        self.mirror.full_resyncs.fetch_add(1, Ordering::Relaxed);
-        self.emit(EventKind::GenerationSwap, || {
-            format!("epoch={epoch} day={day}")
-        });
+        self.publish(next);
+        self.metrics.mirror_full_resyncs.inc();
         self.emit(EventKind::FullResync, || format!("day={day}"));
         // A full swap puts us at the new generation's day; any lag the
         // broken delta chain accumulated is paid off.
-        self.mirror.lag_days.store(0, Ordering::Relaxed);
+        self.metrics.mirror_lag_days.set(0);
         // The retained deltas belong to the abandoned chain; serving
         // them on would walk lagging mirrors down a dead generation
         // instead of forcing the full resync this replace demands.
@@ -701,52 +751,35 @@ impl QueryEngine {
         day
     }
 
-    /// Snapshot the engine's counters.
+    /// The typed per-engine view, read from [`QueryEngine::metrics`].
     pub fn stats(&self) -> ServiceStats {
-        let (hits, misses, evictions, _inserts) = self.cache.counter_snapshot();
-        let generation = self.generation();
-        let queries = self.metrics.queries.load(Ordering::Relaxed);
+        let m = &self.metrics;
+        let (queries, hits, misses) = (m.queries.get(), m.cache_hits.get(), m.cache_misses.get());
         let probed = hits + misses;
-        // One histogram snapshot serves both the shipped buckets and
-        // the percentiles, so they can never disagree about queries
+        // One histogram snapshot serves both the buckets and the
+        // percentiles, so they can never disagree about queries
         // recorded mid-call.
-        let latency_buckets = self.metrics.latency.snapshot();
+        let latency_buckets = m.latency_us.snapshot();
         ServiceStats {
             queries,
-            errors: self.metrics.errors.load(Ordering::Relaxed),
-            qps: queries as f64 / self.metrics.elapsed_secs().max(1e-9),
-            p50_us: crate::stats::quantile_from_counts(&latency_buckets, 0.50),
-            p99_us: crate::stats::quantile_from_counts(&latency_buckets, 0.99),
+            errors: m.errors.get(),
+            qps: queries as f64 / self.started.elapsed().as_secs_f64().max(1e-9),
+            p50_us: quantile_from_counts(&latency_buckets, 0.50),
+            p99_us: quantile_from_counts(&latency_buckets, 0.99),
             cache_hits: hits,
             cache_misses: misses,
-            cache_evictions: evictions,
+            cache_evictions: m.cache_evictions.get(),
             cache_hit_rate: if probed == 0 {
                 0.0
             } else {
                 hits as f64 / probed as f64
             },
-            swaps: self.metrics.swaps.load(Ordering::Relaxed),
-            epoch: generation.epoch,
-            day: generation.day(),
+            swaps: m.swaps.get(),
+            epoch: m.epoch.get(),
+            day: m.day.get() as u32,
             workers: self.n_workers,
             latency_buckets,
         }
-    }
-
-    /// The live mirror-follow registers (for callers, like the serve
-    /// bin's resync path, that recover upstream races themselves).
-    pub fn mirror_metrics(&self) -> &MirrorMetrics {
-        &self.mirror
-    }
-
-    /// Snapshot of how this engine follows its upstream.
-    pub fn mirror_stats(&self) -> MirrorStats {
-        self.mirror.snapshot()
-    }
-
-    /// The result cache (for diagnostics and tests).
-    pub fn cache(&self) -> &ShardedCache {
-        &self.cache
     }
 }
 
@@ -754,31 +787,6 @@ impl Drop for QueryEngine {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Resolve both endpoints against a snapshotted generation and consult
-/// the cluster-keyed cache: the cached answer, or the search still owed.
-fn probe(
-    generation: &Generation,
-    cache: &ShardedCache,
-    src: Ipv4,
-    dst: Ipv4,
-) -> Result<Probed, ModelError> {
-    let p = &generation.predictor;
-    let s = p.resolve(src)?;
-    let d = p.resolve(dst)?;
-    // Predictions are a pure function of the cluster pair only when both
-    // prefixes agree with their cluster's AS (the overwhelmingly common
-    // case); anomalous prefixes bypass the cache rather than poison it.
-    let key = (s.canonical() && d.canonical()).then_some((s.cluster, d.cluster, generation.epoch));
-    Ok(match key.and_then(|key| cache.get(&key)) {
-        Some(hit) => Probed::Hit(hit),
-        None => Probed::Miss(Miss {
-            src: s.prefix,
-            dst: d.prefix,
-            key,
-        }),
-    })
 }
 
 /// Run one owed search and cache what it found.

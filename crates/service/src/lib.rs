@@ -14,7 +14,7 @@
 //! * [`ShardedCache`] — a sharded LRU over full bidirectional
 //!   predictions keyed `(src_cluster, dst_cluster, epoch)`, riding the
 //!   paper's observation that predictions are stable within a
-//!   measurement day, with hit/miss/eviction counters;
+//!   measurement day, with hit/miss/eviction/insert counters;
 //! * hot swap — the serving generation is an `Arc` behind a `RwLock`
 //!   taken for writing only during the pointer store of a daily-delta
 //!   apply ([`QueryEngine::apply_delta`] /
@@ -25,14 +25,16 @@
 //! [`ShardRegistry`] composes engines into multi-atlas serving: a
 //! [`ShardId`]-keyed set of fully independent engines (own cache,
 //! epoch, worker pool, sized from one shared budget) behind a single
-//! lookup, with per-shard delta application and exact aggregated
-//! stats — the unit `inano-net` serves behind one listener.
+//! lookup, with per-shard delta application — the unit `inano-net`
+//! serves behind one listener.
 //!
-//! [`ServiceStats`] snapshots QPS, p50/p99 service latency (plus the
-//! raw log₂ latency buckets, so aggregators merge histograms instead
-//! of averaging percentiles) and cache hit rate; `inano-bench`'s
-//! `svc_throughput` binary drives all of this under a zipf query mix
-//! and emits the numbers as a BENCH JSON line.
+//! Every count an engine keeps lives in one [`EngineMetrics`] of
+//! `inano-obs` registry handles, exported by
+//! [`QueryEngine::register_metrics`]; [`ServiceStats`] is the typed
+//! local view read from them (QPS, p50/p99 service latency with the
+//! raw log₂ buckets, cache hit rate). `inano-bench`'s `svc_throughput`
+//! binary drives all of this under a zipf query mix and emits the
+//! numbers as a BENCH JSON line.
 //!
 //! See DESIGN.md ("The service layer") for the full architecture
 //! discussion: threading model, cache-key soundness argument, and the
@@ -43,11 +45,9 @@ pub mod engine;
 pub mod registry;
 pub mod stats;
 
-pub use cache::{CacheCounters, CacheKey, ShardedCache};
+pub use cache::{CacheKey, ShardedCache};
 pub use engine::{
     AtlasSnapshot, DeltaBlob, Generation, QueryEngine, ServiceConfig, SharedResult, DELTA_LOG_CAP,
 };
-pub use registry::{RegistryConfig, RegistryStats, ShardId, ShardRegistry, ShardSpec};
-pub use stats::{
-    quantile_from_counts, LatencyHistogram, Metrics, MirrorMetrics, MirrorStats, ServiceStats,
-};
+pub use registry::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
+pub use stats::{EngineMetrics, ServiceStats};

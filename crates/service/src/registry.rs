@@ -18,17 +18,8 @@
 //! should cost roughly what one big engine costs, not N times as much.
 //! Each shard gets an equal split, floored at one worker and a small
 //! cache so a crowded registry degrades instead of panicking.
-//!
-//! ## Stats
-//!
-//! [`ShardRegistry::stats`] snapshots every shard and the exact
-//! aggregate: counters sum, and the merged latency percentiles are
-//! recomputed from the element-wise sum of the per-shard log₂ bucket
-//! vectors ([`ServiceStats::aggregate`]) — merging histograms, not
-//! averaging percentiles.
 
 use crate::engine::{QueryEngine, ServiceConfig};
-use crate::stats::ServiceStats;
 use inano_atlas::{Atlas, AtlasDelta};
 use inano_core::{AtlasSource, PredictorConfig};
 use inano_model::ModelError;
@@ -108,16 +99,6 @@ impl RegistryConfig {
             predictor,
         }
     }
-}
-
-/// Every shard's stats plus the registry-wide aggregate.
-#[derive(Clone, Debug)]
-pub struct RegistryStats {
-    /// Per-shard snapshots, in shard-id order.
-    pub shards: Vec<(ShardId, ServiceStats)>,
-    /// The exact merge of the per-shard snapshots
-    /// (see [`ServiceStats::aggregate`]).
-    pub aggregate: ServiceStats,
 }
 
 /// At least one shard, and no more than the wire protocol's
@@ -266,14 +247,6 @@ impl ShardRegistry {
         have_day: u32,
     ) -> Result<Option<Arc<crate::engine::DeltaBlob>>, ModelError> {
         Ok(self.engine(shard)?.delta_blob(have_day))
-    }
-
-    /// Snapshot every shard plus the exact aggregate.
-    pub fn stats(&self) -> RegistryStats {
-        let shards: Vec<(ShardId, ServiceStats)> =
-            self.shards.iter().map(|(&id, e)| (id, e.stats())).collect();
-        let aggregate = ServiceStats::aggregate(shards.iter().map(|(_, s)| s));
-        RegistryStats { shards, aggregate }
     }
 
     /// Drain and stop every shard's worker pool, in parallel (each

@@ -1,97 +1,87 @@
-//! Service metrics: lock-free counters plus a log₂-bucketed latency
-//! histogram, snapshotted into a [`ServiceStats`] value.
-//!
-//! The histogram itself ([`LatencyHistogram`], [`BUCKETS`],
-//! [`quantile_from_counts`]) lives in `inano-obs` since protocol v4 so
-//! the unified metrics registry can treat it as a first-class metric
-//! kind; the re-exports here keep every pre-v4 caller compiling
-//! unchanged.
+//! Service metrics: the engine's live registers ([`EngineMetrics`],
+//! registry handles the serving layer exports as `shardN.*`) and the
+//! typed point-in-time view read from them ([`ServiceStats`]).
 
-pub use inano_obs::{quantile_from_counts, LatencyHistogram, BUCKETS};
+use inano_obs::{Counter, Gauge, LatencyHistogram, MetricsRegistry};
+use std::sync::Arc;
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// The engine's live metric registers.
-#[derive(Debug)]
-pub struct Metrics {
-    pub queries: AtomicU64,
-    pub errors: AtomicU64,
-    pub swaps: AtomicU64,
-    pub latency: LatencyHistogram,
-    started: Instant,
-}
-
-impl Default for Metrics {
-    fn default() -> Metrics {
-        Metrics {
-            queries: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            swaps: AtomicU64::new(0),
-            latency: LatencyHistogram::default(),
-            started: Instant::now(),
-        }
-    }
-}
-
-impl Metrics {
-    pub fn record_query(&self, us: u64, ok: bool) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        if !ok {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        self.latency.record_us(us);
-    }
-
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-}
-
-/// Counters tracking how a mirror's engine follows its upstream: how
-/// many deltas it applied, how often it fell back to a full resync,
-/// how many fetch races it recovered from, and how far behind the
-/// upstream head it last observed itself ([`MirrorStats::lag_days`]).
-/// All zero on an origin that never calls `update`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MirrorStats {
-    /// Deltas applied by `update` over this engine's lifetime.
-    pub deltas_applied: u64,
+/// Every count the engine keeps, each in one atomic behind an
+/// `inano-obs` handle. The engine (and its cache, for the four
+/// `cache_*` counters they share) is the only writer;
+/// [`crate::QueryEngine::register_metrics`] exports the same atomics,
+/// so a dump, a [`ServiceStats`] and a test reading `.get()` can never
+/// disagree about a quiesced engine.
+#[derive(Clone, Debug, Default)]
+pub struct EngineMetrics {
+    /// Pairs answered (including errors).
+    pub queries: Counter,
+    /// Pairs answered with an error (unroutable address, no path...).
+    pub errors: Counter,
+    /// Generations swapped in since start (deltas and full replaces).
+    pub swaps: Counter,
+    /// Per-pair service latency, µs: a hit's sample is its resolve +
+    /// probe time, a miss's the search it waited for.
+    pub latency_us: Arc<LatencyHistogram>,
+    pub cache_hits: Counter,
+    pub cache_misses: Counter,
+    pub cache_evictions: Counter,
+    pub cache_inserts: Counter,
+    /// Pairs behind a non-canonical prefix: never probed, searched
+    /// every time, so invisible in hits/(hits+misses).
+    pub cache_bypass: Counter,
+    /// Deltas applied by `update` (all mirror series stay zero on an
+    /// origin that never calls it).
+    pub mirror_deltas_applied: Counter,
     /// Full-atlas swaps via `replace_atlas` (broken delta chains).
-    pub full_resyncs: u64,
+    pub mirror_full_resyncs: Counter,
     /// `VersionRaced`/`ChunkOutOfRange` restarts the fetch path
     /// recovered from.
-    pub races_recovered: u64,
+    pub mirror_races_recovered: Counter,
     /// Upstream head day minus local day at the last `update` — the
     /// convergence lag, ~0 on a healthy mirror.
-    pub lag_days: u32,
+    pub mirror_lag_days: Gauge,
     /// Upstream head day observed at the last `update`.
-    pub upstream_day: u32,
+    pub mirror_upstream_day: Gauge,
+    /// Serving generation's epoch and day, set under the swap lock.
+    pub epoch: Gauge,
+    pub day: Gauge,
 }
 
-/// The live registers behind [`MirrorStats`].
-#[derive(Debug, Default)]
-pub struct MirrorMetrics {
-    pub deltas_applied: AtomicU64,
-    pub full_resyncs: AtomicU64,
-    pub races_recovered: AtomicU64,
-    pub lag_days: AtomicU64,
-    pub upstream_day: AtomicU64,
-}
-
-impl MirrorMetrics {
-    pub fn snapshot(&self) -> MirrorStats {
-        MirrorStats {
-            deltas_applied: self.deltas_applied.load(Ordering::Relaxed),
-            full_resyncs: self.full_resyncs.load(Ordering::Relaxed),
-            races_recovered: self.races_recovered.load(Ordering::Relaxed),
-            lag_days: self.lag_days.load(Ordering::Relaxed) as u32,
-            upstream_day: self.upstream_day.load(Ordering::Relaxed) as u32,
+impl EngineMetrics {
+    pub(crate) fn record_query(&self, us: u64, ok: bool) {
+        self.queries.inc();
+        if !ok {
+            self.errors.inc();
         }
+        self.latency_us.record_us(us);
+    }
+
+    /// Export every handle into `obs` as `{label}.*`; see
+    /// [`crate::QueryEngine::register_metrics`].
+    pub(crate) fn register(&self, obs: &MetricsRegistry, label: &str) {
+        let m = self.clone();
+        let name = |series: &str| format!("{label}.{series}");
+        obs.attach(&name("queries"), m.queries);
+        obs.attach(&name("errors"), m.errors);
+        obs.attach(&name("swaps"), m.swaps);
+        obs.attach(&name("latency_us"), m.latency_us);
+        obs.attach(&name("cache.hits"), m.cache_hits);
+        obs.attach(&name("cache.misses"), m.cache_misses);
+        obs.attach(&name("cache.evictions"), m.cache_evictions);
+        obs.attach(&name("cache.inserts"), m.cache_inserts);
+        obs.attach(&name("cache.bypass"), m.cache_bypass);
+        obs.attach(&name("mirror.deltas_applied"), m.mirror_deltas_applied);
+        obs.attach(&name("mirror.full_resyncs"), m.mirror_full_resyncs);
+        obs.attach(&name("mirror.races_recovered"), m.mirror_races_recovered);
+        obs.attach(&name("mirror.lag_days"), m.mirror_lag_days);
+        obs.attach(&name("mirror.upstream_day"), m.mirror_upstream_day);
+        obs.attach(&name("epoch"), m.epoch);
+        obs.attach(&name("day"), m.day);
     }
 }
 
-/// A point-in-time view of the engine, cheap to take while serving.
+/// A point-in-time view of one engine, cheap to take while serving.
+/// Local only — what crosses the wire is the registry dump.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServiceStats {
     /// Total queries answered (including errors).
@@ -118,112 +108,54 @@ pub struct ServiceStats {
     /// Worker threads serving batches.
     pub workers: usize,
     /// Raw log₂ latency-bucket counts (bucket `i` covers
-    /// `[2^i, 2^(i+1))` µs). Shipping the buckets, not just p50/p99,
-    /// is what lets an aggregator merge stats from many engines
-    /// exactly — see [`ServiceStats::aggregate`].
+    /// `[2^i, 2^(i+1))` µs), the vector the percentiles above were
+    /// read from.
     pub latency_buckets: Vec<u64>,
-}
-
-impl ServiceStats {
-    /// Merge snapshots from several engines (the shards of a registry,
-    /// the members of a fleet) into one: counters sum, latency
-    /// percentiles are recomputed from the element-wise sum of the
-    /// bucket vectors (exact, where averaging per-engine percentiles
-    /// would not be), and `epoch`/`day` take the per-shard maximum —
-    /// they are per-atlas properties with no cross-shard meaning, so
-    /// the aggregate reports the freshest.
-    pub fn aggregate<'a>(parts: impl IntoIterator<Item = &'a ServiceStats>) -> ServiceStats {
-        let mut out = ServiceStats {
-            latency_buckets: vec![0; BUCKETS],
-            ..ServiceStats::default()
-        };
-        let mut qps = 0.0;
-        for s in parts {
-            out.queries += s.queries;
-            out.errors += s.errors;
-            qps += s.qps;
-            out.cache_hits += s.cache_hits;
-            out.cache_misses += s.cache_misses;
-            out.cache_evictions += s.cache_evictions;
-            out.swaps += s.swaps;
-            out.epoch = out.epoch.max(s.epoch);
-            out.day = out.day.max(s.day);
-            out.workers += s.workers;
-            if out.latency_buckets.len() < s.latency_buckets.len() {
-                out.latency_buckets.resize(s.latency_buckets.len(), 0);
-            }
-            for (acc, &c) in out.latency_buckets.iter_mut().zip(&s.latency_buckets) {
-                *acc += c;
-            }
-        }
-        out.qps = qps;
-        out.p50_us = quantile_from_counts(&out.latency_buckets, 0.50);
-        out.p99_us = quantile_from_counts(&out.latency_buckets, 0.99);
-        let probed = out.cache_hits + out.cache_misses;
-        out.cache_hit_rate = if probed == 0 {
-            0.0
-        } else {
-            out.cache_hits as f64 / probed as f64
-        };
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inano_obs::{quantile_from_counts, MetricValue, MetricsDump};
+
+    #[test]
+    fn metrics_record() {
+        let m = EngineMetrics::default();
+        m.record_query(100, true);
+        m.record_query(200, false);
+        assert_eq!(m.queries.get(), 2);
+        assert_eq!(m.errors.get(), 1);
+        assert_eq!(m.latency_us.count(), 2);
+    }
 
     #[test]
     fn aggregate_merges_buckets_not_percentiles() {
-        let fast = Metrics::default();
-        let slow = Metrics::default();
+        let fast = EngineMetrics::default();
+        let slow = EngineMetrics::default();
         for _ in 0..90 {
             fast.record_query(10, true);
         }
         for _ in 0..10 {
             slow.record_query(5000, false);
         }
-        let a = ServiceStats {
-            queries: 90,
-            p50_us: fast.latency.quantile_us(0.5),
-            latency_buckets: fast.latency.snapshot(),
-            ..ServiceStats::default()
+        // Two engines, each exported as shard0 of its own server.
+        let dump = |m: &EngineMetrics| {
+            let obs = MetricsRegistry::new();
+            m.register(&obs, "shard0");
+            obs.dump()
         };
-        let b = ServiceStats {
-            queries: 10,
-            errors: 10,
-            p50_us: slow.latency.quantile_us(0.5),
-            latency_buckets: slow.latency.snapshot(),
-            ..ServiceStats::default()
+        let merged = MetricsDump::merged([&dump(&fast), &dump(&slow)]);
+        assert_eq!(merged.counter("shard0.queries"), 100);
+        assert_eq!(merged.counter("shard0.errors"), 10);
+        let Some(MetricValue::Histogram(buckets)) = merged.value("shard0.latency_us") else {
+            panic!("merged dump lost the latency histogram");
         };
-        let merged = ServiceStats::aggregate([&a, &b]);
-        assert_eq!(merged.queries, 100);
-        assert_eq!(merged.errors, 10);
         // The true p99 over the merged population is the slow bucket;
         // averaging the two per-part p99s could never say so.
-        assert!((4096..=8192).contains(&merged.p99_us), "{}", merged.p99_us);
-        assert!((8..=16).contains(&merged.p50_us), "{}", merged.p50_us);
-        assert_eq!(merged.latency_buckets.iter().sum::<u64>(), 100);
-    }
-
-    #[test]
-    fn metrics_record() {
-        let m = Metrics::default();
-        m.record_query(100, true);
-        m.record_query(200, false);
-        assert_eq!(m.queries.load(Ordering::Relaxed), 2);
-        assert_eq!(m.errors.load(Ordering::Relaxed), 1);
-        assert_eq!(m.latency.count(), 2);
-    }
-
-    #[test]
-    fn mirror_metrics_snapshot() {
-        let m = MirrorMetrics::default();
-        m.deltas_applied.fetch_add(3, Ordering::Relaxed);
-        m.lag_days.store(2, Ordering::Relaxed);
-        let s = m.snapshot();
-        assert_eq!(s.deltas_applied, 3);
-        assert_eq!(s.lag_days, 2);
-        assert_eq!(s.full_resyncs, 0);
+        let p99 = quantile_from_counts(buckets, 0.99);
+        let p50 = quantile_from_counts(buckets, 0.50);
+        assert!((4096..=8192).contains(&p99), "{p99}");
+        assert!((8..=16).contains(&p50), "{p50}");
+        assert_eq!(buckets.iter().sum::<u64>(), 100);
     }
 }

@@ -133,31 +133,46 @@ fn same(got: &Result<PredictedPath, ModelError>, want: &Result<PredictedPath, Mo
 }
 
 /// What one batch must add to each counter, derived from the pairs
-/// themselves: (hits, misses, inserts, errors).
-fn expected_deltas(fresh: &PathPredictor, batch: &[(Ipv4, Ipv4)]) -> (u64, u64, u64, u64) {
+/// themselves.
+#[derive(Debug, Default, PartialEq)]
+struct Deltas {
+    hits: u64,
+    misses: u64,
+    inserts: u64,
+    errors: u64,
+    /// Pairs that resolve but sit behind a non-canonical prefix.
+    bypass: u64,
+    /// Pairs with an endpoint no prefix covers (a subset of `errors`).
+    unresolved: u64,
+}
+
+fn expected_deltas(fresh: &PathPredictor, batch: &[(Ipv4, Ipv4)]) -> Deltas {
+    // `None`: does not resolve; `Some(None)`: resolves, bypasses the
+    // cache; `Some(Some(key))`: cacheable.
     let key_of = |s: Ipv4, d: Ipv4| {
         let (s, d) = (fresh.resolve(s).ok()?, fresh.resolve(d).ok()?);
-        (s.canonical() && d.canonical()).then_some((s.cluster, d.cluster))
+        Some((s.canonical() && d.canonical()).then_some((s.cluster, d.cluster)))
     };
     let warm: HashSet<_> = warm_pairs()
         .into_iter()
-        .map(|(s, d)| key_of(s, d).expect("warm pairs are cacheable"))
+        .map(|(s, d)| key_of(s, d).flatten().expect("warm pairs are cacheable"))
         .collect();
-    let (mut hits, mut misses, mut inserts, mut errors) = (0, 0, 0, 0);
+    let mut want = Deltas::default();
     let mut missed = HashSet::new();
     for &(s, d) in batch {
         let routed = fresh.query(s, d).is_ok();
-        errors += u64::from(!routed);
+        want.errors += u64::from(!routed);
         match key_of(s, d) {
-            Some(key) if warm.contains(&key) => hits += 1,
-            Some(key) => {
-                misses += 1;
-                inserts += u64::from(missed.insert(key) && routed);
+            Some(Some(key)) if warm.contains(&key) => want.hits += 1,
+            Some(Some(key)) => {
+                want.misses += 1;
+                want.inserts += u64::from(missed.insert(key) && routed);
             }
-            None => {}
+            Some(None) => want.bypass += 1,
+            None => want.unresolved += 1,
         }
     }
-    (hits, misses, inserts, errors)
+    want
 }
 
 #[test]
@@ -177,10 +192,19 @@ fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
     ];
     // The mixes hold what they say: the largest has hits, misses that
     // share a key, more distinct misses than one job takes, and errors.
-    let (hits, misses, inserts, errors) = expected_deltas(&fresh, &batch_of(mixes[5].1, 8 * CHUNK));
-    assert!(hits > 0 && errors > 0 && misses > inserts && inserts as usize > CHUNK);
+    let d = expected_deltas(&fresh, &batch_of(mixes[5].1, 8 * CHUNK));
+    assert!(d.hits > 0 && d.errors > 0 && d.misses > d.inserts && d.inserts as usize > CHUNK);
+    assert!(d.bypass > 0 && d.unresolved > 0);
+    // The bypassing mix is exactly that: every pair resolves, routes,
+    // and touches no cache counter but `bypass`.
     let bypassing = batch_of(mixes[3].1, CHUNK);
-    assert_eq!(expected_deltas(&fresh, &bypassing), (0, 0, 0, 0));
+    assert_eq!(
+        expected_deltas(&fresh, &bypassing),
+        Deltas {
+            bypass: CHUNK as u64,
+            ..Deltas::default()
+        }
+    );
 
     for (name, kinds) in mixes {
         for len in [1, CHUNK, CHUNK + 1, 8 * CHUNK] {
@@ -190,8 +214,9 @@ fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
                 r.expect("ring pair routes");
             }
             let batch = batch_of(kinds, len);
+            let m = engine.metrics();
             let before = engine.stats();
-            let inserts_before = engine.cache().counter_snapshot().3;
+            let (inserts_before, bypass_before) = (m.cache_inserts.get(), m.cache_bypass.get());
 
             let got = engine.query_batch(&batch);
 
@@ -204,23 +229,34 @@ fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
                     got[i]
                 );
             }
-            let (hits, misses, inserts, errors) = expected_deltas(&fresh, &batch);
+            let want = expected_deltas(&fresh, &batch);
             let after = engine.stats();
-            let (_, _, evictions, inserts_after) = engine.cache().counter_snapshot();
-            assert_eq!(after.cache_hits - before.cache_hits, hits, "{what}: hits");
+            let inserts_after = m.cache_inserts.get();
+            let got_deltas = Deltas {
+                hits: after.cache_hits - before.cache_hits,
+                misses: after.cache_misses - before.cache_misses,
+                inserts: inserts_after - inserts_before,
+                errors: after.errors - before.errors,
+                bypass: m.cache_bypass.get() - bypass_before,
+                unresolved: want.unresolved,
+            };
+            assert_eq!(got_deltas, want, "{what}");
             assert_eq!(
-                after.cache_misses - before.cache_misses,
-                misses,
-                "{what}: misses"
+                after.cache_evictions, 0,
+                "{what}: the cache is large enough"
             );
-            assert_eq!(inserts_after - inserts_before, inserts, "{what}: inserts");
-            assert_eq!(evictions, 0, "{what}: the cache is large enough");
             assert_eq!(
                 after.queries - before.queries,
                 len as u64,
                 "{what}: queries"
             );
-            assert_eq!(after.errors - before.errors, errors, "{what}: errors");
+            // Every pair is accounted for exactly once: probed (a hit
+            // or a miss), bypassed, or refused at resolve.
+            assert_eq!(
+                m.cache_hits.get() + m.cache_misses.get() + m.cache_bypass.get() + want.unresolved,
+                after.queries,
+                "{what}: hits + misses + bypass + resolve errors == queries"
+            );
             assert_eq!(
                 after.latency_buckets.iter().sum::<u64>()
                     - before.latency_buckets.iter().sum::<u64>(),
@@ -237,7 +273,7 @@ fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
                 assert!(same(&owned, &got[i]), "{what}: shared pair {i}");
             }
             assert_eq!(
-                engine.cache().counter_snapshot().3,
+                m.cache_inserts.get(),
                 inserts_after,
                 "{what}: nothing left to insert"
             );

@@ -5,6 +5,7 @@
 use inano_atlas::{Atlas, AtlasDelta, LinkAnnotation, Plane};
 use inano_core::PredictorConfig;
 use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, ModelError, Prefix, PrefixId};
+use inano_obs::{MetricValue, MetricsDump, MetricsRegistry};
 use inano_service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
 use std::sync::Arc;
 
@@ -232,18 +233,37 @@ fn stats_aggregate_sums_counters_and_merges_histograms() {
         .apply_delta(ShardId(1), &shortcut_delta(8, 0))
         .expect("delta applies");
 
-    let stats = registry.stats();
-    assert_eq!(stats.shards.len(), 2);
-    assert_eq!(stats.shards[0].0, ShardId(0));
-    assert_eq!(stats.aggregate.queries, 8);
-    assert_eq!(stats.aggregate.swaps, 1);
-    assert_eq!(stats.aggregate.epoch, 1, "aggregate epoch is the max");
-    assert_eq!(stats.aggregate.workers, 4, "worker budget sums back up");
+    // One dump per shard, each under the same label, so the exact
+    // merge is the cross-shard aggregate: counters and buckets sum,
+    // gauges take the max.
+    let dumps: Vec<MetricsDump> = registry
+        .iter()
+        .map(|(_, engine)| {
+            let obs = MetricsRegistry::new();
+            engine.register_metrics(&obs, "shard");
+            obs.dump()
+        })
+        .collect();
+    assert_eq!(dumps.len(), 2);
+    assert_eq!(registry.shard_ids()[0], ShardId(0));
+    let aggregate = MetricsDump::merged(&dumps);
+    assert_eq!(aggregate.counter("shard.queries"), 8);
+    assert_eq!(aggregate.counter("shard.swaps"), 1);
     assert_eq!(
-        stats.aggregate.latency_buckets.iter().sum::<u64>(),
-        8,
-        "merged histogram holds every query"
+        aggregate.gauge("shard.epoch"),
+        1,
+        "aggregate epoch is the max"
     );
+    let workers: usize = registry.iter().map(|(_, e)| e.stats().workers).sum();
+    assert_eq!(workers, 4, "worker budget sums back up");
+    match aggregate.value("shard.latency_us") {
+        Some(MetricValue::Histogram(buckets)) => assert_eq!(
+            buckets.iter().sum::<u64>(),
+            8,
+            "merged histogram holds every query"
+        ),
+        other => panic!("want the merged latency histogram, got {other:?}"),
+    }
     registry.shutdown();
 }
 

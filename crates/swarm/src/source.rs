@@ -13,7 +13,7 @@ use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_core::DEFAULT_CHUNK_SIZE;
 use inano_core::{chunk_span, content_tag, AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle};
 use inano_model::ModelError;
-use inano_obs::{Counter, MetricValue, MetricsRegistry};
+use inano_obs::{Counter, MetricsRegistry};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -43,8 +43,8 @@ pub struct SwarmSource {
     /// Reports of the most recent downloads, in fetch order, capped at
     /// [`DOWNLOAD_LOG_CAP`].
     downloads: VecDeque<SwarmReport>,
-    /// Shared atomic handles (not plain `u64`s) so a metrics registry
-    /// can snapshot them at dump time while the source keeps serving.
+    /// Registry handles (not plain `u64`s): attached to a metrics
+    /// registry, they are read live while the source keeps serving.
     fetches: Counter,
     bytes_served: Counter,
 }
@@ -78,19 +78,11 @@ impl SwarmSource {
     }
 
     /// Publish this source's lifetime counters into `obs` as the
-    /// `swarm.fetches` / `swarm.bytes_served` series: a collector
-    /// snapshots the shared handles at every dump, so the seed's
+    /// `swarm.fetches` / `swarm.bytes_served` series, so the seed's
     /// serving cost shows up in the same scrape as the query plane.
     pub fn register_metrics(&self, obs: &MetricsRegistry) {
-        let fetches = self.fetches.clone();
-        let bytes_served = self.bytes_served.clone();
-        obs.register_collector(move |out| {
-            out.push(("swarm.fetches".into(), MetricValue::Counter(fetches.get())));
-            out.push((
-                "swarm.bytes_served".into(),
-                MetricValue::Counter(bytes_served.get()),
-            ));
-        });
+        obs.attach("swarm.fetches", self.fetches.clone());
+        obs.attach("swarm.bytes_served", self.bytes_served.clone());
     }
 
     fn swarm_fetch(&mut self, bytes: usize) {

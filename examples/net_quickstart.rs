@@ -103,10 +103,17 @@ fn main() {
         after.fwd_clusters.len()
     );
 
-    let stats = client.stats().expect("stats");
+    // One way to read a server: the metrics dump, the same entries the
+    // `--metrics-text` page and `server.metrics().dump()` show.
+    let dump = client.metrics().expect("metrics");
+    let (hits, misses) = (
+        dump.counter("shard0.cache.hits"),
+        dump.counter("shard0.cache.misses"),
+    );
     println!(
         "shard 0 served {} queries, cache hit rate {:.2}",
-        stats.queries, stats.cache_hit_rate
+        dump.counter("shard0.queries"),
+        hits as f64 / (hits + misses).max(1) as f64
     );
 
     // Any server is also an atlas *mirror*: fetch shard 1's atlas over
