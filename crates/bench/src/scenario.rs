@@ -125,3 +125,19 @@ impl Scenario {
         )
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use inano_atlas::codec;
+
+    #[test]
+    fn a_seed_reproduces_its_world() {
+        let a = Scenario::build(ScenarioConfig::test(7));
+        let b = Scenario::build(ScenarioConfig::test(7));
+        assert_eq!(codec::encode(&a.atlas).0, codec::encode(&b.atlas).0);
+        // The codec quantises loss and skips the GRAPH-only relationships.
+        assert_eq!(a.atlas.loss, b.atlas.loss);
+        assert_eq!(a.atlas.inferred_rels, b.atlas.inferred_rels);
+    }
+}

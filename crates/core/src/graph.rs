@@ -12,12 +12,14 @@
 //! the destination (settling `v` relaxes `u`).
 
 use crate::config::PredictorConfig;
+use crate::index::{csr, AtlasIndex};
 use inano_atlas::Atlas;
 use inano_model::{Asn, ClusterId, Relationship};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
-/// One reverse-stored edge.
-#[derive(Clone, Copy, Debug)]
+/// One reverse-stored edge (16 bytes).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct InEdge {
     /// The forward-source node (relaxed when the edge's target settles).
     pub src: u32,
@@ -32,314 +34,332 @@ pub struct InEdge {
     pub reversed: bool,
 }
 
-/// The prediction graph.
+/// The prediction graph: a node space and policy tables (the shared
+/// [`AtlasIndex`]) plus this graph's in-edges in CSR form.
+///
+/// The search is label-correcting, so the order of a node's in-edges is
+/// the order its neighbours are relaxed in and therefore part of the
+/// answer: it is the order the atlas's sorted link set emits them.
 pub struct PredictionGraph {
-    pub n_planes: usize,
-    pub n_sides: usize,
-    /// Dense index per cluster.
-    pub cluster_idx: HashMap<ClusterId, u32>,
-    /// ClusterId per dense index.
-    pub clusters: Vec<ClusterId>,
-    /// Owning AS per dense cluster index.
-    pub cluster_as: Vec<Asn>,
-    /// Incoming-forward adjacency per node.
-    pub in_edges: Vec<Vec<InEdge>>,
+    index: Arc<AtlasIndex>,
+    /// `edges[edge_off[v]..edge_off[v + 1]]` are the in-edges of `v`.
+    edge_off: Vec<u32>,
+    edges: Vec<InEdge>,
 }
 
+/// Edges in emission order, each with its forward-target node.
+type Emitted = Vec<(u32, InEdge)>;
+
 impl PredictionGraph {
+    pub fn n_planes(&self) -> usize {
+        self.index.n_planes
+    }
+
+    pub fn n_sides(&self) -> usize {
+        self.index.n_sides
+    }
+
     pub fn n_nodes(&self) -> usize {
-        self.clusters.len() * self.n_planes * self.n_sides
+        self.index.node_as.len()
+    }
+
+    /// ClusterId per dense cluster index.
+    pub fn clusters(&self) -> &[ClusterId] {
+        &self.index.clusters
+    }
+
+    pub(crate) fn index(&self) -> &AtlasIndex {
+        &self.index
     }
 
     /// Flatten (cluster, plane, side) to a node id.
     pub fn node(&self, cluster_dense: u32, plane: usize, side: usize) -> u32 {
-        ((cluster_dense as usize * self.n_planes + plane) * self.n_sides + side) as u32
+        self.index.node(cluster_dense, plane, side)
     }
 
     /// The cluster of a node.
     pub fn node_cluster(&self, node: u32) -> ClusterId {
-        self.clusters[node as usize / (self.n_planes * self.n_sides)]
+        self.index.clusters[self.index.cluster_of(node)]
     }
 
     /// The AS of a node.
     pub fn node_as(&self, node: u32) -> Asn {
-        self.cluster_as[node as usize / (self.n_planes * self.n_sides)]
+        self.index.cluster_as[self.index.cluster_of(node)]
     }
 
     /// Destination entry node for a cluster: `TO_DST` plane, down side.
     pub fn dest_node(&self, cluster: ClusterId) -> Option<u32> {
-        let &c = self.cluster_idx.get(&cluster)?;
-        Some(self.node(c, 0, self.n_sides - 1))
+        let &c = self.index.cluster_idx.get(&cluster)?;
+        Some(self.node(c, 0, self.index.n_sides - 1))
     }
 
     /// Source nodes to try, in order: `FROM_SRC` up node first when the
     /// plane exists, then the `TO_DST` up node (§4.3.1's fallback).
-    pub fn source_nodes(&self, cluster: ClusterId) -> Vec<u32> {
-        let Some(&c) = self.cluster_idx.get(&cluster) else {
-            return Vec::new();
-        };
-        let mut v = Vec::with_capacity(2);
-        if self.n_planes == 2 {
-            v.push(self.node(c, 1, 0));
-        }
-        v.push(self.node(c, 0, 0));
-        v
+    pub fn source_nodes(&self, cluster: ClusterId) -> impl Iterator<Item = u32> + '_ {
+        let c = self.index.cluster_idx.get(&cluster).copied();
+        (0..self.index.n_planes)
+            .rev()
+            .filter_map(move |plane| Some(self.node(c?, plane, 0)))
     }
 
-    /// Build the graph for a config.
-    pub fn build(atlas: &Atlas, cfg: &PredictorConfig) -> PredictionGraph {
-        // Dense-index every cluster that appears in the link set.
-        let mut cluster_idx: HashMap<ClusterId, u32> = HashMap::new();
-        let mut clusters: Vec<ClusterId> = Vec::new();
-        let mut cluster_as: Vec<Asn> = Vec::new();
-        let intern = |c: ClusterId,
-                      clusters: &mut Vec<ClusterId>,
-                      cluster_as: &mut Vec<Asn>,
-                      cluster_idx: &mut HashMap<ClusterId, u32>,
-                      atlas: &Atlas| {
-            *cluster_idx.entry(c).or_insert_with(|| {
-                clusters.push(c);
-                cluster_as.push(atlas.as_of_cluster(c).unwrap_or_default());
-                (clusters.len() - 1) as u32
-            })
-        };
-        for &(a, b) in atlas.links.keys() {
-            intern(a, &mut clusters, &mut cluster_as, &mut cluster_idx, atlas);
-            intern(b, &mut clusters, &mut cluster_as, &mut cluster_idx, atlas);
-        }
-        // Clusters referenced only by prefix attachments still need nodes.
-        for &c in atlas.prefix_cluster.values() {
-            intern(c, &mut clusters, &mut cluster_as, &mut cluster_idx, atlas);
-        }
-
-        let mut g = PredictionGraph {
-            n_planes: cfg.n_planes(),
-            n_sides: cfg.n_sides(),
-            cluster_idx,
-            clusters,
-            cluster_as,
-            in_edges: Vec::new(),
-        };
-        g.in_edges = vec![Vec::new(); g.n_nodes()];
-
-        if cfg.use_rel_graph {
-            g.build_rel_edges(atlas, cfg);
-        } else {
-            g.build_directed_edges(atlas, cfg);
-        }
-        g.build_plane_cross_edges();
-        g
+    /// Incoming-forward adjacency of a node, in relax order.
+    pub fn in_edges(&self, node: u32) -> &[InEdge] {
+        &self.edges
+            [self.edge_off[node as usize] as usize..self.edge_off[node as usize + 1] as usize]
     }
 
-    fn add_forward_edge(&mut self, u: u32, v: u32, latency: f64, inter: bool, phase: u8) {
-        self.add_edge_full(u, v, latency, inter, phase, false);
-    }
-
-    fn add_edge_full(
-        &mut self,
-        u: u32,
-        v: u32,
-        latency: f64,
-        inter: bool,
-        phase: u8,
-        reversed: bool,
-    ) {
-        self.in_edges[v as usize].push(InEdge {
-            src: u,
-            latency,
-            inter,
-            phase,
-            reversed,
-        });
-    }
-
-    /// iNano mode: observed links, per plane.
-    ///
-    /// Links are stored with their observed direction but traversable in
-    /// both: predictions must also *leave* clusters that measurements only
-    /// ever entered (an arbitrary destination's stub is only seen inbound
-    /// by the vantage points, yet reverse paths out of it must still be
-    /// predicted — §4.3.1 composes forward *and* reverse paths for every
-    /// pair). The 3-tuple, preference and provider checks carry the
-    /// export-policy directionality that raw direction encoded.
-    fn build_directed_edges(&mut self, atlas: &Atlas, cfg: &PredictorConfig) {
-        // First pass: the directions actually observed, per plane.
-        let mut observed: std::collections::HashSet<(u32, u32, u8)> =
-            std::collections::HashSet::new();
-        for (&(from, to), ann) in &atlas.links {
-            let (cf, ct) = (self.cluster_idx[&from], self.cluster_idx[&to]);
-            for (plane, present) in [(0u8, ann.plane.to_dst), (1, ann.plane.from_src)] {
-                if present && (plane as usize) < self.n_planes {
-                    observed.insert((cf, ct, plane));
-                }
-            }
-        }
-        // Second pass: add both directions, marking the unobserved one.
-        let mut added: std::collections::HashSet<(u32, u32, u8)> = std::collections::HashSet::new();
-        for (&(from, to), ann) in &atlas.links {
-            let (cf, ct) = (self.cluster_idx[&from], self.cluster_idx[&to]);
-            let inter = self.cluster_as[cf as usize] != self.cluster_as[ct as usize];
-            let lat = ann
-                .latency
-                .map(|l| l.ms())
-                .unwrap_or(cfg.default_link_latency_ms);
-            for (plane, present) in [(0u8, ann.plane.to_dst), (1, ann.plane.from_src)] {
-                if !present || (plane as usize) >= self.n_planes {
-                    continue;
-                }
-                for (a, b) in [(cf, ct), (ct, cf)] {
-                    let reversed = !observed.contains(&(a, b, plane));
-                    if reversed && !cfg.allow_reversed_links {
-                        continue;
-                    }
-                    if added.insert((a, b, plane)) {
-                        let (u, v) = (
-                            self.node(a, plane as usize, 0),
-                            self.node(b, plane as usize, 0),
-                        );
-                        self.add_edge_full(u, v, lat, inter, 1, reversed);
-                    }
-                }
-            }
-        }
-    }
-
-    /// GRAPH mode: the valley-free up/down construction from inferred
-    /// relationships (§4.2.3).
-    ///
-    /// Without the asymmetry refinement, links are symmetrised — GRAPH
-    /// treats the atlas as "a graph capturing the Internet's physical
-    /// topology" (§4). With `use_from_src`, §4.3.1's directionality kicks
-    /// in: each plane only gets edges whose *forward traffic direction*
-    /// was actually observed in that plane, which is what kills the
-    /// "non-existent routes" GRAPH otherwise invents.
-    fn build_rel_edges(&mut self, atlas: &Atlas, cfg: &PredictorConfig) {
-        // Per unordered cluster pair: latency plus which directions were
-        // observed in which plane. Index 0 = (lo → hi), 1 = (hi → lo).
-        #[derive(Clone, Copy, Default)]
-        struct PairInfo {
-            lat: Option<f64>,
-            to_dst: [bool; 2],
-            from_src: [bool; 2],
-        }
-        let mut pairs: HashMap<(u32, u32), PairInfo> = HashMap::new();
-        for (&(from, to), ann) in &atlas.links {
-            let (cf, ct) = (self.cluster_idx[&from], self.cluster_idx[&to]);
-            let key = (cf.min(ct), cf.max(ct));
-            let dir = usize::from(cf > ct);
-            let e = pairs.entry(key).or_default();
-            if let Some(l) = ann.latency {
-                e.lat = Some(e.lat.map_or(l.ms(), |x: f64| x.min(l.ms())));
-            }
-            e.to_dst[dir] |= ann.plane.to_dst;
-            e.from_src[dir] |= ann.plane.from_src;
-        }
-
-        // Directionality only applies once the asymmetry refinement is on.
-        let directional = self.n_planes == 2;
-        let planes: Vec<usize> = (0..self.n_planes).collect();
-        for (&(ci, cj), info) in &pairs {
-            let (ai, aj) = (self.cluster_as[ci as usize], self.cluster_as[cj as usize]);
-            let lat = info.lat.unwrap_or(cfg.default_link_latency_ms);
-            let rel = if ai == aj {
-                None // intra-AS
-            } else {
-                Some(
-                    atlas
-                        .inferred_rels
-                        .get(&(ai, aj))
-                        .copied()
-                        .unwrap_or(Relationship::Peer),
-                )
-            };
-            for &p in &planes {
-                // Was the (ci → cj) / (cj → ci) direction observed in
-                // this plane? Without directionality, any observation of
-                // the pair enables both.
-                let obs = match p {
-                    0 => info.to_dst,
-                    _ => info.from_src,
-                };
-                let any = obs[0] || obs[1];
-                let fwd_ij = if directional { obs[0] } else { any };
-                let fwd_ji = if directional { obs[1] } else { any };
-                if !fwd_ij && !fwd_ji {
-                    continue;
-                }
-                let up = |g: &PredictionGraph, c| g.node(c, p, 0);
-                let down = |g: &PredictionGraph, c| g.node(c, p, 1);
-                match rel {
-                    None | Some(Relationship::Sibling) => {
-                        let inter = ai != aj;
-                        for ((x, y), seen) in [((ci, cj), fwd_ij), ((cj, ci), fwd_ji)] {
-                            if !seen {
-                                continue;
-                            }
-                            let (ux, uy) = (up(self, x), up(self, y));
-                            self.add_forward_edge(ux, uy, lat, inter, 1);
-                            let (dx, dy) = (down(self, x), down(self, y));
-                            self.add_forward_edge(dx, dy, lat, inter, 1);
-                        }
-                    }
-                    Some(Relationship::Provider) => {
-                        // aj is ai's provider: up_i→up_j carries i→j
-                        // traffic (phase 3), down_j→down_i carries j→i
-                        // (phase 1).
-                        if fwd_ij {
-                            self.add_forward_edge(up(self, ci), up(self, cj), lat, true, 3);
-                        }
-                        if fwd_ji {
-                            self.add_forward_edge(down(self, cj), down(self, ci), lat, true, 1);
-                        }
-                    }
-                    Some(Relationship::Customer) => {
-                        if fwd_ji {
-                            self.add_forward_edge(up(self, cj), up(self, ci), lat, true, 3);
-                        }
-                        if fwd_ij {
-                            self.add_forward_edge(down(self, ci), down(self, cj), lat, true, 1);
-                        }
-                    }
-                    Some(Relationship::Peer) => {
-                        if fwd_ij {
-                            self.add_forward_edge(up(self, ci), down(self, cj), lat, true, 2);
-                        }
-                        if fwd_ji {
-                            self.add_forward_edge(up(self, cj), down(self, ci), lat, true, 2);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Self edges up_i → down_i: the "turn downhill here" transition,
-        // phase 1 so pure customer routes settle first.
-        for c in 0..self.clusters.len() as u32 {
-            for p in 0..self.n_planes {
-                let u = self.node(c, p, 0);
-                let d = self.node(c, p, 1);
-                self.add_forward_edge(u, d, 0.0, false, 1);
-            }
-        }
-    }
-
-    /// One-way plane crossing: (c, FROM_SRC, s) → (c, TO_DST, s).
-    fn build_plane_cross_edges(&mut self) {
-        if self.n_planes < 2 {
-            return;
-        }
-        for c in 0..self.clusters.len() as u32 {
-            for s in 0..self.n_sides {
-                let u = self.node(c, 1, s);
-                let v = self.node(c, 0, s);
-                self.add_forward_edge(u, v, 0.0, false, 1);
-            }
-        }
+    /// Every edge, grouped by target node.
+    pub fn edges(&self) -> &[InEdge] {
+        &self.edges
     }
 
     /// Total edge count (diagnostics).
     pub fn n_edges(&self) -> usize {
-        self.in_edges.iter().map(|v| v.len()).sum()
+        self.edges.len()
+    }
+
+    /// Build the one graph a config describes: with reversed links when
+    /// it allows them (and is not GRAPH mode), observed directions only
+    /// otherwise.
+    pub fn build(atlas: &Atlas, cfg: &PredictorConfig) -> PredictionGraph {
+        let (strict, relaxed) = PredictionGraph::build_pair(atlas, cfg);
+        relaxed.unwrap_or(strict)
+    }
+
+    /// Build a predictor's graphs over one shared index and one pass over
+    /// the links: the strict graph (observed directions only) and, when
+    /// the config allows reversed links outside GRAPH mode, the relaxed
+    /// one (strict plus every link's unobserved direction).
+    pub fn build_pair(
+        atlas: &Atlas,
+        cfg: &PredictorConfig,
+    ) -> (PredictionGraph, Option<PredictionGraph>) {
+        let index = Arc::new(AtlasIndex::build(atlas, cfg));
+        let mut emitted = if cfg.use_rel_graph {
+            rel_edges(&index, atlas, cfg)
+        } else {
+            directed_edges(&index, atlas, cfg)
+        };
+        plane_cross_edges(&index, &mut emitted);
+        // Grouped by target node; a node's in-edges keep emission order.
+        let graph = |keep_reversed: bool| {
+            let kept = (emitted.iter().copied()).filter(|(_, e)| keep_reversed || !e.reversed);
+            let (edge_off, edges) = csr(index.node_as.len(), kept);
+            PredictionGraph {
+                index: Arc::clone(&index),
+                edge_off,
+                edges,
+            }
+        };
+        let relaxed = (cfg.allow_reversed_links && !cfg.use_rel_graph).then(|| graph(true));
+        (graph(false), relaxed)
+    }
+}
+
+/// iNano mode: observed links, per plane.
+///
+/// Links are stored with their observed direction but traversable in
+/// both: predictions must also *leave* clusters that measurements only
+/// ever entered (an arbitrary destination's stub is only seen inbound
+/// by the vantage points, yet reverse paths out of it must still be
+/// predicted — §4.3.1 composes forward *and* reverse paths for every
+/// pair). The 3-tuple, preference and provider checks carry the
+/// export-policy directionality that raw direction encoded. The
+/// unobserved direction is emitted marked `reversed`; the strict graph
+/// filters it out.
+fn directed_edges(index: &AtlasIndex, atlas: &Atlas, cfg: &PredictorConfig) -> Emitted {
+    let mut emitted = Emitted::with_capacity(4 * atlas.links.len());
+    for (&(from, to), ann) in &atlas.links {
+        let (cf, ct) = (index.cluster_idx[&from], index.cluster_idx[&to]);
+        let inter = index.cluster_as[cf as usize] != index.cluster_as[ct as usize];
+        let latency = ann
+            .latency
+            .map(|l| l.ms())
+            .unwrap_or(cfg.default_link_latency_ms);
+        let opposite = atlas.links.get(&(to, from)).map(|r| r.plane);
+        for (plane, present) in [(0usize, ann.plane.to_dst), (1, ann.plane.from_src)] {
+            if !present || plane >= index.n_planes {
+                continue;
+            }
+            let opposite_observed = opposite.is_some_and(|p| match plane {
+                0 => p.to_dst,
+                _ => p.from_src,
+            });
+            // Each direction of a cluster pair is one edge per plane, and
+            // the link that sorts first emits both (with *its* latency):
+            // when the opposite link was observed in this plane and
+            // sorts earlier, this pair is already done.
+            if opposite_observed && to < from {
+                continue;
+            }
+            let mut emit = |a: u32, b: u32, reversed: bool| {
+                emitted.push((
+                    index.node(b, plane, 0),
+                    InEdge {
+                        src: index.node(a, plane, 0),
+                        latency,
+                        inter,
+                        phase: 1,
+                        reversed,
+                    },
+                ));
+            };
+            emit(cf, ct, false);
+            if cf != ct {
+                emit(ct, cf, !opposite_observed);
+            }
+        }
+    }
+    emitted
+}
+
+/// GRAPH mode: the valley-free up/down construction from inferred
+/// relationships (§4.2.3).
+///
+/// Without the asymmetry refinement, links are symmetrised — GRAPH
+/// treats the atlas as "a graph capturing the Internet's physical
+/// topology" (§4). With `use_from_src`, §4.3.1's directionality kicks
+/// in: each plane only gets edges whose *forward traffic direction*
+/// was actually observed in that plane, which is what kills the
+/// "non-existent routes" GRAPH otherwise invents.
+fn rel_edges(index: &AtlasIndex, atlas: &Atlas, cfg: &PredictorConfig) -> Emitted {
+    // Per unordered cluster pair: latency plus which directions were
+    // observed in which plane. Index 0 = (lo → hi), 1 = (hi → lo).
+    #[derive(Clone, Copy, Default)]
+    struct PairInfo {
+        lat: Option<f64>,
+        to_dst: [bool; 2],
+        from_src: [bool; 2],
+    }
+    // Sorted: pair order is in-edge order, which is relax order.
+    let mut pairs: BTreeMap<(u32, u32), PairInfo> = BTreeMap::new();
+    for (&(from, to), ann) in &atlas.links {
+        let (cf, ct) = (index.cluster_idx[&from], index.cluster_idx[&to]);
+        let key = (cf.min(ct), cf.max(ct));
+        let dir = usize::from(cf > ct);
+        let e = pairs.entry(key).or_default();
+        if let Some(l) = ann.latency {
+            e.lat = Some(e.lat.map_or(l.ms(), |x: f64| x.min(l.ms())));
+        }
+        e.to_dst[dir] |= ann.plane.to_dst;
+        e.from_src[dir] |= ann.plane.from_src;
+    }
+
+    let mut emitted = Emitted::new();
+    let mut emit = |u: u32, v: u32, latency: f64, inter: bool, phase: u8| {
+        emitted.push((
+            v,
+            InEdge {
+                src: u,
+                latency,
+                inter,
+                phase,
+                reversed: false,
+            },
+        ));
+    };
+    // Directionality only applies once the asymmetry refinement is on.
+    let directional = index.n_planes == 2;
+    for (&(ci, cj), info) in &pairs {
+        let (ai, aj) = (index.cluster_as[ci as usize], index.cluster_as[cj as usize]);
+        let lat = info.lat.unwrap_or(cfg.default_link_latency_ms);
+        let rel = if ai == aj {
+            None // intra-AS
+        } else {
+            Some(
+                atlas
+                    .inferred_rels
+                    .get(&(ai, aj))
+                    .copied()
+                    .unwrap_or(Relationship::Peer),
+            )
+        };
+        for p in 0..index.n_planes {
+            // Was the (ci → cj) / (cj → ci) direction observed in
+            // this plane? Without directionality, any observation of
+            // the pair enables both.
+            let obs = match p {
+                0 => info.to_dst,
+                _ => info.from_src,
+            };
+            let any = obs[0] || obs[1];
+            let fwd_ij = if directional { obs[0] } else { any };
+            let fwd_ji = if directional { obs[1] } else { any };
+            if !fwd_ij && !fwd_ji {
+                continue;
+            }
+            let up = |c| index.node(c, p, 0);
+            let down = |c| index.node(c, p, 1);
+            match rel {
+                None | Some(Relationship::Sibling) => {
+                    let inter = ai != aj;
+                    for ((x, y), seen) in [((ci, cj), fwd_ij), ((cj, ci), fwd_ji)] {
+                        if !seen {
+                            continue;
+                        }
+                        emit(up(x), up(y), lat, inter, 1);
+                        emit(down(x), down(y), lat, inter, 1);
+                    }
+                }
+                Some(Relationship::Provider) => {
+                    // aj is ai's provider: up_i→up_j carries i→j
+                    // traffic (phase 3), down_j→down_i carries j→i
+                    // (phase 1).
+                    if fwd_ij {
+                        emit(up(ci), up(cj), lat, true, 3);
+                    }
+                    if fwd_ji {
+                        emit(down(cj), down(ci), lat, true, 1);
+                    }
+                }
+                Some(Relationship::Customer) => {
+                    if fwd_ji {
+                        emit(up(cj), up(ci), lat, true, 3);
+                    }
+                    if fwd_ij {
+                        emit(down(ci), down(cj), lat, true, 1);
+                    }
+                }
+                Some(Relationship::Peer) => {
+                    if fwd_ij {
+                        emit(up(ci), down(cj), lat, true, 2);
+                    }
+                    if fwd_ji {
+                        emit(up(cj), down(ci), lat, true, 2);
+                    }
+                }
+            }
+        }
+    }
+
+    // Self edges up_i → down_i: the "turn downhill here" transition,
+    // phase 1 so pure customer routes settle first.
+    for c in 0..index.clusters.len() as u32 {
+        for p in 0..index.n_planes {
+            emit(index.node(c, p, 0), index.node(c, p, 1), 0.0, false, 1);
+        }
+    }
+    emitted
+}
+
+/// One-way plane crossing: (c, FROM_SRC, s) → (c, TO_DST, s).
+fn plane_cross_edges(index: &AtlasIndex, emitted: &mut Emitted) {
+    if index.n_planes < 2 {
+        return;
+    }
+    for c in 0..index.clusters.len() as u32 {
+        for s in 0..index.n_sides {
+            emitted.push((
+                index.node(c, 0, s),
+                InEdge {
+                    src: index.node(c, 1, s),
+                    latency: 0.0,
+                    inter: false,
+                    phase: 1,
+                    reversed: false,
+                },
+            ));
+        }
     }
 }
 
@@ -381,7 +401,7 @@ mod tests {
         // TO_DST: 3 links × both directions; FROM_SRC: 1 × both; cross: 4.
         assert_eq!(g.n_edges(), 12);
         // Exactly half of the link edges are reversed-direction fallbacks.
-        let rev = g.in_edges.iter().flatten().filter(|e| e.reversed).count();
+        let rev = g.edges().iter().filter(|e| e.reversed).count();
         assert_eq!(rev, 4);
     }
 
@@ -414,7 +434,7 @@ mod tests {
         // pair (2,4) intra: 4 (two dirs × two layers);
         // self edges: 4. Total 12.
         assert_eq!(g.n_edges(), 12);
-        let phases: Vec<u8> = g.in_edges.iter().flatten().map(|e| e.phase).collect();
+        let phases: Vec<u8> = g.edges().iter().map(|e| e.phase).collect();
         assert!(phases.contains(&3));
         assert!(phases.contains(&2));
     }
@@ -423,11 +443,11 @@ mod tests {
     fn node_round_trips() {
         let atlas = toy_atlas();
         let g = PredictionGraph::build(&atlas, &PredictorConfig::full());
-        for c in 0..g.clusters.len() as u32 {
-            for p in 0..g.n_planes {
-                for s in 0..g.n_sides {
+        for c in 0..g.clusters().len() as u32 {
+            for p in 0..g.n_planes() {
+                for s in 0..g.n_sides() {
                     let n = g.node(c, p, s);
-                    assert_eq!(g.node_cluster(n), g.clusters[c as usize]);
+                    assert_eq!(g.node_cluster(n), g.clusters()[c as usize]);
                 }
             }
         }
@@ -437,9 +457,82 @@ mod tests {
     fn source_and_dest_nodes() {
         let atlas = toy_atlas();
         let g = PredictionGraph::build(&atlas, &PredictorConfig::full());
-        let srcs = g.source_nodes(ClusterId::new(1));
+        let srcs: Vec<u32> = g.source_nodes(ClusterId::new(1)).collect();
         assert_eq!(srcs.len(), 2, "FROM_SRC first, TO_DST fallback");
+        assert_eq!(srcs, [g.node(0, 1, 0), g.node(0, 0, 0)]);
+        assert_eq!(g.source_nodes(ClusterId::new(99)).count(), 0);
         assert!(g.dest_node(ClusterId::new(3)).is_some());
         assert!(g.dest_node(ClusterId::new(99)).is_none());
+    }
+
+    fn rows(g: &PredictionGraph) -> Vec<&[InEdge]> {
+        (0..g.n_nodes() as u32).map(|n| g.in_edges(n)).collect()
+    }
+
+    #[test]
+    fn strict_graph_is_the_relaxed_one_minus_reversed_edges() {
+        let mut atlas = toy_atlas();
+        // Both directions of one pair observed: neither is a fallback,
+        // and the link that sorts first lends both its latency.
+        atlas.links.insert(
+            (ClusterId::new(3), ClusterId::new(2)),
+            LinkAnnotation {
+                latency: Some(LatencyMs::new(70.0)),
+                plane: Plane::TO_DST,
+            },
+        );
+        let (strict, relaxed) = PredictionGraph::build_pair(&atlas, &PredictorConfig::full());
+        let relaxed = relaxed.expect("full() allows reversed links");
+        assert!(relaxed.edges().iter().any(|e| e.reversed));
+        for (s, r) in rows(&strict).into_iter().zip(rows(&relaxed)) {
+            let kept: Vec<InEdge> = r.iter().copied().filter(|e| !e.reversed).collect();
+            assert_eq!(s, kept);
+        }
+        let between_2_and_3: Vec<&InEdge> = strict
+            .edges()
+            .iter()
+            .filter(|e| e.inter && e.latency != 5.0)
+            .collect();
+        assert_eq!(between_2_and_3.len(), 2);
+        assert!(between_2_and_3.iter().all(|e| e.latency == 7.0));
+        // A config's own graph is the relaxed one exactly when it allows
+        // reversed links.
+        let own = PredictionGraph::build(&atlas, &PredictorConfig::full());
+        assert_eq!(rows(&own), rows(&relaxed));
+        let mut no_rev = PredictorConfig::full();
+        no_rev.allow_reversed_links = false;
+        let (only, none) = PredictionGraph::build_pair(&atlas, &no_rev);
+        assert!(none.is_none());
+        assert_eq!(rows(&only), rows(&strict));
+    }
+
+    #[test]
+    fn graph_mode_edge_order_is_reproducible() {
+        // In-edge order is relax order, so two builds of one atlas must
+        // agree edge for edge (they did not while the cluster pairs sat
+        // in a `HashMap`).
+        let mut atlas = Atlas::default();
+        for i in 0..40u32 {
+            for j in [(i + 1) % 40, (i + 7) % 40, (i + 13) % 40] {
+                atlas.links.insert(
+                    (ClusterId::new(i), ClusterId::new(j)),
+                    LinkAnnotation {
+                        latency: Some(LatencyMs::new(f64::from(i + j))),
+                        plane: Plane::TO_DST,
+                    },
+                );
+            }
+            atlas.cluster_as.insert(ClusterId::new(i), Asn::new(i / 2));
+        }
+        for cfg in [PredictorConfig::graph(), PredictorConfig::graph_asym()] {
+            let a = PredictionGraph::build(&atlas, &cfg);
+            let b = PredictionGraph::build(&atlas, &cfg);
+            assert_eq!(rows(&a), rows(&b));
+        }
+    }
+
+    #[test]
+    fn edge_record_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<InEdge>(), 16);
     }
 }

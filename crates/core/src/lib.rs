@@ -25,6 +25,7 @@
 pub mod client;
 pub mod config;
 pub mod graph;
+mod index;
 pub mod predict;
 pub mod rank;
 pub mod search;

@@ -94,17 +94,11 @@ pub struct PathPredictor {
 }
 
 impl PathPredictor {
-    /// Build a predictor over an atlas. Graph construction is the only
-    /// heavy step (linear in the atlas size).
+    /// Build a predictor over an atlas. Compiling the atlas into the
+    /// graphs and their shared index is the only heavy step (linear in
+    /// the atlas size).
     pub fn new(atlas: Arc<Atlas>, cfg: PredictorConfig) -> PathPredictor {
-        let mut strict_cfg = cfg.clone();
-        strict_cfg.allow_reversed_links = false;
-        let graph = PredictionGraph::build(&atlas, &strict_cfg);
-        let relaxed = if cfg.allow_reversed_links && !cfg.use_rel_graph {
-            Some(PredictionGraph::build(&atlas, &cfg))
-        } else {
-            None
-        };
+        let (graph, relaxed) = PredictionGraph::build_pair(&atlas, &cfg);
         let trie = atlas.build_trie();
         PathPredictor {
             atlas,

@@ -9,12 +9,16 @@
 //! `redundancy` of the VPs that traversed it.
 
 use inano_model::{ClusterId, HostId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Which VPs measure which directed cluster-level link.
+///
+/// Sorted by link: the campaign draws every loss sample from one shared
+/// rng while walking this map, so its iteration order is part of what a
+/// seed means.
 #[derive(Clone, Debug, Default)]
 pub struct LinkAssignment {
-    pub per_link: HashMap<(ClusterId, ClusterId), Vec<HostId>>,
+    pub per_link: BTreeMap<(ClusterId, ClusterId), Vec<HostId>>,
 }
 
 impl LinkAssignment {
@@ -25,7 +29,7 @@ impl LinkAssignment {
         redundancy: usize,
     ) -> LinkAssignment {
         let mut load: HashMap<HostId, usize> = HashMap::new();
-        let mut per_link = HashMap::with_capacity(observers.len());
+        let mut per_link = BTreeMap::new();
         // Deterministic iteration order.
         let mut keys: Vec<&(ClusterId, ClusterId)> = observers.keys().collect();
         keys.sort();

@@ -4,6 +4,9 @@
 //! alongside live traffic in one loop, and the `srv.loop.*` metrics
 //! surfacing over the wire.
 
+mod common;
+
+use common::wait_for;
 use inano_model::Ipv4;
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config};
 use inano_net::wire::{read_frame, Frame, Limits};
@@ -13,7 +16,7 @@ use inano_service::{QueryEngine, ServiceConfig, ShardId};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const RING: u32 = 12;
 
@@ -52,15 +55,6 @@ fn counter(server: &NetServer, name: &str) -> u64 {
     match metric(server, name) {
         Some(MetricValue::Counter(v)) => v,
         other => panic!("{name} should be a counter, got {other:?}"),
-    }
-}
-
-/// Poll `cond` until it holds or `secs` elapse.
-fn wait_for(secs: u64, what: &str, mut cond: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(secs);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
     }
 }
 

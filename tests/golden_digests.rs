@@ -1,0 +1,59 @@
+//! Golden digests: what the predictor answers, pinned per ablation rung.
+//!
+//! FNV-1a over the `Debug` form of one fixed 600-pair `query_batch` at
+//! `test` scale. The values were recorded with the pre-CSR search (the
+//! one kept as the oracle in `crates/core/tests/search_reference.rs`),
+//! after worlds became reproducible from their seed; a change to
+//! `crates/core` that alters a cost must leave them alone, and one that
+//! alters an answer must say so by editing them.
+
+use inano::core::{PathPredictor, PredictorConfig};
+use inano::model::Ipv4;
+use inano_bench::{Scenario, ScenarioConfig};
+use std::sync::Arc;
+
+const PAIRS: usize = 600;
+
+/// One digest per `PredictorConfig::ladder()` rung, in ladder order.
+const GOLDEN: [u64; 5] = [
+    0xa934_9f8f_034a_a07e,
+    0x75bd_df07_45fb_19aa,
+    0x685f_8805_aead_ed69,
+    0x8f31_986a_4c4e_6bc5,
+    0x5bfb_9305_57cb_180b,
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A fixed spread over the atlas's prefixes: strides co-prime with any
+/// small prefix count, so sources and destinations both cycle widely.
+fn pairs(s: &Scenario) -> Vec<(Ipv4, Ipv4)> {
+    let ips: Vec<Ipv4> = s.atlas.prefix_as.values().map(|(p, _)| p.nth(1)).collect();
+    (0..PAIRS)
+        .map(|i| {
+            (
+                ips[(i * 7919) % ips.len()],
+                ips[(i * 104_729 + 13) % ips.len()],
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn answers_per_rung_match_the_recorded_digests() {
+    let s = Scenario::build(ScenarioConfig::test(7));
+    let pairs = pairs(&s);
+    let atlas = Arc::new(s.atlas.clone());
+    let got: Vec<u64> = PredictorConfig::ladder()
+        .into_iter()
+        .map(|(_, cfg)| {
+            let answers = PathPredictor::new(Arc::clone(&atlas), cfg).query_batch(&pairs);
+            fnv1a(format!("{answers:?}").as_bytes())
+        })
+        .collect();
+    assert_eq!(got, GOLDEN, "got {got:#018x?}");
+}
