@@ -54,7 +54,7 @@ use inano_net::cli::arg;
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config};
 use inano_net::{MirrorSource, NetClient, NetServer, ServerConfig, UdpQuerier, UdpRetry};
 use inano_obs::{now_ms, Event, EventKind};
-use inano_service::{QueryEngine, ServiceConfig, ShardId, DELTA_LOG_CAP};
+use inano_service::{QueryEngine, ServiceConfig, ShardId, ShardRegistry, DELTA_LOG_CAP};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -93,8 +93,6 @@ fn push_delta(origin: &QueryEngine, ring: u32, day: u32) -> u32 {
 
 fn sim_service_config() -> ServiceConfig {
     ServiceConfig {
-        workers: 2,
-        chunk: 16,
         predictor: ring_predictor_config(),
         ..ServiceConfig::default()
     }
@@ -115,6 +113,23 @@ fn sim_server_config(idle_headroom: usize, udp: bool) -> ServerConfig {
         udp_rate: 0,
         ..ServerConfig::default()
     }
+}
+
+/// One fleet node: `engine` as shard 0 behind a server on an ephemeral
+/// loopback port. A restarted node is a second server over the same
+/// engine.
+fn bind_node(
+    engine: &Arc<QueryEngine>,
+    idle_headroom: usize,
+    udp: bool,
+) -> std::io::Result<NetServer> {
+    let registry = ShardRegistry::from_engines(vec![(ShardId::DEFAULT, Arc::clone(engine))])
+        .expect("one shard is a valid registry");
+    NetServer::bind(
+        "127.0.0.1:0",
+        Arc::new(registry),
+        sim_server_config(idle_headroom, udp),
+    )
 }
 
 /// State every thread shares: current node addresses (they change on
@@ -490,12 +505,7 @@ fn main() {
         Arc::new(sim_atlas(ring, 0)),
         sim_service_config(),
     ));
-    let origin = NetServer::bind_single(
-        "127.0.0.1:0",
-        Arc::clone(&origin_engine),
-        sim_server_config(idle_per_node, udp),
-    )
-    .expect("bind origin");
+    let origin = bind_node(&origin_engine, idle_per_node, udp).expect("bind origin");
     addrs.push(Mutex::new(origin.local_addr().to_string()));
     udp_addrs.push(udp_addr_of(&origin));
     labels.push("origin".to_string());
@@ -511,12 +521,8 @@ fn main() {
             QueryEngine::bootstrap(&mut source, sim_service_config())
                 .unwrap_or_else(|e| panic!("m{m}: bootstrap from {parent_addr}: {e}")),
         );
-        let server = NetServer::bind_single(
-            "127.0.0.1:0",
-            Arc::clone(&engine),
-            sim_server_config(idle_per_node, udp),
-        )
-        .unwrap_or_else(|e| panic!("m{m}: bind: {e}"));
+        let server =
+            bind_node(&engine, idle_per_node, udp).unwrap_or_else(|e| panic!("m{m}: bind: {e}"));
         eprintln!(
             "m{m}: mirroring node {} ({parent_addr}) at {}",
             labels[parent],
@@ -639,12 +645,8 @@ fn main() {
                 eprintln!("fault kill-restart: {label} is dark");
                 origin_day = push_delta(&engines[0], ring, origin_day);
                 thread::sleep(Duration::from_millis(300));
-                let server = NetServer::bind_single(
-                    "127.0.0.1:0",
-                    Arc::clone(&engines[victim]),
-                    sim_server_config(idle_per_node, udp),
-                )
-                .expect("rebind the killed mirror");
+                let server = bind_node(&engines[victim], idle_per_node, udp)
+                    .expect("rebind the killed mirror");
                 *shared.addrs[victim].lock().expect("addr table") = server.local_addr().to_string();
                 *shared.udp_addrs[victim].lock().expect("udp addr table") =
                     server.udp_addr().map(|a| a.to_string()).unwrap_or_default();

@@ -48,7 +48,7 @@
 //!   is tracked side by side in `BENCH_net_throughput.json`.
 //!
 //! Usage: `net_throughput [--queries N] [--clients C] [--batch B]
-//!         [--depth D] [--workers W] [--shards S]
+//!         [--depth D] [--shards S]
 //!         [--scale test|experiment] [--connect ADDR] [--ring N]
 //!         [--connections N] [--udp]`
 
@@ -60,13 +60,24 @@ use inano_model::Ipv4;
 use inano_net::cli::{arg, flag};
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config};
 use inano_net::{raise_nofile_limit, Frame, NetClient, NetServer, ServerConfig, UdpQuerier};
-use inano_service::{
-    QueryEngine, RegistryConfig, ServiceConfig, ShardId, ShardRegistry, ShardSpec,
-};
+use inano_service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// A one-shard registry over the `ring`-cluster demo world, sized by
+/// the registry's defaults.
+fn ring_registry(ring: u32) -> Arc<ShardRegistry> {
+    let spec = ShardSpec {
+        id: ShardId::DEFAULT,
+        atlas: Arc::new(ring_atlas(ring, 0)),
+        predictor: ring_predictor_config(),
+    };
+    let registry = ShardRegistry::build(vec![spec], RegistryConfig::default())
+        .expect("one shard is a valid registry");
+    Arc::new(registry)
+}
 
 /// Draw `n` scenario pairs — sources uniform, destinations zipf(s=1.0)
 /// by prefix rank — validated routable against scratch predictors for
@@ -294,16 +305,9 @@ fn run_conn_soak(
          RLIMIT_NOFILE stops at {have}; lower --connections or raise the hard limit"
     );
 
-    let engine = Arc::new(QueryEngine::new(
-        Arc::new(ring_atlas(ring, 0)),
-        ServiceConfig {
-            predictor: ring_predictor_config(),
-            ..ServiceConfig::default()
-        },
-    ));
-    let server = NetServer::bind_single(
+    let server = NetServer::bind(
         "127.0.0.1:0",
-        engine,
+        ring_registry(ring),
         ServerConfig {
             max_conns: n_conns + clients + 16,
             ..ServerConfig::default()
@@ -451,7 +455,6 @@ fn run_conn_soak(
         let _ = child.wait();
     }
     server.shutdown();
-    server.registry().shutdown();
 
     // The contract line: exactly one JSON record on stdout.
     println!(
@@ -473,16 +476,9 @@ fn run_conn_soak(
 fn run_udp(n_queries: usize, clients: usize, batch: usize, ring: u32, connect: String) -> ! {
     let mut server: Option<NetServer> = None;
     let addr = if connect.is_empty() {
-        let engine = Arc::new(QueryEngine::new(
-            Arc::new(ring_atlas(ring, 0)),
-            ServiceConfig {
-                predictor: ring_predictor_config(),
-                ..ServiceConfig::default()
-            },
-        ));
-        let srv = NetServer::bind_single(
+        let srv = NetServer::bind(
             "127.0.0.1:0",
-            engine,
+            ring_registry(ring),
             ServerConfig {
                 udp: Some("127.0.0.1:0".parse().unwrap()),
                 // The loadgen is one source flooding on purpose; the
@@ -591,7 +587,6 @@ fn run_udp(n_queries: usize, clients: usize, batch: usize, ring: u32, connect: S
             request_us.len()
         );
         srv.shutdown();
-        srv.registry().shutdown();
     }
 
     eprintln!(
@@ -625,7 +620,6 @@ fn main() {
     // far smaller than the pipelined TCP sweet spot.
     let batch: usize = arg("--batch", if udp { 64 } else { 512 });
     let depth: usize = arg("--depth", 4);
-    let workers: usize = arg("--workers", 0); // 0 = ServiceConfig default
     let shards: usize = arg("--shards", 1);
     let scale: String = arg("--scale", "test".to_string());
     let connect: String = arg("--connect", String::new());
@@ -670,13 +664,7 @@ fn main() {
         // Every shard serves the scenario's day-0 atlas, sized by the
         // registry's own budget split — so a `--shards N` run measures
         // exactly the configuration a real N-shard inano-serve would
-        // deploy (workers *and* cache divided, not just workers).
-        let mut total_workers = if workers > 0 {
-            workers
-        } else {
-            ServiceConfig::default().workers
-        };
-        total_workers = total_workers.max(4);
+        // deploy.
         let atlas0 = Arc::new(sc.atlas.clone());
         let specs = (0..shards)
             .map(|s| ShardSpec {
@@ -685,12 +673,9 @@ fn main() {
                 predictor: PredictorConfig::full(),
             })
             .collect();
-        let reg_cfg = RegistryConfig {
-            total_workers,
-            ..RegistryConfig::default()
-        };
-        let registry =
-            Arc::new(ShardRegistry::build(specs, reg_cfg).expect("build shard registry"));
+        let registry = Arc::new(
+            ShardRegistry::build(specs, RegistryConfig::default()).expect("build shard registry"),
+        );
         let srv = NetServer::bind("127.0.0.1:0", registry, ServerConfig::default())
             .expect("bind loopback server");
         let addr = srv.local_addr();
@@ -847,7 +832,6 @@ fn main() {
             slow[0].what
         );
         srv.shutdown();
-        srv.registry().shutdown();
     }
 
     eprintln!(

@@ -23,7 +23,6 @@ fn engine_matches_fresh_predictor_with_providers_enabled() {
     let engine = QueryEngine::new(
         Arc::clone(&atlas),
         ServiceConfig {
-            workers: 4,
             predictor: PredictorConfig::full(),
             ..ServiceConfig::default()
         },

@@ -31,7 +31,7 @@
 //!
 //! `--udp ADDR` additionally binds the datagram query plane there
 //! (port 0 for ephemeral): single-shot requests one-frame-per-datagram
-//! on the same event loop, worker pool and shards, for sporadic peers
+//! on the same event loop, responder pool and shards, for sporadic peers
 //! that shouldn't pay for a connection. Prints a second
 //! `LISTENING-UDP <addr>` line once bound. `--udp-rate`/`--udp-burst`
 //! tune the per-source-address token bucket (datagrams per second and
@@ -43,14 +43,16 @@
 //!               [--mirror ADDR [--refresh-ms MS] [--predictor full|ring]]
 //!               [--metrics-text ADDR] [--demo-swap-ms MS]
 //!               [--udp ADDR [--udp-rate N] [--udp-burst N]]
-//!               [--workers W] [--max-conns C] [--max-inflight R]
+//!               [--max-conns C] [--max-inflight R]
 //!               [--max-request-bytes B] [--max-frame-bytes B] [--max-batch Q]
 //!
-//! `--workers` is the *total* worker budget, split evenly across
-//! shards by the registry.
+//! Any other `--flag`, a flag without a value, or a value that does
+//! not parse is a startup panic naming it — never a silent default.
+//! There is no thread-count flag: the responder pool and the engines'
+//! cold-batch fan-out both size themselves from the core count.
 
 use inano_core::{AtlasReader, PredictorConfig};
-use inano_net::cli::{arg, repeated};
+use inano_net::cli::{arg, refuse_unknown, repeated};
 use inano_net::demo::{ring_atlas, ring_predictor_config, ring_shortcut_delta};
 use inano_net::{Limits, MirrorSource, NetClient, NetServer, ServerConfig};
 use inano_obs::textserve::{render_prometheus, MetricsTextServer};
@@ -59,6 +61,28 @@ use inano_service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Every flag `main` reads; anything else on the command line stops
+/// the start.
+const FLAGS: &[&str] = &[
+    "--bind",
+    "--port",
+    "--atlas",
+    "--ring",
+    "--mirror",
+    "--refresh-ms",
+    "--predictor",
+    "--metrics-text",
+    "--demo-swap-ms",
+    "--udp",
+    "--udp-rate",
+    "--udp-burst",
+    "--max-conns",
+    "--max-inflight",
+    "--max-request-bytes",
+    "--max-frame-bytes",
+    "--max-batch",
+];
 
 /// Load the shard set from `--atlas`/`--ring` flags (the origin path).
 fn local_specs() -> Vec<ShardSpec> {
@@ -192,9 +216,9 @@ fn mirrored_specs(
 }
 
 fn main() {
+    refuse_unknown(FLAGS);
     let bind: String = arg("--bind", "127.0.0.1".to_string());
     let port: u16 = arg("--port", 4711);
-    let workers: usize = arg("--workers", 0); // 0 = RegistryConfig default
     let max_conns: usize = arg("--max-conns", 256);
     let max_inflight: usize = arg("--max-inflight", ServerConfig::default().max_inflight);
     let max_request_bytes: usize = arg(
@@ -234,12 +258,9 @@ fn main() {
         mirrored_specs(&mirror, predictor)
     };
 
-    let mut reg_cfg = RegistryConfig::default();
-    if workers > 0 {
-        reg_cfg.total_workers = workers;
-    }
-    let registry =
-        Arc::new(ShardRegistry::build(specs, reg_cfg).expect("build the shard registry"));
+    let registry = Arc::new(
+        ShardRegistry::build(specs, RegistryConfig::default()).expect("build the shard registry"),
+    );
 
     let server = NetServer::bind(
         format!("{bind}:{port}"),

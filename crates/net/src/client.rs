@@ -581,19 +581,18 @@ mod tests {
     use super::*;
     use crate::demo::{ring_atlas, ring_predictor_config};
     use crate::server::{NetServer, ServerConfig};
-    use inano_service::{QueryEngine, ServiceConfig};
+    use inano_service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
     use std::sync::Arc;
 
     fn ring_server() -> NetServer {
-        let engine = Arc::new(QueryEngine::new(
-            Arc::new(ring_atlas(8, 0)),
-            ServiceConfig {
-                workers: 2,
-                predictor: ring_predictor_config(),
-                ..ServiceConfig::default()
-            },
-        ));
-        NetServer::bind_single("127.0.0.1:0", engine, ServerConfig::default()).expect("bind")
+        let spec = ShardSpec {
+            id: ShardId::DEFAULT,
+            atlas: Arc::new(ring_atlas(8, 0)),
+            predictor: ring_predictor_config(),
+        };
+        let registry =
+            ShardRegistry::build(vec![spec], RegistryConfig::default()).expect("one shard");
+        NetServer::bind("127.0.0.1:0", Arc::new(registry), ServerConfig::default()).expect("bind")
     }
 
     /// Regression for the reserved trace bit: a client whose id

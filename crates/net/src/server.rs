@@ -18,8 +18,12 @@
 //! [`QueryEngine::query_batch_shared`] on the frame's shard directly:
 //! every pair the shard's result cache can answer is answered on the
 //! responder's own thread and encoded straight from the cached path
-//! ([`encode_path_batch`]), and only the searches the cache could not
-//! answer fan out over that shard engine's worker pool. Remote batches
+//! ([`encode_path_batch`]). The searches the cache could not answer
+//! run there too, unless one batch owes more than
+//! [`inano_service::FANOUT_CHUNK`] of them: then the responder borrows
+//! scoped helper threads for that call, bounded process-wide by the
+//! core count. The responder pool is the only pool on the query path —
+//! an engine owns no threads. Remote batches
 //! therefore share the shard's result cache, one-generation-per-batch
 //! and hot-swap semantics with embedded callers, and a mid-load
 //! `apply_delta` on one shard never stalls remote queries on another.
@@ -113,8 +117,12 @@
 //! [`NetServer::shutdown`] (also run on drop) sets the flag, wakes the
 //! loop through the poller's notify pipe and the workers through their
 //! queue condvar, and joins every thread; the loop sweeps its live
-//! connections closed on the way out. The registry is shared and is
-//! *not* shut down — that's its owner's call.
+//! connections closed on the way out. The registry is shared and
+//! outlives the server untouched: it owns no threads to stop.
+//!
+//! [`QueryEngine::query_batch_shared`]: inano_service::QueryEngine::query_batch_shared
+//! [`QueryEngine::register_metrics`]: inano_service::QueryEngine::register_metrics
+//! [`QueryEngine::set_journal`]: inano_service::QueryEngine::set_journal
 
 use crate::wire::{chunk_size_for, datagram_cap, decode_datagram, DatagramError};
 use crate::wire::{encode_path_batch, write_frame, Assembled, Frame, FrameAssembler, Limits};
@@ -125,7 +133,7 @@ use inano_obs::{
     Counter, EventJournal, EventKind, Gauge, LatencyHistogram, MetricValue, MetricsRegistry,
     SlowLog, TraceCtx,
 };
-use inano_service::{QueryEngine, ShardRegistry, SharedResult};
+use inano_service::{ShardRegistry, SharedResult};
 use parking_lot::Mutex;
 use polling::{Event, Events, Poller};
 use std::collections::{HashMap, VecDeque};
@@ -524,16 +532,6 @@ impl NetServer {
             addr,
             threads: Mutex::new(threads),
         })
-    }
-
-    /// Bind a single-shard server over one engine: the pre-sharding
-    /// API, byte-for-byte the old semantics behind shard 0.
-    pub fn bind_single(
-        addr: impl ToSocketAddrs,
-        engine: Arc<QueryEngine>,
-        cfg: ServerConfig,
-    ) -> io::Result<NetServer> {
-        NetServer::bind(addr, Arc::new(ShardRegistry::single(engine)), cfg)
     }
 
     /// The bound address (the real port when bound to port 0).

@@ -1,7 +1,21 @@
-//! Shared by the integration tests that read a running server's
-//! counters.
+//! Shared by the integration tests: bring a one-engine server up, and
+//! wait on a running server's counters.
 
+// Each test binary compiles this module for itself and uses only part.
+#![allow(dead_code)]
+
+use inano_net::{NetServer, ServerConfig};
+use inano_service::{QueryEngine, ShardId, ShardRegistry};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A server on an ephemeral loopback port fronting `engine` as shard 0
+/// — what a shard-unaware client talks to.
+pub fn serve_one(engine: Arc<QueryEngine>, cfg: ServerConfig) -> NetServer {
+    let registry = ShardRegistry::from_engines(vec![(ShardId::DEFAULT, engine)])
+        .expect("one shard is a valid registry");
+    NetServer::bind("127.0.0.1:0", Arc::new(registry), cfg).expect("bind ephemeral port")
+}
 
 /// Poll `cond` until it holds or `secs` elapse.
 ///

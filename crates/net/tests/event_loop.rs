@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::wait_for;
+use common::{serve_one, wait_for};
 use inano_model::Ipv4;
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config};
 use inano_net::wire::{read_frame, Frame, Limits};
@@ -24,13 +24,11 @@ fn ring_server(cfg: ServerConfig) -> NetServer {
     let engine = Arc::new(QueryEngine::new(
         Arc::new(ring_atlas(RING, 0)),
         ServiceConfig {
-            workers: 4,
-            chunk: 16,
             predictor: ring_predictor_config(),
             ..ServiceConfig::default()
         },
     ));
-    NetServer::bind_single("127.0.0.1:0", engine, cfg).expect("bind ephemeral port")
+    serve_one(engine, cfg)
 }
 
 /// Read one `srv.*` series out of the server's metrics dump.

@@ -9,10 +9,13 @@
 //! correctly chunked, and a generation swap racing a chunk fetch comes
 //! back as a typed `VersionRaced` fault that the reader recovers from.
 
+mod common;
+
+use common::serve_one;
 use inano_core::AtlasReader;
 use inano_model::{ErrorCode, Ipv4};
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config, ring_shortcut_delta};
-use inano_net::{Limits, MirrorSource, NetClient, NetError, NetServer, ServerConfig};
+use inano_net::{Limits, MirrorSource, NetClient, NetError, ServerConfig};
 use inano_obs::EventKind;
 use inano_service::{QueryEngine, ServiceConfig, ShardId};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,8 +34,6 @@ fn ring_engine(ring: u32) -> Arc<QueryEngine> {
 
 fn ring_service_config() -> ServiceConfig {
     ServiceConfig {
-        workers: 4,
-        chunk: 16,
         predictor: ring_predictor_config(),
         ..ServiceConfig::default()
     }
@@ -56,12 +57,7 @@ fn all_pairs() -> Vec<(Ipv4, Ipv4)> {
 fn mirror_chain_propagates_the_atlas_and_its_deltas() {
     // Hop 0: the origin owns the authoritative atlas.
     let origin_engine = ring_engine(RING);
-    let origin = NetServer::bind_single(
-        "127.0.0.1:0",
-        Arc::clone(&origin_engine),
-        ServerConfig::default(),
-    )
-    .expect("bind origin");
+    let origin = serve_one(Arc::clone(&origin_engine), ServerConfig::default());
     let origin_tag = origin_engine.export().epoch_tag;
 
     // Hop 1: a mirror bootstraps its engine over the wire.
@@ -76,12 +72,7 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
         origin_tag,
         "one wire hop must not change the atlas"
     );
-    let mirror = NetServer::bind_single(
-        "127.0.0.1:0",
-        Arc::clone(&mirror_engine),
-        ServerConfig::default(),
-    )
-    .expect("bind mirror");
+    let mirror = serve_one(Arc::clone(&mirror_engine), ServerConfig::default());
 
     // Hop 2: a plain NetClient *is* an AtlasSource for shard 0.
     let mut downstream = NetClient::connect(mirror.local_addr()).expect("connect to mirror");
@@ -177,12 +168,7 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
 #[test]
 fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
     let origin_engine = ring_engine(RING);
-    let origin = NetServer::bind_single(
-        "127.0.0.1:0",
-        Arc::clone(&origin_engine),
-        ServerConfig::default(),
-    )
-    .expect("bind origin");
+    let origin = serve_one(Arc::clone(&origin_engine), ServerConfig::default());
     let mut upstream = MirrorSource::connect(origin.local_addr(), ShardId::DEFAULT)
         .expect("connect mirror to origin");
     let mirror_engine = Arc::new(
@@ -250,12 +236,7 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
 
     // The same series is what the scrape plane publishes: a server
     // fronting the mirror engine answers them in its metrics dump.
-    let mirror_srv = NetServer::bind_single(
-        "127.0.0.1:0",
-        Arc::clone(&mirror_engine),
-        ServerConfig::default(),
-    )
-    .expect("bind mirror server");
+    let mirror_srv = serve_one(Arc::clone(&mirror_engine), ServerConfig::default());
     let mut probe = NetClient::connect(mirror_srv.local_addr()).expect("probe connect");
     let dump = probe.metrics().expect("metrics over the wire");
     assert_eq!(dump.counter("shard0.mirror.deltas_applied"), 1);
@@ -273,24 +254,14 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
 #[test]
 fn killed_and_restarted_mirror_journals_the_expected_recovery_sequence() {
     let origin_engine = ring_engine(RING);
-    let origin = NetServer::bind_single(
-        "127.0.0.1:0",
-        Arc::clone(&origin_engine),
-        ServerConfig::default(),
-    )
-    .expect("bind origin");
+    let origin = serve_one(Arc::clone(&origin_engine), ServerConfig::default());
     let mut upstream = MirrorSource::connect(origin.local_addr(), ShardId::DEFAULT)
         .expect("connect mirror to origin");
     let mirror_engine = Arc::new(
         QueryEngine::bootstrap(&mut upstream, ring_service_config())
             .expect("mirror bootstraps from the origin"),
     );
-    let mirror = NetServer::bind_single(
-        "127.0.0.1:0",
-        Arc::clone(&mirror_engine),
-        ServerConfig::default(),
-    )
-    .expect("bind mirror");
+    let mirror = serve_one(Arc::clone(&mirror_engine), ServerConfig::default());
 
     // Before the fault, the mirror's timeline holds only connection
     // lifecycle — no swaps have happened on this node.
@@ -313,12 +284,7 @@ fn killed_and_restarted_mirror_journals_the_expected_recovery_sequence() {
     // Restart: a fresh socket and a fresh journal over the same engine
     // (a real process restart reloads its cached atlas the same way).
     // The first refresh tick bridges the missed delta.
-    let mirror = NetServer::bind_single(
-        "127.0.0.1:0",
-        Arc::clone(&mirror_engine),
-        ServerConfig::default(),
-    )
-    .expect("rebind mirror");
+    let mirror = serve_one(Arc::clone(&mirror_engine), ServerConfig::default());
     assert_eq!(
         mirror_engine.update(&mut upstream).expect("refresh"),
         1,
@@ -361,15 +327,13 @@ fn oversized_atlas_fetch_is_chunked_to_the_frame_limit() {
         engine.export().bytes.len() > limits.max_frame_bytes as usize,
         "the test atlas must exceed one frame"
     );
-    let server = NetServer::bind_single(
-        "127.0.0.1:0",
+    let server = serve_one(
         Arc::clone(&engine),
         ServerConfig {
             limits,
             ..ServerConfig::default()
         },
-    )
-    .expect("bind");
+    );
 
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     let head = client.atlas_head().expect("head");
@@ -399,9 +363,7 @@ fn oversized_atlas_fetch_is_chunked_to_the_frame_limit() {
 #[test]
 fn generation_swap_mid_fetch_is_a_typed_race_the_reader_survives() {
     let engine = ring_engine(RING);
-    let server =
-        NetServer::bind_single("127.0.0.1:0", Arc::clone(&engine), ServerConfig::default())
-            .expect("bind");
+    let server = serve_one(Arc::clone(&engine), ServerConfig::default());
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
 
     let stale = client.atlas_head().expect("head");
@@ -435,9 +397,7 @@ fn generation_swap_mid_fetch_is_a_typed_race_the_reader_survives() {
 #[test]
 fn missing_deltas_are_none_and_their_chunks_are_typed_races() {
     let engine = ring_engine(RING);
-    let server =
-        NetServer::bind_single("127.0.0.1:0", Arc::clone(&engine), ServerConfig::default())
-            .expect("bind");
+    let server = serve_one(Arc::clone(&engine), ServerConfig::default());
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
 
     assert!(client

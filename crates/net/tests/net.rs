@@ -8,6 +8,9 @@
 //! and a mid-load `apply_delta` is visible to remote clients as a new
 //! epoch without a single failed query.
 
+mod common;
+
+use common::serve_one;
 use inano_model::{ErrorCode, Ipv4};
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config, ring_shortcut_delta};
 use inano_net::wire::{read_frame, Frame, Limits, HEADER_BYTES, MAGIC, VERSION};
@@ -27,8 +30,6 @@ fn ring_engine(ring: u32) -> Arc<QueryEngine> {
     Arc::new(QueryEngine::new(
         Arc::new(ring_atlas(ring, 0)),
         ServiceConfig {
-            workers: 4,
-            chunk: 16,
             predictor: ring_predictor_config(),
             ..ServiceConfig::default()
         },
@@ -36,7 +37,7 @@ fn ring_engine(ring: u32) -> Arc<QueryEngine> {
 }
 
 fn ring_server(cfg: ServerConfig) -> NetServer {
-    NetServer::bind_single("127.0.0.1:0", ring_engine(RING), cfg).expect("bind ephemeral port")
+    serve_one(ring_engine(RING), cfg)
 }
 
 /// The shard-0 engine, the way pre-sharding tests reached it.

@@ -5,6 +5,9 @@
 //! wire `Metrics` frame, the `--metrics-text` page — show the same
 //! entries once the server is quiet.
 
+mod common;
+
+use common::serve_one;
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config, ring_shortcut_delta};
 use inano_net::{MirrorSource, NetClient, NetServer, ServerConfig, UdpQuerier};
 use inano_obs::textserve::{render_prometheus, MetricsTextServer};
@@ -29,8 +32,6 @@ const MOVED_BY_THE_READ: [&str; 3] = [
 
 fn service_config() -> ServiceConfig {
     ServiceConfig {
-        workers: 2,
-        chunk: 16,
         predictor: ring_predictor_config(),
         ..ServiceConfig::default()
     }
@@ -93,12 +94,7 @@ fn dump_matches_the_documented_schema_and_every_view_of_it() {
         Arc::new(ring_atlas(RING, 0)),
         service_config(),
     ));
-    let origin = NetServer::bind_single(
-        "127.0.0.1:0",
-        Arc::clone(&origin_engine),
-        ServerConfig::default(),
-    )
-    .expect("bind origin");
+    let origin = serve_one(Arc::clone(&origin_engine), ServerConfig::default());
     let mut upstream =
         MirrorSource::connect(origin.local_addr(), ShardId::DEFAULT).expect("mirror source");
 

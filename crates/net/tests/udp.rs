@@ -13,7 +13,7 @@
 
 mod common;
 
-use common::wait_for;
+use common::{serve_one, wait_for};
 use inano_model::{ErrorCode, Ipv4};
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config};
 use inano_net::wire::{decode_datagram, Frame, Limits};
@@ -30,8 +30,6 @@ fn ring_engine(ring: u32) -> Arc<QueryEngine> {
     Arc::new(QueryEngine::new(
         Arc::new(ring_atlas(ring, 0)),
         ServiceConfig {
-            workers: 4,
-            chunk: 16,
             predictor: ring_predictor_config(),
             ..ServiceConfig::default()
         },
@@ -45,7 +43,7 @@ fn udp_server(cfg: ServerConfig) -> NetServer {
         udp: Some("127.0.0.1:0".parse().expect("literal addr")),
         ..cfg
     };
-    NetServer::bind_single("127.0.0.1:0", ring_engine(RING), cfg).expect("bind ephemeral port")
+    serve_one(ring_engine(RING), cfg)
 }
 
 fn no_rate() -> ServerConfig {

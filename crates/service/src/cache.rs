@@ -9,7 +9,7 @@
 //! part of the key) and age out of the LRU naturally.
 //!
 //! Sharding: the key hash picks one of `shards` independent
-//! mutex-protected LRU maps, so concurrent workers contend only when
+//! mutex-protected LRU maps, so concurrent callers contend only when
 //! they collide on a shard, not on a single global lock.
 
 use inano_core::PredictedPath;
@@ -80,7 +80,7 @@ pub struct ShardedCache {
     shards: Vec<Mutex<Shard>>,
     /// Per-shard capacity (total capacity / shard count, at least 1).
     shard_capacity: usize,
-    /// Monotone counters, updated lock-free by every worker; an owning
+    /// Monotone counters, updated lock-free by every caller; an owning
     /// engine shares these handles as its `cache_*` metrics.
     pub hits: Counter,
     pub misses: Counter,

@@ -1,6 +1,7 @@
 //! The query engine: a sharded result cache probed on the caller's
-//! thread, a worker pool that parallelises the searches the cache could
-//! not answer, and a hot-swappable predictor generation.
+//! thread, a scoped fan-out that parallelises the searches a large cold
+//! batch still owes, and a hot-swappable predictor generation. The
+//! engine owns no threads.
 //!
 //! ## Threading model
 //!
@@ -9,22 +10,23 @@
 //! the *caller's* thread. A hit is answered there and then as the
 //! cached `Arc<PredictedPath>` — it never crosses a thread or copies
 //! the path. Only the misses go on, de-duplicated per cache key so one
-//! key is searched and inserted once per batch: inline when there are
-//! at most [`ServiceConfig::chunk`] of them, otherwise fanned over the
-//! pool in jobs of `chunk` searches that carry the snapshotted
-//! generation. A batch is therefore answered from exactly one
-//! generation, in input order, and the pool only ever runs real search
-//! work.
+//! key is searched and inserted once per batch. At most
+//! [`FANOUT_CHUNK`] of them are searched right there. More than that,
+//! and the caller opens a `std::thread::scope`: it and up to
+//! `min(available_parallelism, ⌈misses / FANOUT_CHUNK⌉) − 1` helper
+//! threads pull chunks of `FANOUT_CHUNK` searches off one atomic
+//! cursor, and each chunk's results are placed by its index. The
+//! helpers borrow the batch's generation, so a batch is answered from
+//! exactly one generation, in input order, and no thread outlives the
+//! call that spawned it.
 //!
-//! `QueryEngine::new` spawns `workers` OS threads which block on a
-//! shared MPMC job queue (an `mpsc` channel behind a mutex — workers
-//! contend only for the *pop*, not the work).
-//! [`QueryEngine::query`] / [`QueryEngine::query_batch`] are the owning
-//! forms: the same path, with each result cloned out of its `Arc`.
-//! [`QueryEngine::shutdown`] (also run on drop) closes the queue,
-//! drains it, and joins the pool; batches accepted before the call are
-//! fully answered and later ones search inline, so no accepted query is
-//! lost.
+//! A helper needs a permit from one process-wide counter capped at
+//! `available_parallelism()`, so however many engines, shards and
+//! callers a process has, the fan-out never runs more helpers than the
+//! host has cores; a batch that gets no permit searches on its caller
+//! alone. [`QueryEngine::query`] / [`QueryEngine::query_batch`] are the
+//! owning forms: the same path, with each result cloned out of its
+//! `Arc`.
 //!
 //! ## Counters
 //!
@@ -62,43 +64,75 @@ use inano_model::{Ipv4, ModelError, PrefixId};
 use inano_obs::{quantile_from_counts, EventJournal, EventKind, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Instant;
 
 /// Tuning knobs for the engine.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads searching the pairs a batch's cache probe missed.
-    pub workers: usize,
     /// Total result-cache entry budget across all shards.
     pub cache_capacity: usize,
     /// Cache shard count (rounded up to a power of two).
     pub cache_shards: usize,
-    /// Pairs per work item when fanning a batch's cache misses across
-    /// workers; a batch with no more misses than this searches inline.
-    pub chunk: usize,
     /// Predictor configuration used for every generation.
     pub predictor: PredictorConfig,
 }
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
-        let cores = thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
         ServiceConfig {
-            workers: cores.max(4),
             cache_capacity: 65_536,
             cache_shards: 16,
-            chunk: 64,
             predictor: PredictorConfig::full(),
         }
     }
 }
 
+/// Searches per unit of fan-out work: a batch that still owes at most
+/// this many after its cache probe runs them on its caller, a larger
+/// one splits them into chunks of this size across scoped helper
+/// threads. 64 is the only value any deployment ran while this was a
+/// configuration field, and the one the fan-out was measured at
+/// (DESIGN.md, "Threading model"), so it is a constant.
+pub const FANOUT_CHUNK: usize = 64;
+
+/// Helper threads alive across every engine in the process; never more
+/// than [`helper_cap`]. Only counts — it publishes no data, the scope's
+/// join does that — so `Relaxed` throughout.
+static HELPERS: AtomicUsize = AtomicUsize::new(0);
+
+/// `available_parallelism()`, read once.
+fn helper_cap() -> usize {
+    static CAP: OnceLock<usize> = OnceLock::new();
+    *CAP.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Up to `want` helper permits, returned to [`HELPERS`] on drop — also
+/// when a search panics out of the scope.
+struct Permits(usize);
+
+impl Permits {
+    fn take(want: usize) -> Permits {
+        let mut got = 0;
+        // The closure's last `got` is the one whose exchange succeeded.
+        let _ = HELPERS.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |alive| {
+            got = want.min(helper_cap().saturating_sub(alive));
+            Some(alive + got)
+        });
+        Permits(got)
+    }
+}
+
+impl Drop for Permits {
+    fn drop(&mut self) {
+        HELPERS.fetch_sub(self.0, Ordering::Relaxed);
+    }
+}
+
 /// One immutable atlas generation. A batch snapshots an `Arc` to it
-/// once and its pool jobs carry that; swaps replace the pointer, never
+/// once and searches only that; swaps replace the pointer, never
 /// mutate.
 pub struct Generation {
     /// Bumped on every applied delta; part of every cache key, so a
@@ -235,32 +269,17 @@ enum Slot {
 /// A search's result and how long it took, microseconds.
 type Searched = (SharedResult, u64);
 
-/// A chunk of a batch's misses, dispatched to the worker pool with the
-/// generation the batch snapshotted.
-struct Job {
-    generation: Arc<Generation>,
-    misses: Vec<Miss>,
-    offset: usize,
-    reply: mpsc::Sender<(usize, Vec<Searched>)>,
-}
-
 /// The concurrent, hot-swappable query engine (§5 scaled up: the same
 /// local-library semantics as [`inano_core::INanoClient`], behind a
-/// thread pool and a result cache).
+/// result cache any number of threads may query at once).
 pub struct QueryEngine {
     current: RwLock<Arc<Generation>>,
-    cache: Arc<ShardedCache>,
+    cache: ShardedCache,
     metrics: EngineMetrics,
     started: Instant,
     cfg: ServiceConfig,
     /// Serialises swap *builders*; never blocks readers.
     swap_lock: Mutex<()>,
-    /// `None` once [`QueryEngine::shutdown`] has run; batch submission
-    /// takes the read lock just long enough to clone the sender.
-    job_tx: RwLock<Option<mpsc::Sender<Job>>>,
-    workers: Mutex<Vec<thread::JoinHandle<()>>>,
-    /// Configured pool size (stable across shutdown, for stats).
-    n_workers: usize,
     /// Cached encoding of the current generation, keyed by its epoch
     /// (re-encoding a ~7MB atlas per mirror request would be the real
     /// cost of serving as a mirror; this makes it once per swap).
@@ -284,7 +303,7 @@ impl QueryEngine {
             epoch: 0,
             predictor,
         });
-        let cache = Arc::new(ShardedCache::new(cfg.cache_capacity, cfg.cache_shards));
+        let cache = ShardedCache::new(cfg.cache_capacity, cfg.cache_shards);
         let metrics = EngineMetrics {
             cache_hits: cache.hits.clone(),
             cache_misses: cache.misses.clone(),
@@ -294,35 +313,6 @@ impl QueryEngine {
         };
         metrics.day.set(generation.day() as u64);
 
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let n_workers = cfg.workers.max(1);
-        let workers = (0..n_workers)
-            .map(|i| {
-                let rx = Arc::clone(&job_rx);
-                let cache = Arc::clone(&cache);
-                thread::Builder::new()
-                    .name(format!("inano-svc-{i}"))
-                    .spawn(move || loop {
-                        // Pop under the mutex, then release it before
-                        // doing any work.
-                        let job = rx.lock().recv();
-                        let Ok(job) = job else {
-                            return; // channel closed: engine dropped
-                        };
-                        let results = job
-                            .misses
-                            .iter()
-                            .map(|m| search(&job.generation, &cache, m))
-                            .collect();
-                        // The batch caller may have given up (it never
-                        // does today); a dead reply port is not an error.
-                        let _ = job.reply.send((job.offset, results));
-                    })
-                    .expect("spawn service worker")
-            })
-            .collect();
-
         QueryEngine {
             current: RwLock::new(generation),
             cache,
@@ -330,9 +320,6 @@ impl QueryEngine {
             started: Instant::now(),
             cfg,
             swap_lock: Mutex::new(()),
-            job_tx: RwLock::new(Some(job_tx)),
-            workers: Mutex::new(workers),
-            n_workers,
             export: Mutex::new(None),
             delta_log: Mutex::new(VecDeque::new()),
             journal: Mutex::new(None),
@@ -432,9 +419,9 @@ impl QueryEngine {
     /// input order. Every pair is resolved and probed against the
     /// result cache on this thread and a hit is answered as the cached
     /// `Arc`. The misses, one per distinct cache key, are searched
-    /// inline when there are at most [`ServiceConfig::chunk`] of them
-    /// (and always after [`QueryEngine::shutdown`]), otherwise across
-    /// the worker pool, `chunk` searches to a job.
+    /// inline when there are at most [`FANOUT_CHUNK`] of them,
+    /// otherwise by this thread and scoped helpers, `FANOUT_CHUNK`
+    /// searches at a time (see the module docs).
     pub fn query_batch_shared(&self, pairs: &[(Ipv4, Ipv4)]) -> Vec<SharedResult> {
         let generation = self.generation();
         let mut misses: Vec<Miss> = Vec::new();
@@ -473,7 +460,7 @@ impl QueryEngine {
                 slot
             })
             .collect();
-        let searched = self.search_all(&generation, misses);
+        let searched = self.search_all(&generation, &misses);
         slots
             .into_iter()
             .map(|slot| match slot {
@@ -518,47 +505,46 @@ impl QueryEngine {
     }
 
     /// Run a batch's searches against its generation, in miss order.
-    fn search_all(&self, generation: &Arc<Generation>, misses: Vec<Miss>) -> Vec<Searched> {
-        // A few searches aren't worth a channel round-trip; after
-        // shutdown every batch searches inline — accepted queries are
-        // still answered, just without the pool.
-        let tx = if misses.len() <= self.cfg.chunk {
-            None
-        } else {
-            self.job_tx.read().clone()
-        };
-        let Some(tx) = tx else {
-            return misses
+    fn search_all(&self, generation: &Generation, misses: &[Miss]) -> Vec<Searched> {
+        let run = |chunk: &[Miss]| -> Vec<Searched> {
+            chunk
                 .iter()
                 .map(|m| search(generation, &self.cache, m))
-                .collect();
+                .collect()
         };
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut jobs = 0usize;
-        for (i, chunk) in misses.chunks(self.cfg.chunk).enumerate() {
-            tx.send(Job {
-                generation: Arc::clone(generation),
-                misses: chunk.to_vec(),
-                offset: i * self.cfg.chunk,
-                reply: reply_tx.clone(),
-            })
-            .expect("workers drain the queue before exiting");
-            jobs += 1;
+        // The common batch — all hits, or a few misses — stops here and
+        // never touches the process-wide permit counter.
+        if misses.len() <= FANOUT_CHUNK {
+            return run(misses);
         }
-        drop(reply_tx);
-        // Let a concurrent `shutdown` finish as soon as our jobs are
-        // queued: workers exit when every sender is gone.
-        drop(tx);
-        let mut out: Vec<Option<Searched>> = (0..misses.len()).map(|_| None).collect();
-        for _ in 0..jobs {
-            let (offset, results) = reply_rx.recv().expect("worker reply");
-            for (k, r) in results.into_iter().enumerate() {
-                out[offset + k] = Some(r);
+        let chunks = misses.len().div_ceil(FANOUT_CHUNK);
+        let permits = Permits::take(chunks.min(helper_cap()) - 1);
+        let cursor = AtomicUsize::new(0);
+        // Claim chunks until none are left; each comes back with the
+        // index that places it.
+        let pull = || -> Vec<(usize, Vec<Searched>)> {
+            let mut done = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(chunk) = misses.chunks(FANOUT_CHUNK).nth(i) else {
+                    return done;
+                };
+                done.push((i, run(chunk)));
             }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every chunk replied"))
-            .collect()
+        };
+        let mut done = thread::scope(|scope| {
+            let helpers: Vec<_> = (0..permits.0).map(|_| scope.spawn(pull)).collect();
+            let mut done = pull();
+            // Joined by handle, not left to the scope: that returns
+            // once the OS thread is gone, so a permit never goes back
+            // while its thread still runs.
+            for helper in helpers {
+                done.extend(helper.join().expect("a helper thread's search panicked"));
+            }
+            done
+        });
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().flat_map(|(_, results)| results).collect()
     }
 
     /// Apply one daily delta and swap the serving generation. All heavy
@@ -696,31 +682,12 @@ impl QueryEngine {
         Ok(applied)
     }
 
-    /// Drain and stop the worker pool: every batch whose jobs were
-    /// accepted before this call is still fully answered (workers only
-    /// exit once the job queue is empty and closed), and every batch
-    /// submitted afterwards serves inline on its caller's thread — no
-    /// accepted query is ever lost. Idempotent; also run on drop.
-    ///
-    /// Blocks until in-flight batches have been answered and every
-    /// worker thread has been joined.
-    pub fn shutdown(&self) {
-        let tx = self.job_tx.write().take();
-        // Dropping the engine's sender closes the queue once in-flight
-        // batches drop their clones; workers drain what's left, then
-        // their `recv` errors and they exit.
-        drop(tx);
-        let mut workers = self.workers.lock();
-        for w in workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-
-    /// True once [`QueryEngine::shutdown`] has run (queries still
-    /// work — they serve inline).
-    pub fn is_shut_down(&self) -> bool {
-        self.job_tx.read().is_none()
-    }
+    /// Does nothing: the engine owns no threads, so there is nothing to
+    /// stop. It exists only because the frozen benchmark
+    /// (`layer_bench/src/ladder.rs`) still calls it; the next
+    /// `benchmark` PR removes those calls and then this method. Nothing
+    /// else may call it.
+    pub fn shutdown(&self) {}
 
     /// Swap in a whole new atlas generation: a monthly full refresh at
     /// an origin, or a mirror re-bootstrapping after falling off its
@@ -777,15 +744,8 @@ impl QueryEngine {
             swaps: m.swaps.get(),
             epoch: m.epoch.get(),
             day: m.day.get() as u32,
-            workers: self.n_workers,
             latency_buckets,
         }
-    }
-}
-
-impl Drop for QueryEngine {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 

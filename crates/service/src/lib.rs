@@ -1,16 +1,17 @@
 //! # inano-service
 //!
-//! The serving layer above `inano-core`: an embeddable, multi-threaded
-//! query engine that turns the paper's single-threaded library
-//! (§5 — "a library runnable at every peer") into something that serves
-//! heavy traffic on a multicore host.
+//! The serving layer above `inano-core`: an embeddable query engine,
+//! callable from any number of threads, that turns the paper's
+//! single-threaded library (§5 — "a library runnable at every peer")
+//! into something that serves heavy traffic on a multicore host.
 //!
 //! Three pieces, separable and individually tested:
 //!
 //! * [`QueryEngine`] — [`QueryEngine::query_batch`] answers every
 //!   cached pair on the caller's thread from one generation snapshot
-//!   and fans only the searches the cache could not answer across a
-//!   worker pool (std threads + channels, no external runtime);
+//!   and, when a batch still owes more than [`FANOUT_CHUNK`]
+//!   searches, fans them over scoped helper threads bounded
+//!   process-wide by the core count (the engine owns no threads);
 //! * [`ShardedCache`] — a sharded LRU over full bidirectional
 //!   predictions keyed `(src_cluster, dst_cluster, epoch)`, riding the
 //!   paper's observation that predictions are stable within a
@@ -24,17 +25,15 @@
 //!
 //! [`ShardRegistry`] composes engines into multi-atlas serving: a
 //! [`ShardId`]-keyed set of fully independent engines (own cache,
-//! epoch, worker pool, sized from one shared budget) behind a single
-//! lookup, with per-shard delta application — the unit `inano-net`
-//! serves behind one listener.
+//! epoch; caches sized from one shared budget) behind a single lookup,
+//! with per-shard delta application — the unit `inano-net` serves
+//! behind one listener.
 //!
 //! Every count an engine keeps lives in one [`EngineMetrics`] of
 //! `inano-obs` registry handles, exported by
 //! [`QueryEngine::register_metrics`]; [`ServiceStats`] is the typed
 //! local view read from them (QPS, p50/p99 service latency with the
-//! raw log₂ buckets, cache hit rate). `inano-bench`'s `svc_throughput`
-//! binary drives all of this under a zipf query mix and emits the
-//! numbers as a BENCH JSON line.
+//! raw log₂ buckets, cache hit rate).
 //!
 //! See DESIGN.md ("The service layer") for the full architecture
 //! discussion: threading model, cache-key soundness argument, and the
@@ -48,6 +47,7 @@ pub mod stats;
 pub use cache::{CacheKey, ShardedCache};
 pub use engine::{
     AtlasSnapshot, DeltaBlob, Generation, QueryEngine, ServiceConfig, SharedResult, DELTA_LOG_CAP,
+    FANOUT_CHUNK,
 };
 pub use registry::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
 pub use stats::{EngineMetrics, ServiceStats};

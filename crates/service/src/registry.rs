@@ -4,20 +4,21 @@
 //! to millions of thin peers. One [`QueryEngine`] is one atlas; a
 //! [`ShardRegistry`] is the step from "a server" toward "a serving
 //! fleet": a [`ShardId`]-keyed set of engines, each with its own
-//! cache, epoch and worker pool, behind one lookup. Nothing is shared
-//! between shards except the process — a delta applied to shard A
+//! cache and epoch, behind one lookup. Nothing is shared between
+//! shards except the process — a delta applied to shard A
 //! cannot bump shard B's epoch or evict its cache, which is exactly
 //! the isolation a fleet operator needs to roll atlas generations
 //! shard by shard.
 //!
 //! ## Resource budget
 //!
-//! [`ShardRegistry::build`] sizes every shard from a *shared* budget
-//! ([`RegistryConfig::total_workers`] /
-//! [`RegistryConfig::total_cache_capacity`]): N shards on one host
-//! should cost roughly what one big engine costs, not N times as much.
-//! Each shard gets an equal split, floored at one worker and a small
-//! cache so a crowded registry degrades instead of panicking.
+//! [`ShardRegistry::build`] sizes every shard's cache from a *shared*
+//! budget ([`RegistryConfig::total_cache_capacity`]): N shards on one
+//! host should cost roughly what one big engine costs, not N times as
+//! much. Each shard gets an equal split, floored at a small cache so a
+//! crowded registry degrades instead of panicking. Threads need no
+//! budget: an engine owns none, and the helpers a large cold batch
+//! borrows are capped process-wide (see [`crate::engine`]).
 
 use crate::engine::{QueryEngine, ServiceConfig};
 use inano_atlas::{Atlas, AtlasDelta};
@@ -26,7 +27,6 @@ use inano_model::ModelError;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-use std::thread;
 
 /// Identifies one atlas shard within a registry. Part of the v2 wire
 /// protocol (requests carry it as a `u16`); shard 0 is the default
@@ -62,26 +62,18 @@ pub struct ShardSpec {
 /// Registry-wide tuning: one budget shared by every shard.
 #[derive(Clone, Debug)]
 pub struct RegistryConfig {
-    /// Worker threads across *all* shards, split evenly (each shard
-    /// gets at least one).
-    pub total_workers: usize,
     /// Result-cache entries across all shards, split evenly.
     pub total_cache_capacity: usize,
     /// Cache shard count per engine (rounded up to a power of two).
     pub cache_shards: usize,
-    /// Pairs per work item when fanning a batch's cache misses across
-    /// workers; a batch with no more misses than this searches inline.
-    pub chunk: usize,
 }
 
 impl Default for RegistryConfig {
     fn default() -> RegistryConfig {
         let d = ServiceConfig::default();
         RegistryConfig {
-            total_workers: d.workers,
             total_cache_capacity: d.cache_capacity,
             cache_shards: d.cache_shards,
-            chunk: d.chunk,
         }
     }
 }
@@ -92,10 +84,8 @@ impl RegistryConfig {
     fn shard_config(&self, shards: usize, predictor: PredictorConfig) -> ServiceConfig {
         let n = shards.max(1);
         ServiceConfig {
-            workers: (self.total_workers / n).max(1),
             cache_capacity: (self.total_cache_capacity / n).max(64),
             cache_shards: self.cache_shards,
-            chunk: self.chunk,
             predictor,
         }
     }
@@ -169,15 +159,6 @@ impl ShardRegistry {
         Ok(ShardRegistry { shards })
     }
 
-    /// A single-shard registry over an existing engine: the upgrade
-    /// path for every pre-sharding caller, byte-for-byte the old
-    /// semantics behind shard 0.
-    pub fn single(engine: Arc<QueryEngine>) -> ShardRegistry {
-        ShardRegistry {
-            shards: BTreeMap::from([(ShardId::DEFAULT, engine)]),
-        }
-    }
-
     /// The engine serving `shard`, or a typed [`ModelError::UnknownShard`].
     pub fn engine(&self, shard: ShardId) -> Result<&Arc<QueryEngine>, ModelError> {
         self.shards
@@ -249,16 +230,9 @@ impl ShardRegistry {
         Ok(self.engine(shard)?.delta_blob(have_day))
     }
 
-    /// Drain and stop every shard's worker pool, in parallel (each
-    /// shard's shutdown blocks until its accepted batches are answered
-    /// and its workers joined, so a serial loop would pay the slowest
-    /// shard N times). Idempotent, like the per-engine shutdown;
-    /// engines keep answering inline afterwards.
-    pub fn shutdown(&self) {
-        thread::scope(|scope| {
-            for engine in self.shards.values() {
-                scope.spawn(move || engine.shutdown());
-            }
-        });
-    }
+    /// Does nothing: no shard owns a thread. It exists only because the
+    /// frozen benchmark (`layer_bench/src/workloads.rs`) still calls
+    /// it; the next `benchmark` PR removes that call and then this
+    /// method. Nothing else may call it.
+    pub fn shutdown(&self) {}
 }

@@ -105,8 +105,6 @@ pub struct ServiceStats {
     pub epoch: u64,
     /// Day of the currently-served atlas.
     pub day: u32,
-    /// Worker threads serving batches.
-    pub workers: usize,
     /// Raw log₂ latency-bucket counts (bucket `i` covers
     /// `[2^i, 2^(i+1))` µs), the vector the percentiles above were
     /// read from.

@@ -1,19 +1,21 @@
 //! `QueryEngine::query_batch` against its specification: whatever the
 //! batch holds — cached pairs, cold pairs, in-batch repeats of a cold
 //! key, cache-bypassing prefixes, unroutable addresses — and whichever
-//! side of the inline/pooled threshold its misses land on, the answers
+//! side of the inline/fan-out threshold its misses land on, the answers
 //! equal per-pair `PathPredictor::query`, in input order, and every
 //! counter moves by exactly what the batch held.
 
 use inano_atlas::{Atlas, LinkAnnotation, Plane};
 use inano_core::{PathPredictor, PredictedPath, PredictorConfig};
 use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, ModelError, Prefix, PrefixId};
-use inano_service::{QueryEngine, ServiceConfig};
+use inano_service::{QueryEngine, ServiceConfig, FANOUT_CHUNK};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-const N: u32 = 12;
-const CHUNK: usize = 4;
+/// Ring size: large enough that the longest batch's cold pairs are all
+/// distinct cluster pairs, so its misses span several chunks.
+const N: u32 = 32;
+const CHUNK: usize = FANOUT_CHUNK;
 /// Prefix ids (and /16s) of the two prefixes whose origin AS disagrees
 /// with their cluster's: they resolve and route, but bypass the cache.
 const BYPASS: [u32; 2] = [100, 101];
@@ -65,10 +67,8 @@ fn engine() -> QueryEngine {
     QueryEngine::new(
         Arc::new(atlas()),
         ServiceConfig {
-            workers: 3,
             cache_capacity: 4096,
             cache_shards: 4,
-            chunk: CHUNK,
             predictor: predictor_cfg(),
         },
     )
@@ -191,7 +191,7 @@ fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
         ),
     ];
     // The mixes hold what they say: the largest has hits, misses that
-    // share a key, more distinct misses than one job takes, and errors.
+    // share a key, more distinct misses than one chunk takes, and errors.
     let d = expected_deltas(&fresh, &batch_of(mixes[5].1, 8 * CHUNK));
     assert!(d.hits > 0 && d.errors > 0 && d.misses > d.inserts && d.inserts as usize > CHUNK);
     assert!(d.bypass > 0 && d.unresolved > 0);

@@ -69,10 +69,8 @@ proptest! {
         let engine = QueryEngine::new(
             Arc::new(atlas),
             ServiceConfig {
-                workers: 2,
                 cache_capacity: 1024,
                 cache_shards: 4,
-                chunk: 8,
                 predictor: cfg(),
             },
         );

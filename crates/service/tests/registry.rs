@@ -1,6 +1,6 @@
 //! Integration tests for the shard registry: budget split, typed
 //! unknown-shard errors, per-shard delta isolation (epoch *and*
-//! cache), exact stats aggregation, and registry-wide shutdown.
+//! cache) and exact stats aggregation.
 
 use inano_atlas::{Atlas, AtlasDelta, LinkAnnotation, Plane};
 use inano_core::PredictorConfig;
@@ -80,10 +80,8 @@ fn two_ring_registry(n: u32) -> ShardRegistry {
     ShardRegistry::build(
         specs,
         RegistryConfig {
-            total_workers: 4,
             total_cache_capacity: 2048,
             cache_shards: 4,
-            chunk: 16,
         },
     )
     .expect("two-shard registry builds")
@@ -101,10 +99,8 @@ fn build_splits_the_budget_and_serves_every_shard() {
     let registry = ShardRegistry::build(
         specs,
         RegistryConfig {
-            total_workers: 7,
             total_cache_capacity: 3000,
             cache_shards: 4,
-            chunk: 16,
         },
     )
     .expect("registry builds");
@@ -113,16 +109,13 @@ fn build_splits_the_budget_and_serves_every_shard() {
         registry.shard_ids(),
         vec![ShardId(0), ShardId(1), ShardId(2)]
     );
-    for (k, (id, engine)) in registry.iter().enumerate() {
-        // 7 workers over 3 shards: each gets floor(7/3) = 2.
-        assert_eq!(engine.stats().workers, 2, "{id} worker split");
+    for (k, (_, engine)) in registry.iter().enumerate() {
         // Each shard serves its own world: the 0 -> n/2 path length
         // tracks that shard's ring size.
         let n = 8 + k as u32 * 4;
         let path = engine.query(ip(0), ip(n / 2)).expect("routable");
         assert_eq!(path.fwd_clusters.len(), n as usize / 2 + 1);
     }
-    registry.shutdown();
 }
 
 #[test]
@@ -167,7 +160,6 @@ fn unknown_shard_is_a_typed_error_everywhere() {
     ));
     assert!(!registry.contains(missing));
     assert!(registry.contains(ShardId(1)));
-    registry.shutdown();
 }
 
 #[test]
@@ -215,7 +207,6 @@ fn delta_on_one_shard_never_bumps_the_other_or_evicts_its_cache() {
     assert_eq!(sb.cache_misses, 1);
     assert_eq!(sb.cache_evictions, 0);
     assert_eq!(sb.swaps, 0);
-    registry.shutdown();
 }
 
 #[test]
@@ -254,8 +245,6 @@ fn stats_aggregate_sums_counters_and_merges_histograms() {
         1,
         "aggregate epoch is the max"
     );
-    let workers: usize = registry.iter().map(|(_, e)| e.stats().workers).sum();
-    assert_eq!(workers, 4, "worker budget sums back up");
     match aggregate.value("shard.latency_us") {
         Some(MetricValue::Histogram(buckets)) => assert_eq!(
             buckets.iter().sum::<u64>(),
@@ -264,36 +253,4 @@ fn stats_aggregate_sums_counters_and_merges_histograms() {
         ),
         other => panic!("want the merged latency histogram, got {other:?}"),
     }
-    registry.shutdown();
-}
-
-#[test]
-fn shutdown_drains_every_shard_and_stays_serving_inline() {
-    let registry = two_ring_registry(8);
-    registry.shutdown();
-    for (id, engine) in registry.iter() {
-        assert!(engine.is_shut_down(), "{id} drained");
-        // Inline serving survives the pool.
-        engine.query(ip(0), ip(2)).expect("inline after shutdown");
-    }
-    registry.shutdown(); // idempotent
-}
-
-#[test]
-fn single_keeps_old_semantics_behind_shard_zero() {
-    let engine = Arc::new(inano_service::QueryEngine::new(
-        Arc::new(ring_atlas(6, 0)),
-        inano_service::ServiceConfig {
-            workers: 2,
-            predictor: ring_cfg(),
-            ..inano_service::ServiceConfig::default()
-        },
-    ));
-    let registry = ShardRegistry::single(Arc::clone(&engine));
-    assert_eq!(registry.shard_ids(), vec![ShardId::DEFAULT]);
-    assert!(Arc::ptr_eq(
-        registry.engine(ShardId::DEFAULT).unwrap(),
-        &engine
-    ));
-    registry.shutdown();
 }

@@ -55,12 +55,10 @@ fn ring_cfg() -> PredictorConfig {
     cfg
 }
 
-fn engine_over(atlas: Atlas, workers: usize) -> QueryEngine {
+fn engine_over(atlas: Atlas) -> QueryEngine {
     let cfg = ServiceConfig {
-        workers,
         cache_capacity: 4096,
         cache_shards: 8,
-        chunk: 16,
         predictor: ring_cfg(),
     };
     QueryEngine::new(Arc::new(atlas), cfg)
@@ -82,7 +80,7 @@ fn same_route(a: &PredictedPath, b: &PredictedPath) -> bool {
 #[test]
 fn batches_fan_across_workers_in_order() {
     let n = 10;
-    let engine = engine_over(ring_atlas(n, 0), 4);
+    let engine = engine_over(ring_atlas(n, 0));
     let pairs: Vec<(Ipv4, Ipv4)> = (0..n)
         .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (ip(s), ip(d))))
         .collect();
@@ -93,7 +91,6 @@ fn batches_fan_across_workers_in_order() {
         assert_same_path(batched[i].as_ref().expect("batch result ok"), &inline);
     }
     let stats = engine.stats();
-    assert_eq!(stats.workers, 4);
     assert_eq!(stats.errors, 0);
     assert!(stats.queries >= pairs.len() as u64 * 2);
 }
@@ -102,7 +99,7 @@ fn batches_fan_across_workers_in_order() {
 fn cache_hit_equals_fresh_predictor_query() {
     let n = 12;
     let atlas = ring_atlas(n, 0);
-    let engine = engine_over(atlas.clone(), 2);
+    let engine = engine_over(atlas.clone());
     let fresh = PathPredictor::new(Arc::new(atlas), ring_cfg());
     for s in 0..n {
         for d in 0..n {
@@ -126,7 +123,7 @@ fn zipf_mix_sees_positive_hit_rate() {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     let n = 16u32;
-    let engine = engine_over(ring_atlas(n, 0), 4);
+    let engine = engine_over(ring_atlas(n, 0));
     let mut rng = SmallRng::seed_from_u64(42);
     // Zipf(s≈1) over destination clusters: weight 1/(rank+1).
     let weights: Vec<f64> = (0..n).map(|r| 1.0 / (r as f64 + 1.0)).collect();
@@ -209,7 +206,7 @@ fn hammering_queries_while_applying_deltas_never_errors() {
         "the days must differ for a mixed batch to be detectable"
     );
 
-    let engine = Arc::new(engine_over(day0, 4));
+    let engine = Arc::new(engine_over(day0));
     let before = engine.query(ip(0), ip(far)).expect("routable");
     assert_eq!(
         before.fwd_clusters.len(),
@@ -270,56 +267,6 @@ fn hammering_queries_while_applying_deltas_never_errors() {
 }
 
 #[test]
-fn shutdown_under_load_loses_no_accepted_queries() {
-    let n = 12u32;
-    let engine = Arc::new(engine_over(ring_atlas(n, 0), 4));
-    let pairs: Vec<(Ipv4, Ipv4)> = (0..n)
-        .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (ip(s), ip(d))))
-        .collect();
-
-    // Hammer from several threads; partway through, the engine shuts
-    // its pool down underneath them. Every accepted batch must still
-    // come back complete and correct (post-shutdown batches serve
-    // inline), so the totals must match exactly.
-    let rounds = 30usize;
-    let hammers: Vec<_> = (0..4)
-        .map(|_| {
-            let engine = Arc::clone(&engine);
-            let pairs = pairs.clone();
-            thread::spawn(move || {
-                let mut ok = 0u64;
-                for _ in 0..rounds {
-                    let results = engine.query_batch(&pairs);
-                    assert_eq!(results.len(), pairs.len(), "batches never come back short");
-                    ok += results.iter().filter(|r| r.is_ok()).count() as u64;
-                }
-                ok
-            })
-        })
-        .collect();
-
-    thread::sleep(Duration::from_millis(10));
-    engine.shutdown();
-    assert!(engine.is_shut_down());
-
-    let ok: u64 = hammers.into_iter().map(|h| h.join().unwrap()).sum();
-    let expected = 4 * rounds as u64 * pairs.len() as u64;
-    assert_eq!(ok, expected, "every accepted query answered, none lost");
-
-    // The engine still serves (inline) after shutdown, and shutdown
-    // stays idempotent.
-    engine.shutdown();
-    engine
-        .query(ip(0), ip(3))
-        .expect("inline serving still works");
-    let batch = engine.query_batch(&pairs);
-    assert!(batch.iter().all(|r| r.is_ok()));
-    let stats = engine.stats();
-    assert_eq!(stats.errors, 0);
-    assert_eq!(stats.workers, 4, "stats report the configured pool size");
-}
-
-#[test]
 fn serves_and_updates_through_the_swarm() {
     use inano_core::AtlasSource;
     use inano_swarm::{SwarmConfig, SwarmSource};
@@ -341,7 +288,6 @@ fn serves_and_updates_through_the_swarm() {
         },
     );
     let cfg = ServiceConfig {
-        workers: 4,
         predictor: ring_cfg(),
         ..ServiceConfig::default()
     };
@@ -364,7 +310,6 @@ fn replace_atlas_swaps_a_whole_generation_without_logging_a_delta() {
     let engine = QueryEngine::new(
         Arc::new(ring_atlas(8, 0)),
         ServiceConfig {
-            workers: 2,
             predictor: ring_cfg(),
             ..ServiceConfig::default()
         },

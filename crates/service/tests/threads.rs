@@ -1,0 +1,232 @@
+//! The thread budget as a property: an engine owns no threads, a cold
+//! batch's fan-out borrows at most `available_parallelism()` helpers
+//! across the whole process, and all of them are gone when the batches
+//! return.
+//!
+//! This binary holds exactly one `#[test]`, so no sibling test's
+//! threads move the count it reads from `/proc/self/task`.
+#![cfg(target_os = "linux")]
+
+use inano_atlas::{Atlas, AtlasDelta, LinkAnnotation, Plane};
+use inano_core::{PathPredictor, PredictedPath, PredictorConfig};
+use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, ModelError, Prefix, PrefixId};
+use inano_service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec, FANOUT_CHUNK};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+use std::thread;
+use std::time::{Duration, Instant};
+
+const SHARDS: u16 = 4;
+const CALLERS: usize = 8;
+const ROUNDS: u32 = 4;
+/// Ring size: every caller asks `4 × FANOUT_CHUNK` distinct cluster
+/// pairs out of one source cluster.
+const RING: u32 = 4 * FANOUT_CHUNK as u32 + 1;
+
+/// A bidirectional ring of `RING` clusters, one AS and one /16 prefix
+/// per cluster; every pair is routable. Days differ in every latency,
+/// so each day-to-day delta is non-empty.
+fn ring_atlas(day: u32) -> Atlas {
+    let mut a = Atlas {
+        day,
+        ..Atlas::default()
+    };
+    for i in 0..RING {
+        let j = (i + 1) % RING;
+        for (x, y) in [(i, j), (j, i)] {
+            a.links.insert(
+                (ClusterId::new(x), ClusterId::new(y)),
+                LinkAnnotation {
+                    latency: Some(LatencyMs::new(1.0 + x as f64 * 0.1 + day as f64)),
+                    plane: Plane::TO_DST,
+                },
+            );
+        }
+        a.cluster_as.insert(ClusterId::new(i), Asn::new(i));
+        a.as_degree.insert(Asn::new(i), 2);
+        a.prefix_cluster.insert(PrefixId::new(i), ClusterId::new(i));
+        a.prefix_as.insert(
+            PrefixId::new(i),
+            (Prefix::new(Ipv4(i << 16), 16), Asn::new(i)),
+        );
+    }
+    a
+}
+
+fn ring_cfg() -> PredictorConfig {
+    let mut cfg = PredictorConfig::full();
+    cfg.use_tuples = false;
+    cfg.use_prefs = false;
+    cfg.use_providers = false;
+    cfg.use_from_src = false;
+    cfg
+}
+
+fn ip(cluster: u32) -> Ipv4 {
+    Ipv4((cluster << 16) | 7)
+}
+
+/// A routed answer equal to the library's, bit for bit.
+fn same(got: &Result<PredictedPath, ModelError>, want: &Result<PredictedPath, ModelError>) -> bool {
+    match (got, want) {
+        (Ok(a), Ok(b)) => {
+            a.fwd_clusters == b.fwd_clusters
+                && a.rev_clusters == b.rev_clusters
+                && a.rtt.ms().to_bits() == b.rtt.ms().to_bits()
+        }
+        _ => false,
+    }
+}
+
+/// OS threads in this process right now.
+fn tasks() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs lists this process's threads")
+        .count()
+}
+
+/// Poll until the task count is back at `want`. A joined thread stays
+/// listed until the kernel has reaped it, a moment after `join`
+/// returns, so "gone" is read with a bound rather than once.
+fn settles_at(want: usize) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while tasks() != want {
+        if Instant::now() > deadline {
+            return false;
+        }
+        thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
+
+#[test]
+fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
+    let base = tasks();
+    let cores = thread::available_parallelism().map_or(1, |n| n.get());
+
+    // (i) Construction spawns nothing, however many shards.
+    let specs = (0..SHARDS)
+        .map(|i| ShardSpec {
+            id: ShardId(i),
+            atlas: Arc::new(ring_atlas(0)),
+            predictor: ring_cfg(),
+        })
+        .collect();
+    let registry = ShardRegistry::build(specs, RegistryConfig::default()).expect("registry builds");
+    assert_eq!(tasks(), base, "building {SHARDS} shards spawned threads");
+
+    // One entry per round: what the generation it serves must answer,
+    // per pair, straight from the library, and the delta that ends it.
+    // Day d+1 is served through the delta, as the engine serves it.
+    let mut served = ring_atlas(0);
+    let mut rounds = Vec::new();
+    for day in 0..ROUNDS {
+        let oracle = PathPredictor::new(Arc::new(served.clone()), ring_cfg());
+        let delta = AtlasDelta::between(&ring_atlas(day), &ring_atlas(day + 1));
+        served = delta.apply(&served).expect("delta applies");
+        rounds.push((oracle, delta));
+    }
+
+    // Caller c hammers shard c % SHARDS with 4 × FANOUT_CHUNK distinct
+    // keys out of its own source cluster: every batch of every round is
+    // cold and owes four chunks.
+    let batch_of = |caller: usize| -> Vec<(Ipv4, Ipv4)> {
+        let src = caller as u32;
+        (1..RING).map(|k| (ip(src), ip((src + k) % RING))).collect()
+    };
+    assert_eq!(batch_of(0).len(), 4 * FANOUT_CHUNK);
+
+    // (ii) While the callers run, the process never holds more than the
+    // callers plus one helper per core. An over-budget reading has to
+    // repeat to count: a helper that was just joined may still be
+    // listed while the kernel reaps it, and that is not a live thread.
+    let budget = base + 1 + CALLERS + cores; // + 1: the sampler itself
+    let done = AtomicBool::new(false);
+    // Each round: callers query, meet, one delta lands on every shard,
+    // meet again — so no batch straddles a swap and every answer has
+    // exactly one generation to be checked against.
+    let barrier = Barrier::new(CALLERS + 1);
+    let (peak, over_budget, wrong) = thread::scope(|scope| {
+        let sampler = scope.spawn(|| {
+            let (mut peak, mut over_budget) = (0, None);
+            while !done.load(Ordering::Relaxed) {
+                let mut seen = tasks();
+                for _ in 0..5 {
+                    if seen <= budget {
+                        break;
+                    }
+                    thread::sleep(Duration::from_millis(1));
+                    seen = seen.min(tasks());
+                }
+                peak = peak.max(seen);
+                if seen > budget {
+                    over_budget = Some(seen);
+                }
+            }
+            (peak, over_budget)
+        });
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|c| {
+                let (registry, rounds, barrier) = (&registry, &rounds, &barrier);
+                let batch = batch_of(c);
+                scope.spawn(move || {
+                    let engine = registry
+                        .engine(ShardId(c as u16 % SHARDS))
+                        .expect("shard exists");
+                    // Counted, not asserted: a caller that panicked here
+                    // would leave the others waiting at the barrier.
+                    let mut wrong = 0;
+                    for (oracle, _) in rounds {
+                        let got = engine.query_batch(&batch);
+                        wrong += batch
+                            .iter()
+                            .zip(&got)
+                            .filter(|(&(s, d), got)| !same(got, &oracle.query(s, d)))
+                            .count();
+                        barrier.wait();
+                        barrier.wait();
+                    }
+                    wrong
+                })
+            })
+            .collect();
+        for (_, delta) in &rounds {
+            barrier.wait();
+            for (id, _) in registry.iter() {
+                registry.apply_delta(id, delta).expect("delta applies");
+            }
+            barrier.wait();
+        }
+        let wrong: Vec<_> = callers.into_iter().map(|c| c.join()).collect();
+        done.store(true, Ordering::Relaxed);
+        let (peak, over_budget) = sampler.join().expect("sampler");
+        let wrong: usize = wrong.into_iter().map(|w| w.expect("caller")).sum();
+        (peak, over_budget, wrong)
+    });
+    // (iv) Every answer is the library's, for the generation its round
+    // served.
+    assert_eq!(wrong, 0, "answers differing from PathPredictor::query");
+    assert_eq!(
+        over_budget, None,
+        "more than {CALLERS} callers + {cores} helpers alive (budget {budget} tasks, base {base})"
+    );
+    // Every batch owed four chunks and every one was a miss.
+    for (id, engine) in registry.iter() {
+        let stats = engine.stats();
+        assert_eq!(stats.cache_hits, 0, "{id}: every round was cold");
+        assert_eq!(stats.errors, 0, "{id}");
+    }
+    if cores > 1 {
+        assert!(
+            peak > base + 1 + CALLERS,
+            "no helper was ever seen: the fan-out did not run (peak {peak}, base {base})"
+        );
+    }
+
+    // (iii) Nothing outlives the batches.
+    assert!(
+        settles_at(base),
+        "{} tasks left behind after every batch returned",
+        tasks() - base
+    );
+}

@@ -144,7 +144,5 @@ fn main() {
     );
 
     server.shutdown();
-    registry.shutdown();
-    mirrored.shutdown();
     println!("clean shutdown");
 }

@@ -31,9 +31,8 @@ fn main() {
         QueryEngine::bootstrap(&mut source, ServiceConfig::default()).expect("bootstrap via swarm"),
     );
     println!(
-        "engine up at day {} with {} workers (swarm median download {:.0}s)",
+        "engine up at day {} (swarm median download {:.0}s)",
         engine.day(),
-        engine.stats().workers,
         source.last_fetch_secs().unwrap_or(f64::NAN)
     );
 
