@@ -43,14 +43,13 @@
 //! that hold no connection at all.
 //!
 //! Usage: `fleet_sim [--mirrors N] [--depth D] [--clients C]
-//!         [--ring N] [--refresh-ms MS] [--scrape-ms MS]
+//!         [--ring N] [--refresh-ms MS] [--scrape-ms MS] [--diurnal-ms MS]
 //!         [--faults kill-restart,chain-break,hostile] [--seed S]
 //!         [--idle-peers N] [--udp-clients N]`
 
 use inano_atlas::{Atlas, AtlasDelta, LinkAnnotation, Plane};
-use inano_core::{AtlasReader, AtlasSource};
 use inano_model::{ClusterId, Ipv4, LatencyMs};
-use inano_net::cli::arg;
+use inano_net::cli::{arg, refuse_unknown};
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config};
 use inano_net::{MirrorSource, NetClient, NetServer, ServerConfig, UdpQuerier, UdpRetry};
 use inano_obs::{now_ms, Event, EventKind};
@@ -328,10 +327,11 @@ fn udp_worker_loop(i: usize, ring: u32, seed: u64, diurnal_ms: u64, shared: Arc<
     }
 }
 
-/// The `inano-serve --mirror` refresh loop, in-harness: pull deltas
-/// from the upstream node every tick, bridge broken chains with a full
-/// resync, rebuild the upstream connection on any failure. `paused`
-/// simulates the process being dark while its server is killed.
+/// The `inano-serve --mirror` refresh loop, in-harness: run
+/// [`QueryEngine::update`] against the upstream node every tick (deltas,
+/// or a full resync across a broken chain) and rebuild the upstream
+/// connection on any failure. `paused` simulates the process being
+/// dark while its server is killed.
 fn refresh_loop(
     engine: Arc<QueryEngine>,
     upstream_node: usize,
@@ -352,28 +352,10 @@ fn refresh_loop(
             source = MirrorSource::connect(shared.addr(upstream_node), ShardId::DEFAULT).ok();
         }
         let Some(src) = source.as_mut() else { continue };
-        match engine.update(src) {
-            Ok(0) => {
-                // Idle tick — unless the upstream's head moved without
-                // a bridging delta: refetch the full atlas.
-                match src.head() {
-                    Ok(head) if head.epoch_tag != engine.export().epoch_tag => {
-                        match AtlasReader::default().fetch_full(src) {
-                            Ok((_, bytes)) => match inano_atlas::codec::decode(&bytes) {
-                                Ok(atlas) => {
-                                    engine.replace_atlas(Arc::new(atlas));
-                                }
-                                Err(_) => source = None,
-                            },
-                            Err(_) => source = None,
-                        }
-                    }
-                    Ok(_) => {}
-                    Err(_) => source = None,
-                }
-            }
-            Ok(_) => {}
-            Err(_) => source = None,
+        // The same call `inano-serve --mirror` makes each tick; a
+        // failure of any kind rebuilds the upstream connection.
+        if engine.update(src).is_err() {
+            source = None;
         }
     }
 }
@@ -449,6 +431,19 @@ fn scraper_loop(
 }
 
 fn main() {
+    refuse_unknown(&[
+        "--mirrors",
+        "--depth",
+        "--clients",
+        "--ring",
+        "--refresh-ms",
+        "--scrape-ms",
+        "--diurnal-ms",
+        "--seed",
+        "--idle-peers",
+        "--udp-clients",
+        "--faults",
+    ]);
     let mirrors: usize = arg("--mirrors", 3);
     let depth: usize = arg("--depth", 2);
     let clients: usize = arg("--clients", 200);

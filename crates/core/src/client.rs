@@ -1,38 +1,15 @@
 //! The client-side library of §5: fetch the atlas (from any swarm or
 //! mirror — abstracted behind [`AtlasSource`]), augment it with local
 //! measurements, serve queries locally, and keep it up to date with the
-//! daily delta.
+//! daily delta — or, for the sporadically-online peer whose delta chain
+//! has broken, with one full refetch ([`INanoClient::update`]).
 
 use crate::config::PredictorConfig;
 use crate::predict::{PathPredictor, PredictedPath};
-use crate::source::{AtlasReader, AtlasSource, BlobFetch};
+use crate::source::{AtlasReader, AtlasSource};
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_model::{ClusterId, Ipv4, LatencyMs, ModelError};
 use std::sync::Arc;
-
-/// An in-memory blob source, for tests and local files; wrap it in
-/// [`crate::source::BlobSource`] to feed the chunked [`AtlasSource`]
-/// consumers.
-pub struct StaticSource {
-    pub full: Vec<u8>,
-    pub deltas: Vec<Vec<u8>>,
-}
-
-impl BlobFetch for StaticSource {
-    fn fetch_full(&mut self) -> Result<Vec<u8>, ModelError> {
-        Ok(self.full.clone())
-    }
-
-    fn fetch_delta(&mut self, have_day: u32) -> Result<Option<Vec<u8>>, ModelError> {
-        for d in &self.deltas {
-            let parsed = AtlasDelta::decode(d)?;
-            if parsed.from_day == have_day {
-                return Ok(Some(d.clone()));
-            }
-        }
-        Ok(None)
-    }
-}
 
 /// The iNano client library.
 pub struct INanoClient {
@@ -78,6 +55,15 @@ impl INanoClient {
     /// chain fails partway — a fetch or decode error, a wrong-base
     /// delta — the days that did apply are committed, the error is
     /// returned, and the client keeps serving queries either way.
+    ///
+    /// When no delta leaves the client's day, the source's head is
+    /// probed: a head on a *later day* means the chain is broken (the
+    /// upstream replaced its atlas, or this peer slept past the deltas
+    /// it retains), so the full body is refetched, the local links are
+    /// re-applied to it, and the call returns `Ok(0)` at the new day.
+    /// The compare is on days, not content tags as the service engine's
+    /// is: a client's atlas carries its own FROM_SRC links, so its
+    /// encoding never equals the upstream's.
     pub fn update(&mut self, source: &mut dyn AtlasSource) -> Result<usize, ModelError> {
         let reader = AtlasReader::default();
         let mut staged: Option<Atlas> = None;
@@ -99,13 +85,21 @@ impl INanoClient {
             }
         };
         if let Some(atlas) = staged {
-            self.predictor = None;
-            self.atlas = Arc::new(atlas);
-            // One in-place re-application of every local link for the
-            // whole update, however many deltas were chained.
-            self.apply_links_and_rebuild(|local| local.clone());
+            self.install(atlas);
+        }
+        if matches!(outcome, Ok(0)) && source.head()?.day > self.day() {
+            let (_, bytes) = reader.fetch_full(source)?;
+            self.install(codec::decode(&bytes)?);
         }
         outcome
+    }
+
+    /// Serve from `atlas` from now on: one in-place re-application of
+    /// every local link, however many deltas led here.
+    fn install(&mut self, atlas: Atlas) {
+        self.predictor = None;
+        self.atlas = Arc::new(atlas);
+        self.apply_links_and_rebuild(|local| local.clone());
     }
 
     /// Contribute links from a local traceroute (already mapped to
@@ -175,7 +169,7 @@ impl INanoClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::BlobSource;
+    use crate::source::{AtlasChunk, AtlasVersion, DeltaHandle, StaticSource};
     use inano_atlas::{LinkAnnotation, Plane};
     use inano_model::{Asn, Prefix, PrefixId};
 
@@ -219,10 +213,7 @@ mod tests {
     #[test]
     fn bootstrap_and_query() {
         let (bytes, _) = codec::encode(&base_atlas(0));
-        let mut src = BlobSource::new(StaticSource {
-            full: bytes,
-            deltas: vec![],
-        });
+        let mut src = StaticSource::new(bytes, vec![]);
         let client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
         assert_eq!(client.day(), 0);
         let r = client
@@ -252,10 +243,7 @@ mod tests {
         let (full, _) = codec::encode(&day0);
         let d01 = AtlasDelta::between(&day0, &day1).encode().0;
         let d12 = AtlasDelta::between(&day1, &day2).encode().0;
-        let mut src = BlobSource::new(StaticSource {
-            full,
-            deltas: vec![d01, d12],
-        });
+        let mut src = StaticSource::new(full, vec![d01, d12]);
         let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
         assert_eq!(client.update(&mut src).unwrap(), 2);
         assert_eq!(client.day(), 2);
@@ -269,18 +257,25 @@ mod tests {
         assert_eq!(r.fwd_clusters.len(), 2, "uses the day-1 shortcut");
     }
 
-    /// Serves one delta, then fails every further fetch.
+    /// Serves one delta, then fails every further delta probe; counts
+    /// the full-body chunks it hands out.
     struct FlakyAfterOne {
         inner: StaticSource,
         served: usize,
+        full_chunks: usize,
     }
 
-    impl BlobFetch for FlakyAfterOne {
-        fn fetch_full(&mut self) -> Result<Vec<u8>, ModelError> {
-            self.inner.fetch_full()
+    impl AtlasSource for FlakyAfterOne {
+        fn head(&mut self) -> Result<AtlasVersion, ModelError> {
+            self.inner.head()
         }
 
-        fn fetch_delta(&mut self, have_day: u32) -> Result<Option<Vec<u8>>, ModelError> {
+        fn fetch_full_chunk(&mut self, idx: u32) -> Result<AtlasChunk, ModelError> {
+            self.full_chunks += 1;
+            self.inner.fetch_full_chunk(idx)
+        }
+
+        fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
             if self.served >= 1 {
                 return Err(ModelError::Decode("source died mid-update".into()));
             }
@@ -289,6 +284,10 @@ mod tests {
                 self.served += 1;
             }
             r
+        }
+
+        fn fetch_delta_chunk(&mut self, from_day: u32, idx: u32) -> Result<AtlasChunk, ModelError> {
+            self.inner.fetch_delta_chunk(from_day, idx)
         }
     }
 
@@ -305,13 +304,11 @@ mod tests {
         );
         let (full, _) = codec::encode(&day0);
         let d01 = AtlasDelta::between(&day0, &day1).encode().0;
-        let mut src = BlobSource::new(FlakyAfterOne {
-            inner: StaticSource {
-                full,
-                deltas: vec![d01],
-            },
+        let mut src = FlakyAfterOne {
+            inner: StaticSource::new(full, vec![d01]),
             served: 0,
-        });
+            full_chunks: 0,
+        };
         let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
         assert!(
             client.update(&mut src).is_err(),
@@ -331,12 +328,49 @@ mod tests {
     }
 
     #[test]
+    fn a_broken_delta_chain_is_bridged_by_refetching_the_full_atlas() {
+        // No delta is ever served here, so the source never turns flaky.
+        let mut src = FlakyAfterOne {
+            inner: StaticSource::new(codec::encode(&base_atlas(1)).0, vec![]),
+            served: 0,
+            full_chunks: 0,
+        };
+        let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
+        client.add_local_links([(
+            (ClusterId::new(1), ClusterId::new(3)),
+            Some(LatencyMs::new(0.5)),
+        )]);
+        let bootstrap_chunks = src.full_chunks;
+
+        // Up to date: the head probe moves no body.
+        assert_eq!(client.update(&mut src).unwrap(), 0);
+        assert_eq!(client.day(), 1);
+        assert_eq!(src.full_chunks, bootstrap_chunks);
+
+        // The upstream replaced its atlas: day 5, and no delta leaves
+        // day 1. One update lands on it with the local link re-applied.
+        src.inner.full = codec::encode(&base_atlas(5)).0;
+        assert_eq!(client.update(&mut src).unwrap(), 0);
+        assert_eq!(client.day(), 5);
+        assert!(src.full_chunks > bootstrap_chunks, "the body was refetched");
+        let r = client
+            .query(
+                Ipv4::from_octets(10, 0, 0, 1),
+                Ipv4::from_octets(20, 0, 0, 1),
+            )
+            .unwrap();
+        assert_eq!(r.fwd_clusters.len(), 2, "local FROM_SRC link survives");
+
+        // And it is idle again afterwards.
+        let after = src.full_chunks;
+        assert_eq!(client.update(&mut src).unwrap(), 0);
+        assert_eq!(src.full_chunks, after);
+    }
+
+    #[test]
     fn add_local_links_applies_in_place_without_cloning() {
         let (bytes, _) = codec::encode(&base_atlas(0));
-        let mut src = BlobSource::new(StaticSource {
-            full: bytes,
-            deltas: vec![],
-        });
+        let mut src = StaticSource::new(bytes, vec![]);
         let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
         client.add_local_links([(
             (ClusterId::new(1), ClusterId::new(3)),
@@ -378,16 +412,10 @@ mod tests {
                 Some(LatencyMs::new(0.4)),
             ),
         ];
-        let mut src = BlobSource::new(StaticSource {
-            full: bytes.clone(),
-            deltas: vec![],
-        });
+        let mut src = StaticSource::new(bytes.clone(), vec![]);
         let mut one = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
         one.add_local_links(links);
-        let mut src2 = BlobSource::new(StaticSource {
-            full: bytes,
-            deltas: vec![],
-        });
+        let mut src2 = StaticSource::new(bytes, vec![]);
         let mut two = INanoClient::bootstrap(&mut src2, client_cfg()).unwrap();
         for l in links {
             two.add_local_links([l]);
@@ -414,10 +442,7 @@ mod tests {
         ));
         let (full, _) = codec::encode(&day0);
         let d01 = AtlasDelta::between(&day0, &day1).encode().0;
-        let mut src = BlobSource::new(StaticSource {
-            full,
-            deltas: vec![d01],
-        });
+        let mut src = StaticSource::new(full, vec![d01]);
         let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
         client.add_local_links([(
             (ClusterId::new(1), ClusterId::new(3)),

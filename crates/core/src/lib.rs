@@ -31,11 +31,11 @@ pub mod rank;
 pub mod search;
 pub mod source;
 
-pub use client::{INanoClient, StaticSource};
+pub use client::INanoClient;
 pub use config::PredictorConfig;
 pub use predict::{PathPredictor, PredictedPath, Resolution};
 pub use rank::rank_by_rtt;
 pub use source::{
     chunk_span, content_tag, n_chunks, AtlasChunk, AtlasReader, AtlasSource, AtlasVersion,
-    BlobFetch, BlobSource, DeltaHandle, DEFAULT_CHUNK_SIZE,
+    DeltaHandle, StaticSource, DEFAULT_CHUNK_SIZE,
 };

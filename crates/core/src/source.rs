@@ -1,13 +1,12 @@
-//! Atlas acquisition, v2: a versioned, chunk-oriented [`AtlasSource`]
-//! plus the [`AtlasReader`] driver that assembles and validates bodies.
+//! Atlas acquisition: a versioned, chunk-oriented [`AtlasSource`] plus
+//! the [`AtlasReader`] driver that assembles and validates bodies.
 //!
 //! The paper's §5 dissemination story is peers fetching the ~7MB atlas
-//! (and then small daily deltas) *from each other*. The original
-//! `AtlasSource` was a two-method blob API (`fetch_full() -> Vec<u8>`)
-//! that only worked in-process; this redesign makes the unit of
-//! transfer a *chunk* of a *named version*, which is what lets the same
-//! trait sit in front of an in-memory test vector, the swarm
-//! simulation, or a remote `inano-serve` over the wire:
+//! (and then small daily deltas) *from each other*. The unit of
+//! transfer is a *chunk* of a *named version*, which is what lets the
+//! same trait sit in front of an in-memory test vector
+//! ([`StaticSource`]), the swarm simulation, or a remote `inano-serve`
+//! over the wire:
 //!
 //! * [`AtlasSource::head`] names the newest version —
 //!   [`AtlasVersion`]: day, content tag, body length, chunk size — so a
@@ -26,10 +25,6 @@
 //! [`ModelError::VersionRaced`] because the origin swapped generations
 //! mid-fetch — restarts at the new head. `INanoClient::bootstrap` and
 //! the service engine both feed on it.
-//!
-//! [`BlobSource`] adapts the legacy blob shape ([`BlobFetch`]) onto the
-//! new trait, so in-memory sources like `StaticSource` migrate
-//! mechanically.
 
 use inano_atlas::{codec, AtlasDelta};
 use inano_model::ModelError;
@@ -350,108 +345,67 @@ fn is_race(e: &ModelError) -> bool {
     )
 }
 
-/// The legacy blob shape: one full body, one delta body per day.
-/// In-memory sources (test vectors, files) keep implementing this and
-/// ride behind [`BlobSource`].
-pub trait BlobFetch {
-    /// The full atlas for the newest available day.
-    fn fetch_full(&mut self) -> Result<Vec<u8>, ModelError>;
-    /// The delta from `have_day` to the next day, if one is available.
-    fn fetch_delta(&mut self, have_day: u32) -> Result<Option<Vec<u8>>, ModelError>;
+/// An in-memory source, for tests and local files: one encoded full
+/// body plus any encoded daily deltas, served in `chunk_size` chunks.
+/// The fields are public so a test can move the source on (swap `full`
+/// for a later day's body, drop a delta) between two fetches.
+pub struct StaticSource {
+    pub full: Vec<u8>,
+    pub deltas: Vec<Vec<u8>>,
+    /// [`DEFAULT_CHUNK_SIZE`] unless a test wants multi-chunk bodies.
+    pub chunk_size: u32,
 }
 
-/// Adapts a [`BlobFetch`] onto the chunked [`AtlasSource`]: fetches the
-/// blob once per `head()`/`fetch_delta()` and serves chunks from the
-/// cached copy.
-pub struct BlobSource<S> {
-    inner: S,
-    chunk_size: u32,
-    full: Option<(AtlasVersion, Vec<u8>)>,
-    delta: Option<(DeltaHandle, Vec<u8>)>,
-}
-
-impl<S: BlobFetch> BlobSource<S> {
-    pub fn new(inner: S) -> BlobSource<S> {
-        BlobSource::with_chunk_size(inner, DEFAULT_CHUNK_SIZE)
-    }
-
-    /// Mostly for tests: tiny chunks force multi-chunk transfers.
-    pub fn with_chunk_size(inner: S, chunk_size: u32) -> BlobSource<S> {
-        BlobSource {
-            inner,
-            chunk_size: chunk_size.max(1),
-            full: None,
-            delta: None,
+impl StaticSource {
+    pub fn new(full: Vec<u8>, deltas: Vec<Vec<u8>>) -> StaticSource {
+        StaticSource {
+            full,
+            deltas,
+            chunk_size: DEFAULT_CHUNK_SIZE,
         }
     }
 
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    fn ensure_full(&mut self) -> Result<&(AtlasVersion, Vec<u8>), ModelError> {
-        if self.full.is_none() {
-            let bytes = self.inner.fetch_full()?;
-            // Peek, don't decode: the consumer decodes the assembled
-            // body itself, and a second full decode just for the day
-            // would double the bootstrap cost.
-            let day = codec::peek_day(&bytes)?;
-            let version = AtlasVersion {
-                day,
-                epoch_tag: content_tag(&bytes),
-                full_len: bytes.len() as u64,
-                chunk_size: self.chunk_size,
-            };
-            self.full = Some((version, bytes));
+    /// The encoded delta leaving `from_day`, with its parsed day span.
+    fn delta(&self, from_day: u32) -> Result<Option<(DeltaHandle, &[u8])>, ModelError> {
+        for bytes in &self.deltas {
+            let parsed = AtlasDelta::decode(bytes)?;
+            if parsed.from_day == from_day {
+                let handle = DeltaHandle {
+                    from_day,
+                    to_day: parsed.to_day,
+                    len: bytes.len() as u64,
+                    chunk_size: self.chunk_size,
+                };
+                return Ok(Some((handle, bytes)));
+            }
         }
-        Ok(self.full.as_ref().expect("populated above"))
-    }
-
-    fn ensure_delta(
-        &mut self,
-        from_day: u32,
-    ) -> Result<Option<&(DeltaHandle, Vec<u8>)>, ModelError> {
-        let cached = matches!(&self.delta, Some((h, _)) if h.from_day == from_day);
-        if !cached {
-            let Some(bytes) = self.inner.fetch_delta(from_day)? else {
-                return Ok(None);
-            };
-            let parsed = AtlasDelta::decode(&bytes)?;
-            let handle = DeltaHandle {
-                from_day: parsed.from_day,
-                to_day: parsed.to_day,
-                len: bytes.len() as u64,
-                chunk_size: self.chunk_size,
-            };
-            self.delta = Some((handle, bytes));
-        }
-        Ok(self.delta.as_ref())
+        Ok(None)
     }
 }
 
-impl<S: BlobFetch> AtlasSource for BlobSource<S> {
+impl AtlasSource for StaticSource {
     fn head(&mut self) -> Result<AtlasVersion, ModelError> {
-        // Refresh the cached blob: head() is the start of a new fetch.
-        self.full = None;
-        Ok(self.ensure_full()?.0)
+        Ok(AtlasVersion {
+            // Peek, don't decode: the consumer decodes the assembled
+            // body itself.
+            day: codec::peek_day(&self.full)?,
+            epoch_tag: content_tag(&self.full),
+            full_len: self.full.len() as u64,
+            chunk_size: self.chunk_size,
+        })
     }
 
     fn fetch_full_chunk(&mut self, idx: u32) -> Result<AtlasChunk, ModelError> {
-        let (version, bytes) = self.ensure_full()?;
-        let span = chunk_span(version.full_len, version.chunk_size, idx)?;
-        Ok(AtlasChunk::of(bytes[span].to_vec()))
+        let span = chunk_span(self.full.len() as u64, self.chunk_size, idx)?;
+        Ok(AtlasChunk::of(self.full[span].to_vec()))
     }
 
     fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
-        Ok(self.ensure_delta(have_day)?.map(|(h, _)| *h))
+        Ok(self.delta(have_day)?.map(|(handle, _)| handle))
     }
 
     fn fetch_delta_chunk(&mut self, from_day: u32, idx: u32) -> Result<AtlasChunk, ModelError> {
-        let Some((handle, bytes)) = self.ensure_delta(from_day)? else {
+        let Some((handle, bytes)) = self.delta(from_day)? else {
             return Err(ModelError::VersionRaced(format!(
                 "no delta leaving day {from_day} is available any more"
             )));
@@ -464,13 +418,6 @@ impl<S: BlobFetch> AtlasSource for BlobSource<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A blob source over fixed bytes (no atlas decode involved — these
-    /// tests drive the chunk machinery, not the codec).
-    struct RawBlobs {
-        full: Vec<u8>,
-        delta: Option<Vec<u8>>,
-    }
 
     /// An AtlasSource serving `body` directly, with fault injection.
     struct FaultySource {
@@ -652,15 +599,6 @@ mod tests {
         assert!(r.fetch_full(&mut Hostile(1024, 0)).is_err());
     }
 
-    impl BlobFetch for RawBlobs {
-        fn fetch_full(&mut self) -> Result<Vec<u8>, ModelError> {
-            Ok(self.full.clone())
-        }
-        fn fetch_delta(&mut self, _have_day: u32) -> Result<Option<Vec<u8>>, ModelError> {
-            Ok(self.delta.clone())
-        }
-    }
-
     #[test]
     fn blob_source_serves_real_atlas_bytes_chunked() {
         use inano_atlas::Atlas;
@@ -669,13 +607,10 @@ mod tests {
             ..Atlas::default()
         };
         let (bytes, _) = codec::encode(&atlas);
-        let mut src = BlobSource::with_chunk_size(
-            RawBlobs {
-                full: bytes.clone(),
-                delta: None,
-            },
-            8,
-        );
+        let mut src = StaticSource {
+            chunk_size: 8,
+            ..StaticSource::new(bytes.clone(), vec![])
+        };
         let head = src.head().expect("head");
         assert_eq!(head.day, 3);
         assert_eq!(head.full_len, bytes.len() as u64);

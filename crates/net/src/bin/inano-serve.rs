@@ -12,10 +12,14 @@
 //! shards from flags, it enumerates the shards of the server at `ADDR`,
 //! fetches each shard's atlas over the wire (chunked, checksummed,
 //! resumable), serves them under the same shard ids, and — every
-//! `--refresh-ms` — pulls any daily deltas the upstream applied, so a
-//! delta published at the origin propagates down a mirror chain hop by
-//! hop. Every `inano-serve` serves the fetch frames, so a mirror of a
-//! mirror works: the §5 swarm, spelled as a chain of ordinary servers.
+//! `--refresh-ms` — runs `QueryEngine::update` against the upstream:
+//! the daily deltas it applied, or its full atlas again when no delta
+//! bridges the gap (it restarted, replaced its atlas, or this mirror
+//! lagged past its retained chain). So a delta published at the origin
+//! propagates down a mirror chain hop by hop. Every `inano-serve`
+//! serves the fetch frames, so a mirror of a mirror works: the §5
+//! swarm, spelled as a chain of ordinary servers. The binary itself is
+//! tested end to end by `crates/net/tests/serve_bin.rs`.
 //!
 //! `--metrics-text ADDR` additionally serves the server's unified
 //! metrics registry as Prometheus text exposition over HTTP/1.0 on
@@ -124,7 +128,6 @@ fn local_specs() -> Vec<ShardSpec> {
         .collect()
 }
 
-/// Bootstrap the shard set from an upstream server (the mirror path):
 /// Reads and writes on the refresh loop's upstream connections are
 /// bounded: `QueryEngine::update` fetches under the engine's builder
 /// lock, and a half-dead upstream must surface as a retryable error,
@@ -139,35 +142,7 @@ fn mirror_source(upstream: &str, id: ShardId) -> std::io::Result<MirrorSource> {
     Ok(source)
 }
 
-/// When the upstream offers no delta, check whether its head moved
-/// anyway — a restarted origin (empty delta log) or a mirror that
-/// lagged past the upstream's retained chain — and bridge the
-/// discontinuity by refetching the full atlas. Returns the new day if
-/// a resync happened.
-fn resync_full(
-    registry: &ShardRegistry,
-    id: ShardId,
-    source: &mut MirrorSource,
-) -> Result<Option<u32>, inano_model::ModelError> {
-    use inano_core::AtlasSource;
-    let head = source.head()?;
-    // Same content tag = same atlas: encoding is canonical, so the
-    // compare costs one cached local encode, no wire body.
-    if head.epoch_tag == registry.export(id)?.epoch_tag {
-        return Ok(None);
-    }
-    let (_, bytes, races) = AtlasReader::default().fetch_full_counted(source)?;
-    registry
-        .engine(id)?
-        .metrics()
-        .mirror_races_recovered
-        .add(races as u64);
-    let atlas = inano_atlas::codec::decode(&bytes)?;
-    // `replace_atlas` counts the full resync on the engine's own
-    // mirror series.
-    Ok(Some(registry.replace_atlas(id, Arc::new(atlas))?))
-}
-
+/// Bootstrap the shard set from an upstream server (the mirror path):
 /// one wire-level atlas fetch per remote shard, same ids locally.
 /// Returns the specs plus one per-shard [`MirrorSource`] for the
 /// refresh loop.
@@ -219,7 +194,7 @@ fn main() {
     refuse_unknown(FLAGS);
     let bind: String = arg("--bind", "127.0.0.1".to_string());
     let port: u16 = arg("--port", 4711);
-    let max_conns: usize = arg("--max-conns", 256);
+    let max_conns: usize = arg("--max-conns", ServerConfig::default().max_conns);
     let max_inflight: usize = arg("--max-inflight", ServerConfig::default().max_inflight);
     let max_request_bytes: usize = arg(
         "--max-request-bytes",
@@ -253,7 +228,8 @@ fn main() {
         // --predictor picks the profile (`ring` for the demo worlds).
         let predictor = match arg("--predictor", "full".to_string()).as_str() {
             "ring" => ring_predictor_config(),
-            _ => PredictorConfig::full(),
+            "full" => PredictorConfig::full(),
+            other => panic!("flag --predictor: {other:?} is neither \"full\" nor \"ring\""),
         };
         mirrored_specs(&mirror, predictor)
     };
@@ -280,11 +256,12 @@ fn main() {
     )
     .expect("bind server socket");
 
-    // The refresh loop: poll the upstream for daily deltas and land
-    // them on the local shards; downstream mirrors then fetch the same
-    // deltas from *us* (the engine retains what it applies). Spawned
-    // after the bind so failures can land on the server's event
-    // journal — serving starts at bind either way.
+    // The refresh loop: every tick, `QueryEngine::update` catches each
+    // shard up with its upstream — daily deltas, or the full body when
+    // the chain broke — and downstream mirrors then fetch the same
+    // from *us* (the engine retains what it applies). Spawned after
+    // the bind so failures can land on the server's event journal —
+    // serving starts at bind either way.
     if !mirror_sources.is_empty() && refresh_ms > 0 {
         let registry = Arc::clone(&registry);
         let journal = Arc::clone(server.journal());
@@ -297,32 +274,10 @@ fn main() {
                     std::thread::sleep(Duration::from_millis(refresh_ms));
                     for (id, source) in &mut sources {
                         match registry.update(*id, source) {
-                            // No delta to pull — the common idle tick,
-                            // unless the upstream's head moved without
-                            // a bridging delta (restart, or we lagged
-                            // past its retained chain): then refetch
-                            // the full atlas rather than serving a
-                            // stale generation forever.
-                            Ok(0) => match resync_full(&registry, *id, source) {
-                                Ok(None) => {}
-                                Ok(Some(day)) => eprintln!(
-                                    "{id}: upstream head moved without a delta; \
-                                     re-bootstrapped the full atlas, now day {day}"
-                                ),
-                                Err(e) => {
-                                    eprintln!("{id}: resync check failed: {e}; reconnecting");
-                                    journal.emit(
-                                        EventKind::MirrorRefreshFailed,
-                                        format!("{id} resync: {e}"),
-                                    );
-                                    match mirror_source(&upstream, *id) {
-                                        Ok(fresh) => *source = fresh,
-                                        Err(e) => {
-                                            eprintln!("{id}: reconnect failed (will retry): {e}")
-                                        }
-                                    }
-                                }
-                            },
+                            // Idle — or a broken chain bridged by a
+                            // full resync, which the journal and
+                            // `mirror.full_resyncs` record.
+                            Ok(0) => {}
                             Ok(n) => eprintln!(
                                 "{id}: pulled {n} delta(s) from upstream, now day {}",
                                 registry.epoch(*id).map(|(_, d)| d).unwrap_or(0)

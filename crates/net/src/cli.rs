@@ -1,9 +1,9 @@
 //! Minimal flag parsing shared by the workspace's binaries
-//! (`inano-serve`, the bench loadgens): `--name value` pairs, typed by
-//! the caller, defaulting only on absence. Whatever the operator typed
-//! and the binary cannot honour — a value that does not parse, a flag
-//! with no value, a flag it does not know — is a startup panic naming
-//! it, never a silent default.
+//! (`inano-serve`, `fleet_scrape`, `fleet_sim`): `--name value` pairs,
+//! typed by the caller, defaulting only on absence. Whatever the
+//! operator typed and the binary cannot honour — a value that does not
+//! parse, a flag with no value, a flag it does not know — is a startup
+//! panic naming it, never a silent default.
 
 fn env_args() -> Vec<String> {
     std::env::args().collect()
@@ -34,12 +34,6 @@ pub fn arg_in<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> 
             std::any::type_name::<T>()
         )
     })
-}
-
-/// Whether the bare flag `--name` is present at all — for mode
-/// switches that take no value (`net_throughput --udp`).
-pub fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
 }
 
 /// Panic at startup if `std::env::args()` holds a `--flag` outside

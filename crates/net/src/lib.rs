@@ -34,8 +34,7 @@
 //!   every server a mirror;
 //! * [`client`] — [`NetClient`], synchronous calls plus pipelined
 //!   batch submission (`submit_batch`/`recv`), shard-aware via the
-//!   `_on` variants and `shards()`, which is what `inano-bench`'s
-//!   `net_throughput` loadgen drives. `NetClient` (shard 0) and
+//!   `_on` variants and `shards()`. `NetClient` (shard 0) and
 //!   [`MirrorSource`] (any shard) implement
 //!   [`inano_core::AtlasSource`], so a remote server plugs into
 //!   `INanoClient::bootstrap`/`QueryEngine::bootstrap` like any local
@@ -50,7 +49,7 @@
 //! paper's millions of rarely-asking peers.
 //!
 //! [`demo`] carries the tiny ring world the `inano-serve --ring` mode,
-//! the integration tests and the loadgen's `--connect` mode share.
+//! the integration tests and `fleet_sim` share.
 //!
 //! See DESIGN.md ("The wire protocol") for framing, pipelining,
 //! limits and versioning.

@@ -12,8 +12,8 @@
 mod common;
 
 use common::serve_one;
-use inano_core::AtlasReader;
-use inano_model::{ErrorCode, Ipv4};
+use inano_core::{AtlasChunk, AtlasReader, AtlasSource, AtlasVersion, DeltaHandle};
+use inano_model::{ErrorCode, Ipv4, ModelError};
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config, ring_shortcut_delta};
 use inano_net::{Limits, MirrorSource, NetClient, NetError, ServerConfig};
 use inano_obs::EventKind;
@@ -161,20 +161,57 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
     assert_eq!(mirror.metrics().dump().counter("srv.faults"), 0);
 }
 
+/// A mirror's upstream whose full body can be switched off, counting
+/// the body chunks asked of it.
+struct SwitchableBody {
+    inner: MirrorSource,
+    body_down: bool,
+    full_chunks: usize,
+}
+
+impl AtlasSource for SwitchableBody {
+    fn head(&mut self) -> Result<AtlasVersion, ModelError> {
+        self.inner.head()
+    }
+
+    fn fetch_full_chunk(&mut self, idx: u32) -> Result<AtlasChunk, ModelError> {
+        self.full_chunks += 1;
+        if self.body_down {
+            return Err(ModelError::Decode("upstream body unavailable".into()));
+        }
+        self.inner.fetch_full_chunk(idx)
+    }
+
+    fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
+        self.inner.fetch_delta(have_day)
+    }
+
+    fn fetch_delta_chunk(&mut self, from_day: u32, idx: u32) -> Result<AtlasChunk, ModelError> {
+        self.inner.fetch_delta_chunk(from_day, idx)
+    }
+}
+
 /// The mirror-side convergence instruments, end to end: the lag gauge
 /// rises when the upstream moves, falls to zero after a refresh, and a
-/// broken delta chain is bridged by a full resync that the counters
-/// record.
+/// broken delta chain is bridged — by that same refresh — with a full
+/// resync that the counters record.
 #[test]
 fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
     let origin_engine = ring_engine(RING);
     let origin = serve_one(Arc::clone(&origin_engine), ServerConfig::default());
-    let mut upstream = MirrorSource::connect(origin.local_addr(), ShardId::DEFAULT)
-        .expect("connect mirror to origin");
+    let mut upstream = SwitchableBody {
+        inner: MirrorSource::connect(origin.local_addr(), ShardId::DEFAULT)
+            .expect("connect mirror to origin"),
+        body_down: false,
+        full_chunks: 0,
+    };
     let mirror_engine = Arc::new(
         QueryEngine::bootstrap(&mut upstream, ring_service_config())
             .expect("mirror bootstraps from the origin"),
     );
+    // Fronted by a server from the start, so its journal sees the
+    // whole story.
+    let mirror_srv = serve_one(Arc::clone(&mirror_engine), ServerConfig::default());
     // The engine's own registers, read where they are written.
     let m = mirror_engine.metrics();
     assert_eq!(
@@ -205,14 +242,13 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
     assert_eq!(m.mirror_full_resyncs.get(), 0);
 
     // The origin restarts onto a fresh generation (empty delta log,
-    // day jump): no delta bridges the gap, and the refresh must say
-    // how far behind the mirror now is rather than claim convergence.
+    // day jump): no delta bridges the gap. While the full body cannot
+    // be fetched the refresh fails, says how far behind the mirror now
+    // is rather than claim convergence, and day 1 keeps serving.
     origin_engine.replace_atlas(Arc::new(ring_atlas(RING, 5)));
-    assert_eq!(
-        mirror_engine.update(&mut upstream).expect("refresh"),
-        0,
-        "no delta leaves day 1 any more"
-    );
+    upstream.body_down = true;
+    assert!(mirror_engine.update(&mut upstream).is_err());
+    upstream.body_down = false;
     assert_eq!(m.mirror_deltas_applied.get(), 1, "nothing new applied");
     assert_eq!(m.mirror_upstream_day.get(), 5);
     assert_eq!(
@@ -220,23 +256,33 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
         4,
         "the broken chain leaves the mirror behind"
     );
+    assert_eq!((mirror_engine.day(), m.mirror_full_resyncs.get()), (1, 0));
 
-    // The bridge is a full resync — what `inano-serve`'s refresh loop
-    // does — and the counters record it as such.
-    let (_, bytes) = AtlasReader::default()
-        .fetch_full(&mut upstream)
-        .expect("full refetch over the wire");
-    let atlas = inano_atlas::codec::decode(&bytes).expect("decode refetched atlas");
-    mirror_engine.replace_atlas(Arc::new(atlas));
+    // One refresh bridges it with a full resync, and the counters
+    // record it as such.
+    assert_eq!(
+        mirror_engine.update(&mut upstream).expect("refresh"),
+        0,
+        "no delta leaves day 1 any more"
+    );
     assert_eq!(m.mirror_full_resyncs.get(), 1);
     assert_eq!(m.mirror_lag_days.get(), 0, "the full swap pays the lag off");
+    assert_eq!(m.mirror_upstream_day.get(), 5);
     assert_eq!(mirror_engine.day(), 5);
+    assert_eq!(
+        mirror_engine.export().epoch_tag,
+        origin_engine.export().epoch_tag
+    );
+    // In step again: the next refresh compares tags and fetches no body.
+    let fetched = upstream.full_chunks;
     assert_eq!(mirror_engine.update(&mut upstream).expect("refresh"), 0);
+    assert_eq!(upstream.full_chunks, fetched);
+    assert_eq!(m.mirror_full_resyncs.get(), 1);
     assert_eq!(m.mirror_lag_days.get(), 0);
 
-    // The same series is what the scrape plane publishes: a server
-    // fronting the mirror engine answers them in its metrics dump.
-    let mirror_srv = serve_one(Arc::clone(&mirror_engine), ServerConfig::default());
+    // The same series is what the scrape plane publishes: the server
+    // fronting the mirror engine answers them in its metrics dump, and
+    // its journal holds the one resync.
     let mut probe = NetClient::connect(mirror_srv.local_addr()).expect("probe connect");
     let dump = probe.metrics().expect("metrics over the wire");
     assert_eq!(dump.counter("shard0.mirror.deltas_applied"), 1);
@@ -244,6 +290,15 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
     assert_eq!(dump.gauge("shard0.mirror.lag_days"), 0);
     assert_eq!(dump.gauge("shard0.mirror.upstream_day"), 5);
     assert_eq!(dump.gauge("shard0.day"), 5);
+    let resyncs: Vec<_> = probe
+        .events(0)
+        .expect("events")
+        .events
+        .into_iter()
+        .filter(|e| e.kind == EventKind::FullResync)
+        .collect();
+    assert_eq!(resyncs.len(), 1, "{resyncs:?}");
+    assert_eq!(resyncs[0].detail, "shard0 day=5");
 }
 
 /// The causal timeline of a mirror kill → restart, observed entirely

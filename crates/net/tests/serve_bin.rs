@@ -1,0 +1,408 @@
+//! The shipped binaries, end to end: real `inano-serve` processes — an
+//! origin with two ring shards, a datagram plane and a scheduled day-1
+//! delta, and a `--mirror` of it — driven over loopback by the library
+//! clients and scraped by the real `fleet_scrape`.
+//!
+//! Everything said here is about a *process*: the contract lines it
+//! prints, the flags it honours or refuses, what its refresh loop does
+//! when the origin publishes a delta and when the origin restarts onto
+//! a generation no delta leads to. What an in-process server does under
+//! load, loss or a crowd of idle peers is `net.rs`, `udp.rs` and
+//! `event_loop.rs`.
+//!
+//! Children are killed when their guard drops; every wait is a poll
+//! against [`DEADLINE_SECS`].
+
+mod common;
+
+use common::wait_for;
+use inano_core::AtlasReader;
+use inano_model::Ipv4;
+use inano_net::demo::ring_ip;
+use inano_net::{NetClient, ShardId, UdpQuerier, WireFault, WirePath};
+use inano_obs::EventKind;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+const SERVE: &str = env!("CARGO_BIN_EXE_inano-serve");
+const SCRAPE: &str = env!("CARGO_BIN_EXE_fleet_scrape");
+const RING: u32 = 64;
+/// How long any one wait may take before the test fails.
+const DEADLINE_SECS: u64 = 30;
+const DEADLINE: Duration = Duration::from_secs(DEADLINE_SECS);
+
+/// A spawned binary: killed and reaped on drop, every line of its
+/// stdout and stderr kept in arrival order.
+struct Proc {
+    child: Child,
+    lines: Receiver<String>,
+    seen: Vec<String>,
+    readers: Vec<JoinHandle<()>>,
+}
+
+fn forward(pipe: impl Read + Send + 'static, tx: Sender<String>) -> JoinHandle<()> {
+    std::thread::spawn(move || {
+        for line in BufReader::new(pipe).lines().map_while(Result::ok) {
+            if tx.send(line).is_err() {
+                return;
+            }
+        }
+    })
+}
+
+impl Proc {
+    fn spawn(exe: &str, args: &[&str]) -> Proc {
+        let mut child = Command::new(exe)
+            .args(args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap_or_else(|e| panic!("spawn {exe} {args:?}: {e}"));
+        let (tx, lines) = channel();
+        let readers = vec![
+            forward(child.stdout.take().expect("piped stdout"), tx.clone()),
+            forward(child.stderr.take().expect("piped stderr"), tx),
+        ];
+        Proc {
+            child,
+            lines,
+            seen: Vec::new(),
+            readers,
+        }
+    }
+
+    /// What follows `prefix` on the first line that starts with it,
+    /// waiting for the process to print one.
+    fn line_after(&mut self, prefix: &str) -> String {
+        let deadline = Instant::now() + DEADLINE;
+        let mut scanned = 0;
+        loop {
+            if let Some(rest) = self.seen[scanned..]
+                .iter()
+                .find_map(|l| l.strip_prefix(prefix))
+            {
+                return rest.to_string();
+            }
+            scanned = self.seen.len();
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.lines.recv_timeout(left) {
+                Ok(line) => self.seen.push(line),
+                Err(_) => panic!("no {prefix:?} line; the process printed {:#?}", self.seen),
+            }
+        }
+    }
+
+    /// Wait for the process to exit by itself; returns its status and
+    /// everything it printed.
+    fn finish(mut self) -> (ExitStatus, String) {
+        let mut exited = None;
+        wait_for(DEADLINE_SECS, "the process to exit", || {
+            exited = self.child.try_wait().expect("poll the child");
+            exited.is_some()
+        });
+        // Exited, so both pipes are at EOF and the readers finish.
+        for reader in self.readers.drain(..) {
+            reader.join().expect("reader thread");
+        }
+        self.seen.extend(self.lines.try_iter());
+        (exited.expect("waited for"), self.seen.join("\n"))
+    }
+}
+
+impl Drop for Proc {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        for reader in self.readers.drain(..) {
+            let _ = reader.join();
+        }
+    }
+}
+
+fn addr_after(proc: &mut Proc, prefix: &str) -> SocketAddr {
+    let text = proc.line_after(prefix);
+    text.parse()
+        .unwrap_or_else(|e| panic!("{prefix}{text:?} is not a socket address: {e}"))
+}
+
+/// `GET path` against an `inano-serve --metrics-text` socket; the body.
+fn http_get(addr: SocketAddr, path: &str) -> String {
+    let mut s = TcpStream::connect(addr).expect("connect to the text endpoint");
+    s.set_read_timeout(Some(DEADLINE)).expect("bound the read");
+    write!(s, "GET {path} HTTP/1.0\r\n\r\n").expect("request");
+    // One request per connection: EOF on our side ends the server's.
+    s.shutdown(Shutdown::Write).expect("half-close");
+    let mut response = String::new();
+    s.read_to_string(&mut response).expect("response");
+    assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
+    let (_, body) = response.split_once("\r\n\r\n").expect("a head and a body");
+    body.to_string()
+}
+
+/// A fixed, routable pair set: every source, seven destinations each.
+fn pairs() -> Vec<(Ipv4, Ipv4)> {
+    (0..RING)
+        .flat_map(|s| (1..8).map(move |k| (ring_ip(s), ring_ip((s + k * 9) % RING))))
+        .collect()
+}
+
+type Answers = Vec<Result<WirePath, WireFault>>;
+
+/// Four batches in flight at once on `shard`; every pair must be served.
+fn pipelined_fault_free(client: &mut NetClient, shard: ShardId) {
+    let pairs = pairs();
+    let ids: Vec<u64> = (0..4)
+        .map(|_| client.submit_batch_on(shard, &pairs).expect("submit"))
+        .collect();
+    for want in ids {
+        match client.recv().expect("a reply per request") {
+            (id, inano_net::Frame::PathBatch { results }) => {
+                assert_eq!(id, want, "replies come back in request order");
+                assert_eq!(results.len(), pairs.len());
+                for r in results {
+                    r.unwrap_or_else(|fault| panic!("{shard} refused a ring pair: {fault:?}"));
+                }
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+}
+
+/// Two servers that hold the same atlas answer alike: routes exactly,
+/// RTT and loss to float accumulation error (one of them may hold
+/// latencies that never went through the codec).
+fn assert_same_answers(a: &Answers, b: &Answers) {
+    assert_eq!(a.len(), b.len());
+    for (i, pair) in a.iter().zip(b).enumerate() {
+        match pair {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(
+                    (&a.fwd_clusters, &a.rev_clusters, &a.fwd_as, &a.rev_as),
+                    (&b.fwd_clusters, &b.rev_clusters, &b.fwd_as, &b.rev_as),
+                    "pair {i}"
+                );
+                assert!((a.rtt_ms - b.rtt_ms).abs() < 1e-9, "pair {i}");
+                assert!((a.loss - b.loss).abs() < 1e-9, "pair {i}");
+            }
+            other => panic!("pair {i} was not served by both: {other:?}"),
+        }
+    }
+}
+
+/// Origin and mirror hold byte-identical shard-0 atlases (fetched from
+/// both over the wire, as any bootstrapping peer would) and answer the
+/// fixed pair set alike. Returns the day they serve.
+fn assert_parity(origin: SocketAddr, mirror: SocketAddr) -> u32 {
+    let reader = AtlasReader::default();
+    let mut from_origin = NetClient::connect(origin).expect("connect to the origin");
+    let mut from_mirror = NetClient::connect(mirror).expect("connect to the mirror");
+    let (origin_head, origin_bytes) = reader.fetch_full(&mut from_origin).expect("origin body");
+    let (mirror_head, mirror_bytes) = reader.fetch_full(&mut from_mirror).expect("mirror body");
+    assert_eq!(origin_head.epoch_tag, mirror_head.epoch_tag);
+    assert_eq!(origin_head.day, mirror_head.day);
+    assert!(origin_bytes == mirror_bytes, "equal tags, different bytes");
+    assert_same_answers(
+        &from_origin.query_batch(&pairs()).expect("origin answers"),
+        &from_mirror.query_batch(&pairs()).expect("mirror answers"),
+    );
+    origin_head.day
+}
+
+/// The value of `name` on a Prometheus text page.
+fn series(page: &str, name: &str) -> u64 {
+    page.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} series on the page:\n{page}"))
+}
+
+#[test]
+fn origin_and_mirror_processes_serve_propagate_resync_and_scrape() {
+    // The origin: two ring shards, both transports, and a day-1 delta
+    // on shard 0 shortly after start. The mirror goes up at once, so it
+    // bootstraps at day 0 and has a delta to pull.
+    let mut origin = Proc::spawn(
+        SERVE,
+        &[
+            "--port",
+            "0",
+            "--ring",
+            "64",
+            "--ring",
+            "64",
+            "--udp",
+            "127.0.0.1:0",
+            "--demo-swap-ms",
+            "300",
+        ],
+    );
+    let origin_addr = addr_after(&mut origin, "LISTENING ");
+    let mut mirror = Proc::spawn(
+        SERVE,
+        &[
+            "--port",
+            "0",
+            "--mirror",
+            &origin_addr.to_string(),
+            "--predictor",
+            "ring",
+            "--refresh-ms",
+            "100",
+            "--metrics-text",
+            "127.0.0.1:0",
+        ],
+    );
+    let mirror_addr = addr_after(&mut mirror, "LISTENING ");
+    let udp_addr = addr_after(&mut origin, "LISTENING-UDP ");
+    let text_addr: SocketAddr = mirror
+        .line_after("metrics-text: http://")
+        .trim_end_matches("/metrics")
+        .parse()
+        .expect("the text endpoint's address");
+
+    // Both processes host both shards and serve pipelined load on each
+    // without a fault.
+    for addr in [origin_addr, mirror_addr] {
+        let mut client = NetClient::connect(addr).expect("connect");
+        let shards = client.shards().expect("ListShards");
+        assert_eq!(
+            shards.iter().map(|s| s.shard).collect::<Vec<_>>(),
+            [0, 1],
+            "{addr} hosts {shards:?}"
+        );
+        for shard in [ShardId(0), ShardId(1)] {
+            pipelined_fault_free(&mut client, shard);
+        }
+    }
+
+    // The delta lands at the origin and the mirror's refresh loop pulls
+    // it: its own text page is the instrument.
+    wait_for(
+        DEADLINE_SECS,
+        "the mirror to apply the origin's delta",
+        || {
+            series(
+                &http_get(text_addr, "/metrics"),
+                "shard0_mirror_deltas_applied",
+            ) == 1
+        },
+    );
+    let health = http_get(text_addr, "/healthz");
+    assert!(health.starts_with("ok 1 "), "{health:?}");
+    assert_eq!(assert_parity(origin_addr, mirror_addr), 1);
+
+    // The datagram plane answers what the stream plane answers.
+    let mut tcp = NetClient::connect(origin_addr).expect("connect");
+    let mut udp = UdpQuerier::connect(udp_addr).expect("datagram socket");
+    udp.ping().expect("datagram ping");
+    for shard in [ShardId(0), ShardId(1)] {
+        for batch in pairs().chunks(32) {
+            assert_eq!(
+                udp.query_batch_on(shard, batch).expect("datagram batch"),
+                tcp.query_batch_on(shard, batch).expect("stream batch"),
+            );
+        }
+    }
+    drop((tcp, udp));
+
+    // The origin dies and comes back on the same port at day 0, its
+    // delta log empty: nothing bridges day 1 to it. The mirror's loop
+    // reconnects, finds a head that is not its own, and refetches the
+    // whole atlas — once, for the one shard whose content differs.
+    drop(origin);
+    let port = origin_addr.port().to_string();
+    let mut origin = Proc::spawn(SERVE, &["--port", &port, "--ring", "64", "--ring", "64"]);
+    assert_eq!(addr_after(&mut origin, "LISTENING "), origin_addr);
+    wait_for(
+        DEADLINE_SECS,
+        "the mirror to resync from the restarted origin",
+        || {
+            series(
+                &http_get(text_addr, "/metrics"),
+                "shard0_mirror_full_resyncs",
+            ) == 1
+        },
+    );
+    assert_eq!(assert_parity(origin_addr, mirror_addr), 0);
+
+    // The fleet scraper sees both servers...
+    let targets = [
+        "--connect",
+        &origin_addr.to_string(),
+        "--connect",
+        &mirror_addr.to_string(),
+    ];
+    let (status, out) = Proc::spawn(SCRAPE, &targets).finish();
+    assert!(status.success(), "{out}");
+    assert!(
+        out.contains(r#""bench":"fleet_scrape","servers":2"#),
+        "{out}"
+    );
+    // ...and over three ticks — two more refreshes of the mirror — its
+    // counters only grow, nobody lags, and the resync stays the only
+    // one: an idle tick compares tags and moves nothing.
+    let ticking = [&targets[..], &["--interval", "100", "--ticks", "3"]].concat();
+    let (status, out) = Proc::spawn(SCRAPE, &ticking).finish();
+    assert!(status.success(), "{out}");
+    assert!(out.contains(r#""monotone":true"#), "{out}");
+    let last_tick = out.rsplit(r#"{"t_ms""#).next().expect("a last tick");
+    assert!(
+        last_tick.contains(r#""full_resyncs":1,"fleet_lag_days":0"#),
+        "{out}"
+    );
+    let page = http_get(text_addr, "/metrics");
+    assert_eq!(series(&page, "shard0_mirror_full_resyncs"), 1);
+    assert_eq!(series(&page, "shard1_mirror_full_resyncs"), 0);
+    assert_eq!(series(&page, "shard0_mirror_deltas_applied"), 1);
+    let journal = NetClient::connect(mirror_addr)
+        .expect("connect")
+        .events(0)
+        .expect("the mirror's journal");
+    let resyncs: Vec<_> = journal
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::FullResync)
+        .collect();
+    assert_eq!(resyncs.len(), 1, "{resyncs:?}");
+    assert_eq!(resyncs[0].detail, "shard0 day=0");
+}
+
+#[test]
+fn an_unknown_flag_stops_the_start_and_is_named() {
+    let (status, out) = Proc::spawn(SERVE, &["--port", "0", "--workers", "8"]).finish();
+    assert!(!status.success());
+    assert!(out.contains("unknown flag --workers"), "{out}");
+    assert!(!out.contains("LISTENING"), "{out}");
+    // Nor does a known flag's unknown value fall back to a default.
+    let typo = [
+        "--port",
+        "0",
+        "--mirror",
+        "127.0.0.1:9",
+        "--predictor",
+        "rnig",
+    ];
+    let (status, out) = Proc::spawn(SERVE, &typo).finish();
+    assert!(!status.success());
+    assert!(out.contains(r#"flag --predictor: "rnig""#), "{out}");
+}
+
+#[test]
+fn a_mirror_of_a_dead_address_fails_before_listening() {
+    // An address nothing listens on: bound, read, released.
+    let dead = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("reserve a port");
+    let (status, out) =
+        Proc::spawn(SERVE, &["--port", "0", "--mirror", &dead.to_string()]).finish();
+    assert!(!status.success());
+    assert!(
+        out.contains(&format!("connect to --mirror {dead}")),
+        "{out}"
+    );
+    assert!(!out.contains("LISTENING"), "{out}");
+}

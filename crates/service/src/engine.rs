@@ -52,6 +52,15 @@
 //! query that starts after the swap sees the new day. The heavy work
 //! (delta application, graph construction) happens *before* the write
 //! lock is taken.
+//!
+//! ## Catching up
+//!
+//! [`QueryEngine::update`] is the whole mirror policy: drain the
+//! source's delta chain; only when that chain was empty and the
+//! source's head carries a different content tag, refetch the full
+//! body and swap it in. `inano-serve --mirror`'s refresh loop,
+//! `fleet_sim` and the tests drive a mirror through that one call, so
+//! the counters and journal events it leaves are the same everywhere.
 
 use crate::cache::{CacheKey, ShardedCache};
 use crate::stats::{EngineMetrics, ServiceStats};
@@ -122,6 +131,12 @@ impl Permits {
             Some(alive + got)
         });
         Permits(got)
+    }
+
+    /// Keep `used` of the permits taken and return the rest now.
+    fn keep(&mut self, used: usize) {
+        HELPERS.fetch_sub(self.0 - used, Ordering::Relaxed);
+        self.0 = used;
     }
 }
 
@@ -344,9 +359,8 @@ impl QueryEngine {
         self.metrics.register(obs, label);
     }
 
-    /// The live registers: for callers that count for the engine (the
-    /// serve bin's resync path recovers upstream races itself) and for
-    /// tests reading one series with `.get()`.
+    /// The live registers, for tests and embedders reading one series
+    /// with `.get()`.
     pub fn metrics(&self) -> &EngineMetrics {
         &self.metrics
     }
@@ -518,7 +532,7 @@ impl QueryEngine {
             return run(misses);
         }
         let chunks = misses.len().div_ceil(FANOUT_CHUNK);
-        let permits = Permits::take(chunks.min(helper_cap()) - 1);
+        let mut permits = Permits::take(chunks.min(helper_cap()) - 1);
         let cursor = AtomicUsize::new(0);
         // Claim chunks until none are left; each comes back with the
         // index that places it.
@@ -533,7 +547,13 @@ impl QueryEngine {
             }
         };
         let mut done = thread::scope(|scope| {
-            let helpers: Vec<_> = (0..permits.0).map(|_| scope.spawn(pull)).collect();
+            // A host that refuses a thread costs the batch parallelism,
+            // not its answer: stop asking, and the cursor is drained by
+            // whoever did start — this thread at the least.
+            let helpers: Vec<_> = (0..permits.0)
+                .map_while(|_| thread::Builder::new().spawn_scoped(scope, pull).ok())
+                .collect();
+            permits.keep(helpers.len());
             let mut done = pull();
             // Joined by handle, not left to the scope: that returns
             // once the OS thread is gone, so a permit never goes back
@@ -637,11 +657,39 @@ impl QueryEngine {
             .cloned()
     }
 
-    /// Fetch and apply every delta the source has beyond the current
-    /// day (the client-side daily update of §5, against the live
+    /// Catch up with `source` — the one policy a mirror runs every
+    /// tick (the client-side daily update of §5, against the live
     /// engine). Returns how many deltas were applied.
     ///
-    /// The builder lock is held across the whole chain: a concurrent
+    /// 1. **Delta chain first.** Every delta the source offers beyond
+    ///    the current day is fetched, applied and retained for this
+    ///    engine's own downstream mirrors; each counts one
+    ///    `mirror_deltas_applied` and journals one `DeltaApplied`.
+    /// 2. **Head probe.** The source's head then sets
+    ///    `mirror_upstream_day` and `mirror_lag_days`. A probe that
+    ///    fails after deltas were applied keeps them and returns their
+    ///    count; the gauges go stale until the next call.
+    /// 3. **Full body only on an empty chain.** When no delta was
+    ///    applied and the head's `epoch_tag` differs from this engine's
+    ///    own ([`QueryEngine::export`], cached per epoch, so an idle
+    ///    tick costs one compare and no body bytes), the chain is
+    ///    broken — the upstream replaced its atlas or restarted, or
+    ///    this mirror lagged past [`DELTA_LOG_CAP`] retained days — and
+    ///    the whole body is refetched and swapped in as
+    ///    [`QueryEngine::replace_atlas`] does: one
+    ///    `mirror_full_resyncs`, one `FullResync` event, lag back to 0,
+    ///    the delta log cleared. The call still returns `Ok(0)`. A
+    ///    source must therefore name as its head the version its own
+    ///    delta chain ends at, as every live server does.
+    ///
+    /// Whole-body restarts the reader recovered from (the source
+    /// swapped generations mid-fetch) count in `mirror_races_recovered`
+    /// and journal `RaceRecovered`, for deltas and full bodies alike.
+    /// Any fetch or decode error is returned with the engine still
+    /// serving what it served: the caller's cue to rebuild its
+    /// connection.
+    ///
+    /// The builder lock is held across the whole call: a concurrent
     /// `apply_delta`/`update` can't swap between this loop's day read
     /// and its apply, which would otherwise surface as a spurious
     /// wrong-base error from a delta that is simply already applied.
@@ -657,29 +705,36 @@ impl QueryEngine {
         let mut applied = 0;
         loop {
             let (fetched, races) = reader.fetch_delta_counted(source, self.day())?;
-            if races > 0 {
-                self.metrics.mirror_races_recovered.add(races as u64);
-                self.emit(EventKind::RaceRecovered, || format!("races={races}"));
-            }
+            self.count_races(races);
             let Some((_, bytes)) = fetched else { break };
             let delta = AtlasDelta::decode(&bytes)?;
             self.swap_locked(&delta, Some(bytes))?;
             applied += 1;
         }
         self.metrics.mirror_deltas_applied.add(applied as u64);
-        // Best-effort convergence probe: where is the upstream head
-        // relative to us now? A head the delta chain couldn't reach
-        // (the chain is broken — the origin replaced its atlas) leaves
-        // the lag gauge nonzero, which is the mirror-refresh loop's
-        // cue to fall back to a full resync. A probe failure keeps the
-        // applied deltas; the gauges just go stale until the next tick.
-        if let Ok(head) = source.head() {
-            self.metrics.mirror_upstream_day.set(head.day as u64);
-            self.metrics
-                .mirror_lag_days
-                .set(head.day.saturating_sub(self.day()) as u64);
+        let head = match source.head() {
+            Ok(head) => head,
+            Err(_) if applied > 0 => return Ok(applied),
+            Err(e) => return Err(e),
+        };
+        self.metrics.mirror_upstream_day.set(head.day as u64);
+        self.metrics
+            .mirror_lag_days
+            .set(head.day.saturating_sub(self.day()) as u64);
+        if applied == 0 && head.epoch_tag != self.export().epoch_tag {
+            let (_, bytes, races) = reader.fetch_full_counted(source)?;
+            self.count_races(races);
+            self.replace_locked(Arc::new(codec::decode(&bytes)?));
         }
         Ok(applied)
+    }
+
+    /// Record whole-body restarts an [`AtlasReader`] fetch recovered from.
+    fn count_races(&self, races: u32) {
+        if races > 0 {
+            self.metrics.mirror_races_recovered.add(races as u64);
+            self.emit(EventKind::RaceRecovered, || format!("races={races}"));
+        }
     }
 
     /// Does nothing: the engine owns no threads, so there is nothing to
@@ -698,6 +753,12 @@ impl QueryEngine {
     /// same way, by refetching the full atlas. Returns the new day.
     pub fn replace_atlas(&self, atlas: Arc<Atlas>) -> u32 {
         let _builder = self.swap_lock.lock();
+        self.replace_locked(atlas)
+    }
+
+    /// [`QueryEngine::replace_atlas`] for a caller already holding
+    /// `swap_lock` ([`QueryEngine::update`]'s full resync).
+    fn replace_locked(&self, atlas: Arc<Atlas>) -> u32 {
         let base = self.generation();
         let predictor = Arc::new(PathPredictor::new(atlas, self.cfg.predictor.clone()));
         let next = Arc::new(Generation {

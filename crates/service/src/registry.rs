@@ -143,9 +143,9 @@ impl ShardRegistry {
         Ok(ShardRegistry { shards })
     }
 
-    /// Wrap pre-built engines (each already sized by its owner). The
-    /// loadgen and tests use this to control per-shard configuration
-    /// exactly.
+    /// Wrap pre-built engines (each already sized by its owner).
+    /// `fleet_sim`, the benchmark and tests use this to control
+    /// per-shard configuration exactly.
     pub fn from_engines(
         engines: Vec<(ShardId, Arc<QueryEngine>)>,
     ) -> Result<ShardRegistry, ModelError> {

@@ -3,8 +3,11 @@
 //! updates through the swarm's `AtlasSource`.
 
 use inano_atlas::{Atlas, AtlasDelta, LinkAnnotation, Plane};
-use inano_core::{PathPredictor, PredictedPath, PredictorConfig};
-use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, Prefix, PrefixId};
+use inano_core::{
+    content_tag, AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle, PathPredictor, PredictedPath,
+    PredictorConfig, StaticSource,
+};
+use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, ModelError, Prefix, PrefixId};
 use inano_service::{QueryEngine, ServiceConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -268,7 +271,6 @@ fn hammering_queries_while_applying_deltas_never_errors() {
 
 #[test]
 fn serves_and_updates_through_the_swarm() {
-    use inano_core::AtlasSource;
     use inano_swarm::{SwarmConfig, SwarmSource};
     let day0 = ring_atlas(8, 0);
     let mut day1 = ring_atlas(8, 1);
@@ -340,4 +342,121 @@ fn replace_atlas_swaps_a_whole_generation_without_logging_a_delta() {
     // to the abandoned chain, and serving it would walk a lagging
     // mirror down a dead generation instead of forcing a full resync.
     assert!(engine.delta_blob(0).is_none());
+}
+
+/// A [`StaticSource`] with two scripted faults on its full body.
+struct FaultyUpstream {
+    inner: StaticSource,
+    /// Every full-body chunk fetch fails while set.
+    body_down: bool,
+    /// Report a version race once, on this chunk index.
+    race_at: Option<u32>,
+    full_chunks: usize,
+}
+
+impl AtlasSource for FaultyUpstream {
+    fn head(&mut self) -> Result<AtlasVersion, ModelError> {
+        self.inner.head()
+    }
+
+    fn fetch_full_chunk(&mut self, idx: u32) -> Result<AtlasChunk, ModelError> {
+        self.full_chunks += 1;
+        if self.body_down {
+            return Err(ModelError::Decode("upstream body unavailable".into()));
+        }
+        if self.race_at == Some(idx) {
+            self.race_at = None;
+            return Err(ModelError::VersionRaced("upstream swapped".into()));
+        }
+        self.inner.fetch_full_chunk(idx)
+    }
+
+    fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
+        self.inner.fetch_delta(have_day)
+    }
+
+    fn fetch_delta_chunk(&mut self, from_day: u32, idx: u32) -> Result<AtlasChunk, ModelError> {
+        self.inner.fetch_delta_chunk(from_day, idx)
+    }
+}
+
+/// The catch-up rule, without a socket: deltas first, the full body
+/// only when the chain is empty and the head's tag differs, and each
+/// outcome where the counters and the journal say it is.
+#[test]
+fn update_bridges_a_broken_chain_with_one_full_resync() {
+    use inano_atlas::codec;
+    use inano_obs::{EventJournal, EventKind};
+    let mut upstream = FaultyUpstream {
+        inner: StaticSource {
+            // Small chunks: the body is several, so a race can land
+            // mid-body.
+            chunk_size: 64,
+            ..StaticSource::new(codec::encode(&ring_atlas(8, 1)).0, vec![])
+        },
+        body_down: false,
+        race_at: None,
+        full_chunks: 0,
+    };
+    let cfg = ServiceConfig {
+        predictor: ring_cfg(),
+        ..ServiceConfig::default()
+    };
+    let engine = QueryEngine::bootstrap(&mut upstream, cfg).expect("bootstrap");
+    let journal = Arc::new(EventJournal::new(64));
+    engine.set_journal(Arc::clone(&journal), "shard0");
+    let m = engine.metrics();
+    let resyncs_journaled = || {
+        let page = journal.since(0);
+        let n = page
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::FullResync);
+        n.count()
+    };
+
+    // In step with the upstream: a tick compares tags and moves no body.
+    let bootstrap_chunks = upstream.full_chunks;
+    assert!(bootstrap_chunks > 2, "the body spans several chunks");
+    assert_eq!(engine.update(&mut upstream).expect("idle tick"), 0);
+    assert_eq!(upstream.full_chunks, bootstrap_chunks);
+    assert_eq!(
+        (m.mirror_full_resyncs.get(), m.mirror_lag_days.get()),
+        (0, 0)
+    );
+
+    // The upstream replaces its atlas (day 5, no bridging delta) and
+    // its body cannot be fetched: the error surfaces, the gauges say
+    // how far behind the engine is, and day 1 keeps serving.
+    upstream.inner.full = codec::encode(&ring_atlas(8, 5)).0;
+    upstream.body_down = true;
+    assert!(engine.update(&mut upstream).is_err());
+    assert_eq!(m.mirror_upstream_day.get(), 5);
+    assert_eq!(m.mirror_lag_days.get(), 4);
+    assert_eq!((engine.day(), m.mirror_full_resyncs.get()), (1, 0));
+    engine.query(ip(0), ip(3)).expect("day 1 still serves");
+
+    // The body comes back, racing once mid-fetch: one update bridges
+    // the gap and returns 0 — no delta was applied.
+    upstream.body_down = false;
+    upstream.race_at = Some(1);
+    assert_eq!(engine.update(&mut upstream).expect("resync"), 0);
+    assert_eq!(engine.day(), 5);
+    assert_eq!(
+        engine.export().epoch_tag,
+        content_tag(&upstream.inner.full),
+        "converged on the upstream's bytes"
+    );
+    assert_eq!(m.mirror_full_resyncs.get(), 1);
+    assert_eq!(m.mirror_races_recovered.get(), 1);
+    assert_eq!(m.mirror_deltas_applied.get(), 0);
+    assert_eq!(m.mirror_lag_days.get(), 0);
+    assert_eq!(resyncs_journaled(), 1);
+    assert!(engine.delta_blob(1).is_none(), "no delta leads here");
+
+    // Idle again: the next tick fetches nothing and resyncs nothing.
+    let after = upstream.full_chunks;
+    assert_eq!(engine.update(&mut upstream).expect("idle tick"), 0);
+    assert_eq!(upstream.full_chunks, after);
+    assert_eq!((m.mirror_full_resyncs.get(), resyncs_journaled()), (1, 1));
 }

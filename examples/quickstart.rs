@@ -8,8 +8,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use inano::core::client::StaticSource;
-use inano::core::{INanoClient, PredictorConfig};
+use inano::core::{INanoClient, PredictorConfig, StaticSource};
 use inano::demo::DemoWorld;
 
 fn main() {
@@ -32,10 +31,7 @@ fn main() {
     // A client fetches the atlas (here from memory; `inano::swarm`
     // provides a swarming source and `inano::net` a wire-level mirror
     // source) and serves queries locally.
-    let mut source = inano::core::BlobSource::new(StaticSource {
-        full: bytes,
-        deltas: vec![],
-    });
+    let mut source = StaticSource::new(bytes, vec![]);
     let client =
         INanoClient::bootstrap(&mut source, PredictorConfig::full()).expect("atlas decodes");
     println!("client bootstrapped at day {}", client.day());

@@ -2,8 +2,7 @@
 //! client queries, exercised at demo scale.
 
 use inano::atlas::{codec, AtlasDelta};
-use inano::core::client::StaticSource;
-use inano::core::{BlobSource, INanoClient, PathPredictor, PredictorConfig};
+use inano::core::{INanoClient, PathPredictor, PredictorConfig, StaticSource};
 use inano::demo::DemoWorld;
 use inano::model::{AsPath, Asn};
 use std::sync::Arc;
@@ -124,10 +123,7 @@ fn client_daily_update_flow() {
         full.len()
     );
 
-    let mut src = BlobSource::new(StaticSource {
-        full,
-        deltas: vec![delta_bytes],
-    });
+    let mut src = StaticSource::new(full, vec![delta_bytes]);
     let mut client = INanoClient::bootstrap(&mut src, PredictorConfig::full()).unwrap();
     assert_eq!(client.day(), 0);
     assert_eq!(client.update(&mut src).unwrap(), 1);
