@@ -400,6 +400,38 @@ mod tests {
     }
 
     #[test]
+    fn a_local_link_opens_the_strict_graph_to_a_dead_end_client() {
+        // The vantage points only ever entered the client's cluster:
+        // 2 → 1 observed, 1 → 2 not. No strict edge leaves it.
+        let mut atlas = base_atlas(0);
+        atlas.links.remove(&(ClusterId::new(1), ClusterId::new(2)));
+        let mut src = StaticSource::new(codec::encode(&atlas).0, vec![]);
+        let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
+        let (me, there) = (
+            Ipv4::from_octets(10, 0, 0, 1),
+            Ipv4::from_octets(20, 0, 0, 1),
+        );
+        let raw = |path: &[ClusterId]| path.iter().map(|c| c.raw()).collect::<Vec<_>>();
+        let r = client.query(me, there).unwrap();
+        assert_eq!(raw(&r.fwd_clusters), [1, 2, 3], "relaxed: 2 → 1 backwards");
+        let counts = client.predictor().search_counts();
+        assert_eq!(counts.strict_skipped, 1, "the forward half; {counts:?}");
+        assert_eq!(counts.runs, 2, "one relaxed, one strict (the way back)");
+
+        // The client's own traceroute is an observed way out. The
+        // rebuilt predictor recomputes the dead-end bits with it.
+        client.add_local_links([(
+            (ClusterId::new(1), ClusterId::new(3)),
+            Some(LatencyMs::new(0.5)),
+        )]);
+        let r = client.query(me, there).unwrap();
+        assert_eq!(raw(&r.fwd_clusters), [1, 3], "strict: along the new link");
+        let counts = client.predictor().search_counts();
+        assert_eq!(counts.strict_skipped, 0, "{counts:?}");
+        assert_eq!(counts.runs, 2, "both strict");
+    }
+
+    #[test]
     fn incremental_adds_match_one_batched_add() {
         let (bytes, _) = codec::encode(&base_atlas(0));
         let links = [

@@ -102,6 +102,17 @@ impl PredictionGraph {
             .filter_map(move |plane| Some(self.node(c?, plane, 0)))
     }
 
+    /// Does any observed-direction edge lead out of `cluster` into another
+    /// one? Where none does, the strict graph (this one, or the one built
+    /// beside this relaxed one) holds no route from the cluster to any
+    /// other: a node is only ever labelled through an in-edge whose `src`
+    /// it is, so a successor chain from a node of the cluster to a
+    /// destination outside it contains an edge that leaves the cluster.
+    pub fn has_strict_exit(&self, cluster: ClusterId) -> bool {
+        let c = self.index.cluster_idx.get(&cluster);
+        c.is_some_and(|&c| self.index.strict_exit[c as usize])
+    }
+
     /// Incoming-forward adjacency of a node, in relax order.
     pub fn in_edges(&self, node: u32) -> &[InEdge] {
         &self.edges
@@ -129,18 +140,27 @@ impl PredictionGraph {
     /// Build a predictor's graphs over one shared index and one pass over
     /// the links: the strict graph (observed directions only) and, when
     /// the config allows reversed links outside GRAPH mode, the relaxed
-    /// one (strict plus every link's unobserved direction).
+    /// one (strict plus every link's unobserved direction). The same pass
+    /// notes which clusters a strict edge leaves
+    /// ([`PredictionGraph::has_strict_exit`]).
     pub fn build_pair(
         atlas: &Atlas,
         cfg: &PredictorConfig,
     ) -> (PredictionGraph, Option<PredictionGraph>) {
-        let index = Arc::new(AtlasIndex::build(atlas, cfg));
+        let mut index = AtlasIndex::build(atlas, cfg);
         let mut emitted = if cfg.use_rel_graph {
             rel_edges(&index, atlas, cfg)
         } else {
             directed_edges(&index, atlas, cfg)
         };
         plane_cross_edges(&index, &mut emitted);
+        let mut strict_exit = vec![false; index.clusters.len()];
+        for (target, e) in emitted.iter().filter(|(_, e)| !e.reversed) {
+            let from = index.cluster_of(e.src);
+            strict_exit[from] |= from != index.cluster_of(*target);
+        }
+        index.strict_exit = strict_exit;
+        let index = Arc::new(index);
         // Grouped by target node; a node's in-edges keep emission order.
         let graph = |keep_reversed: bool| {
             let kept = (emitted.iter().copied()).filter(|(_, e)| keep_reversed || !e.reversed);

@@ -42,6 +42,10 @@ pub(crate) struct AtlasIndex {
     /// the sorted packed `(preferred, over)` pairs.
     pref_off: Vec<u32>,
     prefs: Vec<u64>,
+    /// Per dense cluster: some observed-direction edge goes from one of its
+    /// nodes to a node of another cluster. The only entry that needs the
+    /// edges: `PredictionGraph::build_pair` fills it once they are emitted.
+    pub(crate) strict_exit: Vec<bool>,
 }
 
 fn pack(hi: u32, lo: u32) -> u64 {
@@ -150,6 +154,7 @@ impl AtlasIndex {
             triples,
             pref_off,
             prefs,
+            strict_exit: Vec::new(),
         }
     }
 

@@ -33,7 +33,7 @@ pub mod source;
 
 pub use client::INanoClient;
 pub use config::PredictorConfig;
-pub use predict::{PathPredictor, PredictedPath, Resolution};
+pub use predict::{PathPredictor, PredictedPath, Resolution, SearchCounts};
 pub use rank::rank_by_rtt;
 pub use source::{
     chunk_span, content_tag, n_chunks, AtlasChunk, AtlasReader, AtlasSource, AtlasVersion,

@@ -2,10 +2,13 @@
 //! paths with latency and loss estimates out.
 //!
 //! Searches are destination-rooted, so one search answers queries from
-//! *every* source to that destination; results are cached per destination
-//! prefix, which is exactly the access pattern of the application studies
-//! (many clients evaluating one replica, one client evaluating many
-//! relays, ...).
+//! *every* source to that destination; results are cached under what a
+//! search is a function of — the destination's cluster, its origin AS and
+//! (only where the atlas refines providers per prefix) the prefix — so
+//! every ordinary prefix of a cluster shares one search. That is exactly
+//! the access pattern of the application studies (many clients evaluating
+//! one replica, one client ranking a swarm of candidates, ...). A search
+//! that cannot answer is not run: see [`PathPredictor::predict_forward`].
 
 use crate::config::PredictorConfig;
 use crate::graph::PredictionGraph;
@@ -16,7 +19,8 @@ use inano_model::{
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A full bidirectional prediction.
 #[derive(Clone, Debug)]
@@ -31,8 +35,77 @@ pub struct PredictedPath {
     pub loss: LossRate,
 }
 
-/// Maximum cached destination searches before the cache is cleared.
+/// Maximum cached destination searches; a new one past it evicts the
+/// least recently used.
 const CACHE_CAP: usize = 512;
+
+/// What a search is a function of besides the graph it runs on: two
+/// destination prefixes with equal keys get the same [`SearchResult`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct SearchKey {
+    cluster: ClusterId,
+    /// The prefix's origin AS (the provider check's "destination AS").
+    origin: Asn,
+    /// The prefix itself, only when the atlas holds a per-prefix provider
+    /// set for it: the one other way the search reads the prefix.
+    refined: Option<PrefixId>,
+    relaxed: bool,
+}
+
+/// One cached search. Whoever inserts the slot runs the search; a thread
+/// that finds it waits on that one run instead of repeating it, and keeps
+/// its `Arc` should the slot be evicted meanwhile.
+type Slot = Arc<OnceLock<Arc<SearchResult>>>;
+
+/// At most `cap` slots, each stamped with the tick of its last use.
+struct SearchCache {
+    cap: usize,
+    tick: u64,
+    slots: HashMap<SearchKey, (u64, Slot)>,
+}
+
+impl SearchCache {
+    /// The slot of `key`, and whether it was already there. A new slot in
+    /// a full cache replaces the least recently stamped one: a scan of
+    /// `cap` stamps, paid only ahead of a search that costs far more.
+    fn slot(&mut self, key: SearchKey) -> (Slot, bool) {
+        self.tick += 1;
+        if let Some((stamp, slot)) = self.slots.get_mut(&key) {
+            *stamp = self.tick;
+            return (Arc::clone(slot), true);
+        }
+        if self.slots.len() >= self.cap {
+            let oldest = self.slots.iter().min_by_key(|(_, (stamp, _))| *stamp);
+            if let Some(oldest) = oldest.map(|(k, _)| *k) {
+                self.slots.remove(&oldest);
+            }
+        }
+        let slot = Slot::default();
+        self.slots.insert(key, (self.tick, Arc::clone(&slot)));
+        (slot, false)
+    }
+}
+
+/// How often a predictor searched, and how often it did not have to
+/// ([`PathPredictor::search_counts`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SearchCounts {
+    /// Searches run (cache misses).
+    pub runs: u64,
+    /// Searches answered from the cache, a wait on another thread's run
+    /// of the same key included.
+    pub cache_hits: u64,
+    /// One-way predictions that went straight to the relaxed graph
+    /// because no strict edge leaves the source's cluster.
+    pub strict_skipped: u64,
+}
+
+#[derive(Default)]
+struct Counters {
+    runs: AtomicU64,
+    cache_hits: AtomicU64,
+    strict_skipped: AtomicU64,
+}
 
 /// Where an IP address attaches to the atlas — enough to compute a
 /// result-cache key without running the search itself. Produced by
@@ -79,8 +152,10 @@ impl Resolution {
 /// Holds two graphs: a *strict* one using links only in their observed
 /// direction, and (when [`PredictorConfig::allow_reversed_links`] is on)
 /// a *relaxed* one that also traverses links backwards. Queries try the
-/// strict graph first and fall back to the relaxed one — the same
-/// philosophy as §4.3.1's FROM_SRC → TO_DST fallback: prefer the
+/// strict graph first *when it can answer* — a source whose cluster no
+/// observed-direction link leaves has no strict route to anywhere else,
+/// and is not searched for — and fall back to the relaxed one: the same
+/// philosophy as §4.3.1's FROM_SRC → TO_DST fallback, prefer the
 /// best-evidenced route, but still answer.
 pub struct PathPredictor {
     atlas: Arc<Atlas>,
@@ -90,7 +165,8 @@ pub struct PathPredictor {
     /// reversed links are disabled).
     relaxed: Option<PredictionGraph>,
     trie: PrefixTrie,
-    cache: Mutex<HashMap<(ClusterId, PrefixId, bool), Arc<SearchResult>>>,
+    cache: Mutex<SearchCache>,
+    counts: Counters,
 }
 
 impl PathPredictor {
@@ -98,15 +174,25 @@ impl PathPredictor {
     /// graphs and their shared index is the only heavy step (linear in
     /// the atlas size).
     pub fn new(atlas: Arc<Atlas>, cfg: PredictorConfig) -> PathPredictor {
+        PathPredictor::with_cache_cap(atlas, cfg, CACHE_CAP)
+    }
+
+    fn with_cache_cap(atlas: Arc<Atlas>, cfg: PredictorConfig, cap: usize) -> PathPredictor {
         let (graph, relaxed) = PredictionGraph::build_pair(&atlas, &cfg);
         let trie = atlas.build_trie();
+        let slots = HashMap::new();
         PathPredictor {
             atlas,
             cfg,
             graph,
             relaxed,
             trie,
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(SearchCache {
+                cap,
+                tick: 0,
+                slots,
+            }),
+            counts: Counters::default(),
         }
     }
 
@@ -134,11 +220,7 @@ impl PathPredictor {
     /// cluster, origin/cluster AS) without running a search.
     pub fn resolve(&self, ip: Ipv4) -> Result<Resolution, ModelError> {
         let prefix = self.prefix_of(ip)?;
-        let cluster = *self
-            .atlas
-            .prefix_cluster
-            .get(&prefix)
-            .ok_or_else(|| ModelError::NoPath(format!("{prefix} has no known cluster")))?;
+        let cluster = self.home_of(prefix)?;
         Ok(Resolution {
             prefix,
             cluster,
@@ -148,72 +230,83 @@ impl PathPredictor {
         })
     }
 
-    /// The (cached) destination-rooted search toward a prefix, over the
-    /// strict or relaxed graph.
+    /// The cluster a prefix attaches to.
+    fn home_of(&self, prefix: PrefixId) -> Result<ClusterId, ModelError> {
+        let home = self.atlas.prefix_cluster.get(&prefix).copied();
+        home.ok_or_else(|| ModelError::NoPath(format!("{prefix} has no known cluster")))
+    }
+
+    /// The (cached) destination-rooted search `key` names, over `graph`
+    /// (the strict or the relaxed one, as `key.relaxed` says); two
+    /// threads that miss together run it once.
     fn search_to(
         &self,
+        graph: &PredictionGraph,
         dst_prefix: PrefixId,
-        relaxed: bool,
-    ) -> Result<Arc<SearchResult>, ModelError> {
-        let graph = if relaxed {
-            self.relaxed.as_ref().expect("relaxed graph exists")
-        } else {
-            &self.graph
-        };
-        let dst_cluster = *self
-            .atlas
-            .prefix_cluster
-            .get(&dst_prefix)
-            .ok_or_else(|| ModelError::NoPath(format!("{dst_prefix} has no known cluster")))?;
-        let key = (dst_cluster, dst_prefix, relaxed);
-        if let Some(r) = self.cache.lock().get(&key) {
-            return Ok(Arc::clone(r));
+        key: SearchKey,
+    ) -> Arc<SearchResult> {
+        let (slot, hit) = self.cache.lock().slot(key);
+        if hit {
+            self.counts.cache_hits.fetch_add(1, Ordering::Relaxed);
         }
-        let (_, dst_as) = *self
-            .atlas
-            .prefix_as
-            .get(&dst_prefix)
-            .ok_or_else(|| ModelError::NoPath(format!("{dst_prefix} has no origin AS")))?;
-        let result = search(
-            graph,
-            &self.atlas,
-            &self.cfg,
-            dst_cluster,
-            dst_prefix,
-            dst_as,
-        )
-        .ok_or_else(|| ModelError::NoPath(format!("{dst_prefix}: destination not in graph")))?;
-        let result = Arc::new(result);
-        let mut cache = self.cache.lock();
-        if cache.len() >= CACHE_CAP {
-            cache.clear();
+        let result = slot.get_or_init(|| {
+            self.counts.runs.fetch_add(1, Ordering::Relaxed);
+            let atlas = &self.atlas;
+            let found = search(graph, atlas, &self.cfg, key.cluster, dst_prefix, key.origin);
+            Arc::new(found.expect("predict_forward found the destination's node"))
+        });
+        Arc::clone(result)
+    }
+
+    /// How many searches this predictor has run, answered from its cache,
+    /// and skipped as unwinnable, since it was built.
+    pub fn search_counts(&self) -> SearchCounts {
+        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        SearchCounts {
+            runs: read(&self.counts.runs),
+            cache_hits: read(&self.counts.cache_hits),
+            strict_skipped: read(&self.counts.strict_skipped),
         }
-        cache.insert(key, Arc::clone(&result));
-        Ok(result)
     }
 
     /// Predict the one-way cluster-level path between two prefixes:
     /// observed-direction graph first, reversed-link fallback second.
+    ///
+    /// The strict search is neither run nor looked up when it cannot
+    /// answer: a route to another cluster starts with an edge out of the
+    /// source's, so a source cluster no strict edge leaves (a stub the
+    /// vantage points only ever saw inbound — where most reverse paths
+    /// start) goes straight to the relaxed graph. The one exception is a
+    /// destination in the source's own cluster, which needs no such edge.
     pub fn predict_forward(
         &self,
         src_prefix: PrefixId,
         dst_prefix: PrefixId,
     ) -> Result<Vec<ClusterId>, ModelError> {
-        let src_cluster = *self
-            .atlas
-            .prefix_cluster
-            .get(&src_prefix)
-            .ok_or_else(|| ModelError::NoPath(format!("{src_prefix} has no known cluster")))?;
-        let result = self.search_to(dst_prefix, false)?;
-        for node in self.graph.source_nodes(src_cluster) {
-            if let Some(path) = result.cluster_path(&self.graph, node) {
-                return Ok(path);
-            }
+        let src_cluster = self.home_of(src_prefix)?;
+        let cluster = self.home_of(dst_prefix)?;
+        let no_path = |what: &str| ModelError::NoPath(format!("{dst_prefix}{what}"));
+        let &(_, origin) =
+            (self.atlas.prefix_as.get(&dst_prefix)).ok_or_else(|| no_path(" has no origin AS"))?;
+        if self.graph.dest_node(cluster).is_none() {
+            return Err(no_path(": destination not in graph"));
         }
-        if let Some(relaxed) = &self.relaxed {
-            let result = self.search_to(dst_prefix, true)?;
-            for node in relaxed.source_nodes(src_cluster) {
-                if let Some(path) = result.cluster_path(relaxed, node) {
+        let refined = (self.atlas.prefix_providers.contains_key(&dst_prefix)).then_some(dst_prefix);
+        for (graph, relaxed) in [(Some(&self.graph), false), (self.relaxed.as_ref(), true)] {
+            let Some(graph) = graph else { continue };
+            if !relaxed && src_cluster != cluster && !graph.has_strict_exit(src_cluster) {
+                self.counts.strict_skipped.fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+            let key = SearchKey {
+                cluster,
+                origin,
+                refined,
+                relaxed,
+            };
+            let result = self.search_to(graph, dst_prefix, key);
+            for node in graph.source_nodes(src_cluster) {
+                if let Some(path) = result.cluster_path(graph, node) {
                     return Ok(path);
                 }
             }
@@ -432,6 +525,165 @@ mod tests {
         let b = p.predict(PrefixId::new(10), PrefixId::new(20)).unwrap();
         assert_eq!(a.fwd_clusters, b.fwd_clusters);
         assert!((a.rtt.ms() - b.rtt.ms()).abs() < 1e-12);
+    }
+
+    /// A ring of `n` clusters, cluster `c` in AS `c` and home of prefix
+    /// `c`, every link observed both ways: the strict graph answers every
+    /// pair, so a new destination costs exactly one search.
+    fn ring(n: u32) -> Atlas {
+        let mut a = Atlas::default();
+        for c in 0..n {
+            for key in [(c, (c + 1) % n), ((c + 1) % n, c)] {
+                a.links.insert(
+                    (ClusterId::new(key.0), ClusterId::new(key.1)),
+                    LinkAnnotation {
+                        latency: Some(LatencyMs::new(1.0)),
+                        plane: Plane::TO_DST,
+                    },
+                );
+            }
+            a.cluster_as.insert(ClusterId::new(c), Asn::new(c));
+            home(&mut a, c, c, c);
+        }
+        a
+    }
+
+    /// Attach `prefix` (announced by AS `origin`) to `cluster`.
+    fn home(a: &mut Atlas, prefix: u32, cluster: u32, origin: u32) {
+        a.prefix_cluster
+            .insert(PrefixId::new(prefix), ClusterId::new(cluster));
+        let net = Prefix::new(Ipv4(prefix << 8), 24);
+        a.prefix_as
+            .insert(PrefixId::new(prefix), (net, Asn::new(origin)));
+    }
+
+    fn ring_predictor(atlas: Atlas, cap: usize) -> PathPredictor {
+        let mut cfg = PredictorConfig::full();
+        cfg.use_tuples = false;
+        cfg.use_from_src = false;
+        PathPredictor::with_cache_cap(Arc::new(atlas), cfg, cap)
+    }
+
+    fn route(p: &PathPredictor, src: u32, dst: u32) -> Vec<u32> {
+        let path = p.predict_forward(PrefixId::new(src), PrefixId::new(dst));
+        path.unwrap().iter().map(|c| c.raw()).collect()
+    }
+
+    fn cached(p: &PathPredictor) -> usize {
+        p.cache.lock().slots.len()
+    }
+
+    #[test]
+    fn a_full_cache_evicts_one_entry_not_all_of_them() {
+        const CAP: usize = 4;
+        let p = ring_predictor(ring(12), CAP);
+        for dst in 1..=CAP as u32 + 1 {
+            route(&p, 0, dst);
+            assert!(cached(&p) <= CAP);
+        }
+        // Clearing the map when full would leave one entry here.
+        assert_eq!(cached(&p), CAP);
+        assert_eq!(p.search_counts().runs, CAP as u64 + 1);
+        // The first destination went; the others stayed.
+        for dst in 2..=CAP as u32 + 1 {
+            route(&p, 0, dst);
+        }
+        assert_eq!(p.search_counts().runs, CAP as u64 + 1);
+        route(&p, 0, 1);
+        assert_eq!(p.search_counts().runs, CAP as u64 + 2);
+        assert_eq!(cached(&p), CAP);
+    }
+
+    #[test]
+    fn a_key_touched_before_511_other_inserts_survives_them() {
+        let cap = CACHE_CAP as u32;
+        let p = ring_predictor(ring(2 * cap), CACHE_CAP);
+        // Fill the cache; destination 1 is now the oldest entry.
+        for dst in 1..=cap {
+            route(&p, 0, dst);
+        }
+        // Touch it, then insert 511 new ones: each evicts an untouched
+        // entry, and the touched one outlives them all.
+        route(&p, 0, 1);
+        for dst in cap + 1..2 * cap {
+            route(&p, 0, dst);
+        }
+        let full = SearchCounts {
+            runs: 2 * u64::from(cap) - 1,
+            cache_hits: 1,
+            strict_skipped: 0,
+        };
+        assert_eq!(p.search_counts(), full);
+        assert_eq!(cached(&p), CACHE_CAP);
+        route(&p, 0, 1);
+        assert_eq!(p.search_counts().cache_hits, 2, "still cached");
+        route(&p, 0, 2);
+        assert_eq!(p.search_counts().runs, full.runs + 1, "long evicted");
+    }
+
+    #[test]
+    fn prefixes_share_a_search_unless_the_search_can_tell_them_apart() {
+        let mut atlas = ring(6);
+        // AS 3 is only ever entered from AS 4 ...
+        let only = |asn: u32| [Asn::new(asn)].into_iter().collect();
+        atlas.providers.insert(Asn::new(3), only(4));
+        // ... which binds prefix 3 and its sibling 100; 101 sits on the
+        // same cluster but is announced by AS 5, which records no
+        // providers, and 102 is refined to enter from AS 2.
+        home(&mut atlas, 100, 3, 3);
+        home(&mut atlas, 101, 3, 5);
+        home(&mut atlas, 102, 3, 3);
+        atlas.prefix_providers.insert(PrefixId::new(102), only(2));
+        let p = ring_predictor(atlas, CACHE_CAP);
+        let runs = |p: &PathPredictor| p.search_counts().runs;
+
+        assert_eq!(route(&p, 0, 3), [0, 5, 4, 3]);
+        assert_eq!(route(&p, 0, 100), [0, 5, 4, 3]);
+        assert_eq!(runs(&p), 1, "two prefixes of one cluster, one search");
+        assert_eq!(p.search_counts().cache_hits, 1);
+        // Unconstrained, the lower node id breaks the tie: via 1 and 2.
+        assert_eq!(route(&p, 0, 101), [0, 1, 2, 3]);
+        assert_eq!(runs(&p), 2, "a foreign origin AS is its own search");
+        assert_eq!(route(&p, 0, 102), [0, 1, 2, 3]);
+        assert_eq!(runs(&p), 3, "so is a per-prefix provider set");
+        assert_eq!(cached(&p), 3);
+    }
+
+    #[test]
+    fn a_source_no_strict_edge_leaves_skips_the_strict_search() {
+        let mut atlas = (*toy()).clone();
+        // Forget the observed 1 → 2: cluster 1 is now only ever entered.
+        atlas.links.remove(&(ClusterId::new(1), ClusterId::new(2)));
+        let mut cfg = PredictorConfig::with_tuples();
+        cfg.use_tuples = false;
+        cfg.use_from_src = false;
+        let p = PathPredictor::new(Arc::new(atlas.clone()), cfg.clone());
+        assert_eq!(route(&p, 10, 20), [1, 2, 3], "over the reversed 2 → 1");
+        let relaxed_only = SearchCounts {
+            runs: 1,
+            cache_hits: 0,
+            strict_skipped: 1,
+        };
+        assert_eq!(p.search_counts(), relaxed_only);
+        // The other way the strict graph answers, and is asked.
+        assert_eq!(route(&p, 20, 10), [3, 2, 1]);
+        assert_eq!(p.search_counts().strict_skipped, 1);
+        // A destination in the source's own cluster needs no way out.
+        assert_eq!(route(&p, 10, 10), [1]);
+        assert_eq!(p.search_counts().strict_skipped, 1);
+
+        // Without a relaxed graph the skip is the whole answer — after
+        // the destination's own errors.
+        cfg.allow_reversed_links = false;
+        let p = PathPredictor::new(Arc::new(atlas), cfg);
+        let err = |src, dst| {
+            let r = p.predict_forward(PrefixId::new(src), PrefixId::new(dst));
+            r.unwrap_err().to_string()
+        };
+        assert!(err(10, 20).contains("no route"), "{}", err(10, 20));
+        assert!(err(10, 99).contains("no known cluster"));
+        assert_eq!(p.search_counts().runs, 0);
+        assert_eq!(route(&p, 10, 10), [1]);
     }
 
     #[test]

@@ -8,16 +8,23 @@
 //! triples. So is the two-`HashSet` edge builder it used to run over. The
 //! shipped search must produce the same successor for every node, and
 //! the shipped builder the same in-edge rows in the same order.
+//!
+//! A second oracle sits one level up: [`Reference::predict`] is what
+//! `PathPredictor::predict_forward` did before it learnt to skip strict
+//! searches, share one search between a cluster's prefixes and evict —
+//! the oracle search on the strict graph with the destination *prefix's
+//! own* inputs, then on the relaxed graph. The shipped predictor must
+//! give the same path, or the same error, for every pair.
 
 use inano_atlas::{Atlas, LinkAnnotation, Plane, Triple};
 use inano_bench::{Scenario, ScenarioConfig};
 use inano_core::graph::{InEdge, PredictionGraph};
 use inano_core::search::search;
-use inano_core::{PathPredictor, PredictorConfig};
-use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, Prefix, PrefixId};
+use inano_core::{PathPredictor, PredictorConfig, SearchCounts};
+use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, ModelError, Prefix, PrefixId};
 use proptest::prelude::*;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::sync::{Arc, Barrier};
 
 mod oracle {
@@ -320,11 +327,165 @@ fn every_destination_on_every_rung_matches_the_oracle() {
     }
 }
 
+/// The predictor before the skip, the shared key and the eviction: both
+/// graphs of a config, searched by the oracle with each destination
+/// prefix's own `(prefix, origin)`. Successor arrays are remembered per
+/// `(prefix, graph)` — the key the old cache had — so that asking one
+/// destination from many sources costs one oracle search per graph.
+struct Reference<'a> {
+    atlas: &'a Atlas,
+    cfg: &'a PredictorConfig,
+    graphs: Vec<PredictionGraph>,
+    memo: HashMap<(PrefixId, usize), Option<Vec<Option<u32>>>>,
+}
+
+impl<'a> Reference<'a> {
+    fn new(atlas: &'a Atlas, cfg: &'a PredictorConfig) -> Reference<'a> {
+        let (strict, relaxed) = PredictionGraph::build_pair(atlas, cfg);
+        Reference {
+            atlas,
+            cfg,
+            graphs: std::iter::once(strict).chain(relaxed).collect(),
+            memo: HashMap::new(),
+        }
+    }
+
+    /// Strict graph first, every source node in order, then the relaxed
+    /// graph: no skip, no shared key.
+    fn predict(&mut self, src: PrefixId, dst: PrefixId) -> Result<Vec<ClusterId>, ModelError> {
+        let home = |p: PrefixId| {
+            let home = self.atlas.prefix_cluster.get(&p).copied();
+            home.ok_or_else(|| ModelError::NoPath(format!("{p} has no known cluster")))
+        };
+        let (src_cluster, dst_cluster) = (home(src)?, home(dst)?);
+        let (atlas, cfg) = (self.atlas, self.cfg);
+        let origin = atlas.prefix_as.get(&dst).map(|&(_, origin)| origin);
+        let origin = origin.ok_or_else(|| ModelError::NoPath(format!("{dst} has no origin AS")))?;
+        for (i, g) in self.graphs.iter().enumerate() {
+            let succ = (self.memo.entry((dst, i)))
+                .or_insert_with(|| oracle::search(g, atlas, cfg, dst_cluster, dst, origin))
+                .as_ref()
+                .ok_or_else(|| ModelError::NoPath(format!("{dst}: destination not in graph")))?;
+            for node in g.source_nodes(src_cluster) {
+                if let Some(path) = cluster_path(g, succ, node) {
+                    return Ok(path);
+                }
+            }
+        }
+        Err(ModelError::NoPath(format!("no route {src} → {dst}")))
+    }
+}
+
+/// `SearchResult::cluster_path` over an oracle successor array.
+fn cluster_path(g: &PredictionGraph, succ: &[Option<u32>], from: u32) -> Option<Vec<ClusterId>> {
+    let mut out = Vec::new();
+    let mut cur = from;
+    for _ in 0..4 * succ.len() {
+        let c = g.node_cluster(cur);
+        if out.last() != Some(&c) {
+            out.push(c);
+        }
+        let next = succ[cur as usize]?;
+        if next == cur {
+            return Some(out);
+        }
+        cur = next;
+    }
+    None
+}
+
+/// `predict_forward` equals the reference — path, or error variant and
+/// message — on every given pair; returns how many pairs routed and what
+/// the shipped predictor counted meanwhile.
+fn assert_predicts_as_reference(
+    atlas: &Atlas,
+    cfg: &PredictorConfig,
+    pairs: impl IntoIterator<Item = (PrefixId, PrefixId)>,
+    name: &str,
+) -> (usize, SearchCounts) {
+    let mut reference = Reference::new(atlas, cfg);
+    let shipped = PathPredictor::new(Arc::new(atlas.clone()), cfg.clone());
+    let mut routed = 0;
+    for (src, dst) in pairs {
+        let got = shipped.predict_forward(src, dst);
+        let want = reference.predict(src, dst);
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{want:?}"),
+            "{name}: {src} → {dst}"
+        );
+        routed += usize::from(got.is_ok());
+    }
+    (routed, shipped.search_counts())
+}
+
+/// Every ordered pair of the atlas's prefixes, a prefix with itself
+/// included, plus a prefix the atlas does not know on either side.
+fn all_pairs(atlas: &Atlas) -> Vec<(PrefixId, PrefixId)> {
+    let known: BTreeSet<PrefixId> = (atlas.prefix_cluster.keys())
+        .chain(atlas.prefix_as.keys())
+        .copied()
+        .collect();
+    let ids: Vec<PrefixId> = (known.into_iter())
+        .chain([PrefixId::new(u32::MAX)])
+        .collect();
+    (ids.iter())
+        .flat_map(|&s| ids.iter().map(move |&d| (s, d)))
+        .collect()
+}
+
+#[test]
+fn every_prefix_pair_on_every_rung_predicts_as_the_reference() {
+    let s = Scenario::build(ScenarioConfig::test(7));
+    let pairs = all_pairs(&s.atlas);
+    for (name, cfg) in PredictorConfig::ladder() {
+        let (routed, counts) =
+            assert_predicts_as_reference(&s.atlas, &cfg, pairs.iter().copied(), name);
+        let (runs, skipped) = (counts.runs, counts.strict_skipped);
+        assert!(routed > pairs.len() / 8, "{name}: only {routed} routed");
+        // Far fewer searches than the two-per-prefix the old key cost,
+        // and (outside GRAPH without directions, where every link is a
+        // way out both ways) strict searches that were never asked for.
+        assert!(runs < s.atlas.prefix_as.len() as u64, "{name}: {runs} runs");
+        assert!(skipped > 0 || name == "GRAPH", "{name}: nothing skipped");
+    }
+}
+
+/// 4,096 seeded pairs of the `experiment` world — 512 destinations, 8
+/// sources each — on every rung. Release only: the world alone takes
+/// half a minute to build unoptimised (CI's search-differential step
+/// runs this file with `--release`).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "experiment scale: run with --release")]
+fn a_sample_of_the_experiment_world_predicts_as_the_reference() {
+    let s = Scenario::build(ScenarioConfig::experiment(42));
+    let ids: Vec<PrefixId> = s.atlas.prefix_as.keys().copied().collect();
+    let mut rng = TestRng::from_name("experiment sample");
+    let pick = |rng: &mut TestRng| ids[rng.uniform(ids.len() as u64) as usize];
+    let mut pairs = Vec::with_capacity(4096);
+    for _ in 0..512 {
+        let dst = pick(&mut rng);
+        pairs.extend((0..8).map(|_| (pick(&mut rng), dst)));
+    }
+    for (name, cfg) in PredictorConfig::ladder() {
+        let (routed, counts) =
+            assert_predicts_as_reference(&s.atlas, &cfg, pairs.iter().copied(), name);
+        assert!(routed > pairs.len() / 16, "{name}: only {routed} routed");
+        assert!(
+            counts.strict_skipped > 0 || name == "GRAPH",
+            "{name}: nothing skipped"
+        );
+    }
+}
+
 /// A random atlas over at most 12 clusters and 6 ASes: links in either
 /// or both planes and directions (self-links and unannotated latencies
 /// included), with random degrees, tuples (a few stored non-canonically
 /// or naming an AS without a cluster), preferences (contradictory pairs
-/// included), per-AS and per-prefix providers, and relationships.
+/// included), per-AS and per-prefix providers, and relationships. About
+/// one cluster in four is a stub that links only ever enter, and most
+/// clusters are home to several prefixes — some announced by a foreign
+/// AS, some with a provider set of their own.
 fn random_atlas(rng: &mut TestRng) -> Atlas {
     let mut a = Atlas::default();
     let n = 2 + rng.uniform(11) as u32;
@@ -347,8 +508,16 @@ fn random_atlas(rng: &mut TestRng) -> Atlas {
             );
         }
     }
+    let stub: Vec<bool> = (0..n).map(|_| rng.uniform(4) == 0).collect();
     for _ in 0..rng.uniform(4 * u64::from(n)) {
-        let key = (cl(rng), cl(rng));
+        let key = match (cl(rng), cl(rng)) {
+            // Observed into a stub, never out of one.
+            (a, b) if stub[a.raw() as usize] => (b, a),
+            key => key,
+        };
+        if stub[key.0.raw() as usize] {
+            continue;
+        }
         // Few distinct values, so exit latencies tie often.
         let latency = (rng.uniform(4) != 0).then(|| LatencyMs::new(rng.uniform(4) as f64 * 0.5));
         let plane = Plane::from_bits(1 + rng.uniform(3) as u8);
@@ -374,17 +543,19 @@ fn random_atlas(rng: &mut TestRng) -> Atlas {
     for _ in 0..rng.uniform(20) {
         a.prefs.insert((any_as(rng), any_as(rng), any_as(rng)));
     }
-    for c in 0..n {
-        let pid = PrefixId::new(c);
-        a.prefix_cluster.insert(pid, ClusterId::new(c));
+    // One prefix per cluster, then as many again wherever they fall.
+    for p in 0..n + rng.uniform(u64::from(n) + 1) as u32 {
+        let pid = PrefixId::new(p);
+        let c = if p < n { ClusterId::new(p) } else { cl(rng) };
+        a.prefix_cluster.insert(pid, c);
         // Mostly the cluster's own AS as origin; sometimes another, or
         // one that owns no cluster.
         let origin = match rng.uniform(6) {
             0 => any_as(rng),
-            _ => a.as_of_cluster(ClusterId::new(c)).unwrap_or_default(),
+            _ => a.as_of_cluster(c).unwrap_or_default(),
         };
         a.prefix_as
-            .insert(pid, (Prefix::new(Ipv4(c << 16), 16), origin));
+            .insert(pid, (Prefix::new(Ipv4(p << 16), 16), origin));
         let some_ases = |rng: &mut TestRng| (0..rng.uniform(4)).map(|_| any_as(rng)).collect();
         if rng.uniform(3) == 0 {
             a.providers.insert(origin, some_ases(rng));
@@ -433,6 +604,35 @@ proptest! {
         let atlas = random_atlas(&mut TestRng::from_name(&seed.to_string()));
         assert_same_as_oracle(&atlas, &cfg, "random");
     }
+
+    #[test]
+    fn random_small_atlases_predict_as_the_reference(seed in any::<u64>(), cfg in arb_config()) {
+        let atlas = random_atlas(&mut TestRng::from_name(&seed.to_string()));
+        assert_predicts_as_reference(&atlas, &cfg, all_pairs(&atlas), "random");
+    }
+}
+
+/// The generator reaches what the predictor's shortcuts key on.
+#[test]
+fn random_atlases_cover_dead_ends_shared_clusters_and_anomalous_prefixes() {
+    let (mut dead_ends, mut shared, mut foreign, mut refined) = (0, 0, 0, 0);
+    for seed in 0..64 {
+        let a = random_atlas(&mut TestRng::from_name(&format!("coverage {seed}")));
+        let (strict, _) = PredictionGraph::build_pair(&a, &PredictorConfig::full());
+        let homes: Vec<ClusterId> = a.prefix_cluster.values().copied().collect();
+        dead_ends += homes
+            .iter()
+            .filter(|&&c| !strict.has_strict_exit(c))
+            .count();
+        shared += homes.len() - homes.iter().collect::<BTreeSet<_>>().len();
+        let own = |p: &PrefixId| a.as_of_cluster(a.prefix_cluster[p]) == Some(a.prefix_as[p].1);
+        foreign += a.prefix_as.keys().filter(|p| !own(p)).count();
+        refined += a.prefix_providers.len();
+    }
+    assert!(
+        dead_ends > 64 && shared > 64 && foreign > 16 && refined > 16,
+        "{dead_ends} dead-end homes, {shared} shared, {foreign} foreign, {refined} refined"
+    );
 }
 
 /// Intra-AS links slow enough (~14 hours) that quantised exits pass 32
@@ -493,7 +693,7 @@ fn scratch_does_not_leak_across_sizes_or_predictors() {
     // then the large one again. A fresh thread (fresh scratch) answering
     // each alone is the reference.
     let large = Arc::new(Scenario::build(ScenarioConfig::test(7)).atlas);
-    let small = Arc::new(random_atlas(&mut TestRng::from_name("small")));
+    let small = Arc::new(random_atlas(&mut TestRng::from_name("small 3")));
     let (lq, sq) = (queries(&large, 150), queries(&small, 40));
     let alone = |atlas: &Arc<Atlas>, cfg: PredictorConfig, q: &[(Ipv4, Ipv4)]| {
         let (atlas, q) = (Arc::clone(atlas), q.to_vec());
@@ -520,15 +720,53 @@ fn scratch_does_not_leak_across_sizes_or_predictors() {
     assert_eq!(answers(&again, &lq), want_large);
 }
 
+/// A ring of `n` hubs linked both ways, each with a stub that is only
+/// ever seen from its hub; one prefix per cluster. A route out of a stub
+/// exists only on the relaxed graph, so `2n` destinations are up to `4n`
+/// distinct searches.
+fn stub_ring(n: u32) -> Atlas {
+    let mut a = Atlas::default();
+    let mut link = |from: u32, to: u32| {
+        let ann = LinkAnnotation {
+            latency: Some(LatencyMs::new(1.0)),
+            plane: Plane::TO_DST,
+        };
+        a.links
+            .insert((ClusterId::new(from), ClusterId::new(to)), ann);
+    };
+    for hub in 0..n {
+        link(hub, (hub + 1) % n);
+        link((hub + 1) % n, hub);
+        link(hub, n + hub);
+    }
+    for c in 0..2 * n {
+        a.cluster_as.insert(ClusterId::new(c), Asn::new(c));
+        a.prefix_cluster.insert(PrefixId::new(c), ClusterId::new(c));
+        a.prefix_as.insert(
+            PrefixId::new(c),
+            (Prefix::new(Ipv4(c << 8), 24), Asn::new(c)),
+        );
+    }
+    a
+}
+
 #[test]
 fn concurrent_queries_agree_with_a_single_thread() {
-    let atlas = Arc::new(Scenario::build(ScenarioConfig::test(7)).atlas);
-    let pairs = queries(&atlas, 200);
-    let want = answers(
-        &PathPredictor::new(Arc::clone(&atlas), PredictorConfig::full()),
-        &pairs,
+    // Past 512 distinct searches, so entries are evicted — and threads
+    // meet on a search one of them is still running — while others read.
+    let atlas = Arc::new(stub_ring(300));
+    let mut cfg = PredictorConfig::full();
+    cfg.use_tuples = false;
+    let pairs = queries(&atlas, 700);
+    let alone = PathPredictor::new(Arc::clone(&atlas), cfg.clone());
+    let want = answers(&alone, &pairs);
+    assert!(!want.contains("Err("), "every pair routes");
+    let counts = alone.search_counts();
+    assert!(
+        counts.runs > 600 && counts.strict_skipped > 300,
+        "{counts:?}"
     );
-    let shared = PathPredictor::new(atlas, PredictorConfig::full());
+    let shared = PathPredictor::new(atlas, cfg);
     let start = Barrier::new(4);
     std::thread::scope(|s| {
         let workers: Vec<_> = (0..4)
