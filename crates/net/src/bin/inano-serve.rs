@@ -50,13 +50,14 @@
 //!               [--max-conns C] [--max-inflight R]
 //!               [--max-request-bytes B] [--max-frame-bytes B] [--max-batch Q]
 //!
-//! Any other `--flag`, a flag without a value, or a value that does
-//! not parse is a startup panic naming it — never a silent default.
+//! Any other `--flag`, a flag without a value, a value that does not
+//! parse, or a bracketed flag above without the flag that opens its
+//! bracket is a startup panic naming it — never a silent default.
 //! There is no thread-count flag: the responder pool and the engines'
 //! cold-batch fan-out both size themselves from the core count.
 
 use inano_core::{AtlasReader, PredictorConfig};
-use inano_net::cli::{arg, refuse_unknown, repeated};
+use inano_net::cli::{arg, refuse_unknown, repeated, requires};
 use inano_net::demo::{ring_atlas, ring_predictor_config, ring_shortcut_delta};
 use inano_net::{Limits, MirrorSource, NetClient, NetServer, ServerConfig};
 use inano_obs::textserve::{render_prometheus, MetricsTextServer};
@@ -192,6 +193,12 @@ fn mirrored_specs(
 
 fn main() {
     refuse_unknown(FLAGS);
+    // Read only beside the flag that gives them meaning; given without
+    // it they stop the start too.
+    requires("--refresh-ms", "--mirror");
+    requires("--predictor", "--mirror");
+    requires("--udp-rate", "--udp");
+    requires("--udp-burst", "--udp");
     let bind: String = arg("--bind", "127.0.0.1".to_string());
     let port: u16 = arg("--port", 4711);
     let max_conns: usize = arg("--max-conns", ServerConfig::default().max_conns);

@@ -2,7 +2,8 @@
 //! (`inano-serve`, `fleet_scrape`, `fleet_sim`): `--name value` pairs,
 //! typed by the caller, defaulting only on absence. Whatever the
 //! operator typed and the binary cannot honour — a value that does not
-//! parse, a flag with no value, a flag it does not know — is a startup
+//! parse, a flag with no value, a flag it does not know, a flag that
+//! only means something beside another that is absent — is a startup
 //! panic naming it, never a silent default.
 
 fn env_args() -> Vec<String> {
@@ -53,6 +54,22 @@ pub fn refuse_unknown_in(args: &[String], known: &[&str]) {
         .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
     {
         panic!("unknown flag {stranger} (known: {})", known.join(" "));
+    }
+}
+
+/// Panic at startup if `std::env::args()` holds `flag` without
+/// `parent`. See [`requires_in`].
+pub fn requires(flag: &str, parent: &str) {
+    requires_in(&env_args(), flag, parent);
+}
+
+/// Panic if `args` holds `flag` but not `parent`, the flag that gives
+/// it meaning (`--udp-rate` tunes the socket `--udp` binds): read only
+/// under its parent, it would otherwise be accepted and dropped.
+pub fn requires_in(args: &[String], flag: &str, parent: &str) {
+    let has = |name: &str| args.iter().skip(1).any(|a| a == name);
+    if has(flag) && !has(parent) {
+        panic!("flag {flag} has no effect without {parent}");
     }
 }
 
@@ -118,6 +135,20 @@ mod tests {
     fn known_flags_and_their_values_pass() {
         let args = line(&["inano-serve", "--ring", "48", "--port", "0", "-1"]);
         refuse_unknown_in(&args, &["--ring", "--port"]);
+    }
+
+    #[test]
+    fn a_dependent_flag_beside_its_parent_or_absent_passes() {
+        let args = line(&["inano-serve", "--udp", "127.0.0.1:0", "--udp-rate", "5"]);
+        requires_in(&args, "--udp-rate", "--udp");
+        requires_in(&args, "--refresh-ms", "--mirror");
+    }
+
+    #[test]
+    #[should_panic(expected = "flag --udp-rate has no effect without --udp")]
+    fn a_dependent_flag_without_its_parent_is_refused_naming_both() {
+        let args = line(&["inano-serve", "--ring", "48", "--udp-rate", "5"]);
+        requires_in(&args, "--udp-rate", "--udp");
     }
 
     #[test]

@@ -90,6 +90,88 @@ impl NetError {
     }
 }
 
+/// The typed calls both transports offer, written once over "something
+/// that can exchange one frame for one": [`NetClient`] on a stream,
+/// [`crate::udp::UdpQuerier`] in datagrams. Each type's inherent methods
+/// of the same names delegate here, so callers import no trait.
+pub(crate) trait TypedCalls {
+    /// One synchronous exchange; typed error replies are `Err`.
+    fn exchange(&mut self, frame: &Frame) -> Result<Frame, NetError>;
+
+    fn ping(&mut self) -> Result<(), NetError> {
+        match self.exchange(&Frame::Ping)? {
+            Frame::Pong => Ok(()),
+            other => Err(unexpected("Pong", &other)),
+        }
+    }
+
+    fn query_batch_on(
+        &mut self,
+        shard: ShardId,
+        pairs: &[(Ipv4, Ipv4)],
+    ) -> Result<Vec<Result<WirePath, WireFault>>, NetError> {
+        let request = Frame::QueryBatch {
+            shard,
+            pairs: pairs.to_vec(),
+        };
+        match self.exchange(&request)? {
+            Frame::PathBatch { results } => {
+                if results.len() != pairs.len() {
+                    return Err(NetError::Protocol(format!(
+                        "{} results for {} pairs",
+                        results.len(),
+                        pairs.len()
+                    )));
+                }
+                Ok(results)
+            }
+            other => Err(unexpected("PathBatch", &other)),
+        }
+    }
+
+    fn resolve_on(&mut self, shard: ShardId, ip: Ipv4) -> Result<WireResolution, NetError> {
+        match self.exchange(&Frame::Resolve { shard, ip })? {
+            Frame::ResolveReply { resolution } => Ok(resolution),
+            other => Err(unexpected("ResolveReply", &other)),
+        }
+    }
+
+    fn epoch_on(&mut self, shard: ShardId) -> Result<(u64, u32), NetError> {
+        match self.exchange(&Frame::Epoch { shard })? {
+            Frame::EpochReply { epoch, day } => Ok((epoch, day)),
+            other => Err(unexpected("EpochReply", &other)),
+        }
+    }
+
+    fn atlas_head_on(&mut self, shard: ShardId) -> Result<AtlasVersion, NetError> {
+        match self.exchange(&Frame::AtlasHead { shard })? {
+            Frame::AtlasHeadReply { version } => Ok(version),
+            other => Err(unexpected("AtlasHeadReply", &other)),
+        }
+    }
+}
+
+fn unexpected(want: &str, got: &Frame) -> NetError {
+    NetError::Protocol(format!(
+        "want {want}, got frame type {:#04x}",
+        got.frame_type()
+    ))
+}
+
+/// Allocate the next request id from `next_id`, keeping the reserved
+/// [`TRACE_FLAG`] bit clear: a counter that grew into bit 63 would
+/// silently turn every request into a traced one, and the surprise
+/// `TraceReply` trailers would desync the pipeline. Wrapping back to 1
+/// after 2^63−1 requests is safe — nothing that old is still in flight.
+pub(crate) fn alloc_id(next_id: &mut u64) -> u64 {
+    if *next_id & TRACE_FLAG != 0 {
+        *next_id = 1;
+    }
+    let id = *next_id;
+    *next_id += 1;
+    id
+}
+
 /// A connection to a server speaking the `inano-net` wire protocol.
 pub struct NetClient {
     reader: BufReader<TcpStream>,
@@ -160,24 +242,10 @@ impl NetClient {
         Ok(())
     }
 
-    /// Allocate the next request id, keeping the reserved [`TRACE_FLAG`]
-    /// bit clear: a counter that grew into bit 63 would silently turn
-    /// every request into a traced one, and the surprise `TraceReply`
-    /// trailers would desync the pipeline. Wrapping back to 1 after
-    /// 2^63−1 requests is safe — nothing that old is still in flight.
-    fn alloc_id(&mut self) -> u64 {
-        if self.next_id & TRACE_FLAG != 0 {
-            self.next_id = 1;
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
     /// Write one request and flush, without waiting for the reply.
     /// Returns the request id to match against [`NetClient::recv`].
     pub fn submit(&mut self, frame: &Frame) -> io::Result<u64> {
-        let id = self.alloc_id();
+        let id = alloc_id(&mut self.next_id);
         write_frame(&mut self.writer, id, frame)?;
         self.writer.flush()?;
         Ok(id)
@@ -226,7 +294,7 @@ impl NetClient {
     pub fn call_traced(&mut self, frame: &Frame) -> Result<(Frame, TraceTimings), NetError> {
         // `alloc_id` keeps bit 63 clear, so setting it here is the
         // only way this connection ever requests a trace.
-        let wire_id = self.alloc_id() | TRACE_FLAG;
+        let wire_id = alloc_id(&mut self.next_id) | TRACE_FLAG;
         write_frame(&mut self.writer, wire_id, frame)?;
         self.writer.flush()?;
         let (got_id, reply) = self.recv()?;
@@ -273,10 +341,7 @@ impl NetClient {
     }
 
     pub fn ping(&mut self) -> Result<(), NetError> {
-        match self.call(&Frame::Ping)? {
-            Frame::Pong => Ok(()),
-            other => Err(unexpected("Pong", &other)),
-        }
+        TypedCalls::ping(self)
     }
 
     /// Predict every pair on the default shard (0); per-pair failures
@@ -295,23 +360,7 @@ impl NetClient {
         shard: ShardId,
         pairs: &[(Ipv4, Ipv4)],
     ) -> Result<Vec<Result<WirePath, WireFault>>, NetError> {
-        let request = Frame::QueryBatch {
-            shard,
-            pairs: pairs.to_vec(),
-        };
-        match self.call(&request)? {
-            Frame::PathBatch { results } => {
-                if results.len() != pairs.len() {
-                    return Err(NetError::Protocol(format!(
-                        "{} results for {} pairs",
-                        results.len(),
-                        pairs.len()
-                    )));
-                }
-                Ok(results)
-            }
-            other => Err(unexpected("PathBatch", &other)),
-        }
+        TypedCalls::query_batch_on(self, shard, pairs)
     }
 
     /// Pipelined submission of a query batch to the default shard;
@@ -333,10 +382,7 @@ impl NetClient {
     }
 
     pub fn resolve_on(&mut self, shard: ShardId, ip: Ipv4) -> Result<WireResolution, NetError> {
-        match self.call(&Frame::Resolve { shard, ip })? {
-            Frame::ResolveReply { resolution } => Ok(resolution),
-            other => Err(unexpected("ResolveReply", &other)),
-        }
+        TypedCalls::resolve_on(self, shard, ip)
     }
 
     /// The default shard's serving `(epoch, day)`.
@@ -346,10 +392,7 @@ impl NetClient {
 
     /// One named shard's serving `(epoch, day)`.
     pub fn epoch_on(&mut self, shard: ShardId) -> Result<(u64, u32), NetError> {
-        match self.call(&Frame::Epoch { shard })? {
-            Frame::EpochReply { epoch, day } => Ok((epoch, day)),
-            other => Err(unexpected("EpochReply", &other)),
-        }
+        TypedCalls::epoch_on(self, shard)
     }
 
     /// Every shard the server hosts, with each one's `(epoch, day)`.
@@ -367,10 +410,7 @@ impl NetClient {
 
     /// The newest full-atlas version one named shard serves.
     pub fn atlas_head_on(&mut self, shard: ShardId) -> Result<AtlasVersion, NetError> {
-        match self.call(&Frame::AtlasHead { shard })? {
-            Frame::AtlasHeadReply { version } => Ok(version),
-            other => Err(unexpected("AtlasHeadReply", &other)),
-        }
+        TypedCalls::atlas_head_on(self, shard)
     }
 
     /// Chunk `idx` of the full body whose head named `epoch_tag`. A
@@ -440,6 +480,12 @@ impl NetClient {
             shard,
             tag: None,
         }
+    }
+}
+
+impl TypedCalls for NetClient {
+    fn exchange(&mut self, frame: &Frame) -> Result<Frame, NetError> {
+        self.call(frame)
     }
 }
 
@@ -567,13 +613,6 @@ impl AtlasSource for MirrorSource {
     fn fetch_delta_chunk(&mut self, from_day: u32, idx: u32) -> Result<AtlasChunk, ModelError> {
         source_delta_chunk(&mut self.client, self.shard, from_day, idx)
     }
-}
-
-fn unexpected(want: &str, got: &Frame) -> NetError {
-    NetError::Protocol(format!(
-        "want {want}, got frame type {:#04x}",
-        got.frame_type()
-    ))
 }
 
 #[cfg(test)]

@@ -65,6 +65,13 @@
 //!   well-framed payload is answered with a typed error and the
 //!   connection keeps serving — a pipelined client loses one request,
 //!   not the stream.
+//! * Only requests are ever decoded, charged to `max_request_bytes` or
+//!   queued for a responder. What a frame is for is its row's role in
+//!   the wire's frame table, read off the type byte
+//!   ([`crate::wire::role_of`]): a reply-typed frame sent *to* a server
+//!   is answered `UnexpectedFrame` in order, as a per-frame fault, with
+//!   its payload unparsed — a peer cannot rent loop-thread CPU or
+//!   budget with megabyte frames nobody will serve.
 //!
 //! ## Observability
 //!
@@ -98,13 +105,15 @@
 //! with **zero per-peer server state** — no assembler, no write queue,
 //! no slab slot. A datagram decodes (or faults) in the loop, rides the
 //! same dispatch queue to the same workers and the same
-//! [`respond`]/[`ShardRegistry`] path as a stream request, and the
+//! [`serve`]/[`ShardRegistry`] path as a stream request, and the
 //! worker sends the reply straight back with `send_to` (UDP replies
 //! have no ordering contract, so no completion round-trip is needed).
-//! Only the single-shot request subset is servable — `Ping`,
-//! `QueryBatch`, `Resolve`, `Epoch`, `AtlasHead`; stream-only
-//! frames (chunk fetches, metrics/events pages) get a typed
-//! `NotOnDatagram` fault. A reply that would not fit one datagram
+//! The servable subset *is* the frame table's `Request` role
+//! ([`crate::wire::Role`]: `Ping`, `QueryBatch`, `Resolve`, `Epoch`,
+//! `AtlasHead`); a `StreamRequest` type (chunk fetches, shard list,
+//! metrics/events pages) gets a typed `NotOnDatagram` fault and a
+//! `Reply` type `UnexpectedFrame`, both decided from the type byte
+//! with the payload unparsed. A reply that would not fit one datagram
 //! ([`datagram_cap`]) is replaced by a typed `FrameTooLarge` fault.
 //! Admission is a per-source-address token bucket
 //! ([`ServerConfig::udp_rate`]): over-rate sources get typed
@@ -124,14 +133,13 @@
 //! [`QueryEngine::register_metrics`]: inano_service::QueryEngine::register_metrics
 //! [`QueryEngine::set_journal`]: inano_service::QueryEngine::set_journal
 
-use crate::wire::{chunk_size_for, datagram_cap, decode_datagram, DatagramError};
+use crate::wire::{chunk_size_for, datagram_cap, decode_datagram, refusal, DatagramError};
 use crate::wire::{encode_path_batch, write_frame, Assembled, Frame, FrameAssembler, Limits};
 use crate::wire::{WireFault, WireResolution, WireShardInfo};
 use crate::wire::{HEADER_BYTES, MAGIC, TRACE_FLAG, VERSION};
 use inano_model::{ErrorCode, ModelError};
 use inano_obs::{
-    Counter, EventJournal, EventKind, Gauge, LatencyHistogram, MetricValue, MetricsRegistry,
-    SlowLog, TraceCtx,
+    Counter, EventJournal, EventKind, Gauge, LatencyHistogram, MetricsRegistry, SlowLog, TraceCtx,
 };
 use inano_service::{ShardRegistry, SharedResult};
 use parking_lot::Mutex;
@@ -659,43 +667,13 @@ fn try_claim(pool: &Gauge, budget: usize, bytes: usize) -> Option<Claim> {
 }
 
 /// Estimated heap cost of holding one decoded request in the in-flight
-/// queue. Every variable-size variant must be charged — the decoder
-/// accepts reply-typed frames as inbound too (they queue until a
-/// worker answers `UnexpectedFrame`), so a hostile client shipping
-/// megabyte `ChunkReply`/`PathBatch` frames has to pay the budget for
-/// them like any legitimate batch.
+/// queue. Only requests are ever decoded (a reply-typed frame is
+/// refused from its type byte, see [`refusal`]), and of the requests
+/// only `QueryBatch` has a variable-size body.
 fn frame_cost(frame: &Frame) -> usize {
     const BASE: usize = 128;
     BASE + match frame {
         Frame::QueryBatch { pairs, .. } => pairs.len() * std::mem::size_of::<(u32, u32)>(),
-        Frame::PathBatch { results } => results
-            .iter()
-            .map(|r| match r {
-                Ok(p) => {
-                    64 + 4
-                        * (p.fwd_clusters.len()
-                            + p.rev_clusters.len()
-                            + p.fwd_as.len()
-                            + p.rev_as.len())
-                }
-                Err(fault) => 64 + fault.message.len(),
-            })
-            .sum(),
-        Frame::ChunkReply { bytes, .. } => bytes.len(),
-        Frame::MetricsReply { dump } => dump
-            .entries
-            .iter()
-            .map(|(name, value)| {
-                48 + name.len()
-                    + match value {
-                        MetricValue::Histogram(buckets) => buckets.len() * 8,
-                        MetricValue::Counter(_) | MetricValue::Gauge(_) => 8,
-                    }
-            })
-            .sum(),
-        Frame::ShardsReply { shards } => shards.len() * std::mem::size_of::<WireShardInfo>(),
-        Frame::EventsReply { page } => page.events.iter().map(|e| 64 + e.detail.len()).sum(),
-        Frame::Error { fault } => fault.message.len(),
         _ => 0,
     }
 }
@@ -971,6 +949,13 @@ impl EventLoop {
         let gate = self.udp_buckets.check(peer.ip(), Instant::now());
         let shared = Arc::clone(&self.shared);
         let buf = &self.scratch[..n];
+        // Whatever this datagram earns, a worker sends it straight back.
+        let dispatch = |work: Work| {
+            shared.dispatch.push(Job {
+                target: JobTarget::Datagram { peer },
+                work,
+            })
+        };
         match gate {
             UdpGate::Admit => {}
             UdpGate::Shed => {
@@ -978,12 +963,9 @@ impl EventLoop {
                 // A typed `Overloaded` answer — but only to a sender
                 // whose header proves it speaks the protocol.
                 if let Some(request_id) = datagram_id(buf) {
-                    shared.dispatch.push(Job {
-                        target: JobTarget::Datagram { peer },
-                        work: Work::Reject {
-                            request_id,
-                            reason: "per-source datagram rate limit reached",
-                        },
+                    dispatch(Work::Reject {
+                        request_id,
+                        reason: "per-source datagram rate limit reached",
                     });
                 }
                 return;
@@ -996,6 +978,14 @@ impl EventLoop {
                 return;
             }
         }
+        // Refuse by role, from the type byte — which is only there to
+        // read once `datagram_id` has seen a whole, sound header — so a
+        // reply or stream-only type never has its payload parsed.
+        if let Some(request_id) = datagram_id(buf) {
+            if let Some(fault) = refusal(buf[5], true) {
+                return dispatch(Work::Fault { request_id, fault });
+            }
+        }
         let (request_id, frame) = match decode_datagram(buf, &shared.cfg.limits) {
             Ok(decoded) => decoded,
             Err(DatagramError::Drop(_)) => {
@@ -1003,56 +993,29 @@ impl EventLoop {
                 return;
             }
             Err(DatagramError::Fault { request_id, fault }) => {
-                shared.dispatch.push(Job {
-                    target: JobTarget::Datagram { peer },
-                    work: Work::Fault { request_id, fault },
-                });
-                return;
+                return dispatch(Work::Fault { request_id, fault });
             }
         };
-        if !servable_on_datagram(&frame) {
-            shared.dispatch.push(Job {
-                target: JobTarget::Datagram { peer },
-                work: Work::Fault {
-                    request_id,
-                    fault: WireFault::new(
-                        ErrorCode::NotOnDatagram,
-                        format!(
-                            "frame type {:#04x} needs the stream transport",
-                            frame.frame_type()
-                        ),
-                    ),
-                },
-            });
-            return;
-        }
         let Some(claim) = try_claim(
             &shared.request_bytes,
             shared.cfg.max_request_bytes,
             frame_cost(&frame),
         ) else {
             drop(frame);
-            shared.dispatch.push(Job {
-                target: JobTarget::Datagram { peer },
-                work: Work::Reject {
-                    request_id,
-                    reason: "server-wide request-memory budget reached",
-                },
+            return dispatch(Work::Reject {
+                request_id,
+                reason: "server-wide request-memory budget reached",
             });
-            return;
         };
         shared.request_bytes_peak.raise(shared.request_bytes.get());
-        shared.dispatch.push(Job {
-            target: JobTarget::Datagram { peer },
-            work: Work::Request {
-                request_id,
-                frame,
-                claim,
-                // No `TraceReply` trailers on the datagram plane: a
-                // reply is one frame in one datagram, so the id's
-                // trace bit is echoed but not honoured.
-                trace: None,
-            },
+        dispatch(Work::Request {
+            request_id,
+            frame,
+            claim,
+            // No `TraceReply` trailers on the datagram plane: a reply
+            // is one frame in one datagram, so the id's trace bit is
+            // echoed but not honoured.
+            trace: None,
         });
     }
 
@@ -1466,21 +1429,6 @@ fn udp_reply(shared: &Shared, peer: SocketAddr, mut bytes: Vec<u8>) {
     }
 }
 
-/// The request subset a single datagram exchange can carry: one small
-/// self-contained question, one reply that plausibly fits a datagram.
-/// Chunked fetches and the unbounded-page introspection frames need
-/// the stream.
-fn servable_on_datagram(frame: &Frame) -> bool {
-    matches!(
-        frame,
-        Frame::Ping
-            | Frame::QueryBatch { .. }
-            | Frame::Resolve { .. }
-            | Frame::Epoch { .. }
-            | Frame::AtlasHead { .. }
-    )
-}
-
 /// The request id of a datagram whose header passes the magic and
 /// version checks — the minimum bar for answering a sender at all —
 /// without decoding the payload. Used on the shed path, where doing
@@ -1594,13 +1542,11 @@ fn answer(shared: &Shared, work: Work) -> (Vec<u8>, bool) {
             if let Some(t) = trace.as_mut() {
                 t.dequeued();
             }
-            let reply = respond(
-                shared.registry.as_ref(),
-                shared.obs.as_ref(),
-                shared.journal.as_ref(),
-                &frame,
-                &shared.cfg.limits,
-            );
+            let reply = serve(shared, &frame).unwrap_or_else(|e| {
+                Reply::Frame(Frame::Error {
+                    fault: WireFault::from(&e),
+                })
+            });
             if let Some(t) = trace.as_mut() {
                 t.served();
             }
@@ -1664,39 +1610,38 @@ enum Reply {
     Paths(Vec<SharedResult>),
 }
 
-/// Map one decoded request to its reply, routing shard-addressed
-/// requests through the registry. `limits` bound the chunk size every
-/// atlas body is served in: one chunk always fits one frame.
-fn respond(
-    registry: &ShardRegistry,
-    obs: &MetricsRegistry,
-    journal: &EventJournal,
-    frame: &Frame,
-    limits: &Limits,
-) -> Reply {
-    Reply::Frame(match frame {
+/// Map one decoded request to its reply — the serve arm of every
+/// request row of the frame table — routing shard-addressed requests
+/// through the registry. The server's `Limits` bound the chunk size
+/// every atlas body is served in: one chunk always fits one frame. An
+/// `Err` is answered as the typed `Error` frame that carries it.
+fn serve(shared: &Shared, frame: &Frame) -> Result<Reply, ModelError> {
+    let registry = &shared.registry;
+    let cs = chunk_size_for(&shared.cfg.limits);
+    Ok(Reply::Frame(match frame {
         Frame::Ping => Frame::Pong,
-        Frame::Metrics => Frame::MetricsReply { dump: obs.dump() },
+        Frame::Metrics => Frame::MetricsReply {
+            dump: shared.obs.dump(),
+        },
         Frame::Events { since_seq } => Frame::EventsReply {
-            page: journal.since(*since_seq),
+            page: shared.journal.since(*since_seq),
         },
-        Frame::QueryBatch { shard, pairs } => match registry.engine(*shard) {
-            Ok(engine) => return Reply::Paths(engine.query_batch_shared(pairs)),
-            Err(e) => fault_reply(&e),
-        },
-        Frame::Resolve { shard, ip } => match registry
-            .engine(*shard)
-            .and_then(|engine| engine.generation().predictor.resolve(*ip))
-        {
-            Ok(r) => Frame::ResolveReply {
+        Frame::QueryBatch { shard, pairs } => {
+            return Ok(Reply::Paths(
+                registry.engine(*shard)?.query_batch_shared(pairs),
+            ))
+        }
+        Frame::Resolve { shard, ip } => {
+            let engine = registry.engine(*shard)?;
+            let r = engine.generation().predictor.resolve(*ip)?;
+            Frame::ResolveReply {
                 resolution: WireResolution::from(&r),
-            },
-            Err(e) => fault_reply(&e),
-        },
-        Frame::Epoch { shard } => match registry.epoch(*shard) {
-            Ok((epoch, day)) => Frame::EpochReply { epoch, day },
-            Err(e) => fault_reply(&e),
-        },
+            }
+        }
+        Frame::Epoch { shard } => {
+            let (epoch, day) = registry.epoch(*shard)?;
+            Frame::EpochReply { epoch, day }
+        }
         Frame::ListShards => Frame::ShardsReply {
             shards: registry
                 .iter()
@@ -1710,96 +1655,70 @@ fn respond(
                 })
                 .collect(),
         },
-        Frame::AtlasHead { shard } => match registry.engine(*shard) {
-            Ok(engine) => Frame::AtlasHeadReply {
-                version: engine.export().version(chunk_size_for(limits)),
-            },
-            Err(e) => fault_reply(&e),
+        Frame::AtlasHead { shard } => Frame::AtlasHeadReply {
+            version: registry.engine(*shard)?.export().version(cs),
         },
         Frame::FetchFullChunk {
             shard,
             epoch_tag,
             idx,
-        } => match registry.engine(*shard) {
-            Ok(engine) => {
-                let snap = engine.export();
-                if snap.epoch_tag != *epoch_tag {
-                    // The shard swapped generations since the client's
-                    // head: tell it to restart there rather than hand
-                    // it a chunk of a different atlas.
-                    return Reply::Frame(fault_reply(&ModelError::VersionRaced(format!(
-                        "fetching tag {epoch_tag:#018x} but the head moved to {:#018x}",
-                        snap.epoch_tag
-                    ))));
-                }
-                let cs = chunk_size_for(limits);
-                match snap.chunk(cs, *idx) {
-                    Ok(bytes) => Frame::ChunkReply {
-                        idx: *idx,
-                        // Snapshot CRCs are cached per chunk size: N
-                        // mirrors fetching the ~7MB body hash it once.
-                        crc: snap.chunk_crcs(cs)[*idx as usize],
-                        bytes: bytes.to_vec(),
-                    },
-                    Err(e) => fault_reply(&e),
-                }
+        } => {
+            let snap = registry.engine(*shard)?.export();
+            if snap.epoch_tag != *epoch_tag {
+                // The shard swapped generations since the client's
+                // head: tell it to restart there rather than hand it a
+                // chunk of a different atlas.
+                return Err(ModelError::VersionRaced(format!(
+                    "fetching tag {epoch_tag:#018x} but the head moved to {:#018x}",
+                    snap.epoch_tag
+                )));
             }
-            Err(e) => fault_reply(&e),
-        },
-        Frame::FetchDelta { shard, have_day } => match registry.delta_blob(*shard, *have_day) {
-            Ok(blob) => Frame::DeltaReply {
-                handle: blob.map(|b| b.handle(chunk_size_for(limits))),
-            },
-            Err(e) => fault_reply(&e),
+            let bytes = snap.chunk(cs, *idx)?;
+            Frame::ChunkReply {
+                idx: *idx,
+                // Snapshot CRCs are cached per chunk size: N mirrors
+                // fetching the ~7MB body hash it once.
+                crc: snap.chunk_crcs(cs)[*idx as usize],
+                bytes: bytes.to_vec(),
+            }
+        }
+        Frame::FetchDelta { shard, have_day } => Frame::DeltaReply {
+            handle: registry
+                .delta_blob(*shard, *have_day)?
+                .map(|b| b.handle(cs)),
         },
         Frame::FetchDeltaChunk {
             shard,
             from_day,
             idx,
-        } => match registry.delta_blob(*shard, *from_day) {
-            // Delta bodies are kilobytes; recomputing the chunk crc
-            // inline costs less than caching it would.
-            Ok(Some(blob)) => match blob.chunk(chunk_size_for(limits), *idx) {
-                Ok(bytes) => Frame::ChunkReply {
-                    idx: *idx,
-                    crc: inano_core::content_tag(bytes),
-                    bytes: bytes.to_vec(),
-                },
-                Err(e) => fault_reply(&e),
-            },
-            // The delta a handle promised has rotated out of the log
-            // (or never existed): the fetcher should re-head and, if it
-            // fell that far behind, refetch the full atlas.
-            Ok(None) => fault_reply(&ModelError::VersionRaced(format!(
-                "no delta leaving day {from_day} is retained any more"
-            ))),
-            Err(e) => fault_reply(&e),
-        },
-        // Reply-direction (or error) frames are not requests.
-        Frame::Pong
-        | Frame::PathBatch { .. }
-        | Frame::ResolveReply { .. }
-        | Frame::EpochReply { .. }
-        | Frame::ShardsReply { .. }
-        | Frame::AtlasHeadReply { .. }
-        | Frame::DeltaReply { .. }
-        | Frame::ChunkReply { .. }
-        | Frame::MetricsReply { .. }
-        | Frame::EventsReply { .. }
-        | Frame::TraceReply { .. }
-        | Frame::Error { .. } => Frame::Error {
+        } => {
+            // The delta a handle promised may have rotated out of the
+            // log (or never existed): the fetcher should re-head and,
+            // if it fell that far behind, refetch the full atlas.
+            let blob = registry.delta_blob(*shard, *from_day)?.ok_or_else(|| {
+                ModelError::VersionRaced(format!(
+                    "no delta leaving day {from_day} is retained any more"
+                ))
+            })?;
+            let bytes = blob.chunk(cs, *idx)?;
+            Frame::ChunkReply {
+                idx: *idx,
+                // Delta bodies are kilobytes; recomputing the chunk crc
+                // inline costs less than caching it would.
+                crc: inano_core::content_tag(bytes),
+                bytes: bytes.to_vec(),
+            }
+        }
+        // The table's `Reply` rows are refused from the type byte
+        // ([`refusal`]) and never decoded, so what lands here is a
+        // request row nobody wrote a serve arm for.
+        other => Frame::Error {
             fault: WireFault::new(
                 ErrorCode::UnexpectedFrame,
-                format!("frame type {:#04x} is not a request", frame.frame_type()),
+                format!("frame type {:#04x} has no serve arm", other.frame_type()),
             ),
         },
-    })
-}
-
-fn fault_reply(e: &ModelError) -> Frame {
-    Frame::Error {
-        fault: WireFault::from(e),
-    }
+    }))
 }
 
 #[cfg(test)]

@@ -29,8 +29,8 @@
 //! and the introspection pages keep the stream transport,
 //! [`crate::client::NetClient`].
 
-use crate::client::NetError;
-use crate::wire::{decode_datagram, DatagramError, Frame, Limits, MAX_UDP_PAYLOAD, TRACE_FLAG};
+use crate::client::{alloc_id, NetError, TypedCalls};
+use crate::wire::{decode_datagram, DatagramError, Frame, Limits, MAX_UDP_PAYLOAD};
 use crate::wire::{WireFault, WirePath, WireResolution};
 use inano_core::AtlasVersion;
 use inano_model::Ipv4;
@@ -127,22 +127,11 @@ impl UdpQuerier {
         self.resends
     }
 
-    /// Next id with the reserved [`TRACE_FLAG`] bit kept clear — the
-    /// same wrap rule as the stream client, see the wire contract.
-    fn alloc_id(&mut self) -> u64 {
-        if self.next_id & TRACE_FLAG != 0 {
-            self.next_id = 1;
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
     /// One single-shot exchange: send `frame`, collect the
     /// id-matching reply, resending on silence per the retry policy.
     /// Typed error replies surface as [`NetError::Remote`].
     pub fn call(&mut self, frame: &Frame) -> Result<Frame, NetError> {
-        let id = self.alloc_id();
+        let id = alloc_id(&mut self.next_id);
         let request = frame.encode(id);
         if request.len() > MAX_UDP_PAYLOAD {
             return Err(NetError::Protocol(format!(
@@ -217,10 +206,7 @@ impl UdpQuerier {
     }
 
     pub fn ping(&mut self) -> Result<(), NetError> {
-        match self.call(&Frame::Ping)? {
-            Frame::Pong => Ok(()),
-            other => Err(unexpected("Pong", &other)),
-        }
+        TypedCalls::ping(self)
     }
 
     /// Predict every pair on the default shard in one datagram
@@ -241,23 +227,7 @@ impl UdpQuerier {
         shard: ShardId,
         pairs: &[(Ipv4, Ipv4)],
     ) -> Result<Vec<Result<WirePath, WireFault>>, NetError> {
-        let request = Frame::QueryBatch {
-            shard,
-            pairs: pairs.to_vec(),
-        };
-        match self.call(&request)? {
-            Frame::PathBatch { results } => {
-                if results.len() != pairs.len() {
-                    return Err(NetError::Protocol(format!(
-                        "{} results for {} pairs",
-                        results.len(),
-                        pairs.len()
-                    )));
-                }
-                Ok(results)
-            }
-            other => Err(unexpected("PathBatch", &other)),
-        }
+        TypedCalls::query_batch_on(self, shard, pairs)
     }
 
     pub fn resolve(&mut self, ip: Ipv4) -> Result<WireResolution, NetError> {
@@ -265,10 +235,7 @@ impl UdpQuerier {
     }
 
     pub fn resolve_on(&mut self, shard: ShardId, ip: Ipv4) -> Result<WireResolution, NetError> {
-        match self.call(&Frame::Resolve { shard, ip })? {
-            Frame::ResolveReply { resolution } => Ok(resolution),
-            other => Err(unexpected("ResolveReply", &other)),
-        }
+        TypedCalls::resolve_on(self, shard, ip)
     }
 
     /// The default shard's serving `(epoch, day)`.
@@ -278,10 +245,7 @@ impl UdpQuerier {
 
     /// One named shard's serving `(epoch, day)`.
     pub fn epoch_on(&mut self, shard: ShardId) -> Result<(u64, u32), NetError> {
-        match self.call(&Frame::Epoch { shard })? {
-            Frame::EpochReply { epoch, day } => Ok((epoch, day)),
-            other => Err(unexpected("EpochReply", &other)),
-        }
+        TypedCalls::epoch_on(self, shard)
     }
 
     /// The newest full-atlas version shard 0 serves — the datagram way
@@ -292,23 +256,20 @@ impl UdpQuerier {
 
     /// The newest full-atlas version one named shard serves.
     pub fn atlas_head_on(&mut self, shard: ShardId) -> Result<AtlasVersion, NetError> {
-        match self.call(&Frame::AtlasHead { shard })? {
-            Frame::AtlasHeadReply { version } => Ok(version),
-            other => Err(unexpected("AtlasHeadReply", &other)),
-        }
+        TypedCalls::atlas_head_on(self, shard)
     }
 }
 
-fn unexpected(want: &str, got: &Frame) -> NetError {
-    NetError::Protocol(format!(
-        "want {want}, got frame type {:#04x}",
-        got.frame_type()
-    ))
+impl TypedCalls for UdpQuerier {
+    fn exchange(&mut self, frame: &Frame) -> Result<Frame, NetError> {
+        self.call(frame)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::TRACE_FLAG;
 
     #[test]
     fn id_generation_wraps_before_the_trace_bit() {
@@ -318,8 +279,8 @@ mod tests {
         let peer = socket.local_addr().expect("addr");
         let mut q = UdpQuerier::connect(peer).expect("connect");
         q.next_id = TRACE_FLAG;
-        assert_eq!(q.alloc_id(), 1);
-        assert_eq!(q.alloc_id(), 2);
+        assert_eq!(alloc_id(&mut q.next_id), 1);
+        assert_eq!(alloc_id(&mut q.next_id), 2);
         assert_eq!(q.next_id & TRACE_FLAG, 0);
     }
 

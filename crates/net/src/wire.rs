@@ -27,24 +27,43 @@
 //!
 //! ## Frames
 //!
-//! | type | frame | reply | shard-scoped | on a datagram |
-//! |---|---|---|---|---|
-//! | `0x01` | `Ping` | `0x81 Pong` | no | yes |
-//! | `0x02` | `QueryBatch` | `0x82 PathBatch` | yes | yes |
-//! | `0x03` | `Resolve` | `0x83 ResolveReply` | yes | yes |
-//! | `0x05` | `Epoch` | `0x85 EpochReply` | yes | yes |
-//! | `0x06` | `ListShards` | `0x86 ShardsReply` | no | no |
-//! | `0x07` | `AtlasHead` | `0x87 AtlasHeadReply` | yes | yes |
-//! | `0x08` | `FetchFullChunk` | `0x88 ChunkReply` | yes | no |
-//! | `0x09` | `FetchDelta` | `0x89 DeltaReply` | yes | no |
-//! | `0x0A` | `FetchDeltaChunk` | `0x88 ChunkReply` | yes | no |
-//! | `0x0B` | `Metrics` | `0x8B MetricsReply` | no | no |
-//! | `0x0C` | `Events` | `0x8C EventsReply` | no | no |
-//! | `0x8A` | `TraceReply` | (a trailer, see below) | — | no |
-//! | `0xEE` | `Error` | (answers any request) | — | yes |
+//! What a frame *is* is written down once, in the `frames!` table
+//! further down this file: one row per frame — type byte, role,
+//! variant, fields in wire order — whose expansion is the [`Frame`]
+//! enum, [`Frame::frame_type`], the payload encoder and decoder, and
+//! [`role_of`]. This table is that one's reading copy (a unit test
+//! keeps the two in step):
 //!
-//! Types `0x04`/`0x84` are retired and decode as `UnknownFrame` like
-//! any other unassigned byte.
+//! | type | role | frame | reply | shard-scoped | on a datagram |
+//! |---|---|---|---|---|---|
+//! | `0x01` | `Request` | `Ping` | `0x81 Pong` | no | yes |
+//! | `0x02` | `Request` | `QueryBatch` | `0x82 PathBatch` | yes | yes |
+//! | `0x03` | `Request` | `Resolve` | `0x83 ResolveReply` | yes | yes |
+//! | `0x05` | `Request` | `Epoch` | `0x85 EpochReply` | yes | yes |
+//! | `0x06` | `StreamRequest` | `ListShards` | `0x86 ShardsReply` | no | no |
+//! | `0x07` | `Request` | `AtlasHead` | `0x87 AtlasHeadReply` | yes | yes |
+//! | `0x08` | `StreamRequest` | `FetchFullChunk` | `0x88 ChunkReply` | yes | no |
+//! | `0x09` | `StreamRequest` | `FetchDelta` | `0x89 DeltaReply` | yes | no |
+//! | `0x0A` | `StreamRequest` | `FetchDeltaChunk` | `0x88 ChunkReply` | yes | no |
+//! | `0x0B` | `StreamRequest` | `Metrics` | `0x8B MetricsReply` | no | no |
+//! | `0x0C` | `StreamRequest` | `Events` | `0x8C EventsReply` | no | no |
+//! | `0x8A` | `Reply` | `TraceReply` | (a trailer, see below) | — | no |
+//! | `0xEE` | `Reply` | `Error` | (answers any request) | — | yes |
+//!
+//! Every type named in the reply column is a `Reply` row of its own.
+//! The [`Role`] is what a server acts on, from the type byte alone and
+//! before it parses a payload byte: a `Reply` type is answered
+//! `UnexpectedFrame`, a `StreamRequest` arriving in a datagram
+//! `NotOnDatagram`, and only what is left is decoded, charged to the
+//! request-memory budget and queued. Types `0x04`/`0x84` are retired
+//! and decode as `UnknownFrame` like any other unassigned byte.
+//!
+//! **Adding a frame** is one row in `frames!`, plus: a `Wire` impl
+//! (the field's byte layout, writer and reader side by side) only if
+//! the row brings a field type no row has yet; for a request, its arm
+//! in `server.rs`'s `serve`; a golden vector and an `arb_frame` arm in
+//! `tests/wire_properties.rs` (a test fails until both exist); and its
+//! row in the table above.
 //!
 //! **Shards.** One server hosts many independent atlas shards
 //! ([`inano_service::ShardRegistry`]); every shard-scoped request leads
@@ -103,9 +122,9 @@
 //!   [`Frame::Error`] (request id 0) and closes the connection.
 //! * **per-frame** ([`ReadError::Frame`]) — the header was sound and
 //!   the payload was fully consumed, but its contents don't parse (or a
-//!   batch exceeds [`Limits::max_batch`]). The server replies with a
-//!   typed [`Frame::Error`] carrying the request id and keeps serving
-//!   the connection.
+//!   batch exceeds [`Limits::max_batch`]), or — on a server — its type
+//!   is not a request. The server replies with a typed [`Frame::Error`]
+//!   carrying the request id and keeps serving the connection.
 //!
 //! Error *codes* live in [`inano_model::ErrorCode`] so the engine's own
 //! `ModelError`s cross the wire losslessly typed.
@@ -148,30 +167,6 @@ pub const MAX_EVENTS_ENTRIES: usize = 4096;
 /// `NetClient`/`UdpQuerier`), and only the tracing entry points may
 /// set it deliberately.
 pub const TRACE_FLAG: u64 = 1 << 63;
-
-pub const FT_PING: u8 = 0x01;
-pub const FT_QUERY_BATCH: u8 = 0x02;
-pub const FT_RESOLVE: u8 = 0x03;
-pub const FT_EPOCH: u8 = 0x05;
-pub const FT_LIST_SHARDS: u8 = 0x06;
-pub const FT_ATLAS_HEAD: u8 = 0x07;
-pub const FT_FETCH_FULL_CHUNK: u8 = 0x08;
-pub const FT_FETCH_DELTA: u8 = 0x09;
-pub const FT_FETCH_DELTA_CHUNK: u8 = 0x0A;
-pub const FT_METRICS: u8 = 0x0B;
-pub const FT_EVENTS: u8 = 0x0C;
-pub const FT_PONG: u8 = 0x81;
-pub const FT_PATH_BATCH: u8 = 0x82;
-pub const FT_RESOLVE_REPLY: u8 = 0x83;
-pub const FT_EPOCH_REPLY: u8 = 0x85;
-pub const FT_SHARDS_REPLY: u8 = 0x86;
-pub const FT_ATLAS_HEAD_REPLY: u8 = 0x87;
-pub const FT_CHUNK_REPLY: u8 = 0x88;
-pub const FT_DELTA_REPLY: u8 = 0x89;
-pub const FT_TRACE_REPLY: u8 = 0x8A;
-pub const FT_METRICS_REPLY: u8 = 0x8B;
-pub const FT_EVENTS_REPLY: u8 = 0x8C;
-pub const FT_ERROR: u8 = 0xEE;
 
 /// Fixed `ChunkReply` payload overhead: chunk index (4) + checksum (8)
 /// + byte-count register (4).
@@ -320,95 +315,142 @@ pub struct WireShardInfo {
     pub day: u32,
 }
 
-/// One protocol frame (request or reply), minus the request id that
-/// travels in the header.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Frame {
-    Ping,
-    Pong,
-    QueryBatch {
-        shard: ShardId,
-        pairs: Vec<(Ipv4, Ipv4)>,
-    },
-    PathBatch {
-        results: Vec<Result<WirePath, WireFault>>,
-    },
-    Resolve {
-        shard: ShardId,
-        ip: Ipv4,
-    },
-    ResolveReply {
-        resolution: WireResolution,
-    },
-    Epoch {
-        shard: ShardId,
-    },
-    EpochReply {
-        epoch: u64,
-        day: u32,
-    },
-    ListShards,
-    ShardsReply {
-        shards: Vec<WireShardInfo>,
-    },
+// ---- the frame table ------------------------------------------------
+
+/// What a frame type is for, as its row of the frame table declares.
+/// A server acts on it from the type byte alone, before any payload
+/// byte is parsed (see [`role_of`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Role {
+    /// A request either transport serves: one small self-contained
+    /// question whose reply plausibly fits a datagram.
+    Request,
+    /// A request only the stream transport serves: chunked fetches and
+    /// the unbounded-page introspection frames.
+    StreamRequest,
+    /// Reply-direction (or error) frames: never a request.
+    Reply,
+}
+
+/// Expand the frame table — one row per frame: type byte, [`Role`],
+/// variant, fields in wire order — into everything that has to agree
+/// about it: the [`Frame`] enum, [`Frame::frame_type`], the payload
+/// encoder and decoder (a payload is its fields' [`Wire`] layouts in row
+/// order, then nothing), and [`role_of`].
+macro_rules! frames {
+    ($(
+        $(#[$doc:meta])*
+        $byte:literal $role:ident $name:ident $({ $($field:ident: $ty:ty),+ })?
+    )+) => {
+        /// One protocol frame (request or reply), minus the request id
+        /// that travels in the header. Generated from the frame table.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum Frame {
+            $( $(#[$doc])* $name $({ $($field: $ty),+ })?, )+
+        }
+
+        /// The role the frame table gives `frame_type`; `None` for a
+        /// byte no row assigns.
+        pub fn role_of(frame_type: u8) -> Option<Role> {
+            match frame_type {
+                $( $byte => Some(Role::$role), )+
+                _ => None,
+            }
+        }
+
+        impl Frame {
+            pub fn frame_type(&self) -> u8 {
+                match self {
+                    $( Frame::$name $({ $($field: _),+ })? => $byte, )+
+                }
+            }
+
+            fn encode_payload(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $( Frame::$name $({ $($field),+ })? => { $($( $field.put(buf); )+)? } )+
+                }
+            }
+
+            /// Decode a payload whose header has already been validated.
+            pub fn decode_payload(
+                frame_type: u8,
+                payload: &[u8],
+                limits: &Limits,
+            ) -> Result<Frame, WireFault> {
+                let mut c = Cursor::new(payload);
+                let frame = match frame_type {
+                    $( $byte => Frame::$name $({ $($field: Wire::get(&mut c, limits)?),+ })?, )+
+                    t => {
+                        return Err(WireFault::new(
+                            ErrorCode::UnknownFrame,
+                            format!("unknown frame type {t:#04x}"),
+                        ))
+                    }
+                };
+                c.done()?;
+                Ok(frame)
+            }
+        }
+    };
+}
+
+frames! {
+    0x01 Request Ping
+    0x02 Request QueryBatch { shard: ShardId, pairs: Vec<(Ipv4, Ipv4)> }
+    0x03 Request Resolve { shard: ShardId, ip: Ipv4 }
+    0x05 Request Epoch { shard: ShardId }
+    0x06 StreamRequest ListShards
     /// What is the newest full atlas this shard serves?
-    AtlasHead {
-        shard: ShardId,
-    },
-    AtlasHeadReply {
-        version: AtlasVersion,
-    },
+    0x07 Request AtlasHead { shard: ShardId }
     /// One chunk of the full body whose head named `epoch_tag`. A
     /// server that has moved on answers a typed `VersionRaced` fault.
-    FetchFullChunk {
-        shard: ShardId,
-        epoch_tag: u64,
-        idx: u32,
-    },
+    0x08 StreamRequest FetchFullChunk { shard: ShardId, epoch_tag: u64, idx: u32 }
     /// Is there a retained daily delta leaving `have_day`?
-    FetchDelta {
-        shard: ShardId,
-        have_day: u32,
-    },
-    DeltaReply {
-        handle: Option<DeltaHandle>,
-    },
+    0x09 StreamRequest FetchDelta { shard: ShardId, have_day: u32 }
     /// One chunk of the delta body leaving `from_day`.
-    FetchDeltaChunk {
-        shard: ShardId,
-        from_day: u32,
-        idx: u32,
-    },
-    /// One checksummed body chunk (full or delta — the client knows
-    /// which it asked for; the echoed index pins it to the request).
-    ChunkReply {
-        idx: u32,
-        crc: u64,
-        bytes: Vec<u8>,
-    },
+    0x0A StreamRequest FetchDeltaChunk { shard: ShardId, from_day: u32, idx: u32 }
     /// Dump the server-wide metrics registry (not shard-scoped — the
     /// registry's names carry the shard).
-    Metrics,
-    MetricsReply {
-        dump: MetricsDump,
-    },
+    0x0B StreamRequest Metrics
     /// Page the server-wide event journal from `since_seq` (not
     /// shard-scoped — an event's detail names its shard).
-    Events {
-        since_seq: u64,
-    },
-    EventsReply {
-        page: EventsPage,
-    },
+    0x0C StreamRequest Events { since_seq: u64 }
+    0x81 Reply Pong
+    0x82 Reply PathBatch { results: Vec<Result<WirePath, WireFault>> }
+    0x83 Reply ResolveReply { resolution: WireResolution }
+    0x85 Reply EpochReply { epoch: u64, day: u32 }
+    0x86 Reply ShardsReply { shards: Vec<WireShardInfo> }
+    0x87 Reply AtlasHeadReply { version: AtlasVersion }
+    /// One checksummed body chunk (full or delta — the client knows
+    /// which it asked for; the echoed index pins it to the request).
+    0x88 Reply ChunkReply { idx: u32, crc: u64, bytes: Vec<u8> }
+    0x89 Reply DeltaReply { handle: Option<DeltaHandle> }
     /// The timing trailer a [`TRACE_FLAG`]ged request earns, written
     /// immediately after its (non-`Error`) main reply under the same
     /// request id.
-    TraceReply {
-        timings: TraceTimings,
-    },
-    Error {
-        fault: WireFault,
-    },
+    0x8A Reply TraceReply { timings: TraceTimings }
+    0x8B Reply MetricsReply { dump: MetricsDump }
+    0x8C Reply EventsReply { page: EventsPage }
+    0xEE Reply Error { fault: WireFault }
+}
+
+/// The typed fault a server answers a frame of `frame_type` with on
+/// sight of its header, the payload unparsed: a `Reply` type is not a
+/// request on either transport, a `StreamRequest` is not one in a
+/// datagram. `None` means decode it — an unassigned byte included,
+/// which decodes to `UnknownFrame` as it always has.
+pub(crate) fn refusal(frame_type: u8, on_datagram: bool) -> Option<WireFault> {
+    match role_of(frame_type)? {
+        Role::Reply => Some(WireFault::new(
+            ErrorCode::UnexpectedFrame,
+            format!("frame type {frame_type:#04x} is not a request"),
+        )),
+        Role::StreamRequest if on_datagram => Some(WireFault::new(
+            ErrorCode::NotOnDatagram,
+            format!("frame type {frame_type:#04x} needs the stream transport"),
+        )),
+        Role::Request | Role::StreamRequest => None,
+    }
 }
 
 /// Why a frame could not be read. See the module docs for how the two
@@ -486,7 +528,7 @@ fn put_path_ok(
 /// One faulted entry of a `PathBatch`.
 fn put_path_err(buf: &mut Vec<u8>, fault: &WireFault) {
     buf.push(1);
-    put_fault(buf, fault);
+    fault.put(buf);
 }
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
@@ -499,11 +541,6 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     }
     put_u16(buf, n as u16);
     buf.extend_from_slice(&bytes[..n]);
-}
-
-fn put_fault(buf: &mut Vec<u8>, fault: &WireFault) {
-    put_u16(buf, fault.code.as_u16());
-    put_str(buf, &fault.message);
 }
 
 /// A bounds-checked big-endian payload cursor.
@@ -577,14 +614,6 @@ impl<'a> Cursor<'a> {
             .map_err(|_| WireFault::new(ErrorCode::Malformed, "message is not UTF-8"))
     }
 
-    fn fault(&mut self) -> Result<WireFault, WireFault> {
-        let raw = self.u16()?;
-        let code = ErrorCode::from_u16(raw)
-            .ok_or_else(|| WireFault::new(ErrorCode::Malformed, format!("unknown code {raw}")))?;
-        let message = self.string()?;
-        Ok(WireFault { code, message })
-    }
-
     fn done(&self) -> Result<(), WireFault> {
         if self.at != self.buf.len() {
             return Err(WireFault::new(
@@ -593,6 +622,428 @@ impl<'a> Cursor<'a> {
             ));
         }
         Ok(())
+    }
+}
+
+// ---- layouts: one per wire type --------------------------------------
+
+/// How one field type lies in a payload. The writer and the reader of
+/// a layout are the two methods of one impl, so they cannot drift
+/// apart; the frame table strings them together, field by field.
+trait Wire: Sized {
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(c: &mut Cursor<'_>, limits: &Limits) -> Result<Self, WireFault>;
+}
+
+impl Wire for u32 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, *self);
+    }
+
+    fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<u32, WireFault> {
+        c.u32()
+    }
+}
+
+impl Wire for u64 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u64(buf, *self);
+    }
+
+    fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<u64, WireFault> {
+        c.u64()
+    }
+}
+
+impl Wire for ShardId {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u16(buf, self.raw());
+    }
+
+    fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<ShardId, WireFault> {
+        Ok(ShardId(c.u16()?))
+    }
+}
+
+impl Wire for Ipv4 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.0);
+    }
+
+    fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<Ipv4, WireFault> {
+        Ok(Ipv4(c.u32()?))
+    }
+}
+
+impl Wire for WireFault {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u16(buf, self.code.as_u16());
+        put_str(buf, &self.message);
+    }
+
+    fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<WireFault, WireFault> {
+        let raw = c.u16()?;
+        let code = ErrorCode::from_u16(raw)
+            .ok_or_else(|| WireFault::new(ErrorCode::Malformed, format!("unknown code {raw}")))?;
+        let message = c.string()?;
+        Ok(WireFault { code, message })
+    }
+}
+
+/// The pairs of a `QueryBatch`, at most [`Limits::max_batch`] of them.
+impl Wire for Vec<(Ipv4, Ipv4)> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.len() as u32);
+        for &(s, d) in self {
+            put_u32(buf, s.0);
+            put_u32(buf, d.0);
+        }
+    }
+
+    // Inlined into `decode_payload`, the cursor is a local there and its
+    // position stays in a register across this loop — the one decode a
+    // server runs per query (measured: 1.8 ns per pair, 3.9 without).
+    #[inline]
+    fn get(c: &mut Cursor<'_>, limits: &Limits) -> Result<Vec<(Ipv4, Ipv4)>, WireFault> {
+        let n = c.u32()?;
+        if n > limits.max_batch {
+            return Err(WireFault::new(
+                ErrorCode::BatchTooLarge,
+                format!("batch of {n} exceeds limit {}", limits.max_batch),
+            ));
+        }
+        let mut pairs = Vec::with_capacity(c.capacity_for(n, 8));
+        for _ in 0..n {
+            pairs.push((Ipv4(c.u32()?), Ipv4(c.u32()?)));
+        }
+        Ok(pairs)
+    }
+}
+
+/// The results of a `PathBatch`, at most [`Limits::max_batch`] of them.
+impl Wire for Vec<Result<WirePath, WireFault>> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.len() as u32);
+        for r in self {
+            match r {
+                Ok(p) => put_path_ok(
+                    buf,
+                    p.rtt_ms,
+                    p.loss,
+                    p.fwd_clusters.iter().copied(),
+                    p.rev_clusters.iter().copied(),
+                    p.fwd_as.iter().copied(),
+                    p.rev_as.iter().copied(),
+                ),
+                Err(fault) => put_path_err(buf, fault),
+            }
+        }
+    }
+
+    fn get(c: &mut Cursor<'_>, limits: &Limits) -> Result<Self, WireFault> {
+        let n = c.u32()?;
+        if n > limits.max_batch {
+            return Err(WireFault::new(
+                ErrorCode::BatchTooLarge,
+                format!("batch of {n} exceeds limit {}", limits.max_batch),
+            ));
+        }
+        let mut results = Vec::with_capacity(c.capacity_for(n, PATH_ERR_BYTES));
+        for _ in 0..n {
+            results.push(match c.u8()? {
+                0 => Ok(WirePath {
+                    rtt_ms: c.f64()?,
+                    loss: c.f64()?,
+                    fwd_clusters: c.vec_u32()?,
+                    rev_clusters: c.vec_u32()?,
+                    fwd_as: c.vec_u32()?,
+                    rev_as: c.vec_u32()?,
+                }),
+                1 => Err(WireFault::get(c, limits)?),
+                tag => {
+                    return Err(WireFault::new(
+                        ErrorCode::Malformed,
+                        format!("bad result tag {tag}"),
+                    ))
+                }
+            });
+        }
+        Ok(results)
+    }
+}
+
+impl Wire for WireResolution {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.prefix);
+        put_u32(buf, self.cluster);
+        let flags = self.origin_as.is_some() as u8
+            | (self.cluster_as.is_some() as u8) << 1
+            | (self.refined_providers as u8) << 2;
+        buf.push(flags);
+        if let Some(a) = self.origin_as {
+            put_u32(buf, a);
+        }
+        if let Some(a) = self.cluster_as {
+            put_u32(buf, a);
+        }
+    }
+
+    fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<WireResolution, WireFault> {
+        let prefix = c.u32()?;
+        let cluster = c.u32()?;
+        let flags = c.u8()?;
+        if flags & !0b111 != 0 {
+            return Err(WireFault::new(
+                ErrorCode::Malformed,
+                format!("bad resolution flags {flags:#x}"),
+            ));
+        }
+        let origin_as = (flags & 1 != 0).then(|| c.u32()).transpose()?;
+        let cluster_as = (flags & 2 != 0).then(|| c.u32()).transpose()?;
+        Ok(WireResolution {
+            prefix,
+            cluster,
+            origin_as,
+            cluster_as,
+            refined_providers: flags & 4 != 0,
+        })
+    }
+}
+
+impl Wire for Vec<WireShardInfo> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        let n = self.len().min(u16::MAX as usize);
+        debug_assert_eq!(n, self.len(), "shard count beyond wire bounds");
+        put_u16(buf, n as u16);
+        for s in &self[..n] {
+            put_u16(buf, s.shard);
+            put_u64(buf, s.epoch);
+            put_u32(buf, s.day);
+        }
+    }
+
+    fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<Vec<WireShardInfo>, WireFault> {
+        let n = c.u16()? as usize;
+        (0..n)
+            .map(|_| {
+                Ok(WireShardInfo {
+                    shard: c.u16()?,
+                    epoch: c.u64()?,
+                    day: c.u32()?,
+                })
+            })
+            .collect()
+    }
+}
+
+impl Wire for AtlasVersion {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.day);
+        put_u64(buf, self.epoch_tag);
+        put_u64(buf, self.full_len);
+        put_u32(buf, self.chunk_size);
+    }
+
+    fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<AtlasVersion, WireFault> {
+        Ok(AtlasVersion {
+            day: c.u32()?,
+            epoch_tag: c.u64()?,
+            full_len: c.u64()?,
+            chunk_size: c.u32()?,
+        })
+    }
+}
+
+impl Wire for Option<DeltaHandle> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            None => buf.push(0),
+            Some(h) => {
+                buf.push(1);
+                put_u32(buf, h.from_day);
+                put_u32(buf, h.to_day);
+                put_u64(buf, h.len);
+                put_u32(buf, h.chunk_size);
+            }
+        }
+    }
+
+    fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<Option<DeltaHandle>, WireFault> {
+        match c.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(DeltaHandle {
+                from_day: c.u32()?,
+                to_day: c.u32()?,
+                len: c.u64()?,
+                chunk_size: c.u32()?,
+            })),
+            tag => Err(WireFault::new(
+                ErrorCode::Malformed,
+                format!("bad delta tag {tag}"),
+            )),
+        }
+    }
+}
+
+/// A chunk body: a byte count, then the bytes.
+impl Wire for Vec<u8> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.len() as u32);
+        buf.extend_from_slice(self);
+    }
+
+    fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<Vec<u8>, WireFault> {
+        // The count is bounded by the payload the header already
+        // admitted; `take` rejects a count beyond it.
+        let n = c.u32()? as usize;
+        Ok(c.take(n)?.to_vec())
+    }
+}
+
+impl Wire for MetricsDump {
+    fn put(&self, buf: &mut Vec<u8>) {
+        let n = self.entries.len().min(MAX_METRICS_ENTRIES);
+        debug_assert_eq!(n, self.entries.len(), "registry beyond wire bounds");
+        put_u32(buf, n as u32);
+        for (name, value) in &self.entries[..n] {
+            match value {
+                MetricValue::Counter(v) => {
+                    buf.push(0);
+                    put_str(buf, name);
+                    put_u64(buf, *v);
+                }
+                MetricValue::Gauge(v) => {
+                    buf.push(1);
+                    put_str(buf, name);
+                    put_u64(buf, *v);
+                }
+                MetricValue::Histogram(buckets) => {
+                    buf.push(2);
+                    put_str(buf, name);
+                    // Truncating at the receiver-side cap keeps every
+                    // encoded frame decodable.
+                    let b = buckets.len().min(MAX_BUCKETS);
+                    debug_assert_eq!(b, buckets.len(), "histogram beyond wire bounds");
+                    put_u16(buf, b as u16);
+                    for &c in &buckets[..b] {
+                        put_u64(buf, c);
+                    }
+                }
+            }
+        }
+    }
+
+    fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<MetricsDump, WireFault> {
+        let n = c.u32()? as usize;
+        if n > MAX_METRICS_ENTRIES {
+            return Err(WireFault::new(
+                ErrorCode::Malformed,
+                format!("{n} metric entries exceed limit {MAX_METRICS_ENTRIES}"),
+            ));
+        }
+        let mut entries = Vec::new();
+        for _ in 0..n {
+            let kind = c.u8()?;
+            let name = c.string()?;
+            let value = match kind {
+                0 => MetricValue::Counter(c.u64()?),
+                1 => MetricValue::Gauge(c.u64()?),
+                2 => MetricValue::Histogram({
+                    let b = c.u16()? as usize;
+                    if b > MAX_BUCKETS {
+                        return Err(WireFault::new(
+                            ErrorCode::Malformed,
+                            format!("{b} latency buckets exceed limit {MAX_BUCKETS}"),
+                        ));
+                    }
+                    (0..b).map(|_| c.u64()).collect::<Result<_, _>>()?
+                }),
+                tag => {
+                    return Err(WireFault::new(
+                        ErrorCode::Malformed,
+                        format!("bad metric kind {tag}"),
+                    ))
+                }
+            };
+            entries.push((name, value));
+        }
+        // Re-establish the dump's sorted-names invariant — the
+        // merge/lookup helpers binary-search, and a hostile sender
+        // must not be able to break them.
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(MetricsDump { entries })
+    }
+}
+
+impl Wire for EventsPage {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u64(buf, self.lost);
+        put_u64(buf, self.next_seq);
+        let n = self.events.len().min(MAX_EVENTS_ENTRIES);
+        debug_assert_eq!(n, self.events.len(), "events page beyond wire bounds");
+        put_u32(buf, n as u32);
+        for e in &self.events[..n] {
+            put_u64(buf, e.seq);
+            put_u64(buf, e.t_ms);
+            buf.push(e.kind.code());
+            put_str(buf, &e.detail);
+        }
+    }
+
+    fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<EventsPage, WireFault> {
+        let lost = c.u64()?;
+        let next_seq = c.u64()?;
+        let n = c.u32()? as usize;
+        if n > MAX_EVENTS_ENTRIES {
+            return Err(WireFault::new(
+                ErrorCode::Malformed,
+                format!("{n} events exceed limit {MAX_EVENTS_ENTRIES}"),
+            ));
+        }
+        let mut events = Vec::new();
+        for _ in 0..n {
+            let seq = c.u64()?;
+            let t_ms = c.u64()?;
+            let code = c.u8()?;
+            let detail = c.string()?;
+            // A kind this build doesn't know (a newer peer's addition)
+            // is skipped, not a fault — the payload was still
+            // consumed, so the stream stays aligned.
+            if let Some(kind) = EventKind::from_code(code) {
+                events.push(Event {
+                    seq,
+                    t_ms,
+                    kind,
+                    detail,
+                });
+            }
+        }
+        // Re-establish the ascending-seq invariant the journal
+        // promises; a hostile sender must not break mergers.
+        events.sort_by_key(|e| e.seq);
+        Ok(EventsPage {
+            events,
+            lost,
+            next_seq,
+        })
+    }
+}
+
+impl Wire for TraceTimings {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.decode_us);
+        put_u32(buf, self.queue_us);
+        put_u32(buf, self.engine_us);
+        put_u32(buf, self.encode_us);
+    }
+
+    fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<TraceTimings, WireFault> {
+        Ok(TraceTimings {
+            decode_us: c.u32()?,
+            queue_us: c.u32()?,
+            engine_us: c.u32()?,
+            encode_us: c.u32()?,
+        })
     }
 }
 
@@ -642,7 +1093,12 @@ pub fn encode_path_batch(request_id: u64, results: &[SharedResult]) -> Vec<u8> {
         })
         .sum();
     let mut buf = Vec::with_capacity(HEADER_BYTES + 4 + body);
-    let start = begin_frame(&mut buf, FT_PATH_BATCH, request_id);
+    // An empty `Vec` allocates nothing: this only reads the table's byte.
+    let path_batch = Frame::PathBatch {
+        results: Vec::new(),
+    }
+    .frame_type();
+    let start = begin_frame(&mut buf, path_batch, request_id);
     put_u32(&mut buf, results.len() as u32);
     for r in results {
         match r {
@@ -665,194 +1121,6 @@ pub fn encode_path_batch(request_id: u64, results: &[SharedResult]) -> Vec<u8> {
 // ---- frame codec ----------------------------------------------------
 
 impl Frame {
-    pub fn frame_type(&self) -> u8 {
-        match self {
-            Frame::Ping => FT_PING,
-            Frame::Pong => FT_PONG,
-            Frame::QueryBatch { .. } => FT_QUERY_BATCH,
-            Frame::PathBatch { .. } => FT_PATH_BATCH,
-            Frame::Resolve { .. } => FT_RESOLVE,
-            Frame::ResolveReply { .. } => FT_RESOLVE_REPLY,
-            Frame::Epoch { .. } => FT_EPOCH,
-            Frame::EpochReply { .. } => FT_EPOCH_REPLY,
-            Frame::ListShards => FT_LIST_SHARDS,
-            Frame::ShardsReply { .. } => FT_SHARDS_REPLY,
-            Frame::AtlasHead { .. } => FT_ATLAS_HEAD,
-            Frame::AtlasHeadReply { .. } => FT_ATLAS_HEAD_REPLY,
-            Frame::FetchFullChunk { .. } => FT_FETCH_FULL_CHUNK,
-            Frame::FetchDelta { .. } => FT_FETCH_DELTA,
-            Frame::DeltaReply { .. } => FT_DELTA_REPLY,
-            Frame::FetchDeltaChunk { .. } => FT_FETCH_DELTA_CHUNK,
-            Frame::ChunkReply { .. } => FT_CHUNK_REPLY,
-            Frame::Metrics => FT_METRICS,
-            Frame::MetricsReply { .. } => FT_METRICS_REPLY,
-            Frame::Events { .. } => FT_EVENTS,
-            Frame::EventsReply { .. } => FT_EVENTS_REPLY,
-            Frame::TraceReply { .. } => FT_TRACE_REPLY,
-            Frame::Error { .. } => FT_ERROR,
-        }
-    }
-
-    fn encode_payload(&self, buf: &mut Vec<u8>) {
-        match self {
-            Frame::Ping | Frame::Pong | Frame::ListShards | Frame::Metrics => {}
-            Frame::Epoch { shard } | Frame::AtlasHead { shard } => put_u16(buf, shard.raw()),
-            Frame::QueryBatch { shard, pairs } => {
-                put_u16(buf, shard.raw());
-                put_u32(buf, pairs.len() as u32);
-                for &(s, d) in pairs {
-                    put_u32(buf, s.0);
-                    put_u32(buf, d.0);
-                }
-            }
-            Frame::PathBatch { results } => {
-                put_u32(buf, results.len() as u32);
-                for r in results {
-                    match r {
-                        Ok(p) => put_path_ok(
-                            buf,
-                            p.rtt_ms,
-                            p.loss,
-                            p.fwd_clusters.iter().copied(),
-                            p.rev_clusters.iter().copied(),
-                            p.fwd_as.iter().copied(),
-                            p.rev_as.iter().copied(),
-                        ),
-                        Err(fault) => put_path_err(buf, fault),
-                    }
-                }
-            }
-            Frame::Resolve { shard, ip } => {
-                put_u16(buf, shard.raw());
-                put_u32(buf, ip.0);
-            }
-            Frame::ResolveReply { resolution } => {
-                put_u32(buf, resolution.prefix);
-                put_u32(buf, resolution.cluster);
-                let flags = resolution.origin_as.is_some() as u8
-                    | (resolution.cluster_as.is_some() as u8) << 1
-                    | (resolution.refined_providers as u8) << 2;
-                buf.push(flags);
-                if let Some(a) = resolution.origin_as {
-                    put_u32(buf, a);
-                }
-                if let Some(a) = resolution.cluster_as {
-                    put_u32(buf, a);
-                }
-            }
-            Frame::EpochReply { epoch, day } => {
-                put_u64(buf, *epoch);
-                put_u32(buf, *day);
-            }
-            Frame::ShardsReply { shards } => {
-                let n = shards.len().min(u16::MAX as usize);
-                debug_assert_eq!(n, shards.len(), "shard count beyond wire bounds");
-                put_u16(buf, n as u16);
-                for s in &shards[..n] {
-                    put_u16(buf, s.shard);
-                    put_u64(buf, s.epoch);
-                    put_u32(buf, s.day);
-                }
-            }
-            Frame::AtlasHeadReply { version } => {
-                put_u32(buf, version.day);
-                put_u64(buf, version.epoch_tag);
-                put_u64(buf, version.full_len);
-                put_u32(buf, version.chunk_size);
-            }
-            Frame::FetchFullChunk {
-                shard,
-                epoch_tag,
-                idx,
-            } => {
-                put_u16(buf, shard.raw());
-                put_u64(buf, *epoch_tag);
-                put_u32(buf, *idx);
-            }
-            Frame::FetchDelta { shard, have_day } => {
-                put_u16(buf, shard.raw());
-                put_u32(buf, *have_day);
-            }
-            Frame::DeltaReply { handle } => match handle {
-                None => buf.push(0),
-                Some(h) => {
-                    buf.push(1);
-                    put_u32(buf, h.from_day);
-                    put_u32(buf, h.to_day);
-                    put_u64(buf, h.len);
-                    put_u32(buf, h.chunk_size);
-                }
-            },
-            Frame::FetchDeltaChunk {
-                shard,
-                from_day,
-                idx,
-            } => {
-                put_u16(buf, shard.raw());
-                put_u32(buf, *from_day);
-                put_u32(buf, *idx);
-            }
-            Frame::ChunkReply { idx, crc, bytes } => {
-                put_u32(buf, *idx);
-                put_u64(buf, *crc);
-                put_u32(buf, bytes.len() as u32);
-                buf.extend_from_slice(bytes);
-            }
-            Frame::MetricsReply { dump } => {
-                let n = dump.entries.len().min(MAX_METRICS_ENTRIES);
-                debug_assert_eq!(n, dump.entries.len(), "registry beyond wire bounds");
-                put_u32(buf, n as u32);
-                for (name, value) in &dump.entries[..n] {
-                    match value {
-                        MetricValue::Counter(v) => {
-                            buf.push(0);
-                            put_str(buf, name);
-                            put_u64(buf, *v);
-                        }
-                        MetricValue::Gauge(v) => {
-                            buf.push(1);
-                            put_str(buf, name);
-                            put_u64(buf, *v);
-                        }
-                        MetricValue::Histogram(buckets) => {
-                            buf.push(2);
-                            put_str(buf, name);
-                            // Truncating at the receiver-side cap
-                            // keeps every encoded frame decodable.
-                            let b = buckets.len().min(MAX_BUCKETS);
-                            debug_assert_eq!(b, buckets.len(), "histogram beyond wire bounds");
-                            put_u16(buf, b as u16);
-                            for &c in &buckets[..b] {
-                                put_u64(buf, c);
-                            }
-                        }
-                    }
-                }
-            }
-            Frame::Events { since_seq } => put_u64(buf, *since_seq),
-            Frame::EventsReply { page } => {
-                put_u64(buf, page.lost);
-                put_u64(buf, page.next_seq);
-                let n = page.events.len().min(MAX_EVENTS_ENTRIES);
-                debug_assert_eq!(n, page.events.len(), "events page beyond wire bounds");
-                put_u32(buf, n as u32);
-                for e in &page.events[..n] {
-                    put_u64(buf, e.seq);
-                    put_u64(buf, e.t_ms);
-                    buf.push(e.kind.code());
-                    put_str(buf, &e.detail);
-                }
-            }
-            Frame::TraceReply { timings } => {
-                put_u32(buf, timings.decode_us);
-                put_u32(buf, timings.queue_us);
-                put_u32(buf, timings.engine_us);
-                put_u32(buf, timings.encode_us);
-            }
-            Frame::Error { fault } => put_fault(buf, fault),
-        }
-    }
-
     /// The encoded payload size of the frames that can be large (a
     /// fault message past its 512-byte cut aside), a small frame's
     /// worth for the rest: what [`Frame::encode`] allocates up front so
@@ -891,265 +1159,6 @@ impl Frame {
         self.encode_payload(buf);
         end_frame(buf, start);
     }
-
-    /// Decode a payload whose header has already been validated.
-    pub fn decode_payload(
-        frame_type: u8,
-        payload: &[u8],
-        limits: &Limits,
-    ) -> Result<Frame, WireFault> {
-        let mut c = Cursor::new(payload);
-        let frame = match frame_type {
-            FT_PING => Frame::Ping,
-            FT_PONG => Frame::Pong,
-            FT_QUERY_BATCH => {
-                let shard = ShardId(c.u16()?);
-                let n = c.u32()?;
-                if n > limits.max_batch {
-                    return Err(WireFault::new(
-                        ErrorCode::BatchTooLarge,
-                        format!("batch of {n} exceeds limit {}", limits.max_batch),
-                    ));
-                }
-                let mut pairs = Vec::with_capacity(c.capacity_for(n, 8));
-                for _ in 0..n {
-                    pairs.push((Ipv4(c.u32()?), Ipv4(c.u32()?)));
-                }
-                Frame::QueryBatch { shard, pairs }
-            }
-            FT_PATH_BATCH => {
-                let n = c.u32()?;
-                if n > limits.max_batch {
-                    return Err(WireFault::new(
-                        ErrorCode::BatchTooLarge,
-                        format!("batch of {n} exceeds limit {}", limits.max_batch),
-                    ));
-                }
-                let mut results = Vec::with_capacity(c.capacity_for(n, PATH_ERR_BYTES));
-                for _ in 0..n {
-                    results.push(match c.u8()? {
-                        0 => Ok(WirePath {
-                            rtt_ms: c.f64()?,
-                            loss: c.f64()?,
-                            fwd_clusters: c.vec_u32()?,
-                            rev_clusters: c.vec_u32()?,
-                            fwd_as: c.vec_u32()?,
-                            rev_as: c.vec_u32()?,
-                        }),
-                        1 => Err(c.fault()?),
-                        tag => {
-                            return Err(WireFault::new(
-                                ErrorCode::Malformed,
-                                format!("bad result tag {tag}"),
-                            ))
-                        }
-                    });
-                }
-                Frame::PathBatch { results }
-            }
-            FT_RESOLVE => Frame::Resolve {
-                shard: ShardId(c.u16()?),
-                ip: Ipv4(c.u32()?),
-            },
-            FT_RESOLVE_REPLY => {
-                let prefix = c.u32()?;
-                let cluster = c.u32()?;
-                let flags = c.u8()?;
-                if flags & !0b111 != 0 {
-                    return Err(WireFault::new(
-                        ErrorCode::Malformed,
-                        format!("bad resolution flags {flags:#x}"),
-                    ));
-                }
-                let origin_as = (flags & 1 != 0).then(|| c.u32()).transpose()?;
-                let cluster_as = (flags & 2 != 0).then(|| c.u32()).transpose()?;
-                Frame::ResolveReply {
-                    resolution: WireResolution {
-                        prefix,
-                        cluster,
-                        origin_as,
-                        cluster_as,
-                        refined_providers: flags & 4 != 0,
-                    },
-                }
-            }
-            FT_EPOCH => Frame::Epoch {
-                shard: ShardId(c.u16()?),
-            },
-            FT_EPOCH_REPLY => Frame::EpochReply {
-                epoch: c.u64()?,
-                day: c.u32()?,
-            },
-            FT_LIST_SHARDS => Frame::ListShards,
-            FT_SHARDS_REPLY => {
-                let n = c.u16()? as usize;
-                let shards = (0..n)
-                    .map(|_| {
-                        Ok(WireShardInfo {
-                            shard: c.u16()?,
-                            epoch: c.u64()?,
-                            day: c.u32()?,
-                        })
-                    })
-                    .collect::<Result<_, WireFault>>()?;
-                Frame::ShardsReply { shards }
-            }
-            FT_ATLAS_HEAD => Frame::AtlasHead {
-                shard: ShardId(c.u16()?),
-            },
-            FT_ATLAS_HEAD_REPLY => Frame::AtlasHeadReply {
-                version: AtlasVersion {
-                    day: c.u32()?,
-                    epoch_tag: c.u64()?,
-                    full_len: c.u64()?,
-                    chunk_size: c.u32()?,
-                },
-            },
-            FT_FETCH_FULL_CHUNK => Frame::FetchFullChunk {
-                shard: ShardId(c.u16()?),
-                epoch_tag: c.u64()?,
-                idx: c.u32()?,
-            },
-            FT_FETCH_DELTA => Frame::FetchDelta {
-                shard: ShardId(c.u16()?),
-                have_day: c.u32()?,
-            },
-            FT_DELTA_REPLY => Frame::DeltaReply {
-                handle: match c.u8()? {
-                    0 => None,
-                    1 => Some(DeltaHandle {
-                        from_day: c.u32()?,
-                        to_day: c.u32()?,
-                        len: c.u64()?,
-                        chunk_size: c.u32()?,
-                    }),
-                    tag => {
-                        return Err(WireFault::new(
-                            ErrorCode::Malformed,
-                            format!("bad delta tag {tag}"),
-                        ))
-                    }
-                },
-            },
-            FT_FETCH_DELTA_CHUNK => Frame::FetchDeltaChunk {
-                shard: ShardId(c.u16()?),
-                from_day: c.u32()?,
-                idx: c.u32()?,
-            },
-            FT_CHUNK_REPLY => Frame::ChunkReply {
-                idx: c.u32()?,
-                crc: c.u64()?,
-                bytes: {
-                    // The count is bounded by the payload the header
-                    // already admitted; `take` rejects a count beyond it.
-                    let n = c.u32()? as usize;
-                    c.take(n)?.to_vec()
-                },
-            },
-            FT_METRICS => Frame::Metrics,
-            FT_METRICS_REPLY => {
-                let n = c.u32()? as usize;
-                if n > MAX_METRICS_ENTRIES {
-                    return Err(WireFault::new(
-                        ErrorCode::Malformed,
-                        format!("{n} metric entries exceed limit {MAX_METRICS_ENTRIES}"),
-                    ));
-                }
-                let mut entries = Vec::new();
-                for _ in 0..n {
-                    let kind = c.u8()?;
-                    let name = c.string()?;
-                    let value = match kind {
-                        0 => MetricValue::Counter(c.u64()?),
-                        1 => MetricValue::Gauge(c.u64()?),
-                        2 => MetricValue::Histogram({
-                            let b = c.u16()? as usize;
-                            if b > MAX_BUCKETS {
-                                return Err(WireFault::new(
-                                    ErrorCode::Malformed,
-                                    format!("{b} latency buckets exceed limit {MAX_BUCKETS}"),
-                                ));
-                            }
-                            (0..b).map(|_| c.u64()).collect::<Result<_, _>>()?
-                        }),
-                        tag => {
-                            return Err(WireFault::new(
-                                ErrorCode::Malformed,
-                                format!("bad metric kind {tag}"),
-                            ))
-                        }
-                    };
-                    entries.push((name, value));
-                }
-                // Re-establish the dump's sorted-names invariant — the
-                // merge/lookup helpers binary-search, and a hostile
-                // sender must not be able to break them.
-                entries.sort_by(|a, b| a.0.cmp(&b.0));
-                Frame::MetricsReply {
-                    dump: MetricsDump { entries },
-                }
-            }
-            FT_EVENTS => Frame::Events {
-                since_seq: c.u64()?,
-            },
-            FT_EVENTS_REPLY => {
-                let lost = c.u64()?;
-                let next_seq = c.u64()?;
-                let n = c.u32()? as usize;
-                if n > MAX_EVENTS_ENTRIES {
-                    return Err(WireFault::new(
-                        ErrorCode::Malformed,
-                        format!("{n} events exceed limit {MAX_EVENTS_ENTRIES}"),
-                    ));
-                }
-                let mut events = Vec::new();
-                for _ in 0..n {
-                    let seq = c.u64()?;
-                    let t_ms = c.u64()?;
-                    let code = c.u8()?;
-                    let detail = c.string()?;
-                    // A kind this build doesn't know (a newer peer's
-                    // addition) is skipped, not a fault — the payload
-                    // was still consumed, so the stream stays aligned.
-                    if let Some(kind) = EventKind::from_code(code) {
-                        events.push(Event {
-                            seq,
-                            t_ms,
-                            kind,
-                            detail,
-                        });
-                    }
-                }
-                // Re-establish the ascending-seq invariant the journal
-                // promises; a hostile sender must not break mergers.
-                events.sort_by_key(|e| e.seq);
-                Frame::EventsReply {
-                    page: EventsPage {
-                        events,
-                        lost,
-                        next_seq,
-                    },
-                }
-            }
-            FT_TRACE_REPLY => Frame::TraceReply {
-                timings: TraceTimings {
-                    decode_us: c.u32()?,
-                    queue_us: c.u32()?,
-                    engine_us: c.u32()?,
-                    encode_us: c.u32()?,
-                },
-            },
-            FT_ERROR => Frame::Error { fault: c.fault()? },
-            t => {
-                return Err(WireFault::new(
-                    ErrorCode::UnknownFrame,
-                    format!("unknown frame type {t:#04x}"),
-                ))
-            }
-        };
-        c.done()?;
-        Ok(frame)
-    }
 }
 
 /// Write one frame to `w` (no flush; callers batch and flush).
@@ -1160,38 +1169,23 @@ pub fn write_frame(w: &mut impl Write, request_id: u64, frame: &Frame) -> io::Re
 /// Read one frame from `r`. `Ok(None)` is a clean EOF at a frame
 /// boundary; EOF inside a frame is an [`io::ErrorKind::UnexpectedEof`].
 pub fn read_frame(r: &mut impl Read, limits: &Limits) -> Result<Option<(u64, Frame)>, ReadError> {
-    read_frame_timed(r, limits).map(|r| r.map(|(id, frame, _)| (id, frame)))
-}
-
-/// [`read_frame`], additionally reporting how long the read + parse
-/// took (µs, measured from after the first header byte arrived so idle
-/// time between frames is not charged) — the `decode` stage of a
-/// request trace.
-pub fn read_frame_timed(
-    r: &mut impl Read,
-    limits: &Limits,
-) -> Result<Option<(u64, Frame, u32)>, ReadError> {
     let mut header = [0u8; HEADER_BYTES];
     // First byte separately: a clean close between frames is not an error.
-    match r.read(&mut header[..1]) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-            return read_frame_timed(r, limits);
+    loop {
+        match r.read(&mut header[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(ReadError::Io(e)),
         }
-        Err(e) => return Err(ReadError::Io(e)),
     }
-    let started = Instant::now();
     r.read_exact(&mut header[1..])?;
     let (frame_type, request_id, payload_len) =
         validate_header(&header, limits).map_err(ReadError::Fatal)?;
     let mut payload = vec![0u8; payload_len as usize];
     r.read_exact(&mut payload)?;
     match Frame::decode_payload(frame_type, &payload, limits) {
-        Ok(frame) => {
-            let decode_us = started.elapsed().as_micros().min(u32::MAX as u128) as u32;
-            Ok(Some((request_id, frame, decode_us)))
-        }
+        Ok(frame) => Ok(Some((request_id, frame))),
         Err(fault) => Err(ReadError::Frame { request_id, fault }),
     }
 }
@@ -1320,16 +1314,16 @@ fn header_request_id(header: &[u8; HEADER_BYTES]) -> u64 {
 /// would have returned, minus the I/O.
 #[derive(Debug)]
 pub enum Assembled {
-    /// A complete frame decoded. `decode_us` spans the first byte of
+    /// A complete request decoded. `decode_us` spans the first byte of
     /// this frame reaching the assembler to decode completing — the
-    /// trace `decode` stage, fragmentation stalls included, matching
-    /// what [`read_frame_timed`] charges a blocking reader.
+    /// trace `decode` stage, fragmentation stalls included.
     Frame {
         request_id: u64,
         frame: Frame,
         decode_us: u32,
     },
-    /// The payload was framed soundly but does not parse. The stream
+    /// The payload was framed soundly but is not a request (decided
+    /// from the type byte, see [`Role`]) or does not parse. The stream
     /// is still aligned; feeding may continue.
     Fault { request_id: u64, fault: WireFault },
     /// The stream desynchronised (bad magic or version, oversized
@@ -1358,12 +1352,14 @@ enum AsmState {
     Poisoned,
 }
 
-/// The per-connection reader state machine for a nonblocking socket:
-/// feed it whatever bytes each readiness event yields — in any
-/// fragmentation, down to one byte at a time — and it emits exactly
-/// the `(request_id, Frame, decode_us)` sequence the blocking
-/// [`read_frame_timed`] loop would have produced, with the same
-/// fatal-versus-per-frame severity split.
+/// A server's per-connection reader state machine for a nonblocking
+/// socket: feed it whatever bytes each readiness event yields — in any
+/// fragmentation, down to one byte at a time — and it emits the
+/// `(request_id, Frame)` sequence a blocking [`read_frame`] loop would
+/// have produced, timed, with the same fatal-versus-per-frame severity
+/// split — except that, being the server's side, it decodes requests
+/// only: a `Reply`-role type is a per-frame `UnexpectedFrame` fault
+/// whose payload is consumed but never parsed.
 pub struct FrameAssembler {
     state: AsmState,
 }
@@ -1382,16 +1378,6 @@ impl FrameAssembler {
                 have: 0,
                 started: None,
             },
-        }
-    }
-
-    /// True when a frame is partially assembled — an EOF here is a
-    /// truncated frame, not a clean close at a boundary.
-    pub fn mid_frame(&self) -> bool {
-        match &self.state {
-            AsmState::Header { have, .. } => *have > 0,
-            AsmState::Payload { .. } => true,
-            AsmState::Poisoned => false,
         }
     }
 
@@ -1457,7 +1443,8 @@ impl FrameAssembler {
         }
     }
 
-    /// Decode a fully-buffered payload and reset for the next frame.
+    /// Decode a fully-buffered payload — if its type byte is one a
+    /// server serves on a stream — and reset for the next frame.
     fn complete(
         &mut self,
         request_id: u64,
@@ -1466,11 +1453,10 @@ impl FrameAssembler {
         started: Instant,
         limits: &Limits,
     ) -> Assembled {
-        self.state = AsmState::Header {
-            buf: [0; HEADER_BYTES],
-            have: 0,
-            started: None,
-        };
+        *self = FrameAssembler::new();
+        if let Some(fault) = refusal(frame_type, false) {
+            return Assembled::Fault { request_id, fault };
+        }
         match Frame::decode_payload(frame_type, payload, limits) {
             Ok(frame) => Assembled::Frame {
                 request_id,
@@ -1719,8 +1705,8 @@ mod tests {
         let limits = Limits::default();
         let claimed = limits.max_batch - 1;
         for (frame_type, lead, tail, min_entry) in [
-            (FT_QUERY_BATCH, &[0u8, 0][..], &[0u8; 12][..], 8),
-            (FT_PATH_BATCH, &[][..], &[1u8, 0, 5, 0][..], PATH_ERR_BYTES),
+            (0x02u8, &[0u8, 0][..], &[0u8; 12][..], 8),
+            (0x82, &[][..], &[1u8, 0, 5, 0][..], PATH_ERR_BYTES),
         ] {
             let mut payload = lead.to_vec();
             payload.extend_from_slice(&claimed.to_be_bytes());
@@ -1955,16 +1941,64 @@ mod tests {
     }
 
     #[test]
-    fn read_frame_timed_reports_a_decode_duration() {
-        let bytes = Frame::Ping.encode(5);
-        let (id, frame, decode_us) = read_frame_timed(&mut &bytes[..], &Limits::default())
-            .expect("decodes")
-            .expect("not EOF");
-        assert_eq!(id, 5);
-        assert_eq!(frame, Frame::Ping);
-        // An in-memory read is fast; the point is it's measured, not 0
-        // by construction on a slow CI box.
-        assert!(decode_us < 1_000_000, "decode_us {decode_us}");
+    fn the_frame_table_assigns_roles_by_direction_and_the_module_doc_lists_the_same_rows() {
+        // The `//!` table at the top of this file, parsed: every type
+        // byte it mentions, and per leading-cell row its role and
+        // datagram columns.
+        let mut doc_bytes = std::collections::BTreeSet::new();
+        let mut doc_rows = Vec::new();
+        let hex = |cell: &str| {
+            let at = cell.find("0x").expect("a type byte");
+            u8::from_str_radix(&cell[at + 2..at + 4], 16).expect("two hex digits")
+        };
+        for line in include_str!("wire.rs").lines() {
+            let Some(row) = line.strip_prefix("//! | `0x") else {
+                continue;
+            };
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            doc_rows.push((hex(line), cells[1].trim_matches('`'), cells[5]));
+            doc_bytes.insert(hex(line));
+            if cells[3].contains("0x") {
+                doc_bytes.insert(hex(cells[3]));
+            }
+        }
+        let limits = Limits::default();
+        for byte in 0..=255u8 {
+            let role = role_of(byte);
+            let unknown = matches!(
+                Frame::decode_payload(byte, &[], &limits),
+                Err(fault) if fault.code == ErrorCode::UnknownFrame
+            );
+            assert_eq!(role.is_none(), unknown, "type {byte:#04x}");
+            assert_eq!(
+                role.is_some(),
+                doc_bytes.contains(&byte),
+                "type {byte:#04x}"
+            );
+            match role {
+                Some(Role::Request | Role::StreamRequest) => assert!(byte < 0x80, "{byte:#04x}"),
+                Some(Role::Reply) => assert!(byte >= 0x80, "{byte:#04x}"),
+                None => {}
+            }
+            // What the server refuses from the header is the role, nothing else.
+            assert_eq!(refusal(byte, false).is_some(), role == Some(Role::Reply));
+            assert_eq!(
+                refusal(byte, true).is_some(),
+                matches!(role, Some(Role::Reply | Role::StreamRequest))
+            );
+        }
+        assert!(doc_rows.len() >= 13, "the doc table was found and parsed");
+        for (byte, role, on_datagram) in doc_rows {
+            let want = role_of(byte).expect("a doc row is a table row");
+            assert_eq!(role, format!("{want:?}"), "role column of {byte:#04x}");
+            if want != Role::Reply {
+                assert_eq!(
+                    on_datagram == "yes",
+                    want == Role::Request,
+                    "datagram column of {byte:#04x}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2019,8 +2053,10 @@ mod assembler_tests {
                 pairs: vec![(Ipv4(10), Ipv4(20)), (Ipv4(30), Ipv4(40))],
             },
             Frame::Ping,
-            Frame::Error {
-                fault: WireFault::new(ErrorCode::NoPath, "no path"),
+            Frame::FetchDeltaChunk {
+                shard: ShardId(7),
+                from_day: 4,
+                idx: 9,
             },
         ];
         let ids = vec![1, TRACE_FLAG | 2, 3];
@@ -2084,7 +2120,6 @@ mod assembler_tests {
         let (taken, event) = asm.feed(&bytes[..16], &limits);
         assert_eq!(taken, 16);
         assert!(event.is_none());
-        assert!(asm.mid_frame());
         // One more length byte; still no complete header.
         let (taken, event) = asm.feed(&bytes[16..17], &limits);
         assert_eq!(taken, 1);
@@ -2167,7 +2202,6 @@ mod assembler_tests {
         let (taken, event) = asm.feed(b"more", &limits);
         assert_eq!(taken, 0);
         assert!(event.is_none());
-        assert!(!asm.mid_frame());
     }
 
     #[test]
@@ -2207,6 +2241,5 @@ mod assembler_tests {
                 ..
             })
         ));
-        assert!(!asm.mid_frame());
     }
 }

@@ -4,6 +4,7 @@
 // Each test binary compiles this module for itself and uses only part.
 #![allow(dead_code)]
 
+use inano_net::wire::{MAGIC, VERSION};
 use inano_net::{NetServer, ServerConfig};
 use inano_service::{QueryEngine, ShardId, ShardRegistry};
 use std::sync::Arc;
@@ -15,6 +16,19 @@ pub fn serve_one(engine: Arc<QueryEngine>, cfg: ServerConfig) -> NetServer {
     let registry = ShardRegistry::from_engines(vec![(ShardId::DEFAULT, engine)])
         .expect("one shard is a valid registry");
     NetServer::bind("127.0.0.1:0", Arc::new(registry), cfg).expect("bind ephemeral port")
+}
+
+/// A frame as a hostile peer would write it: a sound header naming
+/// `frame_type` and the payload's true length, then whatever bytes —
+/// so it is the type or the payload that gets it refused, never the
+/// framing.
+pub fn raw_frame(frame_type: u8, request_id: u64, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = MAGIC.to_be_bytes().to_vec();
+    bytes.extend([VERSION, frame_type]);
+    bytes.extend(request_id.to_be_bytes());
+    bytes.extend((payload.len() as u32).to_be_bytes());
+    bytes.extend(payload);
+    bytes
 }
 
 /// Poll `cond` until it holds or `secs` elapse.

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::serve_one;
+use common::{raw_frame, serve_one};
 use inano_model::{ErrorCode, Ipv4};
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config, ring_shortcut_delta};
 use inano_net::wire::{read_frame, Frame, Limits, HEADER_BYTES, MAGIC, VERSION};
@@ -406,6 +406,52 @@ fn reply_direction_frames_are_rejected_as_requests() {
         other => panic!("want typed remote fault, got {other:?}"),
     }
     client.ping().expect("connection survives");
+}
+
+/// A reply-typed frame sent *to* a server is refused from its type
+/// byte. The payload is never parsed — garbage earns `UnexpectedFrame`,
+/// not `Malformed` — and never charged to the request-memory budget,
+/// and the stream stays aligned and in order around it.
+#[test]
+fn a_reply_typed_frame_is_refused_from_its_type_byte_unparsed_and_uncharged() {
+    let server = ring_server(ServerConfig::default());
+    let faults_before = srv_counter(&server, "srv.faults");
+    let raw = TcpStream::connect(server.local_addr()).expect("connect");
+    let next = |want_id: u64| {
+        let (id, reply) = read_frame(&mut &raw, &Limits::default())
+            .expect("answered")
+            .expect("one frame");
+        assert_eq!(id, want_id, "replies keep request order");
+        reply
+    };
+    let refused = |reply: Frame| match reply {
+        Frame::Error { fault } => assert_eq!(fault.code, ErrorCode::UnexpectedFrame, "{fault}"),
+        other => panic!("want error frame, got {other:?}"),
+    };
+
+    // A `MetricsReply` (0x8B) whose 64 KiB payload is noise, between
+    // two pings, written in one go.
+    let mut bytes = Frame::Ping.encode(1);
+    bytes.extend(raw_frame(0x8B, 2, &vec![0xFF; 64 << 10]));
+    bytes.extend(Frame::Ping.encode(3));
+    (&raw).write_all(&bytes).expect("write three frames");
+    assert!(matches!(next(1), Frame::Pong));
+    refused(next(2));
+    assert!(matches!(next(3), Frame::Pong), "the stream stayed aligned");
+
+    // A well-formed ~1 MiB `ChunkReply` parses, so a server that decoded
+    // before refusing would hold its megabyte against the budget.
+    let peak = || server.metrics().dump().gauge("srv.request_bytes_peak");
+    let peak_before = peak();
+    let chunk = Frame::ChunkReply {
+        idx: 0,
+        crc: 0,
+        bytes: vec![7; (1 << 20) - 16],
+    };
+    (&raw).write_all(&chunk.encode(4)).expect("write the chunk");
+    refused(next(4));
+    assert_eq!(peak(), peak_before, "a refused frame claims no budget");
+    assert_eq!(srv_counter(&server, "srv.faults"), faults_before + 2);
 }
 
 #[test]

@@ -389,6 +389,14 @@ fn an_unknown_flag_stops_the_start_and_is_named() {
     let (status, out) = Proc::spawn(SERVE, &typo).finish();
     assert!(!status.success());
     assert!(out.contains(r#"flag --predictor: "rnig""#), "{out}");
+    // Nor is a flag that only tunes another accepted without it.
+    let (status, out) = Proc::spawn(SERVE, &["--port", "0", "--udp-rate", "5"]).finish();
+    assert!(!status.success());
+    assert!(
+        out.contains("flag --udp-rate has no effect without --udp"),
+        "{out}"
+    );
+    assert!(!out.contains("LISTENING"), "{out}");
 }
 
 #[test]

@@ -13,7 +13,7 @@
 
 mod common;
 
-use common::{serve_one, wait_for};
+use common::{raw_frame, serve_one, wait_for};
 use inano_model::{ErrorCode, Ipv4};
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config};
 use inano_net::wire::{decode_datagram, Frame, Limits};
@@ -171,6 +171,49 @@ fn stream_only_frames_get_a_typed_not_on_datagram() {
     }
 
     // The refusals did not poison the plane.
+    let mut q = UdpQuerier::connect(udp_addr).expect("bind querier");
+    q.ping().expect("plane still answers");
+}
+
+/// The datagram plane decides what a frame is for from its type byte,
+/// before (and whether or not) the payload parses.
+#[test]
+fn a_datagrams_type_byte_decides_its_refusal_whatever_the_payload_holds() {
+    let server = udp_server(no_rate());
+    let udp_addr = server.udp_addr().expect("udp plane enabled");
+    let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
+    sock.connect(udp_addr).expect("connect");
+    sock.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let mut buf = [0u8; 2048];
+    let noise = [0xFF; 33];
+    for (id, frame_type, want) in [
+        // `Metrics` is stream-only; its payload is empty when honest.
+        (51, 0x0B, ErrorCode::NotOnDatagram),
+        // A reply type is no request on any transport.
+        (52, 0x8B, ErrorCode::UnexpectedFrame),
+        // An unassigned (retired) byte has no role to refuse by.
+        (53, 0x04, ErrorCode::UnknownFrame),
+        // A servable type is parsed, and noise does not parse.
+        (54, 0x05, ErrorCode::Malformed),
+    ] {
+        sock.send(&raw_frame(frame_type, id, &noise)).expect("send");
+        let n = sock.recv(&mut buf).expect("a typed reply comes back");
+        let (got_id, reply) =
+            decode_datagram(&buf[..n], &Limits::default()).expect("reply decodes");
+        assert_eq!(got_id, id);
+        match reply {
+            Frame::Error { fault } => assert_eq!(fault.code, want, "type {frame_type:#04x}"),
+            other => panic!("want an error for type {frame_type:#04x}, got {other:?}"),
+        }
+    }
+
+    // Five bytes end exactly where the type byte would sit: no header,
+    // no role, no reply — counted, and the loop lives on.
+    sock.send(&Frame::Ping.encode(55)[..5]).expect("send");
+    wait_for(5, "the headerless datagram to be counted", || {
+        udp_counter(&server, "srv.udp.truncated") == 1
+    });
     let mut q = UdpQuerier::connect(udp_addr).expect("bind querier");
     q.ping().expect("plane still answers");
 }

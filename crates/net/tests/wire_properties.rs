@@ -10,8 +10,8 @@
 use inano_core::{AtlasVersion, DeltaHandle, PredictedPath};
 use inano_model::{AsPath, Asn, ClusterId, ErrorCode, Ipv4, LatencyMs, LossRate, ModelError};
 use inano_net::wire::{
-    datagram_cap, decode_datagram, encode_path_batch, read_frame, DatagramError, Frame, Limits,
-    ReadError, CHUNK_WIRE_OVERHEAD, HEADER_BYTES, TRACE_FLAG,
+    datagram_cap, decode_datagram, encode_path_batch, read_frame, role_of, DatagramError, Frame,
+    Limits, ReadError, CHUNK_WIRE_OVERHEAD, HEADER_BYTES, TRACE_FLAG,
 };
 use inano_net::{chunk_size_for, WireFault, WirePath, WireResolution, WireShardInfo};
 use inano_obs::{
@@ -19,6 +19,7 @@ use inano_obs::{
 };
 use inano_service::{ShardId, SharedResult};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 prop_compose! {
@@ -839,6 +840,25 @@ const GOLDEN_HEX: [(&str, &str); 23] = [
     ("trace_reply", "694e614e068a80000000000000180000001000000001000000020000000300000004"),
     ("error", "694e614e06ee0000000000000019000000080016000462757379"),
 ];
+
+/// A frame added to the wire's table must also be added here: both
+/// [`golden_frames`] (its bytes are pinned) and [`arb_frame`] (every
+/// property runs over it) produce exactly the table's set of types.
+#[test]
+fn the_golden_vectors_and_the_frame_strategy_cover_every_row_of_the_frame_table() {
+    let table: BTreeSet<u8> = (0..=255).filter(|&b| role_of(b).is_some()).collect();
+    let golden: BTreeSet<u8> = golden_frames()
+        .iter()
+        .map(|(_, _, frame)| frame.frame_type())
+        .collect();
+    assert_eq!(golden, table, "golden_frames() vs the frame table");
+    let mut rng = TestRng::from_name("frame table coverage");
+    let strategy = arb_frame();
+    let generated: BTreeSet<u8> = (0..2_000)
+        .map(|_| strategy.generate(&mut rng).frame_type())
+        .collect();
+    assert_eq!(generated, table, "arb_frame() vs the frame table");
+}
 
 #[test]
 fn every_frame_variant_encodes_to_its_recorded_bytes() {
