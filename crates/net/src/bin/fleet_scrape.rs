@@ -26,7 +26,7 @@
 //!
 //! [`MetricsDump`]: inano_obs::MetricsDump
 
-use inano_net::cli::{arg, refuse_unknown, repeated};
+use inano_net::cli::{arg, refuse_unknown, repeated, requires};
 use inano_net::NetClient;
 use inano_obs::{quantile_from_counts, MetricValue, MetricsDump};
 use std::time::{Duration, Instant};
@@ -261,6 +261,7 @@ fn one_shot(targets: &[(String, String)]) {
 
 fn main() {
     refuse_unknown(&["--connect", "--interval", "--ticks"]);
+    requires("--ticks", "--interval");
     let targets = repeated(&["--connect"]);
     if targets.is_empty() {
         eprintln!(

@@ -1,5 +1,5 @@
 //! Minimal flag parsing shared by the workspace's binaries
-//! (`inano-serve`, `fleet_scrape`, `fleet_sim`): `--name value` pairs,
+//! (`inano-serve`, `fleet_scrape`): `--name value` pairs,
 //! typed by the caller, defaulting only on absence. Whatever the
 //! operator typed and the binary cannot honour — a value that does not
 //! parse, a flag with no value, a flag it does not know, a flag that

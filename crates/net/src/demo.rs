@@ -2,11 +2,10 @@
 //! clusters, one AS and one /16 prefix per cluster, so every pair of
 //! addresses is routable.
 //!
-//! `inano-serve --ring N` serves one of these, `fleet_sim` builds its
-//! fleet from them, and the integration tests use them as a
-//! deterministic world where the correct answer (shortest way around
-//! the ring) is obvious by construction. Real deployments load a
-//! measured atlas instead (`inano-serve --atlas`).
+//! `inano-serve --ring N` serves one of these, and the integration
+//! tests use them as a deterministic world where the correct answer
+//! (shortest way around the ring) is obvious by construction. Real
+//! deployments load a measured atlas instead (`inano-serve --atlas`).
 
 use inano_atlas::{Atlas, AtlasDelta, LinkAnnotation, Plane};
 use inano_core::PredictorConfig;

@@ -48,8 +48,8 @@
 //! retries and late/duplicate-reply discard — the transport for the
 //! paper's millions of rarely-asking peers.
 //!
-//! [`demo`] carries the tiny ring world the `inano-serve --ring` mode,
-//! the integration tests and `fleet_sim` share.
+//! [`demo`] carries the tiny ring world the `inano-serve --ring` mode
+//! and the integration tests share.
 //!
 //! See DESIGN.md ("The wire protocol") for framing, pipelining,
 //! limits and versioning.
@@ -62,7 +62,7 @@ pub mod udp;
 pub mod wire;
 
 pub use client::{MirrorSource, NetClient, NetError};
-pub use server::{raise_nofile_limit, NetServer, ServerConfig};
+pub use server::{NetServer, ServerConfig};
 pub use udp::{UdpQuerier, UdpRetry};
 pub use wire::{
     chunk_size_for, datagram_cap, Frame, Limits, WireFault, WirePath, WireResolution,

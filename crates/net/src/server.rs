@@ -609,14 +609,6 @@ impl Drop for NetServer {
     }
 }
 
-/// Raise this process's open-file soft limit (`RLIMIT_NOFILE`) toward
-/// `target`, returning the soft limit actually in force afterwards.
-/// Benchmarks holding tens of thousands of sockets call this; the
-/// server itself never does.
-pub fn raise_nofile_limit(target: u64) -> u64 {
-    polling::raise_nofile_limit(target)
-}
-
 /// Send a single error frame on a connection we won't serve, then close.
 fn refuse(stream: TcpStream, code: ErrorCode, message: impl Into<String>) -> io::Result<()> {
     let mut w = BufWriter::new(&stream);
@@ -1817,15 +1809,5 @@ mod tests {
             wrong[4] = other;
             assert_eq!(datagram_id(&wrong), None);
         }
-    }
-
-    #[test]
-    fn nofile_limit_is_queryable_and_monotone() {
-        // Asking for 1 never lowers the limit; the returned value is
-        // whatever is in force, which must cover at least stdio.
-        let now = raise_nofile_limit(1);
-        assert!(now >= 3);
-        // Asking again for the same value is idempotent.
-        assert_eq!(raise_nofile_limit(1), now);
     }
 }

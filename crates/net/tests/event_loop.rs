@@ -147,7 +147,7 @@ fn idle_connections_ride_along_with_live_traffic() {
     // through the same loop keeps its answers. 5,000 peers where the
     // descriptor limit allows; both socket ends live in this process,
     // so half of what the limit leaves, and never fewer than 400.
-    let limit = inano_net::raise_nofile_limit(2 * 5_000 + 256);
+    let limit = polling::raise_nofile_limit(2 * 5_000 + 256);
     let idle = (limit.saturating_sub(256) as usize / 2).clamp(400, 5_000);
     let server = ring_server(ServerConfig {
         max_conns: idle + 16,

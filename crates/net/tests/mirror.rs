@@ -17,7 +17,7 @@ use inano_model::{ErrorCode, Ipv4, ModelError};
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config, ring_shortcut_delta};
 use inano_net::{Limits, MirrorSource, NetClient, NetError, ServerConfig};
 use inano_obs::EventKind;
-use inano_service::{QueryEngine, ServiceConfig, ShardId};
+use inano_service::{QueryEngine, ServiceConfig, ShardId, DELTA_LOG_CAP};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -193,8 +193,9 @@ impl AtlasSource for SwitchableBody {
 
 /// The mirror-side convergence instruments, end to end: the lag gauge
 /// rises when the upstream moves, falls to zero after a refresh, and a
-/// broken delta chain is bridged — by that same refresh — with a full
-/// resync that the counters record.
+/// broken delta chain — the upstream restarted, or rotated the delta
+/// out of its [`DELTA_LOG_CAP`]-long log — is bridged by that same
+/// refresh with a full resync that the counters record.
 #[test]
 fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
     let origin_engine = ring_engine(RING);
@@ -290,15 +291,52 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
     assert_eq!(dump.gauge("shard0.mirror.lag_days"), 0);
     assert_eq!(dump.gauge("shard0.mirror.upstream_day"), 5);
     assert_eq!(dump.gauge("shard0.day"), 5);
-    let resyncs: Vec<_> = probe
-        .events(0)
+    let page = probe.events(0).expect("events");
+    let resyncs: Vec<_> = page
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::FullResync)
+        .collect();
+    assert_eq!(resyncs.len(), 1, "{resyncs:?}");
+    assert_eq!(resyncs[0].detail, "shard0 day=5");
+
+    // The origin's delta log rotates: it applies more chained deltas
+    // than it retains while the mirror idles, so the delta leaving the
+    // mirror's day is gone — and the same refresh bridges the gap with
+    // one more full resync.
+    let mirror_day = mirror_engine.day();
+    for day in mirror_day..mirror_day + DELTA_LOG_CAP as u32 + 2 {
+        origin_engine
+            .apply_delta(&ring_shortcut_delta(RING, day))
+            .expect("origin applies the next day's delta");
+    }
+    assert!(
+        origin_engine.delta_blob(mirror_day).is_none(),
+        "the delta leaving day {mirror_day} rotated out of the log"
+    );
+    assert_eq!(
+        mirror_engine.update(&mut upstream).expect("refresh"),
+        0,
+        "no retained delta leaves the mirror's day"
+    );
+    assert_eq!(m.mirror_full_resyncs.get(), 2);
+    assert_eq!(m.mirror_lag_days.get(), 0);
+    assert_eq!(
+        mirror_engine.export().epoch_tag,
+        origin_engine.export().epoch_tag
+    );
+    let rotated: Vec<_> = probe
+        .events(page.next_seq)
         .expect("events")
         .events
         .into_iter()
         .filter(|e| e.kind == EventKind::FullResync)
         .collect();
-    assert_eq!(resyncs.len(), 1, "{resyncs:?}");
-    assert_eq!(resyncs[0].detail, "shard0 day=5");
+    assert_eq!(rotated.len(), 1, "{rotated:?}");
+    assert_eq!(
+        rotated[0].detail,
+        format!("shard0 day={}", origin_engine.day())
+    );
 }
 
 /// The causal timeline of a mirror kill → restart, observed entirely

@@ -723,7 +723,8 @@ fn hostile_pipeliner_gets_typed_overloaded_not_unbounded_queueing() {
     // overrun the socket buffers and block it, the reader hits the
     // cap, and every excess request must come back as a typed
     // Overloaded error — in request order, on a connection that then
-    // keeps serving.
+    // keeps serving — and the journal records each run of rejections as
+    // one overload episode.
     let server = ring_server(ServerConfig {
         max_conns: 4,
         max_inflight: 2,
@@ -781,16 +782,68 @@ fn hostile_pipeliner_gets_typed_overloaded_not_unbounded_queueing() {
     );
     assert_eq!(srv_counter(&server, "srv.overloaded"), overloaded);
 
-    // The connection is intact: one more request, served normally.
-    raw.try_clone()
-        .expect("clone")
-        .write_all(&Frame::Ping.encode(FLOOD + 1))
+    // The connection is intact: a burst of pings in one write lands in
+    // one read, so past the cap they are shed back to back...
+    const BURST: u64 = 16;
+    let burst: Vec<u8> = (1..=BURST)
+        .flat_map(|k| Frame::Ping.encode(FLOOD + k))
+        .collect();
+    let mut write_half = raw.try_clone().expect("clone");
+    write_half.write_all(&burst).expect("burst writes");
+    for k in 1..=BURST {
+        let (id, frame) = read_frame(&mut reader, &reply_limits)
+            .expect("burst reply readable")
+            .expect("one reply per ping");
+        assert_eq!(id, FLOOD + k);
+        match frame {
+            Frame::Pong => {}
+            Frame::Error { fault } => assert_eq!(fault.code, ErrorCode::Overloaded),
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    // ...and one more request, served normally.
+    write_half
+        .write_all(&Frame::Ping.encode(FLOOD + BURST + 1))
         .expect("ping writes");
     let (id, frame) = read_frame(&mut reader, &reply_limits)
         .expect("pong readable")
         .expect("pong");
-    assert_eq!(id, FLOOD + 1);
+    assert_eq!(id, FLOOD + BURST + 1);
     assert!(matches!(frame, Frame::Pong));
+
+    // The journal tells the same story as episodes: a shed opens one
+    // (edge-triggered, not one event per rejection), a served request
+    // closes it, and the Pong above closed the last.
+    let episodes: Vec<_> = server
+        .journal()
+        .since(0)
+        .events
+        .into_iter()
+        .filter(|e| matches!(e.kind, EventKind::OverloadStart | EventKind::OverloadEnd))
+        .collect();
+    assert_eq!(
+        episodes.first().map(|e| (e.kind, e.detail.as_str())),
+        Some((
+            EventKind::OverloadStart,
+            "per-connection in-flight request limit reached"
+        )),
+        "{episodes:?}"
+    );
+    for (i, e) in episodes.iter().enumerate() {
+        let want = [EventKind::OverloadStart, EventKind::OverloadEnd][i % 2];
+        assert_eq!(e.kind, want, "episodes alternate start/end: {episodes:?}");
+    }
+    assert_eq!(
+        episodes.last().map(|e| e.kind),
+        Some(EventKind::OverloadEnd),
+        "the served Pong closed the last episode: {episodes:?}"
+    );
+    let starts = episodes
+        .iter()
+        .filter(|e| e.kind == EventKind::OverloadStart)
+        .count() as u64;
+    let shed = srv_counter(&server, "srv.overloaded");
+    assert!(starts <= shed, "{starts} episodes from {shed} sheds");
 }
 
 #[test]

@@ -397,6 +397,15 @@ fn an_unknown_flag_stops_the_start_and_is_named() {
         "{out}"
     );
     assert!(!out.contains("LISTENING"), "{out}");
+    // The scraper too: `--ticks` only counts `--interval` samples, and
+    // is refused before any connect is tried.
+    let (status, out) = Proc::spawn(SCRAPE, &["--connect", "127.0.0.1:9", "--ticks", "3"]).finish();
+    assert!(!status.success());
+    assert!(
+        out.contains("flag --ticks has no effect without --interval"),
+        "{out}"
+    );
+    assert!(!out.contains("connect to"), "{out}");
 }
 
 #[test]

@@ -134,7 +134,7 @@ pub struct EventJournal {
 
 /// Milliseconds since the Unix epoch, saturating at 0 for pre-epoch
 /// clocks (a misconfigured container, not a panic).
-pub fn now_ms() -> u64 {
+fn now_ms() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)

@@ -26,7 +26,7 @@ pub mod textserve;
 mod trace;
 
 pub use hist::{quantile_from_counts, LatencyHistogram, BUCKETS};
-pub use journal::{now_ms, Event, EventJournal, EventKind, EventsPage};
+pub use journal::{Event, EventJournal, EventKind, EventsPage};
 pub use registry::{Counter, Gauge, Metric, MetricValue, MetricsDump, MetricsRegistry};
 pub use slowlog::{SlowEntry, SlowLog};
 pub use trace::{TraceCtx, TraceTimings};

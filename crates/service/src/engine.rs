@@ -58,9 +58,9 @@
 //! [`QueryEngine::update`] is the whole mirror policy: drain the
 //! source's delta chain; only when that chain was empty and the
 //! source's head carries a different content tag, refetch the full
-//! body and swap it in. `inano-serve --mirror`'s refresh loop,
-//! `fleet_sim` and the tests drive a mirror through that one call, so
-//! the counters and journal events it leaves are the same everywhere.
+//! body and swap it in. `inano-serve --mirror`'s refresh loop and the
+//! tests drive a mirror through that one call, so the counters and
+//! journal events it leaves are the same everywhere.
 
 use crate::cache::{CacheKey, ShardedCache};
 use crate::stats::{EngineMetrics, ServiceStats};

@@ -144,8 +144,8 @@ impl ShardRegistry {
     }
 
     /// Wrap pre-built engines (each already sized by its owner).
-    /// `fleet_sim`, the benchmark and tests use this to control
-    /// per-shard configuration exactly.
+    /// The benchmark and tests use this to control per-shard
+    /// configuration exactly.
     pub fn from_engines(
         engines: Vec<(ShardId, Arc<QueryEngine>)>,
     ) -> Result<ShardRegistry, ModelError> {
