@@ -80,11 +80,22 @@ impl AtlasDelta {
 
     /// Apply onto `base`, producing the next day's view of the daily
     /// datasets (slow datasets carried over unchanged).
+    ///
+    /// A delta must advance the day. Every consumer (an origin's
+    /// `apply_delta`, a mirror's or a client's `update`) applies here,
+    /// and an updater that met a delta leaving the day it lands on
+    /// would fetch and apply that same delta forever.
     pub fn apply(&self, base: &Atlas) -> Result<Atlas, ModelError> {
         if base.day != self.from_day {
             return Err(ModelError::PatchMismatch(format!(
                 "delta is {}→{} but base is day {}",
                 self.from_day, self.to_day, base.day
+            )));
+        }
+        if self.to_day <= self.from_day {
+            return Err(ModelError::PatchMismatch(format!(
+                "delta {}→{} does not advance the day",
+                self.from_day, self.to_day
             )));
         }
         let mut out = quantise(base);
@@ -341,6 +352,24 @@ mod tests {
         let d = AtlasDelta::between(&old, &new);
         let wrong = atlas_with(7, &[(1, 2)], &[]);
         assert!(d.apply(&wrong).is_err());
+    }
+
+    #[test]
+    fn apply_refuses_a_delta_that_does_not_advance_the_day() {
+        let base = atlas_with(5, &[(1, 2)], &[]);
+        for to_day in [5, 4] {
+            let stuck = AtlasDelta {
+                from_day: 5,
+                to_day,
+                ..AtlasDelta::default()
+            };
+            match stuck.apply(&base) {
+                Err(ModelError::PatchMismatch(msg)) => {
+                    assert_eq!(msg, format!("delta 5→{to_day} does not advance the day"))
+                }
+                other => panic!("5→{to_day} must be refused, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! The client-side library of §5: fetch the atlas (from any swarm or
-//! mirror — abstracted behind [`AtlasSource`]), augment it with local
-//! measurements, serve queries locally, and keep it up to date with the
-//! daily delta — or, for the sporadically-online peer whose delta chain
-//! has broken, with one full refetch ([`INanoClient::update`]).
+//! The client-side library of §5: fetch the atlas (from memory or a
+//! mirror over the wire — abstracted behind [`AtlasSource`]), augment
+//! it with local measurements, serve queries locally, and keep it up to
+//! date with the daily delta — or, for the sporadically-online peer
+//! whose delta chain has broken, with one full refetch
+//! ([`INanoClient::update`]).
 
 use crate::config::PredictorConfig;
 use crate::predict::{PathPredictor, PredictedPath};
-use crate::source::{AtlasReader, AtlasSource};
+use crate::source::{read_delta, read_full, AtlasSource};
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_model::{ClusterId, Ipv4, LatencyMs, ModelError};
 use std::sync::Arc;
@@ -26,12 +27,12 @@ pub struct INanoClient {
 
 impl INanoClient {
     /// Bootstrap: fetch (chunked, validated, resumable — see
-    /// [`AtlasReader`]) and decode the full atlas.
+    /// [`read_full`]) and decode the full atlas.
     pub fn bootstrap(
         source: &mut dyn AtlasSource,
         cfg: PredictorConfig,
     ) -> Result<INanoClient, ModelError> {
-        let (_, bytes) = AtlasReader::default().fetch_full(source)?;
+        let (_, bytes, _) = read_full(source)?;
         let atlas = codec::decode(&bytes)?;
         let atlas = Arc::new(atlas);
         let predictor = PathPredictor::new(Arc::clone(&atlas), cfg.clone());
@@ -65,13 +66,12 @@ impl INanoClient {
     /// is: a client's atlas carries its own FROM_SRC links, so its
     /// encoding never equals the upstream's.
     pub fn update(&mut self, source: &mut dyn AtlasSource) -> Result<usize, ModelError> {
-        let reader = AtlasReader::default();
         let mut staged: Option<Atlas> = None;
         let mut applied = 0usize;
         let outcome = loop {
             let base = staged.as_ref().unwrap_or(&self.atlas);
-            match reader.fetch_delta(source, base.day) {
-                Ok(Some((_, bytes))) => {
+            match read_delta(source, base.day) {
+                Ok((Some((_, bytes)), _)) => {
                     match AtlasDelta::decode(&bytes).and_then(|d| d.apply(base)) {
                         Ok(next) => {
                             staged = Some(next);
@@ -80,7 +80,7 @@ impl INanoClient {
                         Err(e) => break Err(e),
                     }
                 }
-                Ok(None) => break Ok(applied),
+                Ok((None, _)) => break Ok(applied),
                 Err(e) => break Err(e),
             }
         };
@@ -88,7 +88,7 @@ impl INanoClient {
             self.install(atlas);
         }
         if matches!(outcome, Ok(0)) && source.head()?.day > self.day() {
-            let (_, bytes) = reader.fetch_full(source)?;
+            let (_, bytes, _) = read_full(source)?;
             self.install(codec::decode(&bytes)?);
         }
         outcome

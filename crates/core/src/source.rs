@@ -1,12 +1,13 @@
 //! Atlas acquisition: a versioned, chunk-oriented [`AtlasSource`] plus
-//! the [`AtlasReader`] driver that assembles and validates bodies.
+//! the reader ([`read_full`], [`read_delta`]) that assembles and
+//! validates bodies.
 //!
 //! The paper's §5 dissemination story is peers fetching the ~7MB atlas
 //! (and then small daily deltas) *from each other*. The unit of
-//! transfer is a *chunk* of a *named version*, which is what lets the
-//! same trait sit in front of an in-memory test vector
-//! ([`StaticSource`]), the swarm simulation, or a remote `inano-serve`
-//! over the wire:
+//! transfer is a *chunk* of a *named version*, which is what lets one
+//! trait sit in front of both sources this workspace has: in memory
+//! ([`StaticSource`]: tests, examples, local files) and over the wire
+//! (`inano_net::MirrorSource`, one shard of a remote `inano-serve`):
 //!
 //! * [`AtlasSource::head`] names the newest version —
 //!   [`AtlasVersion`]: day, content tag, body length, chunk size — so a
@@ -19,11 +20,12 @@
 //!   the day-over-day delta body, fetched with the same chunk
 //!   machinery via [`AtlasSource::fetch_delta_chunk`].
 //!
-//! [`AtlasReader`] drives a source: it validates every chunk (length
-//! and checksum), retries failed chunks, verifies the assembled body
+//! The reader drives a source: it validates every chunk (length and
+//! checksum), retries failed chunks, verifies the assembled body
 //! against the head's `epoch_tag`, and — when the source reports
 //! [`ModelError::VersionRaced`] because the origin swapped generations
-//! mid-fetch — restarts at the new head. `INanoClient::bootstrap` and
+//! mid-fetch — restarts at the new head. Each call returns how many
+//! such restarts it recovered from beside the body. `INanoClient` and
 //! the service engine both feed on it.
 
 use inano_atlas::{codec, AtlasDelta};
@@ -138,8 +140,9 @@ impl AtlasChunk {
     }
 }
 
-/// Where atlas bytes come from: the swarm simulation, a test vector, a
-/// remote `inano-serve` acting as a mirror... The library is
+/// Where atlas bytes come from: a test vector or local file
+/// ([`StaticSource`]), a remote `inano-serve` acting as a mirror
+/// (`inano_net::MirrorSource`). The library is
 /// "sufficiently modular that any peer-to-peer filesharing protocol can
 /// be plugged in" (§5) — the unit of exchange is a checksummed chunk of
 /// a named version.
@@ -167,175 +170,132 @@ pub trait AtlasSource {
     fn fetch_delta_chunk(&mut self, from_day: u32, idx: u32) -> Result<AtlasChunk, ModelError>;
 }
 
-/// Drives an [`AtlasSource`]: assembles chunked bodies, validates
-/// length and checksum per chunk, retries failed chunks in place, and
-/// restarts from a fresh `head()` when the version races mid-fetch.
-#[derive(Clone, Copy, Debug)]
-pub struct AtlasReader {
-    /// Whole-body restarts tolerated (version races, tag mismatches).
-    pub max_restarts: u32,
-    /// Per-chunk retries before the fetch fails (resume-in-place: a bad
-    /// chunk re-fetches that chunk, never the whole body).
-    pub chunk_retries: u32,
-    /// Largest body this reader will assemble; a hostile head claiming
-    /// more fails typed instead of allocating it.
-    pub max_body_bytes: u64,
-}
+/// Whole-body restarts the reader tolerates (version races, tag
+/// mismatches) before a fetch fails.
+const MAX_RESTARTS: u32 = 3;
+/// Per-chunk retries before a fetch fails (resume in place: a bad chunk
+/// re-fetches that chunk, never the whole body).
+const CHUNK_RETRIES: u32 = 2;
+/// Largest body the reader assembles; a hostile head claiming more
+/// fails typed instead of allocating it.
+const MAX_BODY_BYTES: u64 = 1 << 30;
 
-impl Default for AtlasReader {
-    fn default() -> AtlasReader {
-        AtlasReader {
-            max_restarts: 3,
-            chunk_retries: 2,
-            max_body_bytes: 1 << 30,
+/// The reader, full half: download and validate the newest full body.
+/// Returns the version it ended up with (restarts may land on a newer
+/// one than the first `head()` named), the assembled bytes, whose
+/// [`content_tag`] is guaranteed to equal `version.epoch_tag`, and how
+/// many whole-body restarts (version races, tag mismatches) it
+/// recovered from — the feed for a mirror's `races_recovered` metric.
+pub fn read_full(source: &mut dyn AtlasSource) -> Result<(AtlasVersion, Vec<u8>, u32), ModelError> {
+    let mut restarts = 0;
+    loop {
+        let head = source.head()?;
+        check_body(head.full_len, head.chunk_size)?;
+        match body(head.full_len, head.chunk_size, &mut |i| {
+            source.fetch_full_chunk(i)
+        }) {
+            Ok(body) if content_tag(&body) == head.epoch_tag => return Ok((head, body, restarts)),
+            // An assembled body whose tag disagrees with its head means
+            // the source changed under us without saying so; treat it
+            // like a declared race.
+            Ok(_) => {}
+            Err(e) if is_race(&e) => {}
+            Err(e) => return Err(e),
         }
-    }
-}
-
-impl AtlasReader {
-    /// Download and validate the newest full body. Returns the version
-    /// it ended up with (restarts may land on a newer one than the
-    /// first `head()` named) and the assembled bytes, whose
-    /// [`content_tag`] is guaranteed to equal `version.epoch_tag`.
-    pub fn fetch_full(
-        &self,
-        source: &mut dyn AtlasSource,
-    ) -> Result<(AtlasVersion, Vec<u8>), ModelError> {
-        self.fetch_full_counted(source).map(|(v, b, _)| (v, b))
-    }
-
-    /// [`AtlasReader::fetch_full`], additionally reporting how many
-    /// whole-body restarts (version races, tag mismatches) the fetch
-    /// recovered from — the feed for a mirror's `races_recovered`
-    /// metric.
-    pub fn fetch_full_counted(
-        &self,
-        source: &mut dyn AtlasSource,
-    ) -> Result<(AtlasVersion, Vec<u8>, u32), ModelError> {
-        let mut restarts = 0;
-        loop {
-            let head = source.head()?;
-            self.check_body(head.full_len, head.chunk_size)?;
-            match self.body(head.full_len, head.chunk_size, &mut |i| {
-                source.fetch_full_chunk(i)
-            }) {
-                Ok(body) if content_tag(&body) == head.epoch_tag => {
-                    return Ok((head, body, restarts))
-                }
-                // An assembled body whose tag disagrees with its head
-                // means the source changed under us without saying so;
-                // treat it like a declared race.
-                Ok(_) => {}
-                Err(e) if is_race(&e) => {}
-                Err(e) => return Err(e),
-            }
-            restarts += 1;
-            if restarts > self.max_restarts {
-                return Err(ModelError::VersionRaced(format!(
-                    "full fetch restarted {restarts} times without completing"
-                )));
-            }
-        }
-    }
-
-    /// Download and validate the delta leaving `have_day`, if the
-    /// source has one.
-    pub fn fetch_delta(
-        &self,
-        source: &mut dyn AtlasSource,
-        have_day: u32,
-    ) -> Result<Option<FetchedDelta>, ModelError> {
-        self.fetch_delta_counted(source, have_day).map(|(r, _)| r)
-    }
-
-    /// [`AtlasReader::fetch_delta`], additionally reporting recovered
-    /// restarts (see [`AtlasReader::fetch_full_counted`]).
-    pub fn fetch_delta_counted(
-        &self,
-        source: &mut dyn AtlasSource,
-        have_day: u32,
-    ) -> Result<(Option<FetchedDelta>, u32), ModelError> {
-        let mut restarts = 0;
-        loop {
-            let Some(handle) = source.fetch_delta(have_day)? else {
-                return Ok((None, restarts));
-            };
-            if handle.from_day != have_day {
-                return Err(ModelError::Decode(format!(
-                    "asked for the delta leaving day {have_day}, offered {}→{}",
-                    handle.from_day, handle.to_day
-                )));
-            }
-            self.check_body(handle.len, handle.chunk_size)?;
-            match self.body(handle.len, handle.chunk_size, &mut |i| {
-                source.fetch_delta_chunk(handle.from_day, i)
-            }) {
-                Ok(body) => return Ok((Some((handle, body)), restarts)),
-                Err(e) if is_race(&e) => {}
-                Err(e) => return Err(e),
-            }
-            restarts += 1;
-            if restarts > self.max_restarts {
-                return Err(ModelError::VersionRaced(format!(
-                    "delta fetch from day {have_day} restarted {restarts} times"
-                )));
-            }
-        }
-    }
-
-    fn check_body(&self, len: u64, chunk_size: u32) -> Result<(), ModelError> {
-        if chunk_size == 0 {
-            return Err(ModelError::Decode("source declared chunk size 0".into()));
-        }
-        if len > self.max_body_bytes {
-            return Err(ModelError::Decode(format!(
-                "declared body of {len} bytes exceeds reader limit {}",
-                self.max_body_bytes
+        restarts += 1;
+        if restarts > MAX_RESTARTS {
+            return Err(ModelError::VersionRaced(format!(
+                "full fetch restarted {restarts} times without completing"
             )));
         }
-        Ok(())
     }
+}
 
-    /// Assemble one body chunk by chunk, retrying each failed chunk in
-    /// place up to `chunk_retries` times.
-    fn body(
-        &self,
-        len: u64,
-        chunk_size: u32,
-        fetch: &mut dyn FnMut(u32) -> Result<AtlasChunk, ModelError>,
-    ) -> Result<Vec<u8>, ModelError> {
-        let mut out = Vec::new();
-        for idx in 0..n_chunks(len, chunk_size) {
-            let want = chunk_span(len, chunk_size, idx)?.len();
-            let mut attempts = 0;
-            let chunk = loop {
-                let outcome = match fetch(idx) {
-                    Ok(c) if !c.verify() => Err(ModelError::Decode(format!(
-                        "chunk {idx} failed its checksum"
-                    ))),
-                    Ok(c) if c.bytes.len() != want => Err(ModelError::Decode(format!(
-                        "chunk {idx} is {} bytes, want {want}",
-                        c.bytes.len()
-                    ))),
-                    other => other,
-                };
-                match outcome {
-                    Ok(c) => break c,
-                    // A race aborts the body immediately — retrying the
-                    // same index against a new generation cannot help.
-                    Err(e) if is_race(&e) => return Err(e),
-                    Err(e) => {
-                        attempts += 1;
-                        if attempts > self.chunk_retries {
-                            return Err(e);
-                        }
+/// The reader, delta half: download and validate the delta leaving
+/// `have_day`, if the source has one, with the restarts it recovered
+/// from (see [`read_full`]).
+pub fn read_delta(
+    source: &mut dyn AtlasSource,
+    have_day: u32,
+) -> Result<(Option<FetchedDelta>, u32), ModelError> {
+    let mut restarts = 0;
+    loop {
+        let Some(handle) = source.fetch_delta(have_day)? else {
+            return Ok((None, restarts));
+        };
+        if handle.from_day != have_day {
+            return Err(ModelError::Decode(format!(
+                "asked for the delta leaving day {have_day}, offered {}→{}",
+                handle.from_day, handle.to_day
+            )));
+        }
+        check_body(handle.len, handle.chunk_size)?;
+        match body(handle.len, handle.chunk_size, &mut |i| {
+            source.fetch_delta_chunk(handle.from_day, i)
+        }) {
+            Ok(body) => return Ok((Some((handle, body)), restarts)),
+            Err(e) if is_race(&e) => {}
+            Err(e) => return Err(e),
+        }
+        restarts += 1;
+        if restarts > MAX_RESTARTS {
+            return Err(ModelError::VersionRaced(format!(
+                "delta fetch from day {have_day} restarted {restarts} times"
+            )));
+        }
+    }
+}
+
+fn check_body(len: u64, chunk_size: u32) -> Result<(), ModelError> {
+    if chunk_size == 0 {
+        return Err(ModelError::Decode("source declared chunk size 0".into()));
+    }
+    if len > MAX_BODY_BYTES {
+        return Err(ModelError::Decode(format!(
+            "declared body of {len} bytes exceeds reader limit {MAX_BODY_BYTES}"
+        )));
+    }
+    Ok(())
+}
+
+/// Assemble one body chunk by chunk, retrying each failed chunk in
+/// place up to `CHUNK_RETRIES` times.
+fn body(
+    len: u64,
+    chunk_size: u32,
+    fetch: &mut dyn FnMut(u32) -> Result<AtlasChunk, ModelError>,
+) -> Result<Vec<u8>, ModelError> {
+    let mut out = Vec::new();
+    for idx in 0..n_chunks(len, chunk_size) {
+        let want = chunk_span(len, chunk_size, idx)?.len();
+        let mut attempts = 0;
+        let chunk = loop {
+            let outcome = match fetch(idx) {
+                Ok(c) if !c.verify() => Err(ModelError::Decode(format!(
+                    "chunk {idx} failed its checksum"
+                ))),
+                Ok(c) if c.bytes.len() != want => Err(ModelError::Decode(format!(
+                    "chunk {idx} is {} bytes, want {want}",
+                    c.bytes.len()
+                ))),
+                other => other,
+            };
+            match outcome {
+                Ok(c) => break c,
+                // A race aborts the body immediately — retrying the
+                // same index against a new generation cannot help.
+                Err(e) if is_race(&e) => return Err(e),
+                Err(e) => {
+                    attempts += 1;
+                    if attempts > CHUNK_RETRIES {
+                        return Err(e);
                     }
                 }
-            };
-            out.extend_from_slice(&chunk.bytes);
-        }
-        Ok(out)
+            }
+        };
+        out.extend_from_slice(&chunk.bytes);
     }
+    Ok(out)
 }
 
 fn is_race(e: &ModelError) -> bool {
@@ -526,9 +486,7 @@ mod tests {
     fn reader_assembles_multi_chunk_bodies() {
         let b = body(1000);
         let mut src = FaultySource::new(b.clone(), 64);
-        let (version, got) = AtlasReader::default()
-            .fetch_full(&mut src)
-            .expect("fetches");
+        let (version, got, _) = read_full(&mut src).expect("fetches");
         assert_eq!(got, b);
         assert_eq!(version.n_chunks(), 16);
         assert_eq!(version.epoch_tag, content_tag(&b));
@@ -540,12 +498,11 @@ mod tests {
         let mut src = FaultySource::new(b.clone(), 100);
         src.flaky = vec![1];
         src.corrupt_once = Some(2);
-        let (_, got) = AtlasReader::default()
-            .fetch_full(&mut src)
-            .expect("resumes");
+        let (_, got, restarts) = read_full(&mut src).expect("resumes");
         assert_eq!(got, b);
         // 3 chunks + 1 flaky retry + 1 corrupt retry; no full restart.
         assert_eq!(src.fetches, 5);
+        assert_eq!(restarts, 0);
     }
 
     #[test]
@@ -553,7 +510,7 @@ mod tests {
         let b = body(300);
         let mut src = FaultySource::new(b, 100);
         src.flaky = vec![1, 1, 1, 1, 1, 1, 1, 1];
-        let err = AtlasReader::default().fetch_full(&mut src).unwrap_err();
+        let err = read_full(&mut src).unwrap_err();
         assert!(matches!(err, ModelError::Decode(_)), "{err}");
     }
 
@@ -564,10 +521,9 @@ mod tests {
         let mut src = FaultySource::new(old, 128);
         src.next_body = new.clone();
         src.race_after = Some(2);
-        let (version, got) = AtlasReader::default()
-            .fetch_full(&mut src)
-            .expect("restarts");
+        let (version, got, restarts) = read_full(&mut src).expect("restarts");
         assert_eq!(got, new, "the fetch lands on the post-race body");
+        assert_eq!(restarts, 1);
         assert_eq!(version.day, 1);
         assert_eq!(version.epoch_tag, content_tag(&new));
     }
@@ -594,9 +550,8 @@ mod tests {
                 unreachable!()
             }
         }
-        let r = AtlasReader::default();
-        assert!(r.fetch_full(&mut Hostile(u64::MAX, 1024)).is_err());
-        assert!(r.fetch_full(&mut Hostile(1024, 0)).is_err());
+        assert!(read_full(&mut Hostile(u64::MAX, 1024)).is_err());
+        assert!(read_full(&mut Hostile(1024, 0)).is_err());
     }
 
     #[test]
@@ -615,7 +570,7 @@ mod tests {
         assert_eq!(head.day, 3);
         assert_eq!(head.full_len, bytes.len() as u64);
         assert!(head.n_chunks() > 1, "tiny chunks force a multi-chunk body");
-        let (version, got) = AtlasReader::default().fetch_full(&mut src).expect("fetch");
+        let (version, got, _) = read_full(&mut src).expect("fetch");
         assert_eq!(got, bytes);
         assert_eq!(version, head);
         assert!(src.fetch_delta(3).expect("no delta").is_none());

@@ -56,7 +56,7 @@
 //! There is no thread-count flag: the responder pool and the engines'
 //! cold-batch fan-out both size themselves from the core count.
 
-use inano_core::{AtlasReader, PredictorConfig};
+use inano_core::{read_full, PredictorConfig};
 use inano_net::cli::{arg, refuse_unknown, repeated, requires};
 use inano_net::demo::{ring_atlas, ring_predictor_config, ring_shortcut_delta};
 use inano_net::{Limits, MirrorSource, NetClient, NetServer, ServerConfig};
@@ -162,15 +162,13 @@ fn mirrored_specs(
         .shards()
         .unwrap_or_else(|e| panic!("list shards of {upstream}: {e}"));
     assert!(!infos.is_empty(), "{upstream} hosts no shards");
-    let reader = AtlasReader::default();
     let mut specs = Vec::new();
     let mut sources = Vec::new();
     for info in infos {
         let id = ShardId(info.shard);
         let mut source = mirror_source(upstream, id)
             .unwrap_or_else(|e| panic!("connect to --mirror {upstream} for {id}: {e}"));
-        let (version, bytes) = reader
-            .fetch_full(&mut source)
+        let (version, bytes, _) = read_full(&mut source)
             .unwrap_or_else(|e| panic!("fetch {id} atlas from {upstream}: {e}"));
         let atlas = inano_atlas::codec::decode(&bytes)
             .unwrap_or_else(|e| panic!("decode {id} atlas from {upstream}: {e}"));
@@ -280,14 +278,17 @@ fn main() {
                 loop {
                     std::thread::sleep(Duration::from_millis(refresh_ms));
                     for (id, source) in &mut sources {
-                        match registry.update(*id, source) {
+                        let engine = registry
+                            .engine(*id)
+                            .expect("mirrored shards are registered");
+                        match engine.update(source) {
                             // Idle — or a broken chain bridged by a
                             // full resync, which the journal and
                             // `mirror.full_resyncs` record.
                             Ok(0) => {}
                             Ok(n) => eprintln!(
                                 "{id}: pulled {n} delta(s) from upstream, now day {}",
-                                registry.epoch(*id).map(|(_, d)| d).unwrap_or(0)
+                                engine.day()
                             ),
                             Err(e) => {
                                 // Any failure may have left the
@@ -331,7 +332,10 @@ fn main() {
         let reg = Arc::clone(&registry);
         let http = MetricsTextServer::bind(metrics_text.as_str(), move |path| match path {
             "/healthz" => {
-                let (epoch, day) = reg.epoch(ShardId(0)).unwrap_or((0, 0));
+                let (epoch, day) = reg
+                    .engine(ShardId(0))
+                    .map(|e| e.generation())
+                    .map_or((0, 0), |g| (g.epoch, g.day()));
                 Some(format!("ok {day} {epoch}\n"))
             }
             p if p == "/" || p.starts_with("/metrics") => {
@@ -380,8 +384,10 @@ fn main() {
             .name("inano-demo-swap".into())
             .spawn(move || {
                 std::thread::sleep(Duration::from_millis(demo_swap_ms));
-                let day = registry.epoch(ShardId(0)).map(|(_, d)| d).unwrap_or(0);
-                match registry.apply_delta(ShardId(0), &ring_shortcut_delta(ring_n, day)) {
+                let swapped = registry.engine(ShardId(0)).and_then(|engine| {
+                    engine.apply_delta(&ring_shortcut_delta(ring_n, engine.day()))
+                });
+                match swapped {
                     Ok(day) => eprintln!("demo swap: shard 0 advanced to day {day}"),
                     Err(e) => eprintln!("demo swap failed (ring worlds only): {e}"),
                 }

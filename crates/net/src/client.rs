@@ -55,8 +55,8 @@ impl std::error::Error for NetError {}
 
 impl NetError {
     /// Fold into a [`ModelError`] for `AtlasSource` callers: typed
-    /// model faults cross back into their variants (so an
-    /// `AtlasReader` can react to `VersionRaced` from a remote mirror
+    /// model faults cross back into their variants (so the reader can
+    /// react to `VersionRaced` from a remote mirror
     /// exactly as from a local source); transport-level failures become
     /// `Decode` errors carrying the story.
     pub fn into_model(self) -> ModelError {
@@ -179,9 +179,6 @@ pub struct NetClient {
     addr: SocketAddr,
     limits: Limits,
     next_id: u64,
-    /// The shard-0 epoch tag named by the last `atlas_head()` — what
-    /// this client's own [`AtlasSource`] impl fetches chunks of.
-    atlas_tag: Option<u64>,
 }
 
 impl NetClient {
@@ -211,7 +208,6 @@ impl NetClient {
             addr,
             limits,
             next_id: 1,
-            atlas_tag: None,
         })
     }
 
@@ -318,7 +314,7 @@ impl NetClient {
     }
 
     /// The server's unified metrics dump: `srv.*`, `shardN.*` and any
-    /// series the host registered (`swarm.*`), sorted by name — the
+    /// series the host registered, sorted by name — the
     /// one way to read a server's counters. What `fleet_scrape` polls
     /// and merges across a fleet.
     pub fn metrics(&mut self) -> Result<MetricsDump, NetError> {
@@ -489,80 +485,11 @@ impl TypedCalls for NetClient {
     }
 }
 
-// The shared bodies of the two `AtlasSource` impls (`NetClient` =
-// shard 0, `MirrorSource` = any shard): one place owns the wire
-// fetch/race protocol, the impls only differ in where the head tag is
-// cached.
-
-fn source_head(client: &mut NetClient, shard: ShardId) -> Result<AtlasVersion, ModelError> {
-    client.atlas_head_on(shard).map_err(NetError::into_model)
-}
-
-fn source_full_chunk(
-    client: &mut NetClient,
-    shard: ShardId,
-    tag: Option<u64>,
-    idx: u32,
-) -> Result<AtlasChunk, ModelError> {
-    let tag = tag.ok_or_else(|| {
-        ModelError::Config("fetch_full_chunk before head(): no version to fetch".into())
-    })?;
-    client
-        .fetch_full_chunk_on(shard, tag, idx)
-        .map_err(NetError::into_model)
-}
-
-fn source_delta(
-    client: &mut NetClient,
-    shard: ShardId,
-    have_day: u32,
-) -> Result<Option<DeltaHandle>, ModelError> {
-    client
-        .fetch_delta_on(shard, have_day)
-        .map_err(NetError::into_model)
-}
-
-fn source_delta_chunk(
-    client: &mut NetClient,
-    shard: ShardId,
-    from_day: u32,
-    idx: u32,
-) -> Result<AtlasChunk, ModelError> {
-    client
-        .fetch_delta_chunk_on(shard, from_day, idx)
-        .map_err(NetError::into_model)
-}
-
-/// `NetClient` *is* an [`AtlasSource`] for the server's shard 0: plug
-/// a connection straight into `INanoClient::bootstrap` /
-/// `QueryEngine::bootstrap` and the atlas arrives over the wire,
-/// chunked, checksummed and restartable — closing the loop of §5's
-/// dissemination story. For a named shard, see
-/// [`NetClient::into_atlas_source`].
-impl AtlasSource for NetClient {
-    fn head(&mut self) -> Result<AtlasVersion, ModelError> {
-        let version = source_head(self, ShardId::DEFAULT)?;
-        self.atlas_tag = Some(version.epoch_tag);
-        Ok(version)
-    }
-
-    fn fetch_full_chunk(&mut self, idx: u32) -> Result<AtlasChunk, ModelError> {
-        let tag = self.atlas_tag;
-        source_full_chunk(self, ShardId::DEFAULT, tag, idx)
-    }
-
-    fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
-        source_delta(self, ShardId::DEFAULT, have_day)
-    }
-
-    fn fetch_delta_chunk(&mut self, from_day: u32, idx: u32) -> Result<AtlasChunk, ModelError> {
-        source_delta_chunk(self, ShardId::DEFAULT, from_day, idx)
-    }
-}
-
-/// A [`NetClient`] scoped to one shard of a remote server, usable as an
-/// [`AtlasSource`]: each hop of a mirror chain is one of these feeding
-/// an `AtlasReader`.
+/// A [`NetClient`] scoped to one shard of a remote server: the one
+/// [`AtlasSource`] that crosses the wire. Plug it into
+/// `INanoClient::bootstrap` / `QueryEngine::bootstrap` and the atlas
+/// arrives chunked, checksummed and restartable; each hop of a mirror
+/// chain is one of these feeding the reader (`inano_core::read_full`).
 pub struct MirrorSource {
     client: NetClient,
     shard: ShardId,
@@ -597,21 +524,33 @@ impl MirrorSource {
 
 impl AtlasSource for MirrorSource {
     fn head(&mut self) -> Result<AtlasVersion, ModelError> {
-        let version = source_head(&mut self.client, self.shard)?;
+        let version = self
+            .client
+            .atlas_head_on(self.shard)
+            .map_err(NetError::into_model)?;
         self.tag = Some(version.epoch_tag);
         Ok(version)
     }
 
     fn fetch_full_chunk(&mut self, idx: u32) -> Result<AtlasChunk, ModelError> {
-        source_full_chunk(&mut self.client, self.shard, self.tag, idx)
+        let tag = self.tag.ok_or_else(|| {
+            ModelError::Config("fetch_full_chunk before head(): no version to fetch".into())
+        })?;
+        self.client
+            .fetch_full_chunk_on(self.shard, tag, idx)
+            .map_err(NetError::into_model)
     }
 
     fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
-        source_delta(&mut self.client, self.shard, have_day)
+        self.client
+            .fetch_delta_on(self.shard, have_day)
+            .map_err(NetError::into_model)
     }
 
     fn fetch_delta_chunk(&mut self, from_day: u32, idx: u32) -> Result<AtlasChunk, ModelError> {
-        source_delta_chunk(&mut self.client, self.shard, from_day, idx)
+        self.client
+            .fetch_delta_chunk_on(self.shard, from_day, idx)
+            .map_err(NetError::into_model)
     }
 }
 

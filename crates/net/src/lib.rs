@@ -34,9 +34,9 @@
 //!   every server a mirror;
 //! * [`client`] — [`NetClient`], synchronous calls plus pipelined
 //!   batch submission (`submit_batch`/`recv`), shard-aware via the
-//!   `_on` variants and `shards()`. `NetClient` (shard 0) and
-//!   [`MirrorSource`] (any shard) implement
-//!   [`inano_core::AtlasSource`], so a remote server plugs into
+//!   `_on` variants and `shards()`. [`MirrorSource`] (a `NetClient`
+//!   scoped to one shard by [`NetClient::into_atlas_source`]) is the
+//!   wire's [`inano_core::AtlasSource`], so a remote server plugs into
 //!   `INanoClient::bootstrap`/`QueryEngine::bootstrap` like any local
 //!   source — the §5 dissemination loop, closed.
 //!

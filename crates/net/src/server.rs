@@ -566,7 +566,7 @@ impl NetServer {
     /// engine's `shardN.*` engine/cache/mirror series. The same dump
     /// answers `Frame::Metrics` on the wire and feeds the
     /// `--metrics-text` endpoint; callers may register their own
-    /// series (the swarm layer does).
+    /// series.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.shared.obs
     }
@@ -582,7 +582,7 @@ impl NetServer {
     /// counters. Shard engines emit their swap/delta/resync events
     /// into it, the listener adds connection churn and overload
     /// episodes, and `Frame::Events` pages it over the wire. Callers
-    /// (the mirror refresh loop, the swarm layer) may emit their own.
+    /// (the mirror refresh loop) may emit their own.
     pub fn journal(&self) -> &Arc<EventJournal> {
         &self.shared.journal
     }
@@ -1631,8 +1631,11 @@ fn serve(shared: &Shared, frame: &Frame) -> Result<Reply, ModelError> {
             }
         }
         Frame::Epoch { shard } => {
-            let (epoch, day) = registry.epoch(*shard)?;
-            Frame::EpochReply { epoch, day }
+            let generation = registry.engine(*shard)?.generation();
+            Frame::EpochReply {
+                epoch: generation.epoch,
+                day: generation.day(),
+            }
         }
         Frame::ListShards => Frame::ShardsReply {
             shards: registry
@@ -1676,7 +1679,8 @@ fn serve(shared: &Shared, frame: &Frame) -> Result<Reply, ModelError> {
         }
         Frame::FetchDelta { shard, have_day } => Frame::DeltaReply {
             handle: registry
-                .delta_blob(*shard, *have_day)?
+                .engine(*shard)?
+                .delta_blob(*have_day)
                 .map(|b| b.handle(cs)),
         },
         Frame::FetchDeltaChunk {
@@ -1687,11 +1691,14 @@ fn serve(shared: &Shared, frame: &Frame) -> Result<Reply, ModelError> {
             // The delta a handle promised may have rotated out of the
             // log (or never existed): the fetcher should re-head and,
             // if it fell that far behind, refetch the full atlas.
-            let blob = registry.delta_blob(*shard, *from_day)?.ok_or_else(|| {
-                ModelError::VersionRaced(format!(
-                    "no delta leaving day {from_day} is retained any more"
-                ))
-            })?;
+            let blob = registry
+                .engine(*shard)?
+                .delta_blob(*from_day)
+                .ok_or_else(|| {
+                    ModelError::VersionRaced(format!(
+                        "no delta leaving day {from_day} is retained any more"
+                    ))
+                })?;
             let bytes = blob.chunk(cs, *idx)?;
             Frame::ChunkReply {
                 idx: *idx,

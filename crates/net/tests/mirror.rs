@@ -1,8 +1,8 @@
 //! Integration tests for atlas dissemination: a chain of live servers
 //! where each hop fetches the previous hop's atlas over the wire.
 //!
-//! Covers the acceptance surface of the v3 fetch frames: `NetClient`
-//! as an `AtlasSource` bootstraps a second `QueryEngine` from a live
+//! Covers the acceptance surface of the v3 fetch frames: a
+//! `MirrorSource` bootstraps a second `QueryEngine` from a live
 //! server, epoch tags match end to end, a delta published at the
 //! origin propagates through the mirror with zero failed queries
 //! mid-swap, an oversized atlas (bigger than one frame admits) arrives
@@ -12,7 +12,7 @@
 mod common;
 
 use common::serve_one;
-use inano_core::{AtlasChunk, AtlasReader, AtlasSource, AtlasVersion, DeltaHandle};
+use inano_core::{read_delta, read_full, AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle};
 use inano_model::{ErrorCode, Ipv4, ModelError};
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config, ring_shortcut_delta};
 use inano_net::{Limits, MirrorSource, NetClient, NetError, ServerConfig};
@@ -50,9 +50,10 @@ fn all_pairs() -> Vec<(Ipv4, Ipv4)> {
 }
 
 /// The acceptance chain: origin → mirror engine (bootstrapped through
-/// a `MirrorSource`) → client engine (bootstrapped through a bare
-/// `NetClient` as its `AtlasSource`), with a delta published at the
-/// origin propagating the whole way under live query load.
+/// a `MirrorSource`) → client engine (bootstrapped through a
+/// `NetClient` scoped to shard 0 with `into_atlas_source`), with a
+/// delta published at the origin propagating the whole way under live
+/// query load.
 #[test]
 fn mirror_chain_propagates_the_atlas_and_its_deltas() {
     // Hop 0: the origin owns the authoritative atlas.
@@ -74,8 +75,10 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
     );
     let mirror = serve_one(Arc::clone(&mirror_engine), ServerConfig::default());
 
-    // Hop 2: a plain NetClient *is* an AtlasSource for shard 0.
-    let mut downstream = NetClient::connect(mirror.local_addr()).expect("connect to mirror");
+    // Hop 2: a plain NetClient, scoped to shard 0.
+    let mut downstream = NetClient::connect(mirror.local_addr())
+        .expect("connect to mirror")
+        .into_atlas_source(ShardId::DEFAULT);
     let client_engine = QueryEngine::bootstrap(&mut downstream, ring_service_config())
         .expect("client engine bootstraps from the mirror");
     assert_eq!(
@@ -442,7 +445,8 @@ fn oversized_atlas_fetch_is_chunked_to_the_frame_limit() {
     );
 
     // The standard reader path assembles it and lands on the same tag.
-    let second = QueryEngine::bootstrap(&mut client, ring_service_config())
+    let mut source = client.into_atlas_source(ShardId::DEFAULT);
+    let second = QueryEngine::bootstrap(&mut source, ring_service_config())
         .expect("bootstrap through many small chunks");
     assert_eq!(second.export().epoch_tag, engine.export().epoch_tag);
     second
@@ -477,8 +481,7 @@ fn generation_swap_mid_fetch_is_a_typed_race_the_reader_survives() {
 
     // The reader's restart logic turns the race into a clean fetch of
     // the *new* generation.
-    let (version, bytes) = AtlasReader::default()
-        .fetch_full(&mut client)
+    let (version, bytes, _) = read_full(&mut client.into_atlas_source(ShardId::DEFAULT))
         .expect("reader recovers from the race");
     assert_eq!(version.day, 1);
     assert_eq!(version.epoch_tag, engine.export().epoch_tag);
@@ -512,12 +515,12 @@ fn missing_deltas_are_none_and_their_chunks_are_typed_races() {
         .expect("delta query")
         .expect("the applied delta is retained");
     assert_eq!((handle.from_day, handle.to_day), (0, 1));
-    let (got, bytes) = AtlasReader::default()
-        .fetch_delta(&mut client, 0)
-        .expect("delta fetch")
-        .expect("retained");
+    let mut source = client.into_atlas_source(ShardId::DEFAULT);
+    let (fetched, _) = read_delta(&mut source, 0).expect("delta fetch");
+    let (got, bytes) = fetched.expect("retained");
     assert_eq!(got, handle);
     assert_eq!(bytes.len() as u64, handle.len);
+    let client = source.client_mut();
     // Unknown shards fault typed on the fetch frames like everywhere.
     match client.atlas_head_on(ShardId(9)) {
         Err(NetError::Remote(fault)) => assert_eq!(fault.code, ErrorCode::UnknownShard),

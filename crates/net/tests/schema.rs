@@ -146,7 +146,8 @@ fn dump_matches_the_documented_schema_and_every_view_of_it() {
         .expect("origin applies the delta");
     assert_eq!(
         registry
-            .update(ShardId(1), &mut upstream)
+            .engine(ShardId(1))
+            .and_then(|shard| shard.update(&mut upstream))
             .expect("shard 1 follows its upstream"),
         1
     );

@@ -16,10 +16,10 @@
 mod common;
 
 use common::wait_for;
-use inano_core::AtlasReader;
+use inano_core::read_full;
 use inano_model::Ipv4;
 use inano_net::demo::ring_ip;
-use inano_net::{NetClient, ShardId, UdpQuerier, WireFault, WirePath};
+use inano_net::{MirrorSource, NetClient, ShardId, UdpQuerier, WireFault, WirePath};
 use inano_obs::EventKind;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -198,17 +198,24 @@ fn assert_same_answers(a: &Answers, b: &Answers) {
 /// both over the wire, as any bootstrapping peer would) and answer the
 /// fixed pair set alike. Returns the day they serve.
 fn assert_parity(origin: SocketAddr, mirror: SocketAddr) -> u32 {
-    let reader = AtlasReader::default();
-    let mut from_origin = NetClient::connect(origin).expect("connect to the origin");
-    let mut from_mirror = NetClient::connect(mirror).expect("connect to the mirror");
-    let (origin_head, origin_bytes) = reader.fetch_full(&mut from_origin).expect("origin body");
-    let (mirror_head, mirror_bytes) = reader.fetch_full(&mut from_mirror).expect("mirror body");
+    let mut from_origin =
+        MirrorSource::connect(origin, ShardId::DEFAULT).expect("connect to the origin");
+    let mut from_mirror =
+        MirrorSource::connect(mirror, ShardId::DEFAULT).expect("connect to the mirror");
+    let (origin_head, origin_bytes, _) = read_full(&mut from_origin).expect("origin body");
+    let (mirror_head, mirror_bytes, _) = read_full(&mut from_mirror).expect("mirror body");
     assert_eq!(origin_head.epoch_tag, mirror_head.epoch_tag);
     assert_eq!(origin_head.day, mirror_head.day);
     assert!(origin_bytes == mirror_bytes, "equal tags, different bytes");
     assert_same_answers(
-        &from_origin.query_batch(&pairs()).expect("origin answers"),
-        &from_mirror.query_batch(&pairs()).expect("mirror answers"),
+        &from_origin
+            .client_mut()
+            .query_batch(&pairs())
+            .expect("origin answers"),
+        &from_mirror
+            .client_mut()
+            .query_batch(&pairs())
+            .expect("mirror answers"),
     );
     origin_head.day
 }

@@ -15,7 +15,7 @@
 //! a trivial HTTP/1.0 responder.
 //!
 //! The crate is deliberately dependency-free (std only): it sits below
-//! `inano-service`, `inano-net` and `inano-swarm` in the workspace, so
+//! `inano-service` and `inano-net` in the workspace, so
 //! anything it pulled in would be paid by every layer above it.
 
 mod hist;

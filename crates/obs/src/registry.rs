@@ -13,8 +13,8 @@
 //! ## Attaching
 //!
 //! A subsystem built before the registry that exports it (a
-//! `QueryEngine`, its cache, a `SwarmSource` — all older than the
-//! server in front of them) creates its handles with `default()` and
+//! `QueryEngine` and its cache — both older than the server in front
+//! of them) creates its handles with `default()` and
 //! hands clones to [`MetricsRegistry::attach`] later. Either way every
 //! count lives in exactly one atomic, the dump reads that atomic, and
 //! nothing is computed at dump time.

@@ -66,8 +66,8 @@ use crate::cache::{CacheKey, ShardedCache};
 use crate::stats::{EngineMetrics, ServiceStats};
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_core::{
-    chunk_span, content_tag, AtlasReader, AtlasSource, AtlasVersion, DeltaHandle, PathPredictor,
-    PredictedPath, PredictorConfig,
+    chunk_span, content_tag, read_delta, read_full, AtlasSource, AtlasVersion, DeltaHandle,
+    PathPredictor, PredictedPath, PredictorConfig,
 };
 use inano_model::{Ipv4, ModelError, PrefixId};
 use inano_obs::{quantile_from_counts, EventJournal, EventKind, MetricsRegistry};
@@ -374,13 +374,14 @@ impl QueryEngine {
         }
     }
 
-    /// Bootstrap from an [`AtlasSource`] (swarm, mirror, file, ...):
-    /// the body arrives chunked and validated through [`AtlasReader`].
+    /// Bootstrap from an [`AtlasSource`] (a `MirrorSource` over the
+    /// wire, or a `StaticSource` in memory): the body arrives chunked
+    /// and validated through [`read_full`].
     pub fn bootstrap(
         source: &mut dyn AtlasSource,
         cfg: ServiceConfig,
     ) -> Result<QueryEngine, ModelError> {
-        let (_, bytes) = AtlasReader::default().fetch_full(source)?;
+        let (_, bytes, _) = read_full(source)?;
         let atlas = codec::decode(&bytes)?;
         Ok(QueryEngine::new(Arc::new(atlas), cfg))
     }
@@ -694,17 +695,16 @@ impl QueryEngine {
     /// and its apply, which would otherwise surface as a spurious
     /// wrong-base error from a delta that is simply already applied.
     /// That means the fetch itself runs under the lock — with a
-    /// network-backed source (`NetClient`/`MirrorSource`), bound its
-    /// I/O (`NetClient::set_io_timeout`) so a hung upstream stalls
+    /// network-backed source (`MirrorSource`), bound its I/O
+    /// (`NetClient::set_io_timeout`) so a hung upstream stalls
     /// this updater with a typed error instead of wedging every
     /// builder forever. Queries are unaffected either way: they never
     /// take the builder lock.
     pub fn update(&self, source: &mut dyn AtlasSource) -> Result<usize, ModelError> {
         let _builder = self.swap_lock.lock();
-        let reader = AtlasReader::default();
         let mut applied = 0;
         loop {
-            let (fetched, races) = reader.fetch_delta_counted(source, self.day())?;
+            let (fetched, races) = read_delta(source, self.day())?;
             self.count_races(races);
             let Some((_, bytes)) = fetched else { break };
             let delta = AtlasDelta::decode(&bytes)?;
@@ -722,14 +722,14 @@ impl QueryEngine {
             .mirror_lag_days
             .set(head.day.saturating_sub(self.day()) as u64);
         if applied == 0 && head.epoch_tag != self.export().epoch_tag {
-            let (_, bytes, races) = reader.fetch_full_counted(source)?;
+            let (_, bytes, races) = read_full(source)?;
             self.count_races(races);
             self.replace_locked(Arc::new(codec::decode(&bytes)?));
         }
         Ok(applied)
     }
 
-    /// Record whole-body restarts an [`AtlasReader`] fetch recovered from.
+    /// Record whole-body restarts a reader fetch recovered from.
     fn count_races(&self, races: u32) {
         if races > 0 {
             self.metrics.mirror_races_recovered.add(races as u64);

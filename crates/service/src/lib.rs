@@ -19,9 +19,9 @@
 //! * hot swap — the serving generation is an `Arc` behind a `RwLock`
 //!   taken for writing only during the pointer store of a daily-delta
 //!   apply ([`QueryEngine::apply_delta`] /
-//!   [`QueryEngine::update`], fed by any [`inano_core::AtlasSource`],
-//!   including the swarm's `SwarmSource`), so updates never stall
-//!   in-flight queries.
+//!   [`QueryEngine::update`], fed by any [`inano_core::AtlasSource`]:
+//!   `inano-net`'s `MirrorSource` over the wire, or a `StaticSource` in
+//!   memory), so updates never stall in-flight queries.
 //!
 //! [`ShardRegistry`] composes engines into multi-atlas serving: a
 //! [`ShardId`]-keyed set of fully independent engines (own cache,

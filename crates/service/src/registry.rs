@@ -22,7 +22,7 @@
 
 use crate::engine::{QueryEngine, ServiceConfig};
 use inano_atlas::{Atlas, AtlasDelta};
-use inano_core::{AtlasSource, PredictorConfig};
+use inano_core::PredictorConfig;
 use inano_model::ModelError;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -190,44 +190,11 @@ impl ShardRegistry {
 
     /// Apply one daily delta to `shard` only; every other shard's
     /// epoch and cache are untouched. Returns the shard's new day.
+    /// Every other per-shard call goes through
+    /// [`ShardRegistry::engine`]; this one stays because the frozen
+    /// benchmark calls it.
     pub fn apply_delta(&self, shard: ShardId, delta: &AtlasDelta) -> Result<u32, ModelError> {
         self.engine(shard)?.apply_delta(delta)
-    }
-
-    /// Run [`QueryEngine::update`] against `shard` only. Returns how
-    /// many deltas were applied.
-    pub fn update(
-        &self,
-        shard: ShardId,
-        source: &mut dyn AtlasSource,
-    ) -> Result<usize, ModelError> {
-        self.engine(shard)?.update(source)
-    }
-
-    /// `(epoch, day)` of one shard's serving generation.
-    pub fn epoch(&self, shard: ShardId) -> Result<(u64, u32), ModelError> {
-        let generation = self.engine(shard)?.generation();
-        Ok((generation.epoch, generation.day()))
-    }
-
-    /// Swap a whole new atlas into one shard (see
-    /// [`QueryEngine::replace_atlas`]). Returns the shard's new day.
-    pub fn replace_atlas(&self, shard: ShardId, atlas: Arc<Atlas>) -> Result<u32, ModelError> {
-        Ok(self.engine(shard)?.replace_atlas(atlas))
-    }
-
-    /// One shard's dissemination snapshot (see [`QueryEngine::export`]).
-    pub fn export(&self, shard: ShardId) -> Result<Arc<crate::engine::AtlasSnapshot>, ModelError> {
-        Ok(self.engine(shard)?.export())
-    }
-
-    /// One shard's retained delta leaving `have_day`, if any.
-    pub fn delta_blob(
-        &self,
-        shard: ShardId,
-        have_day: u32,
-    ) -> Result<Option<Arc<crate::engine::DeltaBlob>>, ModelError> {
-        Ok(self.engine(shard)?.delta_blob(have_day))
     }
 
     /// Does nothing: no shard owns a thread. It exists only because the

@@ -1,8 +1,8 @@
 //! Integration tests for the query engine: concurrency under hot swap,
 //! cache-hit correctness against the bare predictor, and serving
-//! updates through the swarm's `AtlasSource`.
+//! updates through an in-memory `AtlasSource`.
 
-use inano_atlas::{Atlas, AtlasDelta, LinkAnnotation, Plane};
+use inano_atlas::{codec, Atlas, AtlasDelta, LinkAnnotation, Plane};
 use inano_core::{
     content_tag, AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle, PathPredictor, PredictedPath,
     PredictorConfig, StaticSource,
@@ -269,9 +269,10 @@ fn hammering_queries_while_applying_deltas_never_errors() {
     assert_same_path(&after, &reference.query(ip(0), ip(far)).unwrap());
 }
 
+/// Bootstrap and one daily update through an in-memory source, the
+/// stand-in for however the atlas reaches a peer (§5's swarm).
 #[test]
 fn serves_and_updates_through_the_swarm() {
-    use inano_swarm::{SwarmConfig, SwarmSource};
     let day0 = ring_atlas(8, 0);
     let mut day1 = ring_atlas(8, 1);
     day1.links.insert(
@@ -281,30 +282,67 @@ fn serves_and_updates_through_the_swarm() {
             plane: Plane::TO_DST,
         },
     );
-    let mut source = SwarmSource::new(
-        &day0,
-        &[day1],
-        SwarmConfig {
-            n_peers: 10,
-            ..SwarmConfig::default()
-        },
+    let mut source = StaticSource::new(
+        codec::encode(&day0).0,
+        vec![AtlasDelta::between(&day0, &day1).encode().0],
     );
     let cfg = ServiceConfig {
         predictor: ring_cfg(),
         ..ServiceConfig::default()
     };
-    let engine = QueryEngine::bootstrap(&mut source, cfg).expect("bootstrap via swarm");
+    let engine = QueryEngine::bootstrap(&mut source, cfg).expect("bootstrap");
     assert_eq!(engine.day(), 0);
     engine.query(ip(1), ip(5)).expect("routable at day 0");
     assert_eq!(engine.update(&mut source).expect("update"), 1);
     assert_eq!(engine.day(), 1);
     assert_eq!(engine.epoch(), 1);
-    // Both the full fetch and the delta fetch went through the swarm.
-    assert_eq!(source.downloads().len(), 2);
-    assert_eq!(source.total_fetches(), 2);
     assert!(source.fetch_delta(1).unwrap().is_none());
     let r = engine.query(ip(0), ip(4)).expect("routable at day 1");
     assert_eq!(r.fwd_clusters.len(), 2, "served from the day-1 atlas");
+}
+
+/// A source offering a delta that leaves the engine's day and lands on
+/// it again: `update` refuses it instead of applying it forever. It
+/// runs on a helper thread so that a regression fails here instead of
+/// hanging the suite.
+#[test]
+fn update_refuses_a_delta_that_does_not_advance_the_day() {
+    let stuck = AtlasDelta {
+        from_day: 0,
+        to_day: 0,
+        ..AtlasDelta::default()
+    };
+    let mut source = StaticSource::new(codec::encode(&ring_atlas(8, 0)).0, vec![stuck.encode().0]);
+    let engine = Arc::new(
+        QueryEngine::bootstrap(
+            &mut source,
+            ServiceConfig {
+                predictor: ring_cfg(),
+                ..ServiceConfig::default()
+            },
+        )
+        .expect("bootstrap"),
+    );
+    let (done, outcome) = std::sync::mpsc::channel();
+    let updater = {
+        let engine = Arc::clone(&engine);
+        thread::spawn(move || {
+            let _ = done.send(engine.update(&mut source));
+        })
+    };
+    let result = outcome
+        .recv_timeout(Duration::from_secs(10))
+        .expect("update returns instead of re-applying the 0→0 delta forever");
+    updater.join().expect("the updater thread");
+    match result {
+        Err(ModelError::PatchMismatch(msg)) => {
+            assert_eq!(msg, "delta 0→0 does not advance the day")
+        }
+        other => panic!("want the 0→0 delta refused, got {other:?}"),
+    }
+    assert_eq!((engine.day(), engine.epoch()), (0, 0));
+    assert_eq!(engine.stats().swaps, 0);
+    assert!(engine.delta_blob(0).is_none(), "nothing was logged");
 }
 
 #[test]
@@ -385,7 +423,6 @@ impl AtlasSource for FaultyUpstream {
 /// outcome where the counters and the journal say it is.
 #[test]
 fn update_bridges_a_broken_chain_with_one_full_resync() {
-    use inano_atlas::codec;
     use inano_obs::{EventJournal, EventKind};
     let mut upstream = FaultyUpstream {
         inner: StaticSource {

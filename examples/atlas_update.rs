@@ -1,14 +1,16 @@
-//! The atlas lifecycle (§5): bootstrap from a swarm, then stay current
-//! with daily deltas — each a fraction of the full atlas — also fetched
-//! through the swarm. Demonstrates `inano::swarm::SwarmSource` plugged
-//! into the client library, and the client's local-measurement
-//! augmentation surviving updates.
+//! The atlas lifecycle (§5): bootstrap from the full atlas, then stay
+//! current with daily deltas — each a fraction of the full atlas —
+//! fetched through the same `AtlasSource`. Demonstrates an in-memory
+//! `StaticSource` plugged into the client library (a `MirrorSource`
+//! does the same over the wire) and prints what each fetch moves: the
+//! full body's bytes from the source's head, each delta's from its
+//! `DeltaHandle`.
 //!
 //! Run with: `cargo run --release --example atlas_update`
 
-use inano::core::{INanoClient, PredictorConfig};
+use inano::atlas::{codec, AtlasDelta};
+use inano::core::{AtlasSource, INanoClient, PredictorConfig, StaticSource};
 use inano::demo::DemoWorld;
-use inano::swarm::{SwarmConfig, SwarmSource};
 
 fn main() {
     println!("building three consecutive days of measurements...");
@@ -16,42 +18,43 @@ fn main() {
     let day1 = world.atlas_for_day(1);
     let day2 = world.atlas_for_day(2);
 
-    let (full, _) = inano::atlas::codec::encode(&world.atlas);
-    println!(
-        "day 0 atlas: {:.1} KB; serving it through a 100-peer swarm",
-        full.len() as f64 / 1e3
+    let mut source = StaticSource::new(
+        codec::encode(&world.atlas).0,
+        vec![
+            AtlasDelta::between(&world.atlas, &day1).encode().0,
+            AtlasDelta::between(&day1, &day2).encode().0,
+        ],
     );
-
-    let mut source = SwarmSource::new(
-        &world.atlas,
-        &[day1, day2],
-        SwarmConfig {
-            n_peers: 100,
-            ..SwarmConfig::default()
-        },
+    let head = source.head().expect("head");
+    println!(
+        "day {} atlas: {:.1} KB in {} chunk(s)",
+        head.day,
+        head.full_len as f64 / 1e3,
+        head.n_chunks()
     );
 
     let mut client =
         INanoClient::bootstrap(&mut source, PredictorConfig::full()).expect("bootstrap");
-    println!(
-        "bootstrapped at day {} (swarm median download: {:.0}s)",
-        client.day(),
-        source.last_fetch_secs().unwrap_or(f64::NAN)
-    );
+    println!("bootstrapped at day {}", client.day());
+
+    // What each daily update moves, before any body is fetched.
+    let mut day = client.day();
+    while let Some(delta) = source.fetch_delta(day).expect("delta handle") {
+        println!(
+            "  delta {}→{}: {:.1} KB, {:.0}% of the full atlas",
+            delta.from_day,
+            delta.to_day,
+            delta.len as f64 / 1e3,
+            100.0 * delta.len as f64 / head.full_len as f64
+        );
+        day = delta.to_day;
+    }
 
     let applied = client.update(&mut source).expect("updates apply");
     println!(
         "applied {applied} daily deltas; now at day {}",
         client.day()
     );
-    for (i, dl) in source.take_downloads().iter().enumerate().skip(1) {
-        println!(
-            "  delta {}: swarm median download {:.0}s, seed uploaded {:.2} MB",
-            i,
-            dl.median_completion(),
-            dl.seed_bytes / 1e6
-        );
-    }
 
     // Queries keep working on the updated atlas.
     let hosts = world.sample_hosts(2);

@@ -130,7 +130,11 @@ fn main() {
         },
     )
     .expect("bootstrap an engine over the wire");
-    let origin_tag = registry.export(ShardId(1)).expect("export").epoch_tag;
+    let origin_tag = registry
+        .engine(ShardId(1))
+        .expect("shard 1")
+        .export()
+        .epoch_tag;
     println!(
         "mirrored shard 1 over the wire: day {}, epoch tag {:#018x} (origin tag {:#018x}, {})",
         mirrored.day(),

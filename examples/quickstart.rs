@@ -28,9 +28,9 @@ fn main() {
     );
     let _ = sizes;
 
-    // A client fetches the atlas (here from memory; `inano::swarm`
-    // provides a swarming source and `inano::net` a wire-level mirror
-    // source) and serves queries locally.
+    // A client fetches the atlas (here from memory; `inano::net`
+    // provides the wire-level mirror source) and serves queries
+    // locally.
     let mut source = StaticSource::new(bytes, vec![]);
     let client =
         INanoClient::bootstrap(&mut source, PredictorConfig::full()).expect("atlas decodes");

@@ -1,14 +1,16 @@
 //! The serving layer end to end: bootstrap the concurrent query engine
-//! through the dissemination swarm, hammer it from several client
-//! threads, and land a daily delta mid-load — queries never stop, and
-//! every query issued after the swap sees the new day.
+//! from an `AtlasSource` (here in memory; `inano::net::MirrorSource`
+//! is the same over the wire), hammer it from several client threads,
+//! and land a daily delta mid-load — queries never stop, and every
+//! query issued after the swap sees the new day.
 //!
 //! Run with: `cargo run --release --example service_engine`
 
+use inano::atlas::{codec, AtlasDelta};
+use inano::core::StaticSource;
 use inano::demo::DemoWorld;
 use inano::model::Ipv4;
 use inano::service::{QueryEngine, ServiceConfig};
-use inano::swarm::{SwarmConfig, SwarmSource};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -18,23 +20,14 @@ fn main() {
     println!("building a demo world and two days of measurements...");
     let world = DemoWorld::new(5);
     let day1 = world.atlas_for_day(1);
-    let mut source = SwarmSource::new(
-        &world.atlas,
-        &[day1],
-        SwarmConfig {
-            n_peers: 100,
-            ..SwarmConfig::default()
-        },
+    let mut source = StaticSource::new(
+        codec::encode(&world.atlas).0,
+        vec![AtlasDelta::between(&world.atlas, &day1).encode().0],
     );
 
-    let engine = Arc::new(
-        QueryEngine::bootstrap(&mut source, ServiceConfig::default()).expect("bootstrap via swarm"),
-    );
-    println!(
-        "engine up at day {} (swarm median download {:.0}s)",
-        engine.day(),
-        source.last_fetch_secs().unwrap_or(f64::NAN)
-    );
+    let engine =
+        Arc::new(QueryEngine::bootstrap(&mut source, ServiceConfig::default()).expect("bootstrap"));
+    println!("engine up at day {}", engine.day());
 
     // A client population asking about a fixed set of popular pairs.
     let hosts = world.sample_hosts(24);

@@ -20,7 +20,6 @@
 //! | [`coords`] | Vivaldi network-coordinates baseline |
 //! | [`paths`] | iPlane path composition, improved composition, RouteScope |
 //! | [`apps`] | CDN, VoIP and detour-routing case studies |
-//! | [`swarm`] | atlas dissemination swarm simulation |
 //! | [`service`] | concurrent, hot-swappable query engine over [`core`] |
 //! | [`net`] | wire protocol, TCP server (`inano-serve`) and client over [`service`] |
 //!
@@ -39,7 +38,6 @@ pub use inano_net as net;
 pub use inano_paths as paths;
 pub use inano_routing as routing;
 pub use inano_service as service;
-pub use inano_swarm as swarm;
 pub use inano_topology as topology;
 
 pub mod demo;
