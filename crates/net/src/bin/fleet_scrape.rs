@@ -12,13 +12,14 @@
 //! With `--interval MS` the scraper becomes a time-series poller:
 //! every tick it pulls and merges the dumps and appends one sample —
 //! fleet queries, deltas applied, full resyncs, and the *fleet lag*
-//! (max minus min serving day across every scraped shard, the spread a
-//! mid-run delta swap opens and a mirror refresh closes). Each tick
-//! also drains every server's event journal (`Events` since the
-//! per-server cursor from the previous tick) and merges the new events
-//! into the sample by `(t_ms, seq)`; entries a server's bounded ring
-//! dropped between ticks are *counted* — the journal's `lost`
-//! accounting — and surface as `events_lost`, never silently skipped.
+//! (the widest max-minus-min serving day of any one shard across the
+//! servers hosting it, the spread a mid-run delta swap opens and a
+//! mirror refresh closes). Each tick also drains every server's event
+//! journal (`Events` since the per-server cursor from the previous
+//! tick) and merges the new events into the sample by `(t_ms, seq)`;
+//! entries a server's bounded ring dropped between ticks are *counted*
+//! — the journal's `lost` accounting — and surface as `events_lost`,
+//! never silently skipped.
 //! The samples ship as one `fleet_timeseries` BENCH JSON line.
 //!
 //! Usage: `fleet_scrape --connect ADDR [--connect ADDR]...
@@ -29,6 +30,7 @@
 use inano_net::cli::{arg, refuse_unknown, repeated, requires};
 use inano_net::NetClient;
 use inano_obs::{quantile_from_counts, MetricValue, MetricsDump};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// One merged-fleet sample.
@@ -45,27 +47,24 @@ struct Tick {
     events_lost: u64,
 }
 
-/// The serving-day spread across every shard of every dump: 0 when the
-/// whole fleet serves the same generation, positive while a swap at
-/// the origin has not yet propagated to every mirror.
+/// The worst serving-day spread of any one shard across the servers
+/// that host it: 0 when every copy of every shard serves the same
+/// generation, positive while a swap at the origin has not yet
+/// propagated to every mirror. Different shards may sit at different
+/// days; only copies of the same shard are compared.
 fn fleet_lag_days(dumps: &[MetricsDump]) -> u64 {
-    let mut min_day = u64::MAX;
-    let mut max_day = 0u64;
+    let mut spread: HashMap<&str, (u64, u64)> = HashMap::new();
     for dump in dumps {
         for (name, value) in &dump.entries {
-            if name.starts_with("shard") && name.ends_with(".day") && !name.contains(".mirror.") {
-                if let MetricValue::Gauge(day) = value {
-                    min_day = min_day.min(*day);
-                    max_day = max_day.max(*day);
+            if let (Some(shard), MetricValue::Gauge(day)) = (name.strip_suffix(".day"), value) {
+                if shard.starts_with("shard") {
+                    let (lo, hi) = spread.entry(shard).or_insert((*day, *day));
+                    (*lo, *hi) = ((*lo).min(*day), (*hi).max(*day));
                 }
             }
         }
     }
-    if min_day == u64::MAX {
-        0
-    } else {
-        max_day - min_day
-    }
+    spread.values().map(|(lo, hi)| hi - lo).max().unwrap_or(0)
 }
 
 /// One connection per `--connect` target, paired with its address (for

@@ -21,13 +21,12 @@
 //! swarm, spelled as a chain of ordinary servers. The binary itself is
 //! tested end to end by `crates/net/tests/serve_bin.rs`.
 //!
-//! `--metrics-text ADDR` additionally serves the server's unified
-//! metrics registry as Prometheus text exposition over HTTP/1.0 on
-//! `ADDR` — `curl http://ADDR/metrics` from any scraper. The page ends
-//! with two comment sections: the event journal's retained timeline
-//! (`# EVENT seq=...`) and the drained slow-query log (`# SLOW ...`).
-//! `GET /healthz` answers `ok <day> <epoch>` for shard 0, for probes
-//! that only want liveness plus the served generation.
+//! The server opens no listener beyond its query sockets: its metrics
+//! registry and event journal are read over the query socket itself
+//! (the `Metrics` and `Events` frames), e.g. by `fleet_scrape
+//! --connect ADDR`, whose one-shot run prints every shard's epoch and
+//! day and exits 0 — the liveness probe.
+//!
 //! `--demo-swap-ms MS` applies one synthetic ring delta to shard 0
 //! after `MS` milliseconds (ring worlds only), so demos and smoke
 //! tests can watch a mid-run generation swap ripple through the
@@ -45,7 +44,7 @@
 //!   inano-serve [--bind 127.0.0.1] [--port 4711]
 //!               [--atlas FILE | --ring N]...
 //!               [--mirror ADDR [--refresh-ms MS] [--predictor full|ring]]
-//!               [--metrics-text ADDR] [--demo-swap-ms MS]
+//!               [--demo-swap-ms MS]
 //!               [--udp ADDR [--udp-rate N] [--udp-burst N]]
 //!               [--max-conns C] [--max-inflight R]
 //!               [--max-request-bytes B] [--max-frame-bytes B] [--max-batch Q]
@@ -60,7 +59,6 @@ use inano_core::{read_full, PredictorConfig};
 use inano_net::cli::{arg, refuse_unknown, repeated, requires};
 use inano_net::demo::{ring_atlas, ring_predictor_config, ring_shortcut_delta};
 use inano_net::{Limits, MirrorSource, NetClient, NetServer, ServerConfig};
-use inano_obs::textserve::{render_prometheus, MetricsTextServer};
 use inano_obs::EventKind;
 use inano_service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
 use std::io::Write;
@@ -77,7 +75,6 @@ const FLAGS: &[&str] = &[
     "--mirror",
     "--refresh-ms",
     "--predictor",
-    "--metrics-text",
     "--demo-swap-ms",
     "--udp",
     "--udp-rate",
@@ -209,7 +206,6 @@ fn main() {
     let max_batch: u32 = arg("--max-batch", Limits::default().max_batch);
     let mirror: String = arg("--mirror", String::new());
     let refresh_ms: u64 = arg("--refresh-ms", 1000);
-    let metrics_text: String = arg("--metrics-text", String::new());
     let demo_swap_ms: u64 = arg("--demo-swap-ms", 0);
     let udp: String = arg("--udp", String::new());
     let udp_rate: u32 = arg("--udp-rate", ServerConfig::default().udp_rate);
@@ -317,60 +313,6 @@ fn main() {
             .expect("spawn mirror refresh thread");
     }
 
-    // The scrape plane: the same registry dump the wire's `Metrics`
-    // frame answers, rendered as Prometheus text for anything that
-    // speaks HTTP instead of the inano protocol, with the event
-    // journal's retained timeline and the drained slow-query log
-    // appended as comment sections. `/healthz` answers liveness plus
-    // the shard-0 generation for probes that don't parse metrics.
-    let _metrics_text = if metrics_text.is_empty() {
-        None
-    } else {
-        let obs = Arc::clone(server.metrics());
-        let journal = Arc::clone(server.journal());
-        let slow = Arc::clone(server.slow_log());
-        let reg = Arc::clone(&registry);
-        let http = MetricsTextServer::bind(metrics_text.as_str(), move |path| match path {
-            "/healthz" => {
-                let (epoch, day) = reg
-                    .engine(ShardId(0))
-                    .map(|e| e.generation())
-                    .map_or((0, 0), |g| (g.epoch, g.day()));
-                Some(format!("ok {day} {epoch}\n"))
-            }
-            p if p == "/" || p.starts_with("/metrics") => {
-                let mut body = render_prometheus(&obs.dump());
-                let page = journal.since(0);
-                body.push_str(&format!(
-                    "# EVENTS retained={} lost={} next_seq={}\n",
-                    page.events.len(),
-                    page.lost,
-                    page.next_seq
-                ));
-                for e in &page.events {
-                    body.push_str(&format!(
-                        "# EVENT seq={} t_ms={} kind={} detail={:?}\n",
-                        e.seq,
-                        e.t_ms,
-                        e.kind.name(),
-                        e.detail
-                    ));
-                }
-                for s in slow.drain() {
-                    body.push_str(&format!(
-                        "# SLOW latency_us={} what={:?}\n",
-                        s.latency_us, s.what
-                    ));
-                }
-                Some(body)
-            }
-            _ => None,
-        })
-        .expect("bind --metrics-text socket");
-        eprintln!("metrics-text: http://{}/metrics", http.local_addr());
-        Some(http)
-    };
-
     if demo_swap_ms > 0 {
         let registry = Arc::clone(&registry);
         // The delta is built against the ring world of the first
@@ -405,7 +347,7 @@ fn main() {
 
     loop {
         std::thread::sleep(Duration::from_secs(60));
-        // The same dump a `Metrics` frame or the text page would show.
+        // The same dump a `Metrics` frame shows.
         let dump = server.metrics().dump();
         let per_shard: Vec<String> = registry
             .shard_ids()

@@ -84,12 +84,11 @@
 //! as `shardN.*` ([`QueryEngine::register_metrics`]: engine, cache and
 //! mirror series, including the `shardN.latency_us` histogram). The
 //! dump is those atomics read once — the same entries over the wire
-//! (`Frame::Metrics`), on the `--metrics-text` page and from
-//! [`MetricsRegistry::dump`] in process. A request id with the
-//! [`TRACE_FLAG`] bit set gets a `TraceReply` trailer after its
-//! (non-error) reply carrying the decode → queue → engine → encode
-//! breakdown, and every request is offered to a slow-query ring
-//! ([`NetServer::slow_log`]) keyed on its worker-side latency.
+//! (`Frame::Metrics`) and from [`MetricsRegistry::dump`] in process;
+//! the server opens no other listener to be read through. A request id
+//! with the [`TRACE_FLAG`] bit set gets a `TraceReply` trailer after
+//! its (non-error) reply carrying the decode → queue → engine → encode
+//! breakdown; how many requests were slow is `shardN.latency_us`.
 //! Alongside the counters runs the event journal
 //! ([`NetServer::journal`], paged by `Frame::Events`): connection
 //! accept/close, overload episode open/close (edge-triggered — a
@@ -139,7 +138,7 @@ use crate::wire::{WireFault, WireResolution, WireShardInfo};
 use crate::wire::{HEADER_BYTES, MAGIC, TRACE_FLAG, VERSION};
 use inano_model::{ErrorCode, ModelError};
 use inano_obs::{
-    Counter, EventJournal, EventKind, Gauge, LatencyHistogram, MetricsRegistry, SlowLog, TraceCtx,
+    Counter, EventJournal, EventKind, Gauge, LatencyHistogram, MetricsRegistry, TraceCtx,
 };
 use inano_service::{ShardRegistry, SharedResult};
 use parking_lot::Mutex;
@@ -151,13 +150,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Entries the slow-query ring retains (oldest overwritten first).
-const SLOW_LOG_CAPACITY: usize = 128;
-
-/// Default worker-side latency past which a request is logged as
-/// slow; retune live via [`NetServer::slow_log`].
-const SLOW_LOG_THRESHOLD_US: u64 = 10_000;
 
 /// Events the journal ring retains. Sized for minutes of fleet churn
 /// between scrapes; a lapped scraper sees a `lost` count, never a gap
@@ -325,7 +317,6 @@ impl Dispatch {
 struct Shared {
     registry: Arc<ShardRegistry>,
     obs: Arc<MetricsRegistry>,
-    slow: Arc<SlowLog>,
     journal: Arc<EventJournal>,
     /// True while the server is inside an overload episode: set by the
     /// first shed (admission refusal, in-flight cap, memory budget),
@@ -489,7 +480,6 @@ impl NetServer {
         loop_fds.set(2 + u64::from(udp.is_some()));
         let shared = Arc::new(Shared {
             registry,
-            slow: Arc::new(SlowLog::new(SLOW_LOG_CAPACITY, SLOW_LOG_THRESHOLD_US)),
             journal,
             overloaded_now: AtomicBool::new(false),
             cfg,
@@ -564,18 +554,10 @@ impl NetServer {
     /// The server's unified metrics registry — the only place this
     /// server counts: `srv.*` listener series plus every shard
     /// engine's `shardN.*` engine/cache/mirror series. The same dump
-    /// answers `Frame::Metrics` on the wire and feeds the
-    /// `--metrics-text` endpoint; callers may register their own
-    /// series.
+    /// answers `Frame::Metrics` on the wire; callers may register
+    /// their own series.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.shared.obs
-    }
-
-    /// The slow-query ring: every request's worker-side latency is
-    /// offered to it; entries over the threshold are retained top-K
-    /// and drained by operators.
-    pub fn slow_log(&self) -> &Arc<SlowLog> {
-        &self.shared.slow
     }
 
     /// The server's event journal: the causal timeline behind the
@@ -1506,9 +1488,9 @@ impl UdpBuckets {
 }
 
 /// Answer one work item: run the request (or materialise the typed
-/// error), keep the counters and the slow log, and encode the reply —
-/// plus the `TraceReply` trailer when one is owed — into the byte
-/// buffer the loop will queue on the connection.
+/// error), keep the counters, and encode the reply — plus the
+/// `TraceReply` trailer when one is owed — into the byte buffer the
+/// loop will queue on the connection.
 fn answer(shared: &Shared, work: Work) -> (Vec<u8>, bool) {
     // `overloaded` and `faults` are disjoint categories: a rejection
     // is healthy throttling, not a protocol or engine fault, and must
@@ -1518,11 +1500,6 @@ fn answer(shared: &Shared, work: Work) -> (Vec<u8>, bool) {
     // (that is when the request's memory is truly gone).
     let mut _claim = None;
     let mut trace = None;
-    // Worker-side latency (engine + encode, not queue) feeds the
-    // slow-query ring; `(frame type, batch size)` is kept out-of-band
-    // so the description closure outlives the frame.
-    let started = Instant::now();
-    let mut slow_key: Option<(u8, usize)> = None;
     let (request_id, reply, close) = match work {
         Work::Request {
             request_id,
@@ -1545,11 +1522,6 @@ fn answer(shared: &Shared, work: Work) -> (Vec<u8>, bool) {
             // A request the server had room to serve closes any open
             // overload episode.
             shared.note_served();
-            let batch = match &frame {
-                Frame::QueryBatch { pairs, .. } => pairs.len(),
-                _ => 0,
-            };
-            slow_key = Some((frame.frame_type(), batch));
             drop(frame);
             _claim = Some(claim);
             (request_id, reply, false)
@@ -1583,12 +1555,6 @@ fn answer(shared: &Shared, work: Work) -> (Vec<u8>, bool) {
             let timings = t.finish();
             Frame::TraceReply { timings }.encode_into(request_id, &mut bytes);
         }
-    }
-    if let Some((frame_type, batch)) = slow_key {
-        let us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        shared.slow.record_with(us, || {
-            format!("frame {frame_type:#04x} id={request_id} pairs={batch}")
-        });
     }
     (bytes, close)
 }

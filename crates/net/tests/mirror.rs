@@ -160,7 +160,7 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
         "day-1 shortcut at the chain end"
     );
     // Zero failed queries mid-swap, on the engines and over the wire.
-    assert_eq!(mirror_engine.stats().errors, 0);
+    assert_eq!(mirror_engine.metrics().errors.get(), 0);
     assert_eq!(mirror.metrics().dump().counter("srv.faults"), 0);
 }
 

@@ -20,9 +20,9 @@ use inano_core::read_full;
 use inano_model::Ipv4;
 use inano_net::demo::ring_ip;
 use inano_net::{MirrorSource, NetClient, ShardId, UdpQuerier, WireFault, WirePath};
-use inano_obs::EventKind;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use inano_obs::{EventKind, MetricsDump};
+use std::io::{BufRead, BufReader, Read};
+use std::net::{SocketAddr, TcpListener};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
@@ -130,18 +130,12 @@ fn addr_after(proc: &mut Proc, prefix: &str) -> SocketAddr {
         .unwrap_or_else(|e| panic!("{prefix}{text:?} is not a socket address: {e}"))
 }
 
-/// `GET path` against an `inano-serve --metrics-text` socket; the body.
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut s = TcpStream::connect(addr).expect("connect to the text endpoint");
-    s.set_read_timeout(Some(DEADLINE)).expect("bound the read");
-    write!(s, "GET {path} HTTP/1.0\r\n\r\n").expect("request");
-    // One request per connection: EOF on our side ends the server's.
-    s.shutdown(Shutdown::Write).expect("half-close");
-    let mut response = String::new();
-    s.read_to_string(&mut response).expect("response");
-    assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
-    let (_, body) = response.split_once("\r\n\r\n").expect("a head and a body");
-    body.to_string()
+/// The server's metrics dump, read over its own socket.
+fn metrics(addr: SocketAddr) -> MetricsDump {
+    NetClient::connect(addr)
+        .expect("connect")
+        .metrics()
+        .unwrap_or_else(|e| panic!("metrics of {addr}: {e}"))
 }
 
 /// A fixed, routable pair set: every source, seven destinations each.
@@ -220,13 +214,6 @@ fn assert_parity(origin: SocketAddr, mirror: SocketAddr) -> u32 {
     origin_head.day
 }
 
-/// The value of `name` on a Prometheus text page.
-fn series(page: &str, name: &str) -> u64 {
-    page.lines()
-        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
-        .unwrap_or_else(|| panic!("no {name} series on the page:\n{page}"))
-}
-
 #[test]
 fn origin_and_mirror_processes_serve_propagate_resync_and_scrape() {
     // The origin: two ring shards, both transports, and a day-1 delta
@@ -259,17 +246,10 @@ fn origin_and_mirror_processes_serve_propagate_resync_and_scrape() {
             "ring",
             "--refresh-ms",
             "100",
-            "--metrics-text",
-            "127.0.0.1:0",
         ],
     );
     let mirror_addr = addr_after(&mut mirror, "LISTENING ");
     let udp_addr = addr_after(&mut origin, "LISTENING-UDP ");
-    let text_addr: SocketAddr = mirror
-        .line_after("metrics-text: http://")
-        .trim_end_matches("/metrics")
-        .parse()
-        .expect("the text endpoint's address");
 
     // Both processes host both shards and serve pipelined load on each
     // without a fault.
@@ -287,20 +267,32 @@ fn origin_and_mirror_processes_serve_propagate_resync_and_scrape() {
     }
 
     // The delta lands at the origin and the mirror's refresh loop pulls
-    // it: its own text page is the instrument.
+    // it: its own metrics dump is the instrument.
     wait_for(
         DEADLINE_SECS,
         "the mirror to apply the origin's delta",
-        || {
-            series(
-                &http_get(text_addr, "/metrics"),
-                "shard0_mirror_deltas_applied",
-            ) == 1
-        },
+        || metrics(mirror_addr).counter("shard0.mirror.deltas_applied") == 1,
     );
-    let health = http_get(text_addr, "/healthz");
-    assert!(health.starts_with("ok 1 "), "{health:?}");
+    let (_, day) = NetClient::connect(mirror_addr)
+        .expect("connect")
+        .epoch()
+        .expect("the mirror's shard-0 generation");
+    assert_eq!(day, 1);
     assert_eq!(assert_parity(origin_addr, mirror_addr), 1);
+
+    // A converged fleet does not lag, though its two shards serve
+    // different days (shard 0 day 1, shard 1 day 0 on both servers):
+    // lag compares copies of one shard, never shard with shard.
+    let targets = [
+        "--connect",
+        &origin_addr.to_string(),
+        "--connect",
+        &mirror_addr.to_string(),
+    ];
+    let one_tick = [&targets[..], &["--interval", "100", "--ticks", "1"]].concat();
+    let (status, out) = Proc::spawn(SCRAPE, &one_tick).finish();
+    assert!(status.success(), "{out}");
+    assert!(out.contains(r#""fleet_lag_days":0"#), "{out}");
 
     // The datagram plane answers what the stream plane answers.
     let mut tcp = NetClient::connect(origin_addr).expect("connect");
@@ -327,22 +319,11 @@ fn origin_and_mirror_processes_serve_propagate_resync_and_scrape() {
     wait_for(
         DEADLINE_SECS,
         "the mirror to resync from the restarted origin",
-        || {
-            series(
-                &http_get(text_addr, "/metrics"),
-                "shard0_mirror_full_resyncs",
-            ) == 1
-        },
+        || metrics(mirror_addr).counter("shard0.mirror.full_resyncs") == 1,
     );
     assert_eq!(assert_parity(origin_addr, mirror_addr), 0);
 
     // The fleet scraper sees both servers...
-    let targets = [
-        "--connect",
-        &origin_addr.to_string(),
-        "--connect",
-        &mirror_addr.to_string(),
-    ];
     let (status, out) = Proc::spawn(SCRAPE, &targets).finish();
     assert!(status.success(), "{out}");
     assert!(
@@ -361,10 +342,10 @@ fn origin_and_mirror_processes_serve_propagate_resync_and_scrape() {
         last_tick.contains(r#""full_resyncs":1,"fleet_lag_days":0"#),
         "{out}"
     );
-    let page = http_get(text_addr, "/metrics");
-    assert_eq!(series(&page, "shard0_mirror_full_resyncs"), 1);
-    assert_eq!(series(&page, "shard1_mirror_full_resyncs"), 0);
-    assert_eq!(series(&page, "shard0_mirror_deltas_applied"), 1);
+    let dump = metrics(mirror_addr);
+    assert_eq!(dump.counter("shard0.mirror.full_resyncs"), 1);
+    assert_eq!(dump.counter("shard1.mirror.full_resyncs"), 0);
+    assert_eq!(dump.counter("shard0.mirror.deltas_applied"), 1);
     let journal = NetClient::connect(mirror_addr)
         .expect("connect")
         .events(0)
@@ -380,10 +361,15 @@ fn origin_and_mirror_processes_serve_propagate_resync_and_scrape() {
 
 #[test]
 fn an_unknown_flag_stops_the_start_and_is_named() {
-    let (status, out) = Proc::spawn(SERVE, &["--port", "0", "--workers", "8"]).finish();
-    assert!(!status.success());
-    assert!(out.contains("unknown flag --workers"), "{out}");
-    assert!(!out.contains("LISTENING"), "{out}");
+    // Flags the server does not have: engines own no threads, and a
+    // server is read over its own socket, not through a second
+    // listener.
+    for (flag, value) in [("--workers", "8"), ("--metrics-text", "127.0.0.1:0")] {
+        let (status, out) = Proc::spawn(SERVE, &["--port", "0", flag, value]).finish();
+        assert!(!status.success());
+        assert!(out.contains(&format!("unknown flag {flag}")), "{out}");
+        assert!(!out.contains("LISTENING"), "{out}");
+    }
     // Nor does a known flag's unknown value fall back to a default.
     let typo = [
         "--port",

@@ -57,11 +57,6 @@ impl LatencyHistogram {
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// See [`quantile_from_counts`].
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        quantile_from_counts(&self.snapshot(), q)
-    }
-
     /// A point-in-time copy of the raw bucket counts, in bucket order.
     pub fn snapshot(&self) -> Vec<u64> {
         self.buckets
@@ -85,9 +80,9 @@ mod tests {
         for us in [10u64, 10, 10, 10, 10, 10, 10, 10, 10, 5000] {
             h.record_us(us);
         }
-        let p50 = h.quantile_us(0.5);
+        let p50 = quantile_from_counts(&h.snapshot(), 0.5);
         assert!((8..=16).contains(&p50), "p50 bucket ~10us, got {p50}");
-        let p99 = h.quantile_us(0.99);
+        let p99 = quantile_from_counts(&h.snapshot(), 0.99);
         assert!((4096..=8192).contains(&p99), "p99 bucket ~5ms, got {p99}");
         assert_eq!(h.count(), 10);
     }
@@ -95,7 +90,7 @@ mod tests {
     #[test]
     fn empty_histogram_is_zero() {
         let h = LatencyHistogram::default();
-        assert_eq!(h.quantile_us(0.5), 0);
+        assert_eq!(quantile_from_counts(&h.snapshot(), 0.5), 0);
     }
 
     #[test]

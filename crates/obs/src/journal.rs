@@ -10,8 +10,8 @@
 //! per-server streams scraped over the wire merge into one fleet
 //! timeline ordered by `(t_ms, seq)`.
 //!
-//! The ring follows the [`crate::SlowLog`] shape — an atomic cursor
-//! over per-slot mutexes — so emission is cheap enough for connection
+//! The ring is an atomic sequence cursor over per-slot mutexes, so an
+//! emitter locks one slot and emission is cheap enough for connection
 //! and swap paths (it is **not** on the per-query path). Overflow is
 //! deliberate and *detectable*: when writers lap readers, the
 //! overwritten sequence numbers are gone, and [`EventJournal::since`]
@@ -80,7 +80,7 @@ impl EventKind {
         })
     }
 
-    /// Stable snake-case name, used in text exposition and BENCH JSON.
+    /// Stable snake-case name, as `fleet_scrape` prints it.
     pub fn name(self) -> &'static str {
         match self {
             EventKind::GenerationSwap => "generation_swap",
@@ -148,10 +148,6 @@ impl EventJournal {
             next_seq: Gauge::default(),
             slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
         }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// The sequence number the *next* emitted event will get — i.e.

@@ -7,12 +7,12 @@
 //! histogram buckets sum, gauges take the max — exact, never an
 //! average of percentiles), the
 //! request-scoped [`TraceCtx`] that times a request through the
-//! decode → queue → engine → encode stages, the drainable [`SlowLog`]
-//! of the worst-latency requests, the typed, monotonically sequenced
-//! [`EventJournal`] (the causal timeline behind the counters: swaps,
-//! resyncs, overload episodes, connection churn), and a [`textserve`]
-//! module that renders a dump as Prometheus-style text exposition over
-//! a trivial HTTP/1.0 responder.
+//! decode → queue → engine → encode stages, and the typed,
+//! monotonically sequenced [`EventJournal`] (the causal timeline behind
+//! the counters: swaps, resyncs, overload episodes, connection churn).
+//! Nothing here opens a socket: a server's dump and journal leave the
+//! process only over its own query socket, as `inano-net`'s `Metrics`
+//! and `Events` frames.
 //!
 //! The crate is deliberately dependency-free (std only): it sits below
 //! `inano-service` and `inano-net` in the workspace, so
@@ -21,12 +21,9 @@
 mod hist;
 mod journal;
 mod registry;
-mod slowlog;
-pub mod textserve;
 mod trace;
 
 pub use hist::{quantile_from_counts, LatencyHistogram, BUCKETS};
 pub use journal::{Event, EventJournal, EventKind, EventsPage};
 pub use registry::{Counter, Gauge, Metric, MetricValue, MetricsDump, MetricsRegistry};
-pub use slowlog::{SlowEntry, SlowLog};
 pub use trace::{TraceCtx, TraceTimings};

@@ -215,7 +215,7 @@ impl MetricsRegistry {
 }
 
 /// A point-in-time snapshot of a registry: sorted `(name, value)`
-/// pairs, ready for the wire, the text endpoint, or a fleet merge.
+/// pairs, ready for the wire or a fleet merge.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsDump {
     /// Sorted by name.

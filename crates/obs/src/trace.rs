@@ -6,8 +6,7 @@
 //! decode (wire parsing), queue (waiting for a responder slot), engine
 //! (shard dispatch + prediction), encode (reply serialization + write).
 //! [`TraceCtx::finish`] seals it into a [`TraceTimings`] — the value
-//! the wire layer ships back to a tracing client and the slow log
-//! stores.
+//! the wire layer ships back to a tracing client.
 
 use std::time::Instant;
 

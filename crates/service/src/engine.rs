@@ -31,8 +31,8 @@
 //! ## Counters
 //!
 //! All of them live in one [`EngineMetrics`] of registry handles
-//! ([`QueryEngine::metrics`]); [`QueryEngine::stats`] is a typed view
-//! read from those handles. Every pair that resolves to canonical
+//! ([`QueryEngine::metrics`]), read with `.get()` — percentiles with
+//! `quantile_from_counts` over the `latency_us` snapshot. Every pair that resolves to canonical
 //! endpoints is probed once and counted once (a cache hit or a miss);
 //! a pair behind a non-canonical prefix counts one `cache_bypass`
 //! instead; in-batch duplicates of a missed key each count their miss
@@ -63,14 +63,14 @@
 //! journal events it leaves are the same everywhere.
 
 use crate::cache::{CacheKey, ShardedCache};
-use crate::stats::{EngineMetrics, ServiceStats};
+use crate::stats::EngineMetrics;
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_core::{
     chunk_span, content_tag, read_delta, read_full, AtlasSource, AtlasVersion, DeltaHandle,
     PathPredictor, PredictedPath, PredictorConfig,
 };
 use inano_model::{Ipv4, ModelError, PrefixId};
-use inano_obs::{quantile_from_counts, EventJournal, EventKind, MetricsRegistry};
+use inano_obs::{EventJournal, EventKind, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -291,7 +291,6 @@ pub struct QueryEngine {
     current: RwLock<Arc<Generation>>,
     cache: ShardedCache,
     metrics: EngineMetrics,
-    started: Instant,
     cfg: ServiceConfig,
     /// Serialises swap *builders*; never blocks readers.
     swap_lock: Mutex<()>,
@@ -332,7 +331,6 @@ impl QueryEngine {
             current: RwLock::new(generation),
             cache,
             metrics,
-            started: Instant::now(),
             cfg,
             swap_lock: Mutex::new(()),
             export: Mutex::new(None),
@@ -359,8 +357,9 @@ impl QueryEngine {
         self.metrics.register(obs, label);
     }
 
-    /// The live registers, for tests and embedders reading one series
-    /// with `.get()`.
+    /// The live registers — the engine's one view of its counts, for
+    /// tests and embedders reading a series with `.get()` (a
+    /// percentile: `quantile_from_counts(&m.latency_us.snapshot(), q)`).
     pub fn metrics(&self) -> &EngineMetrics {
         &self.metrics
     }
@@ -777,36 +776,6 @@ impl QueryEngine {
         // instead of forcing the full resync this replace demands.
         self.delta_log.lock().clear();
         day
-    }
-
-    /// The typed per-engine view, read from [`QueryEngine::metrics`].
-    pub fn stats(&self) -> ServiceStats {
-        let m = &self.metrics;
-        let (queries, hits, misses) = (m.queries.get(), m.cache_hits.get(), m.cache_misses.get());
-        let probed = hits + misses;
-        // One histogram snapshot serves both the buckets and the
-        // percentiles, so they can never disagree about queries
-        // recorded mid-call.
-        let latency_buckets = m.latency_us.snapshot();
-        ServiceStats {
-            queries,
-            errors: m.errors.get(),
-            qps: queries as f64 / self.started.elapsed().as_secs_f64().max(1e-9),
-            p50_us: quantile_from_counts(&latency_buckets, 0.50),
-            p99_us: quantile_from_counts(&latency_buckets, 0.99),
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_evictions: m.cache_evictions.get(),
-            cache_hit_rate: if probed == 0 {
-                0.0
-            } else {
-                hits as f64 / probed as f64
-            },
-            swaps: m.swaps.get(),
-            epoch: m.epoch.get(),
-            day: m.day.get() as u32,
-            latency_buckets,
-        }
     }
 }
 

@@ -31,9 +31,10 @@
 //!
 //! Every count an engine keeps lives in one [`EngineMetrics`] of
 //! `inano-obs` registry handles, exported by
-//! [`QueryEngine::register_metrics`]; [`ServiceStats`] is the typed
-//! local view read from them (QPS, p50/p99 service latency with the
-//! raw log₂ buckets, cache hit rate).
+//! [`QueryEngine::register_metrics`] and read in process through
+//! [`QueryEngine::metrics`]: `.get()` for counters and gauges,
+//! `inano_obs::quantile_from_counts` over the `latency_us` snapshot for
+//! percentiles.
 //!
 //! See DESIGN.md ("The service layer") for the full architecture
 //! discussion: threading model, cache-key soundness argument, and the
@@ -50,4 +51,4 @@ pub use engine::{
     FANOUT_CHUNK,
 };
 pub use registry::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
-pub use stats::{EngineMetrics, ServiceStats};
+pub use stats::EngineMetrics;

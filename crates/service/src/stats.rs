@@ -1,6 +1,6 @@
 //! Service metrics: the engine's live registers ([`EngineMetrics`],
-//! registry handles the serving layer exports as `shardN.*`) and the
-//! typed point-in-time view read from them ([`ServiceStats`]).
+//! registry handles the serving layer exports as `shardN.*`), the one
+//! vocabulary for what an engine counts.
 
 use inano_obs::{Counter, Gauge, LatencyHistogram, MetricsRegistry};
 use std::sync::Arc;
@@ -9,8 +9,8 @@ use std::sync::Arc;
 /// `inano-obs` handle. The engine (and its cache, for the four
 /// `cache_*` counters they share) is the only writer;
 /// [`crate::QueryEngine::register_metrics`] exports the same atomics,
-/// so a dump, a [`ServiceStats`] and a test reading `.get()` can never
-/// disagree about a quiesced engine.
+/// so a dump and a test reading `.get()` can never disagree about a
+/// quiesced engine.
 #[derive(Clone, Debug, Default)]
 pub struct EngineMetrics {
     /// Pairs answered (including errors).
@@ -78,37 +78,6 @@ impl EngineMetrics {
         obs.attach(&name("epoch"), m.epoch);
         obs.attach(&name("day"), m.day);
     }
-}
-
-/// A point-in-time view of one engine, cheap to take while serving.
-/// Local only — what crosses the wire is the registry dump.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ServiceStats {
-    /// Total queries answered (including errors).
-    pub queries: u64,
-    /// Queries that returned an error (unroutable address, no path...).
-    pub errors: u64,
-    /// Queries per second since the engine started.
-    pub qps: f64,
-    /// Median per-query service latency, microseconds (bucket resolution).
-    pub p50_us: u64,
-    /// 99th-percentile per-query service latency, microseconds.
-    pub p99_us: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_evictions: u64,
-    /// hits / (hits + misses), 0 when idle.
-    pub cache_hit_rate: f64,
-    /// Atlas generations applied since start (delta swaps).
-    pub swaps: u64,
-    /// Current configuration epoch (bumped by every swap).
-    pub epoch: u64,
-    /// Day of the currently-served atlas.
-    pub day: u32,
-    /// Raw log₂ latency-bucket counts (bucket `i` covers
-    /// `[2^i, 2^(i+1))` µs), the vector the percentiles above were
-    /// read from.
-    pub latency_buckets: Vec<u64>,
 }
 
 #[cfg(test)]

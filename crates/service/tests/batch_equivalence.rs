@@ -8,7 +8,7 @@
 use inano_atlas::{Atlas, LinkAnnotation, Plane};
 use inano_core::{PathPredictor, PredictedPath, PredictorConfig};
 use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, ModelError, Prefix, PrefixId};
-use inano_service::{QueryEngine, ServiceConfig, FANOUT_CHUNK};
+use inano_service::{EngineMetrics, QueryEngine, ServiceConfig, FANOUT_CHUNK};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -146,6 +146,32 @@ struct Deltas {
     unresolved: u64,
 }
 
+/// The engine counters a batch moves, read once from its registers.
+struct Counts {
+    queries: u64,
+    hits: u64,
+    misses: u64,
+    inserts: u64,
+    errors: u64,
+    bypass: u64,
+    /// Latency samples: one per pair.
+    samples: u64,
+}
+
+impl Counts {
+    fn of(m: &EngineMetrics) -> Counts {
+        Counts {
+            queries: m.queries.get(),
+            hits: m.cache_hits.get(),
+            misses: m.cache_misses.get(),
+            inserts: m.cache_inserts.get(),
+            errors: m.errors.get(),
+            bypass: m.cache_bypass.get(),
+            samples: m.latency_us.count(),
+        }
+    }
+}
+
 fn expected_deltas(fresh: &PathPredictor, batch: &[(Ipv4, Ipv4)]) -> Deltas {
     // `None`: does not resolve; `Some(None)`: resolves, bypasses the
     // cache; `Some(Some(key))`: cacheable.
@@ -215,8 +241,7 @@ fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
             }
             let batch = batch_of(kinds, len);
             let m = engine.metrics();
-            let before = engine.stats();
-            let (inserts_before, bypass_before) = (m.cache_inserts.get(), m.cache_bypass.get());
+            let before = Counts::of(m);
 
             let got = engine.query_batch(&batch);
 
@@ -230,19 +255,19 @@ fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
                 );
             }
             let want = expected_deltas(&fresh, &batch);
-            let after = engine.stats();
-            let inserts_after = m.cache_inserts.get();
+            let after = Counts::of(m);
             let got_deltas = Deltas {
-                hits: after.cache_hits - before.cache_hits,
-                misses: after.cache_misses - before.cache_misses,
-                inserts: inserts_after - inserts_before,
+                hits: after.hits - before.hits,
+                misses: after.misses - before.misses,
+                inserts: after.inserts - before.inserts,
                 errors: after.errors - before.errors,
-                bypass: m.cache_bypass.get() - bypass_before,
+                bypass: after.bypass - before.bypass,
                 unresolved: want.unresolved,
             };
             assert_eq!(got_deltas, want, "{what}");
             assert_eq!(
-                after.cache_evictions, 0,
+                m.cache_evictions.get(),
+                0,
                 "{what}: the cache is large enough"
             );
             assert_eq!(
@@ -258,8 +283,7 @@ fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
                 "{what}: hits + misses + bypass + resolve errors == queries"
             );
             assert_eq!(
-                after.latency_buckets.iter().sum::<u64>()
-                    - before.latency_buckets.iter().sum::<u64>(),
+                after.samples - before.samples,
                 len as u64,
                 "{what}: one latency sample per pair"
             );
@@ -274,7 +298,7 @@ fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
             }
             assert_eq!(
                 m.cache_inserts.get(),
-                inserts_after,
+                after.inserts,
                 "{what}: nothing left to insert"
             );
         }

@@ -107,7 +107,6 @@ proptest! {
                 }
             }
         }
-        let stats = engine.stats();
-        prop_assert!(stats.cache_hits > 0, "repeat queries must hit the cache");
+        prop_assert!(engine.metrics().cache_hits.get() > 0, "repeat queries must hit the cache");
     }
 }

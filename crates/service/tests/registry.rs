@@ -171,8 +171,12 @@ fn delta_on_one_shard_never_bumps_the_other_or_evicts_its_cache() {
         let engine = registry.engine(shard).unwrap();
         engine.query(ip(0), ip(far)).expect("routable");
         engine.query(ip(0), ip(far)).expect("routable");
-        let s = engine.stats();
-        assert_eq!((s.cache_misses, s.cache_hits), (1, 1), "{shard} warmup");
+        let m = engine.metrics();
+        assert_eq!(
+            (m.cache_misses.get(), m.cache_hits.get()),
+            (1, 1),
+            "{shard} warmup"
+        );
     }
 
     let day = registry
@@ -186,7 +190,11 @@ fn delta_on_one_shard_never_bumps_the_other_or_evicts_its_cache() {
     assert_eq!((ea.epoch(), ea.day()), (1, 1));
     let path_a = ea.query(ip(0), ip(far)).expect("routable");
     assert_eq!(path_a.fwd_clusters.len(), 2, "shard 0 serves the shortcut");
-    assert_eq!(ea.stats().cache_misses, 2, "old-epoch entry is dead");
+    assert_eq!(
+        ea.metrics().cache_misses.get(),
+        2,
+        "old-epoch entry is dead"
+    );
 
     // Shard B did not move: same epoch, same route, and the warm
     // cache entry still hits — nothing was evicted.
@@ -198,11 +206,15 @@ fn delta_on_one_shard_never_bumps_the_other_or_evicts_its_cache() {
         far as usize + 1,
         "shard 1 still serves the long way around"
     );
-    let sb = eb.stats();
-    assert_eq!(sb.cache_hits, 2, "shard 1's cache survived shard 0's swap");
-    assert_eq!(sb.cache_misses, 1);
-    assert_eq!(sb.cache_evictions, 0);
-    assert_eq!(sb.swaps, 0);
+    let mb = eb.metrics();
+    assert_eq!(
+        mb.cache_hits.get(),
+        2,
+        "shard 1's cache survived shard 0's swap"
+    );
+    assert_eq!(mb.cache_misses.get(), 1);
+    assert_eq!(mb.cache_evictions.get(), 0);
+    assert_eq!(mb.swaps.get(), 0);
 }
 
 #[test]

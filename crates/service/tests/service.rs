@@ -93,9 +93,9 @@ fn batches_fan_across_workers_in_order() {
         let inline = engine.query(s, d).expect("ring is fully routable");
         assert_same_path(batched[i].as_ref().expect("batch result ok"), &inline);
     }
-    let stats = engine.stats();
-    assert_eq!(stats.errors, 0);
-    assert!(stats.queries >= pairs.len() as u64 * 2);
+    let m = engine.metrics();
+    assert_eq!(m.errors.get(), 0);
+    assert!(m.queries.get() >= pairs.len() as u64 * 2);
 }
 
 #[test]
@@ -116,9 +116,8 @@ fn cache_hit_equals_fresh_predictor_query() {
             assert_same_path(&warm, &reference);
         }
     }
-    let stats = engine.stats();
-    assert!(stats.cache_hits > 0, "second pass must hit: {stats:?}");
-    assert!(stats.cache_hit_rate > 0.0);
+    let m = engine.metrics();
+    assert!(m.cache_hits.get() > 0, "second pass must hit: {m:?}");
 }
 
 #[test]
@@ -156,10 +155,11 @@ fn zipf_mix_sees_positive_hit_rate() {
             r.expect("ring is fully routable");
         }
     }
-    let stats = engine.stats();
+    let m = engine.metrics();
+    let (hits, misses) = (m.cache_hits.get(), m.cache_misses.get());
     assert!(
-        stats.cache_hit_rate > 0.5,
-        "zipf mix over {} cluster pairs must mostly hit: {stats:?}",
+        hits > misses,
+        "zipf mix over {} cluster pairs must mostly hit: {m:?}",
         n * (n - 1)
     );
 }
@@ -255,11 +255,11 @@ fn hammering_queries_while_applying_deltas_never_errors() {
 
     assert_eq!(failures, 0, "no query may error across the swap");
     assert!(issued.load(Ordering::Relaxed) > 0);
-    let stats = engine.stats();
-    assert_eq!(stats.errors, 0);
-    assert_eq!(stats.swaps, 1);
-    assert_eq!(stats.epoch, 1);
-    assert_eq!(stats.day, 1);
+    let m = engine.metrics();
+    assert_eq!(m.errors.get(), 0);
+    assert_eq!(m.swaps.get(), 1);
+    assert_eq!(m.epoch.get(), 1);
+    assert_eq!(m.day.get(), 1);
 
     // Post-swap queries must reflect the new day, not a stale cache
     // entry: the shortcut is now the route.
@@ -341,7 +341,7 @@ fn update_refuses_a_delta_that_does_not_advance_the_day() {
         other => panic!("want the 0→0 delta refused, got {other:?}"),
     }
     assert_eq!((engine.day(), engine.epoch()), (0, 0));
-    assert_eq!(engine.stats().swaps, 0);
+    assert_eq!(engine.metrics().swaps.get(), 0);
     assert!(engine.delta_blob(0).is_none(), "nothing was logged");
 }
 
@@ -368,7 +368,7 @@ fn replace_atlas_swaps_a_whole_generation_without_logging_a_delta() {
     assert_eq!(day, 9);
     assert_eq!(engine.day(), 9);
     assert_eq!(engine.epoch(), 2, "a replace bumps the epoch like a swap");
-    assert_eq!(engine.stats().swaps, 2);
+    assert_eq!(engine.metrics().swaps.get(), 2);
     // The export snapshot re-encodes the new generation...
     let snap = engine.export();
     assert_eq!(snap.day, 9);

@@ -212,9 +212,9 @@ fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
     );
     // Every batch owed four chunks and every one was a miss.
     for (id, engine) in registry.iter() {
-        let stats = engine.stats();
-        assert_eq!(stats.cache_hits, 0, "{id}: every round was cold");
-        assert_eq!(stats.errors, 0, "{id}");
+        let m = engine.metrics();
+        assert_eq!(m.cache_hits.get(), 0, "{id}: every round was cold");
+        assert_eq!(m.errors.get(), 0, "{id}");
     }
     if cores > 1 {
         assert!(

@@ -103,8 +103,8 @@ fn main() {
         after.fwd_clusters.len()
     );
 
-    // One way to read a server: the metrics dump, the same entries the
-    // `--metrics-text` page and `server.metrics().dump()` show.
+    // One way to read a server: the metrics dump over its own socket,
+    // the same entries `server.metrics().dump()` shows in process.
     let dump = client.metrics().expect("metrics");
     let (hits, misses) = (
         dump.counter("shard0.cache.hits"),

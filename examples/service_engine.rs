@@ -11,10 +11,11 @@ use inano::core::StaticSource;
 use inano::demo::DemoWorld;
 use inano::model::Ipv4;
 use inano::service::{QueryEngine, ServiceConfig};
+use inano_obs::quantile_from_counts;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn main() {
     println!("building a demo world and two days of measurements...");
@@ -38,6 +39,7 @@ fn main() {
         .collect();
 
     let stop = Arc::new(AtomicBool::new(false));
+    let started = Instant::now();
     let clients: Vec<_> = (0..4)
         .map(|_| {
             let engine = Arc::clone(&engine);
@@ -67,17 +69,20 @@ fn main() {
     stop.store(true, Ordering::Relaxed);
     let answered: u64 = clients.into_iter().map(|c| c.join().unwrap()).sum();
 
-    let stats = engine.stats();
+    let m = engine.metrics();
+    let queries = m.queries.get();
     println!(
-        "\n{answered} routable answers; engine saw {} queries at {:.0} qps",
-        stats.queries, stats.qps
+        "\n{answered} routable answers; engine saw {queries} queries at {:.0} qps",
+        queries as f64 / started.elapsed().as_secs_f64()
     );
+    let latency = m.latency_us.snapshot();
+    let (hits, misses) = (m.cache_hits.get(), m.cache_misses.get());
     println!(
         "latency p50 {}us p99 {}us; cache hit rate {:.1}% ({} evictions); epoch {}",
-        stats.p50_us,
-        stats.p99_us,
-        stats.cache_hit_rate * 100.0,
-        stats.cache_evictions,
-        stats.epoch
+        quantile_from_counts(&latency, 0.50),
+        quantile_from_counts(&latency, 0.99),
+        hits as f64 * 100.0 / (hits + misses).max(1) as f64,
+        m.cache_evictions.get(),
+        m.epoch.get()
     );
 }
