@@ -17,11 +17,10 @@ use inano_model::rng::DeterministicRng;
 use inano_model::{HostId, LatencyMs};
 use inano_routing::RoutingOracle;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The replica-selection strategies of Figure 9.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ReplicaStrategy {
     /// Hindsight optimum: the replica with the smallest actual download
     /// time.

@@ -9,11 +9,10 @@
 
 use inano_core::PathPredictor;
 use inano_model::{Asn, ClusterId, PrefixId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Outcome of a recovery attempt with a budget of N detours.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DetourOutcome {
     /// Detours tried (≤ the budget).
     pub tried: usize,

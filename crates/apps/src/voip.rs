@@ -11,10 +11,9 @@ use inano_model::rng::DeterministicRng;
 use inano_model::{HostId, LatencyMs, LossRate};
 use inano_routing::RoutingOracle;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 /// The relay-selection strategies of Figure 10.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RelayStrategy {
     /// iNano: min predicted loss (top 10), then min predicted latency.
     INano,
@@ -47,7 +46,7 @@ impl RelayStrategy {
 }
 
 /// The measured outcome of one relayed call.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VoipCall {
     pub src: HostId,
     pub dst: HostId,

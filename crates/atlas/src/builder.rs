@@ -10,11 +10,10 @@ use crate::datasets::{Atlas, Plane, Triple};
 use inano_measure::{Clustering, MeasurementDay, Traceroute};
 use inano_model::{AsPath, Asn, ClusterId, PrefixId};
 use inano_topology::Internet;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Builder knobs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AtlasConfig {
     /// A preference (a, b > c) is kept only when observed at least this
     /// many times as often as its reverse (the paper uses 3×).

@@ -3,13 +3,12 @@
 use inano_model::{
     Asn, ClusterId, LatencyMs, LossRate, Prefix, PrefixId, PrefixTrie, Relationship,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Which measurement plane(s) a link was observed in (§4.3.1): `TO_DST`
 /// holds links from the infrastructure vantage points' traceroutes,
 /// `FROM_SRC` links contributed by end-hosts. Both may apply.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Plane {
     pub to_dst: bool,
     pub from_src: bool,
@@ -46,7 +45,7 @@ impl Plane {
 }
 
 /// Annotation of one directed inter-cluster link.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LinkAnnotation {
     /// Inferred one-way latency; `None` when never measured symmetrically.
     pub latency: Option<LatencyMs>,
@@ -55,7 +54,7 @@ pub struct LinkAnnotation {
 
 /// An AS triple as observed in routes (canonicalised: forward and reverse
 /// are the same entry, per the paper's commutativity assumption).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Triple(pub Asn, pub Asn, pub Asn);
 
 impl Triple {
@@ -70,7 +69,7 @@ impl Triple {
 }
 
 /// The complete compact atlas.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Atlas {
     /// Day this atlas was built on.
     pub day: u32,

@@ -9,10 +9,9 @@
 use crate::codec::{get_varint, put_varint, quantise};
 use crate::datasets::{Atlas, LinkAnnotation, Plane, Triple};
 use inano_model::{Asn, ClusterId, LatencyMs, LossRate, ModelError};
-use serde::{Deserialize, Serialize};
 
 /// The day-over-day difference between two atlases.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct AtlasDelta {
     pub from_day: u32,
     pub to_day: u32,

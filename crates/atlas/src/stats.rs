@@ -4,10 +4,9 @@
 use crate::codec::{encode, Section};
 use crate::datasets::Atlas;
 use crate::delta::AtlasDelta;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 2.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DatasetStat {
     pub name: &'static str,
     pub entries: usize,

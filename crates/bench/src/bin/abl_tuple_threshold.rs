@@ -11,21 +11,13 @@
 //! they induce, justifying the defaults.
 
 use inano_atlas::{build_atlas, AtlasConfig};
-use inano_bench::report::{emit, pct};
-use inano_bench::{eval, Scenario, ScenarioConfig};
+use inano_bench::report::pct;
+use inano_bench::{eval, refuse_args, Scenario, ScenarioConfig};
 use inano_core::{PathPredictor, PredictorConfig};
-use serde::Serialize;
 use std::sync::Arc;
 
-#[derive(Serialize)]
-struct Row {
-    knob: String,
-    value: f64,
-    exact_as_path: f64,
-    dataset_entries: usize,
-}
-
 fn main() {
+    refuse_args();
     let sc = Scenario::build(ScenarioConfig::experiment(42));
     eprintln!("scenario: {}", sc.summary());
     let oracle = sc.oracle(0);
@@ -44,7 +36,6 @@ fn main() {
         exact as f64 / paths.len() as f64
     };
 
-    let mut rows: Vec<Row> = Vec::new();
     let mut text = String::from("== Ablation: tuple degree threshold & preference dominance ==\n");
 
     // --- sweep the tuple degree threshold (atlas fixed) ---
@@ -56,12 +47,6 @@ fn main() {
         let p = PathPredictor::new(Arc::clone(&atlas), cfg);
         let acc = score(&p);
         text.push_str(&format!("  threshold {thr:>5}: exact {}\n", pct(acc)));
-        rows.push(Row {
-            knob: "tuple_min_degree".into(),
-            value: thr as f64,
-            exact_as_path: acc,
-            dataset_entries: sc.atlas.tuples.len(),
-        });
     }
 
     // --- sweep the preference dominance factor (atlas rebuilt) ---
@@ -79,17 +64,11 @@ fn main() {
             "  dominance {dom:>4}x: exact {} ({n_prefs} preferences kept)\n",
             pct(acc)
         ));
-        rows.push(Row {
-            knob: "pref_dominance".into(),
-            value: dom,
-            exact_as_path: acc,
-            dataset_entries: n_prefs,
-        });
     }
 
     text.push_str(
         "\n(expected: accuracy peaks near the paper's defaults — checking low-degree \
          edges over-filters, admitting 1x preferences imports load-balancer noise)\n",
     );
-    emit("abl_tuple_threshold", &text, &rows);
+    println!("{text}");
 }

@@ -5,28 +5,17 @@
 //! closest-to-src / closest-to-dst / random.
 
 use inano_apps::voip::{call_quality, pick_relay, RelayStrategy};
-use inano_bench::report::emit;
-use inano_bench::{Scenario, ScenarioConfig};
+use inano_bench::{refuse_args, Scenario, ScenarioConfig};
 use inano_core::{PathPredictor, PredictorConfig};
 use inano_model::rng::rng_for;
 use inano_model::stats::Ecdf;
 use inano_model::HostId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::Serialize;
 use std::sync::Arc;
 
-#[derive(Serialize)]
-struct Out {
-    strategy: String,
-    median_loss: f64,
-    p90_loss: f64,
-    frac_lossy: f64,
-    mean_mos: f64,
-    calls: usize,
-}
-
 fn main() {
+    refuse_args();
     let sc = Scenario::build(ScenarioConfig::experiment(42));
     eprintln!("scenario: {}", sc.summary());
     let oracle = sc.oracle(0);
@@ -53,7 +42,6 @@ fn main() {
         "{:<16} {:>12} {:>10} {:>10} {:>9}\n",
         "strategy", "median loss", "p90 loss", "% lossy", "mean MOS"
     ));
-    let mut outs = Vec::new();
     for strategy in RelayStrategy::all() {
         let mut losses = Vec::new();
         let mut moss = Vec::new();
@@ -89,15 +77,7 @@ fn main() {
             e.fraction_at_least(0.001) * 100.0,
             mos_mean
         ));
-        outs.push(Out {
-            strategy: strategy.name().to_string(),
-            median_loss: e.median(),
-            p90_loss: e.quantile(0.9),
-            frac_lossy: e.fraction_at_least(0.001),
-            mean_mos: mos_mean,
-            calls: e.len(),
-        });
     }
     text.push_str("\n(paper: relays chosen by iNano see significantly less packet loss)\n");
-    emit("fig10_voip", &text, &outs);
+    println!("{text}");
 }

@@ -8,29 +8,19 @@
 //! unreachable fraction (5 detours: 2% vs 4%).
 
 use inano_apps::detour::rank_detours;
-use inano_bench::report::emit;
-use inano_bench::{Scenario, ScenarioConfig};
+use inano_bench::{refuse_args, Scenario, ScenarioConfig};
 use inano_core::{PathPredictor, PredictorConfig};
 use inano_model::rng::rng_for;
 use inano_model::{HostId, PrefixId};
 use inano_routing::{FailureScenario, RoutingOracle};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::Serialize;
 use std::sync::Arc;
 
 const MAX_DETOURS: usize = 8;
 
-#[derive(Serialize)]
-struct Out {
-    n_detours: usize,
-    unreachable_inano: f64,
-    unreachable_random: f64,
-    episodes: usize,
-    victim_cases: usize,
-}
-
 fn main() {
+    refuse_args();
     let sc = Scenario::build(ScenarioConfig::experiment(42));
     eprintln!("scenario: {}", sc.summary());
     let mut rng = rng_for(sc.cfg.seed, "fig11");
@@ -151,7 +141,6 @@ fn main() {
         "{:>9} {:>18} {:>18}\n",
         "#detours", "iNano unreachable", "random unreachable"
     ));
-    let mut outs = Vec::new();
     for n in 1..=MAX_DETOURS {
         let fi = fail_inano[n - 1] as f64 / victim_cases.max(1) as f64;
         let fr = fail_random[n - 1] as f64 / victim_cases.max(1) as f64;
@@ -160,14 +149,7 @@ fn main() {
             fi * 100.0,
             fr * 100.0
         ));
-        outs.push(Out {
-            n_detours: n,
-            unreachable_inano: fi,
-            unreachable_random: fr,
-            episodes,
-            victim_cases,
-        });
     }
     text.push_str("\n(paper: iNano halves the unreachable fraction; 5 detours: 2% vs 4%)\n");
-    emit("fig11_detour", &text, &outs);
+    println!("{text}");
 }

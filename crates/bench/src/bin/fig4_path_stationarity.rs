@@ -5,25 +5,15 @@
 //! ≥ 0.9, and 50% are identical (similarity = |∩| / |∪| over the sets of
 //! clusters, 0.05-wide bins).
 
-use inano_bench::report::emit;
-use inano_bench::{Scenario, ScenarioConfig};
+use inano_bench::{refuse_args, Scenario, ScenarioConfig};
 use inano_model::path::path_similarity;
 use inano_model::stats::Histogram;
 use inano_model::ClusterPath;
 use inano_paths::PathAtlas;
-use serde::Serialize;
 use std::collections::HashMap;
 
-#[derive(Serialize)]
-struct Out {
-    bins: Vec<(f64, f64)>,
-    frac_ge_075: f64,
-    frac_ge_09: f64,
-    frac_identical: f64,
-    pairs: usize,
-}
-
 fn main() {
+    refuse_args();
     let sc = Scenario::build(ScenarioConfig::experiment(42));
     eprintln!("scenario: {}", sc.summary());
 
@@ -64,33 +54,26 @@ fn main() {
     }
 
     let frac = |n: u64| n as f64 / pairs.max(1) as f64;
-    let out = Out {
-        bins: hist.fractions(),
-        frac_ge_075: frac(ge075),
-        frac_ge_09: frac(ge09),
-        frac_identical: frac(ident),
-        pairs: pairs as usize,
-    };
 
     let mut text = String::from("== Figure 4: PoP-level path similarity across days ==\n");
     text.push_str(&format!("paths compared: {pairs}\n"));
     text.push_str(&format!(
         "similarity >= 0.75: {:.1}%   (paper: 91%)\n",
-        out.frac_ge_075 * 100.0
+        frac(ge075) * 100.0
     ));
     text.push_str(&format!(
         "similarity >= 0.90: {:.1}%   (paper: 68%)\n",
-        out.frac_ge_09 * 100.0
+        frac(ge09) * 100.0
     ));
     text.push_str(&format!(
         "identical:          {:.1}%   (paper: 50%)\n",
-        out.frac_identical * 100.0
+        frac(ident) * 100.0
     ));
     text.push_str("\nhistogram (bin lower edge, fraction):\n");
-    for (edge, f) in &out.bins {
+    for (edge, f) in &hist.fractions() {
         if *f > 0.0005 {
             text.push_str(&format!("  {edge:.2}  {:.3}\n", f));
         }
     }
-    emit("fig4_path_stationarity", &text, &out);
+    println!("{text}");
 }

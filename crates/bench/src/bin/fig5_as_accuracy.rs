@@ -7,15 +7,13 @@
 //! path *length* accuracy. §6.3.1 additionally reports that 7% of
 //! validation paths have a link missing from the atlas.
 
-use inano_bench::report::{emit, pct};
-use inano_bench::{eval, Scenario, ScenarioConfig};
+use inano_bench::report::pct;
+use inano_bench::{eval, refuse_args, Scenario, ScenarioConfig};
 use inano_core::{PathPredictor, PredictorConfig};
 use inano_model::rng::rng_for;
 use inano_paths::{ImprovedComposer, PathAtlas, PathComposer, RouteScope};
-use serde::Serialize;
 use std::sync::Arc;
 
-#[derive(Serialize)]
 struct Row {
     model: String,
     exact_as_path: f64,
@@ -25,6 +23,7 @@ struct Row {
 }
 
 fn main() {
+    refuse_args();
     let seed = 42;
     let sc = Scenario::build(ScenarioConfig::experiment(seed));
     eprintln!("scenario: {}", sc.summary());
@@ -157,5 +156,5 @@ fn main() {
         "\natlas coverage gap (paths with a missing link): {} (paper: 7%)\n",
         pct(gap)
     ));
-    emit("fig5_as_accuracy", &text, &rows);
+    println!("{text}");
 }

@@ -6,22 +6,15 @@
 //! coordinates beat both structural estimators whose mispredictions can
 //! be arbitrarily wrong.
 
-use inano_bench::report::{cdf_rows, emit};
-use inano_bench::{eval, Scenario, ScenarioConfig};
+use inano_bench::report::cdf_rows;
+use inano_bench::{eval, refuse_args, Scenario, ScenarioConfig};
 use inano_core::{PathPredictor, PredictorConfig};
 use inano_model::stats::Ecdf;
 use inano_paths::{PathAtlas, PathComposer};
-use serde::Serialize;
 use std::sync::Arc;
 
-#[derive(Serialize)]
-struct Out {
-    medians: Vec<(String, f64)>,
-    p90: Vec<(String, f64)>,
-    samples: usize,
-}
-
 fn main() {
+    refuse_args();
     let sc = Scenario::build(ScenarioConfig::experiment(42));
     eprintln!("scenario: {}", sc.summary());
     let oracle = sc.oracle(0);
@@ -105,10 +98,5 @@ fn main() {
     for (n, m) in &p90 {
         text.push_str(&format!("  {n:<18} {m:.1} ms\n"));
     }
-    let out = Out {
-        medians,
-        p90,
-        samples: paths.len(),
-    };
-    emit("fig6_latency_error", &text, &out);
+    println!("{text}");
 }

@@ -3,25 +3,18 @@
 //! of the intersection between the predicted and actual top-10 sets.
 //! Paper: iNano ≈ path composition ≫ Vivaldi.
 
-use inano_bench::report::emit;
-use inano_bench::{eval, Scenario, ScenarioConfig};
+use inano_bench::{eval, refuse_args, Scenario, ScenarioConfig};
 use inano_core::{PathPredictor, PredictorConfig};
 use inano_model::stats::Ecdf;
 use inano_model::PrefixId;
 use inano_paths::{PathAtlas, PathComposer};
-use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 const TOP_N: usize = 10;
 
-#[derive(Serialize)]
-struct Out {
-    mean_overlap: Vec<(String, f64)>,
-    sources: usize,
-}
-
 fn main() {
+    refuse_args();
     let sc = Scenario::build(ScenarioConfig::experiment(42));
     eprintln!("scenario: {}", sc.summary());
     let oracle = sc.oracle(0);
@@ -104,7 +97,6 @@ fn main() {
     ];
     let mut text =
         String::from("== Figure 7: overlap of predicted vs actual 10 closest (of ~100) ==\n");
-    let mut means = Vec::new();
     for (name, e) in &series {
         if e.is_empty() {
             continue;
@@ -115,14 +107,9 @@ fn main() {
             e.median(),
             e.quantile(0.1)
         ));
-        means.push((name.to_string(), e.mean()));
     }
     text.push_str("(paper: iNano ≈ path-based ≫ Vivaldi)\n");
-    let out = Out {
-        mean_overlap: means,
-        sources: by_src.len(),
-    };
-    emit("fig7_rank_closest", &text, &out);
+    println!("{text}");
 }
 
 fn top_n_by<F: Fn(&eval::ValidationPath) -> f64>(

@@ -4,22 +4,15 @@
 //! a much smaller atlas; both within 10% absolute error for >80% of
 //! paths.
 
-use inano_bench::report::{cdf_rows, emit};
-use inano_bench::{eval, Scenario, ScenarioConfig};
+use inano_bench::report::cdf_rows;
+use inano_bench::{eval, refuse_args, Scenario, ScenarioConfig};
 use inano_core::{PathPredictor, PredictorConfig};
 use inano_model::stats::Ecdf;
 use inano_paths::{PathAtlas, PathComposer};
-use serde::Serialize;
 use std::sync::Arc;
 
-#[derive(Serialize)]
-struct Out {
-    within_10pct: Vec<(String, f64)>,
-    medians: Vec<(String, f64)>,
-    samples: usize,
-}
-
 fn main() {
+    refuse_args();
     let sc = Scenario::build(ScenarioConfig::experiment(42));
     eprintln!("scenario: {}", sc.summary());
     let oracle = sc.oracle(0);
@@ -58,8 +51,6 @@ fn main() {
         ("path composition", Ecdf::new(err_comp)),
     ];
     let mut text = String::from("== Figure 8: loss-rate estimation error (absolute) ==\n");
-    let mut within = Vec::new();
-    let mut medians = Vec::new();
     for (name, e) in &series {
         if e.is_empty() {
             continue;
@@ -70,13 +61,6 @@ fn main() {
             "{name}: error <= 0.10 for {:.1}% of paths (paper: >80%)\n",
             w * 100.0
         ));
-        within.push((name.to_string(), w));
-        medians.push((name.to_string(), e.median()));
     }
-    let out = Out {
-        within_10pct: within,
-        medians,
-        samples: paths.len(),
-    };
-    emit("fig8_loss_error", &text, &out);
+    println!("{text}");
 }

@@ -7,26 +7,17 @@
 //! and OASIS trail.
 
 use inano_apps::cdn::{CdnExperiment, ReplicaStrategy};
-use inano_bench::report::emit;
-use inano_bench::{eval, Scenario, ScenarioConfig};
+use inano_bench::{eval, refuse_args, Scenario, ScenarioConfig};
 use inano_core::{PathPredictor, PredictorConfig};
 use inano_model::rng::rng_for;
 use inano_model::stats::Ecdf;
 use inano_model::HostId;
 use inano_topology::Tier;
 use rand::seq::SliceRandom;
-use serde::Serialize;
 use std::sync::Arc;
 
-#[derive(Serialize)]
-struct Out {
-    file_bytes: f64,
-    median_secs: Vec<(String, f64)>,
-    p90_secs: Vec<(String, f64)>,
-    clients: usize,
-}
-
 fn main() {
+    refuse_args();
     let sc = Scenario::build(ScenarioConfig::experiment(42));
     eprintln!("scenario: {}", sc.summary());
     let oracle = sc.oracle(0);
@@ -69,7 +60,6 @@ fn main() {
     population.dedup();
     let (vivaldi, vidx) = eval::train_vivaldi(&sc, &oracle, &population, 80);
 
-    let mut outs = Vec::new();
     let mut text = String::from("== Figure 9: CDN replica selection ==\n");
     for (label, bytes) in [("(a) 30KB", 30_000.0), ("(b) 1.5MB", 1_500_000.0)] {
         let exp = CdnExperiment {
@@ -84,8 +74,6 @@ fn main() {
             "{:<12} {:>12} {:>12}\n",
             "strategy", "median (s)", "p90 (s)"
         ));
-        let mut medians = Vec::new();
-        let mut p90s = Vec::new();
         for strategy in ReplicaStrategy::all() {
             let mut times = Vec::new();
             for (ci, &client) in clients.iter().enumerate() {
@@ -107,19 +95,11 @@ fn main() {
                 e.median(),
                 e.quantile(0.9)
             ));
-            medians.push((strategy.name().to_string(), e.median()));
-            p90s.push((strategy.name().to_string(), e.quantile(0.9)));
         }
-        outs.push(Out {
-            file_bytes: bytes,
-            median_secs: medians,
-            p90_secs: p90s,
-            clients: clients.len(),
-        });
     }
     text.push_str(
         "\n(paper: iNano near-optimal medians; for 1.5MB, loss-aware iNano beats measured \
          latency; Vivaldi/OASIS trail)\n",
     );
-    emit("fig9_cdn", &text, &outs);
+    println!("{text}");
 }

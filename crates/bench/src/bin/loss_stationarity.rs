@@ -3,24 +3,16 @@
 //! still lossy 6 hours later; 53% after 12 hours; steady at 53% after
 //! 24 hours.
 
-use inano_bench::report::emit;
-use inano_bench::{Scenario, ScenarioConfig};
+use inano_bench::{refuse_args, Scenario, ScenarioConfig};
 use inano_measure::lossprobe::measure_path_loss;
 use inano_model::rng::rng_for;
 use inano_model::{HostId, PrefixId};
 use inano_routing::RoutingOracle;
 use inano_topology::loss::LossProcess;
 use rand::seq::SliceRandom;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Out {
-    hours: u32,
-    still_lossy: f64,
-    lossy_at_t0: usize,
-}
 
 fn main() {
+    refuse_args();
     let sc = Scenario::build(ScenarioConfig::experiment(42));
     eprintln!("scenario: {}", sc.summary());
     let mut rng = rng_for(sc.cfg.seed, "loss-stationarity");
@@ -52,7 +44,6 @@ fn main() {
     }
     eprintln!("lossy paths at t0: {}", lossy_at_t0.len());
 
-    let mut outs = Vec::new();
     let mut text = String::from("== §6.2.2: loss stationarity ==\n");
     text.push_str(&format!("lossy paths at t0: {}\n\n", lossy_at_t0.len()));
     text.push_str(&format!(
@@ -77,11 +68,6 @@ fn main() {
             frac * 100.0,
             paper
         ));
-        outs.push(Out {
-            hours,
-            still_lossy: frac,
-            lossy_at_t0: lossy_at_t0.len(),
-        });
     }
-    emit("loss_stationarity", &text, &outs);
+    println!("{text}");
 }

@@ -1,6 +1,5 @@
 //! Regenerate every table and figure in sequence by invoking the sibling
-//! experiment binaries. Pass `--json` to also write machine-readable
-//! results to `target/experiments/`.
+//! experiment binaries; their text tables land on this process's stdout.
 
 use std::process::Command;
 
@@ -20,18 +19,14 @@ const EXPERIMENTS: &[&str] = &[
 ];
 
 fn main() {
+    inano_bench::refuse_args();
     let me = std::env::current_exe().expect("current exe path");
     let dir = me.parent().expect("binary directory");
-    let json = std::env::args().any(|a| a == "--json");
 
     let mut failed = Vec::new();
     for exp in EXPERIMENTS {
         println!("\n######## {exp} ########");
-        let mut cmd = Command::new(dir.join(exp));
-        if json {
-            cmd.arg("--json");
-        }
-        match cmd.status() {
+        match Command::new(dir.join(exp)).status() {
             Ok(st) if st.success() => {}
             Ok(st) => {
                 eprintln!("{exp} exited with {st}");

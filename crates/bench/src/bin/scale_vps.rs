@@ -7,11 +7,8 @@
 //! an estimated +18MB atlas / +5MB daily update: still tractable.
 
 use inano_atlas::{build_atlas, AtlasConfig};
-use inano_bench::report::emit;
-use inano_bench::{Scenario, ScenarioConfig};
-use serde::Serialize;
+use inano_bench::{refuse_args, Scenario, ScenarioConfig};
 
-#[derive(Serialize)]
 struct Row {
     agents: usize,
     links: usize,
@@ -20,6 +17,7 @@ struct Row {
 }
 
 fn main() {
+    refuse_args();
     let mut cfg = ScenarioConfig::experiment(42);
     cfg.n_agents = 160; // a larger agent pool to sweep over
     let sc = Scenario::build(cfg);
@@ -73,5 +71,5 @@ fn main() {
         extrapolated_tuples,
         extrapolated_tuples / base.tuples as f64,
     ));
-    emit("scale_vps", &text, &rows);
+    println!("{text}");
 }

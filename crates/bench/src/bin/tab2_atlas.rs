@@ -8,11 +8,11 @@
 //! Our topology is smaller, so the *ratios* are the comparison target.
 
 use inano_atlas::{atlas_stats, delta_stats, stats::render_table, AtlasDelta};
-use inano_bench::report::emit;
-use inano_bench::{Scenario, ScenarioConfig};
+use inano_bench::{refuse_args, Scenario, ScenarioConfig};
 use inano_paths::PathAtlas;
 
 fn main() {
+    refuse_args();
     let sc = Scenario::build(ScenarioConfig::experiment(42));
     eprintln!("scenario: {}", sc.summary());
 
@@ -46,5 +46,5 @@ fn main() {
         path_bytes as f64 / full_bytes.len() as f64,
     ));
 
-    emit("tab2_atlas", &text, &stats);
+    println!("{text}");
 }

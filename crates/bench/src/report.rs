@@ -1,31 +1,7 @@
-//! Report output: paper-style text to stdout, JSON to
-//! `target/experiments/` when `--json` is passed.
+//! Report formatting: the paper-style text each figure bin prints to
+//! stdout.
 
 use inano_model::stats::Ecdf;
-use serde::Serialize;
-use std::fs;
-use std::path::PathBuf;
-
-/// Emit a report: always prints `text`; with `--json` in argv, also
-/// writes `value` to `target/experiments/<name>.json`.
-pub fn emit<T: Serialize>(name: &str, text: &str, value: &T) {
-    println!("{text}");
-    if std::env::args().any(|a| a == "--json") {
-        let dir = PathBuf::from("target/experiments");
-        let _ = fs::create_dir_all(&dir);
-        let path = dir.join(format!("{name}.json"));
-        match serde_json::to_string_pretty(value) {
-            Ok(s) => {
-                if let Err(e) = fs::write(&path, s) {
-                    eprintln!("could not write {}: {e}", path.display());
-                } else {
-                    eprintln!("wrote {}", path.display());
-                }
-            }
-            Err(e) => eprintln!("could not serialise {name}: {e}"),
-        }
-    }
-}
 
 /// Format an ECDF as "value fraction" rows at the given percentile grid —
 /// the text analogue of the paper's CDF figures.
@@ -43,14 +19,6 @@ pub fn cdf_rows(label: &str, e: &Ecdf) -> String {
         ));
     }
     out
-}
-
-/// A generic (series name, x, y) triple for JSON output of figures.
-#[derive(Serialize)]
-pub struct SeriesPoint {
-    pub series: String,
-    pub x: f64,
-    pub y: f64,
 }
 
 /// Percent formatting helper.

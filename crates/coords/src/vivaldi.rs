@@ -15,10 +15,9 @@ use inano_model::rng::DeterministicRng;
 use inano_model::LatencyMs;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A Vivaldi coordinate: 2-D position plus non-negative height.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Coordinate {
     pub x: f64,
     pub y: f64,
@@ -38,7 +37,7 @@ impl Coordinate {
 }
 
 /// Tuning constants (the values from the Vivaldi paper).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VivaldiConfig {
     /// Error-moving-average constant (c_e).
     pub ce: f64,

@@ -23,6 +23,10 @@ pub struct INanoClient {
     /// Local FROM_SRC links contributed by this client's own traceroutes,
     /// re-applied after every update.
     local_links: Vec<((ClusterId, ClusterId), Option<LatencyMs>)>,
+    /// `epoch_tag` of the upstream version this client last converged
+    /// to. Its own atlas carries the local links, so its encoding never
+    /// equals the upstream's and cannot stand in for this.
+    upstream_tag: u64,
 }
 
 impl INanoClient {
@@ -32,7 +36,7 @@ impl INanoClient {
         source: &mut dyn AtlasSource,
         cfg: PredictorConfig,
     ) -> Result<INanoClient, ModelError> {
-        let (_, bytes, _) = read_full(source)?;
+        let (version, bytes, _) = read_full(source)?;
         let atlas = codec::decode(&bytes)?;
         let atlas = Arc::new(atlas);
         let predictor = PathPredictor::new(Arc::clone(&atlas), cfg.clone());
@@ -41,6 +45,7 @@ impl INanoClient {
             cfg,
             predictor: Some(predictor),
             local_links: Vec::new(),
+            upstream_tag: version.epoch_tag,
         })
     }
 
@@ -57,14 +62,17 @@ impl INanoClient {
     /// delta — the days that did apply are committed, the error is
     /// returned, and the client keeps serving queries either way.
     ///
-    /// When no delta leaves the client's day, the source's head is
-    /// probed: a head on a *later day* means the chain is broken (the
-    /// upstream replaced its atlas, or this peer slept past the deltas
-    /// it retains), so the full body is refetched, the local links are
-    /// re-applied to it, and the call returns `Ok(0)` at the new day.
-    /// The compare is on days, not content tags as the service engine's
-    /// is: a client's atlas carries its own FROM_SRC links, so its
-    /// encoding never equals the upstream's.
+    /// After the chain the source's head is probed. A chain that ends
+    /// on the head's day converges the client to that version, whose
+    /// `epoch_tag` it remembers. When no delta leaves the client's day
+    /// and the head's tag differs from the remembered one, the chain is
+    /// broken — the upstream restarted or replaced its atlas, on any
+    /// day, or this peer slept past the deltas it retains — so the full
+    /// body is refetched, the local links are re-applied to it, and the
+    /// call returns `Ok(0)` on the new generation. The compare is on
+    /// the remembered upstream tag, not the client's own content tag as
+    /// the service engine's is: a client's atlas carries its own
+    /// FROM_SRC links, so its encoding never equals the upstream's.
     pub fn update(&mut self, source: &mut dyn AtlasSource) -> Result<usize, ModelError> {
         let mut staged: Option<Atlas> = None;
         let mut applied = 0usize;
@@ -87,11 +95,22 @@ impl INanoClient {
         if let Some(atlas) = staged {
             self.install(atlas);
         }
-        if matches!(outcome, Ok(0)) && source.head()?.day > self.day() {
-            let (_, bytes, _) = read_full(source)?;
+        let Ok(applied) = outcome else {
+            return outcome;
+        };
+        let head = match source.head() {
+            Ok(head) => head,
+            Err(_) if applied > 0 => return Ok(applied),
+            Err(e) => return Err(e),
+        };
+        if applied == 0 && head.epoch_tag != self.upstream_tag {
+            let (version, bytes, _) = read_full(source)?;
             self.install(codec::decode(&bytes)?);
+            self.upstream_tag = version.epoch_tag;
+        } else if head.day == self.day() {
+            self.upstream_tag = head.epoch_tag;
         }
-        outcome
+        Ok(applied)
     }
 
     /// Serve from `atlas` from now on: one in-place re-application of
@@ -365,6 +384,45 @@ mod tests {
         let after = src.full_chunks;
         assert_eq!(client.update(&mut src).unwrap(), 0);
         assert_eq!(src.full_chunks, after);
+    }
+
+    #[test]
+    fn a_new_generation_on_the_same_or_an_earlier_day_is_followed() {
+        let mut src = StaticSource::new(codec::encode(&base_atlas(1)).0, vec![]);
+        let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
+        client.add_local_links([(
+            (ClusterId::new(1), ClusterId::new(3)),
+            Some(LatencyMs::new(0.5)),
+        )]);
+        let marker = (ClusterId::new(3), ClusterId::new(1));
+        let (me, there) = (
+            Ipv4::from_octets(10, 0, 0, 1),
+            Ipv4::from_octets(20, 0, 0, 1),
+        );
+
+        // The upstream replaced its day-1 atlas with another day-1 body.
+        let mut other = base_atlas(1);
+        other.links.insert(
+            marker,
+            LinkAnnotation {
+                latency: Some(LatencyMs::new(1.0)),
+                plane: Plane::TO_DST,
+            },
+        );
+        src.full = codec::encode(&other).0;
+        assert_eq!(client.update(&mut src).unwrap(), 0);
+        assert_eq!(client.day(), 1);
+        assert!(client.atlas().links.contains_key(&marker), "new body");
+        let r = client.query(me, there).unwrap();
+        assert_eq!(r.fwd_clusters.len(), 2, "local FROM_SRC link survives");
+
+        // Its origin restarted onto a fresh day-0 generation.
+        src.full = codec::encode(&base_atlas(0)).0;
+        assert_eq!(client.update(&mut src).unwrap(), 0);
+        assert_eq!(client.day(), 0);
+        assert!(!client.atlas().links.contains_key(&marker), "day-0 body");
+        let r = client.query(me, there).unwrap();
+        assert_eq!(r.fwd_clusters.len(), 2, "local FROM_SRC link survives");
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Predictor configuration: each of iNano's techniques can be switched
 //! independently, giving the ablation ladder of Figure 5.
 
-use serde::{Deserialize, Serialize};
-
 /// Which model the predictor runs.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PredictorConfig {
     /// Use the `FROM_SRC` plane of end-host-observed links with one-way
     /// cross edges into `TO_DST` (§4.3.1, "Addressing asymmetry").

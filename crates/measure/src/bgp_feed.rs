@@ -9,10 +9,9 @@ use inano_model::{AsPath, Asn, PrefixId};
 use inano_routing::RoutingOracle;
 use inano_topology::Tier;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 /// One table entry: the AS path from a feed AS to a prefix.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FeedRoute {
     pub feed: Asn,
     pub prefix: PrefixId,
@@ -21,7 +20,7 @@ pub struct FeedRoute {
 }
 
 /// A set of BGP feeds collected on one day.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct BgpFeedSet {
     pub feeds: Vec<Asn>,
     pub routes: Vec<FeedRoute>,

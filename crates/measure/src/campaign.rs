@@ -15,11 +15,10 @@ use inano_model::rng::rng_for;
 use inano_model::{ClusterId, HostId, LatencyMs, LossRate};
 use inano_routing::RoutingOracle;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Knobs of a measurement day.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CampaignConfig {
     pub seed: u64,
     /// Traceroutes per end-host agent per day ("a few hundred prefixes,

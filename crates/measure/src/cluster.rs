@@ -16,10 +16,9 @@ use inano_model::rng::rng_for;
 use inano_model::{Asn, ClusterId, IfaceId, Ipv4, PopId};
 use inano_topology::Internet;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Error knobs for the clustering pipeline.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClusteringConfig {
     /// Probability an interface's alias resolution fails, leaving it in a
     /// singleton cluster.
@@ -52,7 +51,7 @@ impl ClusteringConfig {
 }
 
 /// The derived interface → cluster mapping.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Clustering {
     /// Cluster of each interface, indexed by `IfaceId`.
     pub iface_cluster: Vec<ClusterId>,

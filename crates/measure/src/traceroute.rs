@@ -16,10 +16,9 @@ use inano_model::rng::DeterministicRng;
 use inano_model::{HostId, Ipv4, PrefixId};
 use inano_routing::RoutingOracle;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One traceroute hop.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Hop {
     /// Responding interface IP; `None` when the router didn't answer.
     pub ip: Option<Ipv4>,
@@ -28,7 +27,7 @@ pub struct Hop {
 }
 
 /// A completed traceroute.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Traceroute {
     pub src: HostId,
     pub dst_prefix: PrefixId,
@@ -42,7 +41,7 @@ pub struct Traceroute {
 }
 
 /// Measurement-noise knobs for traceroute/ping simulation.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ProbeNoise {
     /// Uniform per-response jitter bound in ms (queueing, scheduling).
     pub jitter_ms: f64,

@@ -8,11 +8,10 @@ use inano_model::rng::DeterministicRng;
 use inano_model::{Asn, HostId};
 use inano_topology::Internet;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// The measurement host population.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct VantagePoints {
     /// PlanetLab-like infrastructure vantage points, in distinct ASes.
     pub infra: Vec<HostId>,

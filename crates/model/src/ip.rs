@@ -5,11 +5,10 @@
 //! and ASes", §5), so we need a real LPM structure rather than a hash map.
 
 use crate::ids::PrefixId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An IPv4 address stored as a host-order `u32`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ipv4(pub u32);
 
 impl Ipv4 {
@@ -49,7 +48,7 @@ impl fmt::Display for Ipv4 {
 
 /// A CIDR prefix: `addr/len`. The address is stored pre-masked so two
 /// equal prefixes always compare equal.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
     addr: Ipv4,
     len: u8,
@@ -121,13 +120,13 @@ impl fmt::Display for Prefix {
 
 /// A binary trie for longest-prefix matching, mapping [`Prefix`]es to
 /// [`PrefixId`]s. Nodes are kept in a flat arena for cache friendliness.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PrefixTrie {
     nodes: Vec<TrieNode>,
     entries: usize,
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct TrieNode {
     children: [u32; 2],
     value: Option<PrefixId>,

@@ -3,7 +3,6 @@
 //! (§3: "composes the properties of the inter-cluster links on the
 //! predicted paths").
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign};
@@ -12,7 +11,7 @@ use std::ops::{Add, AddAssign};
 ///
 /// Latencies compose additively along a path. Stored as `f64`; the atlas
 /// codec quantises to 0.1 ms when serialising.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct LatencyMs(pub f64);
 
 impl LatencyMs {
@@ -72,7 +71,7 @@ impl fmt::Display for LatencyMs {
 /// Loss rates compose multiplicatively: the probability a packet survives a
 /// path is the product of the per-link survival probabilities, assuming
 /// independent losses (the same assumption iNano makes).
-#[derive(Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct LossRate(pub f64);
 
 impl LossRate {

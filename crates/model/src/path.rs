@@ -2,14 +2,13 @@
 //! metric from the paper's stationarity study (Figure 4).
 
 use crate::ids::{Asn, ClusterId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
 /// An AS-level path, source first. Consecutive duplicates (AS prepending)
 /// are collapsed on construction, matching the paper's "discounting
 /// prepending".
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct AsPath(Vec<Asn>);
 
 impl AsPath {
@@ -82,7 +81,7 @@ impl FromIterator<Asn> for AsPath {
 }
 
 /// A cluster (PoP)-level path, source first.
-#[derive(Clone, PartialEq, Eq, Hash, Default, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default, Debug)]
 pub struct ClusterPath(pub Vec<ClusterId>);
 
 impl ClusterPath {

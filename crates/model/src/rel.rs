@@ -5,11 +5,9 @@
 //! everyone; peer/provider routes go to customers only. These rules make
 //! routes *valley-free*.
 
-use serde::{Deserialize, Serialize};
-
 /// The relationship of an AS `a` to a specific neighbor `b`, from `a`'s
 /// point of view.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Relationship {
     /// `b` is a customer of `a` (`a` gets paid to carry `b`'s traffic).
     Customer,

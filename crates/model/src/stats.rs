@@ -1,10 +1,8 @@
 //! Small statistics helpers shared by the evaluation harness: empirical
 //! CDFs, percentiles, and histogram binning (Figure 4 uses 0.05-wide bins).
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical distribution over `f64` samples.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -99,7 +97,7 @@ impl Ecdf {
 /// Histogram with fixed-width bins over `[lo, hi]`; values outside are
 /// clamped into the edge bins. Used for Figure 4's 0.05-wide similarity
 /// bins.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Histogram {
     lo: f64,
     width: f64,

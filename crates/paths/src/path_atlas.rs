@@ -6,11 +6,10 @@
 use inano_measure::{Clustering, MeasurementDay, Traceroute};
 use inano_model::{ClusterId, HostId, PrefixId};
 use inano_topology::Internet;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One measured cluster-level path with hop RTTs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StoredPath {
     pub src: HostId,
     pub src_cluster: ClusterId,

@@ -12,11 +12,10 @@ use crate::internet::{Internet, LinkId, LinkKind};
 use inano_model::rng::rng_for;
 use inano_model::Asn;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// The routing-relevant state of one day.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DayState {
     pub day: u32,
     /// Inter-AS links that are down for the whole day.

@@ -6,10 +6,8 @@
 //! Experiments that need other scales construct a config with
 //! [`TopologyConfig::scaled`].
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the synthetic Internet generator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TopologyConfig {
     /// Root seed; every random decision derives from it.
     pub seed: u64,

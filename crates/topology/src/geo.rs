@@ -10,10 +10,9 @@
 use inano_model::rng::DeterministicRng;
 use inano_model::LatencyMs;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A point on the plane, in kilometres.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct GeoPoint {
     pub x: f64,
     pub y: f64,
@@ -48,7 +47,7 @@ pub fn link_latency(km: f64) -> LatencyMs {
 
 /// A city: a geographic location where PoPs can be placed. Two PoPs in the
 /// same city are *colocated* and can be cheaply interconnected.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct City {
     pub id: u32,
     pub continent: u8,

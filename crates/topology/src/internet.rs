@@ -9,12 +9,11 @@ use inano_model::{
     Asn, ClusterId, HostId, IfaceId, Ipv4, LatencyMs, LossRate, PopId, Prefix, PrefixId,
     PrefixTrie, Relationship, RouterId,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// AS tier in the generated hierarchy.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Tier {
     Tier1,
     Tier2,
@@ -24,7 +23,7 @@ pub enum Tier {
 
 /// A directed link identifier into [`Internet::links`]. Links are stored
 /// once (undirected); direction is expressed at use sites.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
 impl LinkId {
@@ -40,14 +39,14 @@ impl fmt::Debug for LinkId {
 }
 
 /// Intra-AS backbone link or inter-AS interconnect.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LinkKind {
     Intra,
     Inter,
 }
 
 /// One AS and everything it owns.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AsInfo {
     pub asn: Asn,
     pub tier: Tier,
@@ -85,7 +84,7 @@ impl AsInfo {
 }
 
 /// A Point-of-Presence: routers of one AS in one city.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PopInfo {
     pub id: PopId,
     pub asn: Asn,
@@ -96,7 +95,7 @@ pub struct PopInfo {
 
 /// An undirected physical link between two PoPs. Loss may differ per
 /// direction; latency is symmetric (propagation).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Link {
     pub id: LinkId,
     pub a: PopId,
@@ -145,7 +144,7 @@ impl Link {
 }
 
 /// A BGP prefix with its origin and attachment point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PrefixInfo {
     pub id: PrefixId,
     pub prefix: Prefix,
@@ -158,7 +157,7 @@ pub struct PrefixInfo {
 }
 
 /// An end-host inside an edge prefix.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HostInfo {
     pub id: HostId,
     pub ip: Ipv4,
@@ -168,14 +167,14 @@ pub struct HostInfo {
 }
 
 /// A router inside a PoP.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RouterInfo {
     pub id: RouterId,
     pub pop: PopId,
 }
 
 /// A router interface with its IP address.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct IfaceInfo {
     pub id: IfaceId,
     pub router: RouterId,
@@ -184,7 +183,7 @@ pub struct IfaceInfo {
 }
 
 /// The fully generated ground-truth Internet.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Internet {
     pub cfg: TopologyConfig,
     pub ases: Vec<AsInfo>,

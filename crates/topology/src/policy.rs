@@ -27,11 +27,10 @@ use inano_model::rng::DeterministicRng;
 use inano_model::{Asn, PrefixId, Relationship};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// The full ground-truth policy state of the generated Internet.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PolicySet {
     /// (as, neighbor) → overridden preference class (lower = preferred).
     pub localpref_override: HashMap<(Asn, Asn), u8>,

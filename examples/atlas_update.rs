@@ -10,13 +10,13 @@
 
 use inano::atlas::{codec, AtlasDelta};
 use inano::core::{AtlasSource, INanoClient, PredictorConfig, StaticSource};
-use inano::demo::DemoWorld;
+use inano_bench::{Scenario, ScenarioConfig};
 
 fn main() {
     println!("building three consecutive days of measurements...");
-    let world = DemoWorld::new(5);
-    let day1 = world.atlas_for_day(1);
-    let day2 = world.atlas_for_day(2);
+    let world = Scenario::build(ScenarioConfig::test(5));
+    let (_, day1) = world.atlas_for_day(1);
+    let (_, day2) = world.atlas_for_day(2);
 
     let mut source = StaticSource::new(
         codec::encode(&world.atlas).0,
@@ -57,7 +57,7 @@ fn main() {
     );
 
     // Queries keep working on the updated atlas.
-    let hosts = world.sample_hosts(2);
+    let hosts = &world.vps.agents;
     let (a, b) = (world.net.host(hosts[0]), world.net.host(hosts[1]));
     match client.query(a.ip, b.ip) {
         Ok(p) => println!(

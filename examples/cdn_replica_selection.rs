@@ -6,18 +6,18 @@
 
 use inano::apps::tcp_model::transfer_time_secs;
 use inano::core::{PathPredictor, PredictorConfig};
-use inano::demo::DemoWorld;
 use inano::model::rng::rng_for;
+use inano_bench::{Scenario, ScenarioConfig};
 use rand::seq::SliceRandom;
 use std::sync::Arc;
 
 fn main() {
-    let world = DemoWorld::new(2);
+    let world = Scenario::build(ScenarioConfig::test(2));
     let oracle = world.oracle(0);
     let predictor = PathPredictor::new(Arc::new(world.atlas.clone()), PredictorConfig::full());
     let mut rng = rng_for(2, "example-cdn");
 
-    let hosts = world.sample_hosts(12);
+    let hosts = &world.vps.agents;
     let client = hosts[0];
     let mut replicas = hosts[1..].to_vec();
     replicas.shuffle(&mut rng);

@@ -6,18 +6,18 @@
 
 use inano::apps::detour::rank_detours;
 use inano::core::{PathPredictor, PredictorConfig};
-use inano::demo::DemoWorld;
 use inano::model::rng::rng_for;
 use inano::routing::{FailureScenario, RoutingOracle};
+use inano_bench::{Scenario, ScenarioConfig};
 use std::sync::Arc;
 
 fn main() {
-    let world = DemoWorld::new(4);
+    let world = Scenario::build(ScenarioConfig::test(4));
     let baseline = world.oracle(0);
     let predictor = PathPredictor::new(Arc::new(world.atlas.clone()), PredictorConfig::full());
     let mut rng = rng_for(4, "example-detour");
 
-    let hosts = world.sample_hosts(16);
+    let hosts = &world.vps.agents;
     let src = hosts[0];
     let dst_prefix = world.net.host(hosts[1]).prefix;
     let src_prefix = world.net.host(src).prefix;

@@ -9,11 +9,11 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use inano::core::{INanoClient, PredictorConfig, StaticSource};
-use inano::demo::DemoWorld;
+use inano_bench::{Scenario, ScenarioConfig};
 
 fn main() {
     println!("building a synthetic Internet + one measurement day...");
-    let world = DemoWorld::new(1);
+    let world = Scenario::build(ScenarioConfig::test(1));
     println!("  {}", world.net.summary());
 
     // Encode the atlas exactly as the distribution side would ship it.
@@ -37,7 +37,7 @@ fn main() {
     println!("client bootstrapped at day {}", client.day());
 
     // Predict between two arbitrary end-hosts.
-    let hosts = world.sample_hosts(2);
+    let hosts = &world.vps.agents;
     let (a, b) = (world.net.host(hosts[0]), world.net.host(hosts[1]));
     println!("\nquery: {} ({}) -> {} ({})", a.ip, a.asn, b.ip, b.asn);
     match client.query(a.ip, b.ip) {

@@ -8,9 +8,9 @@
 
 use inano::atlas::{codec, AtlasDelta};
 use inano::core::StaticSource;
-use inano::demo::DemoWorld;
 use inano::model::Ipv4;
 use inano::service::{QueryEngine, ServiceConfig};
+use inano_bench::{Scenario, ScenarioConfig};
 use inano_obs::quantile_from_counts;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 
 fn main() {
     println!("building a demo world and two days of measurements...");
-    let world = DemoWorld::new(5);
-    let day1 = world.atlas_for_day(1);
+    let world = Scenario::build(ScenarioConfig::test(5));
+    let (_, day1) = world.atlas_for_day(1);
     let mut source = StaticSource::new(
         codec::encode(&world.atlas).0,
         vec![AtlasDelta::between(&world.atlas, &day1).encode().0],
@@ -31,7 +31,7 @@ fn main() {
     println!("engine up at day {}", engine.day());
 
     // A client population asking about a fixed set of popular pairs.
-    let hosts = world.sample_hosts(24);
+    let hosts = &world.vps.agents;
     let ips: Vec<Ipv4> = hosts.iter().map(|&h| world.net.host(h).ip).collect();
     let pairs: Vec<(Ipv4, Ipv4)> = ips
         .iter()

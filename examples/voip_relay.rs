@@ -6,17 +6,17 @@
 
 use inano::apps::voip::{call_quality, pick_relay, RelayStrategy};
 use inano::core::{PathPredictor, PredictorConfig};
-use inano::demo::DemoWorld;
 use inano::model::rng::rng_for;
+use inano_bench::{Scenario, ScenarioConfig};
 use std::sync::Arc;
 
 fn main() {
-    let world = DemoWorld::new(3);
+    let world = Scenario::build(ScenarioConfig::test(3));
     let oracle = world.oracle(0);
     let predictor = PathPredictor::new(Arc::new(world.atlas.clone()), PredictorConfig::full());
     let mut rng = rng_for(3, "example-voip");
 
-    let hosts = world.sample_hosts(20);
+    let hosts = &world.vps.agents;
     let (src, dst) = (hosts[0], hosts[1]);
     let candidates = hosts[2..].to_vec();
 

@@ -25,8 +25,9 @@
 //!
 //! Start with `examples/quickstart.rs`; DESIGN.md documents the
 //! architecture and every substitution made for the paper's
-//! infrastructure; EXPERIMENTS.md records paper-vs-measured results for
-//! every table and figure.
+//! infrastructure; README §"Paper experiments" lists the binary behind
+//! every table and figure, and ROADMAP item 2 tracks the
+//! paper-vs-measured comparison.
 
 pub use inano_apps as apps;
 pub use inano_atlas as atlas;
@@ -39,5 +40,3 @@ pub use inano_paths as paths;
 pub use inano_routing as routing;
 pub use inano_service as service;
 pub use inano_topology as topology;
-
-pub mod demo;

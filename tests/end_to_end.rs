@@ -1,14 +1,14 @@
 //! Cross-crate integration: the full pipeline from synthetic Internet to
-//! client queries, exercised at demo scale.
+//! client queries, exercised on the harness's `ScenarioConfig::test` world.
 
 use inano::atlas::{codec, AtlasDelta};
 use inano::core::{INanoClient, PathPredictor, PredictorConfig, StaticSource};
-use inano::demo::DemoWorld;
 use inano::model::{AsPath, Asn};
+use inano_bench::{Scenario, ScenarioConfig};
 use std::sync::Arc;
 
-fn world() -> DemoWorld {
-    DemoWorld::new(11)
+fn world() -> Scenario {
+    Scenario::build(ScenarioConfig::test(11))
 }
 
 #[test]
@@ -56,10 +56,10 @@ fn predictions_match_ground_truth_shape() {
     let w = world();
     let oracle = w.oracle(0);
     let predictor = PathPredictor::new(Arc::new(w.atlas.clone()), PredictorConfig::full());
-    let hosts = w.sample_hosts(8);
+    let hosts = &w.vps.agents[..8];
     let mut compared = 0;
-    for &a in &hosts {
-        for &b in &hosts {
+    for &a in hosts {
+        for &b in hosts {
             if a == b {
                 continue;
             }
@@ -91,9 +91,9 @@ fn atlas_roundtrip_preserves_predictions() {
     let decoded = codec::decode(&bytes).expect("decodes");
     let p1 = PathPredictor::new(Arc::new(codec::quantise(&w.atlas)), PredictorConfig::full());
     let p2 = PathPredictor::new(Arc::new(decoded), PredictorConfig::full());
-    let hosts = w.sample_hosts(6);
-    for &a in &hosts {
-        for &b in &hosts {
+    let hosts = &w.vps.agents[..6];
+    for &a in hosts {
+        for &b in hosts {
             if a == b {
                 continue;
             }
@@ -108,7 +108,7 @@ fn atlas_roundtrip_preserves_predictions() {
 #[test]
 fn client_daily_update_flow() {
     let w = world();
-    let day1 = w.atlas_for_day(1);
+    let (_, day1) = w.atlas_for_day(1);
     let (full, _) = codec::encode(&w.atlas);
     let delta = AtlasDelta::between(&w.atlas, &day1);
     let (l, s, t) = delta.entry_counts();
@@ -129,7 +129,7 @@ fn client_daily_update_flow() {
     assert_eq!(client.update(&mut src).unwrap(), 1);
     assert_eq!(client.day(), 1);
     // The updated client answers queries.
-    let hosts = w.sample_hosts(2);
+    let hosts = &w.vps.agents[..2];
     let (a, b) = (w.net.host(hosts[0]), w.net.host(hosts[1]));
     assert!(client.query(a.ip, b.ip).is_ok());
 }
@@ -138,8 +138,8 @@ fn client_daily_update_flow() {
 fn as_paths_collapse_and_terminate_correctly() {
     let w = world();
     let predictor = PathPredictor::new(Arc::new(w.atlas.clone()), PredictorConfig::full());
-    let hosts = w.sample_hosts(5);
-    for &a in &hosts {
+    let hosts = &w.vps.agents[..5];
+    for &a in hosts {
         let sp = w.net.host(a).prefix;
         for p in w.net.prefixes.iter().take(40) {
             if p.is_infrastructure || p.id == sp {
