@@ -19,6 +19,7 @@ use inano_model::{
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::iter::Peekable;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -110,7 +111,8 @@ struct Counters {
 /// Where an IP address attaches to the atlas — enough to compute a
 /// result-cache key without running the search itself. Produced by
 /// [`PathPredictor::resolve`]; consumed by the serving layer
-/// (`inano-service`), whose cache is keyed on cluster pairs.
+/// (`inano-service`), whose cache is keyed on cluster pairs. A
+/// predictor computes one per atlas prefix when it is built.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Resolution {
     /// The atlas prefix covering the address.
@@ -147,6 +149,52 @@ impl Resolution {
     }
 }
 
+/// One atlas prefix's resolution, or the prefix itself when the atlas
+/// attaches it to no cluster.
+type Row = Result<Resolution, PrefixId>;
+
+/// Every atlas prefix's [`Row`], and the trie that maps an address to
+/// its row. The prefix-keyed datasets are walked in step (each is sorted
+/// by `PrefixId`), so the cost is linear in the prefixes and the table
+/// is as long as the atlas has prefixes, whatever their ids.
+fn resolution_table(atlas: &Atlas) -> (PrefixTrie<u32>, Vec<Row>) {
+    let mut homes = atlas.prefix_cluster.iter().peekable();
+    let mut refined = atlas.prefix_providers.iter().peekable();
+    let mut trie = PrefixTrie::new();
+    let mut rows = Vec::with_capacity(atlas.prefix_as.len());
+    for (&prefix, &(net, origin)) in &atlas.prefix_as {
+        let row = match seek(&mut homes, &prefix) {
+            Some(&cluster) => Ok(Resolution {
+                prefix,
+                cluster,
+                origin_as: Some(origin),
+                cluster_as: atlas.as_of_cluster(cluster),
+                refined_providers: seek(&mut refined, &prefix).is_some(),
+            }),
+            None => Err(prefix),
+        };
+        trie.insert(net, rows.len() as u32);
+        rows.push(row);
+    }
+    (trie, rows)
+}
+
+/// Advance `entries`, sorted by key, to `key`: the value stored there,
+/// if any. Later calls must ask for larger keys.
+fn seek<'a, K: Ord + 'a, V: 'a>(
+    entries: &mut Peekable<impl Iterator<Item = (&'a K, &'a V)>>,
+    key: &K,
+) -> Option<&'a V> {
+    while entries.next_if(|&(k, _)| k < key).is_some() {}
+    entries.next_if(|&(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// `resolve`'s and `predict_forward`'s error for a prefix the atlas
+/// attaches to no cluster.
+fn no_home(prefix: PrefixId) -> ModelError {
+    ModelError::NoPath(format!("{prefix} has no known cluster"))
+}
+
 /// The iNano path predictor.
 ///
 /// Holds two graphs: a *strict* one using links only in their observed
@@ -164,7 +212,10 @@ pub struct PathPredictor {
     /// Fallback graph with reversed links (None in GRAPH mode or when
     /// reversed links are disabled).
     relaxed: Option<PredictionGraph>,
-    trie: PrefixTrie,
+    /// Each atlas prefix → its index in `rows`: one walk resolves an
+    /// address.
+    trie: PrefixTrie<u32>,
+    rows: Vec<Row>,
     cache: Mutex<SearchCache>,
     counts: Counters,
 }
@@ -179,7 +230,7 @@ impl PathPredictor {
 
     fn with_cache_cap(atlas: Arc<Atlas>, cfg: PredictorConfig, cap: usize) -> PathPredictor {
         let (graph, relaxed) = PredictionGraph::build_pair(&atlas, &cfg);
-        let trie = atlas.build_trie();
+        let (trie, rows) = resolution_table(&atlas);
         let slots = HashMap::new();
         PathPredictor {
             atlas,
@@ -187,6 +238,7 @@ impl PathPredictor {
             graph,
             relaxed,
             trie,
+            rows,
             cache: Mutex::new(SearchCache {
                 cap,
                 tick: 0,
@@ -206,8 +258,16 @@ impl PathPredictor {
 
     /// Map an IP address to its atlas prefix.
     pub fn prefix_of(&self, ip: Ipv4) -> Result<PrefixId, ModelError> {
-        self.trie
-            .lookup(ip)
+        Ok(match self.row(ip)? {
+            Ok(resolution) => resolution.prefix,
+            Err(prefix) => prefix,
+        })
+    }
+
+    /// The row of the atlas prefix covering `ip`.
+    fn row(&self, ip: Ipv4) -> Result<Row, ModelError> {
+        let row = self.trie.lookup(ip);
+        row.map(|i| self.rows[i as usize])
             .ok_or_else(|| ModelError::UnroutableAddress(ip.to_string()))
     }
 
@@ -217,23 +277,16 @@ impl PathPredictor {
     }
 
     /// Resolve an IP address to its atlas attachment point (prefix,
-    /// cluster, origin/cluster AS) without running a search.
+    /// cluster, origin/cluster AS) without running a search: one trie
+    /// walk to the row computed when the predictor was built.
     pub fn resolve(&self, ip: Ipv4) -> Result<Resolution, ModelError> {
-        let prefix = self.prefix_of(ip)?;
-        let cluster = self.home_of(prefix)?;
-        Ok(Resolution {
-            prefix,
-            cluster,
-            origin_as: self.atlas.prefix_as.get(&prefix).map(|&(_, asn)| asn),
-            cluster_as: self.atlas.as_of_cluster(cluster),
-            refined_providers: self.atlas.prefix_providers.contains_key(&prefix),
-        })
+        self.row(ip)?.map_err(no_home)
     }
 
     /// The cluster a prefix attaches to.
     fn home_of(&self, prefix: PrefixId) -> Result<ClusterId, ModelError> {
         let home = self.atlas.prefix_cluster.get(&prefix).copied();
-        home.ok_or_else(|| ModelError::NoPath(format!("{prefix} has no known cluster")))
+        home.ok_or_else(|| no_home(prefix))
     }
 
     /// The (cached) destination-rooted search `key` names, over `graph`

@@ -119,22 +119,23 @@ impl fmt::Display for Prefix {
 }
 
 /// A binary trie for longest-prefix matching, mapping [`Prefix`]es to
-/// [`PrefixId`]s. Nodes are kept in a flat arena for cache friendliness.
-#[derive(Clone, Debug, Default)]
-pub struct PrefixTrie {
-    nodes: Vec<TrieNode>,
+/// values — [`PrefixId`]s unless the caller picks another `Copy` type.
+/// Nodes are kept in a flat arena for cache friendliness.
+#[derive(Clone, Debug)]
+pub struct PrefixTrie<V = PrefixId> {
+    nodes: Vec<TrieNode<V>>,
     entries: usize,
 }
 
 #[derive(Clone, Debug)]
-struct TrieNode {
+struct TrieNode<V> {
     children: [u32; 2],
-    value: Option<PrefixId>,
+    value: Option<V>,
 }
 
 const NO_CHILD: u32 = u32::MAX;
 
-impl TrieNode {
+impl<V> TrieNode<V> {
     fn new() -> Self {
         TrieNode {
             children: [NO_CHILD, NO_CHILD],
@@ -143,8 +144,14 @@ impl TrieNode {
     }
 }
 
-impl PrefixTrie {
-    /// An empty trie.
+impl<V> Default for PrefixTrie<V> {
+    fn default() -> Self {
+        PrefixTrie::new()
+    }
+}
+
+impl<V> PrefixTrie<V> {
+    /// An empty trie: the root node alone.
     pub fn new() -> Self {
         PrefixTrie {
             nodes: vec![TrieNode::new()],
@@ -164,7 +171,7 @@ impl PrefixTrie {
 
     /// Insert or overwrite the value for `prefix`. Returns the previous
     /// value if the prefix was already present.
-    pub fn insert(&mut self, prefix: Prefix, id: PrefixId) -> Option<PrefixId> {
+    pub fn insert(&mut self, prefix: Prefix, value: V) -> Option<V> {
         let mut node = 0usize;
         for depth in 0..prefix.len() {
             let bit = ((prefix.addr().raw() >> (31 - depth)) & 1) as usize;
@@ -178,15 +185,18 @@ impl PrefixTrie {
                 next as usize
             };
         }
-        let prev = self.nodes[node].value.replace(id);
+        let prev = self.nodes[node].value.replace(value);
         if prev.is_none() {
             self.entries += 1;
         }
         prev
     }
+}
 
-    /// Longest-prefix match: the most specific prefix containing `ip`.
-    pub fn lookup(&self, ip: Ipv4) -> Option<PrefixId> {
+impl<V: Copy> PrefixTrie<V> {
+    /// Longest-prefix match: the value of the most specific prefix
+    /// containing `ip`.
+    pub fn lookup(&self, ip: Ipv4) -> Option<V> {
         let mut node = 0usize;
         let mut best = self.nodes[0].value;
         for depth in 0..32 {
@@ -204,7 +214,7 @@ impl PrefixTrie {
     }
 
     /// Exact-match lookup for a specific prefix.
-    pub fn get(&self, prefix: Prefix) -> Option<PrefixId> {
+    pub fn get(&self, prefix: Prefix) -> Option<V> {
         let mut node = 0usize;
         for depth in 0..prefix.len() {
             let bit = ((prefix.addr().raw() >> (31 - depth)) & 1) as usize;
@@ -302,6 +312,19 @@ mod tests {
             PrefixId::new(1),
         );
         assert_eq!(t.get(Prefix::new(Ipv4::from_octets(10, 0, 0, 0), 16)), None);
+    }
+
+    #[test]
+    fn a_default_trie_has_its_root() {
+        let mut t = PrefixTrie::default();
+        assert_eq!(t.lookup(Ipv4::from_octets(10, 0, 0, 1)), None);
+        let p = Prefix::new(Ipv4::from_octets(10, 0, 0, 0), 8);
+        t.insert(p, PrefixId::new(7));
+        assert_eq!(
+            t.lookup(Ipv4::from_octets(10, 0, 0, 1)),
+            Some(PrefixId::new(7))
+        );
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -37,6 +37,11 @@ pub fn quantile_from_counts(counts: &[u64], q: f64) -> u64 {
     midpoint(counts.len().max(1) - 1)
 }
 
+/// The bucket a sample of `us` microseconds lands in.
+pub fn bucket_of(us: u64) -> usize {
+    (63 - us.max(1).leading_zeros() as usize).min(BUCKETS - 1)
+}
+
 /// Lock-free latency histogram over microseconds.
 #[derive(Debug)]
 pub struct LatencyHistogram {
@@ -53,8 +58,17 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     pub fn record_us(&self, us: u64) {
-        let idx = (63 - us.max(1).leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Add counts tallied elsewhere (by [`bucket_of`]) in one go: one
+    /// atomic add per non-empty bucket, however many samples.
+    pub fn add_counts(&self, counts: &[u64; BUCKETS]) {
+        for (bucket, &n) in self.buckets.iter().zip(counts) {
+            if n > 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     /// A point-in-time copy of the raw bucket counts, in bucket order.
@@ -85,6 +99,18 @@ mod tests {
         let p99 = quantile_from_counts(&h.snapshot(), 0.99);
         assert!((4096..=8192).contains(&p99), "p99 bucket ~5ms, got {p99}");
         assert_eq!(h.count(), 10);
+    }
+
+    #[test]
+    fn added_counts_equal_recorded_samples() {
+        let (recorded, added) = (LatencyHistogram::default(), LatencyHistogram::default());
+        let mut counts = [0u64; BUCKETS];
+        for us in [0u64, 1, 3, 10, 10, 5000, u64::MAX] {
+            recorded.record_us(us);
+            counts[bucket_of(us)] += 1;
+        }
+        added.add_counts(&counts);
+        assert_eq!(added.snapshot(), recorded.snapshot());
     }
 
     #[test]

@@ -23,7 +23,7 @@ mod journal;
 mod registry;
 mod trace;
 
-pub use hist::{quantile_from_counts, LatencyHistogram, BUCKETS};
+pub use hist::{bucket_of, quantile_from_counts, LatencyHistogram, BUCKETS};
 pub use journal::{Event, EventJournal, EventKind, EventsPage};
 pub use registry::{Counter, Gauge, Metric, MetricValue, MetricsDump, MetricsRegistry};
 pub use trace::{TraceCtx, TraceTimings};

@@ -11,66 +11,178 @@
 //! Sharding: the key hash picks one of `shards` independent
 //! mutex-protected LRU maps, so concurrent callers contend only when
 //! they collide on a shard, not on a single global lock.
+//!
+//! Each shard is an exact LRU at O(1) per operation: a hash map from
+//! key to a slot of an entry slab, and the slots threaded on a doubly
+//! linked recency list by `u32` links. A hit unlinks its entry and
+//! pushes it to the front; an insert into a full shard evicts the tail
+//! and reuses its slot.
 
 use inano_core::PredictedPath;
 use inano_model::ClusterId;
 use inano_obs::Counter;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// `(src_cluster, dst_cluster, config_epoch)`.
 pub type CacheKey = (ClusterId, ClusterId, u64);
 
+/// The key hash [`ShardedCache`] picks a shard with and each shard's
+/// map probes with: every key word times its own odd constant, folded,
+/// then avalanched. The shard index takes the mix's low bits, so all
+/// keys of one shard share them; `finish` therefore hands the map the
+/// mix rotated by half a word. No SipHash: a client picks addresses,
+/// not keys — those are cluster ids of the served atlas — and a shard
+/// never holds more than its capacity.
+#[derive(Default)]
+struct KeyHasher {
+    folded: u64,
+    words: usize,
+}
+
+const WORD_MIX: [u64; 3] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xbf58_476d_1ce4_e5b9,
+    0x94d0_49bb_1331_11eb,
+];
+
+impl KeyHasher {
+    /// The mix of `key`: what the shard index is cut from.
+    fn mix(key: &CacheKey) -> u64 {
+        let mut hasher = KeyHasher::default();
+        key.hash(&mut hasher);
+        hasher.avalanche()
+    }
+
+    fn avalanche(&self) -> u64 {
+        let mut h = self.folded;
+        h ^= h >> 29;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^ (h >> 32)
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write_u64(&mut self, word: u64) {
+        self.folded ^= word.wrapping_mul(WORD_MIX[self.words % WORD_MIX.len()]);
+        self.words += 1;
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word.into());
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.avalanche().rotate_left(32)
+    }
+}
+
+/// End of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// One cached result on its shard's recency list.
+struct Entry {
+    key: CacheKey,
+    value: Arc<PredictedPath>,
+    /// The next more recently used slot, or `NIL` at the head.
+    prev: u32,
+    /// The next less recently used slot, or `NIL` at the tail.
+    next: u32,
+}
+
 /// One shard: an LRU map from key to shared result.
-///
-/// Recency is tracked with a monotone tick per entry plus a
-/// `BTreeMap<tick, key>` recency index — O(log n) per touch, and the
-/// eviction victim is simply the first index entry.
 struct Shard {
-    map: HashMap<CacheKey, (Arc<PredictedPath>, u64)>,
-    recency: BTreeMap<u64, CacheKey>,
-    tick: u64,
+    map: HashMap<CacheKey, u32, BuildHasherDefault<KeyHasher>>,
+    /// Every live entry; never longer than the shard's capacity.
+    slab: Vec<Entry>,
+    /// Most and least recently used slots, `NIL` while empty.
+    head: u32,
+    tail: u32,
 }
 
 impl Shard {
     fn new() -> Shard {
         Shard {
-            map: HashMap::new(),
-            recency: BTreeMap::new(),
-            tick: 0,
+            map: HashMap::default(),
+            slab: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Entry { prev, next, .. } = self.slab[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slab[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slab[n as usize].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, slot: u32) {
+        let head = self.head;
+        let entry = &mut self.slab[slot as usize];
+        entry.prev = NIL;
+        entry.next = head;
+        match head {
+            NIL => self.tail = slot,
+            h => self.slab[h as usize].prev = slot,
+        }
+        self.head = slot;
+    }
+
+    /// Make `slot` the most recently used.
+    fn promote(&mut self, slot: u32) {
+        if self.head != slot {
+            self.unlink(slot);
+            self.push_front(slot);
         }
     }
 
     fn touch(&mut self, key: &CacheKey) -> Option<Arc<PredictedPath>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let (value, old_tick) = self.map.get_mut(key)?;
-        let value = Arc::clone(value);
-        let old = std::mem::replace(old_tick, tick);
-        self.recency.remove(&old);
-        self.recency.insert(tick, *key);
-        Some(value)
+        let slot = *self.map.get(key)?;
+        self.promote(slot);
+        Some(Arc::clone(&self.slab[slot as usize].value))
     }
 
-    /// Insert, evicting the least-recently-used entries past `capacity`.
+    /// Insert, evicting the least-recently-used entry past `capacity`.
     /// Returns how many entries were evicted.
     fn insert(&mut self, key: CacheKey, value: Arc<PredictedPath>, capacity: usize) -> u64 {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((_, old_tick)) = self.map.get(&key) {
-            let old = *old_tick;
-            self.recency.remove(&old);
+        if let Some(&slot) = self.map.get(&key) {
+            self.slab[slot as usize].value = value;
+            self.promote(slot);
+            return 0;
         }
-        self.map.insert(key, (value, tick));
-        self.recency.insert(tick, key);
-        let mut evicted = 0;
-        while self.map.len() > capacity {
-            let (&oldest, &victim) = self.recency.iter().next().expect("recency tracks map");
-            self.recency.remove(&oldest);
-            self.map.remove(&victim);
-            evicted += 1;
-        }
+        let entry = Entry {
+            key,
+            value,
+            prev: NIL,
+            next: NIL,
+        };
+        let (slot, evicted) = if self.slab.len() < capacity {
+            let slot = u32::try_from(self.slab.len()).expect("a shard holds under 2^32 entries");
+            self.slab.push(entry);
+            (slot, 0)
+        } else {
+            let slot = self.tail;
+            self.unlink(slot);
+            let victim = std::mem::replace(&mut self.slab[slot as usize], entry);
+            self.map.remove(&victim.key);
+            (slot, 1)
+        };
+        self.map.insert(key, slot);
+        self.push_front(slot);
         evicted
     }
 }
@@ -105,24 +217,24 @@ impl ShardedCache {
     }
 
     fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
-        // Cheap avalanche over the three key words; shards.len() is a
-        // power of two.
-        let mut h = (key.0.raw() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ (key.1.raw() as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9)
-            ^ key.2.wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 29;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 32;
-        &self.shards[(h as usize) & (self.shards.len() - 1)]
+        // shards.len() is a power of two.
+        &self.shards[(KeyHasher::mix(key) as usize) & (self.shards.len() - 1)]
     }
 
     pub fn get(&self, key: &CacheKey) -> Option<Arc<PredictedPath>> {
-        let hit = self.shard_of(key).lock().touch(key);
+        let hit = self.lookup(key);
         match &hit {
             Some(_) => self.hits.inc(),
             None => self.misses.inc(),
         }
         hit
+    }
+
+    /// [`ShardedCache::get`] without counting: the engine tallies a
+    /// batch's hits and misses itself and adds them to `hits` and
+    /// `misses` once.
+    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<Arc<PredictedPath>> {
+        self.shard_of(key).lock().touch(key)
     }
 
     pub fn insert(&self, key: CacheKey, value: Arc<PredictedPath>) {
@@ -193,6 +305,21 @@ mod tests {
         assert!(c.get(&key(2, 2, 0)).is_none(), "LRU victim evicted");
         assert_eq!(c.evictions.get(), 1);
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn the_shard_index_is_cut_from_the_word_mix() {
+        // The shard mapping predates the shards' own hasher; keys keep
+        // landing where they did.
+        for k in [key(0, 0, 0), key(1, 2, 3), key(77, 5, 1 << 40)] {
+            let mut h = (k.0.raw() as u64).wrapping_mul(WORD_MIX[0])
+                ^ (k.1.raw() as u64).wrapping_mul(WORD_MIX[1])
+                ^ k.2.wrapping_mul(WORD_MIX[2]);
+            h ^= h >> 29;
+            h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+            h ^= h >> 32;
+            assert_eq!(KeyHasher::mix(&k), h);
+        }
     }
 
     #[test]

@@ -32,14 +32,19 @@
 //!
 //! All of them live in one [`EngineMetrics`] of registry handles
 //! ([`QueryEngine::metrics`]), read with `.get()` — percentiles with
-//! `quantile_from_counts` over the `latency_us` snapshot. Every pair that resolves to canonical
-//! endpoints is probed once and counted once (a cache hit or a miss);
-//! a pair behind a non-canonical prefix counts one `cache_bypass`
-//! instead; in-batch duplicates of a missed key each count their miss
-//! but share one search and one insert. `queries`, `errors` and the
-//! latency histogram take one sample per pair: a hit's sample is its
-//! resolve + probe time, a miss's the search it waited for. So
-//! `hits + misses + bypass + resolve errors == queries`.
+//! `quantile_from_counts` over the `latency_us` snapshot. Every pair
+//! that resolves to canonical endpoints is probed once and counted once
+//! (a cache hit or a miss); a pair behind a non-canonical prefix counts
+//! one `cache_bypass` instead; in-batch duplicates of a missed key each
+//! count their miss but share one search and one insert. `queries`,
+//! `errors` and the latency histogram take one sample per pair. The
+//! probe pass reads the clock at its start and its end, and every pair
+//! it answers on the spot (a hit or a resolve error) takes the pass's
+//! mean time per pair as its sample; a miss's sample is the search it
+//! waited for. So `hits + misses + bypass + resolve errors == queries`.
+//! A batch tallies all of this in locals and adds each series once when
+//! it returns: the counters are exact as soon as the call is, and a
+//! cached pair costs them no atomic of its own.
 //!
 //! ## Hot swap
 //!
@@ -63,7 +68,7 @@
 //! journal events it leaves are the same everywhere.
 
 use crate::cache::{CacheKey, ShardedCache};
-use crate::stats::EngineMetrics;
+use crate::stats::{EngineMetrics, Tally};
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_core::{
     chunk_span, content_tag, read_delta, read_full, AtlasSource, AtlasVersion, DeltaHandle,
@@ -406,18 +411,10 @@ impl QueryEngine {
     }
 
     /// [`QueryEngine::query`] without the copy: the answer is the
-    /// `Arc` the result cache holds.
+    /// `Arc` the result cache holds. A batch of one.
     pub fn query_shared(&self, src: Ipv4, dst: Ipv4) -> SharedResult {
-        let generation = self.generation();
-        let start = Instant::now();
-        let result = match self.probe(&generation, src, dst) {
-            Ok(Probed::Hit(hit)) => Ok(hit),
-            Ok(Probed::Miss(miss)) => search(&generation, &self.cache, &miss).0,
-            Err(e) => Err(e),
-        };
-        self.metrics
-            .record_query(start.elapsed().as_micros() as u64, result.is_ok());
-        result
+        let mut answers = self.query_batch_shared(&[(src, dst)]);
+        answers.pop().expect("one answer per pair")
     }
 
     /// Serve a batch; results come back in input order, each an owned
@@ -435,16 +432,20 @@ impl QueryEngine {
     /// `Arc`. The misses, one per distinct cache key, are searched
     /// inline when there are at most [`FANOUT_CHUNK`] of them,
     /// otherwise by this thread and scoped helpers, `FANOUT_CHUNK`
-    /// searches at a time (see the module docs).
+    /// searches at a time (see the module docs). The batch's counts are
+    /// tallied locally and added to [`QueryEngine::metrics`] once, on
+    /// the way out.
     pub fn query_batch_shared(&self, pairs: &[(Ipv4, Ipv4)]) -> Vec<SharedResult> {
         let generation = self.generation();
+        let mut tally = Tally::default();
         let mut misses: Vec<Miss> = Vec::new();
         let mut by_key: HashMap<CacheKey, usize> = HashMap::new();
-        let mut mark = Instant::now();
+        let start = Instant::now();
         let slots: Vec<Slot> = pairs
             .iter()
             .map(|&(src, dst)| {
-                let slot = match self.probe(&generation, src, dst) {
+                let probed = self.probe(&generation, src, dst, &mut tally);
+                match probed {
                     Ok(Probed::Hit(hit)) => Slot::Ready(Ok(hit)),
                     Err(e) => Slot::Ready(Err(e)),
                     Ok(Probed::Miss(miss)) => {
@@ -462,36 +463,41 @@ impl QueryEngine {
                         }
                         Slot::Waits(at)
                     }
-                };
-                // One clock read per pair: this pair's probe ends where
-                // the next one's begins.
-                let now = Instant::now();
-                if let Slot::Ready(r) = &slot {
-                    self.metrics
-                        .record_query((now - mark).as_micros() as u64, r.is_ok());
                 }
-                mark = now;
-                slot
             })
             .collect();
+        // Two clock reads for the whole pass: a pair answered in it
+        // takes the pass's mean time per pair as its sample.
+        let probe_us = (start.elapsed().as_nanos() / (1000 * pairs.len().max(1) as u128)) as u64;
         let searched = self.search_all(&generation, &misses);
-        slots
+        let answers = slots
             .into_iter()
-            .map(|slot| match slot {
-                Slot::Ready(r) => r,
-                Slot::Waits(at) => {
-                    let (result, us) = &searched[at];
-                    self.metrics.record_query(*us, result.is_ok());
-                    result.clone()
-                }
+            .map(|slot| {
+                let (result, us) = match slot {
+                    Slot::Ready(r) => (r, probe_us),
+                    Slot::Waits(at) => {
+                        let (result, us) = &searched[at];
+                        (result.clone(), *us)
+                    }
+                };
+                tally.answer(us, result.is_ok());
+                result
             })
-            .collect()
+            .collect();
+        tally.flush(&self.metrics);
+        answers
     }
 
     /// Resolve both endpoints against a snapshotted generation and
-    /// consult the cluster-keyed cache: the cached answer, or the
-    /// search still owed.
-    fn probe(&self, generation: &Generation, src: Ipv4, dst: Ipv4) -> Result<Probed, ModelError> {
+    /// consult the cluster-keyed cache, counting the probe into
+    /// `tally`: the cached answer, or the search still owed.
+    fn probe(
+        &self,
+        generation: &Generation,
+        src: Ipv4,
+        dst: Ipv4,
+        tally: &mut Tally,
+    ) -> Result<Probed, ModelError> {
         let p = &generation.predictor;
         let s = p.resolve(src)?;
         let d = p.resolve(dst)?;
@@ -502,9 +508,16 @@ impl QueryEngine {
         let key =
             (s.canonical() && d.canonical()).then_some((s.cluster, d.cluster, generation.epoch));
         let hit = match key {
-            Some(key) => self.cache.get(&key),
+            Some(key) => {
+                let hit = self.cache.lookup(&key);
+                match hit {
+                    Some(_) => tally.cache_hits += 1,
+                    None => tally.cache_misses += 1,
+                }
+                hit
+            }
             None => {
-                self.metrics.cache_bypass.inc();
+                tally.cache_bypass += 1;
                 None
             }
         };

@@ -1,8 +1,11 @@
 //! Service metrics: the engine's live registers ([`EngineMetrics`],
 //! registry handles the serving layer exports as `shardN.*`), the one
-//! vocabulary for what an engine counts.
+//! vocabulary for what an engine counts, and the per-batch tally that
+//! writes them: a batch counts in locals and adds each series once, so
+//! the shared atomics see a handful of adds per batch, not several per
+//! pair.
 
-use inano_obs::{Counter, Gauge, LatencyHistogram, MetricsRegistry};
+use inano_obs::{bucket_of, Counter, Gauge, LatencyHistogram, MetricsRegistry, BUCKETS};
 use std::sync::Arc;
 
 /// Every count the engine keeps, each in one atomic behind an
@@ -19,8 +22,9 @@ pub struct EngineMetrics {
     pub errors: Counter,
     /// Generations swapped in since start (deltas and full replaces).
     pub swaps: Counter,
-    /// Per-pair service latency, µs: a hit's sample is its resolve +
-    /// probe time, a miss's the search it waited for.
+    /// Per-pair service latency, µs: a pair answered in the batch's
+    /// probe pass (a hit, a resolve error) takes the pass's mean time
+    /// per pair, a miss the search it waited for.
     pub latency_us: Arc<LatencyHistogram>,
     pub cache_hits: Counter,
     pub cache_misses: Counter,
@@ -48,14 +52,6 @@ pub struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    pub(crate) fn record_query(&self, us: u64, ok: bool) {
-        self.queries.inc();
-        if !ok {
-            self.errors.inc();
-        }
-        self.latency_us.record_us(us);
-    }
-
     /// Export every handle into `obs` as `{label}.*`; see
     /// [`crate::QueryEngine::register_metrics`].
     pub(crate) fn register(&self, obs: &MetricsRegistry, label: &str) {
@@ -80,6 +76,56 @@ impl EngineMetrics {
     }
 }
 
+/// One batch's counts, kept in locals until [`Tally::flush`] adds each
+/// to its [`EngineMetrics`] series with one atomic add.
+pub(crate) struct Tally {
+    queries: u64,
+    errors: u64,
+    latency_us: [u64; BUCKETS],
+    pub(crate) cache_hits: u64,
+    pub(crate) cache_misses: u64,
+    pub(crate) cache_bypass: u64,
+}
+
+impl Default for Tally {
+    fn default() -> Tally {
+        Tally {
+            queries: 0,
+            errors: 0,
+            latency_us: [0; BUCKETS],
+            cache_hits: 0,
+            cache_misses: 0,
+            cache_bypass: 0,
+        }
+    }
+}
+
+impl Tally {
+    /// One answered pair: its latency sample, and whether it failed.
+    pub(crate) fn answer(&mut self, us: u64, ok: bool) {
+        self.queries += 1;
+        self.errors += u64::from(!ok);
+        self.latency_us[bucket_of(us)] += 1;
+    }
+
+    /// Add everything tallied to `m`; a series with nothing to add is
+    /// not touched.
+    pub(crate) fn flush(&self, m: &EngineMetrics) {
+        for (series, n) in [
+            (&m.queries, self.queries),
+            (&m.errors, self.errors),
+            (&m.cache_hits, self.cache_hits),
+            (&m.cache_misses, self.cache_misses),
+            (&m.cache_bypass, self.cache_bypass),
+        ] {
+            if n > 0 {
+                series.add(n);
+            }
+        }
+        m.latency_us.add_counts(&self.latency_us);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,8 +134,10 @@ mod tests {
     #[test]
     fn metrics_record() {
         let m = EngineMetrics::default();
-        m.record_query(100, true);
-        m.record_query(200, false);
+        let mut tally = Tally::default();
+        tally.answer(100, true);
+        tally.answer(200, false);
+        tally.flush(&m);
         assert_eq!(m.queries.get(), 2);
         assert_eq!(m.errors.get(), 1);
         assert_eq!(m.latency_us.count(), 2);
@@ -99,12 +147,15 @@ mod tests {
     fn aggregate_merges_buckets_not_percentiles() {
         let fast = EngineMetrics::default();
         let slow = EngineMetrics::default();
+        let (mut fast_tally, mut slow_tally) = (Tally::default(), Tally::default());
         for _ in 0..90 {
-            fast.record_query(10, true);
+            fast_tally.answer(10, true);
         }
         for _ in 0..10 {
-            slow.record_query(5000, false);
+            slow_tally.answer(5000, false);
         }
+        fast_tally.flush(&fast);
+        slow_tally.flush(&slow);
         // Two engines, each exported as shard0 of its own server.
         let dump = |m: &EngineMetrics| {
             let obs = MetricsRegistry::new();
