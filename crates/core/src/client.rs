@@ -167,7 +167,8 @@ impl INanoClient {
         self.predictor().query(src, dst)
     }
 
-    /// Batched queries.
+    /// Batched queries: [`PathPredictor::query_batch`], whose distinct
+    /// searches may run on scoped helper threads.
     pub fn query_batch(&self, pairs: &[(Ipv4, Ipv4)]) -> Vec<Result<PredictedPath, ModelError>> {
         self.predictor().query_batch(pairs)
     }

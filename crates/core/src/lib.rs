@@ -24,6 +24,7 @@
 
 pub mod client;
 pub mod config;
+pub mod fanout;
 pub mod graph;
 mod index;
 pub mod predict;

@@ -9,8 +9,24 @@
 //! the access pattern of the application studies (many clients evaluating
 //! one replica, one client ranking a swarm of candidates, ...). A search
 //! that cannot answer is not run: see [`PathPredictor::predict_forward`].
+//!
+//! [`PathPredictor::query_batch`] plans before it searches. It lists the
+//! batch's distinct one-way predictions, takes the cache slot of each
+//! one's first search on the caller, in plan order, and runs the searches
+//! whose slots it created on the caller and helper threads drawn from
+//! the process-wide budget ([`crate::fanout`]). A second round does the
+//! same for the relaxed searches of the predictions whose strict tree
+//! missed their source. A prediction holds its tree only for the round
+//! that reads it, and a batch larger than the cache is planned in windows
+//! of the cache's size, so a batch never holds more trees than the cache
+//! does. The answers are assembled on the caller and equal what per-pair
+//! [`PathPredictor::query`] gives; because only the caller touches the
+//! cache's order, its evictions and the [`PathPredictor::search_counts`]
+//! of a run repeat on the next. [`PathPredictor::predict_forward`] is the
+//! same planner on one prediction.
 
 use crate::config::PredictorConfig;
+use crate::fanout;
 use crate::graph::PredictionGraph;
 use crate::search::{search, SearchResult};
 use inano_atlas::Atlas;
@@ -53,9 +69,9 @@ struct SearchKey {
     relaxed: bool,
 }
 
-/// One cached search. Whoever inserts the slot runs the search; a thread
-/// that finds it waits on that one run instead of repeating it, and keeps
-/// its `Arc` should the slot be evicted meanwhile.
+/// One cached search. The first thread to fill an empty slot runs the
+/// search; another that finds it empty waits on that one run instead of
+/// repeating it, and keeps its `Arc` should the slot be evicted meanwhile.
 type Slot = Arc<OnceLock<Arc<SearchResult>>>;
 
 /// At most `cap` slots, each stamped with the tick of its last use.
@@ -89,6 +105,13 @@ impl SearchCache {
 
 /// How often a predictor searched, and how often it did not have to
 /// ([`PathPredictor::search_counts`]).
+///
+/// A [`PathPredictor::query_batch`] counts per distinct one-way
+/// prediction, not per pair: one lookup (a `cache_hits` when it finds the
+/// slot, else a `runs`) per search each distinct prediction reads, and
+/// one `strict_skipped` per distinct prediction that skips. Both ways of
+/// a pair are counted even when the forward one cannot be routed, where
+/// per-pair [`PathPredictor::query`] stops before the reverse.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchCounts {
     /// Searches run (cache misses).
@@ -99,6 +122,47 @@ pub struct SearchCounts {
     /// One-way predictions that went straight to the relaxed graph
     /// because no strict edge leaves the source's cluster.
     pub strict_skipped: u64,
+}
+
+/// The searches a one-way prediction tries, in order: `first`, then —
+/// only when `first` is the strict search and its tree reaches none of
+/// the source's nodes — `fallback`, the relaxed one.
+#[derive(Clone, Copy)]
+struct Route {
+    /// The source prefix's cluster, whose nodes the path starts from.
+    src: ClusterId,
+    first: SearchKey,
+    fallback: Option<SearchKey>,
+}
+
+/// One one-way prediction of a planned batch: its prefixes and route,
+/// the slot of the search the current round reads, and its path once a
+/// round has found one.
+struct Plan {
+    src_prefix: PrefixId,
+    dst_prefix: PrefixId,
+    route: Result<Route, ModelError>,
+    slot: Option<(SearchKey, Slot)>,
+    path: Option<Vec<ClusterId>>,
+}
+
+impl Plan {
+    /// The prediction's answer once both rounds have run.
+    fn answer(self) -> Result<Vec<ClusterId>, ModelError> {
+        self.route?;
+        (self.path).ok_or_else(|| no_route(self.src_prefix, self.dst_prefix))
+    }
+
+    /// The search this way reads in round 1 (`fallback` false) or round
+    /// 2, if it reads one.
+    fn key(&self, fallback: bool) -> Option<SearchKey> {
+        let route = self.route.as_ref().ok()?;
+        match (fallback, &self.path) {
+            (false, _) => Some(route.first),
+            (true, None) => route.fallback,
+            (true, Some(_)) => None,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -195,6 +259,12 @@ fn no_home(prefix: PrefixId) -> ModelError {
     ModelError::NoPath(format!("{prefix} has no known cluster"))
 }
 
+/// `predict_forward`'s error when no search it may run reaches the
+/// source.
+fn no_route(src_prefix: PrefixId, dst_prefix: PrefixId) -> ModelError {
+    ModelError::NoPath(format!("no route {src_prefix} → {dst_prefix}"))
+}
+
 /// The iNano path predictor.
 ///
 /// Holds two graphs: a *strict* one using links only in their observed
@@ -228,6 +298,7 @@ impl PathPredictor {
         PathPredictor::with_cache_cap(atlas, cfg, CACHE_CAP)
     }
 
+    /// [`PathPredictor::new`] with a search cache of at most `cap` trees.
     fn with_cache_cap(atlas: Arc<Atlas>, cfg: PredictorConfig, cap: usize) -> PathPredictor {
         let (graph, relaxed) = PredictionGraph::build_pair(&atlas, &cfg);
         let (trie, rows) = resolution_table(&atlas);
@@ -289,26 +360,25 @@ impl PathPredictor {
         home.ok_or_else(|| no_home(prefix))
     }
 
-    /// The (cached) destination-rooted search `key` names, over `graph`
-    /// (the strict or the relaxed one, as `key.relaxed` says); two
-    /// threads that miss together run it once.
-    fn search_to(
-        &self,
-        graph: &PredictionGraph,
-        dst_prefix: PrefixId,
-        key: SearchKey,
-    ) -> Arc<SearchResult> {
-        let (slot, hit) = self.cache.lock().slot(key);
-        if hit {
-            self.counts.cache_hits.fetch_add(1, Ordering::Relaxed);
+    /// The graph `key` searches: the strict or the relaxed one, as
+    /// `key.relaxed` says.
+    fn graph_of(&self, key: SearchKey) -> &PredictionGraph {
+        match (key.relaxed, &self.relaxed) {
+            (false, _) => &self.graph,
+            (true, relaxed) => relaxed.as_ref().expect("a relaxed key has a relaxed graph"),
         }
-        let result = slot.get_or_init(|| {
-            self.counts.runs.fetch_add(1, Ordering::Relaxed);
-            let atlas = &self.atlas;
-            let found = search(graph, atlas, &self.cfg, key.cluster, dst_prefix, key.origin);
-            Arc::new(found.expect("predict_forward found the destination's node"))
-        });
-        Arc::clone(result)
+    }
+
+    /// The path `tree` (the search `key` names) gives from the first of
+    /// the source cluster's nodes it reaches.
+    fn path_on(
+        &self,
+        key: SearchKey,
+        tree: &SearchResult,
+        src: ClusterId,
+    ) -> Option<Vec<ClusterId>> {
+        let graph = self.graph_of(key);
+        (graph.source_nodes(src)).find_map(|node| tree.cluster_path(graph, node))
     }
 
     /// How many searches this predictor has run, answered from its cache,
@@ -331,12 +401,26 @@ impl PathPredictor {
     /// vantage points only ever saw inbound — where most reverse paths
     /// start) goes straight to the relaxed graph. The one exception is a
     /// destination in the source's own cluster, which needs no such edge.
+    ///
+    /// One way is a batch of one to the planner behind
+    /// [`PathPredictor::query_batch`]: each of its two rounds owes at most
+    /// one search, which runs on this thread.
     pub fn predict_forward(
         &self,
         src_prefix: PrefixId,
         dst_prefix: PrefixId,
     ) -> Result<Vec<ClusterId>, ModelError> {
-        let src_cluster = self.home_of(src_prefix)?;
+        let mut plan = [self.plan(src_prefix, dst_prefix)];
+        self.find_paths(&mut plan);
+        let [plan] = plan;
+        plan.answer()
+    }
+
+    /// What a one-way prediction searches, or why it searches nothing:
+    /// the source's and then the destination's errors first, then the
+    /// skip rule of [`PathPredictor::predict_forward`], counting a skip.
+    fn route(&self, src_prefix: PrefixId, dst_prefix: PrefixId) -> Result<Route, ModelError> {
+        let src = self.home_of(src_prefix)?;
         let cluster = self.home_of(dst_prefix)?;
         let no_path = |what: &str| ModelError::NoPath(format!("{dst_prefix}{what}"));
         let &(_, origin) =
@@ -345,28 +429,29 @@ impl PathPredictor {
             return Err(no_path(": destination not in graph"));
         }
         let refined = (self.atlas.prefix_providers.contains_key(&dst_prefix)).then_some(dst_prefix);
-        for (graph, relaxed) in [(Some(&self.graph), false), (self.relaxed.as_ref(), true)] {
-            let Some(graph) = graph else { continue };
-            if !relaxed && src_cluster != cluster && !graph.has_strict_exit(src_cluster) {
-                self.counts.strict_skipped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let key = SearchKey {
-                cluster,
-                origin,
-                refined,
-                relaxed,
-            };
-            let result = self.search_to(graph, dst_prefix, key);
-            for node in graph.source_nodes(src_cluster) {
-                if let Some(path) = result.cluster_path(graph, node) {
-                    return Ok(path);
-                }
-            }
-        }
-        Err(ModelError::NoPath(format!(
-            "no route {src_prefix} → {dst_prefix}"
-        )))
+        let key = |relaxed| SearchKey {
+            cluster,
+            origin,
+            refined,
+            relaxed,
+        };
+        let strict = if src != cluster && !self.graph.has_strict_exit(src) {
+            self.counts.strict_skipped.fetch_add(1, Ordering::Relaxed);
+            None
+        } else {
+            Some(key(false))
+        };
+        let mut keys = strict
+            .into_iter()
+            .chain(self.relaxed.is_some().then(|| key(true)));
+        let first = keys
+            .next()
+            .ok_or_else(|| no_route(src_prefix, dst_prefix))?;
+        Ok(Route {
+            src,
+            first,
+            fallback: keys.next(),
+        })
     }
 
     /// The AS-level view of a predicted cluster path, terminated at the
@@ -424,16 +509,27 @@ impl PathPredictor {
     ) -> Result<PredictedPath, ModelError> {
         let fwd = self.predict_forward(src_prefix, dst_prefix)?;
         let rev = self.predict_forward(dst_prefix, src_prefix)?;
+        Ok(self.compose(src_prefix, dst_prefix, fwd, rev))
+    }
+
+    /// The bidirectional prediction made of its two one-way paths.
+    fn compose(
+        &self,
+        src_prefix: PrefixId,
+        dst_prefix: PrefixId,
+        fwd: Vec<ClusterId>,
+        rev: Vec<ClusterId>,
+    ) -> PredictedPath {
         let rtt = self.latency_of(&fwd) + self.latency_of(&rev);
         let loss = self.loss_of(&fwd).compose(self.loss_of(&rev));
-        Ok(PredictedPath {
+        PredictedPath {
             fwd_as_path: self.as_path_of(&fwd, dst_prefix),
             rev_as_path: self.as_path_of(&rev, src_prefix),
             fwd_clusters: fwd,
             rev_clusters: rev,
             rtt,
             loss,
-        })
+        }
     }
 
     /// Predict between two IP addresses (the library API of §5: queries
@@ -444,9 +540,133 @@ impl PathPredictor {
         self.predict(s, d)
     }
 
-    /// Batched queries ("batches of arbitrary sizes", §5).
+    /// Batched queries ("batches of arbitrary sizes", §5): in input
+    /// order, the answers per-pair [`PathPredictor::query`] gives, errors
+    /// included.
+    ///
+    /// The batch is planned first (see the module docs): its distinct
+    /// one-way predictions, in first-appearance order and forward before
+    /// reverse, each take their first search's cache slot on this
+    /// thread; the searches of the slots this created then run on this
+    /// thread and scoped helpers from the process-wide budget
+    /// ([`crate::fanout::run`], one search per job; a round that owes at
+    /// most one runs inline), and a second round does the same for the
+    /// relaxed searches the strict trees left owing. The predictions are
+    /// planned in windows of as many as the search cache holds trees,
+    /// and each holds its tree only while its round reads it, so a batch
+    /// of any size holds at most that many trees at once. A search runs
+    /// again in a later window only if the cache evicted it in between.
+    ///
+    /// Unlike [`PathPredictor::predict`], which stops at a forward error,
+    /// a batch plans both ways of every pair whose addresses resolve, so
+    /// a pair that resolves but cannot be routed still costs its reverse
+    /// search. [`SearchCounts`] says how a batch is counted.
     pub fn query_batch(&self, pairs: &[(Ipv4, Ipv4)]) -> Vec<Result<PredictedPath, ModelError>> {
-        pairs.iter().map(|&(s, d)| self.query(s, d)).collect()
+        let mut ways = Vec::new();
+        let mut seen = HashMap::new();
+        let mut way = |src, dst| {
+            *seen.entry((src, dst)).or_insert_with(|| {
+                ways.push((src, dst));
+                ways.len() - 1
+            })
+        };
+        let asked: Vec<Result<(usize, usize), ModelError>> = pairs
+            .iter()
+            .map(|&(src, dst)| {
+                let (s, d) = (self.prefix_of(src)?, self.prefix_of(dst)?);
+                Ok((way(s, d), way(d, s)))
+            })
+            .collect();
+        let window = self.cache.lock().cap;
+        let paths: Vec<_> = (ways.chunks(window))
+            .flat_map(|ways| {
+                let mut plans: Vec<Plan> = ways.iter().map(|&(s, d)| self.plan(s, d)).collect();
+                self.find_paths(&mut plans);
+                plans.into_iter().map(Plan::answer)
+            })
+            .collect();
+        asked
+            .into_iter()
+            .map(|asked| {
+                let (fwd, rev) = asked?;
+                let (s, d) = ways[fwd];
+                Ok(self.compose(s, d, paths[fwd].clone()?, paths[rev].clone()?))
+            })
+            .collect()
+    }
+
+    /// The one-way prediction `src_prefix` → `dst_prefix`, planned but
+    /// not yet searched.
+    fn plan(&self, src_prefix: PrefixId, dst_prefix: PrefixId) -> Plan {
+        Plan {
+            src_prefix,
+            dst_prefix,
+            route: self.route(src_prefix, dst_prefix),
+            slot: None,
+            path: None,
+        }
+    }
+
+    /// Find the path of every plan as [`PathPredictor::predict_forward`]
+    /// finds it, in two rounds: every route's first search, then the
+    /// fallback of every route whose first tree missed its source.
+    ///
+    /// Each round takes its slots on this thread in plan order — so the
+    /// cache's LRU stamps, and every later eviction, never depend on
+    /// thread timing — then runs the searches of the slots it created on
+    /// this thread and permitted helpers, one search per job. A slot it
+    /// found empty is being searched elsewhere (by an earlier plan of the
+    /// round, or another caller); reading it waits on that run. No tree
+    /// outlives the round that read it.
+    fn find_paths(&self, plans: &mut [Plan]) {
+        for fallback in [false, true] {
+            if plans.iter().all(|plan| plan.key(fallback).is_none()) {
+                continue;
+            }
+            let (mut hits, mut fresh) = (0, Vec::new());
+            let mut cache = self.cache.lock();
+            // More plans than slots, and a round could evict a slot it
+            // took and search that key twice.
+            debug_assert!(plans.len() <= cache.cap, "a round outgrew the cache");
+            for (i, plan) in plans.iter_mut().enumerate() {
+                if let Some(key) = plan.key(fallback) {
+                    let (slot, hit) = cache.slot(key);
+                    hits += u64::from(hit);
+                    if !hit {
+                        fresh.push(i);
+                    }
+                    plan.slot = Some((key, slot));
+                }
+            }
+            drop(cache);
+            self.counts.cache_hits.fetch_add(hits, Ordering::Relaxed);
+            fanout::run(fresh.len(), 1, |j| {
+                let plan = &plans[fresh[j]];
+                let (key, slot) = plan.slot.as_ref().expect("a fresh slot was taken");
+                self.tree(slot, *key, plan.dst_prefix);
+            });
+            for plan in plans.iter_mut() {
+                if let Some((key, slot)) = plan.slot.take() {
+                    let src = plan
+                        .route
+                        .as_ref()
+                        .expect("a plan with a key has a route")
+                        .src;
+                    plan.path = self.path_on(key, self.tree(&slot, key, plan.dst_prefix), src);
+                }
+            }
+        }
+    }
+
+    /// The tree in `slot`, searched here unless another thread has
+    /// searched it or is searching it now.
+    fn tree<'s>(&self, slot: &'s Slot, key: SearchKey, dst_prefix: PrefixId) -> &'s SearchResult {
+        slot.get_or_init(|| {
+            self.counts.runs.fetch_add(1, Ordering::Relaxed);
+            let (atlas, graph) = (&self.atlas, self.graph_of(key));
+            let found = search(graph, atlas, &self.cfg, key.cluster, dst_prefix, key.origin);
+            Arc::new(found.expect("route() found the destination's node"))
+        })
     }
 
     /// Graph diagnostics: (nodes, edges).
@@ -737,6 +957,102 @@ mod tests {
         assert!(err(10, 99).contains("no known cluster"));
         assert_eq!(p.search_counts().runs, 0);
         assert_eq!(route(&p, 10, 10), [1]);
+    }
+
+    /// `ring(12)` where no observed link enters cluster 4 (a strict
+    /// search toward it reaches no source, so the relaxed one runs after
+    /// it), plus prefix 99, announced but attached to no cluster.
+    fn sink_ring() -> Atlas {
+        let mut a = ring(12);
+        for from in [3, 5] {
+            a.links.remove(&(ClusterId::new(from), ClusterId::new(4)));
+        }
+        home(&mut a, 99, 0, 0);
+        a.prefix_cluster.remove(&PrefixId::new(99));
+        a
+    }
+
+    /// An address in prefix `p` of [`ring`]'s numbering.
+    fn ip(p: u32) -> Ipv4 {
+        Ipv4((p << 8) | 1)
+    }
+
+    /// `predict`'s answers, compared by their `Debug` text: every float
+    /// prints its shortest round-trip form, every error its message.
+    fn text(answers: &[Result<PredictedPath, ModelError>]) -> Vec<String> {
+        answers.iter().map(|a| format!("{a:?}")).collect()
+    }
+
+    /// Pairs over [`sink_ring`]: a spread with repeats, the strict miss
+    /// both ways, a same-cluster pair, an unhomed prefix and an address
+    /// no prefix covers.
+    fn sink_pairs() -> Vec<(Ipv4, Ipv4)> {
+        let spread = (0..40).map(|i| (ip(i * 5 % 12), ip((i * 7 + 3) % 12)));
+        let uncovered = Ipv4::from_octets(200, 0, 0, 1);
+        let awkward = [
+            (ip(0), ip(4)),
+            (ip(4), ip(0)),
+            (ip(2), ip(2)),
+            (ip(99), ip(1)),
+            (ip(1), ip(99)),
+            (uncovered, ip(1)),
+            (ip(1), uncovered),
+        ];
+        awkward.into_iter().chain(spread).collect()
+    }
+
+    #[test]
+    fn a_batch_answers_and_counts_alike_whatever_the_cache_holds() {
+        let pairs = sink_pairs();
+        let probe = ring_predictor(sink_ring(), CACHE_CAP);
+        route(&probe, 0, 4);
+        let strict_miss = SearchCounts {
+            runs: 2,
+            cache_hits: 0,
+            strict_skipped: 0,
+        };
+        assert_eq!(probe.search_counts(), strict_miss, "two rounds");
+        for cap in [4, 16] {
+            let inline = ring_predictor(sink_ring(), cap);
+            let want: Vec<_> = pairs.iter().map(|&(s, d)| inline.query(s, d)).collect();
+            let counts = || {
+                let p = ring_predictor(sink_ring(), cap);
+                for n in [1, 2, 4, pairs.len()] {
+                    for i in (0..pairs.len()).step_by(n) {
+                        let end = pairs.len().min(i + n);
+                        let got = p.query_batch(&pairs[i..end]);
+                        assert_eq!(text(&got), text(&want[i..end]), "cache of {cap}");
+                    }
+                }
+                p.search_counts()
+            };
+            let first = counts();
+            assert!(first.runs > 0 && first.cache_hits > 0, "{first:?}");
+            for _ in 0..3 {
+                assert_eq!(counts(), first, "cache of {cap}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_larger_than_the_cache_lets_go_of_its_trees() {
+        const CAP: usize = 4;
+        // Destinations 1..=8 from 0, then again from 9: eight windows of
+        // four one-way predictions, ten distinct searches.
+        let pairs: Vec<_> = (0..2)
+            .flat_map(|k| (1..=8).map(move |d| (ip(9 * k), ip(d))))
+            .collect();
+        let inline = ring_predictor(ring(16), CAP);
+        let want: Vec<_> = pairs.iter().map(|&(s, d)| inline.query(s, d)).collect();
+        let p = ring_predictor(ring(16), CAP);
+        assert_eq!(text(&p.query_batch(&pairs)), text(&want));
+        let runs = p.search_counts().runs;
+        // Holding every tree to the end would run each search once; a
+        // batch holds no more trees than the cache, which evicted
+        // destinations 1..=8 before 9 asked for them again.
+        assert!(runs > 10, "{runs} runs");
+        assert_eq!(runs, inline.search_counts().runs);
+        assert!(cached(&p) <= CAP);
     }
 
     #[test]

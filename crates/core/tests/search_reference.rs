@@ -720,6 +720,45 @@ fn scratch_does_not_leak_across_sizes_or_predictors() {
     assert_eq!(answers(&again, &lq), want_large);
 }
 
+#[test]
+fn scratch_does_not_leak_across_sizes_or_predictors_inline() {
+    // `query_batch` may search on helper threads, each with a fresh
+    // scratch; `predict` searches on its caller. So this drives the same
+    // large → small → GRAPH → large sequence through `predict` on this
+    // one thread, against a fresh thread answering each alone.
+    let large = Arc::new(Scenario::build(ScenarioConfig::test(7)).atlas);
+    let small = Arc::new(random_atlas(&mut TestRng::from_name("small 3")));
+    let (lq, sq) = (queries(&large, 150), queries(&small, 40));
+    let inline = |p: &PathPredictor, q: &[(Ipv4, Ipv4)]| -> String {
+        let predict = |(s, d)| p.predict(p.prefix_of(s)?, p.prefix_of(d)?);
+        format!(
+            "{:?}",
+            q.iter().map(|&pair| predict(pair)).collect::<Vec<_>>()
+        )
+    };
+    let alone = |atlas: &Arc<Atlas>, cfg: PredictorConfig, q: &[(Ipv4, Ipv4)]| {
+        let (atlas, q) = (Arc::clone(atlas), q.to_vec());
+        std::thread::spawn(move || inline(&PathPredictor::new(atlas, cfg), &q))
+            .join()
+            .unwrap()
+    };
+    let mut no_tuples = PredictorConfig::full();
+    no_tuples.use_tuples = false;
+    let want_large = alone(&large, PredictorConfig::full(), &lq);
+    let want_small = alone(&small, no_tuples.clone(), &sq);
+    let want_graph = alone(&large, PredictorConfig::graph(), &lq);
+    assert!(want_large.contains("Ok(") && want_small.contains("Ok("));
+
+    let first = PathPredictor::new(Arc::clone(&large), PredictorConfig::full());
+    assert_eq!(inline(&first, &lq), want_large);
+    let second = PathPredictor::new(Arc::clone(&small), no_tuples);
+    assert_eq!(inline(&second, &sq), want_small);
+    let third = PathPredictor::new(Arc::clone(&large), PredictorConfig::graph());
+    assert_eq!(inline(&third, &lq), want_graph);
+    let again = PathPredictor::new(Arc::clone(&large), PredictorConfig::full());
+    assert_eq!(inline(&again, &lq), want_large);
+}
+
 /// A ring of `n` hubs linked both ways, each with a stub that is only
 /// ever seen from its hub; one prefix per cluster. A route out of a stub
 /// exists only on the relaxed graph, so `2n` destinations are up to `4n`

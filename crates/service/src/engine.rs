@@ -10,23 +10,25 @@
 //! the *caller's* thread. A hit is answered there and then as the
 //! cached `Arc<PredictedPath>` — it never crosses a thread or copies
 //! the path. Only the misses go on, de-duplicated per cache key so one
-//! key is searched and inserted once per batch. At most
-//! [`FANOUT_CHUNK`] of them are searched right there. More than that,
-//! and the caller opens a `std::thread::scope`: it and up to
+//! key is searched and inserted once per batch, each with the inline
+//! [`PathPredictor::predict`]. They go to core's one fan-out,
+//! [`fanout::run`], in chunks of [`FANOUT_CHUNK`]: at most one chunk is
+//! searched right there; more, and the caller opens a
+//! `std::thread::scope` in which it and up to
 //! `min(available_parallelism, ⌈misses / FANOUT_CHUNK⌉) − 1` helper
-//! threads pull chunks of `FANOUT_CHUNK` searches off one atomic
-//! cursor, and each chunk's results are placed by its index. The
-//! helpers borrow the batch's generation, so a batch is answered from
-//! exactly one generation, in input order, and no thread outlives the
-//! call that spawned it.
+//! threads pull chunks off one atomic cursor, each chunk's results
+//! placed by its index. The helpers borrow the batch's generation, so a
+//! batch is answered from exactly one generation, in input order, and no
+//! thread outlives the call that spawned it.
 //!
-//! A helper needs a permit from one process-wide counter capped at
-//! `available_parallelism()`, so however many engines, shards and
-//! callers a process has, the fan-out never runs more helpers than the
-//! host has cores; a batch that gets no permit searches on its caller
-//! alone. [`QueryEngine::query`] / [`QueryEngine::query_batch`] are the
-//! owning forms: the same path, with each result cloned out of its
-//! `Arc`.
+//! A helper needs a permit from the one process-wide counter in
+//! [`fanout`], capped at `available_parallelism()` and shared with the
+//! library's own [`PathPredictor::query_batch`], so however many
+//! engines, shards, library batches and callers a process has, the
+//! fan-outs never run more helpers than the host has cores; a batch
+//! that gets no permit searches on its caller alone.
+//! [`QueryEngine::query`] / [`QueryEngine::query_batch`] are the owning
+//! forms: the same path, with each result cloned out of its `Arc`.
 //!
 //! ## Counters
 //!
@@ -71,16 +73,14 @@ use crate::cache::{CacheKey, ShardedCache};
 use crate::stats::{EngineMetrics, Tally};
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_core::{
-    chunk_span, content_tag, read_delta, read_full, AtlasSource, AtlasVersion, DeltaHandle,
+    chunk_span, content_tag, fanout, read_delta, read_full, AtlasSource, AtlasVersion, DeltaHandle,
     PathPredictor, PredictedPath, PredictorConfig,
 };
 use inano_model::{Ipv4, ModelError, PrefixId};
 use inano_obs::{EventJournal, EventKind, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Tuning knobs for the engine.
@@ -111,45 +111,6 @@ impl Default for ServiceConfig {
 /// configuration field, and the one the fan-out was measured at
 /// (DESIGN.md, "Threading model"), so it is a constant.
 pub const FANOUT_CHUNK: usize = 64;
-
-/// Helper threads alive across every engine in the process; never more
-/// than [`helper_cap`]. Only counts — it publishes no data, the scope's
-/// join does that — so `Relaxed` throughout.
-static HELPERS: AtomicUsize = AtomicUsize::new(0);
-
-/// `available_parallelism()`, read once.
-fn helper_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Up to `want` helper permits, returned to [`HELPERS`] on drop — also
-/// when a search panics out of the scope.
-struct Permits(usize);
-
-impl Permits {
-    fn take(want: usize) -> Permits {
-        let mut got = 0;
-        // The closure's last `got` is the one whose exchange succeeded.
-        let _ = HELPERS.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |alive| {
-            got = want.min(helper_cap().saturating_sub(alive));
-            Some(alive + got)
-        });
-        Permits(got)
-    }
-
-    /// Keep `used` of the permits taken and return the rest now.
-    fn keep(&mut self, used: usize) {
-        HELPERS.fetch_sub(self.0 - used, Ordering::Relaxed);
-        self.0 = used;
-    }
-}
-
-impl Drop for Permits {
-    fn drop(&mut self) {
-        HELPERS.fetch_sub(self.0, Ordering::Relaxed);
-    }
-}
 
 /// One immutable atlas generation. A batch snapshots an `Arc` to it
 /// once and searches only that; swaps replace the pointer, never
@@ -531,53 +492,14 @@ impl QueryEngine {
         })
     }
 
-    /// Run a batch's searches against its generation, in miss order.
+    /// Run a batch's searches against its generation, in miss order:
+    /// inline up to [`FANOUT_CHUNK`] of them (the common batch never
+    /// touches the process-wide permit counter), else chunked over
+    /// permitted helpers by [`fanout::run`].
     fn search_all(&self, generation: &Generation, misses: &[Miss]) -> Vec<Searched> {
-        let run = |chunk: &[Miss]| -> Vec<Searched> {
-            chunk
-                .iter()
-                .map(|m| search(generation, &self.cache, m))
-                .collect()
-        };
-        // The common batch — all hits, or a few misses — stops here and
-        // never touches the process-wide permit counter.
-        if misses.len() <= FANOUT_CHUNK {
-            return run(misses);
-        }
-        let chunks = misses.len().div_ceil(FANOUT_CHUNK);
-        let mut permits = Permits::take(chunks.min(helper_cap()) - 1);
-        let cursor = AtomicUsize::new(0);
-        // Claim chunks until none are left; each comes back with the
-        // index that places it.
-        let pull = || -> Vec<(usize, Vec<Searched>)> {
-            let mut done = Vec::new();
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(chunk) = misses.chunks(FANOUT_CHUNK).nth(i) else {
-                    return done;
-                };
-                done.push((i, run(chunk)));
-            }
-        };
-        let mut done = thread::scope(|scope| {
-            // A host that refuses a thread costs the batch parallelism,
-            // not its answer: stop asking, and the cursor is drained by
-            // whoever did start — this thread at the least.
-            let helpers: Vec<_> = (0..permits.0)
-                .map_while(|_| thread::Builder::new().spawn_scoped(scope, pull).ok())
-                .collect();
-            permits.keep(helpers.len());
-            let mut done = pull();
-            // Joined by handle, not left to the scope: that returns
-            // once the OS thread is gone, so a permit never goes back
-            // while its thread still runs.
-            for helper in helpers {
-                done.extend(helper.join().expect("a helper thread's search panicked"));
-            }
-            done
-        });
-        done.sort_unstable_by_key(|&(i, _)| i);
-        done.into_iter().flat_map(|(_, results)| results).collect()
+        fanout::run(misses.len(), FANOUT_CHUNK, |i| {
+            search(generation, &self.cache, &misses[i])
+        })
     }
 
     /// Apply one daily delta and swap the serving generation. All heavy

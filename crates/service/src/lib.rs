@@ -10,8 +10,10 @@
 //! * [`QueryEngine`] — [`QueryEngine::query_batch`] answers every
 //!   cached pair on the caller's thread from one generation snapshot
 //!   and, when a batch still owes more than [`FANOUT_CHUNK`]
-//!   searches, fans them over scoped helper threads bounded
-//!   process-wide by the core count (the engine owns no threads);
+//!   searches, fans them over scoped helper threads through
+//!   [`inano_core::fanout`], bounded process-wide by the core count
+//!   together with the library's own batches (the engine owns no
+//!   threads);
 //! * [`ShardedCache`] — a sharded LRU over full bidirectional
 //!   predictions keyed `(src_cluster, dst_cluster, epoch)`, riding the
 //!   paper's observation that predictions are stable within a

@@ -1,7 +1,8 @@
 //! The thread budget as a property: an engine owns no threads, a cold
-//! batch's fan-out borrows at most `available_parallelism()` helpers
-//! across the whole process, and all of them are gone when the batches
-//! return.
+//! batch's fan-out — the engine's or the library's own
+//! `PathPredictor::query_batch` — borrows at most
+//! `available_parallelism()` helpers across the whole process, and all
+//! of them are gone when the batches return.
 //!
 //! This binary holds exactly one `#[test]`, so no sibling test's
 //! threads move the count it reads from `/proc/self/task`.
@@ -85,6 +86,50 @@ fn tasks() -> usize {
         .count()
 }
 
+/// Sets its flag when dropped, a panic's unwind included.
+struct Stop<'a>(&'a AtomicBool);
+
+impl Drop for Stop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
+/// Run `body` while a sampler thread reads the task count: what `body`
+/// returned, the highest count seen, and a count over `budget` if one
+/// was seen. An over-budget reading has to repeat to count: a helper
+/// that was just joined may still be listed while the kernel reaps it,
+/// and that is not a live thread.
+fn watched<R>(budget: usize, body: impl FnOnce() -> R) -> (R, usize, Option<usize>) {
+    let done = AtomicBool::new(false);
+    thread::scope(|scope| {
+        let sampler = scope.spawn(|| {
+            let (mut peak, mut over_budget) = (0, None);
+            while !done.load(Ordering::Relaxed) {
+                let mut seen = tasks();
+                for _ in 0..5 {
+                    if seen <= budget {
+                        break;
+                    }
+                    thread::sleep(Duration::from_millis(1));
+                    seen = seen.min(tasks());
+                }
+                peak = peak.max(seen);
+                if seen > budget {
+                    over_budget = Some(seen);
+                }
+            }
+            (peak, over_budget)
+        });
+        let out = {
+            let _stop = Stop(&done);
+            body()
+        };
+        let (peak, over_budget) = sampler.join().expect("sampler");
+        (out, peak, over_budget)
+    })
+}
+
 /// Poll until the task count is back at `want`. A joined thread stays
 /// listed until the kernel has reaped it, a moment after `join`
 /// returns, so "gone" is read with a bound rather than once.
@@ -137,71 +182,51 @@ fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
     assert_eq!(batch_of(0).len(), 4 * FANOUT_CHUNK);
 
     // (ii) While the callers run, the process never holds more than the
-    // callers plus one helper per core. An over-budget reading has to
-    // repeat to count: a helper that was just joined may still be
-    // listed while the kernel reaps it, and that is not a live thread.
-    let budget = base + 1 + CALLERS + cores; // + 1: the sampler itself
-    let done = AtomicBool::new(false);
+    // callers plus one helper per core.
+    // (+ 1: the sampler itself.)
+    let budget = base + 1 + CALLERS + cores;
     // Each round: callers query, meet, one delta lands on every shard,
     // meet again — so no batch straddles a swap and every answer has
     // exactly one generation to be checked against.
     let barrier = Barrier::new(CALLERS + 1);
-    let (peak, over_budget, wrong) = thread::scope(|scope| {
-        let sampler = scope.spawn(|| {
-            let (mut peak, mut over_budget) = (0, None);
-            while !done.load(Ordering::Relaxed) {
-                let mut seen = tasks();
-                for _ in 0..5 {
-                    if seen <= budget {
-                        break;
-                    }
-                    thread::sleep(Duration::from_millis(1));
-                    seen = seen.min(tasks());
-                }
-                peak = peak.max(seen);
-                if seen > budget {
-                    over_budget = Some(seen);
-                }
-            }
-            (peak, over_budget)
-        });
-        let callers: Vec<_> = (0..CALLERS)
-            .map(|c| {
-                let (registry, rounds, barrier) = (&registry, &rounds, &barrier);
-                let batch = batch_of(c);
-                scope.spawn(move || {
-                    let engine = registry
-                        .engine(ShardId(c as u16 % SHARDS))
-                        .expect("shard exists");
-                    // Counted, not asserted: a caller that panicked here
-                    // would leave the others waiting at the barrier.
-                    let mut wrong = 0;
-                    for (oracle, _) in rounds {
-                        let got = engine.query_batch(&batch);
-                        wrong += batch
-                            .iter()
-                            .zip(&got)
-                            .filter(|(&(s, d), got)| !same(got, &oracle.query(s, d)))
-                            .count();
-                        barrier.wait();
-                        barrier.wait();
-                    }
-                    wrong
+    let (wrong, peak, over_budget) = watched(budget, || {
+        thread::scope(|scope| {
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|c| {
+                    let (registry, rounds, barrier) = (&registry, &rounds, &barrier);
+                    let batch = batch_of(c);
+                    scope.spawn(move || {
+                        let engine = registry
+                            .engine(ShardId(c as u16 % SHARDS))
+                            .expect("shard exists");
+                        // Counted, not asserted: a caller that panicked here
+                        // would leave the others waiting at the barrier.
+                        let mut wrong = 0;
+                        for (oracle, _) in rounds {
+                            let got = engine.query_batch(&batch);
+                            wrong += batch
+                                .iter()
+                                .zip(&got)
+                                .filter(|(&(s, d), got)| !same(got, &oracle.query(s, d)))
+                                .count();
+                            barrier.wait();
+                            barrier.wait();
+                        }
+                        wrong
+                    })
                 })
-            })
-            .collect();
-        for (_, delta) in &rounds {
-            barrier.wait();
-            for (id, _) in registry.iter() {
-                registry.apply_delta(id, delta).expect("delta applies");
+                .collect();
+            for (_, delta) in &rounds {
+                barrier.wait();
+                for (id, _) in registry.iter() {
+                    registry.apply_delta(id, delta).expect("delta applies");
+                }
+                barrier.wait();
             }
-            barrier.wait();
-        }
-        let wrong: Vec<_> = callers.into_iter().map(|c| c.join()).collect();
-        done.store(true, Ordering::Relaxed);
-        let (peak, over_budget) = sampler.join().expect("sampler");
-        let wrong: usize = wrong.into_iter().map(|w| w.expect("caller")).sum();
-        (peak, over_budget, wrong)
+            (callers.into_iter())
+                .map(|c| c.join().expect("caller"))
+                .sum::<usize>()
+        })
     });
     // (iv) Every answer is the library's, for the generation its round
     // served.
@@ -227,6 +252,70 @@ fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
     assert!(
         settles_at(base),
         "{} tasks left behind after every batch returned",
+        tasks() - base
+    );
+
+    // (v) The library's own batches draw on the same budget. Each caller
+    // loops cold `PathPredictor::query_batch` calls — a fresh predictor
+    // per call, so every call owes all of its searches — then
+    // interleaves them with batches on its engine, which now serves the
+    // last day.
+    let served = Arc::new(served);
+    let oracle = PathPredictor::new(Arc::clone(&served), ring_cfg());
+    let (wrong, peak, over_budget) = watched(budget, || {
+        thread::scope(|scope| {
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|c| {
+                    let (registry, served, oracle) = (&registry, &served, &oracle);
+                    let batch = batch_of(c);
+                    scope.spawn(move || {
+                        let engine = registry
+                            .engine(ShardId(c as u16 % SHARDS))
+                            .expect("shard exists");
+                        let library = || {
+                            let cold = PathPredictor::new(Arc::clone(served), ring_cfg());
+                            cold.query_batch(&batch)
+                        };
+                        let mut answers = Vec::new();
+                        for _ in 0..ROUNDS {
+                            answers.push(library());
+                        }
+                        for _ in 0..ROUNDS {
+                            answers.push(engine.query_batch(&batch));
+                            answers.push(library());
+                        }
+                        let wrong = |got: &Vec<_>| {
+                            (batch.iter().zip(got))
+                                .filter(|(&(s, d), got)| !same(got, &oracle.query(s, d)))
+                                .count()
+                        };
+                        answers.iter().map(wrong).sum::<usize>()
+                    })
+                })
+                .collect();
+            (callers.into_iter())
+                .map(|c| c.join().expect("caller"))
+                .sum::<usize>()
+        })
+    });
+    assert_eq!(
+        wrong, 0,
+        "library answers differing from PathPredictor::query"
+    );
+    assert_eq!(
+        over_budget, None,
+        "library batches: more than {CALLERS} callers + {cores} helpers alive \
+         (budget {budget} tasks, base {base})"
+    );
+    if cores > 1 {
+        assert!(
+            peak > base + 1 + CALLERS,
+            "no library helper was ever seen (peak {peak}, base {base})"
+        );
+    }
+    assert!(
+        settles_at(base),
+        "{} tasks left behind after every library batch returned",
         tasks() - base
     );
 }

@@ -57,3 +57,21 @@ fn answers_per_rung_match_the_recorded_digests() {
         .collect();
     assert_eq!(got, GOLDEN, "got {got:#018x?}");
 }
+
+#[test]
+fn answers_per_rung_match_the_recorded_digests_pair_by_pair() {
+    // The same digests through per-pair `query`, which searches inline:
+    // the batch executor and the inline one are pinned to one answer.
+    let s = Scenario::build(ScenarioConfig::test(7));
+    let pairs = pairs(&s);
+    let atlas = Arc::new(s.atlas.clone());
+    let got: Vec<u64> = PredictorConfig::ladder()
+        .into_iter()
+        .map(|(_, cfg)| {
+            let p = PathPredictor::new(Arc::clone(&atlas), cfg);
+            let answers: Vec<_> = pairs.iter().map(|&(src, dst)| p.query(src, dst)).collect();
+            fnv1a(format!("{answers:?}").as_bytes())
+        })
+        .collect();
+    assert_eq!(got, GOLDEN, "got {got:#018x?}");
+}
