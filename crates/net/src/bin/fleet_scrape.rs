@@ -69,10 +69,10 @@ fn fleet_lag_days(dumps: &[MetricsDump]) -> u64 {
 
 /// One connection per `--connect` target, paired with its address (for
 /// error messages).
-fn connect_all(targets: &[(String, String)]) -> Vec<(String, NetClient)> {
+fn connect_all(targets: &[String]) -> Vec<(String, NetClient)> {
     targets
         .iter()
-        .map(|(_, addr)| {
+        .map(|addr| {
             let client =
                 NetClient::connect(addr).unwrap_or_else(|e| panic!("connect to {addr}: {e}"));
             (addr.clone(), client)
@@ -93,7 +93,7 @@ fn scrape(clients: &mut [(String, NetClient)]) -> Vec<MetricsDump> {
         .collect()
 }
 
-fn timeseries(targets: &[(String, String)], interval_ms: u64, ticks: usize) {
+fn timeseries(targets: &[String], interval_ms: u64, ticks: usize) {
     // Per-server state: the client and the event-journal cursor — the
     // `next_seq` of the last page, so each tick only pulls events the
     // previous tick hasn't seen.
@@ -202,7 +202,7 @@ fn fleet_latency(merged: &MetricsDump) -> Vec<u64> {
     sum
 }
 
-fn one_shot(targets: &[(String, String)]) {
+fn one_shot(targets: &[String]) {
     let mut clients = connect_all(targets);
     let dumps = scrape(&mut clients);
     let mut shards = 0usize;
@@ -261,7 +261,7 @@ fn one_shot(targets: &[(String, String)]) {
 fn main() {
     refuse_unknown(&["--connect", "--interval", "--ticks"]);
     requires("--ticks", "--interval");
-    let targets = repeated(&["--connect"]);
+    let targets = repeated("--connect");
     if targets.is_empty() {
         eprintln!(
             "usage: fleet_scrape --connect ADDR [--connect ADDR]... [--interval MS [--ticks T]]"

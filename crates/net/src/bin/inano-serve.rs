@@ -1,18 +1,21 @@
 //! `inano-serve`: the standalone query + dissemination server.
 //!
 //! Hosts one or more atlas shards behind a single listener: every
-//! `--atlas FILE` (a codec-encoded atlas) or `--ring N` (a synthetic
-//! ring world, for demos and smoke tests) occurrence becomes the next
+//! `--atlas FILE` (a codec-encoded atlas) occurrence becomes the next
 //! shard, in command-line order — shard 0 first, so the first flag is
-//! what shard-unaware clients talk to. With no shard flag at all it
-//! serves a single 64-cluster ring. Prints one `LISTENING <addr>` line
-//! once the socket is bound, then serves until killed.
+//! what shard-unaware clients talk to. Every shard answers with the
+//! full iNano model (`PredictorConfig::full()`). A start with neither
+//! `--atlas` nor `--mirror` stops before listening. Prints one
+//! `LISTENING <addr>` line once the socket is bound, then serves until
+//! killed. `cargo run --example write_atlas -- FILE` writes a small
+//! measured atlas to serve.
 //!
 //! `--mirror ADDR` makes this server a *mirror*: instead of loading
 //! shards from flags, it enumerates the shards of the server at `ADDR`,
 //! fetches each shard's atlas over the wire (chunked, checksummed,
-//! resumable), serves them under the same shard ids, and — every
-//! `--refresh-ms` — runs `QueryEngine::update` against the upstream:
+//! resumable), serves them under the same shard ids and the same full
+//! model as the origin, and — every `--refresh-ms` — runs
+//! `QueryEngine::update` against the upstream:
 //! the daily deltas it applied, or its full atlas again when no delta
 //! bridges the gap (it restarted, replaced its atlas, or this mirror
 //! lagged past its retained chain). So a delta published at the origin
@@ -27,11 +30,6 @@
 //! --connect ADDR`, whose one-shot run prints every shard's epoch and
 //! day and exits 0 — the liveness probe.
 //!
-//! `--demo-swap-ms MS` applies one synthetic ring delta to shard 0
-//! after `MS` milliseconds (ring worlds only), so demos and smoke
-//! tests can watch a mid-run generation swap ripple through the
-//! `shard0.swaps` / mirror-lag series.
-//!
 //! `--udp ADDR` additionally binds the datagram query plane there
 //! (port 0 for ephemeral): single-shot requests one-frame-per-datagram
 //! on the same event loop, responder pool and shards, for sporadic peers
@@ -42,9 +40,7 @@
 //!
 //! Usage:
 //!   inano-serve [--bind 127.0.0.1] [--port 4711]
-//!               [--atlas FILE | --ring N]...
-//!               [--mirror ADDR [--refresh-ms MS] [--predictor full|ring]]
-//!               [--demo-swap-ms MS]
+//!               (--atlas FILE... | --mirror ADDR [--refresh-ms MS])
 //!               [--udp ADDR [--udp-rate N] [--udp-burst N]]
 //!               [--max-conns C] [--max-inflight R]
 //!               [--max-request-bytes B] [--max-frame-bytes B] [--max-batch Q]
@@ -57,7 +53,6 @@
 
 use inano_core::{read_full, PredictorConfig};
 use inano_net::cli::{arg, refuse_unknown, repeated, requires};
-use inano_net::demo::{ring_atlas, ring_predictor_config, ring_shortcut_delta};
 use inano_net::{Limits, MirrorSource, NetClient, NetServer, ServerConfig};
 use inano_obs::EventKind;
 use inano_service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
@@ -71,11 +66,8 @@ const FLAGS: &[&str] = &[
     "--bind",
     "--port",
     "--atlas",
-    "--ring",
     "--mirror",
     "--refresh-ms",
-    "--predictor",
-    "--demo-swap-ms",
     "--udp",
     "--udp-rate",
     "--udp-burst",
@@ -86,41 +78,26 @@ const FLAGS: &[&str] = &[
     "--max-batch",
 ];
 
-/// Load the shard set from `--atlas`/`--ring` flags (the origin path).
+/// Load the shard set from `--atlas` flags (the origin path).
 fn local_specs() -> Vec<ShardSpec> {
-    let mut shard_flags = repeated(&["--atlas", "--ring"]);
-    if shard_flags.is_empty() {
-        eprintln!(
-            "serving a synthetic 64-cluster ring (pass --atlas FILE, --ring N or --mirror ADDR)"
-        );
-        shard_flags.push(("--ring".into(), "64".into()));
-    }
-    shard_flags
+    let files = repeated("--atlas");
+    assert!(
+        !files.is_empty(),
+        "nothing to serve: pass --atlas FILE (one per shard) or --mirror ADDR"
+    );
+    files
         .iter()
         .enumerate()
-        .map(|(i, (flag, value))| {
+        .map(|(i, file)| {
             let id = ShardId(u16::try_from(i).expect("more than 65536 shards"));
-            if flag == "--ring" {
-                let n: u32 = value
-                    .parse()
-                    .unwrap_or_else(|_| panic!("--ring {value:?} is not a cluster count"));
-                eprintln!("{id}: synthetic {n}-cluster ring");
-                ShardSpec {
-                    id,
-                    atlas: Arc::new(ring_atlas(n, 0)),
-                    predictor: ring_predictor_config(),
-                }
-            } else {
-                let bytes =
-                    std::fs::read(value).unwrap_or_else(|e| panic!("read atlas {value:?}: {e}"));
-                let atlas = inano_atlas::codec::decode(&bytes)
-                    .unwrap_or_else(|e| panic!("decode atlas {value:?}: {e}"));
-                eprintln!("{id}: atlas {value:?} (day {})", atlas.day);
-                ShardSpec {
-                    id,
-                    atlas: Arc::new(atlas),
-                    predictor: PredictorConfig::full(),
-                }
+            let bytes = std::fs::read(file).unwrap_or_else(|e| panic!("read atlas {file:?}: {e}"));
+            let atlas = inano_atlas::codec::decode(&bytes)
+                .unwrap_or_else(|e| panic!("decode atlas {file:?}: {e}"));
+            eprintln!("{id}: atlas {file:?} (day {})", atlas.day);
+            ShardSpec {
+                id,
+                atlas: Arc::new(atlas),
+                predictor: PredictorConfig::full(),
             }
         })
         .collect()
@@ -144,10 +121,7 @@ fn mirror_source(upstream: &str, id: ShardId) -> std::io::Result<MirrorSource> {
 /// one wire-level atlas fetch per remote shard, same ids locally.
 /// Returns the specs plus one per-shard [`MirrorSource`] for the
 /// refresh loop.
-fn mirrored_specs(
-    upstream: &str,
-    predictor: PredictorConfig,
-) -> (Vec<ShardSpec>, Vec<(ShardId, MirrorSource)>) {
+fn mirrored_specs(upstream: &str) -> (Vec<ShardSpec>, Vec<(ShardId, MirrorSource)>) {
     let mut probe = NetClient::connect(upstream)
         .unwrap_or_else(|e| panic!("connect to --mirror {upstream}: {e}"));
     // The probe is bounded like the refresh sources: a half-dead
@@ -179,7 +153,7 @@ fn mirrored_specs(
         specs.push(ShardSpec {
             id,
             atlas: Arc::new(atlas),
-            predictor: predictor.clone(),
+            predictor: PredictorConfig::full(),
         });
         sources.push((id, source));
     }
@@ -191,7 +165,6 @@ fn main() {
     // Read only beside the flag that gives them meaning; given without
     // it they stop the start too.
     requires("--refresh-ms", "--mirror");
-    requires("--predictor", "--mirror");
     requires("--udp-rate", "--udp");
     requires("--udp-burst", "--udp");
     let bind: String = arg("--bind", "127.0.0.1".to_string());
@@ -206,7 +179,6 @@ fn main() {
     let max_batch: u32 = arg("--max-batch", Limits::default().max_batch);
     let mirror: String = arg("--mirror", String::new());
     let refresh_ms: u64 = arg("--refresh-ms", 1000);
-    let demo_swap_ms: u64 = arg("--demo-swap-ms", 0);
     let udp: String = arg("--udp", String::new());
     let udp_rate: u32 = arg("--udp-rate", ServerConfig::default().udp_rate);
     let udp_burst: u32 = arg("--udp-burst", ServerConfig::default().udp_burst);
@@ -222,17 +194,10 @@ fn main() {
         (local_specs(), Vec::new())
     } else {
         assert!(
-            repeated(&["--atlas", "--ring"]).is_empty(),
-            "--mirror replaces --atlas/--ring: the shard set comes from the upstream"
+            repeated("--atlas").is_empty(),
+            "--mirror replaces --atlas: the shard set comes from the upstream"
         );
-        // A mirror cannot know how the origin's atlases were built;
-        // --predictor picks the profile (`ring` for the demo worlds).
-        let predictor = match arg("--predictor", "full".to_string()).as_str() {
-            "ring" => ring_predictor_config(),
-            "full" => PredictorConfig::full(),
-            other => panic!("flag --predictor: {other:?} is neither \"full\" nor \"ring\""),
-        };
-        mirrored_specs(&mirror, predictor)
+        mirrored_specs(&mirror)
     };
 
     let registry = Arc::new(
@@ -311,30 +276,6 @@ fn main() {
                 }
             })
             .expect("spawn mirror refresh thread");
-    }
-
-    if demo_swap_ms > 0 {
-        let registry = Arc::clone(&registry);
-        // The delta is built against the ring world of the first
-        // --ring flag (default ring when no shard flag was given).
-        let ring_n: u32 = repeated(&["--atlas", "--ring"])
-            .first()
-            .filter(|(flag, _)| flag == "--ring")
-            .and_then(|(_, value)| value.parse().ok())
-            .unwrap_or(64);
-        std::thread::Builder::new()
-            .name("inano-demo-swap".into())
-            .spawn(move || {
-                std::thread::sleep(Duration::from_millis(demo_swap_ms));
-                let swapped = registry.engine(ShardId(0)).and_then(|engine| {
-                    engine.apply_delta(&ring_shortcut_delta(ring_n, engine.day()))
-                });
-                match swapped {
-                    Ok(day) => eprintln!("demo swap: shard 0 advanced to day {day}"),
-                    Err(e) => eprintln!("demo swap failed (ring worlds only): {e}"),
-                }
-            })
-            .expect("spawn demo swap thread");
     }
 
     // The contract line smoke tests wait for; flush so a pipe sees it.

@@ -73,23 +73,22 @@ pub fn requires_in(args: &[String], flag: &str, parent: &str) {
     }
 }
 
-/// Every occurrence of any flag in `names`, as `(flag, value)` pairs
-/// in command-line order. This is how `inano-serve` turns repeated
-/// `--atlas FILE` / `--ring N` flags into shards: the k-th occurrence
-/// (of either flag) populates shard k.
+/// The value of every occurrence of `name`, in command-line order.
+/// This is how `inano-serve` turns repeated `--atlas FILE` flags into
+/// shards: the k-th occurrence populates shard k.
 ///
 /// A flag with a missing value (end of line, or the next token is
 /// itself a flag) is a startup panic: silently dropping a shard the
 /// operator asked for would surface much later as `UnknownShard`
 /// faults on live clients.
-pub fn repeated(names: &[&str]) -> Vec<(String, String)> {
+pub fn repeated(name: &str) -> Vec<String> {
     let args = env_args();
     let mut out = Vec::new();
     for (i, a) in args.iter().enumerate() {
-        if names.contains(&a.as_str()) {
+        if a == name {
             match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => out.push((a.clone(), v.clone())),
-                _ => panic!("flag {a} requires a value"),
+                Some(v) if !v.starts_with("--") => out.push(v.clone()),
+                _ => panic!("flag {name} requires a value"),
             }
         }
     }
@@ -133,8 +132,8 @@ mod tests {
 
     #[test]
     fn known_flags_and_their_values_pass() {
-        let args = line(&["inano-serve", "--ring", "48", "--port", "0", "-1"]);
-        refuse_unknown_in(&args, &["--ring", "--port"]);
+        let args = line(&["inano-serve", "--atlas", "day0.atlas", "--port", "0", "-1"]);
+        refuse_unknown_in(&args, &["--atlas", "--port"]);
     }
 
     #[test]
@@ -147,14 +146,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "flag --udp-rate has no effect without --udp")]
     fn a_dependent_flag_without_its_parent_is_refused_naming_both() {
-        let args = line(&["inano-serve", "--ring", "48", "--udp-rate", "5"]);
+        let args = line(&["inano-serve", "--atlas", "day0.atlas", "--udp-rate", "5"]);
         requires_in(&args, "--udp-rate", "--udp");
     }
 
     #[test]
     #[should_panic(expected = "unknown flag --workers")]
     fn a_removed_flag_is_refused_not_ignored() {
-        let args = line(&["inano-serve", "--ring", "48", "--workers", "8"]);
-        refuse_unknown_in(&args, &["--ring", "--port"]);
+        let args = line(&["inano-serve", "--atlas", "day0.atlas", "--workers", "8"]);
+        refuse_unknown_in(&args, &["--atlas", "--port"]);
     }
 }

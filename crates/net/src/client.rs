@@ -555,18 +555,22 @@ impl AtlasSource for MirrorSource {
 }
 
 #[cfg(test)]
+#[path = "../../service/tests/common/ring.rs"]
+mod ring;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::demo::{ring_atlas, ring_predictor_config};
     use crate::server::{NetServer, ServerConfig};
+    use inano_core::PredictorConfig;
     use inano_service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
     use std::sync::Arc;
 
     fn ring_server() -> NetServer {
         let spec = ShardSpec {
             id: ShardId::DEFAULT,
-            atlas: Arc::new(ring_atlas(8, 0)),
-            predictor: ring_predictor_config(),
+            atlas: Arc::new(ring::ring_atlas(8, 0)),
+            predictor: PredictorConfig::full(),
         };
         let registry =
             ShardRegistry::build(vec![spec], RegistryConfig::default()).expect("one shard");

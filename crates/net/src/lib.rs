@@ -48,15 +48,11 @@
 //! retries and late/duplicate-reply discard — the transport for the
 //! paper's millions of rarely-asking peers.
 //!
-//! [`demo`] carries the tiny ring world the `inano-serve --ring` mode
-//! and the integration tests share.
-//!
 //! See DESIGN.md ("The wire protocol") for framing, pipelining,
 //! limits and versioning.
 
 pub mod cli;
 pub mod client;
-pub mod demo;
 pub mod server;
 pub mod udp;
 pub mod wire;

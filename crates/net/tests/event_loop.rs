@@ -6,9 +6,9 @@
 
 mod common;
 
+use common::ring::{ring_atlas, ring_ip};
 use common::{serve_one, wait_for};
 use inano_model::Ipv4;
-use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config};
 use inano_net::wire::{read_frame, Frame, Limits};
 use inano_net::{NetClient, NetServer, ServerConfig};
 use inano_obs::MetricValue;
@@ -23,10 +23,7 @@ const RING: u32 = 12;
 fn ring_server(cfg: ServerConfig) -> NetServer {
     let engine = Arc::new(QueryEngine::new(
         Arc::new(ring_atlas(RING, 0)),
-        ServiceConfig {
-            predictor: ring_predictor_config(),
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
     ));
     serve_one(engine, cfg)
 }

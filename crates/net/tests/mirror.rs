@@ -11,10 +11,10 @@
 
 mod common;
 
+use common::ring::{ring_atlas, ring_ip, ring_shortcut_delta};
 use common::serve_one;
 use inano_core::{read_delta, read_full, AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle};
 use inano_model::{ErrorCode, Ipv4, ModelError};
-use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config, ring_shortcut_delta};
 use inano_net::{Limits, MirrorSource, NetClient, NetError, ServerConfig};
 use inano_obs::EventKind;
 use inano_service::{QueryEngine, ServiceConfig, ShardId, DELTA_LOG_CAP};
@@ -28,15 +28,8 @@ const RING: u32 = 12;
 fn ring_engine(ring: u32) -> Arc<QueryEngine> {
     Arc::new(QueryEngine::new(
         Arc::new(ring_atlas(ring, 0)),
-        ring_service_config(),
+        ServiceConfig::default(),
     ))
-}
-
-fn ring_service_config() -> ServiceConfig {
-    ServiceConfig {
-        predictor: ring_predictor_config(),
-        ..ServiceConfig::default()
-    }
 }
 
 fn all_pairs() -> Vec<(Ipv4, Ipv4)> {
@@ -65,7 +58,7 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
     let mut upstream = MirrorSource::connect(origin.local_addr(), ShardId::DEFAULT)
         .expect("connect mirror to origin");
     let mirror_engine = Arc::new(
-        QueryEngine::bootstrap(&mut upstream, ring_service_config())
+        QueryEngine::bootstrap(&mut upstream, ServiceConfig::default())
             .expect("mirror bootstraps from the origin"),
     );
     assert_eq!(
@@ -79,7 +72,7 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
     let mut downstream = NetClient::connect(mirror.local_addr())
         .expect("connect to mirror")
         .into_atlas_source(ShardId::DEFAULT);
-    let client_engine = QueryEngine::bootstrap(&mut downstream, ring_service_config())
+    let client_engine = QueryEngine::bootstrap(&mut downstream, ServiceConfig::default())
         .expect("client engine bootstraps from the mirror");
     assert_eq!(
         client_engine.export().epoch_tag,
@@ -210,7 +203,7 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
         full_chunks: 0,
     };
     let mirror_engine = Arc::new(
-        QueryEngine::bootstrap(&mut upstream, ring_service_config())
+        QueryEngine::bootstrap(&mut upstream, ServiceConfig::default())
             .expect("mirror bootstraps from the origin"),
     );
     // Fronted by a server from the start, so its journal sees the
@@ -354,7 +347,7 @@ fn killed_and_restarted_mirror_journals_the_expected_recovery_sequence() {
     let mut upstream = MirrorSource::connect(origin.local_addr(), ShardId::DEFAULT)
         .expect("connect mirror to origin");
     let mirror_engine = Arc::new(
-        QueryEngine::bootstrap(&mut upstream, ring_service_config())
+        QueryEngine::bootstrap(&mut upstream, ServiceConfig::default())
             .expect("mirror bootstraps from the origin"),
     );
     let mirror = serve_one(Arc::clone(&mirror_engine), ServerConfig::default());
@@ -446,7 +439,7 @@ fn oversized_atlas_fetch_is_chunked_to_the_frame_limit() {
 
     // The standard reader path assembles it and lands on the same tag.
     let mut source = client.into_atlas_source(ShardId::DEFAULT);
-    let second = QueryEngine::bootstrap(&mut source, ring_service_config())
+    let second = QueryEngine::bootstrap(&mut source, ServiceConfig::default())
         .expect("bootstrap through many small chunks");
     assert_eq!(second.export().epoch_tag, engine.export().epoch_tag);
     second

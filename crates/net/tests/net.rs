@@ -10,9 +10,9 @@
 
 mod common;
 
+use common::ring::{ring_atlas, ring_ip, ring_shortcut_delta};
 use common::{raw_frame, serve_one};
 use inano_model::{ErrorCode, Ipv4};
-use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config, ring_shortcut_delta};
 use inano_net::wire::{read_frame, Frame, Limits, HEADER_BYTES, MAGIC, VERSION};
 use inano_net::{NetClient, NetError, NetServer, ServerConfig};
 use inano_obs::{EventKind, MetricValue, MetricsDump};
@@ -29,10 +29,7 @@ const RING: u32 = 12;
 fn ring_engine(ring: u32) -> Arc<QueryEngine> {
     Arc::new(QueryEngine::new(
         Arc::new(ring_atlas(ring, 0)),
-        ServiceConfig {
-            predictor: ring_predictor_config(),
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
     ))
 }
 

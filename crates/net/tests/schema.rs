@@ -6,8 +6,8 @@
 
 mod common;
 
+use common::ring::{ring_atlas, ring_ip, ring_shortcut_delta};
 use common::serve_one;
-use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config, ring_shortcut_delta};
 use inano_net::{MirrorSource, NetClient, NetServer, ServerConfig, UdpQuerier};
 use inano_obs::{MetricValue, MetricsDump};
 use inano_service::{QueryEngine, ServiceConfig, ShardId, ShardRegistry};
@@ -25,13 +25,6 @@ const MOVED_BY_THE_READ: [&str; 3] = [
     "srv.loop.ready_events",
     "srv.request_bytes",
 ];
-
-fn service_config() -> ServiceConfig {
-    ServiceConfig {
-        predictor: ring_predictor_config(),
-        ..ServiceConfig::default()
-    }
-}
 
 fn kind_of(value: &MetricValue) -> &'static str {
     match value {
@@ -88,7 +81,7 @@ fn dump_matches_the_documented_schema_and_every_view_of_it() {
     // An origin for shard 1 to mirror, over the wire.
     let origin_engine = Arc::new(QueryEngine::new(
         Arc::new(ring_atlas(RING, 0)),
-        service_config(),
+        ServiceConfig::default(),
     ));
     let origin = serve_one(Arc::clone(&origin_engine), ServerConfig::default());
     let mut upstream =
@@ -98,10 +91,11 @@ fn dump_matches_the_documented_schema_and_every_view_of_it() {
     // transports bound.
     let local = Arc::new(QueryEngine::new(
         Arc::new(ring_atlas(RING, 0)),
-        service_config(),
+        ServiceConfig::default(),
     ));
     let mirrored = Arc::new(
-        QueryEngine::bootstrap(&mut upstream, service_config()).expect("bootstrap over the wire"),
+        QueryEngine::bootstrap(&mut upstream, ServiceConfig::default())
+            .expect("bootstrap over the wire"),
     );
     let registry = Arc::new(
         ShardRegistry::from_engines(vec![(ShardId(0), local), (ShardId(1), mirrored)])

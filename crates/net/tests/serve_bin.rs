@@ -1,7 +1,10 @@
 //! The shipped binaries, end to end: real `inano-serve` processes — an
-//! origin with two ring shards, a datagram plane and a scheduled day-1
-//! delta, and a `--mirror` of it — driven over loopback by the library
-//! clients and scraped by the real `fleet_scrape`.
+//! origin serving two shards from `--atlas` files of the measured test
+//! world, and a `--mirror` of it — driven over loopback by the library
+//! clients and scraped by the real `fleet_scrape`. A process publishes
+//! no delta of its own, so for the delta step the origin's port is held
+//! by an in-process `NetServer` the test applies one on; the mirror
+//! stays a process throughout.
 //!
 //! Everything said here is about a *process*: the contract lines it
 //! prints, the flags it honours or refuses, what its refresh loop does
@@ -15,14 +18,14 @@
 
 mod common;
 
-use common::wait_for;
+use common::{assert_bitwise, wait_for, world};
 use inano_core::read_full;
 use inano_model::Ipv4;
-use inano_net::demo::ring_ip;
-use inano_net::{MirrorSource, NetClient, ShardId, UdpQuerier, WireFault, WirePath};
+use inano_net::{MirrorSource, NetClient, NetServer, ServerConfig, ShardId, UdpQuerier};
 use inano_obs::{EventKind, MetricsDump};
 use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener};
+use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
@@ -30,7 +33,6 @@ use std::time::{Duration, Instant};
 
 const SERVE: &str = env!("CARGO_BIN_EXE_inano-serve");
 const SCRAPE: &str = env!("CARGO_BIN_EXE_fleet_scrape");
-const RING: u32 = 64;
 /// How long any one wait may take before the test fails.
 const DEADLINE_SECS: u64 = 30;
 const DEADLINE: Duration = Duration::from_secs(DEADLINE_SECS);
@@ -138,18 +140,42 @@ fn metrics(addr: SocketAddr) -> MetricsDump {
         .unwrap_or_else(|e| panic!("metrics of {addr}: {e}"))
 }
 
-/// A fixed, routable pair set: every source, seven destinations each.
-fn pairs() -> Vec<(Ipv4, Ipv4)> {
-    (0..RING)
-        .flat_map(|s| (1..8).map(move |k| (ring_ip(s), ring_ip((s + k * 9) % RING))))
+/// The world's pool pairs that route on day 0: every one must be
+/// served, not faulted.
+fn routed_pairs() -> Vec<(Ipv4, Ipv4)> {
+    let w = world();
+    w.pairs
+        .iter()
+        .zip(w.answers(&w.day0))
+        .filter_map(|(&pair, answer)| answer.is_ok().then_some(pair))
         .collect()
 }
 
-type Answers = Vec<Result<WirePath, WireFault>>;
+/// The world's day-0 atlas in a file of its own, as `inano-serve
+/// --atlas` reads it; removed on drop.
+struct AtlasFile(PathBuf);
+
+impl AtlasFile {
+    fn write() -> AtlasFile {
+        let path = std::env::temp_dir().join(format!("serve_bin-{}.atlas", std::process::id()));
+        std::fs::write(&path, &world().bytes).expect("write the atlas file");
+        AtlasFile(path)
+    }
+
+    fn path(&self) -> &str {
+        self.0.to_str().expect("a UTF-8 temp path")
+    }
+}
+
+impl Drop for AtlasFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
 
 /// Four batches in flight at once on `shard`; every pair must be served.
 fn pipelined_fault_free(client: &mut NetClient, shard: ShardId) {
-    let pairs = pairs();
+    let pairs = routed_pairs();
     let ids: Vec<u64> = (0..4)
         .map(|_| client.submit_batch_on(shard, &pairs).expect("submit"))
         .collect();
@@ -159,7 +185,7 @@ fn pipelined_fault_free(client: &mut NetClient, shard: ShardId) {
                 assert_eq!(id, want, "replies come back in request order");
                 assert_eq!(results.len(), pairs.len());
                 for r in results {
-                    r.unwrap_or_else(|fault| panic!("{shard} refused a ring pair: {fault:?}"));
+                    r.unwrap_or_else(|fault| panic!("{shard} refused a routed pair: {fault:?}"));
                 }
             }
             other => panic!("unexpected reply {other:?}"),
@@ -167,31 +193,11 @@ fn pipelined_fault_free(client: &mut NetClient, shard: ShardId) {
     }
 }
 
-/// Two servers that hold the same atlas answer alike: routes exactly,
-/// RTT and loss to float accumulation error (one of them may hold
-/// latencies that never went through the codec).
-fn assert_same_answers(a: &Answers, b: &Answers) {
-    assert_eq!(a.len(), b.len());
-    for (i, pair) in a.iter().zip(b).enumerate() {
-        match pair {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(
-                    (&a.fwd_clusters, &a.rev_clusters, &a.fwd_as, &a.rev_as),
-                    (&b.fwd_clusters, &b.rev_clusters, &b.fwd_as, &b.rev_as),
-                    "pair {i}"
-                );
-                assert!((a.rtt_ms - b.rtt_ms).abs() < 1e-9, "pair {i}");
-                assert!((a.loss - b.loss).abs() < 1e-9, "pair {i}");
-            }
-            other => panic!("pair {i} was not served by both: {other:?}"),
-        }
-    }
-}
-
 /// Origin and mirror hold byte-identical shard-0 atlases (fetched from
-/// both over the wire, as any bootstrapping peer would) and answer the
-/// fixed pair set alike. Returns the day they serve.
-fn assert_parity(origin: SocketAddr, mirror: SocketAddr) -> u32 {
+/// both over the wire, as any bootstrapping peer would) and answer
+/// every pool pair as the library does on the world's day-`day` atlas,
+/// floats to the bit.
+fn assert_parity(origin: SocketAddr, mirror: SocketAddr, day: u32) {
     let mut from_origin =
         MirrorSource::connect(origin, ShardId::DEFAULT).expect("connect to the origin");
     let mut from_mirror =
@@ -201,37 +207,32 @@ fn assert_parity(origin: SocketAddr, mirror: SocketAddr) -> u32 {
     assert_eq!(origin_head.epoch_tag, mirror_head.epoch_tag);
     assert_eq!(origin_head.day, mirror_head.day);
     assert!(origin_bytes == mirror_bytes, "equal tags, different bytes");
-    assert_same_answers(
-        &from_origin
+    assert_eq!(origin_head.day, day);
+    let w = world();
+    let want = w.answers(if day == 0 { &w.day0 } else { &w.day1 });
+    for (who, source) in [("origin", &mut from_origin), ("mirror", &mut from_mirror)] {
+        let got = source
             .client_mut()
-            .query_batch(&pairs())
-            .expect("origin answers"),
-        &from_mirror
-            .client_mut()
-            .query_batch(&pairs())
-            .expect("mirror answers"),
-    );
-    origin_head.day
+            .query_batch(&w.pairs)
+            .unwrap_or_else(|e| panic!("{who} answers: {e}"));
+        assert_bitwise(&format!("{who}, day {day}"), &got, &want);
+    }
 }
 
 #[test]
 fn origin_and_mirror_processes_serve_propagate_resync_and_scrape() {
-    // The origin: two ring shards, both transports, and a day-1 delta
-    // on shard 0 shortly after start. The mirror goes up at once, so it
-    // bootstraps at day 0 and has a delta to pull.
+    // The origin: two shards, each loaded from the same atlas file. The
+    // mirror bootstraps both from it over the wire.
+    let file = AtlasFile::write();
     let mut origin = Proc::spawn(
         SERVE,
         &[
             "--port",
             "0",
-            "--ring",
-            "64",
-            "--ring",
-            "64",
-            "--udp",
-            "127.0.0.1:0",
-            "--demo-swap-ms",
-            "300",
+            "--atlas",
+            file.path(),
+            "--atlas",
+            file.path(),
         ],
     );
     let origin_addr = addr_after(&mut origin, "LISTENING ");
@@ -242,17 +243,14 @@ fn origin_and_mirror_processes_serve_propagate_resync_and_scrape() {
             "0",
             "--mirror",
             &origin_addr.to_string(),
-            "--predictor",
-            "ring",
             "--refresh-ms",
             "100",
         ],
     );
     let mirror_addr = addr_after(&mut mirror, "LISTENING ");
-    let udp_addr = addr_after(&mut origin, "LISTENING-UDP ");
 
     // Both processes host both shards and serve pipelined load on each
-    // without a fault.
+    // without a fault, and both answer as the library does.
     for addr in [origin_addr, mirror_addr] {
         let mut client = NetClient::connect(addr).expect("connect");
         let shards = client.shards().expect("ListShards");
@@ -265,9 +263,21 @@ fn origin_and_mirror_processes_serve_propagate_resync_and_scrape() {
             pipelined_fault_free(&mut client, shard);
         }
     }
+    assert_parity(origin_addr, mirror_addr, 0);
 
-    // The delta lands at the origin and the mirror's refresh loop pulls
-    // it: its own metrics dump is the instrument.
+    // The origin's port passes to an in-process server over the same
+    // day-0 atlas, and a day-1 delta lands on its shard 0. The mirror's
+    // refresh loop reconnects and pulls the delta: its own metrics dump
+    // is the instrument.
+    drop(origin);
+    let origin = NetServer::bind(origin_addr, world().registry(2), ServerConfig::default())
+        .expect("rebind the origin's port");
+    let day = origin
+        .registry()
+        .engine(ShardId(0))
+        .and_then(|engine| engine.apply_delta(&world().delta))
+        .expect("the delta applies");
+    assert_eq!(day, 1);
     wait_for(
         DEADLINE_SECS,
         "the mirror to apply the origin's delta",
@@ -278,7 +288,7 @@ fn origin_and_mirror_processes_serve_propagate_resync_and_scrape() {
         .epoch()
         .expect("the mirror's shard-0 generation");
     assert_eq!(day, 1);
-    assert_eq!(assert_parity(origin_addr, mirror_addr), 1);
+    assert_parity(origin_addr, mirror_addr, 1);
 
     // A converged fleet does not lag, though its two shards serve
     // different days (shard 0 day 1, shard 1 day 0 on both servers):
@@ -294,12 +304,41 @@ fn origin_and_mirror_processes_serve_propagate_resync_and_scrape() {
     assert!(status.success(), "{out}");
     assert!(out.contains(r#""fleet_lag_days":0"#), "{out}");
 
+    // The origin stops and a real one comes back on the same port at day
+    // 0, datagram plane open, its delta log empty: nothing bridges day 1
+    // to it. The mirror's loop reconnects, finds a head that is not its
+    // own, and refetches the whole atlas — once, for the one shard whose
+    // content differs.
+    drop(origin);
+    let port = origin_addr.port().to_string();
+    let mut origin = Proc::spawn(
+        SERVE,
+        &[
+            "--port",
+            &port,
+            "--atlas",
+            file.path(),
+            "--atlas",
+            file.path(),
+            "--udp",
+            "127.0.0.1:0",
+        ],
+    );
+    assert_eq!(addr_after(&mut origin, "LISTENING "), origin_addr);
+    let udp_addr = addr_after(&mut origin, "LISTENING-UDP ");
+    wait_for(
+        DEADLINE_SECS,
+        "the mirror to resync from the restarted origin",
+        || metrics(mirror_addr).counter("shard0.mirror.full_resyncs") == 1,
+    );
+    assert_parity(origin_addr, mirror_addr, 0);
+
     // The datagram plane answers what the stream plane answers.
     let mut tcp = NetClient::connect(origin_addr).expect("connect");
     let mut udp = UdpQuerier::connect(udp_addr).expect("datagram socket");
     udp.ping().expect("datagram ping");
     for shard in [ShardId(0), ShardId(1)] {
-        for batch in pairs().chunks(32) {
+        for batch in world().pairs.chunks(32) {
             assert_eq!(
                 udp.query_batch_on(shard, batch).expect("datagram batch"),
                 tcp.query_batch_on(shard, batch).expect("stream batch"),
@@ -307,21 +346,6 @@ fn origin_and_mirror_processes_serve_propagate_resync_and_scrape() {
         }
     }
     drop((tcp, udp));
-
-    // The origin dies and comes back on the same port at day 0, its
-    // delta log empty: nothing bridges day 1 to it. The mirror's loop
-    // reconnects, finds a head that is not its own, and refetches the
-    // whole atlas — once, for the one shard whose content differs.
-    drop(origin);
-    let port = origin_addr.port().to_string();
-    let mut origin = Proc::spawn(SERVE, &["--port", &port, "--ring", "64", "--ring", "64"]);
-    assert_eq!(addr_after(&mut origin, "LISTENING "), origin_addr);
-    wait_for(
-        DEADLINE_SECS,
-        "the mirror to resync from the restarted origin",
-        || metrics(mirror_addr).counter("shard0.mirror.full_resyncs") == 1,
-    );
-    assert_eq!(assert_parity(origin_addr, mirror_addr), 0);
 
     // The fleet scraper sees both servers...
     let (status, out) = Proc::spawn(SCRAPE, &targets).finish();
@@ -361,27 +385,34 @@ fn origin_and_mirror_processes_serve_propagate_resync_and_scrape() {
 
 #[test]
 fn an_unknown_flag_stops_the_start_and_is_named() {
-    // Flags the server does not have: engines own no threads, and a
-    // server is read over its own socket, not through a second
-    // listener.
-    for (flag, value) in [("--workers", "8"), ("--metrics-text", "127.0.0.1:0")] {
+    // Flags the server does not have: engines own no threads, a server
+    // is read over its own socket, not through a second listener, and
+    // it serves a measured atlas under the full model — no synthetic
+    // ring, no second profile, no scheduled demo delta.
+    for (flag, value) in [
+        ("--workers", "8"),
+        ("--metrics-text", "127.0.0.1:0"),
+        ("--ring", "64"),
+        ("--predictor", "ring"),
+        ("--demo-swap-ms", "300"),
+    ] {
         let (status, out) = Proc::spawn(SERVE, &["--port", "0", flag, value]).finish();
         assert!(!status.success());
         assert!(out.contains(&format!("unknown flag {flag}")), "{out}");
         assert!(!out.contains("LISTENING"), "{out}");
     }
-    // Nor does a known flag's unknown value fall back to a default.
+    // Nor does a known flag's unparsable value fall back to a default.
     let typo = [
         "--port",
         "0",
         "--mirror",
         "127.0.0.1:9",
-        "--predictor",
-        "rnig",
+        "--refresh-ms",
+        "soon",
     ];
     let (status, out) = Proc::spawn(SERVE, &typo).finish();
     assert!(!status.success());
-    assert!(out.contains(r#"flag --predictor: "rnig""#), "{out}");
+    assert!(out.contains(r#"flag --refresh-ms: "soon""#), "{out}");
     // Nor is a flag that only tunes another accepted without it.
     let (status, out) = Proc::spawn(SERVE, &["--port", "0", "--udp-rate", "5"]).finish();
     assert!(!status.success());
@@ -414,5 +445,14 @@ fn a_mirror_of_a_dead_address_fails_before_listening() {
         out.contains(&format!("connect to --mirror {dead}")),
         "{out}"
     );
+    assert!(!out.contains("LISTENING"), "{out}");
+}
+
+#[test]
+fn a_start_with_nothing_to_serve_stops_before_listening() {
+    let (status, out) = Proc::spawn(SERVE, &["--port", "0"]).finish();
+    assert!(!status.success());
+    assert!(out.contains("--atlas FILE"), "{out}");
+    assert!(out.contains("--mirror ADDR"), "{out}");
     assert!(!out.contains("LISTENING"), "{out}");
 }

@@ -13,9 +13,9 @@
 
 mod common;
 
+use common::ring::{ring_atlas, ring_ip};
 use common::{raw_frame, serve_one, wait_for};
 use inano_model::{ErrorCode, Ipv4};
-use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config};
 use inano_net::wire::{decode_datagram, Frame, Limits};
 use inano_net::{NetClient, NetError, NetServer, ServerConfig, UdpQuerier, UdpRetry};
 use inano_service::{QueryEngine, ServiceConfig, ShardId};
@@ -29,10 +29,7 @@ const RING: u32 = 12;
 fn ring_engine(ring: u32) -> Arc<QueryEngine> {
     Arc::new(QueryEngine::new(
         Arc::new(ring_atlas(ring, 0)),
-        ServiceConfig {
-            predictor: ring_predictor_config(),
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
     ))
 }
 

@@ -90,7 +90,9 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Cache shard count (rounded up to a power of two).
     pub cache_shards: usize,
-    /// Predictor configuration used for every generation.
+    /// Predictor configuration used for every generation. Every engine
+    /// in the tree runs the default, `PredictorConfig::full()`; the
+    /// field is what `ShardSpec::predictor` feeds.
     pub predictor: PredictorConfig,
 }
 

@@ -50,9 +50,11 @@ impl fmt::Display for ShardId {
     }
 }
 
-/// What one shard serves: an atlas plus the predictor settings for it
-/// (a synthetic ring world and a measured atlas want different
-/// refinements, and one registry may host both).
+/// What one shard serves: an atlas plus the predictor settings for it.
+/// Every caller in the tree sets `predictor` to `PredictorConfig::full()`,
+/// so it has one value in use. The field stays only because
+/// `layer_bench` names it in a `ShardSpec` struct literal; it goes,
+/// with `ServiceConfig::predictor`, when that harness next changes.
 pub struct ShardSpec {
     pub id: ShardId,
     pub atlas: Arc<Atlas>,

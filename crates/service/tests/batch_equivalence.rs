@@ -54,22 +54,13 @@ fn atlas() -> Atlas {
     a
 }
 
-fn predictor_cfg() -> PredictorConfig {
-    let mut cfg = PredictorConfig::full();
-    cfg.use_tuples = false;
-    cfg.use_prefs = false;
-    cfg.use_providers = false;
-    cfg.use_from_src = false;
-    cfg
-}
-
 fn engine() -> QueryEngine {
     QueryEngine::new(
         Arc::new(atlas()),
         ServiceConfig {
             cache_capacity: 4096,
             cache_shards: 4,
-            predictor: predictor_cfg(),
+            ..ServiceConfig::default()
         },
     )
 }
@@ -204,7 +195,7 @@ fn expected_deltas(fresh: &PathPredictor, batch: &[(Ipv4, Ipv4)]) -> Deltas {
 #[test]
 fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
     use Kind::*;
-    let fresh = PathPredictor::new(Arc::new(atlas()), predictor_cfg());
+    let fresh = PathPredictor::new(Arc::new(atlas()), PredictorConfig::full());
     let mixes: [(&str, &[Kind]); 6] = [
         ("cached", &[Cached]),
         ("cold", &[Cold]),

@@ -50,28 +50,19 @@ prop_compose! {
     }
 }
 
-fn cfg() -> PredictorConfig {
-    let mut cfg = PredictorConfig::full();
-    cfg.use_tuples = false;
-    cfg.use_prefs = false;
-    cfg.use_providers = false;
-    cfg.use_from_src = false;
-    cfg
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn cache_hits_equal_fresh_queries(atlas in arb_atlas()) {
         let n = atlas.prefix_cluster.len() as u32;
-        let fresh = PathPredictor::new(Arc::new(atlas.clone()), cfg());
+        let fresh = PathPredictor::new(Arc::new(atlas.clone()), PredictorConfig::full());
         let engine = QueryEngine::new(
             Arc::new(atlas),
             ServiceConfig {
                 cache_capacity: 1024,
                 cache_shards: 4,
-                predictor: cfg(),
+                ..ServiceConfig::default()
             },
         );
         for s in 0..n {

@@ -2,71 +2,15 @@
 //! unknown-shard errors, per-shard delta isolation (epoch *and*
 //! cache) and exact stats aggregation.
 
-use inano_atlas::{Atlas, AtlasDelta, LinkAnnotation, Plane};
 use inano_core::PredictorConfig;
-use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, ModelError, Prefix, PrefixId};
+use inano_model::ModelError;
 use inano_obs::{MetricValue, MetricsDump, MetricsRegistry};
 use inano_service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
 use std::sync::Arc;
 
-/// A bidirectional ring of `n` clusters, one AS and one /16 prefix per
-/// cluster. Every pair is routable.
-fn ring_atlas(n: u32, day: u32) -> Atlas {
-    let mut a = Atlas {
-        day,
-        ..Atlas::default()
-    };
-    for i in 0..n {
-        let j = (i + 1) % n;
-        for (x, y) in [(i, j), (j, i)] {
-            a.links.insert(
-                (ClusterId::new(x), ClusterId::new(y)),
-                LinkAnnotation {
-                    latency: Some(LatencyMs::new(1.0 + x as f64 * 0.1)),
-                    plane: Plane::TO_DST,
-                },
-            );
-        }
-        a.cluster_as.insert(ClusterId::new(i), Asn::new(i));
-        a.as_degree.insert(Asn::new(i), 2);
-        a.prefix_cluster.insert(PrefixId::new(i), ClusterId::new(i));
-        a.prefix_as.insert(
-            PrefixId::new(i),
-            (Prefix::new(Ipv4(i << 16), 16), Asn::new(i)),
-        );
-    }
-    a
-}
-
-fn ip(cluster: u32) -> Ipv4 {
-    Ipv4((cluster << 16) | 7)
-}
-
-fn ring_cfg() -> PredictorConfig {
-    let mut cfg = PredictorConfig::full();
-    cfg.use_tuples = false;
-    cfg.use_prefs = false;
-    cfg.use_providers = false;
-    cfg.use_from_src = false;
-    cfg
-}
-
-/// The day-`day` → day-`day+1` delta adding a 0 ↔ n/2 shortcut.
-fn shortcut_delta(n: u32, day: u32) -> AtlasDelta {
-    let base = ring_atlas(n, day);
-    let mut next = ring_atlas(n, day + 1);
-    let far = n / 2;
-    for (x, y) in [(0, far), (far, 0)] {
-        next.links.insert(
-            (ClusterId::new(x), ClusterId::new(y)),
-            LinkAnnotation {
-                latency: Some(LatencyMs::new(0.5)),
-                plane: Plane::TO_DST,
-            },
-        );
-    }
-    AtlasDelta::between(&base, &next)
-}
+#[path = "common/ring.rs"]
+mod ring;
+use ring::{ring_atlas, ring_ip, ring_shortcut_delta};
 
 fn two_ring_registry(n: u32) -> ShardRegistry {
     let specs = [ShardId(0), ShardId(1)]
@@ -74,7 +18,7 @@ fn two_ring_registry(n: u32) -> ShardRegistry {
         .map(|id| ShardSpec {
             id,
             atlas: Arc::new(ring_atlas(n, 0)),
-            predictor: ring_cfg(),
+            predictor: PredictorConfig::full(),
         })
         .collect();
     ShardRegistry::build(
@@ -93,7 +37,7 @@ fn build_splits_the_budget_and_serves_every_shard() {
         .map(|i| ShardSpec {
             id: ShardId(i),
             atlas: Arc::new(ring_atlas(8 + i as u32 * 4, 0)),
-            predictor: ring_cfg(),
+            predictor: PredictorConfig::full(),
         })
         .collect();
     let registry = ShardRegistry::build(
@@ -113,7 +57,7 @@ fn build_splits_the_budget_and_serves_every_shard() {
         // Each shard serves its own world: the 0 -> n/2 path length
         // tracks that shard's ring size.
         let n = 8 + k as u32 * 4;
-        let path = engine.query(ip(0), ip(n / 2)).expect("routable");
+        let path = engine.query(ring_ip(0), ring_ip(n / 2)).expect("routable");
         assert_eq!(path.fwd_clusters.len(), n as usize / 2 + 1);
     }
 }
@@ -127,7 +71,7 @@ fn empty_and_duplicate_specs_are_config_errors() {
     let dup = |id| ShardSpec {
         id,
         atlas: Arc::new(ring_atlas(6, 0)),
-        predictor: ring_cfg(),
+        predictor: PredictorConfig::full(),
     };
     assert!(matches!(
         ShardRegistry::build(
@@ -151,7 +95,7 @@ fn unknown_shard_is_a_typed_error_everywhere() {
         Err(ModelError::UnknownShard(9))
     ));
     assert!(matches!(
-        registry.apply_delta(missing, &shortcut_delta(8, 0)),
+        registry.apply_delta(missing, &ring_shortcut_delta(8, 0)),
         Err(ModelError::UnknownShard(9))
     ));
     assert!(!registry.contains(missing));
@@ -169,8 +113,8 @@ fn delta_on_one_shard_never_bumps_the_other_or_evicts_its_cache() {
     // Warm both caches: first query misses, second hits.
     for shard in [a, b] {
         let engine = registry.engine(shard).unwrap();
-        engine.query(ip(0), ip(far)).expect("routable");
-        engine.query(ip(0), ip(far)).expect("routable");
+        engine.query(ring_ip(0), ring_ip(far)).expect("routable");
+        engine.query(ring_ip(0), ring_ip(far)).expect("routable");
         let m = engine.metrics();
         assert_eq!(
             (m.cache_misses.get(), m.cache_hits.get()),
@@ -180,7 +124,7 @@ fn delta_on_one_shard_never_bumps_the_other_or_evicts_its_cache() {
     }
 
     let day = registry
-        .apply_delta(a, &shortcut_delta(n, 0))
+        .apply_delta(a, &ring_shortcut_delta(n, 0))
         .expect("delta applies to shard 0");
     assert_eq!(day, 1);
 
@@ -188,7 +132,7 @@ fn delta_on_one_shard_never_bumps_the_other_or_evicts_its_cache() {
     // (a fresh miss), and the shortcut is the served route.
     let ea = registry.engine(a).unwrap();
     assert_eq!((ea.epoch(), ea.day()), (1, 1));
-    let path_a = ea.query(ip(0), ip(far)).expect("routable");
+    let path_a = ea.query(ring_ip(0), ring_ip(far)).expect("routable");
     assert_eq!(path_a.fwd_clusters.len(), 2, "shard 0 serves the shortcut");
     assert_eq!(
         ea.metrics().cache_misses.get(),
@@ -200,7 +144,7 @@ fn delta_on_one_shard_never_bumps_the_other_or_evicts_its_cache() {
     // cache entry still hits — nothing was evicted.
     let eb = registry.engine(b).unwrap();
     assert_eq!((eb.epoch(), eb.day()), (0, 0));
-    let path_b = eb.query(ip(0), ip(far)).expect("routable");
+    let path_b = eb.query(ring_ip(0), ring_ip(far)).expect("routable");
     assert_eq!(
         path_b.fwd_clusters.len(),
         far as usize + 1,
@@ -223,13 +167,13 @@ fn stats_aggregate_sums_counters_and_merges_histograms() {
     let ea = registry.engine(ShardId(0)).unwrap();
     let eb = registry.engine(ShardId(1)).unwrap();
     for _ in 0..5 {
-        ea.query(ip(0), ip(3)).expect("routable");
+        ea.query(ring_ip(0), ring_ip(3)).expect("routable");
     }
     for _ in 0..3 {
-        eb.query(ip(1), ip(4)).expect("routable");
+        eb.query(ring_ip(1), ring_ip(4)).expect("routable");
     }
     registry
-        .apply_delta(ShardId(1), &shortcut_delta(8, 0))
+        .apply_delta(ShardId(1), &ring_shortcut_delta(8, 0))
         .expect("delta applies");
 
     // One dump per shard, each under the same label, so the exact

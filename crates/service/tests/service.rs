@@ -7,62 +7,46 @@ use inano_core::{
     content_tag, AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle, PathPredictor, PredictedPath,
     PredictorConfig, StaticSource,
 };
-use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, ModelError, Prefix, PrefixId};
+use inano_model::{ClusterId, Ipv4, LatencyMs, ModelError};
 use inano_service::{QueryEngine, ServiceConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-/// A bidirectional ring of `n` clusters, one AS and one /16 prefix per
-/// cluster. Every pair is routable.
-fn ring_atlas(n: u32, day: u32) -> Atlas {
-    let mut a = Atlas {
-        day,
-        ..Atlas::default()
-    };
-    for i in 0..n {
-        let j = (i + 1) % n;
-        for (x, y) in [(i, j), (j, i)] {
-            a.links.insert(
-                (ClusterId::new(x), ClusterId::new(y)),
-                LinkAnnotation {
-                    latency: Some(LatencyMs::new(1.0 + x as f64 * 0.1)),
-                    plane: Plane::TO_DST,
-                },
-            );
+#[path = "common/ring.rs"]
+mod ring;
+use ring::{ring_atlas, ring_ip, ring_shortcut_delta};
+
+#[test]
+fn every_ring_pair_is_routable() {
+    let n = 8;
+    let p = PathPredictor::new(Arc::new(ring_atlas(n, 0)), PredictorConfig::full());
+    for s in 0..n {
+        for d in 0..n {
+            if s != d {
+                p.query(ring_ip(s), ring_ip(d)).expect("ring pair routable");
+            }
         }
-        a.cluster_as.insert(ClusterId::new(i), Asn::new(i));
-        a.as_degree.insert(Asn::new(i), 2);
-        a.prefix_cluster.insert(PrefixId::new(i), ClusterId::new(i));
-        a.prefix_as.insert(
-            PrefixId::new(i),
-            (Prefix::new(Ipv4(i << 16), 16), Asn::new(i)),
-        );
     }
-    a
 }
 
-fn ip(cluster: u32) -> Ipv4 {
-    Ipv4((cluster << 16) | 7)
-}
-
-/// Ring-friendly config: no tuples/prefs/providers (the synthetic atlas
-/// records no policy evidence) and no FROM_SRC plane.
-fn ring_cfg() -> PredictorConfig {
-    let mut cfg = PredictorConfig::full();
-    cfg.use_tuples = false;
-    cfg.use_prefs = false;
-    cfg.use_providers = false;
-    cfg.use_from_src = false;
-    cfg
+#[test]
+fn shortcut_delta_halves_the_far_path() {
+    let n = 8;
+    let base = ring_atlas(n, 0);
+    let next = ring_shortcut_delta(n, 0).apply(&base).expect("applies");
+    assert_eq!(next.day, 1);
+    let p = PathPredictor::new(Arc::new(next), PredictorConfig::full());
+    let path = p.query(ring_ip(0), ring_ip(n / 2)).expect("routable");
+    assert_eq!(path.fwd_clusters.len(), 2, "shortcut is the new route");
 }
 
 fn engine_over(atlas: Atlas) -> QueryEngine {
     let cfg = ServiceConfig {
         cache_capacity: 4096,
         cache_shards: 8,
-        predictor: ring_cfg(),
+        ..ServiceConfig::default()
     };
     QueryEngine::new(Arc::new(atlas), cfg)
 }
@@ -85,7 +69,11 @@ fn batches_fan_across_workers_in_order() {
     let n = 10;
     let engine = engine_over(ring_atlas(n, 0));
     let pairs: Vec<(Ipv4, Ipv4)> = (0..n)
-        .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (ip(s), ip(d))))
+        .flat_map(|s| {
+            (0..n)
+                .filter(move |&d| d != s)
+                .map(move |d| (ring_ip(s), ring_ip(d)))
+        })
         .collect();
     let batched = engine.query_batch(&pairs);
     assert_eq!(batched.len(), pairs.len());
@@ -103,15 +91,15 @@ fn cache_hit_equals_fresh_predictor_query() {
     let n = 12;
     let atlas = ring_atlas(n, 0);
     let engine = engine_over(atlas.clone());
-    let fresh = PathPredictor::new(Arc::new(atlas), ring_cfg());
+    let fresh = PathPredictor::new(Arc::new(atlas), PredictorConfig::full());
     for s in 0..n {
         for d in 0..n {
             if s == d {
                 continue;
             }
-            let cold = engine.query(ip(s), ip(d)).expect("routable");
-            let warm = engine.query(ip(s), ip(d)).expect("routable");
-            let reference = fresh.query(ip(s), ip(d)).expect("routable");
+            let cold = engine.query(ring_ip(s), ring_ip(d)).expect("routable");
+            let warm = engine.query(ring_ip(s), ring_ip(d)).expect("routable");
+            let reference = fresh.query(ring_ip(s), ring_ip(d)).expect("routable");
             assert_same_path(&cold, &reference);
             assert_same_path(&warm, &reference);
         }
@@ -143,7 +131,7 @@ fn zipf_mix_sees_positive_hit_rate() {
             pick -= w;
         }
         if src != dst {
-            pairs.push((ip(src), ip(dst)));
+            pairs.push((ring_ip(src), ring_ip(dst)));
         }
     }
     // The mix arrives as a stream of batches: a batch probes the cache
@@ -170,20 +158,14 @@ fn hammering_queries_while_applying_deltas_never_errors() {
     let day0 = ring_atlas(n, 0);
     // Day 1 adds a direct shortcut 0 ↔ n/2, halving that path.
     let far = n / 2;
-    let mut day1 = ring_atlas(n, 1);
-    for (x, y) in [(0, far), (far, 0)] {
-        day1.links.insert(
-            (ClusterId::new(x), ClusterId::new(y)),
-            LinkAnnotation {
-                latency: Some(LatencyMs::new(0.5)),
-                plane: Plane::TO_DST,
-            },
-        );
-    }
-    let delta = AtlasDelta::between(&day0, &day1);
+    let delta = ring_shortcut_delta(n, 0);
 
     let pairs: Vec<(Ipv4, Ipv4)> = (0..n)
-        .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (ip(s), ip(d))))
+        .flat_map(|s| {
+            (0..n)
+                .filter(move |&d| d != s)
+                .map(move |d| (ring_ip(s), ring_ip(d)))
+        })
         .collect();
     // What each day answers for every pair. A batch is served from one
     // generation, so it must agree with one of these from end to end —
@@ -193,7 +175,7 @@ fn hammering_queries_while_applying_deltas_never_errors() {
         [day0.clone(), delta.apply(&day0).expect("delta applies")]
             .into_iter()
             .map(|atlas| {
-                let fresh = PathPredictor::new(Arc::new(atlas), ring_cfg());
+                let fresh = PathPredictor::new(Arc::new(atlas), PredictorConfig::full());
                 pairs
                     .iter()
                     .map(|&(s, d)| fresh.query(s, d).expect("routable"))
@@ -210,7 +192,7 @@ fn hammering_queries_while_applying_deltas_never_errors() {
     );
 
     let engine = Arc::new(engine_over(day0));
-    let before = engine.query(ip(0), ip(far)).expect("routable");
+    let before = engine.query(ring_ip(0), ring_ip(far)).expect("routable");
     assert_eq!(
         before.fwd_clusters.len(),
         far as usize + 1,
@@ -263,10 +245,11 @@ fn hammering_queries_while_applying_deltas_never_errors() {
 
     // Post-swap queries must reflect the new day, not a stale cache
     // entry: the shortcut is now the route.
-    let after = engine.query(ip(0), ip(far)).expect("routable");
+    let after = engine.query(ring_ip(0), ring_ip(far)).expect("routable");
     assert_eq!(after.fwd_clusters.len(), 2, "post-swap: the day-1 shortcut");
-    let reference = PathPredictor::new(Arc::new(day1), ring_cfg());
-    assert_same_path(&after, &reference.query(ip(0), ip(far)).unwrap());
+    let day1 = delta.apply(&ring_atlas(n, 0)).expect("delta applies");
+    let reference = PathPredictor::new(Arc::new(day1), PredictorConfig::full());
+    assert_same_path(&after, &reference.query(ring_ip(0), ring_ip(far)).unwrap());
 }
 
 /// Bootstrap and one daily update through an in-memory source, the
@@ -286,18 +269,19 @@ fn serves_and_updates_through_the_swarm() {
         codec::encode(&day0).0,
         vec![AtlasDelta::between(&day0, &day1).encode().0],
     );
-    let cfg = ServiceConfig {
-        predictor: ring_cfg(),
-        ..ServiceConfig::default()
-    };
+    let cfg = ServiceConfig::default();
     let engine = QueryEngine::bootstrap(&mut source, cfg).expect("bootstrap");
     assert_eq!(engine.day(), 0);
-    engine.query(ip(1), ip(5)).expect("routable at day 0");
+    engine
+        .query(ring_ip(1), ring_ip(5))
+        .expect("routable at day 0");
     assert_eq!(engine.update(&mut source).expect("update"), 1);
     assert_eq!(engine.day(), 1);
     assert_eq!(engine.epoch(), 1);
     assert!(source.fetch_delta(1).unwrap().is_none());
-    let r = engine.query(ip(0), ip(4)).expect("routable at day 1");
+    let r = engine
+        .query(ring_ip(0), ring_ip(4))
+        .expect("routable at day 1");
     assert_eq!(r.fwd_clusters.len(), 2, "served from the day-1 atlas");
 }
 
@@ -313,16 +297,8 @@ fn update_refuses_a_delta_that_does_not_advance_the_day() {
         ..AtlasDelta::default()
     };
     let mut source = StaticSource::new(codec::encode(&ring_atlas(8, 0)).0, vec![stuck.encode().0]);
-    let engine = Arc::new(
-        QueryEngine::bootstrap(
-            &mut source,
-            ServiceConfig {
-                predictor: ring_cfg(),
-                ..ServiceConfig::default()
-            },
-        )
-        .expect("bootstrap"),
-    );
+    let engine =
+        Arc::new(QueryEngine::bootstrap(&mut source, ServiceConfig::default()).expect("bootstrap"));
     let (done, outcome) = std::sync::mpsc::channel();
     let updater = {
         let engine = Arc::clone(&engine);
@@ -347,15 +323,11 @@ fn update_refuses_a_delta_that_does_not_advance_the_day() {
 
 #[test]
 fn replace_atlas_swaps_a_whole_generation_without_logging_a_delta() {
-    let engine = QueryEngine::new(
-        Arc::new(ring_atlas(8, 0)),
-        ServiceConfig {
-            predictor: ring_cfg(),
-            ..ServiceConfig::default()
-        },
-    );
+    let engine = QueryEngine::new(Arc::new(ring_atlas(8, 0)), ServiceConfig::default());
     let before_tag = engine.export().epoch_tag;
-    engine.query(ip(0), ip(3)).expect("day-0 world serves");
+    engine
+        .query(ring_ip(0), ring_ip(3))
+        .expect("day-0 world serves");
     // A delta applied first is retained for downstream mirrors...
     engine
         .apply_delta(&AtlasDelta::between(&ring_atlas(8, 0), &ring_atlas(8, 1)))
@@ -374,7 +346,9 @@ fn replace_atlas_swaps_a_whole_generation_without_logging_a_delta() {
     assert_eq!(snap.day, 9);
     assert_ne!(snap.epoch_tag, before_tag);
     // ...queries land in the new (bigger) world...
-    let r = engine.query(ip(0), ip(10)).expect("ring-12 pair routable");
+    let r = engine
+        .query(ring_ip(0), ring_ip(10))
+        .expect("ring-12 pair routable");
     assert!(!r.fwd_clusters.is_empty());
     // ...and the delta log is emptied: the retained 0→1 delta belongs
     // to the abandoned chain, and serving it would walk a lagging
@@ -435,10 +409,7 @@ fn update_bridges_a_broken_chain_with_one_full_resync() {
         race_at: None,
         full_chunks: 0,
     };
-    let cfg = ServiceConfig {
-        predictor: ring_cfg(),
-        ..ServiceConfig::default()
-    };
+    let cfg = ServiceConfig::default();
     let engine = QueryEngine::bootstrap(&mut upstream, cfg).expect("bootstrap");
     let journal = Arc::new(EventJournal::new(64));
     engine.set_journal(Arc::clone(&journal), "shard0");
@@ -471,7 +442,9 @@ fn update_bridges_a_broken_chain_with_one_full_resync() {
     assert_eq!(m.mirror_upstream_day.get(), 5);
     assert_eq!(m.mirror_lag_days.get(), 4);
     assert_eq!((engine.day(), m.mirror_full_resyncs.get()), (1, 0));
-    engine.query(ip(0), ip(3)).expect("day 1 still serves");
+    engine
+        .query(ring_ip(0), ring_ip(3))
+        .expect("day 1 still serves");
 
     // The body comes back, racing once mid-fetch: one update bridges
     // the gap and returns 0 — no delta was applied.

@@ -8,9 +8,9 @@
 //! threads move the count it reads from `/proc/self/task`.
 #![cfg(target_os = "linux")]
 
-use inano_atlas::{Atlas, AtlasDelta, LinkAnnotation, Plane};
+use inano_atlas::{Atlas, AtlasDelta};
 use inano_core::{PathPredictor, PredictedPath, PredictorConfig};
-use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, ModelError, Prefix, PrefixId};
+use inano_model::{Ipv4, LatencyMs, ModelError};
 use inano_service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec, FANOUT_CHUNK};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -24,47 +24,18 @@ const ROUNDS: u32 = 4;
 /// pairs out of one source cluster.
 const RING: u32 = 4 * FANOUT_CHUNK as u32 + 1;
 
-/// A bidirectional ring of `RING` clusters, one AS and one /16 prefix
-/// per cluster; every pair is routable. Days differ in every latency,
-/// so each day-to-day delta is non-empty.
-fn ring_atlas(day: u32) -> Atlas {
-    let mut a = Atlas {
-        day,
-        ..Atlas::default()
-    };
-    for i in 0..RING {
-        let j = (i + 1) % RING;
-        for (x, y) in [(i, j), (j, i)] {
-            a.links.insert(
-                (ClusterId::new(x), ClusterId::new(y)),
-                LinkAnnotation {
-                    latency: Some(LatencyMs::new(1.0 + x as f64 * 0.1 + day as f64)),
-                    plane: Plane::TO_DST,
-                },
-            );
-        }
-        a.cluster_as.insert(ClusterId::new(i), Asn::new(i));
-        a.as_degree.insert(Asn::new(i), 2);
-        a.prefix_cluster.insert(PrefixId::new(i), ClusterId::new(i));
-        a.prefix_as.insert(
-            PrefixId::new(i),
-            (Prefix::new(Ipv4(i << 16), 16), Asn::new(i)),
-        );
+#[path = "common/ring.rs"]
+mod ring;
+use ring::ring_ip;
+
+/// The shared ring at `RING` clusters, every latency shifted by `day`
+/// ms, so each day-to-day delta is non-empty.
+fn day_atlas(day: u32) -> Atlas {
+    let mut a = ring::ring_atlas(RING, day);
+    for link in a.links.values_mut() {
+        link.latency = link.latency.map(|l| LatencyMs::new(l.ms() + day as f64));
     }
     a
-}
-
-fn ring_cfg() -> PredictorConfig {
-    let mut cfg = PredictorConfig::full();
-    cfg.use_tuples = false;
-    cfg.use_prefs = false;
-    cfg.use_providers = false;
-    cfg.use_from_src = false;
-    cfg
-}
-
-fn ip(cluster: u32) -> Ipv4 {
-    Ipv4((cluster << 16) | 7)
 }
 
 /// A routed answer equal to the library's, bit for bit.
@@ -153,8 +124,8 @@ fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
     let specs = (0..SHARDS)
         .map(|i| ShardSpec {
             id: ShardId(i),
-            atlas: Arc::new(ring_atlas(0)),
-            predictor: ring_cfg(),
+            atlas: Arc::new(day_atlas(0)),
+            predictor: PredictorConfig::full(),
         })
         .collect();
     let registry = ShardRegistry::build(specs, RegistryConfig::default()).expect("registry builds");
@@ -163,11 +134,11 @@ fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
     // One entry per round: what the generation it serves must answer,
     // per pair, straight from the library, and the delta that ends it.
     // Day d+1 is served through the delta, as the engine serves it.
-    let mut served = ring_atlas(0);
+    let mut served = day_atlas(0);
     let mut rounds = Vec::new();
     for day in 0..ROUNDS {
-        let oracle = PathPredictor::new(Arc::new(served.clone()), ring_cfg());
-        let delta = AtlasDelta::between(&ring_atlas(day), &ring_atlas(day + 1));
+        let oracle = PathPredictor::new(Arc::new(served.clone()), PredictorConfig::full());
+        let delta = AtlasDelta::between(&day_atlas(day), &day_atlas(day + 1));
         served = delta.apply(&served).expect("delta applies");
         rounds.push((oracle, delta));
     }
@@ -177,7 +148,9 @@ fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
     // cold and owes four chunks.
     let batch_of = |caller: usize| -> Vec<(Ipv4, Ipv4)> {
         let src = caller as u32;
-        (1..RING).map(|k| (ip(src), ip((src + k) % RING))).collect()
+        (1..RING)
+            .map(|k| (ring_ip(src), ring_ip((src + k) % RING)))
+            .collect()
     };
     assert_eq!(batch_of(0).len(), 4 * FANOUT_CHUNK);
 
@@ -261,7 +234,7 @@ fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
     // interleaves them with batches on its engine, which now serves the
     // last day.
     let served = Arc::new(served);
-    let oracle = PathPredictor::new(Arc::clone(&served), ring_cfg());
+    let oracle = PathPredictor::new(Arc::clone(&served), PredictorConfig::full());
     let (wrong, peak, over_budget) = watched(budget, || {
         thread::scope(|scope| {
             let callers: Vec<_> = (0..CALLERS)
@@ -273,7 +246,8 @@ fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
                             .engine(ShardId(c as u16 % SHARDS))
                             .expect("shard exists");
                         let library = || {
-                            let cold = PathPredictor::new(Arc::clone(served), ring_cfg());
+                            let cold =
+                                PathPredictor::new(Arc::clone(served), PredictorConfig::full());
                             cold.query_batch(&batch)
                         };
                         let mut answers = Vec::new();

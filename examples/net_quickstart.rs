@@ -1,34 +1,69 @@
 //! The network front end end to end: start a `NetServer` hosting TWO
-//! independent atlas shards behind one loopback listener, talk to it
-//! with `NetClient` — ping, shard listing, per-shard query batches and
-//! epoch metadata — then land a daily delta on shard 0 and watch
-//! remote clients see the new epoch there and *only* there.
+//! independent atlas shards — two measured worlds, one per seed —
+//! behind one loopback listener, talk to it with `NetClient` — ping,
+//! shard listing, per-shard query batches and epoch metadata — then
+//! land a daily delta on shard 0 and watch remote clients see the new
+//! epoch there and *only* there.
 //!
 //! Run with: `cargo run --release --example net_quickstart`
 //!
-//! (For a long-lived server use the `inano-serve` binary — e.g.
-//! `inano-serve --ring 16 --ring 24` for this same two-shard shape;
-//! this example is the same stack in one process.)
+//! (For a long-lived server use the `inano-serve` binary: `cargo run
+//! --example write_atlas -- world.atlas`, then `inano-serve --atlas
+//! world.atlas --atlas world.atlas` serves a two-shard shape from a
+//! file; this example is the same stack in one process.)
 
-use inano::net::demo::{ring_atlas, ring_ip, ring_predictor_config, ring_shortcut_delta};
-use inano::net::{NetClient, NetServer, ServerConfig};
+use inano::atlas::AtlasDelta;
+use inano::core::PredictorConfig;
+use inano::model::Ipv4;
+use inano::net::{NetClient, NetServer, ServerConfig, WirePath};
 use inano::service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
+use inano_bench::{Scenario, ScenarioConfig};
 use std::sync::Arc;
 
+/// Every ordered pair of `world`'s end-host agents.
+fn agent_pairs(world: &Scenario) -> Vec<(Ipv4, Ipv4)> {
+    let ips: Vec<Ipv4> = world
+        .vps
+        .agents
+        .iter()
+        .map(|&h| world.net.host(h).ip)
+        .collect();
+    ips.iter()
+        .flat_map(|&s| ips.iter().filter(move |&&d| d != s).map(move |&d| (s, d)))
+        .collect()
+}
+
+/// The pair of `pairs` with the longest route on `shard`, with its
+/// answer.
+fn longest_route(
+    client: &mut NetClient,
+    shard: ShardId,
+    pairs: &[(Ipv4, Ipv4)],
+) -> ((Ipv4, Ipv4), WirePath) {
+    let answers = client.query_batch_on(shard, pairs).expect("batch");
+    pairs
+        .iter()
+        .zip(answers)
+        .filter_map(|(&pair, answer)| Some((pair, answer.ok()?)))
+        .max_by_key(|(_, path)| path.fwd_clusters.len())
+        .expect("some agent pair routes")
+}
+
 fn main() {
-    // Two shards, two different ring worlds: shard 0 is what every
-    // shard-unaware client talks to; shard 1 is a second atlas
-    // generation served by the same process.
-    let rings = [16u32, 24u32];
+    // Two shards, two measured worlds: shard 0 is what every
+    // shard-unaware client talks to; shard 1 is a second atlas served
+    // by the same process.
+    println!("building two worlds...");
+    let worlds = [6, 7].map(|seed| Scenario::build(ScenarioConfig::test(seed)));
     let registry = Arc::new(
         ShardRegistry::build(
-            rings
+            worlds
                 .iter()
                 .enumerate()
-                .map(|(i, &n)| ShardSpec {
+                .map(|(i, world)| ShardSpec {
                     id: ShardId(i as u16),
-                    atlas: Arc::new(ring_atlas(n, 0)),
-                    predictor: ring_predictor_config(),
+                    atlas: Arc::new(world.atlas.clone()),
+                    predictor: PredictorConfig::full(),
                 })
                 .collect(),
             RegistryConfig::default(),
@@ -52,55 +87,39 @@ fn main() {
         );
     }
 
-    // Shard-unaware calls keep their old meaning: they land on shard 0.
-    let far = rings[0] / 2;
-    let pairs = [(ring_ip(0), ring_ip(far))];
-    let path = client.query_batch(&pairs).expect("batch")[0]
-        .clone()
-        .expect("ring pairs are routable")
-        .into_predicted();
+    // Shard-unaware calls land on shard 0; each shard routes its own
+    // world's hosts.
+    let pairs0 = agent_pairs(&worlds[0]);
+    let ((src, dst), path) = longest_route(&mut client, ShardId(0), &pairs0);
     println!(
-        "shard 0: {:?} -> {:?}: {} cluster hops, rtt {:.2} ms",
-        pairs[0].0,
-        pairs[0].1,
+        "shard 0: {src:?} -> {dst:?}: {} cluster hops, rtt {:.2} ms",
         path.fwd_clusters.len(),
-        path.rtt.ms()
+        path.rtt_ms
     );
-
-    // The same addresses mean different things on shard 1 — it is a
-    // different (bigger) world with its own routes.
-    let far1 = rings[1] / 2;
-    let on_shard1 = client
-        .query_batch_on(ShardId(1), &[(ring_ip(0), ring_ip(far1))])
-        .expect("batch on shard 1")[0]
-        .clone()
-        .expect("routable on shard 1")
-        .into_predicted();
+    let (pair1, on_shard1) = longest_route(&mut client, ShardId(1), &agent_pairs(&worlds[1]));
     println!(
         "shard 1: {:?} -> {:?}: {} cluster hops",
-        ring_ip(0),
-        ring_ip(far1),
+        pair1.0,
+        pair1.1,
         on_shard1.fwd_clusters.len()
     );
 
-    // A daily delta lands on shard 0 only; remote queries never stop,
+    // Shard 0's next day lands as a delta; remote queries never stop,
     // and shard 1's epoch does not move.
+    let (_, day1) = worlds[0].atlas_for_day(1);
     registry
-        .apply_delta(ShardId(0), &ring_shortcut_delta(rings[0], 0))
+        .apply_delta(ShardId(0), &AtlasDelta::between(&worlds[0].atlas, &day1))
         .expect("delta applies");
     let (epoch0, day0) = client.epoch().expect("epoch");
-    let (epoch1, day1) = client.epoch_on(ShardId(1)).expect("epoch on shard 1");
-    let after = client.query_batch(&pairs).expect("batch")[0]
-        .clone()
-        .expect("still routable")
-        .into_predicted();
+    let (epoch1, day_1) = client.epoch_on(ShardId(1)).expect("epoch on shard 1");
+    let after = client.query_batch(&[(src, dst)]).expect("batch")[0].clone();
     println!(
-        "after the swap: shard 0 at epoch {epoch0}, day {day0} \
-         ({:?} -> {:?} is now {} hops — the new shortcut); \
-         shard 1 untouched at epoch {epoch1}, day {day1}",
-        pairs[0].0,
-        pairs[0].1,
-        after.fwd_clusters.len()
+        "after the swap: shard 0 at epoch {epoch0}, day {day0} ({src:?} -> {dst:?}: {}); \
+         shard 1 untouched at epoch {epoch1}, day {day_1}",
+        match after {
+            Ok(path) => format!("rtt {:.2} ms", path.rtt_ms),
+            Err(fault) => format!("{fault}"),
+        }
     );
 
     // One way to read a server: the metrics dump over its own socket,
@@ -124,10 +143,7 @@ fn main() {
         .expect("connect a mirror source");
     let mirrored = inano::service::QueryEngine::bootstrap(
         &mut upstream,
-        inano::service::ServiceConfig {
-            predictor: ring_predictor_config(),
-            ..inano::service::ServiceConfig::default()
-        },
+        inano::service::ServiceConfig::default(),
     )
     .expect("bootstrap an engine over the wire");
     let origin_tag = registry

@@ -4,8 +4,8 @@
 //! guarantees by construction.
 
 use inano::atlas::{Atlas, LinkAnnotation, Plane};
-use inano::core::{PathPredictor, PredictorConfig};
-use inano::model::{Asn, ClusterId, Ipv4, LatencyMs, Prefix, PrefixId};
+use inano::core::{PathPredictor, PredictedPath, PredictorConfig};
+use inano::model::{Asn, ClusterId, Ipv4, LatencyMs, ModelError, Prefix, PrefixId};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -50,24 +50,74 @@ prop_compose! {
     }
 }
 
-fn tuple_free_config() -> PredictorConfig {
-    // Tuples would block everything on an atlas with no observed routes.
-    let mut cfg = PredictorConfig::full();
-    cfg.use_tuples = false;
-    cfg.use_prefs = false;
-    cfg.use_providers = false;
-    cfg.use_from_src = false;
-    cfg
+fn ip(cluster: u32) -> Ipv4 {
+    Ipv4((cluster << 16) | 7)
+}
+
+/// Field by field, floats by bits, errors by text.
+fn same_answer(
+    a: &Result<PredictedPath, ModelError>,
+    b: &Result<PredictedPath, ModelError>,
+) -> bool {
+    match (a, b) {
+        (Ok(a), Ok(b)) => {
+            a.fwd_clusters == b.fwd_clusters
+                && a.rev_clusters == b.rev_clusters
+                && a.fwd_as_path == b.fwd_as_path
+                && a.rev_as_path == b.rev_as_path
+                && a.rtt.ms().to_bits() == b.rtt.ms().to_bits()
+                && a.loss.rate().to_bits() == b.loss.rate().to_bits()
+        }
+        (Err(a), Err(b)) => a.to_string() == b.to_string(),
+        _ => false,
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// On these atlases the full model answers exactly as the profile
+    /// with all four refinements off: every AS has degree 2, below
+    /// `tuple_min_degree`, and the atlas records no preferences,
+    /// providers or FROM_SRC links. Servers answer with `full()` alone
+    /// because of this; the policy-off profile lives on only here, as
+    /// the reference.
+    #[test]
+    fn full_model_equals_the_policy_off_profile(atlas in arb_routed_atlas()) {
+        let atlas = Arc::new(atlas);
+        let mut policy_off = PredictorConfig::full();
+        policy_off.use_tuples = false;
+        policy_off.use_prefs = false;
+        policy_off.use_providers = false;
+        policy_off.use_from_src = false;
+        let n = atlas.prefix_cluster.len() as u32;
+        // One address past the last prefix: an unresolvable end.
+        let pairs: Vec<(Ipv4, Ipv4)> = (0..=n)
+            .flat_map(|s| (0..=n).map(move |d| (ip(s), ip(d))))
+            .collect();
+        let full = PathPredictor::new(Arc::clone(&atlas), PredictorConfig::full());
+        let off = PathPredictor::new(Arc::clone(&atlas), policy_off.clone());
+        for &(s, d) in &pairs {
+            prop_assert!(
+                same_answer(&full.query(s, d), &off.query(s, d)),
+                "{} -> {} differs", s, d
+            );
+        }
+        prop_assert_eq!(full.search_counts(), off.search_counts());
+
+        let full = PathPredictor::new(Arc::clone(&atlas), PredictorConfig::full());
+        let off = PathPredictor::new(Arc::clone(&atlas), policy_off);
+        for (i, (a, b)) in full.query_batch(&pairs).iter().zip(&off.query_batch(&pairs)).enumerate() {
+            prop_assert!(same_answer(a, b), "batched pair {} differs", i);
+        }
+        prop_assert_eq!(full.search_counts(), off.search_counts());
+    }
+
     #[test]
     fn predictions_are_deterministic(atlas in arb_routed_atlas()) {
         let atlas = Arc::new(atlas);
-        let p1 = PathPredictor::new(Arc::clone(&atlas), tuple_free_config());
-        let p2 = PathPredictor::new(Arc::clone(&atlas), tuple_free_config());
+        let p1 = PathPredictor::new(Arc::clone(&atlas), PredictorConfig::full());
+        let p2 = PathPredictor::new(Arc::clone(&atlas), PredictorConfig::full());
         let n = atlas.prefix_cluster.len() as u32;
         for s in 0..n.min(6) {
             for d in 0..n.min(6) {
@@ -82,7 +132,7 @@ proptest! {
     #[test]
     fn predicted_paths_are_wellformed(atlas in arb_routed_atlas()) {
         let atlas = Arc::new(atlas);
-        let p = PathPredictor::new(Arc::clone(&atlas), tuple_free_config());
+        let p = PathPredictor::new(Arc::clone(&atlas), PredictorConfig::full());
         let n = atlas.prefix_cluster.len() as u32;
         for s in 0..n.min(8) {
             for d in 0..n.min(8) {
@@ -133,7 +183,7 @@ proptest! {
                 (Prefix::new(Ipv4(i << 16), 16), Asn::new(i)),
             );
         }
-        let p = PathPredictor::new(Arc::new(atlas), tuple_free_config());
+        let p = PathPredictor::new(Arc::new(atlas), PredictorConfig::full());
         for d in 1..n {
             let path = p.predict_forward(PrefixId::new(0), PrefixId::new(d)).unwrap();
             let clockwise = d as usize + 1;
