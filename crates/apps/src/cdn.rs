@@ -14,7 +14,7 @@ use inano_core::PathPredictor;
 use inano_measure::ping::ping_median;
 use inano_measure::traceroute::ProbeNoise;
 use inano_model::rng::DeterministicRng;
-use inano_model::{HostId, LatencyMs};
+use inano_model::HostId;
 use inano_routing::RoutingOracle;
 use rand::seq::SliceRandom;
 use std::collections::HashMap;
@@ -143,20 +143,6 @@ impl<'a> CdnExperiment<'a> {
             ReplicaStrategy::Random => candidates.choose(rng).copied(),
         }
     }
-}
-
-/// Latency helper exposed for reporting.
-pub fn predicted_rtt(
-    predictor: &PathPredictor,
-    oracle: &RoutingOracle<'_>,
-    a: HostId,
-    b: HostId,
-) -> Option<LatencyMs> {
-    let net = oracle.internet();
-    predictor
-        .predict(net.host(a).prefix, net.host(b).prefix)
-        .ok()
-        .map(|p| p.rtt)
 }
 
 #[cfg(test)]

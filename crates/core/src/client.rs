@@ -1,28 +1,30 @@
 //! The client-side library of §5: fetch the atlas (from memory or a
 //! mirror over the wire — abstracted behind [`AtlasSource`]), augment
-//! it with local measurements, serve queries locally, and keep it up to
-//! date with the daily delta — or, for the sporadically-online peer
-//! whose delta chain has broken, with one full refetch
-//! ([`INanoClient::update`]).
+//! it with local measurements, serve queries locally through
+//! [`INanoClient::predictor`], and keep it up to date with the daily
+//! delta — or, for the sporadically-online peer whose delta chain has
+//! broken, with one full refetch ([`INanoClient::update`]).
 
 use crate::config::PredictorConfig;
-use crate::predict::{PathPredictor, PredictedPath};
-use crate::source::{read_delta, read_full, AtlasSource};
+use crate::predict::PathPredictor;
+use crate::source::{catch_up, read_full, AtlasSource, AtlasVersion, Follower};
 use inano_atlas::{codec, Atlas, AtlasDelta};
-use inano_model::{ClusterId, Ipv4, LatencyMs, ModelError};
+use inano_model::{ClusterId, LatencyMs, ModelError};
 use std::sync::Arc;
+
+/// One FROM_SRC link a client measured itself.
+type LocalLink = ((ClusterId, ClusterId), Option<LatencyMs>);
 
 /// The iNano client library.
 pub struct INanoClient {
     atlas: Arc<Atlas>,
     cfg: PredictorConfig,
-    /// `None` only transiently inside mutating methods, so the atlas
-    /// `Arc` can be mutated in place instead of cloned (see
-    /// [`INanoClient::add_local_links`]).
+    /// `None` only transiently inside [`INanoClient::rebuild`], so the
+    /// atlas `Arc` can be mutated in place instead of cloned.
     predictor: Option<PathPredictor>,
     /// Local FROM_SRC links contributed by this client's own traceroutes,
     /// re-applied after every update.
-    local_links: Vec<((ClusterId, ClusterId), Option<LatencyMs>)>,
+    local_links: Vec<LocalLink>,
     /// `epoch_tag` of the upstream version this client last converged
     /// to. Its own atlas carries the local links, so its encoding never
     /// equals the upstream's and cannot stand in for this.
@@ -54,71 +56,31 @@ impl INanoClient {
         self.atlas.day
     }
 
-    /// Apply all available daily deltas; returns how many were applied.
+    /// Catch up with `source` by [`catch_up`]; returns how many deltas
+    /// were applied.
     ///
-    /// Deltas are staged off to the side and committed once at the end
-    /// (one local-link re-application for the whole chain). If the
-    /// chain fails partway — a fetch or decode error, a wrong-base
-    /// delta — the days that did apply are committed, the error is
-    /// returned, and the client keeps serving queries either way.
+    /// Deltas and a full refetch land on a staged atlas, which is
+    /// installed once when the call returns, with the local links
+    /// re-applied — also when the chain failed partway, so the days
+    /// that did apply are kept and the client keeps serving either way.
     ///
-    /// After the chain the source's head is probed. A chain that ends
-    /// on the head's day converges the client to that version, whose
-    /// `epoch_tag` it remembers. When no delta leaves the client's day
-    /// and the head's tag differs from the remembered one, the chain is
-    /// broken — the upstream restarted or replaced its atlas, on any
-    /// day, or this peer slept past the deltas it retains — so the full
-    /// body is refetched, the local links are re-applied to it, and the
-    /// call returns `Ok(0)` on the new generation. The compare is on
-    /// the remembered upstream tag, not the client's own content tag as
-    /// the service engine's is: a client's atlas carries its own
-    /// FROM_SRC links, so its encoding never equals the upstream's.
+    /// The tag compared is the remembered upstream tag: the one
+    /// [`read_full`] returned at bootstrap or resync, or the head's
+    /// after a chain that ends on the head's day. It is not the
+    /// client's own content tag, as the service engine's is: a client's
+    /// atlas carries its own FROM_SRC links, so its encoding never
+    /// equals the upstream's.
     pub fn update(&mut self, source: &mut dyn AtlasSource) -> Result<usize, ModelError> {
-        let mut staged: Option<Atlas> = None;
-        let mut applied = 0usize;
-        let outcome = loop {
-            let base = staged.as_ref().unwrap_or(&self.atlas);
-            match read_delta(source, base.day) {
-                Ok((Some((_, bytes)), _)) => {
-                    match AtlasDelta::decode(&bytes).and_then(|d| d.apply(base)) {
-                        Ok(next) => {
-                            staged = Some(next);
-                            applied += 1;
-                        }
-                        Err(e) => break Err(e),
-                    }
-                }
-                Ok((None, _)) => break Ok(applied),
-                Err(e) => break Err(e),
-            }
+        let mut staged = Staged {
+            client: self,
+            next: None,
         };
-        if let Some(atlas) = staged {
-            self.install(atlas);
+        let outcome = catch_up(source, &mut staged);
+        if let Some(atlas) = staged.next {
+            self.atlas = Arc::new(atlas);
+            self.rebuild(self.local_links.clone());
         }
-        let Ok(applied) = outcome else {
-            return outcome;
-        };
-        let head = match source.head() {
-            Ok(head) => head,
-            Err(_) if applied > 0 => return Ok(applied),
-            Err(e) => return Err(e),
-        };
-        if applied == 0 && head.epoch_tag != self.upstream_tag {
-            let (version, bytes, _) = read_full(source)?;
-            self.install(codec::decode(&bytes)?);
-            self.upstream_tag = version.epoch_tag;
-        } else if head.day == self.day() {
-            self.upstream_tag = head.epoch_tag;
-        }
-        Ok(applied)
-    }
-
-    /// Serve from `atlas` from now on: one in-place re-application of
-    /// every local link, however many deltas led here.
-    fn install(&mut self, atlas: Atlas) {
-        self.predictor = None;
-        self.atlas = Arc::new(atlas);
-        self.apply_links_and_rebuild(|local| local.clone());
+        outcome
     }
 
     /// Contribute links from a local traceroute (already mapped to
@@ -132,48 +94,29 @@ impl INanoClient {
     /// accumulated local link on each call.
     pub fn add_local_links<I>(&mut self, links: I)
     where
-        I: IntoIterator<Item = ((ClusterId, ClusterId), Option<LatencyMs>)>,
+        I: IntoIterator<Item = LocalLink>,
     {
-        let new: Vec<((ClusterId, ClusterId), Option<LatencyMs>)> = links.into_iter().collect();
+        let new: Vec<LocalLink> = links.into_iter().collect();
         if new.is_empty() {
             return;
         }
         self.local_links.extend(new.iter().cloned());
-        self.apply_links_and_rebuild(move |_| new);
+        self.rebuild(new);
     }
 
-    /// Apply a batch of FROM_SRC links to the atlas — in place when the
-    /// client holds the only `Arc` (the common case) — then rebuild the
-    /// predictor once.
-    fn apply_links_and_rebuild<F>(&mut self, links: F)
-    where
-        F: FnOnce(
-            &Vec<((ClusterId, ClusterId), Option<LatencyMs>)>,
-        ) -> Vec<((ClusterId, ClusterId), Option<LatencyMs>)>,
-    {
+    /// Apply `links` to the atlas — in place when the client holds the
+    /// only `Arc` (the common case) — then rebuild the predictor once.
+    fn rebuild(&mut self, links: Vec<LocalLink>) {
         // Drop the predictor's Arc first so make_mut can avoid cloning.
         self.predictor = None;
-        let mut atlas = std::mem::replace(&mut self.atlas, Arc::new(Atlas::default()));
-        Arc::make_mut(&mut atlas).add_from_src_links(links(&self.local_links));
-        self.atlas = atlas;
+        Arc::make_mut(&mut self.atlas).add_from_src_links(links);
         self.predictor = Some(PathPredictor::new(
             Arc::clone(&self.atlas),
             self.cfg.clone(),
         ));
     }
 
-    /// Query path information between two IPs.
-    pub fn query(&self, src: Ipv4, dst: Ipv4) -> Result<PredictedPath, ModelError> {
-        self.predictor().query(src, dst)
-    }
-
-    /// Batched queries: [`PathPredictor::query_batch`], whose distinct
-    /// searches may run on scoped helper threads.
-    pub fn query_batch(&self, pairs: &[(Ipv4, Ipv4)]) -> Vec<Result<PredictedPath, ModelError>> {
-        self.predictor().query_batch(pairs)
-    }
-
-    /// Direct access to the predictor (ranking helpers etc.).
+    /// The predictor over the loaded atlas: queries, batches, ranking.
     pub fn predictor(&self) -> &PathPredictor {
         self.predictor
             .as_ref()
@@ -186,12 +129,46 @@ impl INanoClient {
     }
 }
 
+/// An [`INanoClient`] as [`catch_up`] drives it: deltas and a resync
+/// land on `next`, which `update` installs once.
+struct Staged<'c> {
+    client: &'c mut INanoClient,
+    next: Option<Atlas>,
+}
+
+impl Follower for Staged<'_> {
+    fn day(&self) -> u32 {
+        self.next.as_ref().unwrap_or(&self.client.atlas).day
+    }
+
+    fn tag(&mut self) -> u64 {
+        self.client.upstream_tag
+    }
+
+    fn apply(&mut self, delta: &AtlasDelta, _: Vec<u8>) -> Result<(), ModelError> {
+        let base = self.next.as_ref().unwrap_or(&self.client.atlas);
+        self.next = Some(delta.apply(base)?);
+        Ok(())
+    }
+
+    fn head(&mut self, head: &AtlasVersion, in_step: bool) {
+        if in_step {
+            self.client.upstream_tag = head.epoch_tag;
+        }
+    }
+
+    fn resync(&mut self, version: &AtlasVersion, atlas: Atlas) {
+        self.next = Some(atlas);
+        self.client.upstream_tag = version.epoch_tag;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::{AtlasChunk, AtlasVersion, DeltaHandle, StaticSource};
     use inano_atlas::{LinkAnnotation, Plane};
-    use inano_model::{Asn, Prefix, PrefixId};
+    use inano_model::{Asn, Ipv4, Prefix, PrefixId};
 
     fn base_atlas(day: u32) -> Atlas {
         let mut a = Atlas {
@@ -237,6 +214,7 @@ mod tests {
         let client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
         assert_eq!(client.day(), 0);
         let r = client
+            .predictor()
             .query(
                 Ipv4::from_octets(10, 0, 0, 1),
                 Ipv4::from_octets(20, 0, 0, 1),
@@ -269,6 +247,7 @@ mod tests {
         assert_eq!(client.day(), 2);
         // The new direct link is now the predicted route.
         let r = client
+            .predictor()
             .query(
                 Ipv4::from_octets(10, 0, 0, 1),
                 Ipv4::from_octets(20, 0, 0, 1),
@@ -339,6 +318,7 @@ mod tests {
         // torn-down predictor.
         assert_eq!(client.day(), 1);
         let r = client
+            .predictor()
             .query(
                 Ipv4::from_octets(10, 0, 0, 1),
                 Ipv4::from_octets(20, 0, 0, 1),
@@ -374,6 +354,7 @@ mod tests {
         assert_eq!(client.day(), 5);
         assert!(src.full_chunks > bootstrap_chunks, "the body was refetched");
         let r = client
+            .predictor()
             .query(
                 Ipv4::from_octets(10, 0, 0, 1),
                 Ipv4::from_octets(20, 0, 0, 1),
@@ -414,7 +395,7 @@ mod tests {
         assert_eq!(client.update(&mut src).unwrap(), 0);
         assert_eq!(client.day(), 1);
         assert!(client.atlas().links.contains_key(&marker), "new body");
-        let r = client.query(me, there).unwrap();
+        let r = client.predictor().query(me, there).unwrap();
         assert_eq!(r.fwd_clusters.len(), 2, "local FROM_SRC link survives");
 
         // Its origin restarted onto a fresh day-0 generation.
@@ -422,7 +403,7 @@ mod tests {
         assert_eq!(client.update(&mut src).unwrap(), 0);
         assert_eq!(client.day(), 0);
         assert!(!client.atlas().links.contains_key(&marker), "day-0 body");
-        let r = client.query(me, there).unwrap();
+        let r = client.predictor().query(me, there).unwrap();
         assert_eq!(r.fwd_clusters.len(), 2, "local FROM_SRC link survives");
     }
 
@@ -449,6 +430,7 @@ mod tests {
         );
         // Both incrementally-added links are live.
         let r = client
+            .predictor()
             .query(
                 Ipv4::from_octets(10, 0, 0, 1),
                 Ipv4::from_octets(20, 0, 0, 1),
@@ -471,7 +453,7 @@ mod tests {
             Ipv4::from_octets(20, 0, 0, 1),
         );
         let raw = |path: &[ClusterId]| path.iter().map(|c| c.raw()).collect::<Vec<_>>();
-        let r = client.query(me, there).unwrap();
+        let r = client.predictor().query(me, there).unwrap();
         assert_eq!(raw(&r.fwd_clusters), [1, 2, 3], "relaxed: 2 → 1 backwards");
         let counts = client.predictor().search_counts();
         assert_eq!(counts.strict_skipped, 1, "the forward half; {counts:?}");
@@ -483,7 +465,7 @@ mod tests {
             (ClusterId::new(1), ClusterId::new(3)),
             Some(LatencyMs::new(0.5)),
         )]);
-        let r = client.query(me, there).unwrap();
+        let r = client.predictor().query(me, there).unwrap();
         assert_eq!(raw(&r.fwd_clusters), [1, 3], "strict: along the new link");
         let counts = client.predictor().search_counts();
         assert_eq!(counts.strict_skipped, 0, "{counts:?}");
@@ -515,8 +497,8 @@ mod tests {
             Ipv4::from_octets(10, 0, 0, 1),
             Ipv4::from_octets(20, 0, 0, 1),
         );
-        let a = one.query(q.0, q.1).unwrap();
-        let b = two.query(q.0, q.1).unwrap();
+        let a = one.predictor().query(q.0, q.1).unwrap();
+        let b = two.predictor().query(q.0, q.1).unwrap();
         assert_eq!(a.fwd_clusters, b.fwd_clusters);
         assert_eq!(a.rev_clusters, b.rev_clusters);
         assert!((a.rtt.ms() - b.rtt.ms()).abs() < 1e-12);
@@ -540,6 +522,7 @@ mod tests {
             Some(LatencyMs::new(0.5)),
         )]);
         let before = client
+            .predictor()
             .query(
                 Ipv4::from_octets(10, 0, 0, 1),
                 Ipv4::from_octets(20, 0, 0, 1),
@@ -548,6 +531,7 @@ mod tests {
         assert_eq!(before.fwd_clusters.len(), 2, "local FROM_SRC link used");
         client.update(&mut src).unwrap();
         let after = client
+            .predictor()
             .query(
                 Ipv4::from_octets(10, 0, 0, 1),
                 Ipv4::from_octets(20, 0, 0, 1),

@@ -37,6 +37,6 @@ pub use config::PredictorConfig;
 pub use predict::{PathPredictor, PredictedPath, Resolution, SearchCounts};
 pub use rank::rank_by_rtt;
 pub use source::{
-    chunk_span, content_tag, n_chunks, read_delta, read_full, AtlasChunk, AtlasSource,
-    AtlasVersion, DeltaHandle, StaticSource, DEFAULT_CHUNK_SIZE,
+    catch_up, chunk_span, content_tag, n_chunks, read_delta, read_full, AtlasChunk, AtlasSource,
+    AtlasVersion, DeltaHandle, Follower, StaticSource, DEFAULT_CHUNK_SIZE,
 };

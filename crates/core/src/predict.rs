@@ -668,11 +668,6 @@ impl PathPredictor {
             Arc::new(found.expect("route() found the destination's node"))
         })
     }
-
-    /// Graph diagnostics: (nodes, edges).
-    pub fn graph_size(&self) -> (usize, usize) {
-        (self.graph.n_nodes(), self.graph.n_edges())
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
-//! Atlas acquisition: a versioned, chunk-oriented [`AtlasSource`] plus
-//! the reader ([`read_full`], [`read_delta`]) that assembles and
-//! validates bodies.
+//! Atlas acquisition: a versioned, chunk-oriented [`AtlasSource`], the
+//! reader ([`read_full`], [`read_delta`]) that assembles and validates
+//! bodies, and the one catch-up policy ([`catch_up`]) that drives the
+//! reader for every [`Follower`].
 //!
 //! The paper's §5 dissemination story is peers fetching the ~7MB atlas
 //! (and then small daily deltas) *from each other*. The unit of
@@ -25,10 +26,11 @@
 //! against the head's `epoch_tag`, and — when the source reports
 //! [`ModelError::VersionRaced`] because the origin swapped generations
 //! mid-fetch — restarts at the new head. Each call returns how many
-//! such restarts it recovered from beside the body. `INanoClient` and
-//! the service engine both feed on it.
+//! such restarts it recovered from beside the body. [`catch_up`] is its
+//! one caller outside bootstrap: `INanoClient::update` and the service
+//! engine's `update` each hand it a [`Follower`].
 
-use inano_atlas::{codec, AtlasDelta};
+use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_model::ModelError;
 
 /// Default chunk size for in-process sources: large enough that a ~7MB
@@ -106,16 +108,6 @@ pub struct DeltaHandle {
     /// Chunk size the delta body is served in.
     pub chunk_size: u32,
 }
-
-impl DeltaHandle {
-    pub fn n_chunks(&self) -> u32 {
-        n_chunks(self.len, self.chunk_size)
-    }
-}
-
-/// A fully fetched delta: the handle that advertised it plus its
-/// validated, reassembled body.
-pub type FetchedDelta = (DeltaHandle, Vec<u8>);
 
 /// One checksummed chunk of an atlas or delta body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -211,13 +203,13 @@ pub fn read_full(source: &mut dyn AtlasSource) -> Result<(AtlasVersion, Vec<u8>,
     }
 }
 
-/// The reader, delta half: download and validate the delta leaving
-/// `have_day`, if the source has one, with the restarts it recovered
-/// from (see [`read_full`]).
+/// The reader, delta half: download and validate the body of the delta
+/// leaving `have_day`, if the source has one, with the restarts it
+/// recovered from (see [`read_full`]).
 pub fn read_delta(
     source: &mut dyn AtlasSource,
     have_day: u32,
-) -> Result<(Option<FetchedDelta>, u32), ModelError> {
+) -> Result<(Option<Vec<u8>>, u32), ModelError> {
     let mut restarts = 0;
     loop {
         let Some(handle) = source.fetch_delta(have_day)? else {
@@ -233,7 +225,7 @@ pub fn read_delta(
         match body(handle.len, handle.chunk_size, &mut |i| {
             source.fetch_delta_chunk(handle.from_day, i)
         }) {
-            Ok(body) => return Ok((Some((handle, body)), restarts)),
+            Ok(body) => return Ok((Some(body), restarts)),
             Err(e) if is_race(&e) => {}
             Err(e) => return Err(e),
         }
@@ -244,6 +236,78 @@ pub fn read_delta(
             )));
         }
     }
+}
+
+/// A peer's atlas as [`catch_up`] sees it. The policy decides every
+/// step; an implementation says only what a step does to it: which tag
+/// it holds, how a delta lands, and what it records along the way.
+pub trait Follower {
+    /// Day of the atlas the next delta must leave.
+    fn day(&self) -> u32;
+    /// `epoch_tag` of the upstream version this follower holds. Asked
+    /// only when the delta chain was empty.
+    fn tag(&mut self) -> u64;
+    /// Land one delta; `bytes` is its validated wire form.
+    fn apply(&mut self, delta: &AtlasDelta, bytes: Vec<u8>) -> Result<(), ModelError>;
+    /// The source's head, probed after the chain, before any full
+    /// fetch. `in_step` is true when the follower now holds that
+    /// version: the chain ended on the head's day, or the tags matched.
+    fn head(&mut self, head: &AtlasVersion, in_step: bool);
+    /// Take the whole upstream atlas in place of the broken chain.
+    fn resync(&mut self, version: &AtlasVersion, atlas: Atlas);
+    /// Whole-body restarts one fetch recovered from (never 0).
+    fn races(&mut self, _races: u32) {}
+}
+
+/// The one catch-up policy (§5: daily deltas, and one full refetch for
+/// a peer whose delta chain broke). Returns how many deltas landed.
+///
+/// 1. **Delta chain first.** Every delta the source offers beyond the
+///    follower's day is fetched, decoded and applied. The loop ends
+///    because every delta advances the day: `AtlasDelta::apply`
+///    refuses one that does not (`PatchMismatch`).
+/// 2. **Head probe.** A probe that fails after deltas landed keeps them
+///    and returns their count.
+/// 3. **Full body only on an empty chain.** When no delta landed and
+///    the head's `epoch_tag` differs from [`Follower::tag`], the chain
+///    is broken — the upstream replaced its atlas or restarted, on any
+///    day, or the follower lagged past the deltas it retains — and the
+///    full body is fetched ([`read_full`]), decoded and handed over.
+///    The call still returns `Ok(0)`. A source must therefore name as
+///    its head the version its own delta chain ends at.
+///
+/// Any fetch, decode or apply error is returned at once; the deltas
+/// that landed before it stay landed.
+pub fn catch_up(
+    source: &mut dyn AtlasSource,
+    follower: &mut dyn Follower,
+) -> Result<usize, ModelError> {
+    let mut applied = 0;
+    loop {
+        let (body, races) = read_delta(source, follower.day())?;
+        if races > 0 {
+            follower.races(races);
+        }
+        let Some(bytes) = body else { break };
+        let delta = AtlasDelta::decode(&bytes)?;
+        follower.apply(&delta, bytes)?;
+        applied += 1;
+    }
+    let head = match source.head() {
+        Ok(head) => head,
+        Err(_) if applied > 0 => return Ok(applied),
+        Err(e) => return Err(e),
+    };
+    let resync = applied == 0 && head.epoch_tag != follower.tag();
+    follower.head(&head, !resync && head.day == follower.day());
+    if resync {
+        let (version, bytes, races) = read_full(source)?;
+        if races > 0 {
+            follower.races(races);
+        }
+        follower.resync(&version, codec::decode(&bytes)?);
+    }
+    Ok(applied)
 }
 
 fn check_body(len: u64, chunk_size: u32) -> Result<(), ModelError> {
@@ -574,5 +638,248 @@ mod tests {
         assert_eq!(got, bytes);
         assert_eq!(version, head);
         assert!(src.fetch_delta(3).expect("no delta").is_none());
+    }
+
+    // ---- catch_up: one case per rule, on a recording follower ----
+
+    use inano_atlas::LinkAnnotation;
+    use inano_model::ClusterId;
+
+    /// A day-`day` atlas whose content is told apart by `marker`.
+    fn world(day: u32, marker: u32) -> Atlas {
+        let mut atlas = Atlas {
+            day,
+            ..Atlas::default()
+        };
+        let link = (ClusterId::new(marker), ClusterId::new(marker + 1));
+        atlas.links.insert(link, LinkAnnotation::default());
+        atlas
+    }
+
+    fn delta(from: &Atlas, to: &Atlas) -> Vec<u8> {
+        AtlasDelta::between(from, to).encode().0
+    }
+
+    /// A [`StaticSource`] that counts the full-body chunks it serves
+    /// and can report one version race.
+    struct Watched {
+        inner: StaticSource,
+        full_chunks: usize,
+        race_at: Option<u32>,
+    }
+
+    impl Watched {
+        fn new(full: &Atlas, deltas: Vec<Vec<u8>>) -> Watched {
+            Watched {
+                inner: StaticSource {
+                    // Several chunks per body, so a race lands mid-body.
+                    chunk_size: 16,
+                    ..StaticSource::new(codec::encode(full).0, deltas)
+                },
+                full_chunks: 0,
+                race_at: None,
+            }
+        }
+    }
+
+    impl AtlasSource for Watched {
+        fn head(&mut self) -> Result<AtlasVersion, ModelError> {
+            self.inner.head()
+        }
+
+        fn fetch_full_chunk(&mut self, idx: u32) -> Result<AtlasChunk, ModelError> {
+            self.full_chunks += 1;
+            if self.race_at == Some(idx) {
+                self.race_at = None;
+                return Err(ModelError::VersionRaced("upstream swapped".into()));
+            }
+            self.inner.fetch_full_chunk(idx)
+        }
+
+        fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
+            self.inner.fetch_delta(have_day)
+        }
+
+        fn fetch_delta_chunk(&mut self, from_day: u32, idx: u32) -> Result<AtlasChunk, ModelError> {
+            self.inner.fetch_delta_chunk(from_day, idx)
+        }
+    }
+
+    /// What a follower was told, in order.
+    #[derive(Debug, PartialEq)]
+    enum Step {
+        Apply(u32, u32),
+        Head { day: u32, in_step: bool },
+        Resync(u32),
+        Races(u32),
+    }
+
+    /// A follower that lands every delta for real, keeps the upstream
+    /// tag the way `INanoClient` does, and records each step.
+    struct Recorder {
+        atlas: Atlas,
+        tag: u64,
+        tags_asked: usize,
+        steps: Vec<Step>,
+    }
+
+    impl Recorder {
+        /// Bootstrapped from `source`'s full body.
+        fn on(source: &mut dyn AtlasSource) -> Recorder {
+            let (version, bytes, _) = read_full(source).expect("bootstrap");
+            Recorder {
+                atlas: codec::decode(&bytes).expect("decodes"),
+                tag: version.epoch_tag,
+                tags_asked: 0,
+                steps: vec![],
+            }
+        }
+    }
+
+    impl Follower for Recorder {
+        fn day(&self) -> u32 {
+            self.atlas.day
+        }
+
+        fn tag(&mut self) -> u64 {
+            self.tags_asked += 1;
+            self.tag
+        }
+
+        fn apply(&mut self, delta: &AtlasDelta, _: Vec<u8>) -> Result<(), ModelError> {
+            self.atlas = delta.apply(&self.atlas)?;
+            self.steps.push(Step::Apply(delta.from_day, delta.to_day));
+            Ok(())
+        }
+
+        fn head(&mut self, head: &AtlasVersion, in_step: bool) {
+            if in_step {
+                self.tag = head.epoch_tag;
+            }
+            let day = head.day;
+            self.steps.push(Step::Head { day, in_step });
+        }
+
+        fn resync(&mut self, version: &AtlasVersion, atlas: Atlas) {
+            self.atlas = atlas;
+            self.tag = version.epoch_tag;
+            self.steps.push(Step::Resync(version.day));
+        }
+
+        fn races(&mut self, races: u32) {
+            self.steps.push(Step::Races(races));
+        }
+    }
+
+    #[test]
+    fn catch_up_in_step_moves_no_body() {
+        let mut src = Watched::new(&world(1, 1), vec![]);
+        let mut follower = Recorder::on(&mut src);
+        let bootstrap_chunks = src.full_chunks;
+        assert_eq!(catch_up(&mut src, &mut follower), Ok(0));
+        let in_step = Step::Head {
+            day: 1,
+            in_step: true,
+        };
+        assert_eq!(follower.steps, [in_step]);
+        assert_eq!(src.full_chunks, bootstrap_chunks);
+    }
+
+    #[test]
+    fn catch_up_walks_a_chain_without_asking_the_tag() {
+        let (d0, d1, d2) = (world(0, 1), world(1, 2), world(2, 3));
+        let mut src = Watched::new(&d0, vec![delta(&d0, &d1), delta(&d1, &d2)]);
+        let mut follower = Recorder::on(&mut src);
+        // The upstream moves on to the day its chain ends at.
+        src.inner.full = codec::encode(&d2).0;
+        let bootstrap_chunks = src.full_chunks;
+        assert_eq!(catch_up(&mut src, &mut follower), Ok(2));
+        let in_step = Step::Head {
+            day: 2,
+            in_step: true,
+        };
+        assert_eq!(
+            follower.steps,
+            [Step::Apply(0, 1), Step::Apply(1, 2), in_step]
+        );
+        assert_eq!(
+            follower.tags_asked, 0,
+            "a chain that applied never compares"
+        );
+        assert_eq!(follower.tag, content_tag(&src.inner.full), "adopted");
+        assert_eq!(src.full_chunks, bootstrap_chunks);
+    }
+
+    #[test]
+    fn catch_up_resyncs_an_empty_chain_onto_any_new_body() {
+        let mut src = Watched::new(&world(1, 1), vec![]);
+        let mut follower = Recorder::on(&mut src);
+        // Another day-1 body, then an earlier day's: both followed.
+        for (day, marker) in [(1, 7), (0, 9)] {
+            follower.steps.clear();
+            src.inner.full = codec::encode(&world(day, marker)).0;
+            assert_eq!(catch_up(&mut src, &mut follower), Ok(0));
+            let head = Step::Head {
+                day,
+                in_step: false,
+            };
+            assert_eq!(follower.steps, [head, Step::Resync(day)]);
+            let marked = (ClusterId::new(marker), ClusterId::new(marker + 1));
+            assert!(follower.atlas.links.contains_key(&marked), "new body");
+            assert_eq!(follower.tag, content_tag(&src.inner.full));
+        }
+    }
+
+    #[test]
+    fn catch_up_keeps_the_days_a_failing_chain_applied() {
+        let (d0, d1) = (world(0, 1), world(1, 2));
+        let mut src = Watched::new(&d0, vec![delta(&d0, &d1), vec![0xff; 40]]);
+        let mut follower = Recorder::on(&mut src);
+        let err = catch_up(&mut src, &mut follower).unwrap_err();
+        assert_eq!(err, ModelError::Decode("bad delta magic".into()));
+        assert_eq!(follower.steps, [Step::Apply(0, 1)], "no head probe");
+        assert_eq!(follower.day(), 1);
+    }
+
+    #[test]
+    fn catch_up_keeps_applied_deltas_when_the_head_probe_fails() {
+        let (d0, d1) = (world(0, 1), world(1, 2));
+        let mut src = Watched::new(&d0, vec![delta(&d0, &d1)]);
+        let mut follower = Recorder::on(&mut src);
+        src.inner.full = vec![];
+        assert_eq!(catch_up(&mut src, &mut follower), Ok(1));
+        assert_eq!(follower.steps, [Step::Apply(0, 1)]);
+        // With nothing applied, the failed probe is the outcome.
+        assert!(catch_up(&mut src, &mut follower).is_err());
+        assert_eq!(follower.tags_asked, 0);
+    }
+
+    #[test]
+    fn catch_up_refuses_a_delta_that_does_not_advance_the_day() {
+        let d0 = world(0, 1);
+        let stuck = AtlasDelta {
+            from_day: 0,
+            to_day: 0,
+            ..AtlasDelta::default()
+        };
+        let mut src = Watched::new(&d0, vec![stuck.encode().0]);
+        let mut follower = Recorder::on(&mut src);
+        let err = catch_up(&mut src, &mut follower).unwrap_err();
+        assert!(matches!(err, ModelError::PatchMismatch(_)), "{err}");
+        assert!(follower.steps.is_empty());
+    }
+
+    #[test]
+    fn catch_up_reports_a_race_the_reader_recovered_from() {
+        let mut src = Watched::new(&world(1, 1), vec![]);
+        let mut follower = Recorder::on(&mut src);
+        src.inner.full = codec::encode(&world(2, 5)).0;
+        src.race_at = Some(1);
+        assert_eq!(catch_up(&mut src, &mut follower), Ok(0));
+        let head = Step::Head {
+            day: 2,
+            in_step: false,
+        };
+        assert_eq!(follower.steps, [head, Step::Races(1), Step::Resync(2)]);
     }
 }

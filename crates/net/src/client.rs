@@ -22,7 +22,7 @@ use inano_model::{ErrorCode, Ipv4, ModelError};
 use inano_obs::{EventsPage, MetricsDump, TraceTimings};
 use inano_service::ShardId;
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 
 /// A client-side failure: transport, a typed server fault, or a
 /// protocol violation (reply the client did not expect).
@@ -176,7 +176,6 @@ pub(crate) fn alloc_id(next_id: &mut u64) -> u64 {
 pub struct NetClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    addr: SocketAddr,
     limits: Limits,
     next_id: u64,
 }
@@ -201,11 +200,9 @@ impl NetClient {
     pub fn connect_with(addr: impl ToSocketAddrs, limits: Limits) -> io::Result<NetClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let addr = stream.peer_addr()?;
         Ok(NetClient {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
-            addr,
             limits,
             next_id: 1,
         })
@@ -216,10 +213,6 @@ impl NetClient {
     /// single-shot queries. See [`crate::udp::UdpQuerier`].
     pub fn udp(addr: impl ToSocketAddrs) -> io::Result<crate::udp::UdpQuerier> {
         crate::udp::UdpQuerier::connect(addr)
-    }
-
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.addr
     }
 
     /// Bound every read and write on this connection; `None` restores
@@ -503,11 +496,7 @@ impl MirrorSource {
         Ok(NetClient::connect(addr)?.into_atlas_source(shard))
     }
 
-    pub fn shard(&self) -> ShardId {
-        self.shard
-    }
-
-    /// The underlying connection (timeouts, peer address, ...).
+    /// The underlying connection (timeouts, ...).
     pub fn client(&self) -> &NetClient {
         &self.client
     }
@@ -515,10 +504,6 @@ impl MirrorSource {
     /// The underlying connection (epoch probes, metrics, ...).
     pub fn client_mut(&mut self) -> &mut NetClient {
         &mut self.client
-    }
-
-    pub fn into_client(self) -> NetClient {
-        self.client
     }
 }
 

@@ -106,10 +106,6 @@ impl UdpQuerier {
         })
     }
 
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.peer
-    }
-
     pub fn set_retry(&mut self, retry: UdpRetry) {
         self.retry = retry;
     }

@@ -62,19 +62,18 @@
 //!
 //! ## Catching up
 //!
-//! [`QueryEngine::update`] is the whole mirror policy: drain the
-//! source's delta chain; only when that chain was empty and the
-//! source's head carries a different content tag, refetch the full
-//! body and swap it in. `inano-serve --mirror`'s refresh loop and the
-//! tests drive a mirror through that one call, so the counters and
-//! journal events it leaves are the same everywhere.
+//! [`QueryEngine::update`] hands the engine to core's one catch-up
+//! policy, [`catch_up`], as a follower whose every delta is a swap and
+//! whose steps leave the `mirror_*` counters and journal events.
+//! `inano-serve --mirror`'s refresh loop and the tests drive a mirror
+//! through that one call, so what it leaves is the same everywhere.
 
 use crate::cache::{CacheKey, ShardedCache};
 use crate::stats::{EngineMetrics, Tally};
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_core::{
-    chunk_span, content_tag, fanout, read_delta, read_full, AtlasSource, AtlasVersion, DeltaHandle,
-    PathPredictor, PredictedPath, PredictorConfig,
+    catch_up, chunk_span, content_tag, fanout, read_full, AtlasSource, AtlasVersion, DeltaHandle,
+    Follower, PathPredictor, PredictedPath, PredictorConfig,
 };
 use inano_model::{Ipv4, ModelError, PrefixId};
 use inano_obs::{EventJournal, EventKind, MetricsRegistry};
@@ -594,40 +593,28 @@ impl QueryEngine {
             .cloned()
     }
 
-    /// Catch up with `source` — the one policy a mirror runs every
-    /// tick (the client-side daily update of §5, against the live
-    /// engine). Returns how many deltas were applied.
+    /// Catch up with `source` by [`catch_up`]; returns how many deltas
+    /// were applied. What is the engine's own:
     ///
-    /// 1. **Delta chain first.** Every delta the source offers beyond
-    ///    the current day is fetched, applied and retained for this
-    ///    engine's own downstream mirrors; each counts one
-    ///    `mirror_deltas_applied` and journals one `DeltaApplied`.
-    /// 2. **Head probe.** The source's head then sets
-    ///    `mirror_upstream_day` and `mirror_lag_days`. A probe that
-    ///    fails after deltas were applied keeps them and returns their
-    ///    count; the gauges go stale until the next call.
-    /// 3. **Full body only on an empty chain.** When no delta was
-    ///    applied and the head's `epoch_tag` differs from this engine's
-    ///    own ([`QueryEngine::export`], cached per epoch, so an idle
-    ///    tick costs one compare and no body bytes), the chain is
-    ///    broken — the upstream replaced its atlas or restarted, or
-    ///    this mirror lagged past [`DELTA_LOG_CAP`] retained days — and
-    ///    the whole body is refetched and swapped in as
-    ///    [`QueryEngine::replace_atlas`] does: one
-    ///    `mirror_full_resyncs`, one `FullResync` event, lag back to 0,
-    ///    the delta log cleared. The call still returns `Ok(0)`. A
-    ///    source must therefore name as its head the version its own
-    ///    delta chain ends at, as every live server does.
+    /// * **The tag** compared on an empty chain is this engine's
+    ///   ([`QueryEngine::export`], cached per epoch, so an idle tick
+    ///   costs one compare and no body bytes).
+    /// * **A delta** is one swap, retained for this engine's own
+    ///   downstream mirrors, one `mirror_deltas_applied` and one
+    ///   `DeltaApplied` event, each as it lands.
+    /// * **The head** sets `mirror_upstream_day` and `mirror_lag_days`
+    ///   before any full fetch, so a failed resync leaves them saying
+    ///   how far behind the engine is. A resync swaps the body in as
+    ///   [`QueryEngine::replace_atlas`] does: one `mirror_full_resyncs`,
+    ///   one `FullResync` event, lag back to 0, the delta log cleared.
+    /// * **Races** the reader recovered from count in
+    ///   `mirror_races_recovered` and journal `RaceRecovered`.
     ///
-    /// Whole-body restarts the reader recovered from (the source
-    /// swapped generations mid-fetch) count in `mirror_races_recovered`
-    /// and journal `RaceRecovered`, for deltas and full bodies alike.
-    /// Any fetch or decode error is returned with the engine still
-    /// serving what it served: the caller's cue to rebuild its
-    /// connection.
+    /// Any error is returned with the engine serving what it last
+    /// swapped in: the caller's cue to rebuild its connection.
     ///
     /// The builder lock is held across the whole call: a concurrent
-    /// `apply_delta`/`update` can't swap between this loop's day read
+    /// `apply_delta`/`update` can't swap between the policy's day read
     /// and its apply, which would otherwise surface as a spurious
     /// wrong-base error from a delta that is simply already applied.
     /// That means the fetch itself runs under the lock — with a
@@ -638,39 +625,7 @@ impl QueryEngine {
     /// take the builder lock.
     pub fn update(&self, source: &mut dyn AtlasSource) -> Result<usize, ModelError> {
         let _builder = self.swap_lock.lock();
-        let mut applied = 0;
-        loop {
-            let (fetched, races) = read_delta(source, self.day())?;
-            self.count_races(races);
-            let Some((_, bytes)) = fetched else { break };
-            let delta = AtlasDelta::decode(&bytes)?;
-            self.swap_locked(&delta, Some(bytes))?;
-            applied += 1;
-        }
-        self.metrics.mirror_deltas_applied.add(applied as u64);
-        let head = match source.head() {
-            Ok(head) => head,
-            Err(_) if applied > 0 => return Ok(applied),
-            Err(e) => return Err(e),
-        };
-        self.metrics.mirror_upstream_day.set(head.day as u64);
-        self.metrics
-            .mirror_lag_days
-            .set(head.day.saturating_sub(self.day()) as u64);
-        if applied == 0 && head.epoch_tag != self.export().epoch_tag {
-            let (_, bytes, races) = read_full(source)?;
-            self.count_races(races);
-            self.replace_locked(Arc::new(codec::decode(&bytes)?));
-        }
-        Ok(applied)
-    }
-
-    /// Record whole-body restarts a reader fetch recovered from.
-    fn count_races(&self, races: u32) {
-        if races > 0 {
-            self.metrics.mirror_races_recovered.add(races as u64);
-            self.emit(EventKind::RaceRecovered, || format!("races={races}"));
-        }
+        catch_up(source, &mut Mirror(self))
     }
 
     /// Does nothing: the engine owns no threads, so there is nothing to
@@ -713,6 +668,43 @@ impl QueryEngine {
         // instead of forcing the full resync this replace demands.
         self.delta_log.lock().clear();
         day
+    }
+}
+
+/// A [`QueryEngine`] as [`catch_up`] drives it, under the builder lock
+/// [`QueryEngine::update`] holds.
+struct Mirror<'e>(&'e QueryEngine);
+
+impl Follower for Mirror<'_> {
+    fn day(&self) -> u32 {
+        self.0.day()
+    }
+
+    fn tag(&mut self) -> u64 {
+        self.0.export().epoch_tag
+    }
+
+    fn apply(&mut self, delta: &AtlasDelta, bytes: Vec<u8>) -> Result<(), ModelError> {
+        self.0.swap_locked(delta, Some(bytes))?;
+        self.0.metrics.mirror_deltas_applied.inc();
+        Ok(())
+    }
+
+    fn head(&mut self, head: &AtlasVersion, _in_step: bool) {
+        let m = &self.0.metrics;
+        m.mirror_upstream_day.set(head.day as u64);
+        m.mirror_lag_days
+            .set(head.day.saturating_sub(self.0.day()) as u64);
+    }
+
+    fn resync(&mut self, _: &AtlasVersion, atlas: Atlas) {
+        self.0.replace_locked(Arc::new(atlas));
+    }
+
+    fn races(&mut self, races: u32) {
+        self.0.metrics.mirror_races_recovered.add(races as u64);
+        self.0
+            .emit(EventKind::RaceRecovered, || format!("races={races}"));
     }
 }
 

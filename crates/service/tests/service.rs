@@ -321,6 +321,36 @@ fn update_refuses_a_delta_that_does_not_advance_the_day() {
     assert!(engine.delta_blob(0).is_none(), "nothing was logged");
 }
 
+/// A chain whose second delta does not decode: the first stays
+/// applied, and every record of it agrees — the swap, the retained
+/// blob, the journal and `mirror.deltas_applied`.
+#[test]
+fn a_chain_failing_midway_counts_the_delta_it_applied() {
+    use inano_obs::{EventJournal, EventKind};
+    let mut source = StaticSource::new(
+        codec::encode(&ring_atlas(8, 0)).0,
+        vec![ring_shortcut_delta(8, 0).encode().0, vec![0xff; 40]],
+    );
+    let engine = QueryEngine::bootstrap(&mut source, ServiceConfig::default()).expect("bootstrap");
+    let journal = Arc::new(EventJournal::new(64));
+    engine.set_journal(Arc::clone(&journal), "shard0");
+    match engine.update(&mut source) {
+        Err(ModelError::Decode(msg)) => assert_eq!(msg, "bad delta magic"),
+        other => panic!("want the broken delta's decode error, got {other:?}"),
+    }
+    let m = engine.metrics();
+    assert_eq!((engine.day(), m.swaps.get()), (1, 1));
+    assert!(engine.delta_blob(0).is_some(), "the 0→1 delta is retained");
+    let journaled = journal
+        .since(0)
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::DeltaApplied)
+        .count();
+    assert_eq!(m.mirror_deltas_applied.get(), 1);
+    assert_eq!(journaled, 1);
+}
+
 #[test]
 fn replace_atlas_swaps_a_whole_generation_without_logging_a_delta() {
     let engine = QueryEngine::new(Arc::new(ring_atlas(8, 0)), ServiceConfig::default());

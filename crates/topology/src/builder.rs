@@ -31,7 +31,6 @@ pub fn build_internet(cfg: &TopologyConfig) -> Result<Internet, ModelError> {
         links: infra.links,
         pop_adj: infra.pop_adj,
         prefixes: infra.prefixes,
-        prefix_trie: infra.prefix_trie,
         hosts: infra.hosts,
         routers: infra.routers,
         ifaces: infra.ifaces,

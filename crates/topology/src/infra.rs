@@ -8,7 +8,7 @@ use crate::internet::{
     AsInfo, HostInfo, IfaceInfo, Link, LinkId, LinkKind, PopInfo, PrefixInfo, RouterInfo, Tier,
 };
 use inano_model::rng::DeterministicRng;
-use inano_model::{HostId, IfaceId, Ipv4, LossRate, PopId, Prefix, PrefixId, PrefixTrie, RouterId};
+use inano_model::{HostId, IfaceId, Ipv4, LossRate, PopId, Prefix, PrefixId, RouterId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::HashMap;
@@ -21,7 +21,6 @@ pub struct InfraTables {
     pub routers: Vec<RouterInfo>,
     pub ifaces: Vec<IfaceInfo>,
     pub prefixes: Vec<PrefixInfo>,
-    pub prefix_trie: PrefixTrie,
     pub hosts: Vec<HostInfo>,
     pub iface_by_ip: HashMap<Ipv4, IfaceId>,
     pub host_by_ip: HashMap<Ipv4, HostId>,
@@ -207,7 +206,6 @@ pub fn generate(
     // --- prefixes ---
     let mut alloc = IpAllocator::new();
     let mut prefixes: Vec<PrefixInfo> = Vec::new();
-    let mut prefix_trie = PrefixTrie::new();
 
     // Interface count per AS decides its infrastructure prefix size.
     let mut endpoints_per_as: Vec<usize> = vec![0; ases.len()];
@@ -224,7 +222,6 @@ pub fn generate(
         let len = 32 - need.trailing_zeros() as u8;
         let infra = alloc.alloc(len);
         let pid = PrefixId::from_index(prefixes.len());
-        prefix_trie.insert(infra, pid);
         prefixes.push(PrefixInfo {
             id: pid,
             prefix: infra,
@@ -245,7 +242,6 @@ pub fn generate(
         for k in 0..n_edge {
             let p = alloc.alloc(24);
             let pid = PrefixId::from_index(prefixes.len());
-            prefix_trie.insert(p, pid);
             prefixes.push(PrefixInfo {
                 id: pid,
                 prefix: p,
@@ -324,7 +320,6 @@ pub fn generate(
         routers,
         ifaces,
         prefixes,
-        prefix_trie,
         hosts,
         iface_by_ip,
         host_by_ip,
@@ -393,6 +388,7 @@ mod tests {
     use crate::as_graph::generate_as_graph;
     use crate::geo::generate_world;
     use inano_model::rng::rng_for;
+    use inano_model::PrefixTrie;
 
     fn build(seed: u64) -> (TopologyConfig, Vec<AsInfo>, InfraTables) {
         let cfg = TopologyConfig::tiny(seed);
@@ -401,6 +397,15 @@ mod tests {
         let mut ases = generate_as_graph(&cfg, &mut rng);
         let infra = generate(&cfg, &mut ases, &cities, &mut rng);
         (cfg, ases, infra)
+    }
+
+    /// Longest-prefix match over every generated prefix.
+    fn trie(infra: &InfraTables) -> PrefixTrie {
+        let mut trie = PrefixTrie::new();
+        for p in &infra.prefixes {
+            trie.insert(p.prefix, p.id);
+        }
+        trie
     }
 
     #[test]
@@ -440,8 +445,9 @@ mod tests {
     #[test]
     fn iface_ips_map_back_to_owner_as() {
         let (_, ases, infra) = build(14);
+        let trie = trie(&infra);
         for ifc in infra.ifaces.iter().take(200) {
-            let pid = infra.prefix_trie.lookup(ifc.ip).expect("iface ip in trie");
+            let pid = trie.lookup(ifc.ip).expect("iface ip in trie");
             let owner = infra.prefixes[pid.index()].origin;
             let router_pop = infra.routers[ifc.router.index()].pop;
             assert_eq!(owner, infra.pops[router_pop.index()].asn);
@@ -453,11 +459,12 @@ mod tests {
     #[test]
     fn hosts_live_in_their_prefix() {
         let (_, _, infra) = build(15);
+        let trie = trie(&infra);
         for h in infra.hosts.iter().take(200) {
             let p = &infra.prefixes[h.prefix.index()];
             assert!(p.prefix.contains(h.ip));
             assert!(!p.is_infrastructure);
-            assert_eq!(infra.prefix_trie.lookup(h.ip), Some(h.prefix));
+            assert_eq!(trie.lookup(h.ip), Some(h.prefix));
         }
     }
 

@@ -6,8 +6,8 @@ use crate::config::TopologyConfig;
 use crate::geo::GeoPoint;
 use crate::policy::PolicySet;
 use inano_model::{
-    Asn, ClusterId, HostId, IfaceId, Ipv4, LatencyMs, LossRate, PopId, Prefix, PrefixId,
-    PrefixTrie, Relationship, RouterId,
+    Asn, HostId, IfaceId, Ipv4, LatencyMs, LossRate, PopId, Prefix, PrefixId, Relationship,
+    RouterId,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -192,7 +192,6 @@ pub struct Internet {
     /// Adjacency: for each PoP, (link, neighbor PoP).
     pub pop_adj: Vec<Vec<(LinkId, PopId)>>,
     pub prefixes: Vec<PrefixInfo>,
-    pub prefix_trie: PrefixTrie,
     pub hosts: Vec<HostInfo>,
     pub routers: Vec<RouterInfo>,
     pub ifaces: Vec<IfaceInfo>,
@@ -225,17 +224,6 @@ impl Internet {
     /// The AS owning a PoP.
     pub fn pop_as(&self, p: PopId) -> Asn {
         self.pops[p.index()].asn
-    }
-
-    /// In the ground truth, cluster ids coincide with PoP ids; the
-    /// measurement pipeline may re-derive a different clustering.
-    pub fn pop_cluster(&self, p: PopId) -> ClusterId {
-        ClusterId::new(p.raw())
-    }
-
-    /// Longest-prefix-match an IP to its prefix.
-    pub fn lookup_prefix(&self, ip: Ipv4) -> Option<PrefixId> {
-        self.prefix_trie.lookup(ip)
     }
 
     /// All edge (non-infrastructure) prefixes.

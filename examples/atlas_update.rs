@@ -59,7 +59,7 @@ fn main() {
     // Queries keep working on the updated atlas.
     let hosts = &world.vps.agents;
     let (a, b) = (world.net.host(hosts[0]), world.net.host(hosts[1]));
-    match client.query(a.ip, b.ip) {
+    match client.predictor().query(a.ip, b.ip) {
         Ok(p) => println!(
             "\nquery {} -> {}: RTT {} loss {} via {:?}",
             a.ip, b.ip, p.rtt, p.loss, p.fwd_as_path

@@ -40,7 +40,7 @@ fn main() {
     let hosts = &world.vps.agents;
     let (a, b) = (world.net.host(hosts[0]), world.net.host(hosts[1]));
     println!("\nquery: {} ({}) -> {} ({})", a.ip, a.asn, b.ip, b.asn);
-    match client.query(a.ip, b.ip) {
+    match client.predictor().query(a.ip, b.ip) {
         Ok(p) => {
             println!("  forward AS path : {:?}", p.fwd_as_path);
             println!("  reverse AS path : {:?}", p.rev_as_path);

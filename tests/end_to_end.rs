@@ -131,7 +131,7 @@ fn client_daily_update_flow() {
     // The updated client answers queries.
     let hosts = &w.vps.agents[..2];
     let (a, b) = (w.net.host(hosts[0]), w.net.host(hosts[1]));
-    assert!(client.query(a.ip, b.ip).is_ok());
+    assert!(client.predictor().query(a.ip, b.ip).is_ok());
 }
 
 #[test]
