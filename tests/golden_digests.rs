@@ -6,7 +6,12 @@
 //! after worlds became reproducible from their seed; a change to
 //! `crates/core` that alters a cost must leave them alone, and one that
 //! alters an answer must say so by editing them.
+//!
+//! The atlas bytes are pinned the same way: the full encoding and the
+//! day 0→1 delta of the same world, with their per-section sizes. A
+//! change to the codec that alters one byte must say so here.
 
+use inano::atlas::{codec, AtlasDelta};
 use inano::core::{PathPredictor, PredictorConfig};
 use inano::model::Ipv4;
 use inano_bench::{Scenario, ScenarioConfig};
@@ -74,4 +79,23 @@ fn answers_per_rung_match_the_recorded_digests_pair_by_pair() {
         })
         .collect();
     assert_eq!(got, GOLDEN, "got {got:#018x?}");
+}
+
+#[test]
+fn atlas_and_delta_bytes_match_the_recorded_digests() {
+    let s = Scenario::build(ScenarioConfig::test(7));
+    let (full, sizes) = codec::encode(&s.atlas);
+    assert_eq!(
+        (full.len(), fnv1a(&full), sizes.sizes),
+        (
+            6_643,
+            0xae49_1b80_3c17_d058,
+            [1727, 48, 471, 1489, 163, 1880, 319, 524]
+        ),
+    );
+    let (delta, sizes) = AtlasDelta::between(&s.atlas, &s.atlas_for_day(1).1).encode();
+    assert_eq!(
+        (delta.len(), fnv1a(&delta), sizes),
+        (1_822, 0xd93e_d747_b265_9c8d, [839, 48, 922]),
+    );
 }
