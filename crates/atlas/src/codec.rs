@@ -9,7 +9,10 @@
 //! meaningful; absolute bytes are upper bounds on a gzip deployment.
 //!
 //! Sections are length-prefixed so [`crate::stats`] can attribute bytes
-//! per dataset.
+//! per dataset. Each dataset's row layout is written once, as an
+//! `impl Row`; a full-atlas table chains its rows, and
+//! [`crate::delta`] writes the same rows unchained through the same
+//! `put_rows`/`get_rows`. DESIGN.md §"The atlas format" lays it out.
 
 use crate::datasets::{Atlas, LinkAnnotation, Plane, Triple};
 use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, LossRate, ModelError, Prefix, PrefixId};
@@ -44,7 +47,7 @@ impl SectionSizes {
 
 // ---------- varint primitives ----------
 
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -56,7 +59,7 @@ pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-pub fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, ModelError> {
+fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, ModelError> {
     let mut v: u64 = 0;
     let mut shift = 0;
     loop {
@@ -91,357 +94,440 @@ fn unquantise_loss(v: u64) -> LossRate {
     LossRate::new(v as f64 / 1000.0)
 }
 
-// ---------- encode ----------
+// ---------- rows: one layout per dataset ----------
+
+/// Whether a table codes its rows against one another. A full-atlas
+/// table is chained: its rows are sorted, so each row's leading key
+/// (and a prefix's address) is written as the difference from the row
+/// before's. A delta's lists are written whole.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Keys {
+    Chained,
+    Whole,
+}
+
+/// The chained fields a row codes against the row before: the leading
+/// key, a prefix's address, and a provider set's previous member.
+const LEAD: usize = 0;
+const ADDR: usize = 1;
+const MEMBER: usize = 2;
+
+/// The 32-bit values rows carry: ids, an address, a degree.
+pub(crate) trait Id: Copy {
+    fn to_u32(self) -> u32;
+    fn from_u32(v: u32) -> Self;
+}
+
+macro_rules! ids {
+    ($($t:ident),*) => {$(
+        impl Id for $t {
+            fn to_u32(self) -> u32 {
+                self.0
+            }
+            fn from_u32(v: u32) -> Self {
+                $t(v)
+            }
+        }
+    )*};
+}
+ids!(Asn, ClusterId, PrefixId, Ipv4);
+
+impl Id for u32 {
+    fn to_u32(self) -> u32 {
+        self
+    }
+    fn from_u32(v: u32) -> Self {
+        v
+    }
+}
+
+/// How one row of a dataset lies in a table. The writer and the reader
+/// are the two functions of one impl, so the full atlas and the delta,
+/// which share the impls, cannot drift apart.
+pub(crate) trait Row: Sized {
+    /// The row as its table yields it when iterated.
+    type Ref<'a>
+    where
+        Self: 'a;
+    fn put(row: Self::Ref<'_>, w: &mut Writer<'_>);
+    fn get(r: &mut Reader<'_>) -> Result<Self, ModelError>;
+}
+
+/// A link: leading `from`, `to`, the plane bits, then the latency in
+/// 0.1 ms plus one (0 when unmeasured).
+impl Row for ((ClusterId, ClusterId), LinkAnnotation) {
+    type Ref<'a> = (&'a (ClusterId, ClusterId), &'a LinkAnnotation);
+
+    fn put((&(from, to), ann): Self::Ref<'_>, w: &mut Writer<'_>) {
+        w.chain(LEAD, from);
+        w.id(to);
+        w.out.push(ann.plane.bits());
+        w.varint(ann.latency.map_or(0, |l| quantise_latency(l) + 1));
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, ModelError> {
+        let key = (r.chain(LEAD)?, r.id()?);
+        let plane = Plane::from_bits(r.byte()?);
+        let latency = r.varint()?.checked_sub(1).map(unquantise_latency);
+        Ok((key, LinkAnnotation { latency, plane }))
+    }
+}
+
+/// A lossy link: leading `from`, `to`, then the loss in 1⁄1000.
+impl Row for ((ClusterId, ClusterId), LossRate) {
+    type Ref<'a> = (&'a (ClusterId, ClusterId), &'a LossRate);
+
+    fn put((&(from, to), &loss): Self::Ref<'_>, w: &mut Writer<'_>) {
+        w.chain(LEAD, from);
+        w.id(to);
+        w.varint(quantise_loss(loss));
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, ModelError> {
+        Ok(((r.chain(LEAD)?, r.id()?), unquantise_loss(r.varint()?)))
+    }
+}
+
+/// One value against another: cluster → AS, prefix → cluster, AS →
+/// degree, and a delta's removed link or loss key (`from`, `to`).
+impl<K: Id, V: Id> Row for (K, V) {
+    type Ref<'a>
+        = (&'a K, &'a V)
+    where
+        Self: 'a;
+
+    fn put((&k, &v): Self::Ref<'_>, w: &mut Writer<'_>) {
+        w.chain(LEAD, k);
+        w.id(v);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, ModelError> {
+        Ok((r.chain(LEAD)?, r.id()?))
+    }
+}
+
+/// Prefix → origin AS: the leading prefix id, the address (chained too),
+/// the length byte, then the AS.
+impl Row for (PrefixId, (Prefix, Asn)) {
+    type Ref<'a> = (&'a PrefixId, &'a (Prefix, Asn));
+
+    fn put((&pid, &(pfx, asn)): Self::Ref<'_>, w: &mut Writer<'_>) {
+        w.chain(LEAD, pid);
+        w.chain(ADDR, pfx.addr());
+        w.out.push(pfx.len());
+        w.id(asn);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, ModelError> {
+        let pid = r.chain(LEAD)?;
+        let addr = r.chain(ADDR)?;
+        let len = r.byte()?;
+        if len > 32 {
+            return Err(ModelError::Decode(format!("prefix length {len} over 32")));
+        }
+        Ok((pid, (Prefix::new(addr, len), r.id()?)))
+    }
+}
+
+/// A provider set, per AS or per prefix: the leading key, the member
+/// count, then each member against the one before it in the set.
+impl<K: Id> Row for (K, BTreeSet<Asn>) {
+    type Ref<'a>
+        = (&'a K, &'a BTreeSet<Asn>)
+    where
+        K: 'a;
+
+    fn put((&k, set): Self::Ref<'_>, w: &mut Writer<'_>) {
+        w.chain(LEAD, k);
+        w.varint(set.len() as u64);
+        w.prev[MEMBER] = 0;
+        for &m in set {
+            w.chain(MEMBER, m);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, ModelError> {
+        let k = r.chain(LEAD)?;
+        let n = r.varint()?;
+        r.prev[MEMBER] = 0;
+        let set = (0..n).map(|_| r.chain(MEMBER)).collect::<Result<_, _>>()?;
+        Ok((k, set))
+    }
+}
+
+/// An AS preference: the leading first AS, then the other two.
+impl Row for (Asn, Asn, Asn) {
+    type Ref<'a> = &'a (Asn, Asn, Asn);
+
+    fn put(&(a, b, c): Self::Ref<'_>, w: &mut Writer<'_>) {
+        w.chain(LEAD, a);
+        w.id(b);
+        w.id(c);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, ModelError> {
+        Ok((r.chain(LEAD)?, r.id()?, r.id()?))
+    }
+}
+
+/// An AS 3-tuple: laid out as a preference is.
+impl Row for Triple {
+    type Ref<'a> = &'a Triple;
+
+    fn put(&Triple(a, b, c): Self::Ref<'_>, w: &mut Writer<'_>) {
+        <(Asn, Asn, Asn)>::put(&(a, b, c), w);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, ModelError> {
+        let (a, b, c) = Row::get(r)?;
+        Ok(Triple(a, b, c))
+    }
+}
+
+// ---------- the shared writer ----------
+
+/// A table being written: the section body, and the chained fields of
+/// the row before (zero before the first row, and before every row of
+/// an unchained list).
+pub(crate) struct Writer<'a> {
+    out: &'a mut Vec<u8>,
+    prev: [u64; 3],
+}
+
+impl Writer<'_> {
+    fn varint(&mut self, v: u64) {
+        put_varint(self.out, v);
+    }
+
+    fn id(&mut self, v: impl Id) {
+        self.varint(v.to_u32().into());
+    }
+
+    /// Write `v` as its difference from the same field of the row
+    /// before; the difference wraps, so an unsorted field still
+    /// round-trips.
+    fn chain(&mut self, field: usize, v: impl Id) {
+        let v = u64::from(v.to_u32());
+        self.varint(v.wrapping_sub(self.prev[field]));
+        self.prev[field] = v;
+    }
+}
+
+/// Start an encoding: the magic, then the header fields.
+pub(crate) fn put_header(out: &mut Vec<u8>, magic: &[u8; 6], fields: &[u32]) {
+    out.extend_from_slice(magic);
+    for &f in fields {
+        put_varint(out, f.into());
+    }
+}
+
+/// Append one length-prefixed section whose body `fill` writes; returns
+/// the body's size.
+pub(crate) fn put_section(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let mut body = Vec::new();
+    fill(&mut body);
+    put_varint(out, body.len() as u64);
+    out.extend_from_slice(&body);
+    body.len()
+}
+
+/// Write a table of rows: the count, then each row.
+pub(crate) fn put_rows<'a, R: Row + 'a>(
+    out: &mut Vec<u8>,
+    keys: Keys,
+    rows: impl ExactSizeIterator<Item = R::Ref<'a>>,
+) {
+    let mut w = Writer { out, prev: [0; 3] };
+    w.varint(rows.len() as u64);
+    for row in rows {
+        R::put(row, &mut w);
+        if keys == Keys::Whole {
+            w.prev = [0; 3];
+        }
+    }
+}
+
+// ---------- the shared reader ----------
+
+/// Encoded bytes being read: a header, a section's body, or a table in
+/// it, with the chained fields of the row before.
+pub(crate) struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    prev: [u64; 3],
+}
+
+impl<'a> Reader<'a> {
+    /// Check the magic and read on after it; `bad` names a wrong one.
+    pub(crate) fn open(bytes: &'a [u8], magic: &[u8; 6], bad: &str) -> Result<Self, ModelError> {
+        if !bytes.starts_with(magic) {
+            return Err(ModelError::Decode(bad.into()));
+        }
+        Ok(Reader {
+            bytes,
+            pos: magic.len(),
+            prev: [0; 3],
+        })
+    }
+
+    fn varint(&mut self) -> Result<u64, ModelError> {
+        get_varint(self.bytes, &mut self.pos)
+    }
+
+    fn byte(&mut self) -> Result<u8, ModelError> {
+        let &b = self
+            .bytes
+            .get(self.pos)
+            .ok_or_else(|| ModelError::Decode("truncated byte".into()))?;
+        self.pos += 1;
+        Ok(b)
+    }
+
+    /// A 32-bit value; a wider one is refused.
+    pub(crate) fn id<T: Id>(&mut self) -> Result<T, ModelError> {
+        narrow(self.varint()?)
+    }
+
+    fn chain<T: Id>(&mut self, field: usize) -> Result<T, ModelError> {
+        let v = self.prev[field].wrapping_add(self.varint()?);
+        self.prev[field] = v;
+        narrow(v)
+    }
+
+    /// Read the next length-prefixed section with `read`, which must
+    /// consume exactly the declared length.
+    pub(crate) fn section<T>(
+        &mut self,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, ModelError>,
+    ) -> Result<T, ModelError> {
+        let len = self.varint()?;
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| self.pos.checked_add(len))
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or_else(|| ModelError::Decode("truncated section".into()))?;
+        let mut body = Reader {
+            bytes: &self.bytes[self.pos..end],
+            pos: 0,
+            prev: [0; 3],
+        };
+        self.pos = end;
+        let t = read(&mut body)?;
+        body.finish()?;
+        Ok(t)
+    }
+
+    /// Refuse bytes left over after the last field.
+    pub(crate) fn finish(&self) -> Result<(), ModelError> {
+        if self.pos != self.bytes.len() {
+            return Err(ModelError::Decode(format!(
+                "length mismatch: read {} of {} bytes",
+                self.pos,
+                self.bytes.len()
+            )));
+        }
+        Ok(())
+    }
+}
+
+fn narrow<T: Id>(v: u64) -> Result<T, ModelError> {
+    u32::try_from(v)
+        .map(T::from_u32)
+        .map_err(|_| ModelError::Decode(format!("value {v} over 32 bits")))
+}
+
+/// Read a table written by [`put_rows`] with the same `keys`.
+pub(crate) fn get_rows<R: Row, C: FromIterator<R>>(
+    r: &mut Reader<'_>,
+    keys: Keys,
+) -> Result<C, ModelError> {
+    let n = r.varint()?;
+    r.prev = [0; 3];
+    (0..n)
+        .map(|_| {
+            let row = R::get(r);
+            if keys == Keys::Whole {
+                r.prev = [0; 3];
+            }
+            row
+        })
+        .collect()
+}
+
+// ---------- the full atlas ----------
 
 /// Encode the atlas; returns the bytes and per-section sizes.
 pub fn encode(atlas: &Atlas) -> (Vec<u8>, SectionSizes) {
+    use Keys::Chained;
+    let a = atlas;
     let mut out = Vec::with_capacity(1 << 20);
-    out.extend_from_slice(MAGIC);
-    put_varint(&mut out, atlas.day as u64);
-    let mut sizes = SectionSizes::default();
-
-    let mut section = |out: &mut Vec<u8>, idx: usize, body: Vec<u8>| {
-        put_varint(out, body.len() as u64);
-        out.extend_from_slice(&body);
-        sizes.sizes[idx] = body.len();
-    };
-
-    // Links: delta on `from`, raw `to`, plane bits, latency (+1, 0=None),
-    // plus the cluster→AS table (clusters are meaningless without it).
-    let mut body = Vec::new();
-    put_varint(&mut body, atlas.links.len() as u64);
-    let mut prev_from = 0u64;
-    for (&(from, to), ann) in &atlas.links {
-        let f = from.raw() as u64;
-        put_varint(&mut body, f - prev_from);
-        prev_from = f;
-        put_varint(&mut body, to.raw() as u64);
-        body.push(ann.plane.bits());
-        match ann.latency {
-            Some(l) => put_varint(&mut body, quantise_latency(l) + 1),
-            None => put_varint(&mut body, 0),
-        }
-    }
-    put_varint(&mut body, atlas.cluster_as.len() as u64);
-    let mut prev_c = 0u64;
-    for (&c, &a) in &atlas.cluster_as {
-        put_varint(&mut body, c.raw() as u64 - prev_c);
-        prev_c = c.raw() as u64;
-        put_varint(&mut body, a.raw() as u64);
-    }
-    section(&mut out, Section::Links as usize, body);
-
-    // Loss.
-    let mut body = Vec::new();
-    put_varint(&mut body, atlas.loss.len() as u64);
-    let mut prev_from = 0u64;
-    for (&(from, to), &loss) in &atlas.loss {
-        let f = from.raw() as u64;
-        put_varint(&mut body, f - prev_from);
-        prev_from = f;
-        put_varint(&mut body, to.raw() as u64);
-        put_varint(&mut body, quantise_loss(loss));
-    }
-    section(&mut out, Section::Loss as usize, body);
-
-    // Prefix → cluster.
-    let mut body = Vec::new();
-    put_varint(&mut body, atlas.prefix_cluster.len() as u64);
-    let mut prev_p = 0u64;
-    for (&p, &c) in &atlas.prefix_cluster {
-        put_varint(&mut body, p.raw() as u64 - prev_p);
-        prev_p = p.raw() as u64;
-        put_varint(&mut body, c.raw() as u64);
-    }
-    section(&mut out, Section::PrefixCluster as usize, body);
-
-    // Prefix → AS (with CIDR).
-    let mut body = Vec::new();
-    put_varint(&mut body, atlas.prefix_as.len() as u64);
-    let mut prev_p = 0u64;
-    let mut prev_addr = 0u64;
-    for (&p, &(pfx, a)) in &atlas.prefix_as {
-        put_varint(&mut body, p.raw() as u64 - prev_p);
-        prev_p = p.raw() as u64;
-        let addr = pfx.addr().raw() as u64;
-        put_varint(&mut body, addr.wrapping_sub(prev_addr));
-        prev_addr = addr;
-        body.push(pfx.len());
-        put_varint(&mut body, a.raw() as u64);
-    }
-    section(&mut out, Section::PrefixAs as usize, body);
-
-    // AS degrees.
-    let mut body = Vec::new();
-    put_varint(&mut body, atlas.as_degree.len() as u64);
-    let mut prev_a = 0u64;
-    for (&a, &d) in &atlas.as_degree {
-        put_varint(&mut body, a.raw() as u64 - prev_a);
-        prev_a = a.raw() as u64;
-        put_varint(&mut body, d as u64);
-    }
-    section(&mut out, Section::AsDegrees as usize, body);
-
-    // Tuples: delta on the first AS.
-    let mut body = Vec::new();
-    put_varint(&mut body, atlas.tuples.len() as u64);
-    let mut prev = 0u64;
-    for &Triple(a, b, c) in &atlas.tuples {
-        put_varint(&mut body, a.raw() as u64 - prev);
-        prev = a.raw() as u64;
-        put_varint(&mut body, b.raw() as u64);
-        put_varint(&mut body, c.raw() as u64);
-    }
-    section(&mut out, Section::Tuples as usize, body);
-
-    // Preferences.
-    let mut body = Vec::new();
-    put_varint(&mut body, atlas.prefs.len() as u64);
-    let mut prev = 0u64;
-    for &(a, b, c) in &atlas.prefs {
-        put_varint(&mut body, a.raw() as u64 - prev);
-        prev = a.raw() as u64;
-        put_varint(&mut body, b.raw() as u64);
-        put_varint(&mut body, c.raw() as u64);
-    }
-    section(&mut out, Section::Prefs as usize, body);
-
-    // Providers (per-AS, then per-prefix).
-    let mut body = Vec::new();
-    put_varint(&mut body, atlas.providers.len() as u64);
-    let mut prev = 0u64;
-    for (&a, set) in &atlas.providers {
-        put_varint(&mut body, a.raw() as u64 - prev);
-        prev = a.raw() as u64;
-        put_varint(&mut body, set.len() as u64);
-        let mut prev_m = 0u64;
-        for &m in set {
-            put_varint(&mut body, (m.raw() as u64).wrapping_sub(prev_m));
-            prev_m = m.raw() as u64;
-        }
-    }
-    put_varint(&mut body, atlas.prefix_providers.len() as u64);
-    let mut prev = 0u64;
-    for (&p, set) in &atlas.prefix_providers {
-        put_varint(&mut body, p.raw() as u64 - prev);
-        prev = p.raw() as u64;
-        put_varint(&mut body, set.len() as u64);
-        let mut prev_m = 0u64;
-        for &m in set {
-            put_varint(&mut body, (m.raw() as u64).wrapping_sub(prev_m));
-            prev_m = m.raw() as u64;
-        }
-    }
-    section(&mut out, Section::Providers as usize, body);
-
-    (out, sizes)
+    put_header(&mut out, MAGIC, &[a.day]);
+    let sizes = [
+        put_section(&mut out, |b| {
+            put_rows::<((ClusterId, ClusterId), LinkAnnotation)>(b, Chained, a.links.iter());
+            put_rows::<(ClusterId, Asn)>(b, Chained, a.cluster_as.iter());
+        }),
+        put_section(&mut out, |b| {
+            put_rows::<((ClusterId, ClusterId), LossRate)>(b, Chained, a.loss.iter())
+        }),
+        put_section(&mut out, |b| {
+            put_rows::<(PrefixId, ClusterId)>(b, Chained, a.prefix_cluster.iter())
+        }),
+        put_section(&mut out, |b| {
+            put_rows::<(PrefixId, (Prefix, Asn))>(b, Chained, a.prefix_as.iter())
+        }),
+        put_section(&mut out, |b| {
+            put_rows::<(Asn, u32)>(b, Chained, a.as_degree.iter())
+        }),
+        put_section(&mut out, |b| {
+            put_rows::<Triple>(b, Chained, a.tuples.iter())
+        }),
+        put_section(&mut out, |b| {
+            put_rows::<(Asn, Asn, Asn)>(b, Chained, a.prefs.iter())
+        }),
+        put_section(&mut out, |b| {
+            put_rows::<(Asn, BTreeSet<Asn>)>(b, Chained, a.providers.iter());
+            put_rows::<(PrefixId, BTreeSet<Asn>)>(b, Chained, a.prefix_providers.iter());
+        }),
+    ];
+    (out, SectionSizes { sizes })
 }
-
-// ---------- decode ----------
 
 /// Read just the day from an encoded atlas (magic + leading varint) —
 /// what a dissemination head needs, without paying a full decode.
 pub fn peek_day(bytes: &[u8]) -> Result<u32, ModelError> {
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return Err(ModelError::Decode("bad magic".into()));
-    }
-    let mut pos = MAGIC.len();
-    Ok(get_varint(bytes, &mut pos)? as u32)
+    Reader::open(bytes, MAGIC, "bad magic")?.id()
 }
 
 /// Decode an atlas previously produced by [`encode`].
 pub fn decode(bytes: &[u8]) -> Result<Atlas, ModelError> {
-    let mut pos = 0usize;
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return Err(ModelError::Decode("bad magic".into()));
-    }
-    pos += MAGIC.len();
-    let day = get_varint(bytes, &mut pos)? as u32;
-    let mut atlas = Atlas {
+    use Keys::Chained;
+    let mut r = Reader::open(bytes, MAGIC, "bad magic")?;
+    let day = r.id()?;
+    let (links, cluster_as) = r.section(|s| Ok((get_rows(s, Chained)?, get_rows(s, Chained)?)))?;
+    let loss = r.section(|s| get_rows(s, Chained))?;
+    let prefix_cluster = r.section(|s| get_rows(s, Chained))?;
+    let prefix_as = r.section(|s| get_rows(s, Chained))?;
+    let as_degree = r.section(|s| get_rows(s, Chained))?;
+    let tuples = r.section(|s| get_rows(s, Chained))?;
+    let prefs = r.section(|s| get_rows(s, Chained))?;
+    let (providers, prefix_providers) =
+        r.section(|s| Ok((get_rows(s, Chained)?, get_rows(s, Chained)?)))?;
+    r.finish()?;
+    Ok(Atlas {
         day,
-        ..Atlas::default()
-    };
-
-    let next_section = |pos: &mut usize| -> Result<(usize, usize), ModelError> {
-        let len = get_varint(bytes, pos)? as usize;
-        let start = *pos;
-        if start + len > bytes.len() {
-            return Err(ModelError::Decode("truncated section".into()));
-        }
-        *pos += len;
-        Ok((start, start + len))
-    };
-
-    // Links.
-    let (mut p, end) = next_section(&mut pos)?;
-    let n = get_varint(bytes, &mut p)?;
-    let mut prev_from = 0u64;
-    for _ in 0..n {
-        prev_from += get_varint(bytes, &mut p)?;
-        let to = get_varint(bytes, &mut p)?;
-        let plane = Plane::from_bits(
-            *bytes
-                .get(p)
-                .ok_or_else(|| ModelError::Decode("truncated plane".into()))?,
-        );
-        p += 1;
-        let lat = get_varint(bytes, &mut p)?;
-        atlas.links.insert(
-            (ClusterId::new(prev_from as u32), ClusterId::new(to as u32)),
-            LinkAnnotation {
-                latency: if lat == 0 {
-                    None
-                } else {
-                    Some(unquantise_latency(lat - 1))
-                },
-                plane,
-            },
-        );
-    }
-    let n = get_varint(bytes, &mut p)?;
-    let mut prev_c = 0u64;
-    for _ in 0..n {
-        prev_c += get_varint(bytes, &mut p)?;
-        let a = get_varint(bytes, &mut p)?;
-        atlas
-            .cluster_as
-            .insert(ClusterId::new(prev_c as u32), Asn::new(a as u32));
-    }
-    check_end(p, end)?;
-
-    // Loss.
-    let (mut p, end) = next_section(&mut pos)?;
-    let n = get_varint(bytes, &mut p)?;
-    let mut prev_from = 0u64;
-    for _ in 0..n {
-        prev_from += get_varint(bytes, &mut p)?;
-        let to = get_varint(bytes, &mut p)?;
-        let loss = get_varint(bytes, &mut p)?;
-        atlas.loss.insert(
-            (ClusterId::new(prev_from as u32), ClusterId::new(to as u32)),
-            unquantise_loss(loss),
-        );
-    }
-    check_end(p, end)?;
-
-    // Prefix → cluster.
-    let (mut p, end) = next_section(&mut pos)?;
-    let n = get_varint(bytes, &mut p)?;
-    let mut prev_p = 0u64;
-    for _ in 0..n {
-        prev_p += get_varint(bytes, &mut p)?;
-        let c = get_varint(bytes, &mut p)?;
-        atlas
-            .prefix_cluster
-            .insert(PrefixId::new(prev_p as u32), ClusterId::new(c as u32));
-    }
-    check_end(p, end)?;
-
-    // Prefix → AS.
-    let (mut p, end) = next_section(&mut pos)?;
-    let n = get_varint(bytes, &mut p)?;
-    let mut prev_pid = 0u64;
-    let mut prev_addr = 0u64;
-    for _ in 0..n {
-        prev_pid += get_varint(bytes, &mut p)?;
-        prev_addr = prev_addr.wrapping_add(get_varint(bytes, &mut p)?);
-        let len = *bytes
-            .get(p)
-            .ok_or_else(|| ModelError::Decode("truncated prefix len".into()))?;
-        p += 1;
-        let a = get_varint(bytes, &mut p)?;
-        atlas.prefix_as.insert(
-            PrefixId::new(prev_pid as u32),
-            (Prefix::new(Ipv4(prev_addr as u32), len), Asn::new(a as u32)),
-        );
-    }
-    check_end(p, end)?;
-
-    // AS degrees.
-    let (mut p, end) = next_section(&mut pos)?;
-    let n = get_varint(bytes, &mut p)?;
-    let mut prev_a = 0u64;
-    for _ in 0..n {
-        prev_a += get_varint(bytes, &mut p)?;
-        let d = get_varint(bytes, &mut p)?;
-        atlas.as_degree.insert(Asn::new(prev_a as u32), d as u32);
-    }
-    check_end(p, end)?;
-
-    // Tuples.
-    let (mut p, end) = next_section(&mut pos)?;
-    let n = get_varint(bytes, &mut p)?;
-    let mut prev = 0u64;
-    for _ in 0..n {
-        prev += get_varint(bytes, &mut p)?;
-        let b = get_varint(bytes, &mut p)?;
-        let c = get_varint(bytes, &mut p)?;
-        atlas.tuples.insert(Triple(
-            Asn::new(prev as u32),
-            Asn::new(b as u32),
-            Asn::new(c as u32),
-        ));
-    }
-    check_end(p, end)?;
-
-    // Preferences.
-    let (mut p, end) = next_section(&mut pos)?;
-    let n = get_varint(bytes, &mut p)?;
-    let mut prev = 0u64;
-    for _ in 0..n {
-        prev += get_varint(bytes, &mut p)?;
-        let b = get_varint(bytes, &mut p)?;
-        let c = get_varint(bytes, &mut p)?;
-        atlas.prefs.insert((
-            Asn::new(prev as u32),
-            Asn::new(b as u32),
-            Asn::new(c as u32),
-        ));
-    }
-    check_end(p, end)?;
-
-    // Providers.
-    let (mut p, end) = next_section(&mut pos)?;
-    let n = get_varint(bytes, &mut p)?;
-    let mut prev = 0u64;
-    for _ in 0..n {
-        prev += get_varint(bytes, &mut p)?;
-        let k = get_varint(bytes, &mut p)?;
-        let mut set = BTreeSet::new();
-        let mut prev_m = 0u64;
-        for _ in 0..k {
-            prev_m = prev_m.wrapping_add(get_varint(bytes, &mut p)?);
-            set.insert(Asn::new(prev_m as u32));
-        }
-        atlas.providers.insert(Asn::new(prev as u32), set);
-    }
-    let n = get_varint(bytes, &mut p)?;
-    let mut prev = 0u64;
-    for _ in 0..n {
-        prev += get_varint(bytes, &mut p)?;
-        let k = get_varint(bytes, &mut p)?;
-        let mut set = BTreeSet::new();
-        let mut prev_m = 0u64;
-        for _ in 0..k {
-            prev_m = prev_m.wrapping_add(get_varint(bytes, &mut p)?);
-            set.insert(Asn::new(prev_m as u32));
-        }
-        atlas
-            .prefix_providers
-            .insert(PrefixId::new(prev as u32), set);
-    }
-    check_end(p, end)?;
-
-    Ok(atlas)
-}
-
-fn check_end(p: usize, end: usize) -> Result<(), ModelError> {
-    if p != end {
-        return Err(ModelError::Decode(format!(
-            "section length mismatch: read to {p}, expected {end}"
-        )));
-    }
-    Ok(())
+        links,
+        loss,
+        prefix_cluster,
+        prefix_as,
+        as_degree,
+        tuples,
+        prefs,
+        providers,
+        prefix_providers,
+        cluster_as,
+        inferred_rels: BTreeMap::new(),
+    })
 }
 
 /// Round an atlas's metrics to codec precision, so encode→decode is exact
@@ -577,6 +663,36 @@ mod tests {
         for cut in [7, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} accepted");
         }
+    }
+
+    #[test]
+    fn a_prefix_length_over_32_is_a_decode_error() {
+        // Two encodings that differ only in the prefix's length locate
+        // its byte.
+        let a = sample_atlas();
+        let mut b = a.clone();
+        let pfx = &mut b.prefix_as.get_mut(&PrefixId::new(5)).unwrap().0;
+        *pfx = Prefix::new(pfx.addr(), 25);
+        let (mut bytes, other) = (encode(&a).0, encode(&b).0);
+        let differ: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] != other[i]).collect();
+        assert_eq!(differ.len(), 1);
+        bytes[differ[0]] = 33;
+        assert_eq!(
+            decode(&bytes).unwrap_err(),
+            ModelError::Decode("prefix length 33 over 32".into())
+        );
+    }
+
+    #[test]
+    fn a_section_length_near_u64_max_is_a_decode_error() {
+        let mut bytes = MAGIC.to_vec();
+        put_varint(&mut bytes, 3);
+        put_varint(&mut bytes, u64::MAX - 3);
+        bytes.extend_from_slice(&[0; 8]);
+        assert_eq!(
+            decode(&bytes).unwrap_err(),
+            ModelError::Decode("truncated section".into())
+        );
     }
 
     #[test]

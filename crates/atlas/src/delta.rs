@@ -6,9 +6,12 @@
 //! changes. The remaining datasets change slowly and are refreshed in the
 //! monthly full atlas, so a delta leaves them untouched.
 
-use crate::codec::{get_varint, put_varint, quantise};
-use crate::datasets::{Atlas, LinkAnnotation, Plane, Triple};
-use inano_model::{Asn, ClusterId, LatencyMs, LossRate, ModelError};
+use crate::codec::{get_rows, put_header, put_rows, put_section, quantise, Keys, Reader};
+use crate::datasets::{Atlas, LinkAnnotation, Triple};
+use inano_model::{Asn, ClusterId, LossRate, ModelError};
+use std::collections::BTreeMap;
+
+const MAGIC: &[u8; 6] = b"INDLT1";
 
 /// The day-over-day difference between two atlases.
 #[derive(Clone, Debug, Default)]
@@ -28,53 +31,51 @@ pub struct AtlasDelta {
     pub tuples_removed: Vec<Triple>,
 }
 
+/// Entries of `new` that `old` lacks or holds with another value.
+fn upserts<K: Ord + Copy, V: PartialEq + Copy>(
+    old: &BTreeMap<K, V>,
+    new: &BTreeMap<K, V>,
+) -> Vec<(K, V)> {
+    new.iter()
+        .filter(|&(k, v)| old.get(k) != Some(v))
+        .map(|(&k, &v)| (k, v))
+        .collect()
+}
+
+/// Keys of `old` that `new` lacks.
+fn removals<K: Ord + Copy, V>(old: &BTreeMap<K, V>, new: &BTreeMap<K, V>) -> Vec<K> {
+    old.keys()
+        .filter(|k| !new.contains_key(k))
+        .copied()
+        .collect()
+}
+
+/// A delta's list of pairs, as the row layouts take a map's.
+fn pairs<K, V>(list: &[(K, V)]) -> impl ExactSizeIterator<Item = (&K, &V)> {
+    list.iter().map(|(k, v)| (k, v))
+}
+
 impl AtlasDelta {
     /// Compute the delta that turns `old` into `new` (for the datasets
     /// that are updated daily).
     pub fn between(old: &Atlas, new: &Atlas) -> AtlasDelta {
-        let old = quantise(old);
-        let new = quantise(new);
-        let mut d = AtlasDelta {
+        let (old, new) = (quantise(old), quantise(new));
+        AtlasDelta {
             from_day: old.day,
             to_day: new.day,
-            ..AtlasDelta::default()
-        };
-        for (k, ann) in &new.links {
-            if old.links.get(k) != Some(ann) {
-                d.links_upsert.push((*k, *ann));
-            }
+            links_upsert: upserts(&old.links, &new.links),
+            links_removed: removals(&old.links, &new.links),
+            cluster_as_added: new
+                .cluster_as
+                .iter()
+                .filter(|(c, _)| !old.cluster_as.contains_key(c))
+                .map(|(&c, &a)| (c, a))
+                .collect(),
+            loss_upsert: upserts(&old.loss, &new.loss),
+            loss_removed: removals(&old.loss, &new.loss),
+            tuples_added: new.tuples.difference(&old.tuples).copied().collect(),
+            tuples_removed: old.tuples.difference(&new.tuples).copied().collect(),
         }
-        for k in old.links.keys() {
-            if !new.links.contains_key(k) {
-                d.links_removed.push(*k);
-            }
-        }
-        for (c, a) in &new.cluster_as {
-            if !old.cluster_as.contains_key(c) {
-                d.cluster_as_added.push((*c, *a));
-            }
-        }
-        for (k, l) in &new.loss {
-            if old.loss.get(k) != Some(l) {
-                d.loss_upsert.push((*k, *l));
-            }
-        }
-        for k in old.loss.keys() {
-            if !new.loss.contains_key(k) {
-                d.loss_removed.push(*k);
-            }
-        }
-        for t in &new.tuples {
-            if !old.tuples.contains(t) {
-                d.tuples_added.push(*t);
-            }
-        }
-        for t in &old.tuples {
-            if !new.tuples.contains(t) {
-                d.tuples_removed.push(*t);
-            }
-        }
-        d
     }
 
     /// Apply onto `base`, producing the next day's view of the daily
@@ -99,24 +100,16 @@ impl AtlasDelta {
         }
         let mut out = quantise(base);
         out.day = self.to_day;
-        for (k, ann) in &self.links_upsert {
-            out.links.insert(*k, *ann);
-        }
+        out.links.extend(self.links_upsert.iter().copied());
         for k in &self.links_removed {
             out.links.remove(k);
         }
-        for (c, a) in &self.cluster_as_added {
-            out.cluster_as.insert(*c, *a);
-        }
-        for (k, l) in &self.loss_upsert {
-            out.loss.insert(*k, *l);
-        }
+        out.cluster_as.extend(self.cluster_as_added.iter().copied());
+        out.loss.extend(self.loss_upsert.iter().copied());
         for k in &self.loss_removed {
             out.loss.remove(k);
         }
-        for t in &self.tuples_added {
-            out.tuples.insert(*t);
-        }
+        out.tuples.extend(self.tuples_added.iter().copied());
         for t in &self.tuples_removed {
             out.tuples.remove(t);
         }
@@ -132,170 +125,71 @@ impl AtlasDelta {
         )
     }
 
-    /// Encode compactly (same varint scheme as the full atlas). Returns
-    /// the bytes and the (links, loss, tuples) section sizes.
+    /// Encode compactly: the full atlas's row layouts, unchained (see
+    /// [`crate::codec`]). Returns the bytes and the (links, loss,
+    /// tuples) section sizes.
     pub fn encode(&self) -> (Vec<u8>, [usize; 3]) {
+        use Keys::Whole;
         let mut out = Vec::new();
-        out.extend_from_slice(b"INDLT1");
-        put_varint(&mut out, self.from_day as u64);
-        put_varint(&mut out, self.to_day as u64);
-        let mut sizes = [0usize; 3];
-
-        let mut body = Vec::new();
-        put_varint(&mut body, self.links_upsert.len() as u64);
-        for ((f, t), ann) in &self.links_upsert {
-            put_varint(&mut body, f.raw() as u64);
-            put_varint(&mut body, t.raw() as u64);
-            body.push(ann.plane.bits());
-            match ann.latency {
-                Some(l) => put_varint(&mut body, (l.ms() * 10.0).round() as u64 + 1),
-                None => put_varint(&mut body, 0),
-            }
-        }
-        put_varint(&mut body, self.links_removed.len() as u64);
-        for (f, t) in &self.links_removed {
-            put_varint(&mut body, f.raw() as u64);
-            put_varint(&mut body, t.raw() as u64);
-        }
-        put_varint(&mut body, self.cluster_as_added.len() as u64);
-        for (c, a) in &self.cluster_as_added {
-            put_varint(&mut body, c.raw() as u64);
-            put_varint(&mut body, a.raw() as u64);
-        }
-        sizes[0] = body.len();
-        put_varint(&mut out, body.len() as u64);
-        out.extend_from_slice(&body);
-
-        let mut body = Vec::new();
-        put_varint(&mut body, self.loss_upsert.len() as u64);
-        for ((f, t), l) in &self.loss_upsert {
-            put_varint(&mut body, f.raw() as u64);
-            put_varint(&mut body, t.raw() as u64);
-            put_varint(&mut body, (l.rate() * 1000.0).round() as u64);
-        }
-        put_varint(&mut body, self.loss_removed.len() as u64);
-        for (f, t) in &self.loss_removed {
-            put_varint(&mut body, f.raw() as u64);
-            put_varint(&mut body, t.raw() as u64);
-        }
-        sizes[1] = body.len();
-        put_varint(&mut out, body.len() as u64);
-        out.extend_from_slice(&body);
-
-        let mut body = Vec::new();
-        put_varint(&mut body, self.tuples_added.len() as u64);
-        for Triple(a, b, c) in &self.tuples_added {
-            put_varint(&mut body, a.raw() as u64);
-            put_varint(&mut body, b.raw() as u64);
-            put_varint(&mut body, c.raw() as u64);
-        }
-        put_varint(&mut body, self.tuples_removed.len() as u64);
-        for Triple(a, b, c) in &self.tuples_removed {
-            put_varint(&mut body, a.raw() as u64);
-            put_varint(&mut body, b.raw() as u64);
-            put_varint(&mut body, c.raw() as u64);
-        }
-        sizes[2] = body.len();
-        put_varint(&mut out, body.len() as u64);
-        out.extend_from_slice(&body);
-
+        put_header(&mut out, MAGIC, &[self.from_day, self.to_day]);
+        let sizes = [
+            put_section(&mut out, |b| {
+                put_rows::<((ClusterId, ClusterId), LinkAnnotation)>(
+                    b,
+                    Whole,
+                    pairs(&self.links_upsert),
+                );
+                put_rows::<(ClusterId, ClusterId)>(b, Whole, pairs(&self.links_removed));
+                put_rows::<(ClusterId, Asn)>(b, Whole, pairs(&self.cluster_as_added));
+            }),
+            put_section(&mut out, |b| {
+                put_rows::<((ClusterId, ClusterId), LossRate)>(b, Whole, pairs(&self.loss_upsert));
+                put_rows::<(ClusterId, ClusterId)>(b, Whole, pairs(&self.loss_removed));
+            }),
+            put_section(&mut out, |b| {
+                put_rows::<Triple>(b, Whole, self.tuples_added.iter());
+                put_rows::<Triple>(b, Whole, self.tuples_removed.iter());
+            }),
+        ];
         (out, sizes)
     }
 
     /// Decode a delta produced by [`AtlasDelta::encode`].
     pub fn decode(bytes: &[u8]) -> Result<AtlasDelta, ModelError> {
-        let mut pos = 0usize;
-        if bytes.len() < 6 || &bytes[..6] != b"INDLT1" {
-            return Err(ModelError::Decode("bad delta magic".into()));
-        }
-        pos += 6;
-        let from_day = get_varint(bytes, &mut pos)? as u32;
-        let to_day = get_varint(bytes, &mut pos)? as u32;
-        let mut d = AtlasDelta {
+        use Keys::Whole;
+        let mut r = Reader::open(bytes, MAGIC, "bad delta magic")?;
+        let (from_day, to_day) = (r.id()?, r.id()?);
+        let (links_upsert, links_removed, cluster_as_added) = r.section(|s| {
+            Ok((
+                get_rows(s, Whole)?,
+                get_rows(s, Whole)?,
+                get_rows(s, Whole)?,
+            ))
+        })?;
+        let (loss_upsert, loss_removed) =
+            r.section(|s| Ok((get_rows(s, Whole)?, get_rows(s, Whole)?)))?;
+        let (tuples_added, tuples_removed) =
+            r.section(|s| Ok((get_rows(s, Whole)?, get_rows(s, Whole)?)))?;
+        r.finish()?;
+        Ok(AtlasDelta {
             from_day,
             to_day,
-            ..AtlasDelta::default()
-        };
-
-        let _len = get_varint(bytes, &mut pos)?;
-        let n = get_varint(bytes, &mut pos)?;
-        for _ in 0..n {
-            let f = get_varint(bytes, &mut pos)? as u32;
-            let t = get_varint(bytes, &mut pos)? as u32;
-            let plane = Plane::from_bits(
-                *bytes
-                    .get(pos)
-                    .ok_or_else(|| ModelError::Decode("truncated".into()))?,
-            );
-            pos += 1;
-            let lat = get_varint(bytes, &mut pos)?;
-            d.links_upsert.push((
-                (ClusterId::new(f), ClusterId::new(t)),
-                LinkAnnotation {
-                    latency: if lat == 0 {
-                        None
-                    } else {
-                        Some(LatencyMs::new((lat - 1) as f64 / 10.0))
-                    },
-                    plane,
-                },
-            ));
-        }
-        let n = get_varint(bytes, &mut pos)?;
-        for _ in 0..n {
-            let f = get_varint(bytes, &mut pos)? as u32;
-            let t = get_varint(bytes, &mut pos)? as u32;
-            d.links_removed.push((ClusterId::new(f), ClusterId::new(t)));
-        }
-        let n = get_varint(bytes, &mut pos)?;
-        for _ in 0..n {
-            let c = get_varint(bytes, &mut pos)? as u32;
-            let a = get_varint(bytes, &mut pos)? as u32;
-            d.cluster_as_added.push((ClusterId::new(c), Asn::new(a)));
-        }
-
-        let _len = get_varint(bytes, &mut pos)?;
-        let n = get_varint(bytes, &mut pos)?;
-        for _ in 0..n {
-            let f = get_varint(bytes, &mut pos)? as u32;
-            let t = get_varint(bytes, &mut pos)? as u32;
-            let l = get_varint(bytes, &mut pos)?;
-            d.loss_upsert.push((
-                (ClusterId::new(f), ClusterId::new(t)),
-                LossRate::new(l as f64 / 1000.0),
-            ));
-        }
-        let n = get_varint(bytes, &mut pos)?;
-        for _ in 0..n {
-            let f = get_varint(bytes, &mut pos)? as u32;
-            let t = get_varint(bytes, &mut pos)? as u32;
-            d.loss_removed.push((ClusterId::new(f), ClusterId::new(t)));
-        }
-
-        let _len = get_varint(bytes, &mut pos)?;
-        let n = get_varint(bytes, &mut pos)?;
-        for _ in 0..n {
-            let a = get_varint(bytes, &mut pos)? as u32;
-            let b = get_varint(bytes, &mut pos)? as u32;
-            let c = get_varint(bytes, &mut pos)? as u32;
-            d.tuples_added
-                .push(Triple(Asn::new(a), Asn::new(b), Asn::new(c)));
-        }
-        let n = get_varint(bytes, &mut pos)?;
-        for _ in 0..n {
-            let a = get_varint(bytes, &mut pos)? as u32;
-            let b = get_varint(bytes, &mut pos)? as u32;
-            let c = get_varint(bytes, &mut pos)? as u32;
-            d.tuples_removed
-                .push(Triple(Asn::new(a), Asn::new(b), Asn::new(c)));
-        }
-        Ok(d)
+            links_upsert,
+            links_removed,
+            cluster_as_added,
+            loss_upsert,
+            loss_removed,
+            tuples_added,
+            tuples_removed,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datasets::Plane;
+    use inano_model::LatencyMs;
 
     fn atlas_with(day: u32, links: &[(u32, u32)], tuples: &[(u32, u32, u32)]) -> Atlas {
         let mut a = Atlas {
@@ -384,6 +278,26 @@ mod tests {
         assert_eq!(d2.apply(&old).unwrap().links, d.apply(&old).unwrap().links);
         assert_eq!(d2.tuples_added, d.tuples_added);
         assert_eq!(d2.loss_upsert, d.loss_upsert);
+    }
+
+    #[test]
+    fn a_section_whose_declared_length_is_wrong_is_refused() {
+        let old = atlas_with(0, &[(1, 2)], &[]);
+        let new = atlas_with(1, &[(1, 2), (3, 4)], &[(1, 2, 3)]);
+        let (bytes, sizes) = AtlasDelta::between(&old, &new).encode();
+        // The links section's one-byte length follows the magic and the
+        // two one-byte days.
+        let at = MAGIC.len() + 2;
+        assert_eq!(usize::from(bytes[at]), sizes[0]);
+        assert!(AtlasDelta::decode(&bytes).is_ok());
+        for len in [sizes[0] - 1, sizes[0] + 1] {
+            let mut bad = bytes.clone();
+            bad[at] = len as u8;
+            assert!(
+                matches!(AtlasDelta::decode(&bad), Err(ModelError::Decode(_))),
+                "a links section declared {len} bytes long was accepted"
+            );
+        }
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! This crate owns the dataset types, the builder that distils a
 //! [`inano_measure::MeasurementDay`] into an [`Atlas`], a compact binary
 //! codec (varint + delta encoding over sorted tables — our stand-in for
-//! the paper's gzip, documented in DESIGN.md), daily delta computation
-//! and application, and the Table-2 size accounting.
+//! the paper's gzip, documented in DESIGN.md §"The atlas format"), daily
+//! delta computation and application, and the Table-2 size accounting.
 
 pub mod builder;
 pub mod codec;

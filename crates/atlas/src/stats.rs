@@ -15,91 +15,61 @@ pub struct DatasetStat {
     pub delta_bytes: usize,
 }
 
-/// Compute the full-atlas side of Table 2.
+/// Table 2's dataset names, in [`Section`] order.
+const NAMES: [&str; 8] = [
+    "Inter-cluster links with latencies",
+    "Link loss rates",
+    "Prefix to cluster",
+    "Prefix to AS",
+    "AS degrees",
+    "AS three-tuples",
+    "AS preferences",
+    "Provider mappings",
+];
+
+/// Compute the full-atlas side of Table 2: one row per [`Section`], in
+/// its order.
 pub fn atlas_stats(atlas: &Atlas) -> Vec<DatasetStat> {
     let (_, sizes) = encode(atlas);
-    let s = |sec: Section| sizes.sizes[sec as usize];
-    vec![
-        DatasetStat {
-            name: "Inter-cluster links with latencies",
-            entries: atlas.links.len(),
-            bytes: s(Section::Links),
+    let entries = [
+        atlas.links.len(),
+        atlas.loss.len(),
+        atlas.prefix_cluster.len(),
+        atlas.prefix_as.len(),
+        atlas.as_degree.len(),
+        atlas.tuples.len(),
+        atlas.prefs.len(),
+        atlas.providers.len() + atlas.prefix_providers.len(),
+    ];
+    NAMES
+        .into_iter()
+        .zip(entries)
+        .zip(sizes.sizes)
+        .map(|((name, entries), bytes)| DatasetStat {
+            name,
+            entries,
+            bytes,
             delta_entries: 0,
             delta_bytes: 0,
-        },
-        DatasetStat {
-            name: "Link loss rates",
-            entries: atlas.loss.len(),
-            bytes: s(Section::Loss),
-            delta_entries: 0,
-            delta_bytes: 0,
-        },
-        DatasetStat {
-            name: "Prefix to cluster",
-            entries: atlas.prefix_cluster.len(),
-            bytes: s(Section::PrefixCluster),
-            delta_entries: 0,
-            delta_bytes: 0,
-        },
-        DatasetStat {
-            name: "Prefix to AS",
-            entries: atlas.prefix_as.len(),
-            bytes: s(Section::PrefixAs),
-            delta_entries: 0,
-            delta_bytes: 0,
-        },
-        DatasetStat {
-            name: "AS degrees",
-            entries: atlas.as_degree.len(),
-            bytes: s(Section::AsDegrees),
-            delta_entries: 0,
-            delta_bytes: 0,
-        },
-        DatasetStat {
-            name: "AS three-tuples",
-            entries: atlas.tuples.len(),
-            bytes: s(Section::Tuples),
-            delta_entries: 0,
-            delta_bytes: 0,
-        },
-        DatasetStat {
-            name: "AS preferences",
-            entries: atlas.prefs.len(),
-            bytes: s(Section::Prefs),
-            delta_entries: 0,
-            delta_bytes: 0,
-        },
-        DatasetStat {
-            name: "Provider mappings",
-            entries: atlas.providers.len() + atlas.prefix_providers.len(),
-            bytes: s(Section::Providers),
-            delta_entries: 0,
-            delta_bytes: 0,
-        },
-    ]
+        })
+        .collect()
 }
 
 /// Fill in the delta columns of Table 2 (only links, loss and tuples are
-/// shipped daily; other datasets show 0, as in the paper).
+/// shipped daily; other datasets show 0, as in the paper). `stats` is
+/// what [`atlas_stats`] returned.
 pub fn delta_stats(stats: &mut [DatasetStat], delta: &AtlasDelta) {
     let (_, sizes) = delta.encode();
-    let (le, se, te) = delta.entry_counts();
-    for st in stats.iter_mut() {
-        match st.name {
-            "Inter-cluster links with latencies" => {
-                st.delta_entries = le;
-                st.delta_bytes = sizes[0];
-            }
-            "Link loss rates" => {
-                st.delta_entries = se;
-                st.delta_bytes = sizes[1];
-            }
-            "AS three-tuples" => {
-                st.delta_entries = te;
-                st.delta_bytes = sizes[2];
-            }
-            _ => {}
-        }
+    let (links, loss, tuples) = delta.entry_counts();
+    let shipped = [
+        (Section::Links, links),
+        (Section::Loss, loss),
+        (Section::Tuples, tuples),
+    ];
+    for ((section, entries), bytes) in shipped.into_iter().zip(sizes) {
+        let st = &mut stats[section as usize];
+        st.delta_entries = entries;
+        st.delta_bytes = bytes;
     }
 }
 

@@ -40,6 +40,14 @@ prop_compose! {
         prefs in proptest::collection::vec((0u32..200, 0u32..200, 0u32..200), 0..20),
         prefixes in proptest::collection::vec((0u32..300, 0u8..25, 0u32..200), 0..30),
         degrees in proptest::collection::vec((0u32..200, 0u32..1000), 0..30),
+        providers in proptest::collection::vec(
+            (0u32..200, proptest::collection::vec(0u32..200, 0..5)),
+            0..20,
+        ),
+        prefix_providers in proptest::collection::vec(
+            (0u32..30, proptest::collection::vec(0u32..200, 0..5)),
+            0..20,
+        ),
     ) -> Atlas {
         let mut a = Atlas { day, ..Atlas::default() };
         for (k, ann) in links {
@@ -72,6 +80,13 @@ prop_compose! {
         for (asn, d) in degrees {
             a.as_degree.insert(Asn::new(asn), d);
         }
+        let asns = |set: Vec<u32>| set.into_iter().map(Asn::new).collect();
+        for (asn, set) in providers {
+            a.providers.insert(Asn::new(asn), asns(set));
+        }
+        for (pid, set) in prefix_providers {
+            a.prefix_providers.insert(PrefixId::new(pid), asns(set));
+        }
         a
     }
 }
@@ -92,6 +107,9 @@ proptest! {
         prop_assert_eq!(&q.as_degree, &d.as_degree);
         prop_assert_eq!(&q.tuples, &d.tuples);
         prop_assert_eq!(&q.prefs, &d.prefs);
+        prop_assert_eq!(&q.providers, &d.providers);
+        prop_assert_eq!(&q.prefix_providers, &d.prefix_providers);
+        prop_assert_eq!(&q.cluster_as, &d.cluster_as);
         prop_assert_eq!(q.day, d.day);
     }
 
@@ -119,6 +137,7 @@ proptest! {
         prop_assert_eq!(r1.links, r2.links);
         prop_assert_eq!(r1.loss, r2.loss);
         prop_assert_eq!(r1.tuples, r2.tuples);
+        prop_assert_eq!(r1.cluster_as, r2.cluster_as);
     }
 
     #[test]
@@ -127,5 +146,28 @@ proptest! {
         let cut = cut.min(bytes.len());
         // Must error or succeed, never panic.
         let _ = codec::decode(&bytes[..cut]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn corrupted_atlases_and_deltas_never_panic(
+        a in arb_atlas(),
+        b in arb_atlas(),
+        hits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+    ) {
+        let corrupt = |mut bytes: Vec<u8>| {
+            let n = bytes.len();
+            for &(at, v) in &hits {
+                bytes[at % n] = v;
+            }
+            bytes
+        };
+        // Must error or succeed, never panic (nor overflow, in either
+        // profile).
+        let _ = codec::decode(&corrupt(codec::encode(&a).0));
+        let _ = AtlasDelta::decode(&corrupt(AtlasDelta::between(&a, &b).encode().0));
     }
 }
