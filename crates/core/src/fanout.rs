@@ -1,7 +1,7 @@
-//! The process's one fan-out: a call that owes more work than one chunk
-//! runs it on its own thread plus scoped helper threads, and every
-//! helper in the process — whichever library batch or engine batch
-//! spawned it — holds a permit from one counter capped at
+//! The process's one fan-out, run by the predictor's batch planner for
+//! library and engine batches alike: a call that owes more than one job
+//! runs them on its own thread plus scoped helper threads, and every
+//! helper in the process holds a permit from one counter capped at
 //! `available_parallelism()`.
 //!
 //! The helpers live inside the call's `std::thread::scope`: they borrow
@@ -9,7 +9,6 @@
 //! gets no permit, or whose spawn the host refuses, does the work alone:
 //! the budget costs parallelism, never an answer.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread;
@@ -55,34 +54,29 @@ impl Drop for Permits {
 
 /// `work(i)` for every `i` in `0..jobs`, results in index order.
 ///
-/// At most `chunk` jobs run inline on the caller, touching no permit. More
-/// than that, and the caller plus up to
-/// `min(available_parallelism, ⌈jobs / chunk⌉) − 1` permitted helpers
-/// pull `chunk` consecutive jobs at a time off one atomic cursor; each
-/// chunk's results come back with the index that places them.
+/// One job runs inline on the caller, touching no permit. More than
+/// that, and the caller plus up to `min(available_parallelism, jobs) − 1`
+/// permitted helpers pull one job at a time off one atomic cursor; each
+/// result comes back with the index that places it.
 ///
 /// # Panics
 ///
-/// If `chunk` is 0, or when a job panics (its permits go back first).
-pub fn run<T: Send>(jobs: usize, chunk: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    assert!(chunk > 0, "a chunk holds at least one job");
-    let span = |i: usize| -> Range<usize> { i * chunk..jobs.min((i + 1) * chunk) };
-    if jobs <= chunk {
-        return span(0).map(&work).collect();
+/// When a job panics (its permits go back first).
+pub fn run<T: Send>(jobs: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if jobs <= 1 {
+        return (0..jobs).map(work).collect();
     }
-    let chunks = jobs.div_ceil(chunk);
-    let mut permits = Permits::take(chunks.min(helper_cap()) - 1);
+    let mut permits = Permits::take(jobs.min(helper_cap()) - 1);
     let cursor = AtomicUsize::new(0);
-    // Claim chunks until none are left; each comes back with the index
-    // that places it.
-    let pull = || -> Vec<(usize, Vec<T>)> {
+    // Claim jobs until none are left; each comes back with its index.
+    let pull = || -> Vec<(usize, T)> {
         let mut done = Vec::new();
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= chunks {
+            if i >= jobs {
                 return done;
             }
-            done.push((i, span(i).map(&work).collect()));
+            done.push((i, work(i)));
         }
     };
     let mut done = thread::scope(|scope| {
@@ -103,7 +97,7 @@ pub fn run<T: Send>(jobs: usize, chunk: usize, work: impl Fn(usize) -> T + Sync)
         done
     });
     done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().flat_map(|(_, results)| results).collect()
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
@@ -111,26 +105,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn results_come_back_in_index_order_at_any_chunk() {
-        for chunk in [1, 3, 64] {
-            for jobs in [0, 1, 2, 63, 64, 65, 200] {
-                let got = run(jobs, chunk, |i| i * i);
-                let want: Vec<_> = (0..jobs).map(|i| i * i).collect();
-                assert_eq!(got, want, "jobs {jobs}, chunk {chunk}");
-            }
+    fn results_come_back_in_index_order() {
+        for jobs in [0, 1, 2, 63, 64, 65, 200] {
+            let got = run(jobs, |i| i * i);
+            let want: Vec<_> = (0..jobs).map(|i| i * i).collect();
+            assert_eq!(got, want, "jobs {jobs}");
         }
     }
 
     #[test]
-    fn one_chunk_runs_on_the_caller() {
+    fn one_job_runs_on_the_caller() {
         let caller = thread::current().id();
-        let ran_on = run(4, 4, |_| thread::current().id());
-        assert!(ran_on.iter().all(|&id| id == caller));
+        assert_eq!(run(1, |_| thread::current().id()), [caller]);
     }
 
     #[test]
     fn a_panicking_job_returns_its_permits() {
-        let panicked = std::panic::catch_unwind(|| run(16, 1, |i| assert_ne!(i, 9)));
+        let panicked = std::panic::catch_unwind(|| run(16, |i| assert_ne!(i, 9)));
         assert!(panicked.is_err());
         // Other tests in this binary may hold permits for a moment; a
         // leaked one never comes back.

@@ -10,8 +10,10 @@
 //! one replica, one client ranking a swarm of candidates, ...). A search
 //! that cannot answer is not run: see [`PathPredictor::predict_forward`].
 //!
-//! [`PathPredictor::query_batch`] plans before it searches. It lists the
-//! batch's distinct one-way predictions, takes the cache slot of each
+//! [`PathPredictor::predict_batch`] plans before it searches — it is
+//! what the library's [`PathPredictor::query_batch`] and a serving
+//! engine's cache misses both run. It lists the batch's distinct one-way
+//! predictions, takes the cache slot of each
 //! one's first search on the caller, in plan order, and runs the searches
 //! whose slots it created on the caller and helper threads drawn from
 //! the process-wide budget ([`crate::fanout`]). A second round does the
@@ -106,7 +108,8 @@ impl SearchCache {
 /// How often a predictor searched, and how often it did not have to
 /// ([`PathPredictor::search_counts`]).
 ///
-/// A [`PathPredictor::query_batch`] counts per distinct one-way
+/// A [`PathPredictor::predict_batch`] (and so a
+/// [`PathPredictor::query_batch`]) counts per distinct one-way
 /// prediction, not per pair: one lookup (a `cache_hits` when it finds the
 /// slot, else a `runs`) per search each distinct prediction reads, and
 /// one `strict_skipped` per distinct prediction that skips. Both ways of
@@ -136,21 +139,29 @@ struct Route {
 }
 
 /// One one-way prediction of a planned batch: its prefixes and route,
-/// the slot of the search the current round reads, and its path once a
-/// round has found one.
+/// the slot of the search the current round reads, its path once a
+/// round has found one, and how many of the batch's pairs have yet to
+/// read it.
 struct Plan {
     src_prefix: PrefixId,
     dst_prefix: PrefixId,
     route: Result<Route, ModelError>,
     slot: Option<(SearchKey, Slot)>,
     path: Option<Vec<ClusterId>>,
+    readers: u32,
 }
 
 impl Plan {
-    /// The prediction's answer once both rounds have run.
-    fn answer(self) -> Result<Vec<ClusterId>, ModelError> {
-        self.route?;
-        (self.path).ok_or_else(|| no_route(self.src_prefix, self.dst_prefix))
+    /// The prediction's answer once both rounds have run, for one of its
+    /// readers: the last takes the path, any before it copy it.
+    fn read(&mut self) -> Result<Vec<ClusterId>, ModelError> {
+        self.readers -= 1;
+        let path = match self.readers {
+            0 => self.path.take(),
+            _ => self.path.clone(),
+        };
+        self.route.as_ref().map_err(Clone::clone)?;
+        path.ok_or_else(|| no_route(self.src_prefix, self.dst_prefix))
     }
 
     /// The search this way reads in round 1 (`fallback` false) or round
@@ -403,7 +414,7 @@ impl PathPredictor {
     /// destination in the source's own cluster, which needs no such edge.
     ///
     /// One way is a batch of one to the planner behind
-    /// [`PathPredictor::query_batch`]: each of its two rounds owes at most
+    /// [`PathPredictor::predict_batch`]: each of its two rounds owes at most
     /// one search, which runs on this thread.
     pub fn predict_forward(
         &self,
@@ -412,8 +423,7 @@ impl PathPredictor {
     ) -> Result<Vec<ClusterId>, ModelError> {
         let mut plan = [self.plan(src_prefix, dst_prefix)];
         self.find_paths(&mut plan);
-        let [plan] = plan;
-        plan.answer()
+        plan[0].read()
     }
 
     /// What a one-way prediction searches, or why it searches nothing:
@@ -542,55 +552,77 @@ impl PathPredictor {
 
     /// Batched queries ("batches of arbitrary sizes", §5): in input
     /// order, the answers per-pair [`PathPredictor::query`] gives, errors
-    /// included.
-    ///
-    /// The batch is planned first (see the module docs): its distinct
-    /// one-way predictions, in first-appearance order and forward before
-    /// reverse, each take their first search's cache slot on this
-    /// thread; the searches of the slots this created then run on this
-    /// thread and scoped helpers from the process-wide budget
-    /// ([`crate::fanout::run`], one search per job; a round that owes at
-    /// most one runs inline), and a second round does the same for the
-    /// relaxed searches the strict trees left owing. The predictions are
-    /// planned in windows of as many as the search cache holds trees,
-    /// and each holds its tree only while its round reads it, so a batch
-    /// of any size holds at most that many trees at once. A search runs
-    /// again in a later window only if the cache evicted it in between.
+    /// included. Each pair's addresses are resolved in place — an
+    /// unresolvable one is that pair's error — and the resolved pairs are
+    /// one [`PathPredictor::predict_batch`].
+    pub fn query_batch(&self, pairs: &[(Ipv4, Ipv4)]) -> Vec<Result<PredictedPath, ModelError>> {
+        let resolved: Vec<_> = (pairs.iter())
+            .map(|&(src, dst)| Ok((self.prefix_of(src)?, self.prefix_of(dst)?)))
+            .collect();
+        let routable: Vec<_> = resolved.iter().flatten().copied().collect();
+        let mut answers = self.predict_batch(&routable).into_iter();
+        (resolved.into_iter())
+            .map(|r| r.and_then(|_| answers.next().expect("one answer per resolved pair")))
+            .collect()
+    }
+
+    /// [`PathPredictor::predict`] for every pair, in input order, planned
+    /// as one batch (see the module docs): its distinct one-way
+    /// predictions, in first-appearance order and forward before reverse,
+    /// each take their first search's cache slot on this thread; the
+    /// searches of the slots this created then run on this thread and
+    /// scoped helpers from the process-wide budget ([`crate::fanout::run`],
+    /// one search per job; a round that owes at most one runs inline),
+    /// and a second round does the same for the relaxed searches the
+    /// strict trees left owing. The predictions are planned in windows of
+    /// as many as the search cache holds trees, and each holds its tree
+    /// only while its round reads it, so a batch of any size holds at most
+    /// that many trees at once. A search runs again in a later window only
+    /// if the cache evicted it in between.
     ///
     /// Unlike [`PathPredictor::predict`], which stops at a forward error,
-    /// a batch plans both ways of every pair whose addresses resolve, so
-    /// a pair that resolves but cannot be routed still costs its reverse
-    /// search. [`SearchCounts`] says how a batch is counted.
-    pub fn query_batch(&self, pairs: &[(Ipv4, Ipv4)]) -> Vec<Result<PredictedPath, ModelError>> {
-        let mut ways = Vec::new();
-        let mut seen = HashMap::new();
-        let mut way = |src, dst| {
-            *seen.entry((src, dst)).or_insert_with(|| {
-                ways.push((src, dst));
-                ways.len() - 1
-            })
+    /// a batch plans both ways of every pair, so a pair that cannot be
+    /// routed still costs its reverse search. [`SearchCounts`] says how a
+    /// batch is counted.
+    pub fn predict_batch(
+        &self,
+        pairs: &[(PrefixId, PrefixId)],
+    ) -> Vec<Result<PredictedPath, ModelError>> {
+        // A few ways are found faster by a scan than by hashing them.
+        const SCAN: usize = 16;
+        let mut plans: Vec<Plan> = Vec::with_capacity(2 * pairs.len());
+        let (small, mut seen) = (pairs.len() <= SCAN, HashMap::new());
+        let mut way = |s, d| {
+            let at = if small {
+                let found = plans
+                    .iter()
+                    .position(|p| (p.src_prefix, p.dst_prefix) == (s, d));
+                found.unwrap_or(plans.len())
+            } else {
+                *seen.entry((s, d)).or_insert(plans.len())
+            };
+            match plans.get_mut(at) {
+                Some(plan) => plan.readers += 1,
+                None => plans.push(self.plan(s, d)),
+            }
+            at
         };
-        let asked: Vec<Result<(usize, usize), ModelError>> = pairs
-            .iter()
-            .map(|&(src, dst)| {
-                let (s, d) = (self.prefix_of(src)?, self.prefix_of(dst)?);
-                Ok((way(s, d), way(d, s)))
-            })
+        let asked: Vec<_> = (pairs.iter())
+            .map(|&(s, d)| (way(s, d), way(d, s)))
             .collect();
-        let window = self.cache.lock().cap;
-        let paths: Vec<_> = (ways.chunks(window))
-            .flat_map(|ways| {
-                let mut plans: Vec<Plan> = ways.iter().map(|&(s, d)| self.plan(s, d)).collect();
-                self.find_paths(&mut plans);
-                plans.into_iter().map(Plan::answer)
-            })
-            .collect();
-        asked
-            .into_iter()
-            .map(|asked| {
-                let (fwd, rev) = asked?;
-                let (s, d) = ways[fwd];
-                Ok(self.compose(s, d, paths[fwd].clone()?, paths[rev].clone()?))
+        // An engine batch the result cache answered whole plans nothing
+        // and takes no lock.
+        if !plans.is_empty() {
+            let cap = self.cache.lock().cap;
+            for window in plans.chunks_mut(cap) {
+                self.find_paths(window);
+            }
+        }
+        (asked.into_iter())
+            .zip(pairs)
+            .map(|((fwd, rev), &(s, d))| {
+                let (fwd, rev) = (plans[fwd].read(), plans[rev].read());
+                Ok(self.compose(s, d, fwd?, rev?))
             })
             .collect()
     }
@@ -604,6 +636,7 @@ impl PathPredictor {
             route: self.route(src_prefix, dst_prefix),
             slot: None,
             path: None,
+            readers: 1,
         }
     }
 
@@ -640,7 +673,7 @@ impl PathPredictor {
             }
             drop(cache);
             self.counts.cache_hits.fetch_add(hits, Ordering::Relaxed);
-            fanout::run(fresh.len(), 1, |j| {
+            fanout::run(fresh.len(), |j| {
                 let plan = &plans[fresh[j]];
                 let (key, slot) = plan.slot.as_ref().expect("a fresh slot was taken");
                 self.tree(slot, *key, plan.dst_prefix);

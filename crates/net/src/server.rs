@@ -18,12 +18,11 @@
 //! [`QueryEngine::query_batch_shared`] on the frame's shard directly:
 //! every pair the shard's result cache can answer is answered on the
 //! responder's own thread and encoded straight from the cached path
-//! ([`encode_path_batch`]). The searches the cache could not answer
-//! run there too, unless one batch owes more than
-//! [`inano_service::FANOUT_CHUNK`] of them: then the responder borrows
-//! scoped helper threads for that call, bounded process-wide by the
-//! core count. The responder pool is the only pool on the query path —
-//! an engine owns no threads. Remote batches
+//! ([`encode_path_batch`]). The pairs the cache could not answer are
+//! one planner call there too, and a call that owes two searches or
+//! more borrows scoped helper threads for them, bounded process-wide by
+//! the core count. The responder pool is the only pool on the query
+//! path — an engine owns no threads. Remote batches
 //! therefore share the shard's result cache, one-generation-per-batch
 //! and hot-swap semantics with embedded callers, and a mid-load
 //! `apply_delta` on one shard never stalls remote queries on another.

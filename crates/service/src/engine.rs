@@ -1,7 +1,7 @@
 //! The query engine: a sharded result cache probed on the caller's
-//! thread, a scoped fan-out that parallelises the searches a large cold
-//! batch still owes, and a hot-swappable predictor generation. The
-//! engine owns no threads.
+//! thread, the library's batch planner for whatever the cache could not
+//! answer, and a hot-swappable predictor generation. The engine owns no
+//! threads.
 //!
 //! ## Threading model
 //!
@@ -10,23 +10,22 @@
 //! the *caller's* thread. A hit is answered there and then as the
 //! cached `Arc<PredictedPath>` — it never crosses a thread or copies
 //! the path. Only the misses go on, de-duplicated per cache key so one
-//! key is searched and inserted once per batch, each with the inline
-//! [`PathPredictor::predict`]. They go to core's one fan-out,
-//! [`fanout::run`], in chunks of [`FANOUT_CHUNK`]: at most one chunk is
-//! searched right there; more, and the caller opens a
-//! `std::thread::scope` in which it and up to
-//! `min(available_parallelism, ⌈misses / FANOUT_CHUNK⌉) − 1` helper
-//! threads pull chunks off one atomic cursor, each chunk's results
-//! placed by its index. The helpers borrow the batch's generation, so a
-//! batch is answered from exactly one generation, in input order, and no
-//! thread outlives the call that spawned it.
+//! key is predicted and inserted once per batch, and with them every
+//! pair that bypasses the cache: all of them are one
+//! [`PathPredictor::predict_batch`] on the caller, the planner the
+//! library's own [`PathPredictor::query_batch`] runs. It predicts each
+//! distinct one-way path once and runs the searches it owes one per job
+//! on the caller and scoped helper threads ([`inano_core::fanout`]);
+//! each answer is then inserted under its key, in miss order, on the
+//! caller. The helpers borrow the batch's generation, so a batch is
+//! answered from exactly one generation, in input order, and no thread
+//! outlives the call that spawned it.
 //!
 //! A helper needs a permit from the one process-wide counter in
-//! [`fanout`], capped at `available_parallelism()` and shared with the
-//! library's own [`PathPredictor::query_batch`], so however many
-//! engines, shards, library batches and callers a process has, the
-//! fan-outs never run more helpers than the host has cores; a batch
-//! that gets no permit searches on its caller alone.
+//! [`inano_core::fanout`], capped at `available_parallelism()`, so
+//! however many engines, shards, library batches and callers a process
+//! has, the fan-outs never run more helpers than the host has cores; a
+//! batch that gets no permit searches on its caller alone.
 //! [`QueryEngine::query`] / [`QueryEngine::query_batch`] are the owning
 //! forms: the same path, with each result cloned out of its `Arc`.
 //!
@@ -42,8 +41,9 @@
 //! `errors` and the latency histogram take one sample per pair. The
 //! probe pass reads the clock at its start and its end, and every pair
 //! it answers on the spot (a hit or a resolve error) takes the pass's
-//! mean time per pair as its sample; a miss's sample is the search it
-//! waited for. So `hits + misses + bypass + resolve errors == queries`.
+//! mean time per pair as its sample; a miss's sample is the time of the
+//! planner call it waited for. So
+//! `hits + misses + bypass + resolve errors == queries`.
 //! A batch tallies all of this in locals and adds each series once when
 //! it returns: the counters are exact as soon as the call is, and a
 //! cached pair costs them no atomic of its own.
@@ -72,8 +72,8 @@ use crate::cache::{CacheKey, ShardedCache};
 use crate::stats::{EngineMetrics, Tally};
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_core::{
-    catch_up, chunk_span, content_tag, fanout, read_full, AtlasSource, AtlasVersion, DeltaHandle,
-    Follower, PathPredictor, PredictedPath, PredictorConfig,
+    catch_up, chunk_span, content_tag, read_full, AtlasSource, AtlasVersion, DeltaHandle, Follower,
+    PathPredictor, PredictedPath, PredictorConfig,
 };
 use inano_model::{Ipv4, ModelError, PrefixId};
 use inano_obs::{EventJournal, EventKind, MetricsRegistry};
@@ -104,14 +104,6 @@ impl Default for ServiceConfig {
         }
     }
 }
-
-/// Searches per unit of fan-out work: a batch that still owes at most
-/// this many after its cache probe runs them on its caller, a larger
-/// one splits them into chunks of this size across scoped helper
-/// threads. 64 is the only value any deployment ran while this was a
-/// configuration field, and the one the fan-out was measured at
-/// (DESIGN.md, "Threading model"), so it is a constant.
-pub const FANOUT_CHUNK: usize = 64;
 
 /// One immutable atlas generation. A batch snapshots an `Arc` to it
 /// once and searches only that; swaps replace the pointer, never
@@ -224,32 +216,22 @@ impl DeltaBlob {
 /// result cache, never deep-copied on the way out.
 pub type SharedResult = Result<Arc<PredictedPath>, ModelError>;
 
-/// One search a batch still owes after probing the cache.
-#[derive(Clone, Copy)]
-struct Miss {
-    src: PrefixId,
-    dst: PrefixId,
-    /// Where the result is cached; `None` for a non-canonical endpoint,
-    /// which bypasses the cache.
-    key: Option<CacheKey>,
-}
-
 /// What the cache said about one resolved pair.
 enum Probed {
     Hit(Arc<PredictedPath>),
-    Miss(Miss),
+    /// The pair's prefixes, still to be predicted, and where the answer
+    /// is cached: `None` for a non-canonical endpoint, which bypasses the
+    /// cache.
+    Miss((PrefixId, PrefixId), Option<CacheKey>),
 }
 
 /// Where one pair of a batch stands after its probe.
 enum Slot {
     /// Answered on the spot: a cache hit or a resolve error.
     Ready(SharedResult),
-    /// Waits for the search at this index of the batch's miss list.
+    /// Waits for the answer at this index of the batch's miss list.
     Waits(usize),
 }
-
-/// A search's result and how long it took, microseconds.
-type Searched = (SharedResult, u64);
 
 /// The concurrent, hot-swappable query engine (§5 scaled up: the same
 /// local-library semantics as [`inano_core::INanoClient`], behind a
@@ -391,16 +373,16 @@ impl QueryEngine {
     /// Serve a batch from one generation snapshot; results come back in
     /// input order. Every pair is resolved and probed against the
     /// result cache on this thread and a hit is answered as the cached
-    /// `Arc`. The misses, one per distinct cache key, are searched
-    /// inline when there are at most [`FANOUT_CHUNK`] of them,
-    /// otherwise by this thread and scoped helpers, `FANOUT_CHUNK`
-    /// searches at a time (see the module docs). The batch's counts are
+    /// `Arc`. The misses, one per distinct cache key plus every pair that
+    /// bypasses the cache, are one [`PathPredictor::predict_batch`] on
+    /// this thread, which fans their searches out (see the module docs),
+    /// and each answer is cached under its key. The batch's counts are
     /// tallied locally and added to [`QueryEngine::metrics`] once, on
     /// the way out.
     pub fn query_batch_shared(&self, pairs: &[(Ipv4, Ipv4)]) -> Vec<SharedResult> {
         let generation = self.generation();
         let mut tally = Tally::default();
-        let mut misses: Vec<Miss> = Vec::new();
+        let (mut misses, mut keys) = (Vec::new(), Vec::new());
         let mut by_key: HashMap<CacheKey, usize> = HashMap::new();
         let start = Instant::now();
         let slots: Vec<Slot> = pairs
@@ -410,37 +392,47 @@ impl QueryEngine {
                 match probed {
                     Ok(Probed::Hit(hit)) => Slot::Ready(Ok(hit)),
                     Err(e) => Slot::Ready(Err(e)),
-                    Ok(Probed::Miss(miss)) => {
-                        // A key this batch already owes a search for
+                    Ok(Probed::Miss(pair, key)) => {
+                        // A key this batch already owes an answer for
                         // waits on that one; anything else (a new key,
                         // or a pair that bypasses the cache) owes its
                         // own.
                         let next = misses.len();
-                        let at = match miss.key {
+                        let at = match key {
                             Some(key) => *by_key.entry(key).or_insert(next),
                             None => next,
                         };
                         if at == next {
-                            misses.push(miss);
+                            misses.push(pair);
+                            keys.push(key);
                         }
                         Slot::Waits(at)
                     }
                 }
             })
             .collect();
-        // Two clock reads for the whole pass: a pair answered in it
-        // takes the pass's mean time per pair as its sample.
-        let probe_us = (start.elapsed().as_nanos() / (1000 * pairs.len().max(1) as u128)) as u64;
-        let searched = self.search_all(&generation, &misses);
+        // Three clock reads for the whole batch: a pair answered in the
+        // probe pass takes the pass's mean time per pair as its sample,
+        // a miss the time of the one planner call it waited for.
+        let probed = Instant::now();
+        let probe_us = ((probed - start).as_nanos() / (1000 * pairs.len().max(1) as u128)) as u64;
+        let predicted = generation.predictor.predict_batch(&misses);
+        let miss_us = probed.elapsed().as_micros() as u64;
+        let missed: Vec<SharedResult> = (predicted.into_iter().zip(keys))
+            .map(|(result, key)| {
+                let result = result.map(Arc::new);
+                if let (Some(key), Ok(path)) = (key, &result) {
+                    self.cache.insert(key, Arc::clone(path));
+                }
+                result
+            })
+            .collect();
         let answers = slots
             .into_iter()
             .map(|slot| {
                 let (result, us) = match slot {
                     Slot::Ready(r) => (r, probe_us),
-                    Slot::Waits(at) => {
-                        let (result, us) = &searched[at];
-                        (result.clone(), *us)
-                    }
+                    Slot::Waits(at) => (missed[at].clone(), miss_us),
                 };
                 tally.answer(us, result.is_ok());
                 result
@@ -485,21 +477,7 @@ impl QueryEngine {
         };
         Ok(match hit {
             Some(hit) => Probed::Hit(hit),
-            None => Probed::Miss(Miss {
-                src: s.prefix,
-                dst: d.prefix,
-                key,
-            }),
-        })
-    }
-
-    /// Run a batch's searches against its generation, in miss order:
-    /// inline up to [`FANOUT_CHUNK`] of them (the common batch never
-    /// touches the process-wide permit counter), else chunked over
-    /// permitted helpers by [`fanout::run`].
-    fn search_all(&self, generation: &Generation, misses: &[Miss]) -> Vec<Searched> {
-        fanout::run(misses.len(), FANOUT_CHUNK, |i| {
-            search(generation, &self.cache, &misses[i])
+            None => Probed::Miss((s.prefix, d.prefix), key),
         })
     }
 
@@ -706,17 +684,4 @@ impl Follower for Mirror<'_> {
         self.0
             .emit(EventKind::RaceRecovered, || format!("races={races}"));
     }
-}
-
-/// Run one owed search and cache what it found.
-fn search(generation: &Generation, cache: &ShardedCache, miss: &Miss) -> Searched {
-    let start = Instant::now();
-    let result = generation
-        .predictor
-        .predict(miss.src, miss.dst)
-        .map(Arc::new);
-    if let (Some(key), Ok(path)) = (miss.key, &result) {
-        cache.insert(key, Arc::clone(path));
-    }
-    (result, start.elapsed().as_micros() as u64)
 }

@@ -9,11 +9,11 @@
 //!
 //! * [`QueryEngine`] — [`QueryEngine::query_batch`] answers every
 //!   cached pair on the caller's thread from one generation snapshot
-//!   and, when a batch still owes more than [`FANOUT_CHUNK`]
-//!   searches, fans them over scoped helper threads through
+//!   and hands the rest to the library's batch planner,
+//!   [`inano_core::PathPredictor::predict_batch`], which fans their
+//!   searches over scoped helper threads through
 //!   [`inano_core::fanout`], bounded process-wide by the core count
-//!   together with the library's own batches (the engine owns no
-//!   threads);
+//!   (the engine owns no threads);
 //! * [`ShardedCache`] — a sharded LRU over full bidirectional
 //!   predictions keyed `(src_cluster, dst_cluster, epoch)`, riding the
 //!   paper's observation that predictions are stable within a
@@ -50,7 +50,6 @@ pub mod stats;
 pub use cache::{CacheKey, ShardedCache};
 pub use engine::{
     AtlasSnapshot, DeltaBlob, Generation, QueryEngine, ServiceConfig, SharedResult, DELTA_LOG_CAP,
-    FANOUT_CHUNK,
 };
 pub use registry::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
 pub use stats::EngineMetrics;

@@ -24,7 +24,8 @@ pub struct EngineMetrics {
     pub swaps: Counter,
     /// Per-pair service latency, µs: a pair answered in the batch's
     /// probe pass (a hit, a resolve error) takes the pass's mean time
-    /// per pair, a miss the search it waited for.
+    /// per pair; a miss (a bypassing pair included) takes the time of
+    /// the batch's one planner call, which predicted every miss at once.
     pub latency_us: Arc<LatencyHistogram>,
     pub cache_hits: Counter,
     pub cache_misses: Counter,

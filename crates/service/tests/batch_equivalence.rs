@@ -1,27 +1,38 @@
 //! `QueryEngine::query_batch` against its specification: whatever the
 //! batch holds — cached pairs, cold pairs, in-batch repeats of a cold
-//! key, cache-bypassing prefixes, unroutable addresses — and whichever
-//! side of the inline/fan-out threshold its misses land on, the answers
-//! equal per-pair `PathPredictor::query`, in input order, and every
-//! counter moves by exactly what the batch held.
+//! key, cache-bypassing prefixes, unroutable addresses — whether its
+//! misses owe no search, one (run inline) or several (fanned out), and
+//! however many one-way predictions they plan, the answers equal
+//! per-pair `PathPredictor::query`, in input order, every counter moves
+//! by exactly what the batch held, and the predictor counts the
+//! searches the library's own batch would.
 
 use inano_atlas::{Atlas, LinkAnnotation, Plane};
 use inano_core::{PathPredictor, PredictedPath, PredictorConfig};
 use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, ModelError, Prefix, PrefixId};
-use inano_service::{EngineMetrics, QueryEngine, ServiceConfig, FANOUT_CHUNK};
-use std::collections::HashSet;
+use inano_service::{EngineMetrics, QueryEngine, ServiceConfig};
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 /// Ring size: large enough that the longest batch's cold pairs are all
-/// distinct cluster pairs, so its misses span several chunks.
+/// distinct cluster pairs.
 const N: u32 = 32;
-const CHUNK: usize = FANOUT_CHUNK;
+/// One-way predictions the predictor plans at a time: its search cache's
+/// capacity in trees.
+const WINDOW: usize = 512;
+/// The longest batch: its cold pairs plan more one-way predictions than
+/// one window holds.
+const LONG: usize = WINDOW + 1;
 /// Prefix ids (and /16s) of the two prefixes whose origin AS disagrees
 /// with their cluster's: they resolve and route, but bypass the cache.
 const BYPASS: [u32; 2] = [100, 101];
+/// Prefix id (and /16) of a canonical prefix on a cluster no link
+/// touches: it resolves, but no path leads to it or away from it.
+const ISLAND: u32 = 102;
 
 /// A bidirectional ring of `N` single-prefix clusters, plus the two
-/// non-canonical prefixes on clusters 2 and 5.
+/// non-canonical prefixes on clusters 2 and 5 and the island prefix on
+/// cluster `N + 8`.
 fn atlas() -> Atlas {
     let mut a = Atlas::default();
     for i in 0..N {
@@ -51,6 +62,15 @@ fn atlas() -> Atlas {
             (Prefix::new(Ipv4(id << 16), 16), Asn::new(cluster + 1)),
         );
     }
+    let island = N + 8;
+    a.cluster_as
+        .insert(ClusterId::new(island), Asn::new(island));
+    a.prefix_cluster
+        .insert(PrefixId::new(ISLAND), ClusterId::new(island));
+    a.prefix_as.insert(
+        PrefixId::new(ISLAND),
+        (Prefix::new(Ipv4(ISLAND << 16), 16), Asn::new(island)),
+    );
     a
 }
 
@@ -163,6 +183,31 @@ impl Counts {
     }
 }
 
+/// The distinct one-way predictions the engine plans for `batch` on an
+/// engine warmed with [`warm_pairs`]: both ways of the first pair of
+/// each cold cacheable key, and of every pair that bypasses the cache.
+fn planned_ways(fresh: &PathPredictor, batch: &[(Ipv4, Ipv4)]) -> usize {
+    let warm: HashSet<_> = warm_pairs()
+        .into_iter()
+        .map(|(s, d)| (fresh.cluster_of(s).unwrap(), fresh.cluster_of(d).unwrap()))
+        .collect();
+    let (mut keys, mut ways) = (HashSet::new(), HashSet::new());
+    for &(s, d) in batch {
+        let (Ok(s), Ok(d)) = (fresh.resolve(s), fresh.resolve(d)) else {
+            continue;
+        };
+        let key = (s.cluster, d.cluster);
+        let owed = match s.canonical() && d.canonical() {
+            true => !warm.contains(&key) && keys.insert(key),
+            false => true,
+        };
+        if owed {
+            ways.extend([(s.prefix, d.prefix), (d.prefix, s.prefix)]);
+        }
+    }
+    ways.len()
+}
+
 fn expected_deltas(fresh: &PathPredictor, batch: &[(Ipv4, Ipv4)]) -> Deltas {
     // `None`: does not resolve; `Some(None)`: resolves, bypasses the
     // cache; `Some(Some(key))`: cacheable.
@@ -208,23 +253,29 @@ fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
         ),
     ];
     // The mixes hold what they say: the largest has hits, misses that
-    // share a key, more distinct misses than one chunk takes, and errors.
-    let d = expected_deltas(&fresh, &batch_of(mixes[5].1, 8 * CHUNK));
-    assert!(d.hits > 0 && d.errors > 0 && d.misses > d.inserts && d.inserts as usize > CHUNK);
+    // share a key, several distinct misses, and errors; the longest cold
+    // batch plans more one-way predictions than one window holds.
+    let d = expected_deltas(&fresh, &batch_of(mixes[5].1, LONG));
+    assert!(d.hits > 0 && d.errors > 0 && d.misses > d.inserts && d.inserts > 1);
     assert!(d.bypass > 0 && d.unresolved > 0);
+    assert!(planned_ways(&fresh, &batch_of(mixes[1].1, LONG)) > WINDOW);
     // The bypassing mix is exactly that: every pair resolves, routes,
     // and touches no cache counter but `bypass`.
-    let bypassing = batch_of(mixes[3].1, CHUNK);
+    let bypassing = batch_of(mixes[3].1, 64);
     assert_eq!(
         expected_deltas(&fresh, &bypassing),
         Deltas {
-            bypass: CHUNK as u64,
+            bypass: 64,
             ..Deltas::default()
         }
     );
 
+    // How many searches each first pass owed: the warm-up left a tree
+    // toward every ring cluster, so only a bypassing prefix's own
+    // search is new.
+    let mut owed = BTreeSet::new();
     for (name, kinds) in mixes {
-        for len in [1, CHUNK, CHUNK + 1, 8 * CHUNK] {
+        for len in [1, 2, 64, LONG] {
             let what = format!("{name} × {len}");
             let engine = engine();
             for r in engine.query_batch(&warm_pairs()) {
@@ -233,8 +284,11 @@ fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
             let batch = batch_of(kinds, len);
             let m = engine.metrics();
             let before = Counts::of(m);
+            let runs = || engine.generation().predictor.search_counts().runs;
+            let runs_before = runs();
 
             let got = engine.query_batch(&batch);
+            owed.insert(runs() - runs_before);
 
             assert_eq!(got.len(), batch.len(), "{what}");
             for (i, &(s, d)) in batch.iter().enumerate() {
@@ -294,6 +348,37 @@ fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
             );
         }
     }
+    // No search, one on the caller, and several fanned out.
+    assert!(owed.contains(&0) && owed.contains(&1), "{owed:?}");
+    assert!(owed.last() >= Some(&2), "{owed:?}");
+}
+
+#[test]
+fn a_cold_batch_counts_what_the_library_planner_counts() {
+    let pairs = [
+        (ip(0, 1), ip(5, 1)),
+        // The reverse of the pair before: a key of its own, but no new
+        // one-way prediction.
+        (ip(5, 1), ip(0, 1)),
+        // Resolves, but its forward way cannot be routed; its reverse
+        // is still planned, and skips the strict graph.
+        (ip(3, 1), ip(ISLAND, 1)),
+        (ip(7, 1), ip(20, 1)),
+        (ip(9, 1), ip(9, 2)),
+    ];
+    let engine = engine();
+    let got = engine.query_batch_shared(&pairs);
+    let library = PathPredictor::new(Arc::new(atlas()), PredictorConfig::full());
+    let want = library.query_batch(&pairs);
+    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+        let got = got.as_ref().map(|p| (**p).clone()).map_err(Clone::clone);
+        assert!(same(&got, want), "pair {i}: got {got:?}, want {want:?}");
+    }
+    assert!(want[2].is_err(), "the island pair cannot be routed");
+    let counts = library.search_counts();
+    assert!(counts.runs >= 2 && counts.strict_skipped > 0, "{counts:?}");
+    assert_eq!(engine.generation().predictor.search_counts(), counts);
+    assert_eq!(engine.metrics().cache_misses.get(), pairs.len() as u64);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! The thread budget as a property: an engine owns no threads, a cold
-//! batch's fan-out — the engine's or the library's own
-//! `PathPredictor::query_batch` — borrows at most
-//! `available_parallelism()` helpers across the whole process, and all
-//! of them are gone when the batches return.
+//! batch's fan-out — an engine batch's or a library
+//! `PathPredictor::query_batch`'s, both run by one planner — borrows at
+//! most `available_parallelism()` helpers across the whole process, and
+//! all of them are gone when the batches return.
 //!
 //! This binary holds exactly one `#[test]`, so no sibling test's
 //! threads move the count it reads from `/proc/self/task`.
@@ -11,7 +11,7 @@
 use inano_atlas::{Atlas, AtlasDelta};
 use inano_core::{PathPredictor, PredictedPath, PredictorConfig};
 use inano_model::{Ipv4, LatencyMs, ModelError};
-use inano_service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec, FANOUT_CHUNK};
+use inano_service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -20,9 +20,11 @@ use std::time::{Duration, Instant};
 const SHARDS: u16 = 4;
 const CALLERS: usize = 8;
 const ROUNDS: u32 = 4;
-/// Ring size: every caller asks `4 × FANOUT_CHUNK` distinct cluster
-/// pairs out of one source cluster.
-const RING: u32 = 4 * FANOUT_CHUNK as u32 + 1;
+/// Distinct cluster pairs each caller asks out of one source cluster:
+/// a cold batch of 64 misses, small as it is, fans its searches out.
+const MISSES: usize = 64;
+/// Ring size: the source cluster plus one destination per miss.
+const RING: u32 = MISSES as u32 + 1;
 
 #[path = "common/ring.rs"]
 mod ring;
@@ -143,16 +145,16 @@ fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
         rounds.push((oracle, delta));
     }
 
-    // Caller c hammers shard c % SHARDS with 4 × FANOUT_CHUNK distinct
-    // keys out of its own source cluster: every batch of every round is
-    // cold and owes four chunks.
+    // Caller c hammers shard c % SHARDS with MISSES distinct keys out of
+    // its own source cluster: every batch of every round is cold, and
+    // its one planner call owes a search per destination.
     let batch_of = |caller: usize| -> Vec<(Ipv4, Ipv4)> {
         let src = caller as u32;
         (1..RING)
             .map(|k| (ring_ip(src), ring_ip((src + k) % RING)))
             .collect()
     };
-    assert_eq!(batch_of(0).len(), 4 * FANOUT_CHUNK);
+    assert_eq!(batch_of(0).len(), MISSES);
 
     // (ii) While the callers run, the process never holds more than the
     // callers plus one helper per core.
@@ -208,7 +210,7 @@ fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
         over_budget, None,
         "more than {CALLERS} callers + {cores} helpers alive (budget {budget} tasks, base {base})"
     );
-    // Every batch owed four chunks and every one was a miss.
+    // Every pair of every batch was a miss.
     for (id, engine) in registry.iter() {
         let m = engine.metrics();
         assert_eq!(m.cache_hits.get(), 0, "{id}: every round was cold");
