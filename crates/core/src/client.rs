@@ -166,7 +166,7 @@ impl Follower for Staged<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{AtlasChunk, AtlasVersion, DeltaHandle, StaticSource};
+    use crate::source::{AtlasChunk, AtlasVersion, DeltaHandle, OfferedBody, StaticSource};
     use inano_atlas::{LinkAnnotation, Plane};
     use inano_model::{Asn, Ipv4, Prefix, PrefixId};
 
@@ -257,21 +257,16 @@ mod tests {
     }
 
     /// Serves one delta, then fails every further delta probe; counts
-    /// the full-body chunks it hands out.
+    /// the body chunks it hands out.
     struct FlakyAfterOne {
         inner: StaticSource,
         served: usize,
-        full_chunks: usize,
+        chunks: usize,
     }
 
     impl AtlasSource for FlakyAfterOne {
         fn head(&mut self) -> Result<AtlasVersion, ModelError> {
             self.inner.head()
-        }
-
-        fn fetch_full_chunk(&mut self, idx: u32) -> Result<AtlasChunk, ModelError> {
-            self.full_chunks += 1;
-            self.inner.fetch_full_chunk(idx)
         }
 
         fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
@@ -285,8 +280,9 @@ mod tests {
             r
         }
 
-        fn fetch_delta_chunk(&mut self, from_day: u32, idx: u32) -> Result<AtlasChunk, ModelError> {
-            self.inner.fetch_delta_chunk(from_day, idx)
+        fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
+            self.chunks += 1;
+            self.inner.fetch_chunk(tag, idx)
         }
     }
 
@@ -306,7 +302,7 @@ mod tests {
         let mut src = FlakyAfterOne {
             inner: StaticSource::new(full, vec![d01]),
             served: 0,
-            full_chunks: 0,
+            chunks: 0,
         };
         let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
         assert!(
@@ -333,26 +329,26 @@ mod tests {
         let mut src = FlakyAfterOne {
             inner: StaticSource::new(codec::encode(&base_atlas(1)).0, vec![]),
             served: 0,
-            full_chunks: 0,
+            chunks: 0,
         };
         let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
         client.add_local_links([(
             (ClusterId::new(1), ClusterId::new(3)),
             Some(LatencyMs::new(0.5)),
         )]);
-        let bootstrap_chunks = src.full_chunks;
+        let bootstrap_chunks = src.chunks;
 
         // Up to date: the head probe moves no body.
         assert_eq!(client.update(&mut src).unwrap(), 0);
         assert_eq!(client.day(), 1);
-        assert_eq!(src.full_chunks, bootstrap_chunks);
+        assert_eq!(src.chunks, bootstrap_chunks);
 
         // The upstream replaced its atlas: day 5, and no delta leaves
         // day 1. One update lands on it with the local link re-applied.
-        src.inner.full = codec::encode(&base_atlas(5)).0;
+        src.inner.full = OfferedBody::new(codec::encode(&base_atlas(5)).0);
         assert_eq!(client.update(&mut src).unwrap(), 0);
         assert_eq!(client.day(), 5);
-        assert!(src.full_chunks > bootstrap_chunks, "the body was refetched");
+        assert!(src.chunks > bootstrap_chunks, "the body was refetched");
         let r = client
             .predictor()
             .query(
@@ -363,9 +359,9 @@ mod tests {
         assert_eq!(r.fwd_clusters.len(), 2, "local FROM_SRC link survives");
 
         // And it is idle again afterwards.
-        let after = src.full_chunks;
+        let after = src.chunks;
         assert_eq!(client.update(&mut src).unwrap(), 0);
-        assert_eq!(src.full_chunks, after);
+        assert_eq!(src.chunks, after);
     }
 
     #[test]
@@ -391,7 +387,7 @@ mod tests {
                 plane: Plane::TO_DST,
             },
         );
-        src.full = codec::encode(&other).0;
+        src.full = OfferedBody::new(codec::encode(&other).0);
         assert_eq!(client.update(&mut src).unwrap(), 0);
         assert_eq!(client.day(), 1);
         assert!(client.atlas().links.contains_key(&marker), "new body");
@@ -399,7 +395,7 @@ mod tests {
         assert_eq!(r.fwd_clusters.len(), 2, "local FROM_SRC link survives");
 
         // Its origin restarted onto a fresh day-0 generation.
-        src.full = codec::encode(&base_atlas(0)).0;
+        src.full = OfferedBody::new(codec::encode(&base_atlas(0)).0);
         assert_eq!(client.update(&mut src).unwrap(), 0);
         assert_eq!(client.day(), 0);
         assert!(!client.atlas().links.contains_key(&marker), "day-0 body");

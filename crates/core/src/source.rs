@@ -1,37 +1,51 @@
-//! Atlas acquisition: a versioned, chunk-oriented [`AtlasSource`], the
-//! reader ([`read_full`], [`read_delta`]) that assembles and validates
-//! bodies, and the one catch-up policy ([`catch_up`]) that drives the
-//! reader for every [`Follower`].
+//! Atlas acquisition: a chunk-oriented [`AtlasSource`] whose bodies are
+//! named by their content tag, the one type that holds a body a source
+//! offers ([`OfferedBody`]), the reader ([`read_full`], [`read_delta`])
+//! that assembles and validates bodies, and the one catch-up policy
+//! ([`catch_up`]) that drives the reader for every [`Follower`].
 //!
 //! The paper's §5 dissemination story is peers fetching the ~7MB atlas
-//! (and then small daily deltas) *from each other*. The unit of
-//! transfer is a *chunk* of a *named version*, which is what lets one
-//! trait sit in front of both sources this workspace has: in memory
-//! ([`StaticSource`]: tests, examples, local files) and over the wire
+//! (and then small daily deltas) *from each other*, over "any
+//! peer-to-peer filesharing protocol". Such protocols name a piece by a
+//! hash of its content, so any peer that holds the piece can serve it.
+//! Here a *body* — the encoded full atlas or one encoded daily delta —
+//! is named by its [`content_tag`], and the unit of transfer is a
+//! *chunk* of a named body. That is what lets one trait sit in front of
+//! every source this workspace has: in memory ([`StaticSource`]: tests,
+//! examples, local files), a serving engine
+//! (`inano_service::QueryEngine::offer`) and over the wire
 //! (`inano_net::MirrorSource`, one shard of a remote `inano-serve`):
 //!
-//! * [`AtlasSource::head`] names the newest version —
-//!   [`AtlasVersion`]: day, content tag, body length, chunk size — so a
-//!   fetcher knows exactly what it is about to assemble;
-//! * [`AtlasSource::fetch_full_chunk`] returns one bounded,
-//!   checksummed [`AtlasChunk`] of that body, so a transfer survives a
-//!   lost chunk by re-fetching *that chunk*, not the whole body, and a
-//!   wire frame never has to carry more than one chunk;
-//! * [`AtlasSource::fetch_delta`] returns a [`DeltaHandle`] describing
-//!   the day-over-day delta body, fetched with the same chunk
-//!   machinery via [`AtlasSource::fetch_delta_chunk`].
+//! * [`AtlasSource::head`] names the newest full body —
+//!   [`AtlasVersion`]: day, tag, body length, chunk size — so a fetcher
+//!   knows exactly what it is about to assemble;
+//! * [`AtlasSource::fetch_delta`] names the daily delta leaving a day,
+//!   if there is one — [`DeltaHandle`]: its days, tag, body length,
+//!   chunk size;
+//! * [`AtlasSource::fetch_chunk`] returns one bounded, checksummed
+//!   [`AtlasChunk`] of the body a tag names, of either kind, so a
+//!   transfer survives a lost chunk by re-fetching *that chunk*, not the
+//!   whole body, and a wire frame never has to carry more than one
+//!   chunk.
 //!
-//! The reader drives a source: it validates every chunk (length and
-//! checksum), retries failed chunks, verifies the assembled body
-//! against the head's `epoch_tag`, and — when the source reports
-//! [`ModelError::VersionRaced`] because the origin swapped generations
-//! mid-fetch — restarts at the new head. Each call returns how many
-//! such restarts it recovered from beside the body. [`catch_up`] is its
-//! one caller outside bootstrap: `INanoClient::update` and the service
-//! engine's `update` each hand it a [`Follower`].
+//! Every source answers chunk requests the same way: each body it
+//! offers is an [`OfferedBody`] (bytes, tag, per-chunk checksums), and
+//! [`OfferedBody::serve`] owns the race rule — a tag no longer offered
+//! is [`ModelError::VersionRaced`].
+//!
+//! The reader drives a source through one loop for both kinds of body:
+//! it validates every chunk (length and checksum), retries failed
+//! chunks, verifies the assembled body against the tag that named it,
+//! and — when the source reports [`ModelError::VersionRaced`] because it
+//! moved on mid-fetch — restarts at what the source offers now. Each
+//! call returns how many such restarts it recovered from beside the
+//! body. [`catch_up`] is its one caller outside bootstrap:
+//! `INanoClient::update` and the service engine's `update` each hand it
+//! a [`Follower`].
 
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_model::ModelError;
+use parking_lot::Mutex;
 
 /// Default chunk size for in-process sources: large enough that a ~7MB
 /// atlas is a few dozen chunks, small enough that one chunk always fits
@@ -39,9 +53,10 @@ use inano_model::ModelError;
 pub const DEFAULT_CHUNK_SIZE: u32 = 256 << 10;
 
 /// FNV-1a 64-bit over `bytes`: the workspace-wide content tag. Used
-/// both as the per-chunk checksum and as [`AtlasVersion::epoch_tag`]
-/// over the whole encoded body, so "the same atlas" has the same tag on
-/// every node of a mirror chain, however it got there.
+/// both as the per-chunk checksum and as the name of a whole encoded
+/// body ([`AtlasVersion::epoch_tag`], [`DeltaHandle::tag`]), so "the
+/// same body" has the same tag on every node of a mirror chain, however
+/// it got there.
 pub fn content_tag(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -82,9 +97,9 @@ pub fn chunk_span(
 pub struct AtlasVersion {
     /// Measurement day of the full body.
     pub day: u32,
-    /// Content tag of the encoded body ([`content_tag`]); equal on
-    /// every mirror serving the same generation, whatever its local
-    /// swap epoch says.
+    /// Content tag of the encoded body ([`content_tag`]): the name its
+    /// chunks are fetched by. Equal on every mirror serving the same
+    /// generation, whatever its local swap epoch says.
     pub epoch_tag: u64,
     /// Encoded body length in bytes.
     pub full_len: u64,
@@ -103,6 +118,9 @@ impl AtlasVersion {
 pub struct DeltaHandle {
     pub from_day: u32,
     pub to_day: u32,
+    /// Content tag of the encoded delta body: the name its chunks are
+    /// fetched by.
+    pub tag: u64,
     /// Encoded delta body length in bytes.
     pub len: u64,
     /// Chunk size the delta body is served in.
@@ -120,46 +138,124 @@ pub struct AtlasChunk {
 }
 
 impl AtlasChunk {
-    /// Wrap `bytes` with their freshly-computed checksum.
-    pub fn of(bytes: Vec<u8>) -> AtlasChunk {
-        let crc = content_tag(&bytes);
-        AtlasChunk { bytes, crc }
-    }
-
     /// True when the carried checksum matches the carried bytes.
     pub fn verify(&self) -> bool {
         content_tag(&self.bytes) == self.crc
     }
 }
 
+/// One body a source offers — an encoded full atlas or an encoded daily
+/// delta — with its tag and its per-chunk checksums. The checksums are
+/// computed on the first chunk request and kept for that chunk size (a
+/// source serves one), so N peers fetching a ~7MB body cost one hash of
+/// it, not N.
+pub struct OfferedBody {
+    bytes: Vec<u8>,
+    tag: u64,
+    crcs: Mutex<Option<(u32, Vec<u64>)>>,
+}
+
+impl OfferedBody {
+    pub fn new(bytes: Vec<u8>) -> OfferedBody {
+        OfferedBody {
+            tag: content_tag(&bytes),
+            bytes,
+            crcs: Mutex::new(None),
+        }
+    }
+
+    /// The body's name: [`content_tag`] of its bytes.
+    pub fn tag(&self) -> u64 {
+        self.tag
+    }
+
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The head naming this body as the full atlas of `day`.
+    pub fn version(&self, day: u32, chunk_size: u32) -> AtlasVersion {
+        AtlasVersion {
+            day,
+            epoch_tag: self.tag,
+            full_len: self.bytes.len() as u64,
+            chunk_size,
+        }
+    }
+
+    /// The handle naming this body as the delta `from_day → to_day`.
+    pub fn handle(&self, from_day: u32, to_day: u32, chunk_size: u32) -> DeltaHandle {
+        DeltaHandle {
+            from_day,
+            to_day,
+            tag: self.tag,
+            len: self.bytes.len() as u64,
+            chunk_size,
+        }
+    }
+
+    /// The race rule every source answers [`AtlasSource::fetch_chunk`]
+    /// by: chunk `idx` of whichever of `offered` is tagged `tag`, cut at
+    /// `chunk_size`. A tag none of them carries names a body the source
+    /// no longer offers — it swapped generations, replaced the delta or
+    /// rotated it out — and is [`ModelError::VersionRaced`], so the
+    /// fetcher restarts at what the source offers now instead of
+    /// splicing two bodies.
+    pub fn serve<'a>(
+        offered: impl IntoIterator<Item = &'a OfferedBody>,
+        tag: u64,
+        chunk_size: u32,
+        idx: u32,
+    ) -> Result<AtlasChunk, ModelError> {
+        let body = offered.into_iter().find(|b| b.tag == tag).ok_or_else(|| {
+            ModelError::VersionRaced(format!("no body tagged {tag:#018x} is offered any more"))
+        })?;
+        let len = body.bytes.len() as u64;
+        let span = chunk_span(len, chunk_size, idx)?;
+        let mut crcs = body.crcs.lock();
+        if crcs.as_ref().map(|(cut, _)| *cut) != Some(chunk_size) {
+            let cut = (0..n_chunks(len, chunk_size)).map(|i| {
+                let span = chunk_span(len, chunk_size, i).expect("index below n_chunks");
+                content_tag(&body.bytes[span])
+            });
+            *crcs = Some((chunk_size, cut.collect()));
+        }
+        let crc = crcs.as_ref().expect("cut above").1[idx as usize];
+        Ok(AtlasChunk {
+            bytes: body.bytes[span].to_vec(),
+            crc,
+        })
+    }
+}
+
 /// Where atlas bytes come from: a test vector or local file
-/// ([`StaticSource`]), a remote `inano-serve` acting as a mirror
-/// (`inano_net::MirrorSource`). The library is
-/// "sufficiently modular that any peer-to-peer filesharing protocol can
-/// be plugged in" (§5) — the unit of exchange is a checksummed chunk of
-/// a named version.
+/// ([`StaticSource`]), a serving engine (`inano_service::QueryEngine::offer`),
+/// a remote `inano-serve` acting as a mirror (`inano_net::MirrorSource`).
+/// The library is "sufficiently modular that any peer-to-peer
+/// filesharing protocol can be plugged in" (§5) — the unit of exchange
+/// is a checksummed chunk of a body named by its tag.
 ///
 /// ## Contract
 ///
-/// * `head()` snapshots the newest full version; subsequent
-///   `fetch_full_chunk` calls serve *that* version's body. If the
-///   source moves on mid-fetch (a mirror applied a delta), it returns
-///   [`ModelError::VersionRaced`] and the fetcher restarts at the new
-///   head — it must not silently splice bodies from two generations.
-/// * `fetch_delta(have_day)` offers the delta leaving `have_day`, if
-///   one exists; its body is served by `fetch_delta_chunk(from_day, _)`
-///   with the same race rule.
+/// * `head()` names the newest full body and `fetch_delta(have_day)`
+///   the delta leaving `have_day`, if one exists; each names its body
+///   by [`content_tag`].
+/// * `fetch_chunk(tag, idx)` serves chunk `idx` of any body the source
+///   still offers under `tag`. A tag it no longer offers (the source
+///   swapped generations, replaced a delta, or let it go) is
+///   [`ModelError::VersionRaced`]: the fetcher restarts at what the
+///   source offers now — it must not splice bodies from two
+///   generations. [`OfferedBody::serve`] is that rule.
 /// * A chunk index at or beyond the body's chunk count is a typed
 ///   [`ModelError::ChunkOutOfRange`].
 pub trait AtlasSource {
     /// The newest available full-atlas version.
     fn head(&mut self) -> Result<AtlasVersion, ModelError>;
-    /// Chunk `idx` of the full body last named by [`AtlasSource::head`].
-    fn fetch_full_chunk(&mut self, idx: u32) -> Result<AtlasChunk, ModelError>;
     /// The delta from `have_day` to the next day, if one is available.
     fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError>;
-    /// Chunk `idx` of the delta body leaving `from_day`.
-    fn fetch_delta_chunk(&mut self, from_day: u32, idx: u32) -> Result<AtlasChunk, ModelError>;
+    /// Chunk `idx` of the body whose content tag is `tag`: the full
+    /// atlas a head named or a delta a handle named.
+    fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError>;
 }
 
 /// Whole-body restarts the reader tolerates (version races, tag
@@ -179,28 +275,15 @@ const MAX_BODY_BYTES: u64 = 1 << 30;
 /// many whole-body restarts (version races, tag mismatches) it
 /// recovered from — the feed for a mirror's `races_recovered` metric.
 pub fn read_full(source: &mut dyn AtlasSource) -> Result<(AtlasVersion, Vec<u8>, u32), ModelError> {
-    let mut restarts = 0;
-    loop {
+    let (fetched, restarts) = read(source, &mut |source| {
         let head = source.head()?;
-        check_body(head.full_len, head.chunk_size)?;
-        match body(head.full_len, head.chunk_size, &mut |i| {
-            source.fetch_full_chunk(i)
-        }) {
-            Ok(body) if content_tag(&body) == head.epoch_tag => return Ok((head, body, restarts)),
-            // An assembled body whose tag disagrees with its head means
-            // the source changed under us without saying so; treat it
-            // like a declared race.
-            Ok(_) => {}
-            Err(e) if is_race(&e) => {}
-            Err(e) => return Err(e),
-        }
-        restarts += 1;
-        if restarts > MAX_RESTARTS {
-            return Err(ModelError::VersionRaced(format!(
-                "full fetch restarted {restarts} times without completing"
-            )));
-        }
-    }
+        Ok(Some((
+            head,
+            (head.epoch_tag, head.full_len, head.chunk_size),
+        )))
+    })?;
+    let (head, body) = fetched.expect("a head always names a body");
+    Ok((head, body, restarts))
 }
 
 /// The reader, delta half: download and validate the body of the delta
@@ -210,10 +293,9 @@ pub fn read_delta(
     source: &mut dyn AtlasSource,
     have_day: u32,
 ) -> Result<(Option<Vec<u8>>, u32), ModelError> {
-    let mut restarts = 0;
-    loop {
+    let (fetched, restarts) = read(source, &mut |source| {
         let Some(handle) = source.fetch_delta(have_day)? else {
-            return Ok((None, restarts));
+            return Ok(None);
         };
         if handle.from_day != have_day {
             return Err(ModelError::Decode(format!(
@@ -221,21 +303,109 @@ pub fn read_delta(
                 handle.from_day, handle.to_day
             )));
         }
-        check_body(handle.len, handle.chunk_size)?;
-        match body(handle.len, handle.chunk_size, &mut |i| {
-            source.fetch_delta_chunk(handle.from_day, i)
-        }) {
-            Ok(body) => return Ok((Some(body), restarts)),
+        Ok(Some((handle, (handle.tag, handle.len, handle.chunk_size))))
+    })?;
+    Ok((fetched.map(|(_, body)| body), restarts))
+}
+
+/// A body as the reader sees it before its bytes move: tag, length,
+/// chunk size.
+type Named = (u64, u64, u32);
+/// What `offer` says a source offers now: the handle to return beside
+/// the body and the body's name, or `None` for nothing to fetch.
+type Offered<H> = Result<Option<(H, Named)>, ModelError>;
+/// The assembled body beside its handle, and the restarts it took.
+type Fetched<H> = (Option<(H, Vec<u8>)>, u32);
+
+/// The one assembly-and-restart loop behind [`read_full`] and
+/// [`read_delta`]. `offer` asks the source what it offers now; the body
+/// it names is assembled, and a race — a
+/// declared [`ModelError::VersionRaced`] or
+/// [`ModelError::ChunkOutOfRange`], or an assembled body whose tag
+/// disagrees — restarts at a fresh `offer`.
+fn read<H>(
+    source: &mut dyn AtlasSource,
+    offer: &mut dyn FnMut(&mut dyn AtlasSource) -> Offered<H>,
+) -> Result<Fetched<H>, ModelError> {
+    let mut restarts = 0;
+    loop {
+        let Some((handle, named)) = offer(source)? else {
+            return Ok((None, restarts));
+        };
+        match assemble(source, named) {
+            Ok(body) => return Ok((Some((handle, body)), restarts)),
             Err(e) if is_race(&e) => {}
             Err(e) => return Err(e),
         }
         restarts += 1;
         if restarts > MAX_RESTARTS {
             return Err(ModelError::VersionRaced(format!(
-                "delta fetch from day {have_day} restarted {restarts} times"
+                "fetch restarted {restarts} times without completing"
             )));
         }
     }
+}
+
+/// Assemble the body named `tag` chunk by chunk, retrying each failed
+/// chunk in place up to `CHUNK_RETRIES` times, then check the whole
+/// body against `tag`. A body whose tag disagrees means the source
+/// changed it without saying so: it is reported as a race.
+fn assemble(
+    source: &mut dyn AtlasSource,
+    (tag, len, chunk_size): Named,
+) -> Result<Vec<u8>, ModelError> {
+    if chunk_size == 0 {
+        return Err(ModelError::Decode("source declared chunk size 0".into()));
+    }
+    if len > MAX_BODY_BYTES {
+        return Err(ModelError::Decode(format!(
+            "declared body of {len} bytes exceeds reader limit {MAX_BODY_BYTES}"
+        )));
+    }
+    let mut out = Vec::new();
+    for idx in 0..n_chunks(len, chunk_size) {
+        let want = chunk_span(len, chunk_size, idx)?.len();
+        let mut attempts = 0;
+        let chunk = loop {
+            let outcome = match source.fetch_chunk(tag, idx) {
+                Ok(c) if !c.verify() => Err(ModelError::Decode(format!(
+                    "chunk {idx} failed its checksum"
+                ))),
+                Ok(c) if c.bytes.len() != want => Err(ModelError::Decode(format!(
+                    "chunk {idx} is {} bytes, want {want}",
+                    c.bytes.len()
+                ))),
+                other => other,
+            };
+            match outcome {
+                Ok(c) => break c,
+                // A race aborts the body immediately — retrying the
+                // same index against a new generation cannot help.
+                Err(e) if is_race(&e) => return Err(e),
+                Err(e) => {
+                    attempts += 1;
+                    if attempts > CHUNK_RETRIES {
+                        return Err(e);
+                    }
+                }
+            }
+        };
+        out.extend_from_slice(&chunk.bytes);
+    }
+    if content_tag(&out) != tag {
+        return Err(ModelError::VersionRaced(format!(
+            "assembled body is tagged {:#018x}, named {tag:#018x}",
+            content_tag(&out)
+        )));
+    }
+    Ok(out)
+}
+
+fn is_race(e: &ModelError) -> bool {
+    matches!(
+        e,
+        ModelError::VersionRaced(_) | ModelError::ChunkOutOfRange(_)
+    )
 }
 
 /// A peer's atlas as [`catch_up`] sees it. The policy decides every
@@ -310,72 +480,13 @@ pub fn catch_up(
     Ok(applied)
 }
 
-fn check_body(len: u64, chunk_size: u32) -> Result<(), ModelError> {
-    if chunk_size == 0 {
-        return Err(ModelError::Decode("source declared chunk size 0".into()));
-    }
-    if len > MAX_BODY_BYTES {
-        return Err(ModelError::Decode(format!(
-            "declared body of {len} bytes exceeds reader limit {MAX_BODY_BYTES}"
-        )));
-    }
-    Ok(())
-}
-
-/// Assemble one body chunk by chunk, retrying each failed chunk in
-/// place up to `CHUNK_RETRIES` times.
-fn body(
-    len: u64,
-    chunk_size: u32,
-    fetch: &mut dyn FnMut(u32) -> Result<AtlasChunk, ModelError>,
-) -> Result<Vec<u8>, ModelError> {
-    let mut out = Vec::new();
-    for idx in 0..n_chunks(len, chunk_size) {
-        let want = chunk_span(len, chunk_size, idx)?.len();
-        let mut attempts = 0;
-        let chunk = loop {
-            let outcome = match fetch(idx) {
-                Ok(c) if !c.verify() => Err(ModelError::Decode(format!(
-                    "chunk {idx} failed its checksum"
-                ))),
-                Ok(c) if c.bytes.len() != want => Err(ModelError::Decode(format!(
-                    "chunk {idx} is {} bytes, want {want}",
-                    c.bytes.len()
-                ))),
-                other => other,
-            };
-            match outcome {
-                Ok(c) => break c,
-                // A race aborts the body immediately — retrying the
-                // same index against a new generation cannot help.
-                Err(e) if is_race(&e) => return Err(e),
-                Err(e) => {
-                    attempts += 1;
-                    if attempts > CHUNK_RETRIES {
-                        return Err(e);
-                    }
-                }
-            }
-        };
-        out.extend_from_slice(&chunk.bytes);
-    }
-    Ok(out)
-}
-
-fn is_race(e: &ModelError) -> bool {
-    matches!(
-        e,
-        ModelError::VersionRaced(_) | ModelError::ChunkOutOfRange(_)
-    )
-}
-
 /// An in-memory source, for tests and local files: one encoded full
 /// body plus any encoded daily deltas, served in `chunk_size` chunks.
 /// The fields are public so a test can move the source on (swap `full`
 /// for a later day's body, drop a delta) between two fetches.
 pub struct StaticSource {
-    pub full: Vec<u8>,
-    pub deltas: Vec<Vec<u8>>,
+    pub full: OfferedBody,
+    pub deltas: Vec<OfferedBody>,
     /// [`DEFAULT_CHUNK_SIZE`] unless a test wants multi-chunk bodies.
     pub chunk_size: u32,
 }
@@ -383,59 +494,34 @@ pub struct StaticSource {
 impl StaticSource {
     pub fn new(full: Vec<u8>, deltas: Vec<Vec<u8>>) -> StaticSource {
         StaticSource {
-            full,
-            deltas,
+            full: OfferedBody::new(full),
+            deltas: deltas.into_iter().map(OfferedBody::new).collect(),
             chunk_size: DEFAULT_CHUNK_SIZE,
         }
-    }
-
-    /// The encoded delta leaving `from_day`, with its parsed day span.
-    fn delta(&self, from_day: u32) -> Result<Option<(DeltaHandle, &[u8])>, ModelError> {
-        for bytes in &self.deltas {
-            let parsed = AtlasDelta::decode(bytes)?;
-            if parsed.from_day == from_day {
-                let handle = DeltaHandle {
-                    from_day,
-                    to_day: parsed.to_day,
-                    len: bytes.len() as u64,
-                    chunk_size: self.chunk_size,
-                };
-                return Ok(Some((handle, bytes)));
-            }
-        }
-        Ok(None)
     }
 }
 
 impl AtlasSource for StaticSource {
     fn head(&mut self) -> Result<AtlasVersion, ModelError> {
-        Ok(AtlasVersion {
-            // Peek, don't decode: the consumer decodes the assembled
-            // body itself.
-            day: codec::peek_day(&self.full)?,
-            epoch_tag: content_tag(&self.full),
-            full_len: self.full.len() as u64,
-            chunk_size: self.chunk_size,
-        })
-    }
-
-    fn fetch_full_chunk(&mut self, idx: u32) -> Result<AtlasChunk, ModelError> {
-        let span = chunk_span(self.full.len() as u64, self.chunk_size, idx)?;
-        Ok(AtlasChunk::of(self.full[span].to_vec()))
+        // Peek, don't decode: the consumer decodes the assembled body
+        // itself.
+        let day = codec::peek_day(self.full.bytes())?;
+        Ok(self.full.version(day, self.chunk_size))
     }
 
     fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
-        Ok(self.delta(have_day)?.map(|(handle, _)| handle))
+        for body in &self.deltas {
+            let parsed = AtlasDelta::decode(body.bytes())?;
+            if parsed.from_day == have_day {
+                return Ok(Some(body.handle(have_day, parsed.to_day, self.chunk_size)));
+            }
+        }
+        Ok(None)
     }
 
-    fn fetch_delta_chunk(&mut self, from_day: u32, idx: u32) -> Result<AtlasChunk, ModelError> {
-        let Some((handle, bytes)) = self.delta(from_day)? else {
-            return Err(ModelError::VersionRaced(format!(
-                "no delta leaving day {from_day} is available any more"
-            )));
-        };
-        let span = chunk_span(handle.len, handle.chunk_size, idx)?;
-        Ok(AtlasChunk::of(bytes[span].to_vec()))
+    fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
+        let offered = std::iter::once(&self.full).chain(&self.deltas);
+        OfferedBody::serve(offered, tag, self.chunk_size, idx)
     }
 }
 
@@ -487,7 +573,7 @@ mod tests {
             Ok(self.version())
         }
 
-        fn fetch_full_chunk(&mut self, idx: u32) -> Result<AtlasChunk, ModelError> {
+        fn fetch_chunk(&mut self, _tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
             self.fetches += 1;
             if let Some(after) = self.race_after {
                 if self.fetches > after {
@@ -502,24 +588,17 @@ mod tests {
                 return Err(ModelError::Decode("transient fetch failure".into()));
             }
             let span = chunk_span(self.body.len() as u64, self.chunk_size, idx)?;
-            let mut chunk = AtlasChunk::of(self.body[span].to_vec());
+            let bytes = self.body[span].to_vec();
+            let mut crc = content_tag(&bytes);
             if self.corrupt_once == Some(idx) {
                 self.corrupt_once = None;
-                chunk.crc ^= 1;
+                crc ^= 1;
             }
-            Ok(chunk)
+            Ok(AtlasChunk { bytes, crc })
         }
 
         fn fetch_delta(&mut self, _have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
             Ok(None)
-        }
-
-        fn fetch_delta_chunk(
-            &mut self,
-            _from_day: u32,
-            _idx: u32,
-        ) -> Result<AtlasChunk, ModelError> {
-            Err(ModelError::Decode("no deltas here".into()))
         }
     }
 
@@ -592,6 +671,81 @@ mod tests {
         assert_eq!(version.epoch_tag, content_tag(&new));
     }
 
+    /// A [`StaticSource`] that, after the first chunk it serves, puts
+    /// `next` in place of its deltas.
+    struct Replacing {
+        inner: StaticSource,
+        next: Option<Vec<OfferedBody>>,
+    }
+
+    impl AtlasSource for Replacing {
+        fn head(&mut self) -> Result<AtlasVersion, ModelError> {
+            self.inner.head()
+        }
+
+        fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
+            self.inner.fetch_delta(have_day)
+        }
+
+        fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
+            let chunk = self.inner.fetch_chunk(tag, idx);
+            if let Some(next) = self.next.take() {
+                self.inner.deltas = next;
+            }
+            chunk
+        }
+    }
+
+    #[test]
+    fn reader_restarts_when_a_delta_is_replaced_mid_fetch() {
+        let (d0, d1, other) = (world(0, 1), world(1, 2), world(1, 40));
+        let (first, second) = (delta(&d0, &d1), delta(&d0, &other));
+        assert_ne!(first, second);
+        let mut src = Replacing {
+            inner: StaticSource {
+                chunk_size: 8,
+                ..StaticSource::new(codec::encode(&d0).0, vec![first])
+            },
+            next: Some(vec![OfferedBody::new(second.clone())]),
+        };
+        let (body, restarts) = read_delta(&mut src, 0).expect("restarts");
+        assert_eq!(body, Some(second), "the replacing delta, not a splice");
+        assert_eq!(restarts, 1);
+    }
+
+    #[test]
+    fn reader_restarts_when_a_body_disagrees_with_its_tag() {
+        /// Names one body and serves another, once.
+        struct Lying {
+            inner: StaticSource,
+            lies: u32,
+        }
+        impl AtlasSource for Lying {
+            fn head(&mut self) -> Result<AtlasVersion, ModelError> {
+                self.inner.head()
+            }
+            fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
+                let handle = self.inner.fetch_delta(have_day)?;
+                Ok(handle.map(|h| DeltaHandle {
+                    tag: h.tag ^ (self.lies > 0) as u64,
+                    ..h
+                }))
+            }
+            fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
+                let tag = if self.lies > 0 { tag ^ 1 } else { tag };
+                self.lies = self.lies.saturating_sub(1);
+                self.inner.fetch_chunk(tag, idx)
+            }
+        }
+        let (d0, d1) = (world(0, 1), world(1, 2));
+        let bytes = delta(&d0, &d1);
+        let mut src = Lying {
+            inner: StaticSource::new(codec::encode(&d0).0, vec![bytes.clone()]),
+            lies: 1,
+        };
+        assert_eq!(read_delta(&mut src, 0), Ok((Some(bytes), 1)));
+    }
+
     #[test]
     fn reader_refuses_hostile_heads() {
         struct Hostile(u64, u32);
@@ -604,14 +758,11 @@ mod tests {
                     chunk_size: self.1,
                 })
             }
-            fn fetch_full_chunk(&mut self, _: u32) -> Result<AtlasChunk, ModelError> {
-                panic!("must refuse at the head");
-            }
             fn fetch_delta(&mut self, _: u32) -> Result<Option<DeltaHandle>, ModelError> {
                 Ok(None)
             }
-            fn fetch_delta_chunk(&mut self, _: u32, _: u32) -> Result<AtlasChunk, ModelError> {
-                unreachable!()
+            fn fetch_chunk(&mut self, _: u64, _: u32) -> Result<AtlasChunk, ModelError> {
+                panic!("must refuse at the head");
             }
         }
         assert!(read_full(&mut Hostile(u64::MAX, 1024)).is_err());
@@ -661,7 +812,7 @@ mod tests {
     }
 
     /// A [`StaticSource`] that counts the full-body chunks it serves
-    /// and can report one version race.
+    /// and can report one version race on one of them.
     struct Watched {
         inner: StaticSource,
         full_chunks: usize,
@@ -687,21 +838,19 @@ mod tests {
             self.inner.head()
         }
 
-        fn fetch_full_chunk(&mut self, idx: u32) -> Result<AtlasChunk, ModelError> {
-            self.full_chunks += 1;
-            if self.race_at == Some(idx) {
-                self.race_at = None;
-                return Err(ModelError::VersionRaced("upstream swapped".into()));
-            }
-            self.inner.fetch_full_chunk(idx)
-        }
-
         fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
             self.inner.fetch_delta(have_day)
         }
 
-        fn fetch_delta_chunk(&mut self, from_day: u32, idx: u32) -> Result<AtlasChunk, ModelError> {
-            self.inner.fetch_delta_chunk(from_day, idx)
+        fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
+            if tag == self.inner.full.tag() {
+                self.full_chunks += 1;
+                if self.race_at == Some(idx) {
+                    self.race_at = None;
+                    return Err(ModelError::VersionRaced("upstream swapped".into()));
+                }
+            }
+            self.inner.fetch_chunk(tag, idx)
         }
     }
 
@@ -791,7 +940,7 @@ mod tests {
         let mut src = Watched::new(&d0, vec![delta(&d0, &d1), delta(&d1, &d2)]);
         let mut follower = Recorder::on(&mut src);
         // The upstream moves on to the day its chain ends at.
-        src.inner.full = codec::encode(&d2).0;
+        src.inner.full = OfferedBody::new(codec::encode(&d2).0);
         let bootstrap_chunks = src.full_chunks;
         assert_eq!(catch_up(&mut src, &mut follower), Ok(2));
         let in_step = Step::Head {
@@ -806,7 +955,7 @@ mod tests {
             follower.tags_asked, 0,
             "a chain that applied never compares"
         );
-        assert_eq!(follower.tag, content_tag(&src.inner.full), "adopted");
+        assert_eq!(follower.tag, src.inner.full.tag(), "adopted");
         assert_eq!(src.full_chunks, bootstrap_chunks);
     }
 
@@ -817,7 +966,7 @@ mod tests {
         // Another day-1 body, then an earlier day's: both followed.
         for (day, marker) in [(1, 7), (0, 9)] {
             follower.steps.clear();
-            src.inner.full = codec::encode(&world(day, marker)).0;
+            src.inner.full = OfferedBody::new(codec::encode(&world(day, marker)).0);
             assert_eq!(catch_up(&mut src, &mut follower), Ok(0));
             let head = Step::Head {
                 day,
@@ -826,7 +975,7 @@ mod tests {
             assert_eq!(follower.steps, [head, Step::Resync(day)]);
             let marked = (ClusterId::new(marker), ClusterId::new(marker + 1));
             assert!(follower.atlas.links.contains_key(&marked), "new body");
-            assert_eq!(follower.tag, content_tag(&src.inner.full));
+            assert_eq!(follower.tag, src.inner.full.tag());
         }
     }
 
@@ -846,7 +995,7 @@ mod tests {
         let (d0, d1) = (world(0, 1), world(1, 2));
         let mut src = Watched::new(&d0, vec![delta(&d0, &d1)]);
         let mut follower = Recorder::on(&mut src);
-        src.inner.full = vec![];
+        src.inner.full = OfferedBody::new(vec![]);
         assert_eq!(catch_up(&mut src, &mut follower), Ok(1));
         assert_eq!(follower.steps, [Step::Apply(0, 1)]);
         // With nothing applied, the failed probe is the outcome.
@@ -873,7 +1022,7 @@ mod tests {
     fn catch_up_reports_a_race_the_reader_recovered_from() {
         let mut src = Watched::new(&world(1, 1), vec![]);
         let mut follower = Recorder::on(&mut src);
-        src.inner.full = codec::encode(&world(2, 5)).0;
+        src.inner.full = OfferedBody::new(codec::encode(&world(2, 5)).0);
         src.race_at = Some(1);
         assert_eq!(catch_up(&mut src, &mut follower), Ok(0));
         let head = Step::Head {

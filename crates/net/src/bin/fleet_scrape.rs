@@ -118,7 +118,7 @@ fn timeseries(targets: &[String], interval_ms: u64, ticks: usize) {
             let page = client
                 .events(cursors[i])
                 .unwrap_or_else(|e| panic!("events scrape of {addr}: {e}"));
-            events_lost_total += page.lost;
+            events_lost_total = events_lost_total.saturating_add(page.lost);
             cursors[i] = page.next_seq;
             new_events.extend(page.events.into_iter().map(|e| (addr.clone(), e)));
         }
@@ -194,12 +194,20 @@ fn fleet_latency(merged: &MetricsDump) -> Vec<u64> {
             if name.starts_with("shard") && name.ends_with(".latency_us") {
                 sum.resize(sum.len().max(buckets.len()), 0);
                 for (acc, &c) in sum.iter_mut().zip(buckets) {
-                    *acc += c;
+                    *acc = acc.saturating_add(c);
                 }
             }
         }
     }
     sum
+}
+
+/// The fleet's cache hit ratio. Counters off the wire are unvalidated,
+/// so the sum saturates.
+fn cache_hit(fleet: &MetricsDump) -> f64 {
+    let hits = fleet.counter_sum(".cache.hits");
+    let misses = fleet.counter_sum(".cache.misses");
+    hits as f64 / hits.saturating_add(misses).max(1) as f64
 }
 
 fn one_shot(targets: &[String]) {
@@ -226,10 +234,6 @@ fn one_shot(targets: &[String]) {
     // merged `epoch`/`day` read the freshest member.
     let fleet = MetricsDump::merged(dumps.iter());
     let latency = fleet_latency(&fleet);
-    let (hits, misses) = (
-        fleet.counter_sum(".cache.hits"),
-        fleet.counter_sum(".cache.misses"),
-    );
     let freshest = |suffix: &str| {
         fleet
             .entries
@@ -251,7 +255,7 @@ fn one_shot(targets: &[String]) {
         fleet.counter_sum(".errors"),
         quantile_from_counts(&latency, 0.50),
         quantile_from_counts(&latency, 0.99),
-        hits as f64 / (hits + misses).max(1) as f64,
+        cache_hit(&fleet),
         fleet.counter_sum(".swaps"),
         freshest(".epoch"),
         freshest(".day"),
@@ -274,5 +278,30 @@ fn main() {
         timeseries(&targets, interval_ms, ticks.max(1));
     } else {
         one_shot(&targets);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn foreign_counters_saturate_the_fleet_sums() {
+        let counter = |name: &str, c| (name.to_string(), MetricValue::Counter(c));
+        let fleet = MetricsDump {
+            entries: vec![
+                counter("shard0.cache.hits", u64::MAX),
+                counter("shard0.cache.misses", 1),
+            ],
+        };
+        assert_eq!(cache_hit(&fleet), 1.0);
+        let histogram = |name: &str| (name.to_string(), MetricValue::Histogram(vec![u64::MAX, 2]));
+        let merged = MetricsDump {
+            entries: vec![
+                histogram("shard0.latency_us"),
+                histogram("shard1.latency_us"),
+            ],
+        };
+        assert_eq!(fleet_latency(&merged), [u64::MAX, 4]);
     }
 }

@@ -14,6 +14,12 @@
 //! `depth` batches in flight by submitting `depth` requests up front
 //! and then re-submitting after every receive — that hides a full
 //! round-trip time behind server-side work.
+//!
+//! [`MirrorSource`] is the wire's [`AtlasSource`]: a connection scoped
+//! to one shard and nothing more. A body is named by its content tag,
+//! so `head()`, `fetch_delta()` and `fetch_chunk(tag, idx)` are each
+//! one self-contained exchange, and the source keeps no state between
+//! them.
 
 use crate::wire::{read_frame, write_frame, Frame, Limits, ReadError, WireFault, TRACE_FLAG};
 use crate::wire::{WirePath, WireResolution, WireShardInfo};
@@ -402,23 +408,6 @@ impl NetClient {
         TypedCalls::atlas_head_on(self, shard)
     }
 
-    /// Chunk `idx` of the full body whose head named `epoch_tag`. A
-    /// server that swapped generations answers a typed `VersionRaced`
-    /// fault — re-read the head and restart.
-    pub fn fetch_full_chunk_on(
-        &mut self,
-        shard: ShardId,
-        epoch_tag: u64,
-        idx: u32,
-    ) -> Result<AtlasChunk, NetError> {
-        let request = Frame::FetchFullChunk {
-            shard,
-            epoch_tag,
-            idx,
-        };
-        self.chunk_reply(&request, idx)
-    }
-
     /// The retained delta leaving `have_day` on one named shard.
     pub fn fetch_delta_on(
         &mut self,
@@ -431,31 +420,24 @@ impl NetClient {
         }
     }
 
-    /// Chunk `idx` of the delta body leaving `from_day`.
-    pub fn fetch_delta_chunk_on(
+    /// Chunk `idx` of the body — full atlas or delta — that a head or a
+    /// delta handle named `tag`. A server that no longer offers that
+    /// body answers a typed `VersionRaced` fault: ask again and restart.
+    pub fn fetch_chunk_on(
         &mut self,
         shard: ShardId,
-        from_day: u32,
+        tag: u64,
         idx: u32,
     ) -> Result<AtlasChunk, NetError> {
-        let request = Frame::FetchDeltaChunk {
-            shard,
-            from_day,
-            idx,
-        };
-        self.chunk_reply(&request, idx)
-    }
-
-    fn chunk_reply(&mut self, request: &Frame, want_idx: u32) -> Result<AtlasChunk, NetError> {
-        match self.call(request)? {
-            Frame::ChunkReply { idx, crc, bytes } => {
-                if idx != want_idx {
-                    return Err(NetError::Protocol(format!(
-                        "chunk {idx} answered a fetch of chunk {want_idx}"
-                    )));
-                }
-                Ok(AtlasChunk { bytes, crc })
-            }
+        match self.call(&Frame::FetchChunk { shard, tag, idx })? {
+            Frame::ChunkReply {
+                idx: got,
+                crc,
+                bytes,
+            } if got == idx => Ok(AtlasChunk { bytes, crc }),
+            Frame::ChunkReply { idx: got, .. } => Err(NetError::Protocol(format!(
+                "chunk {got} answered a fetch of chunk {idx}"
+            ))),
             other => Err(unexpected("ChunkReply", &other)),
         }
     }
@@ -467,7 +449,6 @@ impl NetClient {
         MirrorSource {
             client: self,
             shard,
-            tag: None,
         }
     }
 }
@@ -486,8 +467,6 @@ impl TypedCalls for NetClient {
 pub struct MirrorSource {
     client: NetClient,
     shard: ShardId,
-    /// Epoch tag of the last `head()`, which full-chunk fetches name.
-    tag: Option<u64>,
 }
 
 impl MirrorSource {
@@ -509,20 +488,8 @@ impl MirrorSource {
 
 impl AtlasSource for MirrorSource {
     fn head(&mut self) -> Result<AtlasVersion, ModelError> {
-        let version = self
-            .client
-            .atlas_head_on(self.shard)
-            .map_err(NetError::into_model)?;
-        self.tag = Some(version.epoch_tag);
-        Ok(version)
-    }
-
-    fn fetch_full_chunk(&mut self, idx: u32) -> Result<AtlasChunk, ModelError> {
-        let tag = self.tag.ok_or_else(|| {
-            ModelError::Config("fetch_full_chunk before head(): no version to fetch".into())
-        })?;
         self.client
-            .fetch_full_chunk_on(self.shard, tag, idx)
+            .atlas_head_on(self.shard)
             .map_err(NetError::into_model)
     }
 
@@ -532,9 +499,9 @@ impl AtlasSource for MirrorSource {
             .map_err(NetError::into_model)
     }
 
-    fn fetch_delta_chunk(&mut self, from_day: u32, idx: u32) -> Result<AtlasChunk, ModelError> {
+    fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
         self.client
-            .fetch_delta_chunk_on(self.shard, from_day, idx)
+            .fetch_chunk_on(self.shard, tag, idx)
             .map_err(NetError::into_model)
     }
 }

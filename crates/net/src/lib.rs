@@ -10,7 +10,8 @@
 //!   version (magic, version, request id, typed frames: `QueryBatch`,
 //!   `Resolve`, `Epoch` — each leading with a shard id — plus
 //!   `ListShards`, `Ping`, the atlas dissemination frames
-//!   `AtlasHead`/`FetchFullChunk`/`FetchDelta`/`FetchDeltaChunk`, the
+//!   `AtlasHead`/`FetchDelta`/`FetchChunk` (a body, full or delta,
+//!   fetched in chunks by its content tag), the
 //!   observability frames `Metrics`/`MetricsReply`/`TraceReply` with
 //!   the [`wire::TRACE_FLAG`] request-id bit opting a request into a
 //!   stage-timing trailer, the event-journal frames

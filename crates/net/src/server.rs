@@ -27,6 +27,13 @@
 //! and hot-swap semantics with embedded callers, and a mid-load
 //! `apply_delta` on one shard never stalls remote queries on another.
 //!
+//! The atlas fetch frames (`AtlasHead`, `FetchDelta`, `FetchChunk`)
+//! are the shard's engine as an atlas source,
+//! [`QueryEngine::offer`], its bodies cut at the chunk size this
+//! server's [`Limits`] admit: a body is named by its content tag, and
+//! what a tag no longer names is a typed `VersionRaced` fault, decided
+//! in one place in `inano_core` for every source.
+//!
 //! Two threads per connection was the old model; it capped the server
 //! near the thread limit and cost ~16KiB of stack per idle peer. The
 //! event loop holds an idle connection for the price of its assembler
@@ -127,6 +134,7 @@
 //! connections closed on the way out. The registry is shared and
 //! outlives the server untouched: it owns no threads to stop.
 //!
+//! [`QueryEngine::offer`]: inano_service::QueryEngine::offer
 //! [`QueryEngine::query_batch_shared`]: inano_service::QueryEngine::query_batch_shared
 //! [`QueryEngine::register_metrics`]: inano_service::QueryEngine::register_metrics
 //! [`QueryEngine::set_journal`]: inano_service::QueryEngine::set_journal
@@ -135,6 +143,7 @@ use crate::wire::{chunk_size_for, datagram_cap, decode_datagram, refusal, Datagr
 use crate::wire::{encode_path_batch, write_frame, Assembled, Frame, FrameAssembler, Limits};
 use crate::wire::{WireFault, WireResolution, WireShardInfo};
 use crate::wire::{HEADER_BYTES, MAGIC, TRACE_FLAG, VERSION};
+use inano_core::AtlasSource;
 use inano_model::{ErrorCode, ModelError};
 use inano_obs::{
     Counter, EventJournal, EventKind, Gauge, LatencyHistogram, MetricsRegistry, TraceCtx,
@@ -169,8 +178,7 @@ const UDP_KEY: usize = usize::MAX - 2;
 /// a datagram flood cannot starve the stream connections of the loop.
 const UDP_ROUNDS_PER_EVENT: usize = 64;
 
-/// Source-address entries the datagram token-bucket table holds
-/// before inactive sources are swept.
+/// Most source-address entries the datagram token-bucket table holds.
 const UDP_BUCKETS_CAP: usize = 8192;
 
 /// Bytes the loop reads per `read()` call into its reusable scratch
@@ -1435,14 +1443,18 @@ enum UdpGate {
 /// leaky refill: `rate` tokens/second up to `burst`; each datagram
 /// costs one. The balance may run down to `-burst` — that negative
 /// band is where typed `Overloaded` sheds live — and anything below
-/// it is dropped unanswered. The table is bounded: past
-/// [`UDP_BUCKETS_CAP`] sources, entries idle for over a second are
-/// swept (an idle second refills ≥ any sane rate's burst, so sweeping
-/// them loses nothing).
+/// it is dropped unanswered. The table never holds more than
+/// [`UDP_BUCKETS_CAP`] sources: a new source that finds it full sweeps
+/// the entries idle for a second or more (an idle second refills ≥ any
+/// sane rate's burst, so sweeping them loses nothing), at most once a
+/// second, and is dropped if the table is still full — a flood of
+/// spoofed addresses buys neither memory nor an O(n) pass per datagram.
 struct UdpBuckets {
     map: HashMap<IpAddr, UdpBucket>,
     rate: f64,
     burst: f64,
+    /// When the table was last swept.
+    swept: Option<Instant>,
 }
 
 struct UdpBucket {
@@ -1456,6 +1468,7 @@ impl UdpBuckets {
             map: HashMap::new(),
             rate: f64::from(rate),
             burst: f64::from(burst.max(1)),
+            swept: None,
         }
     }
 
@@ -1463,9 +1476,15 @@ impl UdpBuckets {
         if self.rate <= 0.0 {
             return UdpGate::Admit;
         }
+        let second = Duration::from_secs(1);
         if self.map.len() >= UDP_BUCKETS_CAP && !self.map.contains_key(&ip) {
-            self.map
-                .retain(|_, b| now.duration_since(b.last) < Duration::from_secs(1));
+            if self.swept.is_none_or(|at| now.duration_since(at) >= second) {
+                self.swept = Some(now);
+                self.map.retain(|_, b| now.duration_since(b.last) < second);
+            }
+            if self.map.len() >= UDP_BUCKETS_CAP {
+                return UdpGate::Drop;
+            }
         }
         let bucket = self.map.entry(ip).or_insert(UdpBucket {
             tokens: self.burst,
@@ -1616,61 +1635,17 @@ fn serve(shared: &Shared, frame: &Frame) -> Result<Reply, ModelError> {
                 .collect(),
         },
         Frame::AtlasHead { shard } => Frame::AtlasHeadReply {
-            version: registry.engine(*shard)?.export().version(cs),
+            version: registry.engine(*shard)?.offer(cs).head()?,
         },
-        Frame::FetchFullChunk {
-            shard,
-            epoch_tag,
-            idx,
-        } => {
-            let snap = registry.engine(*shard)?.export();
-            if snap.epoch_tag != *epoch_tag {
-                // The shard swapped generations since the client's
-                // head: tell it to restart there rather than hand it a
-                // chunk of a different atlas.
-                return Err(ModelError::VersionRaced(format!(
-                    "fetching tag {epoch_tag:#018x} but the head moved to {:#018x}",
-                    snap.epoch_tag
-                )));
-            }
-            let bytes = snap.chunk(cs, *idx)?;
-            Frame::ChunkReply {
-                idx: *idx,
-                // Snapshot CRCs are cached per chunk size: N mirrors
-                // fetching the ~7MB body hash it once.
-                crc: snap.chunk_crcs(cs)[*idx as usize],
-                bytes: bytes.to_vec(),
-            }
-        }
         Frame::FetchDelta { shard, have_day } => Frame::DeltaReply {
-            handle: registry
-                .engine(*shard)?
-                .delta_blob(*have_day)
-                .map(|b| b.handle(cs)),
+            handle: registry.engine(*shard)?.offer(cs).fetch_delta(*have_day)?,
         },
-        Frame::FetchDeltaChunk {
-            shard,
-            from_day,
-            idx,
-        } => {
-            // The delta a handle promised may have rotated out of the
-            // log (or never existed): the fetcher should re-head and,
-            // if it fell that far behind, refetch the full atlas.
-            let blob = registry
-                .engine(*shard)?
-                .delta_blob(*from_day)
-                .ok_or_else(|| {
-                    ModelError::VersionRaced(format!(
-                        "no delta leaving day {from_day} is retained any more"
-                    ))
-                })?;
-            let bytes = blob.chunk(cs, *idx)?;
+        Frame::FetchChunk { shard, tag, idx } => {
+            let chunk = registry.engine(*shard)?.offer(cs).fetch_chunk(*tag, *idx)?;
             Frame::ChunkReply {
                 idx: *idx,
-                // Delta bodies are kilobytes; recomputing the chunk crc
-                // inline costs less than caching it would.
-                crc: inano_core::content_tag(bytes),
-                bytes: bytes.to_vec(),
+                crc: chunk.crc,
+                bytes: chunk.bytes,
             }
         }
         // The table's `Reply` rows are refused from the type byte
@@ -1766,6 +1741,25 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(open.check(ip, t0), UdpGate::Admit);
         }
+    }
+
+    #[test]
+    fn udp_buckets_stay_bounded_under_a_flood_of_new_sources() {
+        let mut b = UdpBuckets::new(10, 4);
+        let ip = |i: usize| IpAddr::from(std::net::Ipv4Addr::from(0x0a00_0000 + i as u32));
+        let t0 = Instant::now();
+        for i in 0..UDP_BUCKETS_CAP + 100 {
+            b.check(ip(i), t0);
+        }
+        assert!(b.map.len() <= UDP_BUCKETS_CAP, "{} sources", b.map.len());
+        // Past the cap a new, still-active flood is silence...
+        assert_eq!(b.check(ip(UDP_BUCKETS_CAP + 100), t0), UdpGate::Drop);
+        // ...while the sources already in the table keep being served.
+        assert_eq!(b.check(ip(0), t0), UdpGate::Admit);
+        // After a second of idleness the sweep makes room again.
+        let t1 = t0 + Duration::from_secs(1);
+        assert_eq!(b.check(ip(UDP_BUCKETS_CAP + 101), t1), UdpGate::Admit);
+        assert!(b.map.len() <= UDP_BUCKETS_CAP);
     }
 
     #[test]

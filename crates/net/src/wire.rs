@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! magic      u32  0x694E614E ("iNaN")
-//! version    u8   6
+//! version    u8   7
 //! frame type u8   see the table below
 //! request id u64  echoed verbatim in the reply
 //! payload    u32  payload length in bytes
@@ -42,9 +42,8 @@
 //! | `0x05` | `Request` | `Epoch` | `0x85 EpochReply` | yes | yes |
 //! | `0x06` | `StreamRequest` | `ListShards` | `0x86 ShardsReply` | no | no |
 //! | `0x07` | `Request` | `AtlasHead` | `0x87 AtlasHeadReply` | yes | yes |
-//! | `0x08` | `StreamRequest` | `FetchFullChunk` | `0x88 ChunkReply` | yes | no |
+//! | `0x08` | `StreamRequest` | `FetchChunk` | `0x88 ChunkReply` | yes | no |
 //! | `0x09` | `StreamRequest` | `FetchDelta` | `0x89 DeltaReply` | yes | no |
-//! | `0x0A` | `StreamRequest` | `FetchDeltaChunk` | `0x88 ChunkReply` | yes | no |
 //! | `0x0B` | `StreamRequest` | `Metrics` | `0x8B MetricsReply` | no | no |
 //! | `0x0C` | `StreamRequest` | `Events` | `0x8C EventsReply` | no | no |
 //! | `0x8A` | `Reply` | `TraceReply` | (a trailer, see below) | — | no |
@@ -55,8 +54,9 @@
 //! before it parses a payload byte: a `Reply` type is answered
 //! `UnexpectedFrame`, a `StreamRequest` arriving in a datagram
 //! `NotOnDatagram`, and only what is left is decoded, charged to the
-//! request-memory budget and queued. Types `0x04`/`0x84` are retired
-//! and decode as `UnknownFrame` like any other unassigned byte.
+//! request-memory budget and queued. Types `0x04`/`0x84` and `0x0A`
+//! are retired and decode as `UnknownFrame` like any other unassigned
+//! byte.
 //!
 //! **Adding a frame** is one row in `frames!`, plus: a `Wire` impl
 //! (the field's byte layout, writer and reader side by side) only if
@@ -73,16 +73,17 @@
 //! ([`WireShardInfo`]: id, epoch, day).
 //!
 //! **Atlas dissemination** — the fetch side of §5, so any server can
-//! stand in as an atlas mirror. `AtlasHead` names the shard's newest
-//! full version ([`inano_core::AtlasVersion`]: day, content
-//! `epoch_tag`, body length, chunk size). `FetchFullChunk { shard,
-//! epoch_tag, idx }` carries one checksummed chunk back; the request
-//! names the tag it is fetching, and if the shard swapped generations
-//! mid-fetch the server answers a typed [`ErrorCode::VersionRaced`]
-//! fault — re-read the head and restart — instead of silently splicing
-//! two generations. `FetchDelta { shard, have_day }` offers the
-//! retained daily delta leaving `have_day` (if any), whose body moves
-//! through `FetchDeltaChunk` the same way. Chunk sizes are derived
+//! stand in as an atlas mirror. A body — the full atlas or a daily
+//! delta — is named by its content tag. `AtlasHead` names the shard's
+//! newest full body ([`inano_core::AtlasVersion`]: day, content
+//! `epoch_tag`, body length, chunk size); `FetchDelta { shard,
+//! have_day }` names the retained daily delta leaving `have_day`, if
+//! any ([`inano_core::DeltaHandle`]: days, tag, length, chunk size).
+//! `FetchChunk { shard, tag, idx }` carries one checksummed chunk of
+//! either back; if the shard no longer offers a body under that tag (it
+//! swapped generations, or replaced the delta) the server answers a
+//! typed [`ErrorCode::VersionRaced`] fault — ask again and restart —
+//! instead of silently splicing two bodies. Chunk sizes are derived
 //! from the server's own [`Limits`] ([`chunk_size_for`]), so a
 //! `ChunkReply` payload never exceeds `max_frame_bytes` — an atlas
 //! bigger than one frame simply arrives as more chunks. A stale chunk
@@ -139,7 +140,7 @@ use std::time::Instant;
 /// `"iNaN"` in ASCII.
 pub const MAGIC: u32 = 0x694E_614E;
 /// The protocol version: the only one written, the only one accepted.
-pub const VERSION: u8 = 6;
+pub const VERSION: u8 = 7;
 /// Most log₂ latency buckets accepted in one `MetricsReply` histogram
 /// (the engine ships 40; bucket index feeds a `1 << i`, so a foreign
 /// histogram must not be allowed to claim thousands).
@@ -402,13 +403,12 @@ frames! {
     0x06 StreamRequest ListShards
     /// What is the newest full atlas this shard serves?
     0x07 Request AtlasHead { shard: ShardId }
-    /// One chunk of the full body whose head named `epoch_tag`. A
-    /// server that has moved on answers a typed `VersionRaced` fault.
-    0x08 StreamRequest FetchFullChunk { shard: ShardId, epoch_tag: u64, idx: u32 }
+    /// One chunk of the body — full atlas or delta — tagged `tag`. A
+    /// server that no longer offers it answers a typed `VersionRaced`
+    /// fault.
+    0x08 StreamRequest FetchChunk { shard: ShardId, tag: u64, idx: u32 }
     /// Is there a retained daily delta leaving `have_day`?
     0x09 StreamRequest FetchDelta { shard: ShardId, have_day: u32 }
-    /// One chunk of the delta body leaving `from_day`.
-    0x0A StreamRequest FetchDeltaChunk { shard: ShardId, from_day: u32, idx: u32 }
     /// Dump the server-wide metrics registry (not shard-scoped — the
     /// registry's names carry the shard).
     0x0B StreamRequest Metrics
@@ -862,6 +862,7 @@ impl Wire for Option<DeltaHandle> {
                 buf.push(1);
                 put_u32(buf, h.from_day);
                 put_u32(buf, h.to_day);
+                put_u64(buf, h.tag);
                 put_u64(buf, h.len);
                 put_u32(buf, h.chunk_size);
             }
@@ -874,6 +875,7 @@ impl Wire for Option<DeltaHandle> {
             1 => Ok(Some(DeltaHandle {
                 from_day: c.u32()?,
                 to_day: c.u32()?,
+                tag: c.u64()?,
                 len: c.u64()?,
                 chunk_size: c.u32()?,
             })),
@@ -1545,9 +1547,9 @@ mod tests {
             21,
         );
         round_trip(
-            Frame::FetchFullChunk {
+            Frame::FetchChunk {
                 shard: ShardId(0),
-                epoch_tag: 42,
+                tag: 42,
                 idx: 17,
             },
             22,
@@ -1565,19 +1567,12 @@ mod tests {
                 handle: Some(DeltaHandle {
                     from_day: 4,
                     to_day: 5,
+                    tag: 0x0bad_cafe,
                     len: 20_000,
                     chunk_size: 4096,
                 }),
             },
             25,
-        );
-        round_trip(
-            Frame::FetchDeltaChunk {
-                shard: ShardId(1),
-                from_day: 4,
-                idx: 0,
-            },
-            26,
         );
         let bytes: Vec<u8> = (0..300u32).map(|i| (i % 251) as u8).collect();
         round_trip(
@@ -1987,7 +1982,7 @@ mod tests {
                 matches!(role, Some(Role::Reply | Role::StreamRequest))
             );
         }
-        assert!(doc_rows.len() >= 13, "the doc table was found and parsed");
+        assert!(doc_rows.len() >= 12, "the doc table was found and parsed");
         for (byte, role, on_datagram) in doc_rows {
             let want = role_of(byte).expect("a doc row is a table row");
             assert_eq!(role, format!("{want:?}"), "role column of {byte:#04x}");
@@ -2053,9 +2048,9 @@ mod assembler_tests {
                 pairs: vec![(Ipv4(10), Ipv4(20)), (Ipv4(30), Ipv4(40))],
             },
             Frame::Ping,
-            Frame::FetchDeltaChunk {
+            Frame::FetchChunk {
                 shard: ShardId(7),
-                from_day: 4,
+                tag: 4,
                 idx: 9,
             },
         ];

@@ -1,20 +1,24 @@
 //! Integration tests for atlas dissemination: a chain of live servers
 //! where each hop fetches the previous hop's atlas over the wire.
 //!
-//! Covers the acceptance surface of the v3 fetch frames: a
+//! Covers the acceptance surface of the fetch frames: a
 //! `MirrorSource` bootstraps a second `QueryEngine` from a live
 //! server, epoch tags match end to end, a delta published at the
 //! origin propagates through the mirror with zero failed queries
 //! mid-swap, an oversized atlas (bigger than one frame admits) arrives
-//! correctly chunked, and a generation swap racing a chunk fetch comes
-//! back as a typed `VersionRaced` fault that the reader recovers from.
+//! correctly chunked, and a generation swap — or a replaced delta —
+//! racing a chunk fetch comes back as a typed `VersionRaced` fault that
+//! the reader recovers from.
 
 mod common;
 
 use common::ring::{ring_atlas, ring_ip, ring_shortcut_delta};
-use common::serve_one;
-use inano_core::{read_delta, read_full, AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle};
-use inano_model::{ErrorCode, Ipv4, ModelError};
+use common::{assert_bitwise, serve_one, wire};
+use inano_atlas::{AtlasDelta, LinkAnnotation, Plane};
+use inano_core::{
+    read_delta, read_full, AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle, DEFAULT_CHUNK_SIZE,
+};
+use inano_model::{ClusterId, ErrorCode, Ipv4, LatencyMs, ModelError};
 use inano_net::{Limits, MirrorSource, NetClient, NetError, ServerConfig};
 use inano_obs::EventKind;
 use inano_service::{QueryEngine, ServiceConfig, ShardId, DELTA_LOG_CAP};
@@ -52,7 +56,7 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
     // Hop 0: the origin owns the authoritative atlas.
     let origin_engine = ring_engine(RING);
     let origin = serve_one(Arc::clone(&origin_engine), ServerConfig::default());
-    let origin_tag = origin_engine.export().epoch_tag;
+    let origin_tag = origin_engine.export().tag();
 
     // Hop 1: a mirror bootstraps its engine over the wire.
     let mut upstream = MirrorSource::connect(origin.local_addr(), ShardId::DEFAULT)
@@ -62,7 +66,7 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
             .expect("mirror bootstraps from the origin"),
     );
     assert_eq!(
-        mirror_engine.export().epoch_tag,
+        mirror_engine.export().tag(),
         origin_tag,
         "one wire hop must not change the atlas"
     );
@@ -75,7 +79,7 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
     let client_engine = QueryEngine::bootstrap(&mut downstream, ServiceConfig::default())
         .expect("client engine bootstraps from the mirror");
     assert_eq!(
-        client_engine.export().epoch_tag,
+        client_engine.export().tag(),
         origin_tag,
         "epoch tags match end to end"
     );
@@ -137,10 +141,10 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
     assert!(served > 0, "the hammers really ran");
 
     // The whole chain landed on the same new generation...
-    let new_tag = origin_engine.export().epoch_tag;
+    let new_tag = origin_engine.export().tag();
     assert_ne!(new_tag, origin_tag, "the delta changed the atlas");
-    assert_eq!(mirror_engine.export().epoch_tag, new_tag);
-    assert_eq!(client_engine.export().epoch_tag, new_tag);
+    assert_eq!(mirror_engine.export().tag(), new_tag);
+    assert_eq!(client_engine.export().tag(), new_tag);
     assert_eq!(client_engine.day(), 1);
     // ...and the chain end serves the day-1 shortcut.
     let far = RING / 2;
@@ -157,12 +161,12 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
     assert_eq!(mirror.metrics().dump().counter("srv.faults"), 0);
 }
 
-/// A mirror's upstream whose full body can be switched off, counting
-/// the body chunks asked of it.
+/// A mirror's upstream whose bodies can be switched off, counting the
+/// body chunks asked of it.
 struct SwitchableBody {
     inner: MirrorSource,
     body_down: bool,
-    full_chunks: usize,
+    chunks: usize,
 }
 
 impl AtlasSource for SwitchableBody {
@@ -170,20 +174,16 @@ impl AtlasSource for SwitchableBody {
         self.inner.head()
     }
 
-    fn fetch_full_chunk(&mut self, idx: u32) -> Result<AtlasChunk, ModelError> {
-        self.full_chunks += 1;
-        if self.body_down {
-            return Err(ModelError::Decode("upstream body unavailable".into()));
-        }
-        self.inner.fetch_full_chunk(idx)
-    }
-
     fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
         self.inner.fetch_delta(have_day)
     }
 
-    fn fetch_delta_chunk(&mut self, from_day: u32, idx: u32) -> Result<AtlasChunk, ModelError> {
-        self.inner.fetch_delta_chunk(from_day, idx)
+    fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
+        self.chunks += 1;
+        if self.body_down {
+            return Err(ModelError::Decode("upstream body unavailable".into()));
+        }
+        self.inner.fetch_chunk(tag, idx)
     }
 }
 
@@ -200,7 +200,7 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
         inner: MirrorSource::connect(origin.local_addr(), ShardId::DEFAULT)
             .expect("connect mirror to origin"),
         body_down: false,
-        full_chunks: 0,
+        chunks: 0,
     };
     let mirror_engine = Arc::new(
         QueryEngine::bootstrap(&mut upstream, ServiceConfig::default())
@@ -266,14 +266,11 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
     assert_eq!(m.mirror_lag_days.get(), 0, "the full swap pays the lag off");
     assert_eq!(m.mirror_upstream_day.get(), 5);
     assert_eq!(mirror_engine.day(), 5);
-    assert_eq!(
-        mirror_engine.export().epoch_tag,
-        origin_engine.export().epoch_tag
-    );
+    assert_eq!(mirror_engine.export().tag(), origin_engine.export().tag());
     // In step again: the next refresh compares tags and fetches no body.
-    let fetched = upstream.full_chunks;
+    let fetched = upstream.chunks;
     assert_eq!(mirror_engine.update(&mut upstream).expect("refresh"), 0);
-    assert_eq!(upstream.full_chunks, fetched);
+    assert_eq!(upstream.chunks, fetched);
     assert_eq!(m.mirror_full_resyncs.get(), 1);
     assert_eq!(m.mirror_lag_days.get(), 0);
 
@@ -306,8 +303,11 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
             .apply_delta(&ring_shortcut_delta(RING, day))
             .expect("origin applies the next day's delta");
     }
+    let offered = origin_engine
+        .offer(DEFAULT_CHUNK_SIZE)
+        .fetch_delta(mirror_day);
     assert!(
-        origin_engine.delta_blob(mirror_day).is_none(),
+        offered.expect("the origin's log answers").is_none(),
         "the delta leaving day {mirror_day} rotated out of the log"
     );
     assert_eq!(
@@ -317,10 +317,7 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
     );
     assert_eq!(m.mirror_full_resyncs.get(), 2);
     assert_eq!(m.mirror_lag_days.get(), 0);
-    assert_eq!(
-        mirror_engine.export().epoch_tag,
-        origin_engine.export().epoch_tag
-    );
+    assert_eq!(mirror_engine.export().tag(), origin_engine.export().tag());
     let rotated: Vec<_> = probe
         .events(page.next_seq)
         .expect("events")
@@ -413,7 +410,7 @@ fn oversized_atlas_fetch_is_chunked_to_the_frame_limit() {
     };
     let engine = ring_engine(64);
     assert!(
-        engine.export().bytes.len() > limits.max_frame_bytes as usize,
+        engine.export().bytes().len() > limits.max_frame_bytes as usize,
         "the test atlas must exceed one frame"
     );
     let server = serve_one(
@@ -441,7 +438,7 @@ fn oversized_atlas_fetch_is_chunked_to_the_frame_limit() {
     let mut source = client.into_atlas_source(ShardId::DEFAULT);
     let second = QueryEngine::bootstrap(&mut source, ServiceConfig::default())
         .expect("bootstrap through many small chunks");
-    assert_eq!(second.export().epoch_tag, engine.export().epoch_tag);
+    assert_eq!(second.export().tag(), engine.export().tag());
     second
         .query(ring_ip(0), ring_ip(5))
         .expect("the chunked copy serves queries");
@@ -460,14 +457,14 @@ fn generation_swap_mid_fetch_is_a_typed_race_the_reader_survives() {
     engine
         .apply_delta(&ring_shortcut_delta(RING, 0))
         .expect("swap under the fetch");
-    match client.fetch_full_chunk_on(ShardId::DEFAULT, stale.epoch_tag, 0) {
+    match client.fetch_chunk_on(ShardId::DEFAULT, stale.epoch_tag, 0) {
         Err(NetError::Remote(fault)) => assert_eq!(fault.code, ErrorCode::VersionRaced),
         other => panic!("want typed VersionRaced, got {other:?}"),
     }
     // Stale chunk indexes are typed too, and neither fault cost us the
     // connection.
     let fresh = client.atlas_head().expect("fresh head");
-    match client.fetch_full_chunk_on(ShardId::DEFAULT, fresh.epoch_tag, fresh.n_chunks() + 7) {
+    match client.fetch_chunk_on(ShardId::DEFAULT, fresh.epoch_tag, fresh.n_chunks() + 7) {
         Err(NetError::Remote(fault)) => assert_eq!(fault.code, ErrorCode::ChunkOutOfRange),
         other => panic!("want typed ChunkOutOfRange, got {other:?}"),
     }
@@ -477,12 +474,13 @@ fn generation_swap_mid_fetch_is_a_typed_race_the_reader_survives() {
     let (version, bytes, _) = read_full(&mut client.into_atlas_source(ShardId::DEFAULT))
         .expect("reader recovers from the race");
     assert_eq!(version.day, 1);
-    assert_eq!(version.epoch_tag, engine.export().epoch_tag);
+    assert_eq!(version.epoch_tag, engine.export().tag());
     assert_eq!(bytes.len() as u64, version.full_len);
 }
 
-/// Fetching a delta nobody retains is `None`; fetching its chunks is a
-/// typed race (re-head, refetch full), never a connection loss.
+/// Fetching a delta nobody retains is `None`; fetching a chunk of a body
+/// nobody offers is a typed race (re-head, refetch full), never a
+/// connection loss.
 #[test]
 fn missing_deltas_are_none_and_their_chunks_are_typed_races() {
     let engine = ring_engine(RING);
@@ -493,7 +491,8 @@ fn missing_deltas_are_none_and_their_chunks_are_typed_races() {
         .fetch_delta_on(ShardId::DEFAULT, 0)
         .expect("no delta yet")
         .is_none());
-    match client.fetch_delta_chunk_on(ShardId::DEFAULT, 0, 0) {
+    let head = client.atlas_head().expect("head");
+    match client.fetch_chunk_on(ShardId::DEFAULT, !head.epoch_tag, 0) {
         Err(NetError::Remote(fault)) => assert_eq!(fault.code, ErrorCode::VersionRaced),
         other => panic!("want typed VersionRaced, got {other:?}"),
     }
@@ -519,4 +518,112 @@ fn missing_deltas_are_none_and_their_chunks_are_typed_races() {
         other => panic!("want typed UnknownShard, got {other:?}"),
     }
     client.ping().expect("connection survives all of it");
+}
+
+/// A mirror's upstream that runs `hook` once, right after the first
+/// chunk it fetches.
+struct AfterFirstChunk {
+    inner: MirrorSource,
+    hook: Option<Box<dyn FnOnce()>>,
+}
+
+impl AtlasSource for AfterFirstChunk {
+    fn head(&mut self) -> Result<AtlasVersion, ModelError> {
+        self.inner.head()
+    }
+
+    fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
+        self.inner.fetch_delta(have_day)
+    }
+
+    fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
+        let chunk = self.inner.fetch_chunk(tag, idx);
+        if let Some(hook) = self.hook.take() {
+            hook();
+        }
+        chunk
+    }
+}
+
+/// A delta replaced between two of its chunks: the origin replaces its
+/// atlas (which drops its delta log) and applies a different delta
+/// leaving the same day. The follower names the body it fetches by its
+/// tag, so the rest of the old body is a typed race: it restarts onto
+/// the new delta instead of splicing the two, and lands where the
+/// origin did.
+#[test]
+fn a_delta_replaced_mid_fetch_is_a_clean_restart() {
+    // 16-byte chunks: the day 0 → 1 delta takes two or more.
+    let limits = Limits {
+        max_frame_bytes: 32,
+        ..Limits::default()
+    };
+    let origin_engine = ring_engine(RING);
+    let origin = serve_one(
+        Arc::clone(&origin_engine),
+        ServerConfig {
+            limits,
+            ..ServerConfig::default()
+        },
+    );
+    let mut upstream = AfterFirstChunk {
+        inner: MirrorSource::connect(origin.local_addr(), ShardId::DEFAULT)
+            .expect("connect mirror to origin"),
+        hook: None,
+    };
+    let mirror_engine = QueryEngine::bootstrap(&mut upstream, ServiceConfig::default())
+        .expect("mirror bootstraps from the origin");
+
+    // Another day 0 → 1 delta: a 3 ↔ 9 shortcut instead of 0 ↔ 6.
+    let mut other = ring_atlas(RING, 1);
+    for link in [(3, 9), (9, 3)] {
+        let annotation = LinkAnnotation {
+            latency: Some(LatencyMs::new(0.25)),
+            plane: Plane::TO_DST,
+        };
+        other
+            .links
+            .insert((ClusterId::new(link.0), ClusterId::new(link.1)), annotation);
+    }
+    let second = AtlasDelta::between(&ring_atlas(RING, 0), &other);
+    origin_engine
+        .apply_delta(&ring_shortcut_delta(RING, 0))
+        .expect("origin applies the first delta");
+    let first = upstream
+        .fetch_delta(0)
+        .expect("delta query")
+        .expect("the first delta is retained");
+    assert!(
+        first.len > first.chunk_size as u64,
+        "{first:?} spans chunks"
+    );
+
+    let origin_at = Arc::clone(&origin_engine);
+    upstream.hook = Some(Box::new(move || {
+        origin_at.replace_atlas(Arc::new(ring_atlas(RING, 0)));
+        origin_at
+            .apply_delta(&second)
+            .expect("origin applies the second delta");
+    }));
+    assert_eq!(
+        mirror_engine
+            .update(&mut upstream)
+            .expect("update restarts"),
+        1
+    );
+    let m = mirror_engine.metrics();
+    assert_eq!(m.mirror_races_recovered.get(), 1, "one clean restart");
+    assert_eq!(m.mirror_full_resyncs.get(), 0);
+    assert_eq!(mirror_engine.export().tag(), origin_engine.export().tag());
+
+    // The mirror answers as the library does on the origin's new
+    // generation.
+    let generation = origin_engine.generation();
+    let pairs = all_pairs();
+    let want: Vec<_> = pairs
+        .iter()
+        .map(|&(s, d)| wire(&generation.predictor.query(s, d)))
+        .collect();
+    let got: Vec<_> = mirror_engine.query_batch(&pairs).iter().map(wire).collect();
+    assert_bitwise("mirror after the restart", &got, &want);
 }

@@ -141,9 +141,9 @@ fn stream_only_frames_get_a_typed_not_on_datagram() {
         Frame::ListShards,
         Frame::Metrics,
         Frame::Events { since_seq: 0 },
-        Frame::FetchFullChunk {
+        Frame::FetchChunk {
             shard: ShardId::DEFAULT,
-            epoch_tag: 1,
+            tag: 1,
             idx: 0,
         },
         Frame::FetchDelta {
@@ -225,7 +225,7 @@ fn garbage_datagrams_are_dropped_counted_and_harmless() {
         .expect("timeout");
 
     // Noise: short fragments, wrong magic, any version but the
-    // current one (the three this protocol once accepted, and the
+    // current one (the four this protocol once accepted, and the
     // next). None of it is attributable, so none of it may draw a
     // reply — answering would make the server a reflection amplifier.
     let ping = Frame::Ping.encode(7);
@@ -237,7 +237,7 @@ fn garbage_datagrams_are_dropped_counted_and_harmless() {
     let mut bad_magic = ping.clone();
     bad_magic[0] ^= 0xff;
     let mut noise: Vec<Vec<u8>> = vec![vec![], b"hi".to_vec(), ping[..10].to_vec(), bad_magic];
-    noise.extend([1, 3, 4, 5, 7].map(restamped));
+    noise.extend([1, 3, 4, 5, 6, 8].map(restamped));
     for bytes in &noise {
         sock.send(bytes).expect("send noise");
     }

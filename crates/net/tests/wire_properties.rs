@@ -84,10 +84,11 @@ prop_compose! {
     fn arb_delta_handle()(
         from_day in any::<u32>(),
         to_day in any::<u32>(),
+        tag in any::<u64>(),
         len in any::<u64>(),
         chunk_size in any::<u32>(),
     ) -> DeltaHandle {
-        DeltaHandle { from_day, to_day, len, chunk_size }
+        DeltaHandle { from_day, to_day, tag, len, chunk_size }
     }
 }
 
@@ -224,7 +225,7 @@ fn encode_via_frame(request_id: u64, results: &[SharedResult]) -> Vec<u8> {
 // exercised (the stand-in proptest has no `prop_oneof!`).
 prop_compose! {
     fn arb_frame()(
-        variant in 0usize..23,
+        variant in 0usize..22,
         shard in any::<u16>(),
         pairs in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..40),
         results in proptest::collection::vec(arb_result(), 0..20),
@@ -260,16 +261,15 @@ prop_compose! {
             9 => Frame::ShardsReply { shards: shard_infos },
             10 => Frame::AtlasHead { shard: ShardId(shard) },
             11 => Frame::AtlasHeadReply { version },
-            12 => Frame::FetchFullChunk { shard: ShardId(shard), epoch_tag, idx },
+            12 => Frame::FetchChunk { shard: ShardId(shard), tag: epoch_tag, idx },
             13 => Frame::FetchDelta { shard: ShardId(shard), have_day: day },
             14 => Frame::DeltaReply { handle },
-            15 => Frame::FetchDeltaChunk { shard: ShardId(shard), from_day: day, idx },
-            16 => Frame::ChunkReply { idx, crc, bytes: chunk },
-            17 => Frame::Error { fault },
-            18 => Frame::Metrics,
-            19 => Frame::MetricsReply { dump },
-            20 => Frame::TraceReply { timings },
-            21 => Frame::Events { since_seq: epoch },
+            15 => Frame::ChunkReply { idx, crc, bytes: chunk },
+            16 => Frame::Error { fault },
+            17 => Frame::Metrics,
+            18 => Frame::MetricsReply { dump },
+            19 => Frame::TraceReply { timings },
+            20 => Frame::Events { since_seq: epoch },
             _ => Frame::EventsReply { page },
         }
     }
@@ -717,11 +717,11 @@ fn golden_frames() -> Vec<(&'static str, u64, Frame)> {
             },
         ),
         (
-            "fetch_full_chunk",
+            "fetch_chunk",
             15,
-            Frame::FetchFullChunk {
+            Frame::FetchChunk {
                 shard,
-                epoch_tag: 0xfeed,
+                tag: 0xfeed,
                 idx: 2,
             },
         ),
@@ -733,18 +733,10 @@ fn golden_frames() -> Vec<(&'static str, u64, Frame)> {
                 handle: Some(DeltaHandle {
                     from_day: 4,
                     to_day: 5,
+                    tag: 0xfeed_f00d,
                     len: 999,
                     chunk_size: 512,
                 }),
-            },
-        ),
-        (
-            "fetch_delta_chunk",
-            18,
-            Frame::FetchDeltaChunk {
-                shard,
-                from_day: 4,
-                idx: 1,
             },
         ),
         (
@@ -814,31 +806,34 @@ fn golden_frames() -> Vec<(&'static str, u64, Frame)> {
 /// (recorded at that commit, under version 5). The single-buffer
 /// encoder must not move a byte of any frame; the move to version 6
 /// dropped the two `Stats` rows and changed byte 4 of the rest — the
-/// version stamp — and nothing else.
-const GOLDEN_HEX: [(&str, &str); 23] = [
-    ("ping", "694e614e0601000000000000000100000000"),
-    ("pong", "694e614e0681000000000000000200000000"),
-    ("query_batch", "694e614e06020102030405060708000000160003000000020a0000010a0100020000000700000009"),
-    ("path_batch", "694e614e0682000000000000000400000041000000020040290000000000003fd000000000000000030000000100000002000000030002000000030000000100010000fde9000001000500076e6f2070617468"),
-    ("resolve", "694e614e06030000000000000005000000060003c0a80101"),
-    ("resolve_reply", "694e614e068300000000000000060000000d0000000b0000000c050000000d"),
-    ("epoch", "694e614e06050000000000000009000000020003"),
-    ("epoch_reply", "694e614e0685000000000000000a0000000c000000000000004d00000005"),
-    ("list_shards", "694e614e0606000000000000000b00000000"),
-    ("shards_reply", "694e614e0686000000000000000c0000001e000200000000000000000001000000020003000000000000000400000005"),
-    ("atlas_head", "694e614e0607000000000000000d000000020003"),
-    ("atlas_head_reply", "694e614e0687000000000000000e0000001800000006deadbeef0badf00d000000020000000000010000"),
-    ("fetch_full_chunk", "694e614e0608000000000000000f0000000e0003000000000000feed00000002"),
-    ("fetch_delta", "694e614e0609000000000000001000000006000300000004"),
-    ("delta_reply", "694e614e068900000000000000110000001501000000040000000500000000000003e700000200"),
-    ("fetch_delta_chunk", "694e614e060a00000000000000120000000a00030000000400000001"),
-    ("chunk_reply", "694e614e0688000000000000001300000015000000011122334455667788000000050908070605"),
-    ("metrics", "694e614e060b000000000000001400000000"),
-    ("metrics_reply", "694e614e068b00000000000000150000004b00000003000007612e636f756e740000000000000003010007622e67617567650000000000000004020006632e686973740003000000000000000000000000000000010000000000000002"),
-    ("events", "694e614e060c0000000000000016000000080000000000000028"),
-    ("events_reply", "694e614e068c00000000000000170000003b0000000000000001000000000000002a00000001000000000000002900000000000003e80100147368617264302065706f63683d31206461793d31"),
-    ("trace_reply", "694e614e068a80000000000000180000001000000001000000020000000300000004"),
-    ("error", "694e614e06ee0000000000000019000000080016000462757379"),
+/// version stamp — and nothing else. The move to version 7 folded the
+/// two chunk fetches into `FetchChunk`, whose bytes are those of the
+/// full-body fetch it replaced (type `0x08`, shard, tag, index), put
+/// the delta body's tag into `DeltaReply`'s handle after its days, and
+/// changed byte 4 of every row.
+const GOLDEN_HEX: [(&str, &str); 22] = [
+    ("ping", "694e614e0701000000000000000100000000"),
+    ("pong", "694e614e0781000000000000000200000000"),
+    ("query_batch", "694e614e07020102030405060708000000160003000000020a0000010a0100020000000700000009"),
+    ("path_batch", "694e614e0782000000000000000400000041000000020040290000000000003fd000000000000000030000000100000002000000030002000000030000000100010000fde9000001000500076e6f2070617468"),
+    ("resolve", "694e614e07030000000000000005000000060003c0a80101"),
+    ("resolve_reply", "694e614e078300000000000000060000000d0000000b0000000c050000000d"),
+    ("epoch", "694e614e07050000000000000009000000020003"),
+    ("epoch_reply", "694e614e0785000000000000000a0000000c000000000000004d00000005"),
+    ("list_shards", "694e614e0706000000000000000b00000000"),
+    ("shards_reply", "694e614e0786000000000000000c0000001e000200000000000000000001000000020003000000000000000400000005"),
+    ("atlas_head", "694e614e0707000000000000000d000000020003"),
+    ("atlas_head_reply", "694e614e0787000000000000000e0000001800000006deadbeef0badf00d000000020000000000010000"),
+    ("fetch_chunk", "694e614e0708000000000000000f0000000e0003000000000000feed00000002"),
+    ("fetch_delta", "694e614e0709000000000000001000000006000300000004"),
+    ("delta_reply", "694e614e078900000000000000110000001d01000000040000000500000000feedf00d00000000000003e700000200"),
+    ("chunk_reply", "694e614e0788000000000000001300000015000000011122334455667788000000050908070605"),
+    ("metrics", "694e614e070b000000000000001400000000"),
+    ("metrics_reply", "694e614e078b00000000000000150000004b00000003000007612e636f756e740000000000000003010007622e67617567650000000000000004020006632e686973740003000000000000000000000000000000010000000000000002"),
+    ("events", "694e614e070c0000000000000016000000080000000000000028"),
+    ("events_reply", "694e614e078c00000000000000170000003b0000000000000001000000000000002a00000001000000000000002900000000000003e80100147368617264302065706f63683d31206461793d31"),
+    ("trace_reply", "694e614e078a80000000000000180000001000000001000000020000000300000004"),
+    ("error", "694e614e07ee0000000000000019000000080016000462757379"),
 ];
 
 /// A frame added to the wire's table must also be added here: both

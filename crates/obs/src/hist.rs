@@ -22,14 +22,15 @@ pub fn quantile_from_counts(counts: &[u64], q: f64) -> u64 {
         let base = 1u64 << i.min(63);
         base.saturating_add(base / 2)
     };
-    let total: u64 = counts.iter().sum();
+    // Foreign counts are unvalidated: the sums saturate.
+    let total = counts.iter().fold(0u64, |t, &c| t.saturating_add(c));
     if total == 0 {
         return 0;
     }
     let rank = ((total as f64) * q).ceil().max(1.0) as u64;
-    let mut seen = 0;
+    let mut seen = 0u64;
     for (i, &c) in counts.iter().enumerate() {
-        seen += c;
+        seen = seen.saturating_add(c);
         if seen >= rank {
             return midpoint(i);
         }
@@ -125,5 +126,11 @@ mod tests {
         let mut counts = vec![0u64; 80];
         counts[79] = 1;
         assert!(quantile_from_counts(&counts, 0.99) >= 1 << 62);
+    }
+
+    #[test]
+    fn quantile_saturates_on_foreign_bucket_sums() {
+        assert_eq!(quantile_from_counts(&[1, u64::MAX], 0.5), 3);
+        assert_eq!(quantile_from_counts(&[u64::MAX, u64::MAX, 5], 0.5), 1);
     }
 }

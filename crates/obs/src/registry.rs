@@ -249,7 +249,8 @@ impl MetricsDump {
 
     /// Sum of every counter whose name ends with `suffix` — the fleet
     /// aggregation shorthand for per-shard names (`shard0.queries`,
-    /// `shard1.queries`, ...).
+    /// `shard1.queries`, ...). Saturates, like [`MetricsDump::merge`]:
+    /// a foreign dump's counters are unvalidated.
     pub fn counter_sum(&self, suffix: &str) -> u64 {
         self.entries
             .iter()
@@ -257,7 +258,7 @@ impl MetricsDump {
                 MetricValue::Counter(c) if n.ends_with(suffix) => Some(*c),
                 _ => None,
             })
-            .sum()
+            .fold(0, u64::saturating_add)
     }
 
     /// Merge `other` into `self` per the registry's merge semantics:
@@ -457,5 +458,16 @@ mod tests {
         };
         assert_eq!(d.counter_sum(".queries"), 15);
         assert_eq!(d.counter_sum(".errors"), 2);
+    }
+
+    #[test]
+    fn counter_sum_saturates_on_foreign_counters() {
+        let d = MetricsDump {
+            entries: vec![
+                ("shard0.queries".into(), MetricValue::Counter(u64::MAX)),
+                ("shard1.queries".into(), MetricValue::Counter(u64::MAX)),
+            ],
+        };
+        assert_eq!(d.counter_sum(".queries"), u64::MAX);
     }
 }

@@ -67,19 +67,30 @@
 //! whose steps leave the `mirror_*` counters and journal events.
 //! `inano-serve --mirror`'s refresh loop and the tests drive a mirror
 //! through that one call, so what it leaves is the same everywhere.
+//!
+//! ## Offering the atlas
+//!
+//! Every engine is an atlas origin for its peers: [`QueryEngine::offer`]
+//! is the engine as an [`AtlasSource`], at the chunk size a server
+//! serves. Its bodies are core's [`OfferedBody`]: each generation's
+//! encoded atlas, filled once on the [`Generation`] itself
+//! ([`Generation::export`]), and the last [`DELTA_LOG_CAP`] deltas it
+//! applied, in the bytes it applied them from. A chunk is asked for by
+//! the body's tag, and a tag the engine no longer offers is a
+//! `VersionRaced` — [`OfferedBody::serve`]'s rule, not the engine's.
 
 use crate::cache::{CacheKey, ShardedCache};
 use crate::stats::{EngineMetrics, Tally};
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_core::{
-    catch_up, chunk_span, content_tag, read_full, AtlasSource, AtlasVersion, DeltaHandle, Follower,
+    catch_up, read_full, AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle, Follower, OfferedBody,
     PathPredictor, PredictedPath, PredictorConfig,
 };
 use inano_model::{Ipv4, ModelError, PrefixId};
 use inano_obs::{EventJournal, EventKind, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Tuning knobs for the engine.
@@ -113,104 +124,41 @@ pub struct Generation {
     /// swap implicitly invalidates the whole cache.
     pub epoch: u64,
     pub predictor: Arc<PathPredictor>,
+    /// This generation's encoded atlas, filled on the first
+    /// [`Generation::export`].
+    export: OnceLock<Arc<OfferedBody>>,
 }
 
 impl Generation {
+    fn new(epoch: u64, atlas: Arc<Atlas>, cfg: &ServiceConfig) -> Arc<Generation> {
+        Arc::new(Generation {
+            epoch,
+            predictor: Arc::new(PathPredictor::new(atlas, cfg.predictor.clone())),
+            export: OnceLock::new(),
+        })
+    }
+
     pub fn day(&self) -> u32 {
         self.predictor.atlas().day
     }
+
+    /// This generation's encoded atlas as peers fetch it: encoded on
+    /// the first call, shared after (re-encoding a ~7MB atlas per
+    /// mirror request would be the real cost of serving as a mirror).
+    /// It lives on the generation, so it holds this generation's bytes
+    /// and no other's.
+    pub fn export(&self) -> &Arc<OfferedBody> {
+        self.export.get_or_init(|| {
+            let (bytes, _) = codec::encode(self.predictor.atlas());
+            Arc::new(OfferedBody::new(bytes))
+        })
+    }
 }
 
-/// Daily deltas retained for re-serving ([`QueryEngine::delta_blob`]).
+/// Daily deltas retained for re-serving ([`QueryEngine::offer`]).
 /// A mirror that lags further than this refetches the full atlas; one
 /// day per entry, so the cap is about a month of history.
 pub const DELTA_LOG_CAP: usize = 32;
-
-/// One generation's encoded bytes plus everything a dissemination head
-/// needs: what [`QueryEngine::export`] snapshots so any server can act
-/// as an atlas mirror.
-pub struct AtlasSnapshot {
-    /// Day of the encoded atlas.
-    pub day: u32,
-    /// Engine epoch the snapshot was cut at (the cache key for
-    /// re-encoding; local to this engine).
-    pub epoch: u64,
-    /// Content tag of `bytes` ([`content_tag`]) — identical on every
-    /// node of a mirror chain serving this generation, which is what
-    /// makes end-to-end "same atlas?" checks one integer compare.
-    pub epoch_tag: u64,
-    /// The encoded atlas, shared — chunk serving never copies the body.
-    pub bytes: Arc<[u8]>,
-    /// Per-chunk checksums, computed lazily and keyed by the chunk
-    /// size they were cut at (one server serves one chunk size) — so N
-    /// mirrors fetching the body cost one hash of it, not N.
-    chunk_crcs: Mutex<Option<(u32, Arc<[u64]>)>>,
-}
-
-impl AtlasSnapshot {
-    /// Checksums of every `chunk_size` chunk of the body, in index
-    /// order; cached after the first call per chunk size.
-    pub fn chunk_crcs(&self, chunk_size: u32) -> Arc<[u64]> {
-        let mut cached = self.chunk_crcs.lock();
-        if let Some((cut, crcs)) = cached.as_ref() {
-            if *cut == chunk_size {
-                return Arc::clone(crcs);
-            }
-        }
-        let len = self.bytes.len() as u64;
-        let crcs: Arc<[u64]> = (0..inano_core::n_chunks(len, chunk_size))
-            .map(|i| {
-                let span = chunk_span(len, chunk_size, i).expect("index below n_chunks");
-                content_tag(&self.bytes[span])
-            })
-            .collect();
-        *cached = Some((chunk_size, Arc::clone(&crcs)));
-        crcs
-    }
-    /// The wire-facing version descriptor for this snapshot, chunked at
-    /// `chunk_size`.
-    pub fn version(&self, chunk_size: u32) -> AtlasVersion {
-        AtlasVersion {
-            day: self.day,
-            epoch_tag: self.epoch_tag,
-            full_len: self.bytes.len() as u64,
-            chunk_size,
-        }
-    }
-
-    /// Chunk `idx` of the body at `chunk_size`, or a typed
-    /// out-of-range error.
-    pub fn chunk(&self, chunk_size: u32, idx: u32) -> Result<&[u8], ModelError> {
-        let span = chunk_span(self.bytes.len() as u64, chunk_size, idx)?;
-        Ok(&self.bytes[span])
-    }
-}
-
-/// One applied daily delta, retained in encoded form so downstream
-/// mirrors can fetch exactly the bytes this engine applied.
-pub struct DeltaBlob {
-    pub from_day: u32,
-    pub to_day: u32,
-    pub bytes: Arc<[u8]>,
-}
-
-impl DeltaBlob {
-    /// The wire-facing handle for this delta, chunked at `chunk_size`.
-    pub fn handle(&self, chunk_size: u32) -> DeltaHandle {
-        DeltaHandle {
-            from_day: self.from_day,
-            to_day: self.to_day,
-            len: self.bytes.len() as u64,
-            chunk_size,
-        }
-    }
-
-    /// Chunk `idx` of the delta body at `chunk_size`.
-    pub fn chunk(&self, chunk_size: u32, idx: u32) -> Result<&[u8], ModelError> {
-        let span = chunk_span(self.bytes.len() as u64, chunk_size, idx)?;
-        Ok(&self.bytes[span])
-    }
-}
 
 /// One answer as the engine holds it: the prediction shared with the
 /// result cache, never deep-copied on the way out.
@@ -243,13 +191,10 @@ pub struct QueryEngine {
     cfg: ServiceConfig,
     /// Serialises swap *builders*; never blocks readers.
     swap_lock: Mutex<()>,
-    /// Cached encoding of the current generation, keyed by its epoch
-    /// (re-encoding a ~7MB atlas per mirror request would be the real
-    /// cost of serving as a mirror; this makes it once per swap).
-    export: Mutex<Option<Arc<AtlasSnapshot>>>,
-    /// Encoded deltas this engine applied, oldest first, capped at
-    /// [`DELTA_LOG_CAP`] — what downstream mirrors fetch.
-    delta_log: Mutex<VecDeque<Arc<DeltaBlob>>>,
+    /// Encoded deltas this engine applied as `(from_day, to_day,
+    /// body)`, oldest first, capped at [`DELTA_LOG_CAP`] — what
+    /// downstream mirrors fetch.
+    delta_log: Mutex<VecDeque<(u32, u32, OfferedBody)>>,
     /// Where swap/delta/resync events land once a serving layer
     /// attaches its journal ([`QueryEngine::set_journal`]); the label
     /// (usually `shardN`) prefixes every detail so one journal can
@@ -261,11 +206,7 @@ pub struct QueryEngine {
 impl QueryEngine {
     /// Build an engine over an already-decoded atlas.
     pub fn new(atlas: Arc<Atlas>, cfg: ServiceConfig) -> QueryEngine {
-        let predictor = Arc::new(PathPredictor::new(atlas, cfg.predictor.clone()));
-        let generation = Arc::new(Generation {
-            epoch: 0,
-            predictor,
-        });
+        let generation = Generation::new(0, atlas, &cfg);
         let cache = ShardedCache::new(cfg.cache_capacity, cfg.cache_shards);
         let metrics = EngineMetrics {
             cache_hits: cache.hits.clone(),
@@ -282,7 +223,6 @@ impl QueryEngine {
             metrics,
             cfg,
             swap_lock: Mutex::new(()),
-            export: Mutex::new(None),
             delta_log: Mutex::new(VecDeque::new()),
             journal: Mutex::new(None),
         }
@@ -497,11 +437,7 @@ impl QueryEngine {
     fn swap_locked(&self, delta: &AtlasDelta, encoded: Option<Vec<u8>>) -> Result<u32, ModelError> {
         let base = self.generation();
         let next_atlas = Arc::new(delta.apply(base.predictor.atlas())?);
-        let predictor = Arc::new(PathPredictor::new(next_atlas, self.cfg.predictor.clone()));
-        let next = Arc::new(Generation {
-            epoch: base.epoch + 1,
-            predictor,
-        });
+        let next = Generation::new(base.epoch + 1, next_atlas, &self.cfg);
         let day = next.day();
         self.publish(next);
         self.emit(EventKind::DeltaApplied, || {
@@ -515,11 +451,7 @@ impl QueryEngine {
         if log.len() == DELTA_LOG_CAP {
             log.pop_front();
         }
-        log.push_back(Arc::new(DeltaBlob {
-            from_day: delta.from_day,
-            to_day: delta.to_day,
-            bytes: bytes.into(),
-        }));
+        log.push_back((delta.from_day, delta.to_day, OfferedBody::new(bytes)));
         Ok(day)
     }
 
@@ -537,46 +469,31 @@ impl QueryEngine {
         });
     }
 
-    /// Snapshot the serving generation's encoded bytes + version for
-    /// dissemination — what makes *any* engine an atlas origin. Cached
-    /// per epoch: the first call after a swap re-encodes, later calls
-    /// share the same `Arc`.
-    pub fn export(&self) -> Arc<AtlasSnapshot> {
-        let generation = self.generation();
-        let mut cached = self.export.lock();
-        if let Some(snap) = cached.as_ref() {
-            if snap.epoch == generation.epoch {
-                return Arc::clone(snap);
-            }
-        }
-        let (bytes, _) = codec::encode(generation.predictor.atlas());
-        let snap = Arc::new(AtlasSnapshot {
-            day: generation.day(),
-            epoch: generation.epoch,
-            epoch_tag: content_tag(&bytes),
-            bytes: bytes.into(),
-            chunk_crcs: Mutex::new(None),
-        });
-        *cached = Some(Arc::clone(&snap));
-        snap
+    /// The serving generation's encoded atlas, as peers fetch it
+    /// ([`Generation::export`]): the first call after a swap encodes,
+    /// later calls share the same `Arc`.
+    pub fn export(&self) -> Arc<OfferedBody> {
+        Arc::clone(self.generation().export())
     }
 
-    /// The retained delta leaving `have_day`, if this engine applied
-    /// one recently enough ([`DELTA_LOG_CAP`]).
-    pub fn delta_blob(&self, have_day: u32) -> Option<Arc<DeltaBlob>> {
-        self.delta_log
-            .lock()
-            .iter()
-            .find(|b| b.from_day == have_day)
-            .cloned()
+    /// This engine as an [`AtlasSource`] for its peers, every body cut
+    /// into `chunk_size` chunks: the serving generation's encoded atlas
+    /// and the deltas it retains ([`DELTA_LOG_CAP`]). This is what
+    /// makes *any* engine an atlas origin; a server answers its fetch
+    /// frames here.
+    pub fn offer(&self, chunk_size: u32) -> Offer<'_> {
+        Offer {
+            engine: self,
+            chunk_size,
+        }
     }
 
     /// Catch up with `source` by [`catch_up`]; returns how many deltas
     /// were applied. What is the engine's own:
     ///
     /// * **The tag** compared on an empty chain is this engine's
-    ///   ([`QueryEngine::export`], cached per epoch, so an idle tick
-    ///   costs one compare and no body bytes).
+    ///   ([`QueryEngine::export`], encoded once per generation, so an
+    ///   idle tick costs one compare and no body bytes).
     /// * **A delta** is one swap, retained for this engine's own
     ///   downstream mirrors, one `mirror_deltas_applied` and one
     ///   `DeltaApplied` event, each as it lands.
@@ -616,7 +533,7 @@ impl QueryEngine {
     /// Swap in a whole new atlas generation: a monthly full refresh at
     /// an origin, or a mirror re-bootstrapping after falling off its
     /// upstream's retained delta chain. The epoch bumps like any delta
-    /// swap — caches invalidate, the export snapshot re-encodes — but
+    /// swap — caches invalidate, the export re-encodes — but
     /// no delta is logged: there is no delta that produces this
     /// generation, so downstream mirrors bridge the discontinuity the
     /// same way, by refetching the full atlas. Returns the new day.
@@ -628,12 +545,7 @@ impl QueryEngine {
     /// [`QueryEngine::replace_atlas`] for a caller already holding
     /// `swap_lock` ([`QueryEngine::update`]'s full resync).
     fn replace_locked(&self, atlas: Arc<Atlas>) -> u32 {
-        let base = self.generation();
-        let predictor = Arc::new(PathPredictor::new(atlas, self.cfg.predictor.clone()));
-        let next = Arc::new(Generation {
-            epoch: base.epoch + 1,
-            predictor,
-        });
+        let next = Generation::new(self.epoch() + 1, atlas, &self.cfg);
         let day = next.day();
         self.publish(next);
         self.metrics.mirror_full_resyncs.inc();
@@ -659,7 +571,7 @@ impl Follower for Mirror<'_> {
     }
 
     fn tag(&mut self) -> u64 {
-        self.0.export().epoch_tag
+        self.0.export().tag()
     }
 
     fn apply(&mut self, delta: &AtlasDelta, bytes: Vec<u8>) -> Result<(), ModelError> {
@@ -683,5 +595,36 @@ impl Follower for Mirror<'_> {
         self.0.metrics.mirror_races_recovered.add(races as u64);
         self.0
             .emit(EventKind::RaceRecovered, || format!("races={races}"));
+    }
+}
+
+/// What a [`QueryEngine`] offers its peers, cut at one chunk size
+/// ([`QueryEngine::offer`]).
+pub struct Offer<'e> {
+    engine: &'e QueryEngine,
+    chunk_size: u32,
+}
+
+impl AtlasSource for Offer<'_> {
+    fn head(&mut self) -> Result<AtlasVersion, ModelError> {
+        let generation = self.engine.generation();
+        Ok(generation
+            .export()
+            .version(generation.day(), self.chunk_size))
+    }
+
+    fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
+        let log = self.engine.delta_log.lock();
+        let leaving = log.iter().find(|(from, ..)| *from == have_day);
+        Ok(leaving.map(|(from, to, body)| body.handle(*from, *to, self.chunk_size)))
+    }
+
+    fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
+        // Encoded before the log lock is taken, so a first export never
+        // holds up a swap's log push.
+        let export = self.engine.export();
+        let log = self.engine.delta_log.lock();
+        let offered = std::iter::once(&*export).chain(log.iter().map(|(.., body)| body));
+        OfferedBody::serve(offered, tag, self.chunk_size, idx)
     }
 }

@@ -48,8 +48,6 @@ pub mod registry;
 pub mod stats;
 
 pub use cache::{CacheKey, ShardedCache};
-pub use engine::{
-    AtlasSnapshot, DeltaBlob, Generation, QueryEngine, ServiceConfig, SharedResult, DELTA_LOG_CAP,
-};
+pub use engine::{Generation, Offer, QueryEngine, ServiceConfig, SharedResult, DELTA_LOG_CAP};
 pub use registry::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
 pub use stats::EngineMetrics;

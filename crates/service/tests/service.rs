@@ -4,8 +4,8 @@
 
 use inano_atlas::{codec, Atlas, AtlasDelta, LinkAnnotation, Plane};
 use inano_core::{
-    content_tag, AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle, PathPredictor, PredictedPath,
-    PredictorConfig, StaticSource,
+    AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle, OfferedBody, PathPredictor, PredictedPath,
+    PredictorConfig, StaticSource, DEFAULT_CHUNK_SIZE,
 };
 use inano_model::{ClusterId, Ipv4, LatencyMs, ModelError};
 use inano_service::{QueryEngine, ServiceConfig};
@@ -17,6 +17,12 @@ use std::time::Duration;
 #[path = "common/ring.rs"]
 mod ring;
 use ring::{ring_atlas, ring_ip, ring_shortcut_delta};
+
+/// The delta `engine` offers its peers leaving `day`, if it retains one.
+fn retained(engine: &QueryEngine, day: u32) -> Option<DeltaHandle> {
+    let offered = engine.offer(DEFAULT_CHUNK_SIZE).fetch_delta(day);
+    offered.expect("an engine's own delta log always answers")
+}
 
 #[test]
 fn every_ring_pair_is_routable() {
@@ -318,7 +324,7 @@ fn update_refuses_a_delta_that_does_not_advance_the_day() {
     }
     assert_eq!((engine.day(), engine.epoch()), (0, 0));
     assert_eq!(engine.metrics().swaps.get(), 0);
-    assert!(engine.delta_blob(0).is_none(), "nothing was logged");
+    assert!(retained(&engine, 0).is_none(), "nothing was logged");
 }
 
 /// A chain whose second delta does not decode: the first stays
@@ -340,7 +346,7 @@ fn a_chain_failing_midway_counts_the_delta_it_applied() {
     }
     let m = engine.metrics();
     assert_eq!((engine.day(), m.swaps.get()), (1, 1));
-    assert!(engine.delta_blob(0).is_some(), "the 0→1 delta is retained");
+    assert!(retained(&engine, 0).is_some(), "the 0→1 delta is retained");
     let journaled = journal
         .since(0)
         .events
@@ -354,7 +360,7 @@ fn a_chain_failing_midway_counts_the_delta_it_applied() {
 #[test]
 fn replace_atlas_swaps_a_whole_generation_without_logging_a_delta() {
     let engine = QueryEngine::new(Arc::new(ring_atlas(8, 0)), ServiceConfig::default());
-    let before_tag = engine.export().epoch_tag;
+    let before_tag = engine.export().tag();
     engine
         .query(ring_ip(0), ring_ip(3))
         .expect("day-0 world serves");
@@ -362,7 +368,7 @@ fn replace_atlas_swaps_a_whole_generation_without_logging_a_delta() {
     engine
         .apply_delta(&AtlasDelta::between(&ring_atlas(8, 0), &ring_atlas(8, 1)))
         .expect("delta applies");
-    assert!(engine.delta_blob(0).is_some());
+    assert!(retained(&engine, 0).is_some());
 
     // A full replace models a monthly refresh or a mirror resync: the
     // new world may be days ahead with no bridging delta at all.
@@ -372,9 +378,9 @@ fn replace_atlas_swaps_a_whole_generation_without_logging_a_delta() {
     assert_eq!(engine.epoch(), 2, "a replace bumps the epoch like a swap");
     assert_eq!(engine.metrics().swaps.get(), 2);
     // The export snapshot re-encodes the new generation...
-    let snap = engine.export();
-    assert_eq!(snap.day, 9);
-    assert_ne!(snap.epoch_tag, before_tag);
+    let head = engine.offer(DEFAULT_CHUNK_SIZE).head().expect("head");
+    assert_eq!(head.day, 9);
+    assert_ne!(head.epoch_tag, before_tag);
     // ...queries land in the new (bigger) world...
     let r = engine
         .query(ring_ip(0), ring_ip(10))
@@ -383,7 +389,7 @@ fn replace_atlas_swaps_a_whole_generation_without_logging_a_delta() {
     // ...and the delta log is emptied: the retained 0→1 delta belongs
     // to the abandoned chain, and serving it would walk a lagging
     // mirror down a dead generation instead of forcing a full resync.
-    assert!(engine.delta_blob(0).is_none());
+    assert!(retained(&engine, 0).is_none());
 }
 
 /// A [`StaticSource`] with two scripted faults on its full body.
@@ -401,24 +407,22 @@ impl AtlasSource for FaultyUpstream {
         self.inner.head()
     }
 
-    fn fetch_full_chunk(&mut self, idx: u32) -> Result<AtlasChunk, ModelError> {
-        self.full_chunks += 1;
-        if self.body_down {
-            return Err(ModelError::Decode("upstream body unavailable".into()));
-        }
-        if self.race_at == Some(idx) {
-            self.race_at = None;
-            return Err(ModelError::VersionRaced("upstream swapped".into()));
-        }
-        self.inner.fetch_full_chunk(idx)
-    }
-
     fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
         self.inner.fetch_delta(have_day)
     }
 
-    fn fetch_delta_chunk(&mut self, from_day: u32, idx: u32) -> Result<AtlasChunk, ModelError> {
-        self.inner.fetch_delta_chunk(from_day, idx)
+    fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
+        if tag == self.inner.full.tag() {
+            self.full_chunks += 1;
+            if self.body_down {
+                return Err(ModelError::Decode("upstream body unavailable".into()));
+            }
+            if self.race_at == Some(idx) {
+                self.race_at = None;
+                return Err(ModelError::VersionRaced("upstream swapped".into()));
+            }
+        }
+        self.inner.fetch_chunk(tag, idx)
     }
 }
 
@@ -466,7 +470,7 @@ fn update_bridges_a_broken_chain_with_one_full_resync() {
     // The upstream replaces its atlas (day 5, no bridging delta) and
     // its body cannot be fetched: the error surfaces, the gauges say
     // how far behind the engine is, and day 1 keeps serving.
-    upstream.inner.full = codec::encode(&ring_atlas(8, 5)).0;
+    upstream.inner.full = OfferedBody::new(codec::encode(&ring_atlas(8, 5)).0);
     upstream.body_down = true;
     assert!(engine.update(&mut upstream).is_err());
     assert_eq!(m.mirror_upstream_day.get(), 5);
@@ -483,8 +487,8 @@ fn update_bridges_a_broken_chain_with_one_full_resync() {
     assert_eq!(engine.update(&mut upstream).expect("resync"), 0);
     assert_eq!(engine.day(), 5);
     assert_eq!(
-        engine.export().epoch_tag,
-        content_tag(&upstream.inner.full),
+        engine.export().tag(),
+        upstream.inner.full.tag(),
         "converged on the upstream's bytes"
     );
     assert_eq!(m.mirror_full_resyncs.get(), 1);
@@ -492,7 +496,7 @@ fn update_bridges_a_broken_chain_with_one_full_resync() {
     assert_eq!(m.mirror_deltas_applied.get(), 0);
     assert_eq!(m.mirror_lag_days.get(), 0);
     assert_eq!(resyncs_journaled(), 1);
-    assert!(engine.delta_blob(1).is_none(), "no delta leads here");
+    assert!(retained(&engine, 1).is_none(), "no delta leads here");
 
     // Idle again: the next tick fetches nothing and resyncs nothing.
     let after = upstream.full_chunks;

@@ -146,17 +146,13 @@ fn main() {
         inano::service::ServiceConfig::default(),
     )
     .expect("bootstrap an engine over the wire");
-    let origin_tag = registry
-        .engine(ShardId(1))
-        .expect("shard 1")
-        .export()
-        .epoch_tag;
+    let origin_tag = registry.engine(ShardId(1)).expect("shard 1").export().tag();
     println!(
         "mirrored shard 1 over the wire: day {}, epoch tag {:#018x} (origin tag {:#018x}, {})",
         mirrored.day(),
-        mirrored.export().epoch_tag,
+        mirrored.export().tag(),
         origin_tag,
-        if mirrored.export().epoch_tag == origin_tag {
+        if mirrored.export().tag() == origin_tag {
             "identical"
         } else {
             "DIVERGED?!"
