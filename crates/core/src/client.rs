@@ -4,10 +4,15 @@
 //! [`INanoClient::predictor`], and keep it up to date with the daily
 //! delta — or, for the sporadically-online peer whose delta chain has
 //! broken, with one full refetch ([`INanoClient::update`]).
+//!
+//! A client keeps two atlases apart: the upstream one it took from its
+//! source, which deltas land on and whose tag [`catch_up`] compares,
+//! and the one it serves, which adds its own traceroutes. While it has
+//! measured nothing itself the two are one allocation.
 
 use crate::config::PredictorConfig;
 use crate::predict::PathPredictor;
-use crate::source::{catch_up, read_full, AtlasSource, AtlasVersion, Follower};
+use crate::source::{catch_up, content_tag, read_full, AtlasSource, AtlasVersion, Follower};
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_model::{ClusterId, LatencyMs, ModelError};
 use std::sync::Arc;
@@ -17,7 +22,10 @@ type LocalLink = ((ClusterId, ClusterId), Option<LatencyMs>);
 
 /// The iNano client library.
 pub struct INanoClient {
+    /// The upstream atlas with the local links added: what it serves.
     atlas: Arc<Atlas>,
+    /// The upstream atlas as its source offers it, without local links.
+    upstream: Arc<Atlas>,
     cfg: PredictorConfig,
     /// `None` only transiently inside [`INanoClient::rebuild`], so the
     /// atlas `Arc` can be mutated in place instead of cloned.
@@ -25,10 +33,10 @@ pub struct INanoClient {
     /// Local FROM_SRC links contributed by this client's own traceroutes,
     /// re-applied after every update.
     local_links: Vec<LocalLink>,
-    /// `epoch_tag` of the upstream version this client last converged
-    /// to. Its own atlas carries the local links, so its encoding never
-    /// equals the upstream's and cannot stand in for this.
-    upstream_tag: u64,
+    /// [`content_tag`] of `upstream`'s encoding: known at once for a
+    /// fetched body; for one a delta chain built, encoded the first time
+    /// [`catch_up`] asks for it.
+    upstream_tag: Option<u64>,
 }
 
 impl INanoClient {
@@ -39,15 +47,15 @@ impl INanoClient {
         cfg: PredictorConfig,
     ) -> Result<INanoClient, ModelError> {
         let (version, bytes, _) = read_full(source)?;
-        let atlas = codec::decode(&bytes)?;
-        let atlas = Arc::new(atlas);
-        let predictor = PathPredictor::new(Arc::clone(&atlas), cfg.clone());
+        let upstream = Arc::new(codec::decode(&bytes)?);
+        let predictor = PathPredictor::new(Arc::clone(&upstream), cfg.clone());
         Ok(INanoClient {
-            atlas,
+            atlas: Arc::clone(&upstream),
+            upstream,
             cfg,
             predictor: Some(predictor),
             local_links: Vec::new(),
-            upstream_tag: version.epoch_tag,
+            upstream_tag: Some(version.epoch_tag),
         })
     }
 
@@ -64,12 +72,12 @@ impl INanoClient {
     /// re-applied — also when the chain failed partway, so the days
     /// that did apply are kept and the client keeps serving either way.
     ///
-    /// The tag compared is the remembered upstream tag: the one
-    /// [`read_full`] returned at bootstrap or resync, or the head's
-    /// after a chain that ends on the head's day. It is not the
-    /// client's own content tag, as the service engine's is: a client's
-    /// atlas carries its own FROM_SRC links, so its encoding never
-    /// equals the upstream's.
+    /// Deltas land on the upstream atlas, and the tag compared is that
+    /// of the upstream body the client holds: [`read_full`]'s at
+    /// bootstrap or resync, and after a chain the encoding of what the
+    /// chain built, made on the next compare. It is never a head's, so
+    /// a source that swaps in another body of the day between a chain
+    /// and its head probe is resynced from on the next update.
     pub fn update(&mut self, source: &mut dyn AtlasSource) -> Result<usize, ModelError> {
         let mut staged = Staged {
             client: self,
@@ -77,7 +85,8 @@ impl INanoClient {
         };
         let outcome = catch_up(source, &mut staged);
         if let Some(atlas) = staged.next {
-            self.atlas = Arc::new(atlas);
+            self.upstream = Arc::new(atlas);
+            self.atlas = Arc::clone(&self.upstream);
             self.rebuild(self.local_links.clone());
         }
         outcome
@@ -105,11 +114,14 @@ impl INanoClient {
     }
 
     /// Apply `links` to the atlas — in place when the client holds the
-    /// only `Arc` (the common case) — then rebuild the predictor once.
+    /// only `Arc`; the first links after an install copy the upstream
+    /// atlas, which stays as it came — then rebuild the predictor once.
     fn rebuild(&mut self, links: Vec<LocalLink>) {
         // Drop the predictor's Arc first so make_mut can avoid cloning.
         self.predictor = None;
-        Arc::make_mut(&mut self.atlas).add_from_src_links(links);
+        if !links.is_empty() {
+            Arc::make_mut(&mut self.atlas).add_from_src_links(links);
+        }
         self.predictor = Some(PathPredictor::new(
             Arc::clone(&self.atlas),
             self.cfg.clone(),
@@ -130,7 +142,7 @@ impl INanoClient {
 }
 
 /// An [`INanoClient`] as [`catch_up`] drives it: deltas and a resync
-/// land on `next`, which `update` installs once.
+/// land on `next`, an upstream atlas which `update` installs once.
 struct Staged<'c> {
     client: &'c mut INanoClient,
     next: Option<Atlas>,
@@ -138,35 +150,34 @@ struct Staged<'c> {
 
 impl Follower for Staged<'_> {
     fn day(&self) -> u32 {
-        self.next.as_ref().unwrap_or(&self.client.atlas).day
+        self.next.as_ref().unwrap_or(&self.client.upstream).day
     }
 
     fn tag(&mut self) -> u64 {
-        self.client.upstream_tag
+        let client = &mut *self.client;
+        let upstream = &client.upstream;
+        *client
+            .upstream_tag
+            .get_or_insert_with(|| content_tag(&codec::encode(upstream).0))
     }
 
     fn apply(&mut self, delta: &AtlasDelta, _: Vec<u8>) -> Result<(), ModelError> {
-        let base = self.next.as_ref().unwrap_or(&self.client.atlas);
+        let base = self.next.as_ref().unwrap_or(&self.client.upstream);
         self.next = Some(delta.apply(base)?);
+        self.client.upstream_tag = None;
         Ok(())
-    }
-
-    fn head(&mut self, head: &AtlasVersion, in_step: bool) {
-        if in_step {
-            self.client.upstream_tag = head.epoch_tag;
-        }
     }
 
     fn resync(&mut self, version: &AtlasVersion, atlas: Atlas) {
         self.next = Some(atlas);
-        self.client.upstream_tag = version.epoch_tag;
+        self.client.upstream_tag = Some(version.epoch_tag);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{AtlasChunk, AtlasVersion, DeltaHandle, OfferedBody, StaticSource};
+    use crate::source::{OfferedBody, Scripted, StaticSource, Step};
     use inano_atlas::{LinkAnnotation, Plane};
     use inano_model::{Asn, Ipv4, Prefix, PrefixId};
 
@@ -256,36 +267,6 @@ mod tests {
         assert_eq!(r.fwd_clusters.len(), 2, "uses the day-1 shortcut");
     }
 
-    /// Serves one delta, then fails every further delta probe; counts
-    /// the body chunks it hands out.
-    struct FlakyAfterOne {
-        inner: StaticSource,
-        served: usize,
-        chunks: usize,
-    }
-
-    impl AtlasSource for FlakyAfterOne {
-        fn head(&mut self) -> Result<AtlasVersion, ModelError> {
-            self.inner.head()
-        }
-
-        fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
-            if self.served >= 1 {
-                return Err(ModelError::Decode("source died mid-update".into()));
-            }
-            let r = self.inner.fetch_delta(have_day);
-            if let Ok(Some(_)) = &r {
-                self.served += 1;
-            }
-            r
-        }
-
-        fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
-            self.chunks += 1;
-            self.inner.fetch_chunk(tag, idx)
-        }
-    }
-
     #[test]
     fn update_failing_midway_keeps_the_client_serving() {
         let day0 = base_atlas(0);
@@ -299,11 +280,10 @@ mod tests {
         );
         let (full, _) = codec::encode(&day0);
         let d01 = AtlasDelta::between(&day0, &day1).encode().0;
-        let mut src = FlakyAfterOne {
-            inner: StaticSource::new(full, vec![d01]),
-            served: 0,
-            chunks: 0,
-        };
+        let mut src = Scripted::new(StaticSource::new(full, vec![d01]));
+        // Serves one delta, then fails every further delta probe.
+        let died = ModelError::Decode("source died mid-update".into());
+        src.deltas.extend([Step::Pass, Step::Down(died)]);
         let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
         assert!(
             client.update(&mut src).is_err(),
@@ -325,30 +305,28 @@ mod tests {
 
     #[test]
     fn a_broken_delta_chain_is_bridged_by_refetching_the_full_atlas() {
-        // No delta is ever served here, so the source never turns flaky.
-        let mut src = FlakyAfterOne {
-            inner: StaticSource::new(codec::encode(&base_atlas(1)).0, vec![]),
-            served: 0,
-            chunks: 0,
-        };
+        let mut src = Scripted::new(StaticSource::new(codec::encode(&base_atlas(1)).0, vec![]));
         let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
         client.add_local_links([(
             (ClusterId::new(1), ClusterId::new(3)),
             Some(LatencyMs::new(0.5)),
         )]);
-        let bootstrap_chunks = src.chunks;
+        let bootstrap_chunks = src.served.full_chunks;
 
         // Up to date: the head probe moves no body.
         assert_eq!(client.update(&mut src).unwrap(), 0);
         assert_eq!(client.day(), 1);
-        assert_eq!(src.chunks, bootstrap_chunks);
+        assert_eq!(src.served.full_chunks, bootstrap_chunks);
 
         // The upstream replaced its atlas: day 5, and no delta leaves
         // day 1. One update lands on it with the local link re-applied.
         src.inner.full = OfferedBody::new(codec::encode(&base_atlas(5)).0);
         assert_eq!(client.update(&mut src).unwrap(), 0);
         assert_eq!(client.day(), 5);
-        assert!(src.chunks > bootstrap_chunks, "the body was refetched");
+        assert!(
+            src.served.full_chunks > bootstrap_chunks,
+            "the body was refetched"
+        );
         let r = client
             .predictor()
             .query(
@@ -359,9 +337,9 @@ mod tests {
         assert_eq!(r.fwd_clusters.len(), 2, "local FROM_SRC link survives");
 
         // And it is idle again afterwards.
-        let after = src.chunks;
+        let after = src.served.full_chunks;
         assert_eq!(client.update(&mut src).unwrap(), 0);
-        assert_eq!(src.chunks, after);
+        assert_eq!(src.served.full_chunks, after);
     }
 
     #[test]
@@ -401,6 +379,48 @@ mod tests {
         assert!(!client.atlas().links.contains_key(&marker), "day-0 body");
         let r = client.predictor().query(me, there).unwrap();
         assert_eq!(r.fwd_clusters.len(), 2, "local FROM_SRC link survives");
+    }
+
+    #[test]
+    fn a_body_swapped_in_before_the_head_probe_is_resynced_from() {
+        let day0 = base_atlas(0);
+        let mut day1 = base_atlas(1);
+        day1.links.insert(
+            (ClusterId::new(1), ClusterId::new(3)),
+            LinkAnnotation {
+                latency: Some(LatencyMs::new(1.0)),
+                plane: Plane::TO_DST,
+            },
+        );
+        let d01 = AtlasDelta::between(&day0, &day1).encode().0;
+        let mut src = Scripted::new(StaticSource::new(codec::encode(&day0).0, vec![d01]));
+        let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
+        let (me, there) = (
+            Ipv4::from_octets(10, 0, 0, 1),
+            Ipv4::from_octets(20, 0, 0, 1),
+        );
+        let raw = |path: &[ClusterId]| path.iter().map(|c| c.raw()).collect::<Vec<_>>();
+
+        // The client walks day 0 → 1 by delta. Before its head probe the
+        // upstream swaps in another day-1 body, one without the 1 → 3
+        // shortcut.
+        let other = codec::encode(&base_atlas(1)).0;
+        let swap = move |s: &mut StaticSource| s.full = OfferedBody::new(other);
+        src.heads.push_back(Step::Then(Box::new(swap)));
+        assert_eq!(client.update(&mut src).unwrap(), 1);
+        let r = client.predictor().query(me, there).unwrap();
+        assert_eq!(raw(&r.fwd_clusters), [1, 3], "the chain's day-1 body");
+
+        // Fault-free from here: the next update lands on the body the
+        // upstream offers, and the one after moves nothing.
+        assert_eq!(client.update(&mut src).unwrap(), 0);
+        let shortcut = (ClusterId::new(1), ClusterId::new(3));
+        assert!(!client.atlas().links.contains_key(&shortcut));
+        let r = client.predictor().query(me, there).unwrap();
+        assert_eq!(raw(&r.fwd_clusters), [1, 2, 3], "the upstream's body");
+        let fetched = src.served;
+        assert_eq!(client.update(&mut src).unwrap(), 0);
+        assert_eq!(src.served.full_chunks, fetched.full_chunks);
     }
 
     #[test]

@@ -38,5 +38,6 @@ pub use predict::{PathPredictor, PredictedPath, Resolution, SearchCounts};
 pub use rank::rank_by_rtt;
 pub use source::{
     catch_up, chunk_span, content_tag, n_chunks, read_delta, read_full, AtlasChunk, AtlasSource,
-    AtlasVersion, DeltaHandle, Follower, OfferedBody, StaticSource, DEFAULT_CHUNK_SIZE,
+    AtlasVersion, DeltaHandle, Follower, OfferedBody, Scripted, Served, StaticSource, Step,
+    DEFAULT_CHUNK_SIZE,
 };

@@ -41,11 +41,19 @@
 //! call returns how many such restarts it recovered from beside the
 //! body. [`catch_up`] is its one caller outside bootstrap:
 //! `INanoClient::update` and the service engine's `update` each hand it
-//! a [`Follower`].
+//! a [`Follower`], which names the body it holds by that body's own tag.
+//!
+//! A source's faults are scripted, not written by hand: [`Scripted`]
+//! wraps any source and runs a [`Step`] before each call reaches it —
+//! pass, answer instead, stay down, move the source on, misname — and
+//! counts what it serves. It is the fourth and last implementation of
+//! the trait, and every test of the reader, the policy and the
+//! followers scripts its upstream with it.
 
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_model::ModelError;
 use parking_lot::Mutex;
+use std::collections::{HashSet, VecDeque};
 
 /// Default chunk size for in-process sources: large enough that a ~7MB
 /// atlas is a few dozen chunks, small enough that one chunk always fits
@@ -414,15 +422,15 @@ fn is_race(e: &ModelError) -> bool {
 pub trait Follower {
     /// Day of the atlas the next delta must leave.
     fn day(&self) -> u32;
-    /// `epoch_tag` of the upstream version this follower holds. Asked
-    /// only when the delta chain was empty.
+    /// [`content_tag`] of the upstream body this follower holds: the
+    /// encoding of the atlas it took from its source, before anything
+    /// of its own was added. Asked only when the delta chain was empty.
     fn tag(&mut self) -> u64;
     /// Land one delta; `bytes` is its validated wire form.
     fn apply(&mut self, delta: &AtlasDelta, bytes: Vec<u8>) -> Result<(), ModelError>;
     /// The source's head, probed after the chain, before any full
-    /// fetch. `in_step` is true when the follower now holds that
-    /// version: the chain ended on the head's day, or the tags matched.
-    fn head(&mut self, head: &AtlasVersion, in_step: bool);
+    /// fetch.
+    fn head(&mut self, _head: &AtlasVersion) {}
     /// Take the whole upstream atlas in place of the broken chain.
     fn resync(&mut self, version: &AtlasVersion, atlas: Atlas);
     /// Whole-body restarts one fetch recovered from (never 0).
@@ -444,7 +452,10 @@ pub trait Follower {
 ///    day, or the follower lagged past the deltas it retains — and the
 ///    full body is fetched ([`read_full`]), decoded and handed over.
 ///    The call still returns `Ok(0)`. A source must therefore name as
-///    its head the version its own delta chain ends at.
+///    its head the version its own delta chain ends at. The tag is
+///    that of the body the follower holds, never one a head named: a
+///    source that swaps in another body of the same day between a
+///    chain and the probe is caught by the next call's compare.
 ///
 /// Any fetch, decode or apply error is returned at once; the deltas
 /// that landed before it stay landed.
@@ -468,9 +479,8 @@ pub fn catch_up(
         Err(_) if applied > 0 => return Ok(applied),
         Err(e) => return Err(e),
     };
-    let resync = applied == 0 && head.epoch_tag != follower.tag();
-    follower.head(&head, !resync && head.day == follower.day());
-    if resync {
+    follower.head(&head);
+    if applied == 0 && head.epoch_tag != follower.tag() {
         let (version, bytes, races) = read_full(source)?;
         if races > 0 {
             follower.races(races);
@@ -525,85 +535,187 @@ impl AtlasSource for StaticSource {
     }
 }
 
+/// One step of a [`Scripted`] source's script for one method, run
+/// before the call reaches `inner`; `R` is what the method answers. The
+/// alphabet is the faults mirrors that trust each other show one
+/// another — a transfer lost or corrupted, a source that moved on
+/// between two calls, a body misnamed — and nothing Byzantine.
+pub enum Step<S, R> {
+    /// Reach `inner`.
+    Pass,
+    /// Answer this; `inner` is not asked (an error, or a head or handle
+    /// no honest source would name).
+    Answer(Result<R, ModelError>),
+    /// Fail this call and every later one of this method until the
+    /// script is cleared ([`Scripted::clear`]): an upstream that is down.
+    Down(ModelError),
+    /// Run this on `inner`, then reach it: the source moved on (swapped
+    /// its body, replaced a delta) or something happened elsewhere.
+    Then(Box<dyn FnOnce(&mut S)>),
+    /// Reach `inner`, then flip the low bit of the name in its answer: a
+    /// head's or a handle's tag (the body is served under that wrong
+    /// name too), or a chunk's checksum.
+    Misname,
+}
+
+/// A script for one method: its next calls' steps, in order.
+pub type Script<S, R> = VecDeque<Step<S, R>>;
+
+/// What a [`Scripted`] source was asked and served. A call counts
+/// whether or not it failed.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Served {
+    pub heads: usize,
+    pub deltas: usize,
+    /// Chunk calls naming a tag one of its heads answered.
+    pub full_chunks: usize,
+    /// Every other chunk call: a delta's.
+    pub delta_chunks: usize,
+    /// Bytes of the chunks it answered.
+    pub bytes: u64,
+}
+
+/// Any source, faults scripted in front of it: before a call reaches
+/// `inner`, the next [`Step`] scripted for that method runs, and a call
+/// with no step left passes. It counts what it is asked ([`Served`]).
+/// The tests of the reader, of [`catch_up`] and of every follower
+/// script their upstream with it, in memory or over the wire.
+pub struct Scripted<S: AtlasSource> {
+    pub inner: S,
+    pub heads: Script<S, AtlasVersion>,
+    pub deltas: Script<S, Option<DeltaHandle>>,
+    pub chunks: Script<S, AtlasChunk>,
+    pub served: Served,
+    /// Tags its heads answered: a chunk of one is a full-body chunk.
+    head_tags: HashSet<u64>,
+    /// Wrong names a [`Step::Misname`] gave a body: a chunk asked for by
+    /// one is served from the body its right name, one bit off, names.
+    misnamed: HashSet<u64>,
+}
+
+impl<S: AtlasSource> Scripted<S> {
+    pub fn new(inner: S) -> Scripted<S> {
+        Scripted {
+            inner,
+            heads: Script::new(),
+            deltas: Script::new(),
+            chunks: Script::new(),
+            served: Served::default(),
+            head_tags: HashSet::new(),
+            misnamed: HashSet::new(),
+        }
+    }
+
+    /// Drop every step still scripted: from here on each call passes.
+    pub fn clear(&mut self) {
+        self.heads.clear();
+        self.deltas.clear();
+        self.chunks.clear();
+    }
+}
+
+/// Run the next step of `script` around `call`; `true` beside the
+/// answer asks the caller to misname it.
+fn step<S, R>(
+    script: &mut Script<S, R>,
+    inner: &mut S,
+    call: impl FnOnce(&mut S) -> Result<R, ModelError>,
+) -> Result<(R, bool), ModelError> {
+    match script.pop_front().unwrap_or(Step::Pass) {
+        Step::Pass => Ok((call(inner)?, false)),
+        Step::Answer(answer) => Ok((answer?, false)),
+        Step::Down(e) => {
+            script.push_front(Step::Down(e.clone()));
+            Err(e)
+        }
+        Step::Then(f) => {
+            f(inner);
+            Ok((call(inner)?, false))
+        }
+        Step::Misname => Ok((call(inner)?, true)),
+    }
+}
+
+impl<S: AtlasSource> AtlasSource for Scripted<S> {
+    fn head(&mut self) -> Result<AtlasVersion, ModelError> {
+        self.served.heads += 1;
+        let (mut head, misname) = step(&mut self.heads, &mut self.inner, |s| s.head())?;
+        if misname {
+            head.epoch_tag ^= 1;
+            self.misnamed.insert(head.epoch_tag);
+        }
+        self.head_tags.insert(head.epoch_tag);
+        Ok(head)
+    }
+
+    fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
+        self.served.deltas += 1;
+        let (mut handle, misname) = step(&mut self.deltas, &mut self.inner, |s| {
+            s.fetch_delta(have_day)
+        })?;
+        if let (Some(h), true) = (handle.as_mut(), misname) {
+            h.tag ^= 1;
+            self.misnamed.insert(h.tag);
+        }
+        Ok(handle)
+    }
+
+    fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
+        match self.head_tags.contains(&tag) {
+            true => self.served.full_chunks += 1,
+            false => self.served.delta_chunks += 1,
+        }
+        let tag = tag ^ self.misnamed.contains(&tag) as u64;
+        let (mut chunk, misname) = step(&mut self.chunks, &mut self.inner, |s| {
+            s.fetch_chunk(tag, idx)
+        })?;
+        chunk.crc ^= misname as u64;
+        self.served.bytes += chunk.bytes.len() as u64;
+        Ok(chunk)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inano_atlas::LinkAnnotation;
+    use inano_model::ClusterId;
 
-    /// An AtlasSource serving `body` directly, with fault injection.
-    struct FaultySource {
-        day: u32,
-        body: Vec<u8>,
-        chunk_size: u32,
-        /// Chunk indexes that fail (once each) with a transient error.
-        flaky: Vec<u32>,
-        /// Corrupt this chunk's checksum once.
-        corrupt_once: Option<u32>,
-        /// After this many total chunk fetches, swap to `next_body`.
-        race_after: Option<usize>,
-        next_body: Vec<u8>,
-        fetches: usize,
+    /// An `n`-byte body that names day `day`: an empty day-`day` atlas,
+    /// then filler. The reader never decodes what it assembles; only a
+    /// head's peek reads the front.
+    fn body(n: usize, day: u32) -> Vec<u8> {
+        let mut b = codec::encode(&Atlas {
+            day,
+            ..Atlas::default()
+        })
+        .0;
+        assert!(b.len() <= n, "{n} bytes hold the header");
+        b.extend((b.len()..n).map(|i| (i * 31 % 251) as u8));
+        b
     }
 
-    impl FaultySource {
-        fn new(body: Vec<u8>, chunk_size: u32) -> FaultySource {
-            FaultySource {
-                day: 0,
-                body,
-                chunk_size,
-                flaky: vec![],
-                corrupt_once: None,
-                race_after: None,
-                next_body: vec![],
-                fetches: 0,
-            }
-        }
-
-        fn version(&self) -> AtlasVersion {
-            AtlasVersion {
-                day: self.day,
-                epoch_tag: content_tag(&self.body),
-                full_len: self.body.len() as u64,
-                chunk_size: self.chunk_size,
-            }
-        }
+    /// `full` alone, served in `chunk_size` chunks, nothing scripted yet.
+    fn scripted(full: Vec<u8>, chunk_size: u32) -> Scripted<StaticSource> {
+        Scripted::new(StaticSource {
+            chunk_size,
+            ..StaticSource::new(full, vec![])
+        })
     }
 
-    impl AtlasSource for FaultySource {
-        fn head(&mut self) -> Result<AtlasVersion, ModelError> {
-            Ok(self.version())
-        }
-
-        fn fetch_chunk(&mut self, _tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
-            self.fetches += 1;
-            if let Some(after) = self.race_after {
-                if self.fetches > after {
-                    self.race_after = None;
-                    self.body = std::mem::take(&mut self.next_body);
-                    self.day += 1;
-                    return Err(ModelError::VersionRaced("origin swapped".into()));
-                }
-            }
-            if let Some(pos) = self.flaky.iter().position(|&i| i == idx) {
-                self.flaky.remove(pos);
-                return Err(ModelError::Decode("transient fetch failure".into()));
-            }
-            let span = chunk_span(self.body.len() as u64, self.chunk_size, idx)?;
-            let bytes = self.body[span].to_vec();
-            let mut crc = content_tag(&bytes);
-            if self.corrupt_once == Some(idx) {
-                self.corrupt_once = None;
-                crc ^= 1;
-            }
-            Ok(AtlasChunk { bytes, crc })
-        }
-
-        fn fetch_delta(&mut self, _have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
-            Ok(None)
-        }
+    /// A day-`day` atlas whose content is told apart by `marker`.
+    fn world(day: u32, marker: u32) -> Atlas {
+        let mut atlas = Atlas {
+            day,
+            ..Atlas::default()
+        };
+        let link = (ClusterId::new(marker), ClusterId::new(marker + 1));
+        atlas.links.insert(link, LinkAnnotation::default());
+        atlas
     }
 
-    fn body(n: usize) -> Vec<u8> {
-        (0..n).map(|i| (i * 31 % 251) as u8).collect()
+    fn delta(from: &Atlas, to: &Atlas) -> Vec<u8> {
+        AtlasDelta::between(from, to).encode().0
     }
 
     #[test]
@@ -627,8 +739,8 @@ mod tests {
 
     #[test]
     fn reader_assembles_multi_chunk_bodies() {
-        let b = body(1000);
-        let mut src = FaultySource::new(b.clone(), 64);
+        let b = body(1000, 0);
+        let mut src = scripted(b.clone(), 64);
         let (version, got, _) = read_full(&mut src).expect("fetches");
         assert_eq!(got, b);
         assert_eq!(version.n_chunks(), 16);
@@ -637,33 +749,40 @@ mod tests {
 
     #[test]
     fn reader_retries_failed_and_corrupt_chunks_in_place() {
-        let b = body(300);
-        let mut src = FaultySource::new(b.clone(), 100);
-        src.flaky = vec![1];
-        src.corrupt_once = Some(2);
+        let b = body(300, 0);
+        let mut src = scripted(b.clone(), 100);
+        // Chunk 1 fails once, then chunk 2's checksum is corrupted once.
+        let lost = ModelError::Decode("transient fetch failure".into());
+        src.chunks.extend([
+            Step::Pass,
+            Step::Answer(Err(lost)),
+            Step::Pass,
+            Step::Misname,
+        ]);
         let (_, got, restarts) = read_full(&mut src).expect("resumes");
         assert_eq!(got, b);
         // 3 chunks + 1 flaky retry + 1 corrupt retry; no full restart.
-        assert_eq!(src.fetches, 5);
+        assert_eq!(src.served.full_chunks, 5);
         assert_eq!(restarts, 0);
     }
 
     #[test]
     fn reader_gives_up_after_chunk_retries() {
-        let b = body(300);
-        let mut src = FaultySource::new(b, 100);
-        src.flaky = vec![1, 1, 1, 1, 1, 1, 1, 1];
+        let mut src = scripted(body(300, 0), 100);
+        let down = ModelError::Decode("transient fetch failure".into());
+        src.chunks.extend([Step::Pass, Step::Down(down)]);
         let err = read_full(&mut src).unwrap_err();
         assert!(matches!(err, ModelError::Decode(_)), "{err}");
     }
 
     #[test]
     fn reader_restarts_at_the_new_head_when_the_version_races() {
-        let old = body(400);
-        let new = body(640);
-        let mut src = FaultySource::new(old, 128);
-        src.next_body = new.clone();
-        src.race_after = Some(2);
+        let (old, new) = (body(400, 0), body(640, 1));
+        let mut src = scripted(old, 128);
+        // The third chunk call finds the source swapped to a day-1 body.
+        let next = OfferedBody::new(new.clone());
+        let swap = Step::Then(Box::new(|s: &mut StaticSource| s.full = next));
+        src.chunks.extend([Step::Pass, Step::Pass, swap]);
         let (version, got, restarts) = read_full(&mut src).expect("restarts");
         assert_eq!(got, new, "the fetch lands on the post-race body");
         assert_eq!(restarts, 1);
@@ -671,43 +790,19 @@ mod tests {
         assert_eq!(version.epoch_tag, content_tag(&new));
     }
 
-    /// A [`StaticSource`] that, after the first chunk it serves, puts
-    /// `next` in place of its deltas.
-    struct Replacing {
-        inner: StaticSource,
-        next: Option<Vec<OfferedBody>>,
-    }
-
-    impl AtlasSource for Replacing {
-        fn head(&mut self) -> Result<AtlasVersion, ModelError> {
-            self.inner.head()
-        }
-
-        fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
-            self.inner.fetch_delta(have_day)
-        }
-
-        fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
-            let chunk = self.inner.fetch_chunk(tag, idx);
-            if let Some(next) = self.next.take() {
-                self.inner.deltas = next;
-            }
-            chunk
-        }
-    }
-
     #[test]
     fn reader_restarts_when_a_delta_is_replaced_mid_fetch() {
         let (d0, d1, other) = (world(0, 1), world(1, 2), world(1, 40));
         let (first, second) = (delta(&d0, &d1), delta(&d0, &other));
         assert_ne!(first, second);
-        let mut src = Replacing {
-            inner: StaticSource {
-                chunk_size: 8,
-                ..StaticSource::new(codec::encode(&d0).0, vec![first])
-            },
-            next: Some(vec![OfferedBody::new(second.clone())]),
-        };
+        let mut src = Scripted::new(StaticSource {
+            chunk_size: 8,
+            ..StaticSource::new(codec::encode(&d0).0, vec![first])
+        });
+        // After the first chunk it serves, `second` replaces its deltas.
+        let next = vec![OfferedBody::new(second.clone())];
+        let replace = Step::Then(Box::new(|s: &mut StaticSource| s.deltas = next));
+        src.chunks.extend([Step::Pass, replace]);
         let (body, restarts) = read_delta(&mut src, 0).expect("restarts");
         assert_eq!(body, Some(second), "the replacing delta, not a splice");
         assert_eq!(restarts, 1);
@@ -715,63 +810,67 @@ mod tests {
 
     #[test]
     fn reader_restarts_when_a_body_disagrees_with_its_tag() {
-        /// Names one body and serves another, once.
-        struct Lying {
-            inner: StaticSource,
-            lies: u32,
-        }
-        impl AtlasSource for Lying {
-            fn head(&mut self) -> Result<AtlasVersion, ModelError> {
-                self.inner.head()
-            }
-            fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
-                let handle = self.inner.fetch_delta(have_day)?;
-                Ok(handle.map(|h| DeltaHandle {
-                    tag: h.tag ^ (self.lies > 0) as u64,
-                    ..h
-                }))
-            }
-            fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
-                let tag = if self.lies > 0 { tag ^ 1 } else { tag };
-                self.lies = self.lies.saturating_sub(1);
-                self.inner.fetch_chunk(tag, idx)
-            }
-        }
         let (d0, d1) = (world(0, 1), world(1, 2));
         let bytes = delta(&d0, &d1);
-        let mut src = Lying {
-            inner: StaticSource::new(codec::encode(&d0).0, vec![bytes.clone()]),
-            lies: 1,
-        };
+        let mut src = Scripted::new(StaticSource::new(codec::encode(&d0).0, vec![bytes.clone()]));
+        // Names the delta by a wrong tag, once, and serves it under it.
+        src.deltas.push_back(Step::Misname);
         assert_eq!(read_delta(&mut src, 0), Ok((Some(bytes), 1)));
     }
 
     #[test]
     fn reader_refuses_hostile_heads() {
-        struct Hostile(u64, u32);
-        impl AtlasSource for Hostile {
-            fn head(&mut self) -> Result<AtlasVersion, ModelError> {
-                Ok(AtlasVersion {
-                    day: 0,
-                    epoch_tag: 0,
-                    full_len: self.0,
-                    chunk_size: self.1,
-                })
-            }
-            fn fetch_delta(&mut self, _: u32) -> Result<Option<DeltaHandle>, ModelError> {
-                Ok(None)
-            }
-            fn fetch_chunk(&mut self, _: u64, _: u32) -> Result<AtlasChunk, ModelError> {
-                panic!("must refuse at the head");
-            }
+        for (full_len, chunk_size) in [(u64::MAX, 1024), (1024, 0)] {
+            let mut src = scripted(body(64, 0), 16);
+            let hostile = AtlasVersion {
+                day: 0,
+                epoch_tag: 0,
+                full_len,
+                chunk_size,
+            };
+            src.heads.push_back(Step::Answer(Ok(hostile)));
+            assert!(read_full(&mut src).is_err());
+            assert_eq!(src.served.full_chunks, 0, "refused at the head");
         }
-        assert!(read_full(&mut Hostile(u64::MAX, 1024)).is_err());
-        assert!(read_full(&mut Hostile(1024, 0)).is_err());
+    }
+
+    #[test]
+    fn reader_refuses_hostile_handles() {
+        let (d0, d1) = (world(0, 1), world(1, 2));
+        let inner = || StaticSource::new(codec::encode(&d0).0, vec![delta(&d0, &d1)]);
+        let honest = inner()
+            .fetch_delta(0)
+            .expect("offered")
+            .expect("leaves day 0");
+        let hostile = [
+            DeltaHandle {
+                from_day: 3,
+                to_day: 4,
+                ..honest
+            },
+            DeltaHandle {
+                len: MAX_BODY_BYTES + 1,
+                ..honest
+            },
+            DeltaHandle {
+                chunk_size: 0,
+                ..honest
+            },
+        ];
+        for handle in hostile {
+            let mut src = Scripted::new(inner());
+            src.deltas.push_back(Step::Answer(Ok(Some(handle))));
+            let err = read_delta(&mut src, 0).unwrap_err();
+            assert!(matches!(err, ModelError::Decode(_)), "{handle:?}: {err}");
+            assert_eq!(
+                src.served.delta_chunks, 0,
+                "{handle:?}: refused at the handle"
+            );
+        }
     }
 
     #[test]
     fn blob_source_serves_real_atlas_bytes_chunked() {
-        use inano_atlas::Atlas;
         let atlas = Atlas {
             day: 3,
             ..Atlas::default()
@@ -793,95 +892,46 @@ mod tests {
 
     // ---- catch_up: one case per rule, on a recording follower ----
 
-    use inano_atlas::LinkAnnotation;
-    use inano_model::ClusterId;
-
-    /// A day-`day` atlas whose content is told apart by `marker`.
-    fn world(day: u32, marker: u32) -> Atlas {
-        let mut atlas = Atlas {
-            day,
-            ..Atlas::default()
-        };
-        let link = (ClusterId::new(marker), ClusterId::new(marker + 1));
-        atlas.links.insert(link, LinkAnnotation::default());
-        atlas
-    }
-
-    fn delta(from: &Atlas, to: &Atlas) -> Vec<u8> {
-        AtlasDelta::between(from, to).encode().0
-    }
-
-    /// A [`StaticSource`] that counts the full-body chunks it serves
-    /// and can report one version race on one of them.
-    struct Watched {
-        inner: StaticSource,
-        full_chunks: usize,
-        race_at: Option<u32>,
-    }
-
-    impl Watched {
-        fn new(full: &Atlas, deltas: Vec<Vec<u8>>) -> Watched {
-            Watched {
-                inner: StaticSource {
-                    // Several chunks per body, so a race lands mid-body.
-                    chunk_size: 16,
-                    ..StaticSource::new(codec::encode(full).0, deltas)
-                },
-                full_chunks: 0,
-                race_at: None,
-            }
-        }
-    }
-
-    impl AtlasSource for Watched {
-        fn head(&mut self) -> Result<AtlasVersion, ModelError> {
-            self.inner.head()
-        }
-
-        fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
-            self.inner.fetch_delta(have_day)
-        }
-
-        fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
-            if tag == self.inner.full.tag() {
-                self.full_chunks += 1;
-                if self.race_at == Some(idx) {
-                    self.race_at = None;
-                    return Err(ModelError::VersionRaced("upstream swapped".into()));
-                }
-            }
-            self.inner.fetch_chunk(tag, idx)
-        }
+    /// `full` and `deltas` in several chunks per body, so a race lands
+    /// mid-body.
+    fn watched(full: &Atlas, deltas: Vec<Vec<u8>>) -> Scripted<StaticSource> {
+        Scripted::new(StaticSource {
+            chunk_size: 16,
+            ..StaticSource::new(codec::encode(full).0, deltas)
+        })
     }
 
     /// What a follower was told, in order.
     #[derive(Debug, PartialEq)]
-    enum Step {
+    enum Told {
         Apply(u32, u32),
-        Head { day: u32, in_step: bool },
+        Head(u32),
         Resync(u32),
         Races(u32),
     }
 
-    /// A follower that lands every delta for real, keeps the upstream
-    /// tag the way `INanoClient` does, and records each step.
+    /// A follower that lands every delta for real, tags the body it
+    /// holds the way `INanoClient` and the engine do, and records each
+    /// step.
     struct Recorder {
         atlas: Atlas,
-        tag: u64,
         tags_asked: usize,
-        steps: Vec<Step>,
+        steps: Vec<Told>,
     }
 
     impl Recorder {
         /// Bootstrapped from `source`'s full body.
         fn on(source: &mut dyn AtlasSource) -> Recorder {
-            let (version, bytes, _) = read_full(source).expect("bootstrap");
+            let (_, bytes, _) = read_full(source).expect("bootstrap");
             Recorder {
                 atlas: codec::decode(&bytes).expect("decodes"),
-                tag: version.epoch_tag,
                 tags_asked: 0,
                 steps: vec![],
             }
+        }
+
+        fn holds(&self) -> u64 {
+            content_tag(&codec::encode(&self.atlas).0)
         }
     }
 
@@ -892,112 +942,98 @@ mod tests {
 
         fn tag(&mut self) -> u64 {
             self.tags_asked += 1;
-            self.tag
+            self.holds()
         }
 
         fn apply(&mut self, delta: &AtlasDelta, _: Vec<u8>) -> Result<(), ModelError> {
             self.atlas = delta.apply(&self.atlas)?;
-            self.steps.push(Step::Apply(delta.from_day, delta.to_day));
+            self.steps.push(Told::Apply(delta.from_day, delta.to_day));
             Ok(())
         }
 
-        fn head(&mut self, head: &AtlasVersion, in_step: bool) {
-            if in_step {
-                self.tag = head.epoch_tag;
-            }
-            let day = head.day;
-            self.steps.push(Step::Head { day, in_step });
+        fn head(&mut self, head: &AtlasVersion) {
+            self.steps.push(Told::Head(head.day));
         }
 
         fn resync(&mut self, version: &AtlasVersion, atlas: Atlas) {
             self.atlas = atlas;
-            self.tag = version.epoch_tag;
-            self.steps.push(Step::Resync(version.day));
+            self.steps.push(Told::Resync(version.day));
         }
 
         fn races(&mut self, races: u32) {
-            self.steps.push(Step::Races(races));
+            self.steps.push(Told::Races(races));
         }
     }
 
     #[test]
     fn catch_up_in_step_moves_no_body() {
-        let mut src = Watched::new(&world(1, 1), vec![]);
+        let mut src = watched(&world(1, 1), vec![]);
         let mut follower = Recorder::on(&mut src);
-        let bootstrap_chunks = src.full_chunks;
+        let bootstrap_chunks = src.served.full_chunks;
         assert_eq!(catch_up(&mut src, &mut follower), Ok(0));
-        let in_step = Step::Head {
-            day: 1,
-            in_step: true,
-        };
-        assert_eq!(follower.steps, [in_step]);
-        assert_eq!(src.full_chunks, bootstrap_chunks);
+        assert_eq!(follower.steps, [Told::Head(1)]);
+        assert_eq!(follower.tags_asked, 1);
+        assert_eq!(src.served.full_chunks, bootstrap_chunks);
     }
 
     #[test]
     fn catch_up_walks_a_chain_without_asking_the_tag() {
         let (d0, d1, d2) = (world(0, 1), world(1, 2), world(2, 3));
-        let mut src = Watched::new(&d0, vec![delta(&d0, &d1), delta(&d1, &d2)]);
+        let mut src = watched(&d0, vec![delta(&d0, &d1), delta(&d1, &d2)]);
         let mut follower = Recorder::on(&mut src);
         // The upstream moves on to the day its chain ends at.
         src.inner.full = OfferedBody::new(codec::encode(&d2).0);
-        let bootstrap_chunks = src.full_chunks;
+        let bootstrap_chunks = src.served.full_chunks;
         assert_eq!(catch_up(&mut src, &mut follower), Ok(2));
-        let in_step = Step::Head {
-            day: 2,
-            in_step: true,
-        };
         assert_eq!(
             follower.steps,
-            [Step::Apply(0, 1), Step::Apply(1, 2), in_step]
+            [Told::Apply(0, 1), Told::Apply(1, 2), Told::Head(2)]
         );
         assert_eq!(
             follower.tags_asked, 0,
             "a chain that applied never compares"
         );
-        assert_eq!(follower.tag, src.inner.full.tag(), "adopted");
-        assert_eq!(src.full_chunks, bootstrap_chunks);
+        assert_eq!(follower.holds(), src.inner.full.tag(), "in step");
+        assert_eq!(src.served.deltas, 3, "two deltas, then none");
+        assert_eq!(src.served.full_chunks, bootstrap_chunks);
     }
 
     #[test]
     fn catch_up_resyncs_an_empty_chain_onto_any_new_body() {
-        let mut src = Watched::new(&world(1, 1), vec![]);
+        let mut src = watched(&world(1, 1), vec![]);
         let mut follower = Recorder::on(&mut src);
         // Another day-1 body, then an earlier day's: both followed.
         for (day, marker) in [(1, 7), (0, 9)] {
             follower.steps.clear();
             src.inner.full = OfferedBody::new(codec::encode(&world(day, marker)).0);
             assert_eq!(catch_up(&mut src, &mut follower), Ok(0));
-            let head = Step::Head {
-                day,
-                in_step: false,
-            };
-            assert_eq!(follower.steps, [head, Step::Resync(day)]);
+            assert_eq!(follower.steps, [Told::Head(day), Told::Resync(day)]);
             let marked = (ClusterId::new(marker), ClusterId::new(marker + 1));
             assert!(follower.atlas.links.contains_key(&marked), "new body");
-            assert_eq!(follower.tag, src.inner.full.tag());
+            assert_eq!(follower.holds(), src.inner.full.tag());
         }
     }
 
     #[test]
     fn catch_up_keeps_the_days_a_failing_chain_applied() {
         let (d0, d1) = (world(0, 1), world(1, 2));
-        let mut src = Watched::new(&d0, vec![delta(&d0, &d1), vec![0xff; 40]]);
+        let mut src = watched(&d0, vec![delta(&d0, &d1), vec![0xff; 40]]);
         let mut follower = Recorder::on(&mut src);
         let err = catch_up(&mut src, &mut follower).unwrap_err();
         assert_eq!(err, ModelError::Decode("bad delta magic".into()));
-        assert_eq!(follower.steps, [Step::Apply(0, 1)], "no head probe");
+        assert_eq!(follower.steps, [Told::Apply(0, 1)], "no head probe");
+        assert_eq!(src.served.heads, 1, "the bootstrap's only");
         assert_eq!(follower.day(), 1);
     }
 
     #[test]
     fn catch_up_keeps_applied_deltas_when_the_head_probe_fails() {
         let (d0, d1) = (world(0, 1), world(1, 2));
-        let mut src = Watched::new(&d0, vec![delta(&d0, &d1)]);
+        let mut src = watched(&d0, vec![delta(&d0, &d1)]);
         let mut follower = Recorder::on(&mut src);
         src.inner.full = OfferedBody::new(vec![]);
         assert_eq!(catch_up(&mut src, &mut follower), Ok(1));
-        assert_eq!(follower.steps, [Step::Apply(0, 1)]);
+        assert_eq!(follower.steps, [Told::Apply(0, 1)]);
         // With nothing applied, the failed probe is the outcome.
         assert!(catch_up(&mut src, &mut follower).is_err());
         assert_eq!(follower.tags_asked, 0);
@@ -1011,7 +1047,7 @@ mod tests {
             to_day: 0,
             ..AtlasDelta::default()
         };
-        let mut src = Watched::new(&d0, vec![stuck.encode().0]);
+        let mut src = watched(&d0, vec![stuck.encode().0]);
         let mut follower = Recorder::on(&mut src);
         let err = catch_up(&mut src, &mut follower).unwrap_err();
         assert!(matches!(err, ModelError::PatchMismatch(_)), "{err}");
@@ -1020,15 +1056,16 @@ mod tests {
 
     #[test]
     fn catch_up_reports_a_race_the_reader_recovered_from() {
-        let mut src = Watched::new(&world(1, 1), vec![]);
+        let mut src = watched(&world(1, 1), vec![]);
         let mut follower = Recorder::on(&mut src);
         src.inner.full = OfferedBody::new(codec::encode(&world(2, 5)).0);
-        src.race_at = Some(1);
+        // Full-body chunk 1 races once.
+        let race = ModelError::VersionRaced("upstream swapped".into());
+        src.chunks.extend([Step::Pass, Step::Answer(Err(race))]);
         assert_eq!(catch_up(&mut src, &mut follower), Ok(0));
-        let head = Step::Head {
-            day: 2,
-            in_step: false,
-        };
-        assert_eq!(follower.steps, [head, Step::Races(1), Step::Resync(2)]);
+        assert_eq!(
+            follower.steps,
+            [Told::Head(2), Told::Races(1), Told::Resync(2)]
+        );
     }
 }

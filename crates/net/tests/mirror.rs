@@ -15,9 +15,7 @@ mod common;
 use common::ring::{ring_atlas, ring_ip, ring_shortcut_delta};
 use common::{assert_bitwise, serve_one, wire};
 use inano_atlas::{AtlasDelta, LinkAnnotation, Plane};
-use inano_core::{
-    read_delta, read_full, AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle, DEFAULT_CHUNK_SIZE,
-};
+use inano_core::{read_delta, read_full, AtlasSource, Scripted, Step, DEFAULT_CHUNK_SIZE};
 use inano_model::{ClusterId, ErrorCode, Ipv4, LatencyMs, ModelError};
 use inano_net::{Limits, MirrorSource, NetClient, NetError, ServerConfig};
 use inano_obs::EventKind;
@@ -161,32 +159,6 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
     assert_eq!(mirror.metrics().dump().counter("srv.faults"), 0);
 }
 
-/// A mirror's upstream whose bodies can be switched off, counting the
-/// body chunks asked of it.
-struct SwitchableBody {
-    inner: MirrorSource,
-    body_down: bool,
-    chunks: usize,
-}
-
-impl AtlasSource for SwitchableBody {
-    fn head(&mut self) -> Result<AtlasVersion, ModelError> {
-        self.inner.head()
-    }
-
-    fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
-        self.inner.fetch_delta(have_day)
-    }
-
-    fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
-        self.chunks += 1;
-        if self.body_down {
-            return Err(ModelError::Decode("upstream body unavailable".into()));
-        }
-        self.inner.fetch_chunk(tag, idx)
-    }
-}
-
 /// The mirror-side convergence instruments, end to end: the lag gauge
 /// rises when the upstream moves, falls to zero after a refresh, and a
 /// broken delta chain — the upstream restarted, or rotated the delta
@@ -196,12 +168,10 @@ impl AtlasSource for SwitchableBody {
 fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
     let origin_engine = ring_engine(RING);
     let origin = serve_one(Arc::clone(&origin_engine), ServerConfig::default());
-    let mut upstream = SwitchableBody {
-        inner: MirrorSource::connect(origin.local_addr(), ShardId::DEFAULT)
+    let mut upstream = Scripted::new(
+        MirrorSource::connect(origin.local_addr(), ShardId::DEFAULT)
             .expect("connect mirror to origin"),
-        body_down: false,
-        chunks: 0,
-    };
+    );
     let mirror_engine = Arc::new(
         QueryEngine::bootstrap(&mut upstream, ServiceConfig::default())
             .expect("mirror bootstraps from the origin"),
@@ -243,9 +213,10 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
     // be fetched the refresh fails, says how far behind the mirror now
     // is rather than claim convergence, and day 1 keeps serving.
     origin_engine.replace_atlas(Arc::new(ring_atlas(RING, 5)));
-    upstream.body_down = true;
+    let down = ModelError::Decode("upstream body unavailable".into());
+    upstream.chunks.push_back(Step::Down(down));
     assert!(mirror_engine.update(&mut upstream).is_err());
-    upstream.body_down = false;
+    upstream.clear();
     assert_eq!(m.mirror_deltas_applied.get(), 1, "nothing new applied");
     assert_eq!(m.mirror_upstream_day.get(), 5);
     assert_eq!(
@@ -268,9 +239,12 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
     assert_eq!(mirror_engine.day(), 5);
     assert_eq!(mirror_engine.export().tag(), origin_engine.export().tag());
     // In step again: the next refresh compares tags and fetches no body.
-    let fetched = upstream.chunks;
+    let fetched = upstream.served;
     assert_eq!(mirror_engine.update(&mut upstream).expect("refresh"), 0);
-    assert_eq!(upstream.chunks, fetched);
+    assert_eq!(
+        (upstream.served.full_chunks, upstream.served.delta_chunks),
+        (fetched.full_chunks, fetched.delta_chunks)
+    );
     assert_eq!(m.mirror_full_resyncs.get(), 1);
     assert_eq!(m.mirror_lag_days.get(), 0);
 
@@ -520,31 +494,6 @@ fn missing_deltas_are_none_and_their_chunks_are_typed_races() {
     client.ping().expect("connection survives all of it");
 }
 
-/// A mirror's upstream that runs `hook` once, right after the first
-/// chunk it fetches.
-struct AfterFirstChunk {
-    inner: MirrorSource,
-    hook: Option<Box<dyn FnOnce()>>,
-}
-
-impl AtlasSource for AfterFirstChunk {
-    fn head(&mut self) -> Result<AtlasVersion, ModelError> {
-        self.inner.head()
-    }
-
-    fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
-        self.inner.fetch_delta(have_day)
-    }
-
-    fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
-        let chunk = self.inner.fetch_chunk(tag, idx);
-        if let Some(hook) = self.hook.take() {
-            hook();
-        }
-        chunk
-    }
-}
-
 /// A delta replaced between two of its chunks: the origin replaces its
 /// atlas (which drops its delta log) and applies a different delta
 /// leaving the same day. The follower names the body it fetches by its
@@ -566,11 +515,10 @@ fn a_delta_replaced_mid_fetch_is_a_clean_restart() {
             ..ServerConfig::default()
         },
     );
-    let mut upstream = AfterFirstChunk {
-        inner: MirrorSource::connect(origin.local_addr(), ShardId::DEFAULT)
+    let mut upstream = Scripted::new(
+        MirrorSource::connect(origin.local_addr(), ShardId::DEFAULT)
             .expect("connect mirror to origin"),
-        hook: None,
-    };
+    );
     let mirror_engine = QueryEngine::bootstrap(&mut upstream, ServiceConfig::default())
         .expect("mirror bootstraps from the origin");
 
@@ -598,13 +546,18 @@ fn a_delta_replaced_mid_fetch_is_a_clean_restart() {
         "{first:?} spans chunks"
     );
 
+    // Right after the first chunk the mirror fetches, the origin
+    // replaces the delta.
     let origin_at = Arc::clone(&origin_engine);
-    upstream.hook = Some(Box::new(move || {
+    let replace = move |_: &mut MirrorSource| {
         origin_at.replace_atlas(Arc::new(ring_atlas(RING, 0)));
         origin_at
             .apply_delta(&second)
             .expect("origin applies the second delta");
-    }));
+    };
+    upstream
+        .chunks
+        .extend([Step::Pass, Step::Then(Box::new(replace))]);
     assert_eq!(
         mirror_engine
             .update(&mut upstream)

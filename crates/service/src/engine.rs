@@ -580,7 +580,7 @@ impl Follower for Mirror<'_> {
         Ok(())
     }
 
-    fn head(&mut self, head: &AtlasVersion, _in_step: bool) {
+    fn head(&mut self, head: &AtlasVersion) {
         let m = &self.0.metrics;
         m.mirror_upstream_day.set(head.day as u64);
         m.mirror_lag_days

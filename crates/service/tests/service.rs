@@ -4,8 +4,8 @@
 
 use inano_atlas::{codec, Atlas, AtlasDelta, LinkAnnotation, Plane};
 use inano_core::{
-    AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle, OfferedBody, PathPredictor, PredictedPath,
-    PredictorConfig, StaticSource, DEFAULT_CHUNK_SIZE,
+    AtlasSource, DeltaHandle, OfferedBody, PathPredictor, PredictedPath, PredictorConfig, Scripted,
+    StaticSource, Step, DEFAULT_CHUNK_SIZE,
 };
 use inano_model::{ClusterId, Ipv4, LatencyMs, ModelError};
 use inano_service::{QueryEngine, ServiceConfig};
@@ -392,57 +392,18 @@ fn replace_atlas_swaps_a_whole_generation_without_logging_a_delta() {
     assert!(retained(&engine, 0).is_none());
 }
 
-/// A [`StaticSource`] with two scripted faults on its full body.
-struct FaultyUpstream {
-    inner: StaticSource,
-    /// Every full-body chunk fetch fails while set.
-    body_down: bool,
-    /// Report a version race once, on this chunk index.
-    race_at: Option<u32>,
-    full_chunks: usize,
-}
-
-impl AtlasSource for FaultyUpstream {
-    fn head(&mut self) -> Result<AtlasVersion, ModelError> {
-        self.inner.head()
-    }
-
-    fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
-        self.inner.fetch_delta(have_day)
-    }
-
-    fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
-        if tag == self.inner.full.tag() {
-            self.full_chunks += 1;
-            if self.body_down {
-                return Err(ModelError::Decode("upstream body unavailable".into()));
-            }
-            if self.race_at == Some(idx) {
-                self.race_at = None;
-                return Err(ModelError::VersionRaced("upstream swapped".into()));
-            }
-        }
-        self.inner.fetch_chunk(tag, idx)
-    }
-}
-
 /// The catch-up rule, without a socket: deltas first, the full body
 /// only when the chain is empty and the head's tag differs, and each
 /// outcome where the counters and the journal say it is.
 #[test]
 fn update_bridges_a_broken_chain_with_one_full_resync() {
     use inano_obs::{EventJournal, EventKind};
-    let mut upstream = FaultyUpstream {
-        inner: StaticSource {
-            // Small chunks: the body is several, so a race can land
-            // mid-body.
-            chunk_size: 64,
-            ..StaticSource::new(codec::encode(&ring_atlas(8, 1)).0, vec![])
-        },
-        body_down: false,
-        race_at: None,
-        full_chunks: 0,
-    };
+    let mut upstream = Scripted::new(StaticSource {
+        // Small chunks: the body is several, so a race can land
+        // mid-body.
+        chunk_size: 64,
+        ..StaticSource::new(codec::encode(&ring_atlas(8, 1)).0, vec![])
+    });
     let cfg = ServiceConfig::default();
     let engine = QueryEngine::bootstrap(&mut upstream, cfg).expect("bootstrap");
     let journal = Arc::new(EventJournal::new(64));
@@ -458,10 +419,10 @@ fn update_bridges_a_broken_chain_with_one_full_resync() {
     };
 
     // In step with the upstream: a tick compares tags and moves no body.
-    let bootstrap_chunks = upstream.full_chunks;
+    let bootstrap_chunks = upstream.served.full_chunks;
     assert!(bootstrap_chunks > 2, "the body spans several chunks");
     assert_eq!(engine.update(&mut upstream).expect("idle tick"), 0);
-    assert_eq!(upstream.full_chunks, bootstrap_chunks);
+    assert_eq!(upstream.served.full_chunks, bootstrap_chunks);
     assert_eq!(
         (m.mirror_full_resyncs.get(), m.mirror_lag_days.get()),
         (0, 0)
@@ -471,7 +432,8 @@ fn update_bridges_a_broken_chain_with_one_full_resync() {
     // its body cannot be fetched: the error surfaces, the gauges say
     // how far behind the engine is, and day 1 keeps serving.
     upstream.inner.full = OfferedBody::new(codec::encode(&ring_atlas(8, 5)).0);
-    upstream.body_down = true;
+    let down = ModelError::Decode("upstream body unavailable".into());
+    upstream.chunks.push_back(Step::Down(down));
     assert!(engine.update(&mut upstream).is_err());
     assert_eq!(m.mirror_upstream_day.get(), 5);
     assert_eq!(m.mirror_lag_days.get(), 4);
@@ -482,8 +444,11 @@ fn update_bridges_a_broken_chain_with_one_full_resync() {
 
     // The body comes back, racing once mid-fetch: one update bridges
     // the gap and returns 0 — no delta was applied.
-    upstream.body_down = false;
-    upstream.race_at = Some(1);
+    upstream.clear();
+    let race = ModelError::VersionRaced("upstream swapped".into());
+    upstream
+        .chunks
+        .extend([Step::Pass, Step::Answer(Err(race))]);
     assert_eq!(engine.update(&mut upstream).expect("resync"), 0);
     assert_eq!(engine.day(), 5);
     assert_eq!(
@@ -499,8 +464,8 @@ fn update_bridges_a_broken_chain_with_one_full_resync() {
     assert!(retained(&engine, 1).is_none(), "no delta leads here");
 
     // Idle again: the next tick fetches nothing and resyncs nothing.
-    let after = upstream.full_chunks;
+    let after = upstream.served.full_chunks;
     assert_eq!(engine.update(&mut upstream).expect("idle tick"), 0);
-    assert_eq!(upstream.full_chunks, after);
+    assert_eq!(upstream.served.full_chunks, after);
     assert_eq!((m.mirror_full_resyncs.get(), resyncs_journaled()), (1, 1));
 }
