@@ -33,9 +33,10 @@ pub struct INanoClient {
     /// Local FROM_SRC links contributed by this client's own traceroutes,
     /// re-applied after every update.
     local_links: Vec<LocalLink>,
-    /// [`content_tag`] of `upstream`'s encoding: known at once for a
-    /// fetched body; for one a delta chain built, encoded the first time
-    /// [`catch_up`] asks for it.
+    /// [`content_tag`] of the upstream body held — inside
+    /// [`INanoClient::update`], of the staged one once something has
+    /// landed: known at once for a fetched body; for one a delta built,
+    /// encoded when [`catch_up`] next asks for it.
     upstream_tag: Option<u64>,
 }
 
@@ -76,8 +77,8 @@ impl INanoClient {
     /// of the upstream body the client holds: [`read_full`]'s at
     /// bootstrap or resync, and after a chain the encoding of what the
     /// chain built, made on the next compare. It is never a head's, so
-    /// a source that swaps in another body of the day between a chain
-    /// and its head probe is resynced from on the next update.
+    /// a source whose chain does not end at the body its head names is
+    /// resynced from on the next update.
     pub fn update(&mut self, source: &mut dyn AtlasSource) -> Result<usize, ModelError> {
         let mut staged = Staged {
             client: self,
@@ -149,19 +150,15 @@ struct Staged<'c> {
 }
 
 impl Follower for Staged<'_> {
-    fn day(&self) -> u32 {
-        self.next.as_ref().unwrap_or(&self.client.upstream).day
-    }
-
     fn tag(&mut self) -> u64 {
-        let client = &mut *self.client;
-        let upstream = &client.upstream;
-        *client
+        let held = self.next.as_ref().unwrap_or(&self.client.upstream);
+        *self
+            .client
             .upstream_tag
-            .get_or_insert_with(|| content_tag(&codec::encode(upstream).0))
+            .get_or_insert_with(|| content_tag(&codec::encode(held).0))
     }
 
-    fn apply(&mut self, delta: &AtlasDelta, _: Vec<u8>) -> Result<(), ModelError> {
+    fn apply(&mut self, _: u64, delta: &AtlasDelta, _: Vec<u8>) -> Result<(), ModelError> {
         let base = self.next.as_ref().unwrap_or(&self.client.upstream);
         self.next = Some(delta.apply(base)?);
         self.client.upstream_tag = None;
@@ -252,8 +249,9 @@ mod tests {
         let (full, _) = codec::encode(&day0);
         let d01 = AtlasDelta::between(&day0, &day1).encode().0;
         let d12 = AtlasDelta::between(&day1, &day2).encode().0;
+        let mut day0_src = StaticSource::new(full.clone(), vec![]);
+        let mut client = INanoClient::bootstrap(&mut day0_src, client_cfg()).unwrap();
         let mut src = StaticSource::new(full, vec![d01, d12]);
-        let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
         assert_eq!(client.update(&mut src).unwrap(), 2);
         assert_eq!(client.day(), 2);
         // The new direct link is now the predicted route.
@@ -268,6 +266,45 @@ mod tests {
     }
 
     #[test]
+    fn a_race_after_a_landed_delta_replans_from_the_staged_body() {
+        let day0 = base_atlas(0);
+        let mut day1 = base_atlas(1);
+        day1.links.insert(
+            (ClusterId::new(1), ClusterId::new(3)),
+            LinkAnnotation {
+                latency: Some(LatencyMs::new(1.0)),
+                plane: Plane::TO_DST,
+            },
+        );
+        let mut day2 = day1.clone();
+        day2.day = 2;
+        let (full, _) = codec::encode(&day0);
+        let d01 = AtlasDelta::between(&day0, &day1).encode().0;
+        let d12 = AtlasDelta::between(&day1, &day2).encode().0;
+        let mut client =
+            INanoClient::bootstrap(&mut StaticSource::new(full.clone(), vec![]), client_cfg())
+                .unwrap();
+        let mut src = Scripted::new(StaticSource::new(full, vec![d01, d12]));
+        // The first delta lands; the second delta's chunk races, and the
+        // fresh head is planned from the day-1 body already staged.
+        let raced = ModelError::VersionRaced("delta replaced".into());
+        src.chunks.extend([Step::Pass, Step::Answer(Err(raced))]);
+        assert_eq!(client.update(&mut src).unwrap(), 2);
+        assert_eq!((src.served.heads, src.served.delta_chunks), (2, 3));
+        assert_eq!(client.day(), 2);
+        assert_eq!(
+            content_tag(&codec::encode(client.atlas()).0),
+            src.inner.full.tag(),
+            "on the head's body"
+        );
+        // In step: the next update moves nothing.
+        let served = src.served;
+        assert_eq!(client.update(&mut src).unwrap(), 0);
+        assert_eq!(src.served.delta_chunks, served.delta_chunks);
+        assert_eq!(src.served.full_chunks, served.full_chunks);
+    }
+
+    #[test]
     fn update_failing_midway_keeps_the_client_serving() {
         let day0 = base_atlas(0);
         let mut day1 = base_atlas(1);
@@ -278,13 +315,19 @@ mod tests {
                 plane: Plane::TO_DST,
             },
         );
+        let mut day2 = day1.clone();
+        day2.day = 2;
         let (full, _) = codec::encode(&day0);
         let d01 = AtlasDelta::between(&day0, &day1).encode().0;
-        let mut src = Scripted::new(StaticSource::new(full, vec![d01]));
-        // Serves one delta, then fails every further delta probe.
+        let d12 = AtlasDelta::between(&day1, &day2).encode().0;
+        let mut client =
+            INanoClient::bootstrap(&mut StaticSource::new(full.clone(), vec![]), client_cfg())
+                .unwrap();
+        let mut src = Scripted::new(StaticSource::new(full, vec![d01, d12]));
+        // Serves the first delta's one chunk, then fails every further
+        // chunk.
         let died = ModelError::Decode("source died mid-update".into());
-        src.deltas.extend([Step::Pass, Step::Down(died)]);
-        let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
+        src.chunks.extend([Step::Pass, Step::Down(died)]);
         assert!(
             client.update(&mut src).is_err(),
             "the source error surfaces"
@@ -393,17 +436,21 @@ mod tests {
             },
         );
         let d01 = AtlasDelta::between(&day0, &day1).encode().0;
-        let mut src = Scripted::new(StaticSource::new(codec::encode(&day0).0, vec![d01]));
-        let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
+        let full = codec::encode(&day0).0;
+        let mut client =
+            INanoClient::bootstrap(&mut StaticSource::new(full.clone(), vec![]), client_cfg())
+                .unwrap();
+        let mut src = Scripted::new(StaticSource::new(full, vec![d01]));
         let (me, there) = (
             Ipv4::from_octets(10, 0, 0, 1),
             Ipv4::from_octets(20, 0, 0, 1),
         );
         let raw = |path: &[ClusterId]| path.iter().map(|c| c.raw()).collect::<Vec<_>>();
 
-        // The client walks day 0 → 1 by delta. Before its head probe the
-        // upstream swaps in another day-1 body, one without the 1 → 3
-        // shortcut.
+        // Before the client's head probe the upstream swaps in another
+        // day-1 body, one without the 1 → 3 shortcut, and keeps the
+        // chain that leads to the first: the client walks day 0 → 1 by
+        // delta onto a body the head does not name.
         let other = codec::encode(&base_atlas(1)).0;
         let swap = move |s: &mut StaticSource| s.full = OfferedBody::new(other);
         src.heads.push_back(Step::Then(Box::new(swap)));
@@ -531,8 +578,10 @@ mod tests {
         ));
         let (full, _) = codec::encode(&day0);
         let d01 = AtlasDelta::between(&day0, &day1).encode().0;
+        let mut client =
+            INanoClient::bootstrap(&mut StaticSource::new(full.clone(), vec![]), client_cfg())
+                .unwrap();
         let mut src = StaticSource::new(full, vec![d01]);
-        let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
         client.add_local_links([(
             (ClusterId::new(1), ClusterId::new(3)),
             Some(LatencyMs::new(0.5)),

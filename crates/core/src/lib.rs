@@ -37,7 +37,7 @@ pub use config::PredictorConfig;
 pub use predict::{PathPredictor, PredictedPath, Resolution, SearchCounts};
 pub use rank::rank_by_rtt;
 pub use source::{
-    catch_up, chunk_span, content_tag, n_chunks, read_delta, read_full, AtlasChunk, AtlasSource,
-    AtlasVersion, DeltaHandle, Follower, OfferedBody, Scripted, Served, StaticSource, Step,
+    catch_up, chunk_span, content_tag, n_chunks, read_full, AtlasChunk, AtlasSource, AtlasVersion,
+    ChainLink, Follower, OfferedBody, OfferedDelta, Scripted, Served, StaticSource, Step,
     DEFAULT_CHUNK_SIZE,
 };

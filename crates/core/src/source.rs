@@ -1,8 +1,8 @@
 //! Atlas acquisition: a chunk-oriented [`AtlasSource`] whose bodies are
 //! named by their content tag, the one type that holds a body a source
-//! offers ([`OfferedBody`]), the reader ([`read_full`], [`read_delta`])
-//! that assembles and validates bodies, and the one catch-up policy
-//! ([`catch_up`]) that drives the reader for every [`Follower`].
+//! offers ([`OfferedBody`]), the reader ([`read_full`]) that assembles
+//! and validates bodies, and the one catch-up policy ([`catch_up`]) that
+//! drives the reader for every [`Follower`].
 //!
 //! The paper's §5 dissemination story is peers fetching the ~7MB atlas
 //! (and then small daily deltas) *from each other*, over "any
@@ -16,12 +16,11 @@
 //! (`inano_service::QueryEngine::offer`) and over the wire
 //! (`inano_net::MirrorSource`, one shard of a remote `inano-serve`):
 //!
-//! * [`AtlasSource::head`] names the newest full body —
-//!   [`AtlasVersion`]: day, tag, body length, chunk size — so a fetcher
-//!   knows exactly what it is about to assemble;
-//! * [`AtlasSource::fetch_delta`] names the daily delta leaving a day,
-//!   if there is one — [`DeltaHandle`]: its days, tag, body length,
-//!   chunk size;
+//! * [`AtlasSource::head`] names the newest full body — [`AtlasVersion`]:
+//!   day, tag, body length, chunk size — and, like a filesharing
+//!   protocol's metainfo file, every other body a fetcher may need: the
+//!   retained chain of daily deltas leading to it, each named by the tag
+//!   of the body it leaves, its own tag and its length ([`ChainLink`]);
 //! * [`AtlasSource::fetch_chunk`] returns one bounded, checksummed
 //!   [`AtlasChunk`] of the body a tag names, of either kind, so a
 //!   transfer survives a lost chunk by re-fetching *that chunk*, not the
@@ -33,15 +32,15 @@
 //! [`OfferedBody::serve`] owns the race rule — a tag no longer offered
 //! is [`ModelError::VersionRaced`].
 //!
-//! The reader drives a source through one loop for both kinds of body:
-//! it validates every chunk (length and checksum), retries failed
-//! chunks, verifies the assembled body against the tag that named it,
-//! and — when the source reports [`ModelError::VersionRaced`] because it
-//! moved on mid-fetch — restarts at what the source offers now. Each
-//! call returns how many such restarts it recovered from beside the
-//! body. [`catch_up`] is its one caller outside bootstrap:
-//! `INanoClient::update` and the service engine's `update` each hand it
-//! a [`Follower`], which names the body it holds by that body's own tag.
+//! The reader assembles a body chunk by chunk: it validates every chunk
+//! (length and checksum), retries failed chunks and verifies the
+//! assembled body against the tag that named it. When the source
+//! reports [`ModelError::VersionRaced`] because it moved on mid-fetch,
+//! the fetch restarts at a fresh head. [`read_full`] is that loop for
+//! a bootstrap; [`catch_up`] is the other caller: `INanoClient::update`
+//! and the service engine's `update` each hand it a [`Follower`], which
+//! names the body it holds by that body's own tag, and one head decides
+//! what moves.
 //!
 //! A source's faults are scripted, not written by hand: [`Scripted`]
 //! wraps any source and runs a [`Step`] before each call reaches it —
@@ -54,6 +53,7 @@ use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_model::ModelError;
 use parking_lot::Mutex;
 use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Default chunk size for in-process sources: large enough that a ~7MB
 /// atlas is a few dozen chunks, small enough that one chunk always fits
@@ -62,9 +62,9 @@ pub const DEFAULT_CHUNK_SIZE: u32 = 256 << 10;
 
 /// FNV-1a 64-bit over `bytes`: the workspace-wide content tag. Used
 /// both as the per-chunk checksum and as the name of a whole encoded
-/// body ([`AtlasVersion::epoch_tag`], [`DeltaHandle::tag`]), so "the
-/// same body" has the same tag on every node of a mirror chain, however
-/// it got there.
+/// body ([`AtlasVersion::epoch_tag`], [`ChainLink`]), so "the same
+/// body" has the same tag on every node of a mirror chain, however it
+/// got there.
 pub fn content_tag(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -100,8 +100,10 @@ pub fn chunk_span(
     Ok(start as usize..end as usize)
 }
 
-/// What a source's newest full atlas looks like, before any bytes move.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// What a source offers, before any bytes move: its newest full atlas
+/// and the chain of deltas leading to it. Every body is cut at
+/// `chunk_size`.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AtlasVersion {
     /// Measurement day of the full body.
     pub day: u32,
@@ -111,8 +113,12 @@ pub struct AtlasVersion {
     pub epoch_tag: u64,
     /// Encoded body length in bytes.
     pub full_len: u64,
-    /// Chunk size this source serves the body in.
+    /// Chunk size this source serves its bodies in.
     pub chunk_size: u32,
+    /// The retained deltas leading to this body, oldest first: each
+    /// leaves the body the one before it lands on, and the last lands
+    /// on this one.
+    pub chain: Vec<ChainLink>,
 }
 
 impl AtlasVersion {
@@ -121,18 +127,16 @@ impl AtlasVersion {
     }
 }
 
-/// A daily delta a source offers, before its body moves.
+/// One delta of a head's chain, before its body moves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DeltaHandle {
-    pub from_day: u32,
-    pub to_day: u32,
+pub struct ChainLink {
+    /// Content tag of the full body the delta leaves.
+    pub base: u64,
     /// Content tag of the encoded delta body: the name its chunks are
     /// fetched by.
     pub tag: u64,
     /// Encoded delta body length in bytes.
     pub len: u64,
-    /// Chunk size the delta body is served in.
-    pub chunk_size: u32,
 }
 
 /// One checksummed chunk of an atlas or delta body.
@@ -181,33 +185,24 @@ impl OfferedBody {
         &self.bytes
     }
 
-    /// The head naming this body as the full atlas of `day`.
-    pub fn version(&self, day: u32, chunk_size: u32) -> AtlasVersion {
+    /// The head naming this body as the full atlas of `day`, reached by
+    /// `chain`.
+    pub fn version(&self, day: u32, chunk_size: u32, chain: &[OfferedDelta]) -> AtlasVersion {
         AtlasVersion {
             day,
             epoch_tag: self.tag,
             full_len: self.bytes.len() as u64,
             chunk_size,
-        }
-    }
-
-    /// The handle naming this body as the delta `from_day → to_day`.
-    pub fn handle(&self, from_day: u32, to_day: u32, chunk_size: u32) -> DeltaHandle {
-        DeltaHandle {
-            from_day,
-            to_day,
-            tag: self.tag,
-            len: self.bytes.len() as u64,
-            chunk_size,
+            chain: chain.iter().map(OfferedDelta::link).collect(),
         }
     }
 
     /// The race rule every source answers [`AtlasSource::fetch_chunk`]
     /// by: chunk `idx` of whichever of `offered` is tagged `tag`, cut at
     /// `chunk_size`. A tag none of them carries names a body the source
-    /// no longer offers — it swapped generations, replaced the delta or
-    /// rotated it out — and is [`ModelError::VersionRaced`], so the
-    /// fetcher restarts at what the source offers now instead of
+    /// no longer offers — it swapped generations, replaced its atlas or
+    /// rotated the delta out — and is [`ModelError::VersionRaced`], so
+    /// the fetcher restarts at what the source offers now instead of
     /// splicing two bodies.
     pub fn serve<'a>(
         offered: impl IntoIterator<Item = &'a OfferedBody>,
@@ -236,6 +231,32 @@ impl OfferedBody {
     }
 }
 
+/// One delta a source offers: the tag of the full body it leaves, and
+/// its own body, shared by every head whose chain lists it.
+#[derive(Clone)]
+pub struct OfferedDelta {
+    pub base: u64,
+    pub body: Arc<OfferedBody>,
+}
+
+impl OfferedDelta {
+    pub fn new(base: u64, bytes: Vec<u8>) -> OfferedDelta {
+        OfferedDelta {
+            base,
+            body: Arc::new(OfferedBody::new(bytes)),
+        }
+    }
+
+    /// How a head names this delta.
+    pub fn link(&self) -> ChainLink {
+        ChainLink {
+            base: self.base,
+            tag: self.body.tag(),
+            len: self.body.bytes().len() as u64,
+        }
+    }
+}
+
 /// Where atlas bytes come from: a test vector or local file
 /// ([`StaticSource`]), a serving engine (`inano_service::QueryEngine::offer`),
 /// a remote `inano-serve` acting as a mirror (`inano_net::MirrorSource`).
@@ -245,29 +266,27 @@ impl OfferedBody {
 ///
 /// ## Contract
 ///
-/// * `head()` names the newest full body and `fetch_delta(have_day)`
-///   the delta leaving `have_day`, if one exists; each names its body
-///   by [`content_tag`].
+/// * `head()` names the newest full body and the deltas leading to it,
+///   each body by its [`content_tag`], all from one snapshot: applying
+///   the chain from any of its bases lands on the head's body.
 /// * `fetch_chunk(tag, idx)` serves chunk `idx` of any body the source
 ///   still offers under `tag`. A tag it no longer offers (the source
-///   swapped generations, replaced a delta, or let it go) is
+///   swapped generations, replaced its atlas, or let a delta go) is
 ///   [`ModelError::VersionRaced`]: the fetcher restarts at what the
 ///   source offers now — it must not splice bodies from two
 ///   generations. [`OfferedBody::serve`] is that rule.
 /// * A chunk index at or beyond the body's chunk count is a typed
 ///   [`ModelError::ChunkOutOfRange`].
 pub trait AtlasSource {
-    /// The newest available full-atlas version.
+    /// The newest full atlas and the retained chain leading to it.
     fn head(&mut self) -> Result<AtlasVersion, ModelError>;
-    /// The delta from `have_day` to the next day, if one is available.
-    fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError>;
     /// Chunk `idx` of the body whose content tag is `tag`: the full
-    /// atlas a head named or a delta a handle named.
+    /// atlas a head named or a delta of its chain.
     fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError>;
 }
 
-/// Whole-body restarts the reader tolerates (version races, tag
-/// mismatches) before a fetch fails.
+/// Whole-body restarts a fetch tolerates (version races, tag
+/// mismatches) before it fails.
 const MAX_RESTARTS: u32 = 3;
 /// Per-chunk retries before a fetch fails (resume in place: a bad chunk
 /// re-fetches that chunk, never the whole body).
@@ -276,91 +295,49 @@ const CHUNK_RETRIES: u32 = 2;
 /// fails typed instead of allocating it.
 const MAX_BODY_BYTES: u64 = 1 << 30;
 
-/// The reader, full half: download and validate the newest full body.
+/// The reader's bootstrap: download and validate the newest full body.
 /// Returns the version it ended up with (restarts may land on a newer
 /// one than the first `head()` named), the assembled bytes, whose
 /// [`content_tag`] is guaranteed to equal `version.epoch_tag`, and how
 /// many whole-body restarts (version races, tag mismatches) it
-/// recovered from — the feed for a mirror's `races_recovered` metric.
+/// recovered from.
 pub fn read_full(source: &mut dyn AtlasSource) -> Result<(AtlasVersion, Vec<u8>, u32), ModelError> {
-    let (fetched, restarts) = read(source, &mut |source| {
-        let head = source.head()?;
-        Ok(Some((
-            head,
-            (head.epoch_tag, head.full_len, head.chunk_size),
-        )))
-    })?;
-    let (head, body) = fetched.expect("a head always names a body");
-    Ok((head, body, restarts))
-}
-
-/// The reader, delta half: download and validate the body of the delta
-/// leaving `have_day`, if the source has one, with the restarts it
-/// recovered from (see [`read_full`]).
-pub fn read_delta(
-    source: &mut dyn AtlasSource,
-    have_day: u32,
-) -> Result<(Option<Vec<u8>>, u32), ModelError> {
-    let (fetched, restarts) = read(source, &mut |source| {
-        let Some(handle) = source.fetch_delta(have_day)? else {
-            return Ok(None);
-        };
-        if handle.from_day != have_day {
-            return Err(ModelError::Decode(format!(
-                "asked for the delta leaving day {have_day}, offered {}→{}",
-                handle.from_day, handle.to_day
-            )));
-        }
-        Ok(Some((handle, (handle.tag, handle.len, handle.chunk_size))))
-    })?;
-    Ok((fetched.map(|(_, body)| body), restarts))
-}
-
-/// A body as the reader sees it before its bytes move: tag, length,
-/// chunk size.
-type Named = (u64, u64, u32);
-/// What `offer` says a source offers now: the handle to return beside
-/// the body and the body's name, or `None` for nothing to fetch.
-type Offered<H> = Result<Option<(H, Named)>, ModelError>;
-/// The assembled body beside its handle, and the restarts it took.
-type Fetched<H> = (Option<(H, Vec<u8>)>, u32);
-
-/// The one assembly-and-restart loop behind [`read_full`] and
-/// [`read_delta`]. `offer` asks the source what it offers now; the body
-/// it names is assembled, and a race — a
-/// declared [`ModelError::VersionRaced`] or
-/// [`ModelError::ChunkOutOfRange`], or an assembled body whose tag
-/// disagrees — restarts at a fresh `offer`.
-fn read<H>(
-    source: &mut dyn AtlasSource,
-    offer: &mut dyn FnMut(&mut dyn AtlasSource) -> Offered<H>,
-) -> Result<Fetched<H>, ModelError> {
     let mut restarts = 0;
     loop {
-        let Some((handle, named)) = offer(source)? else {
-            return Ok((None, restarts));
-        };
-        match assemble(source, named) {
-            Ok(body) => return Ok((Some((handle, body)), restarts)),
-            Err(e) if is_race(&e) => {}
-            Err(e) => return Err(e),
-        }
-        restarts += 1;
-        if restarts > MAX_RESTARTS {
-            return Err(ModelError::VersionRaced(format!(
-                "fetch restarted {restarts} times without completing"
-            )));
+        let head = source.head()?;
+        match assemble(source, head.epoch_tag, head.full_len, head.chunk_size) {
+            Ok(body) => return Ok((head, body, restarts)),
+            Err(e) => restart(&mut restarts, e)?,
         }
     }
 }
 
-/// Assemble the body named `tag` chunk by chunk, retrying each failed
-/// chunk in place up to `CHUNK_RETRIES` times, then check the whole
-/// body against `tag`. A body whose tag disagrees means the source
-/// changed it without saying so: it is reported as a race.
+/// Count one restart at a fresh head after `e`, or hand `e` back: only
+/// a race — a declared [`ModelError::VersionRaced`] or
+/// [`ModelError::ChunkOutOfRange`], or an assembled body whose tag
+/// disagrees — restarts, at most `MAX_RESTARTS` times.
+fn restart(restarts: &mut u32, e: ModelError) -> Result<(), ModelError> {
+    if !is_race(&e) {
+        return Err(e);
+    }
+    if *restarts == MAX_RESTARTS {
+        return Err(ModelError::VersionRaced(format!(
+            "fetch restarted {MAX_RESTARTS} times without completing: {e}"
+        )));
+    }
+    *restarts += 1;
+    Ok(())
+}
+
+/// Assemble the `len`-byte body named `tag` chunk by chunk, retrying
+/// each failed chunk in place up to `CHUNK_RETRIES` times, then check
+/// the whole body against `tag`. A body whose tag disagrees means the
+/// source changed it without saying so: it is reported as a race.
 fn assemble(
     source: &mut dyn AtlasSource,
-    (tag, len, chunk_size): Named,
+    tag: u64,
+    len: u64,
+    chunk_size: u32,
 ) -> Result<Vec<u8>, ModelError> {
     if chunk_size == 0 {
         return Err(ModelError::Decode("source declared chunk size 0".into()));
@@ -420,94 +397,144 @@ fn is_race(e: &ModelError) -> bool {
 /// step; an implementation says only what a step does to it: which tag
 /// it holds, how a delta lands, and what it records along the way.
 pub trait Follower {
-    /// Day of the atlas the next delta must leave.
-    fn day(&self) -> u32;
     /// [`content_tag`] of the upstream body this follower holds: the
     /// encoding of the atlas it took from its source, before anything
-    /// of its own was added. Asked only when the delta chain was empty.
+    /// of its own was added. Never a name a head gave it.
     fn tag(&mut self) -> u64;
-    /// Land one delta; `bytes` is its validated wire form.
-    fn apply(&mut self, delta: &AtlasDelta, bytes: Vec<u8>) -> Result<(), ModelError>;
-    /// The source's head, probed after the chain, before any full
-    /// fetch.
+    /// Land one delta of the head's chain, which leaves the body tagged
+    /// `base` (the one the follower holds); `bytes` is its validated
+    /// wire form.
+    fn apply(&mut self, base: u64, delta: &AtlasDelta, bytes: Vec<u8>) -> Result<(), ModelError>;
+    /// The source's head, read before anything is fetched.
     fn head(&mut self, _head: &AtlasVersion) {}
-    /// Take the whole upstream atlas in place of the broken chain.
+    /// Take the whole upstream atlas in place of the one it holds.
     fn resync(&mut self, version: &AtlasVersion, atlas: Atlas);
-    /// Whole-body restarts one fetch recovered from (never 0).
+    /// Restarts at a fresh head one call recovered from (never 0).
     fn races(&mut self, _races: u32) {}
 }
 
 /// The one catch-up policy (§5: daily deltas, and one full refetch for
-/// a peer whose delta chain broke). Returns how many deltas landed.
+/// a peer whose delta chain broke), planned over one head. Returns how
+/// many deltas landed.
 ///
-/// 1. **Delta chain first.** Every delta the source offers beyond the
-///    follower's day is fetched, decoded and applied. The loop ends
-///    because every delta advances the day: `AtlasDelta::apply`
-///    refuses one that does not (`PatchMismatch`).
-/// 2. **Head probe.** A probe that fails after deltas landed keeps them
-///    and returns their count.
-/// 3. **Full body only on an empty chain.** When no delta landed and
-///    the head's `epoch_tag` differs from [`Follower::tag`], the chain
-///    is broken — the upstream replaced its atlas or restarted, on any
-///    day, or the follower lagged past the deltas it retains — and the
-///    full body is fetched ([`read_full`]), decoded and handed over.
-///    The call still returns `Ok(0)`. A source must therefore name as
-///    its head the version its own delta chain ends at. The tag is
-///    that of the body the follower holds, never one a head named: a
-///    source that swaps in another body of the same day between a
-///    chain and the probe is caught by the next call's compare.
+/// 1. **Read the head**, which names the newest full body and the
+///    chain of deltas leading to it ([`Follower::head`] sees it first).
+/// 2. **In step:** the follower's [`Follower::tag`] is the head's tag —
+///    nothing moves.
+/// 3. **Behind on the chain:** its tag is the base of a delta in the
+///    chain — that delta and every later one are fetched, decoded and
+///    applied in order, which lands it on the head's body.
+/// 4. **Off the chain:** any other tag — the upstream replaced its
+///    atlas or restarted, on any day, the follower holds a body of a
+///    day nobody built on, or it lagged past the retained chain — and
+///    the full body is fetched, decoded and handed over.
 ///
-/// Any fetch, decode or apply error is returned at once; the deltas
-/// that landed before it stay landed.
+/// A race mid-fetch ([`ModelError::VersionRaced`], a chunk index out of
+/// range, or a body that disagrees with its tag) plans again at a fresh
+/// head, at most three times, and is reported through
+/// [`Follower::races`]. Any other fetch, decode or apply error is
+/// returned at once; the deltas that landed before it stay landed. The
+/// tag compared is always that of the body the follower holds, so a
+/// delta can land only on the body its head names as its base.
 pub fn catch_up(
     source: &mut dyn AtlasSource,
     follower: &mut dyn Follower,
 ) -> Result<usize, ModelError> {
-    let mut applied = 0;
-    loop {
-        let (body, races) = read_delta(source, follower.day())?;
-        if races > 0 {
-            follower.races(races);
+    let (mut applied, mut races) = (0, 0);
+    let outcome = loop {
+        match plan(source, follower, &mut applied) {
+            Ok(()) => break Ok(applied),
+            Err(e) => {
+                if let Err(e) = restart(&mut races, e) {
+                    break Err(e);
+                }
+            }
         }
-        let Some(bytes) = body else { break };
-        let delta = AtlasDelta::decode(&bytes)?;
-        follower.apply(&delta, bytes)?;
-        applied += 1;
-    }
-    let head = match source.head() {
-        Ok(head) => head,
-        Err(_) if applied > 0 => return Ok(applied),
-        Err(e) => return Err(e),
     };
-    follower.head(&head);
-    if applied == 0 && head.epoch_tag != follower.tag() {
-        let (version, bytes, races) = read_full(source)?;
-        if races > 0 {
-            follower.races(races);
-        }
-        follower.resync(&version, codec::decode(&bytes)?);
+    if races > 0 {
+        follower.races(races);
     }
-    Ok(applied)
+    outcome
+}
+
+/// One pass of [`catch_up`] over one head, counting the deltas that
+/// land into `applied`.
+fn plan(
+    source: &mut dyn AtlasSource,
+    follower: &mut dyn Follower,
+    applied: &mut usize,
+) -> Result<(), ModelError> {
+    let head = source.head()?;
+    follower.head(&head);
+    let held = follower.tag();
+    if held == head.epoch_tag {
+        return Ok(());
+    }
+    let Some(from) = head.chain.iter().position(|link| link.base == held) else {
+        let body = assemble(source, head.epoch_tag, head.full_len, head.chunk_size)?;
+        follower.resync(&head, codec::decode(&body)?);
+        return Ok(());
+    };
+    for link in &head.chain[from..] {
+        let bytes = assemble(source, link.tag, link.len, head.chunk_size)?;
+        follower.apply(link.base, &AtlasDelta::decode(&bytes)?, bytes)?;
+        *applied += 1;
+    }
+    Ok(())
 }
 
 /// An in-memory source, for tests and local files: one encoded full
-/// body plus any encoded daily deltas, served in `chunk_size` chunks.
-/// The fields are public so a test can move the source on (swap `full`
-/// for a later day's body, drop a delta) between two fetches.
+/// body and the encoded daily deltas leading to it, served in
+/// `chunk_size` chunks. The fields are public so a test can move the
+/// source on between two fetches ([`StaticSource::publish`], or any
+/// head an honest source would not name).
 pub struct StaticSource {
+    /// The head's body.
     pub full: OfferedBody,
-    pub deltas: Vec<OfferedBody>,
+    /// The deltas leading to `full`, oldest first.
+    pub chain: Vec<OfferedDelta>,
     /// [`DEFAULT_CHUNK_SIZE`] unless a test wants multi-chunk bodies.
     pub chunk_size: u32,
 }
 
 impl StaticSource {
-    pub fn new(full: Vec<u8>, deltas: Vec<Vec<u8>>) -> StaticSource {
-        StaticSource {
-            full: OfferedBody::new(full),
-            deltas: deltas.into_iter().map(OfferedBody::new).collect(),
+    /// A source whose head is `base` with `deltas` applied in order,
+    /// reached by those deltas: each body between is built and encoded
+    /// once, here.
+    ///
+    /// # Panics
+    ///
+    /// If a delta does not decode or does not apply to the body before
+    /// it (with no deltas, `base` is not decoded at all).
+    pub fn new(base: Vec<u8>, deltas: Vec<Vec<u8>>) -> StaticSource {
+        let mut source = StaticSource {
+            full: OfferedBody::new(base),
+            chain: Vec::new(),
             chunk_size: DEFAULT_CHUNK_SIZE,
+        };
+        if deltas.is_empty() {
+            return source;
         }
+        let mut atlas = codec::decode(source.full.bytes()).expect("a source's base decodes");
+        for bytes in deltas {
+            let delta = AtlasDelta::decode(&bytes).expect("a source's delta decodes");
+            atlas = delta
+                .apply(&atlas)
+                .expect("a source's delta applies in order");
+            source.publish(codec::encode(&atlas).0, Some(bytes));
+        }
+        source
+    }
+
+    /// Move the head on to `full`: by `delta`, which leaves the current
+    /// head's body, or with `None` in place of the whole chain (a
+    /// replaced atlas).
+    pub fn publish(&mut self, full: Vec<u8>, delta: Option<Vec<u8>>) {
+        match delta {
+            Some(bytes) => self.chain.push(OfferedDelta::new(self.full.tag(), bytes)),
+            None => self.chain.clear(),
+        }
+        self.full = OfferedBody::new(full);
     }
 }
 
@@ -516,22 +543,17 @@ impl AtlasSource for StaticSource {
         // Peek, don't decode: the consumer decodes the assembled body
         // itself.
         let day = codec::peek_day(self.full.bytes())?;
-        Ok(self.full.version(day, self.chunk_size))
-    }
-
-    fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
-        for body in &self.deltas {
-            let parsed = AtlasDelta::decode(body.bytes())?;
-            if parsed.from_day == have_day {
-                return Ok(Some(body.handle(have_day, parsed.to_day, self.chunk_size)));
-            }
-        }
-        Ok(None)
+        Ok(self.full.version(day, self.chunk_size, &self.chain))
     }
 
     fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
-        let offered = std::iter::once(&self.full).chain(&self.deltas);
-        OfferedBody::serve(offered, tag, self.chunk_size, idx)
+        let deltas = self.chain.iter().map(|d| &*d.body);
+        OfferedBody::serve(
+            std::iter::once(&self.full).chain(deltas),
+            tag,
+            self.chunk_size,
+            idx,
+        )
     }
 }
 
@@ -543,18 +565,18 @@ impl AtlasSource for StaticSource {
 pub enum Step<S, R> {
     /// Reach `inner`.
     Pass,
-    /// Answer this; `inner` is not asked (an error, or a head or handle
-    /// no honest source would name).
+    /// Answer this; `inner` is not asked (an error, or a head no honest
+    /// source would name).
     Answer(Result<R, ModelError>),
     /// Fail this call and every later one of this method until the
     /// script is cleared ([`Scripted::clear`]): an upstream that is down.
     Down(ModelError),
     /// Run this on `inner`, then reach it: the source moved on (swapped
-    /// its body, replaced a delta) or something happened elsewhere.
+    /// its body, replaced its atlas) or something happened elsewhere.
     Then(Box<dyn FnOnce(&mut S)>),
-    /// Reach `inner`, then flip the low bit of the name in its answer: a
-    /// head's or a handle's tag (the body is served under that wrong
-    /// name too), or a chunk's checksum.
+    /// Reach `inner`, then flip the low bit of every name in its answer:
+    /// a head's tag and the tag of each delta of its chain (each body is
+    /// served under its wrong name too), or a chunk's checksum.
     Misname,
 }
 
@@ -566,7 +588,6 @@ pub type Script<S, R> = VecDeque<Step<S, R>>;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Served {
     pub heads: usize,
-    pub deltas: usize,
     /// Chunk calls naming a tag one of its heads answered.
     pub full_chunks: usize,
     /// Every other chunk call: a delta's.
@@ -583,7 +604,6 @@ pub struct Served {
 pub struct Scripted<S: AtlasSource> {
     pub inner: S,
     pub heads: Script<S, AtlasVersion>,
-    pub deltas: Script<S, Option<DeltaHandle>>,
     pub chunks: Script<S, AtlasChunk>,
     pub served: Served,
     /// Tags its heads answered: a chunk of one is a full-body chunk.
@@ -598,7 +618,6 @@ impl<S: AtlasSource> Scripted<S> {
         Scripted {
             inner,
             heads: Script::new(),
-            deltas: Script::new(),
             chunks: Script::new(),
             served: Served::default(),
             head_tags: HashSet::new(),
@@ -609,7 +628,6 @@ impl<S: AtlasSource> Scripted<S> {
     /// Drop every step still scripted: from here on each call passes.
     pub fn clear(&mut self) {
         self.heads.clear();
-        self.deltas.clear();
         self.chunks.clear();
     }
 }
@@ -641,23 +659,14 @@ impl<S: AtlasSource> AtlasSource for Scripted<S> {
         self.served.heads += 1;
         let (mut head, misname) = step(&mut self.heads, &mut self.inner, |s| s.head())?;
         if misname {
-            head.epoch_tag ^= 1;
-            self.misnamed.insert(head.epoch_tag);
+            let names = std::iter::once(&mut head.epoch_tag);
+            for tag in names.chain(head.chain.iter_mut().map(|link| &mut link.tag)) {
+                *tag ^= 1;
+                self.misnamed.insert(*tag);
+            }
         }
         self.head_tags.insert(head.epoch_tag);
         Ok(head)
-    }
-
-    fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
-        self.served.deltas += 1;
-        let (mut handle, misname) = step(&mut self.deltas, &mut self.inner, |s| {
-            s.fetch_delta(have_day)
-        })?;
-        if let (Some(h), true) = (handle.as_mut(), misname) {
-            h.tag ^= 1;
-            self.misnamed.insert(h.tag);
-        }
-        Ok(handle)
     }
 
     fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
@@ -716,6 +725,10 @@ mod tests {
 
     fn delta(from: &Atlas, to: &Atlas) -> Vec<u8> {
         AtlasDelta::between(from, to).encode().0
+    }
+
+    fn tag_of(atlas: &Atlas) -> u64 {
+        content_tag(&codec::encode(atlas).0)
     }
 
     #[test]
@@ -799,23 +812,51 @@ mod tests {
             chunk_size: 8,
             ..StaticSource::new(codec::encode(&d0).0, vec![first])
         });
-        // After the first chunk it serves, `second` replaces its deltas.
-        let next = vec![OfferedBody::new(second.clone())];
-        let replace = Step::Then(Box::new(|s: &mut StaticSource| s.deltas = next));
-        src.chunks.extend([Step::Pass, replace]);
-        let (body, restarts) = read_delta(&mut src, 0).expect("restarts");
-        assert_eq!(body, Some(second), "the replacing delta, not a splice");
-        assert_eq!(restarts, 1);
+        // After the first chunk it serves, the source replaces its day-1
+        // body by one `second` leads to from the same day-0 body.
+        let replace = move |s: &mut StaticSource| {
+            s.publish(codec::encode(&d0).0, None);
+            s.publish(codec::encode(&other).0, Some(second));
+        };
+        src.chunks
+            .extend([Step::Pass, Step::Then(Box::new(replace))]);
+        let mut follower = Recorder::at(&world(0, 1));
+        assert_eq!(catch_up(&mut src, &mut follower), Ok(1));
+        assert_eq!(
+            follower.steps,
+            [
+                Told::Head(1),
+                Told::Head(1),
+                Told::Apply(0, 1),
+                Told::Races(1)
+            ]
+        );
+        assert_eq!(
+            follower.holds(),
+            src.inner.full.tag(),
+            "the replacing delta's body, not a splice"
+        );
     }
 
     #[test]
     fn reader_restarts_when_a_body_disagrees_with_its_tag() {
         let (d0, d1) = (world(0, 1), world(1, 2));
-        let bytes = delta(&d0, &d1);
-        let mut src = Scripted::new(StaticSource::new(codec::encode(&d0).0, vec![bytes.clone()]));
-        // Names the delta by a wrong tag, once, and serves it under it.
-        src.deltas.push_back(Step::Misname);
-        assert_eq!(read_delta(&mut src, 0), Ok((Some(bytes), 1)));
+        let inner = || StaticSource::new(codec::encode(&d0).0, vec![delta(&d0, &d1)]);
+        // A head misnamed once: its body and its delta are each served
+        // under a wrong tag, and the assembled body disagrees with it.
+        let mut src = Scripted::new(inner());
+        src.heads.push_back(Step::Misname);
+        let (version, got, restarts) = read_full(&mut src).expect("restarts");
+        assert_eq!((got, restarts), (codec::encode(&d1).0, 1));
+        assert_eq!(version.epoch_tag, src.inner.full.tag());
+
+        let mut src = Scripted::new(inner());
+        src.heads.push_back(Step::Misname);
+        let mut follower = Recorder::at(&d0);
+        assert_eq!(catch_up(&mut src, &mut follower), Ok(1));
+        assert_eq!(follower.steps.last(), Some(&Told::Races(1)));
+        assert_eq!(follower.holds(), src.inner.full.tag());
+        assert_eq!(src.served.full_chunks, 0, "the delta, twice");
     }
 
     #[test]
@@ -827,6 +868,7 @@ mod tests {
                 epoch_tag: 0,
                 full_len,
                 chunk_size,
+                chain: vec![],
             };
             src.heads.push_back(Step::Answer(Ok(hostile)));
             assert!(read_full(&mut src).is_err());
@@ -836,37 +878,45 @@ mod tests {
 
     #[test]
     fn reader_refuses_hostile_handles() {
+        // A head's chain is the handle of every delta it names.
         let (d0, d1) = (world(0, 1), world(1, 2));
         let inner = || StaticSource::new(codec::encode(&d0).0, vec![delta(&d0, &d1)]);
-        let honest = inner()
-            .fetch_delta(0)
-            .expect("offered")
-            .expect("leaves day 0");
+        let honest = inner().head().expect("a head");
+        let oversized = ChainLink {
+            len: MAX_BODY_BYTES + 1,
+            ..honest.chain[0]
+        };
         let hostile = [
-            DeltaHandle {
-                from_day: 3,
-                to_day: 4,
-                ..honest
+            AtlasVersion {
+                chain: vec![oversized],
+                ..honest.clone()
             },
-            DeltaHandle {
-                len: MAX_BODY_BYTES + 1,
-                ..honest
-            },
-            DeltaHandle {
+            AtlasVersion {
                 chunk_size: 0,
-                ..honest
+                ..honest.clone()
             },
         ];
-        for handle in hostile {
+        for head in hostile {
             let mut src = Scripted::new(inner());
-            src.deltas.push_back(Step::Answer(Ok(Some(handle))));
-            let err = read_delta(&mut src, 0).unwrap_err();
-            assert!(matches!(err, ModelError::Decode(_)), "{handle:?}: {err}");
-            assert_eq!(
-                src.served.delta_chunks, 0,
-                "{handle:?}: refused at the handle"
-            );
+            src.heads.push_back(Step::Answer(Ok(head.clone())));
+            let mut follower = Recorder::at(&d0);
+            let err = catch_up(&mut src, &mut follower).unwrap_err();
+            assert!(matches!(err, ModelError::Decode(_)), "{head:?}: {err}");
+            assert_eq!(src.served.delta_chunks, 0, "{head:?}: refused at the head");
+            assert_eq!(follower.holds(), tag_of(&d0));
         }
+        // A chain naming the held body as the base of a delta that
+        // leaves another day: fetched, and refused as it lands.
+        let stray = delta(&world(3, 5), &world(4, 6));
+        let mut src = StaticSource {
+            full: OfferedBody::new(codec::encode(&d1).0),
+            chain: vec![OfferedDelta::new(tag_of(&d0), stray)],
+            chunk_size: DEFAULT_CHUNK_SIZE,
+        };
+        let mut follower = Recorder::at(&d0);
+        let err = catch_up(&mut src, &mut follower).unwrap_err();
+        assert!(matches!(err, ModelError::PatchMismatch(_)), "{err}");
+        assert_eq!(follower.holds(), tag_of(&d0));
     }
 
     #[test]
@@ -884,16 +934,16 @@ mod tests {
         assert_eq!(head.day, 3);
         assert_eq!(head.full_len, bytes.len() as u64);
         assert!(head.n_chunks() > 1, "tiny chunks force a multi-chunk body");
+        assert!(head.chain.is_empty(), "no delta leads here");
         let (version, got, _) = read_full(&mut src).expect("fetch");
         assert_eq!(got, bytes);
         assert_eq!(version, head);
-        assert!(src.fetch_delta(3).expect("no delta").is_none());
     }
 
     // ---- catch_up: one case per rule, on a recording follower ----
 
-    /// `full` and `deltas` in several chunks per body, so a race lands
-    /// mid-body.
+    /// `full` with `deltas` applied, every body in several chunks, so a
+    /// race lands mid-body.
     fn watched(full: &Atlas, deltas: Vec<Vec<u8>>) -> Scripted<StaticSource> {
         Scripted::new(StaticSource {
             chunk_size: 16,
@@ -920,32 +970,28 @@ mod tests {
     }
 
     impl Recorder {
-        /// Bootstrapped from `source`'s full body.
-        fn on(source: &mut dyn AtlasSource) -> Recorder {
-            let (_, bytes, _) = read_full(source).expect("bootstrap");
+        /// Holding `atlas` as a source would serve it.
+        fn at(atlas: &Atlas) -> Recorder {
             Recorder {
-                atlas: codec::decode(&bytes).expect("decodes"),
+                atlas: codec::decode(&codec::encode(atlas).0).expect("decodes"),
                 tags_asked: 0,
                 steps: vec![],
             }
         }
 
         fn holds(&self) -> u64 {
-            content_tag(&codec::encode(&self.atlas).0)
+            tag_of(&self.atlas)
         }
     }
 
     impl Follower for Recorder {
-        fn day(&self) -> u32 {
-            self.atlas.day
-        }
-
         fn tag(&mut self) -> u64 {
             self.tags_asked += 1;
             self.holds()
         }
 
-        fn apply(&mut self, delta: &AtlasDelta, _: Vec<u8>) -> Result<(), ModelError> {
+        fn apply(&mut self, base: u64, delta: &AtlasDelta, _: Vec<u8>) -> Result<(), ModelError> {
+            assert_eq!(base, self.holds(), "a delta lands on the body it leaves");
             self.atlas = delta.apply(&self.atlas)?;
             self.steps.push(Told::Apply(delta.from_day, delta.to_day));
             Ok(())
@@ -968,44 +1014,47 @@ mod tests {
     #[test]
     fn catch_up_in_step_moves_no_body() {
         let mut src = watched(&world(1, 1), vec![]);
-        let mut follower = Recorder::on(&mut src);
-        let bootstrap_chunks = src.served.full_chunks;
+        let mut follower = Recorder::at(&world(1, 1));
         assert_eq!(catch_up(&mut src, &mut follower), Ok(0));
         assert_eq!(follower.steps, [Told::Head(1)]);
         assert_eq!(follower.tags_asked, 1);
-        assert_eq!(src.served.full_chunks, bootstrap_chunks);
+        assert_eq!(src.served.full_chunks + src.served.delta_chunks, 0);
     }
 
     #[test]
     fn catch_up_walks_a_chain_without_asking_the_tag() {
         let (d0, d1, d2) = (world(0, 1), world(1, 2), world(2, 3));
         let mut src = watched(&d0, vec![delta(&d0, &d1), delta(&d1, &d2)]);
-        let mut follower = Recorder::on(&mut src);
-        // The upstream moves on to the day its chain ends at.
-        src.inner.full = OfferedBody::new(codec::encode(&d2).0);
-        let bootstrap_chunks = src.served.full_chunks;
+        let mut follower = Recorder::at(&d0);
         assert_eq!(catch_up(&mut src, &mut follower), Ok(2));
         assert_eq!(
             follower.steps,
-            [Told::Apply(0, 1), Told::Apply(1, 2), Told::Head(2)]
+            [Told::Head(2), Told::Apply(0, 1), Told::Apply(1, 2)]
         );
         assert_eq!(
-            follower.tags_asked, 0,
-            "a chain that applied never compares"
+            follower.tags_asked, 1,
+            "one compare for the chain, none per delta"
         );
         assert_eq!(follower.holds(), src.inner.full.tag(), "in step");
-        assert_eq!(src.served.deltas, 3, "two deltas, then none");
-        assert_eq!(src.served.full_chunks, bootstrap_chunks);
+        assert_eq!(src.served.heads, 1, "one head plans the walk");
+        assert_eq!(src.served.full_chunks, 0);
+
+        // A follower one day behind walks the suffix its body leaves.
+        let mut follower = Recorder::at(&d1);
+        assert_eq!(catch_up(&mut src, &mut follower), Ok(1));
+        assert_eq!(follower.steps, [Told::Head(2), Told::Apply(1, 2)]);
+        assert_eq!(follower.holds(), src.inner.full.tag());
     }
 
     #[test]
     fn catch_up_resyncs_an_empty_chain_onto_any_new_body() {
         let mut src = watched(&world(1, 1), vec![]);
-        let mut follower = Recorder::on(&mut src);
+        let mut follower = Recorder::at(&world(1, 1));
         // Another day-1 body, then an earlier day's: both followed.
         for (day, marker) in [(1, 7), (0, 9)] {
             follower.steps.clear();
-            src.inner.full = OfferedBody::new(codec::encode(&world(day, marker)).0);
+            src.inner
+                .publish(codec::encode(&world(day, marker)).0, None);
             assert_eq!(catch_up(&mut src, &mut follower), Ok(0));
             assert_eq!(follower.steps, [Told::Head(day), Told::Resync(day)]);
             let marked = (ClusterId::new(marker), ClusterId::new(marker + 1));
@@ -1015,28 +1064,61 @@ mod tests {
     }
 
     #[test]
+    fn catch_up_never_lands_a_delta_on_another_body_of_its_day() {
+        // The upstream replaced its day-1 body, then published a delta
+        // leaving the replacement. A follower still on the old day-1
+        // body is off that chain: it takes the full body.
+        let (old, new, next) = (world(1, 1), world(1, 7), world(2, 8));
+        let mut src = watched(&new, vec![delta(&new, &next)]);
+        let mut follower = Recorder::at(&old);
+        assert_eq!(catch_up(&mut src, &mut follower), Ok(0));
+        assert_eq!(follower.steps, [Told::Head(2), Told::Resync(2)]);
+        assert_eq!(follower.holds(), src.inner.full.tag());
+        assert_eq!(src.served.delta_chunks, 0);
+    }
+
+    #[test]
     fn catch_up_keeps_the_days_a_failing_chain_applied() {
         let (d0, d1) = (world(0, 1), world(1, 2));
-        let mut src = watched(&d0, vec![delta(&d0, &d1), vec![0xff; 40]]);
-        let mut follower = Recorder::on(&mut src);
+        let mut src = watched(&d0, vec![delta(&d0, &d1)]);
+        // A second delta whose body is not a delta at all.
+        src.inner
+            .publish(codec::encode(&world(2, 3)).0, Some(vec![0xff; 40]));
+        let mut follower = Recorder::at(&d0);
         let err = catch_up(&mut src, &mut follower).unwrap_err();
         assert_eq!(err, ModelError::Decode("bad delta magic".into()));
-        assert_eq!(follower.steps, [Told::Apply(0, 1)], "no head probe");
-        assert_eq!(src.served.heads, 1, "the bootstrap's only");
-        assert_eq!(follower.day(), 1);
+        assert_eq!(follower.steps, [Told::Head(2), Told::Apply(0, 1)]);
+        assert_eq!(src.served.heads, 1, "no restart on a decode error");
+        assert_eq!(follower.atlas.day, 1);
     }
 
     #[test]
     fn catch_up_keeps_applied_deltas_when_the_head_probe_fails() {
-        let (d0, d1) = (world(0, 1), world(1, 2));
-        let mut src = watched(&d0, vec![delta(&d0, &d1)]);
-        let mut follower = Recorder::on(&mut src);
-        src.inner.full = OfferedBody::new(vec![]);
-        assert_eq!(catch_up(&mut src, &mut follower), Ok(1));
-        assert_eq!(follower.steps, [Told::Apply(0, 1)]);
+        let (d0, d1, d2) = (world(0, 1), world(1, 2), world(2, 3));
+        // Default chunks: each delta is one.
+        let mut src = Scripted::new(StaticSource::new(
+            codec::encode(&d0).0,
+            vec![delta(&d0, &d1), delta(&d1, &d2)],
+        ));
+        // The second delta races; the fresh head it restarts at fails.
+        let race = ModelError::VersionRaced("upstream swapped".into());
+        let down = ModelError::Decode("upstream down".into());
+        src.chunks.extend([Step::Pass, Step::Answer(Err(race))]);
+        src.heads
+            .extend([Step::Pass, Step::Answer(Err(down.clone()))]);
+        let mut follower = Recorder::at(&d0);
+        assert_eq!(catch_up(&mut src, &mut follower), Err(down.clone()));
+        assert_eq!(
+            follower.steps,
+            [Told::Head(2), Told::Apply(0, 1), Told::Races(1)]
+        );
+        assert_eq!(follower.atlas.day, 1, "the landed delta stays");
         // With nothing applied, the failed probe is the outcome.
-        assert!(catch_up(&mut src, &mut follower).is_err());
-        assert_eq!(follower.tags_asked, 0);
+        follower.steps.clear();
+        src.heads.push_back(Step::Down(down.clone()));
+        assert_eq!(catch_up(&mut src, &mut follower), Err(down));
+        assert!(follower.steps.is_empty());
+        assert_eq!(follower.tags_asked, 1, "the first plan's only");
     }
 
     #[test]
@@ -1047,25 +1129,31 @@ mod tests {
             to_day: 0,
             ..AtlasDelta::default()
         };
-        let mut src = watched(&d0, vec![stuck.encode().0]);
-        let mut follower = Recorder::on(&mut src);
+        let mut src = StaticSource::new(codec::encode(&world(1, 2)).0, vec![]);
+        src.chain = vec![OfferedDelta::new(tag_of(&d0), stuck.encode().0)];
+        let mut follower = Recorder::at(&d0);
         let err = catch_up(&mut src, &mut follower).unwrap_err();
         assert!(matches!(err, ModelError::PatchMismatch(_)), "{err}");
-        assert!(follower.steps.is_empty());
+        assert_eq!(follower.steps, [Told::Head(1)]);
     }
 
     #[test]
     fn catch_up_reports_a_race_the_reader_recovered_from() {
         let mut src = watched(&world(1, 1), vec![]);
-        let mut follower = Recorder::on(&mut src);
-        src.inner.full = OfferedBody::new(codec::encode(&world(2, 5)).0);
+        let mut follower = Recorder::at(&world(1, 1));
+        src.inner.publish(codec::encode(&world(2, 5)).0, None);
         // Full-body chunk 1 races once.
         let race = ModelError::VersionRaced("upstream swapped".into());
         src.chunks.extend([Step::Pass, Step::Answer(Err(race))]);
         assert_eq!(catch_up(&mut src, &mut follower), Ok(0));
         assert_eq!(
             follower.steps,
-            [Told::Head(2), Told::Races(1), Told::Resync(2)]
+            [
+                Told::Head(2),
+                Told::Head(2),
+                Told::Resync(2),
+                Told::Races(1)
+            ]
         );
     }
 }

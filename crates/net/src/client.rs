@@ -17,13 +17,13 @@
 //!
 //! [`MirrorSource`] is the wire's [`AtlasSource`]: a connection scoped
 //! to one shard and nothing more. A body is named by its content tag,
-//! so `head()`, `fetch_delta()` and `fetch_chunk(tag, idx)` are each
-//! one self-contained exchange, and the source keeps no state between
-//! them.
+//! and the head names every body there is to fetch, so `head()` and
+//! `fetch_chunk(tag, idx)` are each one self-contained exchange, and
+//! the source keeps no state between them.
 
 use crate::wire::{read_frame, write_frame, Frame, Limits, ReadError, WireFault, TRACE_FLAG};
 use crate::wire::{WirePath, WireResolution, WireShardInfo};
-use inano_core::{AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle};
+use inano_core::{AtlasChunk, AtlasSource, AtlasVersion};
 use inano_model::{ErrorCode, Ipv4, ModelError};
 use inano_obs::{EventsPage, MetricsDump, TraceTimings};
 use inano_service::ShardId;
@@ -398,30 +398,20 @@ impl NetClient {
         }
     }
 
-    /// The newest full-atlas version shard 0 serves.
+    /// The newest full-atlas version shard 0 serves, and the chain of
+    /// deltas leading to it.
     pub fn atlas_head(&mut self) -> Result<AtlasVersion, NetError> {
         self.atlas_head_on(ShardId::DEFAULT)
     }
 
-    /// The newest full-atlas version one named shard serves.
+    /// The newest full-atlas version one named shard serves, and the
+    /// chain of deltas leading to it.
     pub fn atlas_head_on(&mut self, shard: ShardId) -> Result<AtlasVersion, NetError> {
         TypedCalls::atlas_head_on(self, shard)
     }
 
-    /// The retained delta leaving `have_day` on one named shard.
-    pub fn fetch_delta_on(
-        &mut self,
-        shard: ShardId,
-        have_day: u32,
-    ) -> Result<Option<DeltaHandle>, NetError> {
-        match self.call(&Frame::FetchDelta { shard, have_day })? {
-            Frame::DeltaReply { handle } => Ok(handle),
-            other => Err(unexpected("DeltaReply", &other)),
-        }
-    }
-
-    /// Chunk `idx` of the body — full atlas or delta — that a head or a
-    /// delta handle named `tag`. A server that no longer offers that
+    /// Chunk `idx` of the body — full atlas or delta — that a head named
+    /// `tag`. A server that no longer offers that
     /// body answers a typed `VersionRaced` fault: ask again and restart.
     pub fn fetch_chunk_on(
         &mut self,
@@ -490,12 +480,6 @@ impl AtlasSource for MirrorSource {
     fn head(&mut self) -> Result<AtlasVersion, ModelError> {
         self.client
             .atlas_head_on(self.shard)
-            .map_err(NetError::into_model)
-    }
-
-    fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
-        self.client
-            .fetch_delta_on(self.shard, have_day)
             .map_err(NetError::into_model)
     }
 

@@ -10,8 +10,9 @@
 //!   version (magic, version, request id, typed frames: `QueryBatch`,
 //!   `Resolve`, `Epoch` — each leading with a shard id — plus
 //!   `ListShards`, `Ping`, the atlas dissemination frames
-//!   `AtlasHead`/`FetchDelta`/`FetchChunk` (a body, full or delta,
-//!   fetched in chunks by its content tag), the
+//!   `AtlasHead`/`FetchChunk` (the head names the newest atlas and the
+//!   deltas leading to it; each body is fetched in chunks by its
+//!   content tag), the
 //!   observability frames `Metrics`/`MetricsReply`/`TraceReply` with
 //!   the [`wire::TRACE_FLAG`] request-id bit opting a request into a
 //!   stage-timing trailer, the event-journal frames

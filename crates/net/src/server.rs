@@ -27,8 +27,8 @@
 //! and hot-swap semantics with embedded callers, and a mid-load
 //! `apply_delta` on one shard never stalls remote queries on another.
 //!
-//! The atlas fetch frames (`AtlasHead`, `FetchDelta`, `FetchChunk`)
-//! are the shard's engine as an atlas source,
+//! The atlas fetch frames (`AtlasHead`, `FetchChunk`) are the shard's
+//! engine as an atlas source,
 //! [`QueryEngine::offer`], its bodies cut at the chunk size this
 //! server's [`Limits`] admit: a body is named by its content tag, and
 //! what a tag no longer names is a typed `VersionRaced` fault, decided
@@ -1636,9 +1636,6 @@ fn serve(shared: &Shared, frame: &Frame) -> Result<Reply, ModelError> {
         },
         Frame::AtlasHead { shard } => Frame::AtlasHeadReply {
             version: registry.engine(*shard)?.offer(cs).head()?,
-        },
-        Frame::FetchDelta { shard, have_day } => Frame::DeltaReply {
-            handle: registry.engine(*shard)?.offer(cs).fetch_delta(*have_day)?,
         },
         Frame::FetchChunk { shard, tag, idx } => {
             let chunk = registry.engine(*shard)?.offer(cs).fetch_chunk(*tag, *idx)?;

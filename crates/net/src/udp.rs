@@ -244,8 +244,11 @@ impl UdpQuerier {
         TypedCalls::epoch_on(self, shard)
     }
 
-    /// The newest full-atlas version shard 0 serves — the datagram way
-    /// to notice "my atlas is stale" before opening a stream to fetch.
+    /// The newest full-atlas version shard 0 serves, with the chain of
+    /// deltas leading to it — the datagram way to notice "my atlas is
+    /// stale" before opening a stream to fetch.
+    /// A chain of [`inano_service::DELTA_LOG_CAP`] links fits one
+    /// datagram.
     pub fn atlas_head(&mut self) -> Result<AtlasVersion, NetError> {
         self.atlas_head_on(ShardId::DEFAULT)
     }

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! magic      u32  0x694E614E ("iNaN")
-//! version    u8   7
+//! version    u8   8
 //! frame type u8   see the table below
 //! request id u64  echoed verbatim in the reply
 //! payload    u32  payload length in bytes
@@ -43,7 +43,6 @@
 //! | `0x06` | `StreamRequest` | `ListShards` | `0x86 ShardsReply` | no | no |
 //! | `0x07` | `Request` | `AtlasHead` | `0x87 AtlasHeadReply` | yes | yes |
 //! | `0x08` | `StreamRequest` | `FetchChunk` | `0x88 ChunkReply` | yes | no |
-//! | `0x09` | `StreamRequest` | `FetchDelta` | `0x89 DeltaReply` | yes | no |
 //! | `0x0B` | `StreamRequest` | `Metrics` | `0x8B MetricsReply` | no | no |
 //! | `0x0C` | `StreamRequest` | `Events` | `0x8C EventsReply` | no | no |
 //! | `0x8A` | `Reply` | `TraceReply` | (a trailer, see below) | — | no |
@@ -54,9 +53,9 @@
 //! before it parses a payload byte: a `Reply` type is answered
 //! `UnexpectedFrame`, a `StreamRequest` arriving in a datagram
 //! `NotOnDatagram`, and only what is left is decoded, charged to the
-//! request-memory budget and queued. Types `0x04`/`0x84` and `0x0A`
-//! are retired and decode as `UnknownFrame` like any other unassigned
-//! byte.
+//! request-memory budget and queued. Types `0x04`/`0x84`,
+//! `0x09`/`0x89` and `0x0A` are retired and decode as `UnknownFrame`
+//! like any other unassigned byte.
 //!
 //! **Adding a frame** is one row in `frames!`, plus: a `Wire` impl
 //! (the field's byte layout, writer and reader side by side) only if
@@ -75,20 +74,21 @@
 //! **Atlas dissemination** — the fetch side of §5, so any server can
 //! stand in as an atlas mirror. A body — the full atlas or a daily
 //! delta — is named by its content tag. `AtlasHead` names the shard's
-//! newest full body ([`inano_core::AtlasVersion`]: day, content
-//! `epoch_tag`, body length, chunk size); `FetchDelta { shard,
-//! have_day }` names the retained daily delta leaving `have_day`, if
-//! any ([`inano_core::DeltaHandle`]: days, tag, length, chunk size).
+//! newest full body and the retained chain of deltas leading to it
+//! ([`inano_core::AtlasVersion`]: day, content `epoch_tag`, body
+//! length, chunk size, then per delta the tag of the body it leaves,
+//! its own tag and its length — at most [`DELTA_LOG_CAP`] of them).
 //! `FetchChunk { shard, tag, idx }` carries one checksummed chunk of
-//! either back; if the shard no longer offers a body under that tag (it
-//! swapped generations, or replaced the delta) the server answers a
-//! typed [`ErrorCode::VersionRaced`] fault — ask again and restart —
-//! instead of silently splicing two bodies. Chunk sizes are derived
-//! from the server's own [`Limits`] ([`chunk_size_for`]), so a
+//! any of them back; if the shard no longer offers a body under that
+//! tag (it swapped generations, or replaced its atlas) the server
+//! answers a typed [`ErrorCode::VersionRaced`] fault — ask again and
+//! restart — instead of silently splicing two bodies. Chunk sizes are
+//! derived from the server's own [`Limits`] ([`chunk_size_for`]), so a
 //! `ChunkReply` payload never exceeds `max_frame_bytes` — an atlas
-//! bigger than one frame simply arrives as more chunks. A stale chunk
-//! index is a typed [`ErrorCode::ChunkOutOfRange`] fault; none of
-//! these ever cost the connection.
+//! bigger than one frame simply arrives as more chunks — and a head
+//! with a full chain fits one datagram. A stale chunk index is a typed
+//! [`ErrorCode::ChunkOutOfRange`] fault; none of these ever cost the
+//! connection.
 //!
 //! **Observability.** `Metrics` dumps the server's whole
 //! [`inano_obs::MetricsRegistry`] as stable name/value pairs
@@ -130,17 +130,17 @@
 //! Error *codes* live in [`inano_model::ErrorCode`] so the engine's own
 //! `ModelError`s cross the wire losslessly typed.
 
-use inano_core::{AtlasVersion, DeltaHandle, PredictedPath, Resolution, DEFAULT_CHUNK_SIZE};
+use inano_core::{AtlasVersion, ChainLink, PredictedPath, Resolution, DEFAULT_CHUNK_SIZE};
 use inano_model::{Asn, ClusterId, ErrorCode, Ipv4, LatencyMs, LossRate, ModelError, PrefixId};
 use inano_obs::{Event, EventKind, EventsPage, MetricValue, MetricsDump, TraceTimings};
-use inano_service::{ShardId, SharedResult};
+use inano_service::{ShardId, SharedResult, DELTA_LOG_CAP};
 use std::io::{self, Read, Write};
 use std::time::Instant;
 
 /// `"iNaN"` in ASCII.
 pub const MAGIC: u32 = 0x694E_614E;
 /// The protocol version: the only one written, the only one accepted.
-pub const VERSION: u8 = 7;
+pub const VERSION: u8 = 8;
 /// Most log₂ latency buckets accepted in one `MetricsReply` histogram
 /// (the engine ships 40; bucket index feeds a `1 << i`, so a foreign
 /// histogram must not be allowed to claim thousands).
@@ -401,14 +401,13 @@ frames! {
     0x03 Request Resolve { shard: ShardId, ip: Ipv4 }
     0x05 Request Epoch { shard: ShardId }
     0x06 StreamRequest ListShards
-    /// What is the newest full atlas this shard serves?
+    /// What is the newest full atlas this shard serves, and which
+    /// deltas lead to it?
     0x07 Request AtlasHead { shard: ShardId }
     /// One chunk of the body — full atlas or delta — tagged `tag`. A
     /// server that no longer offers it answers a typed `VersionRaced`
     /// fault.
     0x08 StreamRequest FetchChunk { shard: ShardId, tag: u64, idx: u32 }
-    /// Is there a retained daily delta leaving `have_day`?
-    0x09 StreamRequest FetchDelta { shard: ShardId, have_day: u32 }
     /// Dump the server-wide metrics registry (not shard-scoped — the
     /// registry's names carry the shard).
     0x0B StreamRequest Metrics
@@ -424,7 +423,6 @@ frames! {
     /// One checksummed body chunk (full or delta — the client knows
     /// which it asked for; the echoed index pins it to the request).
     0x88 Reply ChunkReply { idx: u32, crc: u64, bytes: Vec<u8> }
-    0x89 Reply DeltaReply { handle: Option<DeltaHandle> }
     /// The timing trailer a [`TRACE_FLAG`]ged request earns, written
     /// immediately after its (non-`Error`) main reply under the same
     /// request id.
@@ -836,54 +834,51 @@ impl Wire for Vec<WireShardInfo> {
     }
 }
 
+/// Encoded size of one link of a head's chain: base, tag, length.
+const CHAIN_LINK_BYTES: usize = 24;
+
+/// A head: day, tag, length and chunk size, then a count and the chain
+/// of at most [`DELTA_LOG_CAP`] links — the newest ones if a source
+/// holds more, so what is sent still leads to the head.
 impl Wire for AtlasVersion {
     fn put(&self, buf: &mut Vec<u8>) {
         put_u32(buf, self.day);
         put_u64(buf, self.epoch_tag);
         put_u64(buf, self.full_len);
         put_u32(buf, self.chunk_size);
+        let kept = self.chain.len().min(DELTA_LOG_CAP);
+        put_u32(buf, kept as u32);
+        for link in &self.chain[self.chain.len() - kept..] {
+            put_u64(buf, link.base);
+            put_u64(buf, link.tag);
+            put_u64(buf, link.len);
+        }
     }
 
     fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<AtlasVersion, WireFault> {
-        Ok(AtlasVersion {
-            day: c.u32()?,
-            epoch_tag: c.u64()?,
-            full_len: c.u64()?,
-            chunk_size: c.u32()?,
-        })
-    }
-}
-
-impl Wire for Option<DeltaHandle> {
-    fn put(&self, buf: &mut Vec<u8>) {
-        match self {
-            None => buf.push(0),
-            Some(h) => {
-                buf.push(1);
-                put_u32(buf, h.from_day);
-                put_u32(buf, h.to_day);
-                put_u64(buf, h.tag);
-                put_u64(buf, h.len);
-                put_u32(buf, h.chunk_size);
-            }
+        let (day, epoch_tag, full_len, chunk_size) = (c.u32()?, c.u64()?, c.u64()?, c.u32()?);
+        let n = c.u32()?;
+        if n as usize > DELTA_LOG_CAP {
+            return Err(WireFault::new(
+                ErrorCode::Malformed,
+                format!("{n} chain links exceed limit {DELTA_LOG_CAP}"),
+            ));
         }
-    }
-
-    fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<Option<DeltaHandle>, WireFault> {
-        match c.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(DeltaHandle {
-                from_day: c.u32()?,
-                to_day: c.u32()?,
+        let mut chain = Vec::with_capacity(c.capacity_for(n, CHAIN_LINK_BYTES));
+        for _ in 0..n {
+            chain.push(ChainLink {
+                base: c.u64()?,
                 tag: c.u64()?,
                 len: c.u64()?,
-                chunk_size: c.u32()?,
-            })),
-            tag => Err(WireFault::new(
-                ErrorCode::Malformed,
-                format!("bad delta tag {tag}"),
-            )),
+            });
         }
+        Ok(AtlasVersion {
+            day,
+            epoch_tag,
+            full_len,
+            chunk_size,
+            chain,
+        })
     }
 }
 
@@ -1535,17 +1530,30 @@ mod tests {
     #[test]
     fn dissemination_frames_round_trip() {
         round_trip(Frame::AtlasHead { shard: ShardId(2) }, 20);
-        round_trip(
-            Frame::AtlasHeadReply {
-                version: AtlasVersion {
-                    day: 7,
-                    epoch_tag: 0xdead_beef_cafe_f00d,
-                    full_len: 7_340_032,
-                    chunk_size: 262_128,
+        for chain in [
+            vec![],
+            vec![
+                ChainLink {
+                    base: 1,
+                    tag: 2,
+                    len: 3
+                };
+                DELTA_LOG_CAP
+            ],
+        ] {
+            round_trip(
+                Frame::AtlasHeadReply {
+                    version: AtlasVersion {
+                        day: 7,
+                        epoch_tag: 0xdead_beef_cafe_f00d,
+                        full_len: 7_340_032,
+                        chunk_size: 262_128,
+                        chain,
+                    },
                 },
-            },
-            21,
-        );
+                21,
+            );
+        }
         round_trip(
             Frame::FetchChunk {
                 shard: ShardId(0),
@@ -1553,26 +1561,6 @@ mod tests {
                 idx: 17,
             },
             22,
-        );
-        round_trip(
-            Frame::FetchDelta {
-                shard: ShardId(9),
-                have_day: 4,
-            },
-            23,
-        );
-        round_trip(Frame::DeltaReply { handle: None }, 24);
-        round_trip(
-            Frame::DeltaReply {
-                handle: Some(DeltaHandle {
-                    from_day: 4,
-                    to_day: 5,
-                    tag: 0x0bad_cafe,
-                    len: 20_000,
-                    chunk_size: 4096,
-                }),
-            },
-            25,
         );
         let bytes: Vec<u8> = (0..300u32).map(|i| (i % 251) as u8).collect();
         round_trip(
@@ -1693,15 +1681,35 @@ mod tests {
 
     #[test]
     fn a_hostile_batch_count_reserves_only_what_the_payload_could_hold() {
-        // A count just under `max_batch` over a payload of a few bytes:
-        // the count passes the limit check, so the decoder allocates
-        // for it — for what the bytes present could spell, not for
-        // what the count claims — and then runs out of payload.
+        // A count at its limit (a batch's just under `max_batch`, a
+        // head's chain at `DELTA_LOG_CAP`) over a payload of a few
+        // bytes: the count passes the limit check, so the decoder
+        // allocates for it — for what the bytes present could spell,
+        // not for what the count claims — and then runs out of payload.
         let limits = Limits::default();
-        let claimed = limits.max_batch - 1;
-        for (frame_type, lead, tail, min_entry) in [
-            (0x02u8, &[0u8, 0][..], &[0u8; 12][..], 8),
-            (0x82, &[][..], &[1u8, 0, 5, 0][..], PATH_ERR_BYTES),
+        let head_lead = [7u8; 24];
+        for (frame_type, lead, claimed, tail, min_entry) in [
+            (
+                0x02u8,
+                &[0u8, 0][..],
+                limits.max_batch - 1,
+                &[0u8; 12][..],
+                8,
+            ),
+            (
+                0x82,
+                &[][..],
+                limits.max_batch - 1,
+                &[1u8, 0, 5, 0][..],
+                PATH_ERR_BYTES,
+            ),
+            (
+                0x87,
+                &head_lead[..],
+                DELTA_LOG_CAP as u32,
+                &[0u8; 30][..],
+                CHAIN_LINK_BYTES,
+            ),
         ] {
             let mut payload = lead.to_vec();
             payload.extend_from_slice(&claimed.to_be_bytes());
@@ -1982,7 +1990,7 @@ mod tests {
                 matches!(role, Some(Role::Reply | Role::StreamRequest))
             );
         }
-        assert!(doc_rows.len() >= 12, "the doc table was found and parsed");
+        assert!(doc_rows.len() >= 11, "the doc table was found and parsed");
         for (byte, role, on_datagram) in doc_rows {
             let want = role_of(byte).expect("a doc row is a table row");
             assert_eq!(role, format!("{want:?}"), "role column of {byte:#04x}");

@@ -15,7 +15,9 @@ mod common;
 use common::ring::{ring_atlas, ring_ip, ring_shortcut_delta};
 use common::{assert_bitwise, serve_one, wire};
 use inano_atlas::{AtlasDelta, LinkAnnotation, Plane};
-use inano_core::{read_delta, read_full, AtlasSource, Scripted, Step, DEFAULT_CHUNK_SIZE};
+use inano_core::{
+    content_tag, n_chunks, read_full, AtlasSource, Scripted, Step, DEFAULT_CHUNK_SIZE,
+};
 use inano_model::{ClusterId, ErrorCode, Ipv4, LatencyMs, ModelError};
 use inano_net::{Limits, MirrorSource, NetClient, NetError, ServerConfig};
 use inano_obs::EventKind;
@@ -138,6 +140,14 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
     let served: u64 = hammers.into_iter().map(|h| h.join().unwrap()).sum();
     assert!(served > 0, "the hammers really ran");
 
+    // The mirror offers the delta on as the origin named it: leaving
+    // the same body, in the same bytes.
+    let chain_of = |engine: &QueryEngine| {
+        let head = engine.offer(DEFAULT_CHUNK_SIZE).head();
+        head.expect("an engine always has a head").chain
+    };
+    assert_eq!(chain_of(&mirror_engine), chain_of(&origin_engine));
+    assert_eq!(chain_of(&mirror_engine)[0].base, origin_tag);
     // The whole chain landed on the same new generation...
     let new_tag = origin_engine.export().tag();
     assert_ne!(new_tag, origin_tag, "the delta changed the atlas");
@@ -162,7 +172,7 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
 /// The mirror-side convergence instruments, end to end: the lag gauge
 /// rises when the upstream moves, falls to zero after a refresh, and a
 /// broken delta chain — the upstream restarted, or rotated the delta
-/// out of its [`DELTA_LOG_CAP`]-long log — is bridged by that same
+/// out of its [`DELTA_LOG_CAP`]-long chain — is bridged by that same
 /// refresh with a full resync that the counters record.
 #[test]
 fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
@@ -267,9 +277,9 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
     assert_eq!(resyncs.len(), 1, "{resyncs:?}");
     assert_eq!(resyncs[0].detail, "shard0 day=5");
 
-    // The origin's delta log rotates: it applies more chained deltas
-    // than it retains while the mirror idles, so the delta leaving the
-    // mirror's day is gone — and the same refresh bridges the gap with
+    // The origin's chain rotates: it applies more chained deltas than
+    // it retains while the mirror idles, so the delta leaving the
+    // mirror's body is gone — and the same refresh bridges the gap with
     // one more full resync.
     let mirror_day = mirror_engine.day();
     for day in mirror_day..mirror_day + DELTA_LOG_CAP as u32 + 2 {
@@ -277,12 +287,13 @@ fn mirror_lag_gauge_falls_after_refresh_and_resyncs_count_broken_chains() {
             .apply_delta(&ring_shortcut_delta(RING, day))
             .expect("origin applies the next day's delta");
     }
-    let offered = origin_engine
-        .offer(DEFAULT_CHUNK_SIZE)
-        .fetch_delta(mirror_day);
+    let head = origin_engine.offer(DEFAULT_CHUNK_SIZE).head();
+    let chain = head.expect("the origin has a head").chain;
+    assert_eq!(chain.len(), DELTA_LOG_CAP, "the chain is capped");
+    let held = mirror_engine.export().tag();
     assert!(
-        offered.expect("the origin's log answers").is_none(),
-        "the delta leaving day {mirror_day} rotated out of the log"
+        chain.iter().all(|link| link.base != held),
+        "the delta leaving the mirror's day-{mirror_day} body rotated out of the chain"
     );
     assert_eq!(
         mirror_engine.update(&mut upstream).expect("refresh"),
@@ -452,7 +463,7 @@ fn generation_swap_mid_fetch_is_a_typed_race_the_reader_survives() {
     assert_eq!(bytes.len() as u64, version.full_len);
 }
 
-/// Fetching a delta nobody retains is `None`; fetching a chunk of a body
+/// A head before any delta lists no chain; fetching a chunk of a body
 /// nobody offers is a typed race (re-head, refetch full), never a
 /// connection loss.
 #[test]
@@ -461,31 +472,35 @@ fn missing_deltas_are_none_and_their_chunks_are_typed_races() {
     let server = serve_one(Arc::clone(&engine), ServerConfig::default());
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
 
-    assert!(client
-        .fetch_delta_on(ShardId::DEFAULT, 0)
-        .expect("no delta yet")
-        .is_none());
     let head = client.atlas_head().expect("head");
+    assert!(head.chain.is_empty(), "no delta yet");
     match client.fetch_chunk_on(ShardId::DEFAULT, !head.epoch_tag, 0) {
         Err(NetError::Remote(fault)) => assert_eq!(fault.code, ErrorCode::VersionRaced),
         other => panic!("want typed VersionRaced, got {other:?}"),
     }
 
-    // After a swap the origin retains the delta it applied, and serves
-    // it back out chunked.
+    // After a swap the origin's head lists the delta it applied,
+    // leaving the body it served before, and serves it back out
+    // chunked.
     engine
         .apply_delta(&ring_shortcut_delta(RING, 0))
         .expect("swap");
-    let handle = client
-        .fetch_delta_on(ShardId::DEFAULT, 0)
-        .expect("delta query")
-        .expect("the applied delta is retained");
-    assert_eq!((handle.from_day, handle.to_day), (0, 1));
-    let mut source = client.into_atlas_source(ShardId::DEFAULT);
-    let (fetched, _) = read_delta(&mut source, 0).expect("delta fetch");
-    let bytes = fetched.expect("retained");
-    assert_eq!(bytes.len() as u64, handle.len);
-    let client = source.client_mut();
+    let next = client.atlas_head().expect("head");
+    assert_eq!(next.chain.len(), 1);
+    let link = next.chain[0];
+    assert_eq!(link.base, head.epoch_tag);
+    let mut bytes = Vec::new();
+    for idx in 0..n_chunks(link.len, next.chunk_size) {
+        let chunk = client
+            .fetch_chunk_on(ShardId::DEFAULT, link.tag, idx)
+            .expect("a delta chunk");
+        assert!(chunk.verify());
+        bytes.extend(chunk.bytes);
+    }
+    assert_eq!(bytes.len() as u64, link.len);
+    assert_eq!(content_tag(&bytes), link.tag);
+    let delta = AtlasDelta::decode(&bytes).expect("the delta decodes");
+    assert_eq!((delta.from_day, delta.to_day), (0, 1));
     // Unknown shards fault typed on the fetch frames like everywhere.
     match client.atlas_head_on(ShardId(9)) {
         Err(NetError::Remote(fault)) => assert_eq!(fault.code, ErrorCode::UnknownShard),
@@ -495,8 +510,8 @@ fn missing_deltas_are_none_and_their_chunks_are_typed_races() {
 }
 
 /// A delta replaced between two of its chunks: the origin replaces its
-/// atlas (which drops its delta log) and applies a different delta
-/// leaving the same day. The follower names the body it fetches by its
+/// atlas (which empties its chain) and applies a different delta
+/// leaving the same body. The follower names the body it fetches by its
 /// tag, so the rest of the old body is a typed race: it restarts onto
 /// the new delta instead of splicing the two, and lands where the
 /// origin did.
@@ -537,14 +552,9 @@ fn a_delta_replaced_mid_fetch_is_a_clean_restart() {
     origin_engine
         .apply_delta(&ring_shortcut_delta(RING, 0))
         .expect("origin applies the first delta");
-    let first = upstream
-        .fetch_delta(0)
-        .expect("delta query")
-        .expect("the first delta is retained");
-    assert!(
-        first.len > first.chunk_size as u64,
-        "{first:?} spans chunks"
-    );
+    let head = upstream.head().expect("head");
+    let first = head.chain[0];
+    assert!(first.len > head.chunk_size as u64, "{first:?} spans chunks");
 
     // Right after the first chunk the mirror fetches, the origin
     // replaces the delta.

@@ -251,7 +251,7 @@ fn bad_version_gets_a_typed_error_then_close() {
 #[test]
 fn other_versions_are_fatal_and_the_retired_stats_type_is_an_unknown_frame() {
     let server = ring_server(ServerConfig::default());
-    for other in [3u8, 4, 5, 6, 8] {
+    for other in [3u8, 4, 5, 6, 7, 9] {
         assert_ne!(other, VERSION);
         let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
         let mut bytes = Frame::Ping.encode(7);

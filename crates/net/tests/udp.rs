@@ -13,12 +13,12 @@
 
 mod common;
 
-use common::ring::{ring_atlas, ring_ip};
+use common::ring::{ring_atlas, ring_ip, ring_shortcut_delta};
 use common::{raw_frame, serve_one, wait_for};
 use inano_model::{ErrorCode, Ipv4};
 use inano_net::wire::{decode_datagram, Frame, Limits};
 use inano_net::{NetClient, NetError, NetServer, ServerConfig, UdpQuerier, UdpRetry};
-use inano_service::{QueryEngine, ServiceConfig, ShardId};
+use inano_service::{QueryEngine, ServiceConfig, ShardId, DELTA_LOG_CAP};
 use std::net::UdpSocket;
 use std::sync::Arc;
 use std::thread;
@@ -146,10 +146,6 @@ fn stream_only_frames_get_a_typed_not_on_datagram() {
             tag: 1,
             idx: 0,
         },
-        Frame::FetchDelta {
-            shard: ShardId::DEFAULT,
-            have_day: 0,
-        },
     ];
     let mut buf = [0u8; 2048];
     for (i, frame) in stream_only.iter().enumerate() {
@@ -170,6 +166,31 @@ fn stream_only_frames_get_a_typed_not_on_datagram() {
     // The refusals did not poison the plane.
     let mut q = UdpQuerier::connect(udp_addr).expect("bind querier");
     q.ping().expect("plane still answers");
+}
+
+/// A head lists the chain of deltas leading to it; at the most an
+/// engine retains, it is still one datagram under the default limits,
+/// not a `FrameTooLarge` that sends the client to the stream.
+#[test]
+fn an_atlas_head_with_a_full_chain_is_one_datagram() {
+    let engine = ring_engine(RING);
+    for day in 0..DELTA_LOG_CAP as u32 + 1 {
+        engine
+            .apply_delta(&ring_shortcut_delta(RING, day))
+            .expect("the next day's delta applies");
+    }
+    let cfg = ServerConfig {
+        udp: Some("127.0.0.1:0".parse().expect("literal addr")),
+        udp_rate: 0,
+        limits: Limits::default(),
+        ..ServerConfig::default()
+    };
+    let server = serve_one(Arc::clone(&engine), cfg);
+    let mut q = UdpQuerier::connect(server.udp_addr().expect("udp plane enabled")).expect("bind");
+    let head = q.atlas_head().expect("the head fits one datagram");
+    assert_eq!(head.chain.len(), DELTA_LOG_CAP);
+    assert_eq!(head.epoch_tag, engine.export().tag());
+    assert_eq!(head.day, DELTA_LOG_CAP as u32 + 1);
 }
 
 /// The datagram plane decides what a frame is for from its type byte,
@@ -225,7 +246,7 @@ fn garbage_datagrams_are_dropped_counted_and_harmless() {
         .expect("timeout");
 
     // Noise: short fragments, wrong magic, any version but the
-    // current one (the four this protocol once accepted, and the
+    // current one (those this protocol once accepted, and the
     // next). None of it is attributable, so none of it may draw a
     // reply — answering would make the server a reflection amplifier.
     let ping = Frame::Ping.encode(7);
@@ -237,7 +258,7 @@ fn garbage_datagrams_are_dropped_counted_and_harmless() {
     let mut bad_magic = ping.clone();
     bad_magic[0] ^= 0xff;
     let mut noise: Vec<Vec<u8>> = vec![vec![], b"hi".to_vec(), ping[..10].to_vec(), bad_magic];
-    noise.extend([1, 3, 4, 5, 6, 8].map(restamped));
+    noise.extend([1, 3, 4, 5, 6, 7, 9].map(restamped));
     for bytes in &noise {
         sock.send(bytes).expect("send noise");
     }

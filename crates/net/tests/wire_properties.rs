@@ -7,7 +7,7 @@
 //! direct `PathBatch` encoder writes the bytes `Frame::encode` would,
 //! and every frame variant still encodes to its recorded bytes.
 
-use inano_core::{AtlasVersion, DeltaHandle, PredictedPath};
+use inano_core::{AtlasVersion, ChainLink, PredictedPath};
 use inano_model::{AsPath, Asn, ClusterId, ErrorCode, Ipv4, LatencyMs, LossRate, ModelError};
 use inano_net::wire::{
     datagram_cap, decode_datagram, encode_path_batch, read_frame, role_of, DatagramError, Frame,
@@ -17,7 +17,7 @@ use inano_net::{chunk_size_for, WireFault, WirePath, WireResolution, WireShardIn
 use inano_obs::{
     Event, EventKind, EventsPage, MetricValue, MetricsDump, MetricsRegistry, TraceTimings,
 };
-use inano_service::{ShardId, SharedResult};
+use inano_service::{ShardId, SharedResult, DELTA_LOG_CAP};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -70,25 +70,20 @@ prop_compose! {
 }
 
 prop_compose! {
+    fn arb_link()(base in any::<u64>(), tag in any::<u64>(), len in any::<u64>()) -> ChainLink {
+        ChainLink { base, tag, len }
+    }
+}
+
+prop_compose! {
     fn arb_version()(
         day in any::<u32>(),
         epoch_tag in any::<u64>(),
         full_len in any::<u64>(),
         chunk_size in any::<u32>(),
+        chain in proptest::collection::vec(arb_link(), 0..DELTA_LOG_CAP + 1),
     ) -> AtlasVersion {
-        AtlasVersion { day, epoch_tag, full_len, chunk_size }
-    }
-}
-
-prop_compose! {
-    fn arb_delta_handle()(
-        from_day in any::<u32>(),
-        to_day in any::<u32>(),
-        tag in any::<u64>(),
-        len in any::<u64>(),
-        chunk_size in any::<u32>(),
-    ) -> DeltaHandle {
-        DeltaHandle { from_day, to_day, tag, len, chunk_size }
+        AtlasVersion { day, epoch_tag, full_len, chunk_size, chain }
     }
 }
 
@@ -225,7 +220,7 @@ fn encode_via_frame(request_id: u64, results: &[SharedResult]) -> Vec<u8> {
 // exercised (the stand-in proptest has no `prop_oneof!`).
 prop_compose! {
     fn arb_frame()(
-        variant in 0usize..22,
+        variant in 0usize..20,
         shard in any::<u16>(),
         pairs in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..40),
         results in proptest::collection::vec(arb_result(), 0..20),
@@ -235,7 +230,6 @@ prop_compose! {
         day in any::<u32>(),
         shard_infos in proptest::collection::vec(arb_shard_info(), 0..16),
         version in arb_version(),
-        handle in proptest::option::of(arb_delta_handle()),
         epoch_tag in any::<u64>(),
         idx in any::<u32>(),
         crc in any::<u64>(),
@@ -262,14 +256,12 @@ prop_compose! {
             10 => Frame::AtlasHead { shard: ShardId(shard) },
             11 => Frame::AtlasHeadReply { version },
             12 => Frame::FetchChunk { shard: ShardId(shard), tag: epoch_tag, idx },
-            13 => Frame::FetchDelta { shard: ShardId(shard), have_day: day },
-            14 => Frame::DeltaReply { handle },
-            15 => Frame::ChunkReply { idx, crc, bytes: chunk },
-            16 => Frame::Error { fault },
-            17 => Frame::Metrics,
-            18 => Frame::MetricsReply { dump },
-            19 => Frame::TraceReply { timings },
-            20 => Frame::Events { since_seq: epoch },
+            13 => Frame::ChunkReply { idx, crc, bytes: chunk },
+            14 => Frame::Error { fault },
+            15 => Frame::Metrics,
+            16 => Frame::MetricsReply { dump },
+            17 => Frame::TraceReply { timings },
+            18 => Frame::Events { since_seq: epoch },
             _ => Frame::EventsReply { page },
         }
     }
@@ -713,6 +705,18 @@ fn golden_frames() -> Vec<(&'static str, u64, Frame)> {
                     epoch_tag: 0xdead_beef_0bad_f00d,
                     full_len: 1 << 33,
                     chunk_size: 65_536,
+                    chain: vec![
+                        ChainLink {
+                            base: 0x0102_0304_0506_0708,
+                            tag: 0x1112_1314_1516_1718,
+                            len: 300,
+                        },
+                        ChainLink {
+                            base: 0x2122_2324_2526_2728,
+                            tag: 0x3132_3334_3536_3738,
+                            len: 40,
+                        },
+                    ],
                 },
             },
         ),
@@ -723,20 +727,6 @@ fn golden_frames() -> Vec<(&'static str, u64, Frame)> {
                 shard,
                 tag: 0xfeed,
                 idx: 2,
-            },
-        ),
-        ("fetch_delta", 16, Frame::FetchDelta { shard, have_day: 4 }),
-        (
-            "delta_reply",
-            17,
-            Frame::DeltaReply {
-                handle: Some(DeltaHandle {
-                    from_day: 4,
-                    to_day: 5,
-                    tag: 0xfeed_f00d,
-                    len: 999,
-                    chunk_size: 512,
-                }),
             },
         ),
         (
@@ -809,31 +799,32 @@ fn golden_frames() -> Vec<(&'static str, u64, Frame)> {
 /// version stamp — and nothing else. The move to version 7 folded the
 /// two chunk fetches into `FetchChunk`, whose bytes are those of the
 /// full-body fetch it replaced (type `0x08`, shard, tag, index), put
-/// the delta body's tag into `DeltaReply`'s handle after its days, and
-/// changed byte 4 of every row.
-const GOLDEN_HEX: [(&str, &str); 22] = [
-    ("ping", "694e614e0701000000000000000100000000"),
-    ("pong", "694e614e0781000000000000000200000000"),
-    ("query_batch", "694e614e07020102030405060708000000160003000000020a0000010a0100020000000700000009"),
-    ("path_batch", "694e614e0782000000000000000400000041000000020040290000000000003fd000000000000000030000000100000002000000030002000000030000000100010000fde9000001000500076e6f2070617468"),
-    ("resolve", "694e614e07030000000000000005000000060003c0a80101"),
-    ("resolve_reply", "694e614e078300000000000000060000000d0000000b0000000c050000000d"),
-    ("epoch", "694e614e07050000000000000009000000020003"),
-    ("epoch_reply", "694e614e0785000000000000000a0000000c000000000000004d00000005"),
-    ("list_shards", "694e614e0706000000000000000b00000000"),
-    ("shards_reply", "694e614e0786000000000000000c0000001e000200000000000000000001000000020003000000000000000400000005"),
-    ("atlas_head", "694e614e0707000000000000000d000000020003"),
-    ("atlas_head_reply", "694e614e0787000000000000000e0000001800000006deadbeef0badf00d000000020000000000010000"),
-    ("fetch_chunk", "694e614e0708000000000000000f0000000e0003000000000000feed00000002"),
-    ("fetch_delta", "694e614e0709000000000000001000000006000300000004"),
-    ("delta_reply", "694e614e078900000000000000110000001d01000000040000000500000000feedf00d00000000000003e700000200"),
-    ("chunk_reply", "694e614e0788000000000000001300000015000000011122334455667788000000050908070605"),
-    ("metrics", "694e614e070b000000000000001400000000"),
-    ("metrics_reply", "694e614e078b00000000000000150000004b00000003000007612e636f756e740000000000000003010007622e67617567650000000000000004020006632e686973740003000000000000000000000000000000010000000000000002"),
-    ("events", "694e614e070c0000000000000016000000080000000000000028"),
-    ("events_reply", "694e614e078c00000000000000170000003b0000000000000001000000000000002a00000001000000000000002900000000000003e80100147368617264302065706f63683d31206461793d31"),
-    ("trace_reply", "694e614e078a80000000000000180000001000000001000000020000000300000004"),
-    ("error", "694e614e07ee0000000000000019000000080016000462757379"),
+/// the delta body's tag into the delta reply's handle after its days,
+/// and changed byte 4 of every row. The move to version 8 dropped the
+/// delta fetch by day and its reply (types `0x09`/`0x89`), appended the
+/// chain to `AtlasHeadReply` (a `u32` count, then each link's base, tag
+/// and length), and changed byte 4 of every row.
+const GOLDEN_HEX: [(&str, &str); 20] = [
+    ("ping", "694e614e0801000000000000000100000000"),
+    ("pong", "694e614e0881000000000000000200000000"),
+    ("query_batch", "694e614e08020102030405060708000000160003000000020a0000010a0100020000000700000009"),
+    ("path_batch", "694e614e0882000000000000000400000041000000020040290000000000003fd000000000000000030000000100000002000000030002000000030000000100010000fde9000001000500076e6f2070617468"),
+    ("resolve", "694e614e08030000000000000005000000060003c0a80101"),
+    ("resolve_reply", "694e614e088300000000000000060000000d0000000b0000000c050000000d"),
+    ("epoch", "694e614e08050000000000000009000000020003"),
+    ("epoch_reply", "694e614e0885000000000000000a0000000c000000000000004d00000005"),
+    ("list_shards", "694e614e0806000000000000000b00000000"),
+    ("shards_reply", "694e614e0886000000000000000c0000001e000200000000000000000001000000020003000000000000000400000005"),
+    ("atlas_head", "694e614e0807000000000000000d000000020003"),
+    ("atlas_head_reply", "694e614e0887000000000000000e0000004c00000006deadbeef0badf00d0000000200000000000100000000000201020304050607081112131415161718000000000000012c212223242526272831323334353637380000000000000028"),
+    ("fetch_chunk", "694e614e0808000000000000000f0000000e0003000000000000feed00000002"),
+    ("chunk_reply", "694e614e0888000000000000001300000015000000011122334455667788000000050908070605"),
+    ("metrics", "694e614e080b000000000000001400000000"),
+    ("metrics_reply", "694e614e088b00000000000000150000004b00000003000007612e636f756e740000000000000003010007622e67617567650000000000000004020006632e686973740003000000000000000000000000000000010000000000000002"),
+    ("events", "694e614e080c0000000000000016000000080000000000000028"),
+    ("events_reply", "694e614e088c00000000000000170000003b0000000000000001000000000000002a00000001000000000000002900000000000003e80100147368617264302065706f63683d31206461793d31"),
+    ("trace_reply", "694e614e088a80000000000000180000001000000001000000020000000300000004"),
+    ("error", "694e614e08ee0000000000000019000000080016000462757379"),
 ];
 
 /// A frame added to the wire's table must also be added here: both
@@ -872,5 +863,75 @@ fn every_frame_variant_encodes_to_its_recorded_bytes() {
         frame.encode_into(id, &mut buf);
         assert_eq!(buf[..3], [0xAA; 3], "{name}");
         assert_eq!(buf[3..], frame.encode(id)[..], "{name}");
+    }
+}
+
+/// The delta fetch by day and its reply are retired: their bytes are
+/// unassigned, like any other retired type.
+#[test]
+fn the_retired_delta_frames_decode_as_unknown() {
+    for frame_type in [0x09u8, 0x89] {
+        assert_eq!(role_of(frame_type), None, "{frame_type:#04x}");
+        match Frame::decode_payload(frame_type, &[0, 3, 0, 0, 0, 4], &Limits::default()) {
+            Err(fault) => assert_eq!(fault.code, ErrorCode::UnknownFrame, "{frame_type:#04x}"),
+            Ok(frame) => panic!("{frame_type:#04x} decoded as {frame:?}"),
+        }
+    }
+}
+
+/// A head claiming more chain links than an engine retains is a typed
+/// per-frame fault, decided at the count; one at the cap decodes.
+#[test]
+fn a_head_claiming_more_links_than_its_cap_is_malformed() {
+    let link = ChainLink {
+        base: 1,
+        tag: 2,
+        len: 3,
+    };
+    let head = |links: usize| Frame::AtlasHeadReply {
+        version: AtlasVersion {
+            day: 1,
+            epoch_tag: 9,
+            full_len: 100,
+            chunk_size: 10,
+            chain: vec![link; links],
+        },
+    };
+    let at_cap = head(DELTA_LOG_CAP).encode(5);
+    let (_, got) = decode(&at_cap, &Limits::default())
+        .expect("a chain at the cap decodes")
+        .expect("not EOF");
+    assert_eq!(got, head(DELTA_LOG_CAP));
+    // The count sits after day, tag, length and chunk size; claim one
+    // link more than the cap, over a payload that holds them all.
+    let mut over = head(DELTA_LOG_CAP + 1).encode(6);
+    let encoded = u32::from_be_bytes(
+        over[HEADER_BYTES + 24..HEADER_BYTES + 28]
+            .try_into()
+            .unwrap(),
+    );
+    assert_eq!(
+        encoded, DELTA_LOG_CAP as u32,
+        "the sender keeps the newest links only"
+    );
+    over[HEADER_BYTES + 24..HEADER_BYTES + 28]
+        .copy_from_slice(&(DELTA_LOG_CAP as u32 + 1).to_be_bytes());
+    over.extend_from_slice(&[0; 24]);
+    let len = (over.len() - HEADER_BYTES) as u32;
+    over[14..18].copy_from_slice(&len.to_be_bytes());
+    match decode(&over, &Limits::default()) {
+        Err(ReadError::Frame { request_id, fault }) => {
+            assert_eq!(request_id, 6);
+            assert_eq!(fault.code, ErrorCode::Malformed);
+        }
+        other => panic!("want a per-frame Malformed, got {other:?}"),
+    }
+    // A count far past the cap over an empty chain: refused the same.
+    let mut hostile = head(0).encode(7);
+    let at = hostile.len() - 4;
+    hostile[at..].copy_from_slice(&u32::MAX.to_be_bytes());
+    match decode(&hostile, &Limits::default()) {
+        Err(ReadError::Frame { fault, .. }) => assert_eq!(fault.code, ErrorCode::Malformed),
+        other => panic!("want a per-frame Malformed, got {other:?}"),
     }
 }

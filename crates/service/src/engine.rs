@@ -74,22 +74,25 @@
 //! is the engine as an [`AtlasSource`], at the chunk size a server
 //! serves. Its bodies are core's [`OfferedBody`]: each generation's
 //! encoded atlas, filled once on the [`Generation`] itself
-//! ([`Generation::export`]), and the last [`DELTA_LOG_CAP`] deltas it
-//! applied, in the bytes it applied them from. A chunk is asked for by
-//! the body's tag, and a tag the engine no longer offers is a
-//! `VersionRaced` — [`OfferedBody::serve`]'s rule, not the engine's.
+//! ([`Generation::export`]), and the chain of at most [`DELTA_LOG_CAP`]
+//! deltas leading to it, each in the bytes it was applied from and
+//! named by the tag of the body it leaves. The chain lives on the
+//! generation too, so a head and its chain come from one snapshot and
+//! no swap can fall between them. A chunk is asked for by the body's
+//! tag, and a tag the engine no longer offers is a `VersionRaced` —
+//! [`OfferedBody::serve`]'s rule, not the engine's.
 
 use crate::cache::{CacheKey, ShardedCache};
 use crate::stats::{EngineMetrics, Tally};
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_core::{
-    catch_up, read_full, AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle, Follower, OfferedBody,
-    PathPredictor, PredictedPath, PredictorConfig,
+    catch_up, read_full, AtlasChunk, AtlasSource, AtlasVersion, Follower, OfferedBody,
+    OfferedDelta, PathPredictor, PredictedPath, PredictorConfig,
 };
 use inano_model::{Ipv4, ModelError, PrefixId};
 use inano_obs::{EventJournal, EventKind, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -127,14 +130,24 @@ pub struct Generation {
     /// This generation's encoded atlas, filled on the first
     /// [`Generation::export`].
     export: OnceLock<Arc<OfferedBody>>,
+    /// The deltas leading to this generation, oldest first, at most
+    /// [`DELTA_LOG_CAP`]: the last one leaves the generation this one
+    /// was built from. Empty for a generation swapped in whole.
+    chain: Vec<OfferedDelta>,
 }
 
 impl Generation {
-    fn new(epoch: u64, atlas: Arc<Atlas>, cfg: &ServiceConfig) -> Arc<Generation> {
+    fn new(
+        epoch: u64,
+        atlas: Arc<Atlas>,
+        cfg: &ServiceConfig,
+        chain: Vec<OfferedDelta>,
+    ) -> Arc<Generation> {
         Arc::new(Generation {
             epoch,
             predictor: Arc::new(PathPredictor::new(atlas, cfg.predictor.clone())),
             export: OnceLock::new(),
+            chain,
         })
     }
 
@@ -155,9 +168,10 @@ impl Generation {
     }
 }
 
-/// Daily deltas retained for re-serving ([`QueryEngine::offer`]).
-/// A mirror that lags further than this refetches the full atlas; one
-/// day per entry, so the cap is about a month of history.
+/// Daily deltas a generation's chain retains for re-serving
+/// ([`QueryEngine::offer`]). A mirror that lags further than this
+/// refetches the full atlas; one day per entry, so the cap is about a
+/// month of history.
 pub const DELTA_LOG_CAP: usize = 32;
 
 /// One answer as the engine holds it: the prediction shared with the
@@ -191,10 +205,6 @@ pub struct QueryEngine {
     cfg: ServiceConfig,
     /// Serialises swap *builders*; never blocks readers.
     swap_lock: Mutex<()>,
-    /// Encoded deltas this engine applied as `(from_day, to_day,
-    /// body)`, oldest first, capped at [`DELTA_LOG_CAP`] — what
-    /// downstream mirrors fetch.
-    delta_log: Mutex<VecDeque<(u32, u32, OfferedBody)>>,
     /// Where swap/delta/resync events land once a serving layer
     /// attaches its journal ([`QueryEngine::set_journal`]); the label
     /// (usually `shardN`) prefixes every detail so one journal can
@@ -206,7 +216,7 @@ pub struct QueryEngine {
 impl QueryEngine {
     /// Build an engine over an already-decoded atlas.
     pub fn new(atlas: Arc<Atlas>, cfg: ServiceConfig) -> QueryEngine {
-        let generation = Generation::new(0, atlas, &cfg);
+        let generation = Generation::new(0, atlas, &cfg, Vec::new());
         let cache = ShardedCache::new(cfg.cache_capacity, cfg.cache_shards);
         let metrics = EngineMetrics {
             cache_hits: cache.hits.clone(),
@@ -223,7 +233,6 @@ impl QueryEngine {
             metrics,
             cfg,
             swap_lock: Mutex::new(()),
-            delta_log: Mutex::new(VecDeque::new()),
             journal: Mutex::new(None),
         }
     }
@@ -423,35 +432,37 @@ impl QueryEngine {
 
     /// Apply one daily delta and swap the serving generation. All heavy
     /// work (delta application, graph construction) happens before the
-    /// write lock; the lock is held only to store the new pointer.
+    /// write lock; the lock is held only to store the new pointer. The
+    /// delta is offered on as leaving the serving generation's
+    /// [`Generation::export`], which encodes it if no peer has yet.
     pub fn apply_delta(&self, delta: &AtlasDelta) -> Result<u32, ModelError> {
         let _builder = self.swap_lock.lock();
-        self.swap_locked(delta, None)
+        let base = self.generation().export().tag();
+        self.swap_locked(base, delta, delta.encode().0)
     }
 
     /// The swap itself; caller must hold `swap_lock` so concurrent
     /// builders can't interleave between the generation read and the
-    /// pointer store. `encoded` is the delta's wire form when the
-    /// caller already has it (an `update` fetched it as bytes);
-    /// otherwise it is re-encoded here for the delta log.
-    fn swap_locked(&self, delta: &AtlasDelta, encoded: Option<Vec<u8>>) -> Result<u32, ModelError> {
-        let base = self.generation();
-        let next_atlas = Arc::new(delta.apply(base.predictor.atlas())?);
-        let next = Generation::new(base.epoch + 1, next_atlas, &self.cfg);
+    /// pointer store. The new generation's chain is the serving one's
+    /// with `delta` appended, named as leaving the body tagged `base`
+    /// and offered in `bytes`: exactly the bytes this engine applied.
+    fn swap_locked(
+        &self,
+        base: u64,
+        delta: &AtlasDelta,
+        bytes: Vec<u8>,
+    ) -> Result<u32, ModelError> {
+        let current = self.generation();
+        let next_atlas = Arc::new(delta.apply(current.predictor.atlas())?);
+        let kept = current.chain.len().min(DELTA_LOG_CAP - 1);
+        let mut chain = current.chain[current.chain.len() - kept..].to_vec();
+        chain.push(OfferedDelta::new(base, bytes));
+        let next = Generation::new(current.epoch + 1, next_atlas, &self.cfg, chain);
         let day = next.day();
         self.publish(next);
         self.emit(EventKind::DeltaApplied, || {
             format!("from={} to={}", delta.from_day, delta.to_day)
         });
-        // Retain the applied delta for downstream mirrors: the bytes a
-        // peer fetching `delta(from_day)` from this engine receives are
-        // exactly the bytes this engine applied.
-        let bytes = encoded.unwrap_or_else(|| delta.encode().0);
-        let mut log = self.delta_log.lock();
-        if log.len() == DELTA_LOG_CAP {
-            log.pop_front();
-        }
-        log.push_back((delta.from_day, delta.to_day, OfferedBody::new(bytes)));
         Ok(day)
     }
 
@@ -478,9 +489,9 @@ impl QueryEngine {
 
     /// This engine as an [`AtlasSource`] for its peers, every body cut
     /// into `chunk_size` chunks: the serving generation's encoded atlas
-    /// and the deltas it retains ([`DELTA_LOG_CAP`]). This is what
-    /// makes *any* engine an atlas origin; a server answers its fetch
-    /// frames here.
+    /// and the chain of deltas leading to it ([`DELTA_LOG_CAP`]). This
+    /// is what makes *any* engine an atlas origin; a server answers its
+    /// fetch frames here.
     pub fn offer(&self, chunk_size: u32) -> Offer<'_> {
         Offer {
             engine: self,
@@ -491,17 +502,20 @@ impl QueryEngine {
     /// Catch up with `source` by [`catch_up`]; returns how many deltas
     /// were applied. What is the engine's own:
     ///
-    /// * **The tag** compared on an empty chain is this engine's
+    /// * **The tag** compared with the head's is this engine's
     ///   ([`QueryEngine::export`], encoded once per generation, so an
     ///   idle tick costs one compare and no body bytes).
-    /// * **A delta** is one swap, retained for this engine's own
-    ///   downstream mirrors, one `mirror_deltas_applied` and one
-    ///   `DeltaApplied` event, each as it lands.
+    /// * **A delta** is one swap, offered on to this engine's own
+    ///   downstream mirrors under the base tag its upstream's head named
+    ///   (so walking a chain encodes nothing per delta), one
+    ///   `mirror_deltas_applied` and one `DeltaApplied` event, each as it
+    ///   lands.
     /// * **The head** sets `mirror_upstream_day` and `mirror_lag_days`
-    ///   before any full fetch, so a failed resync leaves them saying
-    ///   how far behind the engine is. A resync swaps the body in as
+    ///   before anything is fetched, and each delta lowers the lag as it
+    ///   lands, so a failed fetch leaves them saying how far behind the
+    ///   engine is. A resync swaps the body in as
     ///   [`QueryEngine::replace_atlas`] does: one `mirror_full_resyncs`,
-    ///   one `FullResync` event, lag back to 0, the delta log cleared.
+    ///   one `FullResync` event, lag back to 0, an empty chain.
     /// * **Races** the reader recovered from count in
     ///   `mirror_races_recovered` and journal `RaceRecovered`.
     ///
@@ -533,10 +547,10 @@ impl QueryEngine {
     /// Swap in a whole new atlas generation: a monthly full refresh at
     /// an origin, or a mirror re-bootstrapping after falling off its
     /// upstream's retained delta chain. The epoch bumps like any delta
-    /// swap — caches invalidate, the export re-encodes — but
-    /// no delta is logged: there is no delta that produces this
-    /// generation, so downstream mirrors bridge the discontinuity the
-    /// same way, by refetching the full atlas. Returns the new day.
+    /// swap — caches invalidate, the export re-encodes — but its chain
+    /// is empty: no delta produces this generation, so downstream
+    /// mirrors bridge the discontinuity the same way, by refetching the
+    /// full atlas. Returns the new day.
     pub fn replace_atlas(&self, atlas: Arc<Atlas>) -> u32 {
         let _builder = self.swap_lock.lock();
         self.replace_locked(atlas)
@@ -545,7 +559,9 @@ impl QueryEngine {
     /// [`QueryEngine::replace_atlas`] for a caller already holding
     /// `swap_lock` ([`QueryEngine::update`]'s full resync).
     fn replace_locked(&self, atlas: Arc<Atlas>) -> u32 {
-        let next = Generation::new(self.epoch() + 1, atlas, &self.cfg);
+        // The new generation starts an empty chain: the retained deltas
+        // lead to the abandoned body, and no delta leads to this one.
+        let next = Generation::new(self.epoch() + 1, atlas, &self.cfg, Vec::new());
         let day = next.day();
         self.publish(next);
         self.metrics.mirror_full_resyncs.inc();
@@ -553,10 +569,6 @@ impl QueryEngine {
         // A full swap puts us at the new generation's day; any lag the
         // broken delta chain accumulated is paid off.
         self.metrics.mirror_lag_days.set(0);
-        // The retained deltas belong to the abandoned chain; serving
-        // them on would walk lagging mirrors down a dead generation
-        // instead of forcing the full resync this replace demands.
-        self.delta_log.lock().clear();
         day
     }
 }
@@ -566,17 +578,17 @@ impl QueryEngine {
 struct Mirror<'e>(&'e QueryEngine);
 
 impl Follower for Mirror<'_> {
-    fn day(&self) -> u32 {
-        self.0.day()
-    }
-
     fn tag(&mut self) -> u64 {
         self.0.export().tag()
     }
 
-    fn apply(&mut self, delta: &AtlasDelta, bytes: Vec<u8>) -> Result<(), ModelError> {
-        self.0.swap_locked(delta, Some(bytes))?;
-        self.0.metrics.mirror_deltas_applied.inc();
+    fn apply(&mut self, base: u64, delta: &AtlasDelta, bytes: Vec<u8>) -> Result<(), ModelError> {
+        let day = self.0.swap_locked(base, delta, bytes)?;
+        let m = &self.0.metrics;
+        m.mirror_deltas_applied.inc();
+        let upstream_day = m.mirror_upstream_day.get();
+        m.mirror_lag_days
+            .set(upstream_day.saturating_sub(day as u64));
         Ok(())
     }
 
@@ -608,23 +620,15 @@ pub struct Offer<'e> {
 impl AtlasSource for Offer<'_> {
     fn head(&mut self) -> Result<AtlasVersion, ModelError> {
         let generation = self.engine.generation();
-        Ok(generation
-            .export()
-            .version(generation.day(), self.chunk_size))
-    }
-
-    fn fetch_delta(&mut self, have_day: u32) -> Result<Option<DeltaHandle>, ModelError> {
-        let log = self.engine.delta_log.lock();
-        let leaving = log.iter().find(|(from, ..)| *from == have_day);
-        Ok(leaving.map(|(from, to, body)| body.handle(*from, *to, self.chunk_size)))
+        let export = generation.export();
+        Ok(export.version(generation.day(), self.chunk_size, &generation.chain))
     }
 
     fn fetch_chunk(&mut self, tag: u64, idx: u32) -> Result<AtlasChunk, ModelError> {
-        // Encoded before the log lock is taken, so a first export never
-        // holds up a swap's log push.
-        let export = self.engine.export();
-        let log = self.engine.delta_log.lock();
-        let offered = std::iter::once(&*export).chain(log.iter().map(|(.., body)| body));
-        OfferedBody::serve(offered, tag, self.chunk_size, idx)
+        let generation = self.engine.generation();
+        // The chain first: a delta's chunk never encodes the export.
+        let deltas = generation.chain.iter().map(|d| &*d.body);
+        let export = std::iter::once_with(|| &**generation.export());
+        OfferedBody::serve(deltas.chain(export), tag, self.chunk_size, idx)
     }
 }

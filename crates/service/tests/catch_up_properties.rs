@@ -1,18 +1,22 @@
 //! The one catch-up policy as a stateful property, run through both of
 //! its followers: `INanoClient::update` and `QueryEngine::update`.
 //!
-//! An upstream that starts on day 2 publishes a fixed run of
-//! generations: a day-0 body in place of it (an older head), days
-//! 0 → 1 → 2 from there by delta, then another day-2 body in place of
-//! that chain (a same-day replacement). No delta ever leaves a day on
-//! which a follower can hold another body: a delta names its base by
-//! day alone, so it would land on the wrong one. What is drawn is
-//! when each one lands — between two updates, or inside one, before its
-//! n-th delta probe, its head probe or its n-th chunk — and at most one
-//! fault per update: a chunk that fails once or arrives corrupted, a
-//! delta or a head named by a wrong tag, or chunks that stay down for
-//! the rest of the update. Each follower runs the whole script on its
-//! own upstream, and after every update:
+//! An upstream that starts on day 0 publishes a fixed run of
+//! generations: days 0 → 1 → 2 by delta, then another day-2 body in
+//! place of that chain (a same-day replacement), day 3 by a delta
+//! leaving the replacement — a day a follower may still hold the
+//! chain's other body of — and last a day-0 body in place of it all
+//! (an older head). What is drawn is when each one lands — between two updates,
+//! or inside one, before its head probe or its n-th chunk — and at most
+//! one fault per update: a chunk that fails once or arrives corrupted,
+//! a head (and so every delta of its chain) named by wrong tags, or
+//! chunks that stay down for the rest of the update. Apart from the
+//! fault, an update's second chunk call may race — answer as if its
+//! body had just been replaced, which on a chain walk is the call after
+//! the first delta landed (every delta here is one chunk). A race is no
+//! fault: the follower must plan again from the body it holds by then.
+//! Each follower runs the whole script on its own upstream, and after
+//! every update:
 //!
 //! 1. its day and tag are those of a generation the upstream published;
 //! 2. its answers are `PathPredictor::query`'s on that generation, bit
@@ -21,17 +25,19 @@
 //!    chunks);
 //! 4. the bytes it moved stay under twice the largest full body plus the
 //!    whole delta chain, and are none when it already held the head and
-//!    nothing was published or scripted;
-//! 5. after a fault-free tail — an update with nothing published or
-//!    scripted, such as the one that ends every script — it holds the
-//!    head's body.
+//!    nothing was published and no fault scripted;
+//! 5. after a fault-free tail — an update with nothing published and
+//!    no fault scripted (it may race), such as the one that ends every
+//!    script — it holds the head's body.
+//!
+//! Every update with no fault scripted succeeds.
 //!
 //! The proptest stand-in derives its seed from the test name, so a
 //! failing case replays as it failed.
 
 use inano_atlas::{codec, Atlas, AtlasDelta, LinkAnnotation, Plane};
 use inano_core::{
-    content_tag, INanoClient, OfferedBody, PathPredictor, PredictedPath, PredictorConfig, Scripted,
+    content_tag, INanoClient, PathPredictor, PredictedPath, PredictorConfig, Scripted,
     StaticSource, Step,
 };
 use inano_model::{ClusterId, LatencyMs, ModelError};
@@ -47,9 +53,9 @@ use ring::{ring_atlas, ring_ip};
 const RING: u32 = 8;
 /// Small enough that every body takes several chunks.
 const CHUNK: u32 = 64;
-/// Publications: the older head, day 0 → 1, day 1 → 2, the day-2
-/// replacement.
-const PUBLICATIONS: usize = 4;
+/// Publications: day 0 → 1, day 1 → 2, the day-2 replacement, day
+/// 2′ → 3, and the older head.
+const PUBLICATIONS: usize = 5;
 
 /// The ring with a two-way chord `a ↔ b` for each of `chords`.
 fn chorded(day: u32, chords: &[(u32, u32)]) -> Atlas {
@@ -85,11 +91,12 @@ struct World {
 impl World {
     fn new() -> World {
         let atlases = [
-            chorded(2, &[(3, 7)]),
             chorded(0, &[]),
             chorded(1, &[(0, 4)]),
             chorded(2, &[(0, 4), (2, 6)]),
             chorded(2, &[(1, 5)]),
+            chorded(3, &[(1, 5), (3, 7)]),
+            chorded(0, &[(3, 7)]),
         ];
         let delta = |to: usize| {
             Some(
@@ -98,7 +105,7 @@ impl World {
                     .0,
             )
         };
-        let leading = [None, delta(2), delta(3), None];
+        let leading = [delta(1), delta(2), None, delta(4), None];
         let generations = atlases
             .into_iter()
             .map(|atlas| {
@@ -122,15 +129,9 @@ impl World {
     /// Publication `i` on `upstream`: the next generation becomes its
     /// head, after a delta leading there or in place of every delta.
     fn publication(&self, i: usize) -> impl FnOnce(&mut StaticSource) + 'static {
-        let full = OfferedBody::new(self.generations[i + 1].body.clone());
+        let full = self.generations[i + 1].body.clone();
         let delta = self.leading[i].clone();
-        move |upstream: &mut StaticSource| {
-            upstream.full = full;
-            match delta {
-                Some(delta) => upstream.deltas.push(OfferedBody::new(delta)),
-                None => upstream.deltas.clear(),
-            }
-        }
+        move |upstream: &mut StaticSource| upstream.publish(full, delta)
     }
 
     /// What the bytes one update moves stay under.
@@ -144,7 +145,6 @@ impl World {
 /// Where inside an update a publication lands.
 #[derive(Clone, Copy, Debug)]
 enum At {
-    Delta(usize),
     Head,
     Chunk(usize),
 }
@@ -153,18 +153,20 @@ enum At {
 enum Fault {
     FailChunk(usize),
     CorruptChunk(usize),
-    MisnameDelta,
+    /// The first head, and so every delta of its chain.
     MisnameHead,
     ChunksDown(usize),
 }
 
 /// One update's script: the publications that land before it, the one
-/// that lands inside it, and its fault.
+/// that lands inside it, its fault, and whether its second chunk call
+/// races.
 #[derive(Debug, Default)]
 struct Round {
     before: Vec<usize>,
     during: Option<(usize, At)>,
     fault: Option<Fault>,
+    race: bool,
 }
 
 prop_compose! {
@@ -172,6 +174,7 @@ prop_compose! {
         gaps in proptest::collection::vec(0usize..3, PUBLICATIONS..PUBLICATIONS + 1),
         moments in proptest::collection::vec(0u32..8, PUBLICATIONS..PUBLICATIONS + 1),
         faults in proptest::collection::vec((0u32..8, 0usize..4), 12..13),
+        races in proptest::collection::vec(0u32..2, 12..13),
         extra in 0usize..3,
     ) -> Vec<Round> {
         let mut rounds: Vec<Round> = Vec::new();
@@ -190,8 +193,8 @@ prop_compose! {
                     round.before.push(i);
                     None
                 }
-                1 => Some((i, At::Delta(0))),
-                2 => Some((i, At::Delta(1))),
+                1 => Some((i, At::Chunk(2))),
+                2 => Some((i, At::Chunk(5))),
                 3 | 4 => Some((i, At::Head)),
                 5 => Some((i, At::Chunk(0))),
                 6 => Some((i, At::Chunk(1))),
@@ -199,12 +202,12 @@ prop_compose! {
             };
         }
         rounds.resize_with(rounds.len() + extra, Round::default);
-        for (round, (kind, k)) in rounds.iter_mut().zip(faults) {
+        for ((round, (kind, k)), race) in rounds.iter_mut().zip(faults).zip(races) {
+            round.race = race == 0;
             round.fault = match kind {
                 3 => Some(Fault::FailChunk(k)),
                 4 => Some(Fault::CorruptChunk(k)),
-                5 => Some(Fault::MisnameDelta),
-                6 => Some(Fault::MisnameHead),
+                5 | 6 => Some(Fault::MisnameHead),
                 7 => Some(Fault::ChunksDown(k)),
                 _ => None,
             };
@@ -315,7 +318,6 @@ fn follow(world: &World, rounds: &[Round], engine: bool) {
                 flag.set(true);
             });
             match at {
-                At::Delta(k) => place(&mut upstream.deltas, k, Step::Then(then)),
                 At::Head => place(&mut upstream.heads, 0, Step::Then(then)),
                 At::Chunk(k) => place(&mut upstream.chunks, k, Step::Then(then)),
             }
@@ -327,12 +329,15 @@ fn follow(world: &World, rounds: &[Round], engine: bool) {
                 place(&mut upstream.chunks, k, Step::Answer(Err(lost)));
             }
             Some(Fault::CorruptChunk(k)) => place(&mut upstream.chunks, k, Step::Misname),
-            Some(Fault::MisnameDelta) => place(&mut upstream.deltas, 0, Step::Misname),
             Some(Fault::MisnameHead) => place(&mut upstream.heads, 0, Step::Misname),
             Some(Fault::ChunksDown(k)) => {
                 let down = ModelError::Decode("upstream down".into());
                 place(&mut upstream.chunks, k, Step::Down(down));
             }
+        }
+        if round.race {
+            let raced = ModelError::VersionRaced("body replaced".into());
+            place(&mut upstream.chunks, 1, Step::Answer(Err(raced)));
         }
         let quiet = round.before.is_empty() && round.during.is_none() && round.fault.is_none();
         let was = peer.holds();

@@ -4,24 +4,29 @@
 
 use inano_atlas::{codec, Atlas, AtlasDelta, LinkAnnotation, Plane};
 use inano_core::{
-    AtlasSource, DeltaHandle, OfferedBody, PathPredictor, PredictedPath, PredictorConfig, Scripted,
-    StaticSource, Step, DEFAULT_CHUNK_SIZE,
+    content_tag, AtlasSource, ChainLink, OfferedBody, OfferedDelta, PathPredictor, PredictedPath,
+    PredictorConfig, Scripted, StaticSource, Step, DEFAULT_CHUNK_SIZE,
 };
 use inano_model::{ClusterId, Ipv4, LatencyMs, ModelError};
 use inano_service::{QueryEngine, ServiceConfig};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[path = "common/ring.rs"]
 mod ring;
 use ring::{ring_atlas, ring_ip, ring_shortcut_delta};
 
-/// The delta `engine` offers its peers leaving `day`, if it retains one.
-fn retained(engine: &QueryEngine, day: u32) -> Option<DeltaHandle> {
-    let offered = engine.offer(DEFAULT_CHUNK_SIZE).fetch_delta(day);
-    offered.expect("an engine's own delta log always answers")
+/// The chain of deltas `engine`'s head names for its peers.
+fn chain(engine: &QueryEngine) -> Vec<ChainLink> {
+    let head = engine.offer(DEFAULT_CHUNK_SIZE).head();
+    head.expect("an engine always has a head").chain
+}
+
+fn tag_of(atlas: &Atlas) -> u64 {
+    content_tag(&codec::encode(atlas).0)
 }
 
 #[test]
@@ -271,28 +276,28 @@ fn serves_and_updates_through_the_swarm() {
             plane: Plane::TO_DST,
         },
     );
-    let mut source = StaticSource::new(
-        codec::encode(&day0).0,
-        vec![AtlasDelta::between(&day0, &day1).encode().0],
-    );
+    let full = codec::encode(&day0).0;
+    let mut at_day0 = StaticSource::new(full.clone(), vec![]);
     let cfg = ServiceConfig::default();
-    let engine = QueryEngine::bootstrap(&mut source, cfg).expect("bootstrap");
+    let engine = QueryEngine::bootstrap(&mut at_day0, cfg).expect("bootstrap");
     assert_eq!(engine.day(), 0);
     engine
         .query(ring_ip(1), ring_ip(5))
         .expect("routable at day 0");
+    let mut source = StaticSource::new(full, vec![AtlasDelta::between(&day0, &day1).encode().0]);
     assert_eq!(engine.update(&mut source).expect("update"), 1);
     assert_eq!(engine.day(), 1);
     assert_eq!(engine.epoch(), 1);
-    assert!(source.fetch_delta(1).unwrap().is_none());
+    assert_eq!(engine.update(&mut source).expect("in step"), 0);
+    assert_eq!(chain(&engine), source.head().expect("head").chain);
     let r = engine
         .query(ring_ip(0), ring_ip(4))
         .expect("routable at day 1");
     assert_eq!(r.fwd_clusters.len(), 2, "served from the day-1 atlas");
 }
 
-/// A source offering a delta that leaves the engine's day and lands on
-/// it again: `update` refuses it instead of applying it forever. It
+/// A source whose chain leaves the engine's body by a delta that lands
+/// on its day again: `update` refuses it instead of applying it. It
 /// runs on a helper thread so that a regression fails here instead of
 /// hanging the suite.
 #[test]
@@ -302,9 +307,13 @@ fn update_refuses_a_delta_that_does_not_advance_the_day() {
         to_day: 0,
         ..AtlasDelta::default()
     };
-    let mut source = StaticSource::new(codec::encode(&ring_atlas(8, 0)).0, vec![stuck.encode().0]);
-    let engine =
-        Arc::new(QueryEngine::bootstrap(&mut source, ServiceConfig::default()).expect("bootstrap"));
+    let day0 = ring_atlas(8, 0);
+    let mut source = StaticSource {
+        full: OfferedBody::new(codec::encode(&ring_atlas(8, 1)).0),
+        chain: vec![OfferedDelta::new(tag_of(&day0), stuck.encode().0)],
+        chunk_size: DEFAULT_CHUNK_SIZE,
+    };
+    let engine = Arc::new(QueryEngine::new(Arc::new(day0), ServiceConfig::default()));
     let (done, outcome) = std::sync::mpsc::channel();
     let updater = {
         let engine = Arc::clone(&engine);
@@ -314,7 +323,7 @@ fn update_refuses_a_delta_that_does_not_advance_the_day() {
     };
     let result = outcome
         .recv_timeout(Duration::from_secs(10))
-        .expect("update returns instead of re-applying the 0→0 delta forever");
+        .expect("update returns instead of re-applying the 0→0 delta");
     updater.join().expect("the updater thread");
     match result {
         Err(ModelError::PatchMismatch(msg)) => {
@@ -324,7 +333,7 @@ fn update_refuses_a_delta_that_does_not_advance_the_day() {
     }
     assert_eq!((engine.day(), engine.epoch()), (0, 0));
     assert_eq!(engine.metrics().swaps.get(), 0);
-    assert!(retained(&engine, 0).is_none(), "nothing was logged");
+    assert!(chain(&engine).is_empty(), "nothing was logged");
 }
 
 /// A chain whose second delta does not decode: the first stays
@@ -333,11 +342,11 @@ fn update_refuses_a_delta_that_does_not_advance_the_day() {
 #[test]
 fn a_chain_failing_midway_counts_the_delta_it_applied() {
     use inano_obs::{EventJournal, EventKind};
-    let mut source = StaticSource::new(
-        codec::encode(&ring_atlas(8, 0)).0,
-        vec![ring_shortcut_delta(8, 0).encode().0, vec![0xff; 40]],
-    );
-    let engine = QueryEngine::bootstrap(&mut source, ServiceConfig::default()).expect("bootstrap");
+    let day0 = codec::encode(&ring_atlas(8, 0)).0;
+    let mut source = StaticSource::new(day0.clone(), vec![ring_shortcut_delta(8, 0).encode().0]);
+    source.publish(codec::encode(&ring_atlas(8, 2)).0, Some(vec![0xff; 40]));
+    let mut at_day0 = StaticSource::new(day0, vec![]);
+    let engine = QueryEngine::bootstrap(&mut at_day0, ServiceConfig::default()).expect("bootstrap");
     let journal = Arc::new(EventJournal::new(64));
     engine.set_journal(Arc::clone(&journal), "shard0");
     match engine.update(&mut source) {
@@ -346,7 +355,7 @@ fn a_chain_failing_midway_counts_the_delta_it_applied() {
     }
     let m = engine.metrics();
     assert_eq!((engine.day(), m.swaps.get()), (1, 1));
-    assert!(retained(&engine, 0).is_some(), "the 0→1 delta is retained");
+    assert_eq!(chain(&engine).len(), 1, "the 0→1 delta is retained");
     let journaled = journal
         .since(0)
         .events
@@ -364,11 +373,15 @@ fn replace_atlas_swaps_a_whole_generation_without_logging_a_delta() {
     engine
         .query(ring_ip(0), ring_ip(3))
         .expect("day-0 world serves");
-    // A delta applied first is retained for downstream mirrors...
+    // A delta applied first is retained for downstream mirrors, named
+    // by the body it leaves...
     engine
         .apply_delta(&AtlasDelta::between(&ring_atlas(8, 0), &ring_atlas(8, 1)))
         .expect("delta applies");
-    assert!(retained(&engine, 0).is_some());
+    assert_eq!(
+        chain(&engine).iter().map(|l| l.base).collect::<Vec<_>>(),
+        [before_tag]
+    );
 
     // A full replace models a monthly refresh or a mirror resync: the
     // new world may be days ahead with no bridging delta at all.
@@ -386,15 +399,14 @@ fn replace_atlas_swaps_a_whole_generation_without_logging_a_delta() {
         .query(ring_ip(0), ring_ip(10))
         .expect("ring-12 pair routable");
     assert!(!r.fwd_clusters.is_empty());
-    // ...and the delta log is emptied: the retained 0→1 delta belongs
-    // to the abandoned chain, and serving it would walk a lagging
-    // mirror down a dead generation instead of forcing a full resync.
-    assert!(retained(&engine, 0).is_none());
+    // ...and the chain is empty: the retained 0→1 delta belongs to the
+    // abandoned body, and no delta leads to this one.
+    assert!(head.chain.is_empty());
 }
 
-/// The catch-up rule, without a socket: deltas first, the full body
-/// only when the chain is empty and the head's tag differs, and each
-/// outcome where the counters and the journal say it is.
+/// The catch-up rule, without a socket: the full body when the head's
+/// tag differs and its chain does not leave the body the engine holds,
+/// and each outcome where the counters and the journal say it is.
 #[test]
 fn update_bridges_a_broken_chain_with_one_full_resync() {
     use inano_obs::{EventJournal, EventKind};
@@ -431,7 +443,9 @@ fn update_bridges_a_broken_chain_with_one_full_resync() {
     // The upstream replaces its atlas (day 5, no bridging delta) and
     // its body cannot be fetched: the error surfaces, the gauges say
     // how far behind the engine is, and day 1 keeps serving.
-    upstream.inner.full = OfferedBody::new(codec::encode(&ring_atlas(8, 5)).0);
+    upstream
+        .inner
+        .publish(codec::encode(&ring_atlas(8, 5)).0, None);
     let down = ModelError::Decode("upstream body unavailable".into());
     upstream.chunks.push_back(Step::Down(down));
     assert!(engine.update(&mut upstream).is_err());
@@ -461,11 +475,74 @@ fn update_bridges_a_broken_chain_with_one_full_resync() {
     assert_eq!(m.mirror_deltas_applied.get(), 0);
     assert_eq!(m.mirror_lag_days.get(), 0);
     assert_eq!(resyncs_journaled(), 1);
-    assert!(retained(&engine, 1).is_none(), "no delta leads here");
+    assert!(chain(&engine).is_empty(), "no delta leads here");
 
     // Idle again: the next tick fetches nothing and resyncs nothing.
     let after = upstream.served.full_chunks;
     assert_eq!(engine.update(&mut upstream).expect("idle tick"), 0);
     assert_eq!(upstream.served.full_chunks, after);
     assert_eq!((m.mirror_full_resyncs.get(), resyncs_journaled()), (1, 1));
+}
+
+/// A head and its chain are one snapshot: while one thread applies five
+/// deltas, every head another thread reads lists a chain that, applied
+/// from the generation its first base names, lands on the head's body.
+#[test]
+fn a_head_and_its_chain_come_from_one_snapshot() {
+    const DAYS: u32 = 5;
+    let n = 8;
+    let deltas: Vec<AtlasDelta> = (0..DAYS).map(|day| ring_shortcut_delta(n, day)).collect();
+    // Every generation the engine serves, by the tag of its body.
+    let mut generations = vec![ring_atlas(n, 0)];
+    for delta in &deltas {
+        let next = delta
+            .apply(generations.last().expect("day 0"))
+            .expect("applies");
+        generations.push(next);
+    }
+    let by_tag: HashMap<u64, Atlas> = generations.iter().map(|a| (tag_of(a), a.clone())).collect();
+    let engine = QueryEngine::new(Arc::new(ring_atlas(n, 0)), ServiceConfig::default());
+    let done = AtomicBool::new(false);
+    let heads = AtomicU64::new(0);
+    thread::scope(|scope| {
+        scope.spawn(|| {
+            for delta in &deltas {
+                // At least one head is read on every generation (the
+                // deadline only frees this thread if the reader failed).
+                let seen = heads.load(Ordering::Acquire);
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while heads.load(Ordering::Acquire) == seen && Instant::now() < deadline {
+                    thread::yield_now();
+                }
+                engine.apply_delta(delta).expect("applies");
+            }
+            done.store(true, Ordering::Release);
+        });
+        loop {
+            let finished = done.load(Ordering::Acquire);
+            let mut offer = engine.offer(DEFAULT_CHUNK_SIZE);
+            let head = offer.head().expect("head");
+            let start = head.chain.first().map_or(head.epoch_tag, |link| link.base);
+            let mut atlas = by_tag[&start].clone();
+            for link in &head.chain {
+                assert_eq!(tag_of(&atlas), link.base, "{head:?}");
+                let chunk = offer
+                    .fetch_chunk(link.tag, 0)
+                    .expect("a listed delta is offered");
+                assert_eq!(chunk.bytes.len() as u64, link.len);
+                let delta = AtlasDelta::decode(&chunk.bytes).expect("decodes");
+                atlas = delta.apply(&atlas).expect("applies");
+            }
+            assert_eq!(tag_of(&atlas), head.epoch_tag, "{head:?}");
+            heads.fetch_add(1, Ordering::Release);
+            if finished {
+                assert_eq!(head.chain.len(), DAYS as usize);
+                break;
+            }
+        }
+    });
+    assert!(
+        heads.into_inner() > DAYS as u64,
+        "heads were read while the deltas landed"
+    );
 }

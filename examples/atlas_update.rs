@@ -2,9 +2,10 @@
 //! current with daily deltas — each a fraction of the full atlas —
 //! fetched through the same `AtlasSource`. Demonstrates an in-memory
 //! `StaticSource` plugged into the client library (a `MirrorSource`
-//! does the same over the wire) and prints what each fetch moves: the
-//! full body's bytes from the source's head, each delta's from its
-//! `DeltaHandle`.
+//! does the same over the wire) and prints what each fetch moves, all
+//! read off the source's head before any body is fetched: the full
+//! body's bytes, and each delta's from the chain leading to it, each
+//! delta named by the tag of the body it leaves.
 //!
 //! Run with: `cargo run --release --example atlas_update`
 
@@ -18,36 +19,38 @@ fn main() {
     let (_, day1) = world.atlas_for_day(1);
     let (_, day2) = world.atlas_for_day(2);
 
+    // The source is two days on: day 0 with both deltas applied. The
+    // client starts from day 0's body.
+    let day0 = codec::encode(&world.atlas).0;
     let mut source = StaticSource::new(
-        codec::encode(&world.atlas).0,
+        day0.clone(),
         vec![
             AtlasDelta::between(&world.atlas, &day1).encode().0,
             AtlasDelta::between(&day1, &day2).encode().0,
         ],
     );
+    let mut client = INanoClient::bootstrap(
+        &mut StaticSource::new(day0, vec![]),
+        PredictorConfig::full(),
+    )
+    .expect("bootstrap");
+    println!("bootstrapped at day {}", client.day());
+
+    // What the daily update moves, before any body is fetched.
     let head = source.head().expect("head");
     println!(
-        "day {} atlas: {:.1} KB in {} chunk(s)",
+        "head: day {} atlas, {:.1} KB in {} chunk(s)",
         head.day,
         head.full_len as f64 / 1e3,
         head.n_chunks()
     );
-
-    let mut client =
-        INanoClient::bootstrap(&mut source, PredictorConfig::full()).expect("bootstrap");
-    println!("bootstrapped at day {}", client.day());
-
-    // What each daily update moves, before any body is fetched.
-    let mut day = client.day();
-    while let Some(delta) = source.fetch_delta(day).expect("delta handle") {
+    for link in &head.chain {
         println!(
-            "  delta {}→{}: {:.1} KB, {:.0}% of the full atlas",
-            delta.from_day,
-            delta.to_day,
-            delta.len as f64 / 1e3,
-            100.0 * delta.len as f64 / head.full_len as f64
+            "  delta leaving body {:#018x}: {:.1} KB, {:.0}% of the full atlas",
+            link.base,
+            link.len as f64 / 1e3,
+            100.0 * link.len as f64 / head.full_len as f64
         );
-        day = delta.to_day;
     }
 
     let applied = client.update(&mut source).expect("updates apply");

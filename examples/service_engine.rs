@@ -21,13 +21,19 @@ fn main() {
     println!("building a demo world and two days of measurements...");
     let world = Scenario::build(ScenarioConfig::test(5));
     let (_, day1) = world.atlas_for_day(1);
+    let day0 = codec::encode(&world.atlas).0;
+    // The engine starts from day 0; its source has moved on to day 1.
+    let engine = Arc::new(
+        QueryEngine::bootstrap(
+            &mut StaticSource::new(day0.clone(), vec![]),
+            ServiceConfig::default(),
+        )
+        .expect("bootstrap"),
+    );
     let mut source = StaticSource::new(
-        codec::encode(&world.atlas).0,
+        day0,
         vec![AtlasDelta::between(&world.atlas, &day1).encode().0],
     );
-
-    let engine =
-        Arc::new(QueryEngine::bootstrap(&mut source, ServiceConfig::default()).expect("bootstrap"));
     println!("engine up at day {}", engine.day());
 
     // A client population asking about a fixed set of popular pairs.

@@ -123,9 +123,13 @@ fn client_daily_update_flow() {
         full.len()
     );
 
-    let mut src = StaticSource::new(full, vec![delta_bytes]);
-    let mut client = INanoClient::bootstrap(&mut src, PredictorConfig::full()).unwrap();
+    let mut client = INanoClient::bootstrap(
+        &mut StaticSource::new(full.clone(), vec![]),
+        PredictorConfig::full(),
+    )
+    .unwrap();
     assert_eq!(client.day(), 0);
+    let mut src = StaticSource::new(full, vec![delta_bytes]);
     assert_eq!(client.update(&mut src).unwrap(), 1);
     assert_eq!(client.day(), 1);
     // The updated client answers queries.
