@@ -35,7 +35,7 @@ pub struct InEdge {
 }
 
 /// The prediction graph: a node space and policy tables (the shared
-/// [`AtlasIndex`]) plus this graph's in-edges in CSR form.
+/// `AtlasIndex`) plus this graph's in-edges in CSR form.
 ///
 /// The search is label-correcting, so the order of a node's in-edges is
 /// the order its neighbours are relaxed in and therefore part of the

@@ -7,8 +7,11 @@
 //! (only where the atlas refines providers per prefix) the prefix — so
 //! every ordinary prefix of a cluster shares one search. That is exactly
 //! the access pattern of the application studies (many clients evaluating
-//! one replica, one client ranking a swarm of candidates, ...). A search
-//! that cannot answer is not run: see [`PathPredictor::predict_forward`].
+//! one replica, one client ranking a swarm of candidates, ...). A full
+//! cache evicts the least recently used search: it is an
+//! [`inano_model::Lru`], the one LRU type, which each shard of a serving
+//! engine's result cache is too. A search that cannot answer is
+//! not run: see [`PathPredictor::predict_forward`].
 //!
 //! [`PathPredictor::predict_batch`] plans before it searches — it is
 //! what the library's [`PathPredictor::query_batch`] and a serving
@@ -33,7 +36,7 @@ use crate::graph::PredictionGraph;
 use crate::search::{search, SearchResult};
 use inano_atlas::Atlas;
 use inano_model::{
-    AsPath, Asn, ClusterId, Ipv4, LatencyMs, LossRate, ModelError, PrefixId, PrefixTrie,
+    AsPath, Asn, ClusterId, Ipv4, LatencyMs, LossRate, Lru, ModelError, PrefixId, PrefixTrie,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -75,35 +78,6 @@ struct SearchKey {
 /// search; another that finds it empty waits on that one run instead of
 /// repeating it, and keeps its `Arc` should the slot be evicted meanwhile.
 type Slot = Arc<OnceLock<Arc<SearchResult>>>;
-
-/// At most `cap` slots, each stamped with the tick of its last use.
-struct SearchCache {
-    cap: usize,
-    tick: u64,
-    slots: HashMap<SearchKey, (u64, Slot)>,
-}
-
-impl SearchCache {
-    /// The slot of `key`, and whether it was already there. A new slot in
-    /// a full cache replaces the least recently stamped one: a scan of
-    /// `cap` stamps, paid only ahead of a search that costs far more.
-    fn slot(&mut self, key: SearchKey) -> (Slot, bool) {
-        self.tick += 1;
-        if let Some((stamp, slot)) = self.slots.get_mut(&key) {
-            *stamp = self.tick;
-            return (Arc::clone(slot), true);
-        }
-        if self.slots.len() >= self.cap {
-            let oldest = self.slots.iter().min_by_key(|(_, (stamp, _))| *stamp);
-            if let Some(oldest) = oldest.map(|(k, _)| *k) {
-                self.slots.remove(&oldest);
-            }
-        }
-        let slot = Slot::default();
-        self.slots.insert(key, (self.tick, Arc::clone(&slot)));
-        (slot, false)
-    }
-}
 
 /// How often a predictor searched, and how often it did not have to
 /// ([`PathPredictor::search_counts`]).
@@ -297,7 +271,7 @@ pub struct PathPredictor {
     /// address.
     trie: PrefixTrie<u32>,
     rows: Vec<Row>,
-    cache: Mutex<SearchCache>,
+    cache: Mutex<Lru<SearchKey, Slot>>,
     counts: Counters,
 }
 
@@ -313,7 +287,6 @@ impl PathPredictor {
     fn with_cache_cap(atlas: Arc<Atlas>, cfg: PredictorConfig, cap: usize) -> PathPredictor {
         let (graph, relaxed) = PredictionGraph::build_pair(&atlas, &cfg);
         let (trie, rows) = resolution_table(&atlas);
-        let slots = HashMap::new();
         PathPredictor {
             atlas,
             cfg,
@@ -321,11 +294,7 @@ impl PathPredictor {
             relaxed,
             trie,
             rows,
-            cache: Mutex::new(SearchCache {
-                cap,
-                tick: 0,
-                slots,
-            }),
+            cache: Mutex::new(Lru::new(cap)),
             counts: Counters::default(),
         }
     }
@@ -613,7 +582,7 @@ impl PathPredictor {
         // An engine batch the result cache answered whole plans nothing
         // and takes no lock.
         if !plans.is_empty() {
-            let cap = self.cache.lock().cap;
+            let cap = self.cache.lock().capacity();
             for window in plans.chunks_mut(cap) {
                 self.find_paths(window);
             }
@@ -645,7 +614,7 @@ impl PathPredictor {
     /// fallback of every route whose first tree missed its source.
     ///
     /// Each round takes its slots on this thread in plan order — so the
-    /// cache's LRU stamps, and every later eviction, never depend on
+    /// cache's recency order, and every later eviction, never depend on
     /// thread timing — then runs the searches of the slots it created on
     /// this thread and permitted helpers, one search per job. A slot it
     /// found empty is being searched elsewhere (by an earlier plan of the
@@ -660,14 +629,21 @@ impl PathPredictor {
             let mut cache = self.cache.lock();
             // More plans than slots, and a round could evict a slot it
             // took and search that key twice.
-            debug_assert!(plans.len() <= cache.cap, "a round outgrew the cache");
+            debug_assert!(plans.len() <= cache.capacity(), "a round outgrew the cache");
             for (i, plan) in plans.iter_mut().enumerate() {
                 if let Some(key) = plan.key(fallback) {
-                    let (slot, hit) = cache.slot(key);
-                    hits += u64::from(hit);
-                    if !hit {
-                        fresh.push(i);
-                    }
+                    let slot = match cache.get(&key) {
+                        Some(slot) => {
+                            hits += 1;
+                            Arc::clone(slot)
+                        }
+                        None => {
+                            fresh.push(i);
+                            let slot = Slot::default();
+                            cache.insert(key, Arc::clone(&slot));
+                            slot
+                        }
+                    };
                     plan.slot = Some((key, slot));
                 }
             }
@@ -871,7 +847,7 @@ mod tests {
     }
 
     fn cached(p: &PathPredictor) -> usize {
-        p.cache.lock().slots.len()
+        p.cache.lock().len()
     }
 
     #[test]

@@ -155,6 +155,37 @@ impl From<&ModelError> for ErrorCode {
     }
 }
 
+impl ModelError {
+    /// The error a wire fault stands for, given its `code` and its
+    /// `message` — the error's Display text, as the server sends it.
+    /// Every variant that carries a `String` comes back as itself, and
+    /// so does [`ModelError::UnknownShard`], whose id is parsed back out.
+    /// `None` for a transport code and for
+    /// [`ModelError::UnknownEntity`], whose `&'static str` kind cannot
+    /// cross the wire.
+    pub fn from_wire(code: ErrorCode, message: &str) -> Option<ModelError> {
+        let variant: fn(String) -> ModelError = match code {
+            ErrorCode::UnroutableAddress => ModelError::UnroutableAddress,
+            ErrorCode::Decode => ModelError::Decode,
+            ErrorCode::PatchMismatch => ModelError::PatchMismatch,
+            ErrorCode::NoPath => ModelError::NoPath,
+            ErrorCode::Config => ModelError::Config,
+            ErrorCode::VersionRaced => ModelError::VersionRaced,
+            ErrorCode::ChunkOutOfRange => ModelError::ChunkOutOfRange,
+            // "unknown shard N", the id last.
+            ErrorCode::UnknownShard => {
+                let id = message.rsplit(' ').next()?.parse().ok()?;
+                return Some(ModelError::UnknownShard(id));
+            }
+            _ => return None,
+        };
+        // The variant's Display with no message is the prefix to strip.
+        let prefix = variant(String::new()).to_string();
+        let text = message.strip_prefix(&prefix).unwrap_or(message);
+        Some(variant(text.to_string()))
+    }
+}
+
 impl fmt::Display for ErrorCode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
@@ -248,5 +279,42 @@ mod tests {
         assert!(!ErrorCode::from(&e).is_transport());
         assert!(ErrorCode::Overloaded.is_transport());
         assert!(ErrorCode::NoPath.to_string().contains("no-path"));
+    }
+
+    #[test]
+    fn every_model_error_crosses_the_wire_as_itself() {
+        let carried = [
+            ModelError::UnroutableAddress("10.0.0.1".into()),
+            ModelError::Decode("bad magic".into()),
+            ModelError::PatchMismatch("delta is 0→1 but base is day 1".into()),
+            ModelError::NoPath("no route 3 → 4".into()),
+            ModelError::Config("zero shards".into()),
+            ModelError::UnknownShard(7),
+            ModelError::UnknownShard(u16::MAX),
+            ModelError::VersionRaced("no body tagged 0x2a".into()),
+            ModelError::ChunkOutOfRange("chunk 9 of 4".into()),
+            // A message that itself starts like a prefix keeps it.
+            ModelError::Decode("decode error: nested".into()),
+            ModelError::NoPath(String::new()),
+        ];
+        for e in carried {
+            let back = ModelError::from_wire(ErrorCode::from(&e), &e.to_string());
+            assert_eq!(back.as_ref(), Some(&e), "{e}");
+        }
+        // The kind is a `&'static str` no decoder can rebuild.
+        let entity = ModelError::UnknownEntity {
+            kind: "prefix",
+            id: 9,
+        };
+        let code = ErrorCode::from(&entity);
+        assert_eq!(ModelError::from_wire(code, &entity.to_string()), None);
+        // A shard id that does not parse is not a shard.
+        assert_eq!(
+            ModelError::from_wire(ErrorCode::UnknownShard, "unknown shard x"),
+            None
+        );
+        for code in ErrorCode::ALL.into_iter().filter(|c| c.is_transport()) {
+            assert_eq!(ModelError::from_wire(code, "anything"), None, "{code}");
+        }
     }
 }

@@ -130,7 +130,7 @@ impl fmt::Display for LossRate {
 
 /// Mean Opinion Score for a VoIP call, from the ITU-T E-model simplification
 /// used in the relay-selection literature (the paper cites the MOS metric
-/// [5] as the quantity a Skype-like system optimises).
+/// \[5\] as the quantity a Skype-like system optimises).
 ///
 /// `rtt` is the round-trip time and `loss` the end-to-end loss rate. The
 /// returned score lies in roughly `[1, 4.5]`, higher is better.

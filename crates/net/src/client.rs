@@ -24,7 +24,7 @@
 use crate::wire::{read_frame, write_frame, Frame, Limits, ReadError, WireFault, TRACE_FLAG};
 use crate::wire::{WirePath, WireResolution, WireShardInfo};
 use inano_core::{AtlasChunk, AtlasSource, AtlasVersion};
-use inano_model::{ErrorCode, Ipv4, ModelError};
+use inano_model::{Ipv4, ModelError};
 use inano_obs::{EventsPage, MetricsDump, TraceTimings};
 use inano_service::ShardId;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -60,36 +60,16 @@ impl std::fmt::Display for NetError {
 impl std::error::Error for NetError {}
 
 impl NetError {
-    /// Fold into a [`ModelError`] for `AtlasSource` callers: typed
-    /// model faults cross back into their variants (so the reader can
-    /// react to `VersionRaced` from a remote mirror
-    /// exactly as from a local source); transport-level failures become
-    /// `Decode` errors carrying the story.
+    /// Fold into a [`ModelError`] for `AtlasSource` callers: a typed
+    /// model fault comes back as the error the server raised
+    /// ([`ModelError::from_wire`]), so the reader can react to
+    /// `VersionRaced` from a remote mirror exactly as from a local
+    /// source; any other failure becomes a `Decode` error carrying the
+    /// story.
     pub fn into_model(self) -> ModelError {
         match self {
-            NetError::Remote(fault) => match fault.code {
-                ErrorCode::VersionRaced => ModelError::VersionRaced(fault.message),
-                ErrorCode::ChunkOutOfRange => ModelError::ChunkOutOfRange(fault.message),
-                ErrorCode::UnroutableAddress => ModelError::UnroutableAddress(fault.message),
-                ErrorCode::Decode => ModelError::Decode(fault.message),
-                ErrorCode::PatchMismatch => ModelError::PatchMismatch(fault.message),
-                ErrorCode::NoPath => ModelError::NoPath(fault.message),
-                ErrorCode::Config => ModelError::Config(fault.message),
-                // The id rides only in the message ("unknown shard N",
-                // the `ModelError::UnknownShard` Display form); recover
-                // it so callers can match the typed variant and drop or
-                // alert on the shard, rather than retrying a generic
-                // decode error forever.
-                ErrorCode::UnknownShard => ModelError::UnknownShard(
-                    fault
-                        .message
-                        .rsplit(' ')
-                        .next()
-                        .and_then(|id| id.parse().ok())
-                        .unwrap_or(0),
-                ),
-                _ => ModelError::Decode(format!("remote fault: {fault}")),
-            },
+            NetError::Remote(fault) => ModelError::from_wire(fault.code, &fault.message)
+                .unwrap_or_else(|| ModelError::Decode(format!("remote fault: {fault}"))),
             NetError::Io(e) => ModelError::Decode(format!("transport: {e}")),
             NetError::Protocol(msg) => ModelError::Decode(format!("protocol violation: {msg}")),
         }

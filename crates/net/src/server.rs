@@ -62,7 +62,7 @@
 //!   typed `Overloaded` error, in order, on a connection that keeps
 //!   serving.
 //! * A slow-consuming client cannot balloon the write queue either:
-//!   once a connection's queued reply bytes pass [`write_backlog_cap`]
+//!   once a connection's queued reply bytes pass `write_backlog_cap`
 //!   (derived from the frame limit), the loop stops dispatching its
 //!   requests to workers until the client drains what it already owes.
 //! * Frames are bounded by [`Limits`]: an oversized declared payload
@@ -110,7 +110,7 @@
 //! with **zero per-peer server state** — no assembler, no write queue,
 //! no slab slot. A datagram decodes (or faults) in the loop, rides the
 //! same dispatch queue to the same workers and the same
-//! [`serve`]/[`ShardRegistry`] path as a stream request, and the
+//! `serve`/[`ShardRegistry`] path as a stream request, and the
 //! worker sends the reply straight back with `send_to` (UDP replies
 //! have no ordering contract, so no completion round-trip is needed).
 //! The servable subset *is* the frame table's `Request` role
@@ -203,7 +203,7 @@ pub struct ServerConfig {
     /// Server-wide request-memory budget, bytes: the estimated heap
     /// cost of every queued-but-unanswered request across *all*
     /// connections. Breaching it answers the excess request with a
-    /// typed `Overloaded` error. `usize::MAX` disables the budget.
+    /// typed `Overloaded` error. `usize::MAX` never trips.
     pub max_request_bytes: usize,
     /// Per-frame protocol limits.
     pub limits: Limits,
@@ -630,12 +630,6 @@ impl Drop for Claim {
 /// Reserve `bytes` against the shared pool, or `None` on breach.
 fn try_claim(pool: &Gauge, budget: usize, bytes: usize) -> Option<Claim> {
     let bytes = bytes as u64;
-    if budget == usize::MAX {
-        return Some(Claim {
-            bytes: 0,
-            pool: pool.clone(),
-        });
-    }
     let prev = pool.add(bytes);
     if prev.saturating_add(bytes) > budget as u64 {
         pool.sub(bytes);
@@ -645,6 +639,27 @@ fn try_claim(pool: &Gauge, budget: usize, bytes: usize) -> Option<Claim> {
         bytes,
         pool: pool.clone(),
     })
+}
+
+/// A decoded request's admission, on either transport: a request
+/// holding its claim on the server-wide memory budget, or — the budget
+/// reached — its rejection, the frame dropped here (the whole point of
+/// the budget) so only its id travels on.
+fn admit(shared: &Shared, request_id: u64, frame: Frame) -> Work {
+    let budget = shared.cfg.max_request_bytes;
+    let Some(claim) = try_claim(&shared.request_bytes, budget, frame_cost(&frame)) else {
+        return Work::Reject {
+            request_id,
+            reason: "server-wide request-memory budget reached",
+        };
+    };
+    shared.request_bytes_peak.raise(shared.request_bytes.get());
+    Work::Request {
+        request_id,
+        frame,
+        claim,
+        trace: None,
+    }
 }
 
 /// Estimated heap cost of holding one decoded request in the in-flight
@@ -977,27 +992,10 @@ impl EventLoop {
                 return dispatch(Work::Fault { request_id, fault });
             }
         };
-        let Some(claim) = try_claim(
-            &shared.request_bytes,
-            shared.cfg.max_request_bytes,
-            frame_cost(&frame),
-        ) else {
-            drop(frame);
-            return dispatch(Work::Reject {
-                request_id,
-                reason: "server-wide request-memory budget reached",
-            });
-        };
-        shared.request_bytes_peak.raise(shared.request_bytes.get());
-        dispatch(Work::Request {
-            request_id,
-            frame,
-            claim,
-            // No `TraceReply` trailers on the datagram plane: a reply
-            // is one frame in one datagram, so the id's trace bit is
-            // echoed but not honoured.
-            trace: None,
-        });
+        // No `TraceReply` trailers on the datagram plane: a reply is one
+        // frame in one datagram, so the id's trace bit is echoed but not
+        // honoured.
+        dispatch(admit(&shared, request_id, frame));
     }
 
     /// Admission-check one accepted stream and register it, or refuse
@@ -1154,41 +1152,26 @@ impl EventLoop {
                     // so queue time (however long the worker backlog)
                     // is charged to the queue stage, not to decode.
                     let trace = (request_id & TRACE_FLAG != 0).then(|| TraceCtx::begin(decode_us));
-                    let Some(claim) = try_claim(
-                        &shared.request_bytes,
-                        shared.cfg.max_request_bytes,
-                        frame_cost(&frame),
-                    ) else {
-                        // The decoded frame is dropped right here —
-                        // the whole point of the budget — and only its
-                        // id travels on for the in-order rejection.
-                        drop(frame);
-                        conn.pending.push_back(Work::Reject {
-                            request_id,
-                            reason: "server-wide request-memory budget reached",
-                        });
-                        continue;
-                    };
-                    shared.request_bytes_peak.raise(shared.request_bytes.get());
-                    if conn.queued_requests >= cap {
+                    let work = match admit(&shared, request_id, frame) {
                         // The cap is hit: refuse *this* request with a
                         // typed error instead of queueing it. Dropping
                         // the frame and claim frees its memory now.
-                        drop(claim);
-                        drop(frame);
-                        conn.pending.push_back(Work::Reject {
+                        Work::Request { .. } if conn.queued_requests >= cap => Work::Reject {
                             request_id,
                             reason: "per-connection in-flight request limit reached",
-                        });
-                    } else {
-                        conn.queued_requests += 1;
-                        conn.pending.push_back(Work::Request {
-                            request_id,
-                            frame,
-                            claim,
-                            trace,
-                        });
-                    }
+                        },
+                        Work::Request { frame, claim, .. } => {
+                            conn.queued_requests += 1;
+                            Work::Request {
+                                request_id,
+                                frame,
+                                claim,
+                                trace,
+                            }
+                        }
+                        rejected => rejected,
+                    };
+                    conn.pending.push_back(work);
                 }
                 Assembled::Fault { request_id, fault } => {
                     conn.pending.push_back(Work::Fault { request_id, fault });

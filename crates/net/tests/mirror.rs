@@ -463,6 +463,24 @@ fn generation_swap_mid_fetch_is_a_typed_race_the_reader_survives() {
     assert_eq!(bytes.len() as u64, version.full_len);
 }
 
+/// A model fault crosses the wire as itself: a mirror fetching a body
+/// nobody offers gets the origin's own `VersionRaced`, message and all,
+/// not that text wrapped in its variant again.
+#[test]
+fn a_raced_fetch_over_the_wire_is_the_origins_own_error() {
+    let engine = ring_engine(RING);
+    let server = serve_one(Arc::clone(&engine), ServerConfig::default());
+    let client = NetClient::connect(server.local_addr()).expect("connect");
+    let mut mirror = client.into_atlas_source(ShardId::DEFAULT);
+    let gone = !mirror.head().expect("head").epoch_tag;
+    let local = engine.offer(DEFAULT_CHUNK_SIZE).fetch_chunk(gone, 0);
+    assert!(
+        matches!(local, Err(ModelError::VersionRaced(_))),
+        "{local:?}"
+    );
+    assert_eq!(mirror.fetch_chunk(gone, 0).map(|_| ()), local.map(|_| ()));
+}
+
 /// A head before any delta lists no chain; fetching a chunk of a body
 /// nobody offers is a typed race (re-head, refetch full), never a
 /// connection loss.

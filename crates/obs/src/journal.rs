@@ -5,20 +5,22 @@
 //! a generation swap, a delta application, a full resync after falling
 //! off the delta chain, an overload episode opening and closing, a
 //! connection arriving or leaving. Each event carries a strictly
-//! increasing sequence number (one `fetch_add`, process-wide per
-//! journal) and a coarse wall-clock millisecond timestamp, so
-//! per-server streams scraped over the wire merge into one fleet
-//! timeline ordered by `(t_ms, seq)`.
+//! increasing sequence number (per journal) and a coarse wall-clock
+//! millisecond timestamp, so per-server streams scraped over the wire
+//! merge into one fleet timeline ordered by `(t_ms, seq)`.
 //!
-//! The ring is an atomic sequence cursor over per-slot mutexes, so an
-//! emitter locks one slot and emission is cheap enough for connection
-//! and swap paths (it is **not** on the per-query path). Overflow is
-//! deliberate and *detectable*: when writers lap readers, the
-//! overwritten sequence numbers are gone, and [`EventJournal::since`]
-//! reports exactly how many requested events were lost instead of
-//! silently skipping them.
+//! The ring is one mutex-guarded queue of the newest events. An event
+//! takes its sequence number under that lock, in the same step that
+//! stores it, so a reader sees every number below the head it reads
+//! either in the ring or lapped — never assigned but not yet written.
+//! Emission is cheap enough for connection and swap paths (it is
+//! **not** on the per-query path). Overflow is deliberate and
+//! *detectable*: when writers lap readers, the overwritten sequence
+//! numbers are gone, and [`EventJournal::since`] reports exactly how
+//! many requested events were lost instead of silently skipping them.
 
 use crate::registry::Gauge;
+use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -123,13 +125,15 @@ pub struct EventsPage {
     pub next_seq: u64,
 }
 
-/// The bounded, lock-free-emission event ring. See the module docs.
+/// The bounded event ring. See the module docs.
 pub struct EventJournal {
-    /// The sequence number the next event gets. A registry handle so
-    /// the cursor itself is what a server exports
-    /// ([`EventJournal::head`]).
+    /// The sequence number the next event gets, moved only under the
+    /// `events` lock. A registry handle so the cursor itself is what a
+    /// server exports ([`EventJournal::head`]).
     next_seq: Gauge,
-    slots: Vec<Mutex<Option<Event>>>,
+    /// The newest events, oldest first; never more than `capacity`.
+    events: Mutex<VecDeque<Event>>,
+    capacity: usize,
 }
 
 /// Milliseconds since the Unix epoch, saturating at 0 for pre-epoch
@@ -146,7 +150,8 @@ impl EventJournal {
     pub fn new(capacity: usize) -> EventJournal {
         EventJournal {
             next_seq: Gauge::default(),
-            slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
+            events: Mutex::new(VecDeque::new()),
+            capacity: capacity.max(1),
         }
     }
 
@@ -165,13 +170,17 @@ impl EventJournal {
 
     /// Emit with an explicit timestamp (tests, replays).
     pub fn emit_at(&self, t_ms: u64, kind: EventKind, detail: impl Into<String>) {
+        let detail = detail.into();
+        let mut events = self.events.lock().expect("journal ring");
+        if events.len() == self.capacity {
+            events.pop_front();
+        }
         let seq = self.next_seq.add(1);
-        let slot = (seq % self.slots.len() as u64) as usize;
-        *self.slots[slot].lock().expect("journal slot") = Some(Event {
+        events.push_back(Event {
             seq,
             t_ms,
             kind,
-            detail: detail.into(),
+            detail,
         });
     }
 
@@ -180,27 +189,19 @@ impl EventJournal {
     /// by writers). Reading never consumes: the same page can be
     /// served to any number of scrapers.
     pub fn since(&self, since_seq: u64) -> EventsPage {
-        // Head is read *before* the slot scan: events emitted during
-        // the scan (seq >= head) are excluded so they can't make the
-        // page look larger than the request, and the page never claims
-        // loss it can't know about yet.
+        let ring = self.events.lock().expect("journal ring");
+        // Under the lock every seq below the head is in the ring or was
+        // overwritten (a writer lapped it): none is still being written.
         let head = self.next_seq.get();
-        let mut events: Vec<Event> = self
-            .slots
-            .iter()
-            .filter_map(|s| s.lock().expect("journal slot").clone())
-            .filter(|e| e.seq >= since_seq && e.seq < head)
+        let events: Vec<Event> = (ring.iter())
+            .filter(|e| e.seq >= since_seq)
+            .cloned()
             .collect();
-        events.sort_by_key(|e| e.seq);
-        // Every seq in [since_seq, head) was assigned; any not in the
-        // page was overwritten (a writer lapped the ring).
-        let requested = head.saturating_sub(since_seq);
-        let lost = requested.saturating_sub(events.len() as u64);
-        let next_seq = head;
+        let lost = head.saturating_sub(since_seq) - events.len() as u64;
         EventsPage {
             events,
             lost,
-            next_seq,
+            next_seq: head,
         }
     }
 }
@@ -290,5 +291,38 @@ mod tests {
         seqs.dedup();
         assert_eq!(seqs, sorted, "duplicated seq");
         assert_eq!(seqs.len(), 200);
+    }
+
+    #[test]
+    fn a_scraper_paging_during_emission_gets_every_seq_once() {
+        // Rounds of a small ring with room for every event, so a page
+        // that loses one saw a seq taken but not yet written, not a lap.
+        const ROUNDS: usize = 200;
+        const EMITTERS: usize = 2;
+        const EACH: u64 = 64;
+        let total = EMITTERS as u64 * EACH;
+        for round in 0..ROUNDS {
+            let j = EventJournal::new(total as usize);
+            let start = std::sync::Barrier::new(EMITTERS + 1);
+            std::thread::scope(|s| {
+                for _ in 0..EMITTERS {
+                    s.spawn(|| {
+                        start.wait();
+                        for _ in 0..EACH {
+                            j.emit_at(0, EventKind::ConnAccepted, "");
+                        }
+                    });
+                }
+                let (mut seen, mut cursor) = (Vec::new(), 0);
+                start.wait();
+                while cursor < total {
+                    let page = j.since(cursor);
+                    assert_eq!(page.lost, 0, "round {round}, paging from {cursor}");
+                    seen.extend(page.events.iter().map(|e| e.seq));
+                    cursor = page.next_seq;
+                }
+                assert_eq!(seen, (0..total).collect::<Vec<_>>(), "round {round}");
+            });
+        }
     }
 }

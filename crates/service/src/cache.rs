@@ -12,17 +12,14 @@
 //! mutex-protected LRU maps, so concurrent callers contend only when
 //! they collide on a shard, not on a single global lock.
 //!
-//! Each shard is an exact LRU at O(1) per operation: a hash map from
-//! key to a slot of an entry slab, and the slots threaded on a doubly
-//! linked recency list by `u32` links. A hit unlinks its entry and
-//! pushes it to the front; an insert into a full shard evicts the tail
-//! and reuses its slot.
+//! Each shard is an [`inano_model::Lru`], the exact O(1) LRU the
+//! predictor's search cache evicts by too, probing with this module's
+//! `KeyHasher` rather than SipHash.
 
 use inano_core::PredictedPath;
-use inano_model::ClusterId;
+use inano_model::{ClusterId, Lru};
 use inano_obs::Counter;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
@@ -85,113 +82,13 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// End of the recency list.
-const NIL: u32 = u32::MAX;
-
-/// One cached result on its shard's recency list.
-struct Entry {
-    key: CacheKey,
-    value: Arc<PredictedPath>,
-    /// The next more recently used slot, or `NIL` at the head.
-    prev: u32,
-    /// The next less recently used slot, or `NIL` at the tail.
-    next: u32,
-}
-
 /// One shard: an LRU map from key to shared result.
-struct Shard {
-    map: HashMap<CacheKey, u32, BuildHasherDefault<KeyHasher>>,
-    /// Every live entry; never longer than the shard's capacity.
-    slab: Vec<Entry>,
-    /// Most and least recently used slots, `NIL` while empty.
-    head: u32,
-    tail: u32,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            map: HashMap::default(),
-            slab: Vec::new(),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
-    fn unlink(&mut self, slot: u32) {
-        let Entry { prev, next, .. } = self.slab[slot as usize];
-        match prev {
-            NIL => self.head = next,
-            p => self.slab[p as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slab[n as usize].prev = prev,
-        }
-    }
-
-    fn push_front(&mut self, slot: u32) {
-        let head = self.head;
-        let entry = &mut self.slab[slot as usize];
-        entry.prev = NIL;
-        entry.next = head;
-        match head {
-            NIL => self.tail = slot,
-            h => self.slab[h as usize].prev = slot,
-        }
-        self.head = slot;
-    }
-
-    /// Make `slot` the most recently used.
-    fn promote(&mut self, slot: u32) {
-        if self.head != slot {
-            self.unlink(slot);
-            self.push_front(slot);
-        }
-    }
-
-    fn touch(&mut self, key: &CacheKey) -> Option<Arc<PredictedPath>> {
-        let slot = *self.map.get(key)?;
-        self.promote(slot);
-        Some(Arc::clone(&self.slab[slot as usize].value))
-    }
-
-    /// Insert, evicting the least-recently-used entry past `capacity`.
-    /// Returns how many entries were evicted.
-    fn insert(&mut self, key: CacheKey, value: Arc<PredictedPath>, capacity: usize) -> u64 {
-        if let Some(&slot) = self.map.get(&key) {
-            self.slab[slot as usize].value = value;
-            self.promote(slot);
-            return 0;
-        }
-        let entry = Entry {
-            key,
-            value,
-            prev: NIL,
-            next: NIL,
-        };
-        let (slot, evicted) = if self.slab.len() < capacity {
-            let slot = u32::try_from(self.slab.len()).expect("a shard holds under 2^32 entries");
-            self.slab.push(entry);
-            (slot, 0)
-        } else {
-            let slot = self.tail;
-            self.unlink(slot);
-            let victim = std::mem::replace(&mut self.slab[slot as usize], entry);
-            self.map.remove(&victim.key);
-            (slot, 1)
-        };
-        self.map.insert(key, slot);
-        self.push_front(slot);
-        evicted
-    }
-}
+type Shard = Lru<CacheKey, Arc<PredictedPath>, BuildHasherDefault<KeyHasher>>;
 
 /// A sharded LRU cache of prediction results.
 pub struct ShardedCache {
+    /// Each holds at most `capacity / shards` entries (at least 1).
     shards: Vec<Mutex<Shard>>,
-    /// Per-shard capacity (total capacity / shard count, at least 1).
-    shard_capacity: usize,
     /// Monotone counters, updated lock-free by every caller; an owning
     /// engine shares these handles as its `cache_*` metrics.
     pub hits: Counter,
@@ -205,10 +102,9 @@ impl ShardedCache {
     /// power of two.
     pub fn new(capacity: usize, shards: usize) -> ShardedCache {
         let shards = shards.max(1).next_power_of_two();
-        let shard_capacity = (capacity / shards).max(1);
+        let shard = || Mutex::new(Shard::with_hasher(capacity / shards, Default::default()));
         ShardedCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
-            shard_capacity,
+            shards: (0..shards).map(|_| shard()).collect(),
             hits: Counter::default(),
             misses: Counter::default(),
             evictions: Counter::default(),
@@ -234,22 +130,19 @@ impl ShardedCache {
     /// batch's hits and misses itself and adds them to `hits` and
     /// `misses` once.
     pub(crate) fn lookup(&self, key: &CacheKey) -> Option<Arc<PredictedPath>> {
-        self.shard_of(key).lock().touch(key)
+        self.shard_of(key).lock().get(key).cloned()
     }
 
     pub fn insert(&self, key: CacheKey, value: Arc<PredictedPath>) {
-        let evicted = self
-            .shard_of(&key)
-            .lock()
-            .insert(key, value, self.shard_capacity);
+        let evicted = self.shard_of(&key).lock().insert(key, value);
         self.inserts.inc();
-        if evicted > 0 {
-            self.evictions.add(evicted);
+        if evicted {
+            self.evictions.inc();
         }
     }
 
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {

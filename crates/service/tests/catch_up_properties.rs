@@ -10,7 +10,8 @@
 //! or inside one, before its head probe or its n-th chunk — and at most
 //! one fault per update: a chunk that fails once or arrives corrupted,
 //! a head (and so every delta of its chain) named by wrong tags, or
-//! chunks that stay down for the rest of the update. Apart from the
+//! chunks that stay down for the rest of the update. A misnamed head
+//! may be any head the update reads, a restart's included. Apart from the
 //! fault, an update's second chunk call may race — answer as if its
 //! body had just been replaced, which on a chain walk is the call after
 //! the first delta landed (every delta here is one chunk). A race is no
@@ -23,9 +24,9 @@
 //!    for bit;
 //! 3. its day falls only by a resync (an update that fetched full-body
 //!    chunks);
-//! 4. the bytes it moved stay under twice the largest full body plus the
-//!    whole delta chain, and are none when it already held the head and
-//!    nothing was published and no fault scripted;
+//! 4. the bytes it moved stay under what the heads it read let it
+//!    fetch ([`World::byte_bound`]), and are none when it already held
+//!    the head and nothing was published and no fault scripted;
 //! 5. after a fault-free tail — an update with nothing published and
 //!    no fault scripted (it may race), such as the one that ends every
 //!    script — it holds the head's body.
@@ -134,11 +135,25 @@ impl World {
         move |upstream: &mut StaticSource| upstream.publish(full, delta)
     }
 
-    /// What the bytes one update moves stay under.
-    fn byte_bound(&self) -> u64 {
+    /// The largest body, and every delta ever published.
+    fn sizes(&self) -> (u64, u64) {
         let full = self.generations.iter().map(|g| g.body.len()).max();
         let chain: usize = self.leading.iter().flatten().map(Vec::len).sum();
-        2 * (full.unwrap_or(0) + chain) as u64
+        (full.unwrap_or(0) as u64, chain as u64)
+    }
+
+    /// What the bytes of an update that read `heads` heads stay under.
+    ///
+    /// Each head plans one pass, and a pass fetches one full body or a
+    /// run of the head's chain, never both: at most the largest body or
+    /// every delta ever published, whichever is more. A race or a
+    /// misnamed body ends the pass and the next head starts over, so the
+    /// passes add up. A failed or down chunk moves no bytes; a corrupt
+    /// one moves its bytes twice, and an update has one fault, so one
+    /// chunk is added once.
+    fn byte_bound(&self, heads: usize) -> u64 {
+        let (full, chain) = self.sizes();
+        heads as u64 * full.max(chain) + u64::from(CHUNK)
     }
 }
 
@@ -153,8 +168,8 @@ enum At {
 enum Fault {
     FailChunk(usize),
     CorruptChunk(usize),
-    /// The first head, and so every delta of its chain.
-    MisnameHead,
+    /// The n-th head, and so every delta of its chain.
+    MisnameHead(usize),
     ChunksDown(usize),
 }
 
@@ -207,7 +222,7 @@ prop_compose! {
             round.fault = match kind {
                 3 => Some(Fault::FailChunk(k)),
                 4 => Some(Fault::CorruptChunk(k)),
-                5 | 6 => Some(Fault::MisnameHead),
+                5 | 6 => Some(Fault::MisnameHead(k)),
                 7 => Some(Fault::ChunksDown(k)),
                 _ => None,
             };
@@ -329,7 +344,7 @@ fn follow(world: &World, rounds: &[Round], engine: bool) {
                 place(&mut upstream.chunks, k, Step::Answer(Err(lost)));
             }
             Some(Fault::CorruptChunk(k)) => place(&mut upstream.chunks, k, Step::Misname),
-            Some(Fault::MisnameHead) => place(&mut upstream.heads, 0, Step::Misname),
+            Some(Fault::MisnameHead(k)) => place(&mut upstream.heads, k, Step::Misname),
             Some(Fault::ChunksDown(k)) => {
                 let down = ModelError::Decode("upstream down".into());
                 place(&mut upstream.chunks, k, Step::Down(down));
@@ -379,7 +394,11 @@ fn follow(world: &World, rounds: &[Round], engine: bool) {
         }
         // 4. Bytes moved.
         let moved = upstream.served.bytes - served.bytes;
-        assert!(moved <= world.byte_bound(), "moved {moved} bytes; {ctx}");
+        let heads = upstream.served.heads - served.heads;
+        assert!(
+            moved <= world.byte_bound(heads),
+            "moved {moved} bytes over {heads} heads; {ctx}"
+        );
         let on_head = |held: (u32, u64)| {
             let g = &world.generations[head];
             held == (g.day, g.tag)
@@ -403,4 +422,14 @@ proptest! {
         follow(&world, &rounds, false);
         follow(&world, &rounds, true);
     }
+}
+
+/// Stated per head, the byte bound is no looser than the one it
+/// replaced, twice the largest body plus the whole chain, for an update
+/// that reads one or two heads.
+#[test]
+fn the_per_head_bound_is_no_looser_over_two_heads() {
+    let world = World::new();
+    let (full, chain) = world.sizes();
+    assert!(world.byte_bound(2) <= 2 * (full + chain));
 }
