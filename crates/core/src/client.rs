@@ -174,6 +174,7 @@ impl Follower for Staged<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::PredictionGraph;
     use crate::source::{OfferedBody, Scripted, StaticSource, Step};
     use inano_atlas::{LinkAnnotation, Plane};
     use inano_model::{Asn, Ipv4, Prefix, PrefixId};
@@ -509,6 +510,7 @@ mod tests {
         // 2 → 1 observed, 1 → 2 not. No strict edge leaves it.
         let mut atlas = base_atlas(0);
         atlas.links.remove(&(ClusterId::new(1), ClusterId::new(2)));
+        atlas.cluster_as.insert(ClusterId::new(4), Asn::new(4));
         let mut src = StaticSource::new(codec::encode(&atlas).0, vec![]);
         let mut client = INanoClient::bootstrap(&mut src, client_cfg()).unwrap();
         let (me, there) = (
@@ -520,6 +522,18 @@ mod tests {
         assert_eq!(raw(&r.fwd_clusters), [1, 2, 3], "relaxed: 2 → 1 backwards");
         let counts = client.predictor().search_counts();
         assert_eq!(counts.strict_skipped, 1, "the forward half; {counts:?}");
+        assert_eq!(counts.runs, 2, "one relaxed, one strict (the way back)");
+
+        // A traceroute into cluster 4 is a way out, but 4 leads nowhere
+        // observed: the rebuilt predictor's components say the strict
+        // graph still cannot reach the destination, and skip it.
+        client.add_local_links([((ClusterId::new(1), ClusterId::new(4)), None)]);
+        let (strict, _) = PredictionGraph::build_pair(client.atlas(), &client_cfg());
+        assert!(strict.has_strict_exit(ClusterId::new(1)));
+        let r = client.predictor().query(me, there).unwrap();
+        assert_eq!(raw(&r.fwd_clusters), [1, 2, 3], "still relaxed");
+        let counts = client.predictor().search_counts();
+        assert_eq!(counts.strict_skipped, 1, "unreachable; {counts:?}");
         assert_eq!(counts.runs, 2, "one relaxed, one strict (the way back)");
 
         // The client's own traceroute is an observed way out. The

@@ -9,7 +9,7 @@
 //! gets no permit, or whose spawn the host refuses, does the work alone:
 //! the budget costs parallelism, never an answer.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread;
 
@@ -17,6 +17,15 @@ use std::thread;
 /// [`helper_cap`]. Only counts — it publishes no data, the scope's join
 /// does that — so `Relaxed` throughout.
 static HELPERS: AtomicUsize = AtomicUsize::new(0);
+
+/// Helper threads started since the process began; it only grows.
+static STARTED: AtomicU64 = AtomicU64::new(0);
+
+/// How many helper threads the process has started so far: whether a
+/// fan-out ran, read exactly, however briefly its helpers lived.
+pub fn helpers_started() -> u64 {
+    STARTED.load(Ordering::Relaxed)
+}
 
 /// `available_parallelism()`, read once.
 fn helper_cap() -> usize {
@@ -87,6 +96,7 @@ pub fn run<T: Send>(jobs: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
             .map_while(|_| thread::Builder::new().spawn_scoped(scope, pull).ok())
             .collect();
         permits.keep(helpers.len());
+        STARTED.fetch_add(helpers.len() as u64, Ordering::Relaxed);
         let mut done = pull();
         // Joined by handle, not left to the scope: that returns once the
         // OS thread is gone, so a permit never goes back while its
@@ -117,6 +127,20 @@ mod tests {
     fn one_job_runs_on_the_caller() {
         let caller = thread::current().id();
         assert_eq!(run(1, |_| thread::current().id()), [caller]);
+    }
+
+    #[test]
+    fn every_helper_that_ran_a_job_was_counted() {
+        let before = helpers_started();
+        let ran_on: std::collections::HashSet<_> = run(64, |_| {
+            thread::sleep(std::time::Duration::from_micros(100));
+            thread::current().id()
+        })
+        .into_iter()
+        .collect();
+        // Other tests in this binary may start helpers meanwhile.
+        let helpers = ran_on.len() as u64 - u64::from(ran_on.contains(&thread::current().id()));
+        assert!(helpers_started() - before >= helpers);
     }
 
     #[test]

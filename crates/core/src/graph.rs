@@ -13,6 +13,7 @@
 
 use crate::config::PredictorConfig;
 use crate::index::{csr, AtlasIndex};
+use crate::reach::{AncestorSets, Sccs};
 use inano_atlas::Atlas;
 use inano_model::{Asn, ClusterId, Relationship};
 use std::collections::BTreeMap;
@@ -113,6 +114,21 @@ impl PredictionGraph {
         c.is_some_and(|&c| self.index.strict_exit[c as usize])
     }
 
+    /// Can some source node of `src` reach `dst`'s destination node along
+    /// observed-direction edges (the strict graph: this one, or the one
+    /// built beside this relaxed one), policy aside? Where it cannot, no
+    /// strict search toward `dst` labels a source node of `src`, for the
+    /// reason [`PredictionGraph::has_strict_exit`] gives. The component
+    /// numbers settle most pairs; the rest read `dst`'s ancestor set,
+    /// which `sets` keeps (`reach.rs`).
+    pub fn strict_reaches(&self, src: ClusterId, dst: ClusterId, sets: &mut AncestorSets) -> bool {
+        let sccs = &self.index.strict_sccs;
+        let Some(to) = self.dest_node(dst).map(|node| sccs.of(node)) else {
+            return false;
+        };
+        (self.source_nodes(src)).any(|node| sets.reaches(sccs, sccs.of(node), to))
+    }
+
     /// Incoming-forward adjacency of a node, in relax order.
     pub fn in_edges(&self, node: u32) -> &[InEdge] {
         &self.edges
@@ -142,7 +158,8 @@ impl PredictionGraph {
     /// the config allows reversed links outside GRAPH mode, the relaxed
     /// one (strict plus every link's unobserved direction). The same pass
     /// notes which clusters a strict edge leaves
-    /// ([`PredictionGraph::has_strict_exit`]).
+    /// ([`PredictionGraph::has_strict_exit`]) and numbers the strict
+    /// graph's components ([`PredictionGraph::strict_reaches`]).
     pub fn build_pair(
         atlas: &Atlas,
         cfg: &PredictorConfig,
@@ -160,19 +177,22 @@ impl PredictionGraph {
             strict_exit[from] |= from != index.cluster_of(*target);
         }
         index.strict_exit = strict_exit;
-        let index = Arc::new(index);
         // Grouped by target node; a node's in-edges keep emission order.
-        let graph = |keep_reversed: bool| {
+        let n_nodes = index.node_as.len();
+        let rows = |keep_reversed: bool| {
             let kept = (emitted.iter().copied()).filter(|(_, e)| keep_reversed || !e.reversed);
-            let (edge_off, edges) = csr(index.node_as.len(), kept);
-            PredictionGraph {
-                index: Arc::clone(&index),
-                edge_off,
-                edges,
-            }
+            csr(n_nodes, kept)
         };
-        let relaxed = (cfg.allow_reversed_links && !cfg.use_rel_graph).then(|| graph(true));
-        (graph(false), relaxed)
+        let (edge_off, edges) = rows(false);
+        index.strict_sccs = Sccs::new(&edge_off, &edges);
+        let index = Arc::new(index);
+        let graph = |(edge_off, edges)| PredictionGraph {
+            index: Arc::clone(&index),
+            edge_off,
+            edges,
+        };
+        let relaxed = (cfg.allow_reversed_links && !cfg.use_rel_graph).then(|| graph(rows(true)));
+        (graph((edge_off, edges)), relaxed)
     }
 }
 

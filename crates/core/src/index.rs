@@ -9,6 +9,7 @@
 //! ever asks about ASes it reached through a node.
 
 use crate::config::PredictorConfig;
+use crate::reach::Sccs;
 use inano_atlas::Atlas;
 use inano_model::{Asn, ClusterId};
 use std::collections::HashMap;
@@ -43,9 +44,12 @@ pub(crate) struct AtlasIndex {
     pref_off: Vec<u32>,
     prefs: Vec<u64>,
     /// Per dense cluster: some observed-direction edge goes from one of its
-    /// nodes to a node of another cluster. The only entry that needs the
-    /// edges: `PredictionGraph::build_pair` fills it once they are emitted.
+    /// nodes to a node of another cluster. One of the two entries that
+    /// need the edges: `PredictionGraph::build_pair` fills them once they
+    /// are emitted.
     pub(crate) strict_exit: Vec<bool>,
+    /// The strict graph's components and condensation (`reach.rs`).
+    pub(crate) strict_sccs: Sccs,
 }
 
 fn pack(hi: u32, lo: u32) -> u64 {
@@ -155,6 +159,7 @@ impl AtlasIndex {
             pref_off,
             prefs,
             strict_exit: Vec::new(),
+            strict_sccs: Sccs::default(),
         }
     }
 

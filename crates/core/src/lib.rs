@@ -29,6 +29,7 @@ pub mod graph;
 mod index;
 pub mod predict;
 pub mod rank;
+pub mod reach;
 pub mod search;
 pub mod source;
 

@@ -10,14 +10,19 @@
 //! one replica, one client ranking a swarm of candidates, ...). A full
 //! cache evicts the least recently used search: it is an
 //! [`inano_model::Lru`], the one LRU type, which each shard of a serving
-//! engine's result cache is too. A search that cannot answer is
-//! not run: see [`PathPredictor::predict_forward`].
+//! engine's result cache is too. A strict search that cannot answer is
+//! not run, by either of two rules: see
+//! [`PathPredictor::predict_forward`]. [`SearchCounts::strict_skipped`]
+//! counts both.
 //!
 //! [`PathPredictor::predict_batch`] plans before it searches — it is
 //! what the library's [`PathPredictor::query_batch`] and a serving
 //! engine's cache misses both run. It lists the batch's distinct one-way
 //! predictions, takes the cache slot of each
-//! one's first search on the caller, in plan order, and runs the searches
+//! one's first search on the caller, in plan order — a strict search the
+//! cache does not hold is first checked against the strict graph's
+//! reachability, and one that cannot reach the source gives way to the
+//! relaxed search in the same round — and runs the searches
 //! whose slots it created on the caller and helper threads drawn from
 //! the process-wide budget ([`crate::fanout`]). A second round does the
 //! same for the relaxed searches of the predictions whose strict tree
@@ -33,6 +38,7 @@
 use crate::config::PredictorConfig;
 use crate::fanout;
 use crate::graph::PredictionGraph;
+use crate::reach::AncestorSets;
 use crate::search::{search, SearchResult};
 use inano_atlas::Atlas;
 use inano_model::{
@@ -96,20 +102,23 @@ pub struct SearchCounts {
     /// Searches answered from the cache, a wait on another thread's run
     /// of the same key included.
     pub cache_hits: u64,
-    /// One-way predictions that went straight to the relaxed graph
-    /// because no strict edge leaves the source's cluster.
+    /// One-way predictions that went straight to the relaxed graph (or
+    /// to "no route" without one) because the strict graph cannot reach
+    /// the destination from the source: no strict edge leaves the
+    /// source's cluster, or — checked only where the strict search would
+    /// have run — no strict path leads to the destination at all.
     pub strict_skipped: u64,
 }
 
-/// The searches a one-way prediction tries, in order: `first`, then —
-/// only when `first` is the strict search and its tree reaches none of
-/// the source's nodes — `fallback`, the relaxed one.
+/// The searches a one-way prediction may try: the strict one, then —
+/// only when the strict tree reaches none of the source's nodes, or the
+/// strict search is skipped — the relaxed one. At least one is there.
 #[derive(Clone, Copy)]
 struct Route {
     /// The source prefix's cluster, whose nodes the path starts from.
     src: ClusterId,
-    first: SearchKey,
-    fallback: Option<SearchKey>,
+    strict: Option<SearchKey>,
+    relaxed: Option<SearchKey>,
 }
 
 /// One one-way prediction of a planned batch: its prefixes and route,
@@ -142,11 +151,19 @@ impl Plan {
     /// 2, if it reads one.
     fn key(&self, fallback: bool) -> Option<SearchKey> {
         let route = self.route.as_ref().ok()?;
-        match (fallback, &self.path) {
-            (false, _) => Some(route.first),
-            (true, None) => route.fallback,
-            (true, Some(_)) => None,
+        match (fallback, route.strict, &self.path) {
+            (false, strict, _) => strict.or(route.relaxed),
+            (true, Some(_), None) => route.relaxed,
+            (true, _, _) => None,
         }
+    }
+
+    /// Drop the strict search of this way's route: it goes to the relaxed
+    /// one, if the config has one. The relaxed key, if any.
+    fn skip_strict(&mut self) -> Option<SearchKey> {
+        let route = self.route.as_mut().expect("a plan with a key has a route");
+        route.strict = None;
+        route.relaxed
     }
 }
 
@@ -255,9 +272,9 @@ fn no_route(src_prefix: PrefixId, dst_prefix: PrefixId) -> ModelError {
 /// Holds two graphs: a *strict* one using links only in their observed
 /// direction, and (when [`PredictorConfig::allow_reversed_links`] is on)
 /// a *relaxed* one that also traverses links backwards. Queries try the
-/// strict graph first *when it can answer* — a source whose cluster no
-/// observed-direction link leaves has no strict route to anywhere else,
-/// and is not searched for — and fall back to the relaxed one: the same
+/// strict graph first *when it can answer* — a source from which no
+/// observed-direction path leads to the destination is not searched
+/// for — and fall back to the relaxed one: the same
 /// philosophy as §4.3.1's FROM_SRC → TO_DST fallback, prefer the
 /// best-evidenced route, but still answer.
 pub struct PathPredictor {
@@ -271,8 +288,16 @@ pub struct PathPredictor {
     /// address.
     trie: PrefixTrie<u32>,
     rows: Vec<Row>,
-    cache: Mutex<Lru<SearchKey, Slot>>,
+    cache: Mutex<Caches>,
     counts: Counters,
+}
+
+/// What the one lock guards: the searches, and the strict graph's
+/// ancestor sets that decide whether a strict search that is not cached
+/// could answer at all.
+struct Caches {
+    trees: Lru<SearchKey, Slot>,
+    ancestors: AncestorSets,
 }
 
 impl PathPredictor {
@@ -294,7 +319,10 @@ impl PathPredictor {
             relaxed,
             trie,
             rows,
-            cache: Mutex::new(Lru::new(cap)),
+            cache: Mutex::new(Caches {
+                trees: Lru::new(cap),
+                ancestors: AncestorSets::new(cap),
+            }),
             counts: Counters::default(),
         }
     }
@@ -381,6 +409,10 @@ impl PathPredictor {
     /// vantage points only ever saw inbound — where most reverse paths
     /// start) goes straight to the relaxed graph. The one exception is a
     /// destination in the source's own cluster, which needs no such edge.
+    /// Nor is it run where the cache does not hold it and no strict path
+    /// leads from the source to the destination at all
+    /// ([`PredictionGraph::strict_reaches`]): its tree would label no
+    /// source node. A strict tree the cache holds is read as it is.
     ///
     /// One way is a batch of one to the planner behind
     /// [`PathPredictor::predict_batch`]: each of its two rounds owes at most
@@ -397,7 +429,8 @@ impl PathPredictor {
 
     /// What a one-way prediction searches, or why it searches nothing:
     /// the source's and then the destination's errors first, then the
-    /// skip rule of [`PathPredictor::predict_forward`], counting a skip.
+    /// first skip rule of [`PathPredictor::predict_forward`] (no strict
+    /// exit), counting a skip. The second is `find_paths`'.
     fn route(&self, src_prefix: PrefixId, dst_prefix: PrefixId) -> Result<Route, ModelError> {
         let src = self.home_of(src_prefix)?;
         let cluster = self.home_of(dst_prefix)?;
@@ -420,16 +453,14 @@ impl PathPredictor {
         } else {
             Some(key(false))
         };
-        let mut keys = strict
-            .into_iter()
-            .chain(self.relaxed.is_some().then(|| key(true)));
-        let first = keys
-            .next()
-            .ok_or_else(|| no_route(src_prefix, dst_prefix))?;
+        let relaxed = self.relaxed.is_some().then(|| key(true));
+        if strict.is_none() && relaxed.is_none() {
+            return Err(no_route(src_prefix, dst_prefix));
+        }
         Ok(Route {
             src,
-            first,
-            fallback: keys.next(),
+            strict,
+            relaxed,
         })
     }
 
@@ -582,7 +613,7 @@ impl PathPredictor {
         // An engine batch the result cache answered whole plans nothing
         // and takes no lock.
         if !plans.is_empty() {
-            let cap = self.cache.lock().capacity();
+            let cap = self.cache.lock().trees.capacity();
             for window in plans.chunks_mut(cap) {
                 self.find_paths(window);
             }
@@ -615,7 +646,10 @@ impl PathPredictor {
     ///
     /// Each round takes its slots on this thread in plan order — so the
     /// cache's recency order, and every later eviction, never depend on
-    /// thread timing — then runs the searches of the slots it created on
+    /// thread timing; a strict key the cache misses is taken only if the
+    /// source reaches the destination in the strict graph, and a way
+    /// whose source does not takes its relaxed slot instead, counted as
+    /// skipped — then runs the searches of the slots it created on
     /// this thread and permitted helpers, one search per job. A slot it
     /// found empty is being searched elsewhere (by an earlier plan of the
     /// round, or another caller); reading it waits on that run. No tree
@@ -625,30 +659,44 @@ impl PathPredictor {
             if plans.iter().all(|plan| plan.key(fallback).is_none()) {
                 continue;
             }
-            let (mut hits, mut fresh) = (0, Vec::new());
+            let (mut hits, mut skipped, mut fresh) = (0, 0, Vec::new());
             let mut cache = self.cache.lock();
+            let Caches { trees, ancestors } = &mut *cache;
             // More plans than slots, and a round could evict a slot it
             // took and search that key twice.
-            debug_assert!(plans.len() <= cache.capacity(), "a round outgrew the cache");
+            debug_assert!(plans.len() <= trees.capacity(), "a round outgrew the cache");
             for (i, plan) in plans.iter_mut().enumerate() {
-                if let Some(key) = plan.key(fallback) {
-                    let slot = match cache.get(&key) {
-                        Some(slot) => {
-                            hits += 1;
-                            Arc::clone(slot)
-                        }
-                        None => {
-                            fresh.push(i);
-                            let slot = Slot::default();
-                            cache.insert(key, Arc::clone(&slot));
-                            slot
-                        }
-                    };
-                    plan.slot = Some((key, slot));
+                let mut key = plan.key(fallback);
+                while let Some(k) = key {
+                    if let Some(slot) = trees.get(&k) {
+                        hits += 1;
+                        plan.slot = Some((k, Arc::clone(slot)));
+                        break;
+                    }
+                    // A strict search would run: not where the source
+                    // cannot reach the destination, policy aside.
+                    let src = plan
+                        .route
+                        .as_ref()
+                        .expect("a plan with a key has a route")
+                        .src;
+                    if !k.relaxed && !self.graph.strict_reaches(src, k.cluster, ancestors) {
+                        skipped += 1;
+                        key = plan.skip_strict();
+                        continue;
+                    }
+                    fresh.push(i);
+                    let slot = Slot::default();
+                    trees.insert(k, Arc::clone(&slot));
+                    plan.slot = Some((k, slot));
+                    break;
                 }
             }
             drop(cache);
             self.counts.cache_hits.fetch_add(hits, Ordering::Relaxed);
+            self.counts
+                .strict_skipped
+                .fetch_add(skipped, Ordering::Relaxed);
             fanout::run(fresh.len(), |j| {
                 let plan = &plans[fresh[j]];
                 let (key, slot) = plan.slot.as_ref().expect("a fresh slot was taken");
@@ -847,7 +895,7 @@ mod tests {
     }
 
     fn cached(p: &PathPredictor) -> usize {
-        p.cache.lock().len()
+        p.cache.lock().trees.len()
     }
 
     #[test]
@@ -963,14 +1011,23 @@ mod tests {
         assert_eq!(route(&p, 10, 10), [1]);
     }
 
-    /// `ring(12)` where no observed link enters cluster 4 (a strict
-    /// search toward it reaches no source, so the relaxed one runs after
-    /// it), plus prefix 99, announced but attached to no cluster.
+    /// `ring(12)` with two strict misses, plus prefix 99, announced but
+    /// attached to no cluster:
+    /// - a topological one: no observed link enters cluster 4, so the
+    ///   strict graph reaches it from nowhere, and only the relaxed search
+    ///   runs;
+    /// - a policy one: AS 8 is entered only from its provider AS 7, and
+    ///   only 9 → 8 is observed. The strict graph reaches cluster 8, but
+    ///   the provider check prunes every strict label, so the strict
+    ///   search runs, misses, and the relaxed one (over the reversed
+    ///   7 → 8) runs after it.
     fn sink_ring() -> Atlas {
         let mut a = ring(12);
-        for from in [3, 5] {
-            a.links.remove(&(ClusterId::new(from), ClusterId::new(4)));
+        for (from, to) in [(3, 4), (5, 4), (7, 8)] {
+            a.links.remove(&(ClusterId::new(from), ClusterId::new(to)));
         }
+        a.providers
+            .insert(Asn::new(8), [Asn::new(7)].into_iter().collect());
         home(&mut a, 99, 0, 0);
         a.prefix_cluster.remove(&PrefixId::new(99));
         a
@@ -987,15 +1044,17 @@ mod tests {
         answers.iter().map(|a| format!("{a:?}")).collect()
     }
 
-    /// Pairs over [`sink_ring`]: a spread with repeats, the strict miss
-    /// both ways, a same-cluster pair, an unhomed prefix and an address
-    /// no prefix covers.
+    /// Pairs over [`sink_ring`]: a spread with repeats, both strict
+    /// misses both ways, a same-cluster pair, an unhomed prefix and an
+    /// address no prefix covers.
     fn sink_pairs() -> Vec<(Ipv4, Ipv4)> {
         let spread = (0..40).map(|i| (ip(i * 5 % 12), ip((i * 7 + 3) % 12)));
         let uncovered = Ipv4::from_octets(200, 0, 0, 1);
         let awkward = [
             (ip(0), ip(4)),
             (ip(4), ip(0)),
+            (ip(0), ip(8)),
+            (ip(8), ip(0)),
             (ip(2), ip(2)),
             (ip(99), ip(1)),
             (ip(1), ip(99)),
@@ -1009,13 +1068,21 @@ mod tests {
     fn a_batch_answers_and_counts_alike_whatever_the_cache_holds() {
         let pairs = sink_pairs();
         let probe = ring_predictor(sink_ring(), CACHE_CAP);
-        route(&probe, 0, 4);
-        let strict_miss = SearchCounts {
+        assert_eq!(route(&probe, 0, 8), [0, 1, 2, 3, 4, 5, 6, 7, 8]);
+        let policy_miss = SearchCounts {
             runs: 2,
             cache_hits: 0,
             strict_skipped: 0,
         };
-        assert_eq!(probe.search_counts(), strict_miss, "two rounds");
+        assert_eq!(probe.search_counts(), policy_miss, "two rounds");
+        let probe = ring_predictor(sink_ring(), CACHE_CAP);
+        route(&probe, 0, 4);
+        let unreachable = SearchCounts {
+            runs: 1,
+            cache_hits: 0,
+            strict_skipped: 1,
+        };
+        assert_eq!(probe.search_counts(), unreachable, "the relaxed round only");
         for cap in [4, 16] {
             let inline = ring_predictor(sink_ring(), cap);
             let want: Vec<_> = pairs.iter().map(|&(s, d)| inline.query(s, d)).collect();

@@ -19,12 +19,13 @@
 use inano_atlas::{Atlas, LinkAnnotation, Plane, Triple};
 use inano_bench::{Scenario, ScenarioConfig};
 use inano_core::graph::{InEdge, PredictionGraph};
+use inano_core::reach::AncestorSets;
 use inano_core::search::search;
 use inano_core::{PathPredictor, PredictorConfig, SearchCounts};
 use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, ModelError, Prefix, PrefixId};
 use proptest::prelude::*;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Barrier};
 
 mod oracle {
@@ -612,10 +613,65 @@ proptest! {
     }
 }
 
+/// Every node from which `g`'s strict edges lead to `dst`'s destination
+/// node: a plain breadth-first walk back along the in-edges that are not
+/// `reversed`.
+fn strictly_reaching(g: &PredictionGraph, dst: ClusterId) -> Vec<bool> {
+    let mut seen = vec![false; g.n_nodes()];
+    let Some(dest) = g.dest_node(dst) else {
+        return seen;
+    };
+    seen[dest as usize] = true;
+    let mut todo = VecDeque::from([dest]);
+    while let Some(v) = todo.pop_front() {
+        for e in g.in_edges(v).iter().filter(|e| !e.reversed) {
+            if !std::mem::replace(&mut seen[e.src as usize], true) {
+                todo.push_back(e.src);
+            }
+        }
+    }
+    seen
+}
+
+/// `strict_reaches` on both graphs of `cfg` equals the plain walk for
+/// every ordered pair of home clusters, asked through an ancestor cache
+/// of two sets so that it evicts. Returns the pairs of distinct clusters
+/// whose source has a strict exit and still cannot reach.
+fn assert_reach_is_exact(atlas: &Atlas, cfg: &PredictorConfig, name: &str) -> usize {
+    let homes: BTreeSet<ClusterId> = atlas.prefix_cluster.values().copied().collect();
+    let (strict, relaxed) = PredictionGraph::build_pair(atlas, cfg);
+    let mut exit_but_unreachable = 0;
+    for g in std::iter::once(&strict).chain(&relaxed) {
+        let mut sets = AncestorSets::new(2);
+        for &dst in &homes {
+            let reaching = strictly_reaching(&strict, dst);
+            for &src in &homes {
+                let want = strict.source_nodes(src).any(|n| reaching[n as usize]);
+                let got = g.strict_reaches(src, dst, &mut sets);
+                assert_eq!(got, want, "{name}: {src:?} → {dst:?}");
+                let counted = std::ptr::eq(g, &strict) && src != dst;
+                exit_but_unreachable += usize::from(counted && !want && g.has_strict_exit(src));
+            }
+        }
+    }
+    exit_but_unreachable
+}
+
+proptest! {
+    #[test]
+    fn strict_reachability_is_a_plain_walk_of_the_strict_graph(seed in any::<u64>()) {
+        let atlas = random_atlas(&mut TestRng::from_name(&seed.to_string()));
+        for (name, cfg) in PredictorConfig::ladder() {
+            assert_reach_is_exact(&atlas, &cfg, name);
+        }
+    }
+}
+
 /// The generator reaches what the predictor's shortcuts key on.
 #[test]
 fn random_atlases_cover_dead_ends_shared_clusters_and_anomalous_prefixes() {
     let (mut dead_ends, mut shared, mut foreign, mut refined) = (0, 0, 0, 0);
+    let mut unreachable = 0;
     for seed in 0..64 {
         let a = random_atlas(&mut TestRng::from_name(&format!("coverage {seed}")));
         let (strict, _) = PredictionGraph::build_pair(&a, &PredictorConfig::full());
@@ -624,14 +680,16 @@ fn random_atlases_cover_dead_ends_shared_clusters_and_anomalous_prefixes() {
             .iter()
             .filter(|&&c| !strict.has_strict_exit(c))
             .count();
+        unreachable += assert_reach_is_exact(&a, &PredictorConfig::full(), "coverage");
         shared += homes.len() - homes.iter().collect::<BTreeSet<_>>().len();
         let own = |p: &PrefixId| a.as_of_cluster(a.prefix_cluster[p]) == Some(a.prefix_as[p].1);
         foreign += a.prefix_as.keys().filter(|p| !own(p)).count();
         refined += a.prefix_providers.len();
     }
     assert!(
-        dead_ends > 64 && shared > 64 && foreign > 16 && refined > 16,
-        "{dead_ends} dead-end homes, {shared} shared, {foreign} foreign, {refined} refined"
+        dead_ends > 64 && unreachable > 256 && shared > 64 && foreign > 16 && refined > 16,
+        "{dead_ends} dead-end homes, {unreachable} pairs with an exit but no strict route, \
+         {shared} shared, {foreign} foreign, {refined} refined"
     );
 }
 

@@ -5,11 +5,13 @@
 //! all of them are gone when the batches return.
 //!
 //! This binary holds exactly one `#[test]`, so no sibling test's
-//! threads move the count it reads from `/proc/self/task`.
+//! threads move the count it reads from `/proc/self/task`. That a
+//! fan-out ran at all is read from `fanout::helpers_started`, not from
+//! the sampler: a helper can live for microseconds between two samples.
 #![cfg(target_os = "linux")]
 
 use inano_atlas::{Atlas, AtlasDelta};
-use inano_core::{PathPredictor, PredictedPath, PredictorConfig};
+use inano_core::{fanout, PathPredictor, PredictedPath, PredictorConfig};
 use inano_model::{Ipv4, LatencyMs, ModelError};
 use inano_service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -69,15 +71,16 @@ impl Drop for Stop<'_> {
 }
 
 /// Run `body` while a sampler thread reads the task count: what `body`
-/// returned, the highest count seen, and a count over `budget` if one
-/// was seen. An over-budget reading has to repeat to count: a helper
-/// that was just joined may still be listed while the kernel reaps it,
-/// and that is not a live thread.
-fn watched<R>(budget: usize, body: impl FnOnce() -> R) -> (R, usize, Option<usize>) {
+/// returned, a count over `budget` if one was seen, and how many fan-out
+/// helpers the process started meanwhile. An over-budget reading has to
+/// repeat to count: a helper that was just joined may still be listed
+/// while the kernel reaps it, and that is not a live thread.
+fn watched<R>(budget: usize, body: impl FnOnce() -> R) -> (R, Option<usize>, u64) {
     let done = AtomicBool::new(false);
+    let started = fanout::helpers_started();
     thread::scope(|scope| {
         let sampler = scope.spawn(|| {
-            let (mut peak, mut over_budget) = (0, None);
+            let mut over_budget = None;
             while !done.load(Ordering::Relaxed) {
                 let mut seen = tasks();
                 for _ in 0..5 {
@@ -87,19 +90,18 @@ fn watched<R>(budget: usize, body: impl FnOnce() -> R) -> (R, usize, Option<usiz
                     thread::sleep(Duration::from_millis(1));
                     seen = seen.min(tasks());
                 }
-                peak = peak.max(seen);
                 if seen > budget {
                     over_budget = Some(seen);
                 }
             }
-            (peak, over_budget)
+            over_budget
         });
         let out = {
             let _stop = Stop(&done);
             body()
         };
-        let (peak, over_budget) = sampler.join().expect("sampler");
-        (out, peak, over_budget)
+        let over_budget = sampler.join().expect("sampler");
+        (out, over_budget, fanout::helpers_started() - started)
     })
 }
 
@@ -164,7 +166,7 @@ fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
     // meet again — so no batch straddles a swap and every answer has
     // exactly one generation to be checked against.
     let barrier = Barrier::new(CALLERS + 1);
-    let (wrong, peak, over_budget) = watched(budget, || {
+    let (wrong, over_budget, helpers) = watched(budget, || {
         thread::scope(|scope| {
             let callers: Vec<_> = (0..CALLERS)
                 .map(|c| {
@@ -218,8 +220,8 @@ fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
     }
     if cores > 1 {
         assert!(
-            peak > base + 1 + CALLERS,
-            "no helper was ever seen: the fan-out did not run (peak {peak}, base {base})"
+            helpers > 0,
+            "no helper was started: the fan-out did not run"
         );
     }
 
@@ -237,7 +239,7 @@ fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
     // last day.
     let served = Arc::new(served);
     let oracle = PathPredictor::new(Arc::clone(&served), PredictorConfig::full());
-    let (wrong, peak, over_budget) = watched(budget, || {
+    let (wrong, over_budget, helpers) = watched(budget, || {
         thread::scope(|scope| {
             let callers: Vec<_> = (0..CALLERS)
                 .map(|c| {
@@ -284,10 +286,7 @@ fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
          (budget {budget} tasks, base {base})"
     );
     if cores > 1 {
-        assert!(
-            peak > base + 1 + CALLERS,
-            "no library helper was ever seen (peak {peak}, base {base})"
-        );
+        assert!(helpers > 0, "no library helper was started");
     }
     assert!(
         settles_at(base),
