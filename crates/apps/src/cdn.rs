@@ -148,11 +148,11 @@ impl<'a> CdnExperiment<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inano_atlas::{build_atlas, AtlasConfig};
     use inano_coords::VivaldiConfig;
     use inano_core::PredictorConfig;
     use inano_measure::{
-        run_campaign, CampaignConfig, Clustering, ClusteringConfig, VantagePoints,
+        build_atlas, run_campaign, AtlasConfig, CampaignConfig, Clustering, ClusteringConfig,
+        VantagePoints,
     };
     use inano_model::rng::rng_for;
     use inano_topology::{build_internet, DayState, TopologyConfig};

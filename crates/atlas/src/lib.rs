@@ -15,21 +15,19 @@
 //! 7. AS preferences (observed tie-break behaviour),
 //! 8. provider mappings (per-AS, refined per-prefix).
 //!
-//! This crate owns the dataset types, the builder that distils a
-//! [`inano_measure::MeasurementDay`] into an [`Atlas`], a compact binary
-//! codec (varint + delta encoding over sorted tables — our stand-in for
-//! the paper's gzip, documented in DESIGN.md §"The atlas format"), daily
-//! delta computation and application, and the Table-2 size accounting.
+//! This crate is the format a server and an end host read: the dataset
+//! types, a compact binary codec (varint + delta encoding over sorted
+//! tables — our stand-in for the paper's gzip, documented in DESIGN.md
+//! §"The atlas format"), daily delta computation and application, and the
+//! Table-2 size accounting. It depends on `inano-model` alone; the builder
+//! that distils a measurement day into an [`Atlas`] lives with the
+//! measurements it folds, as `inano_measure::build_atlas`.
 
-pub mod builder;
 pub mod codec;
 pub mod datasets;
 pub mod delta;
-pub mod relinfer;
 pub mod stats;
 
-pub use builder::{build_atlas, AtlasConfig};
 pub use datasets::{Atlas, LinkAnnotation, Plane, Triple};
 pub use delta::AtlasDelta;
-pub use relinfer::InferredRels;
 pub use stats::{atlas_stats, delta_stats, DatasetStat};

@@ -10,10 +10,10 @@
 //! Sweeps both and reports exact-AS-path accuracy and the dataset sizes
 //! they induce, justifying the defaults.
 
-use inano_atlas::{build_atlas, AtlasConfig};
 use inano_bench::report::pct;
 use inano_bench::{eval, refuse_args, Scenario, ScenarioConfig};
 use inano_core::{PathPredictor, PredictorConfig};
+use inano_measure::{build_atlas, AtlasConfig};
 use std::sync::Arc;
 
 fn main() {

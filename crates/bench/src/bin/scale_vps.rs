@@ -6,8 +6,8 @@
 //! 100K edge prefixes gives ~2.2M links (8x) and 2.7M tuples (2.6x) —
 //! an estimated +18MB atlas / +5MB daily update: still tractable.
 
-use inano_atlas::{build_atlas, AtlasConfig};
 use inano_bench::{refuse_args, Scenario, ScenarioConfig};
+use inano_measure::{build_atlas, AtlasConfig};
 
 struct Row {
     agents: usize,

@@ -1,8 +1,9 @@
 //! Scenario construction: everything the experiments share.
 
-use inano_atlas::{build_atlas, Atlas, AtlasConfig};
+use inano_atlas::Atlas;
 use inano_measure::{
-    run_campaign, CampaignConfig, Clustering, ClusteringConfig, MeasurementDay, VantagePoints,
+    build_atlas, run_campaign, AtlasConfig, CampaignConfig, Clustering, ClusteringConfig,
+    MeasurementDay, VantagePoints,
 };
 use inano_model::rng::rng_for;
 use inano_routing::RoutingOracle;

@@ -1,13 +1,13 @@
 //! Distilling a measurement day into the compact atlas.
 //!
-//! This is the server-side aggregation of §5: traceroutes and BGP feeds
-//! go in, the eight datasets come out. Everything here uses only
-//! *measured* artefacts (hop IPs mapped through the clustering, feed AS
-//! paths) — never the ground-truth policy tables, which is the entire
-//! point of the reproduction.
+//! This is the aggregation §5's central server runs before it ships the
+//! atlas: traceroutes and BGP feeds go in, the eight datasets come out.
+//! Everything here uses only *measured* artefacts (hop IPs mapped through
+//! the clustering, feed AS paths) — never the ground-truth policy tables,
+//! which is the entire point of the reproduction.
 
-use crate::datasets::{Atlas, Plane, Triple};
-use inano_measure::{Clustering, MeasurementDay, Traceroute};
+use crate::{Clustering, MeasurementDay, Traceroute};
+use inano_atlas::{Atlas, Plane, Triple};
 use inano_model::{AsPath, Asn, ClusterId, PrefixId};
 use inano_topology::Internet;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -334,7 +334,7 @@ fn infer_providers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inano_measure::{run_campaign, CampaignConfig, ClusteringConfig, VantagePoints};
+    use crate::{run_campaign, CampaignConfig, ClusteringConfig, VantagePoints};
     use inano_model::rng::rng_for;
     use inano_routing::RoutingOracle;
     use inano_topology::{build_internet, DayState, TopologyConfig};

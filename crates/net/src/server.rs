@@ -1724,6 +1724,24 @@ mod tests {
     }
 
     #[test]
+    fn udp_bucket_refills_from_the_bottom_of_the_shed_band() {
+        // Rate 1/s, burst 1: one admit, one typed shed, then silence.
+        let mut b = UdpBuckets::new(1, 1);
+        let ip: IpAddr = "10.0.0.1".parse().unwrap();
+        let t0 = Instant::now();
+        let secs = |n: u64| t0 + Duration::from_secs(n);
+        assert_eq!(b.check(ip, t0), UdpGate::Admit);
+        assert_eq!(b.check(ip, t0), UdpGate::Shed);
+        assert_eq!(b.check(ip, t0), UdpGate::Drop);
+        // The flood left the balance at the bottom of the shed band, so
+        // one second of refill is not a token: still shed...
+        assert_eq!(b.check(ip, secs(1)), UdpGate::Shed);
+        // ...and that shed dug the hole again; two idle seconds climb
+        // out of it.
+        assert_eq!(b.check(ip, secs(3)), UdpGate::Admit);
+    }
+
+    #[test]
     fn udp_buckets_stay_bounded_under_a_flood_of_new_sources() {
         let mut b = UdpBuckets::new(10, 4);
         let ip = |i: usize| IpAddr::from(std::net::Ipv4Addr::from(0x0a00_0000 + i as u32));

@@ -187,11 +187,11 @@ mod tests {
         let (net, clustering, day) = build(203);
         let pa = PathAtlas::build(&net, &clustering, &day);
         let (entries, bytes) = pa.storage_size();
-        let link_atlas = inano_atlas::build_atlas(
+        let link_atlas = inano_measure::build_atlas(
             &net,
             &clustering,
             &day,
-            &inano_atlas::AtlasConfig::default(),
+            &inano_measure::AtlasConfig::default(),
         );
         let (link_bytes, _) = inano_atlas::codec::encode(&link_atlas);
         assert!(entries > link_atlas.links.len() * 3);

@@ -14,8 +14,8 @@
 //! | [`model`] | shared vocabulary (ids, prefixes, metrics, paths, RNG) |
 //! | [`topology`] | synthetic Internet generator with ground-truth policies |
 //! | [`routing`] | BGP-style policy-routing oracle (the "real" Internet) |
-//! | [`measure`] | traceroute/ping/loss simulation, clustering, BGP feeds |
-//! | [`atlas`] | the compact atlas: datasets, builder, codec, daily deltas |
+//! | [`measure`] | traceroute/ping/loss simulation, clustering, BGP feeds, the atlas builder |
+//! | [`atlas`] | the compact atlas: datasets, codec, daily deltas |
 //! | [`core`] | **the paper's contribution**: the route/latency/loss predictor |
 //! | [`coords`] | Vivaldi network-coordinates baseline |
 //! | [`paths`] | iPlane path composition, improved composition, RouteScope |
