@@ -1,4 +1,4 @@
-//! An OASIS-like server-selection baseline ([18]): OASIS maps clients to
+//! An OASIS-like server-selection baseline (\[18\]): OASIS maps clients to
 //! replicas primarily by geographic coordinates (inferred once, coarsely)
 //! with infrequent background latency probes. We model its essential
 //! behaviour: geo-closest selection on *noisy, stale* position estimates

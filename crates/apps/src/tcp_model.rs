@@ -1,6 +1,6 @@
 //! TCP transfer-time model: Cardwell-style slow start for short flows
-//! ("short TCP transfers are dominated by latency", §7.1 citing [8])
-//! combined with the PFTK steady-state throughput model ([37]) that the
+//! ("short TCP transfers are dominated by latency", §7.1 citing \[8\])
+//! combined with the PFTK steady-state throughput model (\[37\]) that the
 //! paper's CDN study uses to pick replicas for large files.
 
 use inano_model::{LatencyMs, LossRate};

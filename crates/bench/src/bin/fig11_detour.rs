@@ -1,5 +1,5 @@
 //! Figure 11: routing around failures with iNano-ranked detours vs
-//! random detours (SOSR [20]).
+//! random detours (SOSR \[20\]).
 //!
 //! Paper setup: failure episodes where ≥10% of sources simultaneously
 //! cannot reach a destination but ≥10% can; a source recovers if one of

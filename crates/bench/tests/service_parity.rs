@@ -2,8 +2,9 @@
 //! (providers on): the scenario builder populates per-prefix provider
 //! refinements, so this covers the cache-soundness hole a synthetic
 //! ring atlas cannot — prefixes sharing a cluster but searching
-//! differently must bypass the cluster-keyed cache, and every cached
-//! answer must equal a fresh `PathPredictor::query`.
+//! differently must be cached under their own prefix, never under the
+//! cluster they share, and every cached answer must equal a fresh
+//! `PathPredictor::query`.
 
 use inano_bench::{Scenario, ScenarioConfig};
 use inano_core::{PathPredictor, PredictorConfig};
@@ -30,8 +31,8 @@ fn engine_matches_fresh_predictor_with_providers_enabled() {
 
     // Deterministic sample: one IP per prefix, ordered by id, limited
     // to prefixes whose cluster the atlas has links for (routable at
-    // all) — a few refined-provider prefixes (cache-bypass path) mixed
-    // with plain ones (cache path).
+    // all) — a few refined-provider prefixes (keyed by prefix) mixed
+    // with plain ones (keyed by cluster).
     let linked: std::collections::HashSet<_> =
         sc.atlas.links.keys().flat_map(|&(a, b)| [a, b]).collect();
     let mut prefixes: Vec<_> = sc.atlas.prefix_as.iter().collect();

@@ -1,6 +1,6 @@
 //! # inano-coords
 //!
-//! The Vivaldi network-coordinate baseline ([13] in the paper): each node
+//! The Vivaldi network-coordinate baseline (\[13\] in the paper): each node
 //! holds a 2-D Euclidean coordinate plus a height (modelling the access
 //! link), refined by adaptive spring relaxation against measured RTTs.
 //! The RTT between two nodes is then estimated as the coordinate

@@ -13,10 +13,15 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread;
 
-/// Helper threads alive across the whole process; never more than
-/// [`helper_cap`]. Only counts — it publishes no data, the scope's join
-/// does that — so `Relaxed` throughout.
+/// Helper permits held across the whole process; never more than
+/// [`helper_cap`]. A helper thread holds its permit from before its
+/// spawn until after its join, so this is never below the helpers
+/// alive. Only counts — it publishes no data, the scope's join does
+/// that — so `Relaxed` throughout.
 static HELPERS: AtomicUsize = AtomicUsize::new(0);
+
+/// The most permits [`HELPERS`] has held at once; it only grows.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 /// Helper threads started since the process began; it only grows.
 static STARTED: AtomicU64 = AtomicU64::new(0);
@@ -25,6 +30,19 @@ static STARTED: AtomicU64 = AtomicU64::new(0);
 /// fan-out ran, read exactly, however briefly its helpers lived.
 pub fn helpers_started() -> u64 {
     STARTED.load(Ordering::Relaxed)
+}
+
+/// Helper permits held right now. Every helper thread alive holds one,
+/// so 0 once every fan-out has returned means none is left running.
+pub fn helpers_live() -> usize {
+    HELPERS.load(Ordering::Relaxed)
+}
+
+/// The most helper permits the process has held at once: its thread
+/// budget as used, read exactly rather than sampled. Never above
+/// `available_parallelism()`.
+pub fn helpers_peak() -> usize {
+    PEAK.load(Ordering::Relaxed)
 }
 
 /// `available_parallelism()`, read once.
@@ -41,10 +59,12 @@ impl Permits {
     fn take(want: usize) -> Permits {
         let mut got = 0;
         // The closure's last `got` is the one whose exchange succeeded.
-        let _ = HELPERS.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |alive| {
-            got = want.min(helper_cap().saturating_sub(alive));
-            Some(alive + got)
-        });
+        let (Ok(alive) | Err(alive)) =
+            HELPERS.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |alive| {
+                got = want.min(helper_cap().saturating_sub(alive));
+                Some(alive + got)
+            });
+        PEAK.fetch_max(alive + got, Ordering::Relaxed);
         Permits(got)
     }
 
@@ -150,7 +170,7 @@ mod tests {
         // Other tests in this binary may hold permits for a moment; a
         // leaked one never comes back.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while HELPERS.load(Ordering::Relaxed) != 0 {
+        while helpers_live() != 0 {
             assert!(std::time::Instant::now() < deadline, "a permit leaked");
             thread::yield_now();
         }

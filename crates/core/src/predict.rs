@@ -177,8 +177,9 @@ struct Counters {
 /// Where an IP address attaches to the atlas — enough to compute a
 /// result-cache key without running the search itself. Produced by
 /// [`PathPredictor::resolve`]; consumed by the serving layer
-/// (`inano-service`), whose cache is keyed on cluster pairs. A
-/// predictor computes one per atlas prefix when it is built.
+/// (`inano-service`), whose cache keys each endpoint by its cluster or,
+/// when [`Resolution::canonical`] says no, by its prefix. A predictor
+/// computes one per atlas prefix when it is built.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Resolution {
     /// The atlas prefix covering the address.
@@ -202,8 +203,9 @@ impl Resolution {
     /// agrees with its cluster's AS (the origin feeds the provider
     /// check and the AS-path suffix) and that the prefix has no
     /// per-prefix provider refinement (which would make two prefixes on
-    /// the same cluster search differently). Non-canonical prefixes
-    /// must bypass such a cache rather than poison it.
+    /// the same cluster search differently). A cache must key a
+    /// non-canonical endpoint by its own prefix, never by its cluster,
+    /// or it would serve one prefix's answer for another's.
     pub fn canonical(&self) -> bool {
         if self.refined_providers {
             return false;

@@ -1,6 +1,6 @@
 //! Frontier-search partition of link measurements across vantage points.
 //!
-//! iNano "uses the frontier search algorithm described in [30] to
+//! iNano "uses the frontier search algorithm described in \[30\] to
 //! partition the set of links across the PlanetLab vantage points, with
 //! some redundancy" (§3). The essential property is that each link is
 //! measured by a small number of VPs that can actually *reach* it on

@@ -2,7 +2,7 @@
 //!
 //! Subtracting consecutive hop RTTs gives `lat + (reply(k+1) − reply(k))`,
 //! which equals `2·lat` only when the two reply paths share a route
-//! through hop k (the symmetric case). The paper's techniques ([28])
+//! through hop k (the symmetric case). The paper's techniques (\[28\])
 //! identify symmetric traversals and propagate from them; we implement the
 //! same idea statistically: across many traceroutes through a link, the
 //! symmetric samples concentrate at `2·lat` while asymmetric ones scatter

@@ -9,7 +9,7 @@
 //! notes Gao's algorithm infers implausibly many sibling relationships
 //! among high-degree ASes).
 //!
-//! Method (Gao [19], simplified): on every observed path, the
+//! Method (Gao \[19\], simplified): on every observed path, the
 //! highest-degree AS is assumed to be the "top of the hill"; edges before
 //! it vote customer→provider, edges after vote provider→customer. Votes
 //! are aggregated and classified with degree-based tie handling.

@@ -10,7 +10,7 @@
 //! with the reply path routed independently by the oracle — so subtracting
 //! consecutive hop RTTs does *not* in general give the link latency. This
 //! is exactly the asymmetry headache the paper's link-latency techniques
-//! ([28], §6.3.2) wrestle with, reproduced faithfully.
+//! (\[28\], §6.3.2) wrestle with, reproduced faithfully.
 
 use inano_model::rng::DeterministicRng;
 use inano_model::{HostId, Ipv4, PrefixId};

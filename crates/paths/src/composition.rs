@@ -1,4 +1,4 @@
-//! iPlane's path-composition predictor ([30], §3 of the iNano paper):
+//! iPlane's path-composition predictor (\[30\], §3 of the iNano paper):
 //! "To predict the path from a source to a destination, the path
 //! composition technique composes two path segments that intersect with
 //! each other. The first segment is from a path out from the source...

@@ -1,4 +1,4 @@
-//! RouteScope (Mao et al. [32]): AS-path inference from the AS-level
+//! RouteScope (Mao et al. \[32\]): AS-path inference from the AS-level
 //! graph alone — "computes the set of shortest AS paths determined to be
 //! valley-free between the AS of src and the AS of dst". For iNano's
 //! problem setting a single path is required, so "we choose one path at

@@ -5,8 +5,10 @@
 //! stationarity is what makes a daily atlas useful at all), so a result
 //! computed once for a cluster pair can be replayed for every (src, dst)
 //! address pair attaching to those clusters until the next daily delta
-//! bumps the epoch. Stale-epoch entries are never served (the epoch is
-//! part of the key) and age out of the LRU naturally.
+//! bumps the epoch. An endpoint whose answer is not its cluster's takes
+//! its prefix id in the cluster slot, tagged in the epoch word (the
+//! engine builds every key). Stale-epoch entries are never served (the
+//! epoch is part of the key) and age out of the LRU naturally.
 //!
 //! Sharding: the key hash picks one of `shards` independent
 //! mutex-protected LRU maps, so concurrent callers contend only when
@@ -23,7 +25,8 @@ use parking_lot::Mutex;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
-/// `(src_cluster, dst_cluster, config_epoch)`.
+/// `(src_cluster, dst_cluster, config_epoch)`, where a side may instead
+/// hold a prefix id, flagged by a tag bit of the epoch word.
 pub type CacheKey = (ClusterId, ClusterId, u64);
 
 /// The key hash [`ShardedCache`] picks a shard with and each shard's
@@ -31,8 +34,8 @@ pub type CacheKey = (ClusterId, ClusterId, u64);
 /// then avalanched. The shard index takes the mix's low bits, so all
 /// keys of one shard share them; `finish` therefore hands the map the
 /// mix rotated by half a word. No SipHash: a client picks addresses,
-/// not keys — those are cluster ids of the served atlas — and a shard
-/// never holds more than its capacity.
+/// not keys — those are cluster and prefix ids of the served atlas —
+/// and a shard never holds more than its capacity.
 #[derive(Default)]
 struct KeyHasher {
     folded: u64,

@@ -7,11 +7,12 @@
 //!
 //! A batch ([`QueryEngine::query_batch_shared`]) snapshots one
 //! generation, then resolves every pair and probes the result cache on
-//! the *caller's* thread. A hit is answered there and then as the
-//! cached `Arc<PredictedPath>` — it never crosses a thread or copies
-//! the path. Only the misses go on, de-duplicated per cache key so one
-//! key is predicted and inserted once per batch, and with them every
-//! pair that bypasses the cache: all of them are one
+//! the *caller's* thread. Every resolved pair has a cache key (a
+//! canonical endpoint's cluster, any other endpoint's own prefix; see
+//! `cache_key`). A hit is answered there and then as the cached
+//! `Arc<PredictedPath>` — it never crosses a thread or copies the path.
+//! Only the misses go on, de-duplicated per cache key so one key is
+//! predicted and inserted once per batch: all of them are one
 //! [`PathPredictor::predict_batch`] on the caller, the planner the
 //! library's own [`PathPredictor::query_batch`] runs. It predicts each
 //! distinct one-way path once and runs the searches it owes one per job
@@ -34,16 +35,14 @@
 //! All of them live in one [`EngineMetrics`] of registry handles
 //! ([`QueryEngine::metrics`]), read with `.get()` — percentiles with
 //! `quantile_from_counts` over the `latency_us` snapshot. Every pair
-//! that resolves to canonical endpoints is probed once and counted once
-//! (a cache hit or a miss); a pair behind a non-canonical prefix counts
-//! one `cache_bypass` instead; in-batch duplicates of a missed key each
-//! count their miss but share one search and one insert. `queries`,
-//! `errors` and the latency histogram take one sample per pair. The
-//! probe pass reads the clock at its start and its end, and every pair
-//! it answers on the spot (a hit or a resolve error) takes the pass's
-//! mean time per pair as its sample; a miss's sample is the time of the
-//! planner call it waited for. So
-//! `hits + misses + bypass + resolve errors == queries`.
+//! that resolves is probed once and counted once (a cache hit or a
+//! miss); in-batch duplicates of a missed key each count their miss but
+//! share one search and one insert. `queries`, `errors` and the latency
+//! histogram take one sample per pair. The probe pass reads the clock
+//! at its start and its end, and every pair it answers on the spot (a
+//! hit or a resolve error) takes the pass's mean time per pair as its
+//! sample; a miss's sample is the time of the planner call it waited
+//! for. So `hits + misses + resolve errors == queries`.
 //! A batch tallies all of this in locals and adds each series once when
 //! it returns: the counters are exact as soon as the call is, and a
 //! cached pair costs them no atomic of its own.
@@ -87,9 +86,9 @@ use crate::stats::{EngineMetrics, Tally};
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_core::{
     catch_up, read_full, AtlasChunk, AtlasSource, AtlasVersion, Follower, OfferedBody,
-    OfferedDelta, PathPredictor, PredictedPath, PredictorConfig,
+    OfferedDelta, PathPredictor, PredictedPath, PredictorConfig, Resolution,
 };
-use inano_model::{Ipv4, ModelError, PrefixId};
+use inano_model::{ClusterId, Ipv4, ModelError, PrefixId};
 use inano_obs::{EventJournal, EventKind, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -182,9 +181,29 @@ pub type SharedResult = Result<Arc<PredictedPath>, ModelError>;
 enum Probed {
     Hit(Arc<PredictedPath>),
     /// The pair's prefixes, still to be predicted, and where the answer
-    /// is cached: `None` for a non-canonical endpoint, which bypasses the
-    /// cache.
-    Miss((PrefixId, PrefixId), Option<CacheKey>),
+    /// is cached.
+    Miss((PrefixId, PrefixId), CacheKey),
+}
+
+/// Where the answer for a resolved pair is cached. A prediction is a
+/// pure function of (source prefix, destination prefix, generation),
+/// so each side is named by what its answer depends on:
+///
+/// * a canonical endpoint ([`Resolution::canonical`]) by its cluster:
+///   every canonical prefix of a cluster searches and composes alike,
+///   so all of them share one entry;
+/// * any other endpoint by its own prefix id, put in the cluster slot
+///   and told apart by a tag bit of the epoch word (bit 63 for the
+///   source, bit 62 for the destination), so a prefix-keyed side never
+///   equals a cluster-keyed one.
+fn cache_key(s: &Resolution, d: &Resolution, epoch: u64) -> CacheKey {
+    debug_assert!(epoch < 1 << 62, "epoch {epoch} reaches the tag bits");
+    let side = |r: &Resolution, tag: u64| match r.canonical() {
+        true => (r.cluster, 0),
+        false => (ClusterId::new(r.prefix.raw()), tag),
+    };
+    let ((src, src_tag), (dst, dst_tag)) = (side(s, 1 << 63), side(d, 1 << 62));
+    (src, dst, epoch | src_tag | dst_tag)
 }
 
 /// Where one pair of a batch stands after its probe.
@@ -322,9 +341,9 @@ impl QueryEngine {
     /// Serve a batch from one generation snapshot; results come back in
     /// input order. Every pair is resolved and probed against the
     /// result cache on this thread and a hit is answered as the cached
-    /// `Arc`. The misses, one per distinct cache key plus every pair that
-    /// bypasses the cache, are one [`PathPredictor::predict_batch`] on
-    /// this thread, which fans their searches out (see the module docs),
+    /// `Arc`. The misses, one per distinct cache key, are one
+    /// [`PathPredictor::predict_batch`] on this thread, which fans their
+    /// searches out (see the module docs),
     /// and each answer is cached under its key. The batch's counts are
     /// tallied locally and added to [`QueryEngine::metrics`] once, on
     /// the way out.
@@ -343,14 +362,9 @@ impl QueryEngine {
                     Err(e) => Slot::Ready(Err(e)),
                     Ok(Probed::Miss(pair, key)) => {
                         // A key this batch already owes an answer for
-                        // waits on that one; anything else (a new key,
-                        // or a pair that bypasses the cache) owes its
-                        // own.
+                        // waits on that one; a new key owes its own.
                         let next = misses.len();
-                        let at = match key {
-                            Some(key) => *by_key.entry(key).or_insert(next),
-                            None => next,
-                        };
+                        let at = *by_key.entry(key).or_insert(next);
                         if at == next {
                             misses.push(pair);
                             keys.push(key);
@@ -370,7 +384,7 @@ impl QueryEngine {
         let missed: Vec<SharedResult> = (predicted.into_iter().zip(keys))
             .map(|(result, key)| {
                 let result = result.map(Arc::new);
-                if let (Some(key), Ok(path)) = (key, &result) {
+                if let Ok(path) = &result {
                     self.cache.insert(key, Arc::clone(path));
                 }
                 result
@@ -392,8 +406,9 @@ impl QueryEngine {
     }
 
     /// Resolve both endpoints against a snapshotted generation and
-    /// consult the cluster-keyed cache, counting the probe into
-    /// `tally`: the cached answer, or the search still owed.
+    /// consult the result cache under the pair's [`cache_key`], counting
+    /// the probe into `tally`: the cached answer, or the search still
+    /// owed.
     fn probe(
         &self,
         generation: &Generation,
@@ -402,31 +417,17 @@ impl QueryEngine {
         tally: &mut Tally,
     ) -> Result<Probed, ModelError> {
         let p = &generation.predictor;
-        let s = p.resolve(src)?;
-        let d = p.resolve(dst)?;
-        // Predictions are a pure function of the cluster pair only when
-        // both prefixes agree with their cluster's AS (the
-        // overwhelmingly common case); anomalous prefixes bypass the
-        // cache rather than poison it.
-        let key =
-            (s.canonical() && d.canonical()).then_some((s.cluster, d.cluster, generation.epoch));
-        let hit = match key {
-            Some(key) => {
-                let hit = self.cache.lookup(&key);
-                match hit {
-                    Some(_) => tally.cache_hits += 1,
-                    None => tally.cache_misses += 1,
-                }
-                hit
+        let (s, d) = (p.resolve(src)?, p.resolve(dst)?);
+        let key = cache_key(&s, &d, generation.epoch);
+        Ok(match self.cache.lookup(&key) {
+            Some(hit) => {
+                tally.cache_hits += 1;
+                Probed::Hit(hit)
             }
             None => {
-                tally.cache_bypass += 1;
-                None
+                tally.cache_misses += 1;
+                Probed::Miss((s.prefix, d.prefix), key)
             }
-        };
-        Ok(match hit {
-            Some(hit) => Probed::Hit(hit),
-            None => Probed::Miss((s.prefix, d.prefix), key),
         })
     }
 

@@ -24,16 +24,13 @@ pub struct EngineMetrics {
     pub swaps: Counter,
     /// Per-pair service latency, µs: a pair answered in the batch's
     /// probe pass (a hit, a resolve error) takes the pass's mean time
-    /// per pair; a miss (a bypassing pair included) takes the time of
-    /// the batch's one planner call, which predicted every miss at once.
+    /// per pair; a miss takes the time of the batch's one planner call,
+    /// which predicted every miss at once.
     pub latency_us: Arc<LatencyHistogram>,
     pub cache_hits: Counter,
     pub cache_misses: Counter,
     pub cache_evictions: Counter,
     pub cache_inserts: Counter,
-    /// Pairs behind a non-canonical prefix: never probed, searched
-    /// every time, so invisible in hits/(hits+misses).
-    pub cache_bypass: Counter,
     /// Deltas applied by `update` (all mirror series stay zero on an
     /// origin that never calls it).
     pub mirror_deltas_applied: Counter,
@@ -66,7 +63,6 @@ impl EngineMetrics {
         obs.attach(&name("cache.misses"), m.cache_misses);
         obs.attach(&name("cache.evictions"), m.cache_evictions);
         obs.attach(&name("cache.inserts"), m.cache_inserts);
-        obs.attach(&name("cache.bypass"), m.cache_bypass);
         obs.attach(&name("mirror.deltas_applied"), m.mirror_deltas_applied);
         obs.attach(&name("mirror.full_resyncs"), m.mirror_full_resyncs);
         obs.attach(&name("mirror.races_recovered"), m.mirror_races_recovered);
@@ -85,7 +81,6 @@ pub(crate) struct Tally {
     latency_us: [u64; BUCKETS],
     pub(crate) cache_hits: u64,
     pub(crate) cache_misses: u64,
-    pub(crate) cache_bypass: u64,
 }
 
 impl Default for Tally {
@@ -96,7 +91,6 @@ impl Default for Tally {
             latency_us: [0; BUCKETS],
             cache_hits: 0,
             cache_misses: 0,
-            cache_bypass: 0,
         }
     }
 }
@@ -117,7 +111,6 @@ impl Tally {
             (&m.errors, self.errors),
             (&m.cache_hits, self.cache_hits),
             (&m.cache_misses, self.cache_misses),
-            (&m.cache_bypass, self.cache_bypass),
         ] {
             if n > 0 {
                 series.add(n);

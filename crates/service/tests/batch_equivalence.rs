@@ -1,14 +1,16 @@
 //! `QueryEngine::query_batch` against its specification: whatever the
 //! batch holds — cached pairs, cold pairs, in-batch repeats of a cold
-//! key, cache-bypassing prefixes, unroutable addresses — whether its
-//! misses owe no search, one (run inline) or several (fanned out), and
-//! however many one-way predictions they plan, the answers equal
-//! per-pair `PathPredictor::query`, in input order, every counter moves
-//! by exactly what the batch held, and the predictor counts the
-//! searches the library's own batch would.
+//! key, non-canonical prefixes (cached under their own prefix),
+//! unroutable addresses — whether its misses owe no search, one (run
+//! inline) or several (fanned out), and however many one-way
+//! predictions they plan, the answers equal per-pair
+//! `PathPredictor::query`, in input order, every counter moves by
+//! exactly what the batch held, the predictor counts the searches the
+//! library's own batch would, and a second pass of the same batch never
+//! reaches the planner.
 
 use inano_atlas::{Atlas, LinkAnnotation, Plane};
-use inano_core::{PathPredictor, PredictedPath, PredictorConfig};
+use inano_core::{PathPredictor, PredictedPath, PredictorConfig, Resolution};
 use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, ModelError, Prefix, PrefixId};
 use inano_service::{EngineMetrics, QueryEngine, ServiceConfig};
 use std::collections::{BTreeSet, HashSet};
@@ -24,8 +26,9 @@ const WINDOW: usize = 512;
 /// one window holds.
 const LONG: usize = WINDOW + 1;
 /// Prefix ids (and /16s) of the two prefixes whose origin AS disagrees
-/// with their cluster's: they resolve and route, but bypass the cache.
-const BYPASS: [u32; 2] = [100, 101];
+/// with their cluster's: they resolve and route, and the cache keys
+/// them by prefix, not by cluster.
+const NON_CANONICAL: [u32; 2] = [100, 101];
 /// Prefix id (and /16) of a canonical prefix on a cluster no link
 /// touches: it resolves, but no path leads to it or away from it.
 const ISLAND: u32 = 102;
@@ -54,7 +57,7 @@ fn atlas() -> Atlas {
             (Prefix::new(Ipv4(i << 16), 16), Asn::new(i)),
         );
     }
-    for (id, cluster) in BYPASS.into_iter().zip([2, 5]) {
+    for (id, cluster) in NON_CANONICAL.into_iter().zip([2, 5]) {
         a.prefix_cluster
             .insert(PrefixId::new(id), ClusterId::new(cluster));
         a.prefix_as.insert(
@@ -103,7 +106,7 @@ enum Kind {
     /// The batch's latest cold cluster pair again, from other addresses.
     Repeat,
     /// A source behind a non-canonical prefix.
-    Bypass,
+    NonCanonical,
     /// A source no prefix covers.
     Unroutable,
 }
@@ -122,7 +125,7 @@ fn batch_of(kinds: &[Kind], len: usize) -> Vec<(Ipv4, Ipv4)> {
                 ip(cold % N, 2 + i),
                 ip((cold % N + 2 + cold / N) % N, 2 + i),
             ),
-            Kind::Bypass => (ip(BYPASS[i as usize % 2], 1), ip(i % N, 1)),
+            Kind::NonCanonical => (ip(NON_CANONICAL[i as usize % 2], 1), ip(i % N, 1)),
             Kind::Unroutable => (ip(200 + i, 1), ip(i % N, 1)),
         })
         .collect()
@@ -151,8 +154,6 @@ struct Deltas {
     misses: u64,
     inserts: u64,
     errors: u64,
-    /// Pairs that resolve but sit behind a non-canonical prefix.
-    bypass: u64,
     /// Pairs with an endpoint no prefix covers (a subset of `errors`).
     unresolved: u64,
 }
@@ -164,12 +165,23 @@ struct Counts {
     misses: u64,
     inserts: u64,
     errors: u64,
-    bypass: u64,
     /// Latency samples: one per pair.
     samples: u64,
 }
 
 impl Counts {
+    /// What moved since `before`, as [`Deltas`]; `unresolved` is not a
+    /// counter of its own, so the caller names it.
+    fn minus(&self, before: &Counts, unresolved: u64) -> Deltas {
+        Deltas {
+            hits: self.hits - before.hits,
+            misses: self.misses - before.misses,
+            inserts: self.inserts - before.inserts,
+            errors: self.errors - before.errors,
+            unresolved,
+        }
+    }
+
     fn of(m: &EngineMetrics) -> Counts {
         Counts {
             queries: m.queries.get(),
@@ -177,31 +189,48 @@ impl Counts {
             misses: m.cache_misses.get(),
             inserts: m.cache_inserts.get(),
             errors: m.errors.get(),
-            bypass: m.cache_bypass.get(),
             samples: m.latency_us.count(),
         }
     }
 }
 
+/// How the engine names one endpoint in a cache key: a canonical
+/// endpoint by its cluster, any other by its own prefix.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Side {
+    Cluster(ClusterId),
+    Prefix(PrefixId),
+}
+
+/// The key the engine caches a pair's answer under, for one generation;
+/// `None` when an endpoint does not resolve.
+fn key_of(fresh: &PathPredictor, s: Ipv4, d: Ipv4) -> Option<(Side, Side)> {
+    let side = |r: Resolution| match r.canonical() {
+        true => Side::Cluster(r.cluster),
+        false => Side::Prefix(r.prefix),
+    };
+    Some((side(fresh.resolve(s).ok()?), side(fresh.resolve(d).ok()?)))
+}
+
+/// The keys an engine warmed with [`warm_pairs`] holds.
+fn warm_keys(fresh: &PathPredictor) -> HashSet<(Side, Side)> {
+    (warm_pairs().into_iter())
+        .map(|(s, d)| key_of(fresh, s, d).expect("warm pairs resolve"))
+        .collect()
+}
+
 /// The distinct one-way predictions the engine plans for `batch` on an
 /// engine warmed with [`warm_pairs`]: both ways of the first pair of
-/// each cold cacheable key, and of every pair that bypasses the cache.
+/// each cold key.
 fn planned_ways(fresh: &PathPredictor, batch: &[(Ipv4, Ipv4)]) -> usize {
-    let warm: HashSet<_> = warm_pairs()
-        .into_iter()
-        .map(|(s, d)| (fresh.cluster_of(s).unwrap(), fresh.cluster_of(d).unwrap()))
-        .collect();
+    let warm = warm_keys(fresh);
     let (mut keys, mut ways) = (HashSet::new(), HashSet::new());
     for &(s, d) in batch {
-        let (Ok(s), Ok(d)) = (fresh.resolve(s), fresh.resolve(d)) else {
+        let Some(key) = key_of(fresh, s, d) else {
             continue;
         };
-        let key = (s.cluster, d.cluster);
-        let owed = match s.canonical() && d.canonical() {
-            true => !warm.contains(&key) && keys.insert(key),
-            false => true,
-        };
-        if owed {
+        if !warm.contains(&key) && keys.insert(key) {
+            let (s, d) = (fresh.resolve(s).unwrap(), fresh.resolve(d).unwrap());
             ways.extend([(s.prefix, d.prefix), (d.prefix, s.prefix)]);
         }
     }
@@ -209,28 +238,35 @@ fn planned_ways(fresh: &PathPredictor, batch: &[(Ipv4, Ipv4)]) -> usize {
 }
 
 fn expected_deltas(fresh: &PathPredictor, batch: &[(Ipv4, Ipv4)]) -> Deltas {
-    // `None`: does not resolve; `Some(None)`: resolves, bypasses the
-    // cache; `Some(Some(key))`: cacheable.
-    let key_of = |s: Ipv4, d: Ipv4| {
-        let (s, d) = (fresh.resolve(s).ok()?, fresh.resolve(d).ok()?);
-        Some((s.canonical() && d.canonical()).then_some((s.cluster, d.cluster)))
-    };
-    let warm: HashSet<_> = warm_pairs()
-        .into_iter()
-        .map(|(s, d)| key_of(s, d).flatten().expect("warm pairs are cacheable"))
-        .collect();
+    let warm = warm_keys(fresh);
     let mut want = Deltas::default();
     let mut missed = HashSet::new();
     for &(s, d) in batch {
         let routed = fresh.query(s, d).is_ok();
         want.errors += u64::from(!routed);
-        match key_of(s, d) {
-            Some(Some(key)) if warm.contains(&key) => want.hits += 1,
-            Some(Some(key)) => {
+        match key_of(fresh, s, d) {
+            Some(key) if warm.contains(&key) => want.hits += 1,
+            Some(key) => {
                 want.misses += 1;
                 want.inserts += u64::from(missed.insert(key) && routed);
             }
-            Some(None) => want.bypass += 1,
+            None => want.unresolved += 1,
+        }
+    }
+    want
+}
+
+/// What a second pass of `batch` must add to each counter: every pair
+/// the first pass answered is a hit, and a pair it refused is refused
+/// again.
+fn expected_repeat(fresh: &PathPredictor, batch: &[(Ipv4, Ipv4)]) -> Deltas {
+    let mut want = Deltas::default();
+    for &(s, d) in batch {
+        let routed = fresh.query(s, d).is_ok();
+        want.errors += u64::from(!routed);
+        match key_of(fresh, s, d) {
+            Some(_) if routed => want.hits += 1,
+            Some(_) => want.misses += 1,
             None => want.unresolved += 1,
         }
     }
@@ -245,33 +281,48 @@ fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
         ("cached", &[Cached]),
         ("cold", &[Cold]),
         ("cold with repeats", &[Cold, Repeat, Repeat]),
-        ("bypassing", &[Bypass]),
+        ("non-canonical", &[NonCanonical]),
         ("unroutable", &[Unroutable]),
         (
             "everything",
-            &[Cached, Cold, Repeat, Bypass, Unroutable, Cold],
+            &[Cached, Cold, Repeat, NonCanonical, Unroutable, Cold],
         ),
     ];
     // The mixes hold what they say: the largest has hits, misses that
-    // share a key, several distinct misses, and errors; the longest cold
-    // batch plans more one-way predictions than one window holds.
-    let d = expected_deltas(&fresh, &batch_of(mixes[5].1, LONG));
+    // share a key, several distinct misses, errors, and pairs keyed by
+    // prefix; the longest cold batch plans more one-way predictions than
+    // one window holds.
+    let everything = batch_of(mixes[5].1, LONG);
+    let d = expected_deltas(&fresh, &everything);
     assert!(d.hits > 0 && d.errors > 0 && d.misses > d.inserts && d.inserts > 1);
-    assert!(d.bypass > 0 && d.unresolved > 0);
+    assert!(d.unresolved > 0);
+    assert!(everything
+        .iter()
+        .any(|&(s, d)| matches!(key_of(&fresh, s, d), Some((Side::Prefix(_), _)))));
     assert!(planned_ways(&fresh, &batch_of(mixes[1].1, LONG)) > WINDOW);
-    // The bypassing mix is exactly that: every pair resolves, routes,
-    // and touches no cache counter but `bypass`.
-    let bypassing = batch_of(mixes[3].1, 64);
+    // The non-canonical mix is exactly that: every pair resolves and
+    // routes, and its 64 pairs are 32 prefix keys, each missed twice and
+    // inserted once; a second pass hits all 64 (and, below, reaches no
+    // search).
+    let non_canonical = batch_of(mixes[3].1, 64);
     assert_eq!(
-        expected_deltas(&fresh, &bypassing),
+        expected_deltas(&fresh, &non_canonical),
         Deltas {
-            bypass: 64,
+            misses: 64,
+            inserts: 32,
+            ..Deltas::default()
+        }
+    );
+    assert_eq!(
+        expected_repeat(&fresh, &non_canonical),
+        Deltas {
+            hits: 64,
             ..Deltas::default()
         }
     );
 
     // How many searches each first pass owed: the warm-up left a tree
-    // toward every ring cluster, so only a bypassing prefix's own
+    // toward every ring cluster, so only a non-canonical prefix's own
     // search is new.
     let mut owed = BTreeSet::new();
     for (name, kinds) in mixes {
@@ -301,15 +352,7 @@ fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
             }
             let want = expected_deltas(&fresh, &batch);
             let after = Counts::of(m);
-            let got_deltas = Deltas {
-                hits: after.hits - before.hits,
-                misses: after.misses - before.misses,
-                inserts: after.inserts - before.inserts,
-                errors: after.errors - before.errors,
-                bypass: after.bypass - before.bypass,
-                unresolved: want.unresolved,
-            };
-            assert_eq!(got_deltas, want, "{what}");
+            assert_eq!(after.minus(&before, want.unresolved), want, "{what}");
             assert_eq!(
                 m.cache_evictions.get(),
                 0,
@@ -321,11 +364,11 @@ fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
                 "{what}: queries"
             );
             // Every pair is accounted for exactly once: probed (a hit
-            // or a miss), bypassed, or refused at resolve.
+            // or a miss) or refused at resolve.
             assert_eq!(
-                m.cache_hits.get() + m.cache_misses.get() + m.cache_bypass.get() + want.unresolved,
+                after.hits + after.misses + want.unresolved,
                 after.queries,
-                "{what}: hits + misses + bypass + resolve errors == queries"
+                "{what}: hits + misses + resolve errors == queries"
             );
             assert_eq!(
                 after.samples - before.samples,
@@ -334,17 +377,26 @@ fn every_batch_shape_equals_per_pair_queries_with_exact_counters() {
             );
 
             // The shared form is the same answer without the copy, and
-            // a second pass finds every cacheable key where the first
-            // left it: no further insert.
+            // a second pass finds every answer where the first left it:
+            // every routed pair hits, nothing is inserted, and with
+            // every resolved pair routed the planner is not reached.
+            let searched = engine.generation().predictor.search_counts();
             let shared = engine.query_batch_shared(&batch);
             for (i, r) in shared.iter().enumerate() {
                 let owned = r.as_ref().map(|p| (**p).clone()).map_err(Clone::clone);
                 assert!(same(&owned, &got[i]), "{what}: shared pair {i}");
             }
+            let repeat = expected_repeat(&fresh, &batch);
             assert_eq!(
-                m.cache_inserts.get(),
-                after.inserts,
-                "{what}: nothing left to insert"
+                Counts::of(m).minus(&after, repeat.unresolved),
+                repeat,
+                "{what}: second pass"
+            );
+            assert_eq!(repeat.misses, 0, "{what}: every resolved pair routes");
+            assert_eq!(
+                engine.generation().predictor.search_counts(),
+                searched,
+                "{what}: a second pass reaches no search"
             );
         }
     }

@@ -4,20 +4,22 @@
 //! most `available_parallelism()` helpers across the whole process, and
 //! all of them are gone when the batches return.
 //!
-//! This binary holds exactly one `#[test]`, so no sibling test's
-//! threads move the count it reads from `/proc/self/task`. That a
-//! fan-out ran at all is read from `fanout::helpers_started`, not from
-//! the sampler: a helper can live for microseconds between two samples.
+//! The budget and the settle are read from `inano_core::fanout`'s exact
+//! counts, not sampled: `helpers_peak()` is the most helper permits ever
+//! held at once (a helper holds its permit from before its spawn until
+//! after its join), `helpers_live()` the permits held now, and
+//! `helpers_started()` whether a fan-out ran at all. Only construction
+//! reads `/proc/self/task`, once, before any helper has existed; this
+//! binary holds exactly one `#[test]`, so no sibling test moves any of
+//! these counts.
 #![cfg(target_os = "linux")]
 
 use inano_atlas::{Atlas, AtlasDelta};
 use inano_core::{fanout, PathPredictor, PredictedPath, PredictorConfig};
 use inano_model::{Ipv4, LatencyMs, ModelError};
 use inano_service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::{Duration, Instant};
 
 const SHARDS: u16 = 4;
 const CALLERS: usize = 8;
@@ -61,64 +63,6 @@ fn tasks() -> usize {
         .count()
 }
 
-/// Sets its flag when dropped, a panic's unwind included.
-struct Stop<'a>(&'a AtomicBool);
-
-impl Drop for Stop<'_> {
-    fn drop(&mut self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-}
-
-/// Run `body` while a sampler thread reads the task count: what `body`
-/// returned, a count over `budget` if one was seen, and how many fan-out
-/// helpers the process started meanwhile. An over-budget reading has to
-/// repeat to count: a helper that was just joined may still be listed
-/// while the kernel reaps it, and that is not a live thread.
-fn watched<R>(budget: usize, body: impl FnOnce() -> R) -> (R, Option<usize>, u64) {
-    let done = AtomicBool::new(false);
-    let started = fanout::helpers_started();
-    thread::scope(|scope| {
-        let sampler = scope.spawn(|| {
-            let mut over_budget = None;
-            while !done.load(Ordering::Relaxed) {
-                let mut seen = tasks();
-                for _ in 0..5 {
-                    if seen <= budget {
-                        break;
-                    }
-                    thread::sleep(Duration::from_millis(1));
-                    seen = seen.min(tasks());
-                }
-                if seen > budget {
-                    over_budget = Some(seen);
-                }
-            }
-            over_budget
-        });
-        let out = {
-            let _stop = Stop(&done);
-            body()
-        };
-        let over_budget = sampler.join().expect("sampler");
-        (out, over_budget, fanout::helpers_started() - started)
-    })
-}
-
-/// Poll until the task count is back at `want`. A joined thread stays
-/// listed until the kernel has reaped it, a moment after `join`
-/// returns, so "gone" is read with a bound rather than once.
-fn settles_at(want: usize) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while tasks() != want {
-        if Instant::now() > deadline {
-            return false;
-        }
-        thread::sleep(Duration::from_millis(1));
-    }
-    true
-}
-
 #[test]
 fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
     let base = tasks();
@@ -158,79 +102,77 @@ fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
     };
     assert_eq!(batch_of(0).len(), MISSES);
 
-    // (ii) While the callers run, the process never holds more than the
-    // callers plus one helper per core.
-    // (+ 1: the sampler itself.)
-    let budget = base + 1 + CALLERS + cores;
+    // (ii) The budget: however many callers and shards, the process
+    // never holds more helper permits than it has cores.
+    // (iii) The settle: every permit is back once the batches return, so
+    // no helper outlives them.
+    let budget_and_settle = |what: &str, started: u64| {
+        assert!(
+            fanout::helpers_peak() <= cores,
+            "{what}: {} helpers alive at once, over {cores} cores",
+            fanout::helpers_peak()
+        );
+        assert_eq!(fanout::helpers_live(), 0, "{what}: helpers left behind");
+        if cores > 1 {
+            assert!(
+                fanout::helpers_started() > started,
+                "{what}: no helper was started: the fan-out did not run"
+            );
+        }
+    };
+
     // Each round: callers query, meet, one delta lands on every shard,
     // meet again — so no batch straddles a swap and every answer has
     // exactly one generation to be checked against.
     let barrier = Barrier::new(CALLERS + 1);
-    let (wrong, over_budget, helpers) = watched(budget, || {
-        thread::scope(|scope| {
-            let callers: Vec<_> = (0..CALLERS)
-                .map(|c| {
-                    let (registry, rounds, barrier) = (&registry, &rounds, &barrier);
-                    let batch = batch_of(c);
-                    scope.spawn(move || {
-                        let engine = registry
-                            .engine(ShardId(c as u16 % SHARDS))
-                            .expect("shard exists");
-                        // Counted, not asserted: a caller that panicked here
-                        // would leave the others waiting at the barrier.
-                        let mut wrong = 0;
-                        for (oracle, _) in rounds {
-                            let got = engine.query_batch(&batch);
-                            wrong += batch
-                                .iter()
-                                .zip(&got)
-                                .filter(|(&(s, d), got)| !same(got, &oracle.query(s, d)))
-                                .count();
-                            barrier.wait();
-                            barrier.wait();
-                        }
-                        wrong
-                    })
+    let started = fanout::helpers_started();
+    let wrong = thread::scope(|scope| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|c| {
+                let (registry, rounds, barrier) = (&registry, &rounds, &barrier);
+                let batch = batch_of(c);
+                scope.spawn(move || {
+                    let engine = registry
+                        .engine(ShardId(c as u16 % SHARDS))
+                        .expect("shard exists");
+                    // Counted, not asserted: a caller that panicked here
+                    // would leave the others waiting at the barrier.
+                    let mut wrong = 0;
+                    for (oracle, _) in rounds {
+                        let got = engine.query_batch(&batch);
+                        wrong += batch
+                            .iter()
+                            .zip(&got)
+                            .filter(|(&(s, d), got)| !same(got, &oracle.query(s, d)))
+                            .count();
+                        barrier.wait();
+                        barrier.wait();
+                    }
+                    wrong
                 })
-                .collect();
-            for (_, delta) in &rounds {
-                barrier.wait();
-                for (id, _) in registry.iter() {
-                    registry.apply_delta(id, delta).expect("delta applies");
-                }
-                barrier.wait();
+            })
+            .collect();
+        for (_, delta) in &rounds {
+            barrier.wait();
+            for (id, _) in registry.iter() {
+                registry.apply_delta(id, delta).expect("delta applies");
             }
-            (callers.into_iter())
-                .map(|c| c.join().expect("caller"))
-                .sum::<usize>()
-        })
+            barrier.wait();
+        }
+        (callers.into_iter())
+            .map(|c| c.join().expect("caller"))
+            .sum::<usize>()
     });
     // (iv) Every answer is the library's, for the generation its round
     // served.
     assert_eq!(wrong, 0, "answers differing from PathPredictor::query");
-    assert_eq!(
-        over_budget, None,
-        "more than {CALLERS} callers + {cores} helpers alive (budget {budget} tasks, base {base})"
-    );
     // Every pair of every batch was a miss.
     for (id, engine) in registry.iter() {
         let m = engine.metrics();
         assert_eq!(m.cache_hits.get(), 0, "{id}: every round was cold");
         assert_eq!(m.errors.get(), 0, "{id}");
     }
-    if cores > 1 {
-        assert!(
-            helpers > 0,
-            "no helper was started: the fan-out did not run"
-        );
-    }
-
-    // (iii) Nothing outlives the batches.
-    assert!(
-        settles_at(base),
-        "{} tasks left behind after every batch returned",
-        tasks() - base
-    );
+    budget_and_settle("engine batches", started);
 
     // (v) The library's own batches draw on the same budget. Each caller
     // loops cold `PathPredictor::query_batch` calls — a fresh predictor
@@ -239,58 +181,44 @@ fn engines_own_no_threads_and_fanout_stays_inside_the_core_count() {
     // last day.
     let served = Arc::new(served);
     let oracle = PathPredictor::new(Arc::clone(&served), PredictorConfig::full());
-    let (wrong, over_budget, helpers) = watched(budget, || {
-        thread::scope(|scope| {
-            let callers: Vec<_> = (0..CALLERS)
-                .map(|c| {
-                    let (registry, served, oracle) = (&registry, &served, &oracle);
-                    let batch = batch_of(c);
-                    scope.spawn(move || {
-                        let engine = registry
-                            .engine(ShardId(c as u16 % SHARDS))
-                            .expect("shard exists");
-                        let library = || {
-                            let cold =
-                                PathPredictor::new(Arc::clone(served), PredictorConfig::full());
-                            cold.query_batch(&batch)
-                        };
-                        let mut answers = Vec::new();
-                        for _ in 0..ROUNDS {
-                            answers.push(library());
-                        }
-                        for _ in 0..ROUNDS {
-                            answers.push(engine.query_batch(&batch));
-                            answers.push(library());
-                        }
-                        let wrong = |got: &Vec<_>| {
-                            (batch.iter().zip(got))
-                                .filter(|(&(s, d), got)| !same(got, &oracle.query(s, d)))
-                                .count()
-                        };
-                        answers.iter().map(wrong).sum::<usize>()
-                    })
+    let started = fanout::helpers_started();
+    let wrong = thread::scope(|scope| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|c| {
+                let (registry, served, oracle) = (&registry, &served, &oracle);
+                let batch = batch_of(c);
+                scope.spawn(move || {
+                    let engine = registry
+                        .engine(ShardId(c as u16 % SHARDS))
+                        .expect("shard exists");
+                    let library = || {
+                        let cold = PathPredictor::new(Arc::clone(served), PredictorConfig::full());
+                        cold.query_batch(&batch)
+                    };
+                    let mut answers = Vec::new();
+                    for _ in 0..ROUNDS {
+                        answers.push(library());
+                    }
+                    for _ in 0..ROUNDS {
+                        answers.push(engine.query_batch(&batch));
+                        answers.push(library());
+                    }
+                    let wrong = |got: &Vec<_>| {
+                        (batch.iter().zip(got))
+                            .filter(|(&(s, d), got)| !same(got, &oracle.query(s, d)))
+                            .count()
+                    };
+                    answers.iter().map(wrong).sum::<usize>()
                 })
-                .collect();
-            (callers.into_iter())
-                .map(|c| c.join().expect("caller"))
-                .sum::<usize>()
-        })
+            })
+            .collect();
+        (callers.into_iter())
+            .map(|c| c.join().expect("caller"))
+            .sum::<usize>()
     });
     assert_eq!(
         wrong, 0,
         "library answers differing from PathPredictor::query"
     );
-    assert_eq!(
-        over_budget, None,
-        "library batches: more than {CALLERS} callers + {cores} helpers alive \
-         (budget {budget} tasks, base {base})"
-    );
-    if cores > 1 {
-        assert!(helpers > 0, "no library helper was started");
-    }
-    assert!(
-        settles_at(base),
-        "{} tasks left behind after every library batch returned",
-        tasks() - base
-    );
+    budget_and_settle("library batches", started);
 }
