@@ -25,6 +25,7 @@
 pub mod client;
 pub mod config;
 pub mod fanout;
+pub mod gdsf;
 pub mod graph;
 mod index;
 pub mod predict;

@@ -8,9 +8,10 @@
 //! every ordinary prefix of a cluster shares one search. That is exactly
 //! the access pattern of the application studies (many clients evaluating
 //! one replica, one client ranking a swarm of candidates, ...). A full
-//! cache evicts the least recently used search: it is an
-//! [`inano_model::Lru`], the one LRU type, which each shard of a serving
-//! engine's result cache is too. A strict search that cannot answer is
+//! cache evicts the search that would cost least to run again, by how
+//! many nodes it labelled times how often it was read
+//! ([`crate::gdsf::Gdsf`]); a serving engine's result cache stays an
+//! [`inano_model::Lru`]. A strict search that cannot answer is
 //! not run, by either of two rules: see
 //! [`PathPredictor::predict_forward`]. [`SearchCounts::strict_skipped`]
 //! counts both.
@@ -26,7 +27,10 @@
 //! whose slots it created on the caller and helper threads drawn from
 //! the process-wide budget ([`crate::fanout`]). A second round does the
 //! same for the relaxed searches of the predictions whose strict tree
-//! missed their source. A prediction holds its tree only for the round
+//! missed their source. Once a round has read its trees, the caller
+//! prices each slot it took by what its tree labelled, in plan order;
+//! until then no slot of the round can be evicted. A prediction holds its
+//! tree only for the round
 //! that reads it, and a batch larger than the cache is planned in windows
 //! of the cache's size, so a batch never holds more trees than the cache
 //! does. The answers are assembled on the caller and equal what per-pair
@@ -37,12 +41,13 @@
 
 use crate::config::PredictorConfig;
 use crate::fanout;
+use crate::gdsf::Gdsf;
 use crate::graph::PredictionGraph;
 use crate::reach::AncestorSets;
 use crate::search::{search, SearchResult};
 use inano_atlas::Atlas;
 use inano_model::{
-    AsPath, Asn, ClusterId, Ipv4, LatencyMs, LossRate, Lru, ModelError, PrefixId, PrefixTrie,
+    AsPath, Asn, ClusterId, Ipv4, LatencyMs, LossRate, ModelError, PrefixId, PrefixTrie,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -63,8 +68,8 @@ pub struct PredictedPath {
     pub loss: LossRate,
 }
 
-/// Maximum cached destination searches; a new one past it evicts the
-/// least recently used.
+/// Maximum cached destination searches; a new one past it evicts the one
+/// of least `clock + reads × labelled nodes` ([`Gdsf`]).
 const CACHE_CAP: usize = 512;
 
 /// What a search is a function of besides the graph it runs on: two
@@ -298,7 +303,7 @@ pub struct PathPredictor {
 /// ancestor sets that decide whether a strict search that is not cached
 /// could answer at all.
 struct Caches {
-    trees: Lru<SearchKey, Slot>,
+    trees: Gdsf<SearchKey, Slot>,
     ancestors: AncestorSets,
 }
 
@@ -322,7 +327,7 @@ impl PathPredictor {
             trie,
             rows,
             cache: Mutex::new(Caches {
-                trees: Lru::new(cap),
+                trees: Gdsf::new(cap),
                 ancestors: AncestorSets::new(cap),
             }),
             counts: Counters::default(),
@@ -647,15 +652,18 @@ impl PathPredictor {
     /// fallback of every route whose first tree missed its source.
     ///
     /// Each round takes its slots on this thread in plan order — so the
-    /// cache's recency order, and every later eviction, never depend on
-    /// thread timing; a strict key the cache misses is taken only if the
+    /// cache's order, and every later eviction, never depend on thread
+    /// timing; a strict key the cache misses is taken only if the
     /// source reaches the destination in the strict graph, and a way
     /// whose source does not takes its relaxed slot instead, counted as
     /// skipped — then runs the searches of the slots it created on
     /// this thread and permitted helpers, one search per job. A slot it
     /// found empty is being searched elsewhere (by an earlier plan of the
-    /// round, or another caller); reading it waits on that run. No tree
-    /// outlives the round that read it.
+    /// round, or another caller); reading it waits on that run. Once
+    /// every plan has read its tree, the round prices the slots it took,
+    /// in plan order under one lock, by the nodes each tree labelled: a
+    /// slot is held, and cannot be evicted, from when the round takes it
+    /// until then. No tree outlives the round that read it.
     fn find_paths(&self, plans: &mut [Plan]) {
         for fallback in [false, true] {
             if plans.iter().all(|plan| plan.key(fallback).is_none()) {
@@ -705,14 +713,19 @@ impl PathPredictor {
                 self.tree(slot, *key, plan.dst_prefix);
             });
             for plan in plans.iter_mut() {
-                if let Some((key, slot)) = plan.slot.take() {
+                if let Some((key, slot)) = &plan.slot {
                     let src = plan
                         .route
                         .as_ref()
                         .expect("a plan with a key has a route")
                         .src;
-                    plan.path = self.path_on(key, self.tree(&slot, key, plan.dst_prefix), src);
+                    plan.path = self.path_on(*key, self.tree(slot, *key, plan.dst_prefix), src);
                 }
+            }
+            let mut cache = self.cache.lock();
+            for (key, slot) in plans.iter_mut().filter_map(|plan| plan.slot.take()) {
+                let tree = slot.get().expect("the round read every tree it took");
+                cache.trees.price(&key, tree.labelled());
             }
         }
     }
@@ -946,6 +959,84 @@ mod tests {
         assert_eq!(p.search_counts().cache_hits, 2, "still cached");
         route(&p, 0, 2);
         assert_eq!(p.search_counts().runs, full.runs + 1, "long evicted");
+    }
+
+    #[test]
+    fn a_costly_tree_read_every_other_batch_outlives_cheap_one_offs() {
+        const CAP: usize = 4;
+        // `ring(12)` plus 32 islands of two clusters (prefix and AS as the
+        // cluster, links both ways): a tree toward the ring labels all of
+        // its twelve clusters, one toward an island only two.
+        let mut atlas = ring(12);
+        for c in 100..164 {
+            let peer = c ^ 1;
+            atlas.links.insert(
+                (ClusterId::new(c), ClusterId::new(peer)),
+                LinkAnnotation {
+                    latency: Some(LatencyMs::new(1.0)),
+                    plane: Plane::TO_DST,
+                },
+            );
+            atlas.cluster_as.insert(ClusterId::new(c), Asn::new(c));
+            home(&mut atlas, c, c, c);
+        }
+        let p = ring_predictor(atlas, CAP);
+        let labelled = |dst| {
+            let (cluster, prefix, origin) =
+                (ClusterId::new(dst), PrefixId::new(dst), Asn::new(dst));
+            let tree = search(&p.graph, &p.atlas, &p.cfg, cluster, prefix, origin);
+            tree.expect("a ring or island cluster").labelled()
+        };
+        assert_eq!(labelled(6), 6 * labelled(101), "the ring costs six islands");
+        // Even batches read the ring's tree; odd ones search four islands
+        // each, once and never again.
+        for batch in 0..16 {
+            if batch % 2 == 0 {
+                assert_eq!(route(&p, 0, 6), [0, 1, 2, 3, 4, 5, 6]);
+                continue;
+            }
+            for island in 2 * batch - 2..2 * batch + 2 {
+                assert_eq!(route(&p, 100 + 2 * island, 101 + 2 * island).len(), 2);
+            }
+        }
+        // An LRU of four evicts the ring's tree in every odd batch: 40
+        // runs and no hit.
+        let kept = SearchCounts {
+            runs: 1 + 8 * 4,
+            cache_hits: 7,
+            strict_skipped: 0,
+        };
+        assert_eq!(p.search_counts(), kept);
+        assert_eq!(cached(&p), CAP);
+    }
+
+    #[test]
+    fn a_round_evicts_no_slot_it_took_so_each_new_key_runs_once() {
+        const CAP: usize = 4;
+        let p = ring_predictor(ring(12), CAP);
+        for dst in 8..12 {
+            route(&p, 0, dst);
+        }
+        assert_eq!(cached(&p), CAP);
+        // One window of four ways toward three new keys — 5, 0, 5 again
+        // and 1 — over a full cache: the second way toward 5 reads the
+        // slot the first took, and no new key evicts another's.
+        let pairs = [(ip(0), ip(5)), (ip(1), ip(5))];
+        let inline = ring_predictor(ring(12), CAP);
+        let want: Vec<_> = pairs.iter().map(|&(s, d)| inline.query(s, d)).collect();
+        assert_eq!(text(&p.query_batch(&pairs)), text(&want));
+        let once = SearchCounts {
+            runs: 4 + 3,
+            cache_hits: 1,
+            strict_skipped: 0,
+        };
+        assert_eq!(p.search_counts(), once);
+        assert_eq!(cached(&p), CAP);
+        // All three stayed: reading them again runs nothing.
+        route(&p, 2, 5);
+        route(&p, 2, 0);
+        route(&p, 2, 1);
+        assert_eq!(p.search_counts().runs, once.runs);
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!   exit-latency comparison (§4.3.3).
 //!
 //! Every one of those is answered from the graph's compiled index; the
-//! pass itself allocates nothing but the successor array it returns.
+//! pass itself allocates nothing but the successor array it returns,
+//! whose making also counts the nodes labelled: what the tree costs to
+//! rebuild, by which the predictor's search cache evicts.
 
 use crate::config::PredictorConfig;
 use crate::graph::PredictionGraph;
@@ -159,9 +161,15 @@ thread_local! {
 pub struct SearchResult {
     pub dest_cluster: ClusterId,
     succ: Vec<u32>,
+    labelled: u32,
 }
 
 impl SearchResult {
+    /// How many nodes found a route, the destination's included.
+    pub fn labelled(&self) -> u32 {
+        self.labelled
+    }
+
     /// The next node toward the destination (the destination node is its
     /// own successor); `None` for a node no route was found from.
     pub fn successor(&self, node: u32) -> Option<u32> {
@@ -216,10 +224,16 @@ pub fn search(
             .extend(dense_providers.filter_map(|&a| idx.dense_as(a)));
         let dst_as = idx.dense_as(dst_as).unwrap_or(NO_AS);
         label_pass(g, idx, cfg, dest_node, dst_as, providers.is_some(), s);
+        let mut labelled = 0;
         let succ = (s.phase.iter().zip(&s.labels))
             .map(|(&phase, l)| if phase == 0 { NO_NODE } else { l.succ })
+            .inspect(|&next| labelled += u32::from(next != NO_NODE))
             .collect();
-        Some(SearchResult { dest_cluster, succ })
+        Some(SearchResult {
+            dest_cluster,
+            succ,
+            labelled,
+        })
     })
 }
 

@@ -4,7 +4,7 @@
 //! identifiers, IPv4 prefixes and longest-prefix-match tries, AS
 //! relationships, latency/loss metrics and their composition rules, path
 //! types with the PoP-level similarity metric used in the paper's Figure 4,
-//! the one LRU map both serving caches evict by, and deterministic RNG
+//! the LRU map the engine's result cache evicts by, and deterministic RNG
 //! plumbing.
 //!
 //! Every other crate in the workspace builds on these types, so they are

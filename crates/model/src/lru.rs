@@ -1,10 +1,11 @@
 //! An exact least-recently-used map at O(1) per operation.
 //!
-//! Both of the serving path's caches evict by it: the predictor's search
-//! cache (one tree per destination key, §5's destination-rooted search)
-//! and each shard of the engine's result cache (one prediction per
-//! cluster pair and epoch, replayed for a day by §6.2.1's path
-//! stationarity).
+//! Each shard of the engine's result cache evicts by it (one prediction
+//! per cluster pair and epoch, replayed for a day by §6.2.1's path
+//! stationarity), as do the strict graph's ancestor sets beside the
+//! predictor's search cache. The search cache itself keeps the trees
+//! that cost most to rebuild instead (`inano_core::gdsf`): a result-cache
+//! hit is the server's hot path, and stays an O(1) relink here.
 //!
 //! A hash map takes a key to a slot of an entry slab, and the slots are
 //! threaded on a doubly linked recency list by `u32` links. A hit

@@ -13,7 +13,7 @@
 mod common;
 
 use common::ring::{ring_atlas, ring_ip, ring_shortcut_delta};
-use common::{assert_bitwise, serve_one, wire};
+use common::{assert_bitwise, serve_one, wait_for, wire};
 use inano_atlas::{AtlasDelta, LinkAnnotation, Plane};
 use inano_core::{
     content_tag, n_chunks, read_full, AtlasSource, Scripted, Step, DEFAULT_CHUNK_SIZE,
@@ -22,10 +22,9 @@ use inano_model::{ClusterId, ErrorCode, Ipv4, LatencyMs, ModelError};
 use inano_net::{Limits, MirrorSource, NetClient, NetError, ServerConfig};
 use inano_obs::EventKind;
 use inano_service::{QueryEngine, ServiceConfig, ShardId, DELTA_LOG_CAP};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 const RING: u32 = 12;
 
@@ -96,27 +95,31 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
 
     // Publish a delta at the origin while remote clients hammer the
     // mirror: the swap must lose nothing anywhere on the chain.
+    const HAMMERS: u64 = 2;
     let stop = Arc::new(AtomicBool::new(false));
+    let answered = Arc::new(AtomicU64::new(0));
     let mirror_addr = mirror.local_addr();
-    let hammers: Vec<_> = (0..2)
+    let hammers: Vec<_> = (0..HAMMERS)
         .map(|_| {
-            let stop = Arc::clone(&stop);
+            let (stop, answered) = (Arc::clone(&stop), Arc::clone(&answered));
             let pairs = pairs.clone();
             thread::spawn(move || {
                 let mut client = NetClient::connect(mirror_addr).expect("hammer connect");
-                let mut served = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     for r in client.query_batch(&pairs).expect("batch keeps working") {
                         r.expect("no query may fail while the delta propagates");
-                        served += 1;
                     }
+                    answered.fetch_add(1, Ordering::Relaxed);
                 }
-                served
             })
         })
         .collect();
 
-    thread::sleep(Duration::from_millis(20));
+    // The mirror swaps once a batch has been answered; the hammers stop
+    // once one was asked and answered after it (more batches than there
+    // are hammers since).
+    let batches = || answered.load(Ordering::Relaxed);
+    wait_for(30, "a batch answered before the swap", || batches() > 0);
     let day = origin_engine
         .apply_delta(&ring_shortcut_delta(RING, 0))
         .expect("origin applies the delta");
@@ -128,6 +131,7 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
         1,
         "the mirror pulls the origin's delta"
     );
+    let at_swap = batches();
     assert_eq!(
         client_engine
             .update(&mut downstream)
@@ -135,10 +139,12 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
         1,
         "the client pulls the delta the mirror retained"
     );
-    thread::sleep(Duration::from_millis(20));
+    wait_for(30, "a batch asked and answered after the swap", || {
+        batches() > at_swap + HAMMERS
+    });
     stop.store(true, Ordering::Relaxed);
-    let served: u64 = hammers.into_iter().map(|h| h.join().unwrap()).sum();
-    assert!(served > 0, "the hammers really ran");
+    hammers.into_iter().for_each(|h| h.join().unwrap());
+    assert!(at_swap > 0 && batches() > at_swap + HAMMERS);
 
     // The mirror offers the delta on as the origin named it: leaving
     // the same body, in the same bytes.

@@ -11,7 +11,7 @@
 mod common;
 
 use common::ring::{ring_atlas, ring_ip, ring_shortcut_delta};
-use common::{raw_frame, serve_one};
+use common::{raw_frame, serve_one, wait_for};
 use inano_model::{ErrorCode, Ipv4};
 use inano_net::wire::{read_frame, Frame, Limits, HEADER_BYTES, MAGIC, VERSION};
 use inano_net::{NetClient, NetError, NetServer, ServerConfig};
@@ -19,7 +19,7 @@ use inano_obs::{EventKind, MetricValue, MetricsDump};
 use inano_service::{QueryEngine, ServiceConfig, ShardId, ShardRegistry};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -524,35 +524,35 @@ fn swap_under_remote_load_is_lossless_and_bumps_the_epoch() {
         );
     }
 
+    const HAMMERS: u64 = 3;
     let stop = Arc::new(AtomicBool::new(false));
-    let hammers: Vec<_> = (0..3)
+    let answered = Arc::new(AtomicU64::new(0));
+    let hammers: Vec<_> = (0..HAMMERS)
         .map(|_| {
             let server = Arc::clone(&server);
-            let stop = Arc::clone(&stop);
+            let (stop, answered) = (Arc::clone(&stop), Arc::clone(&answered));
             thread::spawn(move || {
                 let mut client = NetClient::connect(server.local_addr()).expect("connect");
                 let pairs = all_pairs();
-                let mut served = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     for r in client.query_batch(&pairs).expect("batch keeps working") {
                         r.expect("no pair may fail across the swap");
-                        served += 1;
                     }
+                    answered.fetch_add(1, Ordering::Relaxed);
                 }
-                served
             })
         })
         .collect();
 
-    thread::sleep(Duration::from_millis(30));
-    let day = engine0(&server)
-        .apply_delta(&ring_shortcut_delta(RING, 0))
-        .expect("delta applies");
-    assert_eq!(day, 1);
-    thread::sleep(Duration::from_millis(30));
+    let at_swap = swap_under(&answered, HAMMERS, || {
+        let day = engine0(&server)
+            .apply_delta(&ring_shortcut_delta(RING, 0))
+            .expect("delta applies");
+        assert_eq!(day, 1);
+    });
     stop.store(true, Ordering::Relaxed);
-    let served: u64 = hammers.into_iter().map(|h| h.join().unwrap()).sum();
-    assert!(served > 0);
+    hammers.into_iter().for_each(|h| h.join().unwrap());
+    assert!(at_swap > 0 && answered.load(Ordering::Relaxed) > at_swap + HAMMERS);
 
     // Remote clients see the new generation: epoch bumped, and the
     // day-1 shortcut is the served route.
@@ -567,6 +567,20 @@ fn swap_under_remote_load_is_lossless_and_bumps_the_epoch() {
     let dump = probe.metrics().expect("metrics");
     assert_eq!(dump.counter("shard0.swaps"), 1);
     assert_eq!(dump.counter("shard0.errors"), 0);
+}
+
+/// Run `swap` once a batch has been answered, then wait until one was
+/// asked and answered after it: more than `hammers` batches since, so
+/// some hammer sent one after the swap. The count at the swap.
+fn swap_under(answered: &AtomicU64, hammers: u64, swap: impl FnOnce()) -> u64 {
+    let batches = || answered.load(Ordering::Relaxed);
+    wait_for(30, "a batch answered before the swap", || batches() > 0);
+    swap();
+    let at_swap = batches();
+    wait_for(30, "a batch asked and answered after the swap", || {
+        batches() > at_swap + hammers
+    });
+    at_swap
 }
 
 fn two_shard_server(rings: [u32; 2], cfg: ServerConfig) -> NetServer {
@@ -648,41 +662,51 @@ fn swap_on_one_shard_is_lossless_and_invisible_on_the_other() {
     let server = Arc::new(two_shard_server([RING, RING], ServerConfig::default()));
     let far = RING / 2;
 
-    // Hammer both shards while the delta lands on shard 0 only.
+    // Hammer both shards while the delta lands on shard 0 only; each
+    // shard's hammers count their own answered batches.
+    const HAMMERS: u64 = 2;
     let stop = Arc::new(AtomicBool::new(false));
+    let answered = [Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0))];
     let hammers: Vec<_> = [ShardId(0), ShardId(1), ShardId(0), ShardId(1)]
         .into_iter()
         .map(|shard| {
             let server = Arc::clone(&server);
             let stop = Arc::clone(&stop);
+            let answered = Arc::clone(&answered[usize::from(shard.0)]);
             thread::spawn(move || {
                 let mut client = NetClient::connect(server.local_addr()).expect("connect");
                 let pairs = all_pairs();
-                let mut served = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     for r in client
                         .query_batch_on(shard, &pairs)
                         .expect("batch keeps working")
                     {
                         r.expect("no pair may fail on either shard across the swap");
-                        served += 1;
                     }
+                    answered.fetch_add(1, Ordering::Relaxed);
                 }
-                served
             })
         })
         .collect();
 
-    thread::sleep(Duration::from_millis(30));
-    let day = server
-        .registry()
-        .apply_delta(ShardId(0), &ring_shortcut_delta(RING, 0))
-        .expect("delta applies");
-    assert_eq!(day, 1);
-    thread::sleep(Duration::from_millis(30));
+    // Shard 1's hammers run across the swap too.
+    let shard1 = || answered[1].load(Ordering::Relaxed);
+    wait_for(30, "shard 1 answering before the swap", || shard1() > 0);
+    let at_swap = swap_under(&answered[0], HAMMERS, || {
+        let day = server
+            .registry()
+            .apply_delta(ShardId(0), &ring_shortcut_delta(RING, 0))
+            .expect("delta applies");
+        assert_eq!(day, 1);
+    });
+    let shard1_at_swap = shard1();
+    wait_for(30, "shard 1 answering after the swap", || {
+        shard1() > shard1_at_swap + HAMMERS
+    });
     stop.store(true, Ordering::Relaxed);
-    let served: u64 = hammers.into_iter().map(|h| h.join().unwrap()).sum();
-    assert!(served > 0);
+    hammers.into_iter().for_each(|h| h.join().unwrap());
+    assert!(at_swap > 0 && answered[0].load(Ordering::Relaxed) > at_swap + HAMMERS);
+    assert!(shard1_at_swap > 0 && shard1() > shard1_at_swap + HAMMERS);
 
     let mut probe = NetClient::connect(server.local_addr()).expect("connect");
     assert_eq!(probe.epoch().expect("epoch"), (1, 1));

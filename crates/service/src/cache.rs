@@ -14,9 +14,11 @@
 //! mutex-protected LRU maps, so concurrent callers contend only when
 //! they collide on a shard, not on a single global lock.
 //!
-//! Each shard is an [`inano_model::Lru`], the exact O(1) LRU the
-//! predictor's search cache evicts by too, probing with this module's
-//! `KeyHasher` rather than SipHash.
+//! Each shard is an [`inano_model::Lru`], an exact LRU whose hit is an
+//! O(1) relink — this is the server's hot path — probing with this
+//! module's `KeyHasher` rather than SipHash. The predictor's search
+//! cache, which only this cache's misses reach, evicts by rebuild cost
+//! instead ([`inano_core::gdsf`]).
 
 use inano_core::PredictedPath;
 use inano_model::{ClusterId, Lru};

@@ -243,10 +243,12 @@ fn place<R>(
     script.insert(at, step);
 }
 
-/// The two followers, behind what the property reads of them.
+/// The two followers, behind what the property reads of them. Each is
+/// boxed: a client holds a whole predictor, search cache included, and
+/// outweighs an engine, which holds its generations behind pointers.
 enum Peer {
-    Client(INanoClient),
-    Engine(QueryEngine),
+    Client(Box<INanoClient>),
+    Engine(Box<QueryEngine>),
 }
 
 impl Peer {
@@ -305,13 +307,13 @@ fn follow(world: &World, rounds: &[Round], engine: bool) {
         ..StaticSource::new(world.generations[0].body.clone(), vec![])
     });
     let mut peer = if engine {
-        Peer::Engine(
+        Peer::Engine(Box::new(
             QueryEngine::bootstrap(&mut upstream, ServiceConfig::default()).expect("bootstrap"),
-        )
+        ))
     } else {
-        Peer::Client(
+        Peer::Client(Box::new(
             INanoClient::bootstrap(&mut upstream, PredictorConfig::full()).expect("bootstrap"),
-        )
+        ))
     };
     let pairs: Vec<(u32, u32)> = (0..RING)
         .flat_map(|s| (0..RING).filter(move |&d| d != s).map(move |d| (s, d)))

@@ -210,13 +210,14 @@ fn hammering_queries_while_applying_deltas_never_errors() {
         "pre-swap: the long way around"
     );
 
+    const HAMMERS: u64 = 6;
     let stop = Arc::new(AtomicBool::new(false));
-    let issued = Arc::new(AtomicU64::new(0));
-    let hammers: Vec<_> = (0..6)
+    let answered = Arc::new(AtomicU64::new(0));
+    let hammers: Vec<_> = (0..HAMMERS)
         .map(|_| {
             let engine = Arc::clone(&engine);
             let stop = Arc::clone(&stop);
-            let issued = Arc::clone(&issued);
+            let answered = Arc::clone(&answered);
             let pairs = pairs.clone();
             let oracles = Arc::clone(&oracles);
             thread::spawn(move || {
@@ -231,23 +232,29 @@ fn hammering_queries_while_applying_deltas_never_errors() {
                             .all(|(r, want)| r.as_ref().is_ok_and(|got| same_route(got, want)))
                     });
                     assert!(one_day, "a batch mixed two generations");
-                    issued.fetch_add(pairs.len() as u64, Ordering::Relaxed);
+                    answered.fetch_add(1, Ordering::Relaxed);
                 }
                 failures
             })
         })
         .collect();
 
-    // Let the hammers warm up, then swap mid-load.
-    thread::sleep(Duration::from_millis(50));
+    // Swap once a batch has been answered, and stop once one was asked
+    // and answered after the swap: more batches than there are hammers
+    // since, so some hammer sent one after it.
+    let batches = || answered.load(Ordering::Relaxed);
+    wait_until("a batch answered before the swap", || batches() > 0);
     let day = engine.apply_delta(&delta).expect("delta applies");
     assert_eq!(day, 1);
-    thread::sleep(Duration::from_millis(50));
+    let at_swap = batches();
+    wait_until("a batch asked and answered after the swap", || {
+        batches() > at_swap + HAMMERS
+    });
     stop.store(true, Ordering::Relaxed);
     let failures: u64 = hammers.into_iter().map(|h| h.join().unwrap()).sum();
 
     assert_eq!(failures, 0, "no query may error across the swap");
-    assert!(issued.load(Ordering::Relaxed) > 0);
+    assert!(at_swap > 0 && batches() > at_swap + HAMMERS);
     let m = engine.metrics();
     assert_eq!(m.errors.get(), 0);
     assert_eq!(m.swaps.get(), 1);
@@ -261,6 +268,16 @@ fn hammering_queries_while_applying_deltas_never_errors() {
     let day1 = delta.apply(&ring_atlas(n, 0)).expect("delta applies");
     let reference = PathPredictor::new(Arc::new(day1), PredictorConfig::full());
     assert_same_path(&after, &reference.query(ring_ip(0), ring_ip(far)).unwrap());
+}
+
+/// Poll `cond` every 10 ms for up to 30 s; fail naming `what` if it
+/// never holds.
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        thread::sleep(Duration::from_millis(10));
+    }
 }
 
 /// Bootstrap and one daily update through an in-memory source, the
