@@ -1,5 +1,6 @@
 //! Validation-set machinery (§6.3): held-out source/destination pairs
-//! with their ground-truth paths and measured properties.
+//! with their ground-truth paths and measured properties, and [`Eval`],
+//! what the figures derive from one built world.
 //!
 //! Validation sources are end-host agents: their daily traceroutes are in
 //! the atlas's `FROM_SRC` plane (as §6.3 does with "100 other randomly
@@ -8,11 +9,19 @@
 //! the `TO_DST` plane never saw these sources at all.
 
 use crate::scenario::Scenario;
+use inano_atlas::Atlas;
+use inano_coords::VivaldiSystem;
+use inano_core::{PathPredictor, PredictedPath, PredictorConfig};
+use inano_measure::MeasurementDay;
 use inano_model::rng::rng_for;
 use inano_model::{AsPath, ClusterId, HostId, LatencyMs, LossRate, PrefixId};
+use inano_paths::composition::ComposedPath;
+use inano_paths::{ImprovedComposer, PathAtlas, PathComposer};
 use inano_routing::RoutingOracle;
 use rand::seq::SliceRandom;
-use std::collections::HashSet;
+use std::cell::OnceCell;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// One validation pair with its ground truth.
 #[derive(Clone, Debug)]
@@ -101,21 +110,17 @@ pub fn train_vivaldi(
     oracle: &RoutingOracle<'_>,
     hosts: &[HostId],
     rounds: usize,
-) -> (
-    inano_coords::VivaldiSystem,
-    std::collections::HashMap<HostId, usize>,
-) {
+) -> (VivaldiSystem, HashMap<HostId, usize>) {
     use inano_measure::ping::ping;
     use inano_measure::traceroute::ProbeNoise;
-    let index: std::collections::HashMap<HostId, usize> =
-        hosts.iter().enumerate().map(|(i, &h)| (h, i)).collect();
+    let index: HashMap<HostId, usize> = hosts.iter().enumerate().map(|(i, &h)| (h, i)).collect();
     let cfg = inano_coords::VivaldiConfig {
         rounds,
         seed: sc.cfg.seed,
         ..inano_coords::VivaldiConfig::default()
     };
     let noise = ProbeNoise::default();
-    let sys = inano_coords::VivaldiSystem::run(hosts.len(), &cfg, |i, j, rng| {
+    let sys = VivaldiSystem::run(hosts.len(), &cfg, |i, j, rng| {
         ping(oracle, hosts[i], hosts[j], &noise, rng).map(|l| l.ms())
     });
     (sys, index)
@@ -137,4 +142,199 @@ pub fn atlas_coverage_gap(sc: &Scenario, paths: &[ValidationPath]) -> f64 {
         })
         .count();
     missing as f64 / paths.len() as f64
+}
+
+/// How often one AS-path predictor is right over a validation set
+/// (Figure 5's columns). Both shares are of every path, predicted or not.
+pub struct AsPathScore {
+    /// Share of paths whose predicted AS path is the true one.
+    pub exact: f64,
+    /// Share of paths whose predicted AS path has the true length.
+    pub length: f64,
+    /// Paths the predictor gave any AS path for.
+    pub predicted: usize,
+}
+
+/// Score `predict` (called once per path, in order) against each path's
+/// true AS path.
+pub fn score_as_paths(
+    paths: &[ValidationPath],
+    mut predict: impl FnMut(&ValidationPath) -> Option<AsPath>,
+) -> AsPathScore {
+    let (mut exact, mut length, mut predicted) = (0usize, 0usize, 0usize);
+    for p in paths {
+        let Some(as_path) = predict(p) else {
+            continue;
+        };
+        predicted += 1;
+        exact += usize::from(as_path == p.true_as_path);
+        length += usize::from(as_path.len() == p.true_as_path.len());
+    }
+    let n = paths.len() as f64;
+    AsPathScore {
+        exact: exact as f64 / n,
+        length: length as f64 / n,
+        predicted,
+    }
+}
+
+/// iNano's forward AS path for a validation pair.
+pub fn inano_as_path(predictor: &PathPredictor, p: &ValidationPath) -> Option<AsPath> {
+    let fwd = predictor.predict_forward(p.src_prefix, p.dst_prefix).ok()?;
+    Some(predictor.as_path_of(&fwd, p.dst_prefix))
+}
+
+/// One built world and what the figures derive from it: the day-0
+/// oracle, the (37, 100) validation set, the full-model predictor, the
+/// day-0 path atlas behind path composition, day 1's measurements, and
+/// Vivaldi over the validation endpoints. Each part is built on first
+/// use, so a figure pays only for what it reads, and figures that share
+/// an `Eval` build each part once. None of them keeps state an answer
+/// depends on, so a figure prints the same table whichever figures ran
+/// on the `Eval` before it (`tests/figures.rs` checks that).
+pub struct Eval<'a> {
+    pub sc: &'a Scenario,
+    oracle: OnceCell<RoutingOracle<'a>>,
+    atlas: OnceCell<Arc<Atlas>>,
+    paths: OnceCell<Vec<ValidationPath>>,
+    predictor: OnceCell<PathPredictor>,
+    path_atlas: OnceCell<PathAtlas>,
+    day1: OnceCell<(MeasurementDay, Atlas)>,
+    vivaldi: OnceCell<Vivaldi>,
+}
+
+/// Vivaldi trained over every validation endpoint: each source host and
+/// the first host of each destination prefix.
+struct Vivaldi {
+    sys: VivaldiSystem,
+    index: HashMap<HostId, usize>,
+    host_of: HashMap<PrefixId, HostId>,
+}
+
+impl<'a> Eval<'a> {
+    pub fn new(sc: &'a Scenario) -> Self {
+        Eval {
+            sc,
+            oracle: OnceCell::new(),
+            atlas: OnceCell::new(),
+            paths: OnceCell::new(),
+            predictor: OnceCell::new(),
+            path_atlas: OnceCell::new(),
+            day1: OnceCell::new(),
+            vivaldi: OnceCell::new(),
+        }
+    }
+
+    /// Ground truth on day 0, the day the atlas measures.
+    pub fn oracle(&self) -> &RoutingOracle<'a> {
+        self.oracle.get_or_init(|| self.sc.oracle(0))
+    }
+
+    /// The day-0 atlas, shared by every predictor built over it.
+    pub fn atlas(&self) -> &Arc<Atlas> {
+        self.atlas.get_or_init(|| Arc::new(self.sc.atlas.clone()))
+    }
+
+    /// 37 sources × up to 100 destinations each.
+    pub fn paths(&self) -> &[ValidationPath] {
+        self.paths.get_or_init(|| {
+            let paths = validation_set(self.sc, self.oracle(), 37, 100);
+            eprintln!("validation set: {} paths", paths.len());
+            paths
+        })
+    }
+
+    /// iNano with every component on (`PredictorConfig::full`).
+    pub fn predictor(&self) -> &PathPredictor {
+        self.predictor
+            .get_or_init(|| PathPredictor::new(Arc::clone(self.atlas()), PredictorConfig::full()))
+    }
+
+    /// iPlane's path atlas of day 0's measurements.
+    pub fn path_atlas(&self) -> &PathAtlas {
+        self.path_atlas
+            .get_or_init(|| PathAtlas::build(&self.sc.net, &self.sc.clustering, &self.sc.day0))
+    }
+
+    /// Day 1's campaign and the atlas built from it.
+    pub fn day1(&self) -> &(MeasurementDay, Atlas) {
+        self.day1.get_or_init(|| self.sc.atlas_for_day(1))
+    }
+
+    /// iPlane's path composition over the day-0 path atlas.
+    pub fn composition(&self) -> Composition<'_> {
+        let plain = PathComposer::new(self.path_atlas(), &self.sc.atlas);
+        Composition(ImprovedComposer::new(plain))
+    }
+
+    /// iNano's full-model prediction for a validation pair.
+    pub fn inano(&self, p: &ValidationPath) -> Option<PredictedPath> {
+        self.predictor().predict(p.src_prefix, p.dst_prefix).ok()
+    }
+
+    /// Vivaldi's RTT estimate (ms) for a validation pair; trains Vivaldi
+    /// on first use.
+    pub fn vivaldi_rtt(&self, p: &ValidationPath) -> Option<f64> {
+        let v = self.vivaldi.get_or_init(|| {
+            let mut host_of = HashMap::new();
+            for h in &self.sc.net.hosts {
+                host_of.entry(h.prefix).or_insert(h.id);
+            }
+            let paths = self.paths();
+            let mut hosts: Vec<HostId> = paths.iter().map(|p| p.src_host).collect();
+            hosts.extend(paths.iter().filter_map(|p| host_of.get(&p.dst_prefix)));
+            hosts.sort();
+            hosts.dedup();
+            eprintln!("training Vivaldi over {} hosts", hosts.len());
+            let (sys, index) = train_vivaldi(self.sc, self.oracle(), &hosts, 80);
+            Vivaldi {
+                sys,
+                index,
+                host_of,
+            }
+        });
+        let dst_host = v.host_of.get(&p.dst_prefix)?;
+        Some(v.sys.estimate(v.index[&p.src_host], v.index[dst_host]).ms())
+    }
+}
+
+/// iPlane's path composition, and its improved variant, asked by prefix:
+/// a source prefix composes from its cluster's measured paths. Its inner
+/// composer is plain composition.
+pub struct Composition<'e>(ImprovedComposer<'e>);
+
+impl Composition<'_> {
+    fn cluster(&self, prefix: PrefixId) -> Option<ClusterId> {
+        self.0.inner.atlas.prefix_cluster.get(&prefix).copied()
+    }
+
+    /// The composed one-way path from `src` to `dst`.
+    pub fn forward(&self, src: PrefixId, dst: PrefixId) -> Option<ComposedPath> {
+        self.0.inner.predict_forward(self.cluster(src)?, dst).ok()
+    }
+
+    /// The improved composer's one-way path from `src` to `dst`.
+    pub fn improved_forward(&self, src: PrefixId, dst: PrefixId) -> Option<ComposedPath> {
+        self.0.predict_forward(self.cluster(src)?, dst).ok()
+    }
+
+    /// The AS path of a composed path to `dst`.
+    pub fn as_path_of(&self, c: &ComposedPath, dst: PrefixId) -> AsPath {
+        self.0.inner.as_path_of(&c.clusters, dst)
+    }
+
+    /// The composed RTT (ms) between two prefixes, when both ends have a
+    /// cluster.
+    pub fn rtt(&self, src: PrefixId, dst: PrefixId) -> Option<f64> {
+        let (s, d) = (self.cluster(src)?, self.cluster(dst)?);
+        Some(self.0.inner.predict_rtt(s, src, d, dst).ok()?.ms())
+    }
+
+    /// Round-trip loss along the composed forward and reverse paths, when
+    /// both ends have a cluster.
+    pub fn loss(&self, src: PrefixId, dst: PrefixId) -> Option<LossRate> {
+        let (fwd, rev) = (self.forward(src, dst)?, self.forward(dst, src)?);
+        let c = &self.0.inner;
+        Some(c.loss_of(&fwd.clusters).compose(c.loss_of(&rev.clusters)))
+    }
 }

@@ -58,39 +58,11 @@ impl Ecdf {
         self.quantile(0.5)
     }
 
-    pub fn min(&self) -> f64 {
-        *self.sorted.first().expect("min of empty Ecdf")
-    }
-
-    pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("max of empty Ecdf")
-    }
-
     pub fn mean(&self) -> f64 {
         if self.sorted.is_empty() {
             return 0.0;
         }
         self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
-    }
-
-    /// Evenly spaced (value, cumulative-fraction) points for plotting.
-    pub fn points(&self, n: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || n == 0 {
-            return Vec::new();
-        }
-        let len = self.sorted.len();
-        (0..n)
-            .map(|i| {
-                let idx = (i * (len - 1)) / n.max(1).saturating_sub(1).max(1);
-                let idx = idx.min(len - 1);
-                (self.sorted[idx], (idx + 1) as f64 / len as f64)
-            })
-            .collect()
-    }
-
-    /// Underlying sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
     }
 }
 
@@ -162,8 +134,6 @@ mod tests {
     fn ecdf_quantiles() {
         let e = Ecdf::new(vec![5.0, 1.0, 3.0]);
         assert_eq!(e.median(), 3.0);
-        assert_eq!(e.min(), 1.0);
-        assert_eq!(e.max(), 5.0);
         assert!((e.mean() - 3.0).abs() < 1e-12);
     }
 
@@ -193,16 +163,5 @@ mod tests {
         assert!((f[0].1 - 0.4).abs() < 1e-12);
         assert!((f[19].1 - 0.6).abs() < 1e-12);
         assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    fn ecdf_points_monotonic() {
-        let e = Ecdf::new((0..100).map(|i| i as f64).collect());
-        let pts = e.points(10);
-        assert!(!pts.is_empty());
-        for w in pts.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
     }
 }
