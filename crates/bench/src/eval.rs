@@ -15,8 +15,7 @@ use inano_core::{PathPredictor, PredictedPath, PredictorConfig};
 use inano_measure::MeasurementDay;
 use inano_model::rng::rng_for;
 use inano_model::{AsPath, ClusterId, HostId, LatencyMs, LossRate, PrefixId};
-use inano_paths::composition::ComposedPath;
-use inano_paths::{ImprovedComposer, PathAtlas, PathComposer};
+use inano_paths::{Composer, PathAtlas};
 use inano_routing::RoutingOracle;
 use rand::seq::SliceRandom;
 use std::cell::OnceCell;
@@ -261,10 +260,10 @@ impl<'a> Eval<'a> {
         self.day1.get_or_init(|| self.sc.atlas_for_day(1))
     }
 
-    /// iPlane's path composition over the day-0 path atlas.
-    pub fn composition(&self) -> Composition<'_> {
-        let plain = PathComposer::new(self.path_atlas(), &self.sc.atlas);
-        Composition(ImprovedComposer::new(plain))
+    /// iPlane's path composition, and its improved variant, over the
+    /// day-0 path atlas.
+    pub fn composer(&self) -> Composer<'_> {
+        Composer::new(self.path_atlas(), &self.sc.atlas)
     }
 
     /// iNano's full-model prediction for a validation pair.
@@ -295,46 +294,5 @@ impl<'a> Eval<'a> {
         });
         let dst_host = v.host_of.get(&p.dst_prefix)?;
         Some(v.sys.estimate(v.index[&p.src_host], v.index[dst_host]).ms())
-    }
-}
-
-/// iPlane's path composition, and its improved variant, asked by prefix:
-/// a source prefix composes from its cluster's measured paths. Its inner
-/// composer is plain composition.
-pub struct Composition<'e>(ImprovedComposer<'e>);
-
-impl Composition<'_> {
-    fn cluster(&self, prefix: PrefixId) -> Option<ClusterId> {
-        self.0.inner.atlas.prefix_cluster.get(&prefix).copied()
-    }
-
-    /// The composed one-way path from `src` to `dst`.
-    pub fn forward(&self, src: PrefixId, dst: PrefixId) -> Option<ComposedPath> {
-        self.0.inner.predict_forward(self.cluster(src)?, dst).ok()
-    }
-
-    /// The improved composer's one-way path from `src` to `dst`.
-    pub fn improved_forward(&self, src: PrefixId, dst: PrefixId) -> Option<ComposedPath> {
-        self.0.predict_forward(self.cluster(src)?, dst).ok()
-    }
-
-    /// The AS path of a composed path to `dst`.
-    pub fn as_path_of(&self, c: &ComposedPath, dst: PrefixId) -> AsPath {
-        self.0.inner.as_path_of(&c.clusters, dst)
-    }
-
-    /// The composed RTT (ms) between two prefixes, when both ends have a
-    /// cluster.
-    pub fn rtt(&self, src: PrefixId, dst: PrefixId) -> Option<f64> {
-        let (s, d) = (self.cluster(src)?, self.cluster(dst)?);
-        Some(self.0.inner.predict_rtt(s, src, d, dst).ok()?.ms())
-    }
-
-    /// Round-trip loss along the composed forward and reverse paths, when
-    /// both ends have a cluster.
-    pub fn loss(&self, src: PrefixId, dst: PrefixId) -> Option<LossRate> {
-        let (fwd, rev) = (self.forward(src, dst)?, self.forward(dst, src)?);
-        let c = &self.0.inner;
-        Some(c.loss_of(&fwd.clusters).compose(c.loss_of(&rev.clusters)))
     }
 }

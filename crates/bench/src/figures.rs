@@ -5,7 +5,7 @@
 
 use crate::eval::{
     atlas_coverage_gap, inano_as_path, score_as_paths, train_vivaldi, validation_set, AsPathScore,
-    Composition, Eval, ValidationPath,
+    Eval, ValidationPath,
 };
 use crate::report::{cdf_rows, pct};
 use crate::{Scenario, ScenarioConfig};
@@ -20,7 +20,7 @@ use inano_model::path::path_similarity;
 use inano_model::rng::rng_for;
 use inano_model::stats::{Ecdf, Histogram};
 use inano_model::{ClusterPath, HostId, PrefixId};
-use inano_paths::{PathAtlas, RouteScope};
+use inano_paths::{Composer, PathAtlas, RouteScope};
 use inano_routing::{FailureScenario, RoutingOracle};
 use inano_topology::loss::LossProcess;
 use inano_topology::Tier;
@@ -359,14 +359,14 @@ pub fn fig5_as_accuracy(ev: &Eval) -> String {
         ));
     }
 
-    let comp = ev.composition();
+    let comp = ev.composer();
     let score = score_as_paths(paths, |p| {
-        let c = comp.forward(p.src_prefix, p.dst_prefix)?;
+        let c = comp.forward(p.src_prefix, p.dst_prefix).ok()?;
         Some(comp.as_path_of(&c, p.dst_prefix))
     });
     rows.push(("path composition", score));
     let score = score_as_paths(paths, |p| {
-        let c = comp.improved_forward(p.src_prefix, p.dst_prefix)?;
+        let c = comp.improved_forward(p.src_prefix, p.dst_prefix).ok()?;
         Some(comp.as_path_of(&c, p.dst_prefix))
     });
     rows.push(("improved composition", score));
@@ -398,13 +398,13 @@ pub fn fig5_as_accuracy(ev: &Eval) -> String {
 type Estimate<'e> = Box<dyn Fn(&ValidationPath) -> Option<f64> + 'e>;
 
 /// The RTT estimators Figures 6 and 7 compare, in their print order.
-fn rtt_estimators<'e>(ev: &'e Eval, comp: &'e Composition) -> [(&'static str, Estimate<'e>); 3] {
+fn rtt_estimators<'e>(ev: &'e Eval, comp: &'e Composer) -> [(&'static str, Estimate<'e>); 3] {
     [
         ("iNano", Box::new(|p| Some(ev.inano(p)?.rtt.ms()))),
         ("Vivaldi", Box::new(|p| ev.vivaldi_rtt(p))),
         (
             "path composition",
-            Box::new(|p| comp.rtt(p.src_prefix, p.dst_prefix)),
+            Box::new(|p| Some(comp.rtt(p.src_prefix, p.dst_prefix).ok()?.ms())),
         ),
     ]
 }
@@ -428,7 +428,7 @@ fn errors(ev: &Eval, truth: fn(&ValidationPath) -> f64, estimate: Estimate) -> E
 /// coordinates beat both structural estimators whose mispredictions can
 /// be arbitrarily wrong.
 pub fn fig6_latency_error(ev: &Eval) -> String {
-    let comp = ev.composition();
+    let comp = ev.composer();
     let mut text = String::from("== Figure 6: RTT estimation error (ms) ==\n");
     let (mut medians, mut p90) = (String::new(), String::new());
     for (name, estimate) in rtt_estimators(ev, &comp) {
@@ -473,7 +473,7 @@ pub fn fig7_rank_closest(ev: &Eval) -> String {
         .map(|ps| (ps, top(ps.iter().map(|p| (*p, p.true_rtt.ms())))))
         .collect();
 
-    let comp = ev.composition();
+    let comp = ev.composer();
     let mut text =
         String::from("== Figure 7: overlap of predicted vs actual 10 closest (of ~100) ==\n");
     for (name, estimate) in rtt_estimators(ev, &comp) {
@@ -502,12 +502,12 @@ pub fn fig7_rank_closest(ev: &Eval) -> String {
 /// a much smaller atlas; both within 10% absolute error for >80% of
 /// paths.
 pub fn fig8_loss_error(ev: &Eval) -> String {
-    let comp = ev.composition();
+    let comp = ev.composer();
     let series: [(&str, Estimate); 2] = [
         ("iNano", Box::new(|p| Some(ev.inano(p)?.loss.rate()))),
         (
             "path composition",
-            Box::new(|p| Some(comp.loss(p.src_prefix, p.dst_prefix)?.rate())),
+            Box::new(|p| Some(comp.loss(p.src_prefix, p.dst_prefix).ok()?.rate())),
         ),
     ];
     let mut text = String::from("== Figure 8: loss-rate estimation error (absolute) ==\n");
@@ -841,7 +841,6 @@ pub fn abl_tuple_threshold(ev: &Eval) -> String {
     for dom in [1.5f64, 3.0, 5.0, 10.0] {
         let acfg = AtlasConfig {
             pref_dominance: dom,
-            ..AtlasConfig::default()
         };
         let atlas_d = Arc::new(build_atlas(&sc.net, &sc.clustering, &sc.day0, &acfg));
         let n_prefs = atlas_d.prefs.len();

@@ -36,13 +36,14 @@ impl Coordinate {
     }
 }
 
-/// Tuning constants (the values from the Vivaldi paper).
+/// Error-moving-average constant (c_e, the Vivaldi paper's value).
+const CE: f64 = 0.25;
+/// Timestep constant (c_c, the Vivaldi paper's value).
+const CC: f64 = 0.25;
+
+/// How long and how widely the system trains.
 #[derive(Clone, Debug)]
 pub struct VivaldiConfig {
-    /// Error-moving-average constant (c_e).
-    pub ce: f64,
-    /// Timestep constant (c_c).
-    pub cc: f64,
     /// Neighbors sampled per node.
     pub neighbors: usize,
     /// Update rounds (each round: every node pings every neighbor once).
@@ -53,8 +54,6 @@ pub struct VivaldiConfig {
 impl Default for VivaldiConfig {
     fn default() -> Self {
         VivaldiConfig {
-            ce: 0.25,
-            cc: 0.25,
             neighbors: 16,
             rounds: 60,
             seed: 1,
@@ -102,7 +101,7 @@ impl VivaldiSystem {
                     let Some(sample) = rtt(i, j, &mut rng) else {
                         continue;
                     };
-                    update(&mut coords, i, j, sample, cfg, &mut rng);
+                    update(&mut coords, i, j, sample, &mut rng);
                 }
             }
         }
@@ -128,14 +127,7 @@ impl VivaldiSystem {
 }
 
 /// One Vivaldi spring update of node `i` against neighbor `j`.
-fn update(
-    coords: &mut [Coordinate],
-    i: usize,
-    j: usize,
-    rtt: f64,
-    cfg: &VivaldiConfig,
-    rng: &mut DeterministicRng,
-) {
+fn update(coords: &mut [Coordinate], i: usize, j: usize, rtt: f64, rng: &mut DeterministicRng) {
     let (ci, cj) = (coords[i], coords[j]);
     let dist = ci.distance(&cj);
     let rtt = rtt.max(0.01);
@@ -148,7 +140,7 @@ fn update(
     };
     // Relative error of this sample; update our confidence.
     let es = (dist - rtt).abs() / rtt;
-    let new_error = es * cfg.ce * w + ci.error * (1.0 - cfg.ce * w);
+    let new_error = es * CE * w + ci.error * (1.0 - CE * w);
 
     // Unit vector from j toward i (random direction when colocated, so
     // coincident nodes can repel).
@@ -163,7 +155,7 @@ fn update(
         uy /= norm;
     }
 
-    let delta = cfg.cc * w;
+    let delta = CC * w;
     let force = delta * (rtt - dist);
     let c = &mut coords[i];
     c.x += force * ux;

@@ -1,7 +1,13 @@
 //! Predictor configuration: each of iNano's techniques can be switched
 //! independently, giving the ablation ladder of Figure 5.
 
-/// Which model the predictor runs.
+/// Latency assumed for a link whose latency was never inferred, in ms.
+pub const DEFAULT_LINK_LATENCY_MS: f64 = 1.0;
+
+/// Which model the predictor runs: the Figure-5 ladder's switches, the
+/// 3-tuple check's degree threshold (swept by `abl_tuple_threshold`),
+/// and whether reversed links are searched. A link with no inferred
+/// latency costs [`DEFAULT_LINK_LATENCY_MS`] under every configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PredictorConfig {
     /// Use the `FROM_SRC` plane of end-host-observed links with one-way
@@ -26,8 +32,6 @@ pub struct PredictorConfig {
     /// answer reverse queries out of unmeasured stubs; reversed hops are
     /// deprioritised and tuple-checked without the low-degree exemption).
     pub allow_reversed_links: bool,
-    /// Latency assumed for links whose latency was never inferred, in ms.
-    pub default_link_latency_ms: f64,
 }
 
 impl Default for PredictorConfig {
@@ -48,7 +52,6 @@ impl PredictorConfig {
             use_providers: false,
             tuple_min_degree: 5,
             allow_reversed_links: true,
-            default_link_latency_ms: 1.0,
         }
     }
 
@@ -70,7 +73,6 @@ impl PredictorConfig {
             use_providers: false,
             tuple_min_degree: 5,
             allow_reversed_links: true,
-            default_link_latency_ms: 1.0,
         }
     }
 

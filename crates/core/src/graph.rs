@@ -11,7 +11,7 @@
 //! `u → v`, `in_edges[v]` holds `u`, because the search backtracks from
 //! the destination (settling `v` relaxes `u`).
 
-use crate::config::PredictorConfig;
+use crate::config::{PredictorConfig, DEFAULT_LINK_LATENCY_MS};
 use crate::index::{csr, AtlasIndex};
 use crate::reach::{AncestorSets, Sccs};
 use inano_atlas::Atlas;
@@ -166,9 +166,9 @@ impl PredictionGraph {
     ) -> (PredictionGraph, Option<PredictionGraph>) {
         let mut index = AtlasIndex::build(atlas, cfg);
         let mut emitted = if cfg.use_rel_graph {
-            rel_edges(&index, atlas, cfg)
+            rel_edges(&index, atlas)
         } else {
-            directed_edges(&index, atlas, cfg)
+            directed_edges(&index, atlas)
         };
         plane_cross_edges(&index, &mut emitted);
         let mut strict_exit = vec![false; index.clusters.len()];
@@ -207,7 +207,7 @@ impl PredictionGraph {
 /// export-policy directionality that raw direction encoded. The
 /// unobserved direction is emitted marked `reversed`; the strict graph
 /// filters it out.
-fn directed_edges(index: &AtlasIndex, atlas: &Atlas, cfg: &PredictorConfig) -> Emitted {
+fn directed_edges(index: &AtlasIndex, atlas: &Atlas) -> Emitted {
     let mut emitted = Emitted::with_capacity(4 * atlas.links.len());
     for (&(from, to), ann) in &atlas.links {
         let (cf, ct) = (index.cluster_idx[&from], index.cluster_idx[&to]);
@@ -215,7 +215,7 @@ fn directed_edges(index: &AtlasIndex, atlas: &Atlas, cfg: &PredictorConfig) -> E
         let latency = ann
             .latency
             .map(|l| l.ms())
-            .unwrap_or(cfg.default_link_latency_ms);
+            .unwrap_or(DEFAULT_LINK_LATENCY_MS);
         let opposite = atlas.links.get(&(to, from)).map(|r| r.plane);
         for (plane, present) in [(0usize, ann.plane.to_dst), (1, ann.plane.from_src)] {
             if !present || plane >= index.n_planes {
@@ -262,7 +262,7 @@ fn directed_edges(index: &AtlasIndex, atlas: &Atlas, cfg: &PredictorConfig) -> E
 /// in: each plane only gets edges whose *forward traffic direction*
 /// was actually observed in that plane, which is what kills the
 /// "non-existent routes" GRAPH otherwise invents.
-fn rel_edges(index: &AtlasIndex, atlas: &Atlas, cfg: &PredictorConfig) -> Emitted {
+fn rel_edges(index: &AtlasIndex, atlas: &Atlas) -> Emitted {
     // Per unordered cluster pair: latency plus which directions were
     // observed in which plane. Index 0 = (lo → hi), 1 = (hi → lo).
     #[derive(Clone, Copy, Default)]
@@ -302,7 +302,7 @@ fn rel_edges(index: &AtlasIndex, atlas: &Atlas, cfg: &PredictorConfig) -> Emitte
     let directional = index.n_planes == 2;
     for (&(ci, cj), info) in &pairs {
         let (ai, aj) = (index.cluster_as[ci as usize], index.cluster_as[cj as usize]);
-        let lat = info.lat.unwrap_or(cfg.default_link_latency_ms);
+        let lat = info.lat.unwrap_or(DEFAULT_LINK_LATENCY_MS);
         let rel = if ai == aj {
             None // intra-AS
         } else {

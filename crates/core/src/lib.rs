@@ -29,7 +29,6 @@ pub mod gdsf;
 pub mod graph;
 mod index;
 pub mod predict;
-pub mod rank;
 pub mod reach;
 pub mod search;
 pub mod source;
@@ -37,7 +36,6 @@ pub mod source;
 pub use client::INanoClient;
 pub use config::PredictorConfig;
 pub use predict::{PathPredictor, PredictedPath, Resolution, SearchCounts};
-pub use rank::rank_by_rtt;
 pub use source::{
     catch_up, chunk_span, content_tag, n_chunks, read_full, AtlasChunk, AtlasSource, AtlasVersion,
     ChainLink, Follower, OfferedBody, OfferedDelta, Scripted, Served, StaticSource, Step,

@@ -39,7 +39,7 @@
 //! of a run repeat on the next. [`PathPredictor::predict_forward`] is the
 //! same planner on one prediction.
 
-use crate::config::PredictorConfig;
+use crate::config::{PredictorConfig, DEFAULT_LINK_LATENCY_MS};
 use crate::fanout;
 use crate::gdsf::Gdsf;
 use crate::graph::PredictionGraph;
@@ -357,11 +357,6 @@ impl PathPredictor {
             .ok_or_else(|| ModelError::UnroutableAddress(ip.to_string()))
     }
 
-    /// Map an IP address to the cluster it attaches to.
-    pub fn cluster_of(&self, ip: Ipv4) -> Result<ClusterId, ModelError> {
-        Ok(self.resolve(ip)?.cluster)
-    }
-
     /// Resolve an IP address to its atlas attachment point (prefix,
     /// cluster, origin/cluster AS) without running a search: one trie
     /// walk to the row computed when the predictor was built.
@@ -502,7 +497,7 @@ impl PathPredictor {
         };
         get(a, b)
             .or_else(|| get(b, a))
-            .unwrap_or(self.cfg.default_link_latency_ms)
+            .unwrap_or(DEFAULT_LINK_LATENCY_MS)
     }
 
     /// One-way loss estimate: composed link loss rates.
@@ -830,7 +825,7 @@ mod tests {
         assert!(!r.refined_providers);
         assert!(r.canonical());
         assert_eq!(
-            p.cluster_of(Ipv4::from_octets(20, 0, 0, 9)).unwrap(),
+            p.resolve(Ipv4::from_octets(20, 0, 0, 9)).unwrap().cluster,
             ClusterId::new(3)
         );
     }
@@ -1244,12 +1239,12 @@ mod tests {
         let mut cfg = PredictorConfig::with_tuples();
         cfg.use_tuples = false;
         cfg.use_from_src = false;
-        cfg.default_link_latency_ms = 7.0;
         let p = PathPredictor::new(Arc::new(atlas), cfg);
         let fwd = p
             .predict_forward(PrefixId::new(10), PrefixId::new(20))
             .unwrap();
-        // 7 (default) + 3.
-        assert!((p.latency_of(&fwd).ms() - 10.0).abs() < 1e-9);
+        // The default + 3 (the cleared link's own 2 ms would give 5).
+        let want = DEFAULT_LINK_LATENCY_MS + 3.0;
+        assert!((p.latency_of(&fwd).ms() - want).abs() < 1e-9);
     }
 }

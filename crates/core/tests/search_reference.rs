@@ -18,6 +18,7 @@
 
 use inano_atlas::{Atlas, LinkAnnotation, Plane, Triple};
 use inano_bench::{Scenario, ScenarioConfig};
+use inano_core::config::DEFAULT_LINK_LATENCY_MS;
 use inano_core::graph::{InEdge, PredictionGraph};
 use inano_core::reach::AncestorSets;
 use inano_core::search::search;
@@ -229,7 +230,7 @@ mod oracle {
             let lat = ann
                 .latency
                 .map(|l| l.ms())
-                .unwrap_or(cfg.default_link_latency_ms);
+                .unwrap_or(DEFAULT_LINK_LATENCY_MS);
             for (plane, present) in [(0u8, ann.plane.to_dst), (1, ann.plane.from_src)] {
                 if !present || (plane as usize) >= g.n_planes() {
                     continue;

@@ -12,21 +12,23 @@ use inano_model::{AsPath, Asn, ClusterId, PrefixId};
 use inano_topology::Internet;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
+/// A preference is kept only when observed at least this many times in
+/// absolute terms (noise floor).
+const PREF_MIN_COUNT: u32 = 2;
+
 /// Builder knobs.
 #[derive(Clone, Debug)]
 pub struct AtlasConfig {
     /// A preference (a, b > c) is kept only when observed at least this
-    /// many times as often as its reverse (the paper uses 3×).
+    /// many times as often as its reverse (the paper uses 3×), and at
+    /// least twice in all.
     pub pref_dominance: f64,
-    /// ... and at least this many times in absolute terms (noise floor).
-    pub pref_min_count: u32,
 }
 
 impl Default for AtlasConfig {
     fn default() -> Self {
         AtlasConfig {
             pref_dominance: 3.0,
-            pref_min_count: 2,
         }
     }
 }
@@ -283,7 +285,7 @@ fn infer_preferences(
         } else {
             (rev, fwd, c, b)
         };
-        if hi >= cfg.pref_min_count && (hi as f64) >= cfg.pref_dominance * (lo as f64).max(1.0) {
+        if hi >= PREF_MIN_COUNT && (hi as f64) >= cfg.pref_dominance * (lo as f64).max(1.0) {
             atlas.prefs.insert((a, win, alt));
         }
     }

@@ -17,19 +17,20 @@ use inano_routing::RoutingOracle;
 use rand::seq::SliceRandom;
 use std::collections::HashMap;
 
-/// Knobs of a measurement day.
+/// Number of BGP feed ASes a day collects.
+const N_FEEDS: usize = 6;
+
+/// How many observers the frontier assigns each link to.
+const REDUNDANCY: usize = 2;
+
+/// Knobs of a measurement day. Each loss measurement sends
+/// [`lossprobe::PROBES_PER_MEASUREMENT`] probes.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
     pub seed: u64,
     /// Traceroutes per end-host agent per day ("a few hundred prefixes,
     /// chosen at random", §5 — we default lower to match our scale).
     pub traceroutes_per_agent: usize,
-    /// Number of BGP feed ASes.
-    pub n_feeds: usize,
-    /// Probes per loss measurement.
-    pub loss_probes: usize,
-    /// Frontier-assignment redundancy.
-    pub redundancy: usize,
     pub noise: ProbeNoise,
 }
 
@@ -38,9 +39,6 @@ impl Default for CampaignConfig {
         CampaignConfig {
             seed: 1,
             traceroutes_per_agent: 60,
-            n_feeds: 6,
-            loss_probes: lossprobe::PROBES_PER_MEASUREMENT,
-            redundancy: 2,
             noise: ProbeNoise::default(),
         }
     }
@@ -98,7 +96,7 @@ pub fn run_campaign(
     }
 
     // --- BGP feeds ---
-    let bgp = BgpFeedSet::collect(oracle, cfg.n_feeds, &mut rng);
+    let bgp = BgpFeedSet::collect(oracle, N_FEEDS, &mut rng);
 
     // --- link latency inference from all traceroutes ---
     let mut estimator = LinkLatencyEstimator::new();
@@ -136,7 +134,7 @@ pub fn run_campaign(
             }
         }
     }
-    let assignment = LinkAssignment::assign(&observers, cfg.redundancy);
+    let assignment = LinkAssignment::assign(&observers, REDUNDANCY);
     let mut link_loss = HashMap::new();
     for (key, measurers) in &assignment.per_link {
         let Some(&(link, from_pop)) = phys.get(key) else {
@@ -147,8 +145,14 @@ pub fn run_campaign(
         let mut samples: Vec<f64> = measurers
             .iter()
             .map(|_| {
-                lossprobe::measure_link_loss(oracle, link, from_pop, cfg.loss_probes, &mut rng)
-                    .rate()
+                lossprobe::measure_link_loss(
+                    oracle,
+                    link,
+                    from_pop,
+                    lossprobe::PROBES_PER_MEASUREMENT,
+                    &mut rng,
+                )
+                .rate()
             })
             .collect();
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());

@@ -127,19 +127,6 @@ pub fn path_similarity(a: &ClusterPath, b: &ClusterPath) -> f64 {
     inter as f64 / union as f64
 }
 
-/// Number of elements shared between two paths' cluster sets — used by the
-/// detour-disjointness ranking (§7.3).
-pub fn shared_clusters(a: &ClusterPath, b: &ClusterPath) -> usize {
-    let sa = a.cluster_set();
-    b.cluster_set().intersection(&sa).count()
-}
-
-/// Number of shared ASes between two AS paths (set semantics).
-pub fn shared_ases(a: &AsPath, b: &AsPath) -> usize {
-    let sa: HashSet<Asn> = a.iter().collect();
-    b.iter().collect::<HashSet<_>>().intersection(&sa).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,12 +192,6 @@ mod tests {
     fn similarity_empty_paths() {
         assert_eq!(path_similarity(&cp(&[]), &cp(&[])), 1.0);
         assert_eq!(path_similarity(&cp(&[]), &cp(&[1])), 0.0);
-    }
-
-    #[test]
-    fn shared_counts() {
-        assert_eq!(shared_clusters(&cp(&[1, 2, 3]), &cp(&[2, 3, 4])), 2);
-        assert_eq!(shared_ases(&asp(&[1, 2, 3]), &asp(&[3, 9])), 1);
     }
 
     #[test]
