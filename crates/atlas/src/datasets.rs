@@ -103,8 +103,9 @@ pub struct Atlas {
 }
 
 impl Atlas {
-    /// Longest-prefix-match an IP to its prefix using dataset 4.
-    /// (Builds a trie lazily is avoided: call [`Atlas::build_trie`] once.)
+    /// A longest-prefix-match trie from each prefix of dataset 4 to its
+    /// id: the longest-match oracle tests hold `PathPredictor`'s address
+    /// resolution to. Builds the whole trie on every call.
     pub fn build_trie(&self) -> PrefixTrie {
         let mut t = PrefixTrie::new();
         for (&pid, &(pfx, _)) in &self.prefix_as {

@@ -47,7 +47,7 @@ use crate::reach::AncestorSets;
 use crate::search::{search, SearchResult};
 use inano_atlas::Atlas;
 use inano_model::{
-    AsPath, Asn, ClusterId, Ipv4, LatencyMs, LossRate, ModelError, PrefixId, PrefixTrie,
+    AsPath, Asn, ClusterId, Ipv4, LatencyMs, LossRate, ModelError, PrefixId, PrefixTrie, RangeTable,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -226,11 +226,13 @@ impl Resolution {
 /// attaches it to no cluster.
 type Row = Result<Resolution, PrefixId>;
 
-/// Every atlas prefix's [`Row`], and the trie that maps an address to
-/// its row. The prefix-keyed datasets are walked in step (each is sorted
-/// by `PrefixId`), so the cost is linear in the prefixes and the table
-/// is as long as the atlas has prefixes, whatever their ids.
-fn resolution_table(atlas: &Atlas) -> (PrefixTrie<u32>, Vec<Row>) {
+/// Every atlas prefix's [`Row`], and the address ranges that map an
+/// address to its row. The prefix-keyed datasets are walked in step (each
+/// is sorted by `PrefixId`), so the cost is linear in the prefixes and
+/// the table is as long as the atlas has prefixes, whatever their ids.
+/// The ranges are flattened from a trie of the prefixes, so a prefix
+/// nested in another still takes its addresses from it.
+fn resolution_table(atlas: &Atlas) -> (RangeTable<u32>, Vec<Row>) {
     let mut homes = atlas.prefix_cluster.iter().peekable();
     let mut refined = atlas.prefix_providers.iter().peekable();
     let mut trie = PrefixTrie::new();
@@ -249,7 +251,7 @@ fn resolution_table(atlas: &Atlas) -> (PrefixTrie<u32>, Vec<Row>) {
         trie.insert(net, rows.len() as u32);
         rows.push(row);
     }
-    (trie, rows)
+    (trie.ranges(), rows)
 }
 
 /// Advance `entries`, sorted by key, to `key`: the value stored there,
@@ -291,9 +293,9 @@ pub struct PathPredictor {
     /// Fallback graph with reversed links (None in GRAPH mode or when
     /// reversed links are disabled).
     relaxed: Option<PredictionGraph>,
-    /// Each atlas prefix → its index in `rows`: one walk resolves an
-    /// address.
-    trie: PrefixTrie<u32>,
+    /// The address ranges each atlas prefix longest-matches → its index
+    /// in `rows`: one binary search resolves an address.
+    ranges: RangeTable<u32>,
     rows: Vec<Row>,
     cache: Mutex<Caches>,
     counts: Counters,
@@ -318,13 +320,13 @@ impl PathPredictor {
     /// [`PathPredictor::new`] with a search cache of at most `cap` trees.
     fn with_cache_cap(atlas: Arc<Atlas>, cfg: PredictorConfig, cap: usize) -> PathPredictor {
         let (graph, relaxed) = PredictionGraph::build_pair(&atlas, &cfg);
-        let (trie, rows) = resolution_table(&atlas);
+        let (ranges, rows) = resolution_table(&atlas);
         PathPredictor {
             atlas,
             cfg,
             graph,
             relaxed,
-            trie,
+            ranges,
             rows,
             cache: Mutex::new(Caches {
                 trees: Gdsf::new(cap),
@@ -352,14 +354,15 @@ impl PathPredictor {
 
     /// The row of the atlas prefix covering `ip`.
     fn row(&self, ip: Ipv4) -> Result<Row, ModelError> {
-        let row = self.trie.lookup(ip);
+        let row = self.ranges.lookup(ip);
         row.map(|i| self.rows[i as usize])
             .ok_or_else(|| ModelError::UnroutableAddress(ip.to_string()))
     }
 
     /// Resolve an IP address to its atlas attachment point (prefix,
-    /// cluster, origin/cluster AS) without running a search: one trie
-    /// walk to the row computed when the predictor was built.
+    /// cluster, origin/cluster AS) without running a search: one binary
+    /// search over address ranges to the row computed when the predictor
+    /// was built.
     pub fn resolve(&self, ip: Ipv4) -> Result<Resolution, ModelError> {
         self.row(ip)?.map_err(no_home)
     }

@@ -1,8 +1,10 @@
-//! IPv4 addresses, CIDR prefixes, and a longest-prefix-match trie.
+//! IPv4 addresses, CIDR prefixes, a longest-prefix-match trie, and the
+//! trie flattened into sorted address ranges.
 //!
 //! The measurement pipeline maps traceroute hop addresses to prefixes and
 //! ASes exactly the way iNano does ("data to map IP addresses to prefixes
 //! and ASes", §5), so we need a real LPM structure rather than a hash map.
+//! A [`RangeTable`] answers the same longest match with one binary search.
 
 use crate::ids::PrefixId;
 use std::fmt;
@@ -228,6 +230,80 @@ impl<V: Copy> PrefixTrie<V> {
     }
 }
 
+impl<V: Copy + PartialEq> PrefixTrie<V> {
+    /// Flatten the trie into the disjoint address ranges its longest
+    /// match is constant on. An in-order walk carries the longest match
+    /// down to each node, and a range starts wherever an absent child or
+    /// a leaf hands out a match that differs from the one before it, so
+    /// nested prefixes keep their longest match and adjacent prefixes
+    /// with equal values share one range.
+    pub fn ranges(&self) -> RangeTable<V> {
+        let mut table = RangeTable {
+            starts: Vec::new(),
+            values: Vec::new(),
+        };
+        self.flatten(0, 0, 0, None, &mut table);
+        table
+    }
+
+    /// Emit the ranges under `node`, the trie node of the `depth`-bit
+    /// prefix at `base`, whose nearest ancestor with a value has `best`.
+    fn flatten(&self, node: u32, depth: u32, base: u32, best: Option<V>, out: &mut RangeTable<V>) {
+        let node = &self.nodes[node as usize];
+        let best = node.value.or(best);
+        if node.children == [NO_CHILD; 2] {
+            out.push(base, best);
+            return;
+        }
+        for (bit, &child) in node.children.iter().enumerate() {
+            let base = base | ((bit as u32) << (31 - depth));
+            match child {
+                NO_CHILD => out.push(base, best),
+                _ => self.flatten(child, depth + 1, base, best, out),
+            }
+        }
+    }
+}
+
+/// A [`PrefixTrie`] flattened ([`PrefixTrie::ranges`]): the address space
+/// cut into ranges sorted by first address, each holding the value of
+/// its longest matching prefix or `None` where no prefix covers it. A
+/// lookup is one binary search over the first addresses.
+#[derive(Clone, Debug)]
+pub struct RangeTable<V> {
+    /// First address of each range, ascending; the first is 0, so every
+    /// address falls in one.
+    starts: Vec<u32>,
+    values: Vec<Option<V>>,
+}
+
+impl<V: Copy + PartialEq> RangeTable<V> {
+    /// Open a range at `start` with `value`, unless the range before
+    /// already holds it.
+    fn push(&mut self, start: u32, value: Option<V>) {
+        if self.values.last() != Some(&value) {
+            self.starts.push(start);
+            self.values.push(value);
+        }
+    }
+
+    /// The value of the longest prefix containing `ip`: what
+    /// [`PrefixTrie::lookup`] answers on the trie this was built from.
+    #[inline]
+    pub fn lookup(&self, ip: Ipv4) -> Option<V> {
+        let range = self.starts.partition_point(|&start| start <= ip.raw()) - 1;
+        self.values[range]
+    }
+}
+
+impl<V> RangeTable<V> {
+    /// The first address of each range, ascending; uncovered ranges
+    /// included, so there is at least one.
+    pub fn starts(&self) -> impl Iterator<Item = Ipv4> + '_ {
+        self.starts.iter().map(|&start| Ipv4(start))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,6 +368,34 @@ mod tests {
         );
         assert_eq!(t.lookup(Ipv4::from_octets(11, 0, 0, 1)), None);
         assert_eq!(t.len(), 3);
+        // Flattened: uncovered, /8, /16, /24, /16, /8, uncovered.
+        let ranges = t.ranges();
+        assert_eq!(ranges.starts().count(), 7);
+        for ip in ranges.starts().chain([Ipv4::from_octets(10, 1, 2, 3)]) {
+            assert_eq!(ranges.lookup(ip), t.lookup(ip), "{ip}");
+        }
+    }
+
+    #[test]
+    fn ranges_merge_equal_neighbours_and_reach_the_last_address() {
+        let mut t = PrefixTrie::new();
+        t.insert(Prefix::new(Ipv4::from_octets(10, 0, 0, 0), 25), 1u32);
+        t.insert(Prefix::new(Ipv4::from_octets(10, 0, 0, 128), 25), 1);
+        t.insert(Prefix::new(Ipv4(u32::MAX), 32), 2);
+        let ranges = t.ranges();
+        let starts: Vec<Ipv4> = ranges.starts().collect();
+        assert_eq!(
+            starts,
+            [
+                Ipv4(0),
+                Ipv4::from_octets(10, 0, 0, 0),
+                Ipv4::from_octets(10, 0, 1, 0),
+                Ipv4(u32::MAX)
+            ]
+        );
+        assert_eq!(ranges.lookup(Ipv4::from_octets(10, 0, 0, 200)), Some(1));
+        assert_eq!(ranges.lookup(Ipv4(u32::MAX - 1)), None);
+        assert_eq!(ranges.lookup(Ipv4(u32::MAX)), Some(2));
     }
 
     #[test]
@@ -318,6 +422,8 @@ mod tests {
     fn a_default_trie_has_its_root() {
         let mut t = PrefixTrie::default();
         assert_eq!(t.lookup(Ipv4::from_octets(10, 0, 0, 1)), None);
+        assert_eq!(t.ranges().starts().count(), 1);
+        assert_eq!(t.ranges().lookup(Ipv4(u32::MAX)), None);
         let p = Prefix::new(Ipv4::from_octets(10, 0, 0, 0), 8);
         t.insert(p, PrefixId::new(7));
         assert_eq!(
@@ -335,5 +441,8 @@ mod tests {
             t.lookup(Ipv4::from_octets(1, 2, 3, 4)),
             Some(PrefixId::new(0))
         );
+        let ranges = t.ranges();
+        assert_eq!(ranges.starts().count(), 1);
+        assert_eq!(ranges.lookup(Ipv4(u32::MAX)), Some(PrefixId::new(0)));
     }
 }

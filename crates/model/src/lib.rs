@@ -23,7 +23,7 @@ pub mod stats;
 
 pub use error::{ErrorCode, ModelError};
 pub use ids::{Asn, ClusterId, HostId, IfaceId, PopId, PrefixId, RouterId};
-pub use ip::{Ipv4, Prefix, PrefixTrie};
+pub use ip::{Ipv4, Prefix, PrefixTrie, RangeTable};
 pub use lru::Lru;
 pub use metrics::{LatencyMs, LossRate};
 pub use path::{path_similarity, AsPath, ClusterPath};
