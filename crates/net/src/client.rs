@@ -1,8 +1,8 @@
 //! The client library: a blocking connection to an `inano-serve`
 //! instance with synchronous calls *and* pipelined batch submission.
 //!
-//! Every engine-touching call exists in two spellings: the plain one
-//! (`query_batch`, `epoch`, `resolve`) talks to shard 0 and the `_on`
+//! Every shard-scoped call exists in two spellings: the plain one
+//! (`query_batch`, `atlas_head`) talks to shard 0 and the `_on`
 //! variant
 //! (`query_batch_on`, ...) names a [`ShardId`] explicitly.
 //! [`NetClient::shards`] enumerates what the server hosts.
@@ -22,7 +22,7 @@
 //! the source keeps no state between them.
 
 use crate::wire::{read_frame, write_frame, Frame, Limits, ReadError, WireFault, TRACE_FLAG};
-use crate::wire::{WirePath, WireResolution, WireShardInfo};
+use crate::wire::{WirePath, WireShardInfo};
 use inano_core::{AtlasChunk, AtlasSource, AtlasVersion};
 use inano_model::{Ipv4, ModelError};
 use inano_obs::{EventsPage, MetricsDump, TraceTimings};
@@ -112,20 +112,6 @@ pub(crate) trait TypedCalls {
                 Ok(results)
             }
             other => Err(unexpected("PathBatch", &other)),
-        }
-    }
-
-    fn resolve_on(&mut self, shard: ShardId, ip: Ipv4) -> Result<WireResolution, NetError> {
-        match self.exchange(&Frame::Resolve { shard, ip })? {
-            Frame::ResolveReply { resolution } => Ok(resolution),
-            other => Err(unexpected("ResolveReply", &other)),
-        }
-    }
-
-    fn epoch_on(&mut self, shard: ShardId) -> Result<(u64, u32), NetError> {
-        match self.exchange(&Frame::Epoch { shard })? {
-            Frame::EpochReply { epoch, day } => Ok((epoch, day)),
-            other => Err(unexpected("EpochReply", &other)),
         }
     }
 
@@ -350,24 +336,6 @@ impl NetClient {
             shard,
             pairs: pairs.to_vec(),
         })
-    }
-
-    pub fn resolve(&mut self, ip: Ipv4) -> Result<WireResolution, NetError> {
-        self.resolve_on(ShardId::DEFAULT, ip)
-    }
-
-    pub fn resolve_on(&mut self, shard: ShardId, ip: Ipv4) -> Result<WireResolution, NetError> {
-        TypedCalls::resolve_on(self, shard, ip)
-    }
-
-    /// The default shard's serving `(epoch, day)`.
-    pub fn epoch(&mut self) -> Result<(u64, u32), NetError> {
-        self.epoch_on(ShardId::DEFAULT)
-    }
-
-    /// One named shard's serving `(epoch, day)`.
-    pub fn epoch_on(&mut self, shard: ShardId) -> Result<(u64, u32), NetError> {
-        TypedCalls::epoch_on(self, shard)
     }
 
     /// Every shard the server hosts, with each one's `(epoch, day)`.

@@ -7,12 +7,12 @@
 //! Three layers, separable and individually tested:
 //!
 //! * [`wire`] — a compact length-prefixed binary protocol, one
-//!   version (magic, version, request id, typed frames: `QueryBatch`,
-//!   `Resolve`, `Epoch` — each leading with a shard id — plus
-//!   `ListShards`, `Ping`, the atlas dissemination frames
-//!   `AtlasHead`/`FetchChunk` (the head names the newest atlas and the
-//!   deltas leading to it; each body is fetched in chunks by its
-//!   content tag), the
+//!   version (magic, version, request id, typed frames: `QueryBatch`
+//!   and the atlas dissemination frames `AtlasHead`/`FetchChunk` — each
+//!   leading with a shard id; the head names the newest atlas and the
+//!   deltas leading to it, and each body is fetched in chunks by its
+//!   content tag — plus `ListShards` (every shard's epoch and day),
+//!   `Ping`, the
 //!   observability frames `Metrics`/`MetricsReply`/`TraceReply` with
 //!   the [`wire::TRACE_FLAG`] request-id bit opting a request into a
 //!   stage-timing trailer, the event-journal frames
@@ -63,8 +63,8 @@ pub use client::{MirrorSource, NetClient, NetError};
 pub use server::{NetServer, ServerConfig};
 pub use udp::{UdpQuerier, UdpRetry};
 pub use wire::{
-    chunk_size_for, datagram_cap, Frame, Limits, WireFault, WirePath, WireResolution,
-    WireShardInfo, MAX_UDP_PAYLOAD, TRACE_FLAG,
+    chunk_size_for, datagram_cap, Frame, Limits, WireFault, WirePath, WireShardInfo,
+    MAX_UDP_PAYLOAD, TRACE_FLAG,
 };
 
 /// Re-exported so `inano-net` users can name shards without a direct

@@ -114,9 +114,9 @@
 //! worker sends the reply straight back with `send_to` (UDP replies
 //! have no ordering contract, so no completion round-trip is needed).
 //! The servable subset *is* the frame table's `Request` role
-//! ([`crate::wire::Role`]: `Ping`, `QueryBatch`, `Resolve`, `Epoch`,
-//! `AtlasHead`); a `StreamRequest` type (chunk fetches, shard list,
-//! metrics/events pages) gets a typed `NotOnDatagram` fault and a
+//! ([`crate::wire::Role`]: `Ping`, `QueryBatch`, `AtlasHead`); a
+//! `StreamRequest` type (chunk fetches, shard list, metrics/events
+//! pages) gets a typed `NotOnDatagram` fault and a
 //! `Reply` type `UnexpectedFrame`, both decided from the type byte
 //! with the payload unparsed. A reply that would not fit one datagram
 //! ([`datagram_cap`]) is replaced by a typed `FrameTooLarge` fault.
@@ -141,7 +141,7 @@
 
 use crate::wire::{chunk_size_for, datagram_cap, decode_datagram, refusal, DatagramError};
 use crate::wire::{encode_path_batch, write_frame, Assembled, Frame, FrameAssembler, Limits};
-use crate::wire::{WireFault, WireResolution, WireShardInfo};
+use crate::wire::{WireFault, WireShardInfo};
 use crate::wire::{HEADER_BYTES, MAGIC, TRACE_FLAG, VERSION};
 use inano_core::AtlasSource;
 use inano_model::{ErrorCode, ModelError};
@@ -1589,20 +1589,6 @@ fn serve(shared: &Shared, frame: &Frame) -> Result<Reply, ModelError> {
             return Ok(Reply::Paths(
                 registry.engine(*shard)?.query_batch_shared(pairs),
             ))
-        }
-        Frame::Resolve { shard, ip } => {
-            let engine = registry.engine(*shard)?;
-            let r = engine.generation().predictor.resolve(*ip)?;
-            Frame::ResolveReply {
-                resolution: WireResolution::from(&r),
-            }
-        }
-        Frame::Epoch { shard } => {
-            let generation = registry.engine(*shard)?.generation();
-            Frame::EpochReply {
-                epoch: generation.epoch,
-                day: generation.day(),
-            }
         }
         Frame::ListShards => Frame::ShardsReply {
             shards: registry

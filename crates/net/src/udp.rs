@@ -25,13 +25,13 @@
 //!   back.
 //!
 //! Only the single-shot subset travels here (`Ping`, `QueryBatch`,
-//! `Resolve`, `Epoch`, `AtlasHead`); chunked atlas fetches
+//! `AtlasHead`); chunked atlas fetches, the shard listing
 //! and the introspection pages keep the stream transport,
 //! [`crate::client::NetClient`].
 
 use crate::client::{alloc_id, NetError, TypedCalls};
 use crate::wire::{decode_datagram, DatagramError, Frame, Limits, MAX_UDP_PAYLOAD};
-use crate::wire::{WireFault, WirePath, WireResolution};
+use crate::wire::{WireFault, WirePath};
 use inano_core::AtlasVersion;
 use inano_model::Ipv4;
 use inano_service::ShardId;
@@ -224,24 +224,6 @@ impl UdpQuerier {
         pairs: &[(Ipv4, Ipv4)],
     ) -> Result<Vec<Result<WirePath, WireFault>>, NetError> {
         TypedCalls::query_batch_on(self, shard, pairs)
-    }
-
-    pub fn resolve(&mut self, ip: Ipv4) -> Result<WireResolution, NetError> {
-        self.resolve_on(ShardId::DEFAULT, ip)
-    }
-
-    pub fn resolve_on(&mut self, shard: ShardId, ip: Ipv4) -> Result<WireResolution, NetError> {
-        TypedCalls::resolve_on(self, shard, ip)
-    }
-
-    /// The default shard's serving `(epoch, day)`.
-    pub fn epoch(&mut self) -> Result<(u64, u32), NetError> {
-        self.epoch_on(ShardId::DEFAULT)
-    }
-
-    /// One named shard's serving `(epoch, day)`.
-    pub fn epoch_on(&mut self, shard: ShardId) -> Result<(u64, u32), NetError> {
-        TypedCalls::epoch_on(self, shard)
     }
 
     /// The newest full-atlas version shard 0 serves, with the chain of

@@ -23,7 +23,9 @@
 //! a receiver accepts: any other version byte is a fatal `BadVersion`
 //! on a stream and a silent drop on a datagram. No client exists
 //! outside this tree, so a breaking change bumps the number instead of
-//! growing an accept window.
+//! growing an accept window. Retiring a frame is not a breaking change:
+//! no surviving frame's bytes move, and its type byte then decodes as
+//! `UnknownFrame`, a per-frame fault the connection survives.
 //!
 //! ## Frames
 //!
@@ -38,8 +40,6 @@
 //! |---|---|---|---|---|---|
 //! | `0x01` | `Request` | `Ping` | `0x81 Pong` | no | yes |
 //! | `0x02` | `Request` | `QueryBatch` | `0x82 PathBatch` | yes | yes |
-//! | `0x03` | `Request` | `Resolve` | `0x83 ResolveReply` | yes | yes |
-//! | `0x05` | `Request` | `Epoch` | `0x85 EpochReply` | yes | yes |
 //! | `0x06` | `StreamRequest` | `ListShards` | `0x86 ShardsReply` | no | no |
 //! | `0x07` | `Request` | `AtlasHead` | `0x87 AtlasHeadReply` | yes | yes |
 //! | `0x08` | `StreamRequest` | `FetchChunk` | `0x88 ChunkReply` | yes | no |
@@ -53,9 +53,9 @@
 //! before it parses a payload byte: a `Reply` type is answered
 //! `UnexpectedFrame`, a `StreamRequest` arriving in a datagram
 //! `NotOnDatagram`, and only what is left is decoded, charged to the
-//! request-memory budget and queued. Types `0x04`/`0x84`,
-//! `0x09`/`0x89` and `0x0A` are retired and decode as `UnknownFrame`
-//! like any other unassigned byte.
+//! request-memory budget and queued. Types `0x03`–`0x05`,
+//! `0x83`–`0x85`, `0x09`/`0x89` and `0x0A` are retired and decode as
+//! `UnknownFrame` like any other unassigned byte.
 //!
 //! **Adding a frame** is one row in `frames!`, plus: a `Wire` impl
 //! (the field's byte layout, writer and reader side by side) only if
@@ -130,8 +130,8 @@
 //! Error *codes* live in [`inano_model::ErrorCode`] so the engine's own
 //! `ModelError`s cross the wire losslessly typed.
 
-use inano_core::{AtlasVersion, ChainLink, PredictedPath, Resolution, DEFAULT_CHUNK_SIZE};
-use inano_model::{Asn, ClusterId, ErrorCode, Ipv4, LatencyMs, LossRate, ModelError, PrefixId};
+use inano_core::{AtlasVersion, ChainLink, PredictedPath, DEFAULT_CHUNK_SIZE};
+use inano_model::{Asn, ClusterId, ErrorCode, Ipv4, LatencyMs, LossRate, ModelError};
 use inano_obs::{Event, EventKind, EventsPage, MetricValue, MetricsDump, TraceTimings};
 use inano_service::{ShardId, SharedResult, DELTA_LOG_CAP};
 use std::io::{self, Read, Write};
@@ -273,40 +273,6 @@ impl WirePath {
     }
 }
 
-/// An endpoint resolution in wire form (see [`inano_core::Resolution`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WireResolution {
-    pub prefix: u32,
-    pub cluster: u32,
-    pub origin_as: Option<u32>,
-    pub cluster_as: Option<u32>,
-    pub refined_providers: bool,
-}
-
-impl From<&Resolution> for WireResolution {
-    fn from(r: &Resolution) -> WireResolution {
-        WireResolution {
-            prefix: r.prefix.raw(),
-            cluster: r.cluster.raw(),
-            origin_as: r.origin_as.map(|a| a.raw()),
-            cluster_as: r.cluster_as.map(|a| a.raw()),
-            refined_providers: r.refined_providers,
-        }
-    }
-}
-
-impl WireResolution {
-    pub fn into_resolution(self) -> Resolution {
-        Resolution {
-            prefix: PrefixId::new(self.prefix),
-            cluster: ClusterId::new(self.cluster),
-            origin_as: self.origin_as.map(Asn::new),
-            cluster_as: self.cluster_as.map(Asn::new),
-            refined_providers: self.refined_providers,
-        }
-    }
-}
-
 /// One hosted shard in a `ShardsReply`: its id and the `(epoch, day)`
 /// of its serving generation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -398,8 +364,6 @@ macro_rules! frames {
 frames! {
     0x01 Request Ping
     0x02 Request QueryBatch { shard: ShardId, pairs: Vec<(Ipv4, Ipv4)> }
-    0x03 Request Resolve { shard: ShardId, ip: Ipv4 }
-    0x05 Request Epoch { shard: ShardId }
     0x06 StreamRequest ListShards
     /// What is the newest full atlas this shard serves, and which
     /// deltas lead to it?
@@ -416,8 +380,6 @@ frames! {
     0x0C StreamRequest Events { since_seq: u64 }
     0x81 Reply Pong
     0x82 Reply PathBatch { results: Vec<Result<WirePath, WireFault>> }
-    0x83 Reply ResolveReply { resolution: WireResolution }
-    0x85 Reply EpochReply { epoch: u64, day: u32 }
     0x86 Reply ShardsReply { shards: Vec<WireShardInfo> }
     0x87 Reply AtlasHeadReply { version: AtlasVersion }
     /// One checksummed body chunk (full or delta — the client knows
@@ -663,16 +625,6 @@ impl Wire for ShardId {
     }
 }
 
-impl Wire for Ipv4 {
-    fn put(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.0);
-    }
-
-    fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<Ipv4, WireFault> {
-        Ok(Ipv4(c.u32()?))
-    }
-}
-
 impl Wire for WireFault {
     fn put(&self, buf: &mut Vec<u8>) {
         put_u16(buf, self.code.as_u16());
@@ -767,44 +719,6 @@ impl Wire for Vec<Result<WirePath, WireFault>> {
             });
         }
         Ok(results)
-    }
-}
-
-impl Wire for WireResolution {
-    fn put(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.prefix);
-        put_u32(buf, self.cluster);
-        let flags = self.origin_as.is_some() as u8
-            | (self.cluster_as.is_some() as u8) << 1
-            | (self.refined_providers as u8) << 2;
-        buf.push(flags);
-        if let Some(a) = self.origin_as {
-            put_u32(buf, a);
-        }
-        if let Some(a) = self.cluster_as {
-            put_u32(buf, a);
-        }
-    }
-
-    fn get(c: &mut Cursor<'_>, _: &Limits) -> Result<WireResolution, WireFault> {
-        let prefix = c.u32()?;
-        let cluster = c.u32()?;
-        let flags = c.u8()?;
-        if flags & !0b111 != 0 {
-            return Err(WireFault::new(
-                ErrorCode::Malformed,
-                format!("bad resolution flags {flags:#x}"),
-            ));
-        }
-        let origin_as = (flags & 1 != 0).then(|| c.u32()).transpose()?;
-        let cluster_as = (flags & 2 != 0).then(|| c.u32()).transpose()?;
-        Ok(WireResolution {
-            prefix,
-            cluster,
-            origin_as,
-            cluster_as,
-            refined_providers: flags & 4 != 0,
-        })
     }
 }
 
@@ -1489,8 +1403,15 @@ mod tests {
     #[test]
     fn shard_routed_requests_round_trip() {
         for shard in [ShardId::DEFAULT, ShardId(3), ShardId(u16::MAX)] {
-            round_trip(Frame::Epoch { shard }, 12);
-            round_trip(Frame::Resolve { shard, ip: Ipv4(9) }, 13);
+            round_trip(Frame::AtlasHead { shard }, 12);
+            round_trip(
+                Frame::FetchChunk {
+                    shard,
+                    tag: 9,
+                    idx: 1,
+                },
+                13,
+            );
         }
     }
 
@@ -1663,9 +1584,10 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_malformed() {
-        let mut bytes = Frame::Resolve {
+        let mut bytes = Frame::FetchChunk {
             shard: ShardId(1),
-            ip: Ipv4(5),
+            tag: 5,
+            idx: 0,
         }
         .encode(2);
         // Grow the payload by one byte and fix up the declared length.
@@ -1990,7 +1912,7 @@ mod tests {
                 matches!(role, Some(Role::Reply | Role::StreamRequest))
             );
         }
-        assert!(doc_rows.len() >= 11, "the doc table was found and parsed");
+        assert_eq!(doc_rows.len(), 9, "the doc table was found and parsed");
         for (byte, role, on_datagram) in doc_rows {
             let want = role_of(byte).expect("a doc row is a table row");
             assert_eq!(role, format!("{want:?}"), "role column of {byte:#04x}");

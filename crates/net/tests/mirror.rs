@@ -90,6 +90,8 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
         let a = origin_engine.query(s, d).expect("origin serves");
         let b = client_engine.query(s, d).expect("chain end serves");
         assert_eq!(a.fwd_clusters, b.fwd_clusters);
+        // Not by bits: the origin's generation 0 holds the unquantised
+        // atlas, the chain end the codec's 0.1 ms-quantised one.
         assert!((a.rtt.ms() - b.rtt.ms()).abs() < 1e-12);
     }
 

@@ -50,6 +50,12 @@ fn srv_counter(server: &NetServer, name: &str) -> u64 {
     server.metrics().dump().counter(name)
 }
 
+/// Every hosted shard's `(shard, epoch, day)`, as `ListShards` lists it.
+fn generations(client: &mut NetClient) -> Vec<(u16, u64, u32)> {
+    let listed = client.shards().expect("shards");
+    listed.iter().map(|s| (s.shard, s.epoch, s.day)).collect()
+}
+
 /// The summed buckets of one histogram of a dump.
 fn histogram_total(dump: &MetricsDump, name: &str) -> u64 {
     match dump.value(name) {
@@ -86,18 +92,9 @@ fn remote_answers_equal_embedded_answers() {
         assert_eq!(got.rev_clusters, local.rev_clusters);
         assert_eq!(got.fwd_as_path, local.fwd_as_path);
         assert_eq!(got.rev_as_path, local.rev_as_path);
-        assert!((got.rtt.ms() - local.rtt.ms()).abs() < 1e-12);
-        assert!((got.loss.rate() - local.loss.rate()).abs() < 1e-12);
+        assert_eq!(got.rtt.ms().to_bits(), local.rtt.ms().to_bits());
+        assert_eq!(got.loss.rate().to_bits(), local.loss.rate().to_bits());
     }
-
-    // Resolve agrees with the engine's resolution.
-    let r = client.resolve(ring_ip(3)).expect("resolve");
-    let local = engine0(&server)
-        .generation()
-        .predictor
-        .resolve(ring_ip(3))
-        .unwrap();
-    assert_eq!(r.into_resolution(), local);
 
     // The metrics dump flows over the wire and reflects the served
     // load — raw latency buckets included, holding exactly the served
@@ -108,12 +105,9 @@ fn remote_answers_equal_embedded_answers() {
     assert_eq!(dump.gauge("shard0.epoch"), 0);
     assert_eq!(dump.gauge("shard0.day"), 0);
     assert_eq!(histogram_total(&dump, "shard0.latency_us"), queries);
-    assert_eq!(client.epoch().expect("epoch"), (0, 0));
 
     // A single-shard server lists exactly shard 0.
-    let listed = client.shards().expect("shards");
-    assert_eq!(listed.len(), 1);
-    assert_eq!((listed[0].shard, listed[0].epoch, listed[0].day), (0, 0, 0));
+    assert_eq!(generations(&mut client), [(0, 0, 0)]);
 }
 
 #[test]
@@ -273,7 +267,7 @@ fn other_versions_are_fatal_and_the_retired_stats_type_is_an_unknown_frame() {
     let faults_before = srv_counter(&server, "srv.faults");
     let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
     // What a v5 `Stats { shard: 0 }` request was, restamped.
-    let mut bytes = Frame::Epoch {
+    let mut bytes = Frame::AtlasHead {
         shard: ShardId::DEFAULT,
     }
     .encode(8);
@@ -511,7 +505,7 @@ fn swap_under_remote_load_is_lossless_and_bumps_the_epoch() {
 
     {
         let mut probe = NetClient::connect(server.local_addr()).expect("connect");
-        assert_eq!(probe.epoch().expect("epoch"), (0, 0));
+        assert_eq!(generations(&mut probe), [(0, 0, 0)]);
         let before = probe
             .query_batch(&[(ring_ip(0), ring_ip(far))])
             .expect("pre-swap query")[0]
@@ -557,7 +551,7 @@ fn swap_under_remote_load_is_lossless_and_bumps_the_epoch() {
     // Remote clients see the new generation: epoch bumped, and the
     // day-1 shortcut is the served route.
     let mut probe = NetClient::connect(server.local_addr()).expect("connect");
-    assert_eq!(probe.epoch().expect("epoch"), (1, 1));
+    assert_eq!(generations(&mut probe), [(0, 1, 1)]);
     let after = probe
         .query_batch(&[(ring_ip(0), ring_ip(far))])
         .expect("post-swap query")[0]
@@ -600,14 +594,7 @@ fn shards_route_independently_behind_one_listener() {
     let server = two_shard_server([12, 8], ServerConfig::default());
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
 
-    let listed = client.shards().expect("shards");
-    assert_eq!(
-        listed
-            .iter()
-            .map(|s| (s.shard, s.epoch, s.day))
-            .collect::<Vec<_>>(),
-        vec![(0, 0, 0), (1, 0, 0)]
-    );
+    assert_eq!(generations(&mut client), [(0, 0, 0), (1, 0, 0)]);
 
     let pair = [(ring_ip(0), ring_ip(6))];
     // Ring 12: 0 -> 6 is 6 hops either way around.
@@ -644,17 +631,16 @@ fn unknown_shard_gets_a_typed_error_and_the_connection_survives() {
         }
     }
     assert_unknown_shard(client.query_batch_on(missing, &[(ring_ip(0), ring_ip(1))]));
-    assert_unknown_shard(client.epoch_on(missing));
     assert_unknown_shard(client.atlas_head_on(missing));
-    assert_unknown_shard(client.resolve_on(missing, ring_ip(0)));
+    assert_unknown_shard(client.fetch_chunk_on(missing, 0, 0));
 
-    // Four per-frame faults, zero connection losses.
+    // Three per-frame faults, zero connection losses.
     client.ping().expect("connection survives unknown shards");
     assert!(client
         .query_batch(&[(ring_ip(0), ring_ip(1))])
         .expect("shard 0 still serves")[0]
         .is_ok());
-    assert!(srv_counter(&server, "srv.faults") >= 4);
+    assert_eq!(srv_counter(&server, "srv.faults"), 3);
 }
 
 #[test]
@@ -709,10 +695,9 @@ fn swap_on_one_shard_is_lossless_and_invisible_on_the_other() {
     assert!(shard1_at_swap > 0 && shard1() > shard1_at_swap + HAMMERS);
 
     let mut probe = NetClient::connect(server.local_addr()).expect("connect");
-    assert_eq!(probe.epoch().expect("epoch"), (1, 1));
     assert_eq!(
-        probe.epoch_on(ShardId(1)).expect("epoch"),
-        (0, 0),
+        generations(&mut probe),
+        [(0, 1, 1), (1, 0, 0)],
         "shard 1 must not see shard 0's delta"
     );
     let pair = [(ring_ip(0), ring_ip(far))];

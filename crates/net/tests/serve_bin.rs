@@ -283,11 +283,11 @@ fn origin_and_mirror_processes_serve_propagate_resync_and_scrape() {
         "the mirror to apply the origin's delta",
         || metrics(mirror_addr).counter("shard0.mirror.deltas_applied") == 1,
     );
-    let (_, day) = NetClient::connect(mirror_addr)
+    let head = NetClient::connect(mirror_addr)
         .expect("connect")
-        .epoch()
-        .expect("the mirror's shard-0 generation");
-    assert_eq!(day, 1);
+        .atlas_head()
+        .expect("the mirror's shard-0 head");
+    assert_eq!(head.day, 1);
     assert_parity(origin_addr, mirror_addr, 1);
 
     // A converged fleet does not lag, though its two shards serve

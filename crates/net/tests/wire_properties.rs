@@ -13,7 +13,7 @@ use inano_net::wire::{
     datagram_cap, decode_datagram, encode_path_batch, read_frame, role_of, DatagramError, Frame,
     Limits, ReadError, CHUNK_WIRE_OVERHEAD, HEADER_BYTES, TRACE_FLAG,
 };
-use inano_net::{chunk_size_for, WireFault, WirePath, WireResolution, WireShardInfo};
+use inano_net::{chunk_size_for, WireFault, WirePath, WireShardInfo};
 use inano_obs::{
     Event, EventKind, EventsPage, MetricValue, MetricsDump, MetricsRegistry, TraceTimings,
 };
@@ -44,18 +44,6 @@ prop_compose! {
         loss in 0.0f64..1.0,
     ) -> WirePath {
         WirePath { fwd_clusters, rev_clusters, fwd_as, rev_as, rtt_ms, loss }
-    }
-}
-
-prop_compose! {
-    fn arb_resolution()(
-        prefix in any::<u32>(),
-        cluster in any::<u32>(),
-        origin_as in proptest::option::of(any::<u32>()),
-        cluster_as in proptest::option::of(any::<u32>()),
-        refined_providers in any::<bool>(),
-    ) -> WireResolution {
-        WireResolution { prefix, cluster, origin_as, cluster_as, refined_providers }
     }
 }
 
@@ -220,14 +208,11 @@ fn encode_via_frame(request_id: u64, results: &[SharedResult]) -> Vec<u8> {
 // exercised (the stand-in proptest has no `prop_oneof!`).
 prop_compose! {
     fn arb_frame()(
-        variant in 0usize..20,
+        variant in 0usize..16,
         shard in any::<u16>(),
         pairs in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..40),
         results in proptest::collection::vec(arb_result(), 0..20),
-        ip in any::<u32>(),
-        resolution in arb_resolution(),
-        epoch in any::<u64>(),
-        day in any::<u32>(),
+        seq in any::<u64>(),
         shard_infos in proptest::collection::vec(arb_shard_info(), 0..16),
         version in arb_version(),
         epoch_tag in any::<u64>(),
@@ -247,21 +232,17 @@ prop_compose! {
                 pairs: pairs.into_iter().map(|(s, d)| (Ipv4(s), Ipv4(d))).collect(),
             },
             3 => Frame::PathBatch { results },
-            4 => Frame::Resolve { shard: ShardId(shard), ip: Ipv4(ip) },
-            5 => Frame::ResolveReply { resolution },
-            6 => Frame::Epoch { shard: ShardId(shard) },
-            7 => Frame::EpochReply { epoch, day },
-            8 => Frame::ListShards,
-            9 => Frame::ShardsReply { shards: shard_infos },
-            10 => Frame::AtlasHead { shard: ShardId(shard) },
-            11 => Frame::AtlasHeadReply { version },
-            12 => Frame::FetchChunk { shard: ShardId(shard), tag: epoch_tag, idx },
-            13 => Frame::ChunkReply { idx, crc, bytes: chunk },
-            14 => Frame::Error { fault },
-            15 => Frame::Metrics,
-            16 => Frame::MetricsReply { dump },
-            17 => Frame::TraceReply { timings },
-            18 => Frame::Events { since_seq: epoch },
+            4 => Frame::ListShards,
+            5 => Frame::ShardsReply { shards: shard_infos },
+            6 => Frame::AtlasHead { shard: ShardId(shard) },
+            7 => Frame::AtlasHeadReply { version },
+            8 => Frame::FetchChunk { shard: ShardId(shard), tag: epoch_tag, idx },
+            9 => Frame::ChunkReply { idx, crc, bytes: chunk },
+            10 => Frame::Error { fault },
+            11 => Frame::Metrics,
+            12 => Frame::MetricsReply { dump },
+            13 => Frame::TraceReply { timings },
+            14 => Frame::Events { since_seq: seq },
             _ => Frame::EventsReply { page },
         }
     }
@@ -653,29 +634,6 @@ fn golden_frames() -> Vec<(&'static str, u64, Frame)> {
                 ],
             },
         ),
-        (
-            "resolve",
-            5,
-            Frame::Resolve {
-                shard,
-                ip: Ipv4(0xc0a8_0101),
-            },
-        ),
-        (
-            "resolve_reply",
-            6,
-            Frame::ResolveReply {
-                resolution: WireResolution {
-                    prefix: 11,
-                    cluster: 12,
-                    origin_as: Some(13),
-                    cluster_as: None,
-                    refined_providers: true,
-                },
-            },
-        ),
-        ("epoch", 9, Frame::Epoch { shard }),
-        ("epoch_reply", 10, Frame::EpochReply { epoch: 77, day: 5 }),
         ("list_shards", 11, Frame::ListShards),
         (
             "shards_reply",
@@ -803,16 +761,15 @@ fn golden_frames() -> Vec<(&'static str, u64, Frame)> {
 /// and changed byte 4 of every row. The move to version 8 dropped the
 /// delta fetch by day and its reply (types `0x09`/`0x89`), appended the
 /// chain to `AtlasHeadReply` (a `u32` count, then each link's base, tag
-/// and length), and changed byte 4 of every row.
-const GOLDEN_HEX: [(&str, &str); 20] = [
+/// and length), and changed byte 4 of every row. Retiring the
+/// address-resolution and generation requests and their replies (types
+/// `0x03`/`0x83`, `0x05`/`0x85`) dropped their four rows under the same
+/// version and moved no byte of the rest.
+const GOLDEN_HEX: [(&str, &str); 16] = [
     ("ping", "694e614e0801000000000000000100000000"),
     ("pong", "694e614e0881000000000000000200000000"),
     ("query_batch", "694e614e08020102030405060708000000160003000000020a0000010a0100020000000700000009"),
     ("path_batch", "694e614e0882000000000000000400000041000000020040290000000000003fd000000000000000030000000100000002000000030002000000030000000100010000fde9000001000500076e6f2070617468"),
-    ("resolve", "694e614e08030000000000000005000000060003c0a80101"),
-    ("resolve_reply", "694e614e088300000000000000060000000d0000000b0000000c050000000d"),
-    ("epoch", "694e614e08050000000000000009000000020003"),
-    ("epoch_reply", "694e614e0885000000000000000a0000000c000000000000004d00000005"),
     ("list_shards", "694e614e0806000000000000000b00000000"),
     ("shards_reply", "694e614e0886000000000000000c0000001e000200000000000000000001000000020003000000000000000400000005"),
     ("atlas_head", "694e614e0807000000000000000d000000020003"),
@@ -866,11 +823,11 @@ fn every_frame_variant_encodes_to_its_recorded_bytes() {
     }
 }
 
-/// The delta fetch by day and its reply are retired: their bytes are
-/// unassigned, like any other retired type.
+/// Retired frame types are unassigned bytes: no role, and a payload
+/// under one decodes as `UnknownFrame`.
 #[test]
-fn the_retired_delta_frames_decode_as_unknown() {
-    for frame_type in [0x09u8, 0x89] {
+fn the_retired_frames_decode_as_unknown() {
+    for frame_type in [0x03u8, 0x83, 0x05, 0x85, 0x09, 0x89] {
         assert_eq!(role_of(frame_type), None, "{frame_type:#04x}");
         match Frame::decode_payload(frame_type, &[0, 3, 0, 0, 0, 4], &Limits::default()) {
             Err(fault) => assert_eq!(fault.code, ErrorCode::UnknownFrame, "{frame_type:#04x}"),

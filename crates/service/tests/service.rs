@@ -67,8 +67,8 @@ fn assert_same_path(a: &PredictedPath, b: &PredictedPath) {
     assert_eq!(a.rev_clusters, b.rev_clusters);
     assert_eq!(a.fwd_as_path, b.fwd_as_path);
     assert_eq!(a.rev_as_path, b.rev_as_path);
-    assert!((a.rtt.ms() - b.rtt.ms()).abs() < 1e-12);
-    assert!((a.loss.rate() - b.loss.rate()).abs() < 1e-12);
+    assert_eq!(a.rtt.ms().to_bits(), b.rtt.ms().to_bits());
+    assert_eq!(a.loss.rate().to_bits(), b.loss.rate().to_bits());
 }
 
 fn same_route(a: &PredictedPath, b: &PredictedPath) -> bool {

@@ -110,17 +110,20 @@ fn main() {
     registry
         .apply_delta(ShardId(0), &AtlasDelta::between(&worlds[0].atlas, &day1))
         .expect("delta applies");
-    let (epoch0, day0) = client.epoch().expect("epoch");
-    let (epoch1, day_1) = client.epoch_on(ShardId(1)).expect("epoch on shard 1");
     let after = client.query_batch(&[(src, dst)]).expect("batch")[0].clone();
     println!(
-        "after the swap: shard 0 at epoch {epoch0}, day {day0} ({src:?} -> {dst:?}: {}); \
-         shard 1 untouched at epoch {epoch1}, day {day_1}",
+        "after the swap: {src:?} -> {dst:?} on shard 0: {}",
         match after {
             Ok(path) => format!("rtt {:.2} ms", path.rtt_ms),
             Err(fault) => format!("{fault}"),
         }
     );
+    for info in client.shards().expect("list shards") {
+        println!(
+            "  shard {}: epoch {}, day {}",
+            info.shard, info.epoch, info.day
+        );
+    }
 
     // One way to read a server: the metrics dump over its own socket,
     // the same entries `server.metrics().dump()` shows in process.
