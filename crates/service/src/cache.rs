@@ -11,8 +11,18 @@
 //! epoch is part of the key) and age out of the LRU naturally.
 //!
 //! Sharding: the key hash picks one of `shards` independent
-//! mutex-protected LRU maps, so concurrent callers contend only when
-//! they collide on a shard, not on a single global lock.
+//! mutex-protected LRU maps. Every probe, hit or miss, takes its shard's
+//! lock and relinks that shard's recency list, so the lock's cache line
+//! moves between the cores of concurrent callers even when their keys
+//! never collide. Probed one pair at a time, a warm 512-pair batch on a
+//! `test(1)` world cost 130–155 ns per pair alone and 380–435 ns per
+//! pair for each of two concurrent callers (2 vCPUs). A batch therefore
+//! probes through [`ShardedCache::get_batch`] and stores through
+//! [`ShardedCache::insert_batch`], which group its keys by shard and
+//! take each shard's lock once: 130–145 ns per pair alone and 130–165
+//! ns with two callers on the same host. The grouping is stable, so
+//! every shard sees the same `get`s and `insert`s in the same order as
+//! one call per key would make.
 //!
 //! Each shard is an [`inano_model::Lru`], an exact LRU whose hit is an
 //! O(1) relink — this is the server's hot path — probing with this
@@ -24,6 +34,7 @@ use inano_core::PredictedPath;
 use inano_model::{ClusterId, Lru};
 use inano_obs::Counter;
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
@@ -117,25 +128,24 @@ impl ShardedCache {
         }
     }
 
-    fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
+    /// Which of the cache's shards holds `key`: one of
+    /// `0..shards`, the same for every call.
+    pub fn shard_index(&self, key: &CacheKey) -> usize {
         // shards.len() is a power of two.
-        &self.shards[(KeyHasher::mix(key) as usize) & (self.shards.len() - 1)]
+        (KeyHasher::mix(key) as usize) & (self.shards.len() - 1)
+    }
+
+    fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
+        &self.shards[self.shard_index(key)]
     }
 
     pub fn get(&self, key: &CacheKey) -> Option<Arc<PredictedPath>> {
-        let hit = self.lookup(key);
+        let hit = self.shard_of(key).lock().get(key).cloned();
         match &hit {
             Some(_) => self.hits.inc(),
             None => self.misses.inc(),
         }
         hit
-    }
-
-    /// [`ShardedCache::get`] without counting: the engine tallies a
-    /// batch's hits and misses itself and adds them to `hits` and
-    /// `misses` once.
-    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<Arc<PredictedPath>> {
-        self.shard_of(key).lock().get(key).cloned()
     }
 
     pub fn insert(&self, key: CacheKey, value: Arc<PredictedPath>) {
@@ -146,6 +156,79 @@ impl ShardedCache {
         }
     }
 
+    /// [`ShardedCache::get`] for every key of `keys`, taking each
+    /// shard's lock once: `found(i, hit)` is called for `keys[i]`, one
+    /// shard at a time and in `keys` order within a shard, with that
+    /// shard locked (so it must not call back into the cache). Hits and
+    /// misses are counted with one add each.
+    pub fn get_batch(
+        &self,
+        keys: &[CacheKey],
+        mut found: impl FnMut(usize, Option<&Arc<PredictedPath>>),
+    ) {
+        let mut hits = 0;
+        self.by_shard(keys.iter(), |shard, at| {
+            for &i in at {
+                let hit = shard.get(&keys[i]);
+                hits += u64::from(hit.is_some());
+                found(i, hit);
+            }
+        });
+        add(&self.hits, hits);
+        add(&self.misses, keys.len() as u64 - hits);
+    }
+
+    /// [`ShardedCache::insert`] for every entry, taking each shard's
+    /// lock once and inserting in `entries` order within a shard.
+    /// Inserts and evictions are counted with one add each.
+    pub fn insert_batch(&self, entries: &[(CacheKey, Arc<PredictedPath>)]) {
+        let mut evictions = 0;
+        self.by_shard(entries.iter().map(|(key, _)| key), |shard, at| {
+            for &i in at {
+                let (key, value) = &entries[i];
+                evictions += u64::from(shard.insert(*key, Arc::clone(value)));
+            }
+        });
+        add(&self.inserts, entries.len() as u64);
+        add(&self.evictions, evictions);
+    }
+
+    /// Group the positions of `keys` by shard (a stable counting sort
+    /// into this thread's [`Groups`]) and hand each shard the batch
+    /// touches to `visit` once, locked, with its positions in order.
+    fn by_shard<'k>(
+        &self,
+        keys: impl Iterator<Item = &'k CacheKey> + Clone,
+        mut visit: impl FnMut(&mut Shard, &[usize]),
+    ) {
+        GROUPS.with_borrow_mut(|Groups { ends, order }| {
+            // ends[s]: first the count of shard s, then where its run
+            // starts, and once every position is placed, where it ends.
+            ends.clear();
+            ends.resize(self.shards.len(), 0);
+            for key in keys.clone() {
+                ends[self.shard_index(key)] += 1;
+            }
+            let mut start = 0;
+            for end in ends.iter_mut() {
+                (start, *end) = (start + *end, start);
+            }
+            order.resize(start, 0);
+            for (i, key) in keys.enumerate() {
+                let end = &mut ends[self.shard_index(key)];
+                order[*end] = i;
+                *end += 1;
+            }
+            let mut start = 0;
+            for (shard, &end) in self.shards.iter().zip(ends.iter()) {
+                if end > start {
+                    visit(&mut shard.lock(), &order[start..end]);
+                }
+                start = end;
+            }
+        });
+    }
+
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
@@ -153,6 +236,25 @@ impl ShardedCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// Add `n` to `counter`; nothing to add touches nothing.
+fn add(counter: &Counter, n: u64) {
+    if n > 0 {
+        counter.add(n);
+    }
+}
+
+/// A batch's positions grouped by shard ([`ShardedCache::by_shard`]),
+/// kept per thread so a warm batch allocates nothing here.
+#[derive(Default)]
+struct Groups {
+    ends: Vec<usize>,
+    order: Vec<usize>,
+}
+
+thread_local! {
+    static GROUPS: RefCell<Groups> = RefCell::default();
 }
 
 #[cfg(test)]

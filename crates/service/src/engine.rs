@@ -6,21 +6,30 @@
 //! ## Threading model
 //!
 //! A batch ([`QueryEngine::query_batch_shared`]) snapshots one
-//! generation, then resolves every pair and probes the result cache on
-//! the *caller's* thread. Every resolved pair has a cache key (a
-//! canonical endpoint's cluster, any other endpoint's own prefix; see
-//! `cache_key`). A hit is answered there and then as the cached
+//! generation, then works in two passes on the *caller's* thread. The
+//! first resolves every pair and computes its cache key (every resolved
+//! pair has one: a canonical endpoint's cluster, any other endpoint's
+//! own prefix; see `cache_key`). The second probes the result cache one
+//! shard at a time ([`ShardedCache::get_batch`]): each shard the batch
+//! touches is locked once, not once per pair, because a shard lock
+//! taken per pair moved its cache line between two concurrent callers
+//! on every probe and more than doubled their per-pair cost (see
+//! [`crate::cache`]). A hit is answered there and then as the cached
 //! `Arc<PredictedPath>` — it never crosses a thread or copies the path.
-//! Only the misses go on, de-duplicated per cache key so one key is
-//! predicted and inserted once per batch: all of them are one
-//! [`PathPredictor::predict_batch`] on the caller, the planner the
+//! Only the misses go on, de-duplicated per cache key in input order so
+//! one key is predicted and inserted once per batch: all of them are
+//! one [`PathPredictor::predict_batch`] on the caller, the planner the
 //! library's own [`PathPredictor::query_batch`] runs. It predicts each
 //! distinct one-way path once and runs the searches it owes one per job
 //! on the caller and scoped helper threads ([`inano_core::fanout`]);
-//! each answer is then inserted under its key, in miss order, on the
-//! caller. The helpers borrow the batch's generation, so a batch is
-//! answered from exactly one generation, in input order, and no thread
-//! outlives the call that spawned it.
+//! the answers are then inserted on the caller, one lock per shard, in
+//! miss order within a shard ([`ShardedCache::insert_batch`]). Both
+//! groupings are stable, so each shard sees the same `get`s and
+//! `insert`s, in the same order, as a loop of one probe per pair. The
+//! helpers borrow the batch's generation, so a batch is answered from
+//! exactly one generation, in input order, and no thread outlives the
+//! call that spawned it. The per-pair state lives in a thread-local
+//! scratch, so a warm batch allocates once: the answers it returns.
 //!
 //! A helper needs a permit from the one process-wide counter in
 //! [`inano_core::fanout`], capped at `available_parallelism()`, so
@@ -38,14 +47,15 @@
 //! that resolves is probed once and counted once (a cache hit or a
 //! miss); in-batch duplicates of a missed key each count their miss but
 //! share one search and one insert. `queries`, `errors` and the latency
-//! histogram take one sample per pair. The probe pass reads the clock
-//! at its start and its end, and every pair it answers on the spot (a
-//! hit or a resolve error) takes the pass's mean time per pair as its
+//! histogram take one sample per pair. The probe passes read the clock
+//! at their start and their end, and every pair they answer on the spot
+//! (a hit or a resolve error) takes their mean time per pair as its
 //! sample; a miss's sample is the time of the planner call it waited
 //! for. So `hits + misses + resolve errors == queries`.
-//! A batch tallies all of this in locals and adds each series once when
-//! it returns: the counters are exact as soon as the call is, and a
-//! cached pair costs them no atomic of its own.
+//! Nothing is added per pair: the cache adds the batch's hits, misses,
+//! inserts and evictions once each from its batched probe and insert,
+//! and the batch tallies the rest in locals and adds each series once
+//! when it returns, so the counters are exact as soon as the call is.
 //!
 //! ## Hot swap
 //!
@@ -91,6 +101,7 @@ use inano_core::{
 use inano_model::{ClusterId, Ipv4, ModelError, PrefixId};
 use inano_obs::{EventJournal, EventKind, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -177,14 +188,6 @@ pub const DELTA_LOG_CAP: usize = 32;
 /// result cache, never deep-copied on the way out.
 pub type SharedResult = Result<Arc<PredictedPath>, ModelError>;
 
-/// What the cache said about one resolved pair.
-enum Probed {
-    Hit(Arc<PredictedPath>),
-    /// The pair's prefixes, still to be predicted, and where the answer
-    /// is cached.
-    Miss((PrefixId, PrefixId), CacheKey),
-}
-
 /// Where the answer for a resolved pair is cached. A prediction is a
 /// pure function of (source prefix, destination prefix, generation),
 /// so each side is named by what its answer depends on:
@@ -206,12 +209,33 @@ fn cache_key(s: &Resolution, d: &Resolution, epoch: u64) -> CacheKey {
     (src, dst, epoch | src_tag | dst_tag)
 }
 
-/// Where one pair of a batch stands after its probe.
+/// Where one pair of a batch stands.
 enum Slot {
     /// Answered on the spot: a cache hit or a resolve error.
     Ready(SharedResult),
+    /// Resolved, its key at this index of the batch's keys: a miss
+    /// until the cache says otherwise.
+    Keyed(usize),
     /// Waits for the answer at this index of the batch's miss list.
     Waits(usize),
+}
+
+/// A batch's per-pair state, kept per thread and reused, so a warm
+/// batch's one allocation is the answers it returns. A batch clears it
+/// first and drains `slots` into its answers, so no `Arc` outlives the
+/// call that took it (short of a panic, until the thread's next batch).
+#[derive(Default)]
+struct Scratch {
+    /// Per pair, in input order.
+    slots: Vec<Slot>,
+    /// Per resolved pair, in input order: its cache key ...
+    keys: Vec<CacheKey>,
+    /// ... its index in the batch, and the prefixes a miss predicts.
+    resolved: Vec<(usize, (PrefixId, PrefixId))>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 /// The concurrent, hot-swappable query engine (§5 scaled up: the same
@@ -339,63 +363,83 @@ impl QueryEngine {
     }
 
     /// Serve a batch from one generation snapshot; results come back in
-    /// input order. Every pair is resolved and probed against the
-    /// result cache on this thread and a hit is answered as the cached
+    /// input order. Every pair is resolved on this thread, then the
+    /// result cache is probed for all of them at once
+    /// ([`ShardedCache::get_batch`]) and a hit is answered as the cached
     /// `Arc`. The misses, one per distinct cache key, are one
     /// [`PathPredictor::predict_batch`] on this thread, which fans their
-    /// searches out (see the module docs),
-    /// and each answer is cached under its key. The batch's counts are
+    /// searches out (see the module docs), and their answers are cached
+    /// at once ([`ShardedCache::insert_batch`]). The batch's counts are
     /// tallied locally and added to [`QueryEngine::metrics`] once, on
     /// the way out.
     pub fn query_batch_shared(&self, pairs: &[(Ipv4, Ipv4)]) -> Vec<SharedResult> {
+        SCRATCH.with_borrow_mut(|scratch| self.serve(pairs, scratch))
+    }
+
+    /// [`QueryEngine::query_batch_shared`] in this thread's scratch.
+    fn serve(&self, pairs: &[(Ipv4, Ipv4)], scratch: &mut Scratch) -> Vec<SharedResult> {
+        let Scratch {
+            slots,
+            keys,
+            resolved,
+        } = scratch;
+        slots.clear();
+        keys.clear();
+        resolved.clear();
         let generation = self.generation();
-        let mut tally = Tally::default();
-        let (mut misses, mut keys) = (Vec::new(), Vec::new());
-        let mut by_key: HashMap<CacheKey, usize> = HashMap::new();
+        let p = &generation.predictor;
         let start = Instant::now();
-        let slots: Vec<Slot> = pairs
-            .iter()
-            .map(|&(src, dst)| {
-                let probed = self.probe(&generation, src, dst, &mut tally);
-                match probed {
-                    Ok(Probed::Hit(hit)) => Slot::Ready(Ok(hit)),
-                    Err(e) => Slot::Ready(Err(e)),
-                    Ok(Probed::Miss(pair, key)) => {
-                        // A key this batch already owes an answer for
-                        // waits on that one; a new key owes its own.
-                        let next = misses.len();
-                        let at = *by_key.entry(key).or_insert(next);
-                        if at == next {
-                            misses.push(pair);
-                            keys.push(key);
-                        }
-                        Slot::Waits(at)
-                    }
+        for (at, &(src, dst)) in pairs.iter().enumerate() {
+            let slot = match (p.resolve(src), p.resolve(dst)) {
+                (Ok(s), Ok(d)) => {
+                    keys.push(cache_key(&s, &d, generation.epoch));
+                    resolved.push((at, (s.prefix, d.prefix)));
+                    Slot::Keyed(keys.len() - 1)
                 }
-            })
-            .collect();
+                (Err(e), _) | (_, Err(e)) => Slot::Ready(Err(e)),
+            };
+            slots.push(slot);
+        }
+        self.cache.get_batch(keys, |k, hit| {
+            if let Some(hit) = hit {
+                slots[resolved[k].0] = Slot::Ready(Ok(Arc::clone(hit)));
+            }
+        });
         // Three clock reads for the whole batch: a pair answered in the
         // probe pass takes the pass's mean time per pair as its sample,
         // a miss the time of the one planner call it waited for.
         let probed = Instant::now();
         let probe_us = ((probed - start).as_nanos() / (1000 * pairs.len().max(1) as u128)) as u64;
-        let predicted = generation.predictor.predict_batch(&misses);
-        let miss_us = probed.elapsed().as_micros() as u64;
-        let missed: Vec<SharedResult> = (predicted.into_iter().zip(keys))
-            .map(|(result, key)| {
-                let result = result.map(Arc::new);
-                if let Ok(path) = &result {
-                    self.cache.insert(key, Arc::clone(path));
+        // A key this batch already owes an answer for waits on that
+        // one; a new key owes its own, in input order.
+        let (mut misses, mut owed) = (Vec::new(), Vec::new());
+        let mut by_key: HashMap<CacheKey, usize> = HashMap::new();
+        for slot in slots.iter_mut() {
+            if let Slot::Keyed(k) = *slot {
+                let next = misses.len();
+                let at = *by_key.entry(keys[k]).or_insert(next);
+                if at == next {
+                    misses.push(resolved[k].1);
+                    owed.push(keys[k]);
                 }
-                result
-            })
+                *slot = Slot::Waits(at);
+            }
+        }
+        let predicted = p.predict_batch(&misses).into_iter();
+        let missed: Vec<SharedResult> = predicted.map(|r| r.map(Arc::new)).collect();
+        let miss_us = probed.elapsed().as_micros() as u64;
+        let entries: Vec<_> = (owed.into_iter().zip(&missed))
+            .filter_map(|(key, result)| Some((key, Arc::clone(result.as_ref().ok()?))))
             .collect();
+        self.cache.insert_batch(&entries);
+        let mut tally = Tally::default();
         let answers = slots
-            .into_iter()
+            .drain(..)
             .map(|slot| {
                 let (result, us) = match slot {
                     Slot::Ready(r) => (r, probe_us),
                     Slot::Waits(at) => (missed[at].clone(), miss_us),
+                    Slot::Keyed(_) => unreachable!("every keyed pair was a hit or owes a miss"),
                 };
                 tally.answer(us, result.is_ok());
                 result
@@ -403,32 +447,6 @@ impl QueryEngine {
             .collect();
         tally.flush(&self.metrics);
         answers
-    }
-
-    /// Resolve both endpoints against a snapshotted generation and
-    /// consult the result cache under the pair's [`cache_key`], counting
-    /// the probe into `tally`: the cached answer, or the search still
-    /// owed.
-    fn probe(
-        &self,
-        generation: &Generation,
-        src: Ipv4,
-        dst: Ipv4,
-        tally: &mut Tally,
-    ) -> Result<Probed, ModelError> {
-        let p = &generation.predictor;
-        let (s, d) = (p.resolve(src)?, p.resolve(dst)?);
-        let key = cache_key(&s, &d, generation.epoch);
-        Ok(match self.cache.lookup(&key) {
-            Some(hit) => {
-                tally.cache_hits += 1;
-                Probed::Hit(hit)
-            }
-            None => {
-                tally.cache_misses += 1;
-                Probed::Miss((s.prefix, d.prefix), key)
-            }
-        })
     }
 
     /// Apply one daily delta and swap the serving generation. All heavy

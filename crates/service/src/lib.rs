@@ -7,9 +7,10 @@
 //!
 //! Three pieces, separable and individually tested:
 //!
-//! * [`QueryEngine`] — [`QueryEngine::query_batch`] answers every
-//!   cached pair on the caller's thread from one generation snapshot
-//!   and hands the rest to the library's batch planner,
+//! * [`QueryEngine`] — [`QueryEngine::query_batch`] resolves a batch
+//!   on the caller's thread from one generation snapshot, probes the
+//!   cache for all of it with one lock per shard touched, answers every
+//!   cached pair there and hands the rest to the library's batch planner,
 //!   [`inano_core::PathPredictor::predict_batch`], which fans their
 //!   searches over scoped helper threads through
 //!   [`inano_core::fanout`], bounded process-wide by the core count
@@ -17,7 +18,10 @@
 //! * [`ShardedCache`] — a sharded LRU over full bidirectional
 //!   predictions keyed `(src_cluster, dst_cluster, epoch)`, riding the
 //!   paper's observation that predictions are stable within a
-//!   measurement day, with hit/miss/eviction/insert counters;
+//!   measurement day, with hit/miss/eviction/insert counters, and a
+//!   batched probe and insert that group a batch's keys by shard, so
+//!   concurrent callers take each shard's lock once per batch rather
+//!   than once per pair;
 //! * hot swap — the serving generation is an `Arc` behind a `RwLock`
 //!   taken for writing only during the pointer store of a daily-delta
 //!   apply ([`QueryEngine::apply_delta`] /

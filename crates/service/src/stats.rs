@@ -79,8 +79,6 @@ pub(crate) struct Tally {
     queries: u64,
     errors: u64,
     latency_us: [u64; BUCKETS],
-    pub(crate) cache_hits: u64,
-    pub(crate) cache_misses: u64,
 }
 
 impl Default for Tally {
@@ -89,8 +87,6 @@ impl Default for Tally {
             queries: 0,
             errors: 0,
             latency_us: [0; BUCKETS],
-            cache_hits: 0,
-            cache_misses: 0,
         }
     }
 }
@@ -106,12 +102,7 @@ impl Tally {
     /// Add everything tallied to `m`; a series with nothing to add is
     /// not touched.
     pub(crate) fn flush(&self, m: &EngineMetrics) {
-        for (series, n) in [
-            (&m.queries, self.queries),
-            (&m.errors, self.errors),
-            (&m.cache_hits, self.cache_hits),
-            (&m.cache_misses, self.cache_misses),
-        ] {
+        for (series, n) in [(&m.queries, self.queries), (&m.errors, self.errors)] {
             if n > 0 {
                 series.add(n);
             }

@@ -5,6 +5,12 @@
 //! one-shard `ShardedCache` must hit and miss where the model does,
 //! keep the same keys with the same values, and count the same
 //! inserts and evictions.
+//!
+//! The batched forms the engine uses take each shard's lock once per
+//! batch and group a batch's keys by shard, keeping their order within
+//! a shard. Driven by random batches, a many-shard `ShardedCache` must
+//! answer as one model per shard does when fed the same keys one at a
+//! time in input order, and then the answers to the batch's misses.
 
 use inano_core::PredictedPath;
 use inano_model::{AsPath, ClusterId, LatencyMs, LossRate};
@@ -116,6 +122,75 @@ proptest! {
         // The survivors, with the values last inserted under them.
         for k in (0..keys).map(key) {
             let want = model.map.get(&k).map(|(p, _)| p.rtt.ms());
+            prop_assert_eq!(rtt(cache.get(&k)), want, "{:?}", k);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn batches_match_one_tick_ordered_lru_per_shard(
+        capacity in 1usize..40,
+        shards in 1usize..9,
+        spread in 1usize..4,
+        batches in proptest::collection::vec(
+            proptest::collection::vec((any::<u32>(), any::<bool>()), 0..48),
+            0..24,
+        ),
+    ) {
+        let keys = (capacity * spread) as u32 + 1;
+        let cache = ShardedCache::new(capacity, shards);
+        let shards = shards.next_power_of_two();
+        let mut models: Vec<Reference> =
+            (0..shards).map(|_| Reference::new((capacity / shards).max(1))).collect();
+        let (mut hits, mut misses, mut stamp) = (0, 0, 0);
+        for (b, batch) in batches.iter().enumerate() {
+            let batch_keys: Vec<CacheKey> = batch.iter().map(|&(k, _)| key(k % keys)).collect();
+            let mut got = vec![None; batch_keys.len()];
+            let mut calls = 0;
+            cache.get_batch(&batch_keys, |i, hit| {
+                got[i] = Some(rtt(hit.cloned()));
+                calls += 1;
+            });
+            prop_assert_eq!(calls, batch_keys.len(), "batch {}: one call per key", b);
+            // The batch's misses owe one answer per distinct key, in
+            // first-miss order; a failed prediction (the flag) is not
+            // cached.
+            let mut owed: Vec<CacheKey> = Vec::new();
+            let mut entries = Vec::new();
+            for (i, (k, &(_, fails))) in batch_keys.iter().zip(batch).enumerate() {
+                let want = rtt(models[cache.shard_index(k)].get(k));
+                prop_assert_eq!(got[i], Some(want), "batch {} key {}", b, i);
+                match want {
+                    Some(_) => hits += 1,
+                    None => {
+                        misses += 1;
+                        if !owed.contains(k) {
+                            owed.push(*k);
+                            stamp += 1;
+                            if !fails {
+                                entries.push((*k, path(stamp)));
+                            }
+                        }
+                    }
+                }
+            }
+            cache.insert_batch(&entries);
+            for (k, value) in &entries {
+                models[cache.shard_index(k)].insert(*k, Arc::clone(value));
+            }
+            let held: usize = models.iter().map(|m| m.map.len()).sum();
+            prop_assert_eq!(cache.len(), held, "batch {}", b);
+        }
+        prop_assert_eq!(cache.hits.get(), hits);
+        prop_assert_eq!(cache.misses.get(), misses);
+        prop_assert_eq!(cache.inserts.get(), models.iter().map(|m| m.inserts).sum::<u64>());
+        prop_assert_eq!(cache.evictions.get(), models.iter().map(|m| m.evictions).sum::<u64>());
+        // The survivors, with the values last inserted under them.
+        for k in (0..keys).map(key) {
+            let want = models[cache.shard_index(&k)].map.get(&k).map(|(p, _)| p.rtt.ms());
             prop_assert_eq!(rtt(cache.get(&k)), want, "{:?}", k);
         }
     }
