@@ -1,7 +1,7 @@
 //! The event-driven TCP server: one epoll-based readiness loop owning
-//! every connection, a small worker pool answering decoded requests,
-//! all requests routed through a shared [`ShardRegistry`] to the shard
-//! each frame names.
+//! every connection and answering every batch the result cache holds, a
+//! small worker pool answering the rest, all requests routed through a
+//! shared [`ShardRegistry`] to the shard each frame names.
 //!
 //! ## Concurrency model
 //!
@@ -10,22 +10,34 @@
 //! connections and owns every connection's state: an incremental
 //! [`FrameAssembler`] carrying partial frames across readiness events,
 //! a pending-work queue, and a write queue of encoded replies drained
-//! as the socket accepts them. Completed requests are handed to a
-//! fixed worker pool — one in-service request per connection at a
-//! time, so replies stay in request order — and each worker's encoded
+//! as the socket accepts them. A connection's requests are taken one at
+//! a time, in read order, and only while none of its requests is at a
+//! worker and its write backlog is under the cap, so replies stay in
+//! request order and a slow reader stalls only itself.
+//!
+//! A `QueryBatch` is probed on the loop first
+//! ([`QueryEngine::probe_batch`] on the frame's shard). When the shard's
+//! result cache answers every pair — nearly every batch a warm server
+//! sees — the loop encodes the reply straight from the cached paths
+//! ([`encode_path_batch`]), queues it and flushes it in the same pass:
+//! no thread hop, no wakeup, counted in `srv.loop.answered`. A batch
+//! that owes misses goes to a fixed worker pool as its [`Owed`] half,
+//! and the responder runs [`QueryEngine::finish`] (one planner call; a
+//! call that owes two searches or more borrows scoped helper threads,
+//! bounded process-wide by the core count) and never probes again.
+//! Every other request goes to the pool as it came. A worker's encoded
 //! reply comes back to the loop through a completion list plus
-//! [`Poller::notify`]. A responder calls
-//! [`QueryEngine::query_batch_shared`] on the frame's shard directly:
-//! every pair the shard's result cache can answer is answered on the
-//! responder's own thread and encoded straight from the cached path
-//! ([`encode_path_batch`]). The pairs the cache could not answer are
-//! one planner call there too, and a call that owes two searches or
-//! more borrows scoped helper threads for them, bounded process-wide by
-//! the core count. The responder pool is the only pool on the query
-//! path — an engine owns no threads. Remote batches
-//! therefore share the shard's result cache, one-generation-per-batch
-//! and hot-swap semantics with embedded callers, and a mid-load
-//! `apply_delta` on one shard never stalls remote queries on another.
+//! [`Poller::notify`]. The responder pool is the only pool on the query
+//! path — an engine owns no threads. Remote batches therefore share the
+//! shard's result cache, one-generation-per-batch and hot-swap
+//! semantics with embedded callers, and a mid-load `apply_delta` on one
+//! shard never stalls remote queries on another.
+//!
+//! The trade-off: warm batches run on the one loop thread, probe and
+//! encode included. On a host with more cores than callers, that thread
+//! is the first ceiling for warm traffic, where the responder pool used
+//! to spread it; sharding the loop (one per core behind
+//! `SO_REUSEPORT`) is the way past it.
 //!
 //! The atlas fetch frames (`AtlasHead`, `FetchChunk`) are the shard's
 //! engine as an atlas source,
@@ -46,7 +58,7 @@
 //!   gate answers excess connects with a typed `Overloaded` error
 //!   frame and closes, so clients fail fast instead of queueing.
 //! * At most [`ServerConfig::max_inflight`] decoded requests queued
-//!   per connection. A pipeliner that outruns the workers gets a
+//!   per connection. A pipeliner that outruns the server gets a
 //!   typed `Overloaded` error *per excess request* — replies still in
 //!   request order, the connection still serving — instead of the
 //!   server buffering an unbounded backlog. Once a connection's
@@ -63,8 +75,9 @@
 //!   serving.
 //! * A slow-consuming client cannot balloon the write queue either:
 //!   once a connection's queued reply bytes pass `write_backlog_cap`
-//!   (derived from the frame limit), the loop stops dispatching its
-//!   requests to workers until the client drains what it already owes.
+//!   (derived from the frame limit), the loop stops taking its
+//!   requests — answering them itself or dispatching them to workers —
+//!   until the client drains what it already owes.
 //! * Frames are bounded by [`Limits`]: an oversized declared payload
 //!   or broken framing is answered once and the connection closed
 //!   (the stream can no longer be trusted); a parse failure inside a
@@ -85,7 +98,8 @@
 //! ([`NetServer::metrics`]) and counts in nothing else: the `srv.*`
 //! listener series, the event loop's own `srv.loop.*` series (poll
 //! wakeups, ready events per wake, registered descriptors, queued
-//! write-backlog bytes) and the `srv.udp.*` family are handles taken
+//! write-backlog bytes, batches answered on the loop) and the
+//! `srv.udp.*` family are handles taken
 //! from it at bind, and every shard engine attaches its own handles
 //! as `shardN.*` ([`QueryEngine::register_metrics`]: engine, cache and
 //! mirror series, including the `shardN.latency_us` histogram). The
@@ -94,7 +108,9 @@
 //! the server opens no other listener to be read through. A request id
 //! with the [`TRACE_FLAG`] bit set gets a `TraceReply` trailer after
 //! its (non-error) reply carrying the decode → queue → engine → encode
-//! breakdown; how many requests were slow is `shardN.latency_us`.
+//! breakdown (a batch the loop answers has no queue stage: its engine
+//! stage runs from decode to the probe's end); how many requests were
+//! slow is `shardN.latency_us`.
 //! Alongside the counters runs the event journal
 //! ([`NetServer::journal`], paged by `Frame::Events`): connection
 //! accept/close, overload episode open/close (edge-triggered — a
@@ -108,11 +124,13 @@
 //! With [`ServerConfig::udp`] set, the same loop also owns one UDP
 //! socket: one request frame per datagram, answered in one datagram,
 //! with **zero per-peer server state** — no assembler, no write queue,
-//! no slab slot. A datagram decodes (or faults) in the loop, rides the
-//! same dispatch queue to the same workers and the same
-//! `serve`/[`ShardRegistry`] path as a stream request, and the
-//! worker sends the reply straight back with `send_to` (UDP replies
-//! have no ordering contract, so no completion round-trip is needed).
+//! no slab slot. A datagram decodes (or faults) in the loop and takes
+//! the same route as a stream request: a `QueryBatch` the result cache
+//! answers whole is encoded and sent back with `send_to` by the loop
+//! itself; anything else rides the same dispatch queue to the same
+//! workers and the same [`ShardRegistry`] path, and the worker sends the
+//! reply straight back (UDP replies have no ordering contract, so no
+//! completion round-trip is needed).
 //! The servable subset *is* the frame table's `Request` role
 //! ([`crate::wire::Role`]: `Ping`, `QueryBatch`, `AtlasHead`); a
 //! `StreamRequest` type (chunk fetches, shard list, metrics/events
@@ -135,7 +153,8 @@
 //! outlives the server untouched: it owns no threads to stop.
 //!
 //! [`QueryEngine::offer`]: inano_service::QueryEngine::offer
-//! [`QueryEngine::query_batch_shared`]: inano_service::QueryEngine::query_batch_shared
+//! [`QueryEngine::probe_batch`]: inano_service::QueryEngine::probe_batch
+//! [`QueryEngine::finish`]: inano_service::QueryEngine::finish
 //! [`QueryEngine::register_metrics`]: inano_service::QueryEngine::register_metrics
 //! [`QueryEngine::set_journal`]: inano_service::QueryEngine::set_journal
 
@@ -148,7 +167,7 @@ use inano_model::{ErrorCode, ModelError};
 use inano_obs::{
     Counter, EventJournal, EventKind, Gauge, LatencyHistogram, MetricsRegistry, TraceCtx,
 };
-use inano_service::{ShardRegistry, SharedResult};
+use inano_service::{Owed, QueryEngine, ShardRegistry, SharedResult};
 use parking_lot::Mutex;
 use polling::{Event, Events, Poller};
 use std::collections::{HashMap, VecDeque};
@@ -232,8 +251,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Queued reply bytes per connection past which the loop stops
-/// dispatching that connection's requests to workers: a slow consumer
+/// Queued reply bytes per connection past which the loop stops taking
+/// that connection's requests, for itself or for workers: a slow consumer
 /// pays for its own backlog in stalled service, not server memory.
 /// Derived from the frame limit (two max-size frames, at least 1MiB)
 /// rather than configured, so the config surface stays put.
@@ -370,13 +389,16 @@ struct Shared {
     /// `srv.loop.write_backlog_bytes`: encoded reply bytes queued
     /// server-wide, not yet accepted by client sockets.
     write_backlog: Gauge,
+    /// `srv.loop.answered`: `QueryBatch` requests the loop answered
+    /// whole from the result cache, on either transport.
+    loop_answered: Counter,
     /// `srv.loop.ready_events`: ready events delivered per
     /// `poller.wait` return, log₂-bucketed.
     ready_events: Arc<LatencyHistogram>,
     /// The epoll instance; workers touch it only through `notify`.
     poller: Poller,
-    /// The datagram plane, when enabled: the socket (workers reply on
-    /// it directly) and its counters.
+    /// The datagram plane, when enabled: the socket (the loop and the
+    /// workers reply on it directly) and its counters.
     udp: Option<UdpPlane>,
     dispatch: Dispatch,
     /// Finished answers awaiting the loop; pushed by workers, drained
@@ -502,6 +524,7 @@ impl NetServer {
             loop_wakeups: obs.counter("srv.loop.wakeups"),
             loop_fds,
             write_backlog: obs.gauge("srv.loop.write_backlog_bytes"),
+            loop_answered: obs.counter("srv.loop.answered"),
             ready_events,
             obs,
             poller,
@@ -656,7 +679,7 @@ fn admit(shared: &Shared, request_id: u64, frame: Frame) -> Work {
     shared.request_bytes_peak.raise(shared.request_bytes.get());
     Work::Request {
         request_id,
-        frame,
+        ask: Ask::Frame(frame),
         claim,
         trace: None,
     }
@@ -674,15 +697,16 @@ fn frame_cost(frame: &Frame) -> usize {
     }
 }
 
-/// One unit queued on a connection awaiting its turn with a worker.
-/// Workers answer strictly in queue order, which is read order — so
-/// replies (rejections included) keep the pipelining contract.
+/// One unit queued on a connection awaiting its turn with the loop's
+/// probe or a worker. Each is answered strictly in queue order, which is
+/// read order — so replies (rejections included) keep the pipelining
+/// contract.
 enum Work {
     /// A decoded request to serve, holding its memory-budget claim
     /// until answered.
     Request {
         request_id: u64,
-        frame: Frame,
+        ask: Ask,
         claim: Claim,
         /// Live when the request id carried [`TRACE_FLAG`]: the stage
         /// clock that becomes the `TraceReply` trailer.
@@ -700,6 +724,16 @@ enum Work {
     /// The stream desynchronised: answer once (id 0) and close. Always
     /// the assembler's last word.
     Fatal { fault: WireFault },
+}
+
+/// What a responder does for a request.
+enum Ask {
+    /// Serve a decoded frame ([`serve`]). Never a `QueryBatch`: the
+    /// loop probes each one first ([`probe_on_loop`]).
+    Frame(Frame),
+    /// Finish a `QueryBatch` the loop probed: the engine that probed
+    /// it, and what the result cache could not answer.
+    Owed(Arc<QueryEngine>, Owed),
 }
 
 /// Exponential backoff for failed `accept()` calls: while engaged the
@@ -764,6 +798,17 @@ struct WriteQueue {
     bytes: usize,
 }
 
+impl WriteQueue {
+    /// Queue one encoded reply behind what is already owed.
+    fn push(&mut self, bytes: Vec<u8>, backlog: &Gauge) {
+        if !bytes.is_empty() {
+            self.bytes += bytes.len();
+            backlog.add(bytes.len() as u64);
+            self.bufs.push_back(bytes);
+        }
+    }
+}
+
 /// Everything the loop knows about one live connection.
 struct Conn {
     stream: TcpStream,
@@ -773,7 +818,7 @@ struct Conn {
     /// Journal identity (`conn={id}` in accept/close events).
     id: u64,
     asm: FrameAssembler,
-    /// Decoded work awaiting its turn with a worker, in read order.
+    /// Decoded work awaiting its turn, in read order.
     pending: VecDeque<Work>,
     /// `Work::Request`s in `pending` plus the in-service one — the
     /// population the `max_inflight` cap bounds.
@@ -940,12 +985,14 @@ impl EventLoop {
         }
     }
 
-    /// Admit, decode and dispatch one received datagram.
+    /// Admit and decode one received datagram, then answer it here or
+    /// dispatch it.
     fn ingest_datagram(&mut self, udp: &UdpPlane, n: usize, peer: SocketAddr) {
         let gate = self.udp_buckets.check(peer.ip(), Instant::now());
         let shared = Arc::clone(&self.shared);
         let buf = &self.scratch[..n];
-        // Whatever this datagram earns, a worker sends it straight back.
+        // Whatever this datagram earns, a worker (or, for a batch the
+        // cache answers whole, the loop) sends it straight back.
         let dispatch = |work: Work| {
             shared.dispatch.push(Job {
                 target: JobTarget::Datagram { peer },
@@ -995,7 +1042,11 @@ impl EventLoop {
         // No `TraceReply` trailers on the datagram plane: a reply is one
         // frame in one datagram, so the id's trace bit is echoed but not
         // honoured.
-        dispatch(admit(&shared, request_id, frame));
+        let mut work = admit(&shared, request_id, frame);
+        match probe_on_loop(&shared, &mut work) {
+            Some(bytes) => udp_reply(&shared, peer, bytes),
+            None => dispatch(work),
+        }
     }
 
     /// Admission-check one accepted stream and register it, or refuse
@@ -1100,7 +1151,7 @@ impl EventLoop {
             };
             // Backpressure: a full pending queue stops the reads (and
             // `sync_interest` will drop read interest); TCP pushes
-            // back on the client until a worker drains us.
+            // back on the client until the queue drains.
             if conn.read_closed || conn.pending.len() >= cap {
                 return;
             }
@@ -1160,11 +1211,11 @@ impl EventLoop {
                             request_id,
                             reason: "per-connection in-flight request limit reached",
                         },
-                        Work::Request { frame, claim, .. } => {
+                        Work::Request { ask, claim, .. } => {
                             conn.queued_requests += 1;
                             Work::Request {
                                 request_id,
-                                frame,
+                                ask,
                                 claim,
                                 trace,
                             }
@@ -1207,11 +1258,7 @@ impl EventLoop {
             conn.queued_requests -= 1;
             conn.in_service_request = false;
         }
-        if !c.bytes.is_empty() {
-            conn.wq.bytes += c.bytes.len();
-            self.shared.write_backlog.add(c.bytes.len() as u64);
-            conn.wq.bufs.push_back(c.bytes);
-        }
+        conn.wq.push(c.bytes, &self.shared.write_backlog);
         if c.close {
             // Fatal framing fault: this reply is the stream's last
             // word. Anything decoded after it is void.
@@ -1222,31 +1269,41 @@ impl EventLoop {
         self.service(c.key);
     }
 
-    /// Advance one connection: flush writes, dispatch its next work
-    /// item if allowed, tear down if finished, and re-arm interest.
+    /// Advance one connection: flush writes, answer its next work items
+    /// the loop can answer and dispatch the first it cannot, tear down if
+    /// finished, and re-arm interest.
     fn service(&mut self, slot: usize) {
         let shared = Arc::clone(&self.shared);
         let backlog_cap = write_backlog_cap(&shared.cfg);
-        let flush_failed = {
+        loop {
             let Some(conn) = self.conns[slot].as_mut() else {
                 return;
             };
-            flush_writes(conn, &shared).is_err()
-        };
-        if flush_failed {
-            self.teardown(slot);
-            return;
-        }
-        let done = {
-            let conn = self.conns[slot].as_mut().expect("conn just flushed");
+            if flush_writes(conn, &shared).is_err() {
+                self.teardown(slot);
+                return;
+            }
             // Dispatch gate: while this connection owes the client
             // more reply bytes than the backlog cap, its work waits —
             // generating yet more output for a non-reading peer helps
             // no one.
-            if !conn.in_service && conn.wq.bytes < backlog_cap {
-                if let Some(work) = conn.pending.pop_front() {
+            if conn.in_service || conn.wq.bytes >= backlog_cap {
+                break;
+            }
+            let Some(mut work) = conn.pending.pop_front() else {
+                break;
+            };
+            let request = matches!(work, Work::Request { .. });
+            match probe_on_loop(&shared, &mut work) {
+                // Answered here: queue the reply, flush it on the next
+                // turn, and move to the next pending item.
+                Some(bytes) => {
+                    conn.queued_requests -= 1;
+                    conn.wq.push(bytes, &shared.write_backlog);
+                }
+                None => {
                     conn.in_service = true;
-                    conn.in_service_request = matches!(work, Work::Request { .. });
+                    conn.in_service_request = request;
                     shared.dispatch.push(Job {
                         target: JobTarget::Conn {
                             key: slot,
@@ -1256,11 +1313,12 @@ impl EventLoop {
                     });
                 }
             }
-            conn.read_closed
-                && conn.pending.is_empty()
-                && !conn.in_service
-                && conn.wq.bufs.is_empty()
-        };
+        }
+        let conn = self.conns[slot].as_ref().expect("conn just flushed");
+        let done = conn.read_closed
+            && conn.pending.is_empty()
+            && !conn.in_service
+            && conn.wq.bufs.is_empty();
         if done {
             self.teardown(slot);
             return;
@@ -1504,7 +1562,7 @@ fn answer(shared: &Shared, work: Work) -> (Vec<u8>, bool) {
     let (request_id, reply, close) = match work {
         Work::Request {
             request_id,
-            frame,
+            ask,
             claim,
             trace: t,
         } => {
@@ -1512,18 +1570,20 @@ fn answer(shared: &Shared, work: Work) -> (Vec<u8>, bool) {
             if let Some(t) = trace.as_mut() {
                 t.dequeued();
             }
-            let reply = serve(shared, &frame).unwrap_or_else(|e| {
-                Reply::Frame(Frame::Error {
-                    fault: WireFault::from(&e),
-                })
-            });
+            let reply = match ask {
+                Ask::Frame(frame) => {
+                    Reply::Frame(serve(shared, &frame).unwrap_or_else(|e| Frame::Error {
+                        fault: WireFault::from(&e),
+                    }))
+                }
+                Ask::Owed(engine, owed) => Reply::Paths(engine.finish(owed)),
+            };
             if let Some(t) = trace.as_mut() {
                 t.served();
             }
             // A request the server had room to serve closes any open
             // overload episode.
             shared.note_served();
-            drop(frame);
             _claim = Some(claim);
             (request_id, reply, false)
         }
@@ -1547,17 +1607,71 @@ fn answer(shared: &Shared, work: Work) -> (Vec<u8>, bool) {
         Reply::Frame(frame) => frame.encode(request_id),
         Reply::Paths(results) => encode_path_batch(request_id, results),
     };
-    if let Some(t) = trace.take() {
-        // The trailer follows every *non-error* traced reply — the
-        // same rule the client applies, so a pipelined stream never
-        // misparses an error as a trailer. Encoding both into one
-        // buffer keeps reply and trailer adjacent on the wire.
-        if !is_error {
-            let timings = t.finish();
-            Frame::TraceReply { timings }.encode_into(request_id, &mut bytes);
-        }
+    // The trailer follows every *non-error* traced reply — the same
+    // rule the client applies, so a pipelined stream never misparses an
+    // error as a trailer.
+    if !is_error {
+        trail(trace, request_id, &mut bytes);
     }
     (bytes, close)
+}
+
+/// Append a traced request's `TraceReply` trailer to its encoded reply:
+/// one buffer keeps reply and trailer adjacent on the wire.
+fn trail(trace: Option<TraceCtx>, request_id: u64, bytes: &mut Vec<u8>) {
+    if let Some(t) = trace {
+        let timings = t.finish();
+        Frame::TraceReply { timings }.encode_into(request_id, bytes);
+    }
+}
+
+/// Probe a `QueryBatch` on the loop thread
+/// ([`QueryEngine::probe_batch`]). A batch the result cache answers
+/// whole is encoded here — its trace, if any, has no queue stage and an
+/// engine stage from decode to the probe's end — and `Some` reply
+/// returned: `work` is spent, and dropping it releases its claim.
+/// Otherwise `work` is left as what a responder must do: finish a batch
+/// that owes misses ([`Ask::Owed`]), answer a batch on a shard this
+/// server does not serve with its typed fault, or serve any other work
+/// as it came.
+fn probe_on_loop(shared: &Shared, work: &mut Work) -> Option<Vec<u8>> {
+    let Work::Request {
+        request_id,
+        ask,
+        trace,
+        ..
+    } = work
+    else {
+        return None;
+    };
+    let Ask::Frame(Frame::QueryBatch { shard, pairs }) = ask else {
+        return None;
+    };
+    let request_id = *request_id;
+    let engine = match shared.registry.engine(*shard) {
+        Ok(engine) => engine,
+        Err(e) => {
+            let fault = WireFault::from(&e);
+            *work = Work::Fault { request_id, fault };
+            return None;
+        }
+    };
+    match engine.probe_batch(pairs) {
+        Ok(answers) => {
+            if let Some(t) = trace.as_mut() {
+                t.served();
+            }
+            shared.note_served();
+            shared.loop_answered.inc();
+            let mut bytes = encode_path_batch(request_id, &answers);
+            trail(trace.take(), request_id, &mut bytes);
+            Some(bytes)
+        }
+        Err(owed) => {
+            *ask = Ask::Owed(Arc::clone(engine), owed);
+            None
+        }
+    }
 }
 
 /// What a served request is answered with, before encoding.
@@ -1569,15 +1683,15 @@ enum Reply {
     Paths(Vec<SharedResult>),
 }
 
-/// Map one decoded request to its reply — the serve arm of every
-/// request row of the frame table — routing shard-addressed requests
-/// through the registry. The server's `Limits` bound the chunk size
+/// Map one decoded request to its reply frame — the serve arm of every
+/// request row of the frame table but `QueryBatch` — routing
+/// shard-addressed requests through the registry. The server's `Limits` bound the chunk size
 /// every atlas body is served in: one chunk always fits one frame. An
 /// `Err` is answered as the typed `Error` frame that carries it.
-fn serve(shared: &Shared, frame: &Frame) -> Result<Reply, ModelError> {
+fn serve(shared: &Shared, frame: &Frame) -> Result<Frame, ModelError> {
     let registry = &shared.registry;
     let cs = chunk_size_for(&shared.cfg.limits);
-    Ok(Reply::Frame(match frame {
+    Ok(match frame {
         Frame::Ping => Frame::Pong,
         Frame::Metrics => Frame::MetricsReply {
             dump: shared.obs.dump(),
@@ -1585,11 +1699,6 @@ fn serve(shared: &Shared, frame: &Frame) -> Result<Reply, ModelError> {
         Frame::Events { since_seq } => Frame::EventsReply {
             page: shared.journal.since(*since_seq),
         },
-        Frame::QueryBatch { shard, pairs } => {
-            return Ok(Reply::Paths(
-                registry.engine(*shard)?.query_batch_shared(pairs),
-            ))
-        }
         Frame::ListShards => Frame::ShardsReply {
             shards: registry
                 .iter()
@@ -1615,7 +1724,8 @@ fn serve(shared: &Shared, frame: &Frame) -> Result<Reply, ModelError> {
             }
         }
         // The table's `Reply` rows are refused from the type byte
-        // ([`refusal`]) and never decoded, so what lands here is a
+        // ([`refusal`]) and never decoded, and a `QueryBatch` is the
+        // loop's to probe ([`probe_on_loop`]), so what lands here is a
         // request row nobody wrote a serve arm for.
         other => Frame::Error {
             fault: WireFault::new(
@@ -1623,7 +1733,7 @@ fn serve(shared: &Shared, frame: &Frame) -> Result<Reply, ModelError> {
                 format!("frame type {:#04x} has no serve arm", other.frame_type()),
             ),
         },
-    }))
+    })
 }
 
 #[cfg(test)]

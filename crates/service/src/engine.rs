@@ -1,41 +1,51 @@
 //! The query engine: a sharded result cache probed on the caller's
 //! thread, the library's batch planner for whatever the cache could not
-//! answer, and a hot-swappable predictor generation. The engine owns no
-//! threads.
+//! answer (on that thread or, handed an [`Owed`] batch, another), and a
+//! hot-swappable predictor generation. The engine owns no threads.
 //!
 //! ## Threading model
 //!
-//! A batch ([`QueryEngine::query_batch_shared`]) snapshots one
-//! generation, then works in two passes on the *caller's* thread. The
-//! first resolves every pair and computes its cache key (every resolved
-//! pair has one: a canonical endpoint's cluster, any other endpoint's
-//! own prefix; see `cache_key`). The second probes the result cache one
-//! shard at a time ([`ShardedCache::get_batch`]): each shard the batch
-//! touches is locked once, not once per pair, because a shard lock
-//! taken per pair moved its cache line between two concurrent callers
-//! on every probe and more than doubled their per-pair cost (see
-//! [`crate::cache`]). A hit is answered there and then as the cached
-//! `Arc<PredictedPath>` — it never crosses a thread or copies the path.
-//! Only the misses go on, de-duplicated per cache key in input order so
-//! one key is predicted and inserted once per batch: all of them are
-//! one [`PathPredictor::predict_batch`] on the caller, the planner the
-//! library's own [`PathPredictor::query_batch`] runs. It predicts each
-//! distinct one-way path once and runs the searches it owes one per job
-//! on the caller and scoped helper threads ([`inano_core::fanout`]);
-//! the answers are then inserted on the caller, one lock per shard, in
-//! miss order within a shard ([`ShardedCache::insert_batch`]). Both
-//! groupings are stable, so each shard sees the same `get`s and
-//! `insert`s, in the same order, as a loop of one probe per pair. The
-//! helpers borrow the batch's generation, so a batch is answered from
-//! exactly one generation, in input order, and no thread outlives the
-//! call that spawned it. The per-pair state lives in a thread-local
-//! scratch, so a warm batch allocates once: the answers it returns.
+//! A batch ([`QueryEngine::query_batch_shared`]) is two halves, and the
+//! engine owns no thread for either. The first,
+//! [`QueryEngine::probe_batch`], snapshots one generation and works in
+//! two passes on the thread that calls it. The first pass resolves
+//! every pair and computes its cache key (every resolved pair has one:
+//! a canonical endpoint's cluster, any other endpoint's own prefix; see
+//! `cache_key`). The second probes the result cache one shard at a time
+//! ([`ShardedCache::get_batch`]): each shard the batch touches is locked
+//! once, not once per pair, because a shard lock taken per pair moved
+//! its cache line between two concurrent callers on every probe and more
+//! than doubled their per-pair cost (see [`crate::cache`]). A hit is
+//! answered there and then as the cached `Arc<PredictedPath>` — it never
+//! copies the path. When every pair is answered so, the batch is done
+//! on that thread; its per-pair state lives in a thread-local scratch,
+//! so a warm batch allocates once: the answers it returns.
+//!
+//! Otherwise the probe hands back an [`Owed`] batch, which owns its
+//! generation and per-pair state and is `Send`: a server probes on its
+//! event loop and moves what is owed to a responder, an embedded caller
+//! finishes on its own thread. The second half,
+//! [`QueryEngine::finish`], takes only the misses on, de-duplicated per
+//! cache key in input order so one key is predicted and inserted once
+//! per batch: all of them are one [`PathPredictor::predict_batch`] on
+//! the finishing thread, the planner the library's own
+//! [`PathPredictor::query_batch`] runs. It predicts each distinct
+//! one-way path once and runs the searches it owes one per job on that
+//! thread and scoped helper threads ([`inano_core::fanout`]); the
+//! answers are then inserted there, one lock per shard, in miss order
+//! within a shard ([`ShardedCache::insert_batch`]). Both groupings are
+//! stable, so each shard sees the same `get`s and `insert`s, in the same
+//! order, as a loop of one probe per pair. The search runs on the
+//! generation the probe snapshotted, so a batch is answered from exactly
+//! one generation, in input order, whichever thread finishes it and
+//! whatever swap lands between the halves; no helper outlives the call
+//! that spawned it.
 //!
 //! A helper needs a permit from the one process-wide counter in
 //! [`inano_core::fanout`], capped at `available_parallelism()`, so
 //! however many engines, shards, library batches and callers a process
 //! has, the fan-outs never run more helpers than the host has cores; a
-//! batch that gets no permit searches on its caller alone.
+//! batch that gets no permit searches on its finishing thread alone.
 //! [`QueryEngine::query`] / [`QueryEngine::query_batch`] are the owning
 //! forms: the same path, with each result cloned out of its `Arc`.
 //!
@@ -51,11 +61,13 @@
 //! at their start and their end, and every pair they answer on the spot
 //! (a hit or a resolve error) takes their mean time per pair as its
 //! sample; a miss's sample is the time of the planner call it waited
-//! for. So `hits + misses + resolve errors == queries`.
-//! Nothing is added per pair: the cache adds the batch's hits, misses,
-//! inserts and evictions once each from its batched probe and insert,
-//! and the batch tallies the rest in locals and adds each series once
-//! when it returns, so the counters are exact as soon as the call is.
+//! for, from the start of [`QueryEngine::finish`]. So `hits + misses +
+//! resolve errors == queries`. Nothing is added per pair: the cache
+//! adds the batch's hits, misses, inserts and evictions once each from
+//! its batched probe and insert, and the half that answers the batch —
+//! the probe when it answers whole, else `finish` — tallies the rest in
+//! locals and adds each series once when it returns, so the counters
+//! are exact as soon as the batch is answered.
 //!
 //! ## Hot swap
 //!
@@ -238,6 +250,24 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
+/// A batch [`QueryEngine::probe_batch`] could not answer whole: the
+/// generation it was probed on, where each pair stands, and the probe's
+/// time per pair. Every pair was probed and its hit or miss counted;
+/// nothing else is counted until [`QueryEngine::finish`] answers it,
+/// on whichever thread holds it.
+pub struct Owed {
+    generation: Arc<Generation>,
+    /// Per pair, in input order: answered, or keyed at this index of
+    /// `keys` and `prefixes`.
+    slots: Vec<Slot>,
+    /// Per resolved pair, in input order: its cache key ...
+    keys: Vec<CacheKey>,
+    /// ... and the prefixes a miss predicts.
+    prefixes: Vec<(PrefixId, PrefixId)>,
+    /// The probe pass's mean time per pair, µs.
+    probe_us: u64,
+}
+
 /// The concurrent, hot-swappable query engine (§5 scaled up: the same
 /// local-library semantics as [`inano_core::INanoClient`], behind a
 /// result cache any number of threads may query at once).
@@ -363,21 +393,32 @@ impl QueryEngine {
     }
 
     /// Serve a batch from one generation snapshot; results come back in
-    /// input order. Every pair is resolved on this thread, then the
-    /// result cache is probed for all of them at once
-    /// ([`ShardedCache::get_batch`]) and a hit is answered as the cached
-    /// `Arc`. The misses, one per distinct cache key, are one
-    /// [`PathPredictor::predict_batch`] on this thread, which fans their
-    /// searches out (see the module docs), and their answers are cached
-    /// at once ([`ShardedCache::insert_batch`]). The batch's counts are
-    /// tallied locally and added to [`QueryEngine::metrics`] once, on
-    /// the way out.
+    /// input order: [`QueryEngine::probe_batch`], then, if the result
+    /// cache left pairs unanswered, [`QueryEngine::finish`] on this
+    /// thread.
     pub fn query_batch_shared(&self, pairs: &[(Ipv4, Ipv4)]) -> Vec<SharedResult> {
-        SCRATCH.with_borrow_mut(|scratch| self.serve(pairs, scratch))
+        self.probe_batch(pairs)
+            .unwrap_or_else(|owed| self.finish(owed))
     }
 
-    /// [`QueryEngine::query_batch_shared`] in this thread's scratch.
-    fn serve(&self, pairs: &[(Ipv4, Ipv4)], scratch: &mut Scratch) -> Vec<SharedResult> {
+    /// The first half of a batch: snapshot one generation, resolve
+    /// every pair and probe the result cache for all of them at once
+    /// ([`ShardedCache::get_batch`]). If every pair is answered (a hit
+    /// as the cached `Arc`, or a resolve error), the answers come back
+    /// in input order with the batch's counts added to
+    /// [`QueryEngine::metrics`]; a warm batch allocates once, its
+    /// answers. Otherwise the batch is [`Owed`]: hand it to
+    /// [`QueryEngine::finish`] on this engine, on any thread.
+    pub fn probe_batch(&self, pairs: &[(Ipv4, Ipv4)]) -> Result<Vec<SharedResult>, Owed> {
+        SCRATCH.with_borrow_mut(|scratch| self.probe(pairs, scratch))
+    }
+
+    /// [`QueryEngine::probe_batch`] in this thread's scratch.
+    fn probe(
+        &self,
+        pairs: &[(Ipv4, Ipv4)],
+        scratch: &mut Scratch,
+    ) -> Result<Vec<SharedResult>, Owed> {
         let Scratch {
             slots,
             keys,
@@ -400,16 +441,49 @@ impl QueryEngine {
             };
             slots.push(slot);
         }
+        let mut hits = 0;
         self.cache.get_batch(keys, |k, hit| {
             if let Some(hit) = hit {
                 slots[resolved[k].0] = Slot::Ready(Ok(Arc::clone(hit)));
+                hits += 1;
             }
         });
-        // Three clock reads for the whole batch: a pair answered in the
-        // probe pass takes the pass's mean time per pair as its sample,
-        // a miss the time of the one planner call it waited for.
-        let probed = Instant::now();
-        let probe_us = ((probed - start).as_nanos() / (1000 * pairs.len().max(1) as u128)) as u64;
+        // A pair answered here takes the pass's mean time per pair as
+        // its latency sample.
+        let probe_us = (start.elapsed().as_nanos() / (1000 * pairs.len().max(1) as u128)) as u64;
+        if hits < keys.len() {
+            // Copied out, not taken: the scratch keeps its capacity for
+            // this thread's next batch.
+            #[allow(clippy::drain_collect)]
+            let slots = slots.drain(..).collect();
+            return Err(Owed {
+                generation,
+                slots,
+                keys: keys.clone(),
+                prefixes: resolved.iter().map(|&(_, prefixes)| prefixes).collect(),
+                probe_us,
+            });
+        }
+        Ok(self.answer(slots.drain(..), probe_us, &[], 0))
+    }
+
+    /// The second half of a batch [`QueryEngine::probe_batch`] left
+    /// owing: its misses, one per distinct cache key in input order,
+    /// are one [`PathPredictor::predict_batch`] on the generation the
+    /// probe snapshotted, which fans their searches out (see the module
+    /// docs), and their answers are cached at once
+    /// ([`ShardedCache::insert_batch`]). Every pair of the batch, hits
+    /// included, is tallied here and added to [`QueryEngine::metrics`]
+    /// once, on the way out. Call it on the engine that probed.
+    pub fn finish(&self, owed: Owed) -> Vec<SharedResult> {
+        let Owed {
+            generation,
+            mut slots,
+            keys,
+            prefixes,
+            probe_us,
+        } = owed;
+        let start = Instant::now();
         // A key this batch already owes an answer for waits on that
         // one; a new key owes its own, in input order.
         let (mut misses, mut owed) = (Vec::new(), Vec::new());
@@ -419,22 +493,37 @@ impl QueryEngine {
                 let next = misses.len();
                 let at = *by_key.entry(keys[k]).or_insert(next);
                 if at == next {
-                    misses.push(resolved[k].1);
+                    misses.push(prefixes[k]);
                     owed.push(keys[k]);
                 }
                 *slot = Slot::Waits(at);
             }
         }
-        let predicted = p.predict_batch(&misses).into_iter();
+        let predicted = generation.predictor.predict_batch(&misses).into_iter();
         let missed: Vec<SharedResult> = predicted.map(|r| r.map(Arc::new)).collect();
-        let miss_us = probed.elapsed().as_micros() as u64;
+        // A miss's latency sample is the time of the planner call it
+        // waited for.
+        let miss_us = start.elapsed().as_micros() as u64;
         let entries: Vec<_> = (owed.into_iter().zip(&missed))
             .filter_map(|(key, result)| Some((key, Arc::clone(result.as_ref().ok()?))))
             .collect();
         self.cache.insert_batch(&entries);
+        self.answer(slots.into_iter(), probe_us, &missed, miss_us)
+    }
+
+    /// A batch's answers in input order, each pair tallied with its
+    /// latency sample — `probe_us` for one answered in the probe pass,
+    /// `miss_us` for one waiting on `missed` — and the tally added to
+    /// [`QueryEngine::metrics`] once.
+    fn answer(
+        &self,
+        slots: impl Iterator<Item = Slot>,
+        probe_us: u64,
+        missed: &[SharedResult],
+        miss_us: u64,
+    ) -> Vec<SharedResult> {
         let mut tally = Tally::default();
         let answers = slots
-            .drain(..)
             .map(|slot| {
                 let (result, us) = match slot {
                     Slot::Ready(r) => (r, probe_us),

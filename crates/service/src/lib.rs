@@ -7,14 +7,19 @@
 //!
 //! Three pieces, separable and individually tested:
 //!
-//! * [`QueryEngine`] — [`QueryEngine::query_batch`] resolves a batch
-//!   on the caller's thread from one generation snapshot, probes the
-//!   cache for all of it with one lock per shard touched, answers every
-//!   cached pair there and hands the rest to the library's batch planner,
-//!   [`inano_core::PathPredictor::predict_batch`], which fans their
+//! * [`QueryEngine`] — a batch is two halves.
+//!   [`QueryEngine::probe_batch`] resolves it on the calling thread from
+//!   one generation snapshot, probes the cache for all of it with one
+//!   lock per shard touched, and answers it there if every pair is
+//!   cached; otherwise it hands back an [`Owed`] batch, which
+//!   [`QueryEngine::finish`] — on that thread or any other — passes to
+//!   the library's batch planner,
+//!   [`inano_core::PathPredictor::predict_batch`], which fans the
 //!   searches over scoped helper threads through
 //!   [`inano_core::fanout`], bounded process-wide by the core count
-//!   (the engine owns no threads);
+//!   (the engine owns no threads). [`QueryEngine::query_batch`] runs
+//!   both halves on its caller; `inano-net` probes on its event loop
+//!   and finishes on a responder;
 //! * [`ShardedCache`] — a sharded LRU over full bidirectional
 //!   predictions keyed `(src_cluster, dst_cluster, epoch)`, riding the
 //!   paper's observation that predictions are stable within a
@@ -52,6 +57,8 @@ pub mod registry;
 pub mod stats;
 
 pub use cache::{CacheKey, ShardedCache};
-pub use engine::{Generation, Offer, QueryEngine, ServiceConfig, SharedResult, DELTA_LOG_CAP};
+pub use engine::{
+    Generation, Offer, Owed, QueryEngine, ServiceConfig, SharedResult, DELTA_LOG_CAP,
+};
 pub use registry::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
 pub use stats::EngineMetrics;

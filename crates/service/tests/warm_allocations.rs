@@ -78,3 +78,20 @@ fn a_warm_batch_allocates_only_its_answers_and_searches_nothing() {
         }
     }
 }
+
+#[test]
+fn a_warm_probe_answered_whole_allocates_only_its_answers() {
+    // The half a server runs on its event loop: the same one allocation
+    // as the whole batch, and nothing owed.
+    let engine = QueryEngine::new(Arc::new(ring_atlas(RING, 0)), ServiceConfig::default());
+    for n in [1, 8, 64, 512] {
+        let batch = pairs(n);
+        engine.query_batch_shared(&batch);
+        let (allocated, probed) = allocations(|| engine.probe_batch(&batch));
+        assert_eq!(allocated, 1, "a warm probe of {n}");
+        assert!(
+            probed.is_ok_and(|answers| answers.len() == n),
+            "a warm probe of {n}"
+        );
+    }
+}
