@@ -133,7 +133,7 @@
 use inano_core::{AtlasVersion, ChainLink, PredictedPath, DEFAULT_CHUNK_SIZE};
 use inano_model::{Asn, ClusterId, ErrorCode, Ipv4, LatencyMs, LossRate, ModelError};
 use inano_obs::{Event, EventKind, EventsPage, MetricValue, MetricsDump, TraceTimings};
-use inano_service::{ShardId, SharedResult, DELTA_LOG_CAP};
+use inano_service::{Answer, ShardId, SharedResult, DELTA_LOG_CAP};
 use std::io::{self, Read, Write};
 use std::time::Instant;
 
@@ -255,6 +255,12 @@ impl From<&PredictedPath> for WirePath {
             rtt_ms: p.rtt.ms(),
             loss: p.loss.rate(),
         }
+    }
+}
+
+impl From<&Answer> for WirePath {
+    fn from(answer: &Answer) -> WirePath {
+        WirePath::from(&**answer)
     }
 }
 
@@ -465,8 +471,8 @@ fn put_ids(buf: &mut Vec<u8>, ids: impl ExactSizeIterator<Item = u32>) {
 
 /// One answered entry of a `PathBatch`. The only writer of that byte
 /// layout: [`Frame::PathBatch`] (from [`WirePath`]s) and
-/// [`encode_path_batch`] (straight from [`PredictedPath`]s) both end
-/// here, so the two cannot drift apart.
+/// [`encode_path_batch`] (an [`Answer`]'s row, written once from its
+/// [`PredictedPath`]) both end here, so the two cannot drift apart.
 fn put_path_ok(
     buf: &mut Vec<u8>,
     rtt_ms: f64,
@@ -990,16 +996,19 @@ const PATH_ERR_BYTES: usize = 1 + 2 + 2;
 /// the engine's shared results: no [`WirePath`] or [`Frame`] is built,
 /// and the bytes are exactly those of
 /// `Frame::PathBatch { results.map(WirePath::from / WireFault::from) }.encode(request_id)`.
+///
+/// An answer's entry is its [`Answer::row`]: written by `put_path_ok`
+/// the first time any batch encodes that answer — a miss on the
+/// responder that finishes it — and copied by every encode after, so a
+/// warm reply is a header, a count and one copy per pair, and allocates
+/// once, its buffer.
 pub fn encode_path_batch(request_id: u64, results: &[SharedResult]) -> Vec<u8> {
     // Faults are rare and short; a typical message's worth of room each
     // keeps the buffer from regrowing without formatting them twice.
     let body: usize = results
         .iter()
         .map(|r| match r {
-            Ok(p) => path_ok_bytes(
-                p.fwd_clusters.len() + p.rev_clusters.len(),
-                p.fwd_as_path.len() + p.rev_as_path.len(),
-            ),
+            Ok(answer) => answer.row(path_row).len(),
             Err(_) => PATH_ERR_BYTES + 64,
         })
         .sum();
@@ -1013,20 +1022,30 @@ pub fn encode_path_batch(request_id: u64, results: &[SharedResult]) -> Vec<u8> {
     put_u32(&mut buf, results.len() as u32);
     for r in results {
         match r {
-            Ok(p) => put_path_ok(
-                &mut buf,
-                p.rtt.ms(),
-                p.loss.rate(),
-                p.fwd_clusters.iter().map(|c| c.raw()),
-                p.rev_clusters.iter().map(|c| c.raw()),
-                p.fwd_as_path.as_slice().iter().map(|a| a.raw()),
-                p.rev_as_path.as_slice().iter().map(|a| a.raw()),
-            ),
+            Ok(answer) => buf.extend_from_slice(answer.row(path_row)),
             Err(e) => put_path_err(&mut buf, &WireFault::from(e)),
         }
     }
     end_frame(&mut buf, start);
     buf
+}
+
+/// An answer's `PathBatch` entry in one allocation of its exact size.
+fn path_row(p: &PredictedPath) -> Box<[u8]> {
+    let mut row = Vec::with_capacity(path_ok_bytes(
+        p.fwd_clusters.len() + p.rev_clusters.len(),
+        p.fwd_as_path.len() + p.rev_as_path.len(),
+    ));
+    put_path_ok(
+        &mut row,
+        p.rtt.ms(),
+        p.loss.rate(),
+        p.fwd_clusters.iter().map(|c| c.raw()),
+        p.rev_clusters.iter().map(|c| c.raw()),
+        p.fwd_as_path.as_slice().iter().map(|a| a.raw()),
+        p.rev_as_path.as_slice().iter().map(|a| a.raw()),
+    );
+    row.into_boxed_slice()
 }
 
 // ---- frame codec ----------------------------------------------------

@@ -17,7 +17,7 @@ use inano_net::{chunk_size_for, WireFault, WirePath, WireShardInfo};
 use inano_obs::{
     Event, EventKind, EventsPage, MetricValue, MetricsDump, MetricsRegistry, TraceTimings,
 };
-use inano_service::{ShardId, SharedResult, DELTA_LOG_CAP};
+use inano_service::{Answer, ShardId, SharedResult, DELTA_LOG_CAP};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -181,7 +181,7 @@ prop_compose! {
     ) -> SharedResult {
         let detail = String::from_utf8(detail).expect("printable ASCII");
         match variant {
-            0 | 1 => Ok(Arc::new(path.into_predicted())),
+            0 | 1 => Ok(Arc::new(Answer::new(path.into_predicted()))),
             2 => Err(ModelError::NoPath(detail)),
             3 => Err(ModelError::UnroutableAddress(detail)),
             _ => Err(ModelError::UnknownEntity { kind: "prefix", id }),
@@ -577,7 +577,7 @@ fn a_path_beyond_the_u16_hop_count_is_treated_alike_by_both_encoders() {
         loss: LossRate::new(0.0),
     };
     let results: Vec<SharedResult> = vec![
-        Ok(Arc::new(long)),
+        Ok(Arc::new(Answer::new(long))),
         Err(ModelError::NoPath("after the long one".into())),
     ];
     let direct = std::panic::catch_unwind(|| encode_path_batch(3, &results));

@@ -22,7 +22,16 @@
 //! take each shard's lock once: 130–145 ns per pair alone and 130–165
 //! ns with two callers on the same host. The grouping is stable, so
 //! every shard sees the same `get`s and `insert`s in the same order as
-//! one call per key would make.
+//! one call per key would make. Since the engine resolves each distinct
+//! address of a batch once, the whole warm probe costs 85–139 ns per
+//! pair alone (median 112; 131–171, median 156, resolving every end;
+//! `test(1)`, 2 vCPUs), and the probe here is most of what is left.
+//!
+//! An engine's entries are `Arc<Answer>`s ([`crate::Answer`]): the
+//! prediction and the reply row a server writes for it on its first
+//! encode, ~150 bytes more per entry than the bare prediction (a
+//! ~110-byte row, its allocation header and the 24-byte slot) — ~9.8
+//! MB at the default 65,536 entries.
 //!
 //! Each shard is an [`inano_model::Lru`], an exact LRU whose hit is an
 //! O(1) relink — this is the server's hot path — probing with this
@@ -30,13 +39,11 @@
 //! cache, which only this cache's misses reach, evicts by rebuild cost
 //! instead ([`inano_core::gdsf`]).
 
-use inano_core::PredictedPath;
 use inano_model::{ClusterId, Lru};
 use inano_obs::Counter;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::Arc;
 
 /// `(src_cluster, dst_cluster, config_epoch)`, where a side may instead
 /// hold a prefix id, flagged by a tag bit of the epoch word.
@@ -99,12 +106,14 @@ impl Hasher for KeyHasher {
 }
 
 /// One shard: an LRU map from key to shared result.
-type Shard = Lru<CacheKey, Arc<PredictedPath>, BuildHasherDefault<KeyHasher>>;
+type Shard<V> = Lru<CacheKey, V, BuildHasherDefault<KeyHasher>>;
 
-/// A sharded LRU cache of prediction results.
-pub struct ShardedCache {
+/// A sharded LRU cache of prediction results: `V` is what a hit hands
+/// out, cloned — an `Arc`, so a clone is a count bump. An engine's
+/// cache holds [`crate::Answer`]s.
+pub struct ShardedCache<V> {
     /// Each holds at most `capacity / shards` entries (at least 1).
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<Shard<V>>>,
     /// Monotone counters, updated lock-free by every caller; an owning
     /// engine shares these handles as its `cache_*` metrics.
     pub hits: Counter,
@@ -113,10 +122,10 @@ pub struct ShardedCache {
     pub inserts: Counter,
 }
 
-impl ShardedCache {
+impl<V: Clone> ShardedCache<V> {
     /// `capacity` is the total entry budget; `shards` is rounded up to a
     /// power of two.
-    pub fn new(capacity: usize, shards: usize) -> ShardedCache {
+    pub fn new(capacity: usize, shards: usize) -> ShardedCache<V> {
         let shards = shards.max(1).next_power_of_two();
         let shard = || Mutex::new(Shard::with_hasher(capacity / shards, Default::default()));
         ShardedCache {
@@ -135,11 +144,11 @@ impl ShardedCache {
         (KeyHasher::mix(key) as usize) & (self.shards.len() - 1)
     }
 
-    fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
+    fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard<V>> {
         &self.shards[self.shard_index(key)]
     }
 
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<PredictedPath>> {
+    pub fn get(&self, key: &CacheKey) -> Option<V> {
         let hit = self.shard_of(key).lock().get(key).cloned();
         match &hit {
             Some(_) => self.hits.inc(),
@@ -148,7 +157,7 @@ impl ShardedCache {
         hit
     }
 
-    pub fn insert(&self, key: CacheKey, value: Arc<PredictedPath>) {
+    pub fn insert(&self, key: CacheKey, value: V) {
         let evicted = self.shard_of(&key).lock().insert(key, value);
         self.inserts.inc();
         if evicted {
@@ -161,11 +170,7 @@ impl ShardedCache {
     /// shard at a time and in `keys` order within a shard, with that
     /// shard locked (so it must not call back into the cache). Hits and
     /// misses are counted with one add each.
-    pub fn get_batch(
-        &self,
-        keys: &[CacheKey],
-        mut found: impl FnMut(usize, Option<&Arc<PredictedPath>>),
-    ) {
+    pub fn get_batch(&self, keys: &[CacheKey], mut found: impl FnMut(usize, Option<&V>)) {
         let mut hits = 0;
         self.by_shard(keys.iter(), |shard, at| {
             for &i in at {
@@ -181,12 +186,12 @@ impl ShardedCache {
     /// [`ShardedCache::insert`] for every entry, taking each shard's
     /// lock once and inserting in `entries` order within a shard.
     /// Inserts and evictions are counted with one add each.
-    pub fn insert_batch(&self, entries: &[(CacheKey, Arc<PredictedPath>)]) {
+    pub fn insert_batch(&self, entries: &[(CacheKey, V)]) {
         let mut evictions = 0;
         self.by_shard(entries.iter().map(|(key, _)| key), |shard, at| {
             for &i in at {
                 let (key, value) = &entries[i];
-                evictions += u64::from(shard.insert(*key, Arc::clone(value)));
+                evictions += u64::from(shard.insert(*key, value.clone()));
             }
         });
         add(&self.inserts, entries.len() as u64);
@@ -199,7 +204,7 @@ impl ShardedCache {
     fn by_shard<'k>(
         &self,
         keys: impl Iterator<Item = &'k CacheKey> + Clone,
-        mut visit: impl FnMut(&mut Shard, &[usize]),
+        mut visit: impl FnMut(&mut Shard<V>, &[usize]),
     ) {
         GROUPS.with_borrow_mut(|Groups { ends, order }| {
             // ends[s]: first the count of shard s, then where its run
@@ -260,7 +265,9 @@ thread_local! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inano_core::PredictedPath;
     use inano_model::{AsPath, LatencyMs, LossRate};
+    use std::sync::Arc;
 
     fn path(rtt: f64) -> Arc<PredictedPath> {
         Arc::new(PredictedPath {

@@ -11,15 +11,22 @@
 //! two passes on the thread that calls it. The first pass resolves
 //! every pair and computes its cache key (every resolved pair has one:
 //! a canonical endpoint's cluster, any other endpoint's own prefix; see
-//! `cache_key`). The second probes the result cache one shard at a time
+//! `cache_key`). A batch names few distinct addresses among its ends
+//! (~200 of a `hot_stream` 512-pair batch's 1,024), so the pass resolves
+//! each distinct one once, through a per-batch memo (`ResolveMemo`); an
+//! address that fails to resolve is resolved again at each end that
+//! names it, so every pair's error stays per-pair `query`'s. The second
+//! probes the result cache one shard at a time
 //! ([`ShardedCache::get_batch`]): each shard the batch touches is locked
 //! once, not once per pair, because a shard lock taken per pair moved
 //! its cache line between two concurrent callers on every probe and more
 //! than doubled their per-pair cost (see [`crate::cache`]). A hit is
-//! answered there and then as the cached `Arc<PredictedPath>` — it never
-//! copies the path. When every pair is answered so, the batch is done
-//! on that thread; its per-pair state lives in a thread-local scratch,
-//! so a warm batch allocates once: the answers it returns.
+//! answered there and then as the cached `Arc<Answer>` — it never
+//! copies the path, and an [`Answer`] keeps the reply row a server
+//! writes for it the first time it is encoded. When every pair is
+//! answered so, the batch is done on that thread; its per-pair state
+//! and the memo live in a thread-local scratch, so a warm batch
+//! allocates once: the answers it returns.
 //!
 //! Otherwise the probe hands back an [`Owed`] batch, which owns its
 //! generation and per-pair state and is `Send`: a server probes on its
@@ -115,6 +122,8 @@ use inano_obs::{EventJournal, EventKind, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt;
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -198,7 +207,55 @@ pub const DELTA_LOG_CAP: usize = 32;
 
 /// One answer as the engine holds it: the prediction shared with the
 /// result cache, never deep-copied on the way out.
-pub type SharedResult = Result<Arc<PredictedPath>, ModelError>;
+pub type SharedResult = Result<Arc<Answer>, ModelError>;
+
+/// A prediction as the engine shares it, with a write-once slot for its
+/// encoded form: the serving layer writes an answer's reply row the
+/// first time it encodes it (`inano-net`'s `encode_path_batch`) and
+/// copies the row every time after. The fields are private and the
+/// answer sits behind an `Arc`, so the path a row was written from can
+/// never change under it. A written row adds ~150 bytes to a cached
+/// answer: the 24-byte slot, the row itself (~109 bytes at the bench
+/// worlds' path lengths) and its allocation header.
+pub struct Answer {
+    path: PredictedPath,
+    row: OnceLock<Box<[u8]>>,
+}
+
+impl Answer {
+    pub fn new(path: PredictedPath) -> Answer {
+        Answer {
+            path,
+            row: OnceLock::new(),
+        }
+    }
+
+    /// The row written for this answer, by `write` on the first call;
+    /// every later call returns those bytes, whatever it is passed.
+    pub fn row(&self, write: impl FnOnce(&PredictedPath) -> Box<[u8]>) -> &[u8] {
+        self.row.get_or_init(|| write(&self.path))
+    }
+
+    /// The prediction, moved out if this is the last handle, else
+    /// copied.
+    pub fn into_path(self: Arc<Answer>) -> PredictedPath {
+        Arc::try_unwrap(self).map_or_else(|shared| shared.path.clone(), |answer| answer.path)
+    }
+}
+
+impl Deref for Answer {
+    type Target = PredictedPath;
+
+    fn deref(&self) -> &PredictedPath {
+        &self.path
+    }
+}
+
+impl fmt::Debug for Answer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.path.fmt(f)
+    }
+}
 
 /// Where the answer for a resolved pair is cached. A prediction is a
 /// pure function of (source prefix, destination prefix, generation),
@@ -219,6 +276,19 @@ fn cache_key(s: &Resolution, d: &Resolution, epoch: u64) -> CacheKey {
     };
     let ((src, src_tag), (dst, dst_tag)) = (side(s, 1 << 63), side(d, 1 << 62));
     (src, dst, epoch | src_tag | dst_tag)
+}
+
+/// The error [`PathPredictor::query`] gives a pair with an end that
+/// does not resolve: an address outside every range before a prefix with
+/// no cluster, the source before the destination within each.
+fn pair_error(s: Result<Resolution, ModelError>, d: Result<Resolution, ModelError>) -> ModelError {
+    match (s, d) {
+        (Err(e @ ModelError::UnroutableAddress(_)), _)
+        | (_, Err(e @ ModelError::UnroutableAddress(_)))
+        | (Err(e), _)
+        | (_, Err(e)) => e,
+        (Ok(_), Ok(_)) => unreachable!("a pair whose ends both resolve has no error"),
+    }
 }
 
 /// Where one pair of a batch stands.
@@ -244,6 +314,63 @@ struct Scratch {
     keys: Vec<CacheKey>,
     /// ... its index in the batch, and the prefixes a miss predicts.
     resolved: Vec<(usize, (PrefixId, PrefixId))>,
+    /// The batch's resolved addresses.
+    memo: ResolveMemo,
+}
+
+/// Most slots a batch's [`ResolveMemo`] uses: twice the ends of a
+/// 1,024-pair batch.
+const MEMO_SLOTS: usize = 4096;
+
+/// The addresses one batch has resolved, so each distinct address
+/// resolves once per batch rather than once per end: a warm 512-pair
+/// `hot_stream` batch has ~200 distinct addresses among its 1,024 ends.
+/// Direct-mapped: a slot holds the last address that hashed to it, and
+/// one that finds another address there resolves and takes the slot.
+/// [`ResolveMemo::start`] stamps each batch anew, so a slot is read only
+/// in the batch that wrote it — one generation of one engine. A failed
+/// resolve is not kept: its pair's error is resolved afresh each time.
+#[derive(Default)]
+struct ResolveMemo {
+    /// `(batch stamp, address, resolution)`; stamp 0 is never a batch's.
+    slots: Vec<(u32, Ipv4, Option<Resolution>)>,
+    /// This batch's slots are `slots[..=mask]`.
+    mask: usize,
+    stamp: u32,
+}
+
+impl ResolveMemo {
+    /// Start a batch of `ends` addresses: a power of two near twice as
+    /// many slots, at most [`MEMO_SLOTS`], under a stamp no slot holds.
+    fn start(&mut self, ends: usize) {
+        let len = (2 * ends).next_power_of_two().min(MEMO_SLOTS);
+        if self.slots.len() < len {
+            self.slots.resize(len, (0, Ipv4(0), None));
+        }
+        self.mask = len - 1;
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slots.fill((0, Ipv4(0), None));
+            self.stamp = 1;
+        }
+    }
+
+    /// `p.resolve(ip)`, from this batch's slot for `ip` when it holds
+    /// `ip`.
+    fn resolve(&mut self, p: &PathPredictor, ip: Ipv4) -> Result<Resolution, ModelError> {
+        // The product's high half mixes every address bit, so addresses
+        // that differ only above their low byte still spread.
+        let at = (u64::from(ip.0).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & self.mask;
+        let slot = &mut self.slots[at];
+        match *slot {
+            (stamp, held, Some(r)) if stamp == self.stamp && held == ip => Ok(r),
+            _ => {
+                let r = p.resolve(ip)?;
+                *slot = (self.stamp, ip, Some(r));
+                Ok(r)
+            }
+        }
+    }
 }
 
 thread_local! {
@@ -273,7 +400,7 @@ pub struct Owed {
 /// result cache any number of threads may query at once).
 pub struct QueryEngine {
     current: RwLock<Arc<Generation>>,
-    cache: ShardedCache,
+    cache: ShardedCache<Arc<Answer>>,
     metrics: EngineMetrics,
     cfg: ServiceConfig,
     /// Serialises swap *builders*; never blocks readers.
@@ -373,7 +500,7 @@ impl QueryEngine {
 
     /// Serve one query inline on the caller's thread.
     pub fn query(&self, src: Ipv4, dst: Ipv4) -> Result<PredictedPath, ModelError> {
-        self.query_shared(src, dst).map(Arc::unwrap_or_clone)
+        self.query_shared(src, dst).map(Answer::into_path)
     }
 
     /// [`QueryEngine::query`] without the copy: the answer is the
@@ -388,7 +515,7 @@ impl QueryEngine {
     pub fn query_batch(&self, pairs: &[(Ipv4, Ipv4)]) -> Vec<Result<PredictedPath, ModelError>> {
         self.query_batch_shared(pairs)
             .into_iter()
-            .map(|r| r.map(Arc::unwrap_or_clone))
+            .map(|r| r.map(Answer::into_path))
             .collect()
     }
 
@@ -423,6 +550,7 @@ impl QueryEngine {
             slots,
             keys,
             resolved,
+            memo,
         } = scratch;
         slots.clear();
         keys.clear();
@@ -430,14 +558,15 @@ impl QueryEngine {
         let generation = self.generation();
         let p = &generation.predictor;
         let start = Instant::now();
+        memo.start(2 * pairs.len());
         for (at, &(src, dst)) in pairs.iter().enumerate() {
-            let slot = match (p.resolve(src), p.resolve(dst)) {
+            let slot = match (memo.resolve(p, src), memo.resolve(p, dst)) {
                 (Ok(s), Ok(d)) => {
                     keys.push(cache_key(&s, &d, generation.epoch));
                     resolved.push((at, (s.prefix, d.prefix)));
                     Slot::Keyed(keys.len() - 1)
                 }
-                (Err(e), _) | (_, Err(e)) => Slot::Ready(Err(e)),
+                (s, d) => Slot::Ready(Err(pair_error(s, d))),
             };
             slots.push(slot);
         }
@@ -500,7 +629,9 @@ impl QueryEngine {
             }
         }
         let predicted = generation.predictor.predict_batch(&misses).into_iter();
-        let missed: Vec<SharedResult> = predicted.map(|r| r.map(Arc::new)).collect();
+        let missed: Vec<SharedResult> = predicted
+            .map(|r| r.map(|p| Arc::new(Answer::new(p))))
+            .collect();
         // A miss's latency sample is the time of the planner call it
         // waited for.
         let miss_us = start.elapsed().as_micros() as u64;

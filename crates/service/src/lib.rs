@@ -21,7 +21,8 @@
 //!   both halves on its caller; `inano-net` probes on its event loop
 //!   and finishes on a responder;
 //! * [`ShardedCache`] — a sharded LRU over full bidirectional
-//!   predictions keyed `(src_cluster, dst_cluster, epoch)`, riding the
+//!   predictions ([`Answer`]s, each with the reply row a server writes
+//!   for it once) keyed `(src_cluster, dst_cluster, epoch)`, riding the
 //!   paper's observation that predictions are stable within a
 //!   measurement day, with hit/miss/eviction/insert counters, and a
 //!   batched probe and insert that group a batch's keys by shard, so
@@ -58,7 +59,7 @@ pub mod stats;
 
 pub use cache::{CacheKey, ShardedCache};
 pub use engine::{
-    Generation, Offer, Owed, QueryEngine, ServiceConfig, SharedResult, DELTA_LOG_CAP,
+    Answer, Generation, Offer, Owed, QueryEngine, ServiceConfig, SharedResult, DELTA_LOG_CAP,
 };
 pub use registry::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
 pub use stats::EngineMetrics;
